@@ -62,7 +62,6 @@ fn build_trod(tag: &str, checkpoint_bytes: u64) -> (Trod, std::path::PathBuf, u6
     let path = wal_path(tag);
     let opts = WalOptions {
         sync_mode: SyncMode::Cached,
-        group_commit: true,
         segment_bytes: 8 << 10,
         checkpoint_bytes,
     };

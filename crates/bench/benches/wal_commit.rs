@@ -1,23 +1,17 @@
-//! Durable commit benchmark: group commit vs the serial-fsync baseline,
-//! across sync modes and thread counts, plus recovery time vs log size.
+//! Durable commit benchmark: group commit across sync modes and thread
+//! counts, plus recovery time vs log size.
 //!
-//! The PR 6 tentpole claims one specific win: with the WAL attached, the
-//! coordinator appends each aligned log entry inside the publication
-//! window but defers the fsync past the commit locks, so every commit
-//! that lands in the same flush window shares ONE `fsync` — throughput
-//! under concurrent committers scales with threads instead of
-//! serializing behind the disk. The measurable contract (ISSUE 6): at 8
-//! threads, `group/sync` sustains at least 4× the commit throughput of
-//! `serial/sync` (the same WAL with group commit disabled, i.e. one
-//! fsync per commit inside the window).
+//! With the WAL attached, the coordinator appends each aligned log entry
+//! inside the publication window but defers the fsync past the commit
+//! locks, so every commit that lands in the same flush window shares ONE
+//! `fsync` — throughput under concurrent committers scales with threads
+//! instead of serializing behind the disk.
 //!
-//! Shapes, each at 1/2/4/8 threads against one shared WAL file:
+//! Shapes, each at 1/2/4/8 threads against one shared WAL:
 //!
-//! * `group/sync`   — group commit, `SyncMode::Sync` (fsync per group)
-//! * `group/flush`  — group commit, write-through without fsync
+//! * `group/sync`   — `SyncMode::Sync` (fsync per group)
+//! * `group/flush`  — write-through without fsync
 //! * `group/cached` — buffered appends, spilled in 64 KiB chunks
-//! * `serial/sync`  — group commit OFF: the baseline durability story,
-//!   one fsync per commit, holding its position in the window
 //!
 //! The WAL lives under the workspace `target/` directory — NOT in
 //! `/tmp`, which is commonly tmpfs and would turn `fsync` into a no-op
@@ -70,10 +64,9 @@ fn wal_path(tag: &str) -> std::path::PathBuf {
     ))
 }
 
-fn wal_opts(mode: SyncMode, group: bool, segment_bytes: u64) -> WalOptions {
+fn wal_opts(mode: SyncMode, segment_bytes: u64) -> WalOptions {
     WalOptions {
         sync_mode: mode,
-        group_commit: group,
         segment_bytes,
         // Automatic checkpoints off: these benches measure the commit
         // and replay paths themselves; `recovery_checkpoint` below
@@ -127,13 +120,12 @@ fn bench_group_commit(c: &mut Criterion) {
     group.sample_size(10);
     group.measurement_time(Duration::from_secs(3));
     for (mode_name, opts) in [
-        ("group/sync", wal_opts(SyncMode::Sync, true, 0)),
-        ("group/flush", wal_opts(SyncMode::Flush, true, 0)),
-        ("group/cached", wal_opts(SyncMode::Cached, true, 0)),
-        ("serial/sync", wal_opts(SyncMode::Sync, false, 0)),
+        ("group/sync", wal_opts(SyncMode::Sync, 0)),
+        ("group/flush", wal_opts(SyncMode::Flush, 0)),
+        ("group/cached", wal_opts(SyncMode::Cached, 0)),
         // Segment-roll overhead: a bound small enough that every round
         // rolls the active segment several times.
-        ("group/sync/roll", wal_opts(SyncMode::Sync, true, 16 << 10)),
+        ("group/sync/roll", wal_opts(SyncMode::Sync, 16 << 10)),
     ] {
         for &threads in &THREAD_COUNTS {
             let path = wal_path("throughput");
@@ -162,7 +154,7 @@ fn build_log(tag: &str, commits: usize, segment_bytes: u64) -> std::path::PathBu
     let path = wal_path(tag);
     // Flush mode: write-through without fsync — fast to build, and the
     // rotation path (which seals on sync/flush boundaries) still runs.
-    let db = durable_db(&path, wal_opts(SyncMode::Flush, true, segment_bytes));
+    let db = durable_db(&path, wal_opts(SyncMode::Flush, segment_bytes));
     for i in 0..commits {
         let mut txn = db.begin();
         txn.insert("items_0", row![i as i64, i as i64]).unwrap();
@@ -238,7 +230,7 @@ fn build_update_log(
     segment_bytes: u64,
 ) -> std::path::PathBuf {
     let path = wal_path(tag);
-    let db = durable_db(&path, wal_opts(SyncMode::Flush, true, segment_bytes));
+    let db = durable_db(&path, wal_opts(SyncMode::Flush, segment_bytes));
     let mut handles = Vec::with_capacity(keys);
     for i in 0..commits {
         let mut txn = db.begin();

@@ -224,42 +224,12 @@ impl Trod {
         Ok((trod, report))
     }
 
-    /// [`Trod::enable_retention`] plus a durable home for the spills.
-    ///
-    /// When production runs on a segmented WAL (the directory layout of
-    /// [`Trod::open_durable`]), the log itself is that home: GC compacts
-    /// sealed segments below the floor into immutable cold files instead
-    /// of deleting them, so the spilled history is already durable and no
-    /// second copy is written — `path` is ignored and 0 is returned.
-    /// Otherwise (in-memory sinks, legacy single-file logs) entries GC
-    /// truncates are appended to a dedicated spill segment at `path`
-    /// (synced per `mode`) as well as kept in memory. Reopening an
-    /// existing spill segment reloads its history first; returns how many
-    /// entries were reloaded.
-    pub fn enable_durable_retention(
-        &self,
-        path: impl AsRef<std::path::Path>,
-        mode: trod_db::SyncMode,
-    ) -> Result<usize, trod_db::StorageError> {
-        let segmented = self
-            .runtime
-            .database()
-            .wal()
-            .is_some_and(|w| w.is_segmented());
-        if segmented {
-            self.enable_retention();
-            return Ok(0);
-        }
-        let loaded = self.provenance.enable_durable_spills(path, mode)?;
-        self.enable_retention();
-        Ok(loaded)
-    }
-
     /// Garbage-collects production history in both stores under one
     /// clamped horizon ([`Session::gc_before`]); with retention enabled
-    /// the truncated aligned entries are spilled (durably, after
-    /// [`Trod::enable_durable_retention`]) before they leave the live
-    /// log, so [`Trod::aligned_history`] stays gap-free.
+    /// the truncated aligned entries are spilled to the provenance store
+    /// before they leave the live log, so [`Trod::aligned_history`] stays
+    /// gap-free; on a durable environment the same pass compacts the
+    /// covered WAL segments into cold files, the durable copy.
     pub fn gc_before(&self, ts: trod_db::Ts) -> trod_kv::GcStats {
         self.runtime.session().gc_before(ts)
     }

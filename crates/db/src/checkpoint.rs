@@ -9,7 +9,7 @@
 //! [`crate::segment::SegmentedWal::write_checkpoint`] on the post-ack
 //! path and tracked in the MANIFEST alongside segments, so recovery can
 //! boot from the newest valid one and replay only the WAL tail after it
-//! (see the checkpoint lifecycle section in [`crate::database`]).
+//! (lifecycle and retention: "The durable log" in `crates/db/DESIGN.md`).
 //!
 //! # Consistency model
 //!

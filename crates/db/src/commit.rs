@@ -40,8 +40,7 @@
 //! commit-order hole across files), and recovery re-installs recovered
 //! entries through participant `install` calls, so a crash-recovered kv
 //! store is rebuilt by the identical code path that wrote it live (see
-//! [`crate::wal`], [`crate::segment`] and the durability section in
-//! [`crate::database`]).
+//! "The durable log" in `crates/db/DESIGN.md`).
 
 use std::sync::Arc;
 

@@ -176,134 +176,39 @@
 //! aligned entries into an empty fork — which is how replay keeps working
 //! for history older than the GC watermark.
 //!
-//! # Durability, group commit and recovery
+//! # Durability
 //!
-//! Attaching a write-ahead log ([`Database::create_durable`] /
-//! [`Database::open_durable`], or [`Database::attach_wal`] for custom
-//! sinks) makes the aligned history real: the publication window streams
-//! every [`TxnLog`] entry — relational and `kv:<namespace>` change
-//! records verbatim — into the active segment of a
-//! [`crate::segment::SegmentedWal`] as a length-prefixed, CRC-checksummed
-//! record (format in [`crate::wal`]), so the WAL byte order *is* the
-//! commit order. DDL (`create_table`, `create_index`,
-//! `create_range_index`, and namespace creation at the session layer) is
-//! logged the same way, so recovery rebuilds the catalog before the
-//! commits that use it.
+//! [`Database::create_durable`] / [`Database::open_durable`] put a
+//! [`SegmentedWal`] under the commit protocol; the design (layers, the
+//! single storage seam, fault model, crash windows, the recovery walk)
+//! is written up once, in "The durable log" in `crates/db/DESIGN.md`.
+//! What this module guarantees:
 //!
-//! **Segment lifecycle.** The durable log is a directory of segments
-//! tracked by a checksummed `MANIFEST` (details in [`crate::segment`]);
-//! each segment moves through exactly one path:
-//!
-//! ```text
-//! active ──(size bound reached, rotation outside the
-//!           publication window; fully synced at seal)──▶ sealed
-//! sealed ──(max commit ts <= GC floor; entries spilled;
-//!           copied + verified into an immutable cold file,
-//!           published by an atomic manifest swap)───────▶ compacted
-//! compacted originals ──(only after the manifest swap
-//!           is durable)──────────────────────────────────▶ deleted
-//! ```
-//!
-//! Only the **active** segment may carry a torn tail after a crash;
-//! sealed and cold files were complete and durable before the manifest
-//! ever referenced them, so any damage there is refused as typed
-//! corruption. [`Database::gc_before`] drives the sealed → compacted
-//! transition: once the log floor rises past a sealed segment's last
-//! commit (its entries now live in the retention spill and the cold copy)
-//! the original is deleted — durable retention stops growing without
-//! bound.
-//!
-//! **Group commit.** Appending happens inside the publication window (a
-//! memcpy into the WAL's buffer — no IO on the ordered critical path);
-//! the durability wait ([`crate::wal::Wal::sync_to`]) runs *after* the
-//! committer released its footprint locks. The first waiter becomes the
-//! group leader and performs one write + one fsync for every commit
-//! buffered meanwhile, so durable throughput scales with batch size
-//! instead of being 1/fsync flat. [`crate::wal::SyncMode`] picks the
-//! guarantee (`Sync` = fsync, `Flush` = OS buffer, `Cached` = process
-//! buffer), and `group_commit: false` restores the serial-fsync baseline
-//! (each commit syncs inside its own publication window) that the
-//! `wal_commit` benchmark compares against. With a WAL attached the
-//! synthetic storage-latency model is bypassed — commits pay the real
-//! fsync instead.
-//!
-//! **Failure semantics.** A failed group write/fsync surfaces as the
-//! retryable [`TrodError::Storage`] to exactly the commits whose bytes
-//! the failed attempt covered; the commit is *published in memory* but
-//! its durability is unconfirmed. The failed bytes stay queued in commit
-//! order and the next group's leader repairs the sink and retries them,
-//! so one bad group never poisons the commit path.
-//!
-//! **Recovery.** [`Database::open_durable`] validates every record's
-//! checksum, truncates a *torn tail* (damage extending to end-of-file —
-//! an unacknowledged commit that died mid-write) back to the last valid
-//! record, and refuses mid-file corruption (damage with provably valid
-//! records after it) with a typed [`crate::StorageError::Corrupt`] —
-//! never a panic, never silently wrong state. Valid entries replay
-//! through the same participant path as live injection
-//! ([`Database::apply_entry_with`]), preserving each entry's original
-//! `txn_id`/`start_ts`/`commit_ts` and its kv records, so the recovered
-//! aligned history is byte-for-byte the durable prefix of the original.
-//! Crash-point behaviour is property-tested with
-//! [`crate::wal::FailpointSink`]: at every record-boundary crash, every
-//! random truncation and every byte corruption, reopen recovers exactly
-//! the acknowledged-commit prefix.
-//!
-//! # Environment checkpoints
-//!
-//! Recovery as described above is O(history): every cold, sealed and
-//! active record replays from ts 0. **Checkpoints** bound that cost.
-//! A checkpoint ([`crate::checkpoint::Checkpoint`]) is one
-//! MVCC-consistent image of the whole environment — every table's
-//! schema, index columns and rows visible at the checkpoint timestamp,
-//! every key-value namespace (contributed through
-//! [`Database::set_checkpoint_source`] by the session layer), the
-//! commit clock and the transaction-id high-water mark — written as a
-//! single CRC-framed `ckpt-<ts>.ckpt` file through the same
-//! [`LogDir`] seam as segments and published by the same atomic
-//! MANIFEST swap (so crash sweeps cover every cost unit of the write).
-//!
-//! **When they are taken.** Never inside the publication window. The
-//! capture runs on the *post-ack* path — after a commit has released
-//! its footprint locks and confirmed durability
-//! ([`Database::maybe_checkpoint`] fires when
-//! [`crate::wal::WalOptions::checkpoint_bytes`] of new WAL bytes have
-//! accumulated), after [`Database::gc_before`] finishes compaction, or
-//! on demand via [`Database::checkpoint`] (the server's
-//! `sys_checkpoint`). Capture reads the *published* clock `T` and
-//! time-travel snapshots every store at exactly `T`; concurrent commits
-//! at higher timestamps are simply not in the image. At most one
-//! capture runs at a time (concurrent attempts are counted as skips),
-//! and a failed write is counted and swallowed — commits never fail
-//! because a checkpoint could not be written.
-//!
-//! **What boot does with them.** [`Database::open_durable`] restores
-//! the newest *valid* checkpoint (decode + CRC verify at boot), then
-//! replays only the WAL tail after its timestamp: whole cold/sealed
-//! files whose commits all precede the checkpoint (and which carry no
-//! DDL) are skipped without even being read, and decoded records are
-//! filtered to commits after the cut. DDL records are replayed
-//! *leniently* on a checkpoint boot — re-creating a table, index or
-//! namespace the checkpoint already restored is a no-op (sound because
-//! the WAL vocabulary has no drop records). Recovery then raises the
-//! log truncation floor to the checkpoint timestamp, so history below
-//! it reads as typed truncation, exactly as if GC had truncated it —
-//! never as silently-empty history.
-//!
-//! **Fallback rules.** A checkpoint that fails validation (bad magic,
-//! CRC mismatch, timestamp disagreement with the MANIFEST) is delisted
-//! and deleted, the fallback is counted, and boot tries the next older
-//! one — or falls back to full replay with no checkpoint at all. Every
-//! failure is typed ([`crate::StorageError::Corrupt`]) or recovered;
-//! a damaged checkpoint can never produce silently wrong state, because
-//! the full WAL history is still there to replay.
-//!
-//! **Deep forks.** The debugger's below-the-GC-floor environment forks
-//! ride the same files: `fork_environment` in `trod-core` loads the
-//! nearest checkpoint at or before the fork timestamp
-//! ([`crate::segment::SegmentedWal::load_checkpoint_at_or_before`]) and
-//! replays only the spilled aligned history after it — nearest-snapshot
-//! + delta instead of replay-everything.
+//! * **WAL byte order is commit order.** The publication window appends
+//!   each [`TxnLog`] entry — relational and `kv:<namespace>` change
+//!   records verbatim — to the log (a memcpy, no IO); DDL is logged and
+//!   synced before the commits that use it.
+//! * **The durability wait is outside every lock.** The group sync
+//!   ([`SegmentedWal::sync_to`]) runs after the footprint locks are
+//!   released. A failed group surfaces as the retryable
+//!   [`TrodError::Storage`] to exactly the commits it covered; those are
+//!   *published in memory* with durability unconfirmed, and the next
+//!   group retries their bytes — the commit path is never poisoned. With
+//!   a WAL attached the synthetic storage-latency model is bypassed.
+//! * **Rotation, compaction and checkpoints never run inside the
+//!   publication window.** They ride the post-ack path
+//!   ([`Database::maybe_checkpoint`], [`Database::gc_before`]) or run on
+//!   demand ([`Database::checkpoint`]); their failures are counted in
+//!   the WAL stats and never fail a commit.
+//! * **Recovery is one walk and one replay loop.**
+//!   [`SegmentedWal::open_dir`] yields the newest valid checkpoint plus
+//!   the record tail; [`Database::recover`] restores the one and replays
+//!   the other through [`Database::apply_entry_with`], preserving every
+//!   entry's identity, so the recovered aligned history is the durable
+//!   prefix of the original. History below a restored checkpoint reads
+//!   as typed truncation, exactly as if GC had truncated it. Damage is a
+//!   typed [`StorageError`] or a counted fallback — never a panic, never
+//!   silently wrong state.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -314,6 +219,7 @@ use parking_lot::{Mutex, RwLock};
 use crate::cdc::{ChangeOp, ChangeRecord};
 use crate::checkpoint::{Checkpoint, CheckpointContributor, CheckpointTable};
 use crate::commit::CommitParticipant;
+use crate::dir::LogDir;
 use crate::error::{DbError, DbResult, StorageError, TrodError, TrodResult};
 use crate::latency::{LatencyModel, StorageProfile};
 use crate::log::{CommittedTxn, LogStaging, RetentionPolicy, TxnId, TxnLog};
@@ -322,14 +228,35 @@ use crate::predicate::Predicate;
 use crate::registry::ActiveTxnRegistry;
 use crate::row::{Key, Row};
 use crate::schema::Schema;
-use crate::segment::{LogDir, SegmentedRecovery, SegmentedWal};
+use crate::segment::{RecoveredLog, RecoveryReport, SegmentedWal};
 use crate::table::{BatchOp, ScanRows, TableStore};
 use crate::txn::{CommitInfo, IsolationLevel, Transaction, TxnState, WriteOp};
-use crate::wal::{RecoveryReport, Wal, WalOptions, WalRecord};
+use crate::wal::{WalOptions, WalRecord};
 
-/// Replay callback for `CreateNamespace` records: lets the session layer
-/// create kv namespaces mid-stream, preserving DDL-vs-commit order.
-pub(crate) type NamespaceHook<'a> = &'a mut dyn FnMut(&str) -> Result<(), StorageError>;
+/// The non-relational half of an environment, as [`Database::recover`]
+/// sees it. The defaults are the relational-only boot: nothing extra to
+/// restore, namespace DDL only counted, `kv:<namespace>` change records
+/// preserved verbatim in the aligned history but installed nowhere. The
+/// session layer overrides all three over its key-value store.
+pub trait RecoveryParticipant {
+    /// Restores this store's share of the boot checkpoint.
+    fn restore_checkpoint(&self, _ck: &Checkpoint) -> TrodResult<()> {
+        Ok(())
+    }
+
+    /// Re-creates a namespace from its DDL record.
+    fn create_namespace(&self, _name: &str) -> TrodResult<()> {
+        Ok(())
+    }
+
+    /// Re-installs one recovered entry verbatim into `db` and this store.
+    fn apply_entry(&self, db: &Database, entry: &CommittedTxn) -> TrodResult<()> {
+        db.apply_entry_with(entry, &[]).map(|_| ())
+    }
+}
+
+struct RelationalOnly;
+impl RecoveryParticipant for RelationalOnly {}
 
 /// Point-in-time statistics about a database.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -397,7 +324,7 @@ struct DbInner {
     publish_waiters: AtomicU64,
     publish_mutex: std::sync::Mutex<()>,
     publish_cv: std::sync::Condvar,
-    /// Durable sink for the aligned history: when attached, every commit
+    /// The durable log of the aligned history: when attached, every commit
     /// appends its log entry (and DDL its record) inside the publication
     /// window and group-syncs after releasing its locks. `None` = pure
     /// in-memory database (forks, tests, the default).
@@ -474,34 +401,33 @@ impl Database {
     }
 
     /// Creates an empty database whose commits stream to a fresh
-    /// segmented WAL directory at `path` (truncating any existing log —
-    /// including a pre-segmentation single-file one). See the module docs
-    /// on durability.
+    /// segmented WAL in the directory at `path` (truncating any existing
+    /// log there). A regular file at `path` is refused with a typed
+    /// error and left untouched.
     pub fn create_durable(
         path: impl AsRef<std::path::Path>,
         opts: WalOptions,
     ) -> DbResult<Database> {
         let db = Database::new();
-        db.attach_segmented_wal(SegmentedWal::create_path(path, opts)?);
+        db.set_wal(SegmentedWal::create_path(path, opts)?);
         Ok(db)
     }
 
     /// [`Database::create_durable`] over an arbitrary [`LogDir`]
-    /// (fault-injection tests drive a [`crate::segment::FailpointDir`]
+    /// (fault-injection tests drive a [`crate::dir::FailpointDir`]
     /// through here).
     pub fn create_durable_in(dir: Arc<dyn LogDir>, opts: WalOptions) -> DbResult<Database> {
         let db = Database::new();
-        db.attach_segmented_wal(SegmentedWal::create_dir(dir, opts)?);
+        db.set_wal(SegmentedWal::create_dir(dir, opts)?);
         Ok(db)
     }
 
-    /// Opens (creating if absent) a durable database: validates the WAL
-    /// at `path`, truncates a torn tail at the last valid checksum,
-    /// replays every record through the participant path, and attaches
-    /// the repaired WAL so subsequent commits append after the recovered
-    /// prefix. Mid-file corruption yields a typed error
-    /// ([`StorageError::Corrupt`]); replay inconsistencies yield
-    /// [`StorageError::Recovery`] — never a panic.
+    /// Opens (creating if absent) a durable database: walks the log in
+    /// the directory at `path` ([`SegmentedWal::open_dir`]) and rebuilds
+    /// the database from it ([`Database::recover`]). Damage to durable
+    /// bytes yields [`StorageError::Corrupt`], replay inconsistencies
+    /// [`StorageError::Recovery`], a regular file at `path` a typed error
+    /// that leaves it untouched — never a panic.
     ///
     /// Entries may carry `kv:<namespace>` change records; this
     /// relational-only replay preserves them verbatim in the aligned
@@ -511,8 +437,7 @@ impl Database {
         path: impl AsRef<std::path::Path>,
         opts: WalOptions,
     ) -> DbResult<(Database, RecoveryReport)> {
-        let (wal, records, info) = SegmentedWal::open_path(path, opts)?;
-        Self::recover_from(wal, &records, &info)
+        Self::recover(SegmentedWal::open_path(path, opts)?, &RelationalOnly)
     }
 
     /// [`Database::open_durable`] over an arbitrary [`LogDir`].
@@ -520,67 +445,47 @@ impl Database {
         dir: Arc<dyn LogDir>,
         opts: WalOptions,
     ) -> DbResult<(Database, RecoveryReport)> {
-        let (wal, records, info) = SegmentedWal::open_dir(dir, opts)?;
-        Self::recover_from(wal, &records, &info)
+        Self::recover(SegmentedWal::open_dir(dir, opts)?, &RelationalOnly)
     }
 
-    fn recover_from(
-        wal: Arc<SegmentedWal>,
-        records: &[WalRecord],
-        info: &SegmentedRecovery,
+    /// Rebuilds an environment from one recovery walk — the only loop
+    /// that replays [`WalRecord`]s. Restores the boot checkpoint (if
+    /// any), replays the record tail in order — DDL rebuilds the
+    /// catalog, commit entries re-install verbatim through `store` —
+    /// and only then attaches the log, so replayed entries are not
+    /// re-appended to it. Adds the replay counts to the walk's report.
+    ///
+    /// On a checkpoint boot DDL replays *leniently*: re-creating an
+    /// object the checkpoint already restored is skipped (sound — the
+    /// WAL vocabulary has no drop records, so "already exists" can only
+    /// mean "the checkpoint got there first"). Full replay stays strict,
+    /// so a genuinely duplicated DDL record is a typed recovery error.
+    pub fn recover(
+        log: RecoveredLog,
+        store: &dyn RecoveryParticipant,
     ) -> DbResult<(Database, RecoveryReport)> {
+        let RecoveredLog {
+            wal,
+            checkpoint,
+            records,
+            mut report,
+        } = log;
         let db = Database::new();
-        // Checkpoint boot: restore the newest valid snapshot first, then
-        // replay only the (already-filtered) WAL tail after it. DDL in
-        // the tail replays leniently — the checkpoint already holds the
-        // catalog as of its timestamp.
-        let checkpoint = wal.take_recovered_checkpoint();
-        let lenient_ddl = checkpoint.is_some();
+        let recovery_err = |detail: String| DbError::Storage(StorageError::Recovery { detail });
         if let Some(ck) = &checkpoint {
             db.restore_checkpoint(ck)?;
+            store
+                .restore_checkpoint(ck)
+                .map_err(|e| recovery_err(format!("restore checkpoint ts {}: {e}", ck.ts)))?;
         }
-        let mut report = db.replay_wal_records(records, &[], None, lenient_ddl)?;
-        report.truncated_bytes = info.truncated_bytes;
-        report.segments = info.segments;
-        report.cold_files = info.cold_files;
-        report.checkpoint_ts = checkpoint.map(|ck| ck.ts);
-        report.checkpoint_fallbacks = info.checkpoint_fallbacks;
-        report.skipped_files = info.skipped_files;
-        // Attach only after replay: a WAL attached earlier would re-append
-        // every replayed entry.
-        db.attach_segmented_wal(wal);
-        Ok((db, report))
-    }
-
-    /// Replays decoded WAL records into this (empty) database. DDL
-    /// records rebuild the catalog; commit entries re-install through
-    /// [`Database::apply_entry_with`] with `participants` (the kv half of
-    /// polyglot entries — empty for relational-only recovery). A caller
-    /// handling namespaces itself (the session layer) passes `on_namespace`
-    /// to create them mid-stream, preserving DDL-vs-commit order.
-    ///
-    /// `lenient_ddl` is the checkpoint-boot mode: DDL that re-creates an
-    /// object the restored checkpoint already holds is skipped instead of
-    /// erroring (sound — the WAL vocabulary has no drop records, so
-    /// "already exists" can only mean "the checkpoint got there first").
-    /// Full replay stays strict, so a genuinely duplicated DDL record
-    /// still surfaces as a typed recovery error.
-    pub(crate) fn replay_wal_records(
-        &self,
-        records: &[WalRecord],
-        participants: &[&dyn CommitParticipant],
-        mut on_namespace: Option<NamespaceHook<'_>>,
-        lenient_ddl: bool,
-    ) -> DbResult<RecoveryReport> {
-        let mut report = RecoveryReport::default();
-        let recovery_err = |detail: String| DbError::Storage(StorageError::Recovery { detail });
-        for record in records {
+        let lenient_ddl = checkpoint.is_some();
+        for record in &records {
             match record {
                 WalRecord::CreateTable { name, schema } => {
-                    if lenient_ddl && self.has_table(name) {
+                    if lenient_ddl && db.has_table(name) {
                         continue;
                     }
-                    self.create_table(name.clone(), schema.clone())
+                    db.create_table(name.clone(), schema.clone())
                         .map_err(|e| recovery_err(format!("create table `{name}`: {e}")))?;
                     report.tables += 1;
                 }
@@ -590,34 +495,40 @@ impl Database {
                     ranged,
                 } => {
                     if lenient_ddl {
-                        let store = self
+                        let indexed = db
                             .table(table)
                             .map_err(|e| recovery_err(format!("index `{table}.{column}`: {e}")))?;
                         let existing = if *ranged {
-                            store.range_indexed_columns()
+                            indexed.range_indexed_columns()
                         } else {
-                            store.indexed_columns()
+                            indexed.indexed_columns()
                         };
                         if existing.iter().any(|c| c == column) {
                             continue;
                         }
                     }
                     if *ranged {
-                        self.create_range_index(table, column)
+                        db.create_range_index(table, column)
                     } else {
-                        self.create_index(table, column)
+                        db.create_index(table, column)
                     }
                     .map_err(|e| recovery_err(format!("create index `{table}.{column}`: {e}")))?;
                     report.indexes += 1;
                 }
                 WalRecord::CreateNamespace { name } => {
-                    if let Some(hook) = on_namespace.as_deref_mut() {
-                        hook(name).map_err(DbError::Storage)?;
+                    let restored = checkpoint
+                        .as_ref()
+                        .is_some_and(|ck| ck.namespaces.iter().any(|ns| ns.name == *name));
+                    if restored {
+                        continue;
                     }
+                    store
+                        .create_namespace(name)
+                        .map_err(|e| recovery_err(format!("create namespace `{name}`: {e}")))?;
                     report.namespaces.push(name.clone());
                 }
                 WalRecord::Commit(entry) => {
-                    self.apply_entry_with(entry, participants).map_err(|e| {
+                    store.apply_entry(&db, entry).map_err(|e| {
                         recovery_err(format!("replay commit ts {}: {e}", entry.commit_ts))
                     })?;
                     report.commits += 1;
@@ -629,23 +540,14 @@ impl Database {
                 }
             }
         }
-        Ok(report)
+        db.set_wal(wal);
+        Ok((db, report))
     }
 
-    /// Attaches a write-ahead log; every subsequent commit appends its
-    /// aligned log entry to it (module docs). The log is assumed to
-    /// already contain exactly this database's history (empty for a fresh
-    /// database). Mostly useful with custom sinks
-    /// ([`crate::wal::Wal::with_sink`], fault-injection tests); prefer
-    /// [`Database::create_durable`] / [`Database::open_durable`].
-    pub fn attach_wal(&self, wal: Arc<Wal>) {
-        self.attach_segmented_wal(SegmentedWal::single(wal));
-    }
-
-    /// Attaches a segmented WAL directly (what the durable constructors
-    /// do); [`Database::attach_wal`] wraps a single-sink [`Wal`] into a
-    /// rotation-free [`SegmentedWal`] through here.
-    pub fn attach_segmented_wal(&self, wal: Arc<SegmentedWal>) {
+    /// Attaches the durable log: every subsequent commit appends its
+    /// aligned log entry to it. The log must already hold exactly this
+    /// database's history (empty for a fresh database).
+    fn set_wal(&self, wal: Arc<SegmentedWal>) {
         *self.inner.wal.write() = Some(wal);
     }
 
@@ -666,7 +568,7 @@ impl Database {
     }
 
     // ------------------------------------------------------------------
-    // Environment checkpoints (lifecycle in the module docs)
+    // Environment checkpoints (lifecycle: "The durable log" in DESIGN.md)
     // ------------------------------------------------------------------
 
     /// Registers the extra store captured into environment checkpoints
@@ -1292,17 +1194,7 @@ impl Database {
         // (versions are installed; the timestamp sequence must stay
         // dense); the error reports durability as unconfirmed.
         let wal = self.wal();
-        let mut wal_err: Option<StorageError> = None;
-        let mut group_sync: Option<u64> = None;
-        if let Some(w) = &wal {
-            match w.append_entry(&entry) {
-                Ok(lsn) if w.group_commit() => group_sync = Some(lsn),
-                // Serial-fsync baseline: each commit pays its own fsync
-                // inside the publication window.
-                Ok(lsn) => wal_err = w.sync_to(lsn).err(),
-                Err(e) => wal_err = Some(e),
-            }
-        }
+        let appended = wal.as_ref().map(|w| w.append_entry(&entry));
         self.finish_publication(entry);
         if wal.is_none() {
             // The synthetic latency model stands in for the durability
@@ -1311,11 +1203,8 @@ impl Database {
         }
         drop(_guards);
         drop(_serial);
-        if let (Some(w), Some(lsn)) = (&wal, group_sync) {
-            wal_err = w.sync_to(lsn).err();
-        }
-        if let Some(e) = wal_err {
-            return Err(TrodError::Storage(e));
+        if let (Some(w), Some(appended)) = (&wal, appended) {
+            w.sync_to(appended?)?;
         }
         // Post-ack, locks released, durability confirmed: the cheapest
         // safe point to take a periodic environment checkpoint.
@@ -2000,23 +1889,12 @@ impl Database {
         // WAL is attached, and re-appending recovered entries would
         // duplicate them.
         let wal = if replay.is_none() { self.wal() } else { None };
-        let mut wal_err: Option<StorageError> = None;
-        let mut group_sync: Option<u64> = None;
-        if let Some(w) = &wal {
-            match w.append_entry(&entry) {
-                Ok(lsn) if w.group_commit() => group_sync = Some(lsn),
-                Ok(lsn) => wal_err = w.sync_to(lsn).err(),
-                Err(e) => wal_err = Some(e),
-            }
-        }
+        let appended = wal.as_ref().map(|w| w.append_entry(&entry));
         self.finish_publication(entry);
         drop(_guards);
         drop(_serial);
-        if let (Some(w), Some(lsn)) = (&wal, group_sync) {
-            wal_err = w.sync_to(lsn).err();
-        }
-        if let Some(e) = wal_err {
-            return Err(TrodError::Storage(e));
+        if let (Some(w), Some(appended)) = (&wal, appended) {
+            w.sync_to(appended?)?;
         }
         Ok(CommitInfo {
             txn_id,

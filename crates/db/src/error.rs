@@ -12,12 +12,12 @@ use std::fmt;
 use crate::mvcc::Ts;
 use crate::value::DataType;
 
-/// Errors raised by the durability layer (the write-ahead log and its
-/// sinks; see [`crate::wal`]).
+/// Errors raised by the durability layer (the durable log and its
+/// storage seam; see [`crate::segment`] and [`crate::dir`]).
 ///
 /// The variants classify *how to react*, not just what broke:
 ///
-/// * [`StorageError::Io`] — an append/fsync/open on the log sink failed.
+/// * [`StorageError::Io`] — an append/fsync/open on a log file failed.
 ///   Transient by assumption (disk full, injected fault): the commits in
 ///   the failed sync group observe it and abort durability-wise, but the
 ///   WAL keeps their bytes queued and the next group retries, so the
@@ -31,8 +31,8 @@ use crate::value::DataType;
 ///   missing DDL). Not retryable.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StorageError {
-    /// An IO operation on the log sink failed. `op` names the operation
-    /// ("append", "sync", "open", ...).
+    /// An IO operation on the log directory or one of its files failed.
+    /// `op` names the operation ("append", "sync", "open", ...).
     Io { op: &'static str, detail: String },
     /// A log record at `offset` is damaged and valid records follow it —
     /// mid-file corruption, not a torn tail.
@@ -56,8 +56,8 @@ impl fmt::Display for StorageError {
 impl std::error::Error for StorageError {}
 
 impl StorageError {
-    /// True for transient sink failures (IO errors on append/sync): the
-    /// failed group aborted, but the sink may recover and subsequent
+    /// True for transient disk failures (IO errors on append/sync): the
+    /// failed group aborted, but the disk may recover and subsequent
     /// groups — or a retried transaction — can proceed. Corruption and
     /// replay failures are permanent.
     pub fn is_retryable(&self) -> bool {

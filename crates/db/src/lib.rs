@@ -103,6 +103,7 @@ pub mod changelog;
 pub mod checkpoint;
 pub mod commit;
 pub mod database;
+pub mod dir;
 pub mod error;
 pub mod index;
 pub mod latency;
@@ -125,7 +126,8 @@ pub use checkpoint::{
     CheckpointTable,
 };
 pub use commit::CommitParticipant;
-pub use database::{Database, DbStats};
+pub use database::{Database, DbStats, RecoveryParticipant};
+pub use dir::{DirFailpointHandle, FailpointDir, FsDir, LogDir, LogFile, MemDir};
 pub use error::{DbError, DbResult, KvError, KvResult, StorageError, TrodError, TrodResult};
 pub use index::{RangeIndex, SecondaryIndex};
 pub use latency::StorageProfile;
@@ -135,14 +137,11 @@ pub use predicate::{CmpOp, ColumnBounds, CompiledPredicate, Predicate};
 pub use registry::ActiveTxnRegistry;
 pub use row::{Key, Row};
 pub use schema::{Column, Schema, SchemaBuilder};
-pub use segment::{
-    DirFailpointHandle, FailpointDir, FsDir, LogDir, MemDir, SegmentedRecovery, SegmentedWal,
-    WalStats,
-};
+pub use segment::{RecoveredLog, RecoveryReport, SegmentedWal, WalStats};
 pub use table::{BatchOp, ScanPlan, ScanRows, TableStore};
 pub use txn::{CommitInfo, IsolationLevel, ReadSummary, Transaction};
 pub use value::{DataType, Value};
 pub use wal::{
-    FailpointHandle, FailpointSink, FileSink, MemSink, RecoveryInfo, RecoveryReport, SyncMode, Wal,
-    WalOptions, WalRecord, WalSink, DEFAULT_CHECKPOINT_BYTES, DEFAULT_SEGMENT_BYTES,
+    RecoveryInfo, SyncMode, Wal, WalOptions, WalRecord, DEFAULT_CHECKPOINT_BYTES,
+    DEFAULT_SEGMENT_BYTES,
 };

@@ -6,18 +6,18 @@
 //! layer reads committed entries from here, and the replay engine re-applies
 //! them to reconstruct past database states.
 //!
-//! The aligned log is also the engine's **recovery log**: with a WAL
-//! attached ([`crate::wal`]), the commit coordinator streams every entry
-//! appended here into the durable active segment inside the publication
-//! window (byte order == commit order), and recovery replays those
-//! entries — verbatim, identity included — back through the participant
-//! commit path. On disk the log is segmented ([`crate::segment`]): the
-//! GC floor established by [`TxnLog::truncate_before`] is also the
-//! compaction floor — sealed segments whose entries all sit at or below
-//! it are compacted into immutable cold files rather than deleted, so
-//! the durable history GC removes from memory stays recoverable.
-//! Entries truncated by GC additionally spill through
-//! [`RetentionPolicy`], keeping them *queryable* without a replay.
+//! The aligned log is also the engine's **recovery log**: on a durable
+//! database the commit coordinator streams every entry appended here
+//! into the active segment of the [`crate::segment::SegmentedWal`]
+//! inside the publication window (byte order == commit order), and
+//! recovery replays those entries — verbatim, identity included — back
+//! through the participant commit path. The GC floor established by
+//! [`TxnLog::truncate_before`] is also the compaction floor — sealed
+//! segments whose entries all sit at or below it are compacted into
+//! immutable cold files rather than deleted, so the durable history GC
+//! removes from memory stays recoverable. Entries truncated by GC
+//! additionally spill through [`RetentionPolicy`], keeping them
+//! *queryable* without a replay.
 
 use parking_lot::Mutex;
 

@@ -1,77 +1,31 @@
-//! Segmented, manifest-driven WAL: crash-safe rotation and compaction.
+//! The segmented, manifest-driven durable log: rotation, compaction,
+//! checkpoints and the recovery walk.
 //!
-//! [`crate::wal::Wal`] is a single append-only byte stream. This module
-//! bounds it: a [`SegmentedWal`] is a *directory* of segment files plus a
-//! small checksummed `MANIFEST` that names them. The active segment
-//! receives appends exactly like the single-file WAL (byte order ==
-//! commit order, group-commit fsync); once it crosses
-//! [`crate::wal::WalOptions::segment_bytes`] it is **sealed** — fully
-//! synced, then swapped for a fresh successor outside the publication
-//! window — and sealed segments wholly below the GC floor are
-//! **compacted** into immutable cold files so durable retention stops
-//! growing without bound.
+//! A [`SegmentedWal`] is a [`LogDir`] holding segment files, immutable
+//! cold files, checkpoint files and one checksummed `MANIFEST` naming
+//! them. Invariants this module owns (lifecycle diagrams, crash windows
+//! and the fault model: "The durable log" in `crates/db/DESIGN.md`):
 //!
-//! # Segment lifecycle
-//!
-//! ```text
-//!            append ≥ segment_bytes          max_ts <= gc floor
-//!  [active] ───────────────────────▶ [sealed] ─────────────────▶ [compacted]
-//!     │  rotation: pre-sync, create          compaction: copy+verify │
-//!     │  successor, final micro-sync         into cold-<lo>-<hi>.seg │
-//!     │  under the append lock, swap,        tmp→rename, manifest    │
-//!     │  then manifest swap                  swap, THEN delete       ▼
-//!     │                                      originals           [deleted]
-//!     ▼
-//!  torn tail allowed here ONLY — sealed and cold files must decode
-//!  perfectly clean end-to-end or recovery refuses with Corrupt{offset}.
-//! ```
-//!
-//! # The MANIFEST
-//!
-//! One CRC-framed record (magic `TRODMF01` + the standard WAL frame
-//! header) listing cold files, sealed segments and the active segment,
-//! plus the next segment sequence number. It is **never edited in
-//! place**: every change writes `MANIFEST.tmp`, fsyncs it, renames it
-//! over `MANIFEST` and fsyncs the directory. A crash between any two of
-//! those steps leaves either the old or the new manifest intact.
-//!
-//! # Crash windows and how recovery heals them
-//!
-//! * **Mid-rotation, before the swap** — at worst an empty successor
-//!   segment exists. Recovery deletes trailing empty orphans.
-//! * **Mid-rotation, after the swap, before the manifest write** — the
-//!   successor holds real commits but the manifest still names its
-//!   predecessor as active. A non-empty successor proves the swap
-//!   happened, which proves the predecessor was fully synced at seal
-//!   time: recovery *adopts* the contiguous run of non-empty orphan
-//!   successors, validating each predecessor strictly.
-//! * **Mid-compaction, before the manifest swap** — a `cold-*.tmp` (or a
-//!   renamed but unlisted `cold-*.seg`) exists while the originals are
-//!   still manifest-listed. Recovery deletes the unpublished cold file
-//!   and proceeds from the originals.
-//! * **Mid-compaction, after the manifest swap, before the deletes** —
-//!   the manifest lists the cold file; the leftover originals are now
-//!   unlisted and deleted at recovery.
-//!
-//! In every window the durable commit prefix is exactly preserved: cold
-//! and sealed bytes are immutable and fully durable, and only the newest
-//! (active) segment may carry a torn tail. [`FailpointDir`] injects a
-//! crash after an exact number of cost units (bytes written + metadata
-//! operations) so the test suite proves this at *every* cut point of
-//! rotation, manifest swap, compaction copy and delete.
-//!
-//! # Pre-segmentation layouts
-//!
-//! `open_path` on a PR 6-era single *file* transparently migrates it:
-//! the file is renamed into a new directory as segment 0 (byte-identical
-//! — a rename, not a copy) and a manifest is synthesized. A manifest-less
-//! directory of `wal-*.seg` files is adopted the same way.
+//! * **Global LSNs** — appends go to the active segment's [`Wal`]; an
+//!   LSN is that file's offset plus the summed lengths of every cold and
+//!   sealed file before it.
+//! * **Only the active segment may be torn.** A segment is fully synced
+//!   before it stops being active, and cold files are verified copies:
+//!   any damage in a sealed or cold file is [`StorageError::Corrupt`]
+//!   naming the file, never silent truncation.
+//! * **The MANIFEST is never edited in place**: write `MANIFEST.tmp`,
+//!   fsync, rename over `MANIFEST`, fsync the directory. New files are
+//!   durable before the manifest lists them; old files are deleted only
+//!   after the manifest that stopped listing them is durable.
+//! * **Rotation, compaction and checkpoint writes run outside the
+//!   publication window**, serialized by one lock, and their errors are
+//!   counted, not raised — a crash or failure there can never un-ack a
+//!   commit; [`SegmentedWal::open_dir`] reconciles whatever debris is
+//!   left.
 
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
-use std::io::{Read as _, Seek, SeekFrom};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{SystemTime, UNIX_EPOCH};
 
@@ -80,35 +34,24 @@ use parking_lot::Mutex;
 use crate::checkpoint::{
     checkpoint_name, decode_checkpoint, encode_checkpoint, parse_checkpoint_name, Checkpoint,
 };
+use crate::dir::{FsDir, LogDir};
 use crate::error::StorageError;
 use crate::log::CommittedTxn;
 use crate::mvcc::Ts;
 use crate::wal::{
-    crc32, decode_records, put_str, put_u32, put_u64, Cursor, FileSink, SyncMode, Wal, WalOptions,
-    WalRecord, WalSink,
+    crc32, decode_records, put_str, put_u32, put_u64, Cursor, SyncMode, Wal, WalOptions, WalRecord,
 };
 
 /// The manifest file name inside a log directory.
 pub const MANIFEST_NAME: &str = "MANIFEST";
 const MANIFEST_TMP: &str = "MANIFEST.tmp";
 const MANIFEST_MAGIC: &[u8; 8] = b"TRODMF01";
-/// Version 2 adds per-file `has_ddl` flags and the checkpoint list.
-/// Version 1 manifests are still decoded (with `has_ddl` conservatively
-/// `true` — every file replays — and no checkpoints); writes always emit
-/// version 2.
 const MANIFEST_VERSION: u32 = 2;
 /// Newest checkpoints kept in the manifest; older ones are deleted after
 /// each successful checkpoint write.
 const CHECKPOINTS_KEPT: usize = 2;
 /// Cold-file count above which compaction merges contiguous cold runs.
 const COLD_MERGE_BOUND: usize = 8;
-
-fn io_err(op: &'static str, e: std::io::Error) -> StorageError {
-    StorageError::Io {
-        op,
-        detail: e.to_string(),
-    }
-}
 
 fn segment_name(seq: u64) -> String {
     format!("wal-{seq:06}.seg")
@@ -158,428 +101,6 @@ fn unix_ms() -> u64 {
         .duration_since(UNIX_EPOCH)
         .map(|d| d.as_millis() as u64)
         .unwrap_or(0)
-}
-
-// ---------------------------------------------------------------------
-// The directory abstraction
-// ---------------------------------------------------------------------
-
-/// A flat directory of log files — the only filesystem surface the
-/// segmented WAL uses, so fault injection ([`FailpointDir`]) and property
-/// tests ([`MemDir`]) can stand in for a real directory byte-for-byte.
-///
-/// Contract: `rename` atomically replaces an existing destination;
-/// `delete` of a missing file is a no-op; `sync_dir` makes preceding
-/// creates/renames/deletes durable.
-pub trait LogDir: Send + Sync {
-    /// File names currently present (no ordering guarantee).
-    fn list(&self) -> Result<Vec<String>, StorageError>;
-    /// Reads a whole file.
-    fn read(&self, name: &str) -> Result<Vec<u8>, StorageError>;
-    /// Creates (truncating) a file and returns an append sink for it.
-    fn create(&self, name: &str) -> Result<Box<dyn WalSink>, StorageError>;
-    /// Opens an existing file for appending. The sink's position is
-    /// unspecified until the caller issues `truncate_to` (which both
-    /// trims and positions — recovery always does).
-    fn open_append(&self, name: &str) -> Result<Box<dyn WalSink>, StorageError>;
-    /// Atomically renames `from` to `to`, replacing any existing `to`.
-    fn rename(&self, from: &str, to: &str) -> Result<(), StorageError>;
-    /// Deletes a file; missing files are not an error.
-    fn delete(&self, name: &str) -> Result<(), StorageError>;
-    /// Makes preceding directory mutations durable (fsync the dir).
-    fn sync_dir(&self) -> Result<(), StorageError>;
-}
-
-/// A real filesystem directory.
-pub struct FsDir {
-    root: PathBuf,
-}
-
-impl FsDir {
-    /// Opens (creating if absent) a directory.
-    pub fn open(root: impl AsRef<Path>) -> Result<FsDir, StorageError> {
-        std::fs::create_dir_all(root.as_ref()).map_err(|e| io_err("mkdir", e))?;
-        Ok(FsDir {
-            root: root.as_ref().to_path_buf(),
-        })
-    }
-
-    fn path(&self, name: &str) -> PathBuf {
-        self.root.join(name)
-    }
-}
-
-impl LogDir for FsDir {
-    fn list(&self) -> Result<Vec<String>, StorageError> {
-        let mut out = Vec::new();
-        for entry in std::fs::read_dir(&self.root).map_err(|e| io_err("list", e))? {
-            let entry = entry.map_err(|e| io_err("list", e))?;
-            if entry.file_type().map_err(|e| io_err("list", e))?.is_file() {
-                if let Ok(name) = entry.file_name().into_string() {
-                    out.push(name);
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    fn read(&self, name: &str) -> Result<Vec<u8>, StorageError> {
-        let mut file = File::open(self.path(name)).map_err(|e| io_err("read", e))?;
-        let mut data = Vec::new();
-        file.read_to_end(&mut data).map_err(|e| io_err("read", e))?;
-        Ok(data)
-    }
-
-    fn create(&self, name: &str) -> Result<Box<dyn WalSink>, StorageError> {
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(self.path(name))
-            .map_err(|e| io_err("create", e))?;
-        Ok(Box::new(FileSink::new(file)))
-    }
-
-    fn open_append(&self, name: &str) -> Result<Box<dyn WalSink>, StorageError> {
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(self.path(name))
-            .map_err(|e| io_err("open", e))?;
-        file.seek(SeekFrom::End(0)).map_err(|e| io_err("open", e))?;
-        Ok(Box::new(FileSink::new(file)))
-    }
-
-    fn rename(&self, from: &str, to: &str) -> Result<(), StorageError> {
-        std::fs::rename(self.path(from), self.path(to)).map_err(|e| io_err("rename", e))
-    }
-
-    fn delete(&self, name: &str) -> Result<(), StorageError> {
-        match std::fs::remove_file(self.path(name)) {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(io_err("delete", e)),
-        }
-    }
-
-    fn sync_dir(&self) -> Result<(), StorageError> {
-        #[cfg(unix)]
-        {
-            File::open(&self.root)
-                .and_then(|d| d.sync_all())
-                .map_err(|e| io_err("sync_dir", e))
-        }
-        #[cfg(not(unix))]
-        {
-            Ok(())
-        }
-    }
-}
-
-/// An in-memory directory: files are byte vectors behind one shared map.
-/// Cloning shares the map (it is "the same disk"); [`MemDir::snapshot`]
-/// deep-copies it, so a fault-injection run can freeze the disk state at
-/// the crash point and recover from the frozen copy.
-#[derive(Clone, Default)]
-pub struct MemDir {
-    files: Arc<Mutex<BTreeMap<String, Vec<u8>>>>,
-}
-
-impl MemDir {
-    pub fn new() -> MemDir {
-        MemDir::default()
-    }
-
-    /// Deep copy of the current file set (an independent "disk image").
-    pub fn snapshot(&self) -> MemDir {
-        MemDir {
-            files: Arc::new(Mutex::new(self.files.lock().clone())),
-        }
-    }
-
-    /// The bytes of one file, if present.
-    pub fn file(&self, name: &str) -> Option<Vec<u8>> {
-        self.files.lock().get(name).cloned()
-    }
-
-    /// Overwrites (or creates) a file — tests use this to inject
-    /// corruption into sealed segments.
-    pub fn put_file(&self, name: &str, bytes: Vec<u8>) {
-        self.files.lock().insert(name.to_string(), bytes);
-    }
-
-    /// Every file name currently present.
-    pub fn names(&self) -> Vec<String> {
-        self.files.lock().keys().cloned().collect()
-    }
-}
-
-struct MemDirSink {
-    files: Arc<Mutex<BTreeMap<String, Vec<u8>>>>,
-    name: String,
-}
-
-impl WalSink for MemDirSink {
-    fn write_all(&mut self, bytes: &[u8]) -> Result<(), StorageError> {
-        self.files
-            .lock()
-            .entry(self.name.clone())
-            .or_default()
-            .extend_from_slice(bytes);
-        Ok(())
-    }
-
-    fn sync(&mut self) -> Result<(), StorageError> {
-        Ok(())
-    }
-
-    fn truncate_to(&mut self, len: u64) -> Result<(), StorageError> {
-        if let Some(data) = self.files.lock().get_mut(&self.name) {
-            data.truncate(len as usize);
-        }
-        Ok(())
-    }
-}
-
-impl LogDir for MemDir {
-    fn list(&self) -> Result<Vec<String>, StorageError> {
-        Ok(self.names())
-    }
-
-    fn read(&self, name: &str) -> Result<Vec<u8>, StorageError> {
-        self.file(name).ok_or_else(|| StorageError::Io {
-            op: "read",
-            detail: format!("no such file `{name}`"),
-        })
-    }
-
-    fn create(&self, name: &str) -> Result<Box<dyn WalSink>, StorageError> {
-        self.files.lock().insert(name.to_string(), Vec::new());
-        Ok(Box::new(MemDirSink {
-            files: self.files.clone(),
-            name: name.to_string(),
-        }))
-    }
-
-    fn open_append(&self, name: &str) -> Result<Box<dyn WalSink>, StorageError> {
-        if !self.files.lock().contains_key(name) {
-            return Err(StorageError::Io {
-                op: "open",
-                detail: format!("no such file `{name}`"),
-            });
-        }
-        Ok(Box::new(MemDirSink {
-            files: self.files.clone(),
-            name: name.to_string(),
-        }))
-    }
-
-    fn rename(&self, from: &str, to: &str) -> Result<(), StorageError> {
-        let mut files = self.files.lock();
-        let data = files.remove(from).ok_or_else(|| StorageError::Io {
-            op: "rename",
-            detail: format!("no such file `{from}`"),
-        })?;
-        files.insert(to.to_string(), data);
-        Ok(())
-    }
-
-    fn delete(&self, name: &str) -> Result<(), StorageError> {
-        self.files.lock().remove(name);
-        Ok(())
-    }
-
-    fn sync_dir(&self) -> Result<(), StorageError> {
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------
-// Directory-level fault injection
-// ---------------------------------------------------------------------
-
-#[derive(Debug, Default)]
-struct DirFailState {
-    /// Remaining cost units before the injected crash; `None` = counting
-    /// mode (never crashes, just accumulates `cost`).
-    budget: Option<u64>,
-    /// Total cost units charged so far (bytes written + metadata ops).
-    cost: u64,
-    crashed: bool,
-}
-
-/// Control handle for a [`FailpointDir`].
-///
-/// Every mutation is metered in **cost units**: each byte written through
-/// a sink costs 1, and each metadata operation — create, rename, delete,
-/// directory fsync, sink fsync, sink truncate — costs 1. Run a workload
-/// once in counting mode to learn its total cost `C`, then replay it with
-/// [`DirFailpointHandle::crash_after`]`(k)` for every `k < C`: the
-/// mutation that exhausts the budget persists only its affordable prefix
-/// and errors, and **every** later mutation errors — the directory is
-/// frozen exactly as a crash at that point would leave it. Reads are free
-/// and keep working (the harness recovers from a snapshot anyway).
-#[derive(Clone, Default)]
-pub struct DirFailpointHandle {
-    inner: Arc<Mutex<DirFailState>>,
-}
-
-impl DirFailpointHandle {
-    pub fn new() -> Self {
-        DirFailpointHandle::default()
-    }
-
-    /// Crash after `units` further cost units take effect.
-    pub fn crash_after(&self, units: u64) {
-        let mut s = self.inner.lock();
-        s.budget = Some(units);
-        s.crashed = units == 0;
-    }
-
-    /// Counting mode: never crash, keep accumulating [`Self::cost`].
-    pub fn clear(&self) {
-        let mut s = self.inner.lock();
-        s.budget = None;
-        s.crashed = false;
-    }
-
-    /// Total cost units charged so far.
-    pub fn cost(&self) -> u64 {
-        self.inner.lock().cost
-    }
-
-    /// True once the injected crash has fired.
-    pub fn crashed(&self) -> bool {
-        self.inner.lock().crashed
-    }
-
-    /// Charges `n` units; returns how many of them may take effect. The
-    /// second field is `Some(err)` when the crash fired at or before this
-    /// charge (the caller persists the affordable prefix, then errors).
-    fn charge(&self, n: u64) -> (u64, Option<StorageError>) {
-        let mut s = self.inner.lock();
-        s.cost += n;
-        let err = || StorageError::Io {
-            op: "failpoint",
-            detail: "injected crash: directory is frozen".to_string(),
-        };
-        if s.budget.is_none() {
-            return (n, None);
-        }
-        if s.crashed {
-            return (0, Some(err()));
-        }
-        let b = s.budget.as_mut().unwrap();
-        if *b >= n {
-            *b -= n;
-            (n, None)
-        } else {
-            let allowed = *b;
-            *b = 0;
-            s.crashed = true;
-            (allowed, Some(err()))
-        }
-    }
-}
-
-/// A [`LogDir`] wrapper that injects a crash after an exact cost budget —
-/// the directory-level counterpart of [`crate::wal::FailpointSink`],
-/// covering rotation, manifest swap, compaction copy and delete.
-pub struct FailpointDir {
-    inner: Arc<dyn LogDir>,
-    points: DirFailpointHandle,
-}
-
-impl FailpointDir {
-    pub fn new(inner: Arc<dyn LogDir>, points: DirFailpointHandle) -> Self {
-        FailpointDir { inner, points }
-    }
-}
-
-struct FailpointDirSink {
-    inner: Box<dyn WalSink>,
-    points: DirFailpointHandle,
-}
-
-impl WalSink for FailpointDirSink {
-    fn write_all(&mut self, bytes: &[u8]) -> Result<(), StorageError> {
-        let (allowed, err) = self.points.charge(bytes.len() as u64);
-        if allowed > 0 {
-            self.inner.write_all(&bytes[..allowed as usize])?;
-        }
-        match err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    fn sync(&mut self) -> Result<(), StorageError> {
-        let (allowed, err) = self.points.charge(1);
-        if let Some(e) = err {
-            return Err(e);
-        }
-        debug_assert_eq!(allowed, 1);
-        self.inner.sync()
-    }
-
-    fn truncate_to(&mut self, len: u64) -> Result<(), StorageError> {
-        let (_, err) = self.points.charge(1);
-        if let Some(e) = err {
-            return Err(e);
-        }
-        self.inner.truncate_to(len)
-    }
-}
-
-impl FailpointDir {
-    fn charge_op(&self) -> Result<(), StorageError> {
-        let (_, err) = self.points.charge(1);
-        match err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-}
-
-impl LogDir for FailpointDir {
-    fn list(&self) -> Result<Vec<String>, StorageError> {
-        self.inner.list()
-    }
-
-    fn read(&self, name: &str) -> Result<Vec<u8>, StorageError> {
-        self.inner.read(name)
-    }
-
-    fn create(&self, name: &str) -> Result<Box<dyn WalSink>, StorageError> {
-        self.charge_op()?;
-        Ok(Box::new(FailpointDirSink {
-            inner: self.inner.create(name)?,
-            points: self.points.clone(),
-        }))
-    }
-
-    fn open_append(&self, name: &str) -> Result<Box<dyn WalSink>, StorageError> {
-        Ok(Box::new(FailpointDirSink {
-            inner: self.inner.open_append(name)?,
-            points: self.points.clone(),
-        }))
-    }
-
-    fn rename(&self, from: &str, to: &str) -> Result<(), StorageError> {
-        self.charge_op()?;
-        self.inner.rename(from, to)
-    }
-
-    fn delete(&self, name: &str) -> Result<(), StorageError> {
-        self.charge_op()?;
-        self.inner.delete(name)
-    }
-
-    fn sync_dir(&self) -> Result<(), StorageError> {
-        self.charge_op()?;
-        self.inner.sync_dir()
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -713,12 +234,9 @@ fn decode_manifest(bytes: &[u8]) -> Result<Manifest, StorageError> {
     (|| -> Result<Manifest, String> {
         let mut c = Cursor::new(payload);
         let version = c.u32()?;
-        if version != 1 && version != MANIFEST_VERSION {
+        if version != MANIFEST_VERSION {
             return Err(format!("unsupported manifest version {version}"));
         }
-        // Version 1 has no per-file DDL flags: default `has_ddl` to true
-        // so every v1 file replays in full (conservative, never wrong).
-        let v1 = version == 1;
         let next_seq = c.u64()?;
         let n_cold = c.u32()? as usize;
         if n_cold > payload.len() {
@@ -732,7 +250,7 @@ fn decode_manifest(bytes: &[u8]) -> Result<Manifest, StorageError> {
                 seq_hi: c.u64()?,
                 len: c.u64()?,
                 max_ts: c.u64()?,
-                has_ddl: if v1 { true } else { c.u8()? != 0 },
+                has_ddl: c.u8()? != 0,
             });
         }
         let n_sealed = c.u32()? as usize;
@@ -746,27 +264,24 @@ fn decode_manifest(bytes: &[u8]) -> Result<Manifest, StorageError> {
                 seq: c.u64()?,
                 len: c.u64()?,
                 max_ts: c.u64()?,
-                has_ddl: if v1 { true } else { c.u8()? != 0 },
+                has_ddl: c.u8()? != 0,
             });
         }
         let active_name = c.str()?;
         let active_seq = c.u64()?;
-        let mut checkpoints = Vec::new();
-        let mut gc_floor = 0;
-        if !v1 {
-            let n_ckpt = c.u32()? as usize;
-            if n_ckpt > payload.len() {
-                return Err(format!("checkpoint count {n_ckpt} exceeds payload"));
-            }
-            for _ in 0..n_ckpt {
-                checkpoints.push(CheckpointFile {
-                    name: c.str()?,
-                    ts: c.u64()?,
-                    len: c.u64()?,
-                });
-            }
-            gc_floor = c.u64()?;
+        let n_ckpt = c.u32()? as usize;
+        if n_ckpt > payload.len() {
+            return Err(format!("checkpoint count {n_ckpt} exceeds payload"));
         }
+        let mut checkpoints = Vec::with_capacity(n_ckpt);
+        for _ in 0..n_ckpt {
+            checkpoints.push(CheckpointFile {
+                name: c.str()?,
+                ts: c.u64()?,
+                len: c.u64()?,
+            });
+        }
+        let gc_floor = c.u64()?;
         if c.remaining() != 0 {
             return Err(format!("{} trailing bytes", c.remaining()));
         }
@@ -786,10 +301,10 @@ fn decode_manifest(bytes: &[u8]) -> Result<Manifest, StorageError> {
 /// Writes the manifest atomically: temp file, fsync, rename over
 /// `MANIFEST`, fsync the directory. Never edits the manifest in place.
 fn write_manifest(dir: &dyn LogDir, m: &Manifest) -> Result<(), StorageError> {
-    let mut sink = dir.create(MANIFEST_TMP)?;
-    sink.write_all(&encode_manifest(m))?;
-    sink.sync()?;
-    drop(sink);
+    let mut file = dir.create(MANIFEST_TMP)?;
+    file.write_all(&encode_manifest(m))?;
+    file.sync()?;
+    drop(file);
     dir.rename(MANIFEST_TMP, MANIFEST_NAME)?;
     dir.sync_dir()
 }
@@ -841,34 +356,61 @@ pub struct WalStats {
     pub checkpoint_fallbacks: u64,
 }
 
-/// What multi-segment recovery found and repaired.
+/// What recovery found, repaired and rebuilt. The log walk
+/// ([`SegmentedWal::open_dir`]) fills in the findings; the environment
+/// replay (`Database::open_durable` / `Session::open_durable`) then adds
+/// the replay counts to the same value.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SegmentedRecovery {
+pub struct RecoveryReport {
+    /// Committed transactions replayed.
+    pub commits: usize,
+    /// Tables re-created from DDL records.
+    pub tables: usize,
+    /// Secondary/range indexes re-created from DDL records.
+    pub indexes: usize,
+    /// Key-value namespaces re-created from DDL records.
+    pub namespaces: Vec<String>,
+    /// Key-value writes re-installed while replaying commits.
+    pub kv_writes_replayed: usize,
     /// Bytes discarded as a torn tail of the *newest* segment.
     pub truncated_bytes: u64,
-    /// Segment files walked (sealed + active).
+    /// Segment files the recovery walked (sealed + active).
     pub segments: usize,
-    /// Cold files replayed.
+    /// Immutable cold files walked before the segments.
     pub cold_files: usize,
     /// Orphan successor segments adopted (crash mid-rotation).
     pub adopted_orphans: usize,
-    /// Stale temp/segment/cold files reconciled away.
+    /// Stale temp/segment/cold/checkpoint files reconciled away.
     pub removed_files: usize,
-    /// True when a pre-segmentation single-file log was migrated into
-    /// the directory layout.
-    pub migrated_legacy: bool,
-    /// Timestamp of the checkpoint recovery booted from (`None` = full
-    /// replay from ts 0).
+    /// Timestamp of the checkpoint this boot restored from, if any —
+    /// `Some(ts)` means only WAL records after `ts` were replayed.
     pub checkpoint_ts: Option<Ts>,
-    /// Checkpoints that failed validation before a usable one was found.
+    /// Checkpoints that failed validation before a usable one was found
+    /// (each fell back to the next older one, or to full replay).
     pub checkpoint_fallbacks: usize,
-    /// Cold/sealed files whose replay the checkpoint made unnecessary.
+    /// Cold/sealed files recovery skipped entirely because every commit
+    /// in them preceded the checkpoint.
     pub skipped_files: usize,
 }
 
+/// Everything one recovery walk produces.
+pub struct RecoveredLog {
+    /// The live log, positioned after the recovered prefix. Attach it
+    /// only after replaying `records`, or they would be re-appended.
+    pub wal: Arc<SegmentedWal>,
+    /// The newest valid checkpoint, if any: restore it first.
+    pub checkpoint: Option<Checkpoint>,
+    /// The records to replay, in commit order. On a checkpoint boot the
+    /// commits the snapshot covers are already dropped; DDL records are
+    /// kept (replayed leniently — the snapshot holds their objects).
+    pub records: Vec<WalRecord>,
+    /// The walk's findings; replay adds its counts.
+    pub report: RecoveryReport,
+}
+
+/// The live half of the active segment (its name and sequence number
+/// live in the manifest).
 struct ActiveSeg {
-    seq: u64,
-    name: String,
     wal: Arc<Wal>,
     /// Global offset of this segment's byte 0: the summed lengths of
     /// every cold and sealed file before it.
@@ -880,29 +422,14 @@ struct ActiveSeg {
 }
 
 struct SegState {
+    /// The layout as the next manifest swap will publish it. Mutated
+    /// only under `rotate_lock`.
+    manifest: Manifest,
     active: ActiveSeg,
-    sealed: Vec<SealedSeg>,
-    cold: Vec<ColdFile>,
-    next_seq: u64,
-    /// Checkpoints tracked by the manifest, oldest first.
-    checkpoints: Vec<CheckpointFile>,
-    /// Highest GC floor compaction has seen (manifest-persisted).
-    gc_floor: Ts,
 }
 
-/// The segmented, manifest-driven WAL (module docs). Exposes the same
-/// append/sync surface as [`Wal`] but over a directory of segments, with
-/// **global** LSNs spanning all of them. Constructed directly over a
-/// single in-memory [`Wal`] ([`SegmentedWal::single`]) it degrades to the
-/// pre-segmentation behaviour: no directory, no rotation.
-pub struct SegmentedWal {
-    dir: Option<Arc<dyn LogDir>>,
-    opts: WalOptions,
-    group: AtomicBool,
-    state: Mutex<SegState>,
-    /// Serializes rotation and compaction against each other. Lock order:
-    /// `rotate_lock` → `state` → the active `Wal`'s internal state.
-    rotate_lock: Mutex<()>,
+#[derive(Default)]
+struct Counters {
     rotations: AtomicU64,
     compactions: AtomicU64,
     rotation_errors: AtomicU64,
@@ -912,62 +439,26 @@ pub struct SegmentedWal {
     checkpoint_skips: AtomicU64,
     checkpoint_errors: AtomicU64,
     checkpoint_fallbacks: AtomicU64,
+}
+
+/// The segmented, manifest-driven WAL (module docs): the append/sync
+/// surface of a [`Wal`] over a directory of segments, with **global**
+/// LSNs spanning all of them.
+pub struct SegmentedWal {
+    dir: Arc<dyn LogDir>,
+    opts: WalOptions,
+    state: Mutex<SegState>,
+    /// Serializes rotation, compaction and checkpoint writes — every
+    /// manifest mutation. Lock order: `rotate_lock` → `state` → the
+    /// active `Wal`'s internal state.
+    rotate_lock: Mutex<()>,
+    counters: Counters,
     /// Global appended offset at the last successful checkpoint — the
     /// reference point for [`SegmentedWal::wants_checkpoint`].
     last_ckpt_lsn: AtomicU64,
-    /// The checkpoint recovery booted from, parked here so
-    /// `Database::recover_from` / `Session::recover_session` can consume
-    /// it without changing `open_dir`'s return type.
-    recovered_checkpoint: Mutex<Option<Checkpoint>>,
 }
 
 impl SegmentedWal {
-    /// Wraps one existing [`Wal`] with no backing directory: appends and
-    /// syncs delegate verbatim and rotation/compaction are no-ops. This
-    /// is how test sinks ([`crate::wal::MemSink`],
-    /// [`crate::wal::FailpointSink`]) attach.
-    pub fn single(wal: Arc<Wal>) -> Arc<SegmentedWal> {
-        let opts = WalOptions {
-            sync_mode: wal.sync_mode(),
-            group_commit: wal.group_commit(),
-            segment_bytes: 0,
-            checkpoint_bytes: 0,
-        };
-        let group = wal.group_commit();
-        Arc::new(SegmentedWal {
-            dir: None,
-            opts,
-            group: AtomicBool::new(group),
-            state: Mutex::new(SegState {
-                active: ActiveSeg {
-                    seq: 0,
-                    name: segment_name(0),
-                    wal,
-                    base: 0,
-                    max_ts: 0,
-                    has_ddl: false,
-                },
-                sealed: Vec::new(),
-                cold: Vec::new(),
-                next_seq: 1,
-                checkpoints: Vec::new(),
-                gc_floor: 0,
-            }),
-            rotate_lock: Mutex::new(()),
-            rotations: AtomicU64::new(0),
-            compactions: AtomicU64::new(0),
-            rotation_errors: AtomicU64::new(0),
-            compaction_errors: AtomicU64::new(0),
-            last_compaction_ms: AtomicU64::new(0),
-            checkpoint_writes: AtomicU64::new(0),
-            checkpoint_skips: AtomicU64::new(0),
-            checkpoint_errors: AtomicU64::new(0),
-            checkpoint_fallbacks: AtomicU64::new(0),
-            last_ckpt_lsn: AtomicU64::new(0),
-            recovered_checkpoint: Mutex::new(None),
-        })
-    }
-
     /// Creates a fresh segmented log in `dir` (segment 0 + manifest).
     pub fn create_dir(
         dir: Arc<dyn LogDir>,
@@ -985,61 +476,54 @@ impl SegmentedWal {
             }
         }
         let name = segment_name(0);
-        let sink = dir.create(&name)?;
+        let file = dir.create(&name)?;
         dir.sync_dir()?;
         let manifest = Manifest {
             next_seq: 1,
             cold: Vec::new(),
             sealed: Vec::new(),
             active_seq: 0,
-            active_name: name.clone(),
+            active_name: name,
             checkpoints: Vec::new(),
             gc_floor: 0,
         };
         write_manifest(dir.as_ref(), &manifest)?;
-        let wal = Wal::with_sink(sink, opts);
-        Ok(Self::assemble(Some(dir), opts, wal, name, manifest))
+        let active = ActiveSeg {
+            wal: Wal::over(file, 0, opts),
+            base: 0,
+            max_ts: 0,
+            has_ddl: false,
+        };
+        Ok(Self::assemble(dir, opts, manifest, active))
     }
 
-    /// Creates (truncating) a segmented log at a filesystem path. A
-    /// pre-segmentation single *file* at `path` is removed first.
+    /// Creates (truncating) a segmented log in the directory at `path`.
+    /// A regular file at `path` is refused, untouched.
     pub fn create_path(
         path: impl AsRef<Path>,
         opts: WalOptions,
     ) -> Result<Arc<SegmentedWal>, StorageError> {
-        let path = path.as_ref();
-        if path.is_file() {
-            std::fs::remove_file(path).map_err(|e| io_err("create", e))?;
-        }
-        let dir: Arc<dyn LogDir> = Arc::new(FsDir::open(path)?);
-        Self::create_dir(dir, opts)
+        Self::create_dir(Arc::new(FsDir::open(path)?), opts)
     }
 
-    /// Opens (creating if absent) a segmented log at a filesystem path,
-    /// transparently migrating a pre-segmentation single-file log into
-    /// the directory layout (the old file becomes segment 0, byte for
-    /// byte — it is renamed, not copied).
+    /// Opens (creating if absent) the segmented log in the directory at
+    /// `path`. A regular file at `path` is refused, untouched.
     pub fn open_path(
         path: impl AsRef<Path>,
         opts: WalOptions,
-    ) -> Result<(Arc<SegmentedWal>, Vec<WalRecord>, SegmentedRecovery), StorageError> {
-        let migrated = migrate_legacy_file(path.as_ref())?;
-        let dir: Arc<dyn LogDir> = Arc::new(FsDir::open(path.as_ref())?);
-        let (wal, records, mut rec) = Self::open_dir(dir, opts)?;
-        rec.migrated_legacy = migrated;
-        Ok((wal, records, rec))
+    ) -> Result<RecoveredLog, StorageError> {
+        Self::open_dir(Arc::new(FsDir::open(path)?), opts)
     }
 
-    /// Opens a segmented log over any [`LogDir`]: validates the manifest,
+    /// The recovery walk over any [`LogDir`]: validates the manifest,
     /// reconciles crash debris (temp files, orphan successors, unlisted
-    /// leftovers), strictly validates every cold and sealed file, applies
+    /// leftovers), picks the newest valid checkpoint, strictly validates
+    /// every cold and sealed file the checkpoint does not cover, applies
     /// the torn-tail rule to the active segment only, and returns the
-    /// concatenated records in global commit order.
-    pub fn open_dir(
-        dir: Arc<dyn LogDir>,
-        opts: WalOptions,
-    ) -> Result<(Arc<SegmentedWal>, Vec<WalRecord>, SegmentedRecovery), StorageError> {
-        let mut rec = SegmentedRecovery::default();
+    /// live log, the checkpoint and the records to replay after it in
+    /// global commit order.
+    pub fn open_dir(dir: Arc<dyn LogDir>, opts: WalOptions) -> Result<RecoveredLog, StorageError> {
+        let mut rec = RecoveryReport::default();
         let mut names = dir.list()?;
         names.sort();
 
@@ -1058,10 +542,10 @@ impl SegmentedWal {
         let mut manifest = if had_manifest {
             decode_manifest(&dir.read(MANIFEST_NAME)?)?
         } else {
-            // Manifest-less: a pre-segmentation layout (adopted wal-*.seg
-            // files) or a crash before the very first manifest write.
-            // Unpublished cold files are deleted — without a manifest
-            // their originals are still present and replaying both would
+            // Manifest-less: a crash before the very first manifest
+            // write, or a bare copy of the `wal-*.seg` files. Unpublished
+            // cold files are deleted — without a manifest their
+            // originals are still present and replaying both would
             // duplicate history. Unpublished checkpoints are deleted for
             // the same reason: nothing vouches for them.
             for name in &names {
@@ -1070,13 +554,12 @@ impl SegmentedWal {
                     rec.removed_files += 1;
                 }
             }
-            let mut segs: Vec<(u64, String)> = names
+            let first = names
                 .iter()
                 .filter_map(|n| parse_segment_name(n).map(|seq| (seq, n.clone())))
-                .collect();
-            segs.sort();
-            let (first_seq, first_name) = match segs.first() {
-                Some(first) => first.clone(),
+                .min();
+            let (first_seq, first_name) = match first {
+                Some(first) => first,
                 None => {
                     let name = segment_name(0);
                     drop(dir.create(&name)?);
@@ -1179,26 +662,22 @@ impl SegmentedWal {
         // missing or corrupt checkpoint is *expected* debris (crash
         // mid-write, bit rot): fall back to the next older one, counting
         // each fallback, and delist the bad file — never guess.
-        let mut boot_ckpt: Option<Checkpoint> = None;
+        let mut checkpoint: Option<Checkpoint> = None;
         let mut by_ts = manifest.checkpoints.clone();
         by_ts.sort_by_key(|c| c.ts);
         for ck in by_ts.iter().rev() {
-            match dir.read(&ck.name).and_then(|b| decode_checkpoint(&b)) {
-                Ok(decoded) if decoded.ts == ck.ts => {
-                    boot_ckpt = Some(decoded);
-                    break;
-                }
-                Ok(_) | Err(_) => {
-                    rec.checkpoint_fallbacks += 1;
-                    manifest.checkpoints.retain(|c| c.name != ck.name);
-                    dir.delete(&ck.name)?;
-                    rec.removed_files += 1;
-                    dirty = true;
-                }
+            checkpoint = read_checkpoint(dir.as_ref(), ck);
+            if checkpoint.is_some() {
+                break;
             }
+            rec.checkpoint_fallbacks += 1;
+            manifest.checkpoints.retain(|c| c.name != ck.name);
+            dir.delete(&ck.name)?;
+            rec.removed_files += 1;
+            dirty = true;
         }
-        let ckpt_ts = boot_ckpt.as_ref().map(|c| c.ts).unwrap_or(0);
-        rec.checkpoint_ts = boot_ckpt.as_ref().map(|c| c.ts);
+        rec.checkpoint_ts = checkpoint.as_ref().map(|c| c.ts);
+        let ckpt_ts = rec.checkpoint_ts.unwrap_or(0);
 
         // Validate and decode immutable files in global (sequence) order.
         // Cold and sealed files are interleaved by their sequence ranges
@@ -1212,86 +691,59 @@ impl SegmentedWal {
         // carries no DDL. Skipped files are not read or validated — that
         // *is* the O(delta) win — their manifest lengths still advance
         // the global LSN base.
-        enum Imm<'a> {
-            Cold(&'a ColdFile),
-            Sealed(&'a SealedSeg),
-        }
-        let mut files: Vec<(u64, Imm)> = manifest
+        let cold = manifest
             .cold
             .iter()
-            .map(|c| (c.seq_lo, Imm::Cold(c)))
-            .chain(manifest.sealed.iter().map(|s| (s.seq, Imm::Sealed(s))))
-            .collect();
-        files.sort_by_key(|(seq, _)| *seq);
-        let mut all_records = Vec::new();
+            .map(|c| (c.seq_lo, true, &c.name, c.len, c.max_ts, c.has_ddl));
+        let sealed = manifest
+            .sealed
+            .iter()
+            .map(|s| (s.seq, false, &s.name, s.len, s.max_ts, s.has_ddl));
+        let mut files: Vec<_> = cold.chain(sealed).collect();
+        files.sort_by_key(|f| f.0);
+        let mut records = Vec::new();
         let mut base = 0u64;
-        for (_, file) in files {
-            let (name, len, max_ts, file_has_ddl) = match &file {
-                Imm::Cold(c) => (c.name.as_str(), c.len, c.max_ts, c.has_ddl),
-                Imm::Sealed(s) => (s.name.as_str(), s.len, s.max_ts, s.has_ddl),
-            };
-            let kind = match &file {
-                Imm::Cold(_) => "cold file",
-                Imm::Sealed(_) => "segment",
-            };
+        for (_, is_cold, name, len, max_ts, file_has_ddl) in files {
+            if is_cold {
+                rec.cold_files += 1;
+            } else {
+                rec.segments += 1;
+            }
+            base += len;
+            let adopted = decoded.remove(name);
             if ckpt_ts > 0 && max_ts <= ckpt_ts && !file_has_ddl {
-                decoded.remove(name);
-                base += len;
                 rec.skipped_files += 1;
-                match file {
-                    Imm::Cold(_) => rec.cold_files += 1,
-                    Imm::Sealed(_) => rec.segments += 1,
-                }
-                continue;
-            }
-            if let Imm::Sealed(s) = &file {
-                if let Some(records) = decoded.remove(&s.name) {
-                    base += s.len;
-                    all_records.extend(records);
-                    rec.segments += 1;
-                    continue;
-                }
-            }
-            let bytes = match dir.read(name) {
-                Ok(b) => b,
-                Err(_) => {
-                    return Err(StorageError::Recovery {
-                        detail: format!("manifest references missing {kind} `{name}`"),
-                    })
-                }
-            };
-            let (records, info) = decode_strict(&bytes, name, len)?;
-            base += info.valid_len;
-            all_records.extend(records);
-            match file {
-                Imm::Cold(_) => rec.cold_files += 1,
-                Imm::Sealed(_) => rec.segments += 1,
+            } else if let Some(adopted) = adopted {
+                records.extend(adopted);
+            } else {
+                let bytes = dir.read(name).map_err(|_| StorageError::Recovery {
+                    detail: format!(
+                        "manifest references missing {} `{name}`",
+                        if is_cold { "cold file" } else { "segment" }
+                    ),
+                })?;
+                records.extend(decode_strict(&bytes, name, len)?);
             }
         }
 
-        let active_name = manifest.active_name.clone();
-        let active_bytes = match dir.read(&active_name) {
-            Ok(b) => b,
-            Err(_) => {
-                return Err(StorageError::Recovery {
-                    detail: format!("manifest references missing active segment `{active_name}`"),
-                })
-            }
-        };
+        let active_name = &manifest.active_name;
+        let active_bytes = dir.read(active_name).map_err(|_| StorageError::Recovery {
+            detail: format!("manifest references missing active segment `{active_name}`"),
+        })?;
         let (active_records, info) =
-            decode_records(&active_bytes).map_err(|e| prefix_file(e, &active_name))?;
+            decode_records(&active_bytes).map_err(|e| prefix_file(e, active_name))?;
         rec.truncated_bytes = info.truncated_bytes;
         rec.segments += 1;
-        let active_max_ts = max_commit_ts(&active_records);
-        let active_has_ddl = has_ddl(&active_records);
-        all_records.extend(active_records);
+        let (active_max_ts, active_has_ddl) =
+            (max_commit_ts(&active_records), has_ddl(&active_records));
+        records.extend(active_records);
 
         // On a checkpoint boot, commits the snapshot covers are dropped
         // from the replay stream (the snapshot *is* their state); DDL
         // records are kept — the caller replays them idempotently, since
         // the checkpoint already restored the catalog objects they made.
         if ckpt_ts > 0 {
-            all_records.retain(|r| match r {
+            records.retain(|r| match r {
                 WalRecord::Commit(e) => e.commit_ts > ckpt_ts,
                 _ => true,
             });
@@ -1301,105 +753,45 @@ impl SegmentedWal {
             write_manifest(dir.as_ref(), &manifest)?;
         }
 
-        // Repair the torn tail (also positions the sink at the end).
-        let mut sink = dir.open_append(&active_name)?;
-        sink.truncate_to(info.valid_len)?;
-        let wal = Wal::with_sink_at(sink, info.valid_len, opts);
-
-        let wal = Self::assemble_at(
-            Some(dir),
-            opts,
-            wal,
+        // Repair the torn tail.
+        let mut file = dir.open_append(active_name)?;
+        file.truncate_to(info.valid_len)?;
+        let active = ActiveSeg {
+            wal: Wal::over(file, info.valid_len, opts),
             base,
-            active_max_ts,
-            active_has_ddl,
-            manifest,
-        );
-        if let Some(ckpt) = boot_ckpt {
+            max_ts: active_max_ts,
+            has_ddl: active_has_ddl,
+        };
+        let wal = Self::assemble(dir, opts, manifest, active);
+        if checkpoint.is_some() {
             // Cadence restarts from the recovered end of the log.
             wal.last_ckpt_lsn.store(wal.appended(), Ordering::Relaxed);
-            *wal.recovered_checkpoint.lock() = Some(ckpt);
         }
-        wal.checkpoint_fallbacks
+        wal.counters
+            .checkpoint_fallbacks
             .store(rec.checkpoint_fallbacks as u64, Ordering::Relaxed);
-        Ok((wal, all_records, rec))
+        Ok(RecoveredLog {
+            wal,
+            checkpoint,
+            records,
+            report: rec,
+        })
     }
 
     fn assemble(
-        dir: Option<Arc<dyn LogDir>>,
+        dir: Arc<dyn LogDir>,
         opts: WalOptions,
-        wal: Arc<Wal>,
-        active_name: String,
         manifest: Manifest,
-    ) -> Arc<SegmentedWal> {
-        debug_assert_eq!(active_name, manifest.active_name);
-        Self::assemble_at(dir, opts, wal, 0, 0, false, manifest)
-    }
-
-    fn assemble_at(
-        dir: Option<Arc<dyn LogDir>>,
-        opts: WalOptions,
-        wal: Arc<Wal>,
-        base: u64,
-        active_max_ts: Ts,
-        active_has_ddl: bool,
-        manifest: Manifest,
+        active: ActiveSeg,
     ) -> Arc<SegmentedWal> {
         Arc::new(SegmentedWal {
             dir,
             opts,
-            group: AtomicBool::new(opts.group_commit),
-            state: Mutex::new(SegState {
-                active: ActiveSeg {
-                    seq: manifest.active_seq,
-                    name: manifest.active_name,
-                    wal,
-                    base,
-                    max_ts: active_max_ts,
-                    has_ddl: active_has_ddl,
-                },
-                sealed: manifest.sealed,
-                cold: manifest.cold,
-                next_seq: manifest.next_seq,
-                checkpoints: manifest.checkpoints,
-                gc_floor: manifest.gc_floor,
-            }),
+            state: Mutex::new(SegState { manifest, active }),
             rotate_lock: Mutex::new(()),
-            rotations: AtomicU64::new(0),
-            compactions: AtomicU64::new(0),
-            rotation_errors: AtomicU64::new(0),
-            compaction_errors: AtomicU64::new(0),
-            last_compaction_ms: AtomicU64::new(0),
-            checkpoint_writes: AtomicU64::new(0),
-            checkpoint_skips: AtomicU64::new(0),
-            checkpoint_errors: AtomicU64::new(0),
-            checkpoint_fallbacks: AtomicU64::new(0),
+            counters: Counters::default(),
             last_ckpt_lsn: AtomicU64::new(0),
-            recovered_checkpoint: Mutex::new(None),
         })
-    }
-
-    /// True when this log is backed by a directory of segments (rotation
-    /// and compaction active) rather than wrapping a single sink.
-    pub fn is_segmented(&self) -> bool {
-        self.dir.is_some()
-    }
-
-    /// The configured sync mode.
-    pub fn sync_mode(&self) -> SyncMode {
-        self.opts.sync_mode
-    }
-
-    /// True when group commit is enabled (the default).
-    pub fn group_commit(&self) -> bool {
-        self.group.load(Ordering::SeqCst)
-    }
-
-    /// Toggles group commit; applies to the active segment and every
-    /// segment created after it.
-    pub fn set_group_commit(&self, on: bool) {
-        self.group.store(on, Ordering::SeqCst);
-        self.state.lock().active.wal.set_group_commit(on);
     }
 
     /// Global logical end offset (bytes accepted across all segments).
@@ -1447,21 +839,17 @@ impl SegmentedWal {
             let s = self.state.lock();
             (s.active.wal.clone(), s.active.base)
         };
-        let res = if lsn <= base {
-            Ok(())
-        } else {
+        if lsn > base {
             // `wal` may already be sealed by a concurrent rotation; its
             // bytes were fully synced at seal time, so this returns
             // immediately in that case.
-            wal.sync_to(lsn - base)
-        };
-        if res.is_ok() {
-            self.maybe_rotate();
+            wal.sync_to(lsn - base)?;
         }
-        res
+        self.maybe_rotate();
+        Ok(())
     }
 
-    /// Pushes buffered bytes of the active segment to its sink without
+    /// Pushes buffered bytes of the active segment to its file without
     /// fsync ([`SyncMode::Cached`] teardown), then checks rotation.
     pub fn flush(&self) -> Result<(), StorageError> {
         let wal = self.state.lock().active.wal.clone();
@@ -1472,60 +860,48 @@ impl SegmentedWal {
 
     /// Current statistics (the `sys_health` payload).
     pub fn stats(&self) -> WalStats {
-        let (segments, cold_files, active_bytes, appended, durable, ckpts, ckpt_ts, ckpt_bytes) = {
-            let s = self.state.lock();
-            (
-                s.sealed.len() + 1,
-                s.cold.len(),
-                s.active.wal.appended(),
-                s.active.base + s.active.wal.appended(),
-                s.active.base + s.active.wal.durable(),
-                s.checkpoints.len(),
-                s.checkpoints.iter().map(|c| c.ts).max().unwrap_or(0),
-                s.checkpoints.iter().map(|c| c.len).sum::<u64>(),
-            )
-        };
+        let s = self.state.lock();
+        let c = &self.counters;
         WalStats {
-            segments,
-            cold_files,
-            active_bytes,
-            appended,
-            durable,
-            segment_bytes: if self.dir.is_some() {
-                self.opts.segment_bytes
-            } else {
-                0
-            },
-            rotations: self.rotations.load(Ordering::Relaxed),
-            compactions: self.compactions.load(Ordering::Relaxed),
-            rotation_errors: self.rotation_errors.load(Ordering::Relaxed),
-            compaction_errors: self.compaction_errors.load(Ordering::Relaxed),
-            last_compaction_unix_ms: self.last_compaction_ms.load(Ordering::Relaxed),
-            checkpoints: ckpts,
-            checkpoint_newest_ts: ckpt_ts,
-            checkpoint_bytes: ckpt_bytes,
-            checkpoint_writes: self.checkpoint_writes.load(Ordering::Relaxed),
-            checkpoint_skips: self.checkpoint_skips.load(Ordering::Relaxed),
-            checkpoint_errors: self.checkpoint_errors.load(Ordering::Relaxed),
-            checkpoint_fallbacks: self.checkpoint_fallbacks.load(Ordering::Relaxed),
+            segments: s.manifest.sealed.len() + 1,
+            cold_files: s.manifest.cold.len(),
+            active_bytes: s.active.wal.appended(),
+            appended: s.active.base + s.active.wal.appended(),
+            durable: s.active.base + s.active.wal.durable(),
+            segment_bytes: self.opts.segment_bytes,
+            rotations: c.rotations.load(Ordering::Relaxed),
+            compactions: c.compactions.load(Ordering::Relaxed),
+            rotation_errors: c.rotation_errors.load(Ordering::Relaxed),
+            compaction_errors: c.compaction_errors.load(Ordering::Relaxed),
+            last_compaction_unix_ms: c.last_compaction_ms.load(Ordering::Relaxed),
+            checkpoints: s.manifest.checkpoints.len(),
+            checkpoint_newest_ts: s
+                .manifest
+                .checkpoints
+                .iter()
+                .map(|c| c.ts)
+                .max()
+                .unwrap_or(0),
+            checkpoint_bytes: s.manifest.checkpoints.iter().map(|c| c.len).sum(),
+            checkpoint_writes: c.checkpoint_writes.load(Ordering::Relaxed),
+            checkpoint_skips: c.checkpoint_skips.load(Ordering::Relaxed),
+            checkpoint_errors: c.checkpoint_errors.load(Ordering::Relaxed),
+            checkpoint_fallbacks: c.checkpoint_fallbacks.load(Ordering::Relaxed),
         }
     }
 
     // -- rotation ------------------------------------------------------
 
+    fn active_is_full(&self, s: &SegState) -> bool {
+        self.opts.segment_bytes > 0 && s.active.wal.appended() >= self.opts.segment_bytes
+    }
+
     fn maybe_rotate(&self) {
-        let Some(dir) = self.dir.clone() else { return };
-        if self.opts.segment_bytes == 0 {
-            return;
-        }
-        {
-            let s = self.state.lock();
-            if s.active.wal.appended() < self.opts.segment_bytes {
-                return;
-            }
-        }
-        if let Err(_e) = self.rotate(&dir) {
-            self.rotation_errors.fetch_add(1, Ordering::Relaxed);
+        let full = self.active_is_full(&self.state.lock());
+        if full && self.rotate().is_err() {
+            self.counters
+                .rotation_errors
+                .fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -1534,14 +910,14 @@ impl SegmentedWal {
     /// under the state lock (appends blocked) during the swap — so a
     /// segment is always complete *and durable* the moment it stops being
     /// active, and a torn tail can only ever exist in the newest segment.
-    fn rotate(&self, dir: &Arc<dyn LogDir>) -> Result<(), StorageError> {
+    fn rotate(&self) -> Result<(), StorageError> {
         let _g = self.rotate_lock.lock();
         let (old_wal, new_seq) = {
             let s = self.state.lock();
-            if s.active.wal.appended() < self.opts.segment_bytes {
+            if !self.active_is_full(&s) {
                 return Ok(()); // another thread rotated first
             }
-            (s.active.wal.clone(), s.next_seq)
+            (s.active.wal.clone(), s.manifest.next_seq)
         };
         // 1. Pre-sync: bulk of the segment goes durable without blocking
         //    appenders.
@@ -1549,45 +925,37 @@ impl SegmentedWal {
         // 2. Create the successor before the swap; a crash here leaves at
         //    worst an empty orphan that recovery deletes.
         let new_name = segment_name(new_seq);
-        let sink = dir.create(&new_name)?;
-        dir.sync_dir()?;
-        let new_wal = Wal::with_sink(
-            sink,
-            WalOptions {
-                group_commit: self.group.load(Ordering::SeqCst),
-                ..self.opts
-            },
-        );
+        let file = self.dir.create(&new_name)?;
+        self.dir.sync_dir()?;
+        let new_wal = Wal::over(file, 0, self.opts);
         // 3. Swap under the state lock with a final straggler micro-sync.
         let manifest = {
             let mut s = self.state.lock();
             seal_sync(&s.active.wal, self.opts.sync_mode)?;
             let len = s.active.wal.appended();
             let sealed = SealedSeg {
-                seq: s.active.seq,
-                name: s.active.name.clone(),
+                seq: s.manifest.active_seq,
+                name: std::mem::replace(&mut s.manifest.active_name, new_name),
                 len,
                 max_ts: s.active.max_ts,
                 has_ddl: s.active.has_ddl,
             };
-            let base = s.active.base + len;
-            s.sealed.push(sealed);
+            s.manifest.sealed.push(sealed);
+            s.manifest.active_seq = new_seq;
+            s.manifest.next_seq = new_seq + 1;
             s.active = ActiveSeg {
-                seq: new_seq,
-                name: new_name,
                 wal: new_wal,
-                base,
+                base: s.active.base + len,
                 max_ts: 0,
                 has_ddl: false,
             };
-            s.next_seq = new_seq + 1;
-            manifest_of(&s)
+            s.manifest.clone()
         };
-        self.rotations.fetch_add(1, Ordering::Relaxed);
+        self.counters.rotations.fetch_add(1, Ordering::Relaxed);
         // 4. Publish the new layout. A crash (or error) before this is
         //    healed by orphan adoption at recovery — the swap already
         //    happened, so the error is counted but the log stays correct.
-        write_manifest(dir.as_ref(), &manifest)
+        write_manifest(self.dir.as_ref(), &manifest)
     }
 
     // -- compaction ----------------------------------------------------
@@ -1603,20 +971,19 @@ impl SegmentedWal {
     /// merged into larger files under the same protocol. Returns how many
     /// segments were compacted.
     pub fn compact_below(&self, floor: Ts) -> Result<usize, StorageError> {
-        let Some(dir) = self.dir.clone() else {
-            return Ok(0);
-        };
         if floor == 0 {
             return Ok(0);
         }
-        let res = self.compact_below_inner(&dir, floor);
+        let res = self.compact_below_inner(floor);
         if res.is_err() {
-            self.compaction_errors.fetch_add(1, Ordering::Relaxed);
+            self.counters
+                .compaction_errors
+                .fetch_add(1, Ordering::Relaxed);
         }
         res
     }
 
-    fn compact_below_inner(&self, dir: &Arc<dyn LogDir>, floor: Ts) -> Result<usize, StorageError> {
+    fn compact_below_inner(&self, floor: Ts) -> Result<usize, StorageError> {
         let _g = self.rotate_lock.lock();
         // Maximal runs of eligible sealed segments, contiguous in
         // *sequence* (not just list position): a seq gap means a cold
@@ -1630,10 +997,10 @@ impl SegmentedWal {
             // Remember the floor: checkpoints at or below it are the deep
             // time-travel ladder and survive checkpoint pruning. The next
             // manifest swap persists it.
-            s.gc_floor = s.gc_floor.max(floor);
+            s.manifest.gc_floor = s.manifest.gc_floor.max(floor);
             let mut runs = Vec::new();
             let mut cur: Vec<SealedSeg> = Vec::new();
-            for seg in &s.sealed {
+            for seg in &s.manifest.sealed {
                 let eligible = seg.max_ts <= floor;
                 let contiguous = cur.last().is_some_and(|p| p.seq + 1 == seg.seq);
                 if !(eligible && (cur.is_empty() || contiguous)) && !cur.is_empty() {
@@ -1661,14 +1028,16 @@ impl SegmentedWal {
                 has_ddl: run.iter().any(|s| s.has_ddl),
             };
             let sources: Vec<(String, u64)> = run.iter().map(|s| (s.name.clone(), s.len)).collect();
-            self.publish_cold(dir, &sources, cold)?;
+            self.publish_cold(&sources, cold)?;
             compacted += run.len();
         }
         if compacted > 0 {
-            self.compactions.fetch_add(1, Ordering::Relaxed);
-            self.last_compaction_ms.store(unix_ms(), Ordering::Relaxed);
+            self.counters.compactions.fetch_add(1, Ordering::Relaxed);
+            self.counters
+                .last_compaction_ms
+                .store(unix_ms(), Ordering::Relaxed);
         }
-        self.merge_cold_files(dir)?;
+        self.merge_cold_files()?;
         Ok(compacted)
     }
 
@@ -1676,54 +1045,39 @@ impl SegmentedWal {
     /// fsync, rename, dir fsync), publishes it in the manifest — removing
     /// every source from the sealed and cold lists — and only then
     /// deletes the originals (best-effort; recovery reconciles leftovers).
+    /// Caller holds `rotate_lock`.
     fn publish_cold(
         &self,
-        dir: &Arc<dyn LogDir>,
         sources: &[(String, u64)],
         mut cold: ColdFile,
     ) -> Result<(), StorageError> {
+        let dir = &self.dir;
         let tmp_name = format!("{}.tmp", cold.name);
-        let mut sink = dir.create(&tmp_name)?;
-        let mut total = 0u64;
+        let mut file = dir.create(&tmp_name)?;
         for (name, len) in sources {
             let bytes = dir.read(name)?;
-            let (_, info) = decode_strict(&bytes, name, *len)?;
-            debug_assert_eq!(info.truncated_bytes, 0);
-            sink.write_all(&bytes)?;
-            total += bytes.len() as u64;
+            decode_strict(&bytes, name, *len)?;
+            file.write_all(&bytes)?;
+            cold.len += bytes.len() as u64;
         }
-        sink.sync()?;
-        drop(sink);
+        file.sync()?;
+        drop(file);
         dir.rename(&tmp_name, &cold.name)?;
         dir.sync_dir()?;
-        cold.len = total;
 
         // Manifest swap FIRST (the cold file becomes authoritative), then
         // the in-memory state, then — and only then — the deletes.
-        let source_names: Vec<&str> = sources.iter().map(|(n, _)| n.as_str()).collect();
-        let manifest = {
-            let s = self.state.lock();
-            let mut m = manifest_of(&s);
-            replace_with_cold(&mut m, &source_names, cold.clone());
-            m
-        };
+        let mut manifest = self.state.lock().manifest.clone();
+        manifest
+            .sealed
+            .retain(|s| !sources.iter().any(|(n, _)| *n == s.name));
+        manifest
+            .cold
+            .retain(|c| !sources.iter().any(|(n, _)| *n == c.name));
+        let pos = manifest.cold.partition_point(|c| c.seq_lo < cold.seq_lo);
+        manifest.cold.insert(pos, cold);
         write_manifest(dir.as_ref(), &manifest)?;
-        {
-            let mut s = self.state.lock();
-            let mut m = Manifest {
-                next_seq: s.next_seq,
-                cold: std::mem::take(&mut s.cold),
-                sealed: std::mem::take(&mut s.sealed),
-                active_seq: s.active.seq,
-                active_name: s.active.name.clone(),
-                checkpoints: std::mem::take(&mut s.checkpoints),
-                gc_floor: s.gc_floor,
-            };
-            replace_with_cold(&mut m, &source_names, cold);
-            s.cold = m.cold;
-            s.sealed = m.sealed;
-            s.checkpoints = m.checkpoints;
-        }
+        self.state.lock().manifest = manifest;
         // Best-effort: leftover originals are unlisted now and recovery
         // deletes them if we crash (or error) here.
         for (name, _) in sources {
@@ -1737,16 +1091,16 @@ impl SegmentedWal {
     /// [`COLD_MERGE_BOUND`], longest chain first. Chains are contiguous
     /// by sequence range (`a.seq_hi + 1 == b.seq_lo`); files separated by
     /// a still-sealed gap are left alone.
-    fn merge_cold_files(&self, dir: &Arc<dyn LogDir>) -> Result<(), StorageError> {
+    fn merge_cold_files(&self) -> Result<(), StorageError> {
         loop {
             let chain: Vec<ColdFile> = {
                 let s = self.state.lock();
-                if s.cold.len() <= COLD_MERGE_BOUND {
+                if s.manifest.cold.len() <= COLD_MERGE_BOUND {
                     return Ok(());
                 }
                 let mut best: Vec<ColdFile> = Vec::new();
                 let mut cur: Vec<ColdFile> = Vec::new();
-                for c in &s.cold {
+                for c in &s.manifest.cold {
                     let contiguous = cur.last().is_some_and(|p| p.seq_hi + 1 == c.seq_lo);
                     if !cur.is_empty() && !contiguous {
                         if cur.len() > best.len() {
@@ -1775,7 +1129,7 @@ impl SegmentedWal {
             };
             let sources: Vec<(String, u64)> =
                 chain.iter().map(|c| (c.name.clone(), c.len)).collect();
-            self.publish_cold(dir, &sources, merged)?;
+            self.publish_cold(&sources, merged)?;
         }
     }
 
@@ -1785,26 +1139,19 @@ impl SegmentedWal {
     /// that the cadence policy ([`WalOptions::checkpoint_bytes`]) wants a
     /// new one.
     pub fn wants_checkpoint(&self) -> bool {
-        self.dir.is_some()
-            && self.opts.checkpoint_bytes > 0
+        self.opts.checkpoint_bytes > 0
             && self
                 .appended()
                 .saturating_sub(self.last_ckpt_lsn.load(Ordering::Relaxed))
                 >= self.opts.checkpoint_bytes
     }
 
-    /// Consumes the checkpoint this log's recovery booted from, if any.
-    /// `Database::recover_from` / `Session::recover_session` call this
-    /// exactly once, restore the snapshot, then replay the (already
-    /// filtered) record tail `open_dir` returned.
-    pub fn take_recovered_checkpoint(&self) -> Option<Checkpoint> {
-        self.recovered_checkpoint.lock().take()
-    }
-
     /// Counts a checkpoint attempt skipped before reaching the log (e.g.
     /// another checkpoint already in flight).
     pub fn count_checkpoint_skip(&self) {
-        self.checkpoint_skips.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .checkpoint_skips
+            .fetch_add(1, Ordering::Relaxed);
     }
 
     /// Writes `ck` durably and publishes it in the manifest: encode, temp
@@ -1816,38 +1163,34 @@ impl SegmentedWal {
     /// time-travel forks restore from. Every byte and
     /// metadata op goes through the [`LogDir`] seam, so fault-injection
     /// sweeps cover the whole path. Returns `(ts, file bytes)`, or `None`
-    /// when the attempt was skipped (no directory, ts 0, or a checkpoint
-    /// at this ts already exists).
+    /// when the attempt was skipped (ts 0, or a checkpoint at this ts
+    /// already exists).
     pub fn write_checkpoint(&self, ck: &Checkpoint) -> Result<Option<(Ts, u64)>, StorageError> {
-        let Some(dir) = self.dir.clone() else {
-            self.checkpoint_skips.fetch_add(1, Ordering::Relaxed);
-            return Ok(None);
-        };
-        if ck.ts == 0 || self.state.lock().checkpoints.iter().any(|c| c.ts == ck.ts) {
-            self.checkpoint_skips.fetch_add(1, Ordering::Relaxed);
+        let listed = |c: &CheckpointFile| c.ts == ck.ts;
+        if ck.ts == 0 || self.state.lock().manifest.checkpoints.iter().any(listed) {
+            self.count_checkpoint_skip();
             return Ok(None);
         }
-        let res = self.write_checkpoint_inner(&dir, ck);
+        let res = self.write_checkpoint_inner(ck);
         if res.is_err() {
-            self.checkpoint_errors.fetch_add(1, Ordering::Relaxed);
+            self.counters
+                .checkpoint_errors
+                .fetch_add(1, Ordering::Relaxed);
         }
         res
     }
 
-    fn write_checkpoint_inner(
-        &self,
-        dir: &Arc<dyn LogDir>,
-        ck: &Checkpoint,
-    ) -> Result<Option<(Ts, u64)>, StorageError> {
+    fn write_checkpoint_inner(&self, ck: &Checkpoint) -> Result<Option<(Ts, u64)>, StorageError> {
         let _g = self.rotate_lock.lock();
+        let dir = &self.dir;
         let bytes = encode_checkpoint(ck);
         let len = bytes.len() as u64;
         let final_name = checkpoint_name(ck.ts);
         let tmp_name = format!("{final_name}.tmp");
-        let mut sink = dir.create(&tmp_name)?;
-        sink.write_all(&bytes)?;
-        sink.sync()?;
-        drop(sink);
+        let mut file = dir.create(&tmp_name)?;
+        file.write_all(&bytes)?;
+        file.sync()?;
+        drop(file);
         dir.rename(&tmp_name, &final_name)?;
         dir.sync_dir()?;
         // Publish in the manifest, retaining only the newest few. The
@@ -1856,12 +1199,13 @@ impl SegmentedWal {
         // durable, already renamed) file — never a dangling reference.
         let (manifest, dropped) = {
             let mut s = self.state.lock();
-            s.checkpoints.push(CheckpointFile {
+            let m = &mut s.manifest;
+            m.checkpoints.push(CheckpointFile {
                 name: final_name,
                 ts: ck.ts,
                 len,
             });
-            s.checkpoints.sort_by_key(|c| c.ts);
+            m.checkpoints.sort_by_key(|c| c.ts);
             // Retention is floor-aware: above the GC floor the live store
             // answers forks directly and a checkpoint only serves
             // recovery, so the newest CHECKPOINTS_KEPT suffice. At or
@@ -1869,30 +1213,29 @@ impl SegmentedWal {
             // back into the truncated region (deep fork =
             // nearest-checkpoint + spilled delta), so those form a
             // ladder and are never pruned.
-            let floor = s.gc_floor;
-            let above = s.checkpoints.iter().filter(|c| c.ts > floor).count();
+            let floor = m.gc_floor;
+            let above = m.checkpoints.iter().filter(|c| c.ts > floor).count();
             let excess = above.saturating_sub(CHECKPOINTS_KEPT);
             let mut dropped = Vec::with_capacity(excess);
-            if excess > 0 {
-                s.checkpoints.retain(|c| {
-                    if c.ts > floor && dropped.len() < excess {
-                        dropped.push(c.clone());
-                        false
-                    } else {
-                        true
-                    }
-                });
-            }
-            (manifest_of(&s), dropped)
+            m.checkpoints.retain(|c| {
+                let prune = c.ts > floor && dropped.len() < excess;
+                if prune {
+                    dropped.push(c.name.clone());
+                }
+                !prune
+            });
+            (m.clone(), dropped)
         };
         write_manifest(dir.as_ref(), &manifest)?;
         // Best-effort: the dropped files are unlisted now and recovery
         // deletes them if we crash (or error) here.
         for old in &dropped {
-            let _ = dir.delete(&old.name);
+            let _ = dir.delete(old);
         }
         let _ = dir.sync_dir();
-        self.checkpoint_writes.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .checkpoint_writes
+            .fetch_add(1, Ordering::Relaxed);
         self.last_ckpt_lsn.store(self.appended(), Ordering::Relaxed);
         Ok(Some((ck.ts, len)))
     }
@@ -1906,12 +1249,10 @@ impl SegmentedWal {
         &self,
         up_to: Ts,
     ) -> Result<Option<Checkpoint>, StorageError> {
-        let Some(dir) = self.dir.clone() else {
-            return Ok(None);
-        };
         let mut candidates: Vec<CheckpointFile> = self
             .state
             .lock()
+            .manifest
             .checkpoints
             .iter()
             .filter(|c| c.ts <= up_to)
@@ -1919,41 +1260,29 @@ impl SegmentedWal {
             .collect();
         candidates.sort_by_key(|c| c.ts);
         for ck in candidates.iter().rev() {
-            match dir.read(&ck.name).and_then(|b| decode_checkpoint(&b)) {
-                Ok(decoded) if decoded.ts == ck.ts => return Ok(Some(decoded)),
-                Ok(_) | Err(_) => {
-                    self.checkpoint_fallbacks.fetch_add(1, Ordering::Relaxed);
-                }
+            if let Some(decoded) = read_checkpoint(self.dir.as_ref(), ck) {
+                return Ok(Some(decoded));
             }
+            self.counters
+                .checkpoint_fallbacks
+                .fetch_add(1, Ordering::Relaxed);
         }
         Ok(None)
     }
 }
 
-/// Removes `source_names` from a manifest's sealed and cold lists and
-/// inserts `cold` keeping the cold list sorted by `seq_lo`.
-fn replace_with_cold(m: &mut Manifest, source_names: &[&str], cold: ColdFile) {
-    m.sealed
-        .retain(|s| !source_names.contains(&s.name.as_str()));
-    m.cold.retain(|c| !source_names.contains(&c.name.as_str()));
-    let pos = m.cold.partition_point(|c| c.seq_lo < cold.seq_lo);
-    m.cold.insert(pos, cold);
-}
-
-fn manifest_of(s: &SegState) -> Manifest {
-    Manifest {
-        next_seq: s.next_seq,
-        cold: s.cold.clone(),
-        sealed: s.sealed.clone(),
-        active_seq: s.active.seq,
-        active_name: s.active.name.clone(),
-        checkpoints: s.checkpoints.clone(),
-        gc_floor: s.gc_floor,
-    }
+/// Reads one manifest-listed checkpoint file; `None` when it is missing,
+/// fails its CRC frame, or disagrees with the manifest about its ts.
+fn read_checkpoint(dir: &dyn LogDir, ck: &CheckpointFile) -> Option<Checkpoint> {
+    let decoded = dir
+        .read(&ck.name)
+        .and_then(|b| decode_checkpoint(&b))
+        .ok()?;
+    (decoded.ts == ck.ts).then_some(decoded)
 }
 
 /// Makes a segment durable for sealing: in `Cached` mode buffered bytes
-/// are pushed to the sink (the mode never promised power-loss safety); in
+/// are pushed to the file (the mode never promised power-loss safety); in
 /// `Sync`/`Flush` the standard group sync runs to the appended watermark.
 fn seal_sync(wal: &Arc<Wal>, mode: SyncMode) -> Result<(), StorageError> {
     match mode {
@@ -1970,7 +1299,7 @@ fn decode_strict(
     bytes: &[u8],
     name: &str,
     expect_len: u64,
-) -> Result<(Vec<WalRecord>, crate::wal::RecoveryInfo), StorageError> {
+) -> Result<Vec<WalRecord>, StorageError> {
     let (records, info) = decode_records(bytes).map_err(|e| prefix_file(e, name))?;
     if info.truncated_bytes != 0 {
         return Err(StorageError::Corrupt {
@@ -1990,7 +1319,7 @@ fn decode_strict(
             ),
         });
     }
-    Ok((records, info))
+    Ok(records)
 }
 
 fn prefix_file(e: StorageError, name: &str) -> StorageError {
@@ -2003,56 +1332,11 @@ fn prefix_file(e: StorageError, name: &str) -> StorageError {
     }
 }
 
-/// Migrates a pre-segmentation single-file log at `path` into the
-/// directory layout: `path` is renamed aside, a directory is created in
-/// its place, and the old file is renamed into it as segment 0 —
-/// byte-identical, no copy. Crash-resumable: each step is re-checked on
-/// the next open. Returns true when a migration step ran.
-fn migrate_legacy_file(path: &Path) -> Result<bool, StorageError> {
-    let legacy = path.with_file_name(format!(
-        "{}.legacy",
-        path.file_name().and_then(|n| n.to_str()).unwrap_or("wal")
-    ));
-    let mut migrated = false;
-    if path.is_file() {
-        std::fs::rename(path, &legacy).map_err(|e| io_err("migrate", e))?;
-        migrated = true;
-    }
-    if legacy.is_file() {
-        // Resume: move the set-aside file in as segment 0 unless the
-        // directory already has a log (a crash after this move but
-        // before deleting nothing — rename is the delete).
-        std::fs::create_dir_all(path).map_err(|e| io_err("migrate", e))?;
-        let seg0 = path.join(segment_name(0));
-        let has_log = seg0.exists() || path.join(MANIFEST_NAME).exists();
-        if has_log {
-            // A log already exists; the stray legacy file is ambiguous —
-            // refuse rather than guess.
-            return Err(StorageError::Recovery {
-                detail: format!(
-                    "both a legacy log file ({}) and a segmented log ({}) exist",
-                    legacy.display(),
-                    path.display()
-                ),
-            });
-        }
-        std::fs::rename(&legacy, &seg0).map_err(|e| io_err("migrate", e))?;
-        if let Some(parent) = path.parent() {
-            #[cfg(unix)]
-            {
-                let _ = File::open(parent).and_then(|d| d.sync_all());
-            }
-            let _ = parent;
-        }
-        migrated = true;
-    }
-    Ok(migrated)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cdc::ChangeRecord;
+    use crate::dir::{DirFailpointHandle, FailpointDir, MemDir};
     use crate::row;
     use crate::row::Key;
 
@@ -2132,6 +1416,27 @@ mod tests {
     }
 
     #[test]
+    fn version_1_manifest_is_a_typed_unsupported_version_error() {
+        // A well-framed manifest whose payload starts with version 1.
+        let mut payload = Vec::new();
+        put_u32(&mut payload, 1);
+        put_u64(&mut payload, 1); // next_seq; the rest is never reached
+        let mut bytes = MANIFEST_MAGIC.to_vec();
+        put_u32(&mut bytes, payload.len() as u32);
+        put_u32(&mut bytes, crc32(&payload));
+        let hdr_crc = crc32(&bytes[8..16]);
+        put_u32(&mut bytes, hdr_crc);
+        bytes.extend_from_slice(&payload);
+        match decode_manifest(&bytes) {
+            Err(StorageError::Corrupt { detail, .. }) => assert!(
+                detail.contains("unsupported manifest version 1"),
+                "detail: {detail}"
+            ),
+            other => panic!("expected a typed version error, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn name_parsing() {
         assert_eq!(parse_segment_name("wal-000042.seg"), Some(42));
         assert_eq!(parse_segment_name("wal-.seg"), None);
@@ -2156,7 +1461,12 @@ mod tests {
         assert_eq!(stats.appended, stats.durable);
         drop(wal);
 
-        let (wal2, records, rec) = SegmentedWal::open_dir(dir, tiny_opts()).unwrap();
+        let RecoveredLog {
+            wal: wal2,
+            records,
+            report: rec,
+            ..
+        } = SegmentedWal::open_dir(dir, tiny_opts()).unwrap();
         assert_eq!(commit_ts_of(&records), vec![1, 2, 3, 4, 5]);
         assert_eq!(rec.truncated_bytes, 0);
         assert!(rec.segments >= 5);
@@ -2188,7 +1498,11 @@ mod tests {
         );
         drop(wal);
 
-        let (_, records, rec) = SegmentedWal::open_dir(dir, tiny_opts()).unwrap();
+        let RecoveredLog {
+            records,
+            report: rec,
+            ..
+        } = SegmentedWal::open_dir(dir, tiny_opts()).unwrap();
         assert_eq!(commit_ts_of(&records), vec![1, 2, 3, 4, 5, 6]);
         assert_eq!(rec.cold_files, 1);
     }
@@ -2230,7 +1544,11 @@ mod tests {
         // sealing means fully synced. Also append a commit to the active
         // so adoption has a clean predecessor.
         mem.put_file(&orphan, frame);
-        let (_, records, rec) = SegmentedWal::open_dir(dir, tiny_opts()).unwrap();
+        let RecoveredLog {
+            records,
+            report: rec,
+            ..
+        } = SegmentedWal::open_dir(dir, tiny_opts()).unwrap();
         assert_eq!(rec.adopted_orphans, 1);
         assert_eq!(commit_ts_of(&records).last(), Some(&9));
     }
@@ -2245,7 +1563,11 @@ mod tests {
         drop(wal);
         let listed = decode_manifest(&mem.file(MANIFEST_NAME).unwrap()).unwrap();
         mem.put_file(&segment_name(listed.active_seq + 1), Vec::new());
-        let (_, records, rec) = SegmentedWal::open_dir(dir, tiny_opts()).unwrap();
+        let RecoveredLog {
+            records,
+            report: rec,
+            ..
+        } = SegmentedWal::open_dir(dir, tiny_opts()).unwrap();
         assert_eq!(commit_ts_of(&records), vec![1]);
         assert_eq!(rec.adopted_orphans, 0);
         assert!(rec.removed_files >= 1);
@@ -2315,27 +1637,15 @@ mod tests {
         mem.put_file("MANIFEST.tmp", b"half-written".to_vec());
         mem.put_file("cold-000000-000000.seg.tmp", b"partial copy".to_vec());
         mem.put_file("cold-000090-000091.seg", b"unpublished".to_vec());
-        let (_, records, rec) = SegmentedWal::open_dir(dir, tiny_opts()).unwrap();
+        let RecoveredLog {
+            records,
+            report: rec,
+            ..
+        } = SegmentedWal::open_dir(dir, tiny_opts()).unwrap();
         assert_eq!(commit_ts_of(&records), vec![1, 2]);
         assert!(rec.removed_files >= 3, "{rec:?}");
         assert!(mem.file("MANIFEST.tmp").is_none());
         assert!(mem.file("cold-000090-000091.seg").is_none());
-    }
-
-    #[test]
-    fn single_mode_never_rotates() {
-        let sink = crate::wal::MemSink::new();
-        let wal = Wal::with_sink(Box::new(sink), WalOptions::default());
-        let seg = SegmentedWal::single(wal);
-        assert!(!seg.is_segmented());
-        for i in 1..=50u64 {
-            let lsn = seg.append_entry(&entry(i, i)).unwrap();
-            seg.sync_to(lsn).unwrap();
-        }
-        let stats = seg.stats();
-        assert_eq!(stats.segments, 1);
-        assert_eq!(stats.rotations, 0);
-        assert_eq!(seg.compact_below(100).unwrap(), 0);
     }
 
     #[test]
@@ -2361,34 +1671,5 @@ mod tests {
         assert!(SegmentedWal::create_dir(dir2, WalOptions::default()).is_err());
         assert!(points2.crashed());
         assert!(mem2.names().is_empty());
-    }
-
-    #[test]
-    fn legacy_file_migrates_byte_identically() {
-        let base = std::env::temp_dir().join(format!(
-            "trod-segment-migrate-{}-{}",
-            std::process::id(),
-            unix_ms()
-        ));
-        std::fs::create_dir_all(&base).unwrap();
-        let path = base.join("wal.log");
-        // A PR 6-era single-file log.
-        let mut raw = Vec::new();
-        for i in 1..=3u64 {
-            raw.extend_from_slice(&crate::wal::encode_frame(&WalRecord::Commit(entry(i, i))));
-        }
-        std::fs::write(&path, &raw).unwrap();
-        let (wal, records, rec) = SegmentedWal::open_path(&path, WalOptions::default()).unwrap();
-        assert!(rec.migrated_legacy);
-        assert_eq!(commit_ts_of(&records), vec![1, 2, 3]);
-        // Byte-identical adoption: segment 0 is the old file, verbatim.
-        let seg0 = std::fs::read(path.join(segment_name(0))).unwrap();
-        assert_eq!(seg0, raw);
-        drop(wal);
-        // Reopen: now a normal segmented log.
-        let (_, records2, rec2) = SegmentedWal::open_path(&path, WalOptions::default()).unwrap();
-        assert!(!rec2.migrated_legacy);
-        assert_eq!(commit_ts_of(&records2), vec![1, 2, 3]);
-        std::fs::remove_dir_all(&base).unwrap();
     }
 }

@@ -1,79 +1,39 @@
-//! The durable write-ahead log: group commit, checksummed recovery and
-//! crash-point fault injection.
+//! The write-ahead log of one file: the frame codec and group commit.
 //!
-//! The aligned transaction log ([`crate::log::TxnLog`]) *is* the recovery
-//! log: every committed transaction is one [`CommittedTxn`] entry whose
-//! change records span the relational tables and the `kv:<namespace>`
-//! participants. The WAL streams each entry (and each DDL statement) into
-//! an append-only segment file as a length-prefixed, CRC-checksummed
-//! record, so reopening the file and replaying the records rebuilds the
-//! whole environment — state *and* aligned history — exactly as it was at
-//! the last durable commit.
+//! Invariants this module owns (design and fault model: "The durable
+//! log" in `crates/db/DESIGN.md`):
 //!
-//! # Record format
-//!
-//! ```text
-//! [payload_len: u32 LE][payload_crc32: u32 LE][header_crc32: u32 LE][payload]
-//! ```
-//!
-//! `header_crc32` covers the first 8 header bytes, so a torn header is
-//! distinguishable from a valid header whose payload is missing. The
-//! payload starts with a record tag ([`WalRecord`]); all integers are
-//! little-endian, strings are length-prefixed UTF-8. The CRC is the
-//! hand-rolled IEEE polynomial ([`crc32`]) — no external dependency.
-//!
-//! # Group commit
-//!
-//! [`Wal::append_record`] only memcpys the framed record into an
-//! in-process buffer under a mutex — it is called inside the commit
-//! protocol's ordered publication window, which makes the WAL byte order
-//! identical to the commit order. [`Wal::sync_to`] runs *after* the
-//! committer dropped its footprint locks: the first waiter whose bytes
-//! are not yet durable becomes the **leader**, takes the sink and the
-//! whole pending buffer, and performs one write + one fsync for every
-//! commit that landed in the buffer meanwhile — one fsync amortized
-//! across the group, so durable throughput scales with batch size instead
-//! of being 1/fsync flat. Followers sleep on a condvar until the durable
-//! watermark covers their LSN.
-//!
-//! A failed group write/fsync fails **only the commits in that group**
-//! (`last_fail` records the covered end offset); their bytes stay queued
-//! at the front of the buffer — the log must remain a commit-order
-//! prefix — and the next leader repairs the sink (truncate to the last
-//! confirmed offset) and retries them together with its own group. The
-//! commit path is never poisoned: once the sink recovers, subsequent
-//! groups proceed.
-//!
-//! # Torn-tail rule
-//!
-//! On open, records are validated in sequence. A record that fails at the
-//! *end* of the file — truncated header, truncated payload, or a checksum
-//! mismatch with no valid record anywhere after it — is a **torn tail**:
-//! the file is truncated back to the last valid record and recovery
-//! proceeds (an unacknowledged commit died mid-write; losing it is
-//! correct). A damaged record with provably valid records *after* it is
-//! **corruption**: truncating would silently drop acknowledged commits,
-//! so recovery refuses with [`StorageError::Corrupt`] — never a panic,
-//! never a silently wrong state.
-//!
-//! # Fault injection
-//!
-//! [`FailpointSink`] wraps any sink and injects faults at exact points:
-//! IO errors on the next N appends or fsyncs, a short write at the Nth
-//! byte, or a "crash" at the Nth byte (all later bytes silently dropped
-//! while reporting success — the kernel-never-persisted-the-tail case).
-//! [`MemSink`] captures the raw byte stream so property tests can
-//! materialize *every* crash prefix of a workload from one run.
+//! * **Frame format** — `[payload_len: u32 LE][payload_crc32: u32 LE]
+//!   [header_crc32: u32 LE][payload]`. `header_crc32` covers the first 8
+//!   header bytes, so a torn header is distinguishable from a valid
+//!   header whose payload is missing. The payload starts with a record
+//!   tag ([`WalRecord`]); integers are little-endian, strings
+//!   length-prefixed UTF-8, the CRC the hand-rolled IEEE polynomial
+//!   ([`crc32`]).
+//! * **Byte order == commit order** — [`Wal::append_record`] only
+//!   memcpys the frame into an in-process buffer under a mutex; it is
+//!   called inside the commit protocol's ordered publication window.
+//! * **Group commit** — [`Wal::sync_to`] runs after the committer
+//!   dropped its locks: the first waiter whose bytes are not yet durable
+//!   becomes the leader and performs one write + one fsync for every
+//!   commit buffered meanwhile. A failed group fails only the commits it
+//!   covered; their bytes stay queued at the front of the buffer and the
+//!   next leader repairs the file (truncate to the last confirmed
+//!   offset) and retries them — the commit path is never poisoned.
+//! * **Torn-tail rule** — [`decode_records`] truncates damage that
+//!   extends to the end of the stream (an unacknowledged commit died
+//!   mid-write) and refuses damage with valid records after it as
+//!   [`StorageError::Corrupt`] — never a panic, never a silently wrong
+//!   state.
 
-use std::fs::{File, OpenOptions};
-use std::io::{Read as _, Seek, SeekFrom, Write as _};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
 
 use crate::cdc::{ChangeOp, ChangeRecord};
+use crate::dir::{FsFile, LogFile};
 use crate::error::StorageError;
 use crate::log::CommittedTxn;
 use crate::row::{Key, Row};
@@ -99,15 +59,10 @@ pub enum SyncMode {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WalOptions {
     pub sync_mode: SyncMode,
-    /// `true` (default): one leader syncs the whole pending buffer per
-    /// group. `false`: the commit protocol syncs each commit inside its
-    /// publication window — the serial-fsync baseline benchmarks compare
-    /// against.
-    pub group_commit: bool,
     /// Size bound at which a [`crate::segment::SegmentedWal`] rolls its
     /// active segment (checked after each group sync, so a segment can
     /// overshoot by one group). `0` disables rotation — the log stays a
-    /// single ever-growing segment, the pre-segmentation behaviour.
+    /// single ever-growing segment.
     pub segment_bytes: u64,
     /// Bytes of new WAL appends after which the database takes the next
     /// environment checkpoint (on the post-ack path, outside the
@@ -127,7 +82,6 @@ impl Default for WalOptions {
     fn default() -> Self {
         WalOptions {
             sync_mode: SyncMode::Sync,
-            group_commit: true,
             segment_bytes: DEFAULT_SEGMENT_BYTES,
             checkpoint_bytes: DEFAULT_CHECKPOINT_BYTES,
         }
@@ -293,19 +247,21 @@ pub(crate) fn dtype_tag(d: DataType) -> u8 {
     }
 }
 
+fn put_commit(out: &mut Vec<u8>, entry: &CommittedTxn) {
+    out.push(TAG_COMMIT);
+    put_u64(out, entry.txn_id);
+    put_u64(out, entry.start_ts);
+    put_u64(out, entry.commit_ts);
+    put_u32(out, entry.changes.len() as u32);
+    for change in &entry.changes {
+        put_change(out, change);
+    }
+}
+
 fn encode_payload(record: &WalRecord) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
     match record {
-        WalRecord::Commit(entry) => {
-            out.push(TAG_COMMIT);
-            put_u64(&mut out, entry.txn_id);
-            put_u64(&mut out, entry.start_ts);
-            put_u64(&mut out, entry.commit_ts);
-            put_u32(&mut out, entry.changes.len() as u32);
-            for change in &entry.changes {
-                put_change(&mut out, change);
-            }
-        }
+        WalRecord::Commit(entry) => put_commit(&mut out, entry),
         WalRecord::CreateTable { name, schema } => {
             out.push(TAG_CREATE_TABLE);
             put_str(&mut out, name);
@@ -344,13 +300,16 @@ fn encode_payload(record: &WalRecord) -> Vec<u8> {
 /// bytes [`Wal::append_record`] appends. Exposed so tests can compute
 /// record boundaries of a captured byte stream.
 pub fn encode_frame(record: &WalRecord) -> Vec<u8> {
-    let payload = encode_payload(record);
+    frame_of(&encode_payload(record))
+}
+
+fn frame_of(payload: &[u8]) -> Vec<u8> {
     let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
     put_u32(&mut frame, payload.len() as u32);
-    put_u32(&mut frame, crc32(&payload));
+    put_u32(&mut frame, crc32(payload));
     let hdr_crc = crc32(&frame[0..8]);
     put_u32(&mut frame, hdr_crc);
-    frame.extend_from_slice(&payload);
+    frame.extend_from_slice(payload);
     frame
 }
 
@@ -550,38 +509,6 @@ pub struct RecoveryInfo {
     pub truncated_bytes: u64,
 }
 
-/// What a full environment replay (`Database::open_durable` /
-/// `Session::open_durable`) rebuilt from the log.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RecoveryReport {
-    /// Committed transactions replayed.
-    pub commits: usize,
-    /// Tables re-created from DDL records.
-    pub tables: usize,
-    /// Secondary/range indexes re-created from DDL records.
-    pub indexes: usize,
-    /// Key-value namespaces re-created from DDL records.
-    pub namespaces: Vec<String>,
-    /// Key-value writes re-installed while replaying commits.
-    pub kv_writes_replayed: usize,
-    /// Bytes discarded as a torn tail before replay began.
-    pub truncated_bytes: u64,
-    /// Segment files the recovery walked (sealed + active; 1 for a
-    /// single-segment log).
-    pub segments: usize,
-    /// Immutable cold files replayed before the segments.
-    pub cold_files: usize,
-    /// Timestamp of the checkpoint this boot restored from, if any —
-    /// `Some(ts)` means only WAL records after `ts` were replayed.
-    pub checkpoint_ts: Option<crate::mvcc::Ts>,
-    /// Checkpoints that failed validation before a usable one was found
-    /// (each fell back to the next older one, or to full replay).
-    pub checkpoint_fallbacks: usize,
-    /// Cold/sealed files recovery skipped entirely because every commit
-    /// in them preceded the checkpoint.
-    pub skipped_files: usize,
-}
-
 enum Parse {
     Record(WalRecord, usize),
     CleanEnd,
@@ -694,245 +621,17 @@ pub fn decode_records(data: &[u8]) -> Result<(Vec<WalRecord>, RecoveryInfo), Sto
 }
 
 // ---------------------------------------------------------------------
-// Sinks
-// ---------------------------------------------------------------------
-
-/// Where WAL bytes go. Implementations must append `write_all` bytes at
-/// the end and support truncating back to a known-good length (repair
-/// after a failed group write).
-pub trait WalSink: Send {
-    fn write_all(&mut self, bytes: &[u8]) -> Result<(), StorageError>;
-    /// Durably persist everything written so far (fsync).
-    fn sync(&mut self) -> Result<(), StorageError>;
-    /// Truncate back to `len` bytes, discarding a partial write.
-    fn truncate_to(&mut self, len: u64) -> Result<(), StorageError>;
-}
-
-/// A real file.
-pub struct FileSink {
-    file: File,
-}
-
-impl FileSink {
-    pub fn new(file: File) -> Self {
-        FileSink { file }
-    }
-}
-
-impl WalSink for FileSink {
-    fn write_all(&mut self, bytes: &[u8]) -> Result<(), StorageError> {
-        self.file.write_all(bytes).map_err(|e| StorageError::Io {
-            op: "append",
-            detail: e.to_string(),
-        })
-    }
-
-    fn sync(&mut self) -> Result<(), StorageError> {
-        self.file.sync_data().map_err(|e| StorageError::Io {
-            op: "sync",
-            detail: e.to_string(),
-        })
-    }
-
-    fn truncate_to(&mut self, len: u64) -> Result<(), StorageError> {
-        self.file
-            .set_len(len)
-            .and_then(|()| self.file.seek(SeekFrom::Start(len)).map(|_| ()))
-            .map_err(|e| StorageError::Io {
-                op: "truncate",
-                detail: e.to_string(),
-            })
-    }
-}
-
-/// An in-memory sink; the shared handle exposes the exact byte stream a
-/// file would contain, so tests can cut crash prefixes from one run.
-pub struct MemSink {
-    data: Arc<Mutex<Vec<u8>>>,
-}
-
-impl MemSink {
-    pub fn new() -> Self {
-        MemSink {
-            data: Arc::new(Mutex::new(Vec::new())),
-        }
-    }
-
-    /// The shared byte stream (what "the file" contains).
-    pub fn contents(&self) -> Arc<Mutex<Vec<u8>>> {
-        self.data.clone()
-    }
-}
-
-impl Default for MemSink {
-    fn default() -> Self {
-        MemSink::new()
-    }
-}
-
-impl WalSink for MemSink {
-    fn write_all(&mut self, bytes: &[u8]) -> Result<(), StorageError> {
-        self.data.lock().extend_from_slice(bytes);
-        Ok(())
-    }
-
-    fn sync(&mut self) -> Result<(), StorageError> {
-        Ok(())
-    }
-
-    fn truncate_to(&mut self, len: u64) -> Result<(), StorageError> {
-        self.data.lock().truncate(len as usize);
-        Ok(())
-    }
-}
-
-#[derive(Debug, Default)]
-struct Failpoints {
-    fail_appends: usize,
-    fail_syncs: usize,
-    short_write_at: Option<u64>,
-    crash_at: Option<u64>,
-}
-
-/// Shared control handle for a [`FailpointSink`]; settable while the WAL
-/// is live, so tests inject faults at exact moments.
-#[derive(Clone, Default)]
-pub struct FailpointHandle {
-    inner: Arc<Mutex<Failpoints>>,
-}
-
-impl FailpointHandle {
-    pub fn new() -> Self {
-        FailpointHandle::default()
-    }
-
-    /// Fail the next `n` append (write) calls with an injected IO error.
-    pub fn fail_appends(&self, n: usize) {
-        self.inner.lock().fail_appends = n;
-    }
-
-    /// Fail the next `n` sync (fsync) calls with an injected IO error.
-    pub fn fail_syncs(&self, n: usize) {
-        self.inner.lock().fail_syncs = n;
-    }
-
-    /// The write crossing total byte `offset` persists only up to it and
-    /// reports an error (a short write / full disk).
-    pub fn short_write_at(&self, offset: u64) {
-        self.inner.lock().short_write_at = Some(offset);
-    }
-
-    /// Silently stop persisting at total byte `offset` while reporting
-    /// success — the crash where the page cache never reached the disk.
-    pub fn crash_at(&self, offset: u64) {
-        self.inner.lock().crash_at = Some(offset);
-    }
-
-    /// Clears every failpoint (the sink "recovers").
-    pub fn clear(&self) {
-        *self.inner.lock() = Failpoints::default();
-    }
-}
-
-/// A sink wrapper that injects faults per its [`FailpointHandle`] — the
-/// crash-point fault-injection layer of the robustness tests.
-pub struct FailpointSink<S: WalSink> {
-    inner: S,
-    points: FailpointHandle,
-    /// Total bytes the caller has asked to write (not necessarily
-    /// persisted — crash/short-write points count against this).
-    offset: u64,
-}
-
-impl<S: WalSink> FailpointSink<S> {
-    pub fn new(inner: S, points: FailpointHandle) -> Self {
-        FailpointSink {
-            inner,
-            points,
-            offset: 0,
-        }
-    }
-}
-
-impl<S: WalSink> WalSink for FailpointSink<S> {
-    fn write_all(&mut self, bytes: &[u8]) -> Result<(), StorageError> {
-        let (fail, short_at, crash_at) = {
-            let mut p = self.points.inner.lock();
-            let fail = if p.fail_appends > 0 {
-                p.fail_appends -= 1;
-                true
-            } else {
-                false
-            };
-            (fail, p.short_write_at, p.crash_at)
-        };
-        if fail {
-            return Err(StorageError::Io {
-                op: "append",
-                detail: "injected append failure".to_string(),
-            });
-        }
-        if let Some(limit) = crash_at {
-            // Persist only what fits below the crash point, but report
-            // success for everything.
-            let keep = limit.saturating_sub(self.offset).min(bytes.len() as u64) as usize;
-            if keep > 0 {
-                self.inner.write_all(&bytes[..keep])?;
-            }
-            self.offset += bytes.len() as u64;
-            return Ok(());
-        }
-        if let Some(limit) = short_at {
-            if self.offset + bytes.len() as u64 > limit {
-                let keep = limit.saturating_sub(self.offset) as usize;
-                if keep > 0 {
-                    self.inner.write_all(&bytes[..keep])?;
-                }
-                self.offset += keep as u64;
-                return Err(StorageError::Io {
-                    op: "append",
-                    detail: format!("injected short write at byte {limit}"),
-                });
-            }
-        }
-        self.inner.write_all(bytes)?;
-        self.offset += bytes.len() as u64;
-        Ok(())
-    }
-
-    fn sync(&mut self) -> Result<(), StorageError> {
-        {
-            let mut p = self.points.inner.lock();
-            if p.fail_syncs > 0 {
-                p.fail_syncs -= 1;
-                return Err(StorageError::Io {
-                    op: "sync",
-                    detail: "injected sync failure".to_string(),
-                });
-            }
-        }
-        self.inner.sync()
-    }
-
-    fn truncate_to(&mut self, len: u64) -> Result<(), StorageError> {
-        self.inner.truncate_to(len)?;
-        self.offset = len;
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------
 // The WAL itself: buffered appends, leader-based group sync
 // ---------------------------------------------------------------------
 
 /// Flush threshold for [`SyncMode::Cached`]: appends push buffered bytes
-/// to the sink (without fsync) once the buffer crosses this.
+/// to the file (without fsync) once the buffer crosses this.
 const CACHED_FLUSH_BYTES: usize = 64 * 1024;
 
 struct WalState {
-    /// `None` while a leader holds the sink for a group write.
-    sink: Option<Box<dyn WalSink>>,
-    /// Framed bytes accepted but not yet confirmed at the sink:
+    /// `None` while a leader holds the file for a group write.
+    file: Option<Box<dyn LogFile>>,
+    /// Framed bytes accepted but not yet confirmed at the file:
     /// exactly the byte range `[durable, appended)` (minus any batch a
     /// leader currently holds).
     buf: Vec<u8>,
@@ -944,7 +643,7 @@ struct WalState {
     /// `lsn <= covered_end` reports the error; later groups retry the
     /// bytes and clear this once `durable` passes `covered_end`.
     last_fail: Option<(u64, StorageError)>,
-    /// The sink may hold a partial write past `durable`; the next leader
+    /// The file may hold a partial write past `durable`; the next leader
     /// truncates back before writing.
     need_repair: bool,
 }
@@ -955,7 +654,6 @@ pub struct Wal {
     state: Mutex<WalState>,
     cv: Condvar,
     mode: SyncMode,
-    group: AtomicBool,
     /// Threads currently inside [`Wal::sync_to`]. The group leader opens
     /// a short batching window only when this shows other committers in
     /// flight — a lone commit never pays the window's latency.
@@ -963,16 +661,12 @@ pub struct Wal {
 }
 
 impl Wal {
-    /// Wraps an arbitrary sink (tests: [`MemSink`], [`FailpointSink`]).
-    /// The sink is assumed empty; the log starts at offset 0.
-    pub fn with_sink(sink: Box<dyn WalSink>, opts: WalOptions) -> Arc<Wal> {
-        Wal::with_sink_at(sink, 0, opts)
-    }
-
-    pub(crate) fn with_sink_at(sink: Box<dyn WalSink>, offset: u64, opts: WalOptions) -> Arc<Wal> {
+    /// A log over `file`, whose first `offset` bytes are already valid
+    /// and durable (0 for a fresh file).
+    pub(crate) fn over(file: Box<dyn LogFile>, offset: u64, opts: WalOptions) -> Arc<Wal> {
         Arc::new(Wal {
             state: Mutex::new(WalState {
-                sink: Some(sink),
+                file: Some(file),
                 buf: Vec::new(),
                 appended: offset,
                 durable: offset,
@@ -981,77 +675,15 @@ impl Wal {
             }),
             cv: Condvar::new(),
             mode: opts.sync_mode,
-            group: AtomicBool::new(opts.group_commit),
             sync_waiters: AtomicUsize::new(0),
         })
     }
 
-    /// Creates (truncating) a log file.
+    /// Creates (truncating) a bare log file — one unsegmented stream of
+    /// frames, for callers that want the codec and group commit without
+    /// the directory lifecycle of [`crate::segment::SegmentedWal`].
     pub fn create(path: impl AsRef<Path>, opts: WalOptions) -> Result<Arc<Wal>, StorageError> {
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(path)
-            .map_err(|e| StorageError::Io {
-                op: "open",
-                detail: e.to_string(),
-            })?;
-        Ok(Wal::with_sink(Box::new(FileSink::new(file)), opts))
-    }
-
-    /// Opens (creating if absent) a log file: validates every record,
-    /// truncates a torn tail back to the last valid checksum, and returns
-    /// the decoded records together with a WAL positioned at the repaired
-    /// end. Mid-file corruption is refused with a typed error.
-    pub fn open(
-        path: impl AsRef<Path>,
-        opts: WalOptions,
-    ) -> Result<(Arc<Wal>, Vec<WalRecord>, RecoveryInfo), StorageError> {
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(path)
-            .map_err(|e| StorageError::Io {
-                op: "open",
-                detail: e.to_string(),
-            })?;
-        let mut data = Vec::new();
-        file.read_to_end(&mut data).map_err(|e| StorageError::Io {
-            op: "read",
-            detail: e.to_string(),
-        })?;
-        let (records, info) = decode_records(&data)?;
-        let mut sink = FileSink::new(file);
-        if info.truncated_bytes > 0 {
-            sink.truncate_to(info.valid_len)?;
-        } else {
-            sink.truncate_to(info.valid_len)?; // also positions at end
-        }
-        Ok((
-            Wal::with_sink_at(Box::new(sink), info.valid_len, opts),
-            records,
-            info,
-        ))
-    }
-
-    /// The configured sync mode.
-    pub fn sync_mode(&self) -> SyncMode {
-        self.mode
-    }
-
-    /// True when group commit is enabled (the default).
-    pub fn group_commit(&self) -> bool {
-        self.group.load(Ordering::SeqCst)
-    }
-
-    /// Toggles group commit; `false` makes the commit protocol sync each
-    /// commit inside its publication window (serial-fsync baseline).
-    pub fn set_group_commit(&self, on: bool) {
-        self.group.store(on, Ordering::SeqCst);
+        Ok(Wal::over(Box::new(FsFile::create(path.as_ref())?), 0, opts))
     }
 
     /// Logical end offset of the log (bytes accepted so far).
@@ -1072,30 +704,12 @@ impl Wal {
         self.append_frame(encode_frame(record))
     }
 
-    /// [`Wal::append_record`] for a committed transaction.
+    /// [`Wal::append_record`] for a committed transaction (encodes the
+    /// borrowed entry directly — no clone into a [`WalRecord`]).
     pub fn append_entry(&self, entry: &CommittedTxn) -> Result<u64, StorageError> {
-        // Frame built outside the lock; cloning the entry is avoided by
-        // encoding through a borrowed `WalRecord` would require one — so
-        // encode the commit payload directly.
-        let payload = {
-            let mut out = Vec::with_capacity(64);
-            out.push(TAG_COMMIT);
-            put_u64(&mut out, entry.txn_id);
-            put_u64(&mut out, entry.start_ts);
-            put_u64(&mut out, entry.commit_ts);
-            put_u32(&mut out, entry.changes.len() as u32);
-            for change in &entry.changes {
-                put_change(&mut out, change);
-            }
-            out
-        };
-        let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-        put_u32(&mut frame, payload.len() as u32);
-        put_u32(&mut frame, crc32(&payload));
-        let hdr_crc = crc32(&frame[0..8]);
-        put_u32(&mut frame, hdr_crc);
-        frame.extend_from_slice(&payload);
-        self.append_frame(frame)
+        let mut payload = Vec::with_capacity(64);
+        put_commit(&mut payload, entry);
+        self.append_frame(frame_of(&payload))
     }
 
     fn append_frame(&self, frame: Vec<u8>) -> Result<u64, StorageError> {
@@ -1109,22 +723,22 @@ impl Wal {
         Ok(lsn)
     }
 
-    /// Writes the pending buffer to the sink without fsync, under the
+    /// Writes the pending buffer to the file without fsync, under the
     /// state lock ([`SyncMode::Cached`] only — `sync_to` never takes the
-    /// sink in that mode, so nobody else holds it).
+    /// file in that mode, so nobody else holds it).
     fn spill_locked(&self, s: &mut WalState) -> Result<(), StorageError> {
-        let Some(mut sink) = s.sink.take() else {
+        let Some(mut file) = s.file.take() else {
             return Ok(());
         };
         let batch = std::mem::take(&mut s.buf);
         let batch_end = s.appended;
         let res = (|| {
             if s.need_repair {
-                sink.truncate_to(s.durable)?;
+                file.truncate_to(s.durable)?;
             }
-            sink.write_all(&batch)
+            file.write_all(&batch)
         })();
-        s.sink = Some(sink);
+        s.file = Some(file);
         match res {
             Ok(()) => {
                 s.need_repair = false;
@@ -1145,7 +759,7 @@ impl Wal {
 
     /// Blocks until the log is confirmed through `lsn` per the sync mode
     /// — the group-commit point. The first waiter whose LSN is not yet
-    /// durable becomes the leader: it takes the sink, writes the *whole*
+    /// durable becomes the leader: it takes the file, writes the *whole*
     /// pending buffer, and (in [`SyncMode::Sync`]) fsyncs once for every
     /// commit in it. A failure fails exactly the commits whose bytes the
     /// attempt covered; their bytes stay queued and later groups retry.
@@ -1174,7 +788,7 @@ impl Wal {
                         return Err(err.clone());
                     }
                 }
-                if s.sink.is_some() {
+                if s.file.is_some() {
                     break;
                 }
                 self.cv.wait(&mut s);
@@ -1185,12 +799,8 @@ impl Wal {
             // microseconds behind. When other committers are visibly in
             // flight, wait briefly (lock released) until arrivals stop,
             // so the whole burst shares this group's one fsync. Skipped
-            // with group commit off (the serial-fsync baseline) and for
-            // lone commits.
-            if self.group.load(Ordering::Relaxed)
-                && !batched
-                && self.sync_waiters.load(Ordering::Acquire) > 1
-            {
+            // for lone commits.
+            if !batched && self.sync_waiters.load(Ordering::Acquire) > 1 {
                 batched = true;
                 // Yield (not a timed wait, whose wake-up latency rivals
                 // the fsync; not a spin, which starves the very
@@ -1217,8 +827,8 @@ impl Wal {
                 drop(s);
                 continue;
             }
-            // Leader: take the sink and everything pending.
-            let mut sink = s.sink.take().expect("leader checked sink presence");
+            // Leader: take the file and everything pending.
+            let mut file = s.file.take().expect("leader checked file presence");
             let mut batch = std::mem::take(&mut s.buf);
             let batch_end = s.appended;
             let repair_to = s.need_repair.then_some(s.durable);
@@ -1226,19 +836,19 @@ impl Wal {
 
             let res = (|| {
                 if let Some(off) = repair_to {
-                    sink.truncate_to(off)?;
+                    file.truncate_to(off)?;
                 }
                 if !batch.is_empty() {
-                    sink.write_all(&batch)?;
+                    file.write_all(&batch)?;
                 }
                 if matches!(self.mode, SyncMode::Sync) {
-                    sink.sync()?;
+                    file.sync()?;
                 }
                 Ok(())
             })();
 
             let mut s = self.state.lock();
-            s.sink = Some(sink);
+            s.file = Some(file);
             match res {
                 Ok(()) => {
                     s.need_repair = false;
@@ -1268,7 +878,7 @@ impl Wal {
         }
     }
 
-    /// Pushes any buffered bytes to the sink without fsync. Mostly for
+    /// Pushes any buffered bytes to the file without fsync. Mostly for
     /// [`SyncMode::Cached`] teardown; a no-op when nothing is buffered.
     pub fn flush(&self) -> Result<(), StorageError> {
         let mut s = self.state.lock();
@@ -1282,6 +892,7 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dir::{DirFailpointHandle, FailpointDir, LogDir, MemDir};
     use crate::mvcc::Ts;
     use crate::row;
 
@@ -1326,6 +937,16 @@ mod tests {
 
     fn stream_of(records: &[WalRecord]) -> Vec<u8> {
         records.iter().flat_map(encode_frame).collect()
+    }
+
+    /// A log over one file of an in-memory directory behind the fault
+    /// injector; `bytes()` reads what "the disk" holds.
+    fn mem_wal(opts: WalOptions) -> (Arc<Wal>, DirFailpointHandle, impl Fn() -> Vec<u8>) {
+        let mem = MemDir::new();
+        let points = DirFailpointHandle::new();
+        let dir = FailpointDir::new(Arc::new(mem.clone()), points.clone());
+        let wal = Wal::over(dir.create("log").unwrap(), 0, opts);
+        (wal, points, move || mem.file("log").unwrap())
     }
 
     #[test]
@@ -1422,9 +1043,7 @@ mod tests {
     #[test]
     fn group_sync_amortizes_and_survives_mode_differences() {
         for mode in [SyncMode::Sync, SyncMode::Flush] {
-            let sink = MemSink::new();
-            let bytes = sink.contents();
-            let wal = Wal::with_sink(Box::new(sink), WalOptions::with_sync_mode(mode));
+            let (wal, _, bytes) = mem_wal(WalOptions::with_sync_mode(mode));
             let mut last = 0;
             for i in 1..=4u64 {
                 last = wal
@@ -1435,35 +1054,27 @@ mod tests {
             }
             wal.sync_to(last).unwrap();
             assert_eq!(wal.durable(), last);
-            assert_eq!(bytes.lock().len() as u64, last);
-            let (decoded, _) = decode_records(&bytes.lock()).unwrap();
+            assert_eq!(bytes().len() as u64, last);
+            let (decoded, _) = decode_records(&bytes()).unwrap();
             assert_eq!(decoded.len(), 4);
         }
     }
 
     #[test]
     fn cached_mode_buffers_until_flush() {
-        let sink = MemSink::new();
-        let bytes = sink.contents();
-        let wal = Wal::with_sink(Box::new(sink), WalOptions::with_sync_mode(SyncMode::Cached));
+        let (wal, _, bytes) = mem_wal(WalOptions::with_sync_mode(SyncMode::Cached));
         let lsn = wal
             .append_record(&WalRecord::CreateNamespace { name: "ns".into() })
             .unwrap();
         wal.sync_to(lsn).unwrap(); // no-op in cached mode
-        assert_eq!(bytes.lock().len(), 0, "cached bytes stay in process");
+        assert_eq!(bytes().len(), 0, "cached bytes stay in process");
         wal.flush().unwrap();
-        assert_eq!(bytes.lock().len() as u64, lsn);
+        assert_eq!(bytes().len() as u64, lsn);
     }
 
     #[test]
     fn failed_group_is_isolated_and_later_groups_recover() {
-        let points = FailpointHandle::new();
-        let sink = MemSink::new();
-        let bytes = sink.contents();
-        let wal = Wal::with_sink(
-            Box::new(FailpointSink::new(sink, points.clone())),
-            WalOptions::default(),
-        );
+        let (wal, points, bytes) = mem_wal(WalOptions::default());
         let a = wal
             .append_record(&WalRecord::CreateNamespace { name: "a".into() })
             .unwrap();
@@ -1474,7 +1085,7 @@ mod tests {
         // The same LSN keeps reporting the failure until a later group
         // succeeds...
         assert!(wal.sync_to(a).is_err());
-        // ...and once the sink recovers, the next group carries the
+        // ...and once the disk recovers, the next group carries the
         // failed bytes through: nothing is lost, order is preserved.
         points.clear();
         let b = wal
@@ -1482,7 +1093,7 @@ mod tests {
             .unwrap();
         wal.sync_to(b).unwrap();
         assert_eq!(wal.durable(), b);
-        let (decoded, _) = decode_records(&bytes.lock()).unwrap();
+        let (decoded, _) = decode_records(&bytes()).unwrap();
         assert_eq!(
             decoded,
             vec![
@@ -1496,20 +1107,18 @@ mod tests {
 
     #[test]
     fn short_writes_are_repaired_by_the_next_group() {
-        let points = FailpointHandle::new();
-        let sink = MemSink::new();
-        let bytes = sink.contents();
-        let wal = Wal::with_sink(
-            Box::new(FailpointSink::new(sink, points.clone())),
-            WalOptions::default(),
-        );
+        let (wal, points, bytes) = mem_wal(WalOptions::default());
         let a = wal
             .append_record(&WalRecord::CreateNamespace { name: "a".into() })
             .unwrap();
         // Persist only half the first record, then error.
         points.short_write_at(a / 2);
         assert!(wal.sync_to(a).is_err());
-        assert!(bytes.lock().len() as u64 <= a / 2);
+        assert_eq!(
+            bytes().len() as u64,
+            a / 2,
+            "exactly the short prefix landed"
+        );
         points.clear();
         // The next sync truncates the partial bytes and rewrites cleanly.
         wal.sync_to(a).unwrap_or_else(|_| {
@@ -1520,42 +1129,9 @@ mod tests {
                 .unwrap();
             wal.sync_to(b).unwrap();
         });
-        let (decoded, info) = decode_records(&bytes.lock()).unwrap();
+        let (decoded, info) = decode_records(&bytes()).unwrap();
         assert!(!decoded.is_empty());
         assert_eq!(decoded[0], WalRecord::CreateNamespace { name: "a".into() });
         assert_eq!(info.truncated_bytes, 0);
-    }
-
-    #[test]
-    fn file_open_truncates_torn_tail_and_resumes_appending() {
-        let path =
-            std::env::temp_dir().join(format!("trod_wal_unit_{}_{}", std::process::id(), line!()));
-        let _ = std::fs::remove_file(&path);
-        {
-            let wal = Wal::create(&path, WalOptions::default()).unwrap();
-            let lsn = wal
-                .append_record(&WalRecord::CreateNamespace { name: "a".into() })
-                .unwrap();
-            wal.sync_to(lsn).unwrap();
-        }
-        // Simulate a torn write: append garbage that looks like a header
-        // start but is incomplete.
-        {
-            use std::io::Write as _;
-            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-            f.write_all(&[1, 2, 3, 4, 5]).unwrap();
-        }
-        let (wal, records, info) = Wal::open(&path, WalOptions::default()).unwrap();
-        assert_eq!(records.len(), 1);
-        assert_eq!(info.truncated_bytes, 5);
-        // Appending after repair yields a clean, longer log.
-        let lsn = wal
-            .append_record(&WalRecord::CreateNamespace { name: "b".into() })
-            .unwrap();
-        wal.sync_to(lsn).unwrap();
-        let (_, records, info) = Wal::open(&path, WalOptions::default()).unwrap();
-        assert_eq!(records.len(), 2);
-        assert_eq!(info.truncated_bytes, 0);
-        let _ = std::fs::remove_file(&path);
     }
 }

@@ -3,24 +3,28 @@
 //! The invariant under test (ISSUE 6): *every acknowledged commit is
 //! recovered, no torn commit is ever visible, corruption yields a typed
 //! error — never a panic or silently wrong state.* The harness runs a
-//! workload against a WAL whose byte stream is captured in memory
-//! ([`MemSink`]), then materialises a "crashed" log file from **every**
-//! prefix of that stream — each record boundary and each mid-record cut —
-//! reopens it with [`Database::open_durable`], and compares the recovered
-//! database against an in-memory oracle truncated to the commits whose
-//! bytes the crash preserved. A property test drives random workloads,
-//! random crash offsets and random single-byte corruptions through the
-//! same check.
+//! workload against a durable database over an in-memory directory
+//! ([`MemDir`]), then materialises a "crashed" disk image from **every**
+//! prefix of the active segment's byte stream — each record boundary and
+//! each mid-record cut — reopens it with [`Database::open_durable_in`],
+//! and compares the recovered database against an in-memory oracle
+//! truncated to the commits whose bytes the crash preserved. A property
+//! test drives random workloads, random crash offsets and random
+//! single-byte corruptions through the same check.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use trod_db::wal::encode_frame;
 use trod_db::{
-    row, DataType, Database, DbError, MemSink, Predicate, Schema, StorageError, SyncMode, Wal,
-    WalOptions,
+    row, DataType, Database, DbError, MemDir, Predicate, Schema, StorageError, SyncMode, WalOptions,
 };
+
+/// The one segment file these workloads ever write (they stay far below
+/// the default rotation bound).
+const SEGMENT: &str = "wal-000000.seg";
 
 fn table_schema() -> Schema {
     Schema::builder()
@@ -48,7 +52,8 @@ fn table_name(idx: u8) -> &'static str {
     }
 }
 
-/// Unique scratch path; the crate has no tempfile dependency.
+/// Unique scratch path (the real-filesystem tests); the crate has no
+/// tempfile dependency.
 fn scratch_path(tag: &str) -> std::path::PathBuf {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
     std::env::temp_dir().join(format!(
@@ -58,16 +63,9 @@ fn scratch_path(tag: &str) -> std::path::PathBuf {
     ))
 }
 
-/// Materialises a crashed log at `path`: a fresh directory holding
-/// `bytes` as segment 0 — the manifest-less layout recovery adopts
-/// (and the layout a pre-segmentation file migrates into).
-fn write_log_dir(path: &std::path::Path, bytes: &[u8]) {
-    let _ = std::fs::remove_dir_all(path);
-    std::fs::create_dir_all(path).unwrap();
-    std::fs::write(path.join("wal-000000.seg"), bytes).unwrap();
-}
-
 struct WorkloadRun {
+    /// The disk as the workload left it (manifest + the one segment).
+    disk: MemDir,
     /// The full WAL byte stream the workload produced.
     bytes: Vec<u8>,
     /// End offset of every record; a crash at `boundaries[i]` preserves
@@ -77,14 +75,20 @@ struct WorkloadRun {
     oracle: Database,
 }
 
-/// Runs `steps` against a WAL-backed database (capturing the exact byte
-/// stream) and against a plain in-memory oracle.
+impl WorkloadRun {
+    /// Reopens a copy of the disk whose segment holds exactly `segment`.
+    fn reopen_with(&self, segment: &[u8]) -> Result<(Database, trod_db::RecoveryReport), DbError> {
+        let image = self.disk.snapshot();
+        image.put_file(SEGMENT, segment.to_vec());
+        Database::open_durable_in(Arc::new(image), WalOptions::default())
+    }
+}
+
+/// Runs `steps` against a durable database over a [`MemDir`] (capturing
+/// the exact byte stream) and against a plain in-memory oracle.
 fn run_workload(steps: &[Step]) -> WorkloadRun {
-    let sink = MemSink::new();
-    let captured = sink.contents();
-    let wal = Wal::with_sink(Box::new(sink), WalOptions::default());
-    let db = Database::new();
-    db.attach_wal(wal);
+    let disk = MemDir::new();
+    let db = Database::create_durable_in(Arc::new(disk.clone()), WalOptions::default()).unwrap();
     let oracle = Database::new();
     for target in [&db, &oracle] {
         target.create_table("alpha", table_schema()).unwrap();
@@ -122,7 +126,7 @@ fn run_workload(steps: &[Step]) -> WorkloadRun {
             }
         }
     }
-    let bytes = captured.lock().clone();
+    let bytes = disk.file(SEGMENT).unwrap();
     // Recompute record boundaries by re-framing the decoded records —
     // encoding is deterministic, so the frames match byte-for-byte.
     let (records, info) = trod_db::wal::decode_records(&bytes).unwrap();
@@ -135,6 +139,7 @@ fn run_workload(steps: &[Step]) -> WorkloadRun {
     }
     assert_eq!(at, bytes.len() as u64);
     WorkloadRun {
+        disk,
         bytes,
         boundaries,
         oracle,
@@ -158,13 +163,12 @@ fn state_at(db: &Database, ts: u64) -> Vec<(String, Vec<trod_db::Value>)> {
     out
 }
 
-/// Writes `prefix` to a fresh file, reopens it, and asserts the recovered
-/// database equals the oracle truncated to the commits the prefix
-/// preserves in full.
-fn check_crash_prefix(run: &WorkloadRun, cut: usize, tag: &str) {
-    let path = scratch_path(tag);
-    write_log_dir(&path, &run.bytes[..cut]);
-    let (db, report) = Database::open_durable(&path, WalOptions::default())
+/// Cuts the segment at `cut`, reopens the image, and asserts the
+/// recovered database equals the oracle truncated to the commits the
+/// prefix preserves in full.
+fn check_crash_prefix(run: &WorkloadRun, cut: usize) {
+    let (db, report) = run
+        .reopen_with(&run.bytes[..cut])
         .unwrap_or_else(|e| panic!("cut at {cut}: recovery must succeed, got {e}"));
     // Acknowledged prefix: commits whose full frame fits below the cut.
     let preserved = run.boundaries.iter().filter(|&&b| b <= cut as u64).count();
@@ -211,7 +215,6 @@ fn check_crash_prefix(run: &WorkloadRun, cut: usize, tag: &str) {
         "cut at {cut}: state must equal the oracle at ts {horizon}"
     );
     assert_eq!(db.current_ts(), horizon, "cut at {cut}: clock restored");
-    let _ = std::fs::remove_dir_all(&path);
 }
 
 #[test]
@@ -244,7 +247,7 @@ fn crash_at_every_byte_of_a_fixed_workload_recovers_the_acked_prefix() {
     // Every record boundary AND every intermediate byte: torn tails at
     // arbitrary offsets must all land on the last full record.
     for cut in 0..=run.bytes.len() {
-        check_crash_prefix(&run, cut, "fixed");
+        check_crash_prefix(&run, cut);
     }
 }
 
@@ -262,10 +265,9 @@ fn recovered_database_accepts_new_commits_after_the_recovered_prefix() {
             v: 2,
         },
     ]);
-    let path = scratch_path("resume");
-    write_log_dir(&path, &run.bytes);
+    let disk: Arc<MemDir> = Arc::new(run.disk.snapshot());
     let commit_ts = {
-        let (db, report) = Database::open_durable(&path, WalOptions::default()).unwrap();
+        let (db, report) = Database::open_durable_in(disk.clone(), WalOptions::default()).unwrap();
         assert_eq!(report.commits, 2);
         let mut txn = db.begin();
         txn.insert("alpha", row![3i64, 3i64]).unwrap();
@@ -273,7 +275,7 @@ fn recovered_database_accepts_new_commits_after_the_recovered_prefix() {
     };
     // A second recovery sees the post-crash commit too — the attached WAL
     // appended it after the recovered prefix.
-    let (db, report) = Database::open_durable(&path, WalOptions::default()).unwrap();
+    let (db, report) = Database::open_durable_in(disk, WalOptions::default()).unwrap();
     assert_eq!(report.commits, 3);
     assert_eq!(db.current_ts(), commit_ts);
     assert_eq!(
@@ -283,7 +285,6 @@ fn recovered_database_accepts_new_commits_after_the_recovered_prefix() {
             .values()[1],
         trod_db::Value::Int(3)
     );
-    let _ = std::fs::remove_dir_all(&path);
 }
 
 #[test]
@@ -305,12 +306,10 @@ fn corruption_yields_a_typed_error_or_a_clean_prefix_never_a_panic() {
             v: 3,
         },
     ]);
-    let path = scratch_path("corrupt");
     for i in 0..run.bytes.len() {
         let mut damaged = run.bytes.clone();
         damaged[i] ^= 0xFF;
-        write_log_dir(&path, &damaged);
-        match Database::open_durable(&path, WalOptions::default()) {
+        match run.reopen_with(&damaged) {
             // Mid-file damage: typed, positioned, retryable=false.
             Err(DbError::Storage(StorageError::Corrupt { offset, .. })) => {
                 assert!(offset <= i as u64, "byte {i}");
@@ -325,7 +324,6 @@ fn corruption_yields_a_typed_error_or_a_clean_prefix_never_a_panic() {
             }
         }
     }
-    let _ = std::fs::remove_dir_all(&path);
 }
 
 #[test]
@@ -357,28 +355,61 @@ fn ddl_is_durable_in_all_sync_modes() {
 
 #[test]
 fn cached_mode_loses_only_the_unflushed_tail() {
-    let path = scratch_path("cached");
+    let disk: Arc<MemDir> = Arc::new(MemDir::new());
     {
-        let db =
-            Database::create_durable(&path, WalOptions::with_sync_mode(SyncMode::Cached)).unwrap();
+        let opts = WalOptions::with_sync_mode(SyncMode::Cached);
+        let db = Database::create_durable_in(disk.clone(), opts).unwrap();
         db.create_table("alpha", table_schema()).unwrap();
         let mut txn = db.begin();
         txn.insert("alpha", row![1i64, 1i64]).unwrap();
         txn.commit().unwrap();
-        // Make the buffered bytes reach the file, then commit one more
+        // Make the buffered bytes reach the disk, then commit one more
         // that stays in the process buffer (the simulated crash drops it).
         db.wal().unwrap().flush().unwrap();
         let mut txn = db.begin();
         txn.insert("alpha", row![2i64, 2i64]).unwrap();
         txn.commit().unwrap();
     }
-    let (db, report) = Database::open_durable(&path, WalOptions::default()).unwrap();
+    let (db, report) = Database::open_durable_in(disk, WalOptions::default()).unwrap();
     assert_eq!(report.commits, 1, "unflushed cached tail is lost");
     assert!(db
         .get_latest("alpha", &trod_db::Key::single(2i64))
         .unwrap()
         .is_none());
-    let _ = std::fs::remove_dir_all(&path);
+}
+
+/// A log lives in a directory: a regular file at the path is refused by
+/// both constructors with a typed error, and neither touches it.
+#[test]
+fn a_regular_file_at_the_log_path_is_refused_and_left_untouched() {
+    let path = scratch_path("regular_file");
+    std::fs::write(&path, b"precious, unrelated bytes").unwrap();
+    let refused = |res: Result<(), DbError>, who: &str| match res {
+        Err(DbError::Storage(StorageError::Io { op: "open", detail })) => {
+            assert!(detail.contains("regular file"), "{who}: {detail}")
+        }
+        other => panic!("{who}: expected a typed refusal, got {other:?}"),
+    };
+    refused(
+        Database::create_durable(&path, WalOptions::default()).map(|_| ()),
+        "create_durable",
+    );
+    refused(
+        Database::open_durable(&path, WalOptions::default()).map(|_| ()),
+        "open_durable",
+    );
+    assert_eq!(std::fs::read(&path).unwrap(), b"precious, unrelated bytes");
+    let parent: Vec<_> = std::fs::read_dir(path.parent().unwrap())
+        .unwrap()
+        .filter_map(|e| e.unwrap().file_name().into_string().ok())
+        .filter(|n| n.starts_with(path.file_name().unwrap().to_str().unwrap()))
+        .collect();
+    assert_eq!(
+        parent.len(),
+        1,
+        "nothing half-created beside it: {parent:?}"
+    );
+    std::fs::remove_file(&path).unwrap();
 }
 
 // ---------------------------------------------------------------------
@@ -409,11 +440,11 @@ proptest! {
         let run = run_workload(&steps);
         // Every record boundary, plus random mid-record offsets.
         for &b in &run.boundaries {
-            check_crash_prefix(&run, b as usize, "prop");
+            check_crash_prefix(&run, b as usize);
         }
         for f in cuts {
             let cut = (f * run.bytes.len() as f64) as usize;
-            check_crash_prefix(&run, cut.min(run.bytes.len()), "prop");
+            check_crash_prefix(&run, cut.min(run.bytes.len()));
         }
     }
 
@@ -426,13 +457,11 @@ proptest! {
     ) {
         let run = run_workload(&steps);
         prop_assume!(!run.bytes.is_empty());
-        let path = scratch_path("propcorrupt");
         for (pos, bit) in flips {
             let mut damaged = run.bytes.clone();
             let i = ((pos * damaged.len() as f64) as usize).min(damaged.len() - 1);
             damaged[i] ^= 1 << bit;
-            write_log_dir(&path, &damaged);
-            match Database::open_durable(&path, WalOptions::default()) {
+            match run.reopen_with(&damaged) {
                 Err(DbError::Storage(StorageError::Corrupt { .. })) => {}
                 Err(e) => panic!("unexpected error kind {e}"),
                 Ok((db, _)) => {
@@ -443,6 +472,5 @@ proptest! {
                 }
             }
         }
-        let _ = std::fs::remove_dir_all(&path);
     }
 }

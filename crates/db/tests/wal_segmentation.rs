@@ -6,7 +6,7 @@
 //!   workload that performs many rotations, one compaction, and
 //!   (in the checkpoint variant) an environment checkpoint per commit
 //!   over a [`FailpointDir`], crashing after `k` cost units for every
-//!   `k` from 0 to the full run's cost (one unit per sink byte, one per
+//!   `k` from 0 to the full run's cost (one unit per file byte, one per
 //!   metadata operation — create, rename, delete, fsync, directory
 //!   fsync). Every crash point must recover into an oracle-equivalent
 //!   state containing every acknowledged commit: zero lost durable
@@ -21,20 +21,16 @@
 //!   favour of the next older one, and with all checkpoints damaged
 //!   boot degrades to full WAL replay; both paths are counted and
 //!   oracle-checked.
-//! * **Layout adoption** — a pre-segmentation single-file log migrates
-//!   byte-identically into segment 0, and a manifest-less directory of
-//!   `wal-*.seg` files is adopted in sequence order.
+//! * **Layout adoption** — a manifest-less directory of `wal-*.seg`
+//!   files is adopted in sequence order.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use trod_db::segment::{DirFailpointHandle, FailpointDir, LogDir, MemDir};
-use trod_db::wal::encode_frame;
 use trod_db::{
-    row, CommittedTxn, DataType, Database, DbError, Schema, StorageError, SyncMode, Ts, WalOptions,
-    WalRecord,
+    row, CommittedTxn, DataType, Database, DbError, DirFailpointHandle, FailpointDir, LogDir,
+    MemDir, Schema, StorageError, SyncMode, Ts, WalOptions,
 };
 
 fn events_schema() -> Schema {
@@ -51,7 +47,6 @@ fn opts(workload: &Workload) -> WalOptions {
         sync_mode: SyncMode::Sync,
         segment_bytes: workload.segment_bytes,
         checkpoint_bytes: workload.checkpoint_bytes,
-        ..WalOptions::default()
     }
 }
 
@@ -448,57 +443,6 @@ fn manifest_less_directory_of_segments_is_adopted_in_order() {
     image.delete("MANIFEST").unwrap();
     let (oracle_db, oracle_log) = oracle(&workload);
     assert_recovers(image, &oracle_db, &oracle_log, &acked, "manifest-less");
-}
-
-fn scratch_path(tag: &str) -> std::path::PathBuf {
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    std::env::temp_dir().join(format!(
-        "trod_wal_segmentation_{tag}_{}_{}",
-        std::process::id(),
-        COUNTER.fetch_add(1, Ordering::Relaxed)
-    ))
-}
-
-/// A pre-segmentation single-file WAL opens transparently: the old file
-/// becomes segment 0 byte for byte, and the recovered history is intact.
-#[test]
-fn legacy_single_file_log_migrates_transparently() {
-    let path = scratch_path("legacy");
-    let workload = Workload {
-        segment_bytes: 0,
-        commits: 4,
-        gc_after: None,
-        checkpoint_bytes: 0,
-    };
-    let (_, oracle_log) = oracle(&workload);
-    let mut raw = Vec::new();
-    raw.extend_from_slice(&encode_frame(&WalRecord::CreateTable {
-        name: "events".into(),
-        schema: events_schema(),
-    }));
-    for entry in &oracle_log {
-        raw.extend_from_slice(&encode_frame(&WalRecord::Commit(entry.clone())));
-    }
-    std::fs::write(&path, &raw).unwrap();
-
-    let (db, report) = Database::open_durable(&path, WalOptions::default()).unwrap();
-    assert_eq!(db.log_entries()[..], oracle_log[..]);
-    assert_eq!(report.segments, 1);
-    assert!(path.is_dir(), "the file became a directory layout");
-    assert_eq!(
-        std::fs::read(path.join("wal-000000.seg")).unwrap(),
-        raw,
-        "segment 0 is the old file, byte for byte"
-    );
-
-    // The migrated log keeps accepting commits and reopens again.
-    let mut txn = db.begin();
-    txn.insert("events", row![100i64, 100i64]).unwrap();
-    txn.commit().unwrap();
-    drop(db);
-    let (db, _) = Database::open_durable(&path, WalOptions::default()).unwrap();
-    assert_eq!(db.log_entries().len(), oracle_log.len() + 1);
-    let _ = std::fs::remove_dir_all(&path);
 }
 
 #[derive(Debug, Clone)]

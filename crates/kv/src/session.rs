@@ -38,8 +38,9 @@ use parking_lot::Mutex;
 
 use trod_db::{
     ChangeRecord, Checkpoint, CommitInfo, CommitParticipant, CommittedTxn, Database, DbError,
-    DbResult, IsolationLevel, Key, KvError, Predicate, RecoveryReport, Row, SegmentedWal,
-    TrodError, TrodResult, Ts, TxnId, Value, WalOptions, WalRecord,
+    DbResult, IsolationLevel, Key, KvError, Predicate, RecoveredLog, RecoveryParticipant,
+    RecoveryReport, Row, SegmentedWal, TrodError, TrodResult, Ts, TxnId, Value, WalOptions,
+    WalRecord,
 };
 use trod_trace::{ReadTrace, Tracer, TxnContext, TxnTrace};
 
@@ -195,8 +196,7 @@ impl SessionBuilder {
         if let Some(kv) = &self.kv {
             kv.bind_publication_clock(self.db.publication_clock());
             // Environment checkpoints capture the kv half through this
-            // registration (see the checkpoint section in trod_db's
-            // database docs).
+            // registration (see "The durable log" in trod-db's DESIGN.md).
             self.db.set_checkpoint_source(Some(Arc::new(kv.clone())));
         }
         Session {
@@ -410,9 +410,10 @@ impl Session {
     // ------------------------------------------------------------------
 
     /// Creates a fresh durable session environment — an empty relational
-    /// database and key-value store whose commits stream into a new WAL
-    /// at `path` (truncating any existing file). Namespace DDL must go
-    /// through [`Session::create_namespace`] so it is logged too.
+    /// database and key-value store whose commits stream into a new
+    /// segmented WAL in the directory at `path` (truncating any existing
+    /// log there). Namespace DDL must go through
+    /// [`Session::create_namespace`] so it is logged too.
     pub fn create_durable(
         path: impl AsRef<std::path::Path>,
         opts: WalOptions,
@@ -422,123 +423,37 @@ impl Session {
     }
 
     /// Opens (creating if absent) a durable session environment: the
-    /// segmented WAL at `path` is validated (manifest checked, crash
-    /// debris reconciled, torn tail of the newest segment truncated at
-    /// the last valid checksum, corruption in sealed/cold files refused
-    /// with a typed error) and every record replayed in order —
-    /// table/index/namespace DDL rebuilds the catalogs, and each
-    /// committed entry re-installs its relational changes *and* its
-    /// `kv:<namespace>` writes through the participant commit path,
-    /// preserving the entry verbatim in the aligned history. The
-    /// recovered session's state, aligned log and timestamps equal the
-    /// durable prefix of the original's. A pre-segmentation single-file
-    /// log at `path` is migrated transparently (it becomes segment 0,
-    /// byte for byte).
+    /// segmented WAL in the directory at `path` is walked
+    /// ([`SegmentedWal::open_dir`]: manifest checked, crash debris
+    /// reconciled, torn tail of the newest segment truncated, corruption
+    /// in sealed/cold files refused with a typed error) and replayed by
+    /// [`Database::recover`] with the key-value store as its
+    /// [`RecoveryParticipant`] — table/index/namespace DDL rebuilds the
+    /// catalogs, and each committed entry re-installs its relational
+    /// changes *and* its `kv:<namespace>` writes through the participant
+    /// commit path, preserving the entry verbatim in the aligned
+    /// history. The recovered session's state, aligned log and
+    /// timestamps equal the durable prefix of the original's.
     pub fn open_durable(
         path: impl AsRef<std::path::Path>,
         opts: WalOptions,
     ) -> TrodResult<(Session, RecoveryReport)> {
-        let (wal, records, info) = SegmentedWal::open_path(path, opts).map_err(DbError::Storage)?;
-        Session::recover_session(wal, records, info)
+        Session::recover(SegmentedWal::open_path(path, opts).map_err(DbError::Storage)?)
     }
 
-    /// [`Session::open_durable`] over an arbitrary
-    /// [`trod_db::segment::LogDir`] (fault-injection harnesses).
+    /// [`Session::open_durable`] over an arbitrary [`trod_db::LogDir`]
+    /// (fault-injection harnesses).
     pub fn open_durable_in(
-        dir: std::sync::Arc<dyn trod_db::segment::LogDir>,
+        dir: Arc<dyn trod_db::LogDir>,
         opts: WalOptions,
     ) -> TrodResult<(Session, RecoveryReport)> {
-        let (wal, records, info) = SegmentedWal::open_dir(dir, opts).map_err(DbError::Storage)?;
-        Session::recover_session(wal, records, info)
+        Session::recover(SegmentedWal::open_dir(dir, opts).map_err(DbError::Storage)?)
     }
 
-    fn recover_session(
-        wal: std::sync::Arc<SegmentedWal>,
-        records: Vec<WalRecord>,
-        info: trod_db::SegmentedRecovery,
-    ) -> TrodResult<(Session, RecoveryReport)> {
-        let db = Database::new();
+    fn recover(log: RecoveredLog) -> TrodResult<(Session, RecoveryReport)> {
         let kv = KvStore::new();
-        let mut report = RecoveryReport {
-            truncated_bytes: info.truncated_bytes,
-            segments: info.segments,
-            cold_files: info.cold_files,
-            checkpoint_fallbacks: info.checkpoint_fallbacks,
-            skipped_files: info.skipped_files,
-            ..Default::default()
-        };
-        // Checkpoint boot: restore the snapshot into both stores first,
-        // then replay only the WAL tail after it. DDL in the tail replays
-        // leniently — re-creating an object the checkpoint already holds
-        // is a no-op (the WAL vocabulary has no drop records).
-        let checkpoint = wal.take_recovered_checkpoint();
-        let lenient_ddl = checkpoint.is_some();
-        if let Some(ck) = &checkpoint {
-            db.restore_checkpoint(ck).map_err(TrodError::from)?;
-            Session::restore_kv_checkpoint(&kv, ck)?;
-            report.checkpoint_ts = Some(ck.ts);
-        }
-        let recovery_err =
-            |detail: String| TrodError::Storage(trod_db::StorageError::Recovery { detail });
-        for record in &records {
-            match record {
-                WalRecord::CreateTable { name, schema } => {
-                    if lenient_ddl && db.has_table(name) {
-                        continue;
-                    }
-                    db.create_table(name.clone(), schema.clone())
-                        .map_err(|e| recovery_err(format!("create table `{name}`: {e}")))?;
-                    report.tables += 1;
-                }
-                WalRecord::CreateIndex {
-                    table,
-                    column,
-                    ranged,
-                } => {
-                    if lenient_ddl && Session::index_exists(&db, table, column, *ranged)? {
-                        continue;
-                    }
-                    if *ranged {
-                        db.create_range_index(table, column)
-                    } else {
-                        db.create_index(table, column)
-                    }
-                    .map_err(|e| recovery_err(format!("create index `{table}.{column}`: {e}")))?;
-                    report.indexes += 1;
-                }
-                WalRecord::CreateNamespace { name } => {
-                    if lenient_ddl && kv.has_namespace(name) {
-                        continue;
-                    }
-                    kv.create_namespace(name)
-                        .map_err(|e| recovery_err(format!("create namespace `{name}`: {e}")))?;
-                    report.namespaces.push(name.clone());
-                }
-                WalRecord::Commit(entry) => {
-                    report.kv_writes_replayed +=
-                        Session::recover_entry(&db, &kv, entry).map_err(|e| {
-                            recovery_err(format!("replay commit ts {}: {e}", entry.commit_ts))
-                        })?;
-                    report.commits += 1;
-                }
-            }
-        }
-        // Attach only after replay, so replayed entries are not
-        // re-appended to the log they came from.
-        db.attach_segmented_wal(wal);
+        let (db, report) = Database::recover(log, &kv)?;
         Ok((Session::with_kv(db, kv), report))
-    }
-
-    /// Whether `table.column` already carries a (hash or range) index —
-    /// the lenient-DDL check for checkpoint-boot replay.
-    fn index_exists(db: &Database, table: &str, column: &str, ranged: bool) -> TrodResult<bool> {
-        let store = db.table(table).map_err(TrodError::from)?;
-        let existing = if ranged {
-            store.range_indexed_columns()
-        } else {
-            store.indexed_columns()
-        };
-        Ok(existing.iter().any(|c| c == column))
     }
 
     /// Restores a checkpoint's key-value half into an empty store: every
@@ -772,6 +687,23 @@ fn kv_change_records(kv: &KvStore, writes: &[KvWrite]) -> Vec<ChangeRecord> {
         out.push(record);
     }
     out
+}
+
+/// The key-value half of [`Database::recover`]: namespaces and entries
+/// from the checkpoint, namespace DDL, and the `kv:<namespace>` records
+/// of every replayed commit land in this store.
+impl RecoveryParticipant for KvStore {
+    fn restore_checkpoint(&self, ck: &Checkpoint) -> TrodResult<()> {
+        Session::restore_kv_checkpoint(self, ck)
+    }
+
+    fn create_namespace(&self, name: &str) -> TrodResult<()> {
+        KvStore::create_namespace(self, name).map_err(TrodError::from)
+    }
+
+    fn apply_entry(&self, db: &Database, entry: &CommittedTxn) -> TrodResult<()> {
+        Session::recover_entry(db, self, entry).map(|_| ())
+    }
 }
 
 /// The key-value side of a [`Session::apply_changes`] injection: decoded

@@ -2,7 +2,7 @@
 //! end-to-end fault injection through the commit path, and coordinated
 //! garbage collection.
 //!
-//! Three of the PR's satellite contracts live here:
+//! The contracts that live here:
 //!
 //! * **Recovery equivalence** — a property test drives random *mixed*
 //!   relational + key-value workloads through a durable [`Session`],
@@ -11,10 +11,14 @@
 //!   both stores, the aligned history, the clock — to equal an
 //!   in-memory oracle truncated to the acknowledged commits.
 //! * **Fault isolation** — injected append/fsync failures
-//!   ([`FailpointSink`]) surface as typed retryable
+//!   ([`FailpointDir`]) surface as typed retryable
 //!   [`TrodError::Storage`] errors that abort only the failed group: the
 //!   commit path is not poisoned, later commits succeed, and the repair
 //!   pass re-persists the interrupted batch so nothing durable is lost.
+//! * **One replay loop** — a relational-only [`Database`] boot and a
+//!   [`Session`] boot of the same disk image produce equal
+//!   [`RecoveryReport`]s and equal relational state, with and without a
+//!   checkpoint.
 //! * **GC coordination** — one [`Session::gc_before`] call drives both
 //!   stores under one clamped horizon, and the aligned entries it spills
 //!   into the retention policy carry the `kv:` change records that
@@ -27,8 +31,9 @@ use proptest::prelude::*;
 
 use trod_db::wal::{decode_records, encode_frame};
 use trod_db::{
-    row, CommittedTxn, DataType, Database, FailpointHandle, FailpointSink, Key, MemSink, Predicate,
-    RetentionPolicy, Schema, StorageError, SyncMode, TrodError, Ts, Value, Wal, WalOptions,
+    row, CommittedTxn, DataType, Database, DirFailpointHandle, FailpointDir, Key, MemDir,
+    Predicate, RecoveryReport, RetentionPolicy, Schema, StorageError, SyncMode, TrodError, Ts,
+    Value, WalOptions,
 };
 use trod_kv::{KvStore, Session};
 
@@ -289,25 +294,21 @@ proptest! {
 // Satellite 2: injected WAL failures through the real commit path
 // ---------------------------------------------------------------------
 
-fn failpoint_session(
-    opts: WalOptions,
-) -> (Session, FailpointHandle, Arc<parking_lot::Mutex<Vec<u8>>>) {
-    let points = FailpointHandle::new();
-    let mem = MemSink::new();
-    let captured = mem.contents();
-    let sink = FailpointSink::new(mem, points.clone());
-    let wal = Wal::with_sink(Box::new(sink), opts);
-    let db = Database::new();
+/// A durable session over an in-memory disk behind the fault injector.
+fn failpoint_session() -> (Session, DirFailpointHandle, MemDir) {
+    let points = DirFailpointHandle::new();
+    let disk = MemDir::new();
+    let dir = FailpointDir::new(Arc::new(disk.clone()), points.clone());
+    let db = Database::create_durable_in(Arc::new(dir), WalOptions::default()).unwrap();
     db.create_table("events", table_schema()).unwrap();
-    db.attach_wal(wal);
-    let kv = KvStore::new();
-    kv.create_namespace("cache").unwrap();
-    (Session::with_kv(db, kv), points, captured)
+    let session = Session::with_kv(db, KvStore::new());
+    session.create_namespace("cache").unwrap();
+    (session, points, disk)
 }
 
 #[test]
 fn injected_fsync_failure_is_typed_retryable_and_does_not_poison_later_commits() {
-    let (session, points, captured) = failpoint_session(WalOptions::default());
+    let (session, points, disk) = failpoint_session();
     points.fail_syncs(1);
     let mut txn = session.begin();
     txn.insert("events", row![1i64, 1i64]).unwrap();
@@ -327,7 +328,7 @@ fn injected_fsync_failure_is_typed_retryable_and_does_not_poison_later_commits()
     txn.insert("events", row![2i64, 2i64]).unwrap();
     txn.commit().expect("commit path must not be poisoned");
 
-    let bytes = captured.lock().clone();
+    let bytes = disk.file("wal-000000.seg").unwrap();
     let (records, info) = decode_records(&bytes).unwrap();
     assert_eq!(info.truncated_bytes, 0);
     let commits: Vec<&CommittedTxn> = records
@@ -347,13 +348,13 @@ fn injected_fsync_failure_is_typed_retryable_and_does_not_poison_later_commits()
 
 #[test]
 fn injected_append_failure_surfaces_without_losing_the_sequence() {
-    let (session, points, _captured) = failpoint_session(WalOptions::default());
+    let (session, points, _disk) = failpoint_session();
     let mut txn = session.begin();
     txn.insert("events", row![1i64, 1i64]).unwrap();
     txn.commit().unwrap();
 
     // Appends buffer in memory; the injected failure hits when the group
-    // leader pushes the batch to the sink.
+    // leader pushes the batch to the file.
     points.fail_appends(1);
     let mut txn = session.begin();
     txn.insert("events", row![2i64, 2i64]).unwrap();
@@ -371,6 +372,97 @@ fn injected_append_failure_surfaces_without_losing_the_sequence() {
     // acknowledgement: versions were already installed and published.
     assert_eq!(session.database().log_entries().len(), 3);
     assert_eq!(commit.commit_ts, 3);
+}
+
+// ---------------------------------------------------------------------
+// One replay loop: relational-only and session boots agree
+// ---------------------------------------------------------------------
+
+/// `Database::open_durable_in` and `Session::open_durable_in` are the
+/// same recovery walk and the same replay loop, differing only in the
+/// participant that receives the key-value half — so over one disk image
+/// they must report the same recovery and rebuild the same relational
+/// state and aligned history. Checked on a full replay and on a
+/// checkpoint boot whose tail re-creates nothing the snapshot restored
+/// and adds a namespace, an index and mixed commits after it.
+#[test]
+fn database_and_session_boots_of_one_image_agree() {
+    let disk = MemDir::new();
+    let opts = WalOptions {
+        segment_bytes: 256, // several rotations: the walk spans files
+        checkpoint_bytes: 0,
+        ..WalOptions::default()
+    };
+    let session = Session::with_kv(
+        Database::create_durable_in(Arc::new(disk.clone()), opts).unwrap(),
+        KvStore::new(),
+    );
+    session
+        .database()
+        .create_table("events", table_schema())
+        .unwrap();
+    session.create_namespace("cache").unwrap();
+    let mixed = |k: i64| {
+        apply_step(
+            &session,
+            &Step::Mixed {
+                k,
+                ns: 0,
+                key: k as u8,
+                v: k * 10,
+            },
+        )
+    };
+    (0..4).for_each(mixed);
+
+    let boots_agree = |tag: &str| -> RecoveryReport {
+        let (db, db_report) =
+            Database::open_durable_in(Arc::new(disk.snapshot()), WalOptions::default())
+                .unwrap_or_else(|e| panic!("{tag}: database boot: {e}"));
+        let (recovered, session_report) =
+            Session::open_durable_in(Arc::new(disk.snapshot()), WalOptions::default())
+                .unwrap_or_else(|e| panic!("{tag}: session boot: {e}"));
+        assert_eq!(db_report, session_report, "{tag}: reports");
+        let sdb = recovered.database();
+        assert_eq!(db.current_ts(), sdb.current_ts(), "{tag}: clock");
+        assert_eq!(db.log_entries(), sdb.log_entries(), "{tag}: history");
+        assert_eq!(
+            relational_state_at(&db, db.current_ts()),
+            relational_state_at(sdb, sdb.current_ts()),
+            "{tag}: relational state"
+        );
+        assert_eq!(
+            db.table("events").unwrap().indexed_columns(),
+            sdb.table("events").unwrap().indexed_columns(),
+            "{tag}: indexes"
+        );
+        // The session boot also rebuilt the kv half the database boot
+        // only carried in its history.
+        assert_eq!(
+            kv_state_at(recovered.kv(), sdb.current_ts()),
+            kv_state_at(session.kv(), sdb.current_ts()),
+            "{tag}: kv state"
+        );
+        db_report
+    };
+
+    let full = boots_agree("full replay");
+    assert_eq!(full.checkpoint_ts, None);
+    assert_eq!((full.commits, full.kv_writes_replayed), (4, 4));
+    assert_eq!(full.namespaces, vec!["cache".to_string()]);
+    assert!(full.segments > 1, "the image spans several segments");
+
+    // Checkpoint, then DDL and commits after it: the boot restores the
+    // snapshot and replays a tail holding old DDL (skipped leniently)
+    // and new DDL (applied).
+    session.checkpoint().unwrap().expect("checkpoint written");
+    session.create_namespace("queue").unwrap();
+    session.database().create_index("events", "v").unwrap();
+    (4..6).for_each(mixed);
+    let tail = boots_agree("checkpoint boot");
+    assert_eq!(tail.checkpoint_ts, Some(4));
+    assert_eq!((tail.commits, tail.tables, tail.indexes), (2, 0, 1));
+    assert_eq!(tail.namespaces, vec!["queue".to_string()]);
 }
 
 // ---------------------------------------------------------------------

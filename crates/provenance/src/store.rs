@@ -2,14 +2,12 @@
 //! a detailed trace archive used by replay and retroactive programming.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicI64, Ordering};
 
 use parking_lot::RwLock;
 
 use trod_db::{
-    CommittedTxn, Database, DbResult, Predicate, RetentionPolicy, Row, Schema, StorageError,
-    SyncMode, Ts, TxnId, Value, Wal, WalOptions, WalRecord,
+    CommittedTxn, Database, DbResult, Predicate, RetentionPolicy, Row, Schema, Ts, TxnId, Value,
 };
 use trod_query::{QueryEngine, QueryResultT, ResultSet};
 use trod_trace::{TraceEvent, TraceSink, TxnTrace};
@@ -78,17 +76,10 @@ pub struct ProvenanceStore {
     /// part of the aligned history that no longer exists in the live
     /// `TxnLog`. Commit-ordered; the debugger stitches this prefix onto
     /// the live log so replay and time travel keep working past the GC
-    /// watermark.
+    /// watermark. In-memory only: on a durable deployment the same GC
+    /// pass compacts the covered WAL segments into immutable cold files,
+    /// which are the durable copy of this history.
     pub(crate) spilled: RwLock<Vec<CommittedTxn>>,
-    /// Durable sink for spilled aligned history
-    /// ([`ProvenanceStore::enable_durable_spills`]): entries surviving GC
-    /// truncation are also appended to this WAL segment, so debugging
-    /// reach survives a process crash too.
-    spill_wal: RwLock<Option<Arc<Wal>>>,
-    /// Spill batches that failed to reach the durable sink ([`spill`]
-    /// cannot return errors — it runs on the GC path — so failures are
-    /// counted instead of lost silently).
-    durable_spill_errors: AtomicUsize,
 }
 
 impl Default for ProvenanceStore {
@@ -126,8 +117,6 @@ impl ProvenanceStore {
             stats: RwLock::new(ProvenanceStats::default()),
             redacted_txns: RwLock::new(std::collections::HashSet::new()),
             spilled: RwLock::new(Vec::new()),
-            spill_wal: RwLock::new(None),
-            durable_spill_errors: AtomicUsize::new(0),
         }
     }
 
@@ -567,52 +556,6 @@ impl ProvenanceStore {
     pub fn spilled_count(&self) -> usize {
         self.spilled.read().len()
     }
-
-    /// Routes retention spills through a durable WAL segment at `path`:
-    /// every aligned entry GC hands to this store is also appended (and
-    /// synced per `mode`) to the segment, so spilled history — the part
-    /// of the aligned log that no longer exists anywhere else — survives
-    /// a crash. Opening an existing segment loads its entries into the
-    /// in-memory spill (they are the oldest prefix; recovery runs before
-    /// any new spills arrive) and returns how many were loaded. Torn
-    /// tails are truncated at the last valid checksum; mid-file
-    /// corruption is a typed error.
-    ///
-    /// This sink exists for *non-segmented* production logs (in-memory
-    /// sinks, legacy single-file WALs). When production runs on the
-    /// segmented directory layout, GC compacts the covered segments into
-    /// immutable cold files instead of deleting them — the spilled
-    /// history is already durable in the log itself, and
-    /// `Trod::enable_durable_retention` skips this duplicate copy.
-    pub fn enable_durable_spills(
-        &self,
-        path: impl AsRef<std::path::Path>,
-        mode: SyncMode,
-    ) -> Result<usize, StorageError> {
-        let (wal, records, _info) = Wal::open(path, WalOptions::with_sync_mode(mode))?;
-        let entries: Vec<CommittedTxn> = records
-            .into_iter()
-            .filter_map(|r| match r {
-                WalRecord::Commit(entry) => Some(entry),
-                // A spill segment only ever holds commit entries; anything
-                // else is a foreign file — refuse rather than guess.
-                _ => None,
-            })
-            .collect();
-        let loaded = entries.len();
-        if loaded > 0 {
-            self.spilled.write().extend(entries);
-            self.stats.write().spilled_commits += loaded;
-        }
-        *self.spill_wal.write() = Some(wal);
-        Ok(loaded)
-    }
-
-    /// Spill batches that failed to reach the durable sink (0 when every
-    /// spill is safely on disk, or when durable spills are disabled).
-    pub fn durable_spill_errors(&self) -> usize {
-        self.durable_spill_errors.load(Ordering::Relaxed)
-    }
 }
 
 impl RetentionPolicy for ProvenanceStore {
@@ -623,21 +566,6 @@ impl RetentionPolicy for ProvenanceStore {
     /// horizons only rise, so appending keeps the spill commit-ordered.
     fn spill(&self, entries: Vec<CommittedTxn>) {
         let n = entries.len();
-        if let Some(wal) = self.spill_wal.read().as_ref() {
-            // Best-effort durable sink (this hook cannot return errors):
-            // one sync per GC batch, failures counted — the entries are
-            // still kept in memory either way.
-            let mut last = Ok(0);
-            for entry in &entries {
-                last = wal.append_entry(entry);
-                if last.is_err() {
-                    break;
-                }
-            }
-            if last.and_then(|lsn| wal.sync_to(lsn).map(|()| lsn)).is_err() {
-                self.durable_spill_errors.fetch_add(1, Ordering::Relaxed);
-            }
-        }
         self.spilled.write().extend(entries);
         self.stats.write().spilled_commits += n;
     }

@@ -601,51 +601,12 @@ pub fn dispatch(state: &ServerState, method: &str, params: &Json) -> Result<Json
         }
 
         // -------------------------------------------------------- system
-        "sys_status" => {
-            let db = state.trod.production_db();
-            let wal = match db.wal() {
-                Some(wal) => Json::obj(vec![
-                    ("appended", Json::from(wal.appended())),
-                    ("durable", Json::from(wal.durable())),
-                ]),
-                None => Json::Null,
-            };
-            let mut handlers = state.trod.runtime().registry().names();
-            handlers.sort();
-            Ok(Json::obj(vec![
-                ("draining", Json::Bool(state.is_draining())),
-                (
-                    "served",
-                    Json::from(state.served.load(std::sync::atomic::Ordering::Relaxed)),
-                ),
-                (
-                    "inflight",
-                    Json::from(state.inflight.load(std::sync::atomic::Ordering::Relaxed)),
-                ),
-                ("current_ts", Json::from(db.current_ts())),
-                (
-                    "handlers",
-                    Json::Array(handlers.into_iter().map(Json::str).collect()),
-                ),
-                (
-                    "patches",
-                    Json::Array({
-                        let mut names: Vec<&String> = state.patches.keys().collect();
-                        names.sort();
-                        names.into_iter().map(|n| Json::str(n.clone())).collect()
-                    }),
-                ),
-                ("forks", Json::from(state.forks.lock().len())),
-                ("wal", wal),
-            ]))
-        }
         "sys_health" => {
             let db = state.trod.production_db();
             let wal = match db.wal() {
                 Some(wal) => {
                     let s = wal.stats();
                     Json::obj(vec![
-                        ("segmented", Json::Bool(wal.is_segmented())),
                         ("segments", Json::from(s.segments as u64)),
                         ("cold_files", Json::from(s.cold_files as u64)),
                         ("active_bytes", Json::from(s.active_bytes)),
@@ -676,6 +637,8 @@ pub fn dispatch(state: &ServerState, method: &str, params: &Json) -> Result<Json
                 }
                 None => Json::Null,
             };
+            let mut handlers = state.trod.runtime().registry().names();
+            handlers.sort();
             Ok(Json::obj(vec![
                 ("draining", Json::Bool(state.is_draining())),
                 (
@@ -687,6 +650,10 @@ pub fn dispatch(state: &ServerState, method: &str, params: &Json) -> Result<Json
                     Json::from(state.inflight.load(std::sync::atomic::Ordering::Relaxed)),
                 ),
                 ("current_ts", Json::from(db.current_ts())),
+                (
+                    "handlers",
+                    Json::Array(handlers.into_iter().map(Json::str).collect()),
+                ),
                 ("gc_floor", Json::from(db.log_truncated_below())),
                 ("live_log_entries", Json::from(db.log_entries().len())),
                 ("wal", wal),

@@ -93,7 +93,6 @@ fn sys_health_reports_segments_and_sys_dump_stitches_across_restart() {
 
         let health = call_sys(&mut client, "sys_health");
         let wal = health.get("wal").expect("wal section");
-        assert_eq!(wal.get("segmented"), Some(&Json::Bool(true)));
         let get = |k: &str| wal.get(k).and_then(Json::as_u64).unwrap();
         assert!(get("segments") >= 2, "tiny bound must have rotated");
         assert!(get("rotations") >= 2);
@@ -143,7 +142,6 @@ fn sys_health_reports_segments_and_sys_dump_stitches_across_restart() {
     }
     let health = call_sys(&mut client, "sys_health");
     let wal = health.get("wal").expect("wal section");
-    assert_eq!(wal.get("segmented"), Some(&Json::Bool(true)));
     assert_eq!(
         wal.get("durable").and_then(Json::as_u64),
         wal.get("appended").and_then(Json::as_u64)

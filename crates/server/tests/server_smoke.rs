@@ -144,8 +144,8 @@ fn mixed_workload_over_the_wire() {
 
     // Status reflects the traffic.
     let status = client
-        .call("sys_status", Json::obj(Vec::<(&str, Json)>::new()))
-        .expect("status");
+        .call("sys_health", Json::obj(Vec::<(&str, Json)>::new()))
+        .expect("health");
     assert!(status.get("served").and_then(Json::as_u64).unwrap() >= 6);
     assert!(status
         .get("handlers")
@@ -249,7 +249,7 @@ fn graceful_shutdown_drains_and_rejects_with_typed_503() {
     // request gets the typed, retryable 1503 on an HTTP 503.
     server.begin_drain();
     let err = client
-        .call("sys_status", Json::obj(Vec::<(&str, Json)>::new()))
+        .call("sys_health", Json::obj(Vec::<(&str, Json)>::new()))
         .expect_err("draining server must reject");
     match &err {
         ClientError::Rpc(f) => {

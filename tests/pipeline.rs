@@ -36,10 +36,7 @@ fn production_tracing_pipeline_with_background_flusher() {
     };
     let results = runtime.run_concurrent(checkout_only(&cfg), 8);
     let succeeded = results.iter().filter(|r| r.is_ok()).count();
-    // Losers of write-write conflicts on hot stock rows abort (no retry
-    // here), and how many collide depends on the schedule: 8 threads on
-    // a 2-vCPU box land anywhere from ~235 to ~295 successes.
-    assert!(succeeded > 200, "most checkouts succeed ({succeeded}/300)");
+    assert!(succeeded > 250, "most checkouts succeed ({succeeded}/300)");
 
     flusher.stop();
     assert!(

@@ -3,9 +3,10 @@
 //!
 //! Each `disjoint_commit` benchmark runs T threads, each committing
 //! serializable scan-then-write transactions against its own private
-//! table, under two protocols (the sharded default and
-//! `set_serial_commit(true)`, which restores the single global commit
-//! lock) and two storage profiles:
+//! table, under two protocols (the engine's sharded commit path, and a
+//! `global_lock` baseline in which the bench holds one process-wide
+//! mutex around every `commit()` — what a single global commit lock
+//! costs) and two storage profiles:
 //!
 //! * `in_memory` — commits cost ~2 µs of CPU; on a multi-core box the
 //!   sharded path scales with cores, on a single-core box both modes are
@@ -22,7 +23,7 @@
 //! secondary-index maintenance on delete (PR 2 satellite): an
 //! insert+delete commit pair against a table with and without an index.
 
-use std::sync::Barrier;
+use std::sync::{Barrier, Mutex};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -68,7 +69,8 @@ fn db_with_tables(tables: usize, profile: StorageProfile) -> Database {
 /// One round: `threads` threads, each running `COMMITS_PER_THREAD`
 /// serializable transactions (an indexed predicate scan that must be
 /// phantom-validated, plus one row update) against its own table.
-fn run_round(db: &Database, threads: usize) {
+/// `global_lock` serializes every commit on one mutex.
+fn run_round(db: &Database, threads: usize, global_lock: Option<&Mutex<()>>) {
     let barrier = Barrier::new(threads);
     let barrier = &barrier;
     std::thread::scope(|scope| {
@@ -86,6 +88,7 @@ fn run_round(db: &Database, threads: usize) {
                     let key = Key::single(id);
                     txn.update(&table, &key, row![id, id % 100, i as i64])
                         .unwrap();
+                    let _serial = global_lock.map(|lock| lock.lock().unwrap());
                     txn.commit().unwrap();
                 }
             });
@@ -104,15 +107,15 @@ fn bench_disjoint_commit(c: &mut Criterion) {
     ] {
         for &threads in &THREAD_COUNTS {
             let db = db_with_tables(threads, profile);
-            for (mode, serial) in [("sharded", false), ("global_lock", true)] {
-                db.set_serial_commit(serial);
+            let lock = Mutex::new(());
+            for (mode, global_lock) in [("sharded", None), ("global_lock", Some(&lock))] {
                 group.throughput(Throughput::Elements((threads * COMMITS_PER_THREAD) as u64));
                 group.bench_function(
                     BenchmarkId::new(
                         format!("{profile_name}/{mode}"),
                         format!("threads_{threads}"),
                     ),
-                    |b| b.iter(|| run_round(&db, threads)),
+                    |b| b.iter(|| run_round(&db, threads, global_lock)),
                 );
             }
         }

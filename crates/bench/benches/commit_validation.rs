@@ -1,12 +1,12 @@
 //! Commit-path benchmark: serializable predicate validation cost.
 //!
-//! The claim under test (and the acceptance bar of the PR that introduced
-//! the per-table change log): serializable commit validation is O(Δ) in
-//! the writes committed since the transaction began — *flat* in table
-//! size — whereas the original full-scan path is O(total versions). Each
-//! benchmark runs one serializable transaction that performs a predicate
-//! scan plus a small write set against tables of 1k / 10k / 100k rows,
-//! with validation forced down either path.
+//! The claim under test: serializable commit validation is O(Δ) in the
+//! writes committed since the transaction began — *flat* in table size.
+//! Each benchmark runs one serializable transaction that performs a
+//! predicate scan plus a small write set against tables of 1k / 10k /
+//! 100k rows. (The O(total versions) full-scan path it replaced survives
+//! only as the fallback for a truncated change log; `BENCH_PR1.json`
+//! records its linear growth.)
 //!
 //! Also measured: the raw read path (zero-copy `Arc<Row>` scans) and
 //! per-row predicate evaluation (compiled vs name-resolving), the other
@@ -77,23 +77,19 @@ fn bench_commit_validation(c: &mut Criterion) {
     for &size in &TABLE_SIZES {
         for &write_set in &WRITE_SET_SIZES {
             let db = populated_db(size);
-            for (mode, full_scan) in [("changelog", false), ("full_scan", true)] {
-                db.set_full_scan_validation(full_scan);
-                let mut round = 0u64;
-                group.bench_function(
-                    BenchmarkId::new(format!("{mode}/rows_{size}"), format!("writes_{write_set}")),
-                    |b| {
-                        b.iter(|| {
-                            round += 1;
-                            scan_then_write(&db, write_set, round);
-                        });
-                    },
-                );
-                // Updates accumulate version history; trim it so the
-                // full-scan mode of the next iteration measures the same
-                // table shape rather than an ever-growing one.
-                db.gc_before(db.current_ts());
-            }
+            let mut round = 0u64;
+            group.bench_function(
+                BenchmarkId::new(
+                    format!("changelog/rows_{size}"),
+                    format!("writes_{write_set}"),
+                ),
+                |b| {
+                    b.iter(|| {
+                        round += 1;
+                        scan_then_write(&db, write_set, round);
+                    });
+                },
+            );
         }
     }
     group.finish();

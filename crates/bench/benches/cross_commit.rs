@@ -1,14 +1,11 @@
 //! Cross-store commit sharding benchmark: multi-threaded disjoint
 //! commit throughput through the unified (participant-based) commit
-//! coordinator, vs the single-global-lock baseline the pre-PR-3
-//! cross-store manager used to hard-code.
+//! protocol, vs a single-global-lock baseline.
 //!
 //! Two traffic shapes, each at 1/2/4/8 threads:
 //!
 //! * `kv_disjoint` — KV-only transactions, each thread writing its own
-//!   namespace. Before PR 3 every such commit serialized on the
-//!   cross-store manager's global mutex; now each commit takes only its
-//!   `kv:<namespace>` shard lock.
+//!   namespace; each commit takes only its `kv:<namespace>` shard lock.
 //! * `mixed_disjoint` — transactions spanning one private table and one
 //!   private namespace per thread: the paper's §5 polyglot shape. The
 //!   footprint is `{table, kv:<ns>}`, locked in sorted order; disjoint
@@ -18,12 +15,12 @@
 //! `on_disk` charges each commit the latency model's simulated fsync
 //! (slept off-CPU, after publication, with the footprint locks held) —
 //! the regime where sharding pays: under the global lock the sleeps
-//! serialize, under sharded locks they overlap. The PR 3 acceptance bar
-//! is ≥3× scaling from 1→4 threads for disjoint traffic on `on_disk`.
-//! `set_serial_commit(true)` restores the global-lock behaviour (it
-//! covers participant commits too) as the measurable baseline.
+//! serialize, under sharded locks they overlap (the bar: ≥3× scaling
+//! from 1→4 threads for disjoint traffic on `on_disk`). The
+//! `global_lock` arm is a bench-local mutex held around every
+//! `commit()`.
 
-use std::sync::Barrier;
+use std::sync::{Barrier, Mutex};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -42,7 +39,7 @@ fn items_schema() -> Schema {
         .unwrap()
 }
 
-fn session_with(threads: usize, profile: StorageProfile, serial: bool) -> Session {
+fn session_with(threads: usize, profile: StorageProfile) -> Session {
     let db = Database::with_profile(profile);
     let kv = KvStore::new();
     for t in 0..threads {
@@ -50,14 +47,19 @@ fn session_with(threads: usize, profile: StorageProfile, serial: bool) -> Sessio
             .unwrap();
         kv.create_namespace(&format!("ns_{t}")).unwrap();
     }
-    db.set_serial_commit(serial);
     Session::with_kv(db, kv)
 }
 
 /// One round: `threads` threads, each committing `COMMITS_PER_THREAD`
 /// transactions against its own namespace (and, when `mixed`, its own
-/// table too).
-fn run_round(session: &Session, threads: usize, round: usize, mixed: bool) {
+/// table too). `global_lock` serializes every commit on one mutex.
+fn run_round(
+    session: &Session,
+    threads: usize,
+    round: usize,
+    mixed: bool,
+    global_lock: Option<&Mutex<()>>,
+) {
     let barrier = Barrier::new(threads);
     let barrier = &barrier;
     std::thread::scope(|scope| {
@@ -75,6 +77,7 @@ fn run_round(session: &Session, threads: usize, round: usize, mixed: bool) {
                     }
                     txn.kv_put(&ns, &format!("k{}", i % 64), &i.to_string())
                         .unwrap();
+                    let _serial = global_lock.map(|lock| lock.lock().unwrap());
                     txn.commit().unwrap();
                 }
             });
@@ -90,8 +93,9 @@ fn bench_cross_commit(c: &mut Criterion) {
             ("on_disk", StorageProfile::on_disk_default()),
         ] {
             for &threads in &THREAD_COUNTS {
-                for (mode, serial) in [("sharded", false), ("global_lock", true)] {
-                    let session = session_with(threads, profile, serial);
+                let lock = Mutex::new(());
+                for (mode, global_lock) in [("sharded", None), ("global_lock", Some(&lock))] {
+                    let session = session_with(threads, profile);
                     let mut round = 0usize;
                     group.throughput(Throughput::Elements((threads * COMMITS_PER_THREAD) as u64));
                     group.bench_function(
@@ -102,7 +106,7 @@ fn bench_cross_commit(c: &mut Criterion) {
                         |b| {
                             b.iter(|| {
                                 round += 1;
-                                run_round(&session, threads, round, mixed);
+                                run_round(&session, threads, round, mixed, global_lock);
                             })
                         },
                     );

@@ -190,18 +190,6 @@ pub struct ReplaySession {
 }
 
 impl ReplaySession {
-    /// Prepares a replay of `req_id` against a relational-only
-    /// development database forked from `production_db`. Key-value
-    /// records in the trace are skipped and counted; use
-    /// [`ReplaySession::for_session`] for polyglot-complete replay.
-    pub fn for_request(
-        provenance: &ProvenanceStore,
-        production_db: &Database,
-        req_id: &str,
-    ) -> Result<Self, ReplayError> {
-        ReplaySession::for_session(provenance, &Session::new(production_db.clone()), req_id)
-    }
-
     /// Prepares a replay of `req_id`: forks the development environment —
     /// both stores of `production`, at the snapshot the request's first
     /// transaction saw — and computes, for each of the request's
@@ -545,11 +533,10 @@ pub(crate) fn fork_environment(
     // `ckpt_ts` is already materialised by the restored snapshot);
     // without a checkpoint this is the whole spilled history up to `ts`.
     for entry in provenance.spilled_between(ckpt_ts, ts) {
-        // Relational-only environments (the legacy `for_request` path)
-        // cannot reconstruct kv records, exactly as a direct fork would
-        // not materialise them — drop them from the base state rather
-        // than failing the whole replay (the per-step skip accounting
-        // covers the traced records).
+        // Relational-only environments cannot reconstruct kv records,
+        // exactly as a direct fork would not materialise them — drop
+        // them from the base state rather than failing the whole replay
+        // (the per-step skip accounting covers the traced records).
         let changes: std::borrow::Cow<'_, [trod_db::ChangeRecord]> = if kv_capable {
             std::borrow::Cow::Borrowed(&entry.changes)
         } else {
@@ -622,8 +609,7 @@ fn augment_catalog_from(production: &Session, dev: &Session) -> Result<(), Repla
 /// key-value store. Records that cannot be applied are skipped and
 /// counted instead of failing the replay:
 ///
-/// * `kv:` records in a relational-only environment (legacy
-///   [`ReplaySession::for_request`] replays);
+/// * `kv:` records in a relational-only environment;
 /// * on steps that run on redacted provenance (`tolerate = true`), records
 ///   whose row or value images were erased — the "debugging from partial
 ///   data" behaviour of the paper's §5.

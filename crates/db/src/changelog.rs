@@ -30,7 +30,7 @@
 //! to the same watermark. Both eviction and truncation record a
 //! *low-water mark*; a transaction that began before the mark cannot be
 //! validated from the log and falls back to the full version scan (see
-//! `TableStore::predicate_conflict_after`), so truncation can never cause
+//! `TableStore::predicate_conflict_in`), so truncation can never cause
 //! a missed conflict. With the watermark in place the fallback is
 //! practically confined to the raw table-level
 //! [`ChangeLog::truncate_before`] (which tests use to exercise it): ring

@@ -1,132 +1,927 @@
-//! The commit-participant abstraction: how non-relational stores join
-//! the sharded commit protocol.
+//! The commit protocol — the one sequence of steps every publication
+//! goes through, whether it is a live commit
+//! ([`Transaction::commit`](crate::txn::Transaction::commit)), a replay
+//! injection ([`Database::apply_changes_with`]) or a verbatim re-install
+//! of a logged entry ([`Database::apply_entry_with`]). The design is
+//! written up in "The commit protocol" in `crates/db/DESIGN.md`; this
+//! module owns its invariants:
 //!
-//! PR 2 sharded the *relational* commit path (per-table commit locks in
-//! sorted footprint order, validate-all, claim one atomic timestamp,
-//! publish ordered). The paper's §5 needs the same protocol to span data
-//! stores: a polyglot transaction must commit atomically across the
-//! relational database and, say, a key-value store, with one commit
-//! timestamp and one aligned history — without re-introducing a global
-//! cross-store lock.
-//!
-//! [`CommitParticipant`] is the seam. A participant contributes:
-//!
-//! * **Resources** — globally-unique lock names (the relational side uses
-//!   table names; a key-value store uses `kv:<namespace>` shard names).
-//!   The coordinator merges every participant's resources with the
-//!   relational footprint, sorts the union, and acquires each resource's
-//!   commit lock in that one global order — so mixed commits are
-//!   deadlock-free and commits with disjoint footprints (different
-//!   tables, different namespaces) run fully concurrently.
-//! * **Validation** — optimistic checks run while the whole footprint is
-//!   locked, before the commit timestamp is claimed. Any participant can
-//!   still veto the commit here; nothing has been installed yet, so an
-//!   abort is side-effect-free on every store.
-//! * **Installation** — infallible application of the participant's
-//!   buffered writes at the claimed timestamp, invoked inside the ordered
-//!   publication window. The change records it returns are appended to
-//!   the relational transaction log entry, which is what makes the log
-//!   *aligned by construction*: a commit that wrote three tables and two
-//!   namespaces is one log entry with one timestamp.
-//!
-//! The driver is [`Transaction::commit_with_participants`]
-//! (see [`crate::txn`]); `Transaction::commit` is the zero-participant
-//! special case.
-//!
-//! Durability rides the same seam: the coordinator appends the aligned
-//! log entry — participant records included — to the attached WAL inside
-//! the publication window (segment rotation happens strictly *outside*
-//! that window, on the post-ack sync path, so a roll never creates a
-//! commit-order hole across files), and recovery re-installs recovered
-//! entries through participant `install` calls, so a crash-recovered kv
-//! store is rebuilt by the identical code path that wrote it live (see
-//! "The durable log" in `crates/db/DESIGN.md`).
+//! * **One lock order.** Written tables and participant resources are
+//!   locked in ascending name order and held until after publication.
+//!   Tables that were only read are never locked.
+//! * **Nothing fails after the claim** except the in-window re-check,
+//!   and that runs before anything is installed: an abort never leaves a
+//!   version, a change-log entry or a log record behind.
+//! * **Timestamps are dense.** Every claimed timestamp is published, as
+//!   a commit or as an empty tick; ordered publication waits on every
+//!   predecessor.
+//! * **Readers see a prefix.** Versions are stamped with the claimed
+//!   timestamp and resolve against the publication clock, so installs
+//!   may precede the publication turn and a half-installed commit is
+//!   never visible.
+//! * **Log order is commit order.** The entry is appended to the WAL (if
+//!   one is attached) and staged for the in-memory log inside the
+//!   ordered window; the durability wait happens after every lock is
+//!   released.
 
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::cdc::ChangeRecord;
-use crate::error::TrodResult;
+use crate::cdc::{ChangeOp, ChangeRecord};
+use crate::database::Database;
+use crate::error::{DbError, DbResult, StorageError, TrodError, TrodResult};
+use crate::log::{CommittedTxn, LogStaging};
 use crate::mvcc::Ts;
+use crate::table::{BatchOp, TableStore};
+use crate::txn::{CommitInfo, IsolationLevel, TxnState, WriteOp};
 
-/// A non-relational store taking part in a coordinated commit.
-///
-/// Implementations are short-lived: one participant per committing
+/// A non-relational store taking part in a commit (e.g. a `trod-kv`
+/// namespace set). One short-lived participant per committing
 /// transaction, carrying that transaction's buffered reads and writes
-/// against its store. See the [module docs](self) for the protocol
-/// phases and their guarantees.
+/// against its store. Its change records join the relational ones in
+/// the same log entry — one commit, one timestamp, one entry spanning
+/// every store.
 pub trait CommitParticipant {
     /// The globally-unique resource names whose commit locks this
-    /// participant needs — e.g. `kv:<namespace>` for each namespace the
-    /// transaction read (under serializable validation) or wrote.
-    /// Duplicates are tolerated; order is irrelevant (the coordinator
-    /// sorts the union of all participants' resources).
-    ///
-    /// Names must not collide with relational table names; prefixing with
-    /// the store kind (`kv:`) keeps the namespaces disjoint.
+    /// participant needs — `kv:<namespace>` for each namespace the
+    /// transaction wrote. Duplicates are tolerated; order is irrelevant
+    /// (the union of all resources is sorted). Names must not collide
+    /// with table names; the store-kind prefix keeps them disjoint.
     fn resources(&self) -> Vec<String>;
 
-    /// The shared commit lock for one of [`Self::resources`]. The
-    /// coordinator clones the `Arc` and locks all resources in sorted
-    /// name order, holding every guard until after publication.
+    /// The shared commit lock for one of [`Self::resources`].
     fn resource_lock(&self, resource: &str) -> Arc<Mutex<()>>;
 
     /// Validates this participant's reads and writes against its store's
-    /// current state. Called with the entire footprint (relational and
-    /// participant resources) locked, after relational validation. An
-    /// error aborts the commit before anything is installed anywhere.
+    /// current state, with the whole footprint locked and nothing
+    /// installed anywhere yet: an error aborts side-effect-free.
     ///
     /// `min_commit_ts` is a lower bound on the timestamp a successful
-    /// commit will claim (timestamps are allocated from a monotone
-    /// counter, read under the footprint locks). A participant whose
-    /// store enforces per-resource timestamp monotonicity must reject the
-    /// commit here if any written resource has already been advanced to
-    /// `min_commit_ts` or beyond by writes outside the coordinator (e.g.
-    /// a standalone store-level commit) — that is the one condition that
-    /// could otherwise make [`Self::install`] fail, and install runs
-    /// inside the publication window where failure is not an option.
+    /// commit will claim. A store that enforces per-resource timestamp
+    /// monotonicity must reject here if a written resource was already
+    /// advanced to `min_commit_ts` or beyond by writes outside the
+    /// protocol (a raw store-level apply) — the one condition that could
+    /// otherwise make [`Self::install`] fail.
     fn validate(&self, min_commit_ts: Ts) -> TrodResult<()>;
 
     /// True if this participant has buffered writes. A commit with no
-    /// relational writes and no participant writes is read-only and
-    /// serializes at its snapshot without locking or logging.
+    /// writes in any store serializes at its snapshot without locking or
+    /// logging.
     fn has_writes(&self) -> bool;
 
-    /// True if this participant carries reads that must be re-validated
-    /// inside the publication window ([`Self::revalidate_reads`]) because
-    /// their resources were *not* locked (SSI mode: read-only resources
-    /// are left out of [`Self::resources`]). `false` (the default) means
-    /// every read was either validated under its resource lock or this
-    /// participant has no reads.
+    /// True if this participant read resources it did not lock (it did
+    /// not write them); those reads are re-validated inside the
+    /// publication window by [`Self::revalidate_reads`].
     fn needs_revalidation(&self) -> bool {
         false
     }
 
-    /// Re-validates the participant's reads against every commit that
-    /// published (or is installed and certain to publish) before
-    /// `commit_ts`. Called inside the ordered publication window, before
-    /// anything is installed for this commit — an error aborts the commit
-    /// with nothing installed anywhere (the coordinator publishes the
-    /// claimed timestamp as an empty tick). Only invoked when
-    /// [`Self::needs_revalidation`] returned `true`.
+    /// Re-validates the unlocked reads against every commit below
+    /// `commit_ts`. Called at the commit's publication turn, before
+    /// anything is installed for it; an error publishes the claimed
+    /// timestamp as an empty tick.
     fn revalidate_reads(&self, _commit_ts: Ts) -> TrodResult<()> {
         Ok(())
     }
 
     /// Installs the buffered writes at `commit_ts` and returns their
-    /// change records (under the participant's virtual table names, e.g.
-    /// `kv:<namespace>`), which the coordinator appends to the commit's
-    /// transaction-log entry.
-    ///
-    /// Called with this participant's resource locks held, at or before
-    /// the commit's turn in the ordered publication window. Installs may
-    /// run *pre-publication* (the coordinator moves them out of the
-    /// ordered critical section when it can): the store must therefore
-    /// stamp versions with `commit_ts` and keep them invisible to readers
-    /// until the publication clock reaches `commit_ts` — clock-aware
-    /// versioning, exactly like the relational version chains. Must not
-    /// fail — all fallible checks belong in [`Self::validate`] and
-    /// [`Self::revalidate_reads`].
+    /// change records (under the participant's virtual table names).
+    /// May run before the commit's publication turn, so versions must
+    /// stay invisible to readers until the publication clock
+    /// ([`Database::publication_clock`]) reaches `commit_ts`. Must not
+    /// fail.
     fn install(&self, commit_ts: Ts) -> Vec<ChangeRecord>;
+}
+
+/// Timestamp allocation and ordered publication.
+#[derive(Default)]
+pub(crate) struct Sequencer {
+    /// Publication clock: the highest commit timestamp whose transaction
+    /// is fully installed; readers resolve visibility against it.
+    /// `clock <= ts_alloc`, equal whenever no commit is mid-flight.
+    /// Shared with every [`TableStore`] (ring eviction clamps to it) and
+    /// with participant stores.
+    clock: Arc<AtomicU64>,
+    /// The highest timestamp handed to any commit.
+    ts_alloc: AtomicU64,
+    /// Entries published but not yet drained into the `TxnLog`.
+    staging: LogStaging,
+    /// Commits whose predecessor has not published yet park here (std
+    /// condvar — waiters must sleep, not spin, so a preempted
+    /// predecessor gets the CPU back).
+    waiters: AtomicU64,
+    turn_mutex: std::sync::Mutex<()>,
+    turn_cv: std::sync::Condvar,
+}
+
+impl Sequencer {
+    pub(crate) fn clock(&self) -> &Arc<AtomicU64> {
+        &self.clock
+    }
+
+    /// The latest published commit timestamp.
+    pub(crate) fn published(&self) -> Ts {
+        self.clock.load(Ordering::SeqCst)
+    }
+
+    /// Starts a fresh database's clocks at `ts` (checkpoint restore,
+    /// fork) without publishing the ticks in between.
+    pub(crate) fn start_at(&self, ts: Ts) {
+        self.clock.store(ts, Ordering::SeqCst);
+        self.ts_alloc.store(ts, Ordering::SeqCst);
+    }
+
+    /// Removes the staged entries at or below `published`, in commit
+    /// order. `published` must have been read from [`Self::published`]
+    /// beforehand and drains must be serialized by the caller (see
+    /// [`LogStaging`]).
+    pub(crate) fn drain_up_to(&self, published: Ts) -> Vec<CommittedTxn> {
+        self.staging.drain_up_to(published)
+    }
+
+    /// The timestamp the next claim will return, if nobody claims first.
+    fn next_ts(&self) -> Ts {
+        self.ts_alloc.load(Ordering::SeqCst) + 1
+    }
+
+    fn claim(&self) -> Ts {
+        self.ts_alloc.fetch_add(1, Ordering::SeqCst) + 1
+    }
+
+    /// Claims and publishes empty ticks until the allocator is at least
+    /// `target`.
+    fn advance_to(&self, target: Ts) {
+        while self.ts_alloc.load(Ordering::SeqCst) < target {
+            let tick = self.claim();
+            self.wait_for_publication_turn(tick);
+            self.publish_tick(tick);
+        }
+    }
+
+    /// Waits until the publication clock reaches `commit_ts - 1`.
+    /// Exactly one thread — the one whose timestamp succeeds the clock —
+    /// can be past the wait at a time, so everything between this call
+    /// and [`Self::publish`] / [`Self::publish_tick`] runs in an
+    /// exclusive, timestamp-ordered window. The wait is bounded:
+    /// predecessors hold all their locks already and never block on this
+    /// commit.
+    fn wait_for_publication_turn(&self, commit_ts: Ts) {
+        let clock = &self.clock;
+        if clock.load(Ordering::SeqCst) == commit_ts - 1 {
+            return;
+        }
+        // Brief spin for the common case (predecessor mid-publish), then
+        // a few yields, then park. The yields matter on small machines:
+        // with few cores the predecessor often *needs this CPU* to
+        // publish, so spinning delays the very store being waited on,
+        // and going straight to the condvar makes every cheap commit pay
+        // a futex park/wake round-trip — a measured ~25× throughput
+        // cliff at two committers on one core. The yields are bounded,
+        // so a genuinely slow predecessor still sends this thread to the
+        // condvar instead of burning CPU.
+        let mut spins = 0u32;
+        while clock.load(Ordering::SeqCst) != commit_ts - 1 && spins < 128 {
+            spins += 1;
+            std::hint::spin_loop();
+        }
+        let mut yields = 0u32;
+        while clock.load(Ordering::SeqCst) != commit_ts - 1 && yields < 8 {
+            yields += 1;
+            std::thread::yield_now();
+        }
+        if clock.load(Ordering::SeqCst) != commit_ts - 1 {
+            // SeqCst counter + publisher-side check prevents a missed
+            // wakeup (see `publish_tick`).
+            self.waiters.fetch_add(1, Ordering::SeqCst);
+            let mut guard = self.turn_mutex.lock().expect("publish mutex");
+            while clock.load(Ordering::SeqCst) != commit_ts - 1 {
+                guard = self.turn_cv.wait(guard).expect("publish cv");
+            }
+            drop(guard);
+            self.waiters.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    /// Stages the entry and bumps the clock. Staging *before* the clock
+    /// store is the happens-before edge log readers drain against.
+    fn publish(&self, entry: CommittedTxn) {
+        let commit_ts = entry.commit_ts;
+        self.staging.push(entry);
+        self.publish_tick(commit_ts);
+    }
+
+    /// Bumps the publication clock to `commit_ts` and wakes parked
+    /// committers. With no staged entry this is an *empty tick*.
+    fn publish_tick(&self, commit_ts: Ts) {
+        self.clock.store(commit_ts, Ordering::SeqCst);
+        if self.waiters.load(Ordering::SeqCst) > 0 {
+            // Taking the mutex orders this notify after any in-flight
+            // waiter's check-then-wait, so the wakeup cannot be missed.
+            let _guard = self.turn_mutex.lock().expect("publish mutex");
+            self.turn_cv.notify_all();
+        }
+    }
+}
+
+/// What distinguishes one front-end of the protocol from another;
+/// everything else is [`Database::publish`].
+struct FrontEnd<'a> {
+    /// Fallible checks run under the footprint locks, before the
+    /// timestamp claim.
+    check: &'a dyn Fn() -> TrodResult<()>,
+    /// Re-check of the claimed timestamp at the publication turn, before
+    /// anything is installed. `None` keeps the fast path (installs
+    /// before the turn).
+    recheck: Option<&'a dyn Fn(Ts) -> TrodResult<()>>,
+    /// Installs the relational writes at the claimed timestamp and
+    /// returns their change records. Must not fail.
+    install: &'a dyn Fn(Ts) -> Vec<ChangeRecord>,
+    /// The log entry for the installed changes: its identity and its
+    /// change list.
+    entry: &'a dyn Fn(Ts, &[ChangeRecord]) -> CommittedTxn,
+}
+
+type Tables<'a> = BTreeMap<&'a str, Arc<TableStore>>;
+
+/// Collapses the unified error of a participant-free commit back to the
+/// relational one.
+pub(crate) fn relational_only(e: TrodError) -> DbError {
+    match e {
+        TrodError::Relational(e) => e,
+        TrodError::Storage(e) => DbError::Storage(e),
+        // Unreachable without participants; keep the error faithful
+        // rather than panicking.
+        TrodError::KeyValue(e) => DbError::Invalid(format!("participant error: {e}")),
+    }
+}
+
+impl Database {
+    /// The shared steps of the protocol. `locked` yields the written
+    /// tables in ascending name order.
+    fn publish<'a>(
+        &self,
+        locked: impl Iterator<Item = &'a Arc<TableStore>>,
+        participants: &[&dyn CommitParticipant],
+        front: FrontEnd<'_>,
+    ) -> TrodResult<CommitInfo> {
+        let seq = self.seq();
+
+        // Lock the written tables ∪ the participants' resources in one
+        // sorted order. Relational-only commits lock straight out of the
+        // (already sorted) iterator and allocate no resource names.
+        let resources: Vec<(String, Arc<Mutex<()>>)>;
+        let _guards: Vec<_> = if participants.is_empty() {
+            locked.map(|store| store.commit_lock().lock()).collect()
+        } else {
+            let mut merged: Vec<(String, Arc<Mutex<()>>)> = locked
+                .map(|store| (store.name().to_string(), store.commit_lock().clone()))
+                .collect();
+            for participant in participants {
+                for resource in participant.resources() {
+                    if !merged.iter().any(|(name, _)| *name == resource) {
+                        let lock = participant.resource_lock(&resource);
+                        merged.push((resource, lock));
+                    }
+                }
+            }
+            merged.sort_by(|a, b| a.0.cmp(&b.0));
+            resources = merged;
+            resources.iter().map(|(_, lock)| lock.lock()).collect()
+        };
+
+        // Every earlier commit on these resources published before
+        // releasing its locks, and nothing is installed yet: any veto
+        // aborts side-effect-free on every store.
+        (front.check)()?;
+        let min_commit_ts = seq.next_ts();
+        for participant in participants {
+            participant.validate(min_commit_ts)?;
+        }
+
+        // Claim. On the fast path install right away — the versions stay
+        // invisible until the clock reaches `commit_ts` — and enter the
+        // ordered window with only the log append and the clock bump
+        // left. With a re-check the order inverts: turn first, re-check
+        // against the now exact span below `commit_ts`, then install.
+        let commit_ts = seq.claim();
+        let late = front.recheck.is_some() || participants.iter().any(|p| p.needs_revalidation());
+        let install = |commit_ts| {
+            let mut changes = (front.install)(commit_ts);
+            for participant in participants {
+                changes.extend(participant.install(commit_ts));
+            }
+            changes
+        };
+        let installed = (!late).then(|| install(commit_ts));
+        seq.wait_for_publication_turn(commit_ts);
+        let changes = match installed {
+            Some(changes) => changes,
+            None => {
+                let mut rechecked = front.recheck.map_or(Ok(()), |f| f(commit_ts));
+                for participant in participants.iter().filter(|p| p.needs_revalidation()) {
+                    rechecked = rechecked.and_then(|()| participant.revalidate_reads(commit_ts));
+                }
+                if let Err(e) = rechecked {
+                    seq.publish_tick(commit_ts);
+                    return Err(e);
+                }
+                install(commit_ts)
+            }
+        };
+
+        // Publish. The WAL append is a memcpy into its buffer, so WAL
+        // byte order == commit order. Even a WAL error publishes (the
+        // versions are installed and timestamps must stay dense); it
+        // reports durability as unconfirmed after the locks are gone.
+        let entry = (front.entry)(commit_ts, &changes);
+        let info = CommitInfo {
+            txn_id: entry.txn_id,
+            start_ts: entry.start_ts,
+            commit_ts,
+            changes,
+        };
+        let wal = self.wal();
+        let appended = wal.as_ref().map(|w| w.append_entry(&entry));
+        seq.publish(entry);
+        if wal.is_none() {
+            // The synthetic latency model stands in for the durability
+            // write only when there is no real one.
+            self.latency().on_commit();
+        }
+        drop(_guards);
+        if let (Some(w), Some(appended)) = (&wal, appended) {
+            w.sync_to(appended?)?;
+        }
+        self.maybe_checkpoint();
+        Ok(info)
+    }
+
+    /// Live commit: validates the transaction under its isolation level,
+    /// then publishes its buffered writes. Called from
+    /// [`Transaction::commit_with_participants`](crate::txn::Transaction::commit_with_participants).
+    pub(crate) fn commit_coordinated(
+        &self,
+        state: TxnState,
+        participants: &[&dyn CommitParticipant],
+    ) -> TrodResult<CommitInfo> {
+        // The transaction stays registered (pinning GC at its snapshot)
+        // through validation and install, whatever the outcome.
+        let _active = self.registry().deregister_on_drop(state.id);
+
+        if state.is_read_only() && !participants.iter().any(|p| p.has_writes()) {
+            // Read-only on every store: serializes at its snapshot.
+            return Ok(CommitInfo {
+                txn_id: state.id,
+                start_ts: state.start_ts,
+                commit_ts: state.start_ts,
+                changes: Vec::new(),
+            });
+        }
+
+        // Written tables are locked; under serializable isolation the
+        // tables that were only read join the footprint for validation
+        // but stay unlocked.
+        let mut footprint: Tables = BTreeMap::new();
+        for name in state.writes.keys() {
+            footprint.insert(name.as_str(), self.table(name)?);
+        }
+        let serializable = matches!(state.isolation, IsolationLevel::Serializable);
+        if serializable {
+            let reads = state.read_set.iter().map(|(t, _)| t);
+            for name in reads.chain(state.scan_set.iter().map(|(t, _)| t)) {
+                if !footprint.contains_key(name.as_str()) {
+                    footprint.insert(name.as_str(), self.table(name)?);
+                }
+            }
+        }
+        let unlocked_reads = footprint.len() > state.writes.len();
+
+        let check = || -> TrodResult<()> {
+            if !matches!(state.isolation, IsolationLevel::ReadCommitted) {
+                validate_writes(&state, &footprint)?;
+            }
+            if serializable {
+                validate_reads(&state, &footprint, Ts::MAX)?;
+            }
+            // Re-check insert duplicates against the latest published
+            // state (a concurrent committer may have inserted the key
+            // under weaker isolation levels).
+            let current_ts = self.current_ts();
+            for (table_name, writes) in &state.writes {
+                let store = &footprint[table_name.as_str()];
+                for (key, op) in writes {
+                    if matches!(op, WriteOp::Insert(_)) && store.exists_at(key, current_ts) {
+                        return Err(DbError::DuplicateKey {
+                            table: table_name.clone(),
+                            key: key.to_string(),
+                        }
+                        .into());
+                    }
+                }
+            }
+            Ok(())
+        };
+        let recheck =
+            |commit_ts| validate_reads(&state, &footprint, commit_ts).map_err(TrodError::from);
+        self.publish(
+            footprint
+                .iter()
+                .filter(|(name, _)| state.writes.contains_key(**name))
+                .map(|(_, store)| store),
+            participants,
+            FrontEnd {
+                check: &check,
+                recheck: unlocked_reads.then_some(&recheck as &dyn Fn(Ts) -> TrodResult<()>),
+                install: &|commit_ts| install_writes(&state, &footprint, commit_ts),
+                entry: &|commit_ts, changes| CommittedTxn {
+                    txn_id: state.id,
+                    start_ts: state.start_ts,
+                    commit_ts,
+                    changes: changes.to_vec(),
+                },
+            },
+        )
+    }
+
+    /// Applies externally captured change records as a single synthetic
+    /// committed transaction, bypassing validation. This is the primitive
+    /// the TROD replay engine uses to inject "the state changes the
+    /// upcoming transaction depends on" (paper §3.5) into a development
+    /// database. Inserts behave as upserts so injection is idempotent.
+    pub fn apply_changes(&self, changes: &[ChangeRecord]) -> DbResult<CommitInfo> {
+        self.apply_changes_with(changes, &[])
+            .map_err(relational_only)
+    }
+
+    /// [`Database::apply_changes`] with commit participants: the
+    /// synthetic commit spans other stores exactly like a live one —
+    /// same locks, same publication, one aligned log entry — which is
+    /// how replay re-applies a polyglot transaction's `kv:<namespace>`
+    /// records.
+    pub fn apply_changes_with(
+        &self,
+        changes: &[ChangeRecord],
+        participants: &[&dyn CommitParticipant],
+    ) -> TrodResult<CommitInfo> {
+        let txn_id = self.next_txn_id().fetch_add(1, Ordering::Relaxed);
+        self.inject(
+            changes,
+            participants,
+            &|| Ok(()),
+            None,
+            &|commit_ts, applied| CommittedTxn {
+                txn_id,
+                start_ts: commit_ts - 1,
+                commit_ts,
+                changes: applied.to_vec(),
+            },
+        )
+    }
+
+    /// Re-installs a logged aligned-history entry *verbatim*: it keeps
+    /// its `txn_id`, `start_ts` and `commit_ts`, and the logged entry
+    /// preserves every change record — `kv:<namespace>` ones included —
+    /// so replayed history is indistinguishable from the original. Only
+    /// relational changes are installed here; `participants` install the
+    /// kv half. Entries must arrive in commit order onto a database
+    /// whose clock is below `entry.commit_ts`; a timestamp the allocator
+    /// cannot claim (raced by a concurrent commit) yields
+    /// [`StorageError::Recovery`].
+    pub fn apply_entry_with(
+        &self,
+        entry: &CommittedTxn,
+        participants: &[&dyn CommitParticipant],
+    ) -> TrodResult<CommitInfo> {
+        // Future transactions never reuse the recovered id.
+        self.next_txn_id()
+            .fetch_max(entry.txn_id + 1, Ordering::Relaxed);
+        let relational: Vec<ChangeRecord> = entry
+            .changes
+            .iter()
+            .filter(|c| !crate::cdc::is_kv_table(&c.table))
+            .cloned()
+            .collect();
+        // Position the allocator so the claim yields the entry's
+        // timestamp (empty ticks fill read-only gaps), then demand it.
+        let position = || {
+            self.ensure_ts_at_least(entry.commit_ts.saturating_sub(1));
+            Ok(())
+        };
+        let demand = |commit_ts| {
+            if commit_ts == entry.commit_ts {
+                return Ok(());
+            }
+            Err(TrodError::Storage(StorageError::Recovery {
+                detail: format!(
+                    "cannot replay commit ts {} verbatim: allocator already claimed {}",
+                    entry.commit_ts, commit_ts
+                ),
+            }))
+        };
+        self.inject(
+            &relational,
+            participants,
+            &position,
+            Some(&demand),
+            &|_, _| entry.clone(),
+        )
+    }
+
+    /// Publishes a change list: resolves its tables and runs every
+    /// fallible record check before any lock or timestamp is taken (a
+    /// bad record can never leave a half-applied commit behind), then
+    /// installs batched per table.
+    fn inject(
+        &self,
+        changes: &[ChangeRecord],
+        participants: &[&dyn CommitParticipant],
+        check: &dyn Fn() -> TrodResult<()>,
+        recheck: Option<&dyn Fn(Ts) -> TrodResult<()>>,
+        entry: &dyn Fn(Ts, &[ChangeRecord]) -> CommittedTxn,
+    ) -> TrodResult<CommitInfo> {
+        let mut tables: Tables = BTreeMap::new();
+        for change in changes {
+            if !tables.contains_key(change.table.as_str()) {
+                tables.insert(change.table.as_str(), self.table(&change.table)?);
+            }
+            if let ChangeOp::Insert { after } | ChangeOp::Update { after, .. } = &change.op {
+                tables[change.table.as_str()]
+                    .schema()
+                    .validate_row(&change.table, after)?;
+            }
+        }
+        self.publish(
+            tables.values(),
+            participants,
+            FrontEnd {
+                check,
+                recheck,
+                install: &|commit_ts| install_changes(&tables, changes, commit_ts),
+                entry,
+            },
+        )
+    }
+
+    /// Advances the timestamp allocator (and the publication clock) to
+    /// at least `target` by claiming and publishing empty ticks — no log
+    /// entries, no installs, just clock movement. Restores liveness when
+    /// a raw store-level apply pushed a participant resource's timestamp
+    /// past this database's allocator; the participant's freshness veto
+    /// then only fires on a mid-commit race and is retryable.
+    pub fn ensure_ts_at_least(&self, target: Ts) {
+        self.seq().advance_to(target);
+    }
+}
+
+/// First-committer-wins: any of our write keys modified since we began
+/// aborts the transaction.
+fn validate_writes(state: &TxnState, footprint: &Tables) -> DbResult<()> {
+    for (table_name, writes) in &state.writes {
+        let store = &footprint[table_name.as_str()];
+        for key in writes.keys() {
+            if store.key_modified_in(key, state.start_ts, Ts::MAX) {
+                return Err(DbError::WriteConflict {
+                    table: table_name.clone(),
+                    key: key.to_string(),
+                });
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Serializable read validation: no commit in `(start_ts, upto)` may have
+/// touched a key the transaction read or a row its scan predicates
+/// observe. Point reads are O(1) per key; scans walk the table's change
+/// log, O(Δ) in the rows committed since the transaction began.
+///
+/// `upto == Ts::MAX` is the pre-claim pass. It is exact for written
+/// tables (their locks are held) and optimistic for tables that were
+/// only read — it catches conflicts that already landed, but a racing
+/// writer can still install after it. `upto == commit_ts` is the
+/// in-window re-check of exactly those unlocked tables: every
+/// predecessor is published, every successor excluded by timestamp.
+fn validate_reads(state: &TxnState, footprint: &Tables, upto: Ts) -> DbResult<()> {
+    let in_window = upto != Ts::MAX;
+    for (table_name, key) in &state.read_set {
+        if in_window && state.writes.contains_key(table_name) {
+            continue;
+        }
+        if footprint[table_name.as_str()].key_modified_in(key, state.start_ts, upto) {
+            return Err(DbError::SerializationFailure {
+                table: table_name.clone(),
+                detail: format!("row {key} changed after transaction start"),
+            });
+        }
+    }
+    for (table_name, pred) in &state.scan_set {
+        let locked = state.writes.contains_key(table_name);
+        if in_window && locked {
+            continue;
+        }
+        let store = &footprint[table_name.as_str()];
+        let exact = locked || in_window;
+        if let Some(key) = store.predicate_conflict_in(pred, state.start_ts, upto, exact)? {
+            return Err(DbError::SerializationFailure {
+                table: table_name.clone(),
+                detail: format!("predicate [{pred}] affected by concurrent write to {key}"),
+            });
+        }
+    }
+    Ok(())
+}
+
+/// Installs a transaction's buffered writes, one batched pass per table,
+/// and derives their change records from the before images found.
+fn install_writes(state: &TxnState, footprint: &Tables, commit_ts: Ts) -> Vec<ChangeRecord> {
+    let mut changes = Vec::new();
+    for (table_name, writes) in &state.writes {
+        let ops: Vec<BatchOp> = writes
+            .iter()
+            .map(|(key, op)| (key.clone(), op.visible_row().cloned()))
+            .collect();
+        let befores = footprint[table_name.as_str()].apply_batch(&ops, commit_ts);
+        for ((key, op), before) in writes.iter().zip(befores) {
+            let (table, key) = (table_name.clone(), key.clone());
+            match (op, before) {
+                (WriteOp::Update { after, .. }, Some(before)) => {
+                    changes.push(ChangeRecord::update(table, key, before, after.clone()));
+                }
+                // An update whose row vanished concurrently (only
+                // possible under weak isolation) records as an insert.
+                (WriteOp::Insert(after) | WriteOp::Update { after, .. }, _) => {
+                    changes.push(ChangeRecord::insert(table, key, after.clone()));
+                }
+                (WriteOp::Delete { .. }, Some(before)) => {
+                    changes.push(ChangeRecord::delete(table, key, before));
+                }
+                (WriteOp::Delete { .. }, None) => {}
+            }
+        }
+    }
+    changes
+}
+
+/// Installs a change list batched per table (in encounter-run order,
+/// preserving the record sequence within and across tables).
+fn install_changes(tables: &Tables, changes: &[ChangeRecord], commit_ts: Ts) -> Vec<ChangeRecord> {
+    let mut by_table: Vec<(&str, Vec<BatchOp>)> = Vec::new();
+    for change in changes {
+        let op = (change.key.clone(), change.op.after_shared());
+        match by_table.last_mut() {
+            Some((table, ops)) if *table == change.table.as_str() => ops.push(op),
+            _ => by_table.push((change.table.as_str(), vec![op])),
+        }
+    }
+    for (table, ops) in &by_table {
+        tables[table].apply_batch(ops, commit_ts);
+    }
+    changes.to_vec()
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::predicate::Predicate;
+    use crate::row;
+    use crate::row::Key;
+    use crate::schema::Schema;
+    use crate::txn::Transaction;
+    use crate::value::DataType;
+
+    pub(crate) fn schema() -> Schema {
+        Schema::builder()
+            .column("id", DataType::Int)
+            .column("v", DataType::Text)
+            .primary_key(&["id"])
+            .build()
+            .unwrap()
+    }
+
+    pub(crate) fn populated_db() -> Database {
+        let db = Database::new();
+        db.create_table("t", schema()).unwrap();
+        let mut txn = db.begin();
+        txn.insert("t", row![1i64, "one"]).unwrap();
+        txn.insert("t", row![2i64, "two"]).unwrap();
+        txn.commit().unwrap();
+        db
+    }
+
+    #[test]
+    fn serializable_write_skew_is_prevented() {
+        // Classic write skew: two transactions each read both rows and
+        // update the other one. Under serializability one must abort.
+        let db = populated_db();
+        let mut t1 = db.begin();
+        let mut t2 = db.begin();
+        let _ = t1.scan("t", &Predicate::True).unwrap();
+        let _ = t2.scan("t", &Predicate::True).unwrap();
+        t1.update("t", &Key::single(1i64), row![1i64, "t1"])
+            .unwrap();
+        t2.update("t", &Key::single(2i64), row![2i64, "t2"])
+            .unwrap();
+        assert!(t1.commit().is_ok());
+        let err = t2.commit().unwrap_err();
+        assert!(matches!(err, DbError::SerializationFailure { .. }));
+    }
+
+    #[test]
+    fn snapshot_isolation_allows_write_skew_but_not_lost_updates() {
+        let db = populated_db();
+        // Write skew is admitted under SI.
+        let mut t1 = db.begin_with(IsolationLevel::SnapshotIsolation);
+        let mut t2 = db.begin_with(IsolationLevel::SnapshotIsolation);
+        let _ = t1.scan("t", &Predicate::True).unwrap();
+        let _ = t2.scan("t", &Predicate::True).unwrap();
+        t1.update("t", &Key::single(1i64), row![1i64, "t1"])
+            .unwrap();
+        t2.update("t", &Key::single(2i64), row![2i64, "t2"])
+            .unwrap();
+        assert!(t1.commit().is_ok());
+        assert!(t2.commit().is_ok());
+
+        // Lost update (same key) is rejected: first committer wins.
+        let mut t3 = db.begin_with(IsolationLevel::SnapshotIsolation);
+        let mut t4 = db.begin_with(IsolationLevel::SnapshotIsolation);
+        t3.update("t", &Key::single(1i64), row![1i64, "t3"])
+            .unwrap();
+        t4.update("t", &Key::single(1i64), row![1i64, "t4"])
+            .unwrap();
+        assert!(t3.commit().is_ok());
+        assert!(matches!(
+            t4.commit().unwrap_err(),
+            DbError::WriteConflict { .. }
+        ));
+    }
+
+    #[test]
+    fn read_committed_admits_the_toctou_anomaly() {
+        // This is the MDL-59854 shape: both transactions check that a row
+        // does not exist, then both insert... except inserts of the same
+        // key are still caught by the primary-key constraint. The anomaly
+        // the paper's bug needs is *two distinct rows* representing the
+        // same logical subscription, which read committed admits.
+        let db = Database::new();
+        let s = Schema::builder()
+            .column("id", DataType::Int)
+            .column("user_id", DataType::Text)
+            .column("forum", DataType::Text)
+            .primary_key(&["id"])
+            .build()
+            .unwrap();
+        db.create_table("forum_sub", s).unwrap();
+
+        let check = |txn: &mut Transaction| {
+            txn.exists(
+                "forum_sub",
+                &Predicate::eq("user_id", "U1").and(Predicate::eq("forum", "F2")),
+            )
+            .unwrap()
+        };
+
+        let mut t1 = db.begin_with(IsolationLevel::ReadCommitted);
+        let mut t2 = db.begin_with(IsolationLevel::ReadCommitted);
+        assert!(!check(&mut t1));
+        assert!(!check(&mut t2));
+        t1.insert("forum_sub", row![1i64, "U1", "F2"]).unwrap();
+        t2.insert("forum_sub", row![2i64, "U1", "F2"]).unwrap();
+        t1.commit().unwrap();
+        t2.commit().unwrap();
+
+        let dups = db
+            .scan_latest(
+                "forum_sub",
+                &Predicate::eq("user_id", "U1").and(Predicate::eq("forum", "F2")),
+            )
+            .unwrap();
+        assert_eq!(dups.len(), 2, "duplicate subscription rows exist");
+    }
+
+    #[test]
+    fn serializable_prevents_the_toctou_anomaly_in_one_txn() {
+        // When the check and the insert share one serializable transaction
+        // (the paper's suggested fix), the second committer aborts.
+        let db = Database::new();
+        let s = Schema::builder()
+            .column("id", DataType::Int)
+            .column("user_id", DataType::Text)
+            .column("forum", DataType::Text)
+            .primary_key(&["id"])
+            .build()
+            .unwrap();
+        db.create_table("forum_sub", s).unwrap();
+
+        let pred = Predicate::eq("user_id", "U1").and(Predicate::eq("forum", "F2"));
+        let mut t1 = db.begin();
+        let mut t2 = db.begin();
+        assert!(!t1.exists("forum_sub", &pred).unwrap());
+        assert!(!t2.exists("forum_sub", &pred).unwrap());
+        t1.insert("forum_sub", row![1i64, "U1", "F2"]).unwrap();
+        t2.insert("forum_sub", row![2i64, "U1", "F2"]).unwrap();
+        assert!(t1.commit().is_ok());
+        let err = t2.commit().unwrap_err();
+        assert!(matches!(err, DbError::SerializationFailure { .. }));
+    }
+
+    #[test]
+    fn aborted_commit_installs_nothing() {
+        // Two read-committed transactions both insert an overlapping key
+        // plus a private one. The second commit must abort on the
+        // duplicate WITHOUT installing its private row, advancing the
+        // clock, or appending anything to the table's change log —
+        // a partial install would expose uncommitted data and poison
+        // serializable validation with phantom change-log entries.
+        let db = Database::new();
+        db.create_table("t", schema()).unwrap();
+
+        let mut t1 = db.begin_with(IsolationLevel::ReadCommitted);
+        let mut t2 = db.begin_with(IsolationLevel::ReadCommitted);
+        t1.insert("t", row![1i64, "t1-private"]).unwrap();
+        t1.insert("t", row![5i64, "shared"]).unwrap();
+        t2.insert("t", row![2i64, "t2-private"]).unwrap();
+        t2.insert("t", row![5i64, "shared"]).unwrap();
+        t1.commit().unwrap();
+        let ts_after_t1 = db.current_ts();
+        let log_len_after_t1 = db.table("t").unwrap().changelog().len();
+
+        let err = t2.commit().unwrap_err();
+        assert!(matches!(err, DbError::DuplicateKey { .. }));
+        // Nothing from t2 leaked: no row, no clock advance, no log entry.
+        assert_eq!(db.get_latest("t", &Key::single(2i64)).unwrap(), None);
+        assert_eq!(db.current_ts(), ts_after_t1);
+        assert_eq!(db.table("t").unwrap().changelog().len(), log_len_after_t1);
+
+        // A serializable transaction scanning the whole table commits
+        // cleanly — no phantom conflict from the aborted commit.
+        let mut t3 = db.begin();
+        let rows = t3.scan("t", &Predicate::True).unwrap();
+        assert_eq!(rows.len(), 2);
+        t3.insert("t", row![9i64, "after"]).unwrap();
+        assert!(t3.commit().is_ok());
+    }
+
+    #[test]
+    fn apply_changes_injects_state() {
+        let db = populated_db();
+        let changes = vec![
+            ChangeRecord::insert("t", Key::single(9i64), row![9i64, "injected"]),
+            ChangeRecord::update(
+                "t",
+                Key::single(1i64),
+                row![1i64, "one"],
+                row![1i64, "patched"],
+            ),
+            ChangeRecord::delete("t", Key::single(2i64), row![2i64, "two"]),
+        ];
+        let info = db.apply_changes(&changes).unwrap();
+        assert_eq!(info.changes.len(), 3);
+        assert_eq!(
+            db.get_latest("t", &Key::single(9i64)).unwrap(),
+            Some(std::sync::Arc::new(row![9i64, "injected"]))
+        );
+        assert_eq!(
+            db.get_latest("t", &Key::single(1i64)).unwrap(),
+            Some(std::sync::Arc::new(row![1i64, "patched"]))
+        );
+        assert_eq!(db.get_latest("t", &Key::single(2i64)).unwrap(), None);
+    }
+
+    #[test]
+    fn concurrent_inserts_from_many_threads_all_commit() {
+        let db = Database::new();
+        db.create_table("t", schema()).unwrap();
+        let threads: Vec<_> = (0..8)
+            .map(|t| {
+                let db = db.clone();
+                std::thread::spawn(move || {
+                    for i in 0..25i64 {
+                        let id = t * 1000 + i;
+                        loop {
+                            let mut txn = db.begin();
+                            txn.insert("t", row![id, format!("w{t}")]).unwrap();
+                            match txn.commit() {
+                                Ok(_) => break,
+                                Err(e) if e.is_retryable() => continue,
+                                Err(e) => panic!("unexpected error: {e}"),
+                            }
+                        }
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        assert_eq!(db.scan_latest("t", &Predicate::True).unwrap().len(), 200);
+        assert_eq!(db.log_len(), 200);
+        // Commit timestamps are strictly increasing.
+        let log = db.log_entries();
+        for pair in log.windows(2) {
+            assert!(pair[0].commit_ts < pair[1].commit_ts);
+        }
+    }
 }

@@ -38,10 +38,9 @@
 //!   since the transaction began, independent of table size. Truncation
 //!   raises a low-water mark; a window the log cannot cover falls back to
 //!   the original full version scan, so truncation can never cause a
-//!   missed conflict. The two paths are decision-equivalent
-//!   (property-tested, plus a debug-build assertion on every commit), and
-//!   [`Database::set_full_scan_validation`] exposes the slow path so the
-//!   equivalence stays observable and the speedup measurable.
+//!   missed conflict. The two paths are decision-equivalent: debug
+//!   builds assert it on every validation, and property tests compare
+//!   the engine's decisions with a full-history reference model.
 //!
 //! * **Compiled predicates.** [`Predicate::compile`] resolves column
 //!   names to ordinals once per scan/validation, so per-row evaluation
@@ -54,7 +53,7 @@
 //!   estimates the fewest candidates. Index paths over-approximate and
 //!   re-check, never under-approximate, so every path (at any read
 //!   timestamp, time travel included) returns the full scan's exact
-//!   result set. See the read-path docs on [`database`].
+//!   result set. See "The read path" in `crates/db/DESIGN.md`.
 //!
 //! * **Sharded commits, spanning stores.** There is no global commit
 //!   lock: commits take the per-resource locks of their footprint in
@@ -72,8 +71,8 @@
 //!   `(txn_id, start_ts)` for every live transaction; its
 //!   min-active-start-ts watermark (clamped to the published clock)
 //!   bounds [`Database::gc_before`] and change-log ring eviction so
-//!   reclamation never outruns an active transaction. See the protocol
-//!   write-up on [`database`].
+//!   reclamation never outruns an active transaction. See "The commit
+//!   protocol" in `crates/db/DESIGN.md`.
 //!
 //! ## Quick example
 //!

@@ -50,21 +50,14 @@ impl Version {
         self.end_ts == TS_LIVE
     }
 
-    /// True if this version was created or superseded/deleted by a commit
-    /// strictly after `ts` — the window test behind serializable
-    /// (phantom) validation. Kept here as the single definition so the
-    /// change-log fast path, the full-scan fallback and per-key
-    /// validation can never drift apart.
-    pub fn touched_after(&self, ts: Ts) -> bool {
-        self.begin_ts > ts || (self.end_ts != TS_LIVE && self.end_ts > ts)
-    }
-
-    /// [`Version::touched_after`] bounded above: true if a commit in the
-    /// open window `(after, upto)` created or superseded/deleted this
-    /// version. The SSI commit path uses this inside the publication
-    /// window, where versions installed at `upto` (the validating
-    /// commit's own timestamp) and above belong to *successors* and must
-    /// not count as conflicts.
+    /// True if a commit in the open window `(after, upto)` created or
+    /// superseded/deleted this version (`upto == Ts::MAX` leaves the
+    /// window unbounded) — the window test behind serializable (phantom)
+    /// validation. Kept here as the single definition so the change-log
+    /// fast path, the full-scan fallback and per-key validation can never
+    /// drift apart. Bounded by a validating commit's own timestamp,
+    /// versions installed at `upto` and above belong to *successors* and
+    /// do not count as conflicts.
     pub fn touched_in(&self, after: Ts, upto: Ts) -> bool {
         (self.begin_ts > after && self.begin_ts < upto)
             || (self.end_ts != TS_LIVE && self.end_ts > after && self.end_ts < upto)
@@ -108,27 +101,14 @@ impl VersionChain {
         self.versions.last()
     }
 
-    /// True if this key was written (created, updated, or deleted) by any
-    /// transaction with commit timestamp strictly greater than `ts`.
-    ///
-    /// Only the newest version needs to be inspected: versions are
-    /// appended in commit order, so if any version began after `ts` the
-    /// newest one did, and a deletion after `ts` is visible as the newest
-    /// version's end timestamp. Keeping this O(1) matters because the
-    /// commit path validates every read/write key with it.
-    pub fn modified_after(&self, ts: Ts) -> bool {
-        match self.versions.last() {
-            Some(v) => v.touched_after(ts),
-            None => false,
-        }
-    }
-
     /// True if this key was written by any commit in the open window
-    /// `(after, upto)`. Unlike [`VersionChain::modified_after`] the newest
+    /// `(after, upto)`; `upto == Ts::MAX` leaves it unbounded. The newest
     /// version alone cannot answer this (it may belong to a successor at
     /// or above `upto`), so the chain is walked newest-first, stopping at
     /// the first version that began at or before `after` — everything
-    /// older ended at or before that version began.
+    /// older ended at or before that version began. With no successors
+    /// installed that is one step, which matters because the commit path
+    /// validates every read and write key with it.
     pub fn modified_in(&self, after: Ts, upto: Ts) -> bool {
         for v in self.versions.iter().rev() {
             if v.touched_in(after, upto) {
@@ -255,19 +235,23 @@ mod tests {
     }
 
     #[test]
-    fn modified_after_detects_later_writes_and_deletes() {
+    fn modified_in_detects_later_writes_and_deletes() {
         let mut chain = VersionChain::new();
         chain.install(3, arc(row![1i64]));
-        assert!(!chain.modified_after(3));
-        assert!(chain.modified_after(2));
+        assert!(!chain.modified_in(3, Ts::MAX));
+        assert!(chain.modified_in(2, Ts::MAX));
 
         chain.install(6, arc(row![2i64]));
-        assert!(chain.modified_after(5));
-        assert!(!chain.modified_after(6));
+        assert!(chain.modified_in(5, Ts::MAX));
+        assert!(!chain.modified_in(6, Ts::MAX));
 
         chain.remove(8);
-        assert!(chain.modified_after(7));
-        assert!(!chain.modified_after(8));
+        assert!(chain.modified_in(7, Ts::MAX));
+        assert!(!chain.modified_in(8, Ts::MAX));
+        // Bounded above: writes at or beyond `upto` belong to successors.
+        assert!(chain.modified_in(5, 7));
+        assert!(!chain.modified_in(6, 8));
+        assert!(chain.modified_in(6, 9));
     }
 
     #[test]

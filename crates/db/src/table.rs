@@ -500,19 +500,10 @@ impl TableStore {
         Ok(out)
     }
 
-    /// True if any version of `key` was created or superseded after `ts`.
-    pub fn key_modified_after(&self, key: &Key, ts: Ts) -> bool {
-        self.rows
-            .read()
-            .get(key)
-            .map(|chain| chain.modified_after(ts))
-            .unwrap_or(false)
-    }
-
     /// True if `key` was written by a commit in the open window
-    /// `(after, upto)`. The SSI commit path re-validates unlocked point
-    /// reads with this inside the publication window: `upto` is the
-    /// validating commit's own timestamp, so versions a concurrent
+    /// `(after, upto)`; `upto == Ts::MAX` leaves it unbounded. The SSI
+    /// commit path re-validates unlocked point reads with `upto` its own
+    /// timestamp, inside the publication window, so versions a concurrent
     /// *successor* installed early (at a higher timestamp, on this
     /// unlocked table) never count as conflicts.
     pub fn key_modified_in(&self, key: &Key, after: Ts, upto: Ts) -> bool {
@@ -528,15 +519,15 @@ impl TableStore {
     ///
     /// This is an O(total versions) full scan, retained as a diagnostic
     /// view of the same window the commit path validates. The commit path
-    /// itself uses [`TableStore::predicate_conflict_after`], whose
-    /// full-scan fallback shares [`crate::mvcc::Version::touched_after`]
+    /// itself uses [`TableStore::predicate_conflict_in`], whose
+    /// full-scan fallback shares [`crate::mvcc::Version::touched_in`]
     /// with this method.
     pub fn rows_touched_after(&self, ts: Ts) -> Vec<(Key, Arc<Row>)> {
         let rows = self.rows.read();
         let mut out = Vec::new();
         for (key, chain) in rows.iter() {
             for v in chain.versions() {
-                if v.touched_after(ts) {
+                if v.touched_in(ts, Ts::MAX) {
                     out.push((key.clone(), v.row.clone()));
                 }
             }
@@ -545,101 +536,56 @@ impl TableStore {
     }
 
     /// Serializable (phantom) validation primitive: returns the key of a
-    /// row change committed after `ts` that `pred` can observe, or `None`
-    /// if the predicate's result set is untouched since `ts`.
+    /// row change committed in the open window `(after, upto)` that
+    /// `pred` can observe, or `None` if the predicate's result set is
+    /// untouched there (`upto == Ts::MAX` leaves the window unbounded).
     ///
-    /// Fast path: walk the change log entries in `(ts, now]` — O(Δ) in
-    /// the number of changes since the transaction began — testing the
-    /// compiled predicate against each before/after image. Falls back to
-    /// the full version scan when the log no longer covers the window
-    /// (GC truncation or ring overflow) or when `force_full_scan` is set.
-    pub fn predicate_conflict_after(
-        &self,
-        pred: &Predicate,
-        ts: Ts,
-        force_full_scan: bool,
-    ) -> DbResult<Option<Key>> {
-        let compiled = pred.compile(&self.schema)?;
-        if !force_full_scan {
-            let from_log = self.changelog.scan_after(ts, |entry: &ChangeEntry| {
-                let before_hit = entry.before.as_deref().is_some_and(|r| compiled.matches(r));
-                let after_hit = entry.after.as_deref().is_some_and(|r| compiled.matches(r));
-                (before_hit || after_hit).then(|| entry.key.clone())
-            });
-            if let Ok(decision) = from_log {
-                #[cfg(debug_assertions)]
-                {
-                    let oracle = self.full_scan_conflict_in(&compiled, ts, Ts::MAX);
-                    debug_assert_eq!(
-                        decision.is_some(),
-                        oracle.is_some(),
-                        "change-log validation diverged from full scan for {} at ts {}",
-                        self.name,
-                        ts
-                    );
-                }
-                return Ok(decision);
-            }
-        }
-        Ok(self.full_scan_conflict_in(&compiled, ts, Ts::MAX))
-    }
-
-    /// [`TableStore::predicate_conflict_after`] bounded above: conflicts
-    /// committed in the open window `(after, upto)` only. This is the SSI
-    /// validation primitive for tables the committing transaction did
-    /// *not* lock:
+    /// Walks the change log — O(Δ) in the changes since `after`, testing
+    /// the compiled predicate against each before/after image — and falls
+    /// back to the full version scan when the log no longer covers the
+    /// window (GC truncation or ring overflow).
     ///
-    /// * Called with `upto == Ts::MAX` it is the optimistic pre-claim
-    ///   check. Concurrent commits may be mid-install on this table, so
-    ///   the change-log decision is a racy snapshot (still sound: any
-    ///   missed conflict is caught by the in-window re-check, and any
-    ///   extra hit is a real committed-or-certain-to-publish write) — the
-    ///   debug full-scan oracle is therefore skipped, as the two racy
-    ///   snapshots could legitimately diverge.
-    /// * Called with `upto` = the claimed commit timestamp, *inside* the
-    ///   publication window, it is the authoritative re-check: every
-    ///   commit below `upto` is fully installed and published, every
-    ///   version at or above `upto` belongs to a successor and is
-    ///   excluded, so the decision is exact and the oracle runs.
+    /// `exact` says no commit can install into the window while this
+    /// runs: the caller holds this table's commit lock, or is inside its
+    /// publication window with `upto` its own timestamp. Debug builds
+    /// then cross-check the change-log decision against the full scan.
+    /// An inexact call is the optimistic pre-claim pass over an unlocked
+    /// table: still sound (a missed conflict is caught by the in-window
+    /// re-check, an extra hit is a write certain to publish), but two
+    /// racy snapshots may legitimately diverge, so the oracle is skipped.
     pub fn predicate_conflict_in(
         &self,
         pred: &Predicate,
         after: Ts,
         upto: Ts,
-        force_full_scan: bool,
+        exact: bool,
     ) -> DbResult<Option<Key>> {
         let compiled = pred.compile(&self.schema)?;
-        if !force_full_scan {
-            let from_log = self.changelog.scan_after(after, |entry: &ChangeEntry| {
-                if entry.commit_ts >= upto {
-                    return None;
-                }
-                let before_hit = entry.before.as_deref().is_some_and(|r| compiled.matches(r));
-                let after_hit = entry.after.as_deref().is_some_and(|r| compiled.matches(r));
-                (before_hit || after_hit).then(|| entry.key.clone())
-            });
-            if let Ok(decision) = from_log {
-                #[cfg(debug_assertions)]
-                if upto != Ts::MAX {
-                    let oracle = self.full_scan_conflict_in(&compiled, after, upto);
-                    debug_assert_eq!(
-                        decision.is_some(),
-                        oracle.is_some(),
-                        "bounded change-log validation diverged from full scan for {} in ({}, {})",
-                        self.name,
-                        after,
-                        upto
-                    );
-                }
-                return Ok(decision);
+        let from_log = self.changelog.scan_after(after, |entry: &ChangeEntry| {
+            if entry.commit_ts >= upto {
+                return None;
             }
+            let before_hit = entry.before.as_deref().is_some_and(|r| compiled.matches(r));
+            let after_hit = entry.after.as_deref().is_some_and(|r| compiled.matches(r));
+            (before_hit || after_hit).then(|| entry.key.clone())
+        });
+        if let Ok(decision) = from_log {
+            debug_assert!(
+                !exact
+                    || decision.is_some()
+                        == self.full_scan_conflict_in(&compiled, after, upto).is_some(),
+                "change-log validation diverged from full scan for {} in ({}, {})",
+                self.name,
+                after,
+                upto
+            );
+            return Ok(decision);
         }
         Ok(self.full_scan_conflict_in(&compiled, after, upto))
     }
 
-    /// The full-scan oracle behind [`TableStore::predicate_conflict_after`]
-    /// and [`TableStore::predicate_conflict_in`] (`upto == Ts::MAX` is the
-    /// unbounded case).
+    /// The full-scan fallback and debug oracle of
+    /// [`TableStore::predicate_conflict_in`].
     fn full_scan_conflict_in(
         &self,
         compiled: &CompiledPredicate,
@@ -1342,8 +1288,8 @@ mod tests {
         assert_eq!(before, Some(arc(row!["U1", "F2"])));
         assert_eq!(t.get_at(&k, 6), Some(arc(row!["U1", "F2"])));
         assert_eq!(t.get_at(&k, 7), None);
-        assert!(t.key_modified_after(&k, 5));
-        assert!(!t.key_modified_after(&k, 7));
+        assert!(t.key_modified_in(&k, 5, Ts::MAX));
+        assert!(!t.key_modified_in(&k, 7, Ts::MAX));
     }
 
     #[test]
@@ -1364,22 +1310,22 @@ mod tests {
         t.install(&key("U1", "F1"), arc(row!["U1", "F1"]), 1);
         t.install(&key("U2", "F2"), arc(row!["U2", "F2"]), 5);
 
+        // The change-log answer and the full-scan answer, which must agree.
+        let both = |pred: &Predicate, after: Ts, upto: Ts| {
+            let from_log = t.predicate_conflict_in(pred, after, upto, true).unwrap();
+            let compiled = pred.compile(t.schema()).unwrap();
+            assert_eq!(from_log, t.full_scan_conflict_in(&compiled, after, upto));
+            from_log
+        };
         let pred_f2 = Predicate::eq("forum", "F2");
-        let pred_f9 = Predicate::eq("forum", "F9");
-        for force_full in [false, true] {
-            // A write to F2 after ts 2 conflicts with the F2 predicate...
-            let hit = t.predicate_conflict_after(&pred_f2, 2, force_full).unwrap();
-            assert_eq!(hit, Some(key("U2", "F2")));
-            // ...but not with an unrelated predicate, and not before ts 5.
-            assert_eq!(
-                t.predicate_conflict_after(&pred_f9, 2, force_full).unwrap(),
-                None
-            );
-            assert_eq!(
-                t.predicate_conflict_after(&pred_f2, 5, force_full).unwrap(),
-                None
-            );
-        }
+        // A write to F2 after ts 2 conflicts with the F2 predicate...
+        assert_eq!(both(&pred_f2, 2, Ts::MAX), Some(key("U2", "F2")));
+        // ...but not with an unrelated predicate, not before ts 5, and
+        // not when the window closes at the write's own timestamp.
+        assert_eq!(both(&Predicate::eq("forum", "F9"), 2, Ts::MAX), None);
+        assert_eq!(both(&pred_f2, 5, Ts::MAX), None);
+        assert_eq!(both(&pred_f2, 2, 5), None);
+        assert_eq!(both(&pred_f2, 2, 6), Some(key("U2", "F2")));
     }
 
     #[test]
@@ -1388,26 +1334,23 @@ mod tests {
         let k = key("U1", "F2");
         t.install(&k, arc(row!["U1", "F2"]), 2);
         // Update away from F2 at ts 4: a transaction that scanned for F2
-        // at ts 3 must still see a conflict (its result set shrank).
+        // at ts 3 must still see a conflict (its result set shrank). The
+        // debug oracle cross-checks each answer against the full scan.
         t.install(&k, arc(row!["U1", "F2-moved"]), 4);
         let pred = Predicate::eq("forum", "F2");
-        for force_full in [false, true] {
-            assert_eq!(
-                t.predicate_conflict_after(&pred, 3, force_full).unwrap(),
-                Some(k.clone())
-            );
-        }
+        assert_eq!(
+            t.predicate_conflict_in(&pred, 3, Ts::MAX, true).unwrap(),
+            Some(k.clone())
+        );
         // Delete at ts 6: same story for a scan taken at ts 5 looking for
         // the moved row.
         t.remove(&k, 6);
         let pred_moved = Predicate::eq("forum", "F2-moved");
-        for force_full in [false, true] {
-            assert_eq!(
-                t.predicate_conflict_after(&pred_moved, 5, force_full)
-                    .unwrap(),
-                Some(k.clone())
-            );
-        }
+        assert_eq!(
+            t.predicate_conflict_in(&pred_moved, 5, Ts::MAX, true)
+                .unwrap(),
+            Some(k.clone())
+        );
     }
 
     #[test]
@@ -1420,7 +1363,7 @@ mod tests {
         // window starting at 1, but the full scan still can.
         t.changelog().truncate_before(3);
         let pred = Predicate::eq("user_id", "U1");
-        let hit = t.predicate_conflict_after(&pred, 1, false).unwrap();
+        let hit = t.predicate_conflict_in(&pred, 1, Ts::MAX, true).unwrap();
         assert!(hit.is_some(), "fallback must still detect the conflict");
     }
 

@@ -1,22 +1,19 @@
 //! Transactions.
 //!
-//! The engine uses optimistic concurrency control: transactions buffer
-//! their writes locally, read from a consistent snapshot, and validate at
-//! commit time under the per-table commit locks of their footprint (see
-//! the sharded commit protocol documented on [`crate::database`]). Under
-//! [`IsolationLevel::Serializable`] both point reads and predicate scans
-//! are validated, which yields strict serializability: the commit
-//! (timestamp) order is the serial order (exactly the property the TROD
-//! paper assumes in §3.1). Snapshot isolation validates only write-write
-//! conflicts, and read committed performs no validation — these weaker
-//! levels exist so that tests and benchmarks can demonstrate behaviour
-//! under the "lower isolation levels" the paper mentions.
+//! Optimistic concurrency control: a transaction buffers its writes,
+//! reads from a consistent snapshot, and is validated and published by
+//! the commit protocol in [`crate::commit`] ("The commit protocol" in
+//! `crates/db/DESIGN.md`). Invariants:
 //!
-//! Every transaction is tracked in the database's
-//! [`ActiveTxnRegistry`](crate::registry::ActiveTxnRegistry) from `begin`
-//! until commit, abort, or drop; the registry's min-active-start-ts
-//! watermark keeps garbage collection and change-log eviction from
-//! reclaiming history the transaction still needs.
+//! * Under [`IsolationLevel::Serializable`] point reads and predicate
+//!   scans are validated, so the commit (timestamp) order is the serial
+//!   order — the property the TROD paper assumes in §3.1. Snapshot
+//!   isolation validates only write-write conflicts; read committed
+//!   validates nothing.
+//! * A transaction is registered in the
+//!   [`ActiveTxnRegistry`](crate::registry::ActiveTxnRegistry) from
+//!   `begin` until commit, abort or drop, pinning GC and change-log
+//!   eviction at its snapshot.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -448,7 +445,9 @@ impl Transaction {
     /// [`DbError::SerializationFailure`]) abort the transaction.
     pub fn commit(mut self) -> DbResult<CommitInfo> {
         let state = self.state.take().ok_or(DbError::TransactionClosed)?;
-        self.db.commit_txn(state)
+        self.db
+            .commit_coordinated(state, &[])
+            .map_err(crate::commit::relational_only)
     }
 
     /// Commits the transaction together with external commit participants

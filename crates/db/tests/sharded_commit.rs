@@ -1,15 +1,15 @@
 //! The sharded commit protocol under multi-table schedules and threads.
 //!
-//! PR 2 replaced the global commit lock with per-table commit locks, a
-//! global atomic commit-timestamp allocator, and ordered publication
-//! (see the protocol docs on `trod_db::database`). These tests pin the
-//! properties that refactor must preserve:
+//! Commits take per-table commit locks, claim timestamps from a global
+//! atomic allocator and publish in timestamp order ("The commit
+//! protocol" in `crates/db/DESIGN.md`). These tests pin the properties
+//! that protocol must preserve:
 //!
 //! * a property test drives randomly generated multi-table schedules
 //!   (2–4 tables, reads and writes spread across them, concurrent
-//!   committers in between) against three databases — sharded, sharded
-//!   with full-scan validation forced, and the serial-commit baseline —
-//!   and requires identical commit decisions and identical final states;
+//!   committers in between) against the engine and against the serial
+//!   full-history reference model (`support/model.rs`), and requires
+//!   identical commit decisions and identical final states;
 //! * stress tests hammer disjoint and overlapping table sets from 8
 //!   threads and check that snapshot reads never observe a torn
 //!   multi-table commit (a conserved cross-table sum), that commit
@@ -28,6 +28,10 @@ use proptest::prelude::*;
 
 use trod_db::{row, DataType, Database, DbError, IsolationLevel, Key, Predicate, Schema};
 
+#[path = "support/model.rs"]
+mod model;
+use model::{Model, ModelTxn, Verdict};
+
 const TABLES: [&str; 4] = ["t0", "t1", "t2", "t3"];
 
 fn kv_schema() -> Schema {
@@ -39,13 +43,11 @@ fn kv_schema() -> Schema {
         .unwrap()
 }
 
-fn new_db(tables: usize, full_scan: bool, serial: bool) -> Database {
+fn new_db(tables: usize) -> Database {
     let db = Database::new();
     for name in &TABLES[..tables] {
         db.create_table(*name, kv_schema()).unwrap();
     }
-    db.set_full_scan_validation(full_scan);
-    db.set_serial_commit(serial);
     db
 }
 
@@ -238,26 +240,70 @@ fn run_schedule(db: &Database, s: &Schedule) -> (Outcome, Vec<BTreeMap<i64, i64>
     (outcome, state)
 }
 
+fn model_writes(model: &Model, txn: &mut ModelTxn, writes: &[Write]) {
+    for w in writes {
+        match w {
+            Write::Put { t, k, v } => txn.put(model, TABLES[*t], *k, *v),
+            Write::Delete { t, k } => txn.delete(model, TABLES[*t], *k),
+        }
+    }
+}
+
+/// The same schedule against the reference model (GC is an engine-only
+/// event: the model never forgets history).
+fn run_model(s: &Schedule) -> (Outcome, Vec<BTreeMap<i64, i64>>) {
+    let mut model = Model::new();
+    let commit_writes = |model: &mut Model, writes: &[Write]| {
+        let mut txn = model.begin();
+        model_writes(model, &mut txn, writes);
+        model.commit_unvalidated(txn);
+    };
+    for writes in &s.history {
+        commit_writes(&mut model, writes);
+    }
+
+    let mut pending = model.begin();
+    for read in &s.reads {
+        match *read {
+            Read::Get { t, k } => {
+                pending.get(&model, TABLES[t], k);
+            }
+            Read::ScanEqV { t, v } => pending.scan(TABLES[t], move |_, val| val == v),
+            Read::ScanGeK { t, k } => pending.scan(TABLES[t], move |key, _| key >= k),
+        }
+    }
+    model_writes(&model, &mut pending, &s.writes);
+
+    for writes in &s.concurrent {
+        commit_writes(&mut model, writes);
+    }
+
+    let outcome = match model.commit(pending) {
+        Verdict::Committed => Outcome::Committed,
+        Verdict::WriteConflict { .. } => Outcome::WriteConflict,
+        Verdict::ReadConflict { .. } => Outcome::SerializationFailure,
+    };
+    let state = TABLES[..s.tables]
+        .iter()
+        .map(|t| model.contents(t))
+        .collect();
+    (outcome, state)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The sharded commit path, the forced full-scan validation path and
-    /// the serial-commit baseline accept and reject exactly the same
-    /// multi-table schedules, leaving identical final states.
+    /// The sharded commit path accepts and rejects exactly the
+    /// multi-table schedules the serial full-history model does, leaving
+    /// identical final states.
     #[test]
     fn multi_table_commits_are_decision_equivalent_across_modes(
         schedule in schedule_strategy()
     ) {
-        let sharded = new_db(schedule.tables, false, false);
-        let full_scan = new_db(schedule.tables, true, false);
-        let serial = new_db(schedule.tables, false, true);
-        let (a, sa) = run_schedule(&sharded, &schedule);
-        let (b, sb) = run_schedule(&full_scan, &schedule);
-        let (c, sc) = run_schedule(&serial, &schedule);
-        prop_assert_eq!(&a, &b, "sharded vs full-scan diverged for {:?}", schedule);
-        prop_assert_eq!(&a, &c, "sharded vs serial diverged for {:?}", schedule);
-        prop_assert_eq!(&sa, &sb);
-        prop_assert_eq!(sa, sc);
+        let (outcome, state) = run_schedule(&new_db(schedule.tables), &schedule);
+        let (model_outcome, model_state) = run_model(&schedule);
+        prop_assert_eq!(&outcome, &model_outcome, "engine vs model diverged for {:?}", schedule);
+        prop_assert_eq!(state, model_state);
     }
 
     /// Mid-schedule GC with an active multi-table transaction never
@@ -267,7 +313,7 @@ proptest! {
     fn watermark_keeps_validation_windows_intact(
         schedule in schedule_strategy()
     ) {
-        let db = new_db(schedule.tables, false, false);
+        let db = new_db(schedule.tables);
         let snapshot_floor = {
             for writes in &schedule.history {
                 commit_writes(&db, writes).unwrap();
@@ -308,7 +354,7 @@ fn snapshot_reads_never_see_torn_multi_table_commits() {
     const ROUNDS: usize = 60;
     const SLOT_INIT: i64 = 100;
 
-    let db = new_db(4, false, false);
+    let db = new_db(4);
     for table in TABLES {
         let mut txn = db.begin_with(IsolationLevel::ReadCommitted);
         for slot in 0..WRITERS as i64 {
@@ -418,7 +464,7 @@ fn snapshot_reads_never_see_torn_multi_table_commits() {
 fn disjoint_table_committers_make_progress_and_stay_ordered() {
     const PER_THREAD: i64 = 40;
 
-    let db = new_db(4, false, false);
+    let db = new_db(4);
     let barrier = Arc::new(Barrier::new(8));
 
     std::thread::scope(|scope| {
@@ -489,7 +535,7 @@ fn disjoint_table_committers_make_progress_and_stay_ordered() {
 /// called far above it.
 #[test]
 fn gc_clamps_to_the_active_transaction_watermark() {
-    let db = new_db(1, false, false);
+    let db = new_db(1);
     commit_writes(&db, &[Write::Put { t: 0, k: 1, v: 10 }]).unwrap();
 
     assert_eq!(db.min_active_start_ts(), None);
@@ -545,7 +591,7 @@ fn gc_clamps_to_the_active_transaction_watermark() {
 /// depend on it) but publish nothing.
 #[test]
 fn read_only_transactions_pin_but_do_not_publish() {
-    let db = new_db(2, false, false);
+    let db = new_db(2);
     commit_writes(&db, &[Write::Put { t: 0, k: 1, v: 1 }]).unwrap();
     let ts_before = db.current_ts();
 

@@ -1,18 +1,17 @@
 //! Decision-equivalence and safety of lock-free serializable readers.
 //!
-//! The default serializable commit path (SSI) takes no locks for
-//! read-only footprint resources: reads are validated at commit time
-//! inside the publication window instead. Two escape hatches preserve
-//! the old behaviour — `set_read_lock_commit(true)` restores 2PL-style
-//! read locking, and `set_serial_commit(true)` +
-//! `set_full_scan_validation(true)` is the original serial full-scan
-//! oracle. These tests prove:
+//! The serializable commit path (SSI) takes no locks for read-only
+//! footprint resources: reads are validated at commit time, optimistically
+//! before the timestamp claim and exactly inside the publication window.
+//! These tests prove:
 //!
-//! * a 128-case property test drives identical, randomly generated
-//!   schedules of overlapping serializable transactions against all
-//!   three modes and requires identical per-commit decisions and
-//!   identical final table contents (commit *timestamps* are not
-//!   compared: an SSI late abort consumes a publication tick);
+//! * a 128-case property test drives randomly generated schedules of
+//!   overlapping serializable transactions against the engine and
+//!   against the serial full-history reference model
+//!   (`support/model.rs`) — what read locking plus one-commit-at-a-time
+//!   full scans would decide — and requires identical per-commit
+//!   decisions and identical final table contents (commit *timestamps*
+//!   are not compared: an SSI late abort consumes a publication tick);
 //! * an 8-thread stress test checks that lock-free readers never
 //!   observe a torn multi-table state while writers commit to both
 //!   tables atomically;
@@ -28,6 +27,10 @@ use proptest::prelude::*;
 
 use trod_db::{row, DataType, Database, DbError, IsolationLevel, Key, Predicate, Schema};
 
+#[path = "support/model.rs"]
+mod model;
+use model::{Model, ModelTxn, Verdict};
+
 fn kv_schema() -> Schema {
     Schema::builder()
         .column("k", DataType::Int)
@@ -37,28 +40,9 @@ fn kv_schema() -> Schema {
         .unwrap()
 }
 
-/// The three serializable commit modes under comparison.
-#[derive(Debug, Clone, Copy)]
-enum Mode {
-    /// Default: lock-free reads, commit-time validation.
-    Ssi,
-    /// 2PL-style: commit locks every read table.
-    ReadLock,
-    /// Original oracle: one commit at a time, full version scans.
-    SerialFullScan,
-}
-
-fn new_db(mode: Mode) -> Database {
+fn new_db() -> Database {
     let db = Database::new();
     db.create_table("kv", kv_schema()).unwrap();
-    match mode {
-        Mode::Ssi => {}
-        Mode::ReadLock => db.set_read_lock_commit(true),
-        Mode::SerialFullScan => {
-            db.set_serial_commit(true);
-            db.set_full_scan_validation(true);
-        }
-    }
     db
 }
 
@@ -185,7 +169,7 @@ fn run_schedule(db: &Database, schedule: &Schedule) -> (Vec<Outcome>, BTreeMap<i
     // Begin every pending transaction and buffer its reads and writes
     // while all of them overlap. Buffered-write constraint errors (e.g.
     // inserting a key another pending transaction also inserts) surface
-    // at commit, identically across modes.
+    // at commit.
     let mut live: Vec<trod_db::Transaction> = Vec::new();
     for spec in &schedule.pending {
         let mut txn = db.begin_with(IsolationLevel::Serializable);
@@ -251,33 +235,79 @@ fn run_schedule(db: &Database, schedule: &Schedule) -> (Vec<Outcome>, BTreeMap<i
     (outcomes, state)
 }
 
+fn model_writes(model: &Model, txn: &mut ModelTxn, writes: &[Write]) {
+    for w in writes {
+        match w {
+            Write::Put { k, v } => txn.put(model, "kv", *k, *v),
+            Write::Delete { k } => txn.delete(model, "kv", *k),
+        }
+    }
+}
+
+/// The same schedule against the reference model.
+fn run_model(schedule: &Schedule) -> (Vec<Outcome>, BTreeMap<i64, i64>) {
+    let mut model = Model::new();
+    let commit_writes = |model: &mut Model, writes: &[Write]| {
+        let mut txn = model.begin();
+        model_writes(model, &mut txn, writes);
+        model.commit_unvalidated(txn);
+    };
+    commit_writes(&mut model, &schedule.history);
+
+    let mut live: Vec<ModelTxn> = Vec::new();
+    for spec in &schedule.pending {
+        let mut txn = model.begin();
+        for read in &spec.reads {
+            match *read {
+                Read::Get { k } => {
+                    txn.get(&model, "kv", k);
+                }
+                Read::ScanEqV { v } => txn.scan("kv", move |_, val| val == v),
+                Read::ScanRange { lo, hi } => txn.scan("kv", move |key, _| lo <= key && key <= hi),
+            }
+        }
+        model_writes(&model, &mut txn, &spec.writes);
+        live.push(txn);
+    }
+
+    let mut outcomes = Vec::new();
+    for event in &schedule.events {
+        match event {
+            Event::CommitPending(i) => {
+                if live.is_empty() {
+                    continue;
+                }
+                let txn = live.remove(i % live.len());
+                outcomes.push(match model.commit(txn) {
+                    Verdict::Committed => Outcome::Committed,
+                    Verdict::WriteConflict { .. } => Outcome::WriteConflict,
+                    Verdict::ReadConflict { .. } => Outcome::SerializationFailure,
+                });
+            }
+            Event::ConcurrentCommit(writes) => commit_writes(&mut model, writes),
+        }
+    }
+    (outcomes, model.contents("kv"))
+}
+
 proptest! {
     // Explicit case count: this suite is the SSI acceptance gate and must
     // not shrink under a CI-wide PROPTEST_CASES override.
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// SSI, 2PL read locking and the serial full-scan oracle accept and
-    /// reject exactly the same schedules, leaving identical final states.
+    /// SSI accepts and rejects exactly the schedules the serial
+    /// full-history model does, leaving identical final states.
     #[test]
     fn ssi_is_decision_equivalent_to_read_locking_and_serial(
         schedule in schedule_strategy()
     ) {
-        let ssi = new_db(Mode::Ssi);
-        let rl = new_db(Mode::ReadLock);
-        let serial = new_db(Mode::SerialFullScan);
-        let (ssi_out, ssi_state) = run_schedule(&ssi, &schedule);
-        let (rl_out, rl_state) = run_schedule(&rl, &schedule);
-        let (serial_out, serial_state) = run_schedule(&serial, &schedule);
+        let (outcomes, state) = run_schedule(&new_db(), &schedule);
+        let (model_outcomes, model_state) = run_model(&schedule);
         prop_assert_eq!(
-            &ssi_out, &rl_out,
-            "SSI vs read-locking decisions diverged for {:?}", schedule
+            &outcomes, &model_outcomes,
+            "SSI vs model decisions diverged for {:?}", schedule
         );
-        prop_assert_eq!(
-            &ssi_out, &serial_out,
-            "SSI vs serial-oracle decisions diverged for {:?}", schedule
-        );
-        prop_assert_eq!(&ssi_state, &rl_state);
-        prop_assert_eq!(&ssi_state, &serial_state);
+        prop_assert_eq!(&state, &model_state);
     }
 }
 
@@ -293,7 +323,7 @@ fn lock_free_readers_never_see_torn_multi_table_state() {
     const READERS: usize = 4;
     const ROUNDS: i64 = 40;
 
-    let db = new_db(Mode::Ssi);
+    let db = new_db();
     db.create_table("mirror", kv_schema()).unwrap();
     let mut seed = db.begin();
     seed.insert("kv", row![0i64, 0i64]).unwrap();
@@ -374,11 +404,11 @@ fn lock_free_readers_never_see_torn_multi_table_state() {
 /// reject. If any rw-antidependency abort were lost, two overlapping
 /// withdrawals could each see enough balance and drive the sum negative.
 #[test]
-fn write_skew_is_prevented_under_lock_free_reads() {
+fn write_skew_is_prevented_under_lock_free_readers() {
     const THREADS: usize = 8;
     const INITIAL: i64 = 200;
 
-    let db = new_db(Mode::Ssi);
+    let db = new_db();
     let mut seed = db.begin();
     seed.insert("kv", row![0i64, INITIAL]).unwrap();
     seed.insert("kv", row![1i64, INITIAL]).unwrap();

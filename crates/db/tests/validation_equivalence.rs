@@ -1,17 +1,20 @@
-//! Decision-equivalence of the two serializable validation paths.
+//! Decision-equivalence of O(Δ) serializable validation with a
+//! full-history reference.
 //!
 //! The commit path validates predicate reads against the per-table change
-//! log (O(Δ) in the writes since the transaction began). The original
-//! implementation re-scanned every version of every row (O(total
-//! versions)). These tests prove the two paths accept and reject exactly
-//! the same transactions:
+//! log (O(Δ) in the writes since the transaction began), falling back to
+//! a scan of every version when the log no longer covers the window.
+//! These tests prove it accepts and rejects exactly the transactions it
+//! should:
 //!
-//! * a property test drives an identical, randomly generated interleaved
-//!   schedule against two databases — one forced onto the full-scan path —
-//!   and requires identical commit outcomes and identical final states,
-//!   including schedules that truncate history mid-flight, both through
-//!   watermark-clamped GC (validation window survives) and through raw
-//!   change-log truncation (exercising the full-scan fallback);
+//! * a property test drives a randomly generated interleaved schedule
+//!   against the engine and against the serial full-history reference
+//!   model (`support/model.rs`), and requires identical commit outcomes
+//!   and identical final states, including schedules that truncate
+//!   history mid-flight, both through watermark-clamped GC (validation
+//!   window survives) and through raw change-log truncation (exercising
+//!   the full-scan fallback; debug builds additionally cross-check every
+//!   change-log decision against the full scan);
 //! * a multi-threaded stress test hammers one database with concurrent
 //!   read-modify-write committers and checks the serializability
 //!   invariants the validator exists to protect.
@@ -22,6 +25,10 @@ use proptest::prelude::*;
 
 use trod_db::{row, DataType, Database, DbError, IsolationLevel, Key, Predicate, Schema};
 
+#[path = "support/model.rs"]
+mod model;
+use model::{Model, ModelTxn, Verdict};
+
 fn kv_schema() -> Schema {
     Schema::builder()
         .column("k", DataType::Int)
@@ -31,10 +38,9 @@ fn kv_schema() -> Schema {
         .unwrap()
 }
 
-fn new_db(full_scan: bool) -> Database {
+fn new_db() -> Database {
     let db = Database::new();
     db.create_table("kv", kv_schema()).unwrap();
-    db.set_full_scan_validation(full_scan);
     db
 }
 
@@ -140,7 +146,7 @@ fn commit_writes(db: &Database, writes: &[Write]) -> Result<(), DbError> {
 }
 
 /// Normalised outcome of the pending transaction's commit, for comparison
-/// across the two validation modes.
+/// between the engine and the model.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Outcome {
     Committed,
@@ -230,24 +236,70 @@ fn run_schedule(db: &Database, schedule: &Schedule) -> (Outcome, BTreeMap<i64, i
     (outcome, state)
 }
 
+fn model_writes(model: &Model, txn: &mut ModelTxn, writes: &[Write]) {
+    for w in writes {
+        match w {
+            Write::Put { k, v } => txn.put(model, "kv", *k, *v),
+            Write::Delete { k } => txn.delete(model, "kv", *k),
+        }
+    }
+}
+
+/// The same schedule against the reference model (which has no history
+/// to truncate: `gc_after` / `raw_truncate` are engine-only events).
+fn run_model(schedule: &Schedule) -> (Outcome, BTreeMap<i64, i64>) {
+    let mut model = Model::new();
+    let commit_writes = |model: &mut Model, writes: &[Write]| {
+        let mut txn = model.begin();
+        model_writes(model, &mut txn, writes);
+        model.commit_unvalidated(txn);
+    };
+    for writes in &schedule.history {
+        commit_writes(&mut model, writes);
+    }
+
+    let mut pending = model.begin();
+    for read in &schedule.reads {
+        match *read {
+            Read::Get { k } => {
+                pending.get(&model, "kv", k);
+            }
+            Read::ScanEqV { v } => pending.scan("kv", move |_, val| val == v),
+            Read::ScanGeK { k } => pending.scan("kv", move |key, _| key >= k),
+            Read::ScanRange { lo, hi } => pending.scan("kv", move |key, _| lo <= key && key <= hi),
+        }
+    }
+    model_writes(&model, &mut pending, &schedule.writes);
+
+    for writes in &schedule.concurrent {
+        commit_writes(&mut model, writes);
+    }
+
+    let outcome = match model.commit(pending) {
+        Verdict::Committed => Outcome::Committed,
+        Verdict::WriteConflict { .. } => Outcome::WriteConflict,
+        Verdict::ReadConflict { .. } => Outcome::SerializationFailure,
+    };
+    (outcome, model.contents("kv"))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The change-log validator and the full-scan validator accept and
-    /// reject exactly the same schedules, leaving identical final states.
+    /// The change-log validator (with its full-scan fallback) accepts and
+    /// rejects exactly the schedules the full-history model does, leaving
+    /// identical final states.
     #[test]
     fn changelog_validation_is_decision_equivalent_to_full_scan(
         schedule in schedule_strategy()
     ) {
-        let fast = new_db(false);
-        let slow = new_db(true);
-        let (fast_outcome, fast_state) = run_schedule(&fast, &schedule);
-        let (slow_outcome, slow_state) = run_schedule(&slow, &schedule);
+        let (outcome, state) = run_schedule(&new_db(), &schedule);
+        let (model_outcome, model_state) = run_model(&schedule);
         prop_assert_eq!(
-            &fast_outcome, &slow_outcome,
+            &outcome, &model_outcome,
             "validation decision diverged for {:?}", schedule
         );
-        prop_assert_eq!(fast_state, slow_state);
+        prop_assert_eq!(state, model_state);
     }
 
     /// A transaction whose predicates are untouched by concurrent writes
@@ -257,7 +309,7 @@ proptest! {
     fn unrelated_concurrent_writes_never_abort(
         touched in prop::collection::vec(0i64..6, 1..6)
     ) {
-        let db = new_db(false);
+        let db = new_db();
         commit_writes(&db, &[Write::Put { k: 100, v: 1 }]).unwrap();
 
         let mut pending = db.begin();
@@ -280,7 +332,7 @@ fn concurrent_increments_never_lose_updates() {
     const THREADS: i64 = 8;
     const INCREMENTS: i64 = 30;
 
-    let db = new_db(false);
+    let db = new_db();
     commit_writes(&db, &[Write::Put { k: 0, v: 0 }]).unwrap();
 
     let handles: Vec<_> = (0..THREADS)
@@ -333,7 +385,7 @@ fn concurrent_predicate_committers_with_gc() {
     const THREADS: i64 = 6;
     const PER_THREAD: i64 = 25;
 
-    let db = new_db(false);
+    let db = new_db();
     let handles: Vec<_> = (0..THREADS)
         .map(|t| {
             let db = db.clone();

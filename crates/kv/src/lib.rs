@@ -11,8 +11,7 @@
 //! transactions with aligned transaction logs. This crate provides:
 //!
 //! * [`KvStore`] — a multi-version key-value store with namespaces,
-//!   per-namespace commit locks, tombstoned deletes, as-of reads and
-//!   optimistic single-store transactions ([`KvTransaction`]).
+//!   per-namespace commit locks, tombstoned deletes and as-of reads.
 //! * [`Session`] / [`Txn`] — the one transaction handle for everything:
 //!   relational reads and writes, key-value reads and writes, optional
 //!   provenance tracing, one snapshot and one atomic commit. Commits run
@@ -53,14 +52,12 @@
 
 pub mod session;
 pub mod store;
-pub mod txn;
 
 pub use session::{
     kv_image_key, kv_image_value, AlignedCommit, GcStats, Session, SessionBuilder, Txn, TxnCommit,
     TxnOptions,
 };
 pub use store::{KvError, KvResult, KvStore, KvWrite, NamespaceStats};
-pub use txn::KvTransaction;
 
 /// Event-table schema used when registering a KV namespace with the TROD
 /// provenance database: the namespace's rows are exposed as

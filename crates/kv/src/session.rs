@@ -10,12 +10,13 @@
 //! key-value operations share one snapshot, one commit, one error type
 //! ([`TrodError`]) and one provenance record.
 //!
-//! Commit goes through the database's commit coordinator
-//! ([`trod_db::CommitParticipant`]): the transaction's key-value
-//! footprint joins the relational footprint as `kv:<namespace>` resources,
-//! all locks are taken in one global sorted order, every store validates
-//! under those locks, and the key-value writes are installed inside the
-//! ordered publication window at the single commit timestamp. There is no
+//! Commit goes through the database's commit protocol
+//! ([`trod_db::CommitParticipant`]; "The commit protocol" in
+//! `crates/db/DESIGN.md`): the namespaces the transaction wrote join the
+//! written tables as `kv:<namespace>` resources, all locks are taken in
+//! one global sorted order, every store validates under those locks, and
+//! the key-value writes are installed at the single commit timestamp,
+//! invisible until it publishes. There is no
 //! cross-store commit lock anywhere — commits over disjoint namespaces
 //! (or disjoint tables, or any mix) proceed fully concurrently, and mixed
 //! commits are strictly serializable end to end.
@@ -311,12 +312,11 @@ impl Session {
 
     /// Applies captured aligned change records — relational rows *and*
     /// `kv:<namespace>` records — as one synthetic committed transaction,
-    /// through the same participant commit path live commits take: the
-    /// kv records are decoded back into [`KvWrite`]s, the namespaces'
-    /// commit locks join the sorted lock order, and the kv install runs
-    /// inside the ordered publication window at the single claimed
-    /// timestamp. The fork's aligned log therefore records injected
-    /// history exactly like production history.
+    /// through the same commit protocol live commits take: the kv records
+    /// are decoded back into [`KvWrite`]s, the namespaces' commit locks
+    /// join the sorted lock order, and the kv install lands at the single
+    /// claimed timestamp. The fork's aligned log therefore records
+    /// injected history exactly like production history.
     ///
     /// This is the replay engine's injection primitive for polyglot
     /// traces. Errors: a kv record that does not decode (or whose value
@@ -331,47 +331,14 @@ impl Session {
             self.inner.kv.as_ref().ok_or_else(|| {
                 KvError::UnknownNamespace("<no key-value store bound>".to_string())
             })?;
-        let (kv_records, relational): (Vec<ChangeRecord>, Vec<ChangeRecord>) = changes
+        let writes = decode_kv_writes(kv, changes)?;
+        let relational: Vec<ChangeRecord> = changes
             .iter()
+            .filter(|c| !trod_db::is_kv_table(&c.table))
             .cloned()
-            .partition(|c| trod_db::is_kv_table(&c.table));
-        let mut writes = Vec::with_capacity(kv_records.len());
-        for record in &kv_records {
-            let write = kv_write_of_record(record).ok_or_else(|| {
-                DbError::Invalid(format!(
-                    "kv change record on `{}` key {} does not decode",
-                    record.table, record.key
-                ))
-            })?;
-            // An insert/update whose after image decodes to no value was
-            // erased by privacy redaction: refuse rather than silently
-            // turning the put into a delete (replay counts the skip).
-            if record.op.after().is_some() && write.value.is_none() {
-                return Err(DbError::Invalid(format!(
-                    "kv change record on `{}` key {} has an erased value image",
-                    record.table, record.key
-                ))
-                .into());
-            }
-            if !kv.has_namespace(&write.namespace) {
-                return Err(KvError::UnknownNamespace(write.namespace).into());
-            }
-            writes.push(write);
-        }
-        // Same self-heal as Txn::commit: if a standalone store-level
-        // commit outran this database's allocator on a written namespace,
-        // catch the allocator up so the participant's freshness veto only
-        // fires on a genuine race.
-        let floor = writes
-            .iter()
-            .map(|w| kv.last_commit_ts_of(&w.namespace).unwrap_or(0))
-            .max()
-            .unwrap_or(0);
-        self.inner.db.ensure_ts_at_least(floor);
-        let participant = InjectionParticipant {
-            kv: kv.clone(),
-            writes: &writes,
-        };
+            .collect();
+        catch_up_allocator(&self.inner.db, kv, &writes);
+        let participant = KvParticipant::injecting(kv, &writes);
         self.inner
             .db
             .apply_changes_with(&relational, &[&participant])
@@ -393,15 +360,8 @@ impl Session {
     pub fn apply_entry(&self, entry: &CommittedTxn) -> TrodResult<usize> {
         match self.inner.kv.as_ref() {
             Some(kv) => Session::recover_entry(&self.inner.db, kv, entry),
-            None => {
-                if entry.changes.iter().any(|c| trod_db::is_kv_table(&c.table)) {
-                    return Err(KvError::UnknownNamespace(
-                        "<no key-value store bound to session>".to_string(),
-                    )
-                    .into());
-                }
-                Session::recover_entry(&self.inner.db, &KvStore::new(), entry)
-            }
+            // Without a store every kv record is an unknown namespace.
+            None => Session::recover_entry(&self.inner.db, &KvStore::new(), entry),
         }
     }
 
@@ -502,37 +462,18 @@ impl Session {
         self.inner.db.checkpoint().map_err(TrodError::from)
     }
 
-    /// Re-installs one recovered aligned-history entry: relational
-    /// changes through [`Database::apply_entry_with`], kv records decoded
-    /// back into [`KvWrite`]s and installed by an injection participant
-    /// inside the same publication window — the entry lands in the log
-    /// verbatim, original identity and kv records included. Returns the
-    /// number of kv writes installed.
+    /// Re-installs one aligned-history entry: relational changes through
+    /// [`Database::apply_entry_with`], kv records decoded back into
+    /// [`KvWrite`]s and installed by an injecting participant in the same
+    /// commit — the entry lands in the log verbatim, original identity
+    /// and kv records included. Returns the number of kv writes
+    /// installed.
     fn recover_entry(db: &Database, kv: &KvStore, entry: &CommittedTxn) -> TrodResult<usize> {
-        let mut writes = Vec::new();
-        for record in entry
-            .changes
-            .iter()
-            .filter(|c| trod_db::is_kv_table(&c.table))
-        {
-            let write = kv_write_of_record(record).ok_or_else(|| {
-                DbError::Invalid(format!(
-                    "recovered kv change record on `{}` key {} does not decode",
-                    record.table, record.key
-                ))
-            })?;
-            if !kv.has_namespace(&write.namespace) {
-                return Err(KvError::UnknownNamespace(write.namespace).into());
-            }
-            writes.push(write);
-        }
+        let writes = decode_kv_writes(kv, &entry.changes)?;
         if writes.is_empty() {
             db.apply_entry_with(entry, &[])?;
         } else {
-            let participant = InjectionParticipant {
-                kv: kv.clone(),
-                writes: &writes,
-            };
+            let participant = KvParticipant::injecting(kv, &writes);
             db.apply_entry_with(entry, &[&participant])?;
         }
         Ok(writes.len())
@@ -659,6 +600,50 @@ fn kv_write_of_record(record: &ChangeRecord) -> Option<KvWrite> {
     })
 }
 
+/// Decodes the `kv:<namespace>` records of an aligned change list back
+/// into the [`KvWrite`]s they captured — the one decoder behind
+/// [`Session::apply_changes`] and [`Session::apply_entry`]. Anything that
+/// cannot be re-applied faithfully rejects the whole list before a lock
+/// or timestamp is taken: a record that does not decode, one whose value
+/// image was erased by privacy redaction (refused rather than silently
+/// turned from a put into a delete), or an unknown namespace.
+fn decode_kv_writes(kv: &KvStore, changes: &[ChangeRecord]) -> TrodResult<Vec<KvWrite>> {
+    let mut writes = Vec::new();
+    for record in changes.iter().filter(|c| trod_db::is_kv_table(&c.table)) {
+        let write = kv_write_of_record(record).ok_or_else(|| {
+            DbError::Invalid(format!(
+                "kv change record on `{}` key {} does not decode",
+                record.table, record.key
+            ))
+        })?;
+        if record.op.after().is_some() && write.value.is_none() {
+            return Err(DbError::Invalid(format!(
+                "kv change record on `{}` key {} has an erased value image",
+                record.table, record.key
+            ))
+            .into());
+        }
+        if !kv.has_namespace(&write.namespace) {
+            return Err(KvError::UnknownNamespace(write.namespace).into());
+        }
+        writes.push(write);
+    }
+    Ok(writes)
+}
+
+/// If a raw store-level apply outran the database's allocator on a
+/// written namespace, catches the allocator up first so the
+/// participant's freshness veto only fires on a genuine mid-commit race
+/// (which a retry absorbs).
+fn catch_up_allocator(db: &Database, kv: &KvStore, writes: &[KvWrite]) {
+    let floor = writes
+        .iter()
+        .map(|w| kv.last_commit_ts_of(&w.namespace).unwrap_or(0))
+        .max()
+        .unwrap_or(0);
+    db.ensure_ts_at_least(floor);
+}
+
 /// Encodes buffered key-value writes as CDC records on the virtual
 /// `kv:<namespace>` tables, before images read from the store's current
 /// state. Callers hold the namespaces' commit locks, so the state is
@@ -703,66 +688,6 @@ impl RecoveryParticipant for KvStore {
 
     fn apply_entry(&self, db: &Database, entry: &CommittedTxn) -> TrodResult<()> {
         Session::recover_entry(db, self, entry).map(|_| ())
-    }
-}
-
-/// The key-value side of a [`Session::apply_changes`] injection: decoded
-/// writes re-applied through the coordinator as a commit participant, so
-/// injected history takes the exact locks, publication window and aligned
-/// log shape a live polyglot commit takes. Unlike [`KvParticipant`] it
-/// carries no read set — injection bypasses validation by design, exactly
-/// like the relational [`Database::apply_changes`] — but it keeps the
-/// per-namespace timestamp-freshness veto, the one condition that could
-/// make install fail.
-struct InjectionParticipant<'a> {
-    kv: KvStore,
-    writes: &'a [KvWrite],
-}
-
-impl CommitParticipant for InjectionParticipant<'_> {
-    fn resources(&self) -> Vec<String> {
-        let mut namespaces: Vec<&str> = self.writes.iter().map(|w| w.namespace.as_str()).collect();
-        namespaces.sort_unstable();
-        namespaces.dedup();
-        namespaces.into_iter().map(kv_table_name).collect()
-    }
-
-    fn resource_lock(&self, resource: &str) -> Arc<Mutex<()>> {
-        let namespace = resource
-            .strip_prefix(trod_db::KV_TABLE_PREFIX)
-            .unwrap_or(resource);
-        self.kv
-            .commit_lock_of(namespace)
-            .expect("namespace validated before injection")
-    }
-
-    fn validate(&self, min_commit_ts: Ts) -> TrodResult<()> {
-        for write in self.writes {
-            let ns_latest = self.kv.last_commit_ts_of(&write.namespace)?;
-            if ns_latest >= min_commit_ts {
-                return Err(KvError::StaleCommitTimestamp {
-                    given: min_commit_ts,
-                    latest: ns_latest,
-                }
-                .into());
-            }
-        }
-        Ok(())
-    }
-
-    fn has_writes(&self) -> bool {
-        !self.writes.is_empty()
-    }
-
-    fn install(&self, commit_ts: Ts) -> Vec<ChangeRecord> {
-        // Injection is a debugging path: computing before images here,
-        // inside the publication window, keeps the code simple; the
-        // window is uncontended in a development fork.
-        let records = kv_change_records(&self.kv, self.writes);
-        self.kv
-            .apply_claimed(self.writes, commit_ts)
-            .expect("validated key-value batch cannot fail to apply");
-        records
     }
 }
 
@@ -1082,30 +1007,11 @@ impl Txn {
 
         let needs_participant = !self.kv_writes.is_empty() || !self.kv_reads.is_empty();
         let result = if needs_participant {
-            if !kv_writes.is_empty() {
-                // Standalone store-level commits allocate timestamps from
-                // the store's own counter; if one outran this database's
-                // allocator on a namespace we write, catch the allocator
-                // up first so the participant's freshness veto only fires
-                // on a genuine mid-commit race (which a retry absorbs).
-                let kv = self.kv_store()?;
-                let floor = kv_writes
-                    .iter()
-                    .map(|w| kv.last_commit_ts_of(&w.namespace).unwrap_or(0))
-                    .max()
-                    .unwrap_or(0);
-                self.session.database().ensure_ts_at_least(floor);
-            }
-            // Mirror the relational coordinator's SSI decision so one
-            // commit uses one protocol across both stores (and the
-            // escape hatches keep their decision-equivalence meaning).
-            let db = self.session.database();
-            let lock_free_reads = !db.read_lock_commit() && !db.serial_commit();
+            catch_up_allocator(self.session.database(), self.kv_store()?, &kv_writes);
             let participant = KvParticipant {
                 kv: self.kv_store()?.clone(),
                 snapshot_ts: self.snapshot_ts,
-                isolation: rel.isolation(),
-                lock_free_reads,
+                serializable: matches!(rel.isolation(), IsolationLevel::Serializable),
                 reads: &self.kv_reads,
                 writes: &kv_writes,
                 records: std::cell::RefCell::new(None),
@@ -1180,20 +1086,14 @@ impl fmt::Debug for Txn {
     }
 }
 
-/// The key-value side of a committing [`Txn`], handed to the commit
-/// coordinator. One per commit; carries the transaction's buffered
-/// key-value reads and writes.
+/// The key-value side of a commit, handed to the commit protocol: a
+/// committing [`Txn`]'s buffered reads and writes, or the decoded writes
+/// of an injected change list ([`KvParticipant::injecting`]).
 struct KvParticipant<'a> {
     kv: KvStore,
     snapshot_ts: Ts,
-    isolation: IsolationLevel,
-    /// SSI mode (mirrors the relational coordinator's decision, from
-    /// [`Database::read_lock_commit`] and [`Database::serial_commit`]):
-    /// read-only namespaces contribute no commit locks; their reads are
-    /// checked optimistically in [`CommitParticipant::validate`] and
-    /// re-checked exactly, inside the publication window, by
-    /// [`CommitParticipant::revalidate_reads`].
-    lock_free_reads: bool,
+    /// Reads are validated only under serializable isolation.
+    serializable: bool,
     reads: &'a BTreeSet<(String, String)>,
     writes: &'a [KvWrite],
     /// Change records (with before images) precomputed at the end of
@@ -1203,26 +1103,33 @@ struct KvParticipant<'a> {
     records: std::cell::RefCell<Option<Vec<ChangeRecord>>>,
 }
 
-impl KvParticipant<'_> {
-    /// Encodes the buffered writes as CDC records on the virtual
-    /// `kv:<namespace>` tables, with before images taken from the current
-    /// store state (stable: the namespaces' commit locks are held).
-    fn change_records(&self) -> Vec<ChangeRecord> {
-        kv_change_records(&self.kv, self.writes)
+static NO_READS: BTreeSet<(String, String)> = BTreeSet::new();
+
+impl<'a> KvParticipant<'a> {
+    /// The participant of an injection: no reads, and a snapshot nothing
+    /// can postdate — injection bypasses validation by design, exactly
+    /// like the relational [`Database::apply_changes`], keeping only the
+    /// per-namespace timestamp-freshness veto.
+    fn injecting(kv: &KvStore, writes: &'a [KvWrite]) -> Self {
+        KvParticipant {
+            kv: kv.clone(),
+            snapshot_ts: Ts::MAX,
+            serializable: false,
+            reads: &NO_READS,
+            writes,
+            records: std::cell::RefCell::new(None),
+        }
+    }
+
+    /// True if the transaction wrote (and therefore locked) `namespace`.
+    fn wrote(&self, namespace: &str) -> bool {
+        self.writes.iter().any(|w| w.namespace == namespace)
     }
 }
 
 impl CommitParticipant for KvParticipant<'_> {
     fn resources(&self) -> Vec<String> {
         let mut namespaces: Vec<&str> = self.writes.iter().map(|w| w.namespace.as_str()).collect();
-        if matches!(self.isolation, IsolationLevel::Serializable) && !self.lock_free_reads {
-            // 2PL baseline: validated reads must stay valid until
-            // publication, exactly like serializable read-table locks on
-            // the relational side. Under SSI the read namespaces stay
-            // lock-free and are re-validated in the publication window
-            // instead.
-            namespaces.extend(self.reads.iter().map(|(ns, _)| ns.as_str()));
-        }
         namespaces.sort_unstable();
         namespaces.dedup();
         namespaces.into_iter().map(kv_table_name).collect()
@@ -1234,42 +1141,37 @@ impl CommitParticipant for KvParticipant<'_> {
             .unwrap_or(resource);
         self.kv
             .commit_lock_of(namespace)
-            .expect("namespace validated at buffer time")
+            .expect("namespace validated before commit")
     }
 
     fn validate(&self, min_commit_ts: Ts) -> TrodResult<()> {
-        if matches!(self.isolation, IsolationLevel::Serializable) {
-            // Serializable reads happen at the snapshot, so any newer
-            // version of a read key is a conflict.
-            for (namespace, key) in self.reads {
-                let latest = self.kv.version_of(namespace, key)?;
-                if latest > self.snapshot_ts {
-                    return Err(KvError::Conflict {
-                        namespace: namespace.clone(),
-                        key: key.clone(),
-                    }
-                    .into());
-                }
-            }
-        }
-        // First-committer-wins on writes, under every isolation level.
-        for write in self.writes {
-            let latest = self.kv.version_of(&write.namespace, &write.key)?;
-            if latest > self.snapshot_ts {
+        let conflict = |namespace: &str, key: &str| -> TrodResult<()> {
+            // The transaction read and buffered at its snapshot, so any
+            // newer version of the key is a conflict.
+            if self.kv.version_of(namespace, key)? > self.snapshot_ts {
                 return Err(KvError::Conflict {
-                    namespace: write.namespace.clone(),
-                    key: write.key.clone(),
+                    namespace: namespace.to_string(),
+                    key: key.to_string(),
                 }
                 .into());
             }
-            // A store-level commit outside the coordinator (standalone
-            // KvTransaction, raw apply) may have pushed this namespace's
-            // timestamp past what the coordinator will allocate. Veto
-            // here — fallibly, nothing installed anywhere — so install
-            // (which runs in the publication window and must not fail)
-            // never sees a stale timestamp. The namespace locks are held,
-            // and standalone commits take them too, so the check cannot
-            // be invalidated between here and install.
+            Ok(())
+        };
+        if self.serializable {
+            // Optimistic for namespaces that were only read (unlocked);
+            // `revalidate_reads` is the exact check for those.
+            for (namespace, key) in self.reads {
+                conflict(namespace, key)?;
+            }
+        }
+        for write in self.writes {
+            // First-committer-wins, under every isolation level.
+            conflict(&write.namespace, &write.key)?;
+            // A raw store-level apply may have pushed this namespace's
+            // timestamp past what the protocol will claim. Veto here —
+            // fallibly, nothing installed anywhere — so install (which
+            // must not fail) never sees a stale timestamp. The namespace
+            // locks are held, so the check stays true until install.
             let ns_latest = self.kv.last_commit_ts_of(&write.namespace)?;
             if ns_latest >= min_commit_ts {
                 return Err(KvError::StaleCommitTimestamp {
@@ -1283,7 +1185,7 @@ impl CommitParticipant for KvParticipant<'_> {
         // and final, so take the before images now rather than inside the
         // serial publication window.
         if !self.writes.is_empty() {
-            *self.records.borrow_mut() = Some(self.change_records());
+            *self.records.borrow_mut() = Some(kv_change_records(&self.kv, self.writes));
         }
         Ok(())
     }
@@ -1293,19 +1195,12 @@ impl CommitParticipant for KvParticipant<'_> {
     }
 
     fn needs_revalidation(&self) -> bool {
-        self.lock_free_reads
-            && matches!(self.isolation, IsolationLevel::Serializable)
-            && self.reads.iter().any(|(ns, _)| {
-                // Reads on written namespaces are locked anyway (the
-                // write locks were held through validate), so only reads
-                // on purely-read namespaces need the in-window re-check.
-                !self.writes.iter().any(|w| w.namespace == *ns)
-            })
+        self.serializable && self.reads.iter().any(|(ns, _)| !self.wrote(ns))
     }
 
     fn revalidate_reads(&self, commit_ts: Ts) -> TrodResult<()> {
         for (namespace, key) in self.reads {
-            if self.writes.iter().any(|w| w.namespace == *namespace) {
+            if self.wrote(namespace) {
                 continue;
             }
             if self
@@ -1330,7 +1225,7 @@ impl CommitParticipant for KvParticipant<'_> {
             .records
             .borrow_mut()
             .take()
-            .unwrap_or_else(|| self.change_records());
+            .expect("validate runs before install");
         self.kv
             .apply_claimed(self.writes, commit_ts)
             .expect("validated key-value batch cannot fail to apply");

@@ -84,7 +84,7 @@ struct Namespace {
 struct KvInner {
     namespaces: BTreeMap<String, Namespace>,
     /// Largest commit timestamp applied to any namespace (for
-    /// [`KvStore::current_ts`] and standalone timestamp allocation).
+    /// [`KvStore::current_ts`]).
     last_commit_ts: Ts,
     /// The coordinating database's publication clock, when bound
     /// ([`KvStore::bind_publication_clock`]). A bound store is
@@ -97,9 +97,8 @@ struct KvInner {
     publication_clock: Option<Arc<AtomicU64>>,
     /// Highest timestamp that is visible *without* having passed through
     /// the bound publication clock: everything applied before binding,
-    /// plus every standalone-allocated timestamp
-    /// ([`KvStore::allocate_standalone_ts`] — store-level commits publish
-    /// by applying, they never tick the database clock). Only meaningful
+    /// plus every store-level [`KvStore::apply`] (it publishes by
+    /// applying and never ticks the database clock). Only meaningful
     /// when a clock is bound; the visibility horizon is
     /// `max(clock, standalone_high)`.
     standalone_high: Ts,
@@ -119,10 +118,9 @@ impl KvInner {
 /// A multi-version, namespaced key-value store.
 ///
 /// The store itself offers only per-batch atomic application
-/// ([`KvStore::apply`]); multi-key transactional access comes from
-/// [`crate::KvTransaction`] (single-store) or the unified
-/// [`crate::Txn`] (aligned with the relational database through the
-/// commit coordinator).
+/// ([`KvStore::apply`]); multi-key transactional access comes from the
+/// unified [`crate::Txn`] (aligned with the relational database through
+/// the commit protocol).
 #[derive(Debug, Clone, Default)]
 pub struct KvStore {
     inner: Arc<RwLock<KvInner>>,
@@ -375,21 +373,6 @@ impl KvStore {
             inner.standalone_high = inner.standalone_high.max(commit_ts);
         }
         Ok(())
-    }
-
-    /// Allocates the next standalone commit timestamp (used by
-    /// [`crate::KvTransaction`] when the store is not coordinated with a
-    /// relational database). The global high-water mark is advanced at
-    /// allocation time, so concurrent standalone commits — even over
-    /// disjoint namespaces, holding disjoint commit locks — can never
-    /// claim the same timestamp.
-    pub(crate) fn allocate_standalone_ts(&self) -> Ts {
-        let mut inner = self.inner.write();
-        inner.last_commit_ts += 1;
-        // Standalone commits never tick a bound publication clock; raise
-        // the standalone horizon so the commit is visible once applied.
-        inner.standalone_high = inner.standalone_high.max(inner.last_commit_ts);
-        inner.last_commit_ts
     }
 
     /// Creates a new, independent store containing the state visible at

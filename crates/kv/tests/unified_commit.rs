@@ -1,19 +1,17 @@
 //! The unified (participant-based) commit path under mixed
 //! relational + key-value schedules and threads.
 //!
-//! PR 3 deleted the cross-store global commit lock: key-value namespaces
-//! now join the relational footprint as `kv:<namespace>` commit resources
-//! and every commit — relational-only, KV-only or mixed — runs through
-//! the one sharded coordinator. These tests pin the properties that
-//! redesign must preserve:
+//! Key-value namespaces join the relational footprint as
+//! `kv:<namespace>` commit resources, and every commit — relational-only,
+//! KV-only or mixed — runs through the one commit protocol, with no
+//! cross-store lock. These tests pin the properties that must hold:
 //!
 //! * a property test drives randomly generated mixed schedules
 //!   (relational tables and KV namespaces, reads and writes spread over
-//!   both, concurrent committers in between) against three sessions —
-//!   sharded, sharded with full-scan validation forced, and the
-//!   serial-commit baseline (which also serializes participant commits)
-//!   — and requires identical commit decisions and identical final
-//!   states in *both* stores;
+//!   both, concurrent committers in between) against a session and
+//!   against the serial full-history reference model
+//!   (`crates/db/tests/support/model.rs`), and requires identical commit
+//!   decisions and identical final states in *both* stores;
 //! * an 8-thread stress test keeps a value mirrored between a relational
 //!   row and a KV key per slot, updated only by mixed commits, and
 //!   asserts that snapshot readers never observe the two stores disagree
@@ -32,6 +30,10 @@ use proptest::prelude::*;
 use trod_db::{row, DataType, Database, DbError, Key, KvError, Predicate, Schema, TrodError};
 use trod_kv::{kv_table_name, KvStore, Session};
 
+#[path = "../../db/tests/support/model.rs"]
+mod model;
+use model::{Model, ModelTxn, Verdict};
+
 const TABLES: [&str; 2] = ["t0", "t1"];
 const NAMESPACES: [&str; 2] = ["ns0", "ns1"];
 
@@ -44,13 +46,11 @@ fn table_schema() -> Schema {
         .unwrap()
 }
 
-fn new_session(full_scan: bool, serial: bool) -> Session {
+fn new_session() -> Session {
     let db = Database::new();
     for name in TABLES {
         db.create_table(name, table_schema()).unwrap();
     }
-    db.set_full_scan_validation(full_scan);
-    db.set_serial_commit(serial);
     let kv = KvStore::new();
     for ns in NAMESPACES {
         kv.create_namespace(ns).unwrap();
@@ -152,7 +152,9 @@ enum Outcome {
     OtherError(String),
 }
 
-type State = (Vec<BTreeMap<i64, i64>>, Vec<Vec<(String, String)>>);
+/// Final contents of every table and every namespace, in the model's
+/// terms (kv key `k<n>` → `n`, decimal value → `i64`).
+type State = (Vec<BTreeMap<i64, i64>>, Vec<BTreeMap<i64, i64>>);
 
 /// Runs the schedule: history commits, then a pending serializable mixed
 /// transaction reads and buffers operations over both stores, then the
@@ -193,7 +195,67 @@ fn run_schedule(session: &Session, s: &Schedule) -> (Outcome, State) {
         .collect();
     let namespaces = NAMESPACES
         .iter()
-        .map(|ns| session.kv().scan_prefix(ns, "").unwrap())
+        .map(|ns| {
+            session
+                .kv()
+                .scan_prefix(ns, "")
+                .unwrap()
+                .into_iter()
+                .map(|(k, v)| (k[1..].parse().unwrap(), v.parse().unwrap()))
+                .collect()
+        })
+        .collect();
+    (outcome, (tables, namespaces))
+}
+
+fn model_ops(model: &Model, txn: &mut ModelTxn, ops: &[Op]) {
+    for op in ops {
+        match *op {
+            Op::RelPut { t, k, v } => txn.put(model, TABLES[t], k, v),
+            Op::RelDelete { t, k } => txn.delete(model, TABLES[t], k),
+            Op::RelGet { t, k } => {
+                txn.get(model, TABLES[t], k);
+            }
+            Op::RelScanEqV { t, v } => txn.scan(TABLES[t], move |_, val| val == v),
+            Op::KvPut { n, k, v } => txn.kv_write(&kv_table_name(NAMESPACES[n]), k, Some(v)),
+            Op::KvDelete { n, k } => txn.kv_write(&kv_table_name(NAMESPACES[n]), k, None),
+            Op::KvGet { n, k } => {
+                txn.kv_get(model, &kv_table_name(NAMESPACES[n]), k);
+            }
+        }
+    }
+}
+
+/// The same schedule against the reference model.
+fn run_model(s: &Schedule) -> (Outcome, State) {
+    let mut model = Model::new();
+    let commit_ops = |model: &mut Model, ops: &[Op]| {
+        let mut txn = model.begin();
+        model_ops(model, &mut txn, ops);
+        assert_eq!(model.commit(txn), Verdict::Committed);
+    };
+    for ops in &s.history {
+        commit_ops(&mut model, ops);
+    }
+    let mut pending = model.begin();
+    model_ops(&model, &mut pending, &s.pending);
+    for ops in &s.concurrent {
+        commit_ops(&mut model, ops);
+    }
+    let outcome = match model.commit(pending) {
+        Verdict::Committed => Outcome::Committed,
+        Verdict::WriteConflict { resource } | Verdict::ReadConflict { resource } => {
+            if resource.starts_with("kv:") {
+                Outcome::KvConflict
+            } else {
+                Outcome::RelationalConflict
+            }
+        }
+    };
+    let tables = TABLES.iter().map(|t| model.contents(t)).collect();
+    let namespaces = NAMESPACES
+        .iter()
+        .map(|ns| model.contents(&kv_table_name(ns)))
         .collect();
     (outcome, (tables, namespaces))
 }
@@ -201,24 +263,17 @@ fn run_schedule(session: &Session, s: &Schedule) -> (Outcome, State) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The sharded participant commit path, the forced full-scan
-    /// relational validation path and the serial-commit baseline accept
-    /// and reject exactly the same mixed schedules, leaving identical
+    /// The participant commit path accepts and rejects exactly the mixed
+    /// schedules the serial full-history model does, leaving identical
     /// final states in both stores.
     #[test]
     fn mixed_commits_are_decision_equivalent_across_modes(
         schedule in schedule_strategy()
     ) {
-        let sharded = new_session(false, false);
-        let full_scan = new_session(true, false);
-        let serial = new_session(false, true);
-        let (a, sa) = run_schedule(&sharded, &schedule);
-        let (b, sb) = run_schedule(&full_scan, &schedule);
-        let (c, sc) = run_schedule(&serial, &schedule);
-        prop_assert_eq!(&a, &b, "sharded vs full-scan diverged for {:?}", schedule);
-        prop_assert_eq!(&a, &c, "sharded vs serial diverged for {:?}", schedule);
-        prop_assert_eq!(&sa, &sb);
-        prop_assert_eq!(sa, sc);
+        let (outcome, state) = run_schedule(&new_session(), &schedule);
+        let (model_outcome, model_state) = run_model(&schedule);
+        prop_assert_eq!(&outcome, &model_outcome, "engine vs model diverged for {:?}", schedule);
+        prop_assert_eq!(state, model_state);
     }
 
     /// Forking the kv store at any timestamp equals replaying the aligned
@@ -228,7 +283,7 @@ proptest! {
     /// spilled aligned history when GC truncated the live state).
     #[test]
     fn kv_fork_at_equals_aligned_log_replayed_to_ts(schedule in schedule_strategy()) {
-        let session = new_session(false, false);
+        let session = new_session();
         let _ = run_schedule(&session, &schedule);
         let aligned = session.aligned_log();
         let mut sample_ts: Vec<u64> = aligned.iter().map(|c| c.commit_ts).collect();
@@ -265,7 +320,7 @@ proptest! {
     /// final state.
     #[test]
     fn aligned_log_replays_to_the_kv_state(schedule in schedule_strategy()) {
-        let session = new_session(false, false);
+        let session = new_session();
         let _ = run_schedule(&session, &schedule);
         let mut replayed: BTreeMap<(String, String), Option<String>> = BTreeMap::new();
         for commit in session.aligned_log() {
@@ -296,7 +351,7 @@ fn snapshot_reads_never_see_torn_mixed_commits() {
     const WRITERS: usize = 8;
     const ROUNDS: usize = 50;
 
-    let session = new_session(false, false);
+    let session = new_session();
     {
         let mut txn = session.begin();
         for w in 0..WRITERS as i64 {
@@ -399,7 +454,7 @@ fn snapshot_reads_never_see_torn_mixed_commits() {
 fn aligned_log_totally_orders_concurrent_mixed_commits() {
     const PER_THREAD: i64 = 30;
 
-    let session = new_session(false, false);
+    let session = new_session();
     let barrier = Arc::new(Barrier::new(4));
 
     std::thread::scope(|scope| {
@@ -486,15 +541,14 @@ fn aligned_log_totally_orders_concurrent_mixed_commits() {
     }
 }
 
-/// Mixing standalone store-level commits with coordinated session
-/// commits on one store must never wedge or starve the coordinator: if a
-/// standalone commit pushed a namespace's timestamp past the database
-/// allocator, the session commit catches the allocator up (publishing
-/// empty ticks) and commits at a strictly newer timestamp — it neither
-/// panics inside the publication window nor fails forever.
+/// A raw store-level apply on a session's store must never wedge or
+/// starve the coordinator: if it pushed a namespace's timestamp past the
+/// database allocator, the session commit catches the allocator up
+/// (publishing empty ticks) and commits at a strictly newer timestamp —
+/// it neither panics inside the publication window nor fails forever.
 #[test]
-fn standalone_kv_commits_cannot_wedge_coordinated_commits() {
-    let session = new_session(false, false);
+fn raw_kv_applies_cannot_wedge_coordinated_commits() {
+    let session = new_session();
 
     // Drive the namespace's timestamp ahead of the (fresh) database
     // allocator through the raw store API.
@@ -521,16 +575,6 @@ fn standalone_kv_commits_cannot_wedge_coordinated_commits() {
         Some("w".into())
     );
     assert_eq!(session.database().current_ts(), commit.commit_ts);
-
-    // The standalone single-store transaction path interoperates too.
-    let mut standalone = trod_kv::KvTransaction::begin(session.kv());
-    standalone.put(NAMESPACES[0], "c", "s").unwrap();
-    let standalone_ts = standalone.commit().unwrap();
-    assert!(standalone_ts > commit.commit_ts);
-    let mut txn = session.begin();
-    txn.kv_put(NAMESPACES[0], "d", "y").unwrap();
-    let commit2 = txn.commit().unwrap();
-    assert!(commit2.commit_ts > standalone_ts);
 }
 
 /// The `kv:` resource prefix is reserved: a relational table with such a
@@ -551,7 +595,7 @@ fn kv_prefixed_table_names_are_rejected() {
 /// its writes are purely relational (and vice versa).
 #[test]
 fn cross_store_read_validation_is_enforced_by_the_coordinator() {
-    let session = new_session(false, false);
+    let session = new_session();
     {
         let mut txn = session.begin();
         txn.kv_put(NAMESPACES[0], "flag", "off").unwrap();
@@ -612,7 +656,7 @@ fn forks_taken_mid_install_never_observe_unpublished_versions() {
     const WRITERS: usize = 4;
     const ROUNDS: usize = 30;
 
-    let session = new_session(false, false);
+    let session = new_session();
     {
         let mut txn = session.begin();
         txn.insert(TABLES[0], row![0i64, 0i64]).unwrap();

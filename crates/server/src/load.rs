@@ -30,8 +30,13 @@ pub struct LoadReport {
     /// Requests that failed with a retryable error (conflicts under
     /// contention — expected for the hot-key workloads).
     pub retryable_failures: usize,
-    /// Requests that failed fatally (should be zero for the shipped
-    /// workloads; surfaced so tests can assert on it).
+    /// Requests the handler itself rejected (wire kind
+    /// `application_error`): the application's own outcome — an order
+    /// that does not exist yet, an invariant check that caught the
+    /// duplicate a race produced — delivered faithfully.
+    pub application_errors: usize,
+    /// Every other failure: the wire mapping or the engine is broken.
+    /// Zero for the shipped workloads.
     pub fatal_failures: usize,
     pub elapsed: Duration,
 }
@@ -64,6 +69,7 @@ pub fn drive_workload(
 
     let ok = Arc::new(AtomicUsize::new(0));
     let retryable = Arc::new(AtomicUsize::new(0));
+    let application = Arc::new(AtomicUsize::new(0));
     let fatal = Arc::new(AtomicUsize::new(0));
     let started = Instant::now();
     let mut threads = Vec::with_capacity(connections);
@@ -71,6 +77,7 @@ pub fn drive_workload(
         let addr = addr.to_string();
         let ok = ok.clone();
         let retryable = retryable.clone();
+        let application = application.clone();
         let fatal = fatal.clone();
         threads.push(std::thread::spawn(move || -> Result<(), ClientError> {
             let mut client = Client::connect(&addr)?;
@@ -80,6 +87,9 @@ pub fn drive_workload(
                     Ok(_) => ok.fetch_add(1, Ordering::Relaxed),
                     Err(ClientError::Rpc(f)) if f.retryable => {
                         retryable.fetch_add(1, Ordering::Relaxed)
+                    }
+                    Err(ClientError::Rpc(f)) if f.kind == "application_error" => {
+                        application.fetch_add(1, Ordering::Relaxed)
                     }
                     Err(ClientError::Rpc(_)) => fatal.fetch_add(1, Ordering::Relaxed),
                     Err(e) => return Err(e),
@@ -96,6 +106,7 @@ pub fn drive_workload(
         requests: total,
         ok: ok.load(Ordering::Relaxed),
         retryable_failures: retryable.load(Ordering::Relaxed),
+        application_errors: application.load(Ordering::Relaxed),
         fatal_failures: fatal.load(Ordering::Relaxed),
         elapsed: started.elapsed(),
     })

@@ -1,15 +1,29 @@
 //! The application workloads (shop, Moodle, MediaWiki) driven over the
 //! wire: N concurrent keep-alive connections, every request a
-//! `trod_invoke`. Conflict failures under contention are expected and
-//! must be typed retryable; fatal failures mean a broken mapping.
+//! `trod_invoke`. How many requests lose a race depends on the
+//! scheduler, so the tests assert what every interleaving must satisfy:
+//! each request ends as a success, a typed retryable conflict, or the
+//! application's own error (a `getOrder` racing the checkout that creates
+//! the order; the Moodle duplicate-subscription check catching the
+//! MDL-59854 race the workload's `conflict_rate` exists to provoke) —
+//! never as a fatal failure, which would mean a broken mapping.
 
 use trod_apps::{mediawiki, moodle, shop, workload};
 use trod_core::Trod;
 use trod_runtime::Runtime;
-use trod_server::{drive_workload, ServerBuilder, ServerHandle};
+use trod_server::{drive_workload, LoadReport, ServerBuilder, ServerHandle};
 
 fn serve(trod: Trod) -> ServerHandle {
     ServerBuilder::new(trod).serve("127.0.0.1:0").expect("bind")
+}
+
+fn assert_every_request_accounted_for(report: &LoadReport) {
+    assert_eq!(report.fatal_failures, 0, "report: {report:?}");
+    assert_eq!(
+        report.ok + report.application_errors + report.retryable_failures,
+        report.requests,
+        "report: {report:?}"
+    );
 }
 
 #[test]
@@ -31,15 +45,8 @@ fn shop_workload_over_the_wire() {
     let report = drive_workload(&server.addr(), workload::shop_workload(&cfg), 8).expect("drive");
 
     assert_eq!(report.requests, cfg.requests);
-    // getOrder requests may race the checkout that creates the order —
-    // those fail as application errors; checkouts only ever fail
-    // retryably. A fatal failure rate above the read share means the
-    // wire mapping itself is broken.
+    assert_every_request_accounted_for(&report);
     assert!(report.ok > cfg.requests / 2, "report: {report:?}");
-    assert!(
-        report.fatal_failures <= cfg.requests / 10 + 1,
-        "unexpected fatal failures: {report:?}"
-    );
 
     let shutdown = server.shutdown();
     assert_eq!(shutdown.requests_served as usize, cfg.requests);
@@ -62,7 +69,7 @@ fn moodle_workload_over_the_wire() {
     let report = drive_workload(&server.addr(), workload::moodle_workload(&cfg), 8).expect("drive");
 
     assert_eq!(report.requests, cfg.requests);
-    assert_eq!(report.fatal_failures, 0, "report: {report:?}");
+    assert_every_request_accounted_for(&report);
     assert!(report.ok > cfg.requests / 2, "report: {report:?}");
     server.shutdown();
 }
@@ -84,11 +91,11 @@ fn mediawiki_workload_over_the_wire() {
     // the edit/read mix over the wire.
     let rest = requests.split_off(cfg.items.min(cfg.requests));
     let warmup = drive_workload(&server.addr(), requests, 1).expect("warmup");
-    assert_eq!(warmup.fatal_failures, 0, "warmup: {warmup:?}");
+    assert_every_request_accounted_for(&warmup);
 
     let report = drive_workload(&server.addr(), rest, 8).expect("drive");
     assert_eq!(report.requests + warmup.requests, cfg.requests);
-    assert_eq!(report.fatal_failures, 0, "report: {report:?}");
+    assert_every_request_accounted_for(&report);
     assert!(report.ok > 0, "report: {report:?}");
     server.shutdown();
 }

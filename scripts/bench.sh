@@ -50,9 +50,13 @@
 # request/response cycles, so `elements_per_sec` is served requests per
 # second (the PR 8 bar: ≥ 10k req/s at ≥ 128 connections).
 #
-# Carried from PR 7: `read_scaling/hot_reads/<mode>/threads_<T>` where
-# <mode> is `ssi` (lock-free serializable readers, the default) or
-# `read_lock` (the 2PL read-locking baseline via set_read_lock_commit).
+# Carried from PR 7: `read_scaling/hot_reads/ssi/threads_<T>` (lock-free
+# serializable readers). Artifacts up to BENCH_PR10.json also carry
+# `read_scaling/hot_reads/read_lock/*` (the 2PL read-locking baseline)
+# and `commit_validation/serializable_commit/full_scan/*`; those arms
+# left the suite with the engine switches that produced them. The
+# `global_lock` ids of commit_sharding and cross_commit are unchanged
+# (now a bench-local mutex around `commit()`).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -224,8 +224,9 @@ fn polyglot_requests_replay_their_relational_side_faithfully() {
     checkout(&cross, "R2", 2, "bob", "gadget");
     provenance.ingest(tracer.drain());
 
+    let relational_only = trod::kv::Session::new(cross.database().clone());
     let mut replay =
-        trod::core::ReplaySession::for_request(&provenance, cross.database(), "R2").unwrap();
+        trod::core::ReplaySession::for_session(&provenance, &relational_only, "R2").unwrap();
     let report = replay.run_to_end().unwrap();
     assert!(report.is_faithful(), "relational side must verify cleanly");
     let step = &report.steps[0];

@@ -112,11 +112,11 @@ fn replay_cost_tracks_dependencies_not_database_size() {
     assert!(req.is_ok());
     provenance.ingest(runtime.tracer().drain());
 
-    let report =
-        trod::core::ReplaySession::for_request(&provenance, runtime.database(), &req.req_id)
-            .unwrap()
-            .run_to_end()
-            .unwrap();
+    let production = trod::kv::Session::new(runtime.database().clone());
+    let report = trod::core::ReplaySession::for_session(&provenance, &production, &req.req_id)
+        .unwrap()
+        .run_to_end()
+        .unwrap();
     assert!(report.is_faithful());
     assert_eq!(report.injected_count(), 0);
     assert_eq!(report.steps.len(), 2);

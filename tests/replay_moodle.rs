@@ -102,9 +102,9 @@ fn replay_works_from_provenance_and_a_forked_production_database() {
     let scenario = moodle::toctou_scenario();
     scenario.run();
     scenario.sync_provenance();
-    let mut session = trod::core::ReplaySession::for_request(
+    let mut session = trod::core::ReplaySession::for_session(
         &scenario.provenance,
-        scenario.runtime.database(),
+        &trod::kv::Session::new(scenario.runtime.database().clone()),
         "R1",
     )
     .unwrap();
@@ -133,8 +133,9 @@ fn replay_is_faithful_for_every_request_of_a_larger_workload() {
     provenance.ingest(runtime.tracer().drain());
 
     let mut replayed = 0;
+    let production = trod::kv::Session::new(runtime.database().clone());
     for req_id in provenance.request_ids() {
-        match trod::core::ReplaySession::for_request(&provenance, runtime.database(), &req_id) {
+        match trod::core::ReplaySession::for_session(&provenance, &production, &req_id) {
             Ok(mut session) => {
                 let report = session.run_to_end().unwrap();
                 assert!(
@@ -192,7 +193,12 @@ fn read_committed_reads_past_the_snapshot_replay_faithfully() {
     reader.commit().unwrap();
     provenance.ingest(tracer.drain());
 
-    let mut replay = trod::core::ReplaySession::for_request(&provenance, &db, "R-reader").unwrap();
+    let mut replay = trod::core::ReplaySession::for_session(
+        &provenance,
+        &trod::kv::Session::new(db.clone()),
+        "R-reader",
+    )
+    .unwrap();
     let report = replay.run_to_end().unwrap();
     assert!(
         report.is_faithful(),

@@ -3,9 +3,14 @@
 //! The paper's Tables 1–2 are populated by the always-on tracing pipeline:
 //! trace events are flushed off the request path into the provenance
 //! database. This benchmark measures (a) how fast the provenance store
-//! ingests transaction traces (rows of Table 1 + Table 2 per second), and
-//! (b) the cost of the §5 privacy operations — redacting one user's
+//! ingests transaction traces (rows of Table 1 + Table 2 per second),
+//! (b) whole traced requests — handler spans around their transactions,
+//! shaped like the `benchmark/` workloads — at two batch sizes, so that a
+//! per-event cost that grows with the batch shows side by side, and
+//! (c) the cost of the §5 privacy operations — redacting one user's
 //! provenance and applying a retention cutoff — as the store grows.
+
+use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 
@@ -82,6 +87,114 @@ fn bench_ingest(c: &mut Criterion) {
     group.finish();
 }
 
+/// One traced request: `handlers` nested handler invocations, the inner
+/// `txns` of which each run one transaction that read `read_rows` rows and
+/// inserted one. Timestamps and transaction ids continue from `clock`.
+fn traced_request(
+    req: usize,
+    handlers: usize,
+    txns: usize,
+    read_rows: usize,
+    clock: &mut i64,
+    events: &mut Vec<TraceEvent>,
+) {
+    let mut tick = || {
+        *clock += 1;
+        *clock
+    };
+    let req_id = format!("R{req}");
+    for depth in 0..handlers {
+        events.push(TraceEvent::HandlerStart {
+            req_id: req_id.clone(),
+            handler: format!("handler{depth}"),
+            parent: depth.checked_sub(1).map(|p| format!("handler{p}")),
+            args: format!("{{\"customer\":{req},\"item\":{depth}}}"),
+            timestamp: tick(),
+        });
+        if depth + txns < handlers {
+            continue;
+        }
+        let txn_id = tick();
+        let row = |i: i64| {
+            let values = [format!("S{i}"), format!("U{}", i % 500), "F1".to_string()];
+            let key = Key::single(values[0].clone());
+            (
+                key,
+                Arc::new(values.into_iter().map(Value::Text).collect::<Row>()),
+            )
+        };
+        let (key, image) = row(txn_id);
+        events.push(TraceEvent::Txn(Box::new(TxnTrace {
+            txn_id: txn_id as u64,
+            ctx: TxnContext::new(req_id.clone(), format!("handler{depth}"), "func:DB"),
+            timestamp: txn_id,
+            snapshot_ts: txn_id as u64,
+            commit_ts: txn_id as u64 + 1,
+            committed: true,
+            reads: vec![ReadTrace {
+                table: "forum_sub".into(),
+                query: "subscribers of F1".into(),
+                read_ts: txn_id as u64,
+                rows: (0..read_rows as i64).map(row).collect(),
+            }],
+            writes: vec![ChangeRecord::insert("forum_sub", key, image)],
+        })));
+    }
+    for depth in (0..handlers).rev() {
+        events.push(TraceEvent::HandlerEnd {
+            req_id: req_id.clone(),
+            handler: format!("handler{depth}"),
+            output: "ok".into(),
+            ok: true,
+            timestamp: tick(),
+        });
+    }
+}
+
+/// At least `batch` events of whole requests of one shape.
+fn traced_requests(
+    batch: usize,
+    handlers: usize,
+    txns: usize,
+    read_rows: usize,
+) -> Vec<TraceEvent> {
+    let (mut events, mut clock) = (Vec::new(), 0);
+    for req in 0.. {
+        if events.len() >= batch {
+            break;
+        }
+        traced_request(req, handlers, txns, read_rows, &mut clock, &mut events);
+    }
+    events
+}
+
+/// Ingest cost per event of whole requests, `shop_checkout`-shaped (four
+/// nested handlers, three small write transactions) and
+/// `moodle_fetch`-shaped (one handler, one 100-row read set), at 1k and
+/// 10k events: a close that scans what is already ingested shows as a
+/// per-event time that grows with the batch.
+fn bench_requests(c: &mut Criterion) {
+    let mut group = c.benchmark_group("provenance_ingest/requests");
+    group.sample_size(10);
+    for (shape, handlers, txns, read_rows) in [("shop", 4, 3, 0), ("moodle", 1, 1, 100)] {
+        for &batch in &[1_000usize, 10_000] {
+            let events = traced_requests(batch, handlers, txns, read_rows);
+            group.throughput(Throughput::Elements(events.len() as u64));
+            group.bench_function(BenchmarkId::new(shape, batch), |b| {
+                b.iter_batched(
+                    || (fresh_store(), events.clone()),
+                    |(store, events)| {
+                        store.ingest(events);
+                        assert_eq!(store.stats().unmatched_handler_ends, 0);
+                    },
+                    BatchSize::SmallInput,
+                );
+            });
+        }
+    }
+    group.finish();
+}
+
 fn bench_redaction(c: &mut Criterion) {
     let mut group = c.benchmark_group("provenance_ingest/redact_one_user");
     group.sample_size(20);
@@ -130,5 +243,11 @@ fn bench_retention(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_ingest, bench_redaction, bench_retention);
+criterion_group!(
+    benches,
+    bench_ingest,
+    bench_requests,
+    bench_redaction,
+    bench_retention
+);
 criterion_main!(benches);

@@ -202,10 +202,9 @@ impl ReplaySession {
         production: &Session,
         req_id: &str,
     ) -> Result<Self, ReplayError> {
-        let known_requests = provenance.request_ids();
         let own_txns = provenance.txns_for_request(req_id);
         if own_txns.is_empty() {
-            return if known_requests.iter().any(|r| r == req_id) {
+            return if provenance.request_ids().iter().any(|r| r == req_id) {
                 Err(ReplayError::NoTransactions(req_id.to_string()))
             } else {
                 Err(ReplayError::UnknownRequest(req_id.to_string()))

@@ -211,6 +211,9 @@ impl ProvenanceStore {
     /// for one request (both the relational tables and the archive).
     pub fn redact_request(&self, req_id: &str) -> DbResult<RedactionReport> {
         let mut report = RedactionReport::default();
+        // An invocation of this request may still be open: no ingest may
+        // finish it from an image read before the erasure below.
+        let _ingest = self.ingest.lock();
 
         // Relational Requests rows.
         let pred = Predicate::eq("ReqId", req_id);
@@ -254,6 +257,7 @@ impl ProvenanceStore {
     /// corresponding rows of every relational provenance table.
     pub fn retain_since(&self, cutoff_ts: i64) -> DbResult<RetentionReport> {
         let mut report = RetentionReport::default();
+        let mut ingest = self.ingest.lock();
 
         // Which transactions are being dropped (needed to clean the event
         // tables, which carry no timestamp of their own).
@@ -275,7 +279,12 @@ impl ProvenanceStore {
         report.rows_deleted +=
             txn.delete_where(EXTERNAL_CALLS_TABLE, &Predicate::lt("Timestamp", cutoff_ts))?;
         if !dropped_txn_ids.is_empty() {
-            let event_tables: Vec<String> = self.table_map.read().values().cloned().collect();
+            let event_tables: Vec<String> = self
+                .table_map
+                .read()
+                .values()
+                .map(|t| t.name.clone())
+                .collect();
             for event_table in event_tables {
                 report.rows_deleted += txn.delete_where(
                     &event_table,
@@ -298,6 +307,9 @@ impl ProvenanceStore {
             requests.retain(|r| r.start_ts >= cutoff_ts);
             report.requests_dropped = before - requests.len();
         }
+        // Expired invocations leave the open-invocation map (a late
+        // `HandlerEnd` must not resurrect one) and the rest have moved.
+        self.reopen(&mut ingest);
         // Spilled aligned history: the purge must reach retention too —
         // the entries of every dropped transaction leave the spill, so
         // nothing recorded before the cutoff survives anywhere in this

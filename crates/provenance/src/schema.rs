@@ -11,7 +11,15 @@
 //!   Table 2, e.g. `ForumEvents`), holding row-level read and write
 //!   provenance with the application table's own columns inlined.
 
-use trod_db::{Column, DataType, DbResult, Schema};
+//!
+//! The row constructors below are the only code that knows the column
+//! order of these layouts; ingest builds every provenance row through
+//! them.
+
+use trod_db::{ChangeRecord, Column, DataType, DbResult, Key, Row, Schema, Value};
+use trod_trace::TxnTrace;
+
+use crate::store::RequestRecord;
 
 /// Name of the transaction-execution log table.
 pub const EXECUTIONS_TABLE: &str = "Executions";
@@ -92,6 +100,91 @@ pub fn event_table_schema(app_schema: &Schema) -> DbResult<Schema> {
         columns.push(Column::nullable(name, col.dtype));
     }
     Schema::new(columns, &["EventId"])
+}
+
+/// The `Executions` row of a traced transaction.
+pub(crate) fn executions_row(trace: &TxnTrace) -> Row {
+    Row::from(vec![
+        Value::Int(trace.txn_id as i64),
+        Value::Timestamp(trace.timestamp),
+        Value::Text(trace.ctx.handler.clone()),
+        Value::Text(trace.ctx.req_id.clone()),
+        Value::Text(trace.ctx.function.clone()),
+        Value::Int(trace.snapshot_ts as i64),
+        Value::Int(trace.commit_ts as i64),
+        Value::Bool(trace.committed),
+    ])
+}
+
+/// The `Requests` row of a handler invocation.
+pub(crate) fn requests_row(rec: &RequestRecord) -> Row {
+    let text = |s: &Option<String>| s.clone().map_or(Value::Null, Value::Text);
+    Row::from(vec![
+        Value::Text(rec.req_id.clone()),
+        Value::Text(rec.handler.clone()),
+        text(&rec.parent),
+        Value::Text(rec.args.clone()),
+        text(&rec.output),
+        rec.ok.map_or(Value::Null, Value::Bool),
+        Value::Timestamp(rec.start_ts),
+        rec.end_ts.map_or(Value::Null, Value::Timestamp),
+    ])
+}
+
+/// The change record that installs `rec` in `Requests`: an insert, or —
+/// when the invocation's earlier image `before` is already installed — an
+/// update of that row.
+pub(crate) fn requests_change(rec: &RequestRecord, before: Option<Row>) -> ChangeRecord {
+    let key = Key::new(vec![
+        Value::Text(rec.req_id.clone()),
+        Value::Text(rec.handler.clone()),
+        Value::Timestamp(rec.start_ts),
+    ]);
+    match before {
+        Some(before) => ChangeRecord::update(REQUESTS_TABLE, key, before, requests_row(rec)),
+        None => ChangeRecord::insert(REQUESTS_TABLE, key, requests_row(rec)),
+    }
+}
+
+/// An `ExternalCalls` row.
+pub(crate) fn external_call_row(
+    event_id: i64,
+    req_id: String,
+    handler: String,
+    service: String,
+    payload: String,
+    timestamp: i64,
+) -> Row {
+    Row::from(vec![
+        Value::Int(event_id),
+        Value::Text(req_id),
+        Value::Text(handler),
+        Value::Text(service),
+        Value::Text(payload),
+        Value::Timestamp(timestamp),
+    ])
+}
+
+/// A row of an event table with `app_cols` application columns: the fixed
+/// provenance columns, then the image's values (NULLs without an image).
+pub(crate) fn event_row(
+    event_id: i64,
+    txn_id: i64,
+    kind: &str,
+    query: &str,
+    app_cols: usize,
+    image: Option<&Row>,
+) -> Row {
+    let mut values = Vec::with_capacity(4 + app_cols);
+    values.extend([
+        Value::Int(event_id),
+        Value::Int(txn_id),
+        Value::Text(kind.to_string()),
+        Value::Text(query.to_string()),
+    ]);
+    let image = (0..app_cols).map(|i| image.and_then(|row| row.get(i)));
+    values.extend(image.map(|v| v.cloned().unwrap_or(Value::Null)));
+    Row::from(values)
 }
 
 /// Derives the default event-table name for an application table:

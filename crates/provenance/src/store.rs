@@ -1,21 +1,58 @@
-//! The provenance store: ingest of trace events into queryable tables plus
-//! a detailed trace archive used by replay and retroactive programming.
+//! The provenance store: trace events become rows of SQL-queryable tables
+//! (declarative debugging) plus an in-memory archive of the full
+//! [`TxnTrace`] and [`RequestRecord`] values that replay and retroactive
+//! programming consume.
+//!
+//! # Ingest
+//!
+//! [`ProvenanceStore::ingest`] is the only write path for trace events;
+//! [`ProvenanceStore::ingest_event`] is a one-element batch. A call holds
+//! the store's ingest lock throughout, so concurrent callers (a background
+//! flusher and an explicit sync) serialize and `EventId`s follow stream
+//! order. Each event is translated once into change records:
+//!
+//! * `Txn` → an `Executions` row, one `<X>Events` row per row read (one
+//!   NULL-data row for a read that matched nothing) and one per write. A
+//!   `TxnId` already in `Executions` is skipped and counted.
+//! * `HandlerStart` → a `Requests` row and an entry in the
+//!   open-invocation map: `(ReqId, HandlerName)` → LIFO stack of the
+//!   invocation's position in the request archive.
+//! * `HandlerEnd` → pops that stack and finishes the archived record it
+//!   names — no table is read. An invocation that opened in the same chunk
+//!   installs as one finished row, an earlier one as an update of its row,
+//!   and an end with nothing open is a counted no-op.
+//! * `ExternalCall` → an `ExternalCalls` row.
+//!
+//! The records of a batch are published through
+//! [`Database::apply_changes`] in chunks of about `CHUNK_ROWS` rows, one
+//! injected commit each. A chunk's archive entries and statistics become
+//! visible only after its commit; a chunk the engine rejects (a row image
+//! that does not fit the registered schema) is dropped whole and its
+//! events counted. The open-invocation map is derived state: rejection and
+//! retention rebuild it from the request archive, and redaction holds the
+//! ingest lock so a late `HandlerEnd` finishes the redacted record.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicI64, Ordering};
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 
 use trod_db::{
-    CommittedTxn, Database, DbResult, Predicate, RetentionPolicy, Row, Schema, Ts, TxnId, Value,
+    ChangeRecord, CommittedTxn, Database, DbResult, Key, RetentionPolicy, Schema, Ts, TxnId,
 };
 use trod_query::{QueryEngine, QueryResultT, ResultSet};
 use trod_trace::{TraceEvent, TraceSink, TxnTrace};
 
 use crate::schema::{
-    default_event_table_name, event_table_schema, executions_schema, external_calls_schema,
-    requests_schema, EXECUTIONS_TABLE, EXTERNAL_CALLS_TABLE, REQUESTS_TABLE,
+    default_event_table_name, event_row, event_table_schema, executions_row, executions_schema,
+    external_call_row, external_calls_schema, requests_change, requests_row, requests_schema,
+    EXECUTIONS_TABLE, EXTERNAL_CALLS_TABLE, REQUESTS_TABLE,
 };
+
+/// Rows per injected commit. While a chunk installs, its records exist
+/// here and in the engine's log entry, so this bounds what a large drained
+/// batch adds to peak memory.
+const CHUNK_ROWS: usize = 2_048;
 
 /// A completed (or still-running) handler invocation, reconstructed from
 /// `HandlerStart`/`HandlerEnd` events.
@@ -44,11 +81,51 @@ pub struct ProvenanceStats {
     pub external_calls: usize,
     /// Events referencing application tables that were never registered.
     pub unregistered_table_events: usize,
+    /// `Txn` events skipped because their `TxnId` was already ingested.
+    pub duplicate_transactions: usize,
+    /// `HandlerEnd` events that matched no open invocation.
+    pub unmatched_handler_ends: usize,
+    /// Events dropped because the engine rejected the chunk they were in.
+    pub rejected_events: usize,
     /// Provenance entries removed or masked by privacy redaction.
     pub redacted_events: usize,
     /// Aligned transaction-log entries spilled here by the application
     /// database's retention policy before GC truncated them.
     pub spilled_commits: usize,
+}
+
+/// What ingest needs to know about a registered application table,
+/// resolved once at registration.
+pub(crate) struct EventTable {
+    pub(crate) name: String,
+    /// Application columns inlined after the four provenance columns.
+    app_cols: usize,
+}
+
+/// State owned by the holder of the ingest lock.
+pub(crate) struct Ingest {
+    next_event_id: i64,
+    /// `(ReqId, HandlerName)` → positions in `requests` of the invocations
+    /// with no `HandlerEnd` yet, innermost last.
+    open: HashMap<(String, String), Vec<usize>>,
+}
+
+/// One chunk of a drained batch: its change records, and the archive
+/// entries and counts that become visible once the records commit.
+#[derive(Default)]
+struct Chunk {
+    changes: Vec<ChangeRecord>,
+    txns: Vec<TxnTrace>,
+    txn_ids: HashSet<TxnId>,
+    /// `requests.len()` when the chunk began: `opened[i]` becomes
+    /// `requests[base + i]`.
+    base: usize,
+    /// Invocations started in this chunk, finished or not.
+    opened: Vec<RequestRecord>,
+    /// Finished images of invocations started in an earlier chunk.
+    closed: Vec<(usize, RequestRecord)>,
+    events: usize,
+    stats: ProvenanceStats,
 }
 
 /// The TROD provenance database.
@@ -60,17 +137,20 @@ pub struct ProvenanceStats {
 pub struct ProvenanceStore {
     pub(crate) db: Database,
     engine: QueryEngine,
-    /// application table → event table name.
-    pub(crate) table_map: RwLock<HashMap<String, String>>,
+    /// application table → its event table.
+    pub(crate) table_map: RwLock<HashMap<String, EventTable>>,
     /// Detailed transaction archive ordered by trace timestamp.
     pub(crate) archive: RwLock<Vec<TxnTrace>>,
-    /// Handler invocation archive.
+    /// Handler invocation archive, in start order.
     pub(crate) requests: RwLock<Vec<RequestRecord>>,
-    next_event_id: AtomicI64,
+    /// Held for the whole of every ingest call, and by the redaction
+    /// operations that must not interleave with one. Taken before any
+    /// other lock of the store.
+    pub(crate) ingest: Mutex<Ingest>,
     pub(crate) stats: RwLock<ProvenanceStats>,
     /// Transactions whose provenance has been partially redacted (GDPR
     /// erasure, §5); replay degrades gracefully for these.
-    pub(crate) redacted_txns: RwLock<std::collections::HashSet<TxnId>>,
+    pub(crate) redacted_txns: RwLock<HashSet<TxnId>>,
     /// Aligned transaction-log entries the application database spilled
     /// here (via its [`RetentionPolicy`]) before truncating them — the
     /// part of the aligned history that no longer exists in the live
@@ -113,9 +193,12 @@ impl ProvenanceStore {
             table_map: RwLock::new(HashMap::new()),
             archive: RwLock::new(Vec::new()),
             requests: RwLock::new(Vec::new()),
-            next_event_id: AtomicI64::new(1),
+            ingest: Mutex::new(Ingest {
+                next_event_id: 1,
+                open: HashMap::new(),
+            }),
             stats: RwLock::new(ProvenanceStats::default()),
-            redacted_txns: RwLock::new(std::collections::HashSet::new()),
+            redacted_txns: RwLock::new(HashSet::new()),
             spilled: RwLock::new(Vec::new()),
         }
     }
@@ -158,15 +241,18 @@ impl ProvenanceStore {
         let ev_schema = event_table_schema(schema)?;
         self.db.create_table(event_table, ev_schema)?;
         self.db.create_index(event_table, "TxnId")?;
-        self.table_map
-            .write()
-            .insert(app_table.to_string(), event_table.to_string());
+        let facts = EventTable {
+            name: event_table.to_string(),
+            app_cols: schema.arity(),
+        };
+        self.table_map.write().insert(app_table.to_string(), facts);
         Ok(())
     }
 
     /// The event-table name registered for an application table, if any.
     pub fn event_table_for(&self, app_table: &str) -> Option<String> {
-        self.table_map.read().get(app_table).cloned()
+        let tables = self.table_map.read();
+        tables.get(app_table).map(|t| t.name.clone())
     }
 
     /// The underlying provenance database (for direct SQL or inspection).
@@ -189,245 +275,209 @@ impl ProvenanceStore {
     // Ingest
     // ------------------------------------------------------------------
 
-    /// Ingests a batch of trace events.
+    /// Ingests a batch of trace events (see the module docs).
     pub fn ingest(&self, events: Vec<TraceEvent>) {
-        for event in events {
-            self.ingest_event(event);
+        let mut ingest = self.ingest.lock();
+        let tables = self.table_map.read();
+        let mut events = events.into_iter().peekable();
+        while events.peek().is_some() {
+            let mut chunk = Chunk {
+                base: self.requests.read().len(),
+                ..Chunk::default()
+            };
+            while chunk.changes.len() + chunk.opened.len() < CHUNK_ROWS {
+                let Some(event) = events.next() else { break };
+                self.stage(event, &mut ingest, &tables, &mut chunk);
+            }
+            self.publish(chunk, &mut ingest);
         }
     }
 
     /// Ingests a single trace event.
     pub fn ingest_event(&self, event: TraceEvent) {
+        self.ingest(vec![event]);
+    }
+
+    /// Translates one event into the chunk's change records and pending
+    /// archive entries.
+    fn stage(
+        &self,
+        event: TraceEvent,
+        ingest: &mut Ingest,
+        tables: &HashMap<String, EventTable>,
+        chunk: &mut Chunk,
+    ) {
+        chunk.events += 1;
         match event {
-            TraceEvent::Txn(txn) => self.ingest_txn(*txn),
+            TraceEvent::Txn(trace) => {
+                let txn_id = trace.txn_id as i64;
+                let key = Key::single(txn_id);
+                if !chunk.txn_ids.insert(trace.txn_id)
+                    || matches!(self.db.get_latest(EXECUTIONS_TABLE, &key), Ok(Some(_)))
+                {
+                    chunk.stats.duplicate_transactions += 1;
+                    return;
+                }
+                let row = executions_row(&trace);
+                chunk
+                    .changes
+                    .push(ChangeRecord::insert(EXECUTIONS_TABLE, key, row));
+                // Stages one `<X>Events` row, or counts the event when its
+                // application table was never registered.
+                let mut event = |table: Option<&EventTable>, kind: &str, query: &str, image| {
+                    let Some(table) = table else {
+                        chunk.stats.unregistered_table_events += 1;
+                        return;
+                    };
+                    let event_id = ingest.next_event_id;
+                    ingest.next_event_id += 1;
+                    let row = event_row(event_id, txn_id, kind, query, table.app_cols, image);
+                    let insert = ChangeRecord::insert(&*table.name, Key::single(event_id), row);
+                    chunk.changes.push(insert);
+                    chunk.stats.data_events += 1;
+                };
+                for read in &trace.reads {
+                    let table = tables.get(&read.table);
+                    // A read that matched nothing is still one event; so
+                    // is any read of an unregistered table.
+                    if read.rows.is_empty() || table.is_none() {
+                        event(table, "Read", &read.query, None);
+                        continue;
+                    }
+                    for (_, row) in &read.rows {
+                        event(table, "Read", &read.query, Some(&**row));
+                    }
+                }
+                for change in &trace.writes {
+                    let kind = change.op.kind();
+                    let query = format!("{kind} {}", change.key);
+                    let image = change.op.after().or_else(|| change.op.before());
+                    event(tables.get(&change.table), kind, &query, image);
+                }
+                chunk.stats.transactions += 1;
+                chunk.txns.push(*trace);
+            }
             TraceEvent::HandlerStart {
                 req_id,
                 handler,
                 parent,
                 args,
                 timestamp,
-            } => self.ingest_handler_start(req_id, handler, parent, args, timestamp),
+            } => {
+                let stack = ingest.open.entry((req_id.clone(), handler.clone()));
+                stack.or_default().push(chunk.base + chunk.opened.len());
+                chunk.opened.push(RequestRecord {
+                    req_id,
+                    handler,
+                    parent,
+                    args,
+                    output: None,
+                    ok: None,
+                    start_ts: timestamp,
+                    end_ts: None,
+                });
+                chunk.stats.handler_invocations += 1;
+            }
             TraceEvent::HandlerEnd {
                 req_id,
                 handler,
                 output,
                 ok,
                 timestamp,
-            } => self.ingest_handler_end(&req_id, &handler, output, ok, timestamp),
+            } => {
+                let finish = |rec: &mut RequestRecord| {
+                    rec.output = Some(output);
+                    rec.ok = Some(ok);
+                    rec.end_ts = Some(timestamp);
+                };
+                let mut position = None;
+                if let Entry::Occupied(mut stack) = ingest.open.entry((req_id, handler)) {
+                    position = stack.get_mut().pop();
+                    if stack.get().is_empty() {
+                        stack.remove();
+                    }
+                }
+                let Some(position) = position else {
+                    chunk.stats.unmatched_handler_ends += 1;
+                    return;
+                };
+                // Opened in an earlier chunk: update the installed row.
+                // Opened in this one: finish the pending record, which
+                // then installs once.
+                let Some(pending) = position.checked_sub(chunk.base) else {
+                    if let Some(mut rec) = self.requests.read().get(position).cloned() {
+                        let before = requests_row(&rec);
+                        finish(&mut rec);
+                        chunk.changes.push(requests_change(&rec, Some(before)));
+                        chunk.closed.push((position, rec));
+                    }
+                    return;
+                };
+                if let Some(rec) = chunk.opened.get_mut(pending) {
+                    finish(rec);
+                }
+            }
             TraceEvent::ExternalCall {
                 req_id,
                 handler,
                 service,
                 payload,
                 timestamp,
-            } => self.ingest_external_call(req_id, handler, service, payload, timestamp),
+            } => {
+                let event_id = ingest.next_event_id;
+                ingest.next_event_id += 1;
+                let key = Key::single(event_id);
+                let row = external_call_row(event_id, req_id, handler, service, payload, timestamp);
+                chunk
+                    .changes
+                    .push(ChangeRecord::insert(EXTERNAL_CALLS_TABLE, key, row));
+                chunk.stats.external_calls += 1;
+            }
         }
     }
 
-    fn ingest_txn(&self, trace: TxnTrace) {
-        // Executions row.
-        let mut txn = self.db.begin();
-        let exec_row = Row::from(vec![
-            Value::Int(trace.txn_id as i64),
-            Value::Timestamp(trace.timestamp),
-            Value::Text(trace.ctx.handler.clone()),
-            Value::Text(trace.ctx.req_id.clone()),
-            Value::Text(trace.ctx.function.clone()),
-            Value::Int(trace.snapshot_ts as i64),
-            Value::Int(trace.commit_ts as i64),
-            Value::Bool(trace.committed),
-        ]);
-        // A duplicate TxnId can only occur if the same trace is ingested
-        // twice; ignore the duplicate rather than fail the whole batch.
-        let _ = txn.insert(EXECUTIONS_TABLE, exec_row);
-
-        let mut data_events = 0usize;
-        let mut unregistered = 0usize;
-        let table_map = self.table_map.read().clone();
-
-        // Read provenance.
-        for read in &trace.reads {
-            match table_map.get(&read.table) {
-                Some(event_table) => {
-                    if read.rows.is_empty() {
-                        let row = self.event_row(&trace, event_table, "Read", &read.query, None);
-                        if let Ok(row) = row {
-                            let _ = txn.insert(event_table, row);
-                            data_events += 1;
-                        }
-                    } else {
-                        for (_, data) in &read.rows {
-                            let row = self.event_row(
-                                &trace,
-                                event_table,
-                                "Read",
-                                &read.query,
-                                Some(data),
-                            );
-                            if let Ok(row) = row {
-                                let _ = txn.insert(event_table, row);
-                                data_events += 1;
-                            }
-                        }
-                    }
-                }
-                None => unregistered += 1,
-            }
+    /// Installs a chunk as one injected commit, then makes its archive
+    /// entries and counts visible; a rejected chunk is dropped and counted.
+    fn publish(&self, mut chunk: Chunk, ingest: &mut Ingest) {
+        let opened = chunk.opened.iter();
+        chunk
+            .changes
+            .extend(opened.map(|rec| requests_change(rec, None)));
+        if !chunk.changes.is_empty() && self.db.apply_changes(&chunk.changes).is_err() {
+            self.stats.write().rejected_events += chunk.events;
+            self.reopen(ingest);
+            return;
         }
-
-        // Write provenance.
-        for change in &trace.writes {
-            match table_map.get(&change.table) {
-                Some(event_table) => {
-                    let image = change.op.after().or_else(|| change.op.before());
-                    let query = format!("{} {}", change.op.kind(), change.key);
-                    let row = self.event_row(&trace, event_table, change.op.kind(), &query, image);
-                    if let Ok(row) = row {
-                        let _ = txn.insert(event_table, row);
-                        data_events += 1;
-                    }
-                }
-                None => unregistered += 1,
-            }
-        }
-
-        txn.commit()
-            .expect("provenance ingest commit cannot conflict");
-
-        // Archive the full trace for replay.
-        self.archive.write().push(trace);
-        let mut stats = self.stats.write();
-        stats.transactions += 1;
-        stats.data_events += data_events;
-        stats.unregistered_table_events += unregistered;
-    }
-
-    fn event_row(
-        &self,
-        trace: &TxnTrace,
-        event_table: &str,
-        kind: &str,
-        query: &str,
-        data: Option<&Row>,
-    ) -> DbResult<Row> {
-        let schema = self.db.schema_of(event_table)?;
-        let event_id = self.next_event_id.fetch_add(1, Ordering::Relaxed);
-        let mut values = vec![
-            Value::Int(event_id),
-            Value::Int(trace.txn_id as i64),
-            Value::Text(kind.to_string()),
-            Value::Text(query.to_string()),
-        ];
-        let app_cols = schema.arity() - 4;
-        match data {
-            Some(row) => {
-                for i in 0..app_cols {
-                    values.push(row.get(i).cloned().unwrap_or(Value::Null));
-                }
-            }
-            None => values.extend(std::iter::repeat_n(Value::Null, app_cols)),
-        }
-        Ok(Row::from(values))
-    }
-
-    fn ingest_handler_start(
-        &self,
-        req_id: String,
-        handler: String,
-        parent: Option<String>,
-        args: String,
-        timestamp: i64,
-    ) {
-        let mut txn = self.db.begin();
-        let row = Row::from(vec![
-            Value::Text(req_id.clone()),
-            Value::Text(handler.clone()),
-            parent.clone().map(Value::Text).unwrap_or(Value::Null),
-            Value::Text(args.clone()),
-            Value::Null,
-            Value::Null,
-            Value::Timestamp(timestamp),
-            Value::Null,
-        ]);
-        let _ = txn.insert(REQUESTS_TABLE, row);
-        txn.commit()
-            .expect("provenance ingest commit cannot conflict");
-
-        self.requests.write().push(RequestRecord {
-            req_id,
-            handler,
-            parent,
-            args,
-            output: None,
-            ok: None,
-            start_ts: timestamp,
-            end_ts: None,
-        });
-        self.stats.write().handler_invocations += 1;
-    }
-
-    fn ingest_handler_end(
-        &self,
-        req_id: &str,
-        handler: &str,
-        output: String,
-        ok: bool,
-        timestamp: i64,
-    ) {
-        // Update the relational row: the open invocation with the latest
-        // StartTs for this (ReqId, HandlerName).
-        let pred = Predicate::eq("ReqId", req_id)
-            .and(Predicate::eq("HandlerName", handler))
-            .and(Predicate::IsNull("EndTs".into()));
-        let mut txn = self.db.begin();
-        if let Ok(mut rows) = txn.scan(REQUESTS_TABLE, &pred) {
-            rows.sort_by_key(|(_, r)| r[6].as_int().unwrap_or(0));
-            if let Some((key, row)) = rows.pop() {
-                let mut updated = (*row).clone();
-                updated.set(4, Value::Text(output.clone()));
-                updated.set(5, Value::Bool(ok));
-                updated.set(7, Value::Timestamp(timestamp));
-                let _ = txn.update(REQUESTS_TABLE, &key, updated);
-            }
-        }
-        txn.commit()
-            .expect("provenance ingest commit cannot conflict");
-
-        // Update the archive record.
-        let mut requests = self.requests.write();
-        if let Some(rec) = requests
-            .iter_mut()
-            .rev()
-            .find(|r| r.req_id == req_id && r.handler == handler && r.end_ts.is_none())
+        self.archive.write().extend(chunk.txns);
         {
-            rec.output = Some(output);
-            rec.ok = Some(ok);
-            rec.end_ts = Some(timestamp);
+            let mut requests = self.requests.write();
+            for (position, rec) in chunk.closed {
+                if let Some(slot) = requests.get_mut(position) {
+                    *slot = rec;
+                }
+            }
+            requests.extend(chunk.opened);
         }
+        let mut stats = self.stats.write();
+        stats.transactions += chunk.stats.transactions;
+        stats.data_events += chunk.stats.data_events;
+        stats.handler_invocations += chunk.stats.handler_invocations;
+        stats.external_calls += chunk.stats.external_calls;
+        stats.unregistered_table_events += chunk.stats.unregistered_table_events;
+        stats.duplicate_transactions += chunk.stats.duplicate_transactions;
+        stats.unmatched_handler_ends += chunk.stats.unmatched_handler_ends;
     }
 
-    fn ingest_external_call(
-        &self,
-        req_id: String,
-        handler: String,
-        service: String,
-        payload: String,
-        timestamp: i64,
-    ) {
-        let event_id = self.next_event_id.fetch_add(1, Ordering::Relaxed);
-        let mut txn = self.db.begin();
-        let row = Row::from(vec![
-            Value::Int(event_id),
-            Value::Text(req_id),
-            Value::Text(handler),
-            Value::Text(service),
-            Value::Text(payload),
-            Value::Timestamp(timestamp),
-        ]);
-        let _ = txn.insert(EXTERNAL_CALLS_TABLE, row);
-        txn.commit()
-            .expect("provenance ingest commit cannot conflict");
-        self.stats.write().external_calls += 1;
+    /// Rebuilds the open-invocation map from the request archive, after
+    /// pending positions were dropped or archived ones moved.
+    pub(crate) fn reopen(&self, ingest: &mut Ingest) {
+        ingest.open.clear();
+        for (position, rec) in self.requests.read().iter().enumerate() {
+            if rec.end_ts.is_none() {
+                let stack = ingest.open.entry((rec.req_id.clone(), rec.handler.clone()));
+                stack.or_default().push(position);
+            }
+        }
     }
 
     // ------------------------------------------------------------------
@@ -436,13 +486,10 @@ impl ProvenanceStore {
 
     /// All request ids observed, in first-seen order.
     pub fn request_ids(&self) -> Vec<String> {
-        let mut seen = Vec::new();
-        for rec in self.requests.read().iter() {
-            if !seen.contains(&rec.req_id) {
-                seen.push(rec.req_id.clone());
-            }
-        }
-        seen
+        let requests = self.requests.read();
+        let mut seen = HashSet::new();
+        let first_seen = requests.iter().filter(|r| seen.insert(r.req_id.as_str()));
+        first_seen.map(|r| r.req_id.clone()).collect()
     }
 
     /// Handler invocation records for one request, in start order.
@@ -591,7 +638,7 @@ impl TraceSink for ProvenanceStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trod_db::{row, DataType};
+    use trod_db::{row, DataType, Predicate, Value};
     use trod_kv::Session;
     use trod_trace::{Tracer, TxnContext};
 

@@ -55,7 +55,8 @@ fn provenance_with_events(events: usize) -> ProvenanceStore {
                 "forum_sub",
                 Key::single(format!("S{i}")),
                 row,
-            )],
+            )]
+            .into(),
         };
         store.ingest_event(TraceEvent::Txn(Box::new(trace)));
     }

@@ -6,7 +6,8 @@
 //! ingests transaction traces (rows of Table 1 + Table 2 per second),
 //! (b) whole traced requests — handler spans around their transactions,
 //! shaped like the `benchmark/` workloads — at two batch sizes, so that a
-//! per-event cost that grows with the batch shows side by side, and
+//! per-event cost that grows with the batch shows side by side, plus a
+//! read-only Moodle request priced per provenance *row*, and
 //! (c) the cost of the §5 privacy operations — redacting one user's
 //! provenance and applying a retention cutoff — as the store grows.
 
@@ -63,7 +64,8 @@ fn synthetic_traces(n: usize) -> Vec<TraceEvent> {
                         Value::Text(user),
                         Value::Text(forum),
                     ]),
-                )],
+                )]
+                .into(),
             }))
         })
         .collect()
@@ -87,17 +89,35 @@ fn bench_ingest(c: &mut Criterion) {
     group.finish();
 }
 
-/// One traced request: `handlers` nested handler invocations, the inner
-/// `txns` of which each run one transaction that read `read_rows` rows and
-/// inserted one. Timestamps and transaction ids continue from `clock`.
-fn traced_request(
-    req: usize,
+/// The shape of one traced request: `handlers` nested handler
+/// invocations, the inner `txns` of which each run one transaction that
+/// read `read_rows` rows and, if `inserts`, inserted one.
+#[derive(Clone, Copy)]
+struct Shape {
     handlers: usize,
     txns: usize,
     read_rows: usize,
-    clock: &mut i64,
-    events: &mut Vec<TraceEvent>,
-) {
+    inserts: bool,
+}
+
+impl Shape {
+    /// Provenance rows one request installs: a `Requests` row per
+    /// handler, an `Executions` row per transaction, and a `ForumEvents`
+    /// row per row read (one for a read of nothing) and per insert.
+    fn rows(self) -> usize {
+        self.handlers + self.txns * (1 + self.read_rows.max(1) + self.inserts as usize)
+    }
+}
+
+/// One traced request of `shape`. Timestamps and transaction ids continue
+/// from `clock`.
+fn traced_request(req: usize, shape: Shape, clock: &mut i64, events: &mut Vec<TraceEvent>) {
+    let Shape {
+        handlers,
+        txns,
+        read_rows,
+        inserts,
+    } = shape;
     let mut tick = || {
         *clock += 1;
         *clock
@@ -123,7 +143,10 @@ fn traced_request(
                 Arc::new(values.into_iter().map(Value::Text).collect::<Row>()),
             )
         };
-        let (key, image) = row(txn_id);
+        let writes = inserts.then(|| {
+            let (key, image) = row(txn_id);
+            ChangeRecord::insert("forum_sub", key, image)
+        });
         events.push(TraceEvent::Txn(Box::new(TxnTrace {
             txn_id: txn_id as u64,
             ctx: TxnContext::new(req_id.clone(), format!("handler{depth}"), "func:DB"),
@@ -137,7 +160,7 @@ fn traced_request(
                 read_ts: txn_id as u64,
                 rows: (0..read_rows as i64).map(row).collect(),
             }],
-            writes: vec![ChangeRecord::insert("forum_sub", key, image)],
+            writes: writes.into_iter().collect(),
         })));
     }
     for depth in (0..handlers).rev() {
@@ -151,21 +174,15 @@ fn traced_request(
     }
 }
 
-/// At least `batch` events of whole requests of one shape.
-fn traced_requests(
-    batch: usize,
-    handlers: usize,
-    txns: usize,
-    read_rows: usize,
-) -> Vec<TraceEvent> {
-    let (mut events, mut clock) = (Vec::new(), 0);
-    for req in 0.. {
-        if events.len() >= batch {
-            break;
-        }
-        traced_request(req, handlers, txns, read_rows, &mut clock, &mut events);
+/// Whole requests of one shape, at least `batch` events of them; also
+/// returns how many requests that took.
+fn traced_requests(batch: usize, shape: Shape) -> (Vec<TraceEvent>, usize) {
+    let (mut events, mut clock, mut requests) = (Vec::new(), 0, 0);
+    while events.len() < batch {
+        traced_request(requests, shape, &mut clock, &mut events);
+        requests += 1;
     }
-    events
+    (events, requests)
 }
 
 /// Ingest cost per event of whole requests, `shop_checkout`-shaped (four
@@ -173,14 +190,42 @@ fn traced_requests(
 /// `moodle_fetch`-shaped (one handler, one 100-row read set), at 1k and
 /// 10k events: a close that scans what is already ingested shows as a
 /// per-event time that grows with the batch.
+///
+/// `moodle_read` is the request `benchmark/`'s `moodle_fetch` sends nine
+/// times in ten — a handler span around one 100-row read, no write — and
+/// its throughput counts provenance *rows* (102 per request), so its
+/// time per element is the engine's cost to install one row: the number
+/// `ingest_us_per_req` on that workload is made of.
 fn bench_requests(c: &mut Criterion) {
     let mut group = c.benchmark_group("provenance_ingest/requests");
     group.sample_size(10);
-    for (shape, handlers, txns, read_rows) in [("shop", 4, 3, 0), ("moodle", 1, 1, 100)] {
-        for &batch in &[1_000usize, 10_000] {
-            let events = traced_requests(batch, handlers, txns, read_rows);
-            group.throughput(Throughput::Elements(events.len() as u64));
-            group.bench_function(BenchmarkId::new(shape, batch), |b| {
+    let shape = |handlers, txns, read_rows, inserts| Shape {
+        handlers,
+        txns,
+        read_rows,
+        inserts,
+    };
+    // (name, shape, batch sizes, whether an element is a row or an event)
+    let shapes = [
+        (
+            "shop",
+            shape(4, 3, 0, true),
+            &[1_000usize, 10_000][..],
+            false,
+        ),
+        ("moodle", shape(1, 1, 100, true), &[1_000, 10_000], false),
+        ("moodle_read", shape(1, 1, 100, false), &[3_600], true),
+    ];
+    for (name, shape, batches, per_row) in shapes {
+        for &batch in batches {
+            let (events, requests) = traced_requests(batch, shape);
+            let elements = if per_row {
+                requests * shape.rows()
+            } else {
+                events.len()
+            };
+            group.throughput(Throughput::Elements(elements as u64));
+            group.bench_function(BenchmarkId::new(name, batch), |b| {
                 b.iter_batched(
                     || (fresh_store(), events.clone()),
                     |(store, events)| {

@@ -22,7 +22,7 @@ pub fn txns_conflict(a: &TxnTrace, b: &TxnTrace) -> bool {
 }
 
 fn directional_conflict(writer: &TxnTrace, reader: &TxnTrace) -> bool {
-    for write in &writer.writes {
+    for write in writer.writes.iter() {
         // Write-write on the same key.
         if reader
             .writes
@@ -35,7 +35,7 @@ fn directional_conflict(writer: &TxnTrace, reader: &TxnTrace) -> bool {
         // read over the same table (conservative, because the predicate's
         // membership may change).
         for read in &reader.reads {
-            if read.table != write.table {
+            if read.table != *write.table {
                 continue;
             }
             let point_match = read.rows.iter().any(|(key, _)| key == &write.key);
@@ -186,7 +186,7 @@ mod tests {
             commit_ts: 1,
             committed: true,
             reads,
-            writes,
+            writes: writes.into(),
         }
     }
 

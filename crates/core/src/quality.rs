@@ -258,8 +258,8 @@ impl<'a> Quality<'a> {
             if !txn.committed {
                 continue;
             }
-            for change in &txn.writes {
-                if change.table == violation.table && change.key == violation.key {
+            for change in txn.writes.iter() {
+                if *change.table == violation.table && change.key == violation.key {
                     out.push(BlameRecord {
                         txn_id: txn.txn_id as i64,
                         req_id: txn.ctx.req_id.clone(),

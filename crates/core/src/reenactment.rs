@@ -259,7 +259,7 @@ fn overlap(a: &TxnTrace, b: &TxnTrace) -> bool {
 fn write_set(t: &TxnTrace) -> BTreeSet<(String, String)> {
     t.writes
         .iter()
-        .map(|c| (c.table.clone(), c.key.to_string()))
+        .map(|c| (c.table.to_string(), c.key.to_string()))
         .collect()
 }
 

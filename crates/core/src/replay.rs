@@ -536,17 +536,10 @@ pub(crate) fn fork_environment(
         // exactly as a direct fork would not materialise them — drop
         // them from the base state rather than failing the whole replay
         // (the per-step skip accounting covers the traced records).
-        let changes: std::borrow::Cow<'_, [trod_db::ChangeRecord]> = if kv_capable {
-            std::borrow::Cow::Borrowed(&entry.changes)
+        let changes = if kv_capable {
+            std::borrow::Cow::Borrowed(&*entry.changes)
         } else {
-            std::borrow::Cow::Owned(
-                entry
-                    .changes
-                    .iter()
-                    .filter(|c| !trod_db::is_kv_table(&c.table))
-                    .cloned()
-                    .collect(),
-            )
+            trod_db::relational_changes(&entry.changes)
         };
         if dev.apply_changes(&changes).is_err() {
             // A record in the entry cannot be re-applied — its images
@@ -635,12 +628,7 @@ fn apply_tolerating_redaction(
     }
     let mut skipped = kv_unapplyable;
     if !tolerate {
-        let applyable: Vec<_> = writes
-            .iter()
-            .filter(|c| !trod_db::is_kv_table(&c.table))
-            .cloned()
-            .collect();
-        dev.apply_changes(&applyable)?;
+        dev.apply_changes(&trod_db::relational_changes(writes))?;
         return Ok(skipped);
     }
     for change in writes {

@@ -156,8 +156,8 @@ impl<'a> Security<'a> {
 
         // Seed with the origin's writes.
         for txn in all_txns.iter().filter(|t| t.ctx.req_id == origin_req_id) {
-            for write in &txn.writes {
-                let entry = (write.table.clone(), write.key.to_string());
+            for write in txn.writes.iter() {
+                let entry = (write.table.to_string(), write.key.to_string());
                 if tainted_keys.insert(entry.clone()) {
                     tainted_writes.push(entry);
                 }
@@ -183,8 +183,8 @@ impl<'a> Security<'a> {
                     changed = true;
                 }
                 if tainted_requests.contains(&txn.ctx.req_id) {
-                    for write in &txn.writes {
-                        let entry = (write.table.clone(), write.key.to_string());
+                    for write in txn.writes.iter() {
+                        let entry = (write.table.to_string(), write.key.to_string());
                         if tainted_keys.insert(entry.clone()) {
                             tainted_writes.push(entry);
                             changed = true;

@@ -7,6 +7,7 @@
 //! most databases"), and the replay engine re-applies them to reconstruct
 //! past states (paper §3.5).
 
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -24,6 +25,17 @@ pub const KV_TABLE_PREFIX: &str = "kv:";
 /// history).
 pub fn is_kv_table(table: &str) -> bool {
     table.starts_with(KV_TABLE_PREFIX)
+}
+
+/// The relational records of an aligned change list: the list itself
+/// when it holds no `kv:` record (the common case), a filtered copy
+/// otherwise.
+pub fn relational_changes(changes: &[ChangeRecord]) -> Cow<'_, [ChangeRecord]> {
+    if !changes.iter().any(|c| is_kv_table(&c.table)) {
+        return Cow::Borrowed(changes);
+    }
+    let relational = changes.iter().filter(|c| !is_kv_table(&c.table));
+    Cow::Owned(relational.cloned().collect())
 }
 
 /// The kind of change applied to a single row.
@@ -52,9 +64,9 @@ impl ChangeOp {
     }
 
     /// The shared after image, if the row still exists (no copy).
-    pub fn after_shared(&self) -> Option<Arc<Row>> {
+    pub fn after_shared(&self) -> Option<&Arc<Row>> {
         match self {
-            ChangeOp::Insert { after } | ChangeOp::Update { after, .. } => Some(after.clone()),
+            ChangeOp::Insert { after } | ChangeOp::Update { after, .. } => Some(after),
             ChangeOp::Delete { .. } => None,
         }
     }
@@ -64,14 +76,6 @@ impl ChangeOp {
         match self {
             ChangeOp::Insert { .. } => None,
             ChangeOp::Update { before, .. } | ChangeOp::Delete { before } => Some(&**before),
-        }
-    }
-
-    /// The shared before image, if the row existed (no copy).
-    pub fn before_shared(&self) -> Option<Arc<Row>> {
-        match self {
-            ChangeOp::Insert { .. } => None,
-            ChangeOp::Update { before, .. } | ChangeOp::Delete { before } => Some(before.clone()),
         }
     }
 
@@ -88,8 +92,13 @@ impl ChangeOp {
 /// One row-level change made by a committed transaction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChangeRecord {
-    /// Table the change applies to.
-    pub table: String,
+    /// Table the change applies to. Shared: records the engine builds
+    /// carry the table's own interned name ([`TableStore::name`]), so a
+    /// clone is a reference-count bump and consecutive records of one
+    /// table compare pointer-equal.
+    ///
+    /// [`TableStore::name`]: crate::table::TableStore::name
+    pub table: Arc<str>,
     /// Primary key of the changed row.
     pub key: Key,
     /// The change itself, with before/after images.
@@ -98,7 +107,7 @@ pub struct ChangeRecord {
 
 impl ChangeRecord {
     /// Builds an insert record. Accepts `Row` or `Arc<Row>`.
-    pub fn insert(table: impl Into<String>, key: Key, after: impl Into<Arc<Row>>) -> Self {
+    pub fn insert(table: impl Into<Arc<str>>, key: Key, after: impl Into<Arc<Row>>) -> Self {
         ChangeRecord {
             table: table.into(),
             key,
@@ -110,7 +119,7 @@ impl ChangeRecord {
 
     /// Builds an update record. Accepts `Row` or `Arc<Row>` images.
     pub fn update(
-        table: impl Into<String>,
+        table: impl Into<Arc<str>>,
         key: Key,
         before: impl Into<Arc<Row>>,
         after: impl Into<Arc<Row>>,
@@ -126,7 +135,7 @@ impl ChangeRecord {
     }
 
     /// Builds a delete record. Accepts `Row` or `Arc<Row>`.
-    pub fn delete(table: impl Into<String>, key: Key, before: impl Into<Arc<Row>>) -> Self {
+    pub fn delete(table: impl Into<Arc<str>>, key: Key, before: impl Into<Arc<Row>>) -> Self {
         ChangeRecord {
             table: table.into(),
             key,

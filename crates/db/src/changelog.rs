@@ -124,10 +124,16 @@ impl ChangeLog {
         }
     }
 
-    /// Appends one committed change. Entries must arrive in non-decreasing
-    /// `commit_ts` order — guaranteed because all mutation of a table
-    /// happens under that table's commit lock, and commit timestamps are
-    /// allocated while the lock is held.
+    /// Appends one committed change; see [`ChangeLog::append_all`].
+    pub fn append(&self, entry: ChangeEntry, horizon: impl Fn() -> Ts) {
+        self.append_all(std::iter::once(entry), horizon);
+    }
+
+    /// Appends a commit's changes to one table under a single lock
+    /// acquisition. Entries must arrive in non-decreasing `commit_ts`
+    /// order — guaranteed because all mutation of a table happens under
+    /// that table's commit lock, and commit timestamps are allocated
+    /// while the lock is held.
     ///
     /// `horizon` yields the eviction horizon
     /// ([`crate::registry::ActiveTxnRegistry::eviction_horizon`]: the
@@ -141,40 +147,47 @@ impl ChangeLog {
     /// `capacity + max_overshoot` entries, pinned entries are evicted
     /// anyway and the pathological pinner degrades to full-scan
     /// validation. Pass `|| Ts::MAX` when nothing can be pinned.
-    pub fn append(&self, entry: ChangeEntry, horizon: impl FnOnce() -> Ts) {
+    pub fn append_all(
+        &self,
+        entries: impl IntoIterator<Item = ChangeEntry>,
+        horizon: impl Fn() -> Ts,
+    ) {
         let mut inner = self.inner.write();
-        debug_assert!(
-            inner
-                .entries
-                .back()
-                .is_none_or(|e| e.commit_ts <= entry.commit_ts),
-            "change log must be appended in commit order"
-        );
-        if inner.entries.len() >= self.capacity {
-            let keep_after = horizon();
-            // Evict in a batch, down to `capacity - batch` entries:
-            // computing the horizon takes the (database-global) registry
-            // lock, so at steady state one computation covers the next
-            // `batch` appends instead of locking on every install.
-            let batch = (self.capacity / 16).max(1);
-            let floor = self.capacity - batch;
-            while inner.entries.len() > floor {
-                let front_ts = inner.entries.front().expect("non-empty").commit_ts;
-                let pinned = front_ts > keep_after;
-                if pinned && inner.entries.len() < self.capacity + self.max_overshoot {
-                    // Pinned by an active transaction and within the
-                    // overshoot budget: keep everything.
-                    break;
+        for entry in entries {
+            debug_assert!(
+                inner
+                    .entries
+                    .back()
+                    .is_none_or(|e| e.commit_ts <= entry.commit_ts),
+                "change log must be appended in commit order"
+            );
+            if inner.entries.len() >= self.capacity {
+                let keep_after = horizon();
+                // Evict in a batch, down to `capacity - batch` entries:
+                // computing the horizon takes the (database-global)
+                // registry lock, so at steady state one computation
+                // covers the next `batch` appends instead of locking on
+                // every install.
+                let batch = (self.capacity / 16).max(1);
+                let floor = self.capacity - batch;
+                while inner.entries.len() > floor {
+                    let front_ts = inner.entries.front().expect("non-empty").commit_ts;
+                    let pinned = front_ts > keep_after;
+                    if pinned && inner.entries.len() < self.capacity + self.max_overshoot {
+                        // Pinned by an active transaction and within the
+                        // overshoot budget: keep everything.
+                        break;
+                    }
+                    // Evictable — or pinned but past the overshoot cap,
+                    // in which case the pinner flips to the full-scan
+                    // fallback (low_water rises past its window) instead
+                    // of the ring growing without bound.
+                    inner.entries.pop_front();
+                    inner.low_water = inner.low_water.max(front_ts);
                 }
-                // Evictable — or pinned but past the overshoot cap, in
-                // which case the pinner flips to the full-scan fallback
-                // (low_water rises past its window) instead of the ring
-                // growing without bound.
-                inner.entries.pop_front();
-                inner.low_water = inner.low_water.max(front_ts);
             }
+            inner.entries.push_back(entry);
         }
-        inner.entries.push_back(entry);
     }
 
     /// Runs `visit` over every entry with `commit_ts > ts`, stopping early

@@ -30,12 +30,12 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::cdc::{ChangeOp, ChangeRecord};
+use crate::cdc::{relational_changes, ChangeRecord};
 use crate::database::Database;
 use crate::error::{DbError, DbResult, StorageError, TrodError, TrodResult};
 use crate::log::{CommittedTxn, LogStaging};
 use crate::mvcc::Ts;
-use crate::table::{BatchOp, TableStore};
+use crate::table::TableStore;
 use crate::txn::{CommitInfo, IsolationLevel, TxnState, WriteOp};
 
 /// A non-relational store taking part in a commit (e.g. a `trod-kv`
@@ -237,11 +237,12 @@ struct FrontEnd<'a> {
     /// before the turn).
     recheck: Option<&'a dyn Fn(Ts) -> TrodResult<()>>,
     /// Installs the relational writes at the claimed timestamp and
-    /// returns their change records. Must not fail.
+    /// returns the change records it derived doing so (none when the
+    /// front-end was handed its records). Must not fail.
     install: &'a dyn Fn(Ts) -> Vec<ChangeRecord>,
-    /// The log entry for the installed changes: its identity and its
-    /// change list.
-    entry: &'a dyn Fn(Ts, &[ChangeRecord]) -> CommittedTxn,
+    /// The log entry: its identity and its change list, given the
+    /// records `install` derived followed by the participants'.
+    entry: &'a dyn Fn(Ts, Vec<ChangeRecord>) -> CommittedTxn,
 }
 
 type Tables<'a> = BTreeMap<&'a str, Arc<TableStore>>;
@@ -317,8 +318,8 @@ impl Database {
         };
         let installed = (!late).then(|| install(commit_ts));
         seq.wait_for_publication_turn(commit_ts);
-        let changes = match installed {
-            Some(changes) => changes,
+        let derived = match installed {
+            Some(derived) => derived,
             None => {
                 let mut rechecked = front.recheck.map_or(Ok(()), |f| f(commit_ts));
                 for participant in participants.iter().filter(|p| p.needs_revalidation()) {
@@ -336,12 +337,12 @@ impl Database {
         // byte order == commit order. Even a WAL error publishes (the
         // versions are installed and timestamps must stay dense); it
         // reports durability as unconfirmed after the locks are gone.
-        let entry = (front.entry)(commit_ts, &changes);
+        let entry = (front.entry)(commit_ts, derived);
         let info = CommitInfo {
             txn_id: entry.txn_id,
             start_ts: entry.start_ts,
             commit_ts,
-            changes,
+            changes: Arc::clone(&entry.changes),
         };
         let wal = self.wal();
         let appended = wal.as_ref().map(|w| w.append_entry(&entry));
@@ -377,7 +378,7 @@ impl Database {
                 txn_id: state.id,
                 start_ts: state.start_ts,
                 commit_ts: state.start_ts,
-                changes: Vec::new(),
+                changes: Arc::new([]),
             });
         }
 
@@ -386,14 +387,14 @@ impl Database {
         // but stay unlocked.
         let mut footprint: Tables = BTreeMap::new();
         for name in state.writes.keys() {
-            footprint.insert(name.as_str(), self.table(name)?);
+            footprint.insert(name, self.table(name)?);
         }
         let serializable = matches!(state.isolation, IsolationLevel::Serializable);
         if serializable {
             let reads = state.read_set.iter().map(|(t, _)| t);
             for name in reads.chain(state.scan_set.iter().map(|(t, _)| t)) {
-                if !footprint.contains_key(name.as_str()) {
-                    footprint.insert(name.as_str(), self.table(name)?);
+                if !footprint.contains_key(&**name) {
+                    footprint.insert(name, self.table(name)?);
                 }
             }
         }
@@ -411,11 +412,11 @@ impl Database {
             // under weaker isolation levels).
             let current_ts = self.current_ts();
             for (table_name, writes) in &state.writes {
-                let store = &footprint[table_name.as_str()];
+                let store = &footprint[&**table_name];
                 for (key, op) in writes {
                     if matches!(op, WriteOp::Insert(_)) && store.exists_at(key, current_ts) {
                         return Err(DbError::DuplicateKey {
-                            table: table_name.clone(),
+                            table: table_name.to_string(),
                             key: key.to_string(),
                         }
                         .into());
@@ -436,11 +437,11 @@ impl Database {
                 check: &check,
                 recheck: unlocked_reads.then_some(&recheck as &dyn Fn(Ts) -> TrodResult<()>),
                 install: &|commit_ts| install_writes(&state, &footprint, commit_ts),
-                entry: &|commit_ts, changes| CommittedTxn {
+                entry: &|commit_ts, derived| CommittedTxn {
                     txn_id: state.id,
                     start_ts: state.start_ts,
                     commit_ts,
-                    changes: changes.to_vec(),
+                    changes: derived.into(),
                 },
             },
         )
@@ -472,11 +473,11 @@ impl Database {
             participants,
             &|| Ok(()),
             None,
-            &|commit_ts, applied| CommittedTxn {
+            &|commit_ts, participant_records| CommittedTxn {
                 txn_id,
                 start_ts: commit_ts - 1,
                 commit_ts,
-                changes: applied.to_vec(),
+                changes: changes.iter().cloned().chain(participant_records).collect(),
             },
         )
     }
@@ -498,12 +499,7 @@ impl Database {
         // Future transactions never reuse the recovered id.
         self.next_txn_id()
             .fetch_max(entry.txn_id + 1, Ordering::Relaxed);
-        let relational: Vec<ChangeRecord> = entry
-            .changes
-            .iter()
-            .filter(|c| !crate::cdc::is_kv_table(&c.table))
-            .cloned()
-            .collect();
+        let relational = relational_changes(&entry.changes);
         // Position the allocator so the claim yields the entry's
         // timestamp (empty ticks fill read-only gaps), then demand it.
         let position = || {
@@ -530,36 +526,49 @@ impl Database {
         )
     }
 
-    /// Publishes a change list: resolves its tables and runs every
+    /// Publishes a change list: resolves its tables — once per run of
+    /// consecutive records naming the same table — and runs every
     /// fallible record check before any lock or timestamp is taken (a
     /// bad record can never leave a half-applied commit behind), then
-    /// installs batched per table.
+    /// installs one batch per run, straight from the records.
     fn inject(
         &self,
         changes: &[ChangeRecord],
         participants: &[&dyn CommitParticipant],
         check: &dyn Fn() -> TrodResult<()>,
         recheck: Option<&dyn Fn(Ts) -> TrodResult<()>>,
-        entry: &dyn Fn(Ts, &[ChangeRecord]) -> CommittedTxn,
+        entry: &dyn Fn(Ts, Vec<ChangeRecord>) -> CommittedTxn,
     ) -> TrodResult<CommitInfo> {
-        let mut tables: Tables = BTreeMap::new();
-        for change in changes {
-            if !tables.contains_key(change.table.as_str()) {
-                tables.insert(change.table.as_str(), self.table(&change.table)?);
+        let mut runs = Vec::new();
+        let same_table = |a: &ChangeRecord, b: &ChangeRecord| {
+            Arc::ptr_eq(&a.table, &b.table) || a.table == b.table
+        };
+        for run in changes.chunk_by(same_table) {
+            let store = self.table(&run[0].table)?;
+            for change in run {
+                if let Some(after) = change.op.after_shared() {
+                    store.schema().validate_row(&change.table, after)?;
+                }
             }
-            if let ChangeOp::Insert { after } | ChangeOp::Update { after, .. } = &change.op {
-                tables[change.table.as_str()]
-                    .schema()
-                    .validate_row(&change.table, after)?;
-            }
+            runs.push((store, run));
         }
+        let mut locked: Vec<&Arc<TableStore>> = runs.iter().map(|(store, _)| store).collect();
+        locked.sort_unstable_by(|a, b| a.name().cmp(b.name()));
+        locked.dedup_by(|a, b| a.name() == b.name());
+        let install = |commit_ts| {
+            for (store, run) in &runs {
+                let ops = run.iter().map(|c| (&c.key, c.op.after_shared()));
+                store.apply_batch(ops, commit_ts);
+            }
+            Vec::new()
+        };
         self.publish(
-            tables.values(),
+            locked.into_iter(),
             participants,
             FrontEnd {
                 check,
                 recheck,
-                install: &|commit_ts| install_changes(&tables, changes, commit_ts),
+                install: &install,
                 entry,
             },
         )
@@ -580,11 +589,11 @@ impl Database {
 /// aborts the transaction.
 fn validate_writes(state: &TxnState, footprint: &Tables) -> DbResult<()> {
     for (table_name, writes) in &state.writes {
-        let store = &footprint[table_name.as_str()];
+        let store = &footprint[&**table_name];
         for key in writes.keys() {
             if store.key_modified_in(key, state.start_ts, Ts::MAX) {
                 return Err(DbError::WriteConflict {
-                    table: table_name.clone(),
+                    table: table_name.to_string(),
                     key: key.to_string(),
                 });
             }
@@ -610,9 +619,9 @@ fn validate_reads(state: &TxnState, footprint: &Tables, upto: Ts) -> DbResult<()
         if in_window && state.writes.contains_key(table_name) {
             continue;
         }
-        if footprint[table_name.as_str()].key_modified_in(key, state.start_ts, upto) {
+        if footprint[&**table_name].key_modified_in(key, state.start_ts, upto) {
             return Err(DbError::SerializationFailure {
-                table: table_name.clone(),
+                table: table_name.to_string(),
                 detail: format!("row {key} changed after transaction start"),
             });
         }
@@ -622,11 +631,11 @@ fn validate_reads(state: &TxnState, footprint: &Tables, upto: Ts) -> DbResult<()
         if in_window && locked {
             continue;
         }
-        let store = &footprint[table_name.as_str()];
+        let store = &footprint[&**table_name];
         let exact = locked || in_window;
         if let Some(key) = store.predicate_conflict_in(pred, state.start_ts, upto, exact)? {
             return Err(DbError::SerializationFailure {
-                table: table_name.clone(),
+                table: table_name.to_string(),
                 detail: format!("predicate [{pred}] affected by concurrent write to {key}"),
             });
         }
@@ -637,15 +646,12 @@ fn validate_reads(state: &TxnState, footprint: &Tables, upto: Ts) -> DbResult<()
 /// Installs a transaction's buffered writes, one batched pass per table,
 /// and derives their change records from the before images found.
 fn install_writes(state: &TxnState, footprint: &Tables, commit_ts: Ts) -> Vec<ChangeRecord> {
-    let mut changes = Vec::new();
-    for (table_name, writes) in &state.writes {
-        let ops: Vec<BatchOp> = writes
-            .iter()
-            .map(|(key, op)| (key.clone(), op.visible_row().cloned()))
-            .collect();
-        let befores = footprint[table_name.as_str()].apply_batch(&ops, commit_ts);
+    let mut changes = Vec::with_capacity(state.writes.values().map(BTreeMap::len).sum());
+    for (table, writes) in &state.writes {
+        let ops = writes.iter().map(|(key, op)| (key, op.visible_row()));
+        let befores = footprint[&**table].apply_batch(ops, commit_ts);
         for ((key, op), before) in writes.iter().zip(befores) {
-            let (table, key) = (table_name.clone(), key.clone());
+            let (table, key) = (table.clone(), key.clone());
             match (op, before) {
                 (WriteOp::Update { after, .. }, Some(before)) => {
                     changes.push(ChangeRecord::update(table, key, before, after.clone()));
@@ -663,23 +669,6 @@ fn install_writes(state: &TxnState, footprint: &Tables, commit_ts: Ts) -> Vec<Ch
         }
     }
     changes
-}
-
-/// Installs a change list batched per table (in encounter-run order,
-/// preserving the record sequence within and across tables).
-fn install_changes(tables: &Tables, changes: &[ChangeRecord], commit_ts: Ts) -> Vec<ChangeRecord> {
-    let mut by_table: Vec<(&str, Vec<BatchOp>)> = Vec::new();
-    for change in changes {
-        let op = (change.key.clone(), change.op.after_shared());
-        match by_table.last_mut() {
-            Some((table, ops)) if *table == change.table.as_str() => ops.push(op),
-            _ => by_table.push((change.table.as_str(), vec![op])),
-        }
-    }
-    for (table, ops) in &by_table {
-        tables[table].apply_batch(ops, commit_ts);
-    }
-    changes.to_vec()
 }
 
 #[cfg(test)]

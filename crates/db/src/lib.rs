@@ -118,7 +118,7 @@ pub mod txn;
 pub mod value;
 pub mod wal;
 
-pub use cdc::{is_kv_table, ChangeOp, ChangeRecord, KV_TABLE_PREFIX};
+pub use cdc::{is_kv_table, relational_changes, ChangeOp, ChangeRecord, KV_TABLE_PREFIX};
 pub use changelog::{ChangeEntry, ChangeLog};
 pub use checkpoint::{
     decode_checkpoint, encode_checkpoint, Checkpoint, CheckpointContributor, CheckpointNamespace,
@@ -137,8 +137,8 @@ pub use registry::ActiveTxnRegistry;
 pub use row::{Key, Row};
 pub use schema::{Column, Schema, SchemaBuilder};
 pub use segment::{RecoveredLog, RecoveryReport, SegmentedWal, WalStats};
-pub use table::{BatchOp, ScanPlan, ScanRows, TableStore};
-pub use txn::{CommitInfo, IsolationLevel, ReadSummary, Transaction};
+pub use table::{ScanPlan, ScanRows, TableStore};
+pub use txn::{CommitInfo, IsolationLevel, Transaction};
 pub use value::{DataType, Value};
 pub use wal::{
     RecoveryInfo, SyncMode, Wal, WalOptions, WalRecord, DEFAULT_CHECKPOINT_BYTES,

@@ -19,6 +19,8 @@
 //! additionally spill through [`RetentionPolicy`], keeping them
 //! *queryable* without a replay.
 
+use std::sync::Arc;
+
 use parking_lot::Mutex;
 
 use crate::cdc::ChangeRecord;
@@ -36,14 +38,16 @@ pub struct CommittedTxn {
     pub start_ts: Ts,
     /// Commit timestamp; defines the serial order.
     pub commit_ts: Ts,
-    /// Row-level changes, in the order they were applied.
-    pub changes: Vec<ChangeRecord>,
+    /// Row-level changes, in the order they were applied. The commit's
+    /// one change list, shared with its [`CommitInfo`](crate::CommitInfo)
+    /// and trace: cloning an entry copies no record.
+    pub changes: Arc<[ChangeRecord]>,
 }
 
 impl CommittedTxn {
     /// Tables written by this transaction.
     pub fn written_tables(&self) -> Vec<&str> {
-        let mut tables: Vec<&str> = self.changes.iter().map(|c| c.table.as_str()).collect();
+        let mut tables: Vec<&str> = self.changes.iter().map(|c| &*c.table).collect();
         tables.sort_unstable();
         tables.dedup();
         tables
@@ -51,7 +55,7 @@ impl CommittedTxn {
 
     /// True if this transaction wrote the given table.
     pub fn writes_table(&self, table: &str) -> bool {
-        self.changes.iter().any(|c| c.table == table)
+        self.changes.iter().any(|c| &*c.table == table)
     }
 }
 
@@ -241,11 +245,11 @@ mod tests {
             txn_id,
             start_ts: commit_ts.saturating_sub(1),
             commit_ts,
-            changes: vec![ChangeRecord::insert(
+            changes: Arc::new([ChangeRecord::insert(
                 table,
                 Key::single(txn_id as i64),
                 row![txn_id as i64],
-            )],
+            )]),
         }
     }
 
@@ -268,10 +272,8 @@ mod tests {
     #[test]
     fn written_tables_dedups() {
         let mut e = entry(1, 1, "a");
-        e.changes
-            .push(ChangeRecord::insert("a", Key::single(2i64), row![2i64]));
-        e.changes
-            .push(ChangeRecord::insert("b", Key::single(3i64), row![3i64]));
+        let insert = |table, id: i64| ChangeRecord::insert(table, Key::single(id), row![id]);
+        e.changes = Arc::new([insert("a", 1), insert("a", 2), insert("b", 3)]);
         assert_eq!(e.written_tables(), vec!["a", "b"]);
         assert!(e.writes_table("a"));
         assert!(!e.writes_table("c"));

@@ -2,6 +2,7 @@
 
 use std::fmt;
 use std::ops::{Index, IndexMut};
+use std::sync::Arc;
 
 use crate::value::Value;
 
@@ -71,14 +72,14 @@ impl From<Vec<Value>> for Row {
 // zero-copy read path); comparing a shared row against a literal `row![..]`
 // should not require unwrapping. `Arc` is a fundamental type, so these
 // cross-type impls are permitted for the local `Row`.
-impl PartialEq<Row> for std::sync::Arc<Row> {
+impl PartialEq<Row> for Arc<Row> {
     fn eq(&self, other: &Row) -> bool {
         **self == *other
     }
 }
 
-impl PartialEq<std::sync::Arc<Row>> for Row {
-    fn eq(&self, other: &std::sync::Arc<Row>) -> bool {
+impl PartialEq<Arc<Row>> for Row {
+    fn eq(&self, other: &Arc<Row>) -> bool {
         *self == **other
     }
 }
@@ -130,18 +131,23 @@ macro_rules! row {
 }
 
 /// A primary key: the ordered primary-key column values of a row.
+///
+/// The values are shared: a clone is a reference-count bump, so the one
+/// allocation made when the key is built serves the version store, the
+/// index slots, the change log, the CDC record and every trace that names
+/// the row. Equality, order and hash are those of [`Key::values`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Key(Vec<Value>);
+pub struct Key(Arc<[Value]>);
 
 impl Key {
     /// Creates a key from values.
     pub fn new(values: Vec<Value>) -> Self {
-        Key(values)
+        Key(values.into())
     }
 
-    /// A single-valued key.
+    /// A single-valued key (one allocation).
     pub fn single(v: impl Into<Value>) -> Self {
-        Key(vec![v.into()])
+        Key(Arc::new([v.into()]))
     }
 
     /// Borrow the key values.
@@ -152,7 +158,7 @@ impl Key {
 
 impl From<Vec<Value>> for Key {
     fn from(v: Vec<Value>) -> Self {
-        Key(v)
+        Key::new(v)
     }
 }
 

@@ -1349,7 +1349,8 @@ mod tests {
                 "t",
                 Key::single(txn_id as i64),
                 row![txn_id as i64, "v"],
-            )],
+            )]
+            .into(),
         }
     }
 

@@ -21,10 +21,6 @@ use crate::value::Value;
 /// Rows returned by a scan: `(primary key, shared row)` pairs.
 pub type ScanRows = Vec<(Key, Arc<Row>)>;
 
-/// One write in a per-commit batch: `Some(after)` installs a new
-/// version, `None` installs a tombstone.
-pub type BatchOp = (Key, Option<Arc<Row>>);
-
 /// The access path the scan planner chose for a predicate, with the
 /// candidate-count estimate that won. Exposed (via
 /// [`TableStore::plan_scan`]) so tests and diagnostics can observe
@@ -92,7 +88,9 @@ enum PathChoice<'a> {
 /// allocation, so the read path never deep-copies row payloads.
 #[derive(Debug)]
 pub struct TableStore {
-    name: String,
+    /// Interned: every change record, read-set entry and lock name the
+    /// engine derives from this table shares this allocation.
+    name: Arc<str>,
     schema: Schema,
     rows: RwLock<HashMap<Key, VersionChain>>,
     indexes: RwLock<Vec<SecondaryIndex>>,
@@ -121,14 +119,14 @@ pub struct TableStore {
 impl TableStore {
     /// Creates an empty, standalone table (no shared transaction
     /// registry; nothing pins the change-log ring).
-    pub fn new(name: impl Into<String>, schema: Schema) -> Self {
+    pub fn new(name: impl Into<Arc<str>>, schema: Schema) -> Self {
         TableStore::with_registry(name, schema, Arc::new(ActiveTxnRegistry::new()), None)
     }
 
     /// Creates an empty table wired to the owning database's
     /// active-transaction registry and publication clock.
     pub(crate) fn with_registry(
-        name: impl Into<String>,
+        name: impl Into<Arc<str>>,
         schema: Schema,
         registry: Arc<ActiveTxnRegistry>,
         clock: Option<Arc<AtomicU64>>,
@@ -165,8 +163,9 @@ impl TableStore {
         }
     }
 
-    /// The table name.
-    pub fn name(&self) -> &str {
+    /// The table name, shared (clone it to name this table elsewhere
+    /// without copying).
+    pub fn name(&self) -> &Arc<str> {
         &self.name
     }
 
@@ -186,7 +185,7 @@ impl TableStore {
             .schema
             .column_index(column)
             .ok_or_else(|| DbError::NoSuchColumn {
-                table: self.name.clone(),
+                table: self.name.to_string(),
                 column: column.to_string(),
             })?;
         // Lock order: `rows` strictly before an index lock, everywhere
@@ -224,7 +223,7 @@ impl TableStore {
             .schema
             .column_index(column)
             .ok_or_else(|| DbError::NoSuchColumn {
-                table: self.name.clone(),
+                table: self.name.to_string(),
                 column: column.to_string(),
             })?;
         // Same lock order as `create_index`: `rows` before the index lock.
@@ -668,51 +667,51 @@ impl TableStore {
         before
     }
 
-    /// Applies a whole commit's writes to this table in one pass:
-    /// `Some(row)` installs, `None` deletes. Returns the before image per
-    /// entry (parallel to `ops`).
+    /// Applies a whole commit's writes to this table in one pass: each op
+    /// is a key with `Some(row)` to install or `None` to delete. Returns
+    /// the before image per op (parallel to `ops`).
     ///
     /// Semantically identical to calling [`TableStore::install`] /
     /// [`TableStore::remove`] per entry in order — same version chains,
     /// same change-log entries in the same order, same index stamps — but
-    /// each internal lock (`rows`, then `indexes`, then `range_indexes`;
-    /// the crate-wide lock order) is taken *once per commit* instead of
-    /// once per row, which is what makes multi-row commits on indexed
-    /// tables cheap. Only called under this table's commit lock.
-    pub(crate) fn apply_batch(&self, ops: &[BatchOp], commit_ts: Ts) -> Vec<Option<Arc<Row>>> {
-        let mut befores = Vec::with_capacity(ops.len());
+    /// each internal lock (`rows`, then the change log, `indexes`,
+    /// `range_indexes`; the crate-wide lock order) is taken *once per
+    /// commit* instead of once per row, and the ops are borrowed from the
+    /// caller's own records: the only per-row copies are reference-count
+    /// bumps. Only called under this table's commit lock.
+    pub(crate) fn apply_batch<'a, I>(&self, ops: I, commit_ts: Ts) -> Vec<Option<Arc<Row>>>
+    where
+        I: Iterator<Item = (&'a Key, Option<&'a Arc<Row>>)> + Clone,
+    {
+        let mut befores = Vec::with_capacity(ops.size_hint().0);
         {
             let mut rows = self.rows.write();
-            for (key, after) in ops {
-                let before = match after {
+            for (key, after) in ops.clone() {
+                befores.push(match after {
                     Some(row) => rows
                         .entry(key.clone())
                         .or_default()
                         .install(commit_ts, row.clone()),
                     None => rows.get_mut(key).and_then(|chain| chain.remove(commit_ts)),
-                };
-                befores.push(before);
+                });
             }
         }
-        for ((key, after), before) in ops.iter().zip(&befores) {
-            // A delete that found nothing changes nothing: no change-log
-            // entry, no index work (matching `remove`).
-            if after.is_none() && before.is_none() {
-                continue;
-            }
-            self.changelog.append(
-                ChangeEntry {
-                    commit_ts,
-                    key: key.clone(),
-                    before: before.clone(),
-                    after: after.clone(),
-                },
-                || self.eviction_horizon(),
-            );
-        }
+        let applied = || ops.clone().zip(&befores);
+        // A delete that found nothing changes nothing: no change-log
+        // entry, no index work (matching `remove`).
+        let entries = applied()
+            .filter(|((_, after), before)| after.is_some() || before.is_some())
+            .map(|((key, after), before)| ChangeEntry {
+                commit_ts,
+                key: key.clone(),
+                before: before.clone(),
+                after: after.cloned(),
+            });
+        self.changelog
+            .append_all(entries, || self.eviction_horizon());
         let mut indexes = self.indexes.write();
         for idx in indexes.iter_mut() {
-            for ((key, after), before) in ops.iter().zip(&befores) {
+            for ((key, after), before) in applied() {
                 if let Some(before) = before {
                     idx.unlink(key, before, commit_ts);
                 }
@@ -724,7 +723,7 @@ impl TableStore {
         drop(indexes);
         let mut range_indexes = self.range_indexes.write();
         for idx in range_indexes.iter_mut() {
-            for ((key, after), before) in ops.iter().zip(&befores) {
+            for ((key, after), before) in applied() {
                 if let Some(before) = before {
                     idx.unlink(key, before, commit_ts);
                 }

@@ -65,13 +65,14 @@ pub(crate) struct TxnState {
     pub id: TxnId,
     pub start_ts: Ts,
     pub isolation: IsolationLevel,
-    /// Point reads: (table, key).
-    pub read_set: Vec<(String, Key)>,
+    /// Point reads: (table, key). Table names here and below are the
+    /// tables' own interned names ([`crate::TableStore::name`]).
+    pub read_set: Vec<(Arc<str>, Key)>,
     /// Predicate reads (scans): (table, predicate). Needed for phantom
     /// detection and, in TROD, for read-dependency provenance.
-    pub scan_set: Vec<(String, Predicate)>,
+    pub scan_set: Vec<(Arc<str>, Predicate)>,
     /// Buffered writes per table, keyed by primary key.
-    pub writes: BTreeMap<String, BTreeMap<Key, WriteOp>>,
+    pub writes: BTreeMap<Arc<str>, BTreeMap<Key, WriteOp>>,
     /// The visibility timestamp of the most recent read (see
     /// [`Transaction::last_read_ts`]).
     pub last_read_ts: Ts,
@@ -102,18 +103,10 @@ pub struct CommitInfo {
     pub txn_id: TxnId,
     pub start_ts: Ts,
     pub commit_ts: Ts,
-    /// Row-level changes in application order; empty for read-only commits.
-    pub changes: Vec<ChangeRecord>,
-}
-
-/// Summary of a transaction's reads, exposed so the interposition layer
-/// can record read provenance without re-deriving it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReadSummary {
-    /// Point reads: (table, key, row-as-read-if-present).
-    pub point_reads: Vec<(String, Key)>,
-    /// Predicate reads: (table, predicate).
-    pub predicate_reads: Vec<(String, Predicate)>,
+    /// Row-level changes in application order; empty for read-only
+    /// commits. The same allocation as the log entry's
+    /// [`CommittedTxn::changes`](crate::CommittedTxn).
+    pub changes: Arc<[ChangeRecord]>,
 }
 
 /// An active transaction handle.
@@ -206,7 +199,7 @@ impl Transaction {
         self.db.latency().on_read();
         let state = self.state_mut()?;
         state.last_read_ts = read_ts;
-        state.read_set.push((table.to_string(), key.clone()));
+        state.read_set.push((store.name().clone(), key.clone()));
         if let Some(op) = state.writes.get(table).and_then(|m| m.get(key)) {
             return Ok(op.visible_row().cloned());
         }
@@ -228,7 +221,7 @@ impl Transaction {
 
         let state = self.state_mut()?;
         state.last_read_ts = read_ts;
-        state.scan_set.push((table.to_string(), pred.clone()));
+        state.scan_set.push((store.name().clone(), pred.clone()));
         if let Some(writes) = state.writes.get(table) {
             for (key, op) in writes {
                 match op.visible_row() {
@@ -267,8 +260,8 @@ impl Transaction {
         let state = self.state_mut()?;
         // The duplicate check is a read of this key: record it so that a
         // concurrent insert of the same key is caught by validation.
-        state.read_set.push((table.to_string(), key.clone()));
-        let table_writes = state.writes.entry(table.to_string()).or_default();
+        state.read_set.push((store.name().clone(), key.clone()));
+        let table_writes = state.writes.entry(store.name().clone()).or_default();
         match table_writes.get(&key) {
             Some(WriteOp::Insert(_)) | Some(WriteOp::Update { .. }) => {
                 return Err(DbError::DuplicateKey {
@@ -310,8 +303,8 @@ impl Transaction {
         let committed = store.get_at(key, read_ts);
         let new_row = Arc::new(new_row);
         let state = self.state_mut()?;
-        state.read_set.push((table.to_string(), key.clone()));
-        let table_writes = state.writes.entry(table.to_string()).or_default();
+        state.read_set.push((store.name().clone(), key.clone()));
+        let table_writes = state.writes.entry(store.name().clone()).or_default();
         let op = match table_writes.get(key) {
             Some(WriteOp::Insert(_)) => WriteOp::Insert(new_row),
             Some(WriteOp::Update { before, .. }) => WriteOp::Update {
@@ -362,8 +355,8 @@ impl Transaction {
         let store = self.db.table(table)?;
         let committed = store.get_at(key, read_ts);
         let state = self.state_mut()?;
-        state.read_set.push((table.to_string(), key.clone()));
-        let table_writes = state.writes.entry(table.to_string()).or_default();
+        state.read_set.push((store.name().clone(), key.clone()));
+        let table_writes = state.writes.entry(store.name().clone()).or_default();
         match table_writes.get(key) {
             Some(WriteOp::Insert(_)) => {
                 // Inserted and deleted within this transaction: net no-op.
@@ -396,21 +389,6 @@ impl Transaction {
             }
         }
         Ok(n)
-    }
-
-    /// A summary of the reads performed so far (point reads and predicate
-    /// scans), used by the interposition layer for read provenance.
-    pub fn read_summary(&self) -> ReadSummary {
-        match &self.state {
-            Some(s) => ReadSummary {
-                point_reads: s.read_set.clone(),
-                predicate_reads: s.scan_set.clone(),
-            },
-            None => ReadSummary {
-                point_reads: Vec::new(),
-                predicate_reads: Vec::new(),
-            },
-        }
     }
 
     /// The buffered (uncommitted) writes as CDC-style change records.
@@ -481,7 +459,7 @@ mod tests {
     use crate::database::Database;
     use crate::row;
     use crate::schema::Schema;
-    use crate::value::{DataType, Value};
+    use crate::value::DataType;
 
     fn db_with_accounts() -> Database {
         let db = Database::new();
@@ -672,10 +650,7 @@ mod tests {
         txn.insert("accounts", row![1i64, "a", 1i64]).unwrap();
         let pending = txn.pending_changes();
         assert_eq!(pending.len(), 1);
-        assert_eq!(pending[0].table, "accounts");
+        assert_eq!(&*pending[0].table, "accounts");
         assert_eq!(pending[0].op.kind(), "Insert");
-        let summary = txn.read_summary();
-        assert_eq!(summary.point_reads.len(), 1);
-        assert_eq!(summary.point_reads[0].1, Key::single(Value::Int(1)));
     }
 }

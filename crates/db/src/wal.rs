@@ -253,7 +253,7 @@ fn put_commit(out: &mut Vec<u8>, entry: &CommittedTxn) {
     put_u64(out, entry.start_ts);
     put_u64(out, entry.commit_ts);
     put_u32(out, entry.changes.len() as u32);
-    for change in &entry.changes {
+    for change in entry.changes.iter() {
         put_change(out, change);
     }
 }
@@ -359,10 +359,13 @@ impl<'a> Cursor<'a> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    pub(crate) fn str(&mut self) -> Result<String, String> {
+    fn str_ref(&mut self) -> Result<&'a str, String> {
         let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| "invalid UTF-8 in string".to_string())
+        std::str::from_utf8(self.take(len)?).map_err(|_| "invalid UTF-8 in string".to_string())
+    }
+
+    pub(crate) fn str(&mut self) -> Result<String, String> {
+        self.str_ref().map(str::to_string)
     }
 
     pub(crate) fn value(&mut self) -> Result<Value, String> {
@@ -395,8 +398,14 @@ impl<'a> Cursor<'a> {
         Ok(out)
     }
 
-    fn change(&mut self) -> Result<ChangeRecord, String> {
-        let table = self.str()?;
+    /// Decodes one change record; a record naming the same table as
+    /// `prev` (the record before it in the commit) shares its name.
+    fn change(&mut self, prev: Option<&ChangeRecord>) -> Result<ChangeRecord, String> {
+        let name = self.str_ref()?;
+        let table = match prev {
+            Some(prev) if &*prev.table == name => prev.table.clone(),
+            _ => Arc::from(name),
+        };
         let key = Key::from(self.values()?);
         let op = match self.u8()? {
             0 => ChangeOp::Insert {
@@ -440,13 +449,13 @@ fn decode_payload(payload: &[u8]) -> Result<WalRecord, String> {
             }
             let mut changes = Vec::with_capacity(n);
             for _ in 0..n {
-                changes.push(c.change()?);
+                changes.push(c.change(changes.last())?);
             }
             WalRecord::Commit(CommittedTxn {
                 txn_id,
                 start_ts,
                 commit_ts,
-                changes,
+                changes: changes.into(),
             })
         }
         TAG_CREATE_TABLE => {
@@ -909,7 +918,8 @@ mod tests {
                     Row::from(vec![Value::Text("k".into()), Value::Text("old".into())]),
                     Row::from(vec![Value::Text("k".into()), Value::Text("new".into())]),
                 ),
-            ],
+            ]
+            .into(),
         })
     }
 
@@ -980,7 +990,8 @@ mod tests {
                     Value::Bytes(vec![0, 255, 3]),
                     Value::Timestamp(123_456),
                 ]),
-            )],
+            )]
+            .into(),
         });
         let (decoded, _) = decode_records(&encode_frame(&exotic)).unwrap();
         assert_eq!(decoded, vec![exotic]);

@@ -107,8 +107,49 @@ fn db_state(db: &Database) -> BTreeMap<i64, i64> {
         .collect()
 }
 
+/// Cell values across the types whose comparison is numeric, textual or
+/// by type rank, so generated keys differ in every way keys can.
+fn value_strategy() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        (-2i64..3).prop_map(Value::Int),
+        (-2i64..3).prop_map(Value::Timestamp),
+        "[a-b]{0,2}".prop_map(Value::Text),
+        (0i64..3).prop_map(|v| match v {
+            0 => Value::Null,
+            v => Value::Bool(v == 1),
+        }),
+    ]
+}
+
+fn hash_of(value: &(impl std::hash::Hash + ?Sized)) -> u64 {
+    use std::hash::Hasher;
+    let mut hasher = std::collections::hash_map::DefaultHasher::new();
+    value.hash(&mut hasher);
+    hasher.finish()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A `Key` shares its values behind a pointer; the write buffer and
+    /// the range indexes (ordered by key) and every `HashMap<Key, _>`
+    /// depend on its equality, order and hash being those of the values.
+    #[test]
+    fn key_compares_orders_and_hashes_as_its_values(
+        a in prop::collection::vec(value_strategy(), 0..4),
+        b in prop::collection::vec(value_strategy(), 0..4),
+    ) {
+        let (ka, kb) = (Key::new(a.clone()), Key::new(b.clone()));
+        prop_assert_eq!(ka.values(), &a[..]);
+        prop_assert_eq!(ka == kb, a == b);
+        prop_assert_eq!(ka.cmp(&kb), a.cmp(&b));
+        prop_assert_eq!(hash_of(&ka), hash_of(&a[..]));
+        prop_assert_eq!(&ka.clone(), &ka);
+        if let [single] = &a[..] {
+            prop_assert_eq!(&Key::single(single.clone()), &ka);
+            prop_assert_eq!(hash_of(&Key::single(single.clone())), hash_of(&ka));
+        }
+    }
 
     /// Sequentially committed transactions match the BTreeMap model.
     #[test]

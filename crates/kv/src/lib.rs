@@ -75,8 +75,8 @@ pub fn kv_provenance_schema() -> trod_db::Schema {
 /// The virtual "table" name under which a KV namespace appears in
 /// provenance traces, commit footprints and the aligned transaction log
 /// (e.g. `kv:sessions`).
-pub fn kv_table_name(namespace: &str) -> String {
-    format!("{}{namespace}", trod_db::KV_TABLE_PREFIX)
+pub fn kv_table_name(namespace: &str) -> std::sync::Arc<str> {
+    [trod_db::KV_TABLE_PREFIX, namespace].concat().into()
 }
 
 #[cfg(test)]
@@ -88,6 +88,6 @@ mod tests {
         let schema = kv_provenance_schema();
         assert_eq!(schema.arity(), 2);
         assert_eq!(schema.column_names(), vec!["kv_key", "kv_value"]);
-        assert_eq!(kv_table_name("sessions"), "kv:sessions");
+        assert_eq!(&*kv_table_name("sessions"), "kv:sessions");
     }
 }

@@ -73,15 +73,15 @@ impl AlignedCommit {
     /// [`trod_db::RetentionPolicy`] preserved across GC) onto the live
     /// log.
     pub fn from_entry(entry: CommittedTxn) -> AlignedCommit {
-        let (kv, relational): (Vec<_>, Vec<_>) = entry
-            .changes
-            .into_iter()
-            .partition(|c| trod_db::is_kv_table(&c.table));
         AlignedCommit {
             txn_id: entry.txn_id,
             commit_ts: entry.commit_ts,
-            relational,
-            kv: kv.iter().filter_map(kv_write_of_record).collect(),
+            relational: trod_db::relational_changes(&entry.changes).into_owned(),
+            kv: entry
+                .changes
+                .iter()
+                .filter_map(kv_write_of_record)
+                .collect(),
         }
     }
 }
@@ -96,8 +96,9 @@ pub struct TxnCommit {
     /// Number of key-value writes installed.
     pub kv_writes: usize,
     /// The full aligned change set: relational records followed by
-    /// key-value records under their `kv:<namespace>` table names.
-    pub changes: Vec<ChangeRecord>,
+    /// key-value records under their `kv:<namespace>` table names. The
+    /// same allocation as the log entry's and the trace's list.
+    pub changes: Arc<[ChangeRecord]>,
 }
 
 /// Options for beginning a [`Txn`]: isolation level, tracing context,
@@ -332,11 +333,7 @@ impl Session {
                 KvError::UnknownNamespace("<no key-value store bound>".to_string())
             })?;
         let writes = decode_kv_writes(kv, changes)?;
-        let relational: Vec<ChangeRecord> = changes
-            .iter()
-            .filter(|c| !trod_db::is_kv_table(&c.table))
-            .cloned()
-            .collect();
+        let relational = trod_db::relational_changes(changes);
         catch_up_allocator(&self.inner.db, kv, &writes);
         let participant = KvParticipant::injecting(kv, &writes);
         self.inner
@@ -649,27 +646,30 @@ fn catch_up_allocator(db: &Database, kv: &KvStore, writes: &[KvWrite]) {
 /// state. Callers hold the namespaces' commit locks, so the state is
 /// stable between the read and the install.
 fn kv_change_records(kv: &KvStore, writes: &[KvWrite]) -> Vec<ChangeRecord> {
+    let image = |key: &str, value: &String| {
+        Row::from(vec![
+            Value::Text(key.to_string()),
+            Value::Text(value.clone()),
+        ])
+    };
     let mut out = Vec::with_capacity(writes.len());
-    for write in writes {
-        let table = kv_table_name(&write.namespace);
-        let key = Key::single(write.key.as_str());
-        let before = kv
-            .get_latest(&write.namespace, &write.key)
-            .expect("namespace validated before commit");
-        let before_row = before
-            .as_ref()
-            .map(|v| Row::from(vec![Value::Text(write.key.clone()), Value::Text(v.clone())]));
-        let after_row = write
-            .value
-            .as_ref()
-            .map(|v| Row::from(vec![Value::Text(write.key.clone()), Value::Text(v.clone())]));
-        let record = match (before_row, after_row) {
-            (None, Some(after)) => ChangeRecord::insert(table, key, after),
-            (Some(before), Some(after)) => ChangeRecord::update(table, key, before, after),
-            (Some(before), None) => ChangeRecord::delete(table, key, before),
-            (None, None) => continue, // delete of a key that never existed
-        };
-        out.push(record);
+    // One shared table name per run of writes to the same namespace.
+    for run in writes.chunk_by(|a, b| a.namespace == b.namespace) {
+        let table = kv_table_name(&run[0].namespace);
+        for write in run {
+            let (table, key) = (table.clone(), Key::single(write.key.as_str()));
+            let before = kv
+                .get_latest(&write.namespace, &write.key)
+                .expect("namespace validated before commit");
+            let before = before.as_ref().map(|v| image(&write.key, v));
+            let after = write.value.as_ref().map(|v| image(&write.key, v));
+            out.push(match (before, after) {
+                (None, Some(after)) => ChangeRecord::insert(table, key, after),
+                (Some(before), Some(after)) => ChangeRecord::update(table, key, before, after),
+                (Some(before), None) => ChangeRecord::delete(table, key, before),
+                (None, None) => continue, // delete of a key that never existed
+            });
+        }
     }
     out
 }
@@ -905,7 +905,7 @@ impl Txn {
         let value = kv.get_as_of(namespace, key, read_ts)?;
         self.kv_reads.insert(id);
         self.trace_read(|| ReadTrace {
-            table: kv_table_name(namespace),
+            table: kv_table_name(namespace).to_string(),
             query: format!("Get {key}"),
             read_ts,
             rows: value
@@ -940,7 +940,7 @@ impl Txn {
             self.kv_reads.insert((namespace.to_string(), key.clone()));
         }
         self.trace_read(|| ReadTrace {
-            table: kv_table_name(namespace),
+            table: kv_table_name(namespace).to_string(),
             query: format!("Scan prefix {prefix}"),
             read_ts,
             rows: result
@@ -1030,7 +1030,7 @@ impl Txn {
                     .count();
                 let kv_installed = info.changes.len() - relational_changes;
                 if self.traced() {
-                    self.emit_trace(info.commit_ts, true, info.changes.clone());
+                    self.emit_trace(info.commit_ts, true, Arc::clone(&info.changes));
                 }
                 Ok(TxnCommit {
                     txn_id: self.txn_id,
@@ -1041,7 +1041,7 @@ impl Txn {
                 })
             }
             Err(e) => {
-                self.emit_trace(0, false, Vec::new());
+                self.emit_trace(0, false, Arc::new([]));
                 Err(e)
             }
         }
@@ -1054,10 +1054,10 @@ impl Txn {
         if let Some(rel) = self.rel.take() {
             rel.abort();
         }
-        self.emit_trace(0, false, Vec::new());
+        self.emit_trace(0, false, Arc::new([]));
     }
 
-    fn emit_trace(&mut self, commit_ts: Ts, committed: bool, writes: Vec<ChangeRecord>) {
+    fn emit_trace(&mut self, commit_ts: Ts, committed: bool, writes: Arc<[ChangeRecord]>) {
         let Some(tracer) = self.session.inner.tracer.clone() else {
             return;
         };
@@ -1132,7 +1132,10 @@ impl CommitParticipant for KvParticipant<'_> {
         let mut namespaces: Vec<&str> = self.writes.iter().map(|w| w.namespace.as_str()).collect();
         namespaces.sort_unstable();
         namespaces.dedup();
-        namespaces.into_iter().map(kv_table_name).collect()
+        namespaces
+            .into_iter()
+            .map(|ns| kv_table_name(ns).to_string())
+            .collect()
     }
 
     fn resource_lock(&self, resource: &str) -> Arc<Mutex<()>> {

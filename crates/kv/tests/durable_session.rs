@@ -570,7 +570,7 @@ fn session_gc_drives_both_stores_under_one_clamped_horizon() {
     assert!(
         spilled
             .iter()
-            .all(|e| e.changes.iter().any(|c| c.table == "kv:cache")),
+            .all(|e| e.changes.iter().any(|c| &*c.table == "kv:cache")),
         "spilled aligned entries carry the kv records GC truncated"
     );
     let live_ts: Vec<Ts> = session

@@ -24,6 +24,8 @@
 //! fidelity for them instead of silently replaying against incomplete
 //! state — "debugging from partial data".
 
+use std::sync::Arc;
+
 use trod_db::{ChangeOp, ChangeRecord, DbResult, Predicate, Row, Value};
 
 use crate::schema::{EXECUTIONS_TABLE, EXTERNAL_CALLS_TABLE, REQUESTS_TABLE};
@@ -149,18 +151,9 @@ impl ProvenanceStore {
                         touched = true;
                     }
                 }
-                for change in trace.writes.iter_mut().filter(|c| c.table == app_table) {
-                    let image = change.op.after().or_else(|| change.op.before());
-                    let matches = image
-                        .map(|row| row_matches(row, filters, trace_arity(row)))
-                        .unwrap_or(false);
-                    if matches {
-                        *change = erase_change(change);
-                        report.archive_writes_redacted += 1;
-                        touched = true;
-                    }
-                }
-                if touched {
+                let erased = erase_matching(&mut trace.writes, app_table, filters);
+                report.archive_writes_redacted += erased;
+                if touched || erased > 0 {
                     touched_txns.push(trace.txn_id as i64);
                 }
             }
@@ -176,19 +169,9 @@ impl ProvenanceStore {
         {
             let mut spilled = self.spilled.write();
             for entry in spilled.iter_mut() {
-                let mut touched = false;
-                for change in entry.changes.iter_mut().filter(|c| c.table == app_table) {
-                    let image = change.op.after().or_else(|| change.op.before());
-                    let matches = image
-                        .map(|row| row_matches(row, filters, trace_arity(row)))
-                        .unwrap_or(false);
-                    if matches {
-                        *change = erase_change(change);
-                        report.spilled_writes_redacted += 1;
-                        touched = true;
-                    }
-                }
-                if touched {
+                let erased = erase_matching(&mut entry.changes, app_table, filters);
+                report.spilled_writes_redacted += erased;
+                if erased > 0 {
                     touched_txns.push(entry.txn_id as i64);
                 }
             }
@@ -279,7 +262,7 @@ impl ProvenanceStore {
         report.rows_deleted +=
             txn.delete_where(EXTERNAL_CALLS_TABLE, &Predicate::lt("Timestamp", cutoff_ts))?;
         if !dropped_txn_ids.is_empty() {
-            let event_tables: Vec<String> = self
+            let event_tables: Vec<Arc<str>> = self
                 .table_map
                 .read()
                 .values()
@@ -345,6 +328,31 @@ fn row_matches(row: &Row, filters: &[(&str, Value)], _arity: usize) -> bool {
 
 fn trace_arity(row: &Row) -> usize {
     row.len()
+}
+
+/// Erases the images of the `app_table` records in a change list that
+/// match `filters`, returning how many. Change lists are shared with the
+/// commit that produced them; the list is copied only when something in
+/// it is erased while another holder still reads it.
+fn erase_matching(
+    changes: &mut Arc<[ChangeRecord]>,
+    app_table: &str,
+    filters: &[(&str, Value)],
+) -> usize {
+    let matches = |change: &ChangeRecord| {
+        let image = change.op.after().or_else(|| change.op.before());
+        &*change.table == app_table
+            && image.is_some_and(|row| row_matches(row, filters, trace_arity(row)))
+    };
+    if !changes.iter().any(matches) {
+        return 0;
+    }
+    let mut erased = 0;
+    for change in Arc::make_mut(changes).iter_mut().filter(|c| matches(c)) {
+        *change = erase_change(change);
+        erased += 1;
+    }
+    erased
 }
 
 /// Produces a copy of a CDC record with all row images nulled out (key and
@@ -593,7 +601,7 @@ mod tests {
         assert!(store
             .spilled_log()
             .iter()
-            .flat_map(|e| &e.changes)
+            .flat_map(|e| e.changes.iter())
             .filter_map(|c| c.op.after())
             .all(|row| row.iter().all(|v| v.as_text() != Some("u1@example.org"))));
     }

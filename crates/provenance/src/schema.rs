@@ -16,6 +16,8 @@
 //! order of these layouts; ingest builds every provenance row through
 //! them.
 
+use std::sync::Arc;
+
 use trod_db::{ChangeRecord, Column, DataType, DbResult, Key, Row, Schema, Value};
 use trod_trace::TxnTrace;
 
@@ -131,18 +133,22 @@ pub(crate) fn requests_row(rec: &RequestRecord) -> Row {
     ])
 }
 
-/// The change record that installs `rec` in `Requests`: an insert, or —
-/// when the invocation's earlier image `before` is already installed — an
-/// update of that row.
-pub(crate) fn requests_change(rec: &RequestRecord, before: Option<Row>) -> ChangeRecord {
+/// The change record that installs `rec` in `Requests` (`table`, its
+/// interned name): an insert, or — when the invocation's earlier image
+/// `before` is already installed — an update of that row.
+pub(crate) fn requests_change(
+    table: &Arc<str>,
+    rec: &RequestRecord,
+    before: Option<Row>,
+) -> ChangeRecord {
     let key = Key::new(vec![
         Value::Text(rec.req_id.clone()),
         Value::Text(rec.handler.clone()),
         Value::Timestamp(rec.start_ts),
     ]);
     match before {
-        Some(before) => ChangeRecord::update(REQUESTS_TABLE, key, before, requests_row(rec)),
-        None => ChangeRecord::insert(REQUESTS_TABLE, key, requests_row(rec)),
+        Some(before) => ChangeRecord::update(table.clone(), key, before, requests_row(rec)),
+        None => ChangeRecord::insert(table.clone(), key, requests_row(rec)),
     }
 }
 

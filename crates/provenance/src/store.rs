@@ -34,6 +34,7 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
@@ -97,9 +98,18 @@ pub struct ProvenanceStats {
 /// What ingest needs to know about a registered application table,
 /// resolved once at registration.
 pub(crate) struct EventTable {
-    pub(crate) name: String,
+    /// The event table's interned name ([`trod_db::TableStore::name`]):
+    /// staged records share it, so the engine resolves a run of them once.
+    pub(crate) name: Arc<str>,
     /// Application columns inlined after the four provenance columns.
     app_cols: usize,
+}
+
+/// The interned names of the fixed tables, for the same reason.
+struct FixedTables {
+    executions: Arc<str>,
+    requests: Arc<str>,
+    external_calls: Arc<str>,
 }
 
 /// State owned by the holder of the ingest lock.
@@ -136,6 +146,7 @@ struct Chunk {
 /// retroactive engines consume.
 pub struct ProvenanceStore {
     pub(crate) db: Database,
+    fixed: FixedTables,
     engine: QueryEngine,
     /// application table → its event table.
     pub(crate) table_map: RwLock<HashMap<String, EventTable>>,
@@ -187,7 +198,16 @@ impl ProvenanceStore {
             .expect("Executions.Timestamp range index");
         db.create_range_index(REQUESTS_TABLE, "StartTs")
             .expect("Requests.StartTs range index");
+        let name = |table| {
+            let store = db.table(table).expect("fixed table was just created");
+            store.name().clone()
+        };
         ProvenanceStore {
+            fixed: FixedTables {
+                executions: name(EXECUTIONS_TABLE),
+                requests: name(REQUESTS_TABLE),
+                external_calls: name(EXTERNAL_CALLS_TABLE),
+            },
             engine: QueryEngine::new(db.clone()),
             db,
             table_map: RwLock::new(HashMap::new()),
@@ -242,7 +262,7 @@ impl ProvenanceStore {
         self.db.create_table(event_table, ev_schema)?;
         self.db.create_index(event_table, "TxnId")?;
         let facts = EventTable {
-            name: event_table.to_string(),
+            name: self.db.table(event_table)?.name().clone(),
             app_cols: schema.arity(),
         };
         self.table_map.write().insert(app_table.to_string(), facts);
@@ -252,7 +272,7 @@ impl ProvenanceStore {
     /// The event-table name registered for an application table, if any.
     pub fn event_table_for(&self, app_table: &str) -> Option<String> {
         let tables = self.table_map.read();
-        tables.get(app_table).map(|t| t.name.clone())
+        tables.get(app_table).map(|t| t.name.to_string())
     }
 
     /// The underlying provenance database (for direct SQL or inspection).
@@ -319,9 +339,8 @@ impl ProvenanceStore {
                     return;
                 }
                 let row = executions_row(&trace);
-                chunk
-                    .changes
-                    .push(ChangeRecord::insert(EXECUTIONS_TABLE, key, row));
+                let table = self.fixed.executions.clone();
+                chunk.changes.push(ChangeRecord::insert(table, key, row));
                 // Stages one `<X>Events` row, or counts the event when its
                 // application table was never registered.
                 let mut event = |table: Option<&EventTable>, kind: &str, query: &str, image| {
@@ -332,7 +351,8 @@ impl ProvenanceStore {
                     let event_id = ingest.next_event_id;
                     ingest.next_event_id += 1;
                     let row = event_row(event_id, txn_id, kind, query, table.app_cols, image);
-                    let insert = ChangeRecord::insert(&*table.name, Key::single(event_id), row);
+                    let insert =
+                        ChangeRecord::insert(table.name.clone(), Key::single(event_id), row);
                     chunk.changes.push(insert);
                     chunk.stats.data_events += 1;
                 };
@@ -348,11 +368,11 @@ impl ProvenanceStore {
                         event(table, "Read", &read.query, Some(&**row));
                     }
                 }
-                for change in &trace.writes {
+                for change in trace.writes.iter() {
                     let kind = change.op.kind();
                     let query = format!("{kind} {}", change.key);
                     let image = change.op.after().or_else(|| change.op.before());
-                    event(tables.get(&change.table), kind, &query, image);
+                    event(tables.get(&*change.table), kind, &query, image);
                 }
                 chunk.stats.transactions += 1;
                 chunk.txns.push(*trace);
@@ -408,7 +428,8 @@ impl ProvenanceStore {
                     if let Some(mut rec) = self.requests.read().get(position).cloned() {
                         let before = requests_row(&rec);
                         finish(&mut rec);
-                        chunk.changes.push(requests_change(&rec, Some(before)));
+                        let change = requests_change(&self.fixed.requests, &rec, Some(before));
+                        chunk.changes.push(change);
                         chunk.closed.push((position, rec));
                     }
                     return;
@@ -428,9 +449,8 @@ impl ProvenanceStore {
                 ingest.next_event_id += 1;
                 let key = Key::single(event_id);
                 let row = external_call_row(event_id, req_id, handler, service, payload, timestamp);
-                chunk
-                    .changes
-                    .push(ChangeRecord::insert(EXTERNAL_CALLS_TABLE, key, row));
+                let table = self.fixed.external_calls.clone();
+                chunk.changes.push(ChangeRecord::insert(table, key, row));
                 chunk.stats.external_calls += 1;
             }
         }
@@ -440,9 +460,10 @@ impl ProvenanceStore {
     /// entries and counts visible; a rejected chunk is dropped and counted.
     fn publish(&self, mut chunk: Chunk, ingest: &mut Ingest) {
         let opened = chunk.opened.iter();
+        let requests = &self.fixed.requests;
         chunk
             .changes
-            .extend(opened.map(|rec| requests_change(rec, None)));
+            .extend(opened.map(|rec| requests_change(requests, rec, None)));
         if !chunk.changes.is_empty() && self.db.apply_changes(&chunk.changes).is_err() {
             self.stats.write().rejected_events += chunk.events;
             self.reopen(ingest);

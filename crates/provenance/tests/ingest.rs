@@ -44,7 +44,7 @@ fn txn(txn_id: u64, req: &str, table: &str, rows: i64, timestamp: i64) -> TraceE
             read_ts: txn_id,
             rows: (0..rows).map(sub_row).collect(),
         }],
-        writes: vec![ChangeRecord::insert(table, key, image)],
+        writes: vec![ChangeRecord::insert(table, key, image)].into(),
     }))
 }
 
@@ -254,7 +254,7 @@ fn a_chunk_the_engine_rejects_is_dropped_whole_and_counted() {
     let misfit = Row::from(vec![Value::Text("seven".into()), Value::Null]);
     let mut bad = txn(7, "R1", "forum_sub", 0, 3);
     if let TraceEvent::Txn(trace) = &mut bad {
-        trace.writes = vec![ChangeRecord::insert("forum_sub", Key::single(7i64), misfit)];
+        trace.writes = vec![ChangeRecord::insert("forum_sub", Key::single(7i64), misfit)].into();
     }
     store.ingest(vec![
         start("R1", "inner", 2),

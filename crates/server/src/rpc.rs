@@ -655,7 +655,7 @@ pub fn dispatch(state: &ServerState, method: &str, params: &Json) -> Result<Json
                     Json::Array(handlers.into_iter().map(Json::str).collect()),
                 ),
                 ("gc_floor", Json::from(db.log_truncated_below())),
-                ("live_log_entries", Json::from(db.log_entries().len())),
+                ("live_log_entries", Json::from(db.log_len())),
                 ("wal", wal),
             ]))
         }

@@ -148,7 +148,18 @@ impl ServerBuilder {
                         serve_connection(&state, stream, &limits);
                         conns_for_worker.lock().remove(&id);
                     });
-                    workers.lock().push(handle);
+                    // Join the workers whose connections have closed, so
+                    // the vector is bounded by the live connections.
+                    let mut workers = workers.lock();
+                    let mut i = 0;
+                    while i < workers.len() {
+                        if workers[i].is_finished() {
+                            let _ = workers.swap_remove(i).join();
+                        } else {
+                            i += 1;
+                        }
+                    }
+                    workers.push(handle);
                 }
             })
         };
@@ -201,6 +212,12 @@ impl ServerHandle {
     /// The shared state (for tests and embedding).
     pub fn state(&self) -> &Arc<ServerState> {
         &self.state
+    }
+
+    /// Connection workers not yet joined: the live connections plus any
+    /// that closed since the last accept.
+    pub fn worker_count(&self) -> usize {
+        self.workers.lock().len()
     }
 
     /// Flips the server into drain mode without stopping it: every

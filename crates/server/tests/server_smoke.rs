@@ -305,3 +305,21 @@ fn connection_pool_bound_rejects_with_retryable_503() {
 
     server.shutdown();
 }
+
+#[test]
+fn closed_connections_do_not_accumulate_worker_handles() {
+    let server = shop_server();
+    for _ in 0..200 {
+        let mut raw = TcpStream::connect(server.addr()).unwrap();
+        raw.write_all(b"GET /health HTTP/1.1\r\nconnection: close\r\n\r\n")
+            .unwrap();
+        let mut response = String::new();
+        raw.read_to_string(&mut response).unwrap();
+        assert!(response.starts_with("HTTP/1.1 200"), "got: {response}");
+    }
+    // Every accept joins the workers that finished before it; only the
+    // last few connections' workers can still be unreaped.
+    let unreaped = server.worker_count();
+    assert!(unreaped < 20, "{unreaped} worker handles for 0 connections");
+    server.shutdown();
+}

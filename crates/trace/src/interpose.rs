@@ -142,7 +142,7 @@ mod tests {
             commit_ts: 1,
             committed: true,
             reads: Vec::new(),
-            writes: Vec::new(),
+            writes: Arc::new([]),
         });
         assert!(tracer.drain().is_empty());
         assert_eq!(tracer.stats().dropped, 1);

@@ -78,8 +78,9 @@ pub struct TxnTrace {
     pub committed: bool,
     /// Read provenance.
     pub reads: Vec<ReadTrace>,
-    /// Write provenance (CDC records from the commit).
-    pub writes: Vec<ChangeRecord>,
+    /// Write provenance: the commit's own change list, shared with its
+    /// log entry (not a copy of the CDC records).
+    pub writes: Arc<[ChangeRecord]>,
 }
 
 impl TxnTrace {
@@ -102,7 +103,7 @@ impl TxnTrace {
             .reads
             .iter()
             .map(|r| r.table.clone())
-            .chain(self.writes.iter().map(|w| w.table.clone()))
+            .chain(self.writes.iter().map(|w| w.table.to_string()))
             .collect();
         tables.sort();
         tables.dedup();
@@ -194,11 +195,11 @@ mod tests {
                 read_ts: 3,
                 rows: vec![],
             }],
-            writes: vec![ChangeRecord::insert(
+            writes: Arc::new([ChangeRecord::insert(
                 "forum_sub",
                 Key::single("U1"),
                 row!["U1", "F2"],
-            )],
+            )]),
         }
     }
 

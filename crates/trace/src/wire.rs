@@ -131,7 +131,7 @@ pub fn row_from_json(j: &Json) -> WireResult<Row> {
 /// present per op kind).
 pub fn change_to_json(c: &ChangeRecord) -> Json {
     let mut pairs = vec![
-        ("table", Json::str(c.table.clone())),
+        ("table", Json::str(&*c.table)),
         ("key", key_to_json(&c.key)),
     ];
     match &c.op {
@@ -153,7 +153,7 @@ pub fn change_to_json(c: &ChangeRecord) -> Json {
 }
 
 pub fn change_from_json(j: &Json) -> WireResult<ChangeRecord> {
-    let table = req_str(j, "table")?.to_string();
+    let table = req_str(j, "table")?.into();
     let key = key_from_json(req(j, "key")?)?;
     let op = match req_str(j, "op")? {
         "insert" => ChangeOp::Insert {
@@ -408,7 +408,8 @@ mod tests {
                     Key::new(vec![Value::Int(1), Value::Timestamp(5)]),
                     mkrow(&[Value::Bytes(vec![9, 8])]),
                 ),
-            ],
+            ]
+            .into(),
         };
         let text = txn_to_json(&entry).to_string();
         let back = txn_from_json(&Json::parse(&text).unwrap()).unwrap();
@@ -430,11 +431,11 @@ mod tests {
                 read_ts: 4,
                 rows: vec![(Key::single("O1"), Arc::new(mkrow(&[Value::Int(1)])))],
             }],
-            writes: vec![ChangeRecord::insert(
+            writes: Arc::new([ChangeRecord::insert(
                 "orders",
                 Key::single("O2"),
                 mkrow(&[Value::Int(2)]),
-            )],
+            )]),
         };
         let text = txn_trace_to_json(&trace).to_string();
         assert_eq!(

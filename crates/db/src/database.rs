@@ -46,7 +46,7 @@ use crate::registry::ActiveTxnRegistry;
 use crate::row::{Key, Row};
 use crate::schema::Schema;
 use crate::segment::{RecoveredLog, RecoveryReport, SegmentedWal};
-use crate::table::{ScanRows, TableStore};
+use crate::table::{ScanPlan, ScanRows, TableStore};
 use crate::txn::{IsolationLevel, Transaction};
 use crate::wal::{WalOptions, WalRecord};
 
@@ -591,6 +591,22 @@ impl Database {
             .ok_or_else(|| DbError::NoSuchTable(name.to_string()))
     }
 
+    /// [`Database::table`] for SQL's case-insensitive names: an exact
+    /// match wins, otherwise the first table (in name order) equal up to
+    /// ASCII case.
+    pub fn table_ignoring_case(&self, name: &str) -> DbResult<Arc<TableStore>> {
+        let tables = self.inner.tables.read();
+        tables
+            .get(name)
+            .or_else(|| {
+                tables
+                    .iter()
+                    .find_map(|(n, t)| n.eq_ignore_ascii_case(name).then_some(t))
+            })
+            .cloned()
+            .ok_or_else(|| DbError::NoSuchTable(name.to_string()))
+    }
+
     // ------------------------------------------------------------------
     // Transactions
     // ------------------------------------------------------------------
@@ -705,6 +721,13 @@ impl Database {
     ) -> DbResult<Option<ScanRows>> {
         self.table(table)?
             .scan_ordered_limit(pred, order_col, descending, limit, ts)
+    }
+
+    /// The access path a scan of `table` for `pred` would take, with its
+    /// candidate-count estimate, without executing it (see
+    /// [`TableStore::plan_scan`]).
+    pub fn plan_scan(&self, table: &str, pred: &Predicate) -> DbResult<ScanPlan> {
+        Ok(self.table(table)?.plan_scan(pred))
     }
 
     // ------------------------------------------------------------------

@@ -47,8 +47,8 @@
 //!   ([`CompiledPredicate::matches`]) does no string lookups.
 //!
 //! * **Planned, sublinear scans.** Every predicate scan runs through a
-//!   cost-based access-path planner: hash-index point probes and
-//!   `IN (...)` multi-probes, ordered [`RangeIndex`](index::RangeIndex)
+//!   cost-based access-path planner: primary-key probes into the row
+//!   map, hash-index point probes and `IN (...)` multi-probes, ordered [`RangeIndex`](index::RangeIndex)
 //!   probes for comparison windows, or the full chain walk — whichever
 //!   estimates the fewest candidates. Index paths over-approximate and
 //!   re-check, never under-approximate, so every path (at any read

@@ -221,10 +221,16 @@ impl Predicate {
             },
             Predicate::IsNull(column) => CompiledNode::IsNull(resolve(column)?),
             Predicate::IsNotNull(column) => CompiledNode::IsNotNull(resolve(column)?),
-            Predicate::InList { column, values } => CompiledNode::InList {
-                index: resolve(column)?,
-                values: values.clone(),
-            },
+            Predicate::InList { column, values } => {
+                // Sorted, so a row is tested by binary search: a list of
+                // pushed-down join keys can be as long as a table.
+                let mut values = values.clone();
+                values.sort_unstable();
+                CompiledNode::InList {
+                    index: resolve(column)?,
+                    values,
+                }
+            }
             Predicate::And(a, b) => CompiledNode::And(
                 Box::new(a.compile_node(schema)?),
                 Box::new(b.compile_node(schema)?),
@@ -536,10 +542,9 @@ impl CompiledNode {
             CompiledNode::IsNotNull(index) => !row.get(*index).is_none_or(Value::is_null),
             CompiledNode::InList { index, values } => {
                 let v = row.get(*index).unwrap_or(&Value::Null);
-                if v.is_null() {
-                    return false;
-                }
-                values.iter().any(|x| x.sql_eq(v))
+                // A non-NULL value equals no NULL element under the total
+                // order either, so this is `any(sql_eq)`.
+                !v.is_null() && values.binary_search(v).is_ok()
             }
             CompiledNode::And(a, b) => a.matches(row) && b.matches(row),
             CompiledNode::Or(a, b) => a.matches(row) || b.matches(row),

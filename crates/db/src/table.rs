@@ -39,6 +39,11 @@ pub enum ScanPlan {
     Empty,
     /// Walk every version chain; `rows` is the number of chains.
     FullScan { rows: usize },
+    /// Look the row map up directly: the predicate pins every primary-key
+    /// column by equality, or a single-column key by `IN (...)`. One
+    /// candidate per pinned key, exact at any read timestamp (the row map
+    /// holds a chain for every key with a version left).
+    KeyProbe { candidates: usize },
     /// Probe a hash index once: the predicate pins `column` to one value.
     PointProbe { column: String, candidates: usize },
     /// Probe a hash index once per `IN (...)` element and merge.
@@ -63,12 +68,28 @@ impl ScanPlan {
     pub fn uses_index(&self) -> bool {
         !matches!(self, ScanPlan::FullScan { .. })
     }
+
+    /// The estimate that won: how many candidate rows the path visits.
+    /// An upper bound on the rows a latest scan returns; the query
+    /// layer orders its table loads by it.
+    pub fn candidates(&self) -> usize {
+        match self {
+            ScanPlan::Empty => 0,
+            ScanPlan::FullScan { rows: n }
+            | ScanPlan::KeyProbe { candidates: n }
+            | ScanPlan::PointProbe { candidates: n, .. }
+            | ScanPlan::MultiProbe { candidates: n, .. }
+            | ScanPlan::RangeProbe { candidates: n, .. }
+            | ScanPlan::OrderedProbe { limit: n, .. } => *n,
+        }
+    }
 }
 
 /// The winning access path with enough context to materialise its
 /// candidate keys (borrows the locked index vectors).
 enum PathChoice<'a> {
     Full,
+    Key(Vec<Key>),
     Point(&'a SecondaryIndex, &'a Value),
     Multi(&'a SecondaryIndex, &'a [Value]),
     Range(&'a RangeIndex, ColumnBounds),
@@ -296,63 +317,82 @@ impl TableStore {
         compiled: &CompiledPredicate,
         ts: Ts,
     ) -> DbResult<Vec<(Key, Arc<Row>)>> {
+        let mut out = Vec::new();
+        self.for_each_match(pred, compiled, ts, |key, row| {
+            out.push((key.clone(), row.clone()))
+        });
+        // Deterministic order for traces and tests.
+        out.sort_by(|a, b| a.0.cmp(&b.0));
+        Ok(out)
+    }
+
+    /// Number of rows visible at `ts` matching `pred`: the walk
+    /// [`TableStore::scan_at`] does, without collecting, sharing or
+    /// sorting a single row.
+    pub fn count_matching_at(&self, pred: &Predicate, ts: Ts) -> DbResult<usize> {
+        let compiled = pred.compile(&self.schema)?;
+        let mut count = 0;
+        self.for_each_match(pred, &compiled, ts, |_, _| count += 1);
+        Ok(count)
+    }
+
+    /// Visits, in no particular order, every row visible at `ts` that
+    /// matches `pred`, reaching them by the planner's chosen path.
+    fn for_each_match(
+        &self,
+        pred: &Predicate,
+        compiled: &CompiledPredicate,
+        ts: Ts,
+        mut visit: impl FnMut(&Key, &Arc<Row>),
+    ) {
         // A provably unsatisfiable predicate (False, empty IN list, or a
         // contradictory comparison window) short-circuits before any lock
         // is taken: no chain walk, no index probe.
         if pred.provably_empty() {
-            return Ok(Vec::new());
+            return;
         }
         let rows = self.rows.read();
         let indexes = self.indexes.read();
         let range_indexes = self.range_indexes.read();
-        let (choice, _) = plan_access_path(pred, rows.len(), &indexes, &range_indexes);
-
-        let mut out = Vec::new();
-        match choice {
+        let (choice, _) =
+            plan_access_path(pred, &self.schema, rows.len(), &indexes, &range_indexes);
+        // Candidates are filtered by the read timestamp already (index
+        // paths exclude keys eagerly unlinked at or before `ts`), then
+        // re-checked for visibility and the full predicate: indexes
+        // over-approximate, never under-approximate.
+        let mut keys = match choice {
             PathChoice::Full => {
                 for (key, chain) in rows.iter() {
                     if let Some(row) = chain.visible_at(ts) {
                         if compiled.matches(row) {
-                            out.push((key.clone(), row.clone()));
+                            visit(key, row);
                         }
                     }
                 }
+                return;
             }
-            choice => {
-                // Candidates are filtered by the read timestamp already
-                // (keys eagerly unlinked at or before `ts` are excluded),
-                // then re-checked for visibility and the full predicate:
-                // indexes over-approximate, never under-approximate.
-                let mut keys = match choice {
-                    PathChoice::Full => unreachable!("handled above"),
-                    PathChoice::Point(idx, value) => idx.lookup_at(value, ts),
-                    PathChoice::Multi(idx, values) => {
-                        let mut keys = Vec::new();
-                        for value in values {
-                            keys.extend(idx.lookup_at(value, ts));
-                        }
-                        keys
-                    }
-                    PathChoice::Range(idx, bounds) => idx.range_at(&bounds, ts),
-                };
-                // Multi-value paths can surface a key once per value it
-                // carried in overlapping stamp windows.
-                keys.sort_unstable();
-                keys.dedup();
-                for key in keys {
-                    if let Some(chain) = rows.get(&key) {
-                        if let Some(row) = chain.visible_at(ts) {
-                            if compiled.matches(row) {
-                                out.push((key, row.clone()));
-                            }
-                        }
-                    }
+            PathChoice::Key(keys) => keys,
+            PathChoice::Point(idx, value) => idx.lookup_at(value, ts),
+            PathChoice::Multi(idx, values) => {
+                let mut keys = Vec::new();
+                for value in values {
+                    keys.extend(idx.lookup_at(value, ts));
+                }
+                keys
+            }
+            PathChoice::Range(idx, bounds) => idx.range_at(&bounds, ts),
+        };
+        // Multi-value paths can surface a key once per value it carried
+        // in overlapping stamp windows, or once per repeated list element.
+        keys.sort_unstable();
+        keys.dedup();
+        for key in &keys {
+            if let Some(row) = rows.get(key).and_then(|chain| chain.visible_at(ts)) {
+                if compiled.matches(row) {
+                    visit(key, row);
                 }
             }
         }
-        // Deterministic order for traces and tests.
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        Ok(out)
     }
 
     /// The access path [`TableStore::scan_at`] would take for `pred`,
@@ -366,11 +406,13 @@ impl TableStore {
         let rows = self.rows.read();
         let indexes = self.indexes.read();
         let range_indexes = self.range_indexes.read();
-        let (choice, cost) = plan_access_path(pred, rows.len(), &indexes, &range_indexes);
+        let (choice, cost) =
+            plan_access_path(pred, &self.schema, rows.len(), &indexes, &range_indexes);
         // Rendering the plan (column-name allocations) happens only here,
         // on the diagnostics path — the scan path drops it unrendered.
         match choice {
             PathChoice::Full => ScanPlan::FullScan { rows: rows.len() },
+            PathChoice::Key(_) => ScanPlan::KeyProbe { candidates: cost },
             PathChoice::Point(idx, _) => ScanPlan::PointProbe {
                 column: idx.column().to_string(),
                 candidates: cost,
@@ -832,28 +874,38 @@ impl TableStore {
 /// The scan planner: enumerates every applicable access path and picks the
 /// one with the smallest candidate-count estimate.
 ///
-/// Estimates are the per-slot *live* entry counters maintained on every
-/// index stamp/purge — exactly what a latest-timestamp probe returns, so
-/// slots that accumulated tombstones between garbage collections no
-/// longer inflate probe estimates (time-travel probes can exceed the
-/// estimate; cost errors never affect results). Hash estimates cost O(1)
-/// per probe; the range estimate walks value slots but stops counting at
-/// the best estimate so far — once a path has lost it is never fully
-/// costed. The full scan (estimate = number of chains) is the baseline;
-/// an index path must beat it *strictly*, since its per-candidate cost
-/// (hash lookup per key) is higher than the walk's. Analysis only ever extracts *conjunctive*
+/// The primary-key probe is costed first: one candidate per pinned key,
+/// exact at any timestamp. Index estimates are the per-slot *live* entry
+/// counters maintained on every index stamp/purge — exactly what a
+/// latest-timestamp probe returns, so slots that accumulated tombstones
+/// between garbage collections no longer inflate probe estimates
+/// (time-travel probes can exceed the estimate; cost errors never affect
+/// results). Hash estimates cost O(1) per probe; the range estimate walks
+/// value slots but stops counting at the best estimate so far — once a
+/// path has lost it is never fully costed. The full scan (estimate =
+/// number of chains) is the baseline; another path must beat the best so
+/// far *strictly*, since a candidate (a hash lookup per key) costs more
+/// than a step of the walk — and an index path that only ties the key
+/// probe loses to it. Analysis only ever extracts *conjunctive*
 /// constraints (`equality_on` / `in_list_on` / `bounds_on` all return
 /// `None` under `Or`/`Not`), so a chosen path's candidates always
 /// over-approximate the predicate's match set — the caller re-checks
 /// visibility and the full predicate against the chains.
 fn plan_access_path<'a>(
     pred: &'a Predicate,
+    schema: &Schema,
     chain_count: usize,
     indexes: &'a [SecondaryIndex],
     range_indexes: &'a [RangeIndex],
 ) -> (PathChoice<'a>, usize) {
     let mut best_cost = chain_count;
     let mut choice = PathChoice::Full;
+    if let Some(keys) = pinned_keys(pred, schema) {
+        if keys.len() < best_cost {
+            best_cost = keys.len();
+            choice = PathChoice::Key(keys);
+        }
+    }
     for idx in indexes {
         if let Some(value) = pred.equality_on(idx.column()) {
             let cost = idx.candidate_count(value);
@@ -880,6 +932,29 @@ fn plan_access_path<'a>(
         }
     }
     (choice, best_cost)
+}
+
+/// The primary keys `pred` can only match, when its conjuncts pin every
+/// key column by equality (one key) or a single-column key by `IN (...)`
+/// (one key per element). Literals compare with stored key values exactly
+/// as [`Predicate::matches`] compares them ([`Value`]'s `Eq` and `Hash`
+/// are numeric across `Int`/`Float`/`Timestamp`), so the row-map lookup
+/// misses no row the predicate would accept.
+fn pinned_keys(pred: &Predicate, schema: &Schema) -> Option<Vec<Key>> {
+    let name = |col: usize| schema.columns()[col].name.as_str();
+    let pk = schema.primary_key();
+    let pinned: Option<Vec<Value>> = pk
+        .iter()
+        .map(|&col| pred.equality_on(name(col)).cloned())
+        .collect();
+    match (pinned, pk) {
+        (Some(values), _) => Some(vec![Key::new(values)]),
+        (None, [col]) => {
+            let values = pred.in_list_on(name(*col))?;
+            Some(values.iter().cloned().map(Key::single).collect())
+        }
+        (None, _) => None,
+    }
 }
 
 #[cfg(test)]
@@ -1092,6 +1167,67 @@ mod tests {
         // OR forces the planner off every index.
         let pred = Predicate::eq("grp", 3i64).or(Predicate::ge("score", 95i64));
         assert_eq!(t.plan_scan(&pred), ScanPlan::FullScan { rows: 100 });
+    }
+
+    #[test]
+    fn planner_probes_the_row_map_when_the_primary_key_is_pinned() {
+        // Composite key: every column must be pinned by equality.
+        let t = subs_table();
+        t.create_index("forum").unwrap();
+        for i in 0..30 {
+            let (u, f) = (format!("U{}", i / 3), format!("F{}", i % 3));
+            t.install(&key(&u, &f), arc(row![u.clone(), f.clone()]), i + 1);
+        }
+        let pinned = Predicate::eq("forum", "F1").and(Predicate::eq("user_id", "U4"));
+        assert_eq!(t.plan_scan(&pinned), ScanPlan::KeyProbe { candidates: 1 });
+        assert_eq!(t.scan_at(&pinned, 100).unwrap().len(), 1);
+        // Half a key is no key: the index (or the walk) serves it, and an
+        // IN list over one column of two pins nothing either.
+        assert_eq!(
+            t.plan_scan(&Predicate::eq("forum", "F1")),
+            ScanPlan::PointProbe {
+                column: "forum".into(),
+                candidates: 10
+            }
+        );
+        assert_eq!(
+            t.plan_scan(&Predicate::eq("user_id", "U4")),
+            ScanPlan::FullScan { rows: 30 }
+        );
+        let half = Predicate::eq("user_id", "U4")
+            .and(Predicate::in_list("forum", vec![Value::Text("F1".into())]));
+        assert!(matches!(t.plan_scan(&half), ScanPlan::MultiProbe { .. }));
+        // A key pinned only under OR / NOT is not pinned.
+        assert_eq!(
+            t.plan_scan(&pinned.clone().or(Predicate::False)),
+            ScanPlan::FullScan { rows: 30 }
+        );
+
+        // Single-column key: equality, or one probe per IN element; other
+        // conjuncts ride along and are re-checked on the candidates.
+        let t = scored_table(100);
+        t.create_index("grp").unwrap();
+        assert_eq!(
+            t.plan_scan(&Predicate::eq("id", 42i64).and(Predicate::eq("grp", 2i64))),
+            ScanPlan::KeyProbe { candidates: 1 }
+        );
+        let ids = vec![Value::Int(3), Value::Int(13), Value::Int(500)];
+        let listed = Predicate::in_list("id", ids).and(Predicate::eq("grp", 3i64));
+        assert_eq!(t.plan_scan(&listed), ScanPlan::KeyProbe { candidates: 3 });
+        for ts in [0u64, 5, 14, 1000] {
+            assert_eq!(
+                t.scan_at(&listed, ts).unwrap(),
+                t.scan_at_full(&listed, ts).unwrap(),
+                "at ts {ts}"
+            );
+            assert_eq!(
+                t.count_matching_at(&listed, ts).unwrap(),
+                t.scan_at_full(&listed, ts).unwrap().len()
+            );
+        }
+        // A list as long as the table loses to the walk.
+        let all = Predicate::in_list("id", (0..100i64).map(Value::Int).collect());
+        assert_eq!(t.plan_scan(&all), ScanPlan::FullScan { rows: 100 });
     }
 
     #[test]

@@ -134,6 +134,13 @@ impl Value {
     /// Compares two values as SQL would for ordering purposes: numbers
     /// compare numerically across INT/FLOAT/TIMESTAMP; otherwise values of
     /// different types order by type rank.
+    ///
+    /// Numeric comparison is exact: two integers compare as `i64` and an
+    /// integer against a float compares without rounding either through
+    /// the other's type, so distinct integers above 2⁵³ stay distinct
+    /// (they are primary keys in the row map). Floats keep
+    /// [`f64::total_cmp`]'s order among themselves — `-0.0` sorts just
+    /// below `0.0` (and below `Int(0)`), NaNs at the two ends.
     pub fn total_cmp(&self, other: &Value) -> Ordering {
         use Value::*;
         match (self, other) {
@@ -141,16 +148,11 @@ impl Value {
             (Bool(a), Bool(b)) => a.cmp(b),
             (Text(a), Text(b)) => a.cmp(b),
             (Bytes(a), Bytes(b)) => a.cmp(b),
-            (a, b) => {
-                let (ra, rb) = (a.type_rank(), b.type_rank());
-                if ra == 2 && rb == 2 {
-                    let fa = a.as_float().unwrap_or(f64::NAN);
-                    let fb = b.as_float().unwrap_or(f64::NAN);
-                    fa.total_cmp(&fb)
-                } else {
-                    ra.cmp(&rb)
-                }
-            }
+            (Int(a) | Timestamp(a), Int(b) | Timestamp(b)) => a.cmp(b),
+            (Float(a), Float(b)) => a.total_cmp(b),
+            (Int(a) | Timestamp(a), Float(b)) => cmp_int_float(*a, *b),
+            (Float(a), Int(b) | Timestamp(b)) => cmp_int_float(*b, *a).reverse(),
+            (a, b) => a.type_rank().cmp(&b.type_rank()),
         }
     }
 
@@ -163,6 +165,39 @@ impl Value {
         }
         self.total_cmp(other) == Ordering::Equal
     }
+}
+
+/// The integer a float equals under [`Value::total_cmp`], if any.
+fn exact_int(f: f64) -> Option<i64> {
+    // The cast saturates (NaN to 0); the comparison has the last word.
+    let i = f as i64;
+    cmp_int_float(i, f).is_eq().then_some(i)
+}
+
+/// Orders an integer against a float by their exact real values, placing
+/// the float's special points where [`f64::total_cmp`] puts them: `-0.0`
+/// just below zero, the NaNs at the two ends.
+fn cmp_int_float(i: i64, f: f64) -> Ordering {
+    if f.is_nan() {
+        return if f.is_sign_negative() {
+            Ordering::Greater
+        } else {
+            Ordering::Less
+        };
+    }
+    // The integer part is exact in `i128` up to 2¹²⁷ and saturates
+    // beyond, on the right side of every `i64` either way; when the
+    // integer parts tie, the float's fraction decides.
+    let t = f.trunc();
+    i128::from(i).cmp(&(t as i128)).then_with(|| {
+        if f > t {
+            Ordering::Less
+        } else if f < t || f.is_sign_negative() && f == 0.0 {
+            Ordering::Greater
+        } else {
+            Ordering::Equal
+        }
+    })
 }
 
 impl PartialEq for Value {
@@ -195,11 +230,19 @@ impl Hash for Value {
             }
             // Numeric values hash identically when numerically equal so
             // that Int(1), Timestamp(1) and Float(1.0) land in the same
-            // hash bucket, matching `total_cmp` equality.
-            Value::Int(_) | Value::Float(_) | Value::Timestamp(_) => {
+            // hash bucket, matching `total_cmp` equality: an integral
+            // float hashes as its integer. Any other float equals no
+            // integer, so its bits will do.
+            Value::Int(v) | Value::Timestamp(v) => {
                 2u8.hash(state);
-                let f = self.as_float().unwrap_or(f64::NAN);
-                f.to_bits().hash(state);
+                v.hash(state);
+            }
+            Value::Float(f) => {
+                2u8.hash(state);
+                match exact_int(*f) {
+                    Some(v) => v.hash(state),
+                    None => f.to_bits().hash(state),
+                }
             }
             Value::Text(s) => {
                 3u8.hash(state);
@@ -306,6 +349,54 @@ mod tests {
         assert_eq!(Value::Int(7), Value::Timestamp(7));
         assert_ne!(Value::Int(3), Value::Float(3.5));
         assert_eq!(hash_of(&Value::Int(3)), hash_of(&Value::Float(3.0)));
+    }
+
+    #[test]
+    fn integers_beyond_f64_precision_stay_distinct() {
+        // 2^53 and 2^53 + 1 round to the same f64.
+        let (a, b) = (9_007_199_254_740_992i64, 9_007_199_254_740_993i64);
+        assert_ne!(Value::Int(a), Value::Int(b));
+        assert_eq!(Value::Int(a).total_cmp(&Value::Int(b)), Ordering::Less);
+        assert_eq!(
+            Value::Timestamp(b).total_cmp(&Value::Int(a)),
+            Ordering::Greater
+        );
+        // Integer-vs-float is exact too: the float is 2^53, not 2^53 + 1.
+        assert_eq!(Value::Int(a), Value::Float(a as f64));
+        assert_eq!(hash_of(&Value::Int(a)), hash_of(&Value::Float(a as f64)));
+        assert_ne!(Value::Int(b), Value::Float(a as f64));
+        assert_eq!(
+            Value::Float(a as f64).total_cmp(&Value::Int(b)),
+            Ordering::Less
+        );
+        // i64::MAX rounds up to 2^63 as a float, which no i64 equals.
+        assert_eq!(
+            Value::Int(i64::MAX).total_cmp(&Value::Float(i64::MAX as f64)),
+            Ordering::Less
+        );
+        assert_eq!(Value::Int(i64::MIN), Value::Float(i64::MIN as f64));
+        // The float order's special points keep their places around 0.
+        assert_eq!(Value::Int(0), Value::Float(0.0));
+        assert_eq!(
+            Value::Int(0).total_cmp(&Value::Float(-0.0)),
+            Ordering::Greater
+        );
+        assert_eq!(
+            Value::Int(-1).total_cmp(&Value::Float(-0.5)),
+            Ordering::Less
+        );
+        assert_eq!(
+            Value::Int(0).total_cmp(&Value::Float(-0.5)),
+            Ordering::Greater
+        );
+        assert_eq!(
+            Value::Int(i64::MAX).total_cmp(&Value::Float(f64::NAN)),
+            Ordering::Less
+        );
+        assert_eq!(
+            Value::Int(i64::MIN).total_cmp(&Value::Float(-f64::NAN)),
+            Ordering::Greater
+        );
     }
 
     #[test]

@@ -121,11 +121,85 @@ fn value_strategy() -> impl Strategy<Value = Value> {
     ]
 }
 
+/// Numbers of all three numeric types, crowded around the points where a
+/// comparison through `f64` goes wrong: the 2^53 precision edge, the ends
+/// of the `i64` range, zero and its negative, fractions, NaN.
+fn numeric_strategy() -> impl Strategy<Value = Value> {
+    const EDGE: i64 = 1 << 53;
+    let int = prop_oneof![
+        -3i64..4,
+        EDGE - 3..EDGE + 4,
+        -EDGE - 3..-EDGE + 4,
+        i64::MAX - 3..=i64::MAX,
+        i64::MIN..=i64::MIN + 3,
+    ];
+    let float = prop_oneof![
+        (-6i64..7).prop_map(|v| v as f64 / 2.0),
+        (EDGE - 3..EDGE + 4).prop_map(|v| v as f64),
+        (0usize..7).prop_map(|i| {
+            [
+                -0.0,
+                f64::NAN,
+                -f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                i64::MAX as f64,
+                i64::MIN as f64,
+            ][i]
+        }),
+    ];
+    prop_oneof![
+        int.prop_map(Value::Int),
+        (-3i64..4).prop_map(Value::Timestamp),
+        (EDGE - 3..EDGE + 4).prop_map(Value::Timestamp),
+        float.prop_map(Value::Float),
+    ]
+}
+
 fn hash_of(value: &(impl std::hash::Hash + ?Sized)) -> u64 {
     use std::hash::Hasher;
     let mut hasher = std::collections::hash_map::DefaultHasher::new();
     value.hash(&mut hasher);
     hasher.finish()
+}
+
+proptest! {
+    // Cheap, and equal pairs are a minority of draws: run many cases.
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// `Eq`, `Ord` and `Hash` of numeric values agree with each other and
+    /// with exact arithmetic across `Int`/`Timestamp`/`Float`: the row
+    /// map, the hash join and the primary-key probe all key on them.
+    #[test]
+    fn numeric_values_compare_order_and_hash_consistently(
+        a in numeric_strategy(),
+        b in numeric_strategy(),
+        c in numeric_strategy(),
+    ) {
+        use std::cmp::Ordering;
+        prop_assert_eq!(a.cmp(&a), Ordering::Equal);
+        prop_assert_eq!(a.cmp(&b), b.cmp(&a).reverse());
+        prop_assert_eq!(a == b, a.cmp(&b) == Ordering::Equal);
+        if a == b {
+            prop_assert_eq!(hash_of(&a), hash_of(&b));
+            prop_assert_eq!(a.cmp(&c), b.cmp(&c));
+        }
+        if a <= b && b <= c {
+            prop_assert!(a <= c, "{:?} <= {:?} <= {:?}", a, b, c);
+        }
+        // Integers compare as integers whatever their tag.
+        if let (Some(x), Some(y)) = (a.as_int(), b.as_int()) {
+            prop_assert_eq!(a.cmp(&b), x.cmp(&y));
+        }
+        // An integer equals a float only if the float is exactly it.
+        if let (Some(x), Value::Float(f)) = (a.as_int(), &b) {
+            let exactly = f.is_finite()
+                && f.trunc() == *f
+                && *f as i128 == x as i128
+                && f.to_bits() != (-0.0f64).to_bits();
+            prop_assert_eq!(a == b, exactly, "{:?} vs {:?}", a, b);
+        }
+    }
 }
 
 proptest! {

@@ -1,8 +1,8 @@
 //! Decision-equivalence of every scan access path.
 //!
-//! The scan planner may serve a predicate from a hash-index point probe,
-//! an `IN (...)` multi-probe, an ordered range probe, or the full chain
-//! walk. Whatever it picks, the result set must be *identical* to the
+//! The scan planner may serve a predicate from a primary-key probe, a
+//! hash-index point probe, an `IN (...)` multi-probe, an ordered range
+//! probe, or the full chain walk. Whatever it picks, the result set must be *identical* to the
 //! full scan's — at the latest timestamp and at every time-travel
 //! timestamp, across updates that move rows away from indexed values,
 //! deletes, GC, and predicates (`Or` / `Not`) whose index paths would
@@ -81,12 +81,17 @@ fn apply_batch(db: &Database, batch: &[Op]) {
     txn.commit().unwrap();
 }
 
-/// Predicates covering every planner path: hash-index equality and
-/// `IN (...)` on `g`, range windows / one-sided bounds / equality on the
-/// range-indexed `v`, plus `And`/`Or`/`Not` combinations that force the
-/// planner to intersect bounds or bypass indexes entirely.
+/// Predicates covering every planner path: the primary key `k` pinned
+/// by equality (to an INT or the equal FLOAT) or `IN (...)`, hash-index
+/// equality and `IN (...)` on `g`, range windows / one-sided bounds /
+/// equality on the range-indexed `v`, plus `And`/`Or`/`Not` combinations
+/// that force the planner to intersect bounds or bypass indexes entirely.
 fn leaf_strategy() -> impl Strategy<Value = Predicate> {
     prop_oneof![
+        (0i64..24).prop_map(|k| Predicate::eq("k", k)),
+        (0i64..48).prop_map(|k| Predicate::eq("k", k as f64 / 2.0)),
+        prop::collection::vec(0i64..24, 0..4)
+            .prop_map(|ks| { Predicate::in_list("k", ks.into_iter().map(Value::Int).collect()) }),
         (0i64..6).prop_map(|g| Predicate::eq("g", g)),
         prop::collection::vec(0i64..6, 0..4)
             .prop_map(|gs| { Predicate::in_list("g", gs.into_iter().map(Value::Int).collect()) }),
@@ -148,6 +153,7 @@ proptest! {
                 let planned = table.scan_at(pred, ts).unwrap();
                 let full = table.scan_at_full(pred, ts).unwrap();
                 prop_assert_eq!(&planned, &full, "planned != full for [{}] at ts {}", pred, ts);
+                prop_assert_eq!(table.count_matching_at(pred, ts).unwrap(), full.len());
                 // Oracle 2: indexed vs index-free database.
                 let a = indexed.scan_as_of("t", pred, ts).unwrap();
                 let b = plain.scan_as_of("t", pred, ts).unwrap();
@@ -261,8 +267,53 @@ fn planner_exercises_every_path_kind() {
     ));
     assert_eq!(table.scan_at(&range, db.current_ts()).unwrap().len(), 10);
 
+    // A pinned primary key beats every index that also applies.
+    let key = Predicate::eq("k", 7i64).and(Predicate::eq("g", 7i64));
+    assert_eq!(
+        db.plan_scan("t", &key),
+        Ok(ScanPlan::KeyProbe { candidates: 1 })
+    );
+    assert_eq!(table.scan_at(&key, db.current_ts()).unwrap().len(), 1);
+    let keys = Predicate::in_list("k", vec![Value::Int(3), Value::Float(4.0), Value::Int(3)]);
+    assert_eq!(table.plan_scan(&keys), ScanPlan::KeyProbe { candidates: 3 });
+    assert_eq!(table.scan_at(&keys, db.current_ts()).unwrap().len(), 2);
+
     assert_eq!(
         table.plan_scan(&Predicate::True),
         ScanPlan::FullScan { rows: 200 }
     );
+}
+
+/// A key probe is exact at every read timestamp: a key deleted and later
+/// re-inserted is found in each of its lives and in neither gap.
+#[test]
+fn key_probes_follow_a_key_through_delete_and_reinsert() {
+    let db = new_db(true);
+    let key = Key::single(5i64);
+    let mut stamps = Vec::new();
+    for step in 0..4i64 {
+        let mut txn = db.begin();
+        // A bystander row per step keeps the probe cheaper than the walk.
+        txn.insert("t", row![100 + step, 0i64, 0i64]).unwrap();
+        if step % 2 == 0 {
+            txn.insert("t", row![5i64, step, 1i64]).unwrap();
+        } else {
+            txn.delete("t", &key).unwrap();
+        }
+        txn.commit().unwrap();
+        stamps.push(db.current_ts());
+    }
+    let table = db.table("t").unwrap();
+    let pred = Predicate::eq("k", 5i64);
+    assert_eq!(table.plan_scan(&pred), ScanPlan::KeyProbe { candidates: 1 });
+    let lives: Vec<Option<i64>> = std::iter::once(0)
+        .chain(stamps)
+        .map(|ts| {
+            let hits = table.scan_at(&pred, ts).unwrap();
+            assert_eq!(hits, table.scan_at_full(&pred, ts).unwrap(), "at ts {ts}");
+            assert_eq!(table.count_matching_at(&pred, ts).unwrap(), hits.len());
+            hits.first().map(|(_, row)| row[1].as_int().unwrap())
+        })
+        .collect();
+    assert_eq!(lives, vec![None, Some(0), None, Some(2), None]);
 }

@@ -1,31 +1,59 @@
 //! Query execution.
 //!
-//! The executor is intentionally simple — relations are vectors of rows —
-//! but it plans equi-joins as hash joins, which is what keeps the paper's
-//! declarative-debugging query (a join of `Executions` and a per-table
-//! event table on `TxnId`) fast enough to sweep to millions of provenance
-//! events in benchmark E2.
-//!
-//! Two pushdowns keep the storage boundary cheap:
+//! The executor is intentionally simple — relations are vectors of rows,
+//! the hash join is the only join operator — and leaves the cost of a
+//! statement to three decisions it takes from the storage planner's own
+//! estimates, never from a hint or a setting:
 //!
 //! * **Predicate pushdown.** WHERE / ON conjuncts that reference a single
 //!   table and compare columns against literals are lowered to a storage
-//!   [`Predicate`] and handed to [`Database::scan_as_of`], where the scan
-//!   planner can serve them from an index instead of walking the table
-//!   (see the read-path docs on `trod_db::database`). Lowered conjuncts
-//!   are consumed — never re-evaluated in the executor — and lowering is
-//!   exact: a conjunct that cannot be expressed with identical semantics
-//!   (column-vs-column compares, expressions) stays behind as an executor
-//!   filter.
-//! * **Projection pushdown.** Only the columns the rest of the statement
-//!   can still reference (select list, ORDER BY, GROUP BY, unlowered
-//!   conjuncts, join keys) are copied out of the shared storage rows when
-//!   a relation is materialised; a column consumed entirely by a
-//!   pushed-down predicate is never copied at all.
+//!   [`Predicate`] and handed to the table scan, where the scan planner
+//!   can serve them from the primary key or an index instead of walking
+//!   the table (see "The read path" in `crates/db/DESIGN.md`). Lowered
+//!   conjuncts are consumed — never re-evaluated in the executor — and
+//!   lowering is exact: a conjunct that cannot be expressed with
+//!   identical semantics (column-vs-column compares, expressions) stays
+//!   behind as an executor filter.
+//! * **Load order.** Each table's scan is costed by the planner
+//!   ([`TableStore::plan_scan`]'s candidate count; a full scan that still
+//!   has a filter to apply is taken to keep [`FILTER_KEEPS_ONE_IN`] of
+//!   its rows, the textbook default of an optimiser without statistics)
+//!   and tables are loaded smallest first, preferring a table an
+//!   equi-join connects to what is already loaded over a cross product.
+//! * **Join-key pushdown.** Before a connected table is scanned, the
+//!   distinct join keys of the loaded side are offered to its scan as one
+//!   more lowered conjunct, `col IN (keys)`. The conjunct is kept only if
+//!   the planner then estimates fewer candidates than without it — the
+//!   keys reach a primary-key or index probe — which is the same
+//!   "cheapest estimate wins" rule every access path is chosen by. The
+//!   list over-approximates (later filters may drop loaded rows); the
+//!   hash join still applies the equality. This is what makes the paper's
+//!   declarative-debugging query — `Executions` joined to an event table
+//!   on `TxnId`, filtered on the event side — cost what its answer costs:
+//!   the matching events are found first and `Executions` is reached by
+//!   one key probe per event instead of being loaded whole.
+//!
+//! None of this is visible in a result. Column references bind in FROM
+//! order whatever the load order (an unqualified name belongs to the
+//! first FROM table that has the column), `SELECT *` lists columns in
+//! FROM order, and joined rows come out in the order a FROM-order nested
+//! loop over key-ordered scans would produce them.
+//!
+//! **Projection pushdown** keeps the materialised relations narrow: only
+//! the columns the rest of the statement can still reference (select
+//! list, ORDER BY, GROUP BY, unlowered conjuncts, join keys) are copied
+//! out of the shared storage rows; a column consumed entirely by a
+//! pushed-down predicate is never copied at all. And two statement shapes
+//! never materialise a relation: `ORDER BY <indexed column> LIMIT k`
+//! streams off a range index ([`try_ordered_probe`]) and a bare
+//! `SELECT COUNT(*)` whose conjuncts all lower is a counting walk
+//! ([`try_count`]).
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::sync::Arc;
 
-use trod_db::{CmpOp, Database, Predicate, Schema, Ts, Value};
+use trod_db::{CmpOp, Database, Predicate, ScanPlan, Schema, TableStore, Ts, Value};
 
 use crate::ast::{AggFunc, BinOp, Expr, SelectItem, SelectStmt};
 use crate::error::{QueryError, QueryResultT};
@@ -42,13 +70,18 @@ pub struct QueryOptions {
 /// One bound column of an intermediate relation.
 #[derive(Debug, Clone)]
 struct ColBinding {
+    /// FROM-order index of the table this column came from.
+    table: usize,
     /// The table binding (alias or table name) this column came from.
     qualifier: String,
     /// The column name.
     name: String,
 }
 
-/// An intermediate relation during execution.
+/// An intermediate relation during execution. Columns are grouped by
+/// table in FROM order (schema order within a table) whatever order the
+/// tables were loaded in, so positional resolution is FROM-order
+/// resolution.
 #[derive(Debug, Clone)]
 struct Relation {
     cols: Vec<ColBinding>,
@@ -65,24 +98,60 @@ impl Relation {
         })
     }
 
-    /// True if the expression only references columns present in this
-    /// relation.
-    fn can_resolve(&self, expr: &Expr) -> bool {
-        match expr {
-            Expr::Column { qualifier, name } => self.resolve(qualifier.as_deref(), name).is_some(),
-            Expr::Literal(_) => true,
-            Expr::Compare { left, right, .. } => self.can_resolve(left) && self.can_resolve(right),
-            Expr::And(a, b) | Expr::Or(a, b) => self.can_resolve(a) && self.can_resolve(b),
-            Expr::Not(e) | Expr::IsNull(e) | Expr::IsNotNull(e) => self.can_resolve(e),
-            Expr::InList { expr, list } => {
-                self.can_resolve(expr) && list.iter().all(|e| self.can_resolve(e))
-            }
-        }
+    /// Position of `column` (schema-cased) of the `table`-th FROM table.
+    fn position(&self, table: usize, column: &str) -> Option<usize> {
+        self.cols
+            .iter()
+            .position(|c| c.table == table && c.name == column)
     }
 }
 
 /// Executes a parsed statement against a database.
 pub fn execute(db: &Database, stmt: &SelectStmt, opts: QueryOptions) -> QueryResultT<ResultSet> {
+    let (catalog, pending, read_ts) = bind(db, stmt, opts)?;
+    let proj = ProjectionNeeds::of(stmt);
+    if let Some(rel) = try_ordered_probe(stmt, &catalog, read_ts, &pending, &proj)? {
+        return project(&rel, stmt);
+    }
+    if let Some(out) = try_count(stmt, &catalog, read_ts, &pending)? {
+        return Ok(out);
+    }
+    let (rel, _) = join_tables(&catalog, read_ts, pending, &proj)?;
+    finish(rel, stmt)
+}
+
+/// The oracle the planner is tested against: every table loaded in FROM
+/// order with only its own conjuncts pushed down, no fast path taken.
+#[cfg(test)]
+pub(crate) fn execute_in_from_order(
+    db: &Database,
+    stmt: &SelectStmt,
+    opts: QueryOptions,
+) -> QueryResultT<ResultSet> {
+    let (catalog, pending, read_ts) = bind(db, stmt, opts)?;
+    let proj = ProjectionNeeds::of(stmt);
+    let (scans, mut pending) = split_conjuncts(pending, &catalog)?;
+    let mut rel = None;
+    let mut loaded = Vec::new();
+    for (t, scan) in scans.iter().enumerate() {
+        let right = load_table(&catalog, t, scan, read_ts, &pending, &proj, false)?;
+        rel = Some(add_table(rel, right, t, &mut loaded, &mut pending)?);
+    }
+    finish(rel.expect("bind rejects an empty FROM list"), stmt)
+}
+
+/// Resolves the statement's tables and collects its WHERE / ON conjuncts.
+///
+/// Every table is read at ONE snapshot — the explicit `as_of`, or the
+/// published clock sampled once here — so a multi-table query can never
+/// observe a torn state (table A after a concurrent commit, table B
+/// before it). This matches the session surface's
+/// one-snapshot-per-transaction rule.
+fn bind(
+    db: &Database,
+    stmt: &SelectStmt,
+    opts: QueryOptions,
+) -> QueryResultT<(Vec<Binding>, Vec<Expr>, Ts)> {
     let mut pending: Vec<Expr> = Vec::new();
     if let Some(on) = &stmt.from_on {
         pending.extend(on.conjuncts().into_iter().cloned());
@@ -93,54 +162,33 @@ pub fn execute(db: &Database, stmt: &SelectStmt, opts: QueryOptions) -> QueryRes
     if let Some(w) = &stmt.where_clause {
         pending.extend(w.conjuncts().into_iter().cloned());
     }
-
-    // Build the joined relation, table by table. Every table is read at
-    // ONE snapshot — the explicit `as_of`, or the published clock sampled
-    // once up front — so a multi-table query can never observe a torn
-    // state (table A after a concurrent commit, table B before it). This
-    // matches the session surface's one-snapshot-per-transaction rule.
     let read_ts = opts.as_of.unwrap_or_else(|| db.current_ts());
     let tables = stmt.all_tables();
     if tables.is_empty() {
         return Err(QueryError::plan("query must reference at least one table"));
     }
-    let proj = ProjectionNeeds::of(stmt);
-    // Resolve every table's schema up front: predicate lowering must bind
-    // an *unqualified* column name exactly as the executor would — to the
-    // first table in load order that has the column — which takes the
-    // whole catalog to decide, not just the table being loaded.
-    let catalog: Vec<Binding> = tables
+    // Resolve every table up front: a column reference binds against the
+    // whole FROM list, not just the table being loaded. Table names are
+    // case-insensitive so the paper's literal queries work regardless of
+    // naming convention.
+    let catalog = tables
         .iter()
         .map(|t| {
-            let actual = resolve_table_name(db, &t.table)?;
-            let schema = db.schema_of(&actual)?;
+            let table = db
+                .table_ignoring_case(&t.table)
+                .map_err(|_| QueryError::plan(format!("no such table `{}`", t.table)))?;
             Ok(Binding {
                 binding: t.binding_name().to_string(),
-                actual,
-                schema,
+                table,
             })
         })
         .collect::<QueryResultT<_>>()?;
-    // Ordered-probe pushdown: a single-table `ORDER BY <indexed column>
-    // LIMIT k` whose WHERE clause lowers entirely into the scan streams
-    // the top k rows straight off the value-ordered range index instead
-    // of materialising, sorting and truncating the whole table.
-    if let Some(rel) = try_ordered_probe(db, stmt, &catalog, read_ts, &mut pending, &proj)? {
-        return project(&rel, stmt);
-    }
-    let mut rel = load_table(db, &catalog, 0, read_ts, &mut pending, &proj)?;
-    apply_resolvable(&mut rel, &mut pending)?;
-    for idx in 1..catalog.len() {
-        let right = load_table(db, &catalog, idx, read_ts, &mut pending, &proj)?;
-        rel = join_relations(rel, right, &mut pending)?;
-        apply_resolvable(&mut rel, &mut pending)?;
-    }
-    if let Some(unresolved) = pending.first() {
-        return Err(QueryError::plan(format!(
-            "expression references unknown column: {unresolved}"
-        )));
-    }
+    Ok((catalog, pending, read_ts))
+}
 
+/// Aggregation, ORDER BY, LIMIT and the select list over the joined
+/// relation.
+fn finish(mut rel: Relation, stmt: &SelectStmt) -> QueryResultT<ResultSet> {
     if stmt.is_aggregate() {
         let mut out = aggregate(&rel, stmt)?;
         sort_output(&mut out, stmt)?;
@@ -176,7 +224,7 @@ pub fn execute(db: &Database, stmt: &SelectStmt, opts: QueryOptions) -> QueryRes
                     return ord;
                 }
             }
-            std::cmp::Ordering::Equal
+            Ordering::Equal
         });
         rel.rows = keyed.into_iter().map(|(_, r)| r).collect();
     }
@@ -186,65 +234,63 @@ pub fn execute(db: &Database, stmt: &SelectStmt, opts: QueryOptions) -> QueryRes
     project(&rel, stmt)
 }
 
+/// Calls `f(qualifier, name)` for every column reference in `expr`.
+fn for_each_column<'a>(expr: &'a Expr, f: &mut impl FnMut(Option<&'a str>, &'a str)) {
+    match expr {
+        Expr::Column { qualifier, name } => f(qualifier.as_deref(), name),
+        Expr::Literal(_) => {}
+        Expr::Compare { left, right, .. } => {
+            for_each_column(left, f);
+            for_each_column(right, f);
+        }
+        Expr::And(a, b) | Expr::Or(a, b) => {
+            for_each_column(a, f);
+            for_each_column(b, f);
+        }
+        Expr::Not(e) | Expr::IsNull(e) | Expr::IsNotNull(e) => for_each_column(e, f),
+        Expr::InList { expr, list } => {
+            for_each_column(expr, f);
+            for e in list {
+                for_each_column(e, f);
+            }
+        }
+    }
+}
+
 /// Column references a statement can still evaluate after its relations
 /// are materialised — everything that bounds projection pushdown except
 /// the pending conjuncts, which [`load_table`] checks live (they shrink
-/// as predicates are lowered into scans).
-struct ProjectionNeeds {
+/// as tables are joined).
+struct ProjectionNeeds<'a> {
     /// `SELECT *` appears: every column of every table is needed.
     wildcard: bool,
     /// `(qualifier, column)` references, case-preserved.
-    refs: Vec<(Option<String>, String)>,
+    refs: Vec<(Option<&'a str>, &'a str)>,
 }
 
-impl ProjectionNeeds {
-    fn of(stmt: &SelectStmt) -> Self {
-        let mut needs = ProjectionNeeds {
-            wildcard: false,
-            refs: Vec::new(),
-        };
+impl<'a> ProjectionNeeds<'a> {
+    fn of(stmt: &'a SelectStmt) -> Self {
+        let mut wildcard = false;
+        let mut refs = Vec::new();
+        let mut collect = |q, n| refs.push((q, n));
         for item in &stmt.items {
             match item {
-                SelectItem::Wildcard => needs.wildcard = true,
-                SelectItem::Expr { expr, .. } => needs.collect(expr),
+                SelectItem::Wildcard => wildcard = true,
+                SelectItem::Expr { expr, .. } => for_each_column(expr, &mut collect),
                 SelectItem::Aggregate { arg, .. } => {
                     if let Some(arg) = arg {
-                        needs.collect(arg);
+                        for_each_column(arg, &mut collect);
                     }
                 }
             }
         }
         for key in &stmt.order_by {
-            needs.collect(&key.expr);
+            for_each_column(&key.expr, &mut collect);
         }
         for expr in &stmt.group_by {
-            needs.collect(expr);
+            for_each_column(expr, &mut collect);
         }
-        needs
-    }
-
-    fn collect(&mut self, expr: &Expr) {
-        match expr {
-            Expr::Column { qualifier, name } => {
-                self.refs.push((qualifier.clone(), name.clone()));
-            }
-            Expr::Literal(_) => {}
-            Expr::Compare { left, right, .. } => {
-                self.collect(left);
-                self.collect(right);
-            }
-            Expr::And(a, b) | Expr::Or(a, b) => {
-                self.collect(a);
-                self.collect(b);
-            }
-            Expr::Not(e) | Expr::IsNull(e) | Expr::IsNotNull(e) => self.collect(e),
-            Expr::InList { expr, list } => {
-                self.collect(expr);
-                for e in list {
-                    self.collect(e);
-                }
-            }
-        }
+        ProjectionNeeds { wildcard, refs }
     }
 
     /// True if a reference may name `column` of the table bound as
@@ -254,7 +300,7 @@ impl ProjectionNeeds {
             || self
                 .refs
                 .iter()
-                .any(|(q, n)| ref_matches(q.as_deref(), n, binding, column))
+                .any(|(q, n)| ref_matches(*q, n, binding, column))
     }
 }
 
@@ -269,116 +315,394 @@ fn ref_matches(qualifier: Option<&str>, name: &str, binding: &str, column: &str)
             .unwrap_or(true)
 }
 
-/// One FROM/JOIN table with its binding name and resolved schema; the
-/// full ordered list is the statement's catalog, which predicate lowering
-/// consults to bind unqualified column names the way the executor does.
+/// True if `expr` contains a column reference that may resolve to
+/// `column` of the table bound as `binding`.
+fn expr_references(expr: &Expr, binding: &str, column: &str) -> bool {
+    let mut found = false;
+    for_each_column(expr, &mut |q, n| {
+        found |= ref_matches(q, n, binding, column)
+    });
+    found
+}
+
+/// One FROM/JOIN table with its binding name and storage handle; the full
+/// FROM-ordered list is the statement's catalog, against which every
+/// column reference binds.
 struct Binding {
     binding: String,
-    actual: String,
-    schema: Schema,
+    table: Arc<TableStore>,
 }
 
-/// Case-insensitive table resolution so the paper's literal queries work
-/// regardless of naming convention.
-fn resolve_table_name(db: &Database, table: &str) -> QueryResultT<String> {
-    db.table_names()
-        .into_iter()
-        .find(|t| t.eq_ignore_ascii_case(table))
-        .ok_or_else(|| QueryError::plan(format!("no such table `{table}`")))
+impl Binding {
+    fn schema(&self) -> &Schema {
+        self.table.schema()
+    }
 }
 
-/// Materialises the catalog's `idx`-th table as a relation: lowers every
-/// pending conjunct the table can answer by itself into a storage
-/// [`Predicate`] pushed into the scan (consuming the conjunct), then
-/// copies only the columns the rest of the statement can still reference.
-fn load_table(
-    db: &Database,
+/// Binds a column reference against the catalog the way SQL scoping
+/// does, whatever order the tables are loaded in: to the first FROM
+/// table that carries the qualifier (if one is given) and has the
+/// column. Returns the table's FROM index and the schema-cased column
+/// name (storage predicates resolve names case-sensitively; the SQL
+/// layer is case-insensitive).
+fn bind_column<'c>(
+    qualifier: Option<&str>,
+    name: &str,
+    catalog: &'c [Binding],
+) -> Option<(usize, &'c str)> {
+    catalog.iter().enumerate().find_map(|(t, b)| {
+        if qualifier.is_some_and(|q| !q.eq_ignore_ascii_case(&b.binding)) {
+            return None;
+        }
+        let column = b
+            .schema()
+            .columns()
+            .iter()
+            .find(|c| c.name.eq_ignore_ascii_case(name))?;
+        Some((t, column.name.as_str()))
+    })
+}
+
+/// A WHERE / ON conjunct no scan could consume, bound to the catalog.
+struct Conjunct {
+    expr: Expr,
+    /// FROM indexes of the tables its column references bind to; it is
+    /// applied as soon as all of them are loaded.
+    tables: Vec<usize>,
+    /// For `a.x = b.y` across two tables, the two `(table, column)` ends:
+    /// a hash-join key.
+    join: Option<[(usize, String); 2]>,
+}
+
+impl Conjunct {
+    /// If this is an equi-join between table `t` and a table in
+    /// `loaded`: the column on `t`'s side, the loaded table and its
+    /// column.
+    fn join_to(&self, t: usize, loaded: &[usize]) -> Option<(&str, usize, &str)> {
+        let [a, b] = self.join.as_ref()?;
+        let (own, other) = if a.0 == t { (a, b) } else { (b, a) };
+        (own.0 == t && loaded.contains(&other.0)).then_some((&own.1, other.0, &other.1))
+    }
+}
+
+/// `a AND b`, without wrapping a lone predicate in `TRUE AND ..`.
+fn and(a: Predicate, b: Predicate) -> Predicate {
+    match a {
+        Predicate::True => b,
+        a => a.and(b),
+    }
+}
+
+/// Splits the statement's conjuncts into one storage predicate per table
+/// — every conjunct a table can answer by itself, lowered and consumed —
+/// and the rest, bound to the catalog. A conjunct lowers into at most one
+/// table (all its columns must bind there), so the split does not depend
+/// on the order tables are later loaded in.
+fn split_conjuncts(
+    pending: Vec<Expr>,
     catalog: &[Binding],
-    idx: usize,
-    read_ts: Ts,
-    pending: &mut Vec<Expr>,
-    proj: &ProjectionNeeds,
-) -> QueryResultT<Relation> {
-    let Binding {
-        binding,
-        actual,
-        schema,
-    } = &catalog[idx];
+) -> QueryResultT<(Vec<Predicate>, Vec<Conjunct>)> {
+    let mut scans = vec![Predicate::True; catalog.len()];
+    let mut rest = Vec::new();
+    for expr in pending {
+        let lowered =
+            (0..catalog.len()).find_map(|t| Some((t, lower_conjunct(&expr, catalog, t)?)));
+        if let Some((t, pred)) = lowered {
+            scans[t] = and(std::mem::replace(&mut scans[t], Predicate::True), pred);
+            continue;
+        }
+        let mut tables = Vec::new();
+        let mut unbound = false;
+        for_each_column(&expr, &mut |q, n| match bind_column(q, n, catalog) {
+            Some((t, _)) if !tables.contains(&t) => tables.push(t),
+            Some(_) => {}
+            None => unbound = true,
+        });
+        if unbound {
+            return Err(QueryError::plan(format!(
+                "expression references unknown column: {expr}"
+            )));
+        }
+        let join = match &expr {
+            Expr::Compare {
+                left,
+                op: BinOp::Eq,
+                right,
+            } => match (bound_column(left, catalog), bound_column(right, catalog)) {
+                (Some(a), Some(b)) if a.0 != b.0 => Some([a, b]),
+                _ => None,
+            },
+            _ => None,
+        };
+        rest.push(Conjunct { expr, tables, join });
+    }
+    Ok((scans, rest))
+}
 
-    // Predicate pushdown. Conjuncts are attempted in load order and
-    // consumed on success; `lower_conjunct` binds each column reference
-    // exactly as the executor's joined-relation resolution would, so a
-    // consumed conjunct filters the same rows it would have filtered.
-    let mut lowered = Predicate::True;
-    let mut remaining = Vec::new();
-    for expr in pending.drain(..) {
-        match lower_conjunct(&expr, catalog, idx) {
-            Some(pred) => {
-                lowered = match lowered {
-                    Predicate::True => pred,
-                    combined => combined.and(pred),
-                };
-            }
-            None => remaining.push(expr),
+/// How many rows a full scan is taken to keep, as one in this many, when
+/// it has a filter to apply and nothing is known about the data. Only
+/// ever weighs one load order against another; no result depends on it.
+const FILTER_KEEPS_ONE_IN: usize = 10;
+
+/// One table load of a multi-table statement, as executed: the crate's
+/// own description of a plan, for tests.
+#[derive(Debug, PartialEq)]
+struct LoadStep {
+    /// The table's binding name.
+    table: String,
+    /// The access path its scan (own conjuncts plus any pushed join
+    /// keys) was planned to take.
+    plan: ScanPlan,
+}
+
+/// Loads and joins every table of the statement: cost-ordered loading
+/// with join-key pushdown (module docs). Returns the joined relation —
+/// columns and rows in FROM order — and, for multi-table statements, the
+/// steps taken.
+fn join_tables(
+    catalog: &[Binding],
+    read_ts: Ts,
+    pending: Vec<Expr>,
+    proj: &ProjectionNeeds,
+) -> QueryResultT<(Relation, Vec<LoadStep>)> {
+    let (mut scans, mut pending) = split_conjuncts(pending, catalog)?;
+    if let [only] = scans.as_slice() {
+        let rel = load_table(catalog, 0, only, read_ts, &pending, proj, false)?;
+        let rel = add_table(None, rel, 0, &mut Vec::new(), &mut pending)?;
+        return Ok((rel, Vec::new()));
+    }
+    let mut plans: Vec<ScanPlan> = catalog
+        .iter()
+        .zip(&scans)
+        .map(|(b, scan)| b.table.plan_scan(scan))
+        .collect();
+    let order = load_order(&plans, &scans, &pending);
+    // Out of FROM order the rows come out permuted; each table's key is
+    // then kept to sort them back.
+    let reordered = order.windows(2).any(|w| w[0] > w[1]);
+
+    let mut rel: Option<Relation> = None;
+    let mut loaded = Vec::new();
+    let mut steps = Vec::new();
+    for t in order {
+        if let Some(rel) = &rel {
+            push_join_keys(rel, t, &loaded, &pending, catalog, &mut scans, &mut plans);
+        }
+        let right = load_table(catalog, t, &scans[t], read_ts, &pending, proj, reordered)?;
+        rel = Some(add_table(rel, right, t, &mut loaded, &mut pending)?);
+        steps.push(LoadStep {
+            table: catalog[t].binding.clone(),
+            plan: plans[t].clone(),
+        });
+    }
+    let mut rel = rel.expect("bind rejects an empty FROM list");
+    if reordered {
+        // Scans return rows in key order and joins keep the order of
+        // their inputs, so sorting by every table's key, FROM-first,
+        // is the order FROM-order loading would have produced.
+        let key_positions: Vec<usize> = catalog
+            .iter()
+            .enumerate()
+            .flat_map(|(t, b)| {
+                let rel = &rel;
+                b.schema().primary_key().iter().map(move |&col| {
+                    rel.position(t, &b.schema().columns()[col].name)
+                        .expect("key columns are kept when reordered")
+                })
+            })
+            .collect();
+        rel.rows.sort_by(|a, b| {
+            key_positions
+                .iter()
+                .map(|&i| a[i].total_cmp(&b[i]))
+                .find(|ord| ord.is_ne())
+                .unwrap_or(Ordering::Equal)
+        });
+    }
+    Ok((rel, steps))
+}
+
+/// Join-key pushdown: offers the scan of table `t` the distinct keys the
+/// loaded relation `rel` holds on each equi-join that connects them, as
+/// `col IN (keys)`, and keeps the conjunct where the planner then
+/// estimates fewer candidates than without it (the keys reach a
+/// primary-key or index probe). NULLs never equi-join and are left out.
+fn push_join_keys(
+    rel: &Relation,
+    t: usize,
+    loaded: &[usize],
+    pending: &[Conjunct],
+    catalog: &[Binding],
+    scans: &mut [Predicate],
+    plans: &mut [ScanPlan],
+) {
+    for conjunct in pending {
+        let Some((column, other, other_column)) = conjunct.join_to(t, loaded) else {
+            continue;
+        };
+        let pos = rel
+            .position(other, other_column)
+            .expect("a pending conjunct's columns are kept");
+        let mut keys: Vec<Value> = rel
+            .rows
+            .iter()
+            .map(|row| &row[pos])
+            .filter(|v| !v.is_null())
+            .cloned()
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        // One probe per key has to beat the scan already planned.
+        if keys.len() >= plans[t].candidates() {
+            continue;
+        }
+        let pushed = and(scans[t].clone(), Predicate::in_list(column, keys));
+        let plan = catalog[t].table.plan_scan(&pushed);
+        if plan.candidates() < plans[t].candidates() {
+            scans[t] = pushed;
+            plans[t] = plan;
         }
     }
-    *pending = remaining;
+}
 
+/// The order to load tables in: smallest estimated relation first, then
+/// repeatedly the smallest table an equi-join connects to the loaded
+/// ones (so its scan can take their keys and the join is a hash join),
+/// or the smallest of all when none is connected. Ties keep FROM order.
+fn load_order(plans: &[ScanPlan], scans: &[Predicate], pending: &[Conjunct]) -> Vec<usize> {
+    let estimate = |t: usize| match &plans[t] {
+        ScanPlan::FullScan { rows } if scans[t] != Predicate::True => rows / FILTER_KEEPS_ONE_IN,
+        plan => plan.candidates(),
+    };
+    let mut order: Vec<usize> = Vec::with_capacity(plans.len());
+    let mut rest: Vec<usize> = (0..plans.len()).collect();
+    while !rest.is_empty() {
+        let connected = rest
+            .iter()
+            .copied()
+            .filter(|&t| pending.iter().any(|c| c.join_to(t, &order).is_some()))
+            .min_by_key(|&t| estimate(t));
+        let next = connected
+            .or_else(|| rest.iter().copied().min_by_key(|&t| estimate(t)))
+            .expect("rest is not empty");
+        rest.retain(|&t| t != next);
+        order.push(next);
+    }
+    order
+}
+
+/// Folds a freshly loaded table into the joined relation and applies
+/// every conjunct that has just become evaluable.
+fn add_table(
+    rel: Option<Relation>,
+    right: Relation,
+    t: usize,
+    loaded: &mut Vec<usize>,
+    pending: &mut Vec<Conjunct>,
+) -> QueryResultT<Relation> {
+    let mut rel = match rel {
+        None => right,
+        Some(left) => join_relations(left, right, t, loaded, pending),
+    };
+    loaded.push(t);
+    apply_resolvable(&mut rel, pending, loaded)?;
+    Ok(rel)
+}
+
+/// Materialises the catalog's `t`-th table as a relation: runs `scan`
+/// (the table's lowered conjuncts, plus any pushed join keys), then
+/// copies only the columns the rest of the statement can still reference
+/// — plus the primary key when `keep_key` asks for it.
+fn load_table(
+    catalog: &[Binding],
+    t: usize,
+    scan: &Predicate,
+    read_ts: Ts,
+    pending: &[Conjunct],
+    proj: &ProjectionNeeds,
+    keep_key: bool,
+) -> QueryResultT<Relation> {
+    let binding = &catalog[t];
+    let schema = binding.schema();
     // Projection pushdown: a column is copied only if the select list,
     // ORDER BY, GROUP BY or a still-pending conjunct can reference it.
     let keep: Vec<usize> = schema
         .columns()
         .iter()
         .enumerate()
-        .filter(|(_, c)| {
-            proj.needs(binding, &c.name)
-                || pending.iter().any(|e| expr_references(e, binding, &c.name))
+        .filter(|(i, c)| {
+            proj.needs(&binding.binding, &c.name)
+                || pending
+                    .iter()
+                    .any(|p| expr_references(&p.expr, &binding.binding, &c.name))
+                || keep_key && schema.primary_key().contains(i)
         })
         .map(|(i, _)| i)
         .collect();
+    let scanned = binding.table.scan_at(scan, read_ts)?;
+    Ok(materialise(t, binding, scanned, &keep))
+}
+
+/// Copies the `keep` columns of scanned rows into a relation. The
+/// executor materialises relations of owned values (projections and
+/// joins rewrite them), so this is the one place the shared rows are
+/// copied out of the storage engine.
+fn materialise(
+    t: usize,
+    binding: &Binding,
+    scanned: trod_db::ScanRows,
+    keep: &[usize],
+) -> Relation {
     let cols = keep
         .iter()
         .map(|&i| ColBinding {
-            qualifier: binding.clone(),
-            name: schema.columns()[i].name.clone(),
+            table: t,
+            qualifier: binding.binding.clone(),
+            name: binding.schema().columns()[i].name.clone(),
         })
         .collect();
-
-    let scanned = db.scan_as_of(actual, &lowered, read_ts)?;
-    // The executor materialises relations of owned values (projections and
-    // joins rewrite them), so this is the one place the shared rows are
-    // copied out of the storage engine.
     let rows = scanned
         .into_iter()
         .map(|(_, r)| keep.iter().map(|&i| r[i].clone()).collect())
         .collect();
-    Ok(Relation { cols, rows })
+    Relation { cols, rows }
+}
+
+/// Lowers every conjunct into one predicate over the catalog's only
+/// table, or returns `None` if any of them cannot be lowered: the fast
+/// paths below are all-or-nothing.
+fn lower_all(pending: &[Expr], catalog: &[Binding]) -> Option<Predicate> {
+    pending.iter().try_fold(Predicate::True, |lowered, expr| {
+        Some(and(lowered, lower_conjunct(expr, catalog, 0)?))
+    })
 }
 
 /// Attempts the ordered-probe fast path: a single-table, non-aggregate
 /// statement with exactly one `ORDER BY <column>` key and a LIMIT, whose
 /// WHERE clause lowers entirely into the scan, can stream its top-k rows
-/// off a value-ordered range index ([`Database::scan_ordered_as_of`]) —
+/// off a value-ordered range index ([`TableStore::scan_ordered_limit`]) —
 /// O(k) in the result size instead of scan + sort + truncate.
 ///
-/// Returns `Ok(None)` — leaving `pending` untouched so the generic path
-/// proceeds normally — when any gate fails or the storage layer cannot
-/// serve the order from an index. The gates are exact, not heuristic:
-/// predicate lowering is all-or-nothing because a conjunct the scan
-/// cannot evaluate would have to filter *after* the index walk, which
-/// breaks the "first k matching rows" contract, and the ORDER BY key
-/// must bind to this table's schema the same way the executor would
-/// resolve it. On success the storage result is exactly what the
-/// executor's stable sort + truncate would have produced.
+/// Returns `Ok(None)` — so the generic path proceeds normally — when any
+/// gate fails or the storage layer cannot serve the order from an index.
+/// The gates are exact, not heuristic: predicate lowering is
+/// all-or-nothing because a conjunct the scan cannot evaluate would have
+/// to filter *after* the index walk, which breaks the "first k matching
+/// rows" contract, and the ORDER BY key must bind to this table's schema
+/// the same way the executor would resolve it. On success the storage
+/// result is exactly what the executor's stable sort + truncate would
+/// have produced.
 fn try_ordered_probe(
-    db: &Database,
     stmt: &SelectStmt,
     catalog: &[Binding],
     read_ts: Ts,
-    pending: &mut Vec<Expr>,
+    pending: &[Expr],
     proj: &ProjectionNeeds,
 ) -> QueryResultT<Option<Relation>> {
-    if catalog.len() != 1 || stmt.is_aggregate() {
+    let [binding] = catalog else {
+        return Ok(None);
+    };
+    if stmt.is_aggregate() {
         return Ok(None);
     }
     let Some(limit) = stmt.limit else {
@@ -390,73 +714,65 @@ fn try_ordered_probe(
     let Some(order_col) = local_column(&key.expr, catalog, 0) else {
         return Ok(None);
     };
-    let mut lowered = Predicate::True;
-    for expr in pending.iter() {
-        match lower_conjunct(expr, catalog, 0) {
-            Some(pred) => {
-                lowered = match lowered {
-                    Predicate::True => pred,
-                    combined => combined.and(pred),
-                };
-            }
-            None => return Ok(None),
-        }
-    }
-    let Binding {
-        binding,
-        actual,
-        schema,
-    } = &catalog[0];
+    let Some(lowered) = lower_all(pending, catalog) else {
+        return Ok(None);
+    };
     let Some(scanned) =
-        db.scan_ordered_as_of(actual, &lowered, &order_col, key.descending, limit, read_ts)?
+        binding
+            .table
+            .scan_ordered_limit(&lowered, &order_col, key.descending, limit, read_ts)?
     else {
         return Ok(None);
     };
-    pending.clear();
     // Projection pushdown, as in `load_table`; every conjunct was
     // consumed by the scan, so only the statement's own references
     // bound which columns are copied.
-    let keep: Vec<usize> = schema
+    let keep: Vec<usize> = binding
+        .schema()
         .columns()
         .iter()
         .enumerate()
-        .filter(|(_, c)| proj.needs(binding, &c.name))
+        .filter(|(_, c)| proj.needs(&binding.binding, &c.name))
         .map(|(i, _)| i)
         .collect();
-    let cols = keep
-        .iter()
-        .map(|&i| ColBinding {
-            qualifier: binding.clone(),
-            name: schema.columns()[i].name.clone(),
-        })
-        .collect();
-    let rows = scanned
-        .into_iter()
-        .map(|(_, r)| keep.iter().map(|&i| r[i].clone()).collect())
-        .collect();
-    Ok(Some(Relation { cols, rows }))
+    Ok(Some(materialise(0, binding, scanned, &keep)))
 }
 
-/// True if `expr` contains a column reference that may resolve to
-/// `column` of the table bound as `binding`.
-fn expr_references(expr: &Expr, binding: &str, column: &str) -> bool {
-    match expr {
-        Expr::Column { qualifier, name } => {
-            ref_matches(qualifier.as_deref(), name, binding, column)
+/// Attempts COUNT pushdown: a single-table statement that selects
+/// nothing but `COUNT(*)` and whose WHERE clause lowers entirely into
+/// the scan is a counting walk ([`TableStore::count_matching_at`]) — no
+/// row is materialised, shared or sorted.
+fn try_count(
+    stmt: &SelectStmt,
+    catalog: &[Binding],
+    read_ts: Ts,
+    pending: &[Expr],
+) -> QueryResultT<Option<ResultSet>> {
+    let ([binding], [item]) = (catalog, stmt.items.as_slice()) else {
+        return Ok(None);
+    };
+    let count_star = matches!(
+        item,
+        SelectItem::Aggregate {
+            func: AggFunc::Count,
+            arg: None,
+            ..
         }
-        Expr::Literal(_) => false,
-        Expr::Compare { left, right, .. } => {
-            expr_references(left, binding, column) || expr_references(right, binding, column)
-        }
-        Expr::And(a, b) | Expr::Or(a, b) => {
-            expr_references(a, binding, column) || expr_references(b, binding, column)
-        }
-        Expr::Not(e) | Expr::IsNull(e) | Expr::IsNotNull(e) => expr_references(e, binding, column),
-        Expr::InList { expr, list } => {
-            expr_references(expr, binding, column)
-                || list.iter().any(|e| expr_references(e, binding, column))
-        }
+    );
+    // ORDER BY and LIMIT over the one output row keep their (error)
+    // semantics on the generic path.
+    if !count_star || !stmt.group_by.is_empty() || !stmt.order_by.is_empty() || stmt.limit.is_some()
+    {
+        return Ok(None);
     }
+    let Some(lowered) = lower_all(pending, catalog) else {
+        return Ok(None);
+    };
+    let count = binding.table.count_matching_at(&lowered, read_ts)?;
+    Ok(Some(ResultSet::new(
+        vec![item.output_name()],
+        vec![vec![Value::Int(count as i64)]],
+    )))
 }
 
 /// Lowers one conjunct to a storage [`Predicate`] over the catalog's
@@ -515,35 +831,24 @@ fn lower_conjunct(expr: &Expr, catalog: &[Binding], idx: usize) -> Option<Predic
     }
 }
 
-/// Resolves `expr` as a column of the catalog's `idx`-th table, returning
-/// the schema-cased column name (storage predicates resolve names
-/// case-sensitively; the SQL layer is case-insensitive).
-///
-/// An *unqualified* name resolves the way the executor's joined-relation
-/// lookup does — to the first table in load order whose schema has the
-/// column — so it only lowers here if that first table IS this one. A
-/// name that binds to an earlier table must not be captured by a later
-/// table that happens to share it (the conjunct stays with the executor,
-/// which applies it against the join).
-fn local_column(expr: &Expr, catalog: &[Binding], idx: usize) -> Option<String> {
+/// If `expr` is a column reference, the FROM index of the table it binds
+/// to and the schema-cased column name ([`bind_column`]).
+fn bound_column(expr: &Expr, catalog: &[Binding]) -> Option<(usize, String)> {
     let Expr::Column { qualifier, name } = expr else {
         return None;
     };
-    let has_column = |b: &Binding| {
-        b.schema
-            .columns()
-            .iter()
-            .find(|c| c.name.eq_ignore_ascii_case(name))
-            .map(|c| c.name.clone())
-    };
-    if let Some(q) = qualifier {
-        if !q.eq_ignore_ascii_case(&catalog[idx].binding) {
-            return None;
-        }
-    } else if catalog[..idx].iter().any(|b| has_column(b).is_some()) {
-        return None;
-    }
-    has_column(&catalog[idx])
+    let (t, column) = bind_column(qualifier.as_deref(), name, catalog)?;
+    Some((t, column.to_string()))
+}
+
+/// Resolves `expr` as a column of the catalog's `idx`-th table. A name
+/// that binds to an earlier table must not be captured by a later table
+/// that happens to share it (the conjunct stays with the executor, which
+/// applies it against the join).
+fn local_column(expr: &Expr, catalog: &[Binding], idx: usize) -> Option<String> {
+    bound_column(expr, catalog)
+        .filter(|(t, _)| *t == idx)
+        .map(|(_, name)| name)
 }
 
 fn literal(expr: &Expr) -> Option<&Value> {
@@ -576,86 +881,77 @@ fn flip(op: CmpOp) -> CmpOp {
     }
 }
 
-/// Applies (and removes) every pending conjunct that the relation can
-/// already evaluate.
-fn apply_resolvable(rel: &mut Relation, pending: &mut Vec<Expr>) -> QueryResultT<()> {
+/// Applies (and removes) every pending conjunct whose tables are all
+/// loaded. Its columns then resolve positionally to the tables they are
+/// bound to: a bound table is the first in FROM order that has the
+/// column, and the relation's columns are in FROM order.
+fn apply_resolvable(
+    rel: &mut Relation,
+    pending: &mut Vec<Conjunct>,
+    loaded: &[usize],
+) -> QueryResultT<()> {
     let mut remaining = Vec::new();
-    for expr in pending.drain(..) {
-        if rel.can_resolve(&expr) {
+    for conjunct in pending.drain(..) {
+        if conjunct.tables.iter().all(|t| loaded.contains(t)) {
             let rows = std::mem::take(&mut rel.rows);
             let mut kept = Vec::with_capacity(rows.len());
             for row in rows {
-                if truthy(&eval(rel, &row, &expr)?) {
+                if truthy(&eval(rel, &row, &conjunct.expr)?) {
                     kept.push(row);
                 }
             }
             rel.rows = kept;
         } else {
-            remaining.push(expr);
+            remaining.push(conjunct);
         }
     }
     *pending = remaining;
     Ok(())
 }
 
-/// Joins two relations. Equi-join conjuncts connecting the two sides are
-/// removed from `pending` and used as hash-join keys; if none exist the
-/// join degenerates to a cross product (filtered later by `pending`).
+/// Joins the loaded relation with the freshly loaded `t`-th table.
+/// Equi-join conjuncts connecting the two sides are removed from
+/// `pending` and used as hash-join keys; if none exist the join
+/// degenerates to a cross product (filtered later by `pending`). Output
+/// columns stay grouped by table in FROM order; output rows are in
+/// `left` order, then `right` order.
 fn join_relations(
     left: Relation,
     right: Relation,
-    pending: &mut Vec<Expr>,
-) -> QueryResultT<Relation> {
+    t: usize,
+    loaded: &[usize],
+    pending: &mut Vec<Conjunct>,
+) -> Relation {
     let mut left_keys: Vec<usize> = Vec::new();
     let mut right_keys: Vec<usize> = Vec::new();
-    let mut remaining = Vec::new();
-    for expr in pending.drain(..) {
-        if let Expr::Compare {
-            left: l,
-            op: BinOp::Eq,
-            right: r,
-        } = &expr
-        {
-            if let (
-                Expr::Column {
-                    qualifier: ql,
-                    name: nl,
-                },
-                Expr::Column {
-                    qualifier: qr,
-                    name: nr,
-                },
-            ) = (l.as_ref(), r.as_ref())
-            {
-                let l_in_left = left.resolve(ql.as_deref(), nl);
-                let r_in_right = right.resolve(qr.as_deref(), nr);
-                let l_in_right = right.resolve(ql.as_deref(), nl);
-                let r_in_left = left.resolve(qr.as_deref(), nr);
-                if let (Some(li), Some(ri)) = (l_in_left, r_in_right) {
-                    left_keys.push(li);
-                    right_keys.push(ri);
-                    continue;
-                }
-                if let (Some(li), Some(ri)) = (r_in_left, l_in_right) {
-                    left_keys.push(li);
-                    right_keys.push(ri);
-                    continue;
-                }
-            }
-        }
-        remaining.push(expr);
-    }
-    *pending = remaining;
+    pending.retain(|conjunct| {
+        let Some((column, other, other_column)) = conjunct.join_to(t, loaded) else {
+            return true;
+        };
+        let positions = (
+            left.position(other, other_column),
+            right.position(t, column),
+        );
+        let (Some(l), Some(r)) = positions else {
+            unreachable!("a pending conjunct's columns are kept");
+        };
+        left_keys.push(l);
+        right_keys.push(r);
+        false
+    });
 
-    let cols: Vec<ColBinding> = left.cols.iter().chain(right.cols.iter()).cloned().collect();
+    // `left`'s columns are in FROM order and `right` is one table: its
+    // columns slot in after those of the tables that precede it.
+    let split = left.cols.partition_point(|c| c.table < t);
+    let cols = [&left.cols[..split], &right.cols, &left.cols[split..]].concat();
+    let combine = |l: &[Value], r: &[Value]| [&l[..split], r, &l[split..]].concat();
+
     let mut rows = Vec::new();
     if left_keys.is_empty() {
         // Cross product.
         for l in &left.rows {
             for r in &right.rows {
-                let mut joined = l.clone();
-                joined.extend(r.iter().cloned());
-                rows.push(joined);
+                rows.push(combine(l, r));
             }
         }
     } else {
@@ -675,14 +971,12 @@ fn join_relations(
             }
             if let Some(matches) = table.get(&key) {
                 for r in matches {
-                    let mut joined = l.clone();
-                    joined.extend(r.iter().cloned());
-                    rows.push(joined);
+                    rows.push(combine(l, r));
                 }
             }
         }
     }
-    Ok(Relation { cols, rows })
+    Relation { cols, rows }
 }
 
 /// Evaluates an expression against a row of a relation.
@@ -942,8 +1236,7 @@ mod tests {
     fn cat() -> Vec<Binding> {
         vec![Binding {
             binding: "E".into(),
-            actual: "Executions".into(),
-            schema: schema(),
+            table: Arc::new(TableStore::new("Executions", schema())),
         }]
     }
 
@@ -1050,8 +1343,7 @@ mod tests {
             cat().pop().unwrap(),
             Binding {
                 binding: "F".into(),
-                actual: "Events".into(),
-                schema: f_schema,
+                table: Arc::new(TableStore::new("Events", f_schema)),
             },
         ];
         let unqualified = cmp(col("Score"), BinOp::Gt, lit(1.0f64));
@@ -1094,5 +1386,155 @@ mod tests {
         assert!(!needs.needs("Executions", "TxnId"));
         let stmt = crate::parse("SELECT * FROM Executions").unwrap();
         assert!(ProjectionNeeds::of(&stmt).wildcard);
+    }
+
+    /// `Executions` and `ForumEvents` shaped and sized like the paper's
+    /// provenance database: `executions` transactions, three events
+    /// each, exactly two of them inserts of (U1, F2).
+    fn provenance_db(executions: i64) -> Database {
+        let db = Database::new();
+        let executions_schema = Schema::builder()
+            .column("TxnId", DataType::Int)
+            .column("Timestamp", DataType::Timestamp)
+            .column("HandlerName", DataType::Text)
+            .column("ReqId", DataType::Text)
+            .primary_key(&["TxnId"])
+            .build()
+            .unwrap();
+        let events_schema = Schema::builder()
+            .column("EventId", DataType::Int)
+            .column("TxnId", DataType::Int)
+            .column("Type", DataType::Text)
+            .nullable("user_id", DataType::Text)
+            .nullable("forum", DataType::Text)
+            .primary_key(&["EventId"])
+            .build()
+            .unwrap();
+        db.create_table("Executions", executions_schema).unwrap();
+        db.create_table("ForumEvents", events_schema).unwrap();
+        db.create_index("ForumEvents", "TxnId").unwrap();
+        let mut txn = db.begin();
+        for t in 0..executions {
+            let req = format!("R{t}");
+            // Timestamps run against TxnIds so ORDER BY has work to do.
+            txn.insert(
+                "Executions",
+                trod_db::row![t, Value::Timestamp(1_000_000 - t), "subscribeUser", req],
+            )
+            .unwrap();
+            for e in 0..3 {
+                let racing = e == 2 && (t == 7 || t == executions - 3);
+                let (user, forum) = if racing {
+                    ("U1".to_string(), "F2".to_string())
+                } else {
+                    (format!("V{t}"), format!("F{e}"))
+                };
+                let kind = if e == 0 { "Read" } else { "Insert" };
+                txn.insert(
+                    "ForumEvents",
+                    trod_db::row![t * 3 + e, t, kind, user, forum],
+                )
+                .unwrap();
+            }
+        }
+        txn.commit().unwrap();
+        db
+    }
+
+    #[test]
+    fn the_papers_query_loads_events_first_and_probes_executions_by_key() {
+        let db = provenance_db(200);
+        let stmt = crate::parse(
+            "SELECT Timestamp, ReqId, HandlerName, E.TxnId \
+             FROM Executions as E, ForumEvents as F ON E.TxnId = F.TxnId \
+             WHERE F.Type = 'Insert' AND F.user_id = 'U1' AND F.forum = 'F2' \
+             ORDER BY Timestamp ASC",
+        )
+        .unwrap();
+        let (catalog, pending, read_ts) = bind(&db, &stmt, QueryOptions::default()).unwrap();
+        let proj = ProjectionNeeds::of(&stmt);
+        let (_, steps) = join_tables(&catalog, read_ts, pending, &proj).unwrap();
+        assert_eq!(
+            steps,
+            vec![
+                LoadStep {
+                    table: "F".into(),
+                    plan: ScanPlan::FullScan { rows: 600 },
+                },
+                LoadStep {
+                    table: "E".into(),
+                    plan: ScanPlan::KeyProbe { candidates: 2 },
+                },
+            ]
+        );
+        assert_eq!(
+            db.plan_scan("Executions", &Predicate::eq("TxnId", 150i64)),
+            Ok(ScanPlan::KeyProbe { candidates: 1 })
+        );
+        let result = execute(&db, &stmt, QueryOptions::default()).unwrap();
+        assert_eq!(
+            result.column_values("ReqId"),
+            vec![Value::from("R197"), Value::from("R7")],
+            "later TxnId, earlier Timestamp, first"
+        );
+        assert_eq!(
+            result,
+            execute_in_from_order(&db, &stmt, QueryOptions::default()).unwrap()
+        );
+        // Nothing selective on either side: both tables are walked, in
+        // FROM order, and the join keys are not worth pushing.
+        let stmt = crate::parse(
+            "SELECT E.TxnId FROM Executions E JOIN ForumEvents F ON E.TxnId = F.TxnId",
+        )
+        .unwrap();
+        let (catalog, pending, read_ts) = bind(&db, &stmt, QueryOptions::default()).unwrap();
+        let proj = ProjectionNeeds::of(&stmt);
+        let (rel, steps) = join_tables(&catalog, read_ts, pending, &proj).unwrap();
+        assert_eq!(rel.rows.len(), 600);
+        assert_eq!(steps[0].table, "E");
+        assert_eq!(steps[1].plan, ScanPlan::FullScan { rows: 600 });
+    }
+
+    #[test]
+    fn count_star_is_a_counting_walk_when_every_conjunct_lowers() {
+        let db = provenance_db(50);
+        let run = |sql: &str, as_of| {
+            let stmt = crate::parse(sql).unwrap();
+            let (catalog, pending, read_ts) = bind(&db, &stmt, QueryOptions { as_of }).unwrap();
+            let pushed = try_count(&stmt, &catalog, read_ts, &pending).unwrap();
+            let generic = execute_in_from_order(&db, &stmt, QueryOptions { as_of }).unwrap();
+            if let Some(pushed) = &pushed {
+                assert_eq!(pushed, &generic, "{sql}");
+            }
+            (pushed.is_some(), generic.rows()[0][0].clone())
+        };
+        assert_eq!(
+            run("SELECT COUNT(*) FROM ForumEvents", None),
+            (true, Value::Int(150))
+        );
+        assert_eq!(
+            run(
+                "SELECT COUNT(*) AS n FROM ForumEvents WHERE Type = 'Insert' AND TxnId < 10",
+                None
+            ),
+            (true, Value::Int(20))
+        );
+        // Before the one commit nothing is visible.
+        assert_eq!(
+            run("SELECT COUNT(*) FROM ForumEvents", Some(0)),
+            (true, Value::Int(0))
+        );
+        // Not pushed down: a conjunct the scan cannot evaluate, another
+        // select item, a grouping, more than one table.
+        for sql in [
+            "SELECT COUNT(*) FROM ForumEvents WHERE EventId = TxnId",
+            "SELECT COUNT(*), MAX(TxnId) FROM ForumEvents",
+            "SELECT COUNT(TxnId) FROM ForumEvents",
+            "SELECT COUNT(*) FROM ForumEvents GROUP BY Type",
+            "SELECT COUNT(*) FROM ForumEvents LIMIT 1",
+            "SELECT COUNT(*) FROM ForumEvents, Executions",
+        ] {
+            assert!(!run(sql, None).0, "{sql}");
+        }
     }
 }

@@ -45,6 +45,13 @@ pub mod parser;
 pub mod result;
 pub mod token;
 
+/// Planner-vs-oracle property tests; they need `exec`'s `#[cfg(test)]`
+/// fixed-order loader, so they compile into the unit tests from where
+/// the other query-level suites live.
+#[cfg(test)]
+#[path = "../tests/plan_equivalence/mod.rs"]
+mod plan_equivalence;
+
 pub use ast::{AggFunc, BinOp, Expr, Join, OrderKey, SelectItem, SelectStmt, TableRef};
 pub use error::{QueryError, QueryResultT};
 pub use exec::QueryOptions;

@@ -1,6 +1,6 @@
-//! Deep time-travel fork cost below the GC floor (PR 10).
+//! Fork cost below the GC floor (PR 10) and above it.
 //!
-//! A fork below the truncation floor cannot materialise live MVCC state;
+//! A fork below the truncation floor cannot read live MVCC state;
 //! it reconstructs the environment from retained history. Without
 //! environment checkpoints that is a full stitched replay of every
 //! spilled aligned entry up to the fork timestamp — cost proportional to
@@ -19,13 +19,22 @@
 //!
 //! The PR 10 bar: `with_checkpoints` at depth 4096 is ≥ 5× faster than
 //! `full_replay` at the same depth.
+//!
+//! **Above the floor** (`fork_depth/above_floor/{1k,10k,100k}`) a fork
+//! copies nothing: it reads through to the parent's version chains. One
+//! iteration is what a debugger step does with a fork — take it, read
+//! one row, commit one row on it, drop it — against a table of 1k, 10k
+//! and 100k rows. The bar, asserted here on interleaved medians: the
+//! 100k/1k ratio stays ≤ 2 (a copying fork was linear in the table:
+//! ≈ 100).
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use trod_core::Trod;
-use trod_db::{row, DataType, Database, Schema, SyncMode, WalOptions};
+use trod_db::{row, DataType, Database, Key, Schema, SyncMode, WalOptions};
 use trod_runtime::{HandlerRegistry, Runtime};
 
 const HISTORY: i64 = 8192;
@@ -138,5 +147,68 @@ fn bench_fork_depth(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_fork_depth);
+/// An in-memory database whose `events` table holds `rows` rows.
+fn populated(rows: i64) -> Database {
+    let db = Database::new();
+    db.create_table("events", events_schema()).unwrap();
+    for chunk in 0..rows / 1000 {
+        let mut txn = db.begin();
+        for i in chunk * 1000..(chunk + 1) * 1000 {
+            txn.insert("events", row![i, i]).unwrap();
+        }
+        txn.commit().unwrap();
+    }
+    db
+}
+
+/// Fork at the present, one point read, one single-row commit, drop.
+fn fork_read_commit(db: &Database, id: i64) {
+    let fork = db.fork_at(db.current_ts()).expect("above-floor fork");
+    let key = Key::single(id);
+    black_box(fork.get_latest("events", &key).unwrap());
+    let mut txn = fork.begin();
+    txn.update("events", &key, row![id, -id]).unwrap();
+    txn.commit().unwrap();
+}
+
+fn bench_above_floor(c: &mut Criterion) {
+    let sizes = [("1k", 1_000i64), ("10k", 10_000), ("100k", 100_000)];
+    let dbs: Vec<Database> = sizes.iter().map(|&(_, rows)| populated(rows)).collect();
+
+    // The bar. Rounds interleave the sizes so drift hits all of them
+    // alike; medians shrug off the odd preempted sample.
+    const ROUNDS: usize = 301;
+    let mut samples = vec![Vec::with_capacity(ROUNDS); sizes.len()];
+    for round in 0..ROUNDS {
+        for (db, samples) in dbs.iter().zip(&mut samples) {
+            let started = Instant::now();
+            fork_read_commit(db, round as i64);
+            samples.push(started.elapsed());
+        }
+    }
+    let median = |samples: &mut Vec<std::time::Duration>| {
+        samples.sort_unstable();
+        samples[samples.len() / 2].as_secs_f64()
+    };
+    let (small, large) = (median(&mut samples[0]), median(&mut samples[2]));
+    assert!(
+        large <= 2.0 * small,
+        "a fork of 100k rows costs {:.1}x a fork of 1k ({large:.2e} s vs {small:.2e} s)",
+        large / small
+    );
+
+    let mut group = c.benchmark_group("fork_depth/above_floor");
+    for ((name, rows), db) in sizes.iter().zip(&dbs) {
+        let mut next = 0;
+        group.bench_function(*name, |b| {
+            b.iter(|| {
+                next = (next + 1) % rows;
+                fork_read_commit(db, next)
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_fork_depth, bench_above_floor);
 criterion_main!(benches);

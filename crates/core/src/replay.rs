@@ -16,16 +16,19 @@
 //! commits take, so the development environment's aligned log mirrors
 //! production's.
 //!
-//! **Forking below the GC watermark.** A fork materialises live state, so
-//! it is only sound at or above the database's truncation floor
-//! ([`trod_db::Database::log_truncated_below`]). When the request
-//! predates the floor and the aligned history was spilled to the
-//! provenance store by a retention policy
-//! ([`trod_db::RetentionPolicy`]; see `Trod::enable_retention`), the
-//! replay transparently reconstructs the environment instead: an empty
-//! fork of both stores, brought to the snapshot timestamp by replaying
-//! the stitched spilled + live aligned entries. Debugging reach is then
-//! bounded by retention, not by GC pressure.
+//! **The development environment** ([`fork_environment`]). At or above
+//! the truncation floor ([`trod_db::Database::log_truncated_below`]) it
+//! is a read-through fork: nothing is copied, the fork's tables read
+//! production's version chains at the snapshot timestamp and keep only
+//! what the replay writes, so preparing a replay costs the request's
+//! footprint, not the database's size ("Forking, replay injection and
+//! retention" in `crates/db/DESIGN.md`). Below the floor those versions
+//! are gone; if the aligned history was spilled to the provenance store
+//! by a retention policy ([`trod_db::RetentionPolicy`]; see
+//! `Trod::enable_retention`), the environment is reconstructed instead —
+//! the nearest durable checkpoint, or an empty fork, brought to the
+//! snapshot timestamp by replaying the spilled aligned entries.
+//! Debugging reach is bounded by retention, not by GC pressure.
 //!
 //! The session exposes a [`ReplaySession::step`] API so a developer (or a
 //! test acting as one) can stop between transactions, inspect the
@@ -217,9 +220,7 @@ impl ReplaySession {
 
         let base_ts = committed.iter().map(|t| t.snapshot_ts).min().unwrap_or(0);
         // The development environment starts from the snapshot the
-        // request began against. TROD only needs the data items the
-        // replay touches; forking at a timestamp gives the same
-        // observable behaviour with the simple in-memory engine.
+        // request began against.
         let dev = fork_environment(provenance, production, base_ts)?;
 
         let mut steps = Vec::with_capacity(committed.len());
@@ -431,46 +432,36 @@ impl ReplaySession {
     }
 }
 
-/// Forks the development environment at `ts`.
+/// Forks the development environment at `ts`: every debugger feature
+/// (replay, retroactive runs, the server's remote forks) forks through
+/// here.
 ///
-/// At or above the GC truncation floor this is a direct
-/// [`Session::fork_at`]: both stores materialise the state visible at
-/// `ts`. Below the floor the live stores can no longer answer, so the
-/// environment is *reconstructed* from retained history. With a durable
-/// environment checkpoint at `C <= ts`
-/// ([`trod_db::SegmentedWal::load_checkpoint_at_or_before`]), the
-/// reconstruction is nearest-snapshot + delta: materialise the
-/// checkpoint ([`Session::from_checkpoint`]) and replay only the spilled
-/// aligned entries in `(C, ts]` — cost bounded by the checkpoint
-/// cadence, however deep the fork. Without one, it is the full replay:
-/// an empty fork ([`Session::fork_empty`]) brought to `ts` by replaying
-/// every spilled entry up to `ts`, through [`Session::apply_changes`],
-/// the same injection primitive replay uses. (Entries still in the live
-/// log all sit *above* the floor — truncation drains every entry at or
-/// below it — so below the floor the spill plus the checkpoint is the
-/// whole story.) Retroactive programming forks through here too, so
-/// every debugger feature shares one retention-aware fork path.
+/// [`Session::fork_at`] decides which way, atomically with GC: at or
+/// above the truncation floor it returns a read-through fork that pins
+/// the history it reads; below the floor it refuses, and the environment
+/// is *reconstructed* from retained history. With a durable environment
+/// checkpoint at `C <= ts`
+/// ([`trod_db::SegmentedWal::load_checkpoint_at_or_before`]) that is
+/// nearest-snapshot + delta: materialise the checkpoint
+/// ([`Session::from_checkpoint`]) and replay only the spilled aligned
+/// entries in `(C, ts]` — cost bounded by the checkpoint cadence, however
+/// deep the fork. Without one it is the full replay: an empty fork
+/// ([`Session::fork_empty`]) brought to `ts` by replaying every spilled
+/// entry up to `ts` through [`Session::apply_changes`], the injection
+/// primitive replay uses. (Entries still in the live log all sit *above*
+/// the floor — truncation drains every entry at or below it — so below
+/// the floor the spill plus the checkpoint is the whole story.)
 pub(crate) fn fork_environment(
     provenance: &ProvenanceStore,
     production: &Session,
     ts: Ts,
 ) -> Result<Session, ReplayError> {
     let db = production.database();
-    let mut floor = db.log_truncated_below();
-    if ts >= floor {
-        let fork = production.fork_at(ts)?;
-        // Re-check the floor AFTER materialising: `gc_before` raises the
-        // floor before it drops any version, so if the floor still
-        // covers `ts` now, no GC took versions at `ts` out from under
-        // the walk — the fork is sound. If a concurrent GC overtook us
-        // the fork may be torn; discard it and reconstruct from the
-        // spill instead (the floor only ever rises, so retrying the
-        // direct fork could never succeed).
-        floor = db.log_truncated_below();
-        if ts >= floor {
-            return Ok(fork);
-        }
-    }
+    let floor = match production.fork_at(ts) {
+        Ok(fork) => return Ok(fork),
+        Err(DbError::HistoryTruncated { floor, .. }) => floor,
+        Err(e) => return Err(e.into()),
+    };
     // Nearest durable checkpoint at or before `ts`, if the environment
     // is durable at all. A checkpoint that fails validation is skipped
     // (counted in the WAL stats) in favour of an older one inside
@@ -519,10 +510,20 @@ pub(crate) fn fork_environment(
                 Session::new(dev_db)
             };
             // Commits in `(C, ts]` may touch objects created after the
-            // checkpoint was taken; graft production's catalog (tables,
-            // indexes, namespaces) onto the restored base, like
-            // `fork_empty` copies it onto an empty one.
-            augment_catalog_from(production, &dev)?;
+            // checkpoint was taken; add production's catalog (tables,
+            // indexes, namespaces) to the restored base, as `fork_empty`
+            // copies it onto an empty one. Their rows and values arrive
+            // through the delta replay itself.
+            dev.database().adopt_catalog(production.database())?;
+            if let (Some(src_kv), Some(dst_kv)) = (production.kv_store(), dev.kv_store()) {
+                for namespace in src_kv.namespaces() {
+                    if !dst_kv.has_namespace(&namespace) {
+                        dst_kv
+                            .create_namespace(&namespace)
+                            .map_err(ReplayError::KeyValue)?;
+                    }
+                }
+            }
             dev
         }
         None => production.fork_empty()?,
@@ -533,7 +534,7 @@ pub(crate) fn fork_environment(
     // without a checkpoint this is the whole spilled history up to `ts`.
     for entry in provenance.spilled_between(ckpt_ts, ts) {
         // Relational-only environments cannot reconstruct kv records,
-        // exactly as a direct fork would not materialise them — drop
+        // exactly as a direct fork would not carry them — drop
         // them from the base state rather than failing the whole replay
         // (the per-step skip accounting covers the traced records).
         let changes = if kv_capable {
@@ -555,45 +556,6 @@ pub(crate) fn fork_environment(
         }
     }
     Ok(dev)
-}
-
-/// Grafts production's current catalog — tables, indexes, kv namespaces —
-/// onto a dev environment restored from a checkpoint, so delta entries
-/// that touch objects created after the checkpoint was taken find them.
-/// State is *not* copied: the rows and values those objects held at the
-/// fork timestamp arrive through the delta replay itself, exactly as in
-/// the full-replay path (where `fork_empty` copies the same catalog onto
-/// an empty environment).
-fn augment_catalog_from(production: &Session, dev: &Session) -> Result<(), ReplayError> {
-    let src = production.database();
-    let dst = dev.database();
-    for name in src.table_names() {
-        if !dst.has_table(&name) {
-            dst.create_table(name.clone(), src.schema_of(&name)?)?;
-        }
-        let from = src.table(&name)?;
-        let to = dst.table(&name)?;
-        for column in from.indexed_columns() {
-            if !to.indexed_columns().contains(&column) {
-                to.create_index(&column)?;
-            }
-        }
-        for column in from.range_indexed_columns() {
-            if !to.range_indexed_columns().contains(&column) {
-                to.create_range_index(&column)?;
-            }
-        }
-    }
-    if let (Some(src_kv), Some(dst_kv)) = (production.kv_store(), dev.kv_store()) {
-        for namespace in src_kv.namespaces() {
-            if !dst_kv.has_namespace(&namespace) {
-                dst_kv
-                    .create_namespace(&namespace)
-                    .map_err(ReplayError::KeyValue)?;
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Applies CDC records to the development environment, through the

@@ -9,11 +9,11 @@
 //! question in O(Δ), where Δ is the number of row changes committed in
 //! `(start_ts, now]`.
 //!
-//! Every [`install`](crate::table::TableStore::install) /
-//! [`remove`](crate::table::TableStore::remove) — which only ever run
-//! under the database commit lock — appends one [`ChangeEntry`] carrying
-//! the before and after images as [`Arc<Row>`] (shared with the version
-//! chain, so the log adds no row copies). Entries are strictly ordered by
+//! Every row change
+//! ([`TableStore::apply_batch`](crate::table::TableStore::apply_batch),
+//! which only ever runs under the table's commit lock) appends one
+//! [`ChangeEntry`] carrying the before and after images as [`Arc<Row>`]
+//! (shared with the version chain, so the log adds no row copies). Entries are strictly ordered by
 //! commit timestamp, so a validator binary-searches the tail it needs.
 //!
 //! The log is a bounded ring with **watermark-driven eviction**: every

@@ -13,11 +13,12 @@
 //! * **Every access path returns the full scan's result.** Indexes
 //!   over-approximate and re-check, at any read timestamp.
 //! * **History is reclaimed together and never under an active
-//!   transaction.** [`Database::gc_before`] clamps to the
-//!   active-transaction watermark, truncates the aligned log before the
-//!   row versions (spilling to the [`RetentionPolicy`] first), and
-//!   forking is sound only at or above
-//!   [`Database::log_truncated_below`].
+//!   transaction or a live fork.** [`Database::gc_before`] clamps to the
+//!   watermark (active transactions and fork pins), chosen under the log
+//!   lock, and truncates the aligned log before the row versions
+//!   (spilling to the [`RetentionPolicy`] first). [`Database::fork_at`]
+//!   checks [`Database::log_truncated_below`] and pins under the same
+//!   lock, and refuses below the floor.
 //! * **The log is read through `Database::synced_log`**, which drains
 //!   published entries from the commit pipeline's staging in commit
 //!   order; unpublished entries are not observable.
@@ -42,7 +43,7 @@ use crate::latency::{LatencyModel, StorageProfile};
 use crate::log::{CommittedTxn, RetentionPolicy, TxnId, TxnLog};
 use crate::mvcc::Ts;
 use crate::predicate::Predicate;
-use crate::registry::ActiveTxnRegistry;
+use crate::registry::{ActiveTxnRegistry, GcPin};
 use crate::row::{Key, Row};
 use crate::schema::Schema;
 use crate::segment::{RecoveredLog, RecoveryReport, SegmentedWal};
@@ -118,6 +119,11 @@ struct DbInner {
     /// At most one checkpoint capture runs at a time; losers of the CAS
     /// are counted as skips, not queued — the next trigger retries.
     checkpoint_in_progress: AtomicBool,
+    /// A fork's hold on its parent's history, released when the last
+    /// handle to the fork drops (its tables share it, see
+    /// [`TableStore::reading_through`]). `None` for a database that is not
+    /// a read-through fork.
+    _base_pin: Option<Arc<GcPin>>,
 }
 
 /// A handle to an in-memory transactional database.
@@ -156,6 +162,10 @@ impl Database {
 
     /// Creates an empty database with the given storage latency profile.
     pub fn with_profile(profile: StorageProfile) -> Self {
+        Database::build(profile, None)
+    }
+
+    fn build(profile: StorageProfile, base_pin: Option<Arc<GcPin>>) -> Self {
         Database {
             inner: Arc::new(DbInner {
                 tables: RwLock::new(BTreeMap::new()),
@@ -169,6 +179,7 @@ impl Database {
                 wal: RwLock::new(None),
                 ckpt_source: RwLock::new(None),
                 checkpoint_in_progress: AtomicBool::new(false),
+                _base_pin: base_pin,
             }),
         }
     }
@@ -520,15 +531,56 @@ impl Database {
         if tables.contains_key(&name) {
             return Err(DbError::TableExists(name));
         }
-        let store = TableStore::with_registry(
-            name.clone(),
-            schema.clone(),
-            self.inner.registry.clone(),
-            Some(self.inner.seq.clock().clone()),
-        );
+        let store = self.new_table(name.clone(), schema.clone());
         tables.insert(name.clone(), Arc::new(store));
         drop(tables);
         self.log_ddl(WalRecord::CreateTable { name, schema })
+    }
+
+    /// An empty table wired to this database's registry and clock.
+    fn new_table(&self, name: impl Into<Arc<str>>, schema: Schema) -> TableStore {
+        TableStore::with_registry(
+            name,
+            schema,
+            self.inner.registry.clone(),
+            Some(self.inner.seq.clock().clone()),
+        )
+    }
+
+    /// Copies `src`'s catalog onto this WAL-less database: every table
+    /// this one lacks, then every hash and range index each table lacks.
+    /// New tables are empty — or, given `base`, read through to `src`'s
+    /// table at that timestamp ([`TableStore::reading_through`]). No row is
+    /// copied either way.
+    fn graft_catalog(&self, src: &Database, base: Option<(Ts, &Arc<GcPin>)>) -> DbResult<()> {
+        let src_tables = src.inner.tables.read();
+        let mut tables = self.inner.tables.write();
+        for (name, from) in src_tables.iter() {
+            let to = tables.entry(name.clone()).or_insert_with(|| {
+                let table = self.new_table(from.name().clone(), from.schema().clone());
+                Arc::new(match base {
+                    Some((ts, pin)) => table.reading_through(from, ts, pin.clone()),
+                    None => table,
+                })
+            });
+            for column in from.indexed_columns() {
+                if !to.indexed_columns().contains(&column) {
+                    to.create_index(&column)?;
+                }
+            }
+            for column in from.range_indexed_columns() {
+                if !to.range_indexed_columns().contains(&column) {
+                    to.create_range_index(&column)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Adds to this WAL-less database every table and index of `src` it
+    /// does not have yet, empty (see [`Database::fork_empty`]).
+    pub fn adopt_catalog(&self, src: &Database) -> DbResult<()> {
+        self.graft_catalog(src, None)
     }
 
     /// Drops a table and its history.
@@ -644,9 +696,10 @@ impl Database {
         &self.inner.registry
     }
 
-    /// The minimum snapshot timestamp over all active transactions, or
-    /// `None` when no transaction is active. GC and change-log eviction
-    /// never reclaim history at or above this watermark.
+    /// The minimum over the snapshot timestamps of all active
+    /// transactions and the timestamps live forks read through to, or
+    /// `None` when there is neither. GC and change-log eviction never
+    /// reclaim history at or above this watermark.
     pub fn min_active_start_ts(&self) -> Option<Ts> {
         self.inner.registry.min_active_start_ts()
     }
@@ -654,6 +707,13 @@ impl Database {
     /// Number of active (begun, unfinished) transactions.
     pub fn active_txn_count(&self) -> usize {
         self.inner.registry.active_count()
+    }
+
+    /// How many read-through forks of this database are alive, and the
+    /// oldest timestamp one of them pins ([`Database::fork_at`]). A fork
+    /// held open costs no copy, but GC cannot pass its timestamp.
+    pub fn live_forks(&self) -> (usize, Option<Ts>) {
+        self.inner.registry.pins()
     }
 
     /// Locks the transaction log after draining every *published* staged
@@ -762,8 +822,8 @@ impl Database {
     /// The highest horizon [`Database::gc_before`] has truncated at: log
     /// entries *and row versions* at or below this timestamp are gone
     /// (possibly spilled to a [`RetentionPolicy`]), so [`Database::fork_at`]
-    /// and time-travel reads below it cannot be answered from live state —
-    /// callers must reconstruct from spilled aligned history instead (see
+    /// refuses and time-travel reads below it cannot be answered from live
+    /// state — callers must reconstruct from spilled aligned history instead (see
     /// "Forking, replay injection and retention" in `DESIGN.md`). 0 if GC
     /// never truncated.
     pub fn log_truncated_below(&self) -> Ts {
@@ -861,26 +921,34 @@ impl Database {
         self.inner.snapshots.lock().keys().cloned().collect()
     }
 
-    /// Creates a new, independent database containing the state visible at
-    /// `ts` (the "development database" of the paper's Figure 2). The fork
-    /// keeps the same schemas and indexes; its clock starts at `ts` so the
-    /// relative order of subsequent commits is comparable with the origin.
+    /// Forks the state visible at `ts` into an independent database (the
+    /// "development database" of the paper's Figure 2), in O(catalog): no
+    /// row is copied. `ts` is clamped to the published clock — the fork
+    /// never captures a claimed-but-unpublished install — and each table
+    /// of the fork reads through to this database's table at that
+    /// timestamp until the fork writes the key itself (see
+    /// [`TableStore::reading_through`]). Same schemas and indexes; the fork's
+    /// clock starts at the clamped `ts`, so the relative order of its
+    /// commits is comparable with the origin's.
+    ///
+    /// The fork pins this database's history at `ts` for as long as any
+    /// handle to it lives: [`Database::gc_before`] will not pass it. The
+    /// floor check and the pin happen under the log lock GC chooses its
+    /// horizon under, so a fork either pins first (and GC stays below it)
+    /// or sees the floor GC raised. Below the floor the versions are gone
+    /// and the fork is refused with [`DbError::HistoryTruncated`].
     pub fn fork_at(&self, ts: Ts) -> DbResult<Database> {
-        let fork = Database::with_profile(self.profile());
-        let tables = self.inner.tables.read();
-        for (name, store) in tables.iter() {
-            fork.create_table(name.clone(), store.schema().clone())?;
-            let fork_store = fork.table(name)?;
-            for (key, row) in store.materialize_at(ts) {
-                fork_store.install(&key, row, ts.max(1));
+        let (ts, pin) = {
+            let log = self.synced_log();
+            let ts = ts.min(self.current_ts());
+            let floor = log.truncated_below();
+            if ts < floor {
+                return Err(DbError::HistoryTruncated { ts, floor });
             }
-            for column in store.indexed_columns() {
-                fork_store.create_index(&column)?;
-            }
-            for column in store.range_indexed_columns() {
-                fork_store.create_range_index(&column)?;
-            }
-        }
+            (ts, Arc::new(self.inner.registry.pin(ts)))
+        };
+        let fork = Database::build(self.profile(), Some(pin.clone()));
+        fork.graft_catalog(self, Some((ts, &pin)))?;
         fork.inner.seq.start_at(ts.max(1));
         Ok(fork)
     }
@@ -888,17 +956,7 @@ impl Database {
     /// Creates a new, empty database with the same schemas and indexes.
     pub fn fork_empty(&self) -> DbResult<Database> {
         let fork = Database::with_profile(self.profile());
-        let tables = self.inner.tables.read();
-        for (name, store) in tables.iter() {
-            fork.create_table(name.clone(), store.schema().clone())?;
-            let fork_store = fork.table(name)?;
-            for column in store.indexed_columns() {
-                fork_store.create_index(&column)?;
-            }
-            for column in store.range_indexed_columns() {
-                fork_store.create_range_index(&column)?;
-            }
-        }
+        fork.adopt_catalog(self)?;
         Ok(fork)
     }
 
@@ -906,23 +964,22 @@ impl Database {
     /// truncates the transaction log below `ts`. Returns (versions
     /// dropped, log entries dropped).
     ///
-    /// The horizon is clamped to the active-transaction watermark
+    /// The horizon is clamped to the watermark
     /// ([`Database::min_active_start_ts`]): GC never drops a version an
-    /// active transaction can still read, and never truncates a change
-    /// log inside an active transaction's validation window — so
-    /// truncation can be requested aggressively (e.g. at `current_ts()`)
-    /// without ever forcing serializable validation onto the full-scan
-    /// fallback.
+    /// active transaction or a live fork can still read, and never
+    /// truncates a change log inside an active transaction's validation
+    /// window — so truncation can be requested aggressively (e.g. at
+    /// `current_ts()`) without ever forcing serializable validation onto
+    /// the full-scan fallback.
     pub fn gc_before(&self, ts: Ts) -> (usize, usize) {
-        let horizon = ts.min(self.inner.registry.watermark());
-        // Truncate the log (raising the truncation floor) BEFORE dropping
-        // row versions: a concurrent fork that reads the floor after this
-        // point takes the spilled-reconstruction path, and one that read
-        // the old floor forks at a timestamp whose versions this GC never
-        // drops (GC keeps the newest version at or below `horizon`, so
-        // state at any ts >= horizon stays materialisable mid-flight).
-        // The reverse order would let a fork pass the floor check while
-        // its versions were already gone — a silently wrong fork.
+        // The horizon is chosen and the floor raised under the log lock,
+        // where `fork_at` checks the floor and pins: a fork that pinned
+        // first holds the horizon at or below its timestamp, and one that
+        // comes later sees the raised floor. Either way the versions a
+        // fork reads through to are ones this GC keeps (it keeps the
+        // newest version at or below `horizon`, so state at any ts >=
+        // horizon stays readable), which is also why the log is truncated
+        // BEFORE any row version is dropped.
         // The retention read guard is held across the truncation (lock
         // order retention → log, matching `set_retention_policy`): a
         // policy installed concurrently either sees the log before this
@@ -930,9 +987,10 @@ impl Database {
         // after it (recording the raised floor) — never a floor that
         // promises coverage this GC silently dropped.
         let retention = self.inner.retention.read();
-        let logs = {
+        let (horizon, logs) = {
             let mut log = self.synced_log();
-            match retention.as_ref().map(|(p, _)| p) {
+            let horizon = ts.min(self.inner.registry.watermark());
+            let logs = match retention.as_ref().map(|(p, _)| p) {
                 Some(policy) => {
                     // Spill-before-truncate, under the log lock: the
                     // aligned entries move atomically from the log to the
@@ -947,7 +1005,8 @@ impl Database {
                     n
                 }
                 None => log.truncate_before(horizon),
-            }
+            };
+            (horizon, logs)
         };
         drop(retention);
         let mut versions = 0;
@@ -1063,6 +1122,118 @@ mod tests {
         ftxn.commit().unwrap();
         assert_eq!(db.scan_latest("t", &Predicate::True).unwrap().len(), 3);
         assert_eq!(fork.scan_latest("t", &Predicate::True).unwrap().len(), 3);
+    }
+
+    fn set(db: &Database, id: i64, v: &str) {
+        let mut txn = db.begin();
+        txn.update("t", &Key::single(id), row![id, v]).unwrap();
+        txn.commit().unwrap();
+    }
+
+    fn value(db: &Database, id: i64) -> Option<String> {
+        let row = db.get_latest("t", &Key::single(id)).unwrap()?;
+        row[1].as_text().map(str::to_string)
+    }
+
+    #[test]
+    fn fork_at_clamps_a_future_timestamp_to_the_published_clock() {
+        let db = populated_db();
+        let now = db.current_ts();
+        for ts in [now + 1000, Ts::MAX] {
+            let fork = db.fork_at(ts).unwrap();
+            assert_eq!(fork.current_ts(), now, "fork at {ts}");
+            assert_eq!(db.live_forks(), (1, Some(now)));
+            // The fork's clock resumes from the clamp: its first commit
+            // is the next tick (unclamped, Ts::MAX + 1 overflowed).
+            let mut txn = fork.begin();
+            txn.insert("t", row![9i64, "nine"]).unwrap();
+            txn.commit().unwrap();
+            assert_eq!(fork.current_ts(), now + 1);
+        }
+    }
+
+    #[test]
+    fn a_fork_reads_through_until_it_writes_and_shadows_what_it_deletes() {
+        let db = populated_db();
+        db.create_index("t", "v").unwrap();
+        let fork = db.fork_at(db.current_ts()).unwrap();
+        assert_eq!(fork.stats().total_versions, 0, "nothing was copied");
+        assert_eq!(fork.stats().live_rows, 2);
+
+        // The parent moving on is invisible to the fork...
+        set(&db, 1, "parent-only");
+        assert_eq!(value(&fork, 1).as_deref(), Some("one"));
+        // ...and the fork's writes are invisible to the parent. The first
+        // write seeds the chain, so the before image is the base row.
+        let fork_ts = fork.current_ts();
+        let mut txn = fork.begin();
+        txn.update("t", &Key::single(1i64), row![1i64, "fork-only"])
+            .unwrap();
+        txn.delete("t", &Key::single(2i64)).unwrap();
+        let info = txn.commit().unwrap();
+        assert_eq!(info.changes[0].op.before(), Some(&row![1i64, "one"]));
+        assert_eq!(value(&db, 1).as_deref(), Some("parent-only"));
+        assert_eq!(value(&db, 2).as_deref(), Some("two"));
+        assert_eq!(value(&fork, 1).as_deref(), Some("fork-only"));
+        assert_eq!(value(&fork, 2), None);
+        assert_eq!(fork.stats().live_rows, 1);
+        // Through the index too, now and as of before the write.
+        let by_v = |v: &str, ts| fork.scan_as_of("t", &Predicate::eq("v", v), ts).unwrap();
+        assert_eq!(by_v("one", fork.current_ts()).len(), 0);
+        assert_eq!(by_v("one", fork_ts).len(), 1);
+        assert_eq!(by_v("two", fork_ts).len(), 1);
+        assert_eq!(by_v("fork-only", fork.current_ts()).len(), 1);
+
+        // The fork's own GC empties the deleted key's chain; the empty
+        // chain keeps shadowing the parent's row.
+        fork.gc_before(fork.current_ts());
+        assert_eq!(value(&fork, 2), None);
+        assert_eq!(fork.scan_latest("t", &Predicate::True).unwrap().len(), 1);
+
+        // A fork of the fork applies the same rule twice.
+        let grandchild = fork.fork_at(fork.current_ts()).unwrap();
+        drop(fork);
+        assert_eq!(value(&grandchild, 1).as_deref(), Some("fork-only"));
+        assert_eq!(value(&grandchild, 2), None);
+        assert_eq!(
+            db.live_forks().0,
+            1,
+            "the grandchild keeps the chain pinned"
+        );
+        drop(grandchild);
+        assert_eq!(db.live_forks(), (0, None));
+    }
+
+    #[test]
+    fn a_live_fork_pins_gc_and_a_dropped_one_releases_it() {
+        let db = populated_db();
+        set(&db, 1, "v1");
+        let snap = db.current_ts();
+        set(&db, 1, "v2");
+        set(&db, 1, "v3");
+
+        let fork = db.fork_at(snap).unwrap();
+        assert_eq!(db.live_forks(), (1, Some(snap)));
+        assert_eq!(db.min_active_start_ts(), Some(snap));
+        db.gc_before(db.current_ts());
+        assert_eq!(db.log_truncated_below(), snap, "the horizon was clamped");
+        assert_eq!(value(&fork, 1).as_deref(), Some("v1"));
+        let kept = db.stats().total_versions;
+
+        drop(fork);
+        assert_eq!(db.live_forks(), (0, None));
+        let (versions, _) = db.gc_before(db.current_ts());
+        assert!(versions > 0, "the pinned versions are reclaimed");
+        assert!(db.stats().total_versions < kept);
+        // Below the raised floor a fork is refused, not silently wrong.
+        assert_eq!(
+            db.fork_at(snap).unwrap_err(),
+            DbError::HistoryTruncated {
+                ts: snap,
+                floor: db.current_ts()
+            }
+        );
+        assert_eq!(db.live_forks(), (0, None), "a refused fork pins nothing");
     }
 
     #[test]

@@ -108,6 +108,9 @@ pub enum DbError {
     SnapshotExists(String),
     /// No snapshot with this name exists.
     NoSuchSnapshot(String),
+    /// A fork was requested at `ts`, below the truncation floor: garbage
+    /// collection no longer keeps the versions visible there.
+    HistoryTruncated { ts: Ts, floor: Ts },
     /// An invalid operation for the current configuration.
     Invalid(String),
     /// The durability layer failed (WAL append/fsync, recovery).
@@ -157,6 +160,10 @@ impl fmt::Display for DbError {
             DbError::TransactionClosed => write!(f, "transaction is no longer active"),
             DbError::SnapshotExists(s) => write!(f, "snapshot `{s}` already exists"),
             DbError::NoSuchSnapshot(s) => write!(f, "no such snapshot `{s}`"),
+            DbError::HistoryTruncated { ts, floor } => write!(
+                f,
+                "cannot fork at ts {ts}: history below ts {floor} was garbage-collected"
+            ),
             DbError::Invalid(msg) => write!(f, "invalid operation: {msg}"),
             DbError::Storage(e) => write!(f, "storage: {e}"),
         }

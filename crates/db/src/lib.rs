@@ -32,7 +32,7 @@
 //!
 //! * **O(Δ) serializable validation.** Each table keeps a bounded,
 //!   commit-ordered [`ChangeLog`](changelog::ChangeLog) of recent row
-//!   changes, appended by `install`/`remove` under that table's commit
+//!   changes, appended by `apply_batch` under that table's commit
 //!   lock. Serializable predicate (phantom) validation walks only the
 //!   entries in `(start_ts, now]` — cost proportional to the *delta*
 //!   since the transaction began, independent of table size. Truncation
@@ -68,10 +68,10 @@
 //!   installation — one timestamp and one transaction-log entry span
 //!   every store (the paper's §5 aligned history). An
 //!   [`ActiveTxnRegistry`](registry::ActiveTxnRegistry) tracks
-//!   `(txn_id, start_ts)` for every live transaction; its
-//!   min-active-start-ts watermark (clamped to the published clock)
+//!   `(txn_id, start_ts)` for every live transaction and a pin for
+//!   every live fork; its watermark (clamped to the published clock)
 //!   bounds [`Database::gc_before`] and change-log ring eviction so
-//!   reclamation never outruns an active transaction. See "The commit
+//!   reclamation never outruns an active transaction or a fork. See "The commit
 //!   protocol" in `crates/db/DESIGN.md`.
 //!
 //! ## Quick example

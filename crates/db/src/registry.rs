@@ -1,9 +1,12 @@
 //! Active-transaction registry: who is running, and since when.
 //!
 //! Every transaction registers `(txn_id, start_ts)` at `begin` and
-//! deregisters when it commits, aborts, or is dropped. The registry's one
-//! derived fact is the **watermark**: the minimum `start_ts` over all
-//! active transactions ([`ActiveTxnRegistry::min_active_start_ts`]).
+//! deregisters when it commits, aborts, or is dropped; every live fork of
+//! this database holds a [`GcPin`] at the timestamp it reads through to
+//! (see "Forking, replay injection and retention" in `DESIGN.md`). The
+//! registry's one derived fact is the **watermark**: the minimum over
+//! all active `start_ts` and all pins
+//! ([`ActiveTxnRegistry::min_active_start_ts`]).
 //!
 //! The watermark bounds how aggressively history may be discarded:
 //!
@@ -28,6 +31,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
@@ -45,15 +49,28 @@ struct RegistryInner {
     /// Multiset of active start timestamps (several transactions may share
     /// one): the watermark is the first key.
     by_start_ts: BTreeMap<Ts, usize>,
+    /// Multiset of timestamps pinned by live forks ([`GcPin`]).
+    pins: BTreeMap<Ts, usize>,
 }
 
 impl RegistryInner {
     fn min(&self) -> Ts {
-        self.by_start_ts
-            .keys()
-            .next()
-            .copied()
+        let first = |set: &BTreeMap<Ts, usize>| set.keys().next().copied();
+        first(&self.by_start_ts)
+            .into_iter()
+            .chain(first(&self.pins))
+            .min()
             .unwrap_or(NO_ACTIVE_TXN)
+    }
+}
+
+/// Removes one occurrence of `ts` from a timestamp multiset.
+fn remove_one(set: &mut BTreeMap<Ts, usize>, ts: Ts) {
+    if let Some(count) = set.get_mut(&ts) {
+        *count -= 1;
+        if *count == 0 {
+            set.remove(&ts);
+        }
     }
 }
 
@@ -97,14 +114,29 @@ impl ActiveTxnRegistry {
         let Some(start_ts) = inner.by_id.remove(&id) else {
             return false;
         };
-        if let Some(count) = inner.by_start_ts.get_mut(&start_ts) {
-            *count -= 1;
-            if *count == 0 {
-                inner.by_start_ts.remove(&start_ts);
-            }
-        }
+        remove_one(&mut inner.by_start_ts, start_ts);
         self.min_start_ts.store(inner.min(), Ordering::SeqCst);
         true
+    }
+
+    /// Pins history at `ts` until the returned guard drops: the watermark
+    /// stays at or below `ts`, so GC keeps every version visible there.
+    /// A pin is not a transaction (it has no id and is not counted by
+    /// [`Self::active_count`]); forks hold one on their parent.
+    pub fn pin(self: &Arc<Self>, ts: Ts) -> GcPin {
+        let mut inner = self.inner.lock();
+        *inner.pins.entry(ts).or_insert(0) += 1;
+        self.min_start_ts.store(inner.min(), Ordering::SeqCst);
+        GcPin {
+            registry: self.clone(),
+            ts,
+        }
+    }
+
+    /// How many pins are held, and the oldest pinned timestamp.
+    pub fn pins(&self) -> (usize, Option<Ts>) {
+        let inner = self.inner.lock();
+        (inner.pins.values().sum(), inner.pins.keys().next().copied())
     }
 
     /// A guard that deregisters `id` when dropped; used by the commit path
@@ -114,8 +146,8 @@ impl ActiveTxnRegistry {
         DeregisterGuard { registry: self, id }
     }
 
-    /// The minimum start timestamp over all active transactions, or `None`
-    /// when no transaction is active.
+    /// The minimum over all active transactions' start timestamps and all
+    /// pins, or `None` when there is neither.
     pub fn min_active_start_ts(&self) -> Option<Ts> {
         match self.min_start_ts.load(Ordering::SeqCst) {
             NO_ACTIVE_TXN => None,
@@ -159,6 +191,23 @@ impl ActiveTxnRegistry {
     /// Number of active transactions.
     pub fn active_count(&self) -> usize {
         self.inner.lock().by_id.len()
+    }
+}
+
+/// See [`ActiveTxnRegistry::pin`].
+#[derive(Debug)]
+pub struct GcPin {
+    registry: Arc<ActiveTxnRegistry>,
+    ts: Ts,
+}
+
+impl Drop for GcPin {
+    fn drop(&mut self) {
+        let mut inner = self.registry.inner.lock();
+        remove_one(&mut inner.pins, self.ts);
+        self.registry
+            .min_start_ts
+            .store(inner.min(), Ordering::SeqCst);
     }
 }
 
@@ -226,6 +275,29 @@ mod tests {
         assert_eq!(reg.eviction_horizon(|| 3), 3);
         reg.deregister(1);
         assert_eq!(reg.eviction_horizon(|| 42), 42);
+    }
+
+    #[test]
+    fn pins_hold_the_watermark_until_dropped() {
+        let reg = Arc::new(ActiveTxnRegistry::new());
+        assert_eq!(reg.pins(), (0, None));
+        let early = reg.pin(4);
+        let late = reg.pin(9);
+        let twin = reg.pin(4);
+        reg.register_with(1, || 6);
+        assert_eq!(reg.pins(), (3, Some(4)));
+        assert_eq!(reg.watermark(), 4);
+        assert_eq!(reg.eviction_horizon(|| 42), 4);
+        assert_eq!(reg.active_count(), 1, "a pin is not a transaction");
+        drop(early);
+        assert_eq!(reg.watermark(), 4, "the twin still pins ts 4");
+        drop(twin);
+        assert_eq!(reg.watermark(), 6);
+        reg.deregister(1);
+        assert_eq!(reg.pins(), (1, Some(9)));
+        assert_eq!(reg.min_active_start_ts(), Some(9));
+        drop(late);
+        assert_eq!(reg.watermark(), NO_ACTIVE_TXN);
     }
 
     #[test]

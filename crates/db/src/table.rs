@@ -1,5 +1,9 @@
 //! Physical table storage: a map from primary key to version chain, plus
-//! optional secondary indexes and the per-table commit change log.
+//! optional secondary indexes and the per-table commit change log. A
+//! fork's table additionally carries a *base* — the parent's table at a
+//! pinned timestamp — that every read falls through to for keys the fork
+//! has not written (see "Forking, replay injection and retention" in
+//! `DESIGN.md`).
 
 use std::collections::HashMap;
 use std::ops::Bound;
@@ -13,7 +17,7 @@ use crate::error::{DbError, DbResult};
 use crate::index::{RangeIndex, SecondaryIndex};
 use crate::mvcc::{Ts, VersionChain};
 use crate::predicate::{ColumnBounds, CompiledPredicate, Predicate};
-use crate::registry::ActiveTxnRegistry;
+use crate::registry::{ActiveTxnRegistry, GcPin};
 use crate::row::{Key, Row};
 use crate::schema::Schema;
 use crate::value::Value;
@@ -83,6 +87,48 @@ impl ScanPlan {
             | ScanPlan::OrderedProbe { limit: n, .. } => *n,
         }
     }
+
+    /// The plan of a fork's table whose own layer plans `self` and whose
+    /// base plans `base`: each layer walks its own path, so the estimate
+    /// is the sum, reported under the path that visits more.
+    fn stacked_on(self, base: ScanPlan) -> ScanPlan {
+        let total = self.candidates() + base.candidates();
+        let mut plan = if base.candidates() >= self.candidates() {
+            base
+        } else {
+            self
+        };
+        match &mut plan {
+            ScanPlan::Empty => {}
+            ScanPlan::FullScan { rows: n }
+            | ScanPlan::KeyProbe { candidates: n }
+            | ScanPlan::PointProbe { candidates: n, .. }
+            | ScanPlan::MultiProbe { candidates: n, .. }
+            | ScanPlan::RangeProbe { candidates: n, .. }
+            | ScanPlan::OrderedProbe { limit: n, .. } => *n = total,
+        }
+        plan
+    }
+}
+
+/// The layer under a fork's table: the parent's table, read at `ts`.
+///
+/// Keys the fork has a chain for — even an empty one, the tombstone of a
+/// key deleted in the fork — are *shadowed*: the fork's chain answers.
+/// Every other key resolves to the parent's row visible at `ts`, for
+/// reads at or above `ts`; below it the fork holds nothing. The parent's
+/// state at `ts` cannot change under the fork: `ts` never exceeds the
+/// parent's published clock, and the pin keeps GC's horizon at or below
+/// it.
+#[derive(Debug)]
+struct Base {
+    store: Arc<TableStore>,
+    ts: Ts,
+    /// Shared by every table of the fork. Held here rather than by the
+    /// fork's database alone so that a fork *of the fork* — which keeps
+    /// these tables alive, not the database — keeps the whole chain of
+    /// parents pinned.
+    _pin: Arc<GcPin>,
 }
 
 /// The winning access path with enough context to materialise its
@@ -97,12 +143,11 @@ enum PathChoice<'a> {
 
 /// Storage for one table.
 ///
-/// All mutation goes through [`TableStore::install`] / [`TableStore::remove`],
-/// which are only called by the database's commit path while it holds
-/// *this table's* commit lock ([`TableStore::commit_lock`]) — the sharded
-/// replacement for the old global commit mutex, see the commit-protocol
-/// docs on [`crate::database`]. Internal per-table locking therefore only
-/// needs to protect readers from the one concurrent writer.
+/// All mutation goes through [`TableStore::apply_batch`], which is only
+/// called by the database's commit path while it holds *this table's*
+/// commit lock ([`TableStore::commit_lock`]; see "The commit protocol" in
+/// `DESIGN.md`). Internal per-table locking therefore only needs to
+/// protect readers from the one concurrent writer.
 ///
 /// Row images are stored and returned as [`Arc<Row>`]: reads at any
 /// timestamp, CDC records and the change log all share the writer's
@@ -135,6 +180,8 @@ pub struct TableStore {
     /// [`ActiveTxnRegistry::eviction_horizon`]). `None` for standalone
     /// stores, which have no clock (and no concurrent begins).
     clock: Option<Arc<AtomicU64>>,
+    /// The parent layer of a fork's table; `None` everywhere else.
+    base: Option<Base>,
 }
 
 impl TableStore {
@@ -162,7 +209,31 @@ impl TableStore {
             commit_lock: Arc::new(Mutex::new(())),
             registry,
             clock,
+            base: None,
         }
+    }
+
+    /// Makes this empty table a fork's table: it reads through to
+    /// `parent` — same schema — at `ts` (see [`Base`]). `pin` must hold
+    /// `parent`'s registry at or below `ts`.
+    pub(crate) fn reading_through(
+        mut self,
+        parent: &Arc<TableStore>,
+        ts: Ts,
+        pin: Arc<GcPin>,
+    ) -> Self {
+        self.base = Some(Base {
+            store: parent.clone(),
+            ts,
+            _pin: pin,
+        });
+        self
+    }
+
+    /// The base layer, if this is a fork's table and a read at `ts` can
+    /// see through to it.
+    fn base_at(&self, ts: Ts) -> Option<&Base> {
+        self.base.as_ref().filter(|base| ts >= base.ts)
     }
 
     /// This table's commit lock; acquired by the database commit path (and
@@ -289,11 +360,12 @@ impl TableStore {
     /// Reads the row with `key` visible at `ts`. The returned `Arc` shares
     /// the stored allocation (no deep copy).
     pub fn get_at(&self, key: &Key, ts: Ts) -> Option<Arc<Row>> {
-        self.rows
-            .read()
-            .get(key)
-            .and_then(|chain| chain.visible_at(ts))
-            .cloned()
+        match self.rows.read().get(key) {
+            Some(chain) => chain.visible_at(ts).cloned(),
+            None => self
+                .base_at(ts)
+                .and_then(|base| base.store.get_at(key, base.ts)),
+        }
     }
 
     /// Scans rows visible at `ts` matching `pred` through the access-path
@@ -318,7 +390,7 @@ impl TableStore {
         ts: Ts,
     ) -> DbResult<Vec<(Key, Arc<Row>)>> {
         let mut out = Vec::new();
-        self.for_each_match(pred, compiled, ts, |key, row| {
+        self.for_each_match(pred, compiled, ts, &mut |key, row| {
             out.push((key.clone(), row.clone()))
         });
         // Deterministic order for traces and tests.
@@ -332,18 +404,21 @@ impl TableStore {
     pub fn count_matching_at(&self, pred: &Predicate, ts: Ts) -> DbResult<usize> {
         let compiled = pred.compile(&self.schema)?;
         let mut count = 0;
-        self.for_each_match(pred, &compiled, ts, |_, _| count += 1);
+        self.for_each_match(pred, &compiled, ts, &mut |_, _| count += 1);
         Ok(count)
     }
 
     /// Visits, in no particular order, every row visible at `ts` that
-    /// matches `pred`, reaching them by the planner's chosen path.
+    /// matches `pred`. A fork's table visits its own matches, then the
+    /// base's matches at the base timestamp minus the keys it shadows;
+    /// each layer reaches its rows by its own planner-chosen path.
+    /// (`dyn`: the base is visited by recursion.)
     fn for_each_match(
         &self,
         pred: &Predicate,
         compiled: &CompiledPredicate,
         ts: Ts,
-        mut visit: impl FnMut(&Key, &Arc<Row>),
+        visit: &mut dyn FnMut(&Key, &Arc<Row>),
     ) {
         // A provably unsatisfiable predicate (False, empty IN list, or a
         // contradictory comparison window) short-circuits before any lock
@@ -352,6 +427,28 @@ impl TableStore {
             return;
         }
         let rows = self.rows.read();
+        if !rows.is_empty() {
+            self.for_each_own_match(&rows, pred, compiled, ts, visit);
+        }
+        if let Some(base) = self.base_at(ts) {
+            base.store
+                .for_each_match(pred, compiled, base.ts, &mut |key, row| {
+                    if !rows.contains_key(key) {
+                        visit(key, row);
+                    }
+                });
+        }
+    }
+
+    /// [`TableStore::for_each_match`] over this table's own chains.
+    fn for_each_own_match(
+        &self,
+        rows: &HashMap<Key, VersionChain>,
+        pred: &Predicate,
+        compiled: &CompiledPredicate,
+        ts: Ts,
+        visit: &mut dyn FnMut(&Key, &Arc<Row>),
+    ) {
         let indexes = self.indexes.read();
         let range_indexes = self.range_indexes.read();
         let (choice, _) =
@@ -410,7 +507,7 @@ impl TableStore {
             plan_access_path(pred, &self.schema, rows.len(), &indexes, &range_indexes);
         // Rendering the plan (column-name allocations) happens only here,
         // on the diagnostics path — the scan path drops it unrendered.
-        match choice {
+        let own = match choice {
             PathChoice::Full => ScanPlan::FullScan { rows: rows.len() },
             PathChoice::Key(_) => ScanPlan::KeyProbe { candidates: cost },
             PathChoice::Point(idx, _) => ScanPlan::PointProbe {
@@ -426,6 +523,10 @@ impl TableStore {
                 column: idx.column().to_string(),
                 candidates: cost,
             },
+        };
+        match &self.base {
+            Some(base) => own.stacked_on(base.store.plan_scan(pred)),
+            None => own,
         }
     }
 
@@ -441,7 +542,10 @@ impl TableStore {
     ///   last descending, per [`Value::total_cmp`]'s type ranking), so
     ///   the walk would drop or misplace them. A comparison window on the
     ///   column excludes NULL rows (NULL fails every comparison), making
-    ///   the index complete over the result set again.
+    ///   the index complete over the result set again, or
+    /// * this is a fork's table that has written anything: two ordered
+    ///   walks would need a merge, and the fallback is already exact. A
+    ///   fork that has written nothing streams its base's walk.
     ///
     /// The output is exactly what scan + stable-sort-by-`order_col` +
     /// truncate produces: values in index order, ties broken by primary
@@ -457,6 +561,14 @@ impl TableStore {
         limit: usize,
         ts: Ts,
     ) -> DbResult<Option<ScanRows>> {
+        if let Some(base) = &self.base {
+            if ts < base.ts || !self.rows.read().is_empty() {
+                return Ok(None);
+            }
+            return base
+                .store
+                .scan_ordered_limit(pred, order_col, descending, limit, base.ts);
+        }
         let Some(col_idx) = self.schema.column_index(order_col) else {
             return Ok(None);
         };
@@ -506,6 +618,13 @@ impl TableStore {
         order_col: &str,
         limit: usize,
     ) -> Option<ScanPlan> {
+        if let Some(base) = &self.base {
+            return if self.rows.read().is_empty() {
+                base.store.plan_ordered_scan(pred, order_col, limit)
+            } else {
+                None
+            };
+        }
         let col_idx = self.schema.column_index(order_col)?;
         if self.schema.columns()[col_idx].nullable && pred.bounds_on(order_col).is_none() {
             return None;
@@ -537,6 +656,10 @@ impl TableStore {
                 }
             }
         }
+        if let Some(base) = self.base_at(ts) {
+            let below = base.store.scan_at_full(pred, base.ts)?;
+            out.extend(below.into_iter().filter(|(key, _)| !rows.contains_key(key)));
+        }
         out.sort_by(|a, b| a.0.cmp(&b.0));
         Ok(out)
     }
@@ -547,6 +670,12 @@ impl TableStore {
     /// timestamp, inside the publication window, so versions a concurrent
     /// *successor* installed early (at a higher timestamp, on this
     /// unlocked table) never count as conflicts.
+    ///
+    /// Like all validation ([`TableStore::predicate_conflict_in`], the
+    /// change log), this consults a fork's own chains only: the base is
+    /// immutable from the fork's side, and the first write to a key
+    /// seeds its chain with the base row, so every change the fork makes
+    /// is recorded in the fork.
     pub fn key_modified_in(&self, key: &Key, after: Ts, upto: Ts) -> bool {
         self.rows
             .read()
@@ -646,19 +775,14 @@ impl TableStore {
 
     /// Whether a live (visible at `ts`) row exists for `key`.
     pub fn exists_at(&self, key: &Key, ts: Ts) -> bool {
-        self.rows
-            .read()
-            .get(key)
-            .and_then(|chain| chain.visible_at(ts))
-            .is_some()
+        match self.rows.read().get(key) {
+            Some(chain) => chain.visible_at(ts).is_some(),
+            None => self
+                .base_at(ts)
+                .is_some_and(|base| base.store.exists_at(key, base.ts)),
+        }
     }
 
-    /// Installs a new version for `key` at `commit_ts`; updates indexes
-    /// (eagerly unlinking the before image's values) and appends to the
-    /// change log. Returns the before image, if any. Only called under
-    /// this table's commit lock — crate-private so code outside the
-    /// engine cannot bypass the commit protocol through a
-    /// [`crate::Database::table`] handle.
     /// Installs a whole checkpoint snapshot in one pass: one lock
     /// acquisition for every row, no changelog entries (a restored base
     /// is *state*, not a change — emitting it as CDC would present the
@@ -674,61 +798,45 @@ impl TableStore {
         }
     }
 
-    pub(crate) fn install(&self, key: &Key, row: Arc<Row>, commit_ts: Ts) -> Option<Arc<Row>> {
-        let mut rows = self.rows.write();
-        let chain = rows.entry(key.clone()).or_default();
-        let before = chain.install(commit_ts, row.clone());
-        drop(rows);
-        self.changelog.append(
-            ChangeEntry {
-                commit_ts,
-                key: key.clone(),
-                before: before.clone(),
-                after: Some(row.clone()),
-            },
-            || self.eviction_horizon(),
-        );
-        let mut indexes = self.indexes.write();
-        for idx in indexes.iter_mut() {
-            // Unlink-then-insert: if the update kept the indexed value the
-            // insert restores the live stamp; if it changed the value the
-            // old entry is tombstoned at `commit_ts`.
-            if let Some(before) = &before {
-                idx.unlink(key, before, commit_ts);
-            }
-            idx.insert(key, &row);
-        }
-        drop(indexes);
-        let mut range_indexes = self.range_indexes.write();
-        for idx in range_indexes.iter_mut() {
-            if let Some(before) = &before {
-                idx.unlink(key, before, commit_ts);
-            }
-            idx.insert(key, &row);
-        }
-        before
-    }
-
-    /// Applies a whole commit's writes to this table in one pass: each op
-    /// is a key with `Some(row)` to install or `None` to delete. Returns
-    /// the before image per op (parallel to `ops`).
+    /// Applies a whole commit's writes to this table in one pass — the
+    /// only way rows change: each op is a key with `Some(row)` to install
+    /// at `commit_ts` or `None` to delete. Installs supersede the live
+    /// version, deletes close it; indexes eagerly unlink each before
+    /// image's values and the change log records every change in order.
+    /// Returns the before image per op (parallel to `ops`).
     ///
-    /// Semantically identical to calling [`TableStore::install`] /
-    /// [`TableStore::remove`] per entry in order — same version chains,
-    /// same change-log entries in the same order, same index stamps — but
-    /// each internal lock (`rows`, then the change log, `indexes`,
+    /// Each internal lock (`rows`, then the change log, `indexes`,
     /// `range_indexes`; the crate-wide lock order) is taken *once per
-    /// commit* instead of once per row, and the ops are borrowed from the
-    /// caller's own records: the only per-row copies are reference-count
-    /// bumps. Only called under this table's commit lock.
+    /// commit*, and the ops are borrowed from the caller's own records:
+    /// the only per-row copies are reference-count bumps. Only called
+    /// under this table's commit lock — crate-private so code outside the
+    /// engine cannot bypass the commit protocol through a
+    /// [`crate::Database::table`] handle.
+    ///
+    /// On a fork's table the first write to a key first *seeds* its chain
+    /// (and the indexes) with the base's row, stamped with the base
+    /// timestamp: before images, index unlinks and change-log entries
+    /// then come out exactly as if the fork had copied the row up front.
+    /// A seed is state, not a change — it has no change-log entry.
     pub(crate) fn apply_batch<'a, I>(&self, ops: I, commit_ts: Ts) -> Vec<Option<Arc<Row>>>
     where
         I: Iterator<Item = (&'a Key, Option<&'a Arc<Row>>)> + Clone,
     {
         let mut befores = Vec::with_capacity(ops.size_hint().0);
+        let mut seeds: Vec<(&Key, Arc<Row>)> = Vec::new();
         {
             let mut rows = self.rows.write();
             for (key, after) in ops.clone() {
+                if let Some(base) = &self.base {
+                    if !rows.contains_key(key) {
+                        if let Some(row) = base.store.get_at(key, base.ts) {
+                            rows.entry(key.clone())
+                                .or_default()
+                                .install(base.ts, row.clone());
+                            seeds.push((key, row));
+                        }
+                    }
+                }
                 befores.push(match after {
                     Some(row) => rows
                         .entry(key.clone())
@@ -753,6 +861,9 @@ impl TableStore {
             .append_all(entries, || self.eviction_horizon());
         let mut indexes = self.indexes.write();
         for idx in indexes.iter_mut() {
+            for (key, row) in &seeds {
+                idx.insert(key, row);
+            }
             for ((key, after), before) in applied() {
                 if let Some(before) = before {
                     idx.unlink(key, before, commit_ts);
@@ -765,6 +876,9 @@ impl TableStore {
         drop(indexes);
         let mut range_indexes = self.range_indexes.write();
         for idx in range_indexes.iter_mut() {
+            for (key, row) in &seeds {
+                idx.insert(key, row);
+            }
             for ((key, after), before) in applied() {
                 if let Some(before) = before {
                     idx.unlink(key, before, commit_ts);
@@ -777,50 +891,22 @@ impl TableStore {
         befores
     }
 
-    /// Deletes the live version of `key` at `commit_ts`, eagerly unlinking
-    /// it from all secondary indexes. Returns the deleted row, if any.
-    /// Only called under this table's commit lock; crate-private for the
-    /// same reason as [`TableStore::install`]. Commit paths go through
-    /// [`TableStore::apply_batch`]; this single-row form remains as the
-    /// reference implementation the batch is tested against.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn remove(&self, key: &Key, commit_ts: Ts) -> Option<Arc<Row>> {
-        let mut rows = self.rows.write();
-        let before = rows.get_mut(key).and_then(|chain| chain.remove(commit_ts));
-        drop(rows);
-        if let Some(before) = &before {
-            self.changelog.append(
-                ChangeEntry {
-                    commit_ts,
-                    key: key.clone(),
-                    before: Some(before.clone()),
-                    after: None,
-                },
-                || self.eviction_horizon(),
-            );
-            let mut indexes = self.indexes.write();
-            for idx in indexes.iter_mut() {
-                idx.unlink(key, before, commit_ts);
-            }
-            drop(indexes);
-            let mut range_indexes = self.range_indexes.write();
-            for idx in range_indexes.iter_mut() {
-                idx.unlink(key, before, commit_ts);
-            }
-        }
-        before
-    }
-
     /// Number of live rows at `ts`.
     pub fn count_at(&self, ts: Ts) -> usize {
-        self.rows
-            .read()
-            .values()
-            .filter(|c| c.visible_at(ts).is_some())
-            .count()
+        let rows = self.rows.read();
+        let own = rows.values().filter(|c| c.visible_at(ts).is_some()).count();
+        let below = self.base_at(ts).map_or(0, |base| {
+            let shadowed = rows
+                .keys()
+                .filter(|key| base.store.exists_at(key, base.ts))
+                .count();
+            base.store.count_at(base.ts) - shadowed
+        });
+        own + below
     }
 
-    /// Total stored versions (live + historical), for stats/GC decisions.
+    /// Total stored versions (live + historical) in this table's own
+    /// chains, for stats/GC decisions.
     pub fn version_count(&self) -> usize {
         self.rows.read().values().map(|c| c.len()).sum()
     }
@@ -834,7 +920,9 @@ impl TableStore {
         let mut dead_keys = Vec::new();
         for (key, chain) in rows.iter_mut() {
             dropped += chain.gc_before(ts);
-            if chain.is_empty() {
+            // A fork's emptied chain stays: it is the tombstone that
+            // keeps the base's row for the key shadowed.
+            if chain.is_empty() && self.base.is_none() {
                 dead_keys.push(key.clone());
             }
         }
@@ -858,14 +946,18 @@ impl TableStore {
         dropped
     }
 
-    /// Snapshot of live rows at `ts`, used when forking a database. Rows
-    /// are shared with the version store, not copied.
+    /// Snapshot of live rows at `ts`, in key order (what a checkpoint
+    /// captures). Rows are shared with the version store, not copied.
     pub fn materialize_at(&self, ts: Ts) -> Vec<(Key, Arc<Row>)> {
         let rows = self.rows.read();
         let mut out: Vec<(Key, Arc<Row>)> = rows
             .iter()
             .filter_map(|(k, c)| c.visible_at(ts).map(|r| (k.clone(), r.clone())))
             .collect();
+        if let Some(base) = self.base_at(ts) {
+            let below = base.store.materialize_at(base.ts);
+            out.extend(below.into_iter().filter(|(key, _)| !rows.contains_key(key)));
+        }
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
     }
@@ -979,6 +1071,19 @@ mod tests {
 
     fn arc(r: Row) -> Arc<Row> {
         Arc::new(r)
+    }
+
+    /// One-row commits, for building histories.
+    impl TableStore {
+        fn install(&self, key: &Key, row: Arc<Row>, commit_ts: Ts) -> Option<Arc<Row>> {
+            self.apply_batch(std::iter::once((key, Some(&row))), commit_ts)
+                .remove(0)
+        }
+
+        fn remove(&self, key: &Key, commit_ts: Ts) -> Option<Arc<Row>> {
+            self.apply_batch(std::iter::once((key, None)), commit_ts)
+                .remove(0)
+        }
     }
 
     #[test]

@@ -281,16 +281,21 @@ impl Session {
     /// Forks the whole session environment at a timestamp: the relational
     /// database via [`Database::fork_at`] and, when one is bound, the
     /// key-value store via [`KvStore::fork_at`] — both at the *same*
-    /// point of the aligned history, which is what makes the fork a
-    /// faithful polyglot "development database" (paper Figure 2). The
-    /// fork is untraced and independent; its clock and every namespace's
-    /// timestamp resume from `ts.max(1)`.
+    /// point of the aligned history (`ts` clamped once, here, to the
+    /// published clock), which is what makes the fork a faithful polyglot
+    /// "development database" (paper Figure 2). The fork is untraced and
+    /// independent; its clock and every namespace's timestamp resume
+    /// from the clamped `ts.max(1)`.
     ///
-    /// Only sound at or above the GC truncation floor
-    /// ([`Database::log_truncated_below`]); below it the debugger
+    /// Refused with [`DbError::HistoryTruncated`] below the GC truncation
+    /// floor ([`Database::log_truncated_below`]); there the debugger
     /// reconstructs the environment from spilled aligned history instead
     /// (see [`Session::fork_empty`] and [`Session::apply_changes`]).
     pub fn fork_at(&self, ts: Ts) -> DbResult<Session> {
+        let ts = ts.min(self.inner.db.current_ts());
+        // The relational fork pins `ts` against GC before the key-value
+        // store is copied: `gc_before` reclaims kv versions only up to
+        // the floor the relational side raised, which a pin holds down.
         let mut builder = Session::builder(self.inner.db.fork_at(ts)?);
         if let Some(kv) = &self.inner.kv {
             builder = builder.kv(kv.fork_at(ts));
@@ -512,6 +517,10 @@ impl Session {
             .min(db.min_active_start_ts().unwrap_or(Ts::MAX))
             .min(db.current_ts());
         let (relational_versions, log_entries) = db.gc_before(horizon);
+        // The relational side re-clamps under its log lock (a fork may
+        // have pinned since the watermark was read above); the floor it
+        // raised is as far as either store may reclaim.
+        let horizon = horizon.min(db.log_truncated_below());
         let kv_versions = self
             .inner
             .kv

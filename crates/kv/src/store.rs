@@ -432,7 +432,7 @@ impl KvStore {
     /// fresh commit lock) — the key-value analogue of
     /// [`trod_db::Database::fork_empty`], used when a past environment is
     /// reconstructed by replaying spilled aligned history instead of
-    /// materialising live state.
+    /// forked from live state.
     pub fn fork_empty(&self) -> KvStore {
         let inner = self.inner.read();
         let mut fork = KvInner::default();

@@ -21,13 +21,13 @@
 //!   carries its relational and key-value changes together, timestamps
 //!   matching what the KV store actually installed.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 
 use proptest::prelude::*;
 
-use trod_db::{row, DataType, Database, DbError, Key, KvError, Predicate, Schema, TrodError};
+use trod_db::{row, DataType, Database, DbError, Key, KvError, Predicate, Schema, TrodError, Ts};
 use trod_kv::{kv_table_name, KvStore, Session};
 
 #[path = "../../db/tests/support/model.rs"]
@@ -651,10 +651,17 @@ fn cross_store_read_validation_is_enforced_by_the_coordinator() {
 /// would contain a commit whose relational half (and log entry) the
 /// fork's cut excludes, and the forked session would disagree with the
 /// aligned history replay that reconstructs it.
+///
+/// And what a fork saw first is what it sees until dropped: its
+/// relational half copies nothing and reads the production version
+/// chains, so forks are *kept* here, across later commits and a thread
+/// garbage-collecting at `current_ts()` throughout, and re-read. A live
+/// fork holds GC's horizon at its timestamp; a dropped one lets go.
 #[test]
 fn forks_taken_mid_install_never_observe_unpublished_versions() {
     const WRITERS: usize = 4;
     const ROUNDS: usize = 30;
+    const HELD: usize = 6;
 
     let session = new_session();
     {
@@ -664,10 +671,29 @@ fn forks_taken_mid_install_never_observe_unpublished_versions() {
         txn.commit().unwrap();
     }
 
-    let done = Arc::new(AtomicBool::new(false));
-    let barrier = Arc::new(Barrier::new(WRITERS + 2));
+    /// The counter as each store of `fork` shows it.
+    fn pair(fork: &Session) -> (i64, i64) {
+        let row_v = fork
+            .database()
+            .get_latest(TABLES[0], &Key::single(0i64))
+            .unwrap()
+            .unwrap()[1]
+            .as_int()
+            .unwrap();
+        let kv_v = fork
+            .kv()
+            .get_latest(NAMESPACES[0], "mirror")
+            .unwrap()
+            .unwrap()
+            .parse()
+            .unwrap();
+        (row_v, kv_v)
+    }
 
-    std::thread::scope(|scope| {
+    let done = Arc::new(AtomicBool::new(false));
+    let barrier = Arc::new(Barrier::new(WRITERS + 3));
+
+    let held = std::thread::scope(|scope| {
         let mut writers = Vec::new();
         for _ in 0..WRITERS {
             let session = session.clone();
@@ -701,37 +727,49 @@ fn forks_taken_mid_install_never_observe_unpublished_versions() {
             scope.spawn(move || {
                 barrier.wait();
                 while !done.load(Ordering::Relaxed) {
+                    session.gc_before(session.database().current_ts());
+                }
+            });
+        }
+        let forker = {
+            let session = session.clone();
+            let barrier = barrier.clone();
+            let done = done.clone();
+            scope.spawn(move || {
+                let mut held: VecDeque<(Ts, Session, i64)> = VecDeque::new();
+                barrier.wait();
+                while !done.load(Ordering::Relaxed) {
                     // The cut comes from the KV store's own clock: on a
                     // clock-bound store this is the published horizon,
                     // never a claimed-but-unpublished install.
                     let ts = session.kv().current_ts();
                     let fork = session.fork_at(ts).unwrap();
-                    let row_v = fork
-                        .database()
-                        .get_latest(TABLES[0], &Key::single(0i64))
-                        .unwrap()
-                        .unwrap()[1]
-                        .as_int()
-                        .unwrap();
-                    let kv_v: i64 = fork
-                        .kv()
-                        .get_latest(NAMESPACES[0], "mirror")
-                        .unwrap()
-                        .unwrap()
-                        .parse()
-                        .unwrap();
+                    let (row_v, kv_v) = pair(&fork);
                     assert_eq!(
                         row_v, kv_v,
                         "fork at ts {ts} captured an unpublished KV version"
                     );
+                    held.push_back((ts, fork, row_v));
+                    if held.len() > HELD {
+                        held.pop_front();
+                    }
+                    for (ts, fork, first_seen) in &held {
+                        assert_eq!(
+                            pair(fork),
+                            (*first_seen, *first_seen),
+                            "the fork at ts {ts} changed under its holder"
+                        );
+                    }
                 }
-            });
-        }
+                held
+            })
+        };
         barrier.wait();
         for handle in writers {
             handle.join().unwrap();
         }
         done.store(true, Ordering::Relaxed);
+        forker.join().unwrap()
     });
 
     assert_eq!(
@@ -744,4 +782,22 @@ fn forks_taken_mid_install_never_observe_unpublished_versions() {
             .unwrap(),
         (WRITERS * ROUNDS) as i64
     );
+
+    // The forks still held clamp GC to the oldest of them...
+    let db = session.database();
+    let oldest = held.iter().map(|(ts, ..)| *ts).min().unwrap();
+    assert_eq!(db.live_forks(), (held.len(), Some(oldest)));
+    session.gc_before(db.current_ts());
+    assert!(db.log_truncated_below() <= oldest);
+    for (ts, fork, first_seen) in &held {
+        assert_eq!(pair(fork), (*first_seen, *first_seen), "fork at ts {ts}");
+    }
+    // ...and, dropped, release it: the same call now reclaims everything
+    // below the present.
+    drop(held);
+    assert_eq!(db.live_forks(), (0, None));
+    session.gc_before(db.current_ts());
+    assert_eq!(db.log_truncated_below(), db.current_ts());
+    let stats = db.stats();
+    assert_eq!(stats.total_versions, stats.live_rows);
 }

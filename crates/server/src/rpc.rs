@@ -265,7 +265,9 @@ pub fn dispatch(state: &ServerState, method: &str, params: &Json) -> Result<Json
 
         // ------------------------------------------------- fork sessions
         "trod_fork" => {
-            let ts = p_ts(params, "ts")?;
+            // A fork cannot see past what is published; reply with the
+            // timestamp it was actually taken at.
+            let ts = p_ts(params, "ts")?.min(state.trod.production_db().current_ts());
             state.sync_provenance();
             let session = state.trod.fork_at(ts).map_err(|e| RpcError::from(&e))?;
             let id = state.fresh_fork_id();
@@ -655,6 +657,21 @@ pub fn dispatch(state: &ServerState, method: &str, params: &Json) -> Result<Json
                     Json::Array(handlers.into_iter().map(Json::str).collect()),
                 ),
                 ("gc_floor", Json::from(db.log_truncated_below())),
+                // What GC is held at: the oldest active transaction or
+                // live fork (null: nothing holds it).
+                (
+                    "min_active_start_ts",
+                    db.min_active_start_ts()
+                        .map(Json::from)
+                        .unwrap_or(Json::Null),
+                ),
+                ("forks", {
+                    let (count, oldest_ts) = db.live_forks();
+                    Json::obj(vec![
+                        ("count", Json::from(count as u64)),
+                        ("oldest_ts", oldest_ts.map(Json::from).unwrap_or(Json::Null)),
+                    ])
+                }),
                 ("live_log_entries", Json::from(db.log_len())),
                 ("wal", wal),
             ]))

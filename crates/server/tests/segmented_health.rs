@@ -107,6 +107,42 @@ fn sys_health_reports_segments_and_sys_dump_stitches_across_restart() {
             floor
         );
 
+        // Nothing holds GC yet. A remote fork above the floor reads
+        // through to production and pins its timestamp; one below the
+        // floor is reconstructed from the spill and pins nothing.
+        let held = |health: &Json| {
+            let forks = health.get("forks").expect("forks section");
+            (
+                forks.get("count").and_then(Json::as_u64).unwrap(),
+                forks.get("oldest_ts").and_then(Json::as_u64),
+                health.get("min_active_start_ts").and_then(Json::as_u64),
+            )
+        };
+        assert_eq!(held(&health), (0, None, None));
+        let mut fork_ids = Vec::new();
+        for ts in [floor + 3, floor + 1, floor - 2] {
+            let reply = client
+                .call("trod_fork", Json::obj(vec![("ts", Json::from(ts))]))
+                .expect("fork");
+            fork_ids.push(
+                reply
+                    .get("fork_id")
+                    .and_then(Json::as_str)
+                    .unwrap()
+                    .to_string(),
+            );
+        }
+        assert_eq!(
+            held(&call_sys(&mut client, "sys_health")),
+            (2, Some(floor + 1), Some(floor + 1))
+        );
+        for id in fork_ids {
+            client
+                .call("fork_drop", Json::obj(vec![("fork", Json::str(id))]))
+                .expect("drop");
+        }
+        assert_eq!(held(&call_sys(&mut client, "sys_health")), (0, None, None));
+
         let reply = call_sys(&mut client, "sys_dump");
         let dump = Dump::from_json(reply.get("dump").unwrap()).expect("parse dump");
         assert_eq!(dump.entries.len(), 12, "stitched history is gap-free");

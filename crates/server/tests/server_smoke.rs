@@ -159,6 +159,66 @@ fn mixed_workload_over_the_wire() {
     assert_eq!(report.wal_appended, report.wal_durable);
 }
 
+/// A fork cannot be taken in the future: a timestamp above the
+/// published clock forks the present — its reply says so, and the fork's
+/// clock (hence its next commit) resumes from there, not from the
+/// requested timestamp.
+#[test]
+fn a_fork_from_the_future_is_a_fork_of_the_present() {
+    let server = shop_server();
+    let mut client = Client::connect(&server.addr()).expect("connect");
+    let first = invoke(
+        &mut client,
+        "checkout",
+        checkout_params("order-1", "ada", "item-1"),
+        true,
+    );
+    let health = |client: &mut Client| {
+        client
+            .call("sys_health", Json::obj(Vec::<(&str, Json)>::new()))
+            .expect("health")
+    };
+    let now = health(&mut client)
+        .get("current_ts")
+        .and_then(Json::as_u64)
+        .unwrap();
+    assert!(now >= first.get("commit_ts").and_then(Json::as_u64).unwrap());
+
+    for asked in [now + 1000, i64::MAX as u64] {
+        let reply = client
+            .call("trod_fork", Json::obj(vec![("ts", Json::from(asked))]))
+            .expect("fork");
+        assert_eq!(
+            reply.get("ts").and_then(Json::as_u64),
+            Some(now),
+            "forked at {asked}"
+        );
+        let fork_id = reply.get("fork_id").and_then(Json::as_str).unwrap();
+        {
+            let state = server.state();
+            let forks = state.forks.lock();
+            assert_eq!(forks[fork_id].session.database().current_ts(), now);
+        }
+        let rs = client
+            .call(
+                "fork_sql",
+                Json::obj(vec![
+                    ("fork", Json::str(fork_id)),
+                    ("sql", Json::str("SELECT order_id FROM orders")),
+                ]),
+            )
+            .expect("fork_sql");
+        assert_eq!(rs.get("rows").and_then(Json::as_array).unwrap().len(), 1);
+    }
+    // Both forks are alive and hold GC at the present, not at the
+    // timestamps that were asked for.
+    let forks = health(&mut client);
+    let forks = forks.get("forks").expect("forks section");
+    assert_eq!(forks.get("count").and_then(Json::as_u64), Some(2));
+    assert_eq!(forks.get("oldest_ts").and_then(Json::as_u64), Some(now));
+    server.shutdown();
+}
+
 #[test]
 fn typed_errors_over_the_wire() {
     let server = shop_server();

@@ -66,9 +66,8 @@ pub fn create_schema(db: &Database) {
     )
     .expect("fresh database");
     // Stock-level windows (low-stock sweeps, the `stock < 0` quality
-    // invariant) are range scans; serve them from an ordered index.
-    db.create_range_index(INVENTORY_TABLE, "stock")
-        .expect("index");
+    // invariant) are range scans; the index serves them.
+    db.create_index(INVENTORY_TABLE, "stock").expect("index");
     db.create_table(
         ORDERS_TABLE,
         Schema::builder()

@@ -2,8 +2,8 @@
 //! baseline, across selectivity × table size × latest-vs-time-travel.
 //!
 //! The claim under test (and the acceptance bar of the PR that introduced
-//! the scan planner): a selective scan served by an ordered range index
-//! or a hash multi-probe is *sublinear* in table size — its cost tracks
+//! the scan planner): a selective scan served by an index range probe or
+//! an index multi-probe is *sublinear* in table size — its cost tracks
 //! the number of matching rows, not the number of live rows — whereas the
 //! full chain walk is O(live rows) regardless of selectivity. Each
 //! benchmark runs the same predicate through `Database::scan_latest` /
@@ -11,8 +11,8 @@
 //! `TableStore::scan_at_full` (the planner-bypassing oracle), so the two
 //! series are directly comparable per (size, selectivity) cell.
 //!
-//! The `events` table: `id` (pk), `ts` (range-indexed, equal to `id`),
-//! `grp` (hash-indexed, 100 groups), `val` (payload).
+//! The `events` table: `id` (pk), `ts` (indexed, equal to `id`), `grp`
+//! (indexed, 100 groups), `val` (payload).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -40,7 +40,7 @@ fn events_schema() -> Schema {
 fn populated_db(size: usize) -> (Database, Ts) {
     let db = Database::new();
     db.create_table("events", events_schema()).unwrap();
-    db.create_range_index("events", "ts").unwrap();
+    db.create_index("events", "ts").unwrap();
     db.create_index("events", "grp").unwrap();
     let mut half_ts = 0;
     for chunk in (0..size)
@@ -131,7 +131,7 @@ fn bench_time_travel_scan(c: &mut Criterion) {
 }
 
 fn bench_in_list_scan(c: &mut Criterion) {
-    // `grp IN (7, 42)` = 2% of the table via two hash probes.
+    // `grp IN (7, 42)` = 2% of the table via two index probes.
     let mut group = c.benchmark_group("scan_path/in_list");
     for &size in &TABLE_SIZES {
         let (db, _) = populated_db(size);

@@ -40,10 +40,8 @@ const CHECKPOINT_VERSION: u32 = 1;
 pub struct CheckpointTable {
     pub name: String,
     pub schema: Schema,
-    /// Columns with hash (point-probe) secondary indexes.
-    pub hash_indexes: Vec<String>,
-    /// Columns with ordered range indexes.
-    pub range_indexes: Vec<String>,
+    /// Indexed columns.
+    pub indexes: Vec<String>,
     /// Live rows at the checkpoint timestamp, keyed by primary key.
     pub rows: Vec<(Key, Row)>,
 }
@@ -122,14 +120,13 @@ pub fn encode_checkpoint(ck: &Checkpoint) -> Vec<u8> {
         for &idx in t.schema.primary_key() {
             put_str(&mut payload, &t.schema.columns()[idx].name);
         }
-        put_u32(&mut payload, t.hash_indexes.len() as u32);
-        for c in &t.hash_indexes {
+        put_u32(&mut payload, t.indexes.len() as u32);
+        for c in &t.indexes {
             put_str(&mut payload, c);
         }
-        put_u32(&mut payload, t.range_indexes.len() as u32);
-        for c in &t.range_indexes {
-            put_str(&mut payload, c);
-        }
+        // The second index list once held the ordered indexes; it keeps
+        // its place, written empty (and merged into the first on read).
+        put_u32(&mut payload, 0);
         put_u64(&mut payload, t.rows.len() as u64);
         for (key, row) in &t.rows {
             put_values(&mut payload, key.values());
@@ -230,21 +227,20 @@ fn decode_payload(payload: &[u8]) -> Result<Checkpoint, String> {
         let pk_refs: Vec<&str> = pk.iter().map(String::as_str).collect();
         let schema = Schema::new(columns, &pk_refs)
             .map_err(|e| format!("invalid schema for `{name}`: {e}"))?;
-        let n_hash = c.u32()? as usize;
-        if n_hash > payload.len() {
-            return Err(format!("index count {n_hash} exceeds payload"));
-        }
-        let mut hash_indexes = Vec::with_capacity(n_hash);
-        for _ in 0..n_hash {
-            hash_indexes.push(c.str()?);
-        }
-        let n_range = c.u32()? as usize;
-        if n_range > payload.len() {
-            return Err(format!("index count {n_range} exceeds payload"));
-        }
-        let mut range_indexes = Vec::with_capacity(n_range);
-        for _ in 0..n_range {
-            range_indexes.push(c.str()?);
+        // Two lists, merged: a column listed in both (possible in
+        // checkpoints written before the index kinds merged) has one index.
+        let mut indexes: Vec<String> = Vec::new();
+        for _ in 0..2 {
+            let n = c.u32()? as usize;
+            if n > payload.len() {
+                return Err(format!("index count {n} exceeds payload"));
+            }
+            for _ in 0..n {
+                let column = c.str()?;
+                if !indexes.contains(&column) {
+                    indexes.push(column);
+                }
+            }
         }
         let n_rows = c.u64()? as usize;
         if n_rows > payload.len() {
@@ -259,8 +255,7 @@ fn decode_payload(payload: &[u8]) -> Result<Checkpoint, String> {
         tables.push(CheckpointTable {
             name,
             schema,
-            hash_indexes,
-            range_indexes,
+            indexes,
             rows,
         });
     }
@@ -314,8 +309,7 @@ mod tests {
             tables: vec![CheckpointTable {
                 name: "users".to_string(),
                 schema,
-                hash_indexes: vec!["name".to_string()],
-                range_indexes: vec!["score".to_string()],
+                indexes: vec!["name".to_string(), "score".to_string()],
                 rows: vec![
                     (Key::single(1i64), row![1i64, "alice", 3.5f64]),
                     (Key::single(2i64), row![2i64, "bob", Value::Null]),

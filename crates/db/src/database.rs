@@ -242,8 +242,11 @@ impl Database {
     /// On a checkpoint boot DDL replays *leniently*: re-creating an
     /// object the checkpoint already restored is skipped (sound — the
     /// WAL vocabulary has no drop records, so "already exists" can only
-    /// mean "the checkpoint got there first"). Full replay stays strict,
-    /// so a genuinely duplicated DDL record is a typed recovery error.
+    /// mean "the checkpoint got there first"). Full replay stays strict
+    /// for tables, so a genuinely duplicated `CreateTable` is a typed
+    /// recovery error. An index declaration on an already indexed column
+    /// is satisfied in every boot: logs from before the hash and range
+    /// kinds merged can declare both on one column.
     pub fn recover(
         log: RecoveredLog,
         store: &dyn RecoveryParticipant,
@@ -273,30 +276,16 @@ impl Database {
                         .map_err(|e| recovery_err(format!("create table `{name}`: {e}")))?;
                     report.tables += 1;
                 }
-                WalRecord::CreateIndex {
-                    table,
-                    column,
-                    ranged,
-                } => {
-                    if lenient_ddl {
-                        let indexed = db
-                            .table(table)
-                            .map_err(|e| recovery_err(format!("index `{table}.{column}`: {e}")))?;
-                        let existing = if *ranged {
-                            indexed.range_indexed_columns()
-                        } else {
-                            indexed.indexed_columns()
-                        };
-                        if existing.iter().any(|c| c == column) {
-                            continue;
-                        }
+                WalRecord::CreateIndex { table, column } => {
+                    let indexed = db
+                        .table(table)
+                        .is_ok_and(|t| t.indexed_columns().contains(column));
+                    if indexed {
+                        continue;
                     }
-                    if *ranged {
-                        db.create_range_index(table, column)
-                    } else {
-                        db.create_index(table, column)
-                    }
-                    .map_err(|e| recovery_err(format!("create index `{table}.{column}`: {e}")))?;
+                    db.create_index(table, column).map_err(|e| {
+                        recovery_err(format!("create index `{table}.{column}`: {e}"))
+                    })?;
                     report.indexes += 1;
                 }
                 WalRecord::CreateNamespace { name } => {
@@ -379,8 +368,7 @@ impl Database {
             captured.push(CheckpointTable {
                 name: name.clone(),
                 schema: store.schema().clone(),
-                hash_indexes: store.indexed_columns(),
-                range_indexes: store.range_indexed_columns(),
+                indexes: store.indexed_columns(),
                 rows: store
                     .materialize_at(ts)
                     .into_iter()
@@ -463,11 +451,8 @@ impl Database {
                     .map(|(key, row)| (key.clone(), Arc::new(row.clone()))),
                 ts,
             );
-            for column in &table.hash_indexes {
+            for column in &table.indexes {
                 store.create_index(column)?;
-            }
-            for column in &table.range_indexes {
-                store.create_range_index(column)?;
             }
         }
         // Jump the clocks directly (never via `ensure_ts_at_least`, which
@@ -548,7 +533,7 @@ impl Database {
     }
 
     /// Copies `src`'s catalog onto this WAL-less database: every table
-    /// this one lacks, then every hash and range index each table lacks.
+    /// this one lacks, then every index each table lacks.
     /// New tables are empty — or, given `base`, read through to `src`'s
     /// table at that timestamp ([`TableStore::reading_through`]). No row is
     /// copied either way.
@@ -566,11 +551,6 @@ impl Database {
             for column in from.indexed_columns() {
                 if !to.indexed_columns().contains(&column) {
                     to.create_index(&column)?;
-                }
-            }
-            for column in from.range_indexed_columns() {
-                if !to.range_indexed_columns().contains(&column) {
-                    to.create_range_index(&column)?;
                 }
             }
         }
@@ -592,26 +572,14 @@ impl Database {
             .ok_or_else(|| DbError::NoSuchTable(name.to_string()))
     }
 
-    /// Creates a secondary hash index on `table.column` (serves equality
-    /// and `IN (...)` probes).
+    /// Creates a secondary index on `table.column`, serving equality,
+    /// `IN (...)`, comparison-window and `ORDER BY ... LIMIT` probes
+    /// through the scan planner (see "The read path" in `DESIGN.md`).
     pub fn create_index(&self, table: &str, column: &str) -> DbResult<()> {
         self.table(table)?.create_index(column)?;
         self.log_ddl(WalRecord::CreateIndex {
             table: table.to_string(),
             column: column.to_string(),
-            ranged: false,
-        })
-    }
-
-    /// Creates an ordered range index on `table.column` (serves bounded
-    /// range probes — and equality — through the scan planner; see "The
-    /// read path" in `DESIGN.md`).
-    pub fn create_range_index(&self, table: &str, column: &str) -> DbResult<()> {
-        self.table(table)?.create_range_index(column)?;
-        self.log_ddl(WalRecord::CreateIndex {
-            table: table.to_string(),
-            column: column.to_string(),
-            ranged: true,
         })
     }
 
@@ -762,11 +730,11 @@ impl Database {
         self.table(table)?.scan_at(pred, ts)
     }
 
-    /// Top-k scan through a value-ordered range index: rows matching
+    /// Top-k scan through the index on `order_col`: rows matching
     /// `pred` in `order_col` order (ties by primary key), truncated to
     /// `limit` — O(k) in the result size instead of scan + sort.
     /// Returns `Ok(None)` when the table cannot serve the order from an
-    /// index (no range index on the column, or the column is nullable
+    /// index (no index on the column, or the column is nullable
     /// with no predicate bound to exclude NULLs — NULLs are never
     /// indexed); callers then fall back to scan + sort. The result is
     /// exactly what scan + stable sort + truncate would produce.

@@ -48,9 +48,9 @@
 //!
 //! * **Planned, sublinear scans.** Every predicate scan runs through a
 //!   cost-based access-path planner: primary-key probes into the row
-//!   map, hash-index point probes and `IN (...)` multi-probes, ordered [`RangeIndex`](index::RangeIndex)
-//!   probes for comparison windows, or the full chain walk — whichever
-//!   estimates the fewest candidates. Index paths over-approximate and
+//!   map, or — from one ordered [`SecondaryIndex`] per indexed column —
+//!   point probes, `IN (...)` multi-probes and comparison-window probes,
+//!   or the full chain walk — whichever estimates the fewest candidates. Index paths over-approximate and
 //!   re-check, never under-approximate, so every path (at any read
 //!   timestamp, time travel included) returns the full scan's exact
 //!   result set. See "The read path" in `crates/db/DESIGN.md`.
@@ -128,7 +128,7 @@ pub use commit::CommitParticipant;
 pub use database::{Database, DbStats, RecoveryParticipant};
 pub use dir::{DirFailpointHandle, FailpointDir, FsDir, LogDir, LogFile, MemDir};
 pub use error::{DbError, DbResult, KvError, KvResult, StorageError, TrodError, TrodResult};
-pub use index::{RangeIndex, SecondaryIndex};
+pub use index::SecondaryIndex;
 pub use latency::StorageProfile;
 pub use log::{CommittedTxn, RetentionPolicy, TxnId};
 pub use mvcc::{Ts, TS_LIVE};

@@ -34,7 +34,7 @@ use parking_lot::Mutex;
 use crate::checkpoint::{
     checkpoint_name, decode_checkpoint, encode_checkpoint, parse_checkpoint_name, Checkpoint,
 };
-use crate::dir::{FsDir, LogDir};
+use crate::dir::{FsDir, LogDir, LogFile};
 use crate::error::StorageError;
 use crate::log::CommittedTxn;
 use crate::mvcc::Ts;
@@ -44,7 +44,6 @@ use crate::wal::{
 
 /// The manifest file name inside a log directory.
 pub const MANIFEST_NAME: &str = "MANIFEST";
-const MANIFEST_TMP: &str = "MANIFEST.tmp";
 const MANIFEST_MAGIC: &[u8; 8] = b"TRODMF01";
 const MANIFEST_VERSION: u32 = 2;
 /// Newest checkpoints kept in the manifest; older ones are deleted after
@@ -298,15 +297,30 @@ fn decode_manifest(bytes: &[u8]) -> Result<Manifest, StorageError> {
     .map_err(|detail| manifest_corrupt(20, detail))
 }
 
-/// Writes the manifest atomically: temp file, fsync, rename over
-/// `MANIFEST`, fsync the directory. Never edits the manifest in place.
-fn write_manifest(dir: &dyn LogDir, m: &Manifest) -> Result<(), StorageError> {
-    let mut file = dir.create(MANIFEST_TMP)?;
-    file.write_all(&encode_manifest(m))?;
+/// Publishes the file `name` atomically: `body` writes it as
+/// `<name>.tmp`, which is fsynced, renamed over `name`, and made durable
+/// by a directory fsync. A crash leaves the old file or the new one,
+/// never a torn one; recovery reconciles a stale temp file.
+fn write_durable(
+    dir: &dyn LogDir,
+    name: &str,
+    body: impl FnOnce(&mut dyn LogFile) -> Result<(), StorageError>,
+) -> Result<(), StorageError> {
+    let tmp = format!("{name}.tmp");
+    let mut file = dir.create(&tmp)?;
+    body(file.as_mut())?;
     file.sync()?;
     drop(file);
-    dir.rename(MANIFEST_TMP, MANIFEST_NAME)?;
+    dir.rename(&tmp, name)?;
     dir.sync_dir()
+}
+
+/// Writes the manifest atomically ([`write_durable`]). Never edits the
+/// manifest in place.
+fn write_manifest(dir: &dyn LogDir, m: &Manifest) -> Result<(), StorageError> {
+    write_durable(dir, MANIFEST_NAME, |file| {
+        file.write_all(&encode_manifest(m))
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -366,7 +380,8 @@ pub struct RecoveryReport {
     pub commits: usize,
     /// Tables re-created from DDL records.
     pub tables: usize,
-    /// Secondary/range indexes re-created from DDL records.
+    /// Secondary indexes re-created from DDL records (a declaration for a
+    /// column that already has an index is not counted).
     pub indexes: usize,
     /// Key-value namespaces re-created from DDL records.
     pub namespaces: Vec<String>,
@@ -1052,18 +1067,15 @@ impl SegmentedWal {
         mut cold: ColdFile,
     ) -> Result<(), StorageError> {
         let dir = &self.dir;
-        let tmp_name = format!("{}.tmp", cold.name);
-        let mut file = dir.create(&tmp_name)?;
-        for (name, len) in sources {
-            let bytes = dir.read(name)?;
-            decode_strict(&bytes, name, *len)?;
-            file.write_all(&bytes)?;
-            cold.len += bytes.len() as u64;
-        }
-        file.sync()?;
-        drop(file);
-        dir.rename(&tmp_name, &cold.name)?;
-        dir.sync_dir()?;
+        write_durable(dir.as_ref(), &cold.name, |file| {
+            for (name, len) in sources {
+                let bytes = dir.read(name)?;
+                decode_strict(&bytes, name, *len)?;
+                file.write_all(&bytes)?;
+                cold.len += bytes.len() as u64;
+            }
+            Ok(())
+        })?;
 
         // Manifest swap FIRST (the cold file becomes authoritative), then
         // the in-memory state, then — and only then — the deletes.
@@ -1186,13 +1198,7 @@ impl SegmentedWal {
         let bytes = encode_checkpoint(ck);
         let len = bytes.len() as u64;
         let final_name = checkpoint_name(ck.ts);
-        let tmp_name = format!("{final_name}.tmp");
-        let mut file = dir.create(&tmp_name)?;
-        file.write_all(&bytes)?;
-        file.sync()?;
-        drop(file);
-        dir.rename(&tmp_name, &final_name)?;
-        dir.sync_dir()?;
+        write_durable(dir.as_ref(), &final_name, |file| file.write_all(&bytes))?;
         // Publish in the manifest, retaining only the newest few. The
         // in-memory list is updated first; if the manifest write below
         // fails, the next successful manifest swap publishes the (already

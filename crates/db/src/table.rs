@@ -14,7 +14,7 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::changelog::{ChangeEntry, ChangeLog};
 use crate::error::{DbError, DbResult};
-use crate::index::{RangeIndex, SecondaryIndex};
+use crate::index::SecondaryIndex;
 use crate::mvcc::{Ts, VersionChain};
 use crate::predicate::{ColumnBounds, CompiledPredicate, Predicate};
 use crate::registry::{ActiveTxnRegistry, GcPin};
@@ -48,18 +48,19 @@ pub enum ScanPlan {
     /// candidate per pinned key, exact at any read timestamp (the row map
     /// holds a chain for every key with a version left).
     KeyProbe { candidates: usize },
-    /// Probe a hash index once: the predicate pins `column` to one value.
+    /// Probe the index on `column` once: the predicate pins it to one
+    /// value.
     PointProbe { column: String, candidates: usize },
-    /// Probe a hash index once per `IN (...)` element and merge.
+    /// Probe the index on `column` once per `IN (...)` element and merge.
     MultiProbe {
         column: String,
         probes: usize,
         candidates: usize,
     },
-    /// Walk an ordered index over the window the predicate's comparison
-    /// conjuncts imply on `column`.
+    /// Walk the index on `column` over the window the predicate's
+    /// comparison conjuncts imply on it.
     RangeProbe { column: String, candidates: usize },
-    /// Stream the value-ordered [`RangeIndex`] on `column` in `ORDER BY`
+    /// Stream the index on `column` in value order, in `ORDER BY`
     /// direction and stop after `limit` result rows: top-k in O(k)
     /// instead of materialise + re-sort (see
     /// [`TableStore::scan_ordered_limit`]).
@@ -138,7 +139,7 @@ enum PathChoice<'a> {
     Key(Vec<Key>),
     Point(&'a SecondaryIndex, &'a Value),
     Multi(&'a SecondaryIndex, &'a [Value]),
-    Range(&'a RangeIndex, ColumnBounds),
+    Range(&'a SecondaryIndex, ColumnBounds),
 }
 
 /// Storage for one table.
@@ -160,7 +161,6 @@ pub struct TableStore {
     schema: Schema,
     rows: RwLock<HashMap<Key, VersionChain>>,
     indexes: RwLock<Vec<SecondaryIndex>>,
-    range_indexes: RwLock<Vec<RangeIndex>>,
     /// Commit-ordered ring of recent row changes; serves O(Δ)
     /// serializable validation (see the [`crate::changelog`] docs).
     changelog: ChangeLog,
@@ -204,7 +204,6 @@ impl TableStore {
             schema,
             rows: RwLock::new(HashMap::new()),
             indexes: RwLock::new(Vec::new()),
-            range_indexes: RwLock::new(Vec::new()),
             changelog: ChangeLog::default(),
             commit_lock: Arc::new(Mutex::new(())),
             registry,
@@ -271,7 +270,9 @@ impl TableStore {
         &self.changelog
     }
 
-    /// Registers a secondary index over `column`.
+    /// Registers a secondary index over `column`, serving point, `IN
+    /// (...)`, range and ordered-walk probes (see [`SecondaryIndex`]). A
+    /// column carries at most one index: a second one is an error.
     pub fn create_index(&self, column: &str) -> DbResult<()> {
         let col_idx = self
             .schema
@@ -280,7 +281,7 @@ impl TableStore {
                 table: self.name.to_string(),
                 column: column.to_string(),
             })?;
-        // Lock order: `rows` strictly before an index lock, everywhere
+        // Lock order: `rows` strictly before the index lock, everywhere
         // (the scan path nests them the same way). Holding `rows` across
         // the duplicate check + backfill + publish also keeps the new
         // index exactly consistent with the version store.
@@ -306,51 +307,9 @@ impl TableStore {
         Ok(())
     }
 
-    /// Registers an ordered ([`RangeIndex`]) index over `column`, serving
-    /// bounded range probes (`<`, `<=`, `>`, `>=` windows) in addition to
-    /// equality. A column may carry both a hash and a range index; the
-    /// scan planner picks whichever estimates cheaper per predicate.
-    pub fn create_range_index(&self, column: &str) -> DbResult<()> {
-        let col_idx = self
-            .schema
-            .column_index(column)
-            .ok_or_else(|| DbError::NoSuchColumn {
-                table: self.name.to_string(),
-                column: column.to_string(),
-            })?;
-        // Same lock order as `create_index`: `rows` before the index lock.
-        let rows = self.rows.read();
-        let mut range_indexes = self.range_indexes.write();
-        if range_indexes.iter().any(|i| i.column() == column) {
-            return Err(DbError::Invalid(format!(
-                "range index on `{}.{}` already exists",
-                self.name, column
-            )));
-        }
-        let mut idx = RangeIndex::new(column, col_idx);
-        // Same full-history backfill as `create_index`: snapshot and
-        // time-travel probes below the creation point must still resolve.
-        for (key, chain) in rows.iter() {
-            for version in chain.versions() {
-                idx.record(key, &version.row, version.end_ts);
-            }
-        }
-        range_indexes.push(idx);
-        Ok(())
-    }
-
-    /// Names of hash-indexed columns.
+    /// Names of indexed columns, in creation order.
     pub fn indexed_columns(&self) -> Vec<String> {
         self.indexes
-            .read()
-            .iter()
-            .map(|i| i.column().to_string())
-            .collect()
-    }
-
-    /// Names of range-indexed columns.
-    pub fn range_indexed_columns(&self) -> Vec<String> {
-        self.range_indexes
             .read()
             .iter()
             .map(|i| i.column().to_string())
@@ -450,9 +409,7 @@ impl TableStore {
         visit: &mut dyn FnMut(&Key, &Arc<Row>),
     ) {
         let indexes = self.indexes.read();
-        let range_indexes = self.range_indexes.read();
-        let (choice, _) =
-            plan_access_path(pred, &self.schema, rows.len(), &indexes, &range_indexes);
+        let (choice, _) = plan_access_path(pred, &self.schema, rows.len(), &indexes);
         // Candidates are filtered by the read timestamp already (index
         // paths exclude keys eagerly unlinked at or before `ts`), then
         // re-checked for visibility and the full predicate: indexes
@@ -502,9 +459,7 @@ impl TableStore {
         }
         let rows = self.rows.read();
         let indexes = self.indexes.read();
-        let range_indexes = self.range_indexes.read();
-        let (choice, cost) =
-            plan_access_path(pred, &self.schema, rows.len(), &indexes, &range_indexes);
+        let (choice, cost) = plan_access_path(pred, &self.schema, rows.len(), &indexes);
         // Rendering the plan (column-name allocations) happens only here,
         // on the diagnostics path — the scan path drops it unrendered.
         let own = match choice {
@@ -536,7 +491,7 @@ impl TableStore {
     /// the streamed probe is not applicable and the caller must fall back
     /// to scan + sort:
     ///
-    /// * no [`RangeIndex`] exists on `order_col`, or
+    /// * no index exists on `order_col`, or
     /// * `order_col` is nullable *and* the predicate places no bounds on
     ///   it — NULLs are never indexed, but they sort (first ascending,
     ///   last descending, per [`Value::total_cmp`]'s type ranking), so
@@ -561,32 +516,21 @@ impl TableStore {
         limit: usize,
         ts: Ts,
     ) -> DbResult<Option<ScanRows>> {
-        if let Some(base) = &self.base {
-            if ts < base.ts || !self.rows.read().is_empty() {
-                return Ok(None);
-            }
-            return base
-                .store
-                .scan_ordered_limit(pred, order_col, descending, limit, base.ts);
-        }
-        let Some(col_idx) = self.schema.column_index(order_col) else {
+        let Some((layer, ts, col_idx)) = self.ordered_source(pred, order_col, ts) else {
             return Ok(None);
         };
-        let bounds = pred.bounds_on(order_col);
-        if self.schema.columns()[col_idx].nullable && bounds.is_none() {
-            return Ok(None);
-        }
-        let compiled = pred.compile(&self.schema)?;
+        let compiled = pred.compile(&layer.schema)?;
         if pred.provably_empty() {
             // Still index-eligible: the empty result needs no fallback.
             return Ok(Some(Vec::new()));
         }
-        let rows = self.rows.read();
-        let range_indexes = self.range_indexes.read();
-        let Some(idx) = range_indexes.iter().find(|i| i.column() == order_col) else {
-            return Ok(None);
-        };
-        let bounds = bounds.unwrap_or(ColumnBounds {
+        let rows = layer.rows.read();
+        let indexes = layer.indexes.read();
+        let idx = indexes
+            .iter()
+            .find(|i| i.column() == order_col)
+            .expect("`ordered_source` found the index, and indexes are never dropped");
+        let bounds = pred.bounds_on(order_col).unwrap_or(ColumnBounds {
             lower: Bound::Unbounded,
             upper: Bound::Unbounded,
         });
@@ -609,34 +553,49 @@ impl TableStore {
     }
 
     /// The access path [`TableStore::scan_ordered_limit`] would take for
-    /// this predicate/ORDER BY combination, or `None` when it would fall
-    /// back (same eligibility rules). Lets tests and diagnostics observe
-    /// the planner's ordered-probe choice.
+    /// this predicate/ORDER BY combination at the latest timestamp —
+    /// [`ScanPlan::Empty`] for a provably empty predicate, else
+    /// [`ScanPlan::OrderedProbe`] — or `None` when it would fall back.
+    /// Lets tests and diagnostics observe the ordered-probe choice.
     pub fn plan_ordered_scan(
         &self,
         pred: &Predicate,
         order_col: &str,
         limit: usize,
     ) -> Option<ScanPlan> {
+        self.ordered_source(pred, order_col, Ts::MAX)?;
+        Some(if pred.provably_empty() {
+            ScanPlan::Empty
+        } else {
+            ScanPlan::OrderedProbe {
+                column: order_col.to_string(),
+                limit,
+            }
+        })
+    }
+
+    /// The eligibility rules of [`TableStore::scan_ordered_limit`], in one
+    /// place for it and [`TableStore::plan_ordered_scan`]: the layer whose
+    /// index on `order_col` serves a read at `ts`, the timestamp to read
+    /// it at, and the column's ordinal — or `None` to fall back.
+    fn ordered_source(
+        &self,
+        pred: &Predicate,
+        order_col: &str,
+        ts: Ts,
+    ) -> Option<(&TableStore, Ts, usize)> {
         if let Some(base) = &self.base {
-            return if self.rows.read().is_empty() {
-                base.store.plan_ordered_scan(pred, order_col, limit)
-            } else {
-                None
-            };
+            if ts < base.ts || !self.rows.read().is_empty() {
+                return None;
+            }
+            return base.store.ordered_source(pred, order_col, base.ts);
         }
         let col_idx = self.schema.column_index(order_col)?;
         if self.schema.columns()[col_idx].nullable && pred.bounds_on(order_col).is_none() {
             return None;
         }
-        self.range_indexes
-            .read()
-            .iter()
-            .any(|i| i.column() == order_col)
-            .then(|| ScanPlan::OrderedProbe {
-                column: order_col.to_string(),
-                limit,
-            })
+        let indexed = self.indexes.read().iter().any(|i| i.column() == order_col);
+        indexed.then_some((self, ts, col_idx))
     }
 
     /// [`TableStore::scan_at`] forced down the full-scan path, bypassing
@@ -682,27 +641,6 @@ impl TableStore {
             .get(key)
             .map(|chain| chain.modified_in(after, upto))
             .unwrap_or(false)
-    }
-
-    /// Returns keys whose chains changed after `ts` together with the rows
-    /// involved (both old rows that were superseded and new rows created).
-    ///
-    /// This is an O(total versions) full scan, retained as a diagnostic
-    /// view of the same window the commit path validates. The commit path
-    /// itself uses [`TableStore::predicate_conflict_in`], whose
-    /// full-scan fallback shares [`crate::mvcc::Version::touched_in`]
-    /// with this method.
-    pub fn rows_touched_after(&self, ts: Ts) -> Vec<(Key, Arc<Row>)> {
-        let rows = self.rows.read();
-        let mut out = Vec::new();
-        for (key, chain) in rows.iter() {
-            for v in chain.versions() {
-                if v.touched_in(ts, Ts::MAX) {
-                    out.push((key.clone(), v.row.clone()));
-                }
-            }
-        }
-        out
     }
 
     /// Serializable (phantom) validation primitive: returns the key of a
@@ -805,13 +743,13 @@ impl TableStore {
     /// image's values and the change log records every change in order.
     /// Returns the before image per op (parallel to `ops`).
     ///
-    /// Each internal lock (`rows`, then the change log, `indexes`,
-    /// `range_indexes`; the crate-wide lock order) is taken *once per
-    /// commit*, and the ops are borrowed from the caller's own records:
-    /// the only per-row copies are reference-count bumps. Only called
-    /// under this table's commit lock — crate-private so code outside the
-    /// engine cannot bypass the commit protocol through a
-    /// [`crate::Database::table`] handle.
+    /// Each internal lock (`rows`, then the change log, then `indexes`;
+    /// the crate-wide lock order) is taken *once per commit*, and the ops
+    /// are borrowed from the caller's own records: the only per-row
+    /// copies are reference-count bumps. Only called under this table's
+    /// commit lock — crate-private so code outside the engine cannot
+    /// bypass the commit protocol through a [`crate::Database::table`]
+    /// handle.
     ///
     /// On a fork's table the first write to a key first *seeds* its chain
     /// (and the indexes) with the base's row, stamped with the base
@@ -859,23 +797,7 @@ impl TableStore {
             });
         self.changelog
             .append_all(entries, || self.eviction_horizon());
-        let mut indexes = self.indexes.write();
-        for idx in indexes.iter_mut() {
-            for (key, row) in &seeds {
-                idx.insert(key, row);
-            }
-            for ((key, after), before) in applied() {
-                if let Some(before) = before {
-                    idx.unlink(key, before, commit_ts);
-                }
-                if let Some(after) = after {
-                    idx.insert(key, after);
-                }
-            }
-        }
-        drop(indexes);
-        let mut range_indexes = self.range_indexes.write();
-        for idx in range_indexes.iter_mut() {
+        for idx in self.indexes.write().iter_mut() {
             for (key, row) in &seeds {
                 idx.insert(key, row);
             }
@@ -931,16 +853,10 @@ impl TableStore {
         }
         drop(rows);
         self.changelog.truncate_before(ts);
-        let mut indexes = self.indexes.write();
-        for idx in indexes.iter_mut() {
+        for idx in self.indexes.write().iter_mut() {
             // Entries tombstoned at or below the horizon point at versions
             // that no longer exist; eager unlink stamped them, GC drops
-            // them. (This subsumes the old per-dead-key purge.)
-            idx.purge_dead(ts);
-        }
-        drop(indexes);
-        let mut range_indexes = self.range_indexes.write();
-        for idx in range_indexes.iter_mut() {
+            // them.
             idx.purge_dead(ts);
         }
         dropped
@@ -972,23 +888,23 @@ impl TableStore {
 /// latest-timestamp probe returns, so slots that accumulated tombstones
 /// between garbage collections no longer inflate probe estimates
 /// (time-travel probes can exceed the estimate; cost errors never affect
-/// results). Hash estimates cost O(1) per probe; the range estimate walks
-/// value slots but stops counting at the best estimate so far — once a
-/// path has lost it is never fully costed. The full scan (estimate =
-/// number of chains) is the baseline; another path must beat the best so
-/// far *strictly*, since a candidate (a hash lookup per key) costs more
-/// than a step of the walk — and an index path that only ties the key
-/// probe loses to it. Analysis only ever extracts *conjunctive*
-/// constraints (`equality_on` / `in_list_on` / `bounds_on` all return
-/// `None` under `Or`/`Not`), so a chosen path's candidates always
-/// over-approximate the predicate's match set — the caller re-checks
-/// visibility and the full predicate against the chains.
+/// results). Each index is costed once per probe shape the predicate
+/// admits on its column: a point probe costs one slot lookup per value;
+/// the range estimate walks value slots but stops counting at the best
+/// estimate so far — once a path has lost it is never fully costed. The
+/// full scan (estimate = number of chains) is the baseline; another path
+/// must beat the best so far *strictly*, since a candidate (a hash lookup
+/// per key) costs more than a step of the walk — and an index path that
+/// only ties the key probe loses to it. Analysis only ever extracts
+/// *conjunctive* constraints (`equality_on` / `in_list_on` / `bounds_on`
+/// all return `None` under `Or`/`Not`), so a chosen path's candidates
+/// always over-approximate the predicate's match set — the caller
+/// re-checks visibility and the full predicate against the chains.
 fn plan_access_path<'a>(
     pred: &'a Predicate,
     schema: &Schema,
     chain_count: usize,
     indexes: &'a [SecondaryIndex],
-    range_indexes: &'a [RangeIndex],
 ) -> (PathChoice<'a>, usize) {
     let mut best_cost = chain_count;
     let mut choice = PathChoice::Full;
@@ -999,23 +915,31 @@ fn plan_access_path<'a>(
         }
     }
     for idx in indexes {
-        if let Some(value) = pred.equality_on(idx.column()) {
+        let column = idx.column();
+        let point = pred.equality_on(column);
+        if let Some(value) = point {
             let cost = idx.candidate_count(value);
             if cost < best_cost {
                 best_cost = cost;
                 choice = PathChoice::Point(idx, value);
             }
         }
-        if let Some(values) = pred.in_list_on(idx.column()) {
+        if let Some(values) = pred.in_list_on(column) {
             let cost: usize = values.iter().map(|v| idx.candidate_count(v)).sum();
             if cost < best_cost {
                 best_cost = cost;
                 choice = PathChoice::Multi(idx, values);
             }
         }
-    }
-    for idx in range_indexes {
-        if let Some(bounds) = pred.bounds_on(idx.column()) {
+        // An equality narrows the column's window to the point probe's
+        // slot, or to nothing (which `provably_empty` already answered):
+        // a window is only worth costing without one.
+        let window = if point.is_none() {
+            pred.bounds_on(column)
+        } else {
+            None
+        };
+        if let Some(bounds) = window {
             let cost = idx.candidate_count_capped(&bounds, best_cost);
             if cost < best_cost {
                 best_cost = cost;
@@ -1221,15 +1145,15 @@ mod tests {
     fn planner_picks_the_cheapest_path() {
         let t = scored_table(100);
         t.create_index("grp").unwrap();
-        t.create_range_index("score").unwrap();
+        t.create_index("score").unwrap();
 
         // No constraint: full scan.
         assert_eq!(
             t.plan_scan(&Predicate::True),
             ScanPlan::FullScan { rows: 100 }
         );
-        // Equality on the hash-indexed column: point probe (10 candidates
-        // beat 100 chains).
+        // Equality on an indexed column: point probe (10 candidates beat
+        // 100 chains).
         assert_eq!(
             t.plan_scan(&Predicate::eq("grp", 3i64)),
             ScanPlan::PointProbe {
@@ -1237,7 +1161,7 @@ mod tests {
                 candidates: 10
             }
         );
-        // IN (...) on the hash-indexed column: one probe per element.
+        // IN (...) on an indexed column: one probe per element.
         assert_eq!(
             t.plan_scan(&Predicate::in_list(
                 "grp",
@@ -1249,12 +1173,20 @@ mod tests {
                 candidates: 20
             }
         );
-        // Narrow window on the range-indexed column: range probe.
+        // Narrow window on an indexed column: range probe. The same index
+        // serves point probes.
         assert_eq!(
             t.plan_scan(&Predicate::ge("score", 95i64)),
             ScanPlan::RangeProbe {
                 column: "score".into(),
                 candidates: 5
+            }
+        );
+        assert_eq!(
+            t.plan_scan(&Predicate::eq("score", 95i64)),
+            ScanPlan::PointProbe {
+                column: "score".into(),
+                candidates: 1
             }
         );
         // A selective range beats a broad point probe when both apply.
@@ -1339,7 +1271,7 @@ mod tests {
     fn provably_empty_predicates_short_circuit_the_scan() {
         let t = scored_table(100);
         t.create_index("grp").unwrap();
-        t.create_range_index("score").unwrap();
+        t.create_index("score").unwrap();
         let empty_preds = [
             Predicate::False,
             Predicate::in_list("grp", Vec::new()),
@@ -1402,7 +1334,7 @@ mod tests {
     fn planned_paths_agree_with_the_full_scan_oracle() {
         let t = scored_table(60);
         t.create_index("grp").unwrap();
-        t.create_range_index("score").unwrap();
+        t.create_index("score").unwrap();
         // Touch history: delete some rows, update others away from their
         // group, so candidate sets carry tombstones.
         for i in (0..60i64).step_by(7) {
@@ -1462,7 +1394,7 @@ mod tests {
     #[test]
     fn range_index_serves_time_travel_and_deletes() {
         let t = scored_table(20);
-        t.create_range_index("score").unwrap();
+        t.create_index("score").unwrap();
         t.remove(&Key::single(15i64), 50);
         let pred = Predicate::ge("score", 10i64).and(Predicate::le("score", 16i64));
         // Latest: the deleted row is gone.
@@ -1479,7 +1411,7 @@ mod tests {
         t.remove(&Key::single(4i64), 30);
         // Index created after the delete: time travel below ts 30 must
         // still find the row through the index.
-        t.create_range_index("score").unwrap();
+        t.create_index("score").unwrap();
         let pred = Predicate::ge("score", 4i64).and(Predicate::le("score", 4i64));
         assert!(t.plan_scan(&pred).uses_index());
         assert_eq!(t.scan_at(&pred, 29).unwrap().len(), 1);
@@ -1487,15 +1419,42 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_range_index_rejected() {
-        let t = scored_table(1);
-        t.create_range_index("score").unwrap();
-        assert!(t.create_range_index("score").is_err());
-        assert!(t.create_range_index("no_such_column").is_err());
-        // A hash index on the same column is a different index kind.
+    fn ordered_scan_and_its_plan_share_one_eligibility_rule() {
+        let t = scored_table(20);
+        t.create_index("grp").unwrap();
+        let empty = Predicate::gt("score", 9i64).and(Predicate::lt("score", 3i64));
+        let live = Predicate::ge("score", 5i64);
+        // No index on `score`: both fall back, the provably empty
+        // predicate included.
+        for pred in [&empty, &live] {
+            assert_eq!(t.plan_ordered_scan(pred, "score", 3), None, "[{pred}]");
+            assert_eq!(
+                t.scan_ordered_limit(pred, "score", false, 3, 100).unwrap(),
+                None
+            );
+        }
         t.create_index("score").unwrap();
-        assert_eq!(t.range_indexed_columns(), vec!["score".to_string()]);
-        assert_eq!(t.indexed_columns(), vec!["score".to_string()]);
+        assert_eq!(
+            t.plan_ordered_scan(&empty, "score", 3),
+            Some(ScanPlan::Empty)
+        );
+        assert_eq!(
+            t.scan_ordered_limit(&empty, "score", false, 3, 100)
+                .unwrap(),
+            Some(Vec::new())
+        );
+        assert_eq!(
+            t.plan_ordered_scan(&live, "score", 3),
+            Some(ScanPlan::OrderedProbe {
+                column: "score".into(),
+                limit: 3
+            })
+        );
+        let top = t.scan_ordered_limit(&live, "score", true, 3, 100).unwrap();
+        let keys: Vec<Key> = top.unwrap().into_iter().map(|(k, _)| k).collect();
+        assert_eq!(keys, [19i64, 18, 17].map(Key::single));
+        // Any index streams: `grp` serves its order too.
+        assert!(t.plan_ordered_scan(&Predicate::True, "grp", 3).is_some());
     }
 
     #[test]
@@ -1517,6 +1476,7 @@ mod tests {
         t.create_index("forum").unwrap();
         assert!(t.create_index("forum").is_err());
         assert!(t.create_index("no_such_column").is_err());
+        assert_eq!(t.indexed_columns(), vec!["forum".to_string()]);
     }
 
     #[test]
@@ -1530,18 +1490,6 @@ mod tests {
         assert_eq!(t.get_at(&k, 7), None);
         assert!(t.key_modified_in(&k, 5, Ts::MAX));
         assert!(!t.key_modified_in(&k, 7, Ts::MAX));
-    }
-
-    #[test]
-    fn rows_touched_after_reports_new_and_superseded_versions() {
-        let t = subs_table();
-        let k = key("U1", "F2");
-        t.install(&k, arc(row!["U1", "F2"]), 2);
-        assert_eq!(t.rows_touched_after(5).len(), 0);
-        t.install(&k, arc(row!["U1", "F2-renamed"]), 6);
-        let touched = t.rows_touched_after(5);
-        // The superseded version (ended at 6) and the new one (began at 6).
-        assert_eq!(touched.len(), 2);
     }
 
     #[test]

@@ -144,12 +144,8 @@ pub enum WalRecord {
     Commit(CommittedTxn),
     /// A table was created with this schema.
     CreateTable { name: String, schema: Schema },
-    /// A secondary index was created (`ranged` = ordered range index).
-    CreateIndex {
-        table: String,
-        column: String,
-        ranged: bool,
-    },
+    /// A secondary index was created.
+    CreateIndex { table: String, column: String },
     /// A key-value namespace was created.
     CreateNamespace { name: String },
 }
@@ -158,6 +154,10 @@ const TAG_COMMIT: u8 = 1;
 const TAG_CREATE_TABLE: u8 = 2;
 const TAG_CREATE_INDEX: u8 = 3;
 const TAG_CREATE_NAMESPACE: u8 = 4;
+/// The byte closing a `CreateIndex` record. It once chose between a hash
+/// (0) and an ordered (1) index; there is one index kind now, so it is
+/// written as 1 and ignored on read.
+const CREATE_INDEX_FLAG: u8 = 1;
 
 /// Frame header size: payload length + payload CRC + header CRC.
 pub const FRAME_HEADER_LEN: usize = 12;
@@ -278,15 +278,11 @@ fn encode_payload(record: &WalRecord) -> Vec<u8> {
                 put_str(&mut out, &schema.columns()[idx].name);
             }
         }
-        WalRecord::CreateIndex {
-            table,
-            column,
-            ranged,
-        } => {
+        WalRecord::CreateIndex { table, column } => {
             out.push(TAG_CREATE_INDEX);
             put_str(&mut out, table);
             put_str(&mut out, column);
-            out.push(*ranged as u8);
+            out.push(CREATE_INDEX_FLAG);
         }
         WalRecord::CreateNamespace { name } => {
             out.push(TAG_CREATE_NAMESPACE);
@@ -488,11 +484,14 @@ fn decode_payload(payload: &[u8]) -> Result<WalRecord, String> {
                 Schema::new(columns, &pk_refs).map_err(|e| format!("invalid schema: {e}"))?;
             WalRecord::CreateTable { name, schema }
         }
-        TAG_CREATE_INDEX => WalRecord::CreateIndex {
-            table: c.str()?,
-            column: c.str()?,
-            ranged: c.u8()? != 0,
-        },
+        TAG_CREATE_INDEX => {
+            let record = WalRecord::CreateIndex {
+                table: c.str()?,
+                column: c.str()?,
+            };
+            c.u8()?;
+            record
+        }
         TAG_CREATE_NAMESPACE => WalRecord::CreateNamespace { name: c.str()? },
         t => return Err(format!("unknown record tag {t}")),
     };
@@ -937,7 +936,6 @@ mod tests {
             WalRecord::CreateIndex {
                 table: "t".into(),
                 column: "v".into(),
-                ranged: true,
             },
             WalRecord::CreateNamespace { name: "ns".into() },
             commit_record(1, 1),

@@ -94,7 +94,7 @@ fn clones_of_keys_records_and_entries_allocate_nothing() {
     assert_eq!(allocations(|| Key::single(7i64)).0, 1, "Key::single");
 }
 
-/// Allocations per injected row, into a table with one hash index.
+/// Allocations per injected row, into a table with one index.
 /// Measured: 1.07 — the row's version chain, plus the amortised growth of
 /// the row map, the change log and the index slots. At the parent of this
 /// change the same injection measured 9.08 (five copies of the key, two of

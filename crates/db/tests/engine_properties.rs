@@ -205,9 +205,9 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// A `Key` shares its values behind a pointer; the write buffer and
-    /// the range indexes (ordered by key) and every `HashMap<Key, _>`
-    /// depend on its equality, order and hash being those of the values.
+    /// A `Key` shares its values behind a pointer; the write buffer,
+    /// key-ordered scan results and every `HashMap<Key, _>` depend on its
+    /// equality, order and hash being those of the values.
     #[test]
     fn key_compares_orders_and_hashes_as_its_values(
         a in prop::collection::vec(value_strategy(), 0..4),

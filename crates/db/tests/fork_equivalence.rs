@@ -48,7 +48,7 @@ fn new_parent() -> Database {
     db.create_table("t", t).unwrap();
     db.create_table("u", u).unwrap();
     db.create_index("t", "g").unwrap();
-    db.create_range_index("t", "v").unwrap();
+    db.create_index("t", "v").unwrap();
     db.create_index("u", "g").unwrap();
     db
 }
@@ -332,7 +332,11 @@ fn assert_same(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
+    // `PROPTEST_CASES`, when set, replaces the default count: CI runs
+    // this oracle at more cases than the rest of the suite.
+    #![proptest_config(ProptestConfig::with_cases(
+        std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(96)
+    ))]
 
     #[test]
     fn an_overlay_fork_answers_like_a_copying_fork(

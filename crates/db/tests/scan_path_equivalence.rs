@@ -1,8 +1,9 @@
 //! Decision-equivalence of every scan access path.
 //!
-//! The scan planner may serve a predicate from a primary-key probe, a
-//! hash-index point probe, an `IN (...)` multi-probe, an ordered range
-//! probe, or the full chain walk. Whatever it picks, the result set must be *identical* to the
+//! The scan planner may serve a predicate from a primary-key probe, an
+//! index point probe, an `IN (...)` multi-probe, an index range probe,
+//! or the full chain walk. Whatever it picks, the result set must be
+//! *identical* to the
 //! full scan's — at the latest timestamp and at every time-travel
 //! timestamp, across updates that move rows away from indexed values,
 //! deletes, GC, and predicates (`Or` / `Not`) whose index paths would
@@ -34,7 +35,7 @@ fn new_db(indexed: bool) -> Database {
     db.create_table("t", schema()).unwrap();
     if indexed {
         db.create_index("t", "g").unwrap();
-        db.create_range_index("t", "v").unwrap();
+        db.create_index("t", "v").unwrap();
     }
     db
 }
@@ -82,9 +83,9 @@ fn apply_batch(db: &Database, batch: &[Op]) {
 }
 
 /// Predicates covering every planner path: the primary key `k` pinned
-/// by equality (to an INT or the equal FLOAT) or `IN (...)`, hash-index
+/// by equality (to an INT or the equal FLOAT) or `IN (...)`, index
 /// equality and `IN (...)` on `g`, range windows / one-sided bounds /
-/// equality on the range-indexed `v`, plus `And`/`Or`/`Not` combinations
+/// equality on the indexed `v`, plus `And`/`Or`/`Not` combinations
 /// that force the planner to intersect bounds or bypass indexes entirely.
 fn leaf_strategy() -> impl Strategy<Value = Predicate> {
     prop_oneof![
@@ -117,7 +118,11 @@ fn pred_strategy() -> impl Strategy<Value = Predicate> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+    // `PROPTEST_CASES`, when set, replaces the default count: CI runs
+    // this oracle at more cases than the rest of the suite.
+    #![proptest_config(ProptestConfig::with_cases(
+        std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(128)
+    ))]
 
     #[test]
     fn every_planner_path_equals_the_full_scan(
@@ -205,7 +210,7 @@ fn or_and_not_force_the_full_scan_path() {
 }
 
 /// Rows updated away from an indexed value stay reachable below the
-/// update and invisible at it, through both index kinds.
+/// update and invisible at it, through point and range probes.
 #[test]
 fn updates_away_from_indexed_values_respect_time_travel() {
     let db = new_db(true);

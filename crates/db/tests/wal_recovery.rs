@@ -334,7 +334,7 @@ fn ddl_is_durable_in_all_sync_modes() {
             let db = Database::create_durable(&path, WalOptions::with_sync_mode(mode)).unwrap();
             db.create_table("alpha", table_schema()).unwrap();
             db.create_index("alpha", "v").unwrap();
-            db.create_range_index("alpha", "k").unwrap();
+            db.create_index("alpha", "k").unwrap();
             let mut txn = db.begin();
             txn.insert("alpha", row![1i64, 5i64]).unwrap();
             txn.commit().unwrap();

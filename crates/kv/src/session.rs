@@ -1,14 +1,11 @@
 //! The unified transaction surface: one [`Session`], one [`Txn`].
 //!
-//! Before this module, callers juggled three transaction handles with
-//! three error types: `trod_db::Transaction` (plain relational),
-//! `TracedTransaction` (relational + provenance) and `CrossTxn`
-//! (relational + key-value behind a global cross-store commit lock). The
-//! redesign collapses them: a [`Session`] binds a relational
-//! [`Database`], optionally a [`KvStore`], and optionally a [`Tracer`];
-//! [`Session::begin_with`] hands out a [`Txn`] whose relational and
-//! key-value operations share one snapshot, one commit, one error type
-//! ([`TrodError`]) and one provenance record.
+//! A [`Session`] binds a relational [`Database`], optionally a
+//! [`KvStore`], and optionally a [`Tracer`]. [`Session::begin_with`] hands
+//! out a [`Txn`] whose relational and key-value operations share one
+//! snapshot, one commit, one error type ([`TrodError`]) and one
+//! provenance record; it is the only transaction handle that spans both
+//! stores.
 //!
 //! Commit goes through the database's commit protocol
 //! ([`trod_db::CommitParticipant`]; "The commit protocol" in

@@ -193,11 +193,11 @@ impl ProvenanceStore {
             .expect("Executions.ReqId index");
         // The debugger's time-window investigations (which transactions
         // ran between these timestamps?) are range scans over ingest
-        // order; ordered indexes keep them sublinear as provenance grows.
-        db.create_range_index(EXECUTIONS_TABLE, "Timestamp")
-            .expect("Executions.Timestamp range index");
-        db.create_range_index(REQUESTS_TABLE, "StartTs")
-            .expect("Requests.StartTs range index");
+        // order; indexes keep them sublinear as provenance grows.
+        db.create_index(EXECUTIONS_TABLE, "Timestamp")
+            .expect("Executions.Timestamp index");
+        db.create_index(REQUESTS_TABLE, "StartTs")
+            .expect("Requests.StartTs index");
         let name = |table| {
             let store = db.table(table).expect("fixed table was just created");
             store.name().clone()

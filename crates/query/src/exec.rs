@@ -45,7 +45,7 @@
 //! out of the shared storage rows; a column consumed entirely by a
 //! pushed-down predicate is never copied at all. And two statement shapes
 //! never materialise a relation: `ORDER BY <indexed column> LIMIT k`
-//! streams off a range index ([`try_ordered_probe`]) and a bare
+//! streams off the column's index ([`try_ordered_probe`]) and a bare
 //! `SELECT COUNT(*)` whose conjuncts all lower is a counting walk
 //! ([`try_count`]).
 
@@ -680,7 +680,7 @@ fn lower_all(pending: &[Expr], catalog: &[Binding]) -> Option<Predicate> {
 /// Attempts the ordered-probe fast path: a single-table, non-aggregate
 /// statement with exactly one `ORDER BY <column>` key and a LIMIT, whose
 /// WHERE clause lowers entirely into the scan, can stream its top-k rows
-/// off a value-ordered range index ([`TableStore::scan_ordered_limit`]) —
+/// off the index on its column ([`TableStore::scan_ordered_limit`]) —
 /// O(k) in the result size instead of scan + sort + truncate.
 ///
 /// Returns `Ok(None)` — so the generic path proceeds normally — when any

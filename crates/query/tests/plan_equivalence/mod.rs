@@ -287,7 +287,11 @@ fn statement(picks: &mut Picks) -> String {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(192))]
+    // `PROPTEST_CASES`, when set, replaces the default count: CI runs
+    // this oracle at more cases than the rest of the suite.
+    #![proptest_config(ProptestConfig::with_cases(
+        std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(192)
+    ))]
 
     #[test]
     fn planned_statements_return_what_from_order_loading_returns(

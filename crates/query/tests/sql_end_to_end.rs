@@ -314,8 +314,8 @@ fn order_by_multiple_keys() {
 }
 
 #[test]
-fn order_by_limit_streams_the_range_index_and_matches_the_sort_path() {
-    // `ORDER BY ts LIMIT k` over the range-indexed column takes the
+fn order_by_limit_streams_the_index_and_matches_the_sort_path() {
+    // `ORDER BY ts LIMIT k` over the indexed column takes the
     // ordered-probe fast path (top-k off the index, no full sort); it
     // must return exactly what the generic sort path produces, ties
     // included. Values are inserted shuffled with duplicates so index
@@ -332,7 +332,7 @@ fn order_by_limit_streams_the_range_index_and_matches_the_sort_path() {
             .unwrap(),
     )
     .unwrap();
-    db.create_range_index("events", "ts").unwrap();
+    db.create_index("events", "ts").unwrap();
     let mut txn = db.begin();
     for (i, ts) in [7i64, 3, 9, 3, 1, 9, 5, 3, 8, 2, 6, 4, 9, 0, 5]
         .iter()
@@ -365,7 +365,7 @@ fn order_by_limit_streams_the_range_index_and_matches_the_sort_path() {
         // The WHERE clause cannot lower (column-vs-column), so this one
         // exercises the fallback path — output must still agree.
         "SELECT id, ts FROM events WHERE ts > id ORDER BY ts LIMIT 4",
-        // ORDER BY a column with no range index: fallback again.
+        // ORDER BY a column with no index: fallback again.
         "SELECT id, kind FROM events ORDER BY kind LIMIT 4",
     ] {
         let limited = engine.execute(sql_limited).unwrap();
@@ -400,7 +400,7 @@ fn where_predicates_are_pushed_into_the_scan_planner() {
     )
     .unwrap();
     db.create_index("events", "kind").unwrap();
-    db.create_range_index("events", "ts").unwrap();
+    db.create_index("events", "ts").unwrap();
     let mut txn = db.begin();
     for i in 0..500i64 {
         let kind = format!("K{}", i % 5);
@@ -537,7 +537,7 @@ proptest! {
             .unwrap();
             if indexed {
                 db.create_index("t", "g").unwrap();
-                db.create_range_index("t", "v").unwrap();
+                db.create_index("t", "v").unwrap();
             }
             let mut txn = db.begin();
             for (i, (v, g)) in values.iter().enumerate() {

@@ -81,7 +81,6 @@ pub struct TableDef {
     pub columns: Vec<(String, DataType, bool)>,
     pub primary_key: Vec<String>,
     pub indexes: Vec<String>,
-    pub range_indexes: Vec<String>,
 }
 
 /// A serialized session environment: schema + namespaces + the complete
@@ -138,7 +137,6 @@ fn table_def_of(db: &Database, name: &str) -> Option<TableDef> {
         columns,
         primary_key,
         indexes: store.indexed_columns(),
-        range_indexes: store.range_indexed_columns(),
     })
 }
 
@@ -214,15 +212,6 @@ impl Dump {
                         "indexes",
                         Json::Array(t.indexes.iter().map(|c| Json::str(c.clone())).collect()),
                     ),
-                    (
-                        "range_indexes",
-                        Json::Array(
-                            t.range_indexes
-                                .iter()
-                                .map(|c| Json::str(c.clone()))
-                                .collect(),
-                        ),
-                    ),
                 ])
             })
             .collect();
@@ -294,12 +283,20 @@ impl Dump {
                     })
                     .unwrap_or_default()
             };
+            // Dumps written before the index kinds merged list ordered
+            // indexes apart, possibly on an already indexed column: one
+            // index per column either way.
+            let mut indexes = strings("indexes");
+            for column in strings("range_indexes") {
+                if !indexes.contains(&column) {
+                    indexes.push(column);
+                }
+            }
             tables.push(TableDef {
                 name,
                 columns,
                 primary_key: strings("primary_key"),
-                indexes: strings("indexes"),
-                range_indexes: strings("range_indexes"),
+                indexes,
             });
         }
         let namespaces = j
@@ -365,10 +362,6 @@ impl Dump {
             for col in &t.indexes {
                 db.create_index(&t.name, col)
                     .map_err(|e| DumpError::Load(format!("index {}.{col}: {e}", t.name)))?;
-            }
-            for col in &t.range_indexes {
-                db.create_range_index(&t.name, col)
-                    .map_err(|e| DumpError::Load(format!("range index {}.{col}: {e}", t.name)))?;
             }
         }
         let session = Session::with_kv(db, KvStore::new());

@@ -183,6 +183,70 @@ fn sys_dump_over_the_wire_boots_an_identical_instance() {
     server.shutdown();
 }
 
+/// A `trod-dump/1` document written before the index kinds merged lists
+/// ordered indexes under `range_indexes`, possibly on a column `indexes`
+/// already names. It loads with one index per column, and planned scans
+/// equal the full scan at every commit timestamp.
+#[test]
+fn a_dump_listing_range_indexes_boots_one_index_per_column() {
+    let source = shop_trod();
+    run_workload(&source, &workload::WorkloadConfig::small());
+    let text = Dump::capture(&source).to_json().to_string();
+    assert!(!text.contains("range_indexes"), "no longer emitted");
+    // `inventory.stock` as a range index only, `orders.customer` in both.
+    let rewrite = |text: String, from: &str, to: &str| {
+        assert_eq!(text.matches(from).count(), 1, "{from}");
+        text.replace(from, to)
+    };
+    let text = rewrite(
+        text,
+        r#""indexes":["stock"]"#,
+        r#""indexes":[],"range_indexes":["stock"]"#,
+    );
+    let text = rewrite(
+        text,
+        r#""indexes":["customer"]"#,
+        r#""indexes":["customer"],"range_indexes":["customer"]"#,
+    );
+    let dump = Dump::from_json(&Json::parse(&text).unwrap()).expect("parse dump");
+    let loaded = dump.boot().expect("boot");
+
+    let (src, db) = (source.production_db(), loaded.database());
+    let now = db.current_ts();
+    for name in src.table_names() {
+        let table = db.table(&name).unwrap();
+        let columns = table.indexed_columns();
+        assert_eq!(
+            columns,
+            src.table(&name).unwrap().indexed_columns(),
+            "{name}"
+        );
+        for column in &columns {
+            let at = table.schema().column_index(column).unwrap();
+            let values: std::collections::BTreeSet<_> = table
+                .scan_at_full(&Predicate::True, now)
+                .unwrap()
+                .into_iter()
+                .map(|(_, row)| row[at].clone())
+                .collect();
+            for value in values.into_iter().take(3) {
+                for pred in [
+                    Predicate::eq(column.as_str(), value.clone()),
+                    Predicate::ge(column.as_str(), value),
+                ] {
+                    for ts in 0..=now {
+                        assert_eq!(
+                            table.scan_at(&pred, ts).unwrap(),
+                            table.scan_at_full(&pred, ts).unwrap(),
+                            "{name}: [{pred}] at ts {ts}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn fork_from_instance_equals_local_fork() {
     let source = shop_trod();

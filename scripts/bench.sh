@@ -1,15 +1,15 @@
 #!/usr/bin/env bash
-# Runs the criterion suite and aggregates the results into a committed
-# perf-trajectory artifact (BENCH_PR<N>.json).
+# Runs the criterion suite and aggregates the results into one JSON
+# artifact (the committed BENCH_PR<N>.json files were written this way).
 #
 # Usage:
-#   scripts/bench.sh                  # writes BENCH_PR10.json (current PR)
+#   scripts/bench.sh                  # writes target/bench.json
 #   scripts/bench.sh BENCH_PR11.json  # explicit output name
 #   BENCH_FILTER=commit_validation scripts/bench.sh            # one target
 #   BENCH_FILTER="commit_validation scan_path" scripts/bench.sh
 #   TROD_BENCH_MS=100 scripts/bench.sh                # faster, noisier
 #
-# BENCH_PR<N>.json schema ("trod-bench/v1"): a JSON object with
+# Artifact schema ("trod-bench/v1"): a JSON object with
 #   schema   - artifact format tag
 #   rustc    - toolchain the run used
 #   note     - units reminder
@@ -60,7 +60,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_PR10.json}"
+out="${1:-target/bench.json}"
 # Absolute path: cargo runs bench binaries from the package directory.
 jsonl="$PWD/target/bench-results.jsonl"
 rm -f "$jsonl"

@@ -21,7 +21,7 @@ pub const ORDERS_TABLE: &str = "orders";
 /// Payments charged for orders.
 pub const PAYMENTS_TABLE: &str = "payments";
 /// Key-value namespace holding per-customer cart sessions (used when the
-/// runtime has a key-value store bound; see [`shop_kv`]). Checkout then
+/// runtime's database holds it; see [`shop_kv`]). Checkout then
 /// clears the customer's cart in the *same* atomic commit that confirms
 /// the order — the paper's §5 polyglot-transaction shape.
 pub const CARTS_NAMESPACE: &str = "carts";
@@ -168,15 +168,15 @@ pub fn registry() -> HandlerRegistry {
         Ok(Value::Bool(true))
     });
 
-    // Cart sessions live in the key-value store (when one is bound):
-    // the paper's §5 shape, where per-user session state sits outside
-    // the relational database but still commits transactionally. Without
-    // a bound store the cart write is skipped (returning `false`), like
-    // every other cart touch in this registry.
+    // Cart sessions live in a key-value namespace (when the database
+    // holds it): the paper's §5 shape, where per-user session state sits
+    // outside the relational tables but still commits transactionally.
+    // Without the namespace the cart write is skipped (returning
+    // `false`), like every other cart touch in this registry.
     registry.register_fn("addToCart", |ctx, args| {
         let customer = require_str(args, "customer")?;
         let item = require_str(args, "item")?;
-        if !ctx.has_kv() {
+        if !ctx.has_namespace(CARTS_NAMESPACE) {
             return Ok(Value::Bool(false));
         }
         let mut txn = ctx.txn("func:addToCart");
@@ -190,7 +190,7 @@ pub fn registry() -> HandlerRegistry {
     // the replay engine verifies them against the forked store.
     registry.register_fn("getCart", |ctx, args| {
         let customer = require_str(args, "customer")?;
-        if !ctx.has_kv() {
+        if !ctx.has_namespace(CARTS_NAMESPACE) {
             return Ok(Value::Null);
         }
         let mut txn = ctx.txn("func:getCart");
@@ -204,13 +204,13 @@ pub fn registry() -> HandlerRegistry {
         let customer = require_str(args, "customer")?;
         let item = require_str(args, "item")?;
         let quantity = require_int(args, "quantity")?;
-        let has_kv = ctx.has_kv();
+        let has_carts = ctx.has_namespace(CARTS_NAMESPACE);
         let mut txn = ctx.txn("func:createOrder");
         txn.insert(
             ORDERS_TABLE,
             row![order_id, customer.clone(), item, quantity, "confirmed"],
         )?;
-        if has_kv {
+        if has_carts {
             // Confirming the order and clearing the customer's cart is
             // ONE atomic commit across both stores.
             txn.kv_delete(CARTS_NAMESPACE, &format!("cart:{customer}"))?;
@@ -340,8 +340,7 @@ mod tests {
         );
         assert_eq!(
             runtime
-                .kv_store()
-                .unwrap()
+                .kv()
                 .get_latest(CARTS_NAMESPACE, "cart:alice")
                 .unwrap(),
             Some("item-1".into())
@@ -356,8 +355,7 @@ mod tests {
         // The cart was cleared in the same commit that confirmed the order.
         assert_eq!(
             runtime
-                .kv_store()
-                .unwrap()
+                .kv()
                 .get_latest(CARTS_NAMESPACE, "cart:alice")
                 .unwrap(),
             None
@@ -369,6 +367,23 @@ mod tests {
         // That commit is one aligned-log entry spanning both stores.
         let aligned = runtime.session().aligned_log();
         assert!(aligned.iter().any(|c| c.spans_both_stores()));
+    }
+
+    #[test]
+    fn cart_less_checkouts_leave_no_cart_versions() {
+        // Every checkout deletes the customer's cart; without a cart the
+        // delete is a read, so nothing accumulates in the namespace.
+        const CHECKOUTS: usize = 12;
+        let db = shop_db();
+        seed_inventory(&db, 3, 100);
+        let runtime = Runtime::builder(db, registry()).kv(shop_kv()).build();
+        for i in 0..CHECKOUTS {
+            let (order, customer) = (format!("O{i}"), format!("c{i}"));
+            runtime.must_handle("checkout", checkout_args(&order, &customer, "item-1", 1));
+        }
+        runtime.session().gc_before(trod_db::Ts::MAX);
+        let stats = runtime.kv().namespace_stats(CARTS_NAMESPACE).unwrap();
+        assert_eq!(stats.versions, 0);
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Cross-store commit sharding benchmark: multi-threaded disjoint
-//! commit throughput through the unified (participant-based) commit
-//! protocol, vs a single-global-lock baseline.
+//! commit throughput through the one commit protocol (a namespace is the
+//! table `kv:<namespace>`), vs a single-global-lock baseline.
 //!
 //! Two traffic shapes, each at 1/2/4/8 threads:
 //!
 //! * `kv_disjoint` — KV-only transactions, each thread writing its own
-//!   namespace; each commit takes only its `kv:<namespace>` shard lock.
+//!   namespace; each commit takes only its `kv:<namespace>` table lock.
 //! * `mixed_disjoint` — transactions spanning one private table and one
 //!   private namespace per thread: the paper's §5 polyglot shape. The
 //!   footprint is `{table, kv:<ns>}`, locked in sorted order; disjoint
@@ -111,10 +111,7 @@ fn bench_cross_commit(c: &mut Criterion) {
                         },
                     );
                     // Trim accumulated version history between configs.
-                    session
-                        .database()
-                        .gc_before(session.database().current_ts());
-                    session.kv().gc_before(session.kv().current_ts());
+                    session.gc_before(session.database().current_ts());
                 }
             }
         }

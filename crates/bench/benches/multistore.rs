@@ -126,7 +126,7 @@ fn bench_kv_reads(c: &mut Criterion) {
                 .expect("read")
         });
     });
-    let snapshot = cross.kv().current_ts() / 2;
+    let snapshot = cross.database().current_ts() / 2;
     group.bench_function("as_of_midpoint", |b| {
         b.iter(|| {
             let n = counter.fetch_add(1, Ordering::Relaxed) % 10_000;

@@ -2,12 +2,11 @@
 //!
 //! Three questions, all about the fork/replay spine:
 //!
-//! * `request_replay` — what does polyglot-complete replay cost compared
-//!   to the old relational-only path? Both modes replay the same shop
-//!   checkout workload; `polyglot` additionally forks the key-value
-//!   store, verifies every traced kv read against it and re-applies every
-//!   kv record through the participant commit path
-//!   (`writes_skipped == 0`), while `relational_only` skip-counts them.
+//! * `request_replay` — what does polyglot replay cost compared to a
+//!   relational-only deployment? Both modes replay the same shop checkout
+//!   workload; in `polyglot` the carts namespace exists, so the fork also
+//!   reads through to it, every traced kv read is verified and every kv
+//!   record re-applied (`writes_skipped == 0`).
 //! * `spilled_replay` — what does replaying a request whose history was
 //!   garbage-collected cost? The environment cannot be forked from live
 //!   state; it is reconstructed by replaying spilled + live aligned

@@ -14,11 +14,10 @@
 //! a **forked session environment**, never on production state:
 //!
 //! * **What forks.** [`trod_kv::Session::fork_at`] forks the *whole*
-//!   environment — the relational database
-//!   ([`trod_db::Database::fork_at`]) and, for polyglot applications, the
-//!   key-value store (`KvStore::fork_at`) — at one timestamp of the
-//!   aligned history, so cross-store invariants hold in the fork exactly
-//!   as they held in production at that moment.
+//!   environment ([`trod_db::Database::fork_at`]) — tables and key-value
+//!   namespaces, which are tables too — at one timestamp of the aligned
+//!   history, so cross-store invariants hold in the fork exactly as they
+//!   held in production at that moment.
 //! * **At which timestamp.** Replay ([`Trod::replay`]) forks at the
 //!   snapshot the request's first transaction read from; retroactive
 //!   programming ([`Trod::retroactive`]) at the earliest snapshot of the
@@ -89,7 +88,7 @@ impl Trod {
     }
 
     /// The production session: the unified transaction surface
-    /// (application database, optional key-value store, tracer) every
+    /// (application database with its key-value namespaces, tracer) every
     /// debugging layer reads through. This is the single API choke point
     /// where the aligned history is captured — relational-only, KV-only
     /// and mixed commits alike.
@@ -162,16 +161,15 @@ impl Trod {
     }
 
     /// Starts a faithful replay of a past request (§3.5) in a development
-    /// environment — the relational database *and*, for polyglot
-    /// applications, the key-value store — forked from production state
-    /// at the request's snapshot, or reconstructed from spilled aligned
+    /// environment — tables and key-value namespaces — forked from
+    /// production state at the request's snapshot, or reconstructed from spilled aligned
     /// history when the snapshot predates the GC floor (see the module
     /// docs and [`Trod::enable_retention`]).
     pub fn replay(&self, req_id: &str) -> Result<ReplaySession, ReplayError> {
         ReplaySession::for_session(&self.provenance, self.runtime.session(), req_id)
     }
 
-    /// Forks the whole environment (db + kv) at `ts`, retention-aware:
+    /// Forks the whole environment at `ts`, retention-aware:
     /// above the GC floor this is `Session::fork_at`; below it the state
     /// is reconstructed from spilled + live aligned history, exactly as
     /// replay does. This is the entry point the server's remote fork
@@ -217,15 +215,13 @@ impl Trod {
         registry: HandlerRegistry,
     ) -> Result<(Self, trod_db::RecoveryReport), trod_db::TrodError> {
         let (session, report) = Session::open_durable(path, opts)?;
-        let db = session.database().clone();
-        let kv = session.kv().clone();
-        let runtime = Runtime::builder(db, registry).kv(kv).build();
+        let runtime = Runtime::builder(session.database().clone(), registry).build();
         let trod = Trod::attach(runtime).map_err(trod_db::TrodError::Relational)?;
         Ok((trod, report))
     }
 
-    /// Garbage-collects production history in both stores under one
-    /// clamped horizon ([`Session::gc_before`]); with retention enabled
+    /// Garbage-collects production history under one clamped horizon
+    /// ([`Session::gc_before`]); with retention enabled
     /// the truncated aligned entries are spilled to the provenance store
     /// before they leave the live log, so [`Trod::aligned_history`] stays
     /// gap-free; on a durable environment the same pass compacts the

@@ -94,11 +94,10 @@ impl ReenactmentReport {
 }
 
 /// Reenactment / isolation-audit helper bound to the provenance store and
-/// the (time-travel-capable) production session environment: relational
-/// reads reenact against the database's MVCC history, `kv:<namespace>`
-/// reads against the key-value store's version chains — both as of the
-/// transaction's snapshot timestamp, which the aligned history makes one
-/// and the same point in time.
+/// the (time-travel-capable) production session environment: every read
+/// — `kv:<namespace>` rows included, a namespace being a table — reenacts
+/// against the database's MVCC history as of the transaction's snapshot
+/// timestamp.
 pub struct Reenactor<'a> {
     provenance: &'a ProvenanceStore,
     session: &'a Session,
@@ -123,44 +122,6 @@ impl<'a> Reenactor<'a> {
         let mut reads_checked = 0;
         let mut divergent_reads = Vec::new();
         for read in &trace.reads {
-            if let Some(namespace) = read.table.strip_prefix(trod_db::KV_TABLE_PREFIX) {
-                // Infrastructure failures (no store bound, namespace
-                // gone) propagate as errors — reporting them as read
-                // divergences would fake an isolation anomaly.
-                let Some(kv) = self.session.kv_store() else {
-                    return Err(trod_db::DbError::Invalid(format!(
-                        "cannot reenact kv read on `{}`: no key-value store bound",
-                        read.table
-                    )));
-                };
-                for (key, recorded) in &read.rows {
-                    reads_checked += 1;
-                    let Some(key_text) = trod_kv::kv_image_key(key) else {
-                        divergent_reads.push(format!("{}: non-text kv key {key}", read.table));
-                        continue;
-                    };
-                    let recorded_value = trod_kv::kv_image_value(recorded);
-                    let as_of = kv
-                        .get_as_of(namespace, key_text, trace.snapshot_ts)
-                        .map_err(|e| {
-                            trod_db::DbError::Invalid(format!(
-                                "cannot reenact kv read on `{}`: {e}",
-                                read.table
-                            ))
-                        })?;
-                    match (as_of.as_deref(), recorded_value) {
-                        (Some(a), Some(r)) if a == r => {}
-                        (got, recorded_value) => divergent_reads.push(format!(
-                            "{}[{key_text}]: recorded {} but snapshot ts={} has {}",
-                            read.table,
-                            recorded_value.unwrap_or("<nothing>"),
-                            trace.snapshot_ts,
-                            got.unwrap_or("<nothing>"),
-                        )),
-                    }
-                }
-                continue;
-            }
             for (key, recorded) in &read.rows {
                 reads_checked += 1;
                 let as_of =

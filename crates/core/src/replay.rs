@@ -1,20 +1,18 @@
 //! Faithful bug replay (paper §3.5) over the whole polyglot environment.
 //!
 //! Replaying a past request means re-experiencing its execution in a
-//! development environment: TROD forks the *session environment* — the
-//! relational database and, when the application is polyglot, the
-//! key-value store, both at the same point of the aligned history — from
-//! the state the request's first transaction saw, then walks the
-//! request's transactions in their original order. Before each
-//! transaction it *injects* the state changes made by concurrently
-//! committed transactions that the original execution observed (the
-//! paper's "breakpoint before the beginning of each transaction"),
-//! verifies that the development environment now shows exactly the rows
-//! *and key-value entries* the original transaction read (fidelity), and
-//! then applies the transaction's own recorded changes — `kv:<namespace>`
-//! records re-applied through the same participant commit path live
-//! commits take, so the development environment's aligned log mirrors
-//! production's.
+//! development environment: TROD forks the *session environment* — its
+//! tables and key-value namespaces (which are tables too) — from the
+//! state the request's first transaction saw, then walks the request's
+//! transactions in their original order. Before each transaction it
+//! *injects* the state changes made by concurrently committed
+//! transactions that the original execution observed (the paper's
+//! "breakpoint before the beginning of each transaction"), verifies that
+//! the development environment now shows exactly the rows the original
+//! transaction read — key-value entries included (fidelity) — and then
+//! applies the transaction's own recorded changes through the same
+//! commit path live commits take, so the development environment's
+//! aligned log mirrors production's.
 //!
 //! **The development environment** ([`fork_environment`]). At or above
 //! the truncation floor ([`trod_db::Database::log_truncated_below`]) it
@@ -132,10 +130,8 @@ pub struct StepReport {
     /// Number of CDC records applied for the transaction itself.
     pub writes_applied: usize,
     /// CDC records (of this transaction or its injected dependencies)
-    /// that could not be applied: row images erased by privacy redaction,
-    /// or `kv:` records when the development environment has no key-value
-    /// store (a relational-only replay of a polyglot trace). Zero for
-    /// polyglot requests replayed in a full session environment.
+    /// whose row images were erased by privacy redaction and so could not
+    /// be applied. Zero for unredacted provenance.
     pub writes_skipped: usize,
     /// True if the step ran on provenance that was partially redacted
     /// (privacy erasure, §5); see [`ReplayStep::partial_data`].
@@ -167,8 +163,8 @@ impl ReplayReport {
         self.steps.iter().map(|s| s.injected.len()).sum()
     }
 
-    /// Total records skipped across all steps (zero for a faithful
-    /// polyglot replay in a full environment).
+    /// Total records skipped across all steps (zero unless provenance was
+    /// redacted).
     pub fn writes_skipped(&self) -> usize {
         self.steps.iter().map(|s| s.writes_skipped).sum()
     }
@@ -184,8 +180,7 @@ impl ReplayReport {
 /// An in-progress replay of one request.
 pub struct ReplaySession {
     req_id: String,
-    /// The forked development environment: relational database plus — for
-    /// polyglot sessions — the key-value store, forked at one timestamp.
+    /// The forked development environment.
     dev: Session,
     steps: Vec<ReplayStep>,
     position: usize,
@@ -194,8 +189,8 @@ pub struct ReplaySession {
 
 impl ReplaySession {
     /// Prepares a replay of `req_id`: forks the development environment —
-    /// both stores of `production`, at the snapshot the request's first
-    /// transaction saw — and computes, for each of the request's
+    /// `production` at the snapshot the request's first transaction saw —
+    /// and computes, for each of the request's
     /// transactions, the concurrent transactions whose changes must be
     /// injected before it. When the snapshot predates the GC truncation
     /// floor, the environment is reconstructed from spilled + live
@@ -273,8 +268,7 @@ impl ReplaySession {
         self.dev.database()
     }
 
-    /// The development environment's key-value store, when the replayed
-    /// session is polyglot.
+    /// The development environment's key-value view (always `Some`).
     pub fn dev_kv(&self) -> Option<&KvStore> {
         self.dev.kv_store()
     }
@@ -300,8 +294,8 @@ impl ReplaySession {
     }
 
     /// Executes the next step: injects concurrent changes, verifies the
-    /// original read set (both stores) against the development
-    /// environment, applies the transaction's own writes. Returns `None`
+    /// original read set against the development environment, applies
+    /// the transaction's own writes. Returns `None`
     /// when the replay is done.
     pub fn step(&mut self) -> Result<Option<StepReport>, ReplayError> {
         if self.is_finished() {
@@ -336,44 +330,7 @@ impl ReplaySession {
             }
             // Fidelity check: everything the original transaction read
             // must be present, with identical contents, in the
-            // development environment. Key-value reads are verified
-            // against the forked store; in a relational-only environment
-            // they remain uncheckable and are left to `writes_skipped`
-            // accounting.
-            if let Some(namespace) = read.table.strip_prefix(trod_db::KV_TABLE_PREFIX) {
-                let Some(kv) = self.dev.kv_store() else {
-                    continue;
-                };
-                for (key, original_row) in &read.rows {
-                    reads_checked += 1;
-                    let Some(key_text) = trod_kv::kv_image_key(key) else {
-                        mismatches.push(format!(
-                            "{}: traced kv read has a non-text key {key}",
-                            read.table
-                        ));
-                        continue;
-                    };
-                    let original_value = trod_kv::kv_image_value(original_row);
-                    match kv.get_latest(namespace, key_text) {
-                        Ok(Some(dev_value)) if Some(dev_value.as_str()) == original_value => {}
-                        Ok(Some(dev_value)) => mismatches.push(format!(
-                            "{}[{key_text}]: original read {} but development store has {dev_value}",
-                            read.table,
-                            original_value.unwrap_or("<non-text>"),
-                        )),
-                        Ok(None) => mismatches.push(format!(
-                            "{}[{key_text}]: original read {} but key is missing in development store",
-                            read.table,
-                            original_value.unwrap_or("<non-text>"),
-                        )),
-                        Err(e) => mismatches.push(format!(
-                            "{}[{key_text}]: cannot verify against development store: {e}",
-                            read.table
-                        )),
-                    }
-                }
-                continue;
-            }
+            // development environment.
             for (key, original_row) in &read.rows {
                 reads_checked += 1;
                 match self.dev_db().get_latest(&read.table, key)? {
@@ -498,51 +455,22 @@ pub(crate) fn fork_environment(
     }
     let dev = match &checkpoint {
         Some(ck) => {
-            // Mirror the production environment's shape: a relational-only
-            // production session gets a relational-only dev environment
-            // (kv records are skipped and counted, as in the full-replay
-            // path), a polyglot one gets the checkpoint's kv half too.
-            let dev = if production.kv_store().is_some() {
-                Session::from_checkpoint(ck)?
-            } else {
-                let dev_db = Database::new();
-                dev_db.restore_checkpoint(ck)?;
-                Session::new(dev_db)
-            };
+            let dev = Session::from_checkpoint(ck)?;
             // Commits in `(C, ts]` may touch objects created after the
             // checkpoint was taken; add production's catalog (tables,
             // indexes, namespaces) to the restored base, as `fork_empty`
-            // copies it onto an empty one. Their rows and values arrive
-            // through the delta replay itself.
+            // copies it onto an empty one. Their rows arrive through the
+            // delta replay itself.
             dev.database().adopt_catalog(production.database())?;
-            if let (Some(src_kv), Some(dst_kv)) = (production.kv_store(), dev.kv_store()) {
-                for namespace in src_kv.namespaces() {
-                    if !dst_kv.has_namespace(&namespace) {
-                        dst_kv
-                            .create_namespace(&namespace)
-                            .map_err(ReplayError::KeyValue)?;
-                    }
-                }
-            }
             dev
         }
         None => production.fork_empty()?,
     };
-    let kv_capable = dev.kv_store().is_some();
     // Only the delta after the checkpoint (everything at or below
     // `ckpt_ts` is already materialised by the restored snapshot);
     // without a checkpoint this is the whole spilled history up to `ts`.
     for entry in provenance.spilled_between(ckpt_ts, ts) {
-        // Relational-only environments cannot reconstruct kv records,
-        // exactly as a direct fork would not carry them — drop
-        // them from the base state rather than failing the whole replay
-        // (the per-step skip accounting covers the traced records).
-        let changes = if kv_capable {
-            std::borrow::Cow::Borrowed(&*entry.changes)
-        } else {
-            trod_db::relational_changes(&entry.changes)
-        };
-        if dev.apply_changes(&changes).is_err() {
+        if dev.apply_changes(&entry.changes).is_err() {
             // A record in the entry cannot be re-applied — its images
             // were erased by privacy redaction after spilling. Rebuild
             // from whatever survives, record by record: below-floor
@@ -550,7 +478,7 @@ pub(crate) fn fork_environment(
             // that did depend on the erased rows surface the gap as
             // fidelity mismatches — the paper's §5 "debugging from
             // partial data" behaviour, same as the step-level tolerance.
-            for change in changes.iter() {
+            for change in entry.changes.iter() {
                 let _ = dev.apply_changes(std::slice::from_ref(change));
             }
         }
@@ -558,15 +486,10 @@ pub(crate) fn fork_environment(
     Ok(dev)
 }
 
-/// Applies CDC records to the development environment, through the
-/// participant commit path for `kv:` records when the environment has a
-/// key-value store. Records that cannot be applied are skipped and
-/// counted instead of failing the replay:
-///
-/// * `kv:` records in a relational-only environment;
-/// * on steps that run on redacted provenance (`tolerate = true`), records
-///   whose row or value images were erased — the "debugging from partial
-///   data" behaviour of the paper's §5.
+/// Applies CDC records to the development environment. On steps that run
+/// on redacted provenance (`tolerate = true`), records whose row images
+/// were erased are skipped and counted instead of failing the replay —
+/// the "debugging from partial data" behaviour of the paper's §5.
 ///
 /// Returns the number of skipped records.
 fn apply_tolerating_redaction(
@@ -574,41 +497,22 @@ fn apply_tolerating_redaction(
     writes: &[trod_db::ChangeRecord],
     tolerate: bool,
 ) -> Result<usize, ReplayError> {
-    let kv_unapplyable = if dev.kv_store().is_some() {
-        0
-    } else {
-        writes
-            .iter()
-            .filter(|c| trod_db::is_kv_table(&c.table))
-            .count()
-    };
-    if !tolerate && kv_unapplyable == 0 {
-        // The common (unredacted, fully-equipped environment) case: apply
-        // the whole transaction as one aligned injection.
+    if !tolerate {
+        // The common (unredacted) case: apply the whole transaction as
+        // one aligned injection.
         dev.apply_changes(writes)?;
         return Ok(0);
     }
-    let mut skipped = kv_unapplyable;
-    if !tolerate {
-        dev.apply_changes(&trod_db::relational_changes(writes))?;
-        return Ok(skipped);
-    }
-    for change in writes {
-        if kv_unapplyable > 0 && trod_db::is_kv_table(&change.table) {
-            continue;
-        }
-        if dev.apply_changes(std::slice::from_ref(change)).is_err() {
-            skipped += 1;
-        }
-    }
-    Ok(skipped)
+    let applied = writes
+        .chunks(1)
+        .filter(|change| dev.apply_changes(change).is_ok());
+    Ok(writes.len() - applied.count())
 }
 
 impl fmt::Debug for ReplaySession {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ReplaySession")
             .field("req_id", &self.req_id)
-            .field("polyglot", &self.dev.kv_store().is_some())
             .field("steps", &self.steps.len())
             .field("position", &self.position)
             .finish()

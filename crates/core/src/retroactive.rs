@@ -105,8 +105,8 @@ pub struct OrderingOutcome {
     pub outcomes: Vec<RequestOutcome>,
     /// Invariant violations observed on the final state.
     pub violations: Vec<String>,
-    /// The development environment this ordering ran in — both stores,
-    /// forked at the branch snapshot — left available for further
+    /// The development environment this ordering ran in, forked at the
+    /// branch snapshot, left available for further
     /// inspection (same shape as `ReplaySession::dev_session`).
     pub dev: Session,
 }
@@ -117,8 +117,7 @@ impl OrderingOutcome {
         self.dev.database()
     }
 
-    /// The development key-value store of this ordering, when the
-    /// production session is polyglot.
+    /// The development key-value view of this ordering (always `Some`).
     pub fn dev_kv(&self) -> Option<&KvStore> {
         self.dev.kv_store()
     }
@@ -186,11 +185,10 @@ pub struct RetroactiveBuilder {
 }
 
 impl RetroactiveBuilder {
-    /// Creates a builder; used through [`crate::Trod::retroactive`]. The
-    /// production session supplies both stores: each explored ordering
-    /// runs the patched handlers in a fresh fork of the whole environment
-    /// (relational database and, for polyglot applications, the key-value
-    /// store) at the branch snapshot.
+    /// Creates a builder; used through [`crate::Trod::retroactive`]. Each
+    /// explored ordering runs the patched handlers in a fresh fork of the
+    /// whole production environment — tables and key-value namespaces —
+    /// at the branch snapshot.
     pub fn new(
         provenance: Arc<ProvenanceStore>,
         production: Session,
@@ -301,18 +299,15 @@ impl RetroactiveBuilder {
 
         let mut outcomes = Vec::with_capacity(orderings.len());
         for order in orderings {
-            // Fork the whole environment — both stores — through the same
+            // Fork the whole environment through the same
             // retention-aware path replay uses, so retroactive runs keep
             // working for history older than the GC watermark too.
             let dev = fork_environment(&self.provenance, &self.production, snapshot_ts)
                 .map_err(RetroactiveError::Fork)?;
-            let mut builder = Runtime::builder(dev.database().clone(), self.registry.clone())
+            let runtime = Runtime::builder(dev.database().clone(), self.registry.clone())
                 .default_isolation(self.isolation)
-                .request_prefix("RETRO-");
-            if let Some(kv) = dev.kv_store() {
-                builder = builder.kv(kv.clone());
-            }
-            let runtime = builder.build();
+                .request_prefix("RETRO-")
+                .build();
 
             let mut request_outcomes = Vec::with_capacity(order.len());
             for req_id in &order {

@@ -7,35 +7,26 @@
 //! most databases"), and the replay engine re-applies them to reconstruct
 //! past states (paper §3.5).
 
-use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
 use crate::row::{Key, Row};
 
-/// Prefix of the virtual table names under which key-value participant
-/// records travel — in change records, commit resource names and the
-/// aligned transaction log (e.g. `kv:sessions`). This is the aligned
-/// log's wire format for "which store does this record belong to"; every
-/// layer that classifies records must use this one definition.
+/// Prefix of the table that holds a key-value namespace (`kv:sessions`
+/// holds namespace `sessions`). Its change records, read sets and log
+/// entries carry that name, so it is also the aligned log's wire format
+/// for "which store does this record belong to"; every layer that
+/// classifies records uses this one definition.
 pub const KV_TABLE_PREFIX: &str = "kv:";
 
-/// True for records/resources on the virtual `kv:<namespace>` tables of
-/// the unified transaction surface (the key-value half of the aligned
-/// history).
+/// True for a namespace's table (and the records and reads naming it).
 pub fn is_kv_table(table: &str) -> bool {
     table.starts_with(KV_TABLE_PREFIX)
 }
 
-/// The relational records of an aligned change list: the list itself
-/// when it holds no `kv:` record (the common case), a filtered copy
-/// otherwise.
-pub fn relational_changes(changes: &[ChangeRecord]) -> Cow<'_, [ChangeRecord]> {
-    if !changes.iter().any(|c| is_kv_table(&c.table)) {
-        return Cow::Borrowed(changes);
-    }
-    let relational = changes.iter().filter(|c| !is_kv_table(&c.table));
-    Cow::Owned(relational.cloned().collect())
+/// The table holding namespace `namespace` (e.g. `kv:sessions`).
+pub fn kv_table_name(namespace: &str) -> Arc<str> {
+    [KV_TABLE_PREFIX, namespace].concat().into()
 }
 
 /// The kind of change applied to a single row.

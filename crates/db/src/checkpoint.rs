@@ -47,7 +47,8 @@ pub struct CheckpointTable {
 }
 
 /// One key-value namespace inside a [`Checkpoint`]: every live entry at
-/// the checkpoint timestamp.
+/// the checkpoint timestamp, in key order. Namespaces are stored as
+/// `kv:<name>` tables but written here, not in the table section.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointNamespace {
     pub name: String,
@@ -64,15 +65,6 @@ pub struct Checkpoint {
     pub next_txn_id: u64,
     pub tables: Vec<CheckpointTable>,
     pub namespaces: Vec<CheckpointNamespace>,
-}
-
-/// A store (beyond the relational [`crate::Database`]) that contributes
-/// state to environment checkpoints. The key-value store implements this
-/// and `Session` registers it, so `Database::checkpoint` captures the
-/// whole polyglot environment, not just the relational half.
-pub trait CheckpointContributor: Send + Sync {
-    /// Every namespace with its live entries visible at `ts`.
-    fn capture_kv(&self, ts: Ts) -> Vec<CheckpointNamespace>;
 }
 
 /// File name of a checkpoint at `ts` (fixed-width, so names sort by ts).

@@ -1,14 +1,15 @@
 //! The commit protocol — the one sequence of steps every publication
 //! goes through, whether it is a live commit
 //! ([`Transaction::commit`](crate::txn::Transaction::commit)), a replay
-//! injection ([`Database::apply_changes_with`]) or a verbatim re-install
-//! of a logged entry ([`Database::apply_entry_with`]). The design is
-//! written up in "The commit protocol" in `crates/db/DESIGN.md`; this
-//! module owns its invariants:
+//! injection ([`Database::apply_changes`]) or a verbatim re-install of a
+//! logged entry ([`Database::apply_entry`]). Key-value namespaces are
+//! tables (`kv:<namespace>`), so every store a commit touches goes
+//! through the same steps. The design is written up in "The commit
+//! protocol" in `crates/db/DESIGN.md`; this module owns its invariants:
 //!
-//! * **One lock order.** Written tables and participant resources are
-//!   locked in ascending name order and held until after publication.
-//!   Tables that were only read are never locked.
+//! * **One lock order.** Written tables are locked in ascending name
+//!   order and held until after publication. Tables that were only read
+//!   are never locked.
 //! * **Nothing fails after the claim** except the in-window re-check,
 //!   and that runs before anything is installed: an abort never leaves a
 //!   version, a change-log entry or a log record behind.
@@ -28,73 +29,13 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
-use crate::cdc::{relational_changes, ChangeRecord};
+use crate::cdc::ChangeRecord;
 use crate::database::Database;
-use crate::error::{DbError, DbResult, StorageError, TrodError, TrodResult};
+use crate::error::{DbError, DbResult, StorageError};
 use crate::log::{CommittedTxn, LogStaging};
 use crate::mvcc::Ts;
 use crate::table::TableStore;
 use crate::txn::{CommitInfo, IsolationLevel, TxnState, WriteOp};
-
-/// A non-relational store taking part in a commit (e.g. a `trod-kv`
-/// namespace set). One short-lived participant per committing
-/// transaction, carrying that transaction's buffered reads and writes
-/// against its store. Its change records join the relational ones in
-/// the same log entry — one commit, one timestamp, one entry spanning
-/// every store.
-pub trait CommitParticipant {
-    /// The globally-unique resource names whose commit locks this
-    /// participant needs — `kv:<namespace>` for each namespace the
-    /// transaction wrote. Duplicates are tolerated; order is irrelevant
-    /// (the union of all resources is sorted). Names must not collide
-    /// with table names; the store-kind prefix keeps them disjoint.
-    fn resources(&self) -> Vec<String>;
-
-    /// The shared commit lock for one of [`Self::resources`].
-    fn resource_lock(&self, resource: &str) -> Arc<Mutex<()>>;
-
-    /// Validates this participant's reads and writes against its store's
-    /// current state, with the whole footprint locked and nothing
-    /// installed anywhere yet: an error aborts side-effect-free.
-    ///
-    /// `min_commit_ts` is a lower bound on the timestamp a successful
-    /// commit will claim. A store that enforces per-resource timestamp
-    /// monotonicity must reject here if a written resource was already
-    /// advanced to `min_commit_ts` or beyond by writes outside the
-    /// protocol (a raw store-level apply) — the one condition that could
-    /// otherwise make [`Self::install`] fail.
-    fn validate(&self, min_commit_ts: Ts) -> TrodResult<()>;
-
-    /// True if this participant has buffered writes. A commit with no
-    /// writes in any store serializes at its snapshot without locking or
-    /// logging.
-    fn has_writes(&self) -> bool;
-
-    /// True if this participant read resources it did not lock (it did
-    /// not write them); those reads are re-validated inside the
-    /// publication window by [`Self::revalidate_reads`].
-    fn needs_revalidation(&self) -> bool {
-        false
-    }
-
-    /// Re-validates the unlocked reads against every commit below
-    /// `commit_ts`. Called at the commit's publication turn, before
-    /// anything is installed for it; an error publishes the claimed
-    /// timestamp as an empty tick.
-    fn revalidate_reads(&self, _commit_ts: Ts) -> TrodResult<()> {
-        Ok(())
-    }
-
-    /// Installs the buffered writes at `commit_ts` and returns their
-    /// change records (under the participant's virtual table names).
-    /// May run before the commit's publication turn, so versions must
-    /// stay invisible to readers until the publication clock
-    /// ([`Database::publication_clock`]) reaches `commit_ts`. Must not
-    /// fail.
-    fn install(&self, commit_ts: Ts) -> Vec<ChangeRecord>;
-}
 
 /// Timestamp allocation and ordered publication.
 #[derive(Default)]
@@ -102,8 +43,7 @@ pub(crate) struct Sequencer {
     /// Publication clock: the highest commit timestamp whose transaction
     /// is fully installed; readers resolve visibility against it.
     /// `clock <= ts_alloc`, equal whenever no commit is mid-flight.
-    /// Shared with every [`TableStore`] (ring eviction clamps to it) and
-    /// with participant stores.
+    /// Shared with every [`TableStore`] (ring eviction clamps to it).
     clock: Arc<AtomicU64>,
     /// The highest timestamp handed to any commit.
     ts_alloc: AtomicU64,
@@ -140,11 +80,6 @@ impl Sequencer {
     /// [`LogStaging`]).
     pub(crate) fn drain_up_to(&self, published: Ts) -> Vec<CommittedTxn> {
         self.staging.drain_up_to(published)
-    }
-
-    /// The timestamp the next claim will return, if nobody claims first.
-    fn next_ts(&self) -> Ts {
-        self.ts_alloc.load(Ordering::SeqCst) + 1
     }
 
     fn claim(&self) -> Ts {
@@ -231,33 +166,21 @@ impl Sequencer {
 struct FrontEnd<'a> {
     /// Fallible checks run under the footprint locks, before the
     /// timestamp claim.
-    check: &'a dyn Fn() -> TrodResult<()>,
+    check: &'a dyn Fn() -> DbResult<()>,
     /// Re-check of the claimed timestamp at the publication turn, before
     /// anything is installed. `None` keeps the fast path (installs
     /// before the turn).
-    recheck: Option<&'a dyn Fn(Ts) -> TrodResult<()>>,
-    /// Installs the relational writes at the claimed timestamp and
-    /// returns the change records it derived doing so (none when the
-    /// front-end was handed its records). Must not fail.
+    recheck: Option<&'a dyn Fn(Ts) -> DbResult<()>>,
+    /// Installs the writes at the claimed timestamp and returns the
+    /// change records it derived doing so (none when the front-end was
+    /// handed its records). Must not fail.
     install: &'a dyn Fn(Ts) -> Vec<ChangeRecord>,
     /// The log entry: its identity and its change list, given the
-    /// records `install` derived followed by the participants'.
+    /// records `install` derived.
     entry: &'a dyn Fn(Ts, Vec<ChangeRecord>) -> CommittedTxn,
 }
 
 type Tables<'a> = BTreeMap<&'a str, Arc<TableStore>>;
-
-/// Collapses the unified error of a participant-free commit back to the
-/// relational one.
-pub(crate) fn relational_only(e: TrodError) -> DbError {
-    match e {
-        TrodError::Relational(e) => e,
-        TrodError::Storage(e) => DbError::Storage(e),
-        // Unreachable without participants; keep the error faithful
-        // rather than panicking.
-        TrodError::KeyValue(e) => DbError::Invalid(format!("participant error: {e}")),
-    }
-}
 
 impl Database {
     /// The shared steps of the protocol. `locked` yields the written
@@ -265,42 +188,15 @@ impl Database {
     fn publish<'a>(
         &self,
         locked: impl Iterator<Item = &'a Arc<TableStore>>,
-        participants: &[&dyn CommitParticipant],
         front: FrontEnd<'_>,
-    ) -> TrodResult<CommitInfo> {
+    ) -> DbResult<CommitInfo> {
         let seq = self.seq();
+        let _guards: Vec<_> = locked.map(|store| store.commit_lock().lock()).collect();
 
-        // Lock the written tables ∪ the participants' resources in one
-        // sorted order. Relational-only commits lock straight out of the
-        // (already sorted) iterator and allocate no resource names.
-        let resources: Vec<(String, Arc<Mutex<()>>)>;
-        let _guards: Vec<_> = if participants.is_empty() {
-            locked.map(|store| store.commit_lock().lock()).collect()
-        } else {
-            let mut merged: Vec<(String, Arc<Mutex<()>>)> = locked
-                .map(|store| (store.name().to_string(), store.commit_lock().clone()))
-                .collect();
-            for participant in participants {
-                for resource in participant.resources() {
-                    if !merged.iter().any(|(name, _)| *name == resource) {
-                        let lock = participant.resource_lock(&resource);
-                        merged.push((resource, lock));
-                    }
-                }
-            }
-            merged.sort_by(|a, b| a.0.cmp(&b.0));
-            resources = merged;
-            resources.iter().map(|(_, lock)| lock.lock()).collect()
-        };
-
-        // Every earlier commit on these resources published before
-        // releasing its locks, and nothing is installed yet: any veto
-        // aborts side-effect-free on every store.
+        // Every earlier commit on these tables published before releasing
+        // its locks, and nothing is installed yet: a veto aborts
+        // side-effect-free.
         (front.check)()?;
-        let min_commit_ts = seq.next_ts();
-        for participant in participants {
-            participant.validate(min_commit_ts)?;
-        }
 
         // Claim. On the fast path install right away — the versions stay
         // invisible until the clock reaches `commit_ts` — and enter the
@@ -308,28 +204,19 @@ impl Database {
         // left. With a re-check the order inverts: turn first, re-check
         // against the now exact span below `commit_ts`, then install.
         let commit_ts = seq.claim();
-        let late = front.recheck.is_some() || participants.iter().any(|p| p.needs_revalidation());
-        let install = |commit_ts| {
-            let mut changes = (front.install)(commit_ts);
-            for participant in participants {
-                changes.extend(participant.install(commit_ts));
-            }
-            changes
-        };
-        let installed = (!late).then(|| install(commit_ts));
-        seq.wait_for_publication_turn(commit_ts);
-        let derived = match installed {
-            Some(derived) => derived,
+        let derived = match front.recheck {
             None => {
-                let mut rechecked = front.recheck.map_or(Ok(()), |f| f(commit_ts));
-                for participant in participants.iter().filter(|p| p.needs_revalidation()) {
-                    rechecked = rechecked.and_then(|()| participant.revalidate_reads(commit_ts));
-                }
-                if let Err(e) = rechecked {
+                let derived = (front.install)(commit_ts);
+                seq.wait_for_publication_turn(commit_ts);
+                derived
+            }
+            Some(recheck) => {
+                seq.wait_for_publication_turn(commit_ts);
+                if let Err(e) = recheck(commit_ts) {
                     seq.publish_tick(commit_ts);
                     return Err(e);
                 }
-                install(commit_ts)
+                (front.install)(commit_ts)
             }
         };
 
@@ -362,18 +249,14 @@ impl Database {
 
     /// Live commit: validates the transaction under its isolation level,
     /// then publishes its buffered writes. Called from
-    /// [`Transaction::commit_with_participants`](crate::txn::Transaction::commit_with_participants).
-    pub(crate) fn commit_coordinated(
-        &self,
-        state: TxnState,
-        participants: &[&dyn CommitParticipant],
-    ) -> TrodResult<CommitInfo> {
+    /// [`Transaction::commit`](crate::txn::Transaction::commit).
+    pub(crate) fn commit_coordinated(&self, state: TxnState) -> DbResult<CommitInfo> {
         // The transaction stays registered (pinning GC at its snapshot)
         // through validation and install, whatever the outcome.
         let _active = self.registry().deregister_on_drop(state.id);
 
-        if state.is_read_only() && !participants.iter().any(|p| p.has_writes()) {
-            // Read-only on every store: serializes at its snapshot.
+        if state.is_read_only() {
+            // Read-only: serializes at its snapshot.
             return Ok(CommitInfo {
                 txn_id: state.id,
                 start_ts: state.start_ts,
@@ -400,7 +283,7 @@ impl Database {
         }
         let unlocked_reads = footprint.len() > state.writes.len();
 
-        let check = || -> TrodResult<()> {
+        let check = || -> DbResult<()> {
             if !matches!(state.isolation, IsolationLevel::ReadCommitted) {
                 validate_writes(&state, &footprint)?;
             }
@@ -418,24 +301,21 @@ impl Database {
                         return Err(DbError::DuplicateKey {
                             table: table_name.to_string(),
                             key: key.to_string(),
-                        }
-                        .into());
+                        });
                     }
                 }
             }
             Ok(())
         };
-        let recheck =
-            |commit_ts| validate_reads(&state, &footprint, commit_ts).map_err(TrodError::from);
+        let recheck = |commit_ts| validate_reads(&state, &footprint, commit_ts);
         self.publish(
             footprint
                 .iter()
                 .filter(|(name, _)| state.writes.contains_key(**name))
                 .map(|(_, store)| store),
-            participants,
             FrontEnd {
                 check: &check,
-                recheck: unlocked_reads.then_some(&recheck as &dyn Fn(Ts) -> TrodResult<()>),
+                recheck: unlocked_reads.then_some(&recheck as &dyn Fn(Ts) -> DbResult<()>),
                 install: &|commit_ts| install_writes(&state, &footprint, commit_ts),
                 entry: &|commit_ts, derived| CommittedTxn {
                     txn_id: state.id,
@@ -451,55 +331,28 @@ impl Database {
     /// committed transaction, bypassing validation. This is the primitive
     /// the TROD replay engine uses to inject "the state changes the
     /// upcoming transaction depends on" (paper §3.5) into a development
-    /// database. Inserts behave as upserts so injection is idempotent.
+    /// database — `kv:<namespace>` records included, since a namespace
+    /// is a table. Inserts behave as upserts so injection is idempotent.
     pub fn apply_changes(&self, changes: &[ChangeRecord]) -> DbResult<CommitInfo> {
-        self.apply_changes_with(changes, &[])
-            .map_err(relational_only)
-    }
-
-    /// [`Database::apply_changes`] with commit participants: the
-    /// synthetic commit spans other stores exactly like a live one —
-    /// same locks, same publication, one aligned log entry — which is
-    /// how replay re-applies a polyglot transaction's `kv:<namespace>`
-    /// records.
-    pub fn apply_changes_with(
-        &self,
-        changes: &[ChangeRecord],
-        participants: &[&dyn CommitParticipant],
-    ) -> TrodResult<CommitInfo> {
         let txn_id = self.next_txn_id().fetch_add(1, Ordering::Relaxed);
-        self.inject(
-            changes,
-            participants,
-            &|| Ok(()),
-            None,
-            &|commit_ts, participant_records| CommittedTxn {
-                txn_id,
-                start_ts: commit_ts - 1,
-                commit_ts,
-                changes: changes.iter().cloned().chain(participant_records).collect(),
-            },
-        )
+        self.inject(changes, &|| Ok(()), None, &|commit_ts, _| CommittedTxn {
+            txn_id,
+            start_ts: commit_ts - 1,
+            commit_ts,
+            changes: changes.into(),
+        })
     }
 
     /// Re-installs a logged aligned-history entry *verbatim*: it keeps
-    /// its `txn_id`, `start_ts` and `commit_ts`, and the logged entry
-    /// preserves every change record — `kv:<namespace>` ones included —
-    /// so replayed history is indistinguishable from the original. Only
-    /// relational changes are installed here; `participants` install the
-    /// kv half. Entries must arrive in commit order onto a database
-    /// whose clock is below `entry.commit_ts`; a timestamp the allocator
-    /// cannot claim (raced by a concurrent commit) yields
-    /// [`StorageError::Recovery`].
-    pub fn apply_entry_with(
-        &self,
-        entry: &CommittedTxn,
-        participants: &[&dyn CommitParticipant],
-    ) -> TrodResult<CommitInfo> {
+    /// its `txn_id`, `start_ts` and `commit_ts` and every change record,
+    /// so replayed history is indistinguishable from the original.
+    /// Entries must arrive in commit order onto a database whose clock is
+    /// below `entry.commit_ts`; a timestamp the allocator cannot claim
+    /// (raced by a concurrent commit) yields [`StorageError::Recovery`].
+    pub fn apply_entry(&self, entry: &CommittedTxn) -> DbResult<CommitInfo> {
         // Future transactions never reuse the recovered id.
         self.next_txn_id()
             .fetch_max(entry.txn_id + 1, Ordering::Relaxed);
-        let relational = relational_changes(&entry.changes);
         // Position the allocator so the claim yields the entry's
         // timestamp (empty ticks fill read-only gaps), then demand it.
         let position = || {
@@ -510,20 +363,16 @@ impl Database {
             if commit_ts == entry.commit_ts {
                 return Ok(());
             }
-            Err(TrodError::Storage(StorageError::Recovery {
+            Err(DbError::Storage(StorageError::Recovery {
                 detail: format!(
                     "cannot replay commit ts {} verbatim: allocator already claimed {}",
                     entry.commit_ts, commit_ts
                 ),
             }))
         };
-        self.inject(
-            &relational,
-            participants,
-            &position,
-            Some(&demand),
-            &|_, _| entry.clone(),
-        )
+        self.inject(&entry.changes, &position, Some(&demand), &|_, _| {
+            entry.clone()
+        })
     }
 
     /// Publishes a change list: resolves its tables — once per run of
@@ -534,11 +383,10 @@ impl Database {
     fn inject(
         &self,
         changes: &[ChangeRecord],
-        participants: &[&dyn CommitParticipant],
-        check: &dyn Fn() -> TrodResult<()>,
-        recheck: Option<&dyn Fn(Ts) -> TrodResult<()>>,
+        check: &dyn Fn() -> DbResult<()>,
+        recheck: Option<&dyn Fn(Ts) -> DbResult<()>>,
         entry: &dyn Fn(Ts, Vec<ChangeRecord>) -> CommittedTxn,
-    ) -> TrodResult<CommitInfo> {
+    ) -> DbResult<CommitInfo> {
         let mut runs = Vec::new();
         let same_table = |a: &ChangeRecord, b: &ChangeRecord| {
             Arc::ptr_eq(&a.table, &b.table) || a.table == b.table
@@ -564,7 +412,6 @@ impl Database {
         };
         self.publish(
             locked.into_iter(),
-            participants,
             FrontEnd {
                 check,
                 recheck,
@@ -576,10 +423,9 @@ impl Database {
 
     /// Advances the timestamp allocator (and the publication clock) to
     /// at least `target` by claiming and publishing empty ticks — no log
-    /// entries, no installs, just clock movement. Restores liveness when
-    /// a raw store-level apply pushed a participant resource's timestamp
-    /// past this database's allocator; the participant's freshness veto
-    /// then only fires on a mid-commit race and is retryable.
+    /// entries, no installs, just clock movement. Positions a database
+    /// for history that resumes at a known timestamp (a loaded dump, a
+    /// copied fork).
     pub fn ensure_ts_at_least(&self, target: Ts) {
         self.seq().advance_to(target);
     }
@@ -653,12 +499,15 @@ fn install_writes(state: &TxnState, footprint: &Tables, commit_ts: Ts) -> Vec<Ch
         for ((key, op), before) in writes.iter().zip(befores) {
             let (table, key) = (table.clone(), key.clone());
             match (op, before) {
-                (WriteOp::Update { after, .. }, Some(before)) => {
+                (WriteOp::Update { after, .. } | WriteOp::Upsert(after), Some(before)) => {
                     changes.push(ChangeRecord::update(table, key, before, after.clone()));
                 }
                 // An update whose row vanished concurrently (only
                 // possible under weak isolation) records as an insert.
-                (WriteOp::Insert(after) | WriteOp::Update { after, .. }, _) => {
+                (
+                    WriteOp::Insert(after) | WriteOp::Update { after, .. } | WriteOp::Upsert(after),
+                    _,
+                ) => {
                     changes.push(ChangeRecord::insert(table, key, after.clone()));
                 }
                 (WriteOp::Delete { .. }, Some(before)) => {

@@ -2,7 +2,8 @@
 //! access, snapshots, forking and garbage collection. Publication of
 //! commits lives in [`crate::commit`]; how the pieces fit is written up
 //! once in `crates/db/DESIGN.md` ("The commit protocol", "The read path",
-//! "Forking, replay injection and retention", "The durable log").
+//! "Forking, replay injection and retention", "The durable log",
+//! "Key-value namespaces").
 //!
 //! Invariants this module owns:
 //!
@@ -12,6 +13,11 @@
 //!   checkpoint.
 //! * **Every access path returns the full scan's result.** Indexes
 //!   over-approximate and re-check, at any read timestamp.
+//! * **A key-value namespace is a table.** `kv:<name>` holds
+//!   `(kv_key, kv_value)` rows; it is hidden from [`Database::table_names`]
+//!   and listed by [`Database::namespaces`], and everything else — commit,
+//!   fork, GC, recovery — treats it like any table. Checkpoints write it
+//!   in their namespace section.
 //! * **History is reclaimed together and never under an active
 //!   transaction or a live fork.** [`Database::gc_before`] clamps to the
 //!   watermark (active transactions and fork pins), chosen under the log
@@ -35,10 +41,11 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
-use crate::checkpoint::{Checkpoint, CheckpointContributor, CheckpointTable};
+use crate::cdc::{is_kv_table, kv_table_name, KV_TABLE_PREFIX};
+use crate::checkpoint::{Checkpoint, CheckpointNamespace, CheckpointTable};
 use crate::commit::Sequencer;
 use crate::dir::LogDir;
-use crate::error::{DbError, DbResult, StorageError, TrodResult};
+use crate::error::{DbError, DbResult, StorageError};
 use crate::latency::{LatencyModel, StorageProfile};
 use crate::log::{CommittedTxn, RetentionPolicy, TxnId, TxnLog};
 use crate::mvcc::Ts;
@@ -49,32 +56,8 @@ use crate::schema::Schema;
 use crate::segment::{RecoveredLog, RecoveryReport, SegmentedWal};
 use crate::table::{ScanPlan, ScanRows, TableStore};
 use crate::txn::{IsolationLevel, Transaction};
+use crate::value::{DataType, Value};
 use crate::wal::{WalOptions, WalRecord};
-
-/// The non-relational half of an environment, as [`Database::recover`]
-/// sees it. The defaults are the relational-only boot: nothing extra to
-/// restore, namespace DDL only counted, `kv:<namespace>` change records
-/// preserved verbatim in the aligned history but installed nowhere. The
-/// session layer overrides all three over its key-value store.
-pub trait RecoveryParticipant {
-    /// Restores this store's share of the boot checkpoint.
-    fn restore_checkpoint(&self, _ck: &Checkpoint) -> TrodResult<()> {
-        Ok(())
-    }
-
-    /// Re-creates a namespace from its DDL record.
-    fn create_namespace(&self, _name: &str) -> TrodResult<()> {
-        Ok(())
-    }
-
-    /// Re-installs one recovered entry verbatim into `db` and this store.
-    fn apply_entry(&self, db: &Database, entry: &CommittedTxn) -> TrodResult<()> {
-        db.apply_entry_with(entry, &[]).map(|_| ())
-    }
-}
-
-struct RelationalOnly;
-impl RecoveryParticipant for RelationalOnly {}
 
 /// Point-in-time statistics about a database.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -112,10 +95,6 @@ struct DbInner {
     /// window and group-syncs after releasing its locks. `None` = pure
     /// in-memory database (forks, tests, the default).
     wal: RwLock<Option<Arc<SegmentedWal>>>,
-    /// Extra store captured into environment checkpoints (the session
-    /// layer registers its key-value store here). `None` = relational
-    /// state only.
-    ckpt_source: RwLock<Option<Arc<dyn CheckpointContributor>>>,
     /// At most one checkpoint capture runs at a time; losers of the CAS
     /// are counted as skips, not queued — the next trigger retries.
     checkpoint_in_progress: AtomicBool,
@@ -177,7 +156,6 @@ impl Database {
                 snapshots: Mutex::new(BTreeMap::new()),
                 latency: LatencyModel::new(profile),
                 wal: RwLock::new(None),
-                ckpt_source: RwLock::new(None),
                 checkpoint_in_progress: AtomicBool::new(false),
                 _base_pin: base_pin,
             }),
@@ -212,16 +190,11 @@ impl Database {
     /// bytes yields [`StorageError::Corrupt`], replay inconsistencies
     /// [`StorageError::Recovery`], a regular file at `path` a typed error
     /// that leaves it untouched — never a panic.
-    ///
-    /// Entries may carry `kv:<namespace>` change records; this
-    /// relational-only replay preserves them verbatim in the aligned
-    /// history (use `Session::open_durable` in `trod-kv` to also
-    /// re-install them into a key-value store).
     pub fn open_durable(
         path: impl AsRef<std::path::Path>,
         opts: WalOptions,
     ) -> DbResult<(Database, RecoveryReport)> {
-        Self::recover(SegmentedWal::open_path(path, opts)?, &RelationalOnly)
+        Self::recover(SegmentedWal::open_path(path, opts)?)
     }
 
     /// [`Database::open_durable`] over an arbitrary [`LogDir`].
@@ -229,28 +202,26 @@ impl Database {
         dir: Arc<dyn LogDir>,
         opts: WalOptions,
     ) -> DbResult<(Database, RecoveryReport)> {
-        Self::recover(SegmentedWal::open_dir(dir, opts)?, &RelationalOnly)
+        Self::recover(SegmentedWal::open_dir(dir, opts)?)
     }
 
     /// Rebuilds an environment from one recovery walk — the only loop
     /// that replays [`WalRecord`]s. Restores the boot checkpoint (if
     /// any), replays the record tail in order — DDL rebuilds the
-    /// catalog, commit entries re-install verbatim through `store` —
-    /// and only then attaches the log, so replayed entries are not
-    /// re-appended to it. Adds the replay counts to the walk's report.
+    /// catalog, namespaces included, and commit entries re-install
+    /// verbatim, `kv:<namespace>` rows included — and only then attaches
+    /// the log, so replayed entries are not re-appended to it. Adds the
+    /// replay counts to the walk's report.
     ///
     /// On a checkpoint boot DDL replays *leniently*: re-creating an
     /// object the checkpoint already restored is skipped (sound — the
     /// WAL vocabulary has no drop records, so "already exists" can only
     /// mean "the checkpoint got there first"). Full replay stays strict
-    /// for tables, so a genuinely duplicated `CreateTable` is a typed
-    /// recovery error. An index declaration on an already indexed column
-    /// is satisfied in every boot: logs from before the hash and range
-    /// kinds merged can declare both on one column.
-    pub fn recover(
-        log: RecoveredLog,
-        store: &dyn RecoveryParticipant,
-    ) -> DbResult<(Database, RecoveryReport)> {
+    /// for tables and namespaces, so a genuinely duplicated `CreateTable`
+    /// is a typed recovery error. An index declaration on an already
+    /// indexed column is satisfied in every boot: logs from before the
+    /// hash and range kinds merged can declare both on one column.
+    pub fn recover(log: RecoveredLog) -> DbResult<(Database, RecoveryReport)> {
         let RecoveredLog {
             wal,
             checkpoint,
@@ -261,9 +232,6 @@ impl Database {
         let recovery_err = |detail: String| DbError::Storage(StorageError::Recovery { detail });
         if let Some(ck) = &checkpoint {
             db.restore_checkpoint(ck)?;
-            store
-                .restore_checkpoint(ck)
-                .map_err(|e| recovery_err(format!("restore checkpoint ts {}: {e}", ck.ts)))?;
         }
         let lenient_ddl = checkpoint.is_some();
         for record in &records {
@@ -289,26 +257,22 @@ impl Database {
                     report.indexes += 1;
                 }
                 WalRecord::CreateNamespace { name } => {
-                    let restored = checkpoint
-                        .as_ref()
-                        .is_some_and(|ck| ck.namespaces.iter().any(|ns| ns.name == *name));
-                    if restored {
+                    if lenient_ddl && db.has_namespace(name) {
                         continue;
                     }
-                    store
-                        .create_namespace(name)
+                    db.create_namespace(name)
                         .map_err(|e| recovery_err(format!("create namespace `{name}`: {e}")))?;
                     report.namespaces.push(name.clone());
                 }
                 WalRecord::Commit(entry) => {
-                    store.apply_entry(&db, entry).map_err(|e| {
+                    db.apply_entry(entry).map_err(|e| {
                         recovery_err(format!("replay commit ts {}: {e}", entry.commit_ts))
                     })?;
                     report.commits += 1;
                     report.kv_writes_replayed += entry
                         .changes
                         .iter()
-                        .filter(|c| crate::cdc::is_kv_table(&c.table))
+                        .filter(|c| is_kv_table(&c.table))
                         .count();
                 }
             }
@@ -344,47 +308,39 @@ impl Database {
     // Environment checkpoints (lifecycle: "The durable log" in DESIGN.md)
     // ------------------------------------------------------------------
 
-    /// Registers the extra store captured into environment checkpoints
-    /// (the session layer registers its key-value store so checkpoints
-    /// cover the whole polyglot environment). Pass `None` to capture
-    /// relational state only.
-    pub fn set_checkpoint_source(&self, source: Option<Arc<dyn CheckpointContributor>>) {
-        *self.inner.ckpt_source.write() = source;
-    }
-
     /// Captures an MVCC-consistent [`Checkpoint`] of the environment at
     /// the current *published* commit timestamp: every table's schema,
-    /// index columns and rows visible at that timestamp, plus whatever
-    /// the registered [`CheckpointContributor`] holds. Does not write
-    /// anything — [`Database::checkpoint`] does capture + durable write.
+    /// index columns and rows visible at that timestamp, and every
+    /// namespace's entries. Does not write anything —
+    /// [`Database::checkpoint`] does capture + durable write.
     pub fn capture_checkpoint(&self) -> Checkpoint {
         // The published clock: every commit at or below it is fully
         // installed, every one above it invisible to the time-travel
         // reads below — the snapshot is consistent without any lock.
         let ts = self.current_ts();
-        let tables = self.inner.tables.read();
-        let mut captured = Vec::with_capacity(tables.len());
-        for (name, store) in tables.iter() {
-            captured.push(CheckpointTable {
-                name: name.clone(),
-                schema: store.schema().clone(),
-                indexes: store.indexed_columns(),
-                rows: store
-                    .materialize_at(ts)
-                    .into_iter()
-                    .map(|(key, row)| (key, (*row).clone()))
-                    .collect(),
-            });
+        let (mut tables, mut namespaces) = (Vec::new(), Vec::new());
+        for (name, store) in self.inner.tables.read().iter() {
+            let rows = store.materialize_at(ts);
+            match name.strip_prefix(KV_TABLE_PREFIX) {
+                Some(namespace) => namespaces.push(CheckpointNamespace {
+                    name: namespace.to_string(),
+                    entries: rows.iter().map(|(_, row)| namespace_entry(row)).collect(),
+                }),
+                None => tables.push(CheckpointTable {
+                    name: name.clone(),
+                    schema: store.schema().clone(),
+                    indexes: store.indexed_columns(),
+                    rows: rows
+                        .into_iter()
+                        .map(|(key, row)| (key, (*row).clone()))
+                        .collect(),
+                }),
+            }
         }
-        drop(tables);
-        let namespaces = match self.inner.ckpt_source.read().as_ref() {
-            Some(source) => source.capture_kv(ts),
-            None => Vec::new(),
-        };
         Checkpoint {
             ts,
             next_txn_id: self.inner.next_txn_id.load(Ordering::SeqCst),
-            tables: captured,
+            tables,
             namespaces,
         }
     }
@@ -431,14 +387,12 @@ impl Database {
     }
 
     /// Restores a decoded checkpoint into this **empty, WAL-less**
-    /// database: re-creates every table, installs its rows at the
-    /// checkpoint timestamp, builds the indexes (after the installs, so
-    /// they backfill), advances the clock and transaction-id allocator,
-    /// and raises the log truncation floor to the checkpoint timestamp —
-    /// history below the checkpoint reads as typed truncation, exactly
-    /// as if GC had truncated it. Key-value namespaces in the checkpoint
-    /// are ignored here (relational boot); the session layer restores
-    /// them into its own store.
+    /// database: re-creates every table and namespace, installs its rows
+    /// at the checkpoint timestamp, builds the indexes (after the
+    /// installs, so they backfill), advances the clock and
+    /// transaction-id allocator, and raises the log truncation floor to
+    /// the checkpoint timestamp — history below the checkpoint reads as
+    /// typed truncation, exactly as if GC had truncated it.
     pub fn restore_checkpoint(&self, ck: &Checkpoint) -> DbResult<()> {
         let ts = ck.ts.max(1);
         for table in &ck.tables {
@@ -455,6 +409,12 @@ impl Database {
                 store.create_index(column)?;
             }
         }
+        for namespace in &ck.namespaces {
+            self.create_namespace(&namespace.name)?;
+            let entries = namespace.entries.iter();
+            self.table(&kv_table_name(&namespace.name))?
+                .install_snapshot(entries.map(|(k, v)| namespace_row(k, v)), ts);
+        }
         // Jump the clocks directly (never via `ensure_ts_at_least`, which
         // publishes every intermediate tick — O(ts) work).
         self.inner.seq.start_at(ck.ts);
@@ -463,18 +423,6 @@ impl Database {
             .fetch_max(ck.next_txn_id, Ordering::SeqCst);
         self.inner.log.lock().truncate_before(ck.ts);
         Ok(())
-    }
-
-    /// The shared publication clock: the highest *published* commit
-    /// timestamp, as an `Arc` so participant stores can bind it.
-    /// A store holding this clock can install versions stamped with a
-    /// claimed (higher) commit timestamp *before* publication and resolve
-    /// every read against the published prefix only — clock-aware
-    /// versioning, the contract behind moving participant installs out of
-    /// the ordered publication window (see
-    /// [`CommitParticipant::install`](crate::commit::CommitParticipant::install)).
-    pub fn publication_clock(&self) -> Arc<AtomicU64> {
-        self.inner.seq.clock().clone()
     }
 
     /// The commit pipeline's timestamp and publication state.
@@ -502,24 +450,38 @@ impl Database {
     // ------------------------------------------------------------------
 
     /// Creates a table. Names starting with `kv:` are rejected: that
-    /// prefix is reserved for key-value participant resources in the
-    /// commit coordinator's lock namespace and the aligned log (a table
-    /// with such a name would silently alias a namespace's commit lock).
+    /// prefix is reserved for key-value namespaces
+    /// ([`Database::create_namespace`]).
     pub fn create_table(&self, name: impl Into<String>, schema: Schema) -> DbResult<()> {
         let name = name.into();
-        if crate::cdc::is_kv_table(&name) {
+        if is_kv_table(&name) {
             return Err(DbError::Invalid(format!(
-                "table name `{name}` uses the reserved `kv:` resource prefix"
+                "table name `{name}` uses the reserved `kv:` namespace prefix"
             )));
         }
+        self.add_table(name.clone(), schema.clone())?;
+        self.log_ddl(WalRecord::CreateTable { name, schema })
+    }
+
+    /// Creates the key-value namespace `name`: the table `kv:<name>` of
+    /// `(kv_key TEXT PRIMARY KEY, kv_value TEXT NOT NULL)` rows, logged as
+    /// a `CreateNamespace` record. An existing namespace is
+    /// [`DbError::TableExists`] naming its table.
+    pub fn create_namespace(&self, name: &str) -> DbResult<()> {
+        self.add_table(kv_table_name(name).to_string(), namespace_schema())?;
+        self.log_ddl(WalRecord::CreateNamespace {
+            name: name.to_string(),
+        })
+    }
+
+    fn add_table(&self, name: String, schema: Schema) -> DbResult<()> {
         let mut tables = self.inner.tables.write();
         if tables.contains_key(&name) {
             return Err(DbError::TableExists(name));
         }
-        let store = self.new_table(name.clone(), schema.clone());
-        tables.insert(name.clone(), Arc::new(store));
-        drop(tables);
-        self.log_ddl(WalRecord::CreateTable { name, schema })
+        let store = self.new_table(name.clone(), schema);
+        tables.insert(name, Arc::new(store));
+        Ok(())
     }
 
     /// An empty table wired to this database's registry and clock.
@@ -533,7 +495,7 @@ impl Database {
     }
 
     /// Copies `src`'s catalog onto this WAL-less database: every table
-    /// this one lacks, then every index each table lacks.
+    /// and namespace this one lacks, then every index each table lacks.
     /// New tables are empty — or, given `base`, read through to `src`'s
     /// table at that timestamp ([`TableStore::reading_through`]). No row is
     /// copied either way.
@@ -557,8 +519,8 @@ impl Database {
         Ok(())
     }
 
-    /// Adds to this WAL-less database every table and index of `src` it
-    /// does not have yet, empty (see [`Database::fork_empty`]).
+    /// Adds to this WAL-less database every table, namespace and index of
+    /// `src` it does not have yet, empty (see [`Database::fork_empty`]).
     pub fn adopt_catalog(&self, src: &Database) -> DbResult<()> {
         self.graft_catalog(src, None)
     }
@@ -583,9 +545,29 @@ impl Database {
         })
     }
 
-    /// Names of all tables, sorted.
+    /// Names of all tables, sorted; namespaces are listed by
+    /// [`Database::namespaces`] instead.
     pub fn table_names(&self) -> Vec<String> {
-        self.inner.tables.read().keys().cloned().collect()
+        let tables = self.inner.tables.read();
+        tables
+            .keys()
+            .filter(|name| !is_kv_table(name))
+            .cloned()
+            .collect()
+    }
+
+    /// Names of all key-value namespaces, sorted.
+    pub fn namespaces(&self) -> Vec<String> {
+        let tables = self.inner.tables.read();
+        let names = tables
+            .keys()
+            .filter_map(|name| name.strip_prefix(KV_TABLE_PREFIX));
+        names.map(str::to_string).collect()
+    }
+
+    /// True if the key-value namespace exists.
+    pub fn has_namespace(&self, name: &str) -> bool {
+        self.has_table(&kv_table_name(name))
     }
 
     /// True if the table exists.
@@ -1005,6 +987,34 @@ impl Database {
             current_ts: ts,
         }
     }
+}
+
+/// The schema of every namespace table.
+fn namespace_schema() -> Schema {
+    Schema::builder()
+        .column("kv_key", DataType::Text)
+        .column("kv_value", DataType::Text)
+        .primary_key(&["kv_key"])
+        .build()
+        .expect("static schema")
+}
+
+/// A namespace entry as a keyed row of its table.
+fn namespace_row(key: &str, value: &str) -> (Key, Arc<Row>) {
+    let row = Row::from(vec![Value::Text(key.into()), Value::Text(value.into())]);
+    (Key::single(key), Arc::new(row))
+}
+
+/// A namespace row as a checkpoint entry; the namespace schema makes both
+/// cells text.
+fn namespace_entry(row: &Row) -> (String, String) {
+    let text = |i| {
+        row.get(i)
+            .and_then(Value::as_text)
+            .unwrap_or_default()
+            .to_string()
+    };
+    (text(0), text(1))
 }
 
 #[cfg(test)]

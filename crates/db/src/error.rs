@@ -1,11 +1,9 @@
 //! Error types for the storage engine — and the unified [`TrodError`]
-//! spanning every store a transaction can touch.
+//! of the session layer.
 //!
-//! [`KvError`] lives here (rather than in `trod-kv`) so that the commit
-//! coordinator ([`crate::commit`]) can report key-value participant
-//! failures without a crate cycle: `trod-kv` depends on `trod-db`, never
-//! the other way around. `trod-kv` re-exports it, so existing imports
-//! keep working.
+//! [`KvError`] lives here (rather than in `trod-kv`) so that
+//! [`TrodError`] can embed it; `trod-kv` re-exports both. Conflicts on a
+//! namespace are ordinary [`DbError`]s on its `kv:<namespace>` table.
 
 use std::fmt;
 
@@ -193,7 +191,8 @@ impl DbError {
     }
 }
 
-/// Errors raised by the key-value store side of a transaction.
+/// Errors naming a key-value namespace that does not exist or already
+/// does.
 ///
 /// Defined in `trod-db` (and re-exported by `trod-kv`) so the unified
 /// [`TrodError`] can embed it; see the module docs.
@@ -203,12 +202,6 @@ pub enum KvError {
     UnknownNamespace(String),
     /// The namespace already exists.
     NamespaceExists(String),
-    /// Optimistic validation failed: a key read or written by the
-    /// transaction changed after its snapshot.
-    Conflict { namespace: String, key: String },
-    /// A commit timestamp not newer than the namespace's latest applied
-    /// version was used.
-    StaleCommitTimestamp { given: Ts, latest: Ts },
 }
 
 impl fmt::Display for KvError {
@@ -216,50 +209,27 @@ impl fmt::Display for KvError {
         match self {
             KvError::UnknownNamespace(ns) => write!(f, "unknown namespace `{ns}`"),
             KvError::NamespaceExists(ns) => write!(f, "namespace `{ns}` already exists"),
-            KvError::Conflict { namespace, key } => {
-                write!(
-                    f,
-                    "conflict on `{namespace}/{key}`: key changed since snapshot"
-                )
-            }
-            KvError::StaleCommitTimestamp { given, latest } => write!(
-                f,
-                "commit timestamp {given} is not newer than the latest applied version {latest}"
-            ),
         }
     }
 }
 
 impl std::error::Error for KvError {}
 
-impl KvError {
-    /// True if the error is a transient concurrency failure the caller may
-    /// retry: optimistic validation conflicts, and the coordinated-commit
-    /// freshness veto raised when a standalone store-level commit races a
-    /// coordinated one on the same namespace (the coordinator's allocator
-    /// catches up between attempts, so a retry makes progress).
-    pub fn is_retryable(&self) -> bool {
-        matches!(
-            self,
-            KvError::Conflict { .. } | KvError::StaleCommitTimestamp { .. }
-        )
-    }
-}
-
 /// Result alias for key-value operations.
 pub type KvResult<T> = Result<T, KvError>;
 
-/// The unified transaction error: everything a commit spanning the
-/// relational database and key-value stores can fail with.
+/// The unified transaction error: everything a session transaction —
+/// over tables and namespaces alike — can fail with.
 ///
 /// This is the one error type of the unified [`Txn`](crate) surface;
 /// `From` impls exist for both per-store errors so call sites can `?`
 /// freely instead of juggling per-store error enums.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TrodError {
-    /// The relational store failed (validation conflict, unknown table, …).
+    /// The database failed (validation conflict — on a namespace too —,
+    /// unknown table, …).
     Relational(DbError),
-    /// The key-value store failed (conflict, unknown namespace, …).
+    /// A namespace is unknown or already exists.
     KeyValue(KvError),
     /// The shared durability layer failed (WAL append/fsync): the commit
     /// is published in memory but its durability is unconfirmed — only
@@ -308,11 +278,11 @@ impl From<StorageError> for TrodError {
 
 impl TrodError {
     /// True if the error is a transient concurrency failure the caller may
-    /// retry, on either store.
+    /// retry.
     pub fn is_retryable(&self) -> bool {
         match self {
             TrodError::Relational(e) => e.is_retryable(),
-            TrodError::KeyValue(e) => e.is_retryable(),
+            TrodError::KeyValue(_) => false,
             TrodError::Storage(e) => e.is_retryable(),
         }
     }
@@ -362,17 +332,10 @@ mod tests {
         assert!(matches!(e, TrodError::Relational(_)));
         assert!(e.is_retryable());
 
-        let e: TrodError = KvError::Conflict {
-            namespace: "s".into(),
-            key: "k".into(),
-        }
-        .into();
-        assert!(matches!(e, TrodError::KeyValue(_)));
-        assert!(e.is_retryable());
-        assert!(e.to_string().contains("s/k"));
-
         let e: TrodError = KvError::UnknownNamespace("x".into()).into();
+        assert!(matches!(e, TrodError::KeyValue(_)));
         assert!(!e.is_retryable());
+        assert!(e.to_string().contains("`x`"));
         let e: TrodError = DbError::TransactionClosed.into();
         assert!(!e.is_retryable());
     }

@@ -55,18 +55,16 @@
 //!   timestamp, time travel included) returns the full scan's exact
 //!   result set. See "The read path" in `crates/db/DESIGN.md`.
 //!
-//! * **Sharded commits, spanning stores.** There is no global commit
-//!   lock: commits take the per-resource locks of their footprint in
-//!   sorted name order, claim a timestamp from a global atomic
-//!   allocator, and publish in timestamp order, so transactions over
-//!   disjoint resources validate, install and (with an on-disk latency
-//!   profile) even "fsync" fully concurrently while readers can never
-//!   observe a torn multi-table commit. Resources are not only tables:
-//!   other stores join a commit as
-//!   [`CommitParticipant`](commit::CommitParticipant)s, contributing
-//!   their own lock names (e.g. `kv:<namespace>`), validation and
-//!   installation — one timestamp and one transaction-log entry span
-//!   every store (the paper's §5 aligned history). An
+//! * **Sharded commits.** There is no global commit lock: commits take
+//!   the locks of the tables they write in sorted name order, claim a
+//!   timestamp from a global atomic allocator, and publish in timestamp
+//!   order, so transactions over disjoint tables validate, install and
+//!   (with an on-disk latency profile) even "fsync" fully concurrently
+//!   while readers can never observe a torn multi-table commit. A
+//!   key-value namespace is one more table (`kv:<namespace>`, see
+//!   [`Database::create_namespace`]), so one timestamp and one
+//!   transaction-log entry span every store (the paper's §5 aligned
+//!   history). An
 //!   [`ActiveTxnRegistry`](registry::ActiveTxnRegistry) tracks
 //!   `(txn_id, start_ts)` for every live transaction and a pin for
 //!   every live fork; its watermark (clamped to the published clock)
@@ -118,14 +116,12 @@ pub mod txn;
 pub mod value;
 pub mod wal;
 
-pub use cdc::{is_kv_table, relational_changes, ChangeOp, ChangeRecord, KV_TABLE_PREFIX};
+pub use cdc::{is_kv_table, kv_table_name, ChangeOp, ChangeRecord, KV_TABLE_PREFIX};
 pub use changelog::{ChangeEntry, ChangeLog};
 pub use checkpoint::{
-    decode_checkpoint, encode_checkpoint, Checkpoint, CheckpointContributor, CheckpointNamespace,
-    CheckpointTable,
+    decode_checkpoint, encode_checkpoint, Checkpoint, CheckpointNamespace, CheckpointTable,
 };
-pub use commit::CommitParticipant;
-pub use database::{Database, DbStats, RecoveryParticipant};
+pub use database::{Database, DbStats};
 pub use dir::{DirFailpointHandle, FailpointDir, FsDir, LogDir, LogFile, MemDir};
 pub use error::{DbError, DbResult, KvError, KvResult, StorageError, TrodError, TrodResult};
 pub use index::SecondaryIndex;

@@ -11,7 +11,7 @@
 //! into the active segment of the [`crate::segment::SegmentedWal`]
 //! inside the publication window (byte order == commit order), and
 //! recovery replays those entries — verbatim, identity included — back
-//! through the participant commit path. The GC floor established by
+//! through the commit path. The GC floor established by
 //! [`TxnLog::truncate_before`] is also the compaction floor — sealed
 //! segments whose entries all sit at or below it are compacted into
 //! immutable cold files rather than deleted, so the durable history GC

@@ -164,11 +164,9 @@ pub struct TableStore {
     /// Commit-ordered ring of recent row changes; serves O(Δ)
     /// serializable validation (see the [`crate::changelog`] docs).
     changelog: ChangeLog,
-    /// This table's commit lock, shared as an `Arc` so the commit
-    /// coordinator can merge it with other participants' resource locks
-    /// (e.g. `kv:<namespace>` shards) into one sorted acquisition order;
-    /// see the protocol docs on [`crate::database`].
-    commit_lock: Arc<Mutex<()>>,
+    /// This table's commit lock; commits take the locks of the tables
+    /// they write in ascending name order (see [`crate::commit`]).
+    commit_lock: Mutex<()>,
     /// The owning database's active-transaction registry; its watermark
     /// bounds change-log ring eviction so an active transaction's
     /// validation window is never evicted. Standalone stores (unit tests)
@@ -205,7 +203,7 @@ impl TableStore {
             rows: RwLock::new(HashMap::new()),
             indexes: RwLock::new(Vec::new()),
             changelog: ChangeLog::default(),
-            commit_lock: Arc::new(Mutex::new(())),
+            commit_lock: Mutex::new(()),
             registry,
             clock,
             base: None,
@@ -235,9 +233,8 @@ impl TableStore {
         self.base.as_ref().filter(|base| ts >= base.ts)
     }
 
-    /// This table's commit lock; acquired by the database commit path (and
-    /// cloned into the coordinator's merged resource-lock order).
-    pub(crate) fn commit_lock(&self) -> &Arc<Mutex<()>> {
+    /// This table's commit lock; acquired by the database commit path.
+    pub(crate) fn commit_lock(&self) -> &Mutex<()> {
         &self.commit_lock
     }
 

@@ -44,15 +44,23 @@ pub enum IsolationLevel {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WriteOp {
     Insert(Arc<Row>),
-    Update { before: Arc<Row>, after: Arc<Row> },
-    Delete { before: Arc<Row> },
+    /// An upsert of a key absent from the snapshot: it installs over
+    /// whatever the key holds at commit instead of failing as a duplicate.
+    Upsert(Arc<Row>),
+    Update {
+        before: Arc<Row>,
+        after: Arc<Row>,
+    },
+    Delete {
+        before: Arc<Row>,
+    },
 }
 
 impl WriteOp {
     /// The row this transaction would observe for the key, if any.
     pub fn visible_row(&self) -> Option<&Arc<Row>> {
         match self {
-            WriteOp::Insert(r) | WriteOp::Update { after: r, .. } => Some(r),
+            WriteOp::Insert(r) | WriteOp::Upsert(r) | WriteOp::Update { after: r, .. } => Some(r),
             WriteOp::Delete { .. } => None,
         }
     }
@@ -263,7 +271,7 @@ impl Transaction {
         state.read_set.push((store.name().clone(), key.clone()));
         let table_writes = state.writes.entry(store.name().clone()).or_default();
         match table_writes.get(&key) {
-            Some(WriteOp::Insert(_)) | Some(WriteOp::Update { .. }) => {
+            Some(WriteOp::Insert(_) | WriteOp::Upsert(_) | WriteOp::Update { .. }) => {
                 return Err(DbError::DuplicateKey {
                     table: table.to_string(),
                     key: key.to_string(),
@@ -307,6 +315,7 @@ impl Transaction {
         let table_writes = state.writes.entry(store.name().clone()).or_default();
         let op = match table_writes.get(key) {
             Some(WriteOp::Insert(_)) => WriteOp::Insert(new_row),
+            Some(WriteOp::Upsert(_)) => WriteOp::Upsert(new_row),
             Some(WriteOp::Update { before, .. }) => WriteOp::Update {
                 before: before.clone(),
                 after: new_row,
@@ -332,6 +341,31 @@ impl Transaction {
         Ok(())
     }
 
+    /// Inserts `row`, or replaces the row with the same primary key that
+    /// this transaction sees. Like [`Transaction::update`] it reads the
+    /// key; unlike [`Transaction::insert`] a key another transaction
+    /// creates concurrently is not a duplicate — under read committed the
+    /// row replaces it, under stronger levels validation decides.
+    pub fn upsert(&mut self, table: &str, row: Row) -> DbResult<Key> {
+        let read_ts = self.read_ts()?;
+        let store = self.db.table(table)?;
+        store.schema().validate_row(table, &row)?;
+        let key = Key::new(store.schema().key_of(&row));
+        let committed = store.get_at(&key, read_ts);
+        let row = Arc::new(row);
+        let state = self.state_mut()?;
+        state.read_set.push((store.name().clone(), key.clone()));
+        let table_writes = state.writes.entry(store.name().clone()).or_default();
+        let op = match (table_writes.remove(&key), committed) {
+            (Some(WriteOp::Insert(_)), _) => WriteOp::Insert(row),
+            (Some(WriteOp::Upsert(_)), _) | (None, None) => WriteOp::Upsert(row),
+            (Some(WriteOp::Update { before, .. } | WriteOp::Delete { before }), _)
+            | (None, Some(before)) => WriteOp::Update { before, after: row },
+        };
+        table_writes.insert(key.clone(), op);
+        Ok(key)
+    }
+
     /// Updates every row matching `pred` by applying `f`. Returns the
     /// number of rows updated.
     pub fn update_where<F>(&mut self, table: &str, pred: &Predicate, mut f: F) -> DbResult<usize>
@@ -349,7 +383,8 @@ impl Transaction {
     }
 
     /// Deletes the row with primary key `key`. Returns true if a row was
-    /// deleted.
+    /// deleted. Deleting a key this transaction does not see is a read of
+    /// the key and nothing else.
     pub fn delete(&mut self, table: &str, key: &Key) -> DbResult<bool> {
         let read_ts = self.read_ts()?;
         let store = self.db.table(table)?;
@@ -357,26 +392,27 @@ impl Transaction {
         let state = self.state_mut()?;
         state.read_set.push((store.name().clone(), key.clone()));
         let table_writes = state.writes.entry(store.name().clone()).or_default();
-        match table_writes.get(key) {
-            Some(WriteOp::Insert(_)) => {
-                // Inserted and deleted within this transaction: net no-op.
-                table_writes.remove(key);
-                Ok(true)
+        let (op, deleted) = match (table_writes.remove(key), committed) {
+            // Written from nothing within this transaction: net no-op.
+            (Some(WriteOp::Insert(_) | WriteOp::Upsert(_)), _) => (None, true),
+            (Some(WriteOp::Update { before, .. }), _) | (None, Some(before)) => {
+                (Some(WriteOp::Delete { before }), true)
             }
-            Some(WriteOp::Update { before, .. }) => {
-                let before = before.clone();
-                table_writes.insert(key.clone(), WriteOp::Delete { before });
-                Ok(true)
+            (Some(op @ WriteOp::Delete { .. }), _) => (Some(op), false),
+            (None, None) => (None, false),
+        };
+        match op {
+            Some(op) => {
+                table_writes.insert(key.clone(), op);
             }
-            Some(WriteOp::Delete { .. }) => Ok(false),
-            None => match committed {
-                Some(before) => {
-                    table_writes.insert(key.clone(), WriteOp::Delete { before });
-                    Ok(true)
-                }
-                None => Ok(false),
-            },
+            // A table this transaction does not write stays out of its
+            // write set, so the commit neither locks nor logs it.
+            None if table_writes.is_empty() => {
+                state.writes.remove(store.name());
+            }
+            None => {}
         }
+        Ok(deleted)
     }
 
     /// Deletes every row matching `pred`. Returns the number deleted.
@@ -398,7 +434,7 @@ impl Transaction {
             for (table, writes) in &s.writes {
                 for (key, op) in writes {
                     let rec = match op {
-                        WriteOp::Insert(after) => {
+                        WriteOp::Insert(after) | WriteOp::Upsert(after) => {
                             ChangeRecord::insert(table.clone(), key.clone(), after.clone())
                         }
                         WriteOp::Update { before, after } => ChangeRecord::update(
@@ -423,29 +459,7 @@ impl Transaction {
     /// [`DbError::SerializationFailure`]) abort the transaction.
     pub fn commit(mut self) -> DbResult<CommitInfo> {
         let state = self.state.take().ok_or(DbError::TransactionClosed)?;
-        self.db
-            .commit_coordinated(state, &[])
-            .map_err(crate::commit::relational_only)
-    }
-
-    /// Commits the transaction together with external commit participants
-    /// (other stores joining the same atomic commit; see
-    /// [`crate::commit::CommitParticipant`]). Everything commits at one
-    /// timestamp or nothing does; the participants' change records land
-    /// in the same transaction-log entry as the relational ones. This is
-    /// the choke point the unified `Txn` surface drives — `commit` is the
-    /// zero-participant special case.
-    pub fn commit_with_participants(
-        mut self,
-        participants: &[&dyn crate::commit::CommitParticipant],
-    ) -> crate::error::TrodResult<CommitInfo> {
-        let state = self
-            .state
-            .take()
-            .ok_or(crate::error::TrodError::Relational(
-                DbError::TransactionClosed,
-            ))?;
-        self.db.commit_coordinated(state, participants)
+        self.db.commit_coordinated(state)
     }
 
     /// Aborts the transaction, discarding all buffered writes and

@@ -135,7 +135,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 // ---------------------------------------------------------------------
 
 /// One durable log record: a committed transaction (the aligned history
-/// entry, verbatim — including `kv:` participant records) or a DDL
+/// entry, verbatim — including `kv:<namespace>` rows) or a DDL
 /// statement, so recovery can rebuild the catalog before replaying the
 /// commits that use it.
 #[derive(Debug, Clone, PartialEq)]

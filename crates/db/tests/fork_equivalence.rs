@@ -6,12 +6,13 @@
 //! (`support/copy_fork.rs`: every row visible at the timestamp
 //! re-installed into an independent database) through the same random
 //! script — fork commits that update, delete and re-insert base keys and
-//! move rows between indexed values, racing serializable transactions,
-//! the fork's own GC, forks of the fork — while the parent keeps
-//! committing and garbage-collecting underneath, and requires after every
-//! step that every read surface answers identically: point reads, scans
-//! down every access path, counts, ordered top-k, as-of reads below, at
-//! and above the fork timestamp, a SQL join, commit outcomes with their
+//! move rows between indexed values, key-value puts and deletes in a
+//! namespace, racing serializable transactions, the fork's own GC, forks
+//! of the fork — while the parent keeps committing and garbage-collecting
+//! underneath, and requires after every step that every read surface
+//! answers identically: point reads, scans down every access path, counts,
+//! ordered top-k, as-of reads below, at and above the fork timestamp, a
+//! SQL join, a session's key-value reads, commit outcomes with their
 //! before images, and the log.
 
 use proptest::prelude::*;
@@ -21,6 +22,7 @@ use trod_db::{
     row, ChangeRecord, DataType, Database, DbError, Key, Predicate, Row, ScanRows, Schema,
     Transaction, Ts, Value,
 };
+use trod_kv::{KvStore, Session};
 use trod_query::QueryEngine;
 
 #[path = "support/copy_fork.rs"]
@@ -29,6 +31,9 @@ use copy_fork::copy_fork;
 
 const KEYS: i64 = 16;
 const GROUPS: i64 = 5;
+/// The namespace the scripts write, and its table.
+const NS: &str = "carts";
+const NS_TABLE: &str = "kv:carts";
 
 fn new_parent() -> Database {
     let db = Database::new();
@@ -50,6 +55,7 @@ fn new_parent() -> Database {
     db.create_index("t", "g").unwrap();
     db.create_index("t", "v").unwrap();
     db.create_index("u", "g").unwrap();
+    db.create_namespace(NS).unwrap();
     db
 }
 
@@ -62,6 +68,8 @@ enum Op {
     Delete { k: i64 },
     PutU { id: i64, g: i64 },
     DeleteU { id: i64 },
+    KvPut { k: i64, v: i64 },
+    KvDelete { k: i64 },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -74,7 +82,14 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0..KEYS).prop_map(|k| Op::Delete { k }),
         (0i64..6, 0..GROUPS).prop_map(|(id, g)| Op::PutU { id, g }),
         (0i64..6).prop_map(|id| Op::DeleteU { id }),
+        (0..KEYS, 0i64..30).prop_map(|(k, v)| Op::KvPut { k, v }),
+        (0..KEYS).prop_map(|k| Op::KvDelete { k }),
     ]
+}
+
+/// The namespace key of a generated kv op.
+fn kv_key(k: i64) -> String {
+    format!("cart:{k:02}")
 }
 
 fn batch_strategy() -> impl Strategy<Value = Vec<Op>> {
@@ -99,6 +114,14 @@ fn write(txn: &mut Transaction, batch: &[Op]) {
             }
             Op::DeleteU { id } => {
                 txn.delete("u", &Key::single(id)).unwrap();
+            }
+            // What `Txn::kv_put` / `kv_delete` do, on the namespace table.
+            Op::KvPut { k, v } => {
+                let row = row![kv_key(k), v.to_string()];
+                txn.upsert(NS_TABLE, row).unwrap();
+            }
+            Op::KvDelete { k } => {
+                txn.delete(NS_TABLE, &Key::single(kv_key(k))).unwrap();
             }
         }
     }
@@ -261,7 +284,7 @@ fn assert_same(
     let mut points: Vec<Ts> = vec![0, base.saturating_sub(1)];
     points.extend(base..=now);
     points.push(now + 3);
-    for table in ["t", "u"] {
+    for table in ["t", "u", NS_TABLE] {
         let (ot, ct) = (o.table(table).unwrap(), c.table(table).unwrap());
         for &ts in &points {
             prop_assert_eq!(
@@ -315,6 +338,37 @@ fn assert_same(
             }
         }
     }
+    // The key-value view of each, as a session over it reads it.
+    let (okv, ckv) = (KvStore::of(o.clone()), KvStore::of(c.clone()));
+    for &ts in &points {
+        for prefix in ["", "cart:0", "cart:1", "cart:15", "cart:2"] {
+            prop_assert_eq!(
+                okv.scan_prefix_as_of(NS, prefix, ts).unwrap(),
+                ckv.scan_prefix_as_of(NS, prefix, ts).unwrap(),
+                "kv prefix {:?} at {}",
+                prefix,
+                ts
+            );
+        }
+        for k in 0..KEYS {
+            prop_assert_eq!(
+                okv.get_as_of(NS, &kv_key(k), ts).unwrap(),
+                ckv.get_as_of(NS, &kv_key(k), ts).unwrap()
+            );
+        }
+    }
+    let (mut ot, mut ct) = (
+        Session::new(o.clone()).begin(),
+        Session::new(c.clone()).begin(),
+    );
+    prop_assert_eq!(
+        ot.kv_scan_prefix(NS, "cart:").unwrap(),
+        ct.kv_scan_prefix(NS, "cart:").unwrap()
+    );
+    prop_assert_eq!(
+        ot.kv_get(NS, &kv_key(3)).unwrap(),
+        ct.kv_get(NS, &kv_key(3)).unwrap()
+    );
     prop_assert_eq!(o.stats().live_rows, c.stats().live_rows);
     let join = |db: &Database| QueryEngine::new(db.clone()).execute(JOIN).unwrap();
     prop_assert_eq!(join(o), join(c));
@@ -424,4 +478,43 @@ proptest! {
         parent.gc_before(parent.current_ts());
         prop_assert_eq!(parent.log_truncated_below(), parent.current_ts());
     }
+}
+
+/// A fork reads a namespace through, whatever its size: a session forked
+/// off a 100k-key namespace holds no version of it until it writes a key,
+/// and then only that key's chain (the seed read through from the parent,
+/// and the write).
+#[test]
+fn a_fork_of_a_large_namespace_holds_no_version_until_it_writes() {
+    const KEYS: usize = 100_000;
+    let session = Session::new(Database::new());
+    session.create_namespace(NS).unwrap();
+    let mut txn = session.begin();
+    for k in 0..KEYS {
+        txn.kv_put(NS, &format!("k{k:06}"), "v").unwrap();
+    }
+    txn.commit().unwrap();
+
+    let fork = session.fork_at(session.database().current_ts()).unwrap();
+    let stats = |s: &Session| s.kv().namespace_stats(NS).unwrap();
+    assert_eq!((stats(&fork).live_keys, stats(&fork).versions), (KEYS, 0));
+    assert_eq!(
+        fork.kv().get_latest(NS, "k050000").unwrap().as_deref(),
+        Some("v")
+    );
+    assert_eq!(fork.kv().scan_prefix(NS, "k00001").unwrap().len(), 10);
+    assert_eq!(stats(&fork).versions, 0, "reads copy nothing");
+
+    let mut txn = fork.begin();
+    txn.kv_put(NS, "k050000", "w").unwrap();
+    txn.commit().unwrap();
+    assert_eq!((stats(&fork).live_keys, stats(&fork).versions), (KEYS, 2));
+    assert_eq!(
+        fork.kv().get_latest(NS, "k050000").unwrap().as_deref(),
+        Some("w")
+    );
+    assert_eq!(
+        session.kv().get_latest(NS, "k050000").unwrap().as_deref(),
+        Some("v")
+    );
 }

@@ -484,7 +484,7 @@ fn write_skew_is_prevented_under_lock_free_readers() {
 /// exactly once (ticks == commits + late aborts, the clock never skips
 /// and never wedges), and the log stays strictly increasing.
 #[test]
-fn abort_storms_keep_the_publication_clock_dense() {
+fn abort_storms_keep_published_timestamps_dense() {
     let db = Database::new();
     db.create_table("kv", kv_schema()).unwrap();
     db.create_table("watch", kv_schema()).unwrap();

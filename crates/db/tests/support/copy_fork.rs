@@ -5,12 +5,13 @@
 //! What it must be indistinguishable from is the fork it replaced: an
 //! independent database holding a copy of every row visible at the
 //! timestamp, stamped with that timestamp, with the same schemas and
-//! indexes and its clock resuming there. This module builds exactly that,
-//! from `TableStore::materialize_at` and public API only.
+//! indexes, namespaces included, and its clock resuming there. This module
+//! builds exactly that, from `TableStore::materialize_at` and public API
+//! only.
 
 #![allow(dead_code)]
 
-use trod_db::{ChangeRecord, Database, Ts};
+use trod_db::{ChangeRecord, Database, Ts, KV_TABLE_PREFIX};
 
 /// An independent copy of `db`'s state at `ts` (clamped to the published
 /// clock): every visible row re-installed at `ts.max(1)` as one injected
@@ -21,7 +22,9 @@ pub fn copy_fork(db: &Database, ts: Ts) -> Database {
     let at = ts.min(db.current_ts());
     let fork = db.fork_empty().expect("catalog copies");
     let mut rows = Vec::new();
-    for name in db.table_names() {
+    let namespaces = db.namespaces().into_iter();
+    let tables = namespaces.map(|ns| [KV_TABLE_PREFIX, &ns].concat());
+    for name in db.table_names().into_iter().chain(tables) {
         let table = db.table(&name).expect("listed table");
         for (key, row) in table.materialize_at(at) {
             rows.push(ChangeRecord::insert(table.name().clone(), key, row));

@@ -10,13 +10,14 @@
 //! scanned; otherwise its writes are appended to the history. Whatever
 //! the engine does to get there — sharded locks, O(Δ) change-log
 //! validation with a full-scan fallback, SSI two-pass validation,
-//! mid-window GC, commit participants — must produce the same decision
-//! for every commit and the same final contents.
+//! mid-window GC — must produce the same decision for every commit and
+//! the same final contents.
 //!
 //! Resources are named like the engine names them: a table by its name,
-//! a key-value namespace as `kv:<namespace>`. Keys and values are `i64`
-//! (the proptests' tables are `(k Int, v Int)`; their kv keys are `k<n>`
-//! and their kv values decimal strings).
+//! a key-value namespace by its table, `kv:<namespace>`; the model treats
+//! both alike. Keys and values are `i64` (the proptests' tables are
+//! `(k Int, v Int)`; their kv keys are `k<n>` and their kv values decimal
+//! strings).
 
 #![allow(dead_code)]
 
@@ -64,10 +65,6 @@ pub struct ModelTxn {
     writes: BTreeMap<(String, i64), Option<i64>>,
 }
 
-fn is_kv(resource: &str) -> bool {
-    resource.starts_with("kv:")
-}
-
 impl Model {
     pub fn new() -> Self {
         Model::default()
@@ -109,9 +106,9 @@ impl Model {
     }
 
     /// Commits under serializable validation. A transaction that wrote
-    /// nothing serializes at its snapshot and always commits. Relational
-    /// resources are judged before key-value ones and write keys before
-    /// reads, which is the order the engine reports conflicts in.
+    /// nothing serializes at its snapshot and always commits. Write keys
+    /// are judged before reads, then scans, which is the order the engine
+    /// reports conflicts in.
     pub fn commit(&mut self, txn: ModelTxn) -> Verdict {
         if txn.writes.is_empty() {
             return Verdict::Committed;
@@ -119,32 +116,30 @@ impl Model {
         let later = &self.history[txn.start..];
         let touched =
             |resource: &str, key: i64| later.iter().any(|c| c.resource == resource && c.key == key);
-        for kv_pass in [false, true] {
-            for (resource, key) in txn.writes.keys() {
-                if is_kv(resource) == kv_pass && touched(resource, *key) {
-                    return Verdict::WriteConflict {
-                        resource: resource.clone(),
-                    };
-                }
+        for (resource, key) in txn.writes.keys() {
+            if touched(resource, *key) {
+                return Verdict::WriteConflict {
+                    resource: resource.clone(),
+                };
             }
-            for (resource, key) in &txn.reads {
-                if is_kv(resource) == kv_pass && touched(resource, *key) {
-                    return Verdict::ReadConflict {
-                        resource: resource.clone(),
-                    };
-                }
+        }
+        for (resource, key) in &txn.reads {
+            if touched(resource, *key) {
+                return Verdict::ReadConflict {
+                    resource: resource.clone(),
+                };
             }
-            for (resource, pred) in &txn.scans {
-                let hit = later.iter().any(|c| {
-                    c.resource == *resource
-                        && (c.before.is_some_and(|v| pred(c.key, v))
-                            || c.after.is_some_and(|v| pred(c.key, v)))
-                });
-                if is_kv(resource) == kv_pass && hit {
-                    return Verdict::ReadConflict {
-                        resource: resource.clone(),
-                    };
-                }
+        }
+        for (resource, pred) in &txn.scans {
+            let hit = later.iter().any(|c| {
+                c.resource == *resource
+                    && (c.before.is_some_and(|v| pred(c.key, v))
+                        || c.after.is_some_and(|v| pred(c.key, v)))
+            });
+            if hit {
+                return Verdict::ReadConflict {
+                    resource: resource.clone(),
+                };
             }
         }
         self.install(txn);
@@ -152,9 +147,7 @@ impl Model {
     }
 
     /// Install appends: one change per buffered write, before image taken
-    /// from the latest state. A blind delete of a missing key (only the
-    /// key-value side can buffer one) changes no contents but is still a
-    /// write to that key.
+    /// from the latest state.
     fn install(&mut self, txn: ModelTxn) {
         for ((resource, key), after) in txn.writes {
             let before = self.value_at(&resource, key, self.history.len());
@@ -178,25 +171,25 @@ impl ModelTxn {
         }
     }
 
-    /// Relational point read: always recorded.
+    /// Point read: always recorded.
     pub fn get(&mut self, model: &Model, table: &str, key: i64) -> Option<i64> {
         self.reads.push((table.to_string(), key));
         self.visible(model, table, key)
     }
 
-    /// Relational predicate scan: the predicate is recorded.
+    /// Predicate scan: the predicate is recorded.
     pub fn scan(&mut self, table: &str, pred: impl Fn(i64, i64) -> bool + 'static) {
         self.scans.push((table.to_string(), Box::new(pred)));
     }
 
-    /// Relational upsert. Writing a row reads its key.
+    /// Upsert. Writing a row reads its key.
     pub fn put(&mut self, model: &Model, table: &str, key: i64, value: i64) {
         self.get(model, table, key);
         self.writes.insert((table.to_string(), key), Some(value));
     }
 
-    /// Relational delete; a no-op when the row is not visible. Deleting a
-    /// row this transaction itself inserted un-buffers the insert.
+    /// Delete; only a read when the row is not visible. Deleting a row
+    /// this transaction itself inserted un-buffers the insert.
     pub fn delete(&mut self, model: &Model, table: &str, key: i64) {
         if self.get(model, table, key).is_none() {
             return;
@@ -207,19 +200,5 @@ impl ModelTxn {
         } else {
             self.writes.remove(&slot);
         }
-    }
-
-    /// Key-value read: recorded unless served from this transaction's
-    /// own buffered write.
-    pub fn kv_get(&mut self, model: &Model, resource: &str, key: i64) -> Option<i64> {
-        if !self.writes.contains_key(&(resource.to_string(), key)) {
-            self.reads.push((resource.to_string(), key));
-        }
-        self.visible(model, resource, key)
-    }
-
-    /// Key-value put / delete (`None`): blind writes, nothing is read.
-    pub fn kv_write(&mut self, resource: &str, key: i64, value: Option<i64>) {
-        self.writes.insert((resource.to_string(), key), value);
     }
 }

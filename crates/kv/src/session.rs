@@ -1,53 +1,38 @@
 //! The unified transaction surface: one [`Session`], one [`Txn`].
 //!
-//! A [`Session`] binds a relational [`Database`], optionally a
-//! [`KvStore`], and optionally a [`Tracer`]. [`Session::begin_with`] hands
-//! out a [`Txn`] whose relational and key-value operations share one
-//! snapshot, one commit, one error type ([`TrodError`]) and one
-//! provenance record; it is the only transaction handle that spans both
-//! stores.
+//! Invariants:
 //!
-//! Commit goes through the database's commit protocol
-//! ([`trod_db::CommitParticipant`]; "The commit protocol" in
-//! `crates/db/DESIGN.md`): the namespaces the transaction wrote join the
-//! written tables as `kv:<namespace>` resources, all locks are taken in
-//! one global sorted order, every store validates under those locks, and
-//! the key-value writes are installed at the single commit timestamp,
-//! invisible until it publishes. There is no
-//! cross-store commit lock anywhere — commits over disjoint namespaces
-//! (or disjoint tables, or any mix) proceed fully concurrently, and mixed
-//! commits are strictly serializable end to end.
-//!
-//! **The aligned log is the transaction log.** A commit's key-value
-//! change records land in the same [`trod_db::CommittedTxn`] entry as its
-//! relational ones (under the virtual `kv:<namespace>` table names), so
-//! the relational transaction log *is* the paper's §5 aligned history —
-//! by construction, for relational-only, KV-only and mixed commits alike.
-//! [`Session::aligned_log`] is a view of it, and a [`Tracer`] attached to
-//! the session emits one [`TxnTrace`] per transaction whose reads and
-//! writes span both stores, so declarative debugging, replay and
-//! reenactment work for polyglot applications without change.
+//! * **One store.** A [`Session`] binds a [`Database`] and optionally a
+//!   [`Tracer`]. Its key-value namespaces are tables of that database
+//!   (`kv:<namespace>`, see [`crate::store`]), so a [`Txn`]'s relational
+//!   and key-value operations share one snapshot, one validation, one
+//!   commit and one error type ([`trod_db::TrodError`]); a conflict on a
+//!   namespace is a [`DbError`] on its table.
+//! * **The aligned log is the transaction log.** A commit's key-value
+//!   change records are rows of its entry like any other, so the
+//!   database's log *is* the paper's §5 aligned history;
+//!   [`Session::aligned_log`] is a view of it.
+//! * **One trace per transaction.** With a tracer, every transaction
+//!   emits one [`TxnTrace`] whose reads and writes span tables and
+//!   namespaces alike, so declarative debugging, replay and reenactment
+//!   work for polyglot applications without change.
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use trod_db::{
-    ChangeRecord, Checkpoint, CommitInfo, CommitParticipant, CommittedTxn, Database, DbError,
-    DbResult, IsolationLevel, Key, KvError, Predicate, RecoveredLog, RecoveryParticipant,
-    RecoveryReport, Row, SegmentedWal, TrodError, TrodResult, Ts, TxnId, Value, WalOptions,
-    WalRecord,
+    is_kv_table, ChangeRecord, Checkpoint, CommitInfo, CommittedTxn, Database, DbError, DbResult,
+    IsolationLevel, Key, KvError, Predicate, RecoveryReport, Row, TrodError, TrodResult, Ts, TxnId,
+    WalOptions,
 };
 use trod_trace::{ReadTrace, Tracer, TxnContext, TxnTrace};
 
 use crate::kv_table_name;
-use crate::store::{KvStore, KvWrite};
+use crate::store::{prefix_predicate, KvStore, KvWrite};
 
 /// One entry of the aligned transaction log: everything a transaction
 /// changed, in both stores, at one commit timestamp. A view over the
-/// relational [`trod_db::CommittedTxn`] entries (see the module docs).
+/// database's [`trod_db::CommittedTxn`] entries (see the module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct AlignedCommit {
     pub txn_id: TxnId,
@@ -70,15 +55,16 @@ impl AlignedCommit {
     /// [`trod_db::RetentionPolicy`] preserved across GC) onto the live
     /// log.
     pub fn from_entry(entry: CommittedTxn) -> AlignedCommit {
+        let changes = entry.changes.iter();
         AlignedCommit {
             txn_id: entry.txn_id,
             commit_ts: entry.commit_ts,
-            relational: trod_db::relational_changes(&entry.changes).into_owned(),
-            kv: entry
-                .changes
-                .iter()
-                .filter_map(kv_write_of_record)
+            relational: changes
+                .clone()
+                .filter(|c| !is_kv_table(&c.table))
+                .cloned()
                 .collect(),
+            kv: changes.filter_map(KvWrite::of_record).collect(),
         }
     }
 }
@@ -92,19 +78,16 @@ pub struct TxnCommit {
     pub relational_changes: usize,
     /// Number of key-value writes installed.
     pub kv_writes: usize,
-    /// The full aligned change set: relational records followed by
-    /// key-value records under their `kv:<namespace>` table names. The
-    /// same allocation as the log entry's and the trace's list.
+    /// The full aligned change set, in table-name order — key-value
+    /// records under their `kv:<namespace>` tables. The same allocation
+    /// as the log entry's and the trace's list.
     pub changes: Arc<[ChangeRecord]>,
 }
 
-/// Options for beginning a [`Txn`]: isolation level, tracing context,
-/// and (implicitly, via the [`Session`]) the participating stores.
+/// Options for beginning a [`Txn`]: isolation level and tracing context.
 #[derive(Debug, Clone, Default)]
 pub struct TxnOptions {
-    /// Isolation level for the relational side; the key-value side
-    /// validates reads only under [`IsolationLevel::Serializable`]
-    /// (write-write conflicts are always checked).
+    /// Isolation level, for tables and namespaces alike.
     pub isolation: IsolationLevel,
     /// Request/handler/function context to trace the transaction under;
     /// `None` traces with an empty context (when the session has a
@@ -135,26 +118,24 @@ impl TxnOptions {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GcStats {
     /// The effective horizon after clamping to the active-transaction
-    /// watermark and the published clock — both stores truncated at
-    /// exactly this timestamp.
+    /// watermark and the published clock.
     pub horizon: Ts,
-    /// Relational row versions dropped.
-    pub relational_versions: usize,
+    /// Row versions dropped, namespace rows included.
+    pub versions: usize,
     /// Aligned log entries truncated (spilled first when a retention
     /// policy is installed).
     pub log_entries: usize,
-    /// Key-value versions dropped.
-    pub kv_versions: usize,
 }
 
 struct SessionInner {
     db: Database,
-    kv: Option<KvStore>,
+    /// The view over `db`'s namespaces.
+    kv: KvStore,
     tracer: Option<Tracer>,
 }
 
-/// A handle binding the stores (and optional tracer) transactions run
-/// against. Cheaply cloneable; clones share the underlying stores.
+/// A handle binding the database (and optional tracer) transactions run
+/// against. Cheaply cloneable; clones share the underlying state.
 ///
 /// This is the one surface the runtime's `HandlerContext`, the query
 /// executor and the core debugger consume.
@@ -172,36 +153,38 @@ pub struct SessionBuilder {
 }
 
 impl SessionBuilder {
-    /// Binds a key-value store, enabling the `kv_*` operations on every
-    /// [`Txn`] the session begins.
+    /// Binds a key-value store: its namespaces are declared in the
+    /// session's database when the session is built (a view of that
+    /// database already shares them).
     pub fn kv(mut self, kv: KvStore) -> Self {
         self.kv = Some(kv);
         self
     }
 
     /// Attaches a tracer: every transaction emits one provenance record
-    /// spanning all participating stores.
+    /// spanning tables and namespaces.
     pub fn tracer(mut self, tracer: Tracer) -> Self {
         self.tracer = Some(tracer);
         self
     }
 
-    /// Builds the session. A bound key-value store is coupled to the
-    /// database's publication clock (clock-aware versioning), so
-    /// coordinated commits can install kv versions before their
-    /// publication turn without readers ever observing an unpublished —
-    /// possibly torn-across-stores — commit.
+    /// Builds the session, creating every namespace of the bound store
+    /// the database lacks.
+    ///
+    /// # Panics
+    /// If the database cannot log a namespace it creates (its durable
+    /// log failed).
     pub fn build(self) -> Session {
-        if let Some(kv) = &self.kv {
-            kv.bind_publication_clock(self.db.publication_clock());
-            // Environment checkpoints capture the kv half through this
-            // registration (see "The durable log" in trod-db's DESIGN.md).
-            self.db.set_checkpoint_source(Some(Arc::new(kv.clone())));
+        for name in self.kv.iter().flat_map(KvStore::namespaces) {
+            match self.db.create_namespace(&name) {
+                Ok(()) | Err(DbError::TableExists(_)) => {}
+                Err(e) => panic!("cannot bind namespace `{name}`: {e}"),
+            }
         }
         Session {
             inner: Arc::new(SessionInner {
+                kv: KvStore::of(self.db.clone()),
                 db: self.db,
-                kv: self.kv,
                 tracer: self.tracer,
             }),
         }
@@ -209,12 +192,12 @@ impl SessionBuilder {
 }
 
 impl Session {
-    /// A relational-only, untraced session.
+    /// An untraced session over `db`.
     pub fn new(db: Database) -> Self {
         Session::builder(db).build()
     }
 
-    /// A session spanning a relational database and a key-value store.
+    /// A session over `db` that also declares `kv`'s namespaces.
     pub fn with_kv(db: Database, kv: KvStore) -> Self {
         Session::builder(db).kv(kv).build()
     }
@@ -234,26 +217,20 @@ impl Session {
         }
     }
 
-    /// The relational database.
+    /// The database.
     pub fn database(&self) -> &Database {
         &self.inner.db
     }
 
-    /// The key-value store, if one is bound.
-    pub fn kv_store(&self) -> Option<&KvStore> {
-        self.inner.kv.as_ref()
+    /// The key-value view of the database.
+    pub fn kv(&self) -> &KvStore {
+        &self.inner.kv
     }
 
-    /// The key-value store.
-    ///
-    /// # Panics
-    /// If the session was built without one; use [`Session::kv_store`]
-    /// when the binding is conditional.
-    pub fn kv(&self) -> &KvStore {
-        self.inner
-            .kv
-            .as_ref()
-            .expect("session has no key-value store bound")
+    /// [`Session::kv`] as an option; always `Some`, since every database
+    /// can hold namespaces.
+    pub fn kv_store(&self) -> Option<&KvStore> {
+        Some(&self.inner.kv)
     }
 
     /// The tracer, if provenance tracing is enabled.
@@ -263,9 +240,8 @@ impl Session {
 
     /// The aligned transaction log: every committed write transaction, in
     /// commit order, with its relational and key-value changes split out.
-    /// A view over [`Database::log_entries`] — the relational log *is*
-    /// the aligned log (see the module docs) — so it reflects exactly
-    /// what the log retains (GC truncates both together).
+    /// A view over [`Database::log_entries`], so it reflects exactly what
+    /// the log retains.
     pub fn aligned_log(&self) -> Vec<AlignedCommit> {
         self.inner
             .db
@@ -275,129 +251,66 @@ impl Session {
             .collect()
     }
 
-    /// Forks the whole session environment at a timestamp: the relational
-    /// database via [`Database::fork_at`] and, when one is bound, the
-    /// key-value store via [`KvStore::fork_at`] — both at the *same*
-    /// point of the aligned history (`ts` clamped once, here, to the
-    /// published clock), which is what makes the fork a faithful polyglot
-    /// "development database" (paper Figure 2). The fork is untraced and
-    /// independent; its clock and every namespace's timestamp resume
-    /// from the clamped `ts.max(1)`.
+    /// Forks the environment at a timestamp ([`Database::fork_at`]):
+    /// tables and namespaces read through to this session's state at
+    /// `ts`, clamped to the published clock. The fork is untraced and
+    /// independent.
     ///
     /// Refused with [`DbError::HistoryTruncated`] below the GC truncation
     /// floor ([`Database::log_truncated_below`]); there the debugger
     /// reconstructs the environment from spilled aligned history instead
     /// (see [`Session::fork_empty`] and [`Session::apply_changes`]).
     pub fn fork_at(&self, ts: Ts) -> DbResult<Session> {
-        let ts = ts.min(self.inner.db.current_ts());
-        // The relational fork pins `ts` against GC before the key-value
-        // store is copied: `gc_before` reclaims kv versions only up to
-        // the floor the relational side raised, which a pin holds down.
-        let mut builder = Session::builder(self.inner.db.fork_at(ts)?);
-        if let Some(kv) = &self.inner.kv {
-            builder = builder.kv(kv.fork_at(ts));
-        }
-        Ok(builder.build())
+        Ok(Session::new(self.inner.db.fork_at(ts)?))
     }
 
     /// Forks an empty environment with the same schemas, indexes and
     /// namespaces. Replaying aligned history into it (via
-    /// [`Session::apply_changes`]) reconstructs any past state — the path
-    /// the debugger takes when the wanted timestamp predates the GC
-    /// truncation floor and only spilled history still covers it.
+    /// [`Session::apply_changes`]) reconstructs any past state.
     pub fn fork_empty(&self) -> DbResult<Session> {
-        let mut builder = Session::builder(self.inner.db.fork_empty()?);
-        if let Some(kv) = &self.inner.kv {
-            builder = builder.kv(kv.fork_empty());
-        }
-        Ok(builder.build())
+        Ok(Session::new(self.inner.db.fork_empty()?))
     }
 
-    /// Applies captured aligned change records — relational rows *and*
-    /// `kv:<namespace>` records — as one synthetic committed transaction,
-    /// through the same commit protocol live commits take: the kv records
-    /// are decoded back into [`KvWrite`]s, the namespaces' commit locks
-    /// join the sorted lock order, and the kv install lands at the single
-    /// claimed timestamp. The fork's aligned log therefore records
-    /// injected history exactly like production history.
-    ///
-    /// This is the replay engine's injection primitive for polyglot
-    /// traces. Errors: a kv record that does not decode (or whose value
-    /// image was erased by privacy redaction) rejects the whole batch
-    /// before anything is installed; a session without a key-value store
-    /// rejects batches containing kv records.
+    /// Applies captured aligned change records — relational rows and
+    /// `kv:<namespace>` rows alike — as one synthetic committed
+    /// transaction ([`Database::apply_changes`]). This is the replay
+    /// engine's injection primitive.
     pub fn apply_changes(&self, changes: &[ChangeRecord]) -> TrodResult<CommitInfo> {
-        if !changes.iter().any(|c| trod_db::is_kv_table(&c.table)) {
-            return Ok(self.inner.db.apply_changes(changes)?);
-        }
-        let kv =
-            self.inner.kv.as_ref().ok_or_else(|| {
-                KvError::UnknownNamespace("<no key-value store bound>".to_string())
-            })?;
-        let writes = decode_kv_writes(kv, changes)?;
-        let relational = trod_db::relational_changes(changes);
-        catch_up_allocator(&self.inner.db, kv, &writes);
-        let participant = KvParticipant::injecting(kv, &writes);
-        self.inner
-            .db
-            .apply_changes_with(&relational, &[&participant])
+        Ok(self.inner.db.apply_changes(changes)?)
     }
 
     /// Re-installs one aligned-history entry **verbatim** — txn id and
-    /// commit/start timestamps preserved — through the participant commit
-    /// path: relational changes and `kv:<namespace>` records land
-    /// together in the same publication window and the entry appears in
-    /// this session's aligned log with its original identity. Entries
-    /// must be applied in commit-ts order onto a session whose clock is
-    /// below `entry.commit_ts`.
-    ///
-    /// This is the injection primitive WAL recovery uses, exposed for
-    /// history transfer between instances: dump/load and
-    /// fork-from-instance replay a remote aligned log through it to
-    /// reconstruct byte-identical history. Returns the number of kv
-    /// writes installed.
-    pub fn apply_entry(&self, entry: &CommittedTxn) -> TrodResult<usize> {
-        match self.inner.kv.as_ref() {
-            Some(kv) => Session::recover_entry(&self.inner.db, kv, entry),
-            // Without a store every kv record is an unknown namespace.
-            None => Session::recover_entry(&self.inner.db, &KvStore::new(), entry),
-        }
+    /// commit/start timestamps preserved ([`Database::apply_entry`]).
+    /// Dump/load and fork-from-instance replay a remote aligned log
+    /// through it to reconstruct byte-identical history.
+    pub fn apply_entry(&self, entry: &CommittedTxn) -> TrodResult<CommitInfo> {
+        Ok(self.inner.db.apply_entry(entry)?)
     }
 
     // ------------------------------------------------------------------
     // Durability
     // ------------------------------------------------------------------
 
-    /// Creates a fresh durable session environment — an empty relational
-    /// database and key-value store whose commits stream into a new
-    /// segmented WAL in the directory at `path` (truncating any existing
-    /// log there). Namespace DDL must go through
+    /// Creates a fresh durable session environment whose commits stream
+    /// into a new segmented WAL in the directory at `path` (truncating
+    /// any existing log there). Namespace DDL goes through
     /// [`Session::create_namespace`] so it is logged too.
     pub fn create_durable(
         path: impl AsRef<std::path::Path>,
         opts: WalOptions,
     ) -> TrodResult<Session> {
-        let db = Database::create_durable(path, opts).map_err(TrodError::from)?;
-        Ok(Session::with_kv(db, KvStore::new()))
+        Ok(Session::new(Database::create_durable(path, opts)?))
     }
 
     /// Opens (creating if absent) a durable session environment: the
-    /// segmented WAL in the directory at `path` is walked
-    /// ([`SegmentedWal::open_dir`]: manifest checked, crash debris
-    /// reconciled, torn tail of the newest segment truncated, corruption
-    /// in sealed/cold files refused with a typed error) and replayed by
-    /// [`Database::recover`] with the key-value store as its
-    /// [`RecoveryParticipant`] — table/index/namespace DDL rebuilds the
-    /// catalogs, and each committed entry re-installs its relational
-    /// changes *and* its `kv:<namespace>` writes through the participant
-    /// commit path, preserving the entry verbatim in the aligned
-    /// history. The recovered session's state, aligned log and
-    /// timestamps equal the durable prefix of the original's.
+    /// database recovered by [`Database::open_durable`] — catalog,
+    /// namespaces, every committed entry verbatim — wrapped in a session.
     pub fn open_durable(
         path: impl AsRef<std::path::Path>,
         opts: WalOptions,
     ) -> TrodResult<(Session, RecoveryReport)> {
-        Session::recover(SegmentedWal::open_path(path, opts).map_err(DbError::Storage)?)
+        let (db, report) = Database::open_durable(path, opts)?;
+        Ok((Session::new(db), report))
     }
 
     /// [`Session::open_durable`] over an arbitrary [`trod_db::LogDir`]
@@ -406,51 +319,19 @@ impl Session {
         dir: Arc<dyn trod_db::LogDir>,
         opts: WalOptions,
     ) -> TrodResult<(Session, RecoveryReport)> {
-        Session::recover(SegmentedWal::open_dir(dir, opts).map_err(DbError::Storage)?)
-    }
-
-    fn recover(log: RecoveredLog) -> TrodResult<(Session, RecoveryReport)> {
-        let kv = KvStore::new();
-        let (db, report) = Database::recover(log, &kv)?;
-        Ok((Session::with_kv(db, kv), report))
-    }
-
-    /// Restores a checkpoint's key-value half into an empty store: every
-    /// namespace re-created, every entry installed at the checkpoint
-    /// timestamp as one store-level batch per namespace.
-    fn restore_kv_checkpoint(kv: &KvStore, ck: &Checkpoint) -> TrodResult<()> {
-        for ns in &ck.namespaces {
-            kv.create_namespace(&ns.name).map_err(TrodError::from)?;
-            if ns.entries.is_empty() {
-                continue;
-            }
-            let writes: Vec<KvWrite> = ns
-                .entries
-                .iter()
-                .map(|(key, value)| KvWrite {
-                    namespace: ns.name.clone(),
-                    key: key.clone(),
-                    value: Some(value.clone()),
-                })
-                .collect();
-            kv.apply(&writes, ck.ts.max(1)).map_err(TrodError::from)?;
-        }
-        Ok(())
+        let (db, report) = Database::open_durable_in(dir, opts)?;
+        Ok((Session::new(db), report))
     }
 
     /// Materializes a whole session environment from a decoded
-    /// [`Checkpoint`]: a fresh database restored via
-    /// [`Database::restore_checkpoint`] and a fresh key-value store with
-    /// the checkpoint's namespaces and entries, bound together like any
-    /// session. The debugger's deep forks start here and replay only the
-    /// aligned history *after* the checkpoint timestamp — nearest
-    /// snapshot + delta instead of replay-everything.
+    /// [`Checkpoint`] ([`Database::restore_checkpoint`]). The debugger's
+    /// deep forks start here and replay only the aligned history *after*
+    /// the checkpoint timestamp — nearest snapshot + delta instead of
+    /// replay-everything.
     pub fn from_checkpoint(ck: &Checkpoint) -> TrodResult<Session> {
         let db = Database::new();
-        db.restore_checkpoint(ck).map_err(TrodError::from)?;
-        let kv = KvStore::new();
-        Session::restore_kv_checkpoint(&kv, ck)?;
-        Ok(Session::with_kv(db, kv))
+        db.restore_checkpoint(ck)?;
+        Ok(Session::new(db))
     }
 
     /// Forces an environment checkpoint now (capture + durable write
@@ -458,77 +339,33 @@ impl Session {
     /// committed yet, a checkpoint at this timestamp already exists, or
     /// another capture is in flight. See [`Database::checkpoint`].
     pub fn checkpoint(&self) -> TrodResult<Option<(Ts, u64)>> {
-        self.inner.db.checkpoint().map_err(TrodError::from)
+        Ok(self.inner.db.checkpoint()?)
     }
 
-    /// Re-installs one aligned-history entry: relational changes through
-    /// [`Database::apply_entry_with`], kv records decoded back into
-    /// [`KvWrite`]s and installed by an injecting participant in the same
-    /// commit — the entry lands in the log verbatim, original identity
-    /// and kv records included. Returns the number of kv writes
-    /// installed.
-    fn recover_entry(db: &Database, kv: &KvStore, entry: &CommittedTxn) -> TrodResult<usize> {
-        let writes = decode_kv_writes(kv, &entry.changes)?;
-        if writes.is_empty() {
-            db.apply_entry_with(entry, &[])?;
-        } else {
-            let participant = KvParticipant::injecting(kv, &writes);
-            db.apply_entry_with(entry, &[&participant])?;
-        }
-        Ok(writes.len())
-    }
-
-    /// Creates a key-value namespace and — on a durable session — logs
-    /// the DDL so recovery re-creates it before replaying the commits
-    /// that write to it. Use this instead of `KvStore::create_namespace`
-    /// whenever the session is durable.
+    /// Creates a key-value namespace — on a durable session the DDL is
+    /// logged, so recovery re-creates it before replaying the commits
+    /// that write to it.
     pub fn create_namespace(&self, name: &str) -> TrodResult<()> {
-        let kv =
-            self.inner.kv.as_ref().ok_or_else(|| {
-                KvError::UnknownNamespace("<no key-value store bound>".to_string())
-            })?;
-        kv.create_namespace(name)?;
-        if let Some(wal) = self.inner.db.wal() {
-            let record = WalRecord::CreateNamespace {
-                name: name.to_string(),
-            };
-            let lsn = wal.append_record(&record).map_err(TrodError::Storage)?;
-            wal.sync_to(lsn).map_err(TrodError::Storage)?;
-        }
-        Ok(())
+        self.inner.kv.create_namespace(name)
     }
 
-    /// Garbage-collects history in BOTH stores under one horizon: `ts`
-    /// clamped to the relational active-transaction watermark and the
-    /// published clock, so neither store drops a version an active
-    /// transaction can still read. The relational side spills the aligned
-    /// log entries it truncates into the retention policy (if installed)
-    /// — and since those entries carry the `kv:<namespace>` change
-    /// records verbatim, the spilled history exactly covers the kv
-    /// versions truncated here: kv time travel below the horizon remains
-    /// reconstructable from spilled + live aligned history, closing the
-    /// GC coordination gap between the stores.
+    /// Garbage-collects history ([`Database::gc_before`]) below `ts`
+    /// clamped to the active-transaction watermark and the published
+    /// clock. With a retention policy the truncated aligned entries are
+    /// spilled first — their `kv:<namespace>` records included — so time
+    /// travel below the horizon stays reconstructable.
     pub fn gc_before(&self, ts: Ts) -> GcStats {
         let db = &self.inner.db;
         let horizon = ts
             .min(db.min_active_start_ts().unwrap_or(Ts::MAX))
             .min(db.current_ts());
-        let (relational_versions, log_entries) = db.gc_before(horizon);
-        // The relational side re-clamps under its log lock (a fork may
-        // have pinned since the watermark was read above); the floor it
-        // raised is as far as either store may reclaim.
-        let horizon = horizon.min(db.log_truncated_below());
-        let kv_versions = self
-            .inner
-            .kv
-            .as_ref()
-            .map(|kv| kv.gc_before(horizon))
-            .unwrap_or(0);
+        let (versions, log_entries) = db.gc_before(horizon);
         GcStats {
-            horizon,
-            relational_versions,
+            // Re-clamped under the log lock: a fork may have pinned since
+            // the watermark was read above.
+            horizon: horizon.min(db.log_truncated_below()),
+            versions,
             log_entries,
-            kv_versions,
         }
     }
 
@@ -551,8 +388,6 @@ impl Session {
             snapshot_ts: rel.start_ts(),
             session: self.clone(),
             rel: Some(rel),
-            kv_reads: BTreeSet::new(),
-            kv_writes: BTreeMap::new(),
             reads: Vec::new(),
             ctx: opts.ctx,
         }
@@ -562,144 +397,15 @@ impl Session {
 impl fmt::Debug for Session {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Session")
-            .field("kv", &self.inner.kv.is_some())
+            .field("namespaces", &self.inner.db.namespaces())
             .field("traced", &self.inner.tracer.is_some())
             .finish()
     }
 }
 
-/// The text key of a traced/captured kv row image (key position 0 of the
-/// `(kv_key, kv_value)` wire shape every `kv:` read trace and change
-/// record uses). `None` for a non-text key — malformed or foreign data.
-/// One source of truth for the format: [`kv_write_of_record`] and the
-/// debugger's replay/reenactment verification all decode through here.
-pub fn kv_image_key(key: &Key) -> Option<&str> {
-    match key.values().first() {
-        Some(Value::Text(k)) => Some(k),
-        _ => None,
-    }
-}
-
-/// The text value of a traced/captured kv row image (row index 1 of the
-/// `(kv_key, kv_value)` wire shape); `None` when absent or erased. See
-/// [`kv_image_key`].
-pub fn kv_image_value(row: &Row) -> Option<&str> {
-    row.get(1).and_then(|v| v.as_text())
-}
-
-/// Reconstructs the [`KvWrite`] a `kv:<namespace>` change record captured.
-fn kv_write_of_record(record: &ChangeRecord) -> Option<KvWrite> {
-    let namespace = record.table.strip_prefix(trod_db::KV_TABLE_PREFIX)?;
-    let key = kv_image_key(&record.key)?.to_string();
-    let value = record
-        .op
-        .after()
-        .and_then(kv_image_value)
-        .map(|v| v.to_string());
-    Some(KvWrite {
-        namespace: namespace.to_string(),
-        key,
-        value,
-    })
-}
-
-/// Decodes the `kv:<namespace>` records of an aligned change list back
-/// into the [`KvWrite`]s they captured — the one decoder behind
-/// [`Session::apply_changes`] and [`Session::apply_entry`]. Anything that
-/// cannot be re-applied faithfully rejects the whole list before a lock
-/// or timestamp is taken: a record that does not decode, one whose value
-/// image was erased by privacy redaction (refused rather than silently
-/// turned from a put into a delete), or an unknown namespace.
-fn decode_kv_writes(kv: &KvStore, changes: &[ChangeRecord]) -> TrodResult<Vec<KvWrite>> {
-    let mut writes = Vec::new();
-    for record in changes.iter().filter(|c| trod_db::is_kv_table(&c.table)) {
-        let write = kv_write_of_record(record).ok_or_else(|| {
-            DbError::Invalid(format!(
-                "kv change record on `{}` key {} does not decode",
-                record.table, record.key
-            ))
-        })?;
-        if record.op.after().is_some() && write.value.is_none() {
-            return Err(DbError::Invalid(format!(
-                "kv change record on `{}` key {} has an erased value image",
-                record.table, record.key
-            ))
-            .into());
-        }
-        if !kv.has_namespace(&write.namespace) {
-            return Err(KvError::UnknownNamespace(write.namespace).into());
-        }
-        writes.push(write);
-    }
-    Ok(writes)
-}
-
-/// If a raw store-level apply outran the database's allocator on a
-/// written namespace, catches the allocator up first so the
-/// participant's freshness veto only fires on a genuine mid-commit race
-/// (which a retry absorbs).
-fn catch_up_allocator(db: &Database, kv: &KvStore, writes: &[KvWrite]) {
-    let floor = writes
-        .iter()
-        .map(|w| kv.last_commit_ts_of(&w.namespace).unwrap_or(0))
-        .max()
-        .unwrap_or(0);
-    db.ensure_ts_at_least(floor);
-}
-
-/// Encodes buffered key-value writes as CDC records on the virtual
-/// `kv:<namespace>` tables, before images read from the store's current
-/// state. Callers hold the namespaces' commit locks, so the state is
-/// stable between the read and the install.
-fn kv_change_records(kv: &KvStore, writes: &[KvWrite]) -> Vec<ChangeRecord> {
-    let image = |key: &str, value: &String| {
-        Row::from(vec![
-            Value::Text(key.to_string()),
-            Value::Text(value.clone()),
-        ])
-    };
-    let mut out = Vec::with_capacity(writes.len());
-    // One shared table name per run of writes to the same namespace.
-    for run in writes.chunk_by(|a, b| a.namespace == b.namespace) {
-        let table = kv_table_name(&run[0].namespace);
-        for write in run {
-            let (table, key) = (table.clone(), Key::single(write.key.as_str()));
-            let before = kv
-                .get_latest(&write.namespace, &write.key)
-                .expect("namespace validated before commit");
-            let before = before.as_ref().map(|v| image(&write.key, v));
-            let after = write.value.as_ref().map(|v| image(&write.key, v));
-            out.push(match (before, after) {
-                (None, Some(after)) => ChangeRecord::insert(table, key, after),
-                (Some(before), Some(after)) => ChangeRecord::update(table, key, before, after),
-                (Some(before), None) => ChangeRecord::delete(table, key, before),
-                (None, None) => continue, // delete of a key that never existed
-            });
-        }
-    }
-    out
-}
-
-/// The key-value half of [`Database::recover`]: namespaces and entries
-/// from the checkpoint, namespace DDL, and the `kv:<namespace>` records
-/// of every replayed commit land in this store.
-impl RecoveryParticipant for KvStore {
-    fn restore_checkpoint(&self, ck: &Checkpoint) -> TrodResult<()> {
-        Session::restore_kv_checkpoint(self, ck)
-    }
-
-    fn create_namespace(&self, name: &str) -> TrodResult<()> {
-        KvStore::create_namespace(self, name).map_err(TrodError::from)
-    }
-
-    fn apply_entry(&self, db: &Database, entry: &CommittedTxn) -> TrodResult<()> {
-        Session::recover_entry(db, self, entry).map(|_| ())
-    }
-}
-
 /// The unified transaction handle: relational and key-value operations at
-/// one snapshot, committed atomically at one timestamp through the commit
-/// coordinator, with one error type and one provenance record.
+/// one snapshot, committed atomically at one timestamp, with one error
+/// type and one provenance record.
 ///
 /// Dropping an uncommitted `Txn` aborts it (without emitting an abort
 /// trace; use [`Txn::abort`] to record the attempt).
@@ -708,14 +414,8 @@ pub struct Txn {
     txn_id: TxnId,
     snapshot_ts: Ts,
     rel: Option<trod_db::Transaction>,
-    /// (namespace, key) pairs observed by reads; validated under
-    /// serializable isolation (any key in this set that gained a newer
-    /// version after the snapshot aborts the commit).
-    kv_reads: BTreeSet<(String, String)>,
-    /// (namespace, key) → buffered value (None = delete).
-    kv_writes: BTreeMap<(String, String), Option<String>>,
-    /// Read provenance across both stores (captured only when the
-    /// session has a tracer).
+    /// Read provenance across tables and namespaces (captured only when
+    /// the session has a tracer).
     reads: Vec<ReadTrace>,
     ctx: Option<TxnContext>,
 }
@@ -729,13 +429,23 @@ impl Txn {
         self.session.inner.tracer.is_some()
     }
 
-    /// Captures one read's provenance — the single policy point for read
-    /// capture: records are built (and rows cloned) only when the session
-    /// has a tracer.
-    fn trace_read(&mut self, build: impl FnOnce() -> ReadTrace) {
+    /// Captures the provenance of the read just served — the single policy
+    /// point for read capture: records are built (and rows cloned) only
+    /// when the session has a tracer.
+    fn trace_read(
+        &mut self,
+        table: &str,
+        query: impl FnOnce() -> String,
+        rows: impl FnOnce() -> Vec<(Key, Arc<Row>)>,
+    ) {
         if self.traced() {
-            let trace = build();
-            self.reads.push(trace);
+            let read_ts = self.rel.as_ref().map(|t| t.last_read_ts());
+            self.reads.push(ReadTrace {
+                table: table.to_string(),
+                query: query(),
+                read_ts: read_ts.unwrap_or_default(),
+                rows: rows(),
+            });
         }
     }
 
@@ -744,7 +454,7 @@ impl Txn {
         self.txn_id
     }
 
-    /// The shared snapshot timestamp both stores are read at.
+    /// The snapshot timestamp the transaction reads at.
     pub fn snapshot_ts(&self) -> Ts {
         self.snapshot_ts
     }
@@ -763,91 +473,67 @@ impl Txn {
     // Relational operations (with read provenance)
     // ------------------------------------------------------------------
 
-    /// Point read from the relational store.
+    /// Point read.
     pub fn get(&mut self, table: &str, key: &Key) -> TrodResult<Option<Arc<Row>>> {
         let result = self.rel_mut().get(table, key)?;
-        let read_ts = self
-            .rel
-            .as_ref()
-            .map(|t| t.last_read_ts())
-            .unwrap_or_default();
-        self.trace_read(|| ReadTrace {
-            table: table.to_string(),
-            query: format!("Get {table}{key}"),
-            read_ts,
-            rows: result
-                .clone()
-                .map(|r| vec![(key.clone(), r)])
-                .unwrap_or_default(),
-        });
+        self.trace_read(
+            table,
+            || format!("Get {table}{key}"),
+            || {
+                result
+                    .clone()
+                    .map(|r| vec![(key.clone(), r)])
+                    .unwrap_or_default()
+            },
+        );
         Ok(result)
     }
 
-    /// Predicate scan over the relational store.
+    /// Predicate scan.
     pub fn scan(&mut self, table: &str, pred: &Predicate) -> TrodResult<Vec<(Key, Arc<Row>)>> {
         let result = self.rel_mut().scan(table, pred)?;
-        let read_ts = self
-            .rel
-            .as_ref()
-            .map(|t| t.last_read_ts())
-            .unwrap_or_default();
-        self.trace_read(|| ReadTrace {
-            table: table.to_string(),
-            query: format!("Scan {table} WHERE {pred}"),
-            read_ts,
-            rows: result.clone(),
-        });
+        self.trace_read(
+            table,
+            || format!("Scan {table} WHERE {pred}"),
+            || result.clone(),
+        );
         Ok(result)
     }
 
-    /// Existence check over the relational store (the "Check if (U1, F2)
-    /// exists" row of the paper's Table 2).
+    /// Existence check (the "Check if (U1, F2) exists" row of the paper's
+    /// Table 2).
     pub fn exists(&mut self, table: &str, pred: &Predicate) -> TrodResult<bool> {
         let result = self.rel_mut().scan(table, pred)?;
-        let read_ts = self
-            .rel
-            .as_ref()
-            .map(|t| t.last_read_ts())
-            .unwrap_or_default();
-        self.trace_read(|| ReadTrace {
-            table: table.to_string(),
-            query: format!("Check if {pred} exists in {table}"),
-            read_ts,
-            rows: result.clone(),
-        });
-        Ok(!result.is_empty())
+        let empty = result.is_empty();
+        self.trace_read(
+            table,
+            || format!("Check if {pred} exists in {table}"),
+            || result,
+        );
+        Ok(!empty)
     }
 
     /// Count with read provenance.
     pub fn count(&mut self, table: &str, pred: &Predicate) -> TrodResult<usize> {
         let result = self.rel_mut().scan(table, pred)?;
-        let read_ts = self
-            .rel
-            .as_ref()
-            .map(|t| t.last_read_ts())
-            .unwrap_or_default();
-        self.trace_read(|| ReadTrace {
-            table: table.to_string(),
-            query: format!("Count {pred} in {table}"),
-            read_ts,
-            rows: result.clone(),
-        });
-        Ok(result.len())
+        let count = result.len();
+        self.trace_read(table, || format!("Count {pred} in {table}"), || result);
+        Ok(count)
     }
 
-    /// Insert into the relational store (write provenance is captured
-    /// from the commit's CDC records).
+    /// Insert (write provenance is captured from the commit's CDC
+    /// records).
     pub fn insert(&mut self, table: &str, row: Row) -> TrodResult<Key> {
         Ok(self.rel_mut().insert(table, row)?)
     }
 
-    /// Update a relational row by primary key.
+    /// Update a row by primary key.
     pub fn update(&mut self, table: &str, key: &Key, new_row: Row) -> TrodResult<()> {
         Ok(self.rel_mut().update(table, key, new_row)?)
     }
 
-    /// Updates every relational row matching `pred` by applying `f`.
-    /// Returns the number of rows updated.
+    /// Updates every row matching `pred` by applying `f`. Returns the
+    /// number of rows updated.
     pub fn update_where<F>(&mut self, table: &str, pred: &Predicate, f: F) -> TrodResult<usize>
     where
         F: FnMut(&Row) -> Row,
@@ -855,18 +541,18 @@ impl Txn {
         Ok(self.rel_mut().update_where(table, pred, f)?)
     }
 
-    /// Delete a relational row by primary key.
+    /// Delete a row by primary key.
     pub fn delete(&mut self, table: &str, key: &Key) -> TrodResult<bool> {
         Ok(self.rel_mut().delete(table, key)?)
     }
 
-    /// Deletes every relational row matching `pred`. Returns the number
-    /// deleted.
+    /// Deletes every row matching `pred`. Returns the number deleted.
     pub fn delete_where(&mut self, table: &str, pred: &Predicate) -> TrodResult<usize> {
         Ok(self.rel_mut().delete_where(table, pred)?)
     }
 
-    /// The buffered (uncommitted) relational writes, as CDC records.
+    /// The buffered (uncommitted) writes, as CDC records — namespace rows
+    /// included.
     pub fn pending_changes(&self) -> Vec<ChangeRecord> {
         self.rel
             .as_ref()
@@ -875,187 +561,102 @@ impl Txn {
     }
 
     // ------------------------------------------------------------------
-    // Key-value operations (with read provenance)
+    // Key-value operations: the same operations on `kv:<namespace>`
     // ------------------------------------------------------------------
 
-    fn kv_store(&self) -> TrodResult<&KvStore> {
-        self.session
-            .inner
-            .kv
-            .as_ref()
-            .ok_or_else(|| KvError::UnknownNamespace("<no key-value store bound>".into()).into())
-    }
-
-    /// The visibility timestamp key-value reads are served at: the shared
-    /// snapshot under snapshot isolation / serializable, the published
-    /// clock under read committed — the same rule the relational side
-    /// follows, so one transaction never sees two different points in
-    /// time across its stores.
-    fn kv_read_ts(&self) -> Ts {
-        match self.isolation() {
-            IsolationLevel::ReadCommitted => self.session.inner.db.current_ts(),
-            IsolationLevel::SnapshotIsolation | IsolationLevel::Serializable => self.snapshot_ts,
-        }
-    }
-
-    /// Reads a key from the key-value store at this transaction's read
-    /// timestamp (see [`Txn::kv_read_ts`]), seeing its own buffered
-    /// writes first.
+    /// Reads a key — [`Txn::get`] on the namespace's table.
     pub fn kv_get(&mut self, namespace: &str, key: &str) -> TrodResult<Option<String>> {
-        let id = (namespace.to_string(), key.to_string());
-        if let Some(buffered) = self.kv_writes.get(&id) {
-            return Ok(buffered.clone());
-        }
-        let read_ts = self.kv_read_ts();
-        let kv = self.kv_store()?.clone();
-        let value = kv.get_as_of(namespace, key, read_ts)?;
-        self.kv_reads.insert(id);
-        self.trace_read(|| ReadTrace {
-            table: kv_table_name(namespace).to_string(),
-            query: format!("Get {key}"),
-            read_ts,
-            rows: value
-                .as_ref()
-                .map(|v| {
-                    vec![(
-                        Key::single(key),
-                        Arc::new(Row::from(vec![
-                            Value::Text(key.to_string()),
-                            Value::Text(v.clone()),
-                        ])),
-                    )]
-                })
-                .unwrap_or_default(),
-        });
+        let (table, id) = (kv_table_name(namespace), Key::single(key));
+        let row = self
+            .rel_mut()
+            .get(&table, &id)
+            .map_err(unknown_namespace(namespace))?;
+        let value = row
+            .as_deref()
+            .and_then(KvWrite::value_of)
+            .map(str::to_string);
+        self.trace_read(
+            &table,
+            || format!("Get {key}"),
+            || row.map(|r| vec![(id, r)]).unwrap_or_default(),
+        );
         Ok(value)
     }
 
-    /// Prefix scan over the key-value store at this transaction's read
-    /// timestamp (see [`Txn::kv_read_ts`]). Buffered writes of this
-    /// transaction are *not* merged into the scan (matching the behaviour
-    /// of most KV stores' snapshot iterators).
+    /// Every `(key, value)` whose key starts with `prefix`, in key order —
+    /// [`Txn::scan`] over a `kv_key` range, so the range, not just the
+    /// keys returned, is validated under serializable isolation.
     pub fn kv_scan_prefix(
         &mut self,
         namespace: &str,
         prefix: &str,
     ) -> TrodResult<Vec<(String, String)>> {
-        let read_ts = self.kv_read_ts();
-        let kv = self.kv_store()?.clone();
-        let result = kv.scan_prefix_as_of(namespace, prefix, read_ts)?;
-        for (key, _) in &result {
-            self.kv_reads.insert((namespace.to_string(), key.clone()));
-        }
-        self.trace_read(|| ReadTrace {
-            table: kv_table_name(namespace).to_string(),
-            query: format!("Scan prefix {prefix}"),
-            read_ts,
-            rows: result
-                .iter()
-                .map(|(k, v)| {
-                    (
-                        Key::single(k.as_str()),
-                        Arc::new(Row::from(vec![
-                            Value::Text(k.clone()),
-                            Value::Text(v.clone()),
-                        ])),
-                    )
-                })
-                .collect(),
-        });
-        Ok(result)
+        let table = kv_table_name(namespace);
+        let rows = self
+            .rel_mut()
+            .scan(&table, &prefix_predicate(prefix))
+            .map_err(unknown_namespace(namespace))?;
+        let entries = rows.iter().cloned().map(KvWrite::entry).collect();
+        self.trace_read(&table, || format!("Scan prefix {prefix}"), || rows);
+        Ok(entries)
     }
 
-    /// Buffers a key-value put.
+    /// Buffers a put — an upsert of the namespace row.
     pub fn kv_put(&mut self, namespace: &str, key: &str, value: &str) -> TrodResult<()> {
-        if !self.kv_store()?.has_namespace(namespace) {
-            return Err(KvError::UnknownNamespace(namespace.to_string()).into());
-        }
-        self.kv_writes.insert(
-            (namespace.to_string(), key.to_string()),
-            Some(value.to_string()),
-        );
+        let table = kv_table_name(namespace);
+        self.rel_mut()
+            .upsert(&table, KvWrite::row(key, value))
+            .map_err(unknown_namespace(namespace))?;
         Ok(())
     }
 
-    /// Buffers a key-value delete.
+    /// Buffers a delete; deleting a key the transaction does not see is a
+    /// read of the key and nothing else.
     pub fn kv_delete(&mut self, namespace: &str, key: &str) -> TrodResult<()> {
-        if !self.kv_store()?.has_namespace(namespace) {
-            return Err(KvError::UnknownNamespace(namespace.to_string()).into());
-        }
-        self.kv_writes
-            .insert((namespace.to_string(), key.to_string()), None);
+        let table = kv_table_name(namespace);
+        self.rel_mut()
+            .delete(&table, &Key::single(key))
+            .map_err(unknown_namespace(namespace))?;
         Ok(())
     }
 
-    /// The buffered key-value writes in deterministic order.
+    /// The buffered key-value writes, in namespace and key order.
     pub fn pending_kv_writes(&self) -> Vec<KvWrite> {
-        self.kv_writes
-            .iter()
-            .map(|((namespace, key), value)| KvWrite {
-                namespace: namespace.clone(),
-                key: key.clone(),
-                value: value.clone(),
-            })
-            .collect()
+        let changes = self.pending_changes();
+        changes.iter().filter_map(KvWrite::of_record).collect()
     }
 
     // ------------------------------------------------------------------
     // Commit / abort
     // ------------------------------------------------------------------
 
-    /// Commits atomically across all participating stores at one commit
-    /// timestamp, through the sharded commit coordinator (see the module
-    /// docs — there is no cross-store lock; disjoint footprints commit
-    /// concurrently).
+    /// Commits atomically at one commit timestamp (see the module docs).
     pub fn commit(mut self) -> TrodResult<TxnCommit> {
         let rel = self.rel.take().expect("transaction already finished");
-        let kv_writes = self.pending_kv_writes();
-
-        let needs_participant = !self.kv_writes.is_empty() || !self.kv_reads.is_empty();
-        let result = if needs_participant {
-            catch_up_allocator(self.session.database(), self.kv_store()?, &kv_writes);
-            let participant = KvParticipant {
-                kv: self.kv_store()?.clone(),
-                snapshot_ts: self.snapshot_ts,
-                serializable: matches!(rel.isolation(), IsolationLevel::Serializable),
-                reads: &self.kv_reads,
-                writes: &kv_writes,
-                records: std::cell::RefCell::new(None),
-            };
-            rel.commit_with_participants(&[&participant])
-        } else {
-            rel.commit_with_participants(&[])
-        };
-
-        match result {
+        match rel.commit() {
             Ok(info) => {
-                let relational_changes = info
-                    .changes
-                    .iter()
-                    .filter(|c| !trod_db::is_kv_table(&c.table))
-                    .count();
-                let kv_installed = info.changes.len() - relational_changes;
+                let kv_writes = info.changes.iter().filter(|c| is_kv_table(&c.table));
+                let kv_writes = kv_writes.count();
                 if self.traced() {
                     self.emit_trace(info.commit_ts, true, Arc::clone(&info.changes));
                 }
                 Ok(TxnCommit {
                     txn_id: self.txn_id,
                     commit_ts: info.commit_ts,
-                    relational_changes,
-                    kv_writes: kv_installed,
+                    relational_changes: info.changes.len() - kv_writes,
+                    kv_writes,
                     changes: info.changes,
                 })
             }
             Err(e) => {
                 self.emit_trace(0, false, Arc::new([]));
-                Err(e)
+                Err(e.into())
             }
         }
     }
 
-    /// Aborts the transaction on all stores; an aborted-transaction trace
-    /// is recorded so aborted attempts remain visible to declarative
-    /// debugging.
+    /// Aborts the transaction; an aborted-transaction trace is recorded
+    /// so aborted attempts remain visible to declarative debugging.
     pub fn abort(mut self) {
         if let Some(rel) = self.rel.take() {
             rel.abort();
@@ -1082,163 +683,21 @@ impl Txn {
     }
 }
 
+/// The error of a key-value operation: its namespace's missing table is
+/// an unknown namespace.
+fn unknown_namespace(namespace: &str) -> impl FnOnce(DbError) -> TrodError + '_ {
+    move |e| match e {
+        DbError::NoSuchTable(_) => KvError::UnknownNamespace(namespace.to_string()).into(),
+        e => e.into(),
+    }
+}
+
 impl fmt::Debug for Txn {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Txn")
             .field("txn_id", &self.txn_id)
             .field("snapshot_ts", &self.snapshot_ts)
-            .field("kv_writes", &self.kv_writes.len())
             .finish()
-    }
-}
-
-/// The key-value side of a commit, handed to the commit protocol: a
-/// committing [`Txn`]'s buffered reads and writes, or the decoded writes
-/// of an injected change list ([`KvParticipant::injecting`]).
-struct KvParticipant<'a> {
-    kv: KvStore,
-    snapshot_ts: Ts,
-    /// Reads are validated only under serializable isolation.
-    serializable: bool,
-    reads: &'a BTreeSet<(String, String)>,
-    writes: &'a [KvWrite],
-    /// Change records (with before images) precomputed at the end of
-    /// validation, while the namespace locks are held and the store state
-    /// is already stable — so the serial publication window only pays for
-    /// the actual install, not the before-image reads.
-    records: std::cell::RefCell<Option<Vec<ChangeRecord>>>,
-}
-
-static NO_READS: BTreeSet<(String, String)> = BTreeSet::new();
-
-impl<'a> KvParticipant<'a> {
-    /// The participant of an injection: no reads, and a snapshot nothing
-    /// can postdate — injection bypasses validation by design, exactly
-    /// like the relational [`Database::apply_changes`], keeping only the
-    /// per-namespace timestamp-freshness veto.
-    fn injecting(kv: &KvStore, writes: &'a [KvWrite]) -> Self {
-        KvParticipant {
-            kv: kv.clone(),
-            snapshot_ts: Ts::MAX,
-            serializable: false,
-            reads: &NO_READS,
-            writes,
-            records: std::cell::RefCell::new(None),
-        }
-    }
-
-    /// True if the transaction wrote (and therefore locked) `namespace`.
-    fn wrote(&self, namespace: &str) -> bool {
-        self.writes.iter().any(|w| w.namespace == namespace)
-    }
-}
-
-impl CommitParticipant for KvParticipant<'_> {
-    fn resources(&self) -> Vec<String> {
-        let mut namespaces: Vec<&str> = self.writes.iter().map(|w| w.namespace.as_str()).collect();
-        namespaces.sort_unstable();
-        namespaces.dedup();
-        namespaces
-            .into_iter()
-            .map(|ns| kv_table_name(ns).to_string())
-            .collect()
-    }
-
-    fn resource_lock(&self, resource: &str) -> Arc<Mutex<()>> {
-        let namespace = resource
-            .strip_prefix(trod_db::KV_TABLE_PREFIX)
-            .unwrap_or(resource);
-        self.kv
-            .commit_lock_of(namespace)
-            .expect("namespace validated before commit")
-    }
-
-    fn validate(&self, min_commit_ts: Ts) -> TrodResult<()> {
-        let conflict = |namespace: &str, key: &str| -> TrodResult<()> {
-            // The transaction read and buffered at its snapshot, so any
-            // newer version of the key is a conflict.
-            if self.kv.version_of(namespace, key)? > self.snapshot_ts {
-                return Err(KvError::Conflict {
-                    namespace: namespace.to_string(),
-                    key: key.to_string(),
-                }
-                .into());
-            }
-            Ok(())
-        };
-        if self.serializable {
-            // Optimistic for namespaces that were only read (unlocked);
-            // `revalidate_reads` is the exact check for those.
-            for (namespace, key) in self.reads {
-                conflict(namespace, key)?;
-            }
-        }
-        for write in self.writes {
-            // First-committer-wins, under every isolation level.
-            conflict(&write.namespace, &write.key)?;
-            // A raw store-level apply may have pushed this namespace's
-            // timestamp past what the protocol will claim. Veto here —
-            // fallibly, nothing installed anywhere — so install (which
-            // must not fail) never sees a stale timestamp. The namespace
-            // locks are held, so the check stays true until install.
-            let ns_latest = self.kv.last_commit_ts_of(&write.namespace)?;
-            if ns_latest >= min_commit_ts {
-                return Err(KvError::StaleCommitTimestamp {
-                    given: min_commit_ts,
-                    latest: ns_latest,
-                }
-                .into());
-            }
-        }
-        // Validation passed: the store state for our namespaces is locked
-        // and final, so take the before images now rather than inside the
-        // serial publication window.
-        if !self.writes.is_empty() {
-            *self.records.borrow_mut() = Some(kv_change_records(&self.kv, self.writes));
-        }
-        Ok(())
-    }
-
-    fn has_writes(&self) -> bool {
-        !self.writes.is_empty()
-    }
-
-    fn needs_revalidation(&self) -> bool {
-        self.serializable && self.reads.iter().any(|(ns, _)| !self.wrote(ns))
-    }
-
-    fn revalidate_reads(&self, commit_ts: Ts) -> TrodResult<()> {
-        for (namespace, key) in self.reads {
-            if self.wrote(namespace) {
-                continue;
-            }
-            if self
-                .kv
-                .key_modified_in(namespace, key, self.snapshot_ts, commit_ts)?
-            {
-                return Err(KvError::Conflict {
-                    namespace: namespace.clone(),
-                    key: key.clone(),
-                }
-                .into());
-            }
-        }
-        Ok(())
-    }
-
-    fn install(&self, commit_ts: Ts) -> Vec<ChangeRecord> {
-        if self.writes.is_empty() {
-            return Vec::new();
-        }
-        let records = self
-            .records
-            .borrow_mut()
-            .take()
-            .expect("validate runs before install");
-        self.kv
-            .apply_claimed(self.writes, commit_ts)
-            .expect("validated key-value batch cannot fail to apply");
-        records
     }
 }
 
@@ -1264,9 +723,13 @@ mod tests {
     }
 
     fn session() -> Session {
-        let kv = KvStore::new();
-        kv.create_namespace("sessions").unwrap();
-        Session::with_kv(orders_db(), kv)
+        let session = Session::new(orders_db());
+        session.create_namespace("sessions").unwrap();
+        session
+    }
+
+    fn is_kv_write_conflict(e: &TrodError) -> bool {
+        matches!(e, TrodError::Relational(DbError::WriteConflict { table, .. }) if table == "kv:sessions")
     }
 
     #[test]
@@ -1292,8 +755,11 @@ mod tests {
             Some("cart:widget".into())
         );
         assert_eq!(
-            session.kv().version_of("sessions", "user-1").unwrap(),
-            commit.commit_ts
+            session
+                .kv()
+                .get_as_of("sessions", "user-1", commit.commit_ts - 1)
+                .unwrap(),
+            None
         );
 
         // The relational transaction log IS the aligned log: one entry,
@@ -1342,7 +808,7 @@ mod tests {
         first.commit().unwrap();
 
         let err = second.commit().unwrap_err();
-        assert!(matches!(err, TrodError::KeyValue(KvError::Conflict { .. })));
+        assert!(is_kv_write_conflict(&err), "{err}");
         // The loser's relational insert was rolled back.
         assert_eq!(
             session
@@ -1463,10 +929,7 @@ mod tests {
         a.kv_put("sessions", "k", "a").unwrap();
         b.kv_put("sessions", "k", "b").unwrap();
         a.commit().unwrap();
-        assert!(matches!(
-            b.commit().unwrap_err(),
-            TrodError::KeyValue(KvError::Conflict { .. })
-        ));
+        assert!(is_kv_write_conflict(&b.commit().unwrap_err()));
     }
 
     #[test]
@@ -1517,10 +980,10 @@ mod tests {
     }
 
     #[test]
-    fn relational_only_sessions_need_no_kv_store() {
+    fn operations_on_a_missing_namespace_fail_cleanly() {
         let tracer = Tracer::new();
         let session = Session::builder(orders_db()).tracer(tracer.clone()).build();
-        assert!(session.kv_store().is_none());
+        assert!(session.kv().namespaces().is_empty());
 
         let mut txn = session.begin_traced(TxnContext::new("R1", "h", "f"));
         txn.insert("orders", row![1i64, "widget"]).unwrap();
@@ -1529,13 +992,63 @@ mod tests {
         assert_eq!(commit.kv_writes, 0);
         assert_eq!(tracer.drain().len(), 1);
 
-        // KV operations on a KV-less session fail cleanly.
         let mut txn = session.begin();
-        assert!(matches!(
+        for err in [
             txn.kv_put("sessions", "k", "v").unwrap_err(),
-            TrodError::KeyValue(KvError::UnknownNamespace(_))
-        ));
+            txn.kv_get("sessions", "k").unwrap_err(),
+            txn.kv_delete("sessions", "k").unwrap_err(),
+            txn.kv_scan_prefix("sessions", "").unwrap_err(),
+        ] {
+            assert_eq!(
+                err,
+                TrodError::KeyValue(KvError::UnknownNamespace("sessions".into()))
+            );
+        }
         txn.abort();
+    }
+
+    #[test]
+    fn a_blind_delete_is_a_read_and_leaves_no_version() {
+        let session = session();
+        let mut txn = session.begin();
+        txn.insert("orders", row![1i64, "widget"]).unwrap();
+        txn.kv_delete("sessions", "never-written").unwrap();
+        assert!(txn.pending_kv_writes().is_empty());
+        let commit = txn.commit().unwrap();
+        assert_eq!(commit.kv_writes, 0);
+        assert_eq!(
+            session.kv().namespace_stats("sessions").unwrap().versions,
+            0
+        );
+
+        // The read is validated: a concurrent put of the key aborts it.
+        let mut txn = session.begin();
+        txn.kv_delete("sessions", "k").unwrap();
+        txn.update("orders", &Key::single(1i64), row![1i64, "gadget"])
+            .unwrap();
+        let mut writer = session.begin();
+        writer.kv_put("sessions", "k", "v").unwrap();
+        writer.commit().unwrap();
+        assert!(matches!(
+            txn.commit().unwrap_err(),
+            TrodError::Relational(DbError::SerializationFailure { table, .. }) if table == "kv:sessions"
+        ));
+    }
+
+    #[test]
+    fn read_committed_puts_replace_concurrent_writes() {
+        let session = session();
+        let rc = || session.begin_with(TxnOptions::new().isolation(IsolationLevel::ReadCommitted));
+        let (mut a, mut b) = (rc(), rc());
+        a.kv_put("sessions", "k", "a").unwrap();
+        b.kv_put("sessions", "k", "b").unwrap();
+        a.commit().unwrap();
+        let commit = b.commit().unwrap();
+        assert_eq!(commit.changes[0].op.kind(), "Update");
+        assert_eq!(
+            session.kv().get_latest("sessions", "k").unwrap().as_deref(),
+            Some("b")
+        );
     }
 
     #[test]
@@ -1596,7 +1109,7 @@ mod tests {
     }
 
     #[test]
-    fn apply_changes_injects_polyglot_history_through_the_participant_path() {
+    fn apply_changes_injects_polyglot_history_through_the_commit_path() {
         let session = session();
         let mut txn = session.begin();
         txn.insert("orders", row![1i64, "widget"]).unwrap();
@@ -1638,19 +1151,18 @@ mod tests {
     }
 
     #[test]
-    fn apply_changes_rejects_kv_records_without_a_store_or_with_erased_images() {
+    fn apply_changes_rejects_kv_records_of_missing_namespaces_or_with_erased_images() {
         let put = ChangeRecord::insert(
             kv_table_name("sessions"),
             Key::single("user-1"),
-            Row::from(vec![Value::Text("user-1".into()), Value::Text("v".into())]),
+            KvWrite::row("user-1", "v"),
         );
 
-        // No kv store bound: the batch is rejected (the replay layer
-        // counts such records as skipped instead).
+        // No such namespace: the batch is rejected.
         let bare = Session::new(orders_db());
         assert!(matches!(
             bare.apply_changes(std::slice::from_ref(&put)).unwrap_err(),
-            TrodError::KeyValue(KvError::UnknownNamespace(_))
+            TrodError::Relational(DbError::NoSuchTable(_))
         ));
 
         // A redacted (all-NULL image) put is refused rather than decoded
@@ -1659,13 +1171,13 @@ mod tests {
         let erased = ChangeRecord::insert(
             kv_table_name("sessions"),
             Key::single("user-1"),
-            Row::from(vec![Value::Null, Value::Null]),
+            Row::from(vec![trod_db::Value::Null, trod_db::Value::Null]),
         );
         assert!(matches!(
             session
                 .apply_changes(std::slice::from_ref(&erased))
                 .unwrap_err(),
-            TrodError::Relational(DbError::Invalid(_))
+            TrodError::Relational(DbError::NullViolation { .. })
         ));
         // Nothing was installed by the failed batches.
         assert_eq!(session.kv().get_latest("sessions", "user-1").unwrap(), None);
@@ -1674,9 +1186,7 @@ mod tests {
 
     #[test]
     fn concurrent_kv_writes_conflict_through_the_unified_error() {
-        let kv = KvStore::new();
-        kv.create_namespace("sessions").unwrap();
-        let session = Session::with_kv(orders_db(), kv);
+        let session = session();
         let mut txn = session.begin();
         txn.kv_put("sessions", "k", "v").unwrap();
         txn.commit().unwrap();
@@ -1687,6 +1197,7 @@ mod tests {
         b.kv_put("sessions", "k", "b").unwrap();
         a.commit().unwrap();
         let err = b.commit().unwrap_err();
-        assert!(matches!(err, TrodError::KeyValue(KvError::Conflict { .. })));
+        assert!(is_kv_write_conflict(&err));
+        assert!(err.is_retryable());
     }
 }

@@ -15,14 +15,13 @@
 //!   [`TrodError::Storage`] errors that abort only the failed group: the
 //!   commit path is not poisoned, later commits succeed, and the repair
 //!   pass re-persists the interrupted batch so nothing durable is lost.
-//! * **One replay loop** — a relational-only [`Database`] boot and a
-//!   [`Session`] boot of the same disk image produce equal
-//!   [`RecoveryReport`]s and equal relational state, with and without a
-//!   checkpoint.
-//! * **GC coordination** — one [`Session::gc_before`] call drives both
-//!   stores under one clamped horizon, and the aligned entries it spills
-//!   into the retention policy carry the `kv:` change records that
-//!   exactly cover the truncated kv versions.
+//! * **One replay loop** — a [`Database`] boot and a [`Session`] boot of
+//!   the same disk image produce equal [`RecoveryReport`]s and equal
+//!   state in both stores, with and without a checkpoint.
+//! * **GC coordination** — one [`Session::gc_before`] call truncates
+//!   tables and namespaces under one clamped horizon, and the aligned
+//!   entries it spills into the retention policy carry the `kv:` change
+//!   records that exactly cover the truncated kv versions.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -379,10 +378,9 @@ fn injected_append_failure_surfaces_without_losing_the_sequence() {
 // ---------------------------------------------------------------------
 
 /// `Database::open_durable_in` and `Session::open_durable_in` are the
-/// same recovery walk and the same replay loop, differing only in the
-/// participant that receives the key-value half — so over one disk image
-/// they must report the same recovery and rebuild the same relational
-/// state and aligned history. Checked on a full replay and on a
+/// same recovery walk and the same replay loop — a namespace is a table —
+/// so over one disk image they must report the same recovery and rebuild
+/// the same state in both stores and the same aligned history. Checked on a full replay and on a
 /// checkpoint boot whose tail re-creates nothing the snapshot restored
 /// and adds a namespace, an index and mixed commits after it.
 #[test]
@@ -436,13 +434,14 @@ fn database_and_session_boots_of_one_image_agree() {
             sdb.table("events").unwrap().indexed_columns(),
             "{tag}: indexes"
         );
-        // The session boot also rebuilt the kv half the database boot
-        // only carried in its history.
-        assert_eq!(
-            kv_state_at(recovered.kv(), sdb.current_ts()),
-            kv_state_at(session.kv(), sdb.current_ts()),
-            "{tag}: kv state"
-        );
+        // Both boots installed the kv rows, as the original holds them.
+        for kv in [&KvStore::of(db.clone()), recovered.kv()] {
+            assert_eq!(
+                kv_state_at(kv, sdb.current_ts()),
+                kv_state_at(session.kv(), sdb.current_ts()),
+                "{tag}: kv state"
+            );
+        }
         db_report
     };
 
@@ -504,8 +503,8 @@ fn session_gc_drives_both_stores_under_one_clamped_horizon() {
     for i in 1i64..=2 {
         commit_once(i);
     }
-    // An active transaction pins the watermark: GC in BOTH stores stops
-    // at its snapshot even when asked to go further.
+    // An active transaction pins the watermark: GC of tables and
+    // namespaces stops at its snapshot even when asked to go further.
     let pin = session.begin();
     let pinned_at = pin.snapshot_ts();
     for i in 3i64..=6 {
@@ -527,14 +526,16 @@ fn session_gc_drives_both_stores_under_one_clamped_horizon() {
     );
     pin.abort();
 
-    // With no active transactions, the requested horizon applies to BOTH
-    // stores: versions strictly below it are truncated everywhere, and
-    // the spilled aligned entries carry the kv records covering exactly
-    // the truncated kv history.
+    // With no active transactions, the requested horizon applies to
+    // tables and namespaces alike: versions strictly below it are
+    // truncated everywhere, and the spilled aligned entries carry the kv
+    // records covering exactly the truncated kv history.
+    let kv_versions = || session.kv().namespace_stats("cache").unwrap().versions;
+    let before = kv_versions();
     let stats = session.gc_before(4);
     assert_eq!(stats.horizon, 4);
     assert!(
-        stats.kv_versions > 0,
+        kv_versions() < before,
         "kv history below the horizon is truncated"
     );
     assert_eq!(session.database().log_truncated_below(), 4);
@@ -563,9 +564,9 @@ fn session_gc_drives_both_stores_under_one_clamped_horizon() {
     // spilled + live history with no cross-store gap.
     let spilled = collector.spilled.lock().unwrap();
     let spilled_ts: Vec<Ts> = spilled.iter().map(|e| e.commit_ts).collect();
-    // Log truncation is inclusive of the horizon (the kv store keeps the
-    // version AT the horizon so as-of reads there still serve; the log
-    // entry describing the transition to it spills).
+    // Log truncation is inclusive of the horizon (GC keeps the version
+    // AT the horizon so as-of reads there still serve; the log entry
+    // describing the transition to it spills).
     assert_eq!(spilled_ts, vec![1, 2, 3, 4], "spilled == truncated prefix");
     assert!(
         spilled

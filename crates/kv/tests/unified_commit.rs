@@ -1,17 +1,18 @@
-//! The unified (participant-based) commit path under mixed
-//! relational + key-value schedules and threads.
+//! The one commit path under mixed relational + key-value schedules and
+//! threads.
 //!
-//! Key-value namespaces join the relational footprint as
-//! `kv:<namespace>` commit resources, and every commit — relational-only,
-//! KV-only or mixed — runs through the one commit protocol, with no
-//! cross-store lock. These tests pin the properties that must hold:
+//! A key-value namespace is the table `kv:<namespace>`, so every commit —
+//! relational-only, KV-only or mixed — runs through the one commit
+//! protocol, with no cross-store lock. These tests pin the properties
+//! that must hold:
 //!
 //! * a property test drives randomly generated mixed schedules
-//!   (relational tables and KV namespaces, reads and writes spread over
-//!   both, concurrent committers in between) against a session and
-//!   against the serial full-history reference model
-//!   (`crates/db/tests/support/model.rs`), and requires identical commit
-//!   decisions and identical final states in *both* stores;
+//!   (relational tables and KV namespaces, reads, prefix scans and writes
+//!   spread over both, concurrent committers in between) against a
+//!   session and against the serial full-history reference model
+//!   (`crates/db/tests/support/model.rs`, which treats a namespace like
+//!   any table), and requires identical commit decisions and identical
+//!   final states in *both* stores;
 //! * an 8-thread stress test keeps a value mirrored between a relational
 //!   row and a KV key per slot, updated only by mixed commits, and
 //!   asserts that snapshot readers never observe the two stores disagree
@@ -27,7 +28,7 @@ use std::sync::{Arc, Barrier};
 
 use proptest::prelude::*;
 
-use trod_db::{row, DataType, Database, DbError, Key, KvError, Predicate, Schema, TrodError, Ts};
+use trod_db::{row, DataType, Database, DbError, Key, Predicate, Schema, TrodError, Ts};
 use trod_kv::{kv_table_name, KvStore, Session};
 
 #[path = "../../db/tests/support/model.rs"]
@@ -61,13 +62,41 @@ fn new_session() -> Session {
 /// One operation in a generated mixed transaction.
 #[derive(Debug, Clone)]
 enum Op {
-    RelPut { t: usize, k: i64, v: i64 },
-    RelDelete { t: usize, k: i64 },
-    RelGet { t: usize, k: i64 },
-    RelScanEqV { t: usize, v: i64 },
-    KvPut { n: usize, k: i64, v: i64 },
-    KvDelete { n: usize, k: i64 },
-    KvGet { n: usize, k: i64 },
+    RelPut {
+        t: usize,
+        k: i64,
+        v: i64,
+    },
+    RelDelete {
+        t: usize,
+        k: i64,
+    },
+    RelGet {
+        t: usize,
+        k: i64,
+    },
+    RelScanEqV {
+        t: usize,
+        v: i64,
+    },
+    KvPut {
+        n: usize,
+        k: i64,
+        v: i64,
+    },
+    KvDelete {
+        n: usize,
+        k: i64,
+    },
+    KvGet {
+        n: usize,
+        k: i64,
+    },
+    /// A prefix scan: every key (`k`) or the keys under `k<k>`.
+    KvScan {
+        n: usize,
+        k: Option<i64>,
+    },
 }
 
 fn op_strategy(key_space: i64) -> impl Strategy<Value = Op> {
@@ -79,6 +108,11 @@ fn op_strategy(key_space: i64) -> impl Strategy<Value = Op> {
         (0..2usize, 0..key_space, 0..50i64).prop_map(|(n, k, v)| Op::KvPut { n, k, v }),
         (0..2usize, 0..key_space).prop_map(|(n, k)| Op::KvDelete { n, k }),
         (0..2usize, 0..key_space).prop_map(|(n, k)| Op::KvGet { n, k }),
+        // `k == key_space` scans the whole namespace.
+        (0..2usize, 0..=key_space).prop_map(move |(n, k)| Op::KvScan {
+            n,
+            k: (k < key_space).then_some(k),
+        }),
     ]
 }
 
@@ -133,6 +167,10 @@ fn apply_ops(txn: &mut trod_kv::Txn, ops: &[Op]) -> Result<(), TrodError> {
             Op::KvGet { n, k } => {
                 let _ = txn.kv_get(NAMESPACES[*n], &format!("k{k}"))?;
             }
+            Op::KvScan { n, k } => {
+                let prefix = k.map_or("k".to_string(), |k| format!("k{k}"));
+                let _ = txn.kv_scan_prefix(NAMESPACES[*n], &prefix)?;
+            }
         }
     }
     Ok(())
@@ -175,9 +213,8 @@ fn run_schedule(session: &Session, s: &Schedule) -> (Outcome, State) {
     let outcome = match pending.commit() {
         Ok(_) => Outcome::Committed,
         Err(TrodError::Relational(
-            DbError::SerializationFailure { .. } | DbError::WriteConflict { .. },
-        )) => Outcome::RelationalConflict,
-        Err(TrodError::KeyValue(KvError::Conflict { .. })) => Outcome::KvConflict,
+            DbError::SerializationFailure { table, .. } | DbError::WriteConflict { table, .. },
+        )) => conflict_on(&table),
         Err(other) => Outcome::OtherError(other.to_string()),
     };
 
@@ -208,7 +245,18 @@ fn run_schedule(session: &Session, s: &Schedule) -> (Outcome, State) {
     (outcome, (tables, namespaces))
 }
 
+/// Conflicts on a namespace's table and on an application table are told
+/// apart by the table's name, in the engine and in the model alike.
+fn conflict_on(table: &str) -> Outcome {
+    if table.starts_with("kv:") {
+        Outcome::KvConflict
+    } else {
+        Outcome::RelationalConflict
+    }
+}
+
 fn model_ops(model: &Model, txn: &mut ModelTxn, ops: &[Op]) {
+    let ns = |n: usize| kv_table_name(NAMESPACES[n]);
     for op in ops {
         match *op {
             Op::RelPut { t, k, v } => txn.put(model, TABLES[t], k, v),
@@ -217,11 +265,13 @@ fn model_ops(model: &Model, txn: &mut ModelTxn, ops: &[Op]) {
                 txn.get(model, TABLES[t], k);
             }
             Op::RelScanEqV { t, v } => txn.scan(TABLES[t], move |_, val| val == v),
-            Op::KvPut { n, k, v } => txn.kv_write(&kv_table_name(NAMESPACES[n]), k, Some(v)),
-            Op::KvDelete { n, k } => txn.kv_write(&kv_table_name(NAMESPACES[n]), k, None),
+            Op::KvPut { n, k, v } => txn.put(model, &ns(n), k, v),
+            Op::KvDelete { n, k } => txn.delete(model, &ns(n), k),
             Op::KvGet { n, k } => {
-                txn.kv_get(model, &kv_table_name(NAMESPACES[n]), k);
+                txn.get(model, &ns(n), k);
             }
+            // Keys are `k0`..`k5`: the prefix `k<k>` holds exactly `k<k>`.
+            Op::KvScan { n, k } => txn.scan(&ns(n), move |key, _| k.is_none_or(|k| key == k)),
         }
     }
 }
@@ -245,11 +295,7 @@ fn run_model(s: &Schedule) -> (Outcome, State) {
     let outcome = match model.commit(pending) {
         Verdict::Committed => Outcome::Committed,
         Verdict::WriteConflict { resource } | Verdict::ReadConflict { resource } => {
-            if resource.starts_with("kv:") {
-                Outcome::KvConflict
-            } else {
-                Outcome::RelationalConflict
-            }
+            conflict_on(&resource)
         }
     };
     let tables = TABLES.iter().map(|t| model.contents(t)).collect();
@@ -263,9 +309,9 @@ fn run_model(s: &Schedule) -> (Outcome, State) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The participant commit path accepts and rejects exactly the mixed
-    /// schedules the serial full-history model does, leaving identical
-    /// final states in both stores.
+    /// The commit path accepts and rejects exactly the mixed schedules the
+    /// serial full-history model does, leaving identical final states in
+    /// both stores.
     #[test]
     fn mixed_commits_are_decision_equivalent_across_modes(
         schedule in schedule_strategy()
@@ -276,8 +322,8 @@ proptest! {
         prop_assert_eq!(state, model_state);
     }
 
-    /// Forking the kv store at any timestamp equals replaying the aligned
-    /// log up to that timestamp — the invariant that makes a fork a
+    /// Forking the session at any timestamp equals replaying the aligned
+    /// log's kv records up to that timestamp — the invariant that makes a fork a
     /// faithful development environment at *every* point of history, not
     /// just the latest (and the reason replay can reconstruct a fork from
     /// spilled aligned history when GC truncated the live state).
@@ -292,7 +338,8 @@ proptest! {
         sample_ts.sort_unstable();
         sample_ts.dedup();
         for ts in sample_ts {
-            let fork = session.kv().fork_at(ts);
+            let fork = session.fork_at(ts).unwrap();
+            let fork = fork.kv();
             let mut replayed: BTreeMap<(String, String), Option<String>> = BTreeMap::new();
             for commit in aligned.iter().take_while(|c| c.commit_ts <= ts) {
                 for w in &commit.kv {
@@ -495,7 +542,7 @@ fn aligned_log_totally_orders_concurrent_mixed_commits() {
 
     // Every log entry is aligned: it carries exactly one relational
     // insert and one kv record, for the same logical operation, and the
-    // KV store installed that key at exactly the entry's timestamp.
+    // key became visible at exactly the entry's timestamp.
     for entry in &log {
         let rel: Vec<_> = entry
             .changes
@@ -514,10 +561,16 @@ fn aligned_log_totally_orders_concurrent_mixed_commits() {
             Some(trod_db::Value::Text(k)) => k.clone(),
             other => panic!("kv record key must be text, got {other:?}"),
         };
+        let kv = session.kv();
         assert_eq!(
-            session.kv().version_of(ns, &kv_key).unwrap(),
-            entry.commit_ts,
-            "kv store version must match the aligned log entry"
+            kv.get_as_of(ns, &kv_key, entry.commit_ts - 1).unwrap(),
+            None
+        );
+        assert!(
+            kv.get_as_of(ns, &kv_key, entry.commit_ts)
+                .unwrap()
+                .is_some(),
+            "the kv row must appear at the aligned log entry's timestamp"
         );
     }
 
@@ -541,45 +594,8 @@ fn aligned_log_totally_orders_concurrent_mixed_commits() {
     }
 }
 
-/// A raw store-level apply on a session's store must never wedge or
-/// starve the coordinator: if it pushed a namespace's timestamp past the
-/// database allocator, the session commit catches the allocator up
-/// (publishing empty ticks) and commits at a strictly newer timestamp —
-/// it neither panics inside the publication window nor fails forever.
-#[test]
-fn raw_kv_applies_cannot_wedge_coordinated_commits() {
-    let session = new_session();
-
-    // Drive the namespace's timestamp ahead of the (fresh) database
-    // allocator through the raw store API.
-    session
-        .kv()
-        .apply(&[trod_kv::KvWrite::put(NAMESPACES[0], "a", "v")], 10)
-        .unwrap();
-    assert!(session.database().current_ts() < 10);
-
-    // A coordinated commit on the same namespace self-heals: the
-    // allocator is advanced past the foreign timestamp, the commit lands
-    // strictly after it, and both stores stay consistent.
-    let mut txn = session.begin();
-    txn.kv_put(NAMESPACES[0], "b", "w").unwrap();
-    txn.insert(TABLES[0], row![1i64, 1i64]).unwrap();
-    let commit = txn.commit().unwrap();
-    assert!(commit.commit_ts > 10, "commit lands after the foreign ts");
-    assert_eq!(
-        session.kv().version_of(NAMESPACES[0], "b").unwrap(),
-        commit.commit_ts
-    );
-    assert_eq!(
-        session.kv().get_latest(NAMESPACES[0], "b").unwrap(),
-        Some("w".into())
-    );
-    assert_eq!(session.database().current_ts(), commit.commit_ts);
-}
-
-/// The `kv:` resource prefix is reserved: a relational table with such a
-/// name would alias a namespace's commit lock in the coordinator's
-/// merged lock order and be misclassified in the aligned log.
+/// The `kv:` prefix is reserved for namespaces: a relational table with
+/// such a name would be misclassified in the aligned log.
 #[test]
 fn kv_prefixed_table_names_are_rejected() {
     let db = Database::new();
@@ -590,9 +606,9 @@ fn kv_prefixed_table_names_are_rejected() {
     assert!(!db.has_table("kv:sessions"));
 }
 
-/// Serializable KV read validation spans the coordinator: a transaction
-/// whose kv_get was invalidated by a concurrent commit aborts even when
-/// its writes are purely relational (and vice versa).
+/// Serializable read validation spans tables and namespaces: a
+/// transaction whose kv_get was invalidated by a concurrent commit aborts
+/// even when its writes are purely relational (and vice versa).
 #[test]
 fn cross_store_read_validation_is_enforced_by_the_coordinator() {
     let session = new_session();
@@ -615,7 +631,7 @@ fn cross_store_read_validation_is_enforced_by_the_coordinator() {
     writer.commit().unwrap();
     assert!(matches!(
         pending.commit().unwrap_err(),
-        TrodError::KeyValue(KvError::Conflict { .. })
+        TrodError::Relational(DbError::SerializationFailure { table, .. }) if table == "kv:ns0"
     ));
     // The relational write did not survive the aborted commit.
     assert_eq!(
@@ -643,18 +659,57 @@ fn cross_store_read_validation_is_enforced_by_the_coordinator() {
     assert_eq!(session.kv().get_latest(NAMESPACES[1], "out").unwrap(), None);
 }
 
+/// A serializable prefix scan validates the key range it scanned, not
+/// only the keys it returned. T1 scans `user:` and writes `summary`; T2
+/// reads `summary`, inserts `user:3` and commits first. Were both to
+/// commit, T1 would precede T2 (it missed `user:3`) and follow it (T2
+/// missed T1's `summary`): a cycle. The inserted key is a phantom in T1's
+/// range, so T1 aborts.
+#[test]
+fn prefix_scans_conflict_with_keys_inserted_under_the_prefix() {
+    let session = new_session();
+    let ns = NAMESPACES[0];
+    let mut setup = session.begin();
+    setup.kv_put(ns, "user:1", "a").unwrap();
+    setup.kv_put(ns, "user:2", "b").unwrap();
+    setup.kv_put(ns, "summary", "2 users").unwrap();
+    setup.commit().unwrap();
+
+    let mut t1 = session.begin();
+    assert_eq!(t1.kv_scan_prefix(ns, "user:").unwrap().len(), 2);
+    t1.kv_put(ns, "summary", "2 users, checked").unwrap();
+
+    let mut t2 = session.begin();
+    assert_eq!(
+        t2.kv_get(ns, "summary").unwrap().as_deref(),
+        Some("2 users")
+    );
+    t2.kv_put(ns, "user:3", "c").unwrap();
+    t2.commit().unwrap();
+
+    let err = t1.commit().expect_err("the phantom `user:3` must abort T1");
+    assert!(
+        matches!(&err, TrodError::Relational(DbError::SerializationFailure { table, .. }) if table == "kv:ns0"),
+        "{err}"
+    );
+    assert!(err.is_retryable());
+    assert_eq!(
+        session.kv().get_latest(ns, "summary").unwrap().as_deref(),
+        Some("2 users")
+    );
+}
+
 /// Forks taken while mixed commits are mid-install never observe an
-/// unpublished version. With the widened publication pipeline, writes
-/// land in both stores *before* the publication clock advances; a fork
-/// cut from `kv().current_ts()` at exactly that moment must resolve
-/// against the published horizon — otherwise the KV half of the fork
-/// would contain a commit whose relational half (and log entry) the
-/// fork's cut excludes, and the forked session would disagree with the
-/// aligned history replay that reconstructs it.
+/// unpublished version. Writes land in the tables *before* the
+/// publication clock advances; a fork cut from `current_ts()` at exactly
+/// that moment must resolve against the published horizon — otherwise
+/// the fork would see a commit's kv row without its relational row (or
+/// the reverse), and would disagree with the aligned history replay that
+/// reconstructs it.
 ///
-/// And what a fork saw first is what it sees until dropped: its
-/// relational half copies nothing and reads the production version
-/// chains, so forks are *kept* here, across later commits and a thread
+/// And what a fork saw first is what it sees until dropped: it copies
+/// nothing and reads the production version chains, so forks are *kept*
+/// here, across later commits and a thread
 /// garbage-collecting at `current_ts()` throughout, and re-read. A live
 /// fork holds GC's horizon at its timestamp; a dropped one lets go.
 #[test]
@@ -739,10 +794,9 @@ fn forks_taken_mid_install_never_observe_unpublished_versions() {
                 let mut held: VecDeque<(Ts, Session, i64)> = VecDeque::new();
                 barrier.wait();
                 while !done.load(Ordering::Relaxed) {
-                    // The cut comes from the KV store's own clock: on a
-                    // clock-bound store this is the published horizon,
-                    // never a claimed-but-unpublished install.
-                    let ts = session.kv().current_ts();
+                    // The published horizon, never a
+                    // claimed-but-unpublished install.
+                    let ts = session.database().current_ts();
                     let fork = session.fork_at(ts).unwrap();
                     let (row_v, kv_v) = pair(&fork);
                     assert_eq!(

@@ -48,9 +48,8 @@ impl<'a> HandlerContext<'a> {
     /// Begins a traced transaction labelled with `function` (the paper's
     /// `Metadata` column, e.g. `"func:isSubscribed"`), at the runtime's
     /// default isolation level. The returned [`Txn`] is the unified
-    /// surface: relational operations always, and `kv_*` operations when
-    /// the runtime has a key-value store bound — all under one snapshot
-    /// and one atomic commit.
+    /// surface: relational and `kv_*` operations under one snapshot and
+    /// one atomic commit.
     pub fn txn(&mut self, function: &str) -> Txn {
         self.txn_with(function, self.runtime.default_isolation())
     }
@@ -64,10 +63,11 @@ impl<'a> HandlerContext<'a> {
             .begin_with(TxnOptions::new().isolation(isolation).traced(ctx))
     }
 
-    /// True if the runtime has a key-value store bound (i.e. the `kv_*`
-    /// operations of [`HandlerContext::txn`] transactions will work).
-    pub fn has_kv(&self) -> bool {
-        self.runtime.kv_store().is_some()
+    /// True if the runtime's database holds the key-value namespace
+    /// `name` (i.e. the `kv_*` operations of [`HandlerContext::txn`]
+    /// transactions will find it).
+    pub fn has_namespace(&self, name: &str) -> bool {
+        self.runtime.database().has_namespace(name)
     }
 
     /// Number of transactions begun so far by this invocation.

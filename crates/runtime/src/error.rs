@@ -60,14 +60,10 @@ impl From<TrodError> for HandlerError {
 }
 
 impl HandlerError {
-    /// True if the failure is a transient concurrency conflict (on either
-    /// store) the request may retry.
+    /// True if the failure is a transient concurrency conflict — on a
+    /// table or a namespace's table — the request may retry.
     pub fn is_retryable(&self) -> bool {
-        match self {
-            HandlerError::Db(e) => e.is_retryable(),
-            HandlerError::Kv(e) => e.is_retryable(),
-            _ => false,
-        }
+        matches!(self, HandlerError::Db(e) if e.is_retryable())
     }
 }
 
@@ -91,12 +87,14 @@ mod tests {
     fn unified_errors_convert_per_store() {
         let e: HandlerError = TrodError::Relational(DbError::TransactionClosed).into();
         assert!(matches!(e, HandlerError::Db(_)));
-        let e: HandlerError = TrodError::KeyValue(KvError::Conflict {
-            namespace: "s".into(),
+        let e: HandlerError = TrodError::KeyValue(KvError::UnknownNamespace("s".into())).into();
+        assert!(matches!(e, HandlerError::Kv(_)));
+        assert!(!e.is_retryable());
+        let e: HandlerError = TrodError::Relational(DbError::WriteConflict {
+            table: "kv:s".into(),
             key: "k".into(),
         })
         .into();
-        assert!(matches!(e, HandlerError::Kv(_)));
         assert!(e.is_retryable());
         assert!(!HandlerError::App("x".into()).is_retryable());
     }

@@ -1,7 +1,7 @@
 //! The request executor: the piece of DBOS/Apiary that TROD interposes on.
 //!
 //! A [`Runtime`] binds together a [`Session`] (the unified transaction
-//! surface over the application database, an optional key-value store,
+//! surface over the application database and its key-value namespaces,
 //! and the tracing interposition layer), a [`HandlerRegistry`], a
 //! [`Scheduler`] and an [`ExternalServiceLog`]. Requests are served by
 //! invoking the named handler with a fresh request id; concurrent load is
@@ -75,7 +75,8 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Binds a key-value store: handlers can then use the `kv_*`
+    /// Binds a key-value store: its namespaces are declared in the
+    /// application database, where handlers reach them through the `kv_*`
     /// operations of their [`trod_kv::Txn`], committing atomically across
     /// both stores with one aligned history (paper §5).
     pub fn kv(mut self, kv: KvStore) -> Self {
@@ -150,8 +151,8 @@ impl Runtime {
         RuntimeBuilder::new(db, registry)
     }
 
-    /// The session handlers run against: the application database, the
-    /// optional key-value store, and the tracer, behind the unified
+    /// The session handlers run against: the application database with
+    /// its key-value namespaces, and the tracer, behind the unified
     /// transaction surface.
     pub fn session(&self) -> &Session {
         &self.session
@@ -162,9 +163,9 @@ impl Runtime {
         self.session.database()
     }
 
-    /// The bound key-value store, if any.
-    pub fn kv_store(&self) -> Option<&KvStore> {
-        self.session.kv_store()
+    /// The key-value view of the application database.
+    pub fn kv(&self) -> &KvStore {
+        self.session.kv()
     }
 
     /// The shared tracer.

@@ -27,7 +27,7 @@ use trod_core::json::{Json, JsonError};
 use trod_core::wire::{self, WireError};
 use trod_core::Trod;
 use trod_db::{Column, CommittedTxn, DataType, Database, Schema, Ts};
-use trod_kv::{KvStore, Session};
+use trod_kv::Session;
 
 /// Why a dump could not be produced, parsed, or booted.
 #[derive(Debug)]
@@ -151,15 +151,10 @@ impl Dump {
             .into_iter()
             .filter_map(|name| table_def_of(db, &name))
             .collect();
-        let namespaces = trod
-            .session()
-            .kv_store()
-            .map(|kv| kv.namespaces())
-            .unwrap_or_default();
         Dump {
             current_ts: db.current_ts(),
             tables,
-            namespaces,
+            namespaces: db.namespaces(),
             entries: stitched_entries(trod),
         }
     }
@@ -364,7 +359,7 @@ impl Dump {
                     .map_err(|e| DumpError::Load(format!("index {}.{col}: {e}", t.name)))?;
             }
         }
-        let session = Session::with_kv(db, KvStore::new());
+        let session = Session::new(db);
         for ns in &self.namespaces {
             session
                 .create_namespace(ns)

@@ -23,8 +23,8 @@ pub const METHOD_NOT_FOUND: i64 = -32601;
 pub const INVALID_PARAMS: i64 = -32602;
 
 /// Application codes (positive, TROD-specific).
-/// A retryable conflict: write conflict, SSI serialization abort, kv
-/// freshness veto. The request may succeed verbatim on retry.
+/// A retryable conflict: write conflict or SSI serialization abort, on a
+/// table or a namespace's. The request may succeed verbatim on retry.
 pub const CONFLICT: i64 = 1000;
 /// A fatal engine/storage error.
 pub const STORE: i64 = 1001;
@@ -221,13 +221,18 @@ mod tests {
         assert_eq!(fatal.code, STORE);
         assert!(!fatal.retryable);
 
-        let kv: RpcError = (&HandlerError::Kv(KvError::Conflict {
-            namespace: "n".into(),
+        let kv: RpcError = (&TrodError::from(DbError::WriteConflict {
+            table: "kv:n".into(),
             key: "k".into(),
         }))
             .into();
-        assert_eq!(kv.code, CONFLICT);
+        assert_eq!(
+            (kv.code, kv.kind.as_str()),
+            (CONFLICT, "relational_conflict")
+        );
         assert!(kv.retryable);
+        let unknown: RpcError = (&HandlerError::Kv(KvError::UnknownNamespace("n".into()))).into();
+        assert_eq!((unknown.code, unknown.retryable), (HANDLER, false));
 
         assert!(RpcError::draining().retryable);
         assert_eq!(RpcError::draining().http_status(), 503);

@@ -234,10 +234,7 @@ pub fn dispatch(state: &ServerState, method: &str, params: &Json) -> Result<Json
         "kv_get" => {
             let namespace = p_str(params, "namespace")?;
             let key = p_str(params, "key")?;
-            let kv =
-                state.trod.session().kv_store().ok_or_else(|| {
-                    RpcError::not_found("no_kv_store", "no key-value store bound")
-                })?;
+            let kv = state.trod.session().kv();
             let value = match p_opt_u64(params, "as_of")? {
                 Some(ts) => kv.get_as_of(namespace, key, ts),
                 None => kv.get_latest(namespace, key),
@@ -251,10 +248,7 @@ pub fn dispatch(state: &ServerState, method: &str, params: &Json) -> Result<Json
         "kv_scan" => {
             let namespace = p_str(params, "namespace")?;
             let prefix = params.get("prefix").and_then(Json::as_str).unwrap_or("");
-            let kv =
-                state.trod.session().kv_store().ok_or_else(|| {
-                    RpcError::not_found("no_kv_store", "no key-value store bound")
-                })?;
+            let kv = state.trod.session().kv();
             let entries = match p_opt_u64(params, "as_of")? {
                 Some(ts) => kv.scan_prefix_as_of(namespace, prefix, ts),
                 None => kv.scan_prefix(namespace, prefix),
@@ -307,10 +301,9 @@ pub fn dispatch(state: &ServerState, method: &str, params: &Json) -> Result<Json
             let namespace = p_str(params, "namespace")?.to_string();
             let key = p_str(params, "key")?.to_string();
             with_fork(state, params, |fork| {
-                let kv = fork.session.kv_store().ok_or_else(|| {
-                    RpcError::not_found("no_kv_store", "fork has no key-value store")
-                })?;
-                let value = kv
+                let value = fork
+                    .session
+                    .kv()
                     .get_latest(&namespace, &key)
                     .map_err(|e| RpcError::from(&trod_db::TrodError::KeyValue(e)))?;
                 Ok(Json::obj(vec![(
@@ -327,10 +320,9 @@ pub fn dispatch(state: &ServerState, method: &str, params: &Json) -> Result<Json
                 .unwrap_or("")
                 .to_string();
             with_fork(state, params, |fork| {
-                let kv = fork.session.kv_store().ok_or_else(|| {
-                    RpcError::not_found("no_kv_store", "fork has no key-value store")
-                })?;
-                let entries = kv
+                let entries = fork
+                    .session
+                    .kv()
                     .scan_prefix(&namespace, &prefix)
                     .map_err(|e| RpcError::from(&trod_db::TrodError::KeyValue(e)))?;
                 Ok(Json::obj(vec![("entries", kv_entries_to_json(entries))]))

@@ -1,0 +1,37 @@
+#!/usr/bin/env bash
+# Code lines per crate: every line of crates/<name>/src/**/*.rs that is
+# neither blank nor a `//` comment (`grep -vcE '^\s*(//|$)'`), counted in
+# total and without inline test modules (a file is cut at a top-level
+# `#[cfg(test)]` followed by `mod <name> {`).
+#
+#   scripts/loc.sh            # table for the working tree
+#   scripts/loc.sh <dir>      # same, for another checkout
+set -euo pipefail
+root="${1:-$(dirname "$0")/..}"
+
+code() { grep -vcE '^\s*(//|$)' || true; }
+
+non_test() {
+    awk '
+        /^(pub(\(crate\))? )?mod [A-Za-z_0-9]+ *\{/ && prev ~ /^#\[cfg\(test\)\]/ { cut = 1; exit }
+        NR > 1 { print prev }
+        { prev = $0 }
+        END { if (!cut && NR > 0) print prev }
+    ' "$1"
+}
+
+printf '%-14s %8s %9s\n' crate total non-test
+sum_total=0
+sum_non_test=0
+for src in "$root"/crates/*/src; do
+    total=0
+    non_test_total=0
+    while IFS= read -r file; do
+        total=$((total + $(code <"$file")))
+        non_test_total=$((non_test_total + $(non_test "$file" | code)))
+    done < <(find "$src" -name '*.rs' | sort)
+    printf '%-14s %8d %9d\n' "$(basename "$(dirname "$src")")" "$total" "$non_test_total"
+    sum_total=$((sum_total + total))
+    sum_non_test=$((sum_non_test + non_test_total))
+done
+printf '%-14s %8d %9d\n' all "$sum_total" "$sum_non_test"

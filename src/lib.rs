@@ -7,8 +7,8 @@
 //!
 //! * [`db`] — the transactional storage engine (MVCC, strict
 //!   serializability, transaction log, CDC, time travel).
-//! * [`kv`] — the versioned key-value store and cross-data-store
-//!   transaction manager with aligned logs (paper §5).
+//! * [`kv`] — key-value namespaces (tables of the database) and the
+//!   cross-data-store transaction surface with aligned logs (paper §5).
 //! * [`query`] — the SQL engine used for declarative debugging.
 //! * [`trace`] — the always-on tracing interposition layer.
 //! * [`provenance`] — the provenance database.

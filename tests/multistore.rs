@@ -214,24 +214,35 @@ fn cross_store_conflicts_keep_both_stores_consistent_under_concurrency() {
 
 #[test]
 fn polyglot_requests_replay_their_relational_side_faithfully() {
-    // Replay of a request that wrote BOTH stores: the relational reads
-    // and writes replay (and verify) normally against the development
-    // fork; the kv:<namespace> records are skipped and counted rather
-    // than failing the whole replay (kv-state reconstruction in the
-    // development environment is a ROADMAP item).
+    // Replay of a request that wrote BOTH stores, through a plain session
+    // over the same database: the relational reads and writes replay (and
+    // verify) normally against the development fork, and since the
+    // namespace is a table of that database the fork holds it too, so the
+    // kv:<namespace> record is re-applied alongside, not skipped.
     let (cross, provenance, tracer) = traced_cross_store();
     checkout(&cross, "R1", 1, "alice", "widget");
     checkout(&cross, "R2", 2, "bob", "gadget");
     provenance.ingest(tracer.drain());
 
-    let relational_only = trod::kv::Session::new(cross.database().clone());
-    let mut replay =
-        trod::core::ReplaySession::for_session(&provenance, &relational_only, "R2").unwrap();
+    let plain = trod::kv::Session::new(cross.database().clone());
+    let mut replay = trod::core::ReplaySession::for_session(&provenance, &plain, "R2").unwrap();
     let report = replay.run_to_end().unwrap();
     assert!(report.is_faithful(), "relational side must verify cleanly");
     let step = &report.steps[0];
-    assert_eq!(step.writes_applied, 1, "the order insert is re-applied");
-    assert_eq!(step.writes_skipped, 1, "the kv cart write is skipped");
+    assert_eq!(
+        step.writes_applied, 2,
+        "the order insert and the cart write"
+    );
+    assert_eq!(step.writes_skipped, 0);
+    assert_eq!(
+        replay
+            .dev_session()
+            .kv()
+            .get_latest("sessions", "cart:bob")
+            .unwrap()
+            .as_deref(),
+        Some("checked-out")
+    );
     // R1 committed before R2's snapshot, so its state arrived via the
     // development fork rather than injection.
     assert_eq!(report.injected_count(), 0);

@@ -23,6 +23,8 @@
 //! restored is a no-op, which is sound because the WAL vocabulary has no
 //! drop records — an object is only ever created once.
 
+use std::sync::Arc;
+
 use crate::error::StorageError;
 use crate::mvcc::Ts;
 use crate::row::{Key, Row};
@@ -42,8 +44,10 @@ pub struct CheckpointTable {
     pub schema: Schema,
     /// Indexed columns.
     pub indexes: Vec<String>,
-    /// Live rows at the checkpoint timestamp, keyed by primary key.
-    pub rows: Vec<(Key, Row)>,
+    /// Live rows at the checkpoint timestamp, keyed by primary key —
+    /// shared with the version store they were captured from or are
+    /// restored into, never copied.
+    pub rows: Vec<(Key, Arc<Row>)>,
 }
 
 /// One key-value namespace inside a [`Checkpoint`]: every live entry at
@@ -241,7 +245,7 @@ fn decode_payload(payload: &[u8]) -> Result<Checkpoint, String> {
         let mut rows = Vec::with_capacity(n_rows);
         for _ in 0..n_rows {
             let key = Key::from(c.values()?);
-            let row = Row::from(c.values()?);
+            let row = Arc::new(Row::from(c.values()?));
             rows.push((key, row));
         }
         tables.push(CheckpointTable {
@@ -303,8 +307,8 @@ mod tests {
                 schema,
                 indexes: vec!["name".to_string(), "score".to_string()],
                 rows: vec![
-                    (Key::single(1i64), row![1i64, "alice", 3.5f64]),
-                    (Key::single(2i64), row![2i64, "bob", Value::Null]),
+                    (Key::single(1i64), Arc::new(row![1i64, "alice", 3.5f64])),
+                    (Key::single(2i64), Arc::new(row![2i64, "bob", Value::Null])),
                 ],
             }],
             namespaces: vec![CheckpointNamespace {

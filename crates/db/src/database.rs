@@ -31,9 +31,10 @@
 //! * **DDL is logged and synced before the commits that use it;
 //!   rotation, compaction and checkpoints never run inside the
 //!   publication window** and never fail a commit.
-//! * **Recovery is one walk and one replay loop**
-//!   ([`Database::recover`]), re-installing entries verbatim through the
-//!   commit pipeline before the log is attached.
+//! * **Recovery is one streaming walk with one replay step**
+//!   ([`Database::open_durable_in`]), re-installing each entry verbatim
+//!   through the commit pipeline as it is decoded, before the log is
+//!   attached.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -44,7 +45,7 @@ use parking_lot::{Mutex, RwLock};
 use crate::cdc::{is_kv_table, kv_table_name, KV_TABLE_PREFIX};
 use crate::checkpoint::{Checkpoint, CheckpointNamespace, CheckpointTable};
 use crate::commit::Sequencer;
-use crate::dir::LogDir;
+use crate::dir::{FsDir, LogDir};
 use crate::error::{DbError, DbResult, StorageError};
 use crate::latency::{LatencyModel, StorageProfile};
 use crate::log::{CommittedTxn, RetentionPolicy, TxnId, TxnLog};
@@ -53,7 +54,7 @@ use crate::predicate::Predicate;
 use crate::registry::{ActiveTxnRegistry, GcPin};
 use crate::row::{Key, Row};
 use crate::schema::Schema;
-use crate::segment::{RecoveredLog, RecoveryReport, SegmentedWal};
+use crate::segment::{RecoveredLog, RecoveryReport, Replay, SegmentedWal};
 use crate::table::{ScanPlan, ScanRows, TableStore};
 use crate::txn::{IsolationLevel, Transaction};
 use crate::value::{DataType, Value};
@@ -185,33 +186,46 @@ impl Database {
     }
 
     /// Opens (creating if absent) a durable database: walks the log in
-    /// the directory at `path` ([`SegmentedWal::open_dir`]) and rebuilds
-    /// the database from it ([`Database::recover`]). Damage to durable
-    /// bytes yields [`StorageError::Corrupt`], replay inconsistencies
+    /// the directory at `path` and rebuilds the database from it
+    /// ([`Database::open_durable_in`]). Damage to durable bytes yields
+    /// [`StorageError::Corrupt`], replay inconsistencies
     /// [`StorageError::Recovery`], a regular file at `path` a typed error
     /// that leaves it untouched — never a panic.
     pub fn open_durable(
         path: impl AsRef<std::path::Path>,
         opts: WalOptions,
     ) -> DbResult<(Database, RecoveryReport)> {
-        Self::recover(SegmentedWal::open_path(path, opts)?)
+        Self::open_durable_in(Arc::new(FsDir::open(path)?), opts)
     }
 
-    /// [`Database::open_durable`] over an arbitrary [`LogDir`].
+    /// [`Database::open_durable`] over an arbitrary [`LogDir`]: one
+    /// streaming recovery walk ([`SegmentedWal::open_dir`]) restores the
+    /// boot checkpoint (if any) and replays each record as it is decoded
+    /// (`Database::replay_record`); only then is the log attached, so
+    /// replayed entries are not re-appended to it. A failure anywhere in
+    /// the walk discards the partial database.
     pub fn open_durable_in(
         dir: Arc<dyn LogDir>,
         opts: WalOptions,
     ) -> DbResult<(Database, RecoveryReport)> {
-        Self::recover(SegmentedWal::open_dir(dir, opts)?)
+        let db = Database::new();
+        let mut lenient_ddl = false;
+        let RecoveredLog { wal, report } =
+            SegmentedWal::open_dir(dir, opts, |step, report| match step {
+                Replay::Checkpoint(ck) => {
+                    lenient_ddl = true;
+                    db.restore_checkpoint(ck)
+                }
+                Replay::Record(record) => db.replay_record(record, lenient_ddl, report),
+            })?;
+        db.set_wal(wal);
+        Ok((db, report))
     }
 
-    /// Rebuilds an environment from one recovery walk — the only loop
-    /// that replays [`WalRecord`]s. Restores the boot checkpoint (if
-    /// any), replays the record tail in order — DDL rebuilds the
-    /// catalog, namespaces included, and commit entries re-install
-    /// verbatim, `kv:<namespace>` rows included — and only then attaches
-    /// the log, so replayed entries are not re-appended to it. Adds the
-    /// replay counts to the walk's report.
+    /// Replays one recovered record — the only place [`WalRecord`]s are
+    /// re-applied: DDL rebuilds the catalog, namespaces included, and a
+    /// commit entry re-installs verbatim, `kv:<namespace>` rows included.
+    /// Adds the replay counts to `report`.
     ///
     /// On a checkpoint boot DDL replays *leniently*: re-creating an
     /// object the checkpoint already restored is skipped (sound — the
@@ -221,64 +235,54 @@ impl Database {
     /// is a typed recovery error. An index declaration on an already
     /// indexed column is satisfied in every boot: logs from before the
     /// hash and range kinds merged can declare both on one column.
-    pub fn recover(log: RecoveredLog) -> DbResult<(Database, RecoveryReport)> {
-        let RecoveredLog {
-            wal,
-            checkpoint,
-            records,
-            mut report,
-        } = log;
-        let db = Database::new();
+    fn replay_record(
+        &self,
+        record: WalRecord,
+        lenient_ddl: bool,
+        report: &mut RecoveryReport,
+    ) -> DbResult<()> {
         let recovery_err = |detail: String| DbError::Storage(StorageError::Recovery { detail });
-        if let Some(ck) = &checkpoint {
-            db.restore_checkpoint(ck)?;
-        }
-        let lenient_ddl = checkpoint.is_some();
-        for record in &records {
-            match record {
-                WalRecord::CreateTable { name, schema } => {
-                    if lenient_ddl && db.has_table(name) {
-                        continue;
-                    }
-                    db.create_table(name.clone(), schema.clone())
-                        .map_err(|e| recovery_err(format!("create table `{name}`: {e}")))?;
-                    report.tables += 1;
+        match record {
+            WalRecord::CreateTable { name, schema } => {
+                if lenient_ddl && self.has_table(&name) {
+                    return Ok(());
                 }
-                WalRecord::CreateIndex { table, column } => {
-                    let indexed = db
-                        .table(table)
-                        .is_ok_and(|t| t.indexed_columns().contains(column));
-                    if indexed {
-                        continue;
-                    }
-                    db.create_index(table, column).map_err(|e| {
-                        recovery_err(format!("create index `{table}.{column}`: {e}"))
-                    })?;
-                    report.indexes += 1;
+                self.create_table(name.clone(), schema)
+                    .map_err(|e| recovery_err(format!("create table `{name}`: {e}")))?;
+                report.tables += 1;
+            }
+            WalRecord::CreateIndex { table, column } => {
+                let indexed = self
+                    .table(&table)
+                    .is_ok_and(|t| t.indexed_columns().contains(&column));
+                if indexed {
+                    return Ok(());
                 }
-                WalRecord::CreateNamespace { name } => {
-                    if lenient_ddl && db.has_namespace(name) {
-                        continue;
-                    }
-                    db.create_namespace(name)
-                        .map_err(|e| recovery_err(format!("create namespace `{name}`: {e}")))?;
-                    report.namespaces.push(name.clone());
+                self.create_index(&table, &column)
+                    .map_err(|e| recovery_err(format!("create index `{table}.{column}`: {e}")))?;
+                report.indexes += 1;
+            }
+            WalRecord::CreateNamespace { name } => {
+                if lenient_ddl && self.has_namespace(&name) {
+                    return Ok(());
                 }
-                WalRecord::Commit(entry) => {
-                    db.apply_entry(entry).map_err(|e| {
-                        recovery_err(format!("replay commit ts {}: {e}", entry.commit_ts))
-                    })?;
-                    report.commits += 1;
-                    report.kv_writes_replayed += entry
-                        .changes
-                        .iter()
-                        .filter(|c| is_kv_table(&c.table))
-                        .count();
-                }
+                self.create_namespace(&name)
+                    .map_err(|e| recovery_err(format!("create namespace `{name}`: {e}")))?;
+                report.namespaces.push(name);
+            }
+            WalRecord::Commit(entry) => {
+                self.apply_entry(&entry).map_err(|e| {
+                    recovery_err(format!("replay commit ts {}: {e}", entry.commit_ts))
+                })?;
+                report.commits += 1;
+                report.kv_writes_replayed += entry
+                    .changes
+                    .iter()
+                    .filter(|c| is_kv_table(&c.table))
+                    .count();
             }
         }
-        db.set_wal(wal);
-        Ok((db, report))
+        Ok(())
     }
 
     /// Attaches the durable log: every subsequent commit appends its
@@ -330,10 +334,7 @@ impl Database {
                     name: name.clone(),
                     schema: store.schema().clone(),
                     indexes: store.indexed_columns(),
-                    rows: rows
-                        .into_iter()
-                        .map(|(key, row)| (key, (*row).clone()))
-                        .collect(),
+                    rows,
                 }),
             }
         }
@@ -398,13 +399,7 @@ impl Database {
         for table in &ck.tables {
             self.create_table(table.name.clone(), table.schema.clone())?;
             let store = self.table(&table.name)?;
-            store.install_snapshot(
-                table
-                    .rows
-                    .iter()
-                    .map(|(key, row)| (key.clone(), Arc::new(row.clone()))),
-                ts,
-            );
+            store.install_snapshot(table.rows.iter().cloned(), ts);
             for column in &table.indexes {
                 store.create_index(column)?;
             }

@@ -10,13 +10,16 @@
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{Read as _, Seek, SeekFrom, Write as _};
+use std::io::{BufRead, BufReader, Read as _, Seek, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use crate::error::StorageError;
+
+/// Read buffer of one [`LogDir::open_read`] stream over a real file.
+const READ_BUFFER_BYTES: usize = 64 << 10;
 
 pub(crate) fn io_err(op: &'static str, e: std::io::Error) -> StorageError {
     StorageError::Io {
@@ -44,8 +47,18 @@ pub trait LogFile: Send {
 pub trait LogDir: Send + Sync {
     /// File names currently present (no ordering guarantee).
     fn list(&self) -> Result<Vec<String>, StorageError>;
+    /// Opens a file for one sequential read from its start, through a
+    /// bounded buffer: the recovery walk and compaction stream segments
+    /// frame by frame instead of holding them.
+    fn open_read(&self, name: &str) -> Result<Box<dyn BufRead + Send>, StorageError>;
     /// Reads a whole file.
-    fn read(&self, name: &str) -> Result<Vec<u8>, StorageError>;
+    fn read(&self, name: &str) -> Result<Vec<u8>, StorageError> {
+        let mut data = Vec::new();
+        self.open_read(name)?
+            .read_to_end(&mut data)
+            .map_err(|e| io_err("read", e))?;
+        Ok(data)
+    }
     /// Creates (truncating) a file and returns an append handle for it.
     fn create(&self, name: &str) -> Result<Box<dyn LogFile>, StorageError>;
     /// Opens an existing file for appending at its end.
@@ -136,11 +149,9 @@ impl LogDir for FsDir {
         Ok(out)
     }
 
-    fn read(&self, name: &str) -> Result<Vec<u8>, StorageError> {
-        let mut file = File::open(self.root.join(name)).map_err(|e| io_err("read", e))?;
-        let mut data = Vec::new();
-        file.read_to_end(&mut data).map_err(|e| io_err("read", e))?;
-        Ok(data)
+    fn open_read(&self, name: &str) -> Result<Box<dyn BufRead + Send>, StorageError> {
+        let file = File::open(self.root.join(name)).map_err(|e| io_err("read", e))?;
+        Ok(Box::new(BufReader::with_capacity(READ_BUFFER_BYTES, file)))
     }
 
     fn create(&self, name: &str) -> Result<Box<dyn LogFile>, StorageError> {
@@ -265,8 +276,11 @@ impl LogDir for MemDir {
         Ok(self.names())
     }
 
-    fn read(&self, name: &str) -> Result<Vec<u8>, StorageError> {
-        self.file(name).ok_or_else(|| MemDir::missing("read", name))
+    fn open_read(&self, name: &str) -> Result<Box<dyn BufRead + Send>, StorageError> {
+        let data = self
+            .file(name)
+            .ok_or_else(|| MemDir::missing("read", name))?;
+        Ok(Box::new(std::io::Cursor::new(data)))
     }
 
     fn create(&self, name: &str) -> Result<Box<dyn LogFile>, StorageError> {
@@ -502,8 +516,8 @@ impl LogDir for FailpointDir {
         self.inner.list()
     }
 
-    fn read(&self, name: &str) -> Result<Vec<u8>, StorageError> {
-        self.inner.read(name)
+    fn open_read(&self, name: &str) -> Result<Box<dyn BufRead + Send>, StorageError> {
+        self.inner.open_read(name)
     }
 
     fn create(&self, name: &str) -> Result<Box<dyn LogFile>, StorageError> {

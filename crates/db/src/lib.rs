@@ -132,7 +132,7 @@ pub use predicate::{CmpOp, ColumnBounds, CompiledPredicate, Predicate};
 pub use registry::ActiveTxnRegistry;
 pub use row::{Key, Row};
 pub use schema::{Column, Schema, SchemaBuilder};
-pub use segment::{RecoveredLog, RecoveryReport, SegmentedWal, WalStats};
+pub use segment::{RecoveredLog, RecoveryReport, Replay, SegmentedWal, WalStats};
 pub use table::{ScanPlan, ScanRows, TableStore};
 pub use txn::{CommitInfo, IsolationLevel, Transaction};
 pub use value::{DataType, Value};

@@ -11,8 +11,13 @@
 //!   sealed file before it.
 //! * **Only the active segment may be torn.** A segment is fully synced
 //!   before it stops being active, and cold files are verified copies:
-//!   any damage in a sealed or cold file is [`StorageError::Corrupt`]
-//!   naming the file, never silent truncation.
+//!   any damage in a sealed or cold file — a torn tail included — is
+//!   [`StorageError::Corrupt`] naming the file, never silent truncation.
+//!   The active segment's torn tail is truncated only after its last
+//!   valid record has been replayed.
+//! * **Recovery and compaction stream.** Both read a file one frame at a
+//!   time through [`LogDir::open_read`]; neither holds a file's bytes or
+//!   its decoded records.
 //! * **The MANIFEST is never edited in place**: write `MANIFEST.tmp`,
 //!   fsync, rename over `MANIFEST`, fsync the directory. New files are
 //!   durable before the manifest lists them; old files are deleted only
@@ -23,7 +28,7 @@
 //!   commit; [`SegmentedWal::open_dir`] reconciles whatever debris is
 //!   left.
 
-use std::collections::BTreeMap;
+use std::io::BufRead;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -34,12 +39,12 @@ use parking_lot::Mutex;
 use crate::checkpoint::{
     checkpoint_name, decode_checkpoint, encode_checkpoint, parse_checkpoint_name, Checkpoint,
 };
-use crate::dir::{FsDir, LogDir, LogFile};
+use crate::dir::{io_err, FsDir, LogDir, LogFile};
 use crate::error::StorageError;
 use crate::log::CommittedTxn;
 use crate::mvcc::Ts;
 use crate::wal::{
-    crc32, decode_records, put_str, put_u32, put_u64, Cursor, SyncMode, Wal, WalOptions, WalRecord,
+    crc32, put_str, put_u32, put_u64, stream_records, Cursor, SyncMode, Wal, WalOptions, WalRecord,
 };
 
 /// The manifest file name inside a log directory.
@@ -51,6 +56,8 @@ const MANIFEST_VERSION: u32 = 2;
 const CHECKPOINTS_KEPT: usize = 2;
 /// Cold-file count above which compaction merges contiguous cold runs.
 const COLD_MERGE_BOUND: usize = 8;
+/// Verified frames compaction gathers before one write to the cold file.
+const COPY_CHUNK_BYTES: usize = 64 << 10;
 
 fn segment_name(seq: u64) -> String {
     format!("wal-{seq:06}.seg")
@@ -80,19 +87,13 @@ fn parse_cold_name(name: &str) -> Option<(u64, u64)> {
     Some((lo.parse().ok()?, hi.parse().ok()?))
 }
 
-fn max_commit_ts(records: &[WalRecord]) -> Ts {
-    records
-        .iter()
-        .filter_map(|r| match r {
-            WalRecord::Commit(e) => Some(e.commit_ts),
-            _ => None,
-        })
-        .max()
-        .unwrap_or(0)
-}
-
-fn has_ddl(records: &[WalRecord]) -> bool {
-    records.iter().any(|r| !matches!(r, WalRecord::Commit(_)))
+/// Folds one record into a segment's summary: its highest commit ts and
+/// whether it holds DDL (see [`SealedSeg::has_ddl`]).
+fn note_record(max_ts: &mut Ts, has_ddl: &mut bool, record: &WalRecord) {
+    match record {
+        WalRecord::Commit(e) => *max_ts = (*max_ts).max(e.commit_ts),
+        _ => *has_ddl = true,
+    }
 }
 
 fn unix_ms() -> u64 {
@@ -408,18 +409,23 @@ pub struct RecoveryReport {
     pub skipped_files: usize,
 }
 
-/// Everything one recovery walk produces.
+/// What the recovery walk ([`SegmentedWal::open_dir`]) hands its replay
+/// callback, in log order.
+pub enum Replay<'a> {
+    /// The newest valid checkpoint, before any record: restore it first.
+    Checkpoint(&'a Checkpoint),
+    /// The next record, in global commit order. On a checkpoint boot the
+    /// commits the snapshot covers are dropped as they are decoded; DDL
+    /// records are kept (replay them leniently — the snapshot holds their
+    /// objects).
+    Record(WalRecord),
+}
+
+/// What one recovery walk leaves once every record has been replayed.
 pub struct RecoveredLog {
-    /// The live log, positioned after the recovered prefix. Attach it
-    /// only after replaying `records`, or they would be re-appended.
+    /// The live log, positioned after the recovered prefix.
     pub wal: Arc<SegmentedWal>,
-    /// The newest valid checkpoint, if any: restore it first.
-    pub checkpoint: Option<Checkpoint>,
-    /// The records to replay, in commit order. On a checkpoint boot the
-    /// commits the snapshot covers are already dropped; DDL records are
-    /// kept (replayed leniently — the snapshot holds their objects).
-    pub records: Vec<WalRecord>,
-    /// The walk's findings; replay adds its counts.
+    /// The walk's findings plus the counts its replay callback added.
     pub report: RecoveryReport,
 }
 
@@ -521,23 +527,22 @@ impl SegmentedWal {
         Self::create_dir(Arc::new(FsDir::open(path)?), opts)
     }
 
-    /// Opens (creating if absent) the segmented log in the directory at
-    /// `path`. A regular file at `path` is refused, untouched.
-    pub fn open_path(
-        path: impl AsRef<Path>,
+    /// The recovery walk over any [`LogDir`], one streaming pass: it
+    /// validates the manifest, reconciles crash debris (temp files,
+    /// orphan successors, unlisted leftovers) and hands the newest valid
+    /// checkpoint to `replay`. It then streams every cold and sealed file
+    /// the checkpoint does not cover (strictly) and the active segment
+    /// (torn-tail rule) one frame at a time, handing each record to
+    /// `replay` in global commit order as it is decoded. Only after the
+    /// last record does it rewrite the manifest and truncate a torn tail,
+    /// so an error from a later file, or from `replay`, leaves the log
+    /// files as they were. Attach the returned log only now, or the
+    /// replayed records would be re-appended.
+    pub fn open_dir<E: From<StorageError>>(
+        dir: Arc<dyn LogDir>,
         opts: WalOptions,
-    ) -> Result<RecoveredLog, StorageError> {
-        Self::open_dir(Arc::new(FsDir::open(path)?), opts)
-    }
-
-    /// The recovery walk over any [`LogDir`]: validates the manifest,
-    /// reconciles crash debris (temp files, orphan successors, unlisted
-    /// leftovers), picks the newest valid checkpoint, strictly validates
-    /// every cold and sealed file the checkpoint does not cover, applies
-    /// the torn-tail rule to the active segment only, and returns the
-    /// live log, the checkpoint and the records to replay after it in
-    /// global commit order.
-    pub fn open_dir(dir: Arc<dyn LogDir>, opts: WalOptions) -> Result<RecoveredLog, StorageError> {
+        mut replay: impl FnMut(Replay<'_>, &mut RecoveryReport) -> Result<(), E>,
+    ) -> Result<RecoveredLog, E> {
         let mut rec = RecoveryReport::default();
         let mut names = dir.list()?;
         names.sort();
@@ -604,14 +609,14 @@ impl SegmentedWal {
         // them) outside the manifest. A non-empty successor proves the
         // swap completed, which proves its predecessor was fully synced
         // at seal time — so the predecessor must decode perfectly clean.
-        let mut decoded: BTreeMap<String, Vec<WalRecord>> = BTreeMap::new();
+        // Adoption only summarizes it; the walk below streams it again.
         loop {
             let succ_name = segment_name(manifest.active_seq + 1);
             if !names.contains(&succ_name) {
                 break;
             }
-            let succ_bytes = dir.read(&succ_name)?;
-            if succ_bytes.is_empty() {
+            let succ_empty = dir.open_read(&succ_name)?.fill_buf().map(|b| b.is_empty());
+            if succ_empty.map_err(|e| io_err("read", e))? {
                 // The swap may or may not have happened; either way an
                 // empty successor carries nothing. Drop it and let the
                 // next rotation recreate it.
@@ -622,9 +627,11 @@ impl SegmentedWal {
                 break;
             }
             let prev_name = manifest.active_name.clone();
-            let prev_bytes = dir.read(&prev_name)?;
-            let (records, info) =
-                decode_records(&prev_bytes).map_err(|e| prefix_file(e, &prev_name))?;
+            let (mut max_ts, mut has_ddl) = (0, false);
+            let info = stream_records(dir.open_read(&prev_name)?, &prev_name, |record, _| {
+                note_record(&mut max_ts, &mut has_ddl, &record);
+                Ok::<_, StorageError>(())
+            })?;
             if info.truncated_bytes != 0 {
                 return Err(StorageError::Corrupt {
                     offset: info.valid_len,
@@ -632,16 +639,16 @@ impl SegmentedWal {
                         "{prev_name}: sealed segment has a torn tail ({} bytes) but its successor {succ_name} holds data",
                         info.truncated_bytes
                     ),
-                });
+                }
+                .into());
             }
             manifest.sealed.push(SealedSeg {
                 seq: manifest.active_seq,
-                name: prev_name.clone(),
-                len: prev_bytes.len() as u64,
-                max_ts: max_commit_ts(&records),
-                has_ddl: has_ddl(&records),
+                name: prev_name,
+                len: info.valid_len,
+                max_ts,
+                has_ddl,
             });
-            decoded.insert(prev_name, records);
             manifest.active_seq += 1;
             manifest.active_name = succ_name;
             manifest.next_seq = manifest.active_seq + 1;
@@ -693,8 +700,19 @@ impl SegmentedWal {
         }
         rec.checkpoint_ts = checkpoint.as_ref().map(|c| c.ts);
         let ckpt_ts = rec.checkpoint_ts.unwrap_or(0);
+        if let Some(ck) = checkpoint {
+            replay(Replay::Checkpoint(&ck), &mut rec)?;
+        }
+        // Commits the checkpoint covers are dropped as they are decoded
+        // (the snapshot *is* their state); DDL records are kept — the
+        // callback replays them idempotently, since the checkpoint already
+        // restored the catalog objects they made.
+        let mut forward = |record: WalRecord, rec: &mut RecoveryReport| match &record {
+            WalRecord::Commit(e) if ckpt_ts > 0 && e.commit_ts <= ckpt_ts => Ok(()),
+            _ => replay(Replay::Record(record), rec),
+        };
 
-        // Validate and decode immutable files in global (sequence) order.
+        // Validate, decode and replay immutable files in global (sequence) order.
         // Cold and sealed files are interleaved by their sequence ranges
         // — compaction may cold a run *behind* a still-hot sealed segment
         // — so the walk merges both lists sorted by low sequence. Cold
@@ -716,7 +734,6 @@ impl SegmentedWal {
             .map(|s| (s.seq, false, &s.name, s.len, s.max_ts, s.has_ddl));
         let mut files: Vec<_> = cold.chain(sealed).collect();
         files.sort_by_key(|f| f.0);
-        let mut records = Vec::new();
         let mut base = 0u64;
         for (_, is_cold, name, len, max_ts, file_has_ddl) in files {
             if is_cold {
@@ -725,44 +742,24 @@ impl SegmentedWal {
                 rec.segments += 1;
             }
             base += len;
-            let adopted = decoded.remove(name);
             if ckpt_ts > 0 && max_ts <= ckpt_ts && !file_has_ddl {
                 rec.skipped_files += 1;
-            } else if let Some(adopted) = adopted {
-                records.extend(adopted);
-            } else {
-                let bytes = dir.read(name).map_err(|_| StorageError::Recovery {
-                    detail: format!(
-                        "manifest references missing {} `{name}`",
-                        if is_cold { "cold file" } else { "segment" }
-                    ),
-                })?;
-                records.extend(decode_strict(&bytes, name, len)?);
+                continue;
             }
+            let what = if is_cold { "cold file" } else { "segment" };
+            let src = open_listed(dir.as_ref(), name, what)?;
+            stream_strict(src, name, len, |record, _| forward(record, &mut rec))?;
         }
 
         let active_name = &manifest.active_name;
-        let active_bytes = dir.read(active_name).map_err(|_| StorageError::Recovery {
-            detail: format!("manifest references missing active segment `{active_name}`"),
+        let src = open_listed(dir.as_ref(), active_name, "active segment")?;
+        let (mut active_max_ts, mut active_has_ddl) = (0, false);
+        let info = stream_records(src, active_name, |record, _| {
+            note_record(&mut active_max_ts, &mut active_has_ddl, &record);
+            forward(record, &mut rec)
         })?;
-        let (active_records, info) =
-            decode_records(&active_bytes).map_err(|e| prefix_file(e, active_name))?;
         rec.truncated_bytes = info.truncated_bytes;
         rec.segments += 1;
-        let (active_max_ts, active_has_ddl) =
-            (max_commit_ts(&active_records), has_ddl(&active_records));
-        records.extend(active_records);
-
-        // On a checkpoint boot, commits the snapshot covers are dropped
-        // from the replay stream (the snapshot *is* their state); DDL
-        // records are kept — the caller replays them idempotently, since
-        // the checkpoint already restored the catalog objects they made.
-        if ckpt_ts > 0 {
-            records.retain(|r| match r {
-                WalRecord::Commit(e) => e.commit_ts > ckpt_ts,
-                _ => true,
-            });
-        }
 
         if dirty {
             write_manifest(dir.as_ref(), &manifest)?;
@@ -778,19 +775,14 @@ impl SegmentedWal {
             has_ddl: active_has_ddl,
         };
         let wal = Self::assemble(dir, opts, manifest, active);
-        if checkpoint.is_some() {
+        if rec.checkpoint_ts.is_some() {
             // Cadence restarts from the recovered end of the log.
             wal.last_ckpt_lsn.store(wal.appended(), Ordering::Relaxed);
         }
         wal.counters
             .checkpoint_fallbacks
             .store(rec.checkpoint_fallbacks as u64, Ordering::Relaxed);
-        Ok(RecoveredLog {
-            wal,
-            checkpoint,
-            records,
-            report: rec,
-        })
+        Ok(RecoveredLog { wal, report: rec })
     }
 
     fn assemble(
@@ -828,12 +820,9 @@ impl SegmentedWal {
     pub fn append_record(&self, record: &WalRecord) -> Result<u64, StorageError> {
         let mut s = self.state.lock();
         let lsn = s.active.wal.append_record(record)?;
-        if let WalRecord::Commit(e) = record {
-            s.active.max_ts = s.active.max_ts.max(e.commit_ts);
-        } else {
-            s.active.has_ddl = true;
-        }
-        Ok(s.active.base + lsn)
+        let active = &mut s.active;
+        note_record(&mut active.max_ts, &mut active.has_ddl, record);
+        Ok(active.base + lsn)
     }
 
     /// [`SegmentedWal::append_record`] for a committed transaction.
@@ -1056,10 +1045,11 @@ impl SegmentedWal {
         Ok(compacted)
     }
 
-    /// Copies + strictly verifies `sources` into `cold.name` (temp file,
-    /// fsync, rename, dir fsync), publishes it in the manifest — removing
-    /// every source from the sealed and cold lists — and only then
-    /// deletes the originals (best-effort; recovery reconciles leftovers).
+    /// Streams `sources` into `cold.name`, verifying each frame strictly
+    /// before it is copied (temp file, fsync, rename, dir fsync),
+    /// publishes it in the manifest — removing every source from the
+    /// sealed and cold lists — and only then deletes the originals
+    /// (best-effort; recovery reconciles leftovers).
     /// Caller holds `rotate_lock`.
     fn publish_cold(
         &self,
@@ -1068,13 +1058,19 @@ impl SegmentedWal {
     ) -> Result<(), StorageError> {
         let dir = &self.dir;
         write_durable(dir.as_ref(), &cold.name, |file| {
+            let mut chunk = Vec::with_capacity(COPY_CHUNK_BYTES);
             for (name, len) in sources {
-                let bytes = dir.read(name)?;
-                decode_strict(&bytes, name, *len)?;
-                file.write_all(&bytes)?;
-                cold.len += bytes.len() as u64;
+                stream_strict(dir.open_read(name)?, name, *len, |_, frame| {
+                    chunk.extend_from_slice(frame);
+                    if chunk.len() >= COPY_CHUNK_BYTES {
+                        file.write_all(&chunk)?;
+                        chunk.clear();
+                    }
+                    Ok::<_, StorageError>(())
+                })?;
+                cold.len += len;
             }
-            Ok(())
+            file.write_all(&chunk)
         })?;
 
         // Manifest swap FIRST (the cold file becomes authoritative), then
@@ -1297,45 +1293,47 @@ fn seal_sync(wal: &Arc<Wal>, mode: SyncMode) -> Result<(), StorageError> {
     }
 }
 
-/// Strict validation for immutable (cold/sealed) files: every byte must
-/// decode, the length must match the manifest, and a torn tail is
-/// corruption here — these files were complete and durable before the
-/// manifest ever referenced them.
-fn decode_strict(
-    bytes: &[u8],
+/// Opens the manifest-listed `what` called `name` for streaming; a
+/// missing file is a typed recovery error.
+fn open_listed(
+    dir: &dyn LogDir,
     name: &str,
-    expect_len: u64,
-) -> Result<Vec<WalRecord>, StorageError> {
-    let (records, info) = decode_records(bytes).map_err(|e| prefix_file(e, name))?;
-    if info.truncated_bytes != 0 {
-        return Err(StorageError::Corrupt {
-            offset: info.valid_len,
-            detail: format!(
-                "{name}: immutable file has {} damaged tail bytes",
-                info.truncated_bytes
-            ),
-        });
-    }
-    if info.valid_len != expect_len {
-        return Err(StorageError::Corrupt {
-            offset: info.valid_len,
-            detail: format!(
-                "{name}: length {} does not match manifest length {expect_len}",
-                info.valid_len
-            ),
-        });
-    }
-    Ok(records)
+    what: &str,
+) -> Result<Box<dyn BufRead + Send>, StorageError> {
+    dir.open_read(name).map_err(|_| StorageError::Recovery {
+        detail: format!("manifest references missing {what} `{name}`"),
+    })
 }
 
-fn prefix_file(e: StorageError, name: &str) -> StorageError {
-    match e {
-        StorageError::Corrupt { offset, detail } => StorageError::Corrupt {
-            offset,
-            detail: format!("{name}: {detail}"),
-        },
-        other => other,
+/// Streams one immutable (cold/sealed) file into `on_frame`, strictly:
+/// every byte must decode, the length must match the manifest, and a
+/// torn tail is corruption here — these files were complete and durable
+/// before the manifest ever referenced them.
+fn stream_strict<E: From<StorageError>>(
+    src: Box<dyn BufRead + Send>,
+    name: &str,
+    expect_len: u64,
+    on_frame: impl FnMut(WalRecord, &[u8]) -> Result<(), E>,
+) -> Result<(), E> {
+    let info = stream_records(src, name, on_frame)?;
+    let detail = if info.truncated_bytes != 0 {
+        format!(
+            "immutable file has {} damaged tail bytes",
+            info.truncated_bytes
+        )
+    } else if info.valid_len != expect_len {
+        format!(
+            "length {} does not match manifest length {expect_len}",
+            info.valid_len
+        )
+    } else {
+        return Ok(());
+    };
+    Err(StorageError::Corrupt {
+        offset: info.valid_len,
+        detail: format!("{name}: {detail}"),
     }
+    .into())
 }
 
 #[cfg(test)]
@@ -1375,6 +1373,18 @@ mod tests {
                 _ => None,
             })
             .collect()
+    }
+
+    /// The recovery walk, collecting the records it hands to replay.
+    fn open_collect(dir: Arc<dyn LogDir>) -> Result<(RecoveredLog, Vec<WalRecord>), StorageError> {
+        let mut records = Vec::new();
+        let log = SegmentedWal::open_dir(dir, tiny_opts(), |step, _| {
+            if let Replay::Record(record) = step {
+                records.push(record);
+            }
+            Ok::<_, StorageError>(())
+        })?;
+        Ok((log, records))
     }
 
     #[test]
@@ -1468,12 +1478,14 @@ mod tests {
         assert_eq!(stats.appended, stats.durable);
         drop(wal);
 
-        let RecoveredLog {
-            wal: wal2,
+        let (
+            RecoveredLog {
+                wal: wal2,
+                report: rec,
+                ..
+            },
             records,
-            report: rec,
-            ..
-        } = SegmentedWal::open_dir(dir, tiny_opts()).unwrap();
+        ) = open_collect(dir).unwrap();
         assert_eq!(commit_ts_of(&records), vec![1, 2, 3, 4, 5]);
         assert_eq!(rec.truncated_bytes, 0);
         assert!(rec.segments >= 5);
@@ -1505,11 +1517,7 @@ mod tests {
         );
         drop(wal);
 
-        let RecoveredLog {
-            records,
-            report: rec,
-            ..
-        } = SegmentedWal::open_dir(dir, tiny_opts()).unwrap();
+        let (RecoveredLog { report: rec, .. }, records) = open_collect(dir).unwrap();
         assert_eq!(commit_ts_of(&records), vec![1, 2, 3, 4, 5, 6]);
         assert_eq!(rec.cold_files, 1);
     }
@@ -1551,11 +1559,7 @@ mod tests {
         // sealing means fully synced. Also append a commit to the active
         // so adoption has a clean predecessor.
         mem.put_file(&orphan, frame);
-        let RecoveredLog {
-            records,
-            report: rec,
-            ..
-        } = SegmentedWal::open_dir(dir, tiny_opts()).unwrap();
+        let (RecoveredLog { report: rec, .. }, records) = open_collect(dir).unwrap();
         assert_eq!(rec.adopted_orphans, 1);
         assert_eq!(commit_ts_of(&records).last(), Some(&9));
     }
@@ -1570,11 +1574,7 @@ mod tests {
         drop(wal);
         let listed = decode_manifest(&mem.file(MANIFEST_NAME).unwrap()).unwrap();
         mem.put_file(&segment_name(listed.active_seq + 1), Vec::new());
-        let RecoveredLog {
-            records,
-            report: rec,
-            ..
-        } = SegmentedWal::open_dir(dir, tiny_opts()).unwrap();
+        let (RecoveredLog { report: rec, .. }, records) = open_collect(dir).unwrap();
         assert_eq!(commit_ts_of(&records), vec![1]);
         assert_eq!(rec.adopted_orphans, 0);
         assert!(rec.removed_files >= 1);
@@ -1598,9 +1598,7 @@ mod tests {
         mem.put_file(&listed.active_name, active);
         let frame = crate::wal::encode_frame(&WalRecord::Commit(entry(2, 2)));
         mem.put_file(&segment_name(listed.active_seq + 1), frame);
-        let err = SegmentedWal::open_dir(dir, tiny_opts())
-            .map(|_| ())
-            .unwrap_err();
+        let err = open_collect(dir).map(|_| ()).unwrap_err();
         assert!(matches!(err, StorageError::Corrupt { .. }), "{err:?}");
     }
 
@@ -1620,9 +1618,7 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;
         mem.put_file(&name, bytes);
-        let err = SegmentedWal::open_dir(dir, tiny_opts())
-            .map(|_| ())
-            .unwrap_err();
+        let err = open_collect(dir).map(|_| ()).unwrap_err();
         match err {
             StorageError::Corrupt { detail, .. } => {
                 assert!(detail.contains(&name), "detail: {detail}")
@@ -1644,11 +1640,7 @@ mod tests {
         mem.put_file("MANIFEST.tmp", b"half-written".to_vec());
         mem.put_file("cold-000000-000000.seg.tmp", b"partial copy".to_vec());
         mem.put_file("cold-000090-000091.seg", b"unpublished".to_vec());
-        let RecoveredLog {
-            records,
-            report: rec,
-            ..
-        } = SegmentedWal::open_dir(dir, tiny_opts()).unwrap();
+        let (RecoveredLog { report: rec, .. }, records) = open_collect(dir).unwrap();
         assert_eq!(commit_ts_of(&records), vec![1, 2]);
         assert!(rec.removed_files >= 3, "{rec:?}");
         assert!(mem.file("MANIFEST.tmp").is_none());

@@ -20,12 +20,15 @@
 //!   covered; their bytes stay queued at the front of the buffer and the
 //!   next leader repairs the file (truncate to the last confirmed
 //!   offset) and retries them — the commit path is never poisoned.
-//! * **Torn-tail rule** — [`decode_records`] truncates damage that
-//!   extends to the end of the stream (an unacknowledged commit died
-//!   mid-write) and refuses damage with valid records after it as
+//! * **Torn-tail rule** — `stream_records` (and its slice form
+//!   [`decode_records`]) reads a log one frame at a time and stops at the
+//!   first damaged frame. Damage that extends to the end of the stream
+//!   (an unacknowledged commit died mid-write) is reported as a torn tail
+//!   for the caller to truncate; damage with valid records after it is
 //!   [`StorageError::Corrupt`] — never a panic, never a silently wrong
 //!   state.
 
+use std::io::BufRead;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -33,7 +36,7 @@ use std::sync::Arc;
 use parking_lot::{Condvar, Mutex};
 
 use crate::cdc::{ChangeOp, ChangeRecord};
-use crate::dir::{FsFile, LogFile};
+use crate::dir::{io_err, FsFile, LogFile};
 use crate::error::StorageError;
 use crate::log::CommittedTxn;
 use crate::row::{Key, Row};
@@ -517,115 +520,139 @@ pub struct RecoveryInfo {
     pub truncated_bytes: u64,
 }
 
-enum Parse {
-    Record(WalRecord, usize),
+enum Frame {
+    Record(WalRecord),
     CleanEnd,
-    /// Structurally incomplete or checksum-damaged at this offset; the
-    /// caller decides torn-tail vs corruption.
+    /// Structurally incomplete or checksum-damaged; the caller decides
+    /// torn-tail vs corruption.
     Damaged(String),
 }
 
-fn parse_one(data: &[u8], pos: usize) -> Parse {
-    let remaining = data.len() - pos;
-    if remaining == 0 {
-        return Parse::CleanEnd;
-    }
-    if remaining < FRAME_HEADER_LEN {
-        return Parse::Damaged(format!("truncated header ({remaining} bytes)"));
-    }
-    let hdr = &data[pos..pos + FRAME_HEADER_LEN];
-    let stored_hdr_crc = u32::from_le_bytes(hdr[8..12].try_into().unwrap());
-    if crc32(&hdr[0..8]) != stored_hdr_crc {
-        return Parse::Damaged("header checksum mismatch".to_string());
-    }
-    let len = u32::from_le_bytes(hdr[0..4].try_into().unwrap());
-    if len > MAX_RECORD_LEN {
-        return Parse::Damaged(format!("record length {len} exceeds maximum"));
-    }
-    let len = len as usize;
-    if remaining < FRAME_HEADER_LEN + len {
-        return Parse::Damaged(format!(
-            "truncated payload ({} of {len} bytes)",
-            remaining - FRAME_HEADER_LEN
-        ));
-    }
-    let payload = &data[pos + FRAME_HEADER_LEN..pos + FRAME_HEADER_LEN + len];
-    let stored_payload_crc = u32::from_le_bytes(hdr[4..8].try_into().unwrap());
-    if crc32(payload) != stored_payload_crc {
-        return Parse::Damaged("payload checksum mismatch".to_string());
-    }
-    match decode_payload(payload) {
-        Ok(record) => Parse::Record(record, pos + FRAME_HEADER_LEN + len),
-        Err(detail) => Parse::Damaged(format!("undecodable record: {detail}")),
-    }
+fn header_crc_ok(hdr: &[u8]) -> bool {
+    u32::from_le_bytes(hdr[8..12].try_into().unwrap()) == crc32(&hdr[0..8])
 }
 
-/// True if a complete, valid chain of ≥1 records runs from `pos` to EOF.
-fn chain_is_clean(data: &[u8], pos: usize) -> bool {
-    let mut at = pos;
+/// The frame parser: reads the next frame of `src` into `frame` (header
+/// and payload bytes) and validates it — header CRC, length bound,
+/// payload CRC, full decode. The payload buffer grows only with bytes
+/// actually read, so a valid header claiming a huge length never
+/// allocates more than the stream holds.
+fn read_frame(src: &mut impl BufRead, frame: &mut Vec<u8>) -> Result<Frame, StorageError> {
+    // Copies from the reader's buffer until `frame` holds `end` bytes or
+    // the stream ends; returns the length reached.
+    let mut fill_to = |end: usize, frame: &mut Vec<u8>| {
+        while frame.len() < end {
+            let buf = src.fill_buf().map_err(|e| io_err("read", e))?;
+            let take = buf.len().min(end - frame.len());
+            if take == 0 {
+                break;
+            }
+            frame.extend_from_slice(&buf[..take]);
+            src.consume(take);
+        }
+        Ok::<_, StorageError>(frame.len())
+    };
+    frame.clear();
+    let got = fill_to(FRAME_HEADER_LEN, frame)?;
+    if got == 0 {
+        return Ok(Frame::CleanEnd);
+    }
+    if got < FRAME_HEADER_LEN {
+        return Ok(Frame::Damaged(format!("truncated header ({got} bytes)")));
+    }
+    if !header_crc_ok(frame) {
+        return Ok(Frame::Damaged("header checksum mismatch".to_string()));
+    }
+    let len = u32::from_le_bytes(frame[0..4].try_into().unwrap());
+    if len > MAX_RECORD_LEN {
+        return Ok(Frame::Damaged(format!(
+            "record length {len} exceeds maximum"
+        )));
+    }
+    let got = fill_to(FRAME_HEADER_LEN + len as usize, frame)? - FRAME_HEADER_LEN;
+    if got < len as usize {
+        return Ok(Frame::Damaged(format!(
+            "truncated payload ({got} of {len} bytes)"
+        )));
+    }
+    let payload = &frame[FRAME_HEADER_LEN..];
+    if crc32(payload) != u32::from_le_bytes(frame[4..8].try_into().unwrap()) {
+        return Ok(Frame::Damaged("payload checksum mismatch".to_string()));
+    }
+    Ok(match decode_payload(payload) {
+        Ok(record) => Frame::Record(record),
+        Err(detail) => Frame::Damaged(format!("undecodable record: {detail}")),
+    })
+}
+
+/// True if a complete, valid chain of ≥1 records runs to the end of `data`.
+fn chain_is_clean(mut data: &[u8]) -> bool {
+    let mut frame = Vec::new();
     let mut any = false;
     loop {
-        match parse_one(data, at) {
-            Parse::Record(_, next) => {
-                any = true;
-                at = next;
-            }
-            Parse::CleanEnd => return any,
-            Parse::Damaged(_) => return false,
+        match read_frame(&mut data, &mut frame) {
+            Ok(Frame::Record(_)) => any = true,
+            Ok(Frame::CleanEnd) => return any,
+            _ => return false,
         }
     }
 }
 
-/// Validates and decodes a log byte stream, applying the torn-tail rule
-/// (module docs): damage at the tail truncates, damage followed by valid
-/// records is a typed [`StorageError::Corrupt`].
+/// Validates and decodes a log stream one frame at a time, handing each
+/// record and its frame bytes to `on_frame`, and applies the torn-tail
+/// rule (module docs) at the first damaged frame. Holds one frame at a
+/// time; only damage reads the rest of the stream, for the resync scan.
+/// A [`StorageError::Corrupt`] names `file` in its detail, unless empty.
+pub(crate) fn stream_records<E: From<StorageError>>(
+    mut src: impl BufRead,
+    file: &str,
+    mut on_frame: impl FnMut(WalRecord, &[u8]) -> Result<(), E>,
+) -> Result<RecoveryInfo, E> {
+    let mut frame = Vec::new();
+    let mut valid_len = 0u64;
+    let damage = loop {
+        match read_frame(&mut src, &mut frame)? {
+            Frame::Record(record) => {
+                on_frame(record, &frame)?;
+                valid_len += frame.len() as u64;
+            }
+            Frame::CleanEnd => break None,
+            Frame::Damaged(detail) => break Some(detail),
+        }
+    };
+    // `frame` now holds the damaged frame's bytes (none after a clean
+    // end); the resync scan runs over them and everything after them. If
+    // any later offset starts a valid chain of records running to the
+    // end, the damage is mid-file corruption — truncating here would drop
+    // acknowledged commits. A damaged region extending to the end is a
+    // torn tail. The cheap header-CRC check gates the chain walk.
+    src.read_to_end(&mut frame).map_err(|e| io_err("read", e))?;
+    let resync_found = (1..frame.len().saturating_sub(FRAME_HEADER_LEN - 1))
+        .any(|cand| header_crc_ok(&frame[cand..]) && chain_is_clean(&frame[cand..]));
+    match damage {
+        Some(detail) if resync_found => Err(StorageError::Corrupt {
+            offset: valid_len,
+            detail: match file {
+                "" => detail,
+                file => format!("{file}: {detail}"),
+            },
+        }
+        .into()),
+        _ => Ok(RecoveryInfo {
+            valid_len,
+            truncated_bytes: frame.len() as u64,
+        }),
+    }
+}
+
+/// `stream_records` over a byte slice, collecting the records.
 pub fn decode_records(data: &[u8]) -> Result<(Vec<WalRecord>, RecoveryInfo), StorageError> {
     let mut records = Vec::new();
-    let mut pos = 0usize;
-    loop {
-        match parse_one(data, pos) {
-            Parse::Record(record, next) => {
-                records.push(record);
-                pos = next;
-            }
-            Parse::CleanEnd => {
-                return Ok((
-                    records,
-                    RecoveryInfo {
-                        valid_len: pos as u64,
-                        truncated_bytes: 0,
-                    },
-                ));
-            }
-            Parse::Damaged(detail) => {
-                // Resync scan: if any later offset starts a valid chain
-                // of records running to EOF, the damage is mid-file
-                // corruption — truncating here would drop acknowledged
-                // commits. A damaged region extending to EOF is a torn
-                // tail. The cheap header-CRC check gates the expensive
-                // chain walk.
-                let resync_found =
-                    (pos + 1..data.len().saturating_sub(FRAME_HEADER_LEN - 1)).any(|cand| {
-                        let hdr = &data[cand..cand + FRAME_HEADER_LEN];
-                        let stored = u32::from_le_bytes(hdr[8..12].try_into().unwrap());
-                        crc32(&hdr[0..8]) == stored && chain_is_clean(data, cand)
-                    });
-                if resync_found {
-                    return Err(StorageError::Corrupt {
-                        offset: pos as u64,
-                        detail,
-                    });
-                }
-                return Ok((
-                    records,
-                    RecoveryInfo {
-                        valid_len: pos as u64,
-                        truncated_bytes: (data.len() - pos) as u64,
-                    },
-                ));
-            }
-        }
-    }
+    let info = stream_records(data, "", |record, _| {
+        records.push(record);
+        Ok::<_, StorageError>(())
+    })?;
+    Ok((records, info))
 }
 
 // ---------------------------------------------------------------------

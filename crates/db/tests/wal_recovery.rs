@@ -429,7 +429,11 @@ fn step_strategy() -> impl Strategy<Value = Step> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    // `PROPTEST_CASES`, when set, replaces the default count: CI runs
+    // these oracles at more cases than the rest of the suite.
+    #![proptest_config(ProptestConfig::with_cases(
+        std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(24)
+    ))]
 
     /// Crash anywhere: reopen recovers exactly the acknowledged prefix.
     #[test]

@@ -23,14 +23,20 @@
 //!   oracle-checked.
 //! * **Layout adoption** — a manifest-less directory of `wal-*.seg`
 //!   files is adopted in sequence order.
+//! * **Streaming walk** — recovery streams segments and cold files and
+//!   never reads one whole; damage found after earlier records were
+//!   replayed fails the boot with the same typed error and leaves the
+//!   directory untouched.
 
-use std::sync::Arc;
+use std::io::BufRead;
+use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 
+use trod_db::wal::{decode_records, encode_frame};
 use trod_db::{
     row, CommittedTxn, DataType, Database, DbError, DirFailpointHandle, FailpointDir, LogDir,
-    MemDir, Schema, StorageError, SyncMode, Ts, WalOptions,
+    LogFile, MemDir, Replay, Schema, SegmentedWal, StorageError, SyncMode, Ts, WalOptions,
 };
 
 fn events_schema() -> Schema {
@@ -445,6 +451,181 @@ fn manifest_less_directory_of_segments_is_adopted_in_order() {
     assert_recovers(image, &oracle_db, &oracle_log, &acked, "manifest-less");
 }
 
+/// A [`LogDir`] over a [`MemDir`] that records which files are read
+/// whole (`read`) and which are streamed (`open_read`).
+#[derive(Default)]
+struct ReadAccounting {
+    inner: MemDir,
+    whole: Mutex<Vec<String>>,
+    streamed: Mutex<Vec<String>>,
+}
+
+impl LogDir for ReadAccounting {
+    fn list(&self) -> Result<Vec<String>, StorageError> {
+        self.inner.list()
+    }
+    fn open_read(&self, name: &str) -> Result<Box<dyn BufRead + Send>, StorageError> {
+        self.streamed.lock().unwrap().push(name.to_string());
+        self.inner.open_read(name)
+    }
+    fn read(&self, name: &str) -> Result<Vec<u8>, StorageError> {
+        self.whole.lock().unwrap().push(name.to_string());
+        self.inner.read(name)
+    }
+    fn create(&self, name: &str) -> Result<Box<dyn LogFile>, StorageError> {
+        self.inner.create(name)
+    }
+    fn open_append(&self, name: &str) -> Result<Box<dyn LogFile>, StorageError> {
+        self.inner.open_append(name)
+    }
+    fn rename(&self, from: &str, to: &str) -> Result<(), StorageError> {
+        self.inner.rename(from, to)
+    }
+    fn delete(&self, name: &str) -> Result<(), StorageError> {
+        self.inner.delete(name)
+    }
+    fn sync_dir(&self) -> Result<(), StorageError> {
+        self.inner.sync_dir()
+    }
+}
+
+/// Recovery streams every segment and cold file it visits and reads none
+/// of them whole — only the MANIFEST and the checkpoint are read whole —
+/// on a checkpoint boot and on a full replay alike.
+#[test]
+fn recovery_streams_segments_and_cold_files_and_never_reads_them_whole() {
+    for checkpoint_bytes in [1, 0] {
+        let workload = Workload {
+            segment_bytes: 1,
+            commits: 8,
+            gc_after: Some(3),
+            checkpoint_bytes,
+        };
+        let mem = MemDir::new();
+        let acked = run(&workload, Arc::new(mem.clone()));
+        let (oracle_db, oracle_log) = oracle(&workload);
+        let dir = Arc::new(ReadAccounting {
+            inner: mem.snapshot(),
+            ..Default::default()
+        });
+        let (db, report) = Database::open_durable_in(dir.clone(), WalOptions::default())
+            .expect("a clean image boots");
+        let tag = format!("checkpoint_bytes {checkpoint_bytes}");
+        assert_state_matches_oracle(&db, &oracle_db, &oracle_log, &acked, &tag);
+        assert_eq!(
+            report.checkpoint_ts.is_some(),
+            checkpoint_bytes > 0,
+            "{tag}"
+        );
+        assert!(
+            report.cold_files >= 1 && report.segments >= 2,
+            "{tag}: {report:?}"
+        );
+
+        let whole = dir.whole.lock().unwrap().clone();
+        assert!(
+            !whole.iter().any(|n| n.ends_with(".seg")),
+            "{tag}: read whole: {whole:?}"
+        );
+        let streamed = dir.streamed.lock().unwrap().clone();
+        let cold = streamed.iter().filter(|n| n.starts_with("cold-")).count();
+        let walked = report.segments + report.cold_files - report.skipped_files;
+        assert_eq!(
+            streamed.iter().filter(|n| n.ends_with(".seg")).count(),
+            walked,
+            "{tag}: each walked file streamed once: {streamed:?}"
+        );
+        // The DDL lives in the first cold file, which is never skipped.
+        assert!(cold >= 1, "{tag}: streamed {streamed:?}");
+    }
+}
+
+/// Replay runs while later files are still being validated. Damage in a
+/// sealed segment found after earlier records were replayed fails the
+/// boot with the typed error the whole-file decode gives, and the
+/// directory is left exactly as it was: no truncation, no manifest
+/// rewrite.
+#[test]
+fn sealed_damage_after_replayed_records_fails_the_boot_and_leaves_the_directory_untouched() {
+    let workload = Workload {
+        segment_bytes: 150,
+        commits: 9,
+        gc_after: None,
+        checkpoint_bytes: 0,
+    };
+    let mem = MemDir::new();
+    run(&workload, Arc::new(mem.clone()));
+    let mut segments: Vec<String> = mem
+        .names()
+        .into_iter()
+        .filter(|n| n.starts_with("wal-"))
+        .collect();
+    segments.sort();
+    // Set the active segment aside, then pick a sealed segment after the
+    // first that holds at least two records: the records before it and
+    // its first record replay before the damage in its second record is
+    // found.
+    let active = segments.pop().unwrap();
+    let (victim, records_before, first_frame) = segments
+        .iter()
+        .enumerate()
+        .skip(1)
+        .find_map(|(i, name)| {
+            let (records, _) = decode_records(&mem.file(name).unwrap()).unwrap();
+            (records.len() >= 2).then(|| {
+                let before: usize = segments[..i]
+                    .iter()
+                    .map(|s| decode_records(&mem.file(s).unwrap()).unwrap().0.len())
+                    .sum();
+                (name.clone(), before + 1, encode_frame(&records[0]).len())
+            })
+        })
+        .expect("a later sealed segment with two records");
+    let image = mem.snapshot();
+    let mut bytes = image.file(&victim).unwrap();
+    bytes[first_frame + 20] ^= 0xFF; // inside the second record's payload
+    image.put_file(&victim, bytes);
+    // A torn tail on the active segment: a boot that got that far would
+    // truncate it.
+    let mut tail = image.file(&active).unwrap();
+    tail.extend_from_slice(&[0xAB; 5]);
+    image.put_file(&active, tail);
+    let files = |dir: &MemDir| -> Vec<(String, Vec<u8>)> {
+        let names = dir.names().into_iter();
+        names.map(|n| (n.clone(), dir.file(&n).unwrap())).collect()
+    };
+    let before = files(&image);
+
+    // The walk hands over every record before the damage, then fails.
+    let mut replayed = 0;
+    let walk = SegmentedWal::open_dir(Arc::new(image.clone()), WalOptions::default(), |step, _| {
+        if let Replay::Record(_) = step {
+            replayed += 1;
+        }
+        Ok::<_, StorageError>(())
+    });
+    assert!(walk.is_err(), "damage refuses the walk");
+    assert_eq!(
+        replayed, records_before,
+        "records replayed before the damage"
+    );
+
+    let err = Database::open_durable_in(Arc::new(image.clone()), WalOptions::default())
+        .map(|_| ())
+        .expect_err("sealed damage must refuse recovery");
+    match err {
+        DbError::Storage(StorageError::Corrupt { offset, detail }) => {
+            assert_eq!(offset, first_frame as u64, "offset of the damaged frame");
+            assert!(detail.contains(&victim), "names the file: {detail}");
+        }
+        other => panic!("expected Corrupt, got {other}"),
+    }
+    assert!(
+        files(&image) == before,
+        "the failed boots changed the directory"
+    );
+}
+
 #[derive(Debug, Clone)]
 enum Damage {
     /// Truncate the whole persisted image of one file at a fraction.
@@ -454,7 +635,11 @@ enum Damage {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    // `PROPTEST_CASES`, when set, replaces the default count: CI runs
+    // this oracle at more cases than the rest of the suite.
+    #![proptest_config(ProptestConfig::with_cases(
+        std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(48)
+    ))]
 
     /// Random workloads at random segment sizes and checkpoint cadences,
     /// damaged at a random point of a random file (checkpoints

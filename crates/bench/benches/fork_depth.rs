@@ -1,14 +1,14 @@
 //! Fork cost below the GC floor (PR 10) and above it.
 //!
 //! A fork below the truncation floor cannot read live MVCC state;
-//! it reconstructs the environment from retained history. Without
-//! environment checkpoints that is a full stitched replay of every
-//! spilled aligned entry up to the fork timestamp — cost proportional to
-//! the *absolute position* of the fork, so even a fork just below the
-//! floor of a long history replays almost everything. With checkpoints,
-//! `Trod::fork_at` restores the nearest durable checkpoint at or below
-//! the timestamp and replays only the spilled delta after it — cost
-//! bounded by the checkpoint cadence, however deep the fork.
+//! it rebuilds the environment from the durable log. Without
+//! environment checkpoints that is a replay of every logged commit up to
+//! the fork timestamp — cost proportional to the *absolute position* of
+//! the fork, so even a fork just below the floor of a long history
+//! replays almost everything. With checkpoints, `Trod::fork_at` restores
+//! the nearest durable checkpoint at or below the timestamp and replays
+//! only the logged delta after it — cost bounded by the checkpoint
+//! cadence, however deep the fork.
 //!
 //! The workload: `HISTORY` single-row commits cycling over `KEYS`
 //! primary keys (inserts, then updates — live state stays `KEYS` rows
@@ -64,9 +64,9 @@ fn wal_path(tag: &str) -> std::path::PathBuf {
 }
 
 /// Builds a debugger over a durable environment with `HISTORY` commits
-/// spilled below the GC floor, checkpointed at `checkpoint_bytes`
-/// cadence (0 = the full-replay baseline). Returns the debugger and the
-/// final truncation floor.
+/// below the GC floor, checkpointed at `checkpoint_bytes` cadence (0 =
+/// the full-replay baseline). Returns the debugger and the final
+/// truncation floor.
 fn build_trod(tag: &str, checkpoint_bytes: u64) -> (Trod, std::path::PathBuf, u64) {
     let path = wal_path(tag);
     let opts = WalOptions {
@@ -78,9 +78,6 @@ fn build_trod(tag: &str, checkpoint_bytes: u64) -> (Trod, std::path::PathBuf, u6
     db.create_table("events", events_schema()).unwrap();
     let runtime = Runtime::builder(db.clone(), HandlerRegistry::new()).build();
     let trod = Trod::attach(runtime).expect("fresh deployment");
-    // Retention BEFORE the first GC: the spill must cover the history
-    // from the first commit for below-floor forks to be answerable.
-    trod.enable_retention();
 
     let mut keys = Vec::with_capacity(KEYS as usize);
     for i in 0..HISTORY {
@@ -127,15 +124,10 @@ fn bench_fork_depth(c: &mut Criterion) {
                     let session = trod.fork_at(ts).expect("below-floor fork");
                     // The fork is a real environment: its table holds the
                     // full key space as of `ts` (every key was inserted
-                    // within the first KEYS commits). The dev clock, not
-                    // `ts`, indexes its state: reconstruction allocates
-                    // its own timestamps.
+                    // within the first KEYS commits).
                     let dev = session.database();
-                    let rows = dev
-                        .table("events")
-                        .unwrap()
-                        .materialize_at(dev.current_ts())
-                        .len() as i64;
+                    assert_eq!(dev.current_ts(), ts);
+                    let rows = dev.table("events").unwrap().materialize_at(ts).len() as i64;
                     assert_eq!(rows, KEYS);
                     session
                 })

@@ -1,6 +1,6 @@
-//! Polyglot replay and aligned-history retention benchmarks (PR 5).
+//! Polyglot replay benchmarks, above and below the GC floor.
 //!
-//! Three questions, all about the fork/replay spine:
+//! Two questions, both about the fork/replay spine:
 //!
 //! * `request_replay` — what does polyglot replay cost compared to a
 //!   relational-only deployment? Both modes replay the same shop checkout
@@ -8,31 +8,28 @@
 //!   reads through to it, every traced kv read is verified and every kv
 //!   record re-applied (`writes_skipped == 0`).
 //! * `spilled_replay` — what does replaying a request whose history was
-//!   garbage-collected cost? The environment cannot be forked from live
-//!   state; it is reconstructed by replaying spilled + live aligned
-//!   entries into an empty fork.
-//! * `retention_spill` — what does the spill hook itself add to
-//!   `gc_before`? `drop` truncates the log outright; `spill` hands every
-//!   truncated entry to a provenance-store retention policy first.
+//!   garbage-collected cost? `live_fork` replays with the history still
+//!   in memory; in `spilled_reconstruction` GC truncated it, and the
+//!   environment at the request's snapshot is rebuilt from the durable
+//!   log (an in-memory `MemDir` disk, no checkpoint) on every replay.
 
 use std::sync::Arc;
 
-use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use trod_apps::shop;
 use trod_core::Trod;
-use trod_db::{row, DataType, Database, Schema};
-use trod_provenance::ProvenanceStore;
+use trod_db::{Database, MemDir, WalOptions};
 use trod_runtime::{Args, Runtime};
 
 const REQUESTS: usize = 48;
 const TARGET: &str = "REQ-24";
 
-/// A traced shop deployment that served `REQUESTS` addToCart + checkout
-/// request pairs — polyglot (cart sessions in the kv store) when
+/// A traced shop deployment over `db` that served `REQUESTS` addToCart +
+/// checkout request pairs — polyglot (cart sessions in the kv store) when
 /// `with_kv`.
-fn shop_trod(with_kv: bool) -> Trod {
-    let db = shop::shop_db();
+fn shop_trod_over(db: Database, with_kv: bool) -> Trod {
+    shop::create_schema(&db);
     shop::seed_inventory(&db, 8, 1_000_000);
     let mut builder = Runtime::builder(db, shop::registry());
     if with_kv {
@@ -56,6 +53,11 @@ fn shop_trod(with_kv: bool) -> Trod {
     }
     trod.sync();
     trod
+}
+
+/// [`shop_trod_over`] an in-memory database.
+fn shop_trod(with_kv: bool) -> Trod {
+    shop_trod_over(Database::new(), with_kv)
 }
 
 fn bench_request_replay(c: &mut Criterion) {
@@ -89,16 +91,17 @@ fn bench_spilled_replay(c: &mut Criterion) {
             session.run_to_end().expect("replay succeeds").steps.len()
         });
     });
-    // Spilled: everything below the watermark truncated; the environment
-    // is reconstructed from the retention spill on every replay.
-    let spilled = shop_trod(true);
-    spilled.enable_retention();
-    let db = spilled.production_db();
+    // Everything below the watermark truncated; the environment is
+    // rebuilt from the durable log on every replay.
+    let disk = Arc::new(MemDir::new());
+    let db = Database::create_durable_in(disk, WalOptions::default()).expect("fresh log");
+    let logged = shop_trod_over(db, true);
+    let db = logged.production_db();
     db.gc_before(db.current_ts());
-    assert!(spilled.provenance().spilled_count() > 0);
+    assert_eq!(db.log_len(), 0, "the whole history is below the floor");
     group.bench_function(BenchmarkId::from_parameter("spilled_reconstruction"), |b| {
         b.iter(|| {
-            let mut session = spilled.replay(TARGET).expect("spilled history covers it");
+            let mut session = logged.replay(TARGET).expect("the log covers it");
             let report = session.run_to_end().expect("replay succeeds");
             assert!(report.is_faithful());
             report.steps.len()
@@ -107,49 +110,5 @@ fn bench_spilled_replay(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_retention_spill(c: &mut Criterion) {
-    const COMMITS: i64 = 256;
-    let schema = Schema::builder()
-        .column("id", DataType::Int)
-        .column("v", DataType::Int)
-        .primary_key(&["id"])
-        .build()
-        .expect("static schema");
-    let populated = || {
-        let db = Database::new();
-        db.create_table("t", schema.clone()).expect("fresh db");
-        for i in 0..COMMITS {
-            let mut txn = db.begin();
-            txn.insert("t", row![i, i]).expect("unique keys");
-            txn.commit().expect("no contention");
-        }
-        db
-    };
-
-    let mut group = c.benchmark_group("replay_path/retention_spill");
-    group.sample_size(20);
-    for (mode, spill) in [("drop", false), ("spill", true)] {
-        group.bench_function(BenchmarkId::from_parameter(mode), |b| {
-            b.iter_batched(
-                || {
-                    let db = populated();
-                    if spill {
-                        db.set_retention_policy(Some(Arc::new(ProvenanceStore::new())));
-                    }
-                    db
-                },
-                |db| db.gc_before(db.current_ts()),
-                BatchSize::SmallInput,
-            );
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_request_replay,
-    bench_spilled_replay,
-    bench_retention_spill
-);
+criterion_group!(benches, bench_request_replay, bench_spilled_replay);
 criterion_main!(benches);

@@ -23,15 +23,14 @@
 //!   programming ([`Trod::retroactive`]) at the earliest snapshot of the
 //!   selected requests (or an explicit override). Reenactment needs no
 //!   fork at all: it time-travels the production stores read-only.
-//! * **How truncated history is stitched.** [`Database::gc_before`]
-//!   truncates the aligned log together with the row versions; with
-//!   [`Trod::enable_retention`] the truncated entries are *spilled* into
-//!   this debugger's provenance store first. [`Trod::aligned_history`]
-//!   stitches spilled + live entries back into one continuous view, and
-//!   the fork path does the same transparently: a fork below the GC
-//!   floor is reconstructed by replaying the stitched history into an
-//!   empty environment — so debugging reach is bounded by retention, not
-//!   by GC pressure.
+//! * **Below the GC floor.** [`Database::gc_before`] truncates the
+//!   in-memory aligned log together with the row versions; a durable
+//!   environment's log keeps every commit. [`Trod::aligned_history`]
+//!   reads [`Database::history`], and a fork below the floor is the
+//!   nearest checkpoint plus the logged commits after it — so debugging
+//!   reach is bounded by the log, not by GC pressure. An in-memory
+//!   environment that wants deep history is created over a
+//!   [`trod_db::MemDir`] log.
 
 use std::sync::Arc;
 
@@ -162,20 +161,17 @@ impl Trod {
 
     /// Starts a faithful replay of a past request (§3.5) in a development
     /// environment — tables and key-value namespaces — forked from
-    /// production state at the request's snapshot, or reconstructed from spilled aligned
-    /// history when the snapshot predates the GC floor (see the module
-    /// docs and [`Trod::enable_retention`]).
+    /// production state at the request's snapshot (see the module docs).
     pub fn replay(&self, req_id: &str) -> Result<ReplaySession, ReplayError> {
         ReplaySession::for_session(&self.provenance, self.runtime.session(), req_id)
     }
 
-    /// Forks the whole environment at `ts`, retention-aware:
-    /// above the GC floor this is `Session::fork_at`; below it the state
-    /// is reconstructed from spilled + live aligned history, exactly as
-    /// replay does. This is the entry point the server's remote fork
-    /// sessions go through.
+    /// Forks the whole environment at `ts` ([`Session::fork_at`]), the
+    /// way replay does; below the GC floor of an in-memory environment
+    /// that is [`ReplayError::HistoryTruncated`]. This is the entry point
+    /// the server's remote fork sessions go through.
     pub fn fork_at(&self, ts: trod_db::Ts) -> Result<Session, ReplayError> {
-        crate::replay::fork_environment(&self.provenance, self.runtime.session(), ts)
+        Ok(self.runtime.session().fork_at(ts)?)
     }
 
     /// Starts configuring a retroactive-programming run (§3.6) that
@@ -187,19 +183,6 @@ impl Trod {
             self.runtime.session().clone(),
             patched_registry,
         )
-    }
-
-    /// Installs this debugger's provenance store as the production
-    /// database's aligned-history retention policy: from now on,
-    /// [`Database::gc_before`] spills every transaction-log entry it
-    /// truncates into the provenance store instead of dropping it, so
-    /// [`Trod::aligned_history`] and [`Trod::replay`] keep reaching
-    /// history older than the GC watermark. Call before the first GC for
-    /// a gap-free history.
-    pub fn enable_retention(&self) {
-        self.runtime
-            .database()
-            .set_retention_policy(Some(self.provenance.clone()));
     }
 
     /// Recovers a durable production environment and attaches the
@@ -221,11 +204,9 @@ impl Trod {
     }
 
     /// Garbage-collects production history under one clamped horizon
-    /// ([`Session::gc_before`]); with retention enabled
-    /// the truncated aligned entries are spilled to the provenance store
-    /// before they leave the live log, so [`Trod::aligned_history`] stays
-    /// gap-free; on a durable environment the same pass compacts the
-    /// covered WAL segments into cold files, the durable copy.
+    /// ([`Session::gc_before`]). On a durable environment the same pass
+    /// compacts the covered WAL segments into cold files, which keep the
+    /// truncated entries for [`Trod::aligned_history`] and deep forks.
     pub fn gc_before(&self, ts: trod_db::Ts) -> trod_kv::GcStats {
         self.runtime.session().gc_before(ts)
     }
@@ -240,27 +221,13 @@ impl Trod {
         self.runtime.session().checkpoint()
     }
 
-    /// The complete aligned cross-store history this debugger can see:
-    /// entries spilled to the provenance store by GC retention, followed
-    /// by the live transaction log — stitched into one commit-ordered
-    /// view. Without retention (or before any GC) this is just the live
-    /// [`Session::aligned_log`].
-    pub fn aligned_history(&self) -> Vec<AlignedCommit> {
-        // Read the live log BEFORE the spill: entries only ever move
-        // live → spilled (under GC), so an entry a concurrent GC drains
-        // between the two reads appears in both snapshots — never in
-        // neither — and the overlap is dropped by commit timestamp. The
-        // other order could lose an in-flight entry entirely.
-        let live = self.runtime.session().aligned_log();
-        let mut out: Vec<AlignedCommit> = self
-            .provenance
-            .spilled_log()
-            .into_iter()
-            .map(AlignedCommit::from_entry)
-            .collect();
-        let spilled_up_to = out.last().map(|c| c.commit_ts).unwrap_or(0);
-        out.extend(live.into_iter().filter(|c| c.commit_ts > spilled_up_to));
-        out
+    /// The complete aligned cross-store history of production, in commit
+    /// order ([`Database::history`] from the first commit): below the GC
+    /// floor it is read from the durable log, and an in-memory
+    /// environment GC truncated reports [`trod_db::DbError::HistoryTruncated`].
+    pub fn aligned_history(&self) -> DbResult<Vec<AlignedCommit>> {
+        let entries = self.production_db().history(0, trod_db::Ts::MAX)?;
+        Ok(entries.into_iter().map(AlignedCommit::from_entry).collect())
     }
 }
 

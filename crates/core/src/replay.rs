@@ -14,19 +14,16 @@
 //! commit path live commits take, so the development environment's
 //! aligned log mirrors production's.
 //!
-//! **The development environment** ([`fork_environment`]). At or above
-//! the truncation floor ([`trod_db::Database::log_truncated_below`]) it
-//! is a read-through fork: nothing is copied, the fork's tables read
-//! production's version chains at the snapshot timestamp and keep only
-//! what the replay writes, so preparing a replay costs the request's
-//! footprint, not the database's size ("Forking, replay injection and
-//! retention" in `crates/db/DESIGN.md`). Below the floor those versions
-//! are gone; if the aligned history was spilled to the provenance store
-//! by a retention policy ([`trod_db::RetentionPolicy`]; see
-//! `Trod::enable_retention`), the environment is reconstructed instead —
-//! the nearest durable checkpoint, or an empty fork, brought to the
-//! snapshot timestamp by replaying the spilled aligned entries.
-//! Debugging reach is bounded by retention, not by GC pressure.
+//! **The development environment** is [`Session::fork_at`] at the
+//! snapshot timestamp: a read-through fork that copies nothing — its
+//! tables read production's version chains at that timestamp and keep
+//! only what the replay writes — so preparing a replay costs the
+//! request's footprint, not the database's size ("Forking and replay
+//! injection" in `crates/db/DESIGN.md`). Below the GC floor a durable
+//! production environment reads the state at the snapshot back from its
+//! log (nearest checkpoint plus the logged delta); an in-memory one
+//! reports [`ReplayError::HistoryTruncated`]. Debugging reach is bounded
+//! by the log, not by GC pressure.
 //!
 //! The session exposes a [`ReplaySession::step`] API so a developer (or a
 //! test acting as one) can stop between transactions, inspect the
@@ -35,7 +32,6 @@
 //! becomes obvious (Figure 3, top).
 
 use std::fmt;
-use std::sync::Arc;
 
 use trod_db::{Database, DbError, KvError, TrodError, Ts, TxnId};
 use trod_kv::{KvStore, Session};
@@ -49,9 +45,8 @@ pub enum ReplayError {
     UnknownRequest(String),
     /// The request has no traced transactions to replay.
     NoTransactions(String),
-    /// The request's snapshot predates the GC truncation floor and no
-    /// spilled aligned history covers it (no retention policy was
-    /// installed, or it was installed after the history was truncated).
+    /// The snapshot predates the GC truncation floor and no durable log
+    /// covers it (the production environment is in memory).
     HistoryTruncated { snapshot_ts: Ts, floor: Ts },
     /// An underlying relational storage error.
     Storage(DbError),
@@ -69,8 +64,7 @@ impl fmt::Display for ReplayError {
             ReplayError::HistoryTruncated { snapshot_ts, floor } => write!(
                 f,
                 "cannot fork at ts {snapshot_ts}: history below ts {floor} was \
-                 garbage-collected and no spilled aligned history covers it \
-                 (enable a retention policy before truncating)"
+                 garbage-collected and no durable log covers it"
             ),
             ReplayError::Storage(e) => write!(f, "storage error during replay: {e}"),
             ReplayError::KeyValue(e) => write!(f, "key-value error during replay: {e}"),
@@ -82,14 +76,20 @@ impl std::error::Error for ReplayError {}
 
 impl From<DbError> for ReplayError {
     fn from(e: DbError) -> Self {
-        ReplayError::Storage(e)
+        match e {
+            DbError::HistoryTruncated { ts, floor } => ReplayError::HistoryTruncated {
+                snapshot_ts: ts,
+                floor,
+            },
+            e => ReplayError::Storage(e),
+        }
     }
 }
 
 impl From<TrodError> for ReplayError {
     fn from(e: TrodError) -> Self {
         match e {
-            TrodError::Relational(e) => ReplayError::Storage(e),
+            TrodError::Relational(e) => e.into(),
             TrodError::KeyValue(e) => ReplayError::KeyValue(e),
             TrodError::Storage(e) => ReplayError::Storage(DbError::Storage(e)),
         }
@@ -189,12 +189,10 @@ pub struct ReplaySession {
 
 impl ReplaySession {
     /// Prepares a replay of `req_id`: forks the development environment —
-    /// `production` at the snapshot the request's first transaction saw —
-    /// and computes, for each of the request's
-    /// transactions, the concurrent transactions whose changes must be
-    /// injected before it. When the snapshot predates the GC truncation
-    /// floor, the environment is reconstructed from spilled + live
-    /// aligned history instead (see the module docs).
+    /// `production` at the snapshot the request's first transaction saw,
+    /// below the GC floor too (see the module docs) — and computes, for
+    /// each of the request's transactions, the concurrent transactions
+    /// whose changes must be injected before it.
     pub fn for_session(
         provenance: &ProvenanceStore,
         production: &Session,
@@ -216,7 +214,7 @@ impl ReplaySession {
         let base_ts = committed.iter().map(|t| t.snapshot_ts).min().unwrap_or(0);
         // The development environment starts from the snapshot the
         // request began against.
-        let dev = fork_environment(provenance, production, base_ts)?;
+        let dev = production.fork_at(base_ts)?;
 
         let mut steps = Vec::with_capacity(committed.len());
         let mut watermark: Ts = base_ts;
@@ -387,103 +385,6 @@ impl ReplaySession {
     pub fn reports(&self) -> &[StepReport] {
         &self.reports
     }
-}
-
-/// Forks the development environment at `ts`: every debugger feature
-/// (replay, retroactive runs, the server's remote forks) forks through
-/// here.
-///
-/// [`Session::fork_at`] decides which way, atomically with GC: at or
-/// above the truncation floor it returns a read-through fork that pins
-/// the history it reads; below the floor it refuses, and the environment
-/// is *reconstructed* from retained history. With a durable environment
-/// checkpoint at `C <= ts`
-/// ([`trod_db::SegmentedWal::load_checkpoint_at_or_before`]) that is
-/// nearest-snapshot + delta: materialise the checkpoint
-/// ([`Session::from_checkpoint`]) and replay only the spilled aligned
-/// entries in `(C, ts]` — cost bounded by the checkpoint cadence, however
-/// deep the fork. Without one it is the full replay: an empty fork
-/// ([`Session::fork_empty`]) brought to `ts` by replaying every spilled
-/// entry up to `ts` through [`Session::apply_changes`], the injection
-/// primitive replay uses. (Entries still in the live log all sit *above*
-/// the floor — truncation drains every entry at or below it — so below
-/// the floor the spill plus the checkpoint is the whole story.)
-pub(crate) fn fork_environment(
-    provenance: &ProvenanceStore,
-    production: &Session,
-    ts: Ts,
-) -> Result<Session, ReplayError> {
-    let db = production.database();
-    let floor = match production.fork_at(ts) {
-        Ok(fork) => return Ok(fork),
-        Err(DbError::HistoryTruncated { floor, .. }) => floor,
-        Err(e) => return Err(e.into()),
-    };
-    // Nearest durable checkpoint at or before `ts`, if the environment
-    // is durable at all. A checkpoint that fails validation is skipped
-    // (counted in the WAL stats) in favour of an older one inside
-    // `load_checkpoint_at_or_before`; none at all just means full
-    // replay.
-    let checkpoint = match db.wal() {
-        Some(wal) => wal
-            .load_checkpoint_at_or_before(ts)
-            .map_err(|e| ReplayError::Storage(DbError::Storage(e)))?,
-        None => None,
-    };
-    let ckpt_ts = checkpoint.as_ref().map(|c| c.ts).unwrap_or(0);
-    // The snapshot predates truncation: only the checkpoint plus spilled
-    // history can cover it (the live log holds nothing at or below the
-    // floor). Reconstruction is sound only when the spill (a) covers
-    // everything after the checkpoint — the retention policy was
-    // installed while the truncation floor was still at or below the
-    // checkpoint timestamp (without a checkpoint: coverage floor 0,
-    // complete from the first commit) — and (b) actually IS this
-    // debugger's provenance store: a foreign policy's coverage says
-    // nothing about our spill. Otherwise rebuilding would silently
-    // produce a wrong fork; refuse instead. (An empty spill under a
-    // sufficient coverage floor is fine: nothing had committed in the
-    // window.)
-    let spill_covers_delta_and_is_ours = db.retention_policy().is_some_and(|(policy, cov)| {
-        cov <= ckpt_ts
-            && std::ptr::addr_eq(Arc::as_ptr(&policy), provenance as *const ProvenanceStore)
-    });
-    if !spill_covers_delta_and_is_ours {
-        return Err(ReplayError::HistoryTruncated {
-            snapshot_ts: ts,
-            floor,
-        });
-    }
-    let dev = match &checkpoint {
-        Some(ck) => {
-            let dev = Session::from_checkpoint(ck)?;
-            // Commits in `(C, ts]` may touch objects created after the
-            // checkpoint was taken; add production's catalog (tables,
-            // indexes, namespaces) to the restored base, as `fork_empty`
-            // copies it onto an empty one. Their rows arrive through the
-            // delta replay itself.
-            dev.database().adopt_catalog(production.database())?;
-            dev
-        }
-        None => production.fork_empty()?,
-    };
-    // Only the delta after the checkpoint (everything at or below
-    // `ckpt_ts` is already materialised by the restored snapshot);
-    // without a checkpoint this is the whole spilled history up to `ts`.
-    for entry in provenance.spilled_between(ckpt_ts, ts) {
-        if dev.apply_changes(&entry.changes).is_err() {
-            // A record in the entry cannot be re-applied — its images
-            // were erased by privacy redaction after spilling. Rebuild
-            // from whatever survives, record by record: below-floor
-            // replays of *unrelated* requests keep working, and replays
-            // that did depend on the erased rows surface the gap as
-            // fidelity mismatches — the paper's §5 "debugging from
-            // partial data" behaviour, same as the step-level tolerance.
-            for change in entry.changes.iter() {
-                let _ = dev.apply_changes(std::slice::from_ref(change));
-            }
-        }
-    }
-    Ok(dev)
 }
 
 /// Applies CDC records to the development environment. On steps that run

@@ -19,7 +19,7 @@ use trod_runtime::{Args, HandlerRegistry, Runtime};
 
 use crate::interleave::ConflictGraph;
 use crate::invariant::{check_all, Invariant};
-use crate::replay::{fork_environment, ReplayError};
+use crate::replay::ReplayError;
 
 /// Errors raised while preparing or running a retroactive exploration.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,7 +31,7 @@ pub enum RetroactiveError {
     /// The recorded arguments for a request could not be decoded.
     BadArguments { req_id: String, detail: String },
     /// The development environment could not be forked at the requested
-    /// snapshot (e.g. the history was truncated without retention).
+    /// snapshot (e.g. GC truncated it and no durable log covers it).
     Fork(ReplayError),
     /// An underlying storage error.
     Storage(DbError),
@@ -299,11 +299,12 @@ impl RetroactiveBuilder {
 
         let mut outcomes = Vec::with_capacity(orderings.len());
         for order in orderings {
-            // Fork the whole environment through the same
-            // retention-aware path replay uses, so retroactive runs keep
-            // working for history older than the GC watermark too.
-            let dev = fork_environment(&self.provenance, &self.production, snapshot_ts)
-                .map_err(RetroactiveError::Fork)?;
+            // Fork the whole environment the way replay does, so
+            // retroactive runs reach history below the GC floor too.
+            let dev = self
+                .production
+                .fork_at(snapshot_ts)
+                .map_err(|e| RetroactiveError::Fork(e.into()))?;
             let runtime = Runtime::builder(dev.database().clone(), self.registry.clone())
                 .default_isolation(self.isolation)
                 .request_prefix("RETRO-")

@@ -1,9 +1,9 @@
-//! The database façade: catalog, durable boot, checkpoints, reads, log
-//! access, snapshots, forking and garbage collection. Publication of
+//! The database façade: catalog, durable boot, checkpoints, reads,
+//! history, snapshots, forking and garbage collection. Publication of
 //! commits lives in [`crate::commit`]; how the pieces fit is written up
 //! once in `crates/db/DESIGN.md` ("The commit protocol", "The read path",
-//! "Forking, replay injection and retention", "The durable log",
-//! "Key-value namespaces").
+//! "Forking and replay injection", "The durable log", "Key-value
+//! namespaces").
 //!
 //! Invariants this module owns:
 //!
@@ -21,10 +21,14 @@
 //! * **History is reclaimed together and never under an active
 //!   transaction or a live fork.** [`Database::gc_before`] clamps to the
 //!   watermark (active transactions and fork pins), chosen under the log
-//!   lock, and truncates the aligned log before the row versions
-//!   (spilling to the [`RetentionPolicy`] first). [`Database::fork_at`]
-//!   checks [`Database::log_truncated_below`] and pins under the same
-//!   lock, and refuses below the floor.
+//!   lock, and truncates the aligned log before the row versions.
+//!   [`Database::fork_at`] checks [`Database::log_truncated_below`] and
+//!   pins under the same lock.
+//! * **Below the floor the durable log is the history.** A durable
+//!   database's segments hold every commit ever made, so
+//!   [`Database::history`] and [`Database::fork_at`] read them below the
+//!   floor; without a log that is [`DbError::HistoryTruncated`], never a
+//!   partial answer.
 //! * **The log is read through `Database::synced_log`**, which drains
 //!   published entries from the commit pipeline's staging in commit
 //!   order; unpublished entries are not observable.
@@ -48,7 +52,7 @@ use crate::commit::Sequencer;
 use crate::dir::{FsDir, LogDir};
 use crate::error::{DbError, DbResult, StorageError};
 use crate::latency::{LatencyModel, StorageProfile};
-use crate::log::{CommittedTxn, RetentionPolicy, TxnId, TxnLog};
+use crate::log::{CommittedTxn, TxnId, TxnLog};
 use crate::mvcc::Ts;
 use crate::predicate::Predicate;
 use crate::registry::{ActiveTxnRegistry, GcPin};
@@ -79,13 +83,6 @@ struct DbInner {
     /// The drained prefix of the aligned log; always read through
     /// [`Database::synced_log`].
     log: Mutex<TxnLog>,
-    /// Retention hook for aligned-history truncation: when set,
-    /// [`Database::gc_before`] hands every log entry it is about to drop
-    /// to the policy (spill-before-truncate) instead of discarding it.
-    /// The `Ts` records [`TxnLog::truncated_below`] at install time — the
-    /// floor below which the policy's spill can never reach, because that
-    /// history was already truncated without it.
-    retention: RwLock<Option<(Arc<dyn RetentionPolicy>, Ts)>>,
     /// Active transactions (txn id -> start_ts); source of the
     /// min-active-start-ts watermark that bounds GC and ring eviction.
     registry: Arc<ActiveTxnRegistry>,
@@ -152,7 +149,6 @@ impl Database {
                 seq: Sequencer::default(),
                 next_txn_id: AtomicU64::new(1),
                 log: Mutex::new(TxnLog::new()),
-                retention: RwLock::new(None),
                 registry: Arc::new(ActiveTxnRegistry::new()),
                 snapshots: Mutex::new(BTreeMap::new()),
                 latency: LatencyModel::new(profile),
@@ -394,7 +390,7 @@ impl Database {
     /// transaction-id allocator, and raises the log truncation floor to
     /// the checkpoint timestamp — history below the checkpoint reads as
     /// typed truncation, exactly as if GC had truncated it.
-    pub fn restore_checkpoint(&self, ck: &Checkpoint) -> DbResult<()> {
+    fn restore_checkpoint(&self, ck: &Checkpoint) -> DbResult<()> {
         let ts = ck.ts.max(1);
         for table in &ck.tables {
             self.create_table(table.name.clone(), table.schema.clone())?;
@@ -512,12 +508,6 @@ impl Database {
             }
         }
         Ok(())
-    }
-
-    /// Adds to this WAL-less database every table, namespace and index of
-    /// `src` it does not have yet, empty (see [`Database::fork_empty`]).
-    pub fn adopt_catalog(&self, src: &Database) -> DbResult<()> {
-        self.graft_catalog(src, None)
     }
 
     /// Drops a table and its history.
@@ -739,19 +729,32 @@ impl Database {
     // Transaction log
     // ------------------------------------------------------------------
 
-    /// All committed transactions, in commit order.
+    /// The committed transactions the live log holds — those above
+    /// [`Database::log_truncated_below`] — in commit order.
     pub fn log_entries(&self) -> Vec<CommittedTxn> {
         self.synced_log().entries().to_vec()
     }
 
-    /// Committed transactions with commit timestamp greater than `ts`.
-    pub fn log_since(&self, ts: Ts) -> Vec<CommittedTxn> {
-        self.synced_log().since(ts)
-    }
-
-    /// Committed transactions with commit timestamp in `(after, up_to]`.
-    pub fn log_between(&self, after: Ts, up_to: Ts) -> Vec<CommittedTxn> {
-        self.synced_log().between(after, up_to)
+    /// The committed transactions with commit timestamp in `(after,
+    /// up_to]`, in commit order; `up_to` is clamped to the published
+    /// clock. At or above the truncation floor they come from the live
+    /// log. Below it they come from the attached log's files
+    /// ([`SegmentedWal::history`]), which hold every commit this database
+    /// ever made; without a log, a range reaching below the floor is
+    /// [`DbError::HistoryTruncated`].
+    pub fn history(&self, after: Ts, up_to: Ts) -> DbResult<Vec<CommittedTxn>> {
+        let up_to = up_to.min(self.current_ts());
+        let floor = {
+            let log = self.synced_log();
+            if after >= up_to || after >= log.truncated_below() {
+                return Ok(log.between(after, up_to));
+            }
+            log.truncated_below()
+        };
+        match self.wal() {
+            Some(wal) => Ok(wal.history(after, up_to)?),
+            None => Err(DbError::HistoryTruncated { ts: after, floor }),
+        }
     }
 
     /// The log entry for a given transaction id.
@@ -764,74 +767,13 @@ impl Database {
         self.synced_log().len()
     }
 
-    /// The highest horizon [`Database::gc_before`] has truncated at: log
-    /// entries *and row versions* at or below this timestamp are gone
-    /// (possibly spilled to a [`RetentionPolicy`]), so [`Database::fork_at`]
-    /// refuses and time-travel reads below it cannot be answered from live
-    /// state — callers must reconstruct from spilled aligned history instead (see
-    /// "Forking, replay injection and retention" in `DESIGN.md`). 0 if GC
-    /// never truncated.
+    /// The highest horizon [`Database::gc_before`] (or a checkpoint boot)
+    /// has truncated at: log entries *and row versions* at or below this
+    /// timestamp are gone from memory, so history and forks below it are
+    /// read from the durable log (see "Forking and replay injection" in
+    /// `DESIGN.md`). 0 if nothing was truncated.
     pub fn log_truncated_below(&self) -> Ts {
         self.synced_log().truncated_below()
-    }
-
-    /// Installs (or clears) the aligned-history retention policy: every
-    /// subsequent [`Database::gc_before`] spills the log entries it
-    /// truncates into the policy before dropping them, so the aligned
-    /// history stays reachable for debugging beyond the GC horizon. The
-    /// truncation floor at install time is recorded as the policy's
-    /// coverage floor ([`Database::retention_coverage_floor`]) — install
-    /// before the first GC for gap-free (floor 0) coverage.
-    pub fn set_retention_policy(&self, policy: Option<Arc<dyn RetentionPolicy>>) {
-        // Read the floor under the retention write lock so a concurrent
-        // gc_before cannot truncate between the read and the install.
-        let mut slot = self.inner.retention.write();
-        *slot = policy.map(|p| {
-            let floor = match slot.as_ref() {
-                // Re-installing the same policy is idempotent: its spill
-                // has covered everything since the original install, so
-                // the original coverage floor still holds — resetting it
-                // to the current (higher) floor would silently disown a
-                // complete spill.
-                Some((old, old_floor)) if std::ptr::addr_eq(Arc::as_ptr(old), Arc::as_ptr(&p)) => {
-                    *old_floor
-                }
-                _ => self.synced_log().truncated_below(),
-            };
-            (p, floor)
-        });
-    }
-
-    /// True if a retention policy is installed.
-    pub fn has_retention_policy(&self) -> bool {
-        self.inner.retention.read().is_some()
-    }
-
-    /// The truncation floor at the moment the current retention policy
-    /// was installed, or `None` without a policy. History at or below
-    /// this floor was truncated *before* retention existed and is
-    /// unrecoverable; the policy's spill is complete from the first
-    /// commit exactly when this is 0 — the condition the debugger checks
-    /// before reconstructing a fork from spilled history.
-    pub fn retention_coverage_floor(&self) -> Option<Ts> {
-        self.inner
-            .retention
-            .read()
-            .as_ref()
-            .map(|(_, floor)| *floor)
-    }
-
-    /// The installed retention policy together with its coverage floor
-    /// (one consistent read). The debugger uses the policy handle to
-    /// verify *by identity* that the spill it plans to reconstruct a fork
-    /// from is the store this database actually spills into — a foreign
-    /// policy's coverage proves nothing about the debugger's own spill.
-    pub fn retention_policy(&self) -> Option<(Arc<dyn RetentionPolicy>, Ts)> {
-        self.inner
-            .retention
-            .read()
-            .as_ref()
-            .map(|(p, floor)| (p.clone(), *floor))
     }
 
     // ------------------------------------------------------------------
@@ -880,15 +822,19 @@ impl Database {
     /// handle to it lives: [`Database::gc_before`] will not pass it. The
     /// floor check and the pin happen under the log lock GC chooses its
     /// horizon under, so a fork either pins first (and GC stays below it)
-    /// or sees the floor GC raised. Below the floor the versions are gone
-    /// and the fork is refused with [`DbError::HistoryTruncated`].
+    /// or sees the floor GC raised. Below the floor the versions are gone:
+    /// the fork reads through instead to the state at `ts` rebuilt from the
+    /// durable log — the newest checkpoint at or before `ts` plus the
+    /// commits logged after it — and pins nothing. Without a log that is
+    /// [`DbError::HistoryTruncated`].
     pub fn fork_at(&self, ts: Ts) -> DbResult<Database> {
         let (ts, pin) = {
             let log = self.synced_log();
             let ts = ts.min(self.current_ts());
             let floor = log.truncated_below();
             if ts < floor {
-                return Err(DbError::HistoryTruncated { ts, floor });
+                drop(log);
+                return self.rebuild_at(ts, floor)?.fork_at(ts);
             }
             (ts, Arc::new(self.inner.registry.pin(ts)))
         };
@@ -898,10 +844,34 @@ impl Database {
         Ok(fork)
     }
 
+    /// The environment as of `ts`, below the truncation `floor`, rebuilt
+    /// from the durable log into a new in-memory database: the newest
+    /// checkpoint at or before `ts` (or nothing), this database's catalog,
+    /// then the commits in `(checkpoint, ts]` re-installed verbatim, the
+    /// clock left at `ts`. Without a log it is
+    /// [`DbError::HistoryTruncated`].
+    fn rebuild_at(&self, ts: Ts, floor: Ts) -> DbResult<Database> {
+        let Some(wal) = self.wal() else {
+            return Err(DbError::HistoryTruncated { ts, floor });
+        };
+        let db = Database::with_profile(self.profile());
+        let mut from = 0;
+        if let Some(ck) = wal.load_checkpoint_at_or_before(ts)? {
+            db.restore_checkpoint(&ck)?;
+            from = ck.ts;
+        }
+        db.graft_catalog(self, None)?;
+        for entry in self.history(from, ts)? {
+            db.apply_entry(&entry)?;
+        }
+        db.inner.seq.start_at(ts);
+        Ok(db)
+    }
+
     /// Creates a new, empty database with the same schemas and indexes.
     pub fn fork_empty(&self) -> DbResult<Database> {
         let fork = Database::with_profile(self.profile());
-        fork.adopt_catalog(self)?;
+        fork.graft_catalog(self, None)?;
         Ok(fork)
     }
 
@@ -925,35 +895,11 @@ impl Database {
         // newest version at or below `horizon`, so state at any ts >=
         // horizon stays readable), which is also why the log is truncated
         // BEFORE any row version is dropped.
-        // The retention read guard is held across the truncation (lock
-        // order retention → log, matching `set_retention_policy`): a
-        // policy installed concurrently either sees the log before this
-        // truncation (and records the pre-GC floor as its coverage) or
-        // after it (recording the raised floor) — never a floor that
-        // promises coverage this GC silently dropped.
-        let retention = self.inner.retention.read();
         let (horizon, logs) = {
             let mut log = self.synced_log();
             let horizon = ts.min(self.inner.registry.watermark());
-            let logs = match retention.as_ref().map(|(p, _)| p) {
-                Some(policy) => {
-                    // Spill-before-truncate, under the log lock: the
-                    // aligned entries move atomically from the log to the
-                    // retention store — concurrent GCs cannot interleave
-                    // spills out of commit order, and no reader can
-                    // observe the entries in neither place.
-                    let drained = log.truncate_before_drain(horizon);
-                    let n = drained.len();
-                    if n > 0 {
-                        policy.spill(drained);
-                    }
-                    n
-                }
-                None => log.truncate_before(horizon),
-            };
-            (horizon, logs)
+            (horizon, log.truncate_before(horizon))
         };
-        drop(retention);
         let mut versions = 0;
         for store in self.inner.tables.read().values() {
             versions += store.gc_before(horizon);
@@ -1069,7 +1015,8 @@ mod tests {
         let log = db.log_entries();
         assert_eq!(log.len(), 2);
         assert!(log[0].commit_ts < log[1].commit_ts);
-        assert_eq!(db.log_since(log[0].commit_ts).len(), 1);
+        assert_eq!(db.history(log[0].commit_ts, Ts::MAX).unwrap(), log[1..]);
+        assert_eq!(db.history(0, log[0].commit_ts).unwrap(), log[..1]);
         assert_eq!(db.log_len(), 2);
         assert!(db.log_entry_for(log[1].txn_id).is_some());
     }
@@ -1241,42 +1188,49 @@ mod tests {
     }
 
     #[test]
-    fn gc_spills_truncated_log_entries_to_the_retention_policy() {
-        #[derive(Default)]
-        struct Collecting(Mutex<Vec<CommittedTxn>>);
-        impl RetentionPolicy for Collecting {
-            fn spill(&self, entries: Vec<CommittedTxn>) {
-                self.0.lock().extend(entries);
-            }
-        }
-
-        let db = populated_db();
-        for i in 0..3 {
-            let mut txn = db.begin();
-            txn.update("t", &Key::single(1i64), row![1i64, format!("v{i}")])
-                .unwrap();
-            txn.commit().unwrap();
-        }
-        let policy = Arc::new(Collecting::default());
-        db.set_retention_policy(Some(policy.clone()));
-        assert!(db.has_retention_policy());
-
-        let live_before = db.log_entries();
-        let (_, logs) = db.gc_before(db.current_ts());
-        assert_eq!(logs, live_before.len());
-        assert_eq!(db.log_len(), 0);
-        assert_eq!(db.log_truncated_below(), db.current_ts());
-        // Every truncated entry survived in the policy, in commit order.
-        let spilled = policy.0.lock().clone();
-        assert_eq!(spilled, live_before);
-
-        // Later GCs spill only the new tail.
+    fn below_the_floor_history_and_forks_read_the_durable_log() {
+        // One segment per commit: GC compacts them into cold files.
+        let opts = WalOptions {
+            segment_bytes: 1,
+            ..WalOptions::default()
+        };
+        let db = Database::create_durable_in(Arc::new(crate::dir::MemDir::new()), opts).unwrap();
+        db.create_table("t", schema()).unwrap();
         let mut txn = db.begin();
-        txn.update("t", &Key::single(2i64), row![2i64, "tail"])
-            .unwrap();
+        txn.insert("t", row![1i64, "v0"]).unwrap();
         txn.commit().unwrap();
+        for i in 1..4 {
+            set(&db, 1, &format!("v{i}"));
+        }
+        let log = db.log_entries();
+        let first = log[0].commit_ts;
         db.gc_before(db.current_ts());
-        assert_eq!(policy.0.lock().len(), live_before.len() + 1);
+        assert_eq!(
+            (db.log_len(), db.log_truncated_below()),
+            (0, db.current_ts())
+        );
+
+        // Every commit is still on disk: history is the live log's twin.
+        assert_eq!(db.history(0, Ts::MAX).unwrap(), log);
+        assert_eq!(db.history(first, first + 1).unwrap(), log[1..2]);
+        // A fork below the floor holds the state at its timestamp, reads
+        // nothing below it, and pins nothing.
+        let fork = db.fork_at(first).unwrap();
+        assert_eq!(fork.current_ts(), first);
+        assert_eq!(value(&fork, 1).as_deref(), Some("v0"));
+        assert_eq!(fork.stats().total_versions, 0, "the fork copies nothing");
+        assert_eq!(db.live_forks(), (0, None));
+
+        // Without a log the same questions are typed truncation.
+        let memory = populated_db();
+        set(&memory, 1, "v1");
+        memory.gc_before(memory.current_ts());
+        let floor = memory.current_ts();
+        assert_eq!(
+            memory.history(0, Ts::MAX).unwrap_err(),
+            DbError::HistoryTruncated { ts: 0, floor }
+        );
+        assert_eq!(memory.history(floor, Ts::MAX).unwrap(), vec![]);
     }
 
     #[test]

@@ -106,8 +106,10 @@ pub enum DbError {
     SnapshotExists(String),
     /// No snapshot with this name exists.
     NoSuchSnapshot(String),
-    /// A fork was requested at `ts`, below the truncation floor: garbage
-    /// collection no longer keeps the versions visible there.
+    /// A fork at `ts`, or history after `ts`, was requested below the
+    /// truncation floor of a database with no durable log: garbage
+    /// collection dropped those versions and entries, and nothing else
+    /// holds them.
     HistoryTruncated { ts: Ts, floor: Ts },
     /// An invalid operation for the current configuration.
     Invalid(String),
@@ -160,7 +162,8 @@ impl fmt::Display for DbError {
             DbError::NoSuchSnapshot(s) => write!(f, "no such snapshot `{s}`"),
             DbError::HistoryTruncated { ts, floor } => write!(
                 f,
-                "cannot fork at ts {ts}: history below ts {floor} was garbage-collected"
+                "cannot reach ts {ts}: history below ts {floor} was garbage-collected \
+                 and no durable log covers it"
             ),
             DbError::Invalid(msg) => write!(f, "invalid operation: {msg}"),
             DbError::Storage(e) => write!(f, "storage: {e}"),

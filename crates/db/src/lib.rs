@@ -126,7 +126,7 @@ pub use dir::{DirFailpointHandle, FailpointDir, FsDir, LogDir, LogFile, MemDir};
 pub use error::{DbError, DbResult, KvError, KvResult, StorageError, TrodError, TrodResult};
 pub use index::SecondaryIndex;
 pub use latency::StorageProfile;
-pub use log::{CommittedTxn, RetentionPolicy, TxnId};
+pub use log::{CommittedTxn, TxnId};
 pub use mvcc::{Ts, TS_LIVE};
 pub use predicate::{CmpOp, ColumnBounds, CompiledPredicate, Predicate};
 pub use registry::ActiveTxnRegistry;

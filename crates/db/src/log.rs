@@ -14,10 +14,9 @@
 //! through the commit path. The GC floor established by
 //! [`TxnLog::truncate_before`] is also the compaction floor — sealed
 //! segments whose entries all sit at or below it are compacted into
-//! immutable cold files rather than deleted, so the durable history GC
-//! removes from memory stays recoverable. Entries truncated by GC
-//! additionally spill through [`RetentionPolicy`], keeping them
-//! *queryable* without a replay.
+//! immutable cold files rather than deleted. The segments are the one
+//! copy of the history GC removes from memory: `Database::history` and
+//! forks below the floor read it back from there.
 
 use std::sync::Arc;
 
@@ -59,24 +58,6 @@ impl CommittedTxn {
     }
 }
 
-/// A hook invoked when the transaction log truncates aligned history.
-///
-/// `TxnLog` entries are the aligned cross-store history (relational and
-/// `kv:<namespace>` change records share one entry per commit), and
-/// [`crate::Database::gc_before`] truncates them together with the row
-/// versions they describe. A retention policy receives every entry about
-/// to be dropped, *before* it becomes unreachable, so a longer-lived
-/// store (e.g. the TROD provenance database) can spill the aligned
-/// history and keep debugging reach decoupled from GC pressure. The hook
-/// runs under the log lock on the GC path — implementations should only
-/// move the entries somewhere, not do heavy work inline.
-pub trait RetentionPolicy: Send + Sync {
-    /// Called with the entries being truncated, in commit order. Entries
-    /// are handed over by value; once this returns they exist nowhere
-    /// else.
-    fn spill(&self, entries: Vec<CommittedTxn>);
-}
-
 /// Append-only, commit-ordered transaction log.
 #[derive(Debug, Default)]
 pub struct TxnLog {
@@ -111,20 +92,12 @@ impl TxnLog {
         &self.entries
     }
 
-    /// Entries with commit timestamp strictly greater than `ts`.
-    pub fn since(&self, ts: Ts) -> Vec<CommittedTxn> {
-        // Entries are sorted by commit_ts, binary search for the cut point.
-        let start = self.entries.partition_point(|e| e.commit_ts <= ts);
-        self.entries[start..].to_vec()
-    }
-
     /// Entries with commit timestamps in `(after, up_to]`.
     pub fn between(&self, after: Ts, up_to: Ts) -> Vec<CommittedTxn> {
-        self.entries
-            .iter()
-            .filter(|e| e.commit_ts > after && e.commit_ts <= up_to)
-            .cloned()
-            .collect()
+        // Entries are sorted by commit_ts: binary search for both cuts.
+        let lo = self.entries.partition_point(|e| e.commit_ts <= after);
+        let hi = self.entries.partition_point(|e| e.commit_ts <= up_to);
+        self.entries[lo..hi.max(lo)].to_vec()
     }
 
     /// Looks up the entry for a transaction id.
@@ -142,25 +115,13 @@ impl TxnLog {
         self.entries.is_empty()
     }
 
-    /// Drops entries with commit timestamp at or below `ts` (log
-    /// truncation after a checkpoint). Returns the number removed.
-    /// Drops in place — no allocation; use
-    /// [`TxnLog::truncate_before_drain`] when the entries must survive
-    /// (retention spilling).
+    /// Drops entries with commit timestamp at or below `ts` (GC, or a
+    /// restored checkpoint). Returns the number removed.
     pub fn truncate_before(&mut self, ts: Ts) -> usize {
         self.truncated_below = self.truncated_below.max(ts);
         let cut = self.entries.partition_point(|e| e.commit_ts <= ts);
         self.entries.drain(0..cut);
         cut
-    }
-
-    /// Like [`TxnLog::truncate_before`], but hands the removed entries
-    /// back (in commit order) so a [`RetentionPolicy`] can spill them
-    /// instead of losing them.
-    pub fn truncate_before_drain(&mut self, ts: Ts) -> Vec<CommittedTxn> {
-        self.truncated_below = self.truncated_below.max(ts);
-        let cut = self.entries.partition_point(|e| e.commit_ts <= ts);
-        self.entries.drain(0..cut).collect()
     }
 
     /// The highest truncation horizon so far: history at or below this
@@ -261,10 +222,11 @@ mod tests {
             log.append(entry(id, ts, "t"));
         }
         assert_eq!(log.len(), 3);
-        assert_eq!(log.since(5).len(), 2);
-        assert_eq!(log.since(12).len(), 0);
         assert_eq!(log.between(5, 12).len(), 2);
+        assert_eq!(log.between(12, 99).len(), 0);
         assert_eq!(log.between(0, 5).len(), 1);
+        assert_eq!(log.between(6, 7).len(), 0);
+        assert_eq!(log.between(12, 5).len(), 0, "an empty range");
         assert_eq!(log.entry_for(2).unwrap().commit_ts, 8);
         assert!(log.entry_for(99).is_none());
     }
@@ -290,20 +252,6 @@ mod tests {
         assert_eq!(log.len(), 2);
         assert_eq!(log.entries()[0].commit_ts, 3);
         assert_eq!(log.truncated_below(), 2);
-    }
-
-    #[test]
-    fn truncation_drain_hands_entries_back_in_order() {
-        let mut log = TxnLog::new();
-        for (id, ts) in [(1, 1), (2, 2), (3, 3)] {
-            log.append(entry(id, ts, "t"));
-        }
-        let drained = log.truncate_before_drain(2);
-        assert_eq!(
-            drained.iter().map(|e| e.commit_ts).collect::<Vec<_>>(),
-            vec![1, 2]
-        );
-        assert_eq!(log.len(), 1);
         // The horizon only ever rises.
         log.truncate_before(1);
         assert_eq!(log.truncated_below(), 2);

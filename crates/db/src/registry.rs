@@ -3,7 +3,7 @@
 //! Every transaction registers `(txn_id, start_ts)` at `begin` and
 //! deregisters when it commits, aborts, or is dropped; every live fork of
 //! this database holds a [`GcPin`] at the timestamp it reads through to
-//! (see "Forking, replay injection and retention" in `DESIGN.md`). The
+//! (see "Forking and replay injection" in `DESIGN.md`). The
 //! registry's one derived fact is the **watermark**: the minimum over
 //! all active `start_ts` and all pins
 //! ([`ActiveTxnRegistry::min_active_start_ts`]).

@@ -17,7 +17,8 @@
 //!   valid record has been replayed.
 //! * **Recovery and compaction stream.** Both read a file one frame at a
 //!   time through [`LogDir::open_read`]; neither holds a file's bytes or
-//!   its decoded records.
+//!   its decoded records. Recovery and [`SegmentedWal::history`] share one
+//!   walk over the files.
 //! * **The MANIFEST is never edited in place**: write `MANIFEST.tmp`,
 //!   fsync, rename over `MANIFEST`, fsync the directory. New files are
 //!   durable before the manifest lists them; old files are deleted only
@@ -44,7 +45,8 @@ use crate::error::StorageError;
 use crate::log::CommittedTxn;
 use crate::mvcc::Ts;
 use crate::wal::{
-    crc32, put_str, put_u32, put_u64, stream_records, Cursor, SyncMode, Wal, WalOptions, WalRecord,
+    crc32, put_str, put_u32, put_u64, stream_records, Cursor, RecoveryInfo, SyncMode, Wal,
+    WalOptions, WalRecord, Wanted, ALL,
 };
 
 /// The manifest file name inside a log directory.
@@ -88,7 +90,7 @@ fn parse_cold_name(name: &str) -> Option<(u64, u64)> {
 }
 
 /// Folds one record into a segment's summary: its highest commit ts and
-/// whether it holds DDL (see [`SealedSeg::has_ddl`]).
+/// whether it holds DDL (see [`ListedFile::has_ddl`]).
 fn note_record(max_ts: &mut Ts, has_ddl: &mut bool, record: &WalRecord) {
     match record {
         WalRecord::Commit(e) => *max_ts = (*max_ts).max(e.commit_ts),
@@ -107,28 +109,22 @@ fn unix_ms() -> u64 {
 // The manifest
 // ---------------------------------------------------------------------
 
+/// A sealed segment or a cold file, as the manifest lists it: the
+/// segment sequence numbers it spans (one for a sealed segment, the
+/// compacted run for a cold file), its length, and a summary of its
+/// records.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct SealedSeg {
-    seq: u64,
-    name: String,
-    len: u64,
-    max_ts: Ts,
-    /// True when the segment holds any non-commit (DDL) record. A
-    /// checkpoint boot may only skip a file when `max_ts <= checkpoint
-    /// ts` **and** it carries no DDL — DDL records are untimestamped, so
-    /// a DDL-only segment has `max_ts == 0` and would otherwise be
-    /// skipped wrongly.
-    has_ddl: bool,
-}
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct ColdFile {
+struct ListedFile {
     name: String,
     seq_lo: u64,
     seq_hi: u64,
     len: u64,
     max_ts: Ts,
-    /// OR of the compacted segments' `has_ddl` flags (see [`SealedSeg`]).
+    /// True when the file holds any non-commit (DDL) record. A
+    /// checkpoint boot may only skip a file when `max_ts <= checkpoint
+    /// ts` **and** it carries no DDL — DDL records are untimestamped, so
+    /// a DDL-only segment has `max_ts == 0` and would otherwise be
+    /// skipped wrongly.
     has_ddl: bool,
 }
 
@@ -143,8 +139,8 @@ struct CheckpointFile {
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Manifest {
     next_seq: u64,
-    cold: Vec<ColdFile>,
-    sealed: Vec<SealedSeg>,
+    cold: Vec<ListedFile>,
+    sealed: Vec<ListedFile>,
     active_seq: u64,
     active_name: String,
     /// Checkpoints, oldest first.
@@ -172,7 +168,7 @@ fn encode_manifest(m: &Manifest) -> Vec<u8> {
     put_u32(&mut payload, m.sealed.len() as u32);
     for s in &m.sealed {
         put_str(&mut payload, &s.name);
-        put_u64(&mut payload, s.seq);
+        put_u64(&mut payload, s.seq_lo);
         put_u64(&mut payload, s.len);
         put_u64(&mut payload, s.max_ts);
         payload.push(s.has_ddl as u8);
@@ -238,13 +234,10 @@ fn decode_manifest(bytes: &[u8]) -> Result<Manifest, StorageError> {
             return Err(format!("unsupported manifest version {version}"));
         }
         let next_seq = c.u64()?;
-        let n_cold = c.u32()? as usize;
-        if n_cold > payload.len() {
-            return Err(format!("cold count {n_cold} exceeds payload"));
-        }
+        let n_cold = c.count("cold")?;
         let mut cold = Vec::with_capacity(n_cold);
         for _ in 0..n_cold {
-            cold.push(ColdFile {
+            cold.push(ListedFile {
                 name: c.str()?,
                 seq_lo: c.u64()?,
                 seq_hi: c.u64()?,
@@ -253,15 +246,14 @@ fn decode_manifest(bytes: &[u8]) -> Result<Manifest, StorageError> {
                 has_ddl: c.u8()? != 0,
             });
         }
-        let n_sealed = c.u32()? as usize;
-        if n_sealed > payload.len() {
-            return Err(format!("sealed count {n_sealed} exceeds payload"));
-        }
+        let n_sealed = c.count("sealed")?;
         let mut sealed = Vec::with_capacity(n_sealed);
         for _ in 0..n_sealed {
-            sealed.push(SealedSeg {
-                name: c.str()?,
-                seq: c.u64()?,
+            let (name, seq) = (c.str()?, c.u64()?);
+            sealed.push(ListedFile {
+                name,
+                seq_lo: seq,
+                seq_hi: seq,
                 len: c.u64()?,
                 max_ts: c.u64()?,
                 has_ddl: c.u8()? != 0,
@@ -269,10 +261,7 @@ fn decode_manifest(bytes: &[u8]) -> Result<Manifest, StorageError> {
         }
         let active_name = c.str()?;
         let active_seq = c.u64()?;
-        let n_ckpt = c.u32()? as usize;
-        if n_ckpt > payload.len() {
-            return Err(format!("checkpoint count {n_ckpt} exceeds payload"));
-        }
+        let n_ckpt = c.count("checkpoint")?;
         let mut checkpoints = Vec::with_capacity(n_ckpt);
         for _ in 0..n_ckpt {
             checkpoints.push(CheckpointFile {
@@ -438,7 +427,7 @@ struct ActiveSeg {
     base: u64,
     max_ts: Ts,
     /// Whether any non-commit (DDL) record was appended (see
-    /// [`SealedSeg::has_ddl`]).
+    /// [`ListedFile::has_ddl`]).
     has_ddl: bool,
 }
 
@@ -628,7 +617,7 @@ impl SegmentedWal {
             }
             let prev_name = manifest.active_name.clone();
             let (mut max_ts, mut has_ddl) = (0, false);
-            let info = stream_records(dir.open_read(&prev_name)?, &prev_name, |record, _| {
+            let info = stream_records(dir.open_read(&prev_name)?, &prev_name, ALL, |record, _| {
                 note_record(&mut max_ts, &mut has_ddl, &record);
                 Ok::<_, StorageError>(())
             })?;
@@ -642,9 +631,10 @@ impl SegmentedWal {
                 }
                 .into());
             }
-            manifest.sealed.push(SealedSeg {
-                seq: manifest.active_seq,
+            manifest.sealed.push(ListedFile {
                 name: prev_name,
+                seq_lo: manifest.active_seq,
+                seq_hi: manifest.active_seq,
                 len: info.valid_len,
                 max_ts,
                 has_ddl,
@@ -703,76 +693,40 @@ impl SegmentedWal {
         if let Some(ck) = checkpoint {
             replay(Replay::Checkpoint(&ck), &mut rec)?;
         }
-        // Commits the checkpoint covers are dropped as they are decoded
-        // (the snapshot *is* their state); DDL records are kept — the
-        // callback replays them idempotently, since the checkpoint already
-        // restored the catalog objects they made.
-        let mut forward = |record: WalRecord, rec: &mut RecoveryReport| match &record {
-            WalRecord::Commit(e) if ckpt_ts > 0 && e.commit_ts <= ckpt_ts => Ok(()),
-            _ => replay(Replay::Record(record), rec),
-        };
-
-        // Validate, decode and replay immutable files in global (sequence) order.
-        // Cold and sealed files are interleaved by their sequence ranges
-        // — compaction may cold a run *behind* a still-hot sealed segment
-        // — so the walk merges both lists sorted by low sequence. Cold
-        // and sealed files were fully durable before they stopped being
-        // active: any damage in them is corruption, never a torn tail.
-        //
         // A checkpoint boot skips every immutable file whose commits the
-        // snapshot already covers (`max_ts <= checkpoint ts`) and that
-        // carries no DDL. Skipped files are not read or validated — that
-        // *is* the O(delta) win — their manifest lengths still advance
-        // the global LSN base.
-        let cold = manifest
-            .cold
-            .iter()
-            .map(|c| (c.seq_lo, true, &c.name, c.len, c.max_ts, c.has_ddl));
-        let sealed = manifest
-            .sealed
-            .iter()
-            .map(|s| (s.seq, false, &s.name, s.len, s.max_ts, s.has_ddl));
-        let mut files: Vec<_> = cold.chain(sealed).collect();
-        files.sort_by_key(|f| f.0);
-        let mut base = 0u64;
-        for (_, is_cold, name, len, max_ts, file_has_ddl) in files {
-            if is_cold {
-                rec.cold_files += 1;
-            } else {
-                rec.segments += 1;
-            }
-            base += len;
-            if ckpt_ts > 0 && max_ts <= ckpt_ts && !file_has_ddl {
-                rec.skipped_files += 1;
-                continue;
-            }
-            let what = if is_cold { "cold file" } else { "segment" };
-            let src = open_listed(dir.as_ref(), name, what)?;
-            stream_strict(src, name, len, |record, _| forward(record, &mut rec))?;
-        }
-
-        let active_name = &manifest.active_name;
-        let src = open_listed(dir.as_ref(), active_name, "active segment")?;
-        let (mut active_max_ts, mut active_has_ddl) = (0, false);
-        let info = stream_records(src, active_name, |record, _| {
-            note_record(&mut active_max_ts, &mut active_has_ddl, &record);
-            forward(record, &mut rec)
-        })?;
-        rec.truncated_bytes = info.truncated_bytes;
-        rec.segments += 1;
+        // snapshot already covers and that carries no DDL — unread and
+        // unvalidated: that *is* the O(delta) win. Commits the checkpoint
+        // covers are dropped (the snapshot *is* their state), undecoded
+        // where the walk can; DDL records are kept — the callback replays
+        // them idempotently, since the checkpoint already restored the
+        // catalog objects they made.
+        let covered = |max_ts: Ts, has_ddl: bool| ckpt_ts > 0 && max_ts <= ckpt_ts && !has_ddl;
+        let wanted: Wanted = &|ts| ts.is_none_or(|ts| ts > ckpt_ts);
+        let end = walk_log(
+            dir.as_ref(),
+            &manifest,
+            &mut rec,
+            covered,
+            wanted,
+            |record, rec| match &record {
+                WalRecord::Commit(e) if e.commit_ts <= ckpt_ts => Ok(()),
+                _ => replay(Replay::Record(record), rec),
+            },
+        )?;
+        rec.truncated_bytes = end.info.truncated_bytes;
 
         if dirty {
             write_manifest(dir.as_ref(), &manifest)?;
         }
 
         // Repair the torn tail.
-        let mut file = dir.open_append(active_name)?;
-        file.truncate_to(info.valid_len)?;
+        let mut file = dir.open_append(&manifest.active_name)?;
+        file.truncate_to(end.info.valid_len)?;
         let active = ActiveSeg {
-            wal: Wal::over(file, info.valid_len, opts),
-            base,
-            max_ts: active_max_ts,
-            has_ddl: active_has_ddl,
+            wal: Wal::over(file, end.info.valid_len, opts),
+            base: end.base,
+            max_ts: end.max_ts,
+            has_ddl: end.has_ddl,
         };
         let wal = Self::assemble(dir, opts, manifest, active);
         if rec.checkpoint_ts.is_some() {
@@ -937,9 +891,10 @@ impl SegmentedWal {
             let mut s = self.state.lock();
             seal_sync(&s.active.wal, self.opts.sync_mode)?;
             let len = s.active.wal.appended();
-            let sealed = SealedSeg {
-                seq: s.manifest.active_seq,
+            let sealed = ListedFile {
                 name: std::mem::replace(&mut s.manifest.active_name, new_name),
+                seq_lo: s.manifest.active_seq,
+                seq_hi: s.manifest.active_seq,
                 len,
                 max_ts: s.active.max_ts,
                 has_ddl: s.active.has_ddl,
@@ -996,43 +951,23 @@ impl SegmentedWal {
         // order, so a non-prefix run can only arise behind segments with
         // `max_ts` above the floor — e.g. DDL-only segments
         // (`max_ts == 0`) trailing a hot one.
-        let runs: Vec<Vec<SealedSeg>> = {
+        let runs: Vec<Vec<ListedFile>> = {
             let mut s = self.state.lock();
             // Remember the floor: checkpoints at or below it are the deep
             // time-travel ladder and survive checkpoint pruning. The next
             // manifest swap persists it.
             s.manifest.gc_floor = s.manifest.gc_floor.max(floor);
-            let mut runs = Vec::new();
-            let mut cur: Vec<SealedSeg> = Vec::new();
-            for seg in &s.manifest.sealed {
-                let eligible = seg.max_ts <= floor;
-                let contiguous = cur.last().is_some_and(|p| p.seq + 1 == seg.seq);
-                if !(eligible && (cur.is_empty() || contiguous)) && !cur.is_empty() {
-                    runs.push(std::mem::take(&mut cur));
-                }
-                if eligible {
-                    cur.push(seg.clone());
-                }
-            }
-            if !cur.is_empty() {
-                runs.push(cur);
-            }
-            runs
+            let eligible = |f: &ListedFile| f.max_ts <= floor;
+            let sealed = &s.manifest.sealed;
+            let runs =
+                sealed.chunk_by(|a, b| eligible(a) && eligible(b) && a.seq_hi + 1 == b.seq_lo);
+            runs.filter(|run| eligible(&run[0]))
+                .map(<[_]>::to_vec)
+                .collect()
         };
         let mut compacted = 0usize;
         for run in &runs {
-            let seq_lo = run.first().unwrap().seq;
-            let seq_hi = run.last().unwrap().seq;
-            let cold = ColdFile {
-                name: cold_name(seq_lo, seq_hi),
-                seq_lo,
-                seq_hi,
-                len: 0, // filled by publish_cold
-                max_ts: run.iter().map(|s| s.max_ts).max().unwrap_or(0),
-                has_ddl: run.iter().any(|s| s.has_ddl),
-            };
-            let sources: Vec<(String, u64)> = run.iter().map(|s| (s.name.clone(), s.len)).collect();
-            self.publish_cold(&sources, cold)?;
+            self.publish_cold(run)?;
             compacted += run.len();
         }
         if compacted > 0 {
@@ -1045,22 +980,27 @@ impl SegmentedWal {
         Ok(compacted)
     }
 
-    /// Streams `sources` into `cold.name`, verifying each frame strictly
-    /// before it is copied (temp file, fsync, rename, dir fsync),
-    /// publishes it in the manifest — removing every source from the
-    /// sealed and cold lists — and only then deletes the originals
-    /// (best-effort; recovery reconciles leftovers).
-    /// Caller holds `rotate_lock`.
-    fn publish_cold(
-        &self,
-        sources: &[(String, u64)],
-        mut cold: ColdFile,
-    ) -> Result<(), StorageError> {
+    /// Streams the sequence-contiguous `sources` into one cold file
+    /// spanning them, verifying each frame strictly before it is copied
+    /// (temp file, fsync, rename, dir fsync), publishes it in the manifest
+    /// — removing every source from the sealed and cold lists — and only
+    /// then deletes the originals (best-effort; recovery reconciles
+    /// leftovers). Caller holds `rotate_lock`.
+    fn publish_cold(&self, sources: &[ListedFile]) -> Result<(), StorageError> {
+        let (first, last) = (&sources[0], &sources[sources.len() - 1]);
+        let cold = ListedFile {
+            name: cold_name(first.seq_lo, last.seq_hi),
+            seq_lo: first.seq_lo,
+            seq_hi: last.seq_hi,
+            len: sources.iter().map(|c| c.len).sum(),
+            max_ts: sources.iter().map(|c| c.max_ts).max().unwrap_or(0),
+            has_ddl: sources.iter().any(|c| c.has_ddl),
+        };
         let dir = &self.dir;
         write_durable(dir.as_ref(), &cold.name, |file| {
             let mut chunk = Vec::with_capacity(COPY_CHUNK_BYTES);
-            for (name, len) in sources {
-                stream_strict(dir.open_read(name)?, name, *len, |_, frame| {
+            for c in sources {
+                stream_strict(dir.open_read(&c.name)?, &c.name, c.len, ALL, |_, frame| {
                     chunk.extend_from_slice(frame);
                     if chunk.len() >= COPY_CHUNK_BYTES {
                         file.write_all(&chunk)?;
@@ -1068,7 +1008,6 @@ impl SegmentedWal {
                     }
                     Ok::<_, StorageError>(())
                 })?;
-                cold.len += len;
             }
             file.write_all(&chunk)
         })?;
@@ -1076,20 +1015,17 @@ impl SegmentedWal {
         // Manifest swap FIRST (the cold file becomes authoritative), then
         // the in-memory state, then — and only then — the deletes.
         let mut manifest = self.state.lock().manifest.clone();
-        manifest
-            .sealed
-            .retain(|s| !sources.iter().any(|(n, _)| *n == s.name));
-        manifest
-            .cold
-            .retain(|c| !sources.iter().any(|(n, _)| *n == c.name));
+        let is_source = |name: &str| sources.iter().any(|c| c.name == name);
+        manifest.sealed.retain(|s| !is_source(&s.name));
+        manifest.cold.retain(|c| !is_source(&c.name));
         let pos = manifest.cold.partition_point(|c| c.seq_lo < cold.seq_lo);
         manifest.cold.insert(pos, cold);
         write_manifest(dir.as_ref(), &manifest)?;
         self.state.lock().manifest = manifest;
         // Best-effort: leftover originals are unlisted now and recovery
         // deletes them if we crash (or error) here.
-        for (name, _) in sources {
-            let _ = dir.delete(name);
+        for c in sources {
+            let _ = dir.delete(&c.name);
         }
         let _ = dir.sync_dir();
         Ok(())
@@ -1101,43 +1037,19 @@ impl SegmentedWal {
     /// a still-sealed gap are left alone.
     fn merge_cold_files(&self) -> Result<(), StorageError> {
         loop {
-            let chain: Vec<ColdFile> = {
+            let chain: Vec<ListedFile> = {
                 let s = self.state.lock();
                 if s.manifest.cold.len() <= COLD_MERGE_BOUND {
                     return Ok(());
                 }
-                let mut best: Vec<ColdFile> = Vec::new();
-                let mut cur: Vec<ColdFile> = Vec::new();
-                for c in &s.manifest.cold {
-                    let contiguous = cur.last().is_some_and(|p| p.seq_hi + 1 == c.seq_lo);
-                    if !cur.is_empty() && !contiguous {
-                        if cur.len() > best.len() {
-                            best = std::mem::take(&mut cur);
-                        } else {
-                            cur.clear();
-                        }
-                    }
-                    cur.push(c.clone());
+                // The first of the longest chains.
+                let chains = s.manifest.cold.chunk_by(|a, b| a.seq_hi + 1 == b.seq_lo);
+                match chains.rev().max_by_key(|chain| chain.len()) {
+                    Some(chain) if chain.len() >= 2 => chain.to_vec(),
+                    _ => return Ok(()),
                 }
-                if cur.len() > best.len() {
-                    best = cur;
-                }
-                if best.len() < 2 {
-                    return Ok(());
-                }
-                best
             };
-            let merged = ColdFile {
-                name: cold_name(chain.first().unwrap().seq_lo, chain.last().unwrap().seq_hi),
-                seq_lo: chain.first().unwrap().seq_lo,
-                seq_hi: chain.last().unwrap().seq_hi,
-                len: 0, // filled by publish_cold
-                max_ts: chain.iter().map(|c| c.max_ts).max().unwrap_or(0),
-                has_ddl: chain.iter().any(|c| c.has_ddl),
-            };
-            let sources: Vec<(String, u64)> =
-                chain.iter().map(|c| (c.name.clone(), c.len)).collect();
-            self.publish_cold(&sources, merged)?;
+            self.publish_cold(&chain)?;
         }
     }
 
@@ -1213,7 +1125,7 @@ impl SegmentedWal {
             // recovery, so the newest CHECKPOINTS_KEPT suffice. At or
             // below the floor a checkpoint is the *only* bounded route
             // back into the truncated region (deep fork =
-            // nearest-checkpoint + spilled delta), so those form a
+            // nearest checkpoint + the logged delta), so those form a
             // ladder and are never pruned.
             let floor = m.gc_floor;
             let above = m.checkpoints.iter().filter(|c| c.ts > floor).count();
@@ -1271,6 +1183,68 @@ impl SegmentedWal {
         }
         Ok(None)
     }
+
+    // -- history -------------------------------------------------------
+
+    /// The commits in `(after, up_to]`, in commit order, read from the
+    /// log's files by the recovery walk (`walk_log`): files whose
+    /// commits all sit at or below `after` are skipped unread, commits at
+    /// or below it are left undecoded, and the walk stops at the first
+    /// commit past `up_to`. The active segment is first pushed to its
+    /// appended watermark, as sealing does: `Cached` mode holds appended
+    /// bytes in process and a group write may be in flight. Callers pass
+    /// an `up_to` at or below the published clock; every such commit was
+    /// appended before it published.
+    ///
+    /// The walk takes no lock, so rotation and compaction run alongside
+    /// it. Listed files are immutable until compaction deletes them, and
+    /// compaction deletes only after it swapped the manifest: if the walk
+    /// fails while the manifest changed under it, it walks the new layout
+    /// from the last commit it collected.
+    pub fn history(&self, after: Ts, up_to: Ts) -> Result<Vec<CommittedTxn>, StorageError> {
+        let mut entries: Vec<CommittedTxn> = Vec::new();
+        loop {
+            let (manifest, active) = {
+                let s = self.state.lock();
+                (s.manifest.clone(), s.active.wal.clone())
+            };
+            seal_sync(&active, self.opts.sync_mode)?;
+            let from = entries.last().map_or(after, |e| e.commit_ts);
+            let walked = walk_log(
+                self.dir.as_ref(),
+                &manifest,
+                &mut RecoveryReport::default(),
+                |max_ts, _| max_ts <= from,
+                &|ts| ts.is_some_and(|ts| ts > from),
+                |record, _| match record {
+                    WalRecord::Commit(e) if e.commit_ts > up_to => Err(Walk::Past),
+                    WalRecord::Commit(e) if e.commit_ts > from => {
+                        entries.push(e);
+                        Ok(())
+                    }
+                    _ => Ok(()),
+                },
+            );
+            match walked {
+                Ok(_) | Err(Walk::Past) => return Ok(entries),
+                Err(Walk::Failed(_)) if self.state.lock().manifest != manifest => continue,
+                Err(Walk::Failed(e)) => return Err(e),
+            }
+        }
+    }
+}
+
+/// How a [`SegmentedWal::history`] walk ends early.
+enum Walk {
+    /// It read past the range it wants.
+    Past,
+    Failed(StorageError),
+}
+
+impl From<StorageError> for Walk {
+    fn from(e: StorageError) -> Walk {
+        Walk::Failed(e)
+    }
 }
 
 /// Reads one manifest-listed checkpoint file; `None` when it is missing,
@@ -1293,16 +1267,85 @@ fn seal_sync(wal: &Arc<Wal>, mode: SyncMode) -> Result<(), StorageError> {
     }
 }
 
-/// Opens the manifest-listed `what` called `name` for streaming; a
-/// missing file is a typed recovery error.
-fn open_listed(
+/// Where a [`walk_log`] ended: the active segment's global base offset,
+/// what its stream found, and its summary (see [`ListedFile`]).
+struct WalkEnd {
+    base: u64,
+    info: RecoveryInfo,
+    max_ts: Ts,
+    has_ddl: bool,
+}
+
+/// The walk over a log's files, shared by recovery and
+/// [`SegmentedWal::history`]: every record of every file `manifest`
+/// lists, in global commit order, one frame at a time into `on_record`.
+///
+/// Cold and sealed files are interleaved by their sequence ranges —
+/// compaction may cold a run *behind* a still-hot sealed segment — so the
+/// walk merges both lists sorted by low sequence. They were fully durable
+/// before they stopped being active: any damage in them is corruption,
+/// never a torn tail. `skip(max_ts, has_ddl)` leaves a file unread; its
+/// manifest length still advances the global LSN base. Their frames are
+/// all validated, and decoded only if `wanted`. The active segment comes
+/// last, under the torn-tail rule, every frame decoded to summarize it;
+/// its summary is unknown until it is read, so `skip` sees it as
+/// `(Ts::MAX, true)`.
+fn walk_log<E: From<StorageError>>(
     dir: &dyn LogDir,
-    name: &str,
-    what: &str,
-) -> Result<Box<dyn BufRead + Send>, StorageError> {
-    dir.open_read(name).map_err(|_| StorageError::Recovery {
-        detail: format!("manifest references missing {what} `{name}`"),
-    })
+    manifest: &Manifest,
+    rec: &mut RecoveryReport,
+    mut skip: impl FnMut(Ts, bool) -> bool,
+    wanted: Wanted,
+    mut on_record: impl FnMut(WalRecord, &mut RecoveryReport) -> Result<(), E>,
+) -> Result<WalkEnd, E> {
+    // A listed file that is missing is a typed recovery error.
+    let open = |name: &str, what: &str| {
+        dir.open_read(name).map_err(|_| StorageError::Recovery {
+            detail: format!("manifest references missing {what} `{name}`"),
+        })
+    };
+    let cold = manifest.cold.iter().map(|f| (f, true));
+    let mut files: Vec<_> = cold
+        .chain(manifest.sealed.iter().map(|f| (f, false)))
+        .collect();
+    files.sort_by_key(|(f, _)| f.seq_lo);
+    let mut base = 0u64;
+    for (file, is_cold) in files {
+        let what = if is_cold {
+            rec.cold_files += 1;
+            "cold file"
+        } else {
+            rec.segments += 1;
+            "segment"
+        };
+        base += file.len;
+        if skip(file.max_ts, file.has_ddl) {
+            rec.skipped_files += 1;
+            continue;
+        }
+        let src = open(&file.name, what)?;
+        stream_strict(src, &file.name, file.len, wanted, |record, _| {
+            on_record(record, rec)
+        })?;
+    }
+
+    let mut end = WalkEnd {
+        base,
+        info: RecoveryInfo::default(),
+        max_ts: 0,
+        has_ddl: false,
+    };
+    rec.segments += 1;
+    if skip(Ts::MAX, true) {
+        return Ok(end);
+    }
+    let name = &manifest.active_name;
+    let src = open(name, "active segment")?;
+    end.info = stream_records(src, name, ALL, |record, _| {
+        note_record(&mut end.max_ts, &mut end.has_ddl, &record);
+        on_record(record, rec)
+    })?;
+    Ok(end)
 }
 
 /// Streams one immutable (cold/sealed) file into `on_frame`, strictly:
@@ -1313,9 +1356,10 @@ fn stream_strict<E: From<StorageError>>(
     src: Box<dyn BufRead + Send>,
     name: &str,
     expect_len: u64,
+    wanted: Wanted,
     on_frame: impl FnMut(WalRecord, &[u8]) -> Result<(), E>,
 ) -> Result<(), E> {
-    let info = stream_records(src, name, on_frame)?;
+    let info = stream_records(src, name, wanted, on_frame)?;
     let detail = if info.truncated_bytes != 0 {
         format!(
             "immutable file has {} damaged tail bytes",
@@ -1391,7 +1435,7 @@ mod tests {
     fn manifest_round_trips() {
         let m = Manifest {
             next_seq: 7,
-            cold: vec![ColdFile {
+            cold: vec![ListedFile {
                 name: cold_name(0, 2),
                 seq_lo: 0,
                 seq_hi: 2,
@@ -1399,9 +1443,10 @@ mod tests {
                 max_ts: 9,
                 has_ddl: true,
             }],
-            sealed: vec![SealedSeg {
-                seq: 3,
+            sealed: vec![ListedFile {
                 name: segment_name(3),
+                seq_lo: 3,
+                seq_hi: 3,
                 len: 88,
                 max_ts: 12,
                 has_ddl: false,

@@ -2,7 +2,7 @@
 //! optional secondary indexes and the per-table commit change log. A
 //! fork's table additionally carries a *base* — the parent's table at a
 //! pinned timestamp — that every read falls through to for keys the fork
-//! has not written (see "Forking, replay injection and retention" in
+//! has not written (see "Forking and replay injection" in
 //! `DESIGN.md`).
 
 use std::collections::HashMap;

@@ -39,6 +39,7 @@ use crate::cdc::{ChangeOp, ChangeRecord};
 use crate::dir::{io_err, FsFile, LogFile};
 use crate::error::StorageError;
 use crate::log::CommittedTxn;
+use crate::mvcc::Ts;
 use crate::row::{Key, Row};
 use crate::schema::{Column, Schema};
 use crate::value::{DataType, Value};
@@ -104,8 +105,11 @@ impl WalOptions {
 // CRC32 (IEEE), hand-rolled — the container has no crc crate.
 // ---------------------------------------------------------------------
 
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Slice-by-8 tables: `CRC_TABLES[0]` is the byte-at-a-time table of the
+/// reflected IEEE polynomial; `CRC_TABLES[k][i]` is the CRC of byte `i`
+/// followed by `k` zero bytes, so eight table lookups fold eight bytes.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -118,17 +122,35 @@ const CRC_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
-/// CRC-32 (IEEE 802.3, reflected) of `bytes`.
+/// CRC-32 (IEEE 802.3, reflected) of `bytes`, eight bytes per step.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let [b0, b1, b2, b3] = lo.to_le_bytes();
+        c = t[7][b0 as usize] ^ t[6][b1 as usize] ^ t[5][b2 as usize] ^ t[4][b3 as usize];
+        c ^= t[3][w[4] as usize] ^ t[2][w[5] as usize] ^ t[1][w[6] as usize] ^ t[0][w[7] as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -354,6 +376,27 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
+    /// A `u32` count of `what`s, refused when it exceeds the bytes left —
+    /// every element takes at least one — so no decoder reserves for a
+    /// count the input cannot hold.
+    pub(crate) fn count(&mut self, what: &str) -> Result<usize, String> {
+        let n = self.u32()?;
+        self.within(n.into(), what)
+    }
+
+    /// [`Cursor::count`] for a `u64` count.
+    pub(crate) fn count64(&mut self, what: &str) -> Result<usize, String> {
+        let n = self.u64()?;
+        self.within(n, what)
+    }
+
+    fn within(&self, n: u64, what: &str) -> Result<usize, String> {
+        match usize::try_from(n) {
+            Ok(n) if n <= self.remaining() => Ok(n),
+            _ => Err(format!("{what} count {n} exceeds payload")),
+        }
+    }
+
     fn i64(&mut self) -> Result<i64, String> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
@@ -384,12 +427,7 @@ impl<'a> Cursor<'a> {
     }
 
     pub(crate) fn values(&mut self) -> Result<Vec<Value>, String> {
-        let n = self.u32()? as usize;
-        if n > self.data.len() - self.pos {
-            // Each value is at least one byte; reject absurd counts
-            // before reserving.
-            return Err(format!("value count {n} exceeds remaining payload"));
-        }
+        let n = self.count("value")?;
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
             out.push(self.value()?);
@@ -442,10 +480,7 @@ fn decode_payload(payload: &[u8]) -> Result<WalRecord, String> {
             let txn_id = c.u64()?;
             let start_ts = c.u64()?;
             let commit_ts = c.u64()?;
-            let n = c.u32()? as usize;
-            if n > payload.len() {
-                return Err(format!("change count {n} exceeds payload"));
-            }
+            let n = c.count("change")?;
             let mut changes = Vec::with_capacity(n);
             for _ in 0..n {
                 changes.push(c.change(changes.last())?);
@@ -459,10 +494,7 @@ fn decode_payload(payload: &[u8]) -> Result<WalRecord, String> {
         }
         TAG_CREATE_TABLE => {
             let name = c.str()?;
-            let ncols = c.u32()? as usize;
-            if ncols > payload.len() {
-                return Err(format!("column count {ncols} exceeds payload"));
-            }
+            let ncols = c.count("column")?;
             let mut columns = Vec::with_capacity(ncols);
             for _ in 0..ncols {
                 let col_name = c.str()?;
@@ -474,10 +506,7 @@ fn decode_payload(payload: &[u8]) -> Result<WalRecord, String> {
                     Column::new(col_name, dtype)
                 });
             }
-            let npk = c.u32()? as usize;
-            if npk > payload.len() {
-                return Err(format!("primary-key count {npk} exceeds payload"));
-            }
+            let npk = c.count("primary-key")?;
             let mut pk = Vec::with_capacity(npk);
             for _ in 0..npk {
                 pk.push(c.str()?);
@@ -522,6 +551,8 @@ pub struct RecoveryInfo {
 
 enum Frame {
     Record(WalRecord),
+    /// Valid, but not wanted: left undecoded.
+    Skipped,
     CleanEnd,
     /// Structurally incomplete or checksum-damaged; the caller decides
     /// torn-tail vs corruption.
@@ -532,12 +563,25 @@ fn header_crc_ok(hdr: &[u8]) -> bool {
     u32::from_le_bytes(hdr[8..12].try_into().unwrap()) == crc32(&hdr[0..8])
 }
 
+/// Which frames a reader wants decoded, by the commit timestamp their
+/// payload carries (`None` for DDL); see [`read_frame`].
+pub(crate) type Wanted<'a> = &'a dyn Fn(Option<Ts>) -> bool;
+
+/// Every frame.
+pub(crate) const ALL: Wanted = &|_| true;
+
 /// The frame parser: reads the next frame of `src` into `frame` (header
 /// and payload bytes) and validates it — header CRC, length bound,
-/// payload CRC, full decode. The payload buffer grows only with bytes
+/// payload CRC, then a full decode of a frame `wanted` accepts; the
+/// others are skipped undecoded, their commit timestamp read from its
+/// fixed place in the payload. The payload buffer grows only with bytes
 /// actually read, so a valid header claiming a huge length never
 /// allocates more than the stream holds.
-fn read_frame(src: &mut impl BufRead, frame: &mut Vec<u8>) -> Result<Frame, StorageError> {
+fn read_frame(
+    src: &mut impl BufRead,
+    frame: &mut Vec<u8>,
+    wanted: Wanted,
+) -> Result<Frame, StorageError> {
     // Copies from the reader's buffer until `frame` holds `end` bytes or
     // the stream ends; returns the length reached.
     let mut fill_to = |end: usize, frame: &mut Vec<u8>| {
@@ -579,6 +623,14 @@ fn read_frame(src: &mut impl BufRead, frame: &mut Vec<u8>) -> Result<Frame, Stor
     if crc32(payload) != u32::from_le_bytes(frame[4..8].try_into().unwrap()) {
         return Ok(Frame::Damaged("payload checksum mismatch".to_string()));
     }
+    // A commit payload opens with its tag, txn id and start ts.
+    let commit_ts = match payload.get(..25) {
+        Some(p) if p[0] == TAG_COMMIT => Some(u64::from_le_bytes(p[17..].try_into().unwrap())),
+        _ => None,
+    };
+    if !wanted(commit_ts) {
+        return Ok(Frame::Skipped);
+    }
     Ok(match decode_payload(payload) {
         Ok(record) => Frame::Record(record),
         Err(detail) => Frame::Damaged(format!("undecodable record: {detail}")),
@@ -590,7 +642,7 @@ fn chain_is_clean(mut data: &[u8]) -> bool {
     let mut frame = Vec::new();
     let mut any = false;
     loop {
-        match read_frame(&mut data, &mut frame) {
+        match read_frame(&mut data, &mut frame, ALL) {
             Ok(Frame::Record(_)) => any = true,
             Ok(Frame::CleanEnd) => return any,
             _ => return false,
@@ -598,24 +650,27 @@ fn chain_is_clean(mut data: &[u8]) -> bool {
     }
 }
 
-/// Validates and decodes a log stream one frame at a time, handing each
-/// record and its frame bytes to `on_frame`, and applies the torn-tail
-/// rule (module docs) at the first damaged frame. Holds one frame at a
-/// time; only damage reads the rest of the stream, for the resync scan.
-/// A [`StorageError::Corrupt`] names `file` in its detail, unless empty.
+/// Validates a log stream one frame at a time, handing each record
+/// `wanted` accepts, decoded, and its frame bytes to `on_frame`, and
+/// applies the torn-tail rule (module docs) at the first damaged frame.
+/// Holds one frame at a time; only damage reads the rest of the stream,
+/// for the resync scan. A [`StorageError::Corrupt`] names `file` in its
+/// detail, unless empty.
 pub(crate) fn stream_records<E: From<StorageError>>(
     mut src: impl BufRead,
     file: &str,
+    wanted: Wanted,
     mut on_frame: impl FnMut(WalRecord, &[u8]) -> Result<(), E>,
 ) -> Result<RecoveryInfo, E> {
     let mut frame = Vec::new();
     let mut valid_len = 0u64;
     let damage = loop {
-        match read_frame(&mut src, &mut frame)? {
+        match read_frame(&mut src, &mut frame, wanted)? {
             Frame::Record(record) => {
                 on_frame(record, &frame)?;
                 valid_len += frame.len() as u64;
             }
+            Frame::Skipped => valid_len += frame.len() as u64,
             Frame::CleanEnd => break None,
             Frame::Damaged(detail) => break Some(detail),
         }
@@ -648,7 +703,7 @@ pub(crate) fn stream_records<E: From<StorageError>>(
 /// `stream_records` over a byte slice, collecting the records.
 pub fn decode_records(data: &[u8]) -> Result<(Vec<WalRecord>, RecoveryInfo), StorageError> {
     let mut records = Vec::new();
-    let info = stream_records(data, "", |record, _| {
+    let info = stream_records(data, "", ALL, |record, _| {
         records.push(record);
         Ok::<_, StorageError>(())
     })?;
@@ -928,8 +983,32 @@ impl Wal {
 mod tests {
     use super::*;
     use crate::dir::{DirFailpointHandle, FailpointDir, LogDir, MemDir};
-    use crate::mvcc::Ts;
     use crate::row;
+
+    #[test]
+    fn crc32_is_the_ieee_crc_bit_for_bit() {
+        // The standard check value, and the bitwise definition at every
+        // length around the eight-byte step (on-disk bytes never change).
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        let bitwise = |bytes: &[u8]| {
+            let mut c = 0xFFFF_FFFFu32;
+            for &b in bytes {
+                c ^= b as u32;
+                for _ in 0..8 {
+                    c = if c & 1 != 0 {
+                        0xEDB8_8320 ^ (c >> 1)
+                    } else {
+                        c >> 1
+                    };
+                }
+            }
+            c ^ 0xFFFF_FFFF
+        };
+        let data: Vec<u8> = (0..200u32).map(|i| (i * 37 + 11) as u8).collect();
+        for len in 0..data.len() {
+            assert_eq!(crc32(&data[..len]), bitwise(&data[..len]), "length {len}");
+        }
+    }
 
     fn commit_record(txn_id: u64, commit_ts: Ts) -> WalRecord {
         WalRecord::Commit(CommittedTxn {

@@ -14,13 +14,24 @@
 //! ordered top-k, as-of reads below, at and above the fork timestamp, a
 //! SQL join, a session's key-value reads, commit outcomes with their
 //! before images, and the log.
+//!
+//! Below the GC floor a durable database rebuilds the fork from its log.
+//! The same oracle holds there: a durable parent that garbage-collects at
+//! random horizons, one segment per commit, with and without small
+//! checkpoints and across a reopen, forks at every timestamp exactly as
+//! a copy of its never-collected in-memory twin does. A threaded test
+//! reads history and forks below the floor while GC, rotation, compaction
+//! and checkpoints run underneath, in every sync mode.
+
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
 use trod_db::{
-    row, ChangeRecord, DataType, Database, DbError, Key, Predicate, Row, ScanRows, Schema,
-    Transaction, Ts, Value,
+    row, ChangeRecord, DataType, Database, DbError, Key, MemDir, Predicate, Row, ScanRows, Schema,
+    SyncMode, Transaction, Ts, Value, WalOptions,
 };
 use trod_kv::{KvStore, Session};
 use trod_query::QueryEngine;
@@ -36,7 +47,11 @@ const NS: &str = "carts";
 const NS_TABLE: &str = "kv:carts";
 
 fn new_parent() -> Database {
-    let db = Database::new();
+    with_schema(Database::new())
+}
+
+/// `db` with the tables, indexes and namespace every script uses.
+fn with_schema(db: Database) -> Database {
     let t = Schema::builder()
         .column("k", DataType::Int)
         .column("v", DataType::Int)
@@ -374,12 +389,11 @@ fn assert_same(
     prop_assert_eq!(join(o), join(c));
     // The copy's log additionally holds the commit that installed the
     // copied rows, at the fork timestamp; everything after it is the
-    // forks' own history.
-    let log = |db: &Database| -> Vec<(Ts, Vec<ChangeRecord>)> {
-        db.log_since(base.max(1))
-            .into_iter()
-            .map(|e| (e.commit_ts, e.changes.to_vec()))
-            .collect()
+    // forks' own history — or, once their own GC passed the fork
+    // timestamp, the same typed truncation.
+    let log = |db: &Database| -> Result<Vec<(Ts, Vec<ChangeRecord>)>, DbError> {
+        let entries = db.history(base.max(1), Ts::MAX)?.into_iter();
+        Ok(entries.map(|e| (e.commit_ts, e.changes.to_vec())).collect())
     };
     prop_assert_eq!(log(o), log(c));
     Ok(())
@@ -517,4 +531,156 @@ fn a_fork_of_a_large_namespace_holds_no_version_until_it_writes() {
         session.kv().get_latest(NS, "k050000").unwrap().as_deref(),
         Some("v")
     );
+}
+
+/// A durable parent on `disk`: one segment per commit (so GC compacts
+/// them into cold files), a checkpoint every `checkpoint_bytes` of log
+/// (0: none).
+fn durable_opts(sync_mode: SyncMode, checkpoint_bytes: u64) -> WalOptions {
+    WalOptions {
+        sync_mode,
+        segment_bytes: 1,
+        checkpoint_bytes,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(
+        std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(48)
+    ))]
+
+    #[test]
+    fn a_fork_below_the_floor_is_rebuilt_from_the_log(
+        history in prop::collection::vec(
+            (batch_strategy(), prop_oneof![Just(None), (0u64..4).prop_map(Some)]),
+            1..10,
+        ),
+        checkpoint_bytes in prop_oneof![Just(0u64), Just(128u64)],
+        reopen in prop_oneof![Just(false), Just(true)],
+    ) {
+        let disk = Arc::new(MemDir::new());
+        let opts = durable_opts(SyncMode::Sync, checkpoint_bytes);
+        let mut parent = with_schema(Database::create_durable_in(disk.clone(), opts).unwrap());
+        // The same history, never collected.
+        let twin = new_parent();
+        for (batch, gc_back) in &history {
+            prop_assert_eq!(apply(&parent, batch), apply(&twin, batch));
+            if let Some(back) = gc_back {
+                parent.gc_before(parent.current_ts().saturating_sub(*back));
+            }
+        }
+        if reopen {
+            // A checkpoint boot truncates memory at the checkpoint.
+            drop(parent);
+            parent = Database::open_durable_in(disk, opts).unwrap().0;
+        }
+        let preds = fixed_preds();
+        for ts in 1..=twin.current_ts() {
+            let fork = parent.fork_at(ts).unwrap();
+            assert_same(&fork, &copy_fork(&twin, ts), ts, &preds)?;
+            prop_assert_eq!(fork.history(0, ts).unwrap(), vec![], "the fork holds no history");
+        }
+        prop_assert_eq!(parent.history(0, Ts::MAX).unwrap(), twin.log_entries());
+        prop_assert_eq!(parent.live_forks(), (0, None));
+    }
+}
+
+/// `history` and forks below the floor stay exact while one thread
+/// commits — rolling a small segment every few commits — and another
+/// garbage-collects, compacts and checkpoints, in every sync mode. The
+/// appended tail is still in process under `Cached`. The oracle is
+/// the history itself: commit `i` sets key `i % KEYS` to `i`, so a dense
+/// history reads `0, 1, 2, …` and a fork at any logged timestamp holds
+/// what replaying the history up to it holds.
+#[test]
+fn history_and_forks_below_the_floor_race_gc_rotation_and_compaction() {
+    const COMMITS: i64 = 200;
+    // The state after `history`: key -> last value written.
+    let replayed = |history: &[trod_db::CommittedTxn]| {
+        let mut state = std::collections::BTreeMap::new();
+        for e in history {
+            let row = e.changes[0].op.after().unwrap();
+            state.insert(row[0].clone(), row[1].clone());
+        }
+        state
+    };
+    let fork_state = |db: &Database, ts: Ts| {
+        let fork = db.fork_at(ts).unwrap();
+        assert_eq!(fork.current_ts(), ts);
+        let rows = fork.scan_latest("t", &Predicate::True).unwrap();
+        let state = rows.iter().map(|(_, row)| (row[0].clone(), row[1].clone()));
+        state.collect::<std::collections::BTreeMap<_, _>>()
+    };
+    let check = |db: &Database| {
+        // Nothing but the writer ticks the clock: the history up to it
+        // holds one commit per tick.
+        let now = db.current_ts();
+        let history = db.history(0, now).unwrap();
+        assert_eq!(history.len() as Ts, now, "history is complete");
+        for (i, e) in history.iter().enumerate() {
+            let row = e.changes[0].op.after().unwrap();
+            assert_eq!(row[1], Value::Int(i as i64), "history is dense and ordered");
+        }
+        if let Some(mid) = history.len().checked_sub(1).map(|last| last / 2) {
+            let at = history[mid].commit_ts;
+            assert_eq!(
+                fork_state(db, at),
+                replayed(&history[..=mid]),
+                "fork at {at}"
+            );
+        }
+        history
+    };
+    for mode in [SyncMode::Sync, SyncMode::Flush, SyncMode::Cached] {
+        let opts = WalOptions {
+            segment_bytes: 256,
+            ..durable_opts(mode, 512)
+        };
+        let db = with_schema(Database::create_durable_in(Arc::new(MemDir::new()), opts).unwrap());
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for i in 0..COMMITS {
+                    apply(
+                        &db,
+                        &[Op::Put {
+                            k: i % KEYS,
+                            v: i,
+                            g: 0,
+                        }],
+                    )
+                    .unwrap();
+                }
+                done.store(true, Ordering::SeqCst);
+            });
+            s.spawn(|| {
+                while !done.load(Ordering::SeqCst) {
+                    db.gc_before(db.current_ts());
+                    db.checkpoint().unwrap();
+                    std::thread::yield_now();
+                }
+            });
+            while !done.load(Ordering::SeqCst) {
+                check(&db);
+            }
+        });
+        db.gc_before(db.current_ts());
+        let history = check(&db);
+        assert_eq!(history.len(), COMMITS as usize, "{mode:?}");
+        let stats = db.wal().unwrap().stats();
+        assert!(
+            stats.cold_files > 0 && stats.compaction_errors == 0,
+            "{mode:?}: {stats:?}"
+        );
+        // Every tenth commit, all of them below the floor now.
+        for upto in (0..history.len()).step_by(10) {
+            let at = history[upto].commit_ts;
+            assert!(at < db.log_truncated_below());
+            assert_eq!(
+                fork_state(&db, at),
+                replayed(&history[..=upto]),
+                "{mode:?} at {at}"
+            );
+        }
+    }
 }

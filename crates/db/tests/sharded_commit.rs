@@ -26,7 +26,7 @@ use std::sync::{Arc, Barrier};
 
 use proptest::prelude::*;
 
-use trod_db::{row, DataType, Database, DbError, IsolationLevel, Key, Predicate, Schema};
+use trod_db::{row, DataType, Database, DbError, IsolationLevel, Key, Predicate, Schema, Ts};
 
 #[path = "support/model.rs"]
 mod model;
@@ -555,7 +555,7 @@ fn gc_clamps_to_the_active_transaction_watermark() {
     assert_eq!(versions, 0, "no version visible at the snapshot is dropped");
     assert_eq!(logs, 1, "only the pre-snapshot log entry is collectable");
     assert_eq!(
-        db.log_since(snap).len(),
+        db.history(snap, Ts::MAX).unwrap().len(),
         2,
         "log entries above the snapshot survive"
     );

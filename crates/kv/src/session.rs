@@ -21,7 +21,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use trod_db::{
-    is_kv_table, ChangeRecord, Checkpoint, CommitInfo, CommittedTxn, Database, DbError, DbResult,
+    is_kv_table, ChangeRecord, CommitInfo, CommittedTxn, Database, DbError, DbResult,
     IsolationLevel, Key, KvError, Predicate, RecoveryReport, Row, TrodError, TrodResult, Ts, TxnId,
     WalOptions,
 };
@@ -51,9 +51,7 @@ impl AlignedCommit {
 
     /// Splits one aligned transaction-log entry into its relational and
     /// key-value halves. Used by [`Session::aligned_log`] and by the
-    /// debugger when stitching spilled retention history (entries a
-    /// [`trod_db::RetentionPolicy`] preserved across GC) onto the live
-    /// log.
+    /// debugger's view of [`Database::history`].
     pub fn from_entry(entry: CommittedTxn) -> AlignedCommit {
         let changes = entry.changes.iter();
         AlignedCommit {
@@ -122,8 +120,8 @@ pub struct GcStats {
     pub horizon: Ts,
     /// Row versions dropped, namespace rows included.
     pub versions: usize,
-    /// Aligned log entries truncated (spilled first when a retention
-    /// policy is installed).
+    /// Aligned log entries truncated from memory (a durable log keeps
+    /// them).
     pub log_entries: usize,
 }
 
@@ -254,21 +252,14 @@ impl Session {
     /// Forks the environment at a timestamp ([`Database::fork_at`]):
     /// tables and namespaces read through to this session's state at
     /// `ts`, clamped to the published clock. The fork is untraced and
-    /// independent.
+    /// independent. Every debugger feature — replay, retroactive runs, the
+    /// server's remote forks — forks through here.
     ///
-    /// Refused with [`DbError::HistoryTruncated`] below the GC truncation
-    /// floor ([`Database::log_truncated_below`]); there the debugger
-    /// reconstructs the environment from spilled aligned history instead
-    /// (see [`Session::fork_empty`] and [`Session::apply_changes`]).
+    /// Below the GC truncation floor ([`Database::log_truncated_below`])
+    /// a durable environment rebuilds the state at `ts` from its log; an
+    /// in-memory one refuses with [`DbError::HistoryTruncated`].
     pub fn fork_at(&self, ts: Ts) -> DbResult<Session> {
         Ok(Session::new(self.inner.db.fork_at(ts)?))
-    }
-
-    /// Forks an empty environment with the same schemas, indexes and
-    /// namespaces. Replaying aligned history into it (via
-    /// [`Session::apply_changes`]) reconstructs any past state.
-    pub fn fork_empty(&self) -> DbResult<Session> {
-        Ok(Session::new(self.inner.db.fork_empty()?))
     }
 
     /// Applies captured aligned change records — relational rows and
@@ -323,17 +314,6 @@ impl Session {
         Ok((Session::new(db), report))
     }
 
-    /// Materializes a whole session environment from a decoded
-    /// [`Checkpoint`] ([`Database::restore_checkpoint`]). The debugger's
-    /// deep forks start here and replay only the aligned history *after*
-    /// the checkpoint timestamp — nearest snapshot + delta instead of
-    /// replay-everything.
-    pub fn from_checkpoint(ck: &Checkpoint) -> TrodResult<Session> {
-        let db = Database::new();
-        db.restore_checkpoint(ck)?;
-        Ok(Session::new(db))
-    }
-
     /// Forces an environment checkpoint now (capture + durable write
     /// through the attached WAL). `None` when skipped — no WAL, nothing
     /// committed yet, a checkpoint at this timestamp already exists, or
@@ -351,8 +331,8 @@ impl Session {
 
     /// Garbage-collects history ([`Database::gc_before`]) below `ts`
     /// clamped to the active-transaction watermark and the published
-    /// clock. With a retention policy the truncated aligned entries are
-    /// spilled first — their `kv:<namespace>` records included — so time
+    /// clock. On a durable environment the truncated aligned entries —
+    /// their `kv:<namespace>` records included — stay in the log, so time
     /// travel below the horizon stays reconstructable.
     pub fn gc_before(&self, ts: Ts) -> GcStats {
         let db = &self.inner.db;
@@ -1116,7 +1096,7 @@ mod tests {
         txn.kv_put("sessions", "user-1", "v1").unwrap();
         txn.commit().unwrap();
 
-        let fork = session.fork_empty().unwrap();
+        let fork = Session::new(session.database().fork_empty().unwrap());
         // Replay the aligned history into the empty fork.
         for entry in session.database().log_entries() {
             fork.apply_changes(&entry.changes).unwrap();

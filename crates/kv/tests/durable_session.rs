@@ -20,19 +20,18 @@
 //!   state in both stores, with and without a checkpoint.
 //! * **GC coordination** — one [`Session::gc_before`] call truncates
 //!   tables and namespaces under one clamped horizon, and the aligned
-//!   entries it spills into the retention policy carry the `kv:` change
-//!   records that exactly cover the truncated kv versions.
+//!   entries the log keeps for it carry the `kv:` change records that
+//!   exactly cover the truncated kv versions.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use trod_db::wal::{decode_records, encode_frame};
 use trod_db::{
     row, CommittedTxn, DataType, Database, DirFailpointHandle, FailpointDir, Key, MemDir,
-    Predicate, RecoveryReport, RetentionPolicy, Schema, StorageError, SyncMode, TrodError, Ts,
-    Value, WalOptions,
+    Predicate, RecoveryReport, Schema, StorageError, SyncMode, TrodError, Ts, Value, WalOptions,
 };
 use trod_kv::{KvStore, Session};
 
@@ -465,26 +464,14 @@ fn database_and_session_boots_of_one_image_agree() {
 }
 
 // ---------------------------------------------------------------------
-// Satellite 1: coordinated GC with retention spill
+// Coordinated GC; the log keeps what it truncates
 // ---------------------------------------------------------------------
-
-#[derive(Default)]
-struct Collector {
-    spilled: Mutex<Vec<CommittedTxn>>,
-}
-
-impl RetentionPolicy for Collector {
-    fn spill(&self, entries: Vec<CommittedTxn>) {
-        self.spilled.lock().unwrap().extend(entries);
-    }
-}
 
 #[test]
 fn session_gc_drives_both_stores_under_one_clamped_horizon() {
-    let db = Database::new();
+    let disk = Arc::new(MemDir::new());
+    let db = Database::create_durable_in(disk, WalOptions::default()).unwrap();
     db.create_table("events", table_schema()).unwrap();
-    let collector = Arc::new(Collector::default());
-    db.set_retention_policy(Some(collector.clone()));
     let kv = KvStore::new();
     kv.create_namespace("cache").unwrap();
     let session = Session::with_kv(db, kv);
@@ -528,8 +515,8 @@ fn session_gc_drives_both_stores_under_one_clamped_horizon() {
 
     // With no active transactions, the requested horizon applies to
     // tables and namespaces alike: versions strictly below it are
-    // truncated everywhere, and the spilled aligned entries carry the kv
-    // records covering exactly the truncated kv history.
+    // truncated everywhere, and the log keeps the aligned entries with
+    // the kv records covering exactly the truncated kv history.
     let kv_versions = || session.kv().namespace_stats("cache").unwrap().versions;
     let before = kv_versions();
     let stats = session.gc_before(4);
@@ -559,20 +546,20 @@ fn session_gc_drives_both_stores_under_one_clamped_horizon() {
         Value::Int(6)
     );
 
-    // The spilled entries are the truncated aligned prefix, kv change
-    // records included — time travel below the horizon reconstructs from
-    // spilled + live history with no cross-store gap.
-    let spilled = collector.spilled.lock().unwrap();
-    let spilled_ts: Vec<Ts> = spilled.iter().map(|e| e.commit_ts).collect();
+    // Below the horizon the history comes from the log: the truncated
+    // aligned prefix, kv change records included — time travel below the
+    // horizon reconstructs from it with no cross-store gap.
+    let truncated = session.database().history(0, 4).unwrap();
+    let truncated_ts: Vec<Ts> = truncated.iter().map(|e| e.commit_ts).collect();
     // Log truncation is inclusive of the horizon (GC keeps the version
     // AT the horizon so as-of reads there still serve; the log entry
-    // describing the transition to it spills).
-    assert_eq!(spilled_ts, vec![1, 2, 3, 4], "spilled == truncated prefix");
+    // describing the transition to it leaves memory).
+    assert_eq!(truncated_ts, vec![1, 2, 3, 4], "the truncated prefix");
     assert!(
-        spilled
+        truncated
             .iter()
             .all(|e| e.changes.iter().any(|c| &*c.table == "kv:cache")),
-        "spilled aligned entries carry the kv records GC truncated"
+        "the logged aligned entries carry the kv records GC truncated"
     );
     let live_ts: Vec<Ts> = session
         .database()
@@ -580,7 +567,7 @@ fn session_gc_drives_both_stores_under_one_clamped_horizon() {
         .iter()
         .map(|e| e.commit_ts)
         .collect();
-    assert_eq!(live_ts, vec![5, 6], "spilled + live history is gap-free");
+    assert_eq!(live_ts, vec![5, 6], "logged + live history is gap-free");
 }
 
 // ---------------------------------------------------------------------

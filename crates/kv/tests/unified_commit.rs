@@ -326,7 +326,7 @@ proptest! {
     /// log's kv records up to that timestamp — the invariant that makes a fork a
     /// faithful development environment at *every* point of history, not
     /// just the latest (and the reason replay can reconstruct a fork from
-    /// spilled aligned history when GC truncated the live state).
+    /// the logged aligned history when GC truncated the live state).
     #[test]
     fn kv_fork_at_equals_aligned_log_replayed_to_ts(schedule in schedule_strategy()) {
         let session = new_session();

@@ -16,8 +16,17 @@
 //! * [`ProvenanceStore::redact_request`] erases the arguments, outputs and
 //!   external-call payloads of a request (PII frequently lives in request
 //!   arguments rather than table rows).
-//! * [`ProvenanceStore::retain_since`] implements a retention policy,
-//!   dropping all provenance older than a cutoff.
+//! * [`ProvenanceStore::retain_since`] applies a retention cutoff,
+//!   dropping all provenance older than it.
+//!
+//! **What an erasure reaches.** Every copy the provenance store owns: the
+//! `<X>Events`, `Requests` and `ExternalCalls` tables, the trace archive
+//! (read sets and write records) and the request archive. It does not
+//! reach the application's own history — its version chains, its live
+//! transaction log, its durable log and its checkpoints — which every fork
+//! reads, above and below the GC floor alike, so a fork holds the same
+//! rows wherever it is taken. Erasing a person's data from the
+//! application itself is a write to the application.
 //!
 //! Transactions touched by redaction are remembered
 //! ([`ProvenanceStore::is_redacted`]); the replay engine reports partial
@@ -43,11 +52,6 @@ pub struct RedactionReport {
     pub archive_reads_redacted: usize,
     /// Row images erased from archived write (CDC) records.
     pub archive_writes_redacted: usize,
-    /// Row/value images erased from spilled aligned-history entries (the
-    /// transaction-log entries a retention policy preserved across GC) —
-    /// erasure must reach them too, or `aligned_history` and
-    /// spilled-fork reconstruction would re-expose the data.
-    pub spilled_writes_redacted: usize,
     /// Handler invocations whose arguments/outputs were erased.
     pub requests_redacted: usize,
     /// External-call payloads erased.
@@ -62,7 +66,6 @@ impl RedactionReport {
         self.event_rows_redacted
             + self.archive_reads_redacted
             + self.archive_writes_redacted
-            + self.spilled_writes_redacted
             + self.requests_redacted
             + self.external_calls_redacted
     }
@@ -78,10 +81,6 @@ pub struct RetentionReport {
     /// Rows deleted from the relational provenance tables (Executions,
     /// Requests, ExternalCalls and every `<X>Events` table).
     pub rows_deleted: usize,
-    /// Spilled aligned-history entries dropped alongside their traces —
-    /// the purge must reach the spill, or `aligned_history` and
-    /// spilled-fork reconstruction would re-expose the purged data.
-    pub spilled_dropped: usize,
 }
 
 impl ProvenanceStore {
@@ -155,24 +154,6 @@ impl ProvenanceStore {
                 report.archive_writes_redacted += erased;
                 if touched || erased > 0 {
                     touched_txns.push(trace.txn_id as i64);
-                }
-            }
-        }
-
-        // 3. Spilled aligned history (retention). Erasure would be
-        // hollow if the images survived in the spill: `aligned_history`
-        // and spilled-fork reconstruction read from here. A redacted
-        // spilled entry can no longer be re-applied by reconstruction
-        // (`Session::apply_changes` refuses erased images), so replays
-        // below the GC floor fail loudly on redacted history rather than
-        // resurrecting it.
-        {
-            let mut spilled = self.spilled.write();
-            for entry in spilled.iter_mut() {
-                let erased = erase_matching(&mut entry.changes, app_table, filters);
-                report.spilled_writes_redacted += erased;
-                if erased > 0 {
-                    touched_txns.push(entry.txn_id as i64);
                 }
             }
         }
@@ -293,22 +274,6 @@ impl ProvenanceStore {
         // Expired invocations leave the open-invocation map (a late
         // `HandlerEnd` must not resurrect one) and the rest have moved.
         self.reopen(&mut ingest);
-        // Spilled aligned history: the purge must reach retention too —
-        // the entries of every dropped transaction leave the spill, so
-        // nothing recorded before the cutoff survives anywhere in this
-        // store. (Spilled entries carry no trace timestamp of their own;
-        // the dropped transaction ids are the cutoff's footprint.)
-        if !dropped_txn_ids.is_empty() {
-            let dropped: std::collections::HashSet<trod_db::TxnId> = dropped_txn_ids
-                .iter()
-                .filter_map(Value::as_int)
-                .map(|id| id as trod_db::TxnId)
-                .collect();
-            let mut spilled = self.spilled.write();
-            let before = spilled.len();
-            spilled.retain(|e| !dropped.contains(&e.txn_id));
-            report.spilled_dropped = before - spilled.len();
-        }
         Ok(report)
     }
 }
@@ -397,59 +362,6 @@ mod tests {
         let store = ProvenanceStore::for_application(&db).unwrap();
         let traced = Session::builder(db.clone()).tracer(Tracer::new()).build();
         (db, store, traced)
-    }
-
-    #[test]
-    fn redact_rows_erases_spilled_aligned_history_too() {
-        use std::sync::Arc;
-
-        let db = Database::new();
-        db.create_table(
-            "profiles",
-            Schema::builder()
-                .column("user", DataType::Text)
-                .column("email", DataType::Text)
-                .primary_key(&["user"])
-                .build()
-                .unwrap(),
-        )
-        .unwrap();
-        let store = Arc::new(ProvenanceStore::for_application(&db).unwrap());
-        db.set_retention_policy(Some(store.clone()));
-        let traced = Session::builder(db.clone()).tracer(Tracer::new()).build();
-
-        let mut txn = traced.begin_traced(TxnContext::new("R1", "updateProfile", "f"));
-        txn.insert("profiles", row!["U1", "u1@example.org"])
-            .unwrap();
-        txn.insert("profiles", row!["U2", "u2@example.org"])
-            .unwrap();
-        txn.commit().unwrap();
-        store.ingest(traced.tracer().unwrap().drain());
-        db.gc_before(db.current_ts());
-        assert_eq!(store.spilled_count(), 1);
-
-        let report = store
-            .redact_rows("profiles", &[("user", Value::Text("U1".into()))])
-            .unwrap();
-        assert_eq!(report.spilled_writes_redacted, 1);
-        // The spilled entry keeps its shape (key, kind, U2's record) but
-        // U1's images are gone — aligned_history and spilled-fork
-        // reconstruction can no longer resurrect the erased data.
-        let spilled = store.spilled_log();
-        assert_eq!(spilled[0].changes.len(), 2);
-        let leaked = spilled[0]
-            .changes
-            .iter()
-            .filter_map(|c| c.op.after())
-            .filter(|row| row.iter().any(|v| v.as_text() == Some("u1@example.org")))
-            .count();
-        assert_eq!(leaked, 0);
-        assert!(spilled[0]
-            .changes
-            .iter()
-            .filter_map(|c| c.op.after())
-            .any(|row| row.iter().any(|v| v.as_text() == Some("u2@example.org"))));
-        assert!(store.is_redacted(spilled[0].txn_id));
     }
 
     #[test]
@@ -556,54 +468,6 @@ mod tests {
             calls.value(0, "Payload"),
             Some(&Value::Text(REDACTED_MARKER.into()))
         );
-    }
-
-    #[test]
-    fn retain_since_purges_spilled_aligned_history_of_dropped_txns() {
-        use std::sync::Arc;
-
-        let db = Database::new();
-        db.create_table(
-            "profiles",
-            Schema::builder()
-                .column("user", DataType::Text)
-                .column("email", DataType::Text)
-                .primary_key(&["user"])
-                .build()
-                .unwrap(),
-        )
-        .unwrap();
-        let store = Arc::new(ProvenanceStore::for_application(&db).unwrap());
-        db.set_retention_policy(Some(store.clone()));
-        let traced = Session::builder(db.clone()).tracer(Tracer::new()).build();
-
-        let mut txn = traced.begin_traced(TxnContext::new("R1", "updateProfile", "f"));
-        txn.insert("profiles", row!["U1", "u1@example.org"])
-            .unwrap();
-        txn.commit().unwrap();
-        store.ingest(traced.tracer().unwrap().drain());
-        let cutoff = traced.tracer().unwrap().now();
-        let mut txn = traced.begin_traced(TxnContext::new("R2", "updateProfile", "f"));
-        txn.insert("profiles", row!["U2", "u2@example.org"])
-            .unwrap();
-        txn.commit().unwrap();
-        store.ingest(traced.tracer().unwrap().drain());
-        db.gc_before(db.current_ts());
-        assert_eq!(store.spilled_count(), 2);
-
-        let report = store.retain_since(cutoff).unwrap();
-        assert_eq!(report.transactions_dropped, 1);
-        // The dropped transaction's aligned entry left the spill too: the
-        // purge cannot be undone through aligned_history or a
-        // reconstructed fork.
-        assert_eq!(report.spilled_dropped, 1);
-        assert_eq!(store.spilled_count(), 1);
-        assert!(store
-            .spilled_log()
-            .iter()
-            .flat_map(|e| e.changes.iter())
-            .filter_map(|c| c.op.after())
-            .all(|row| row.iter().all(|v| v.as_text() != Some("u1@example.org"))));
     }
 
     #[test]

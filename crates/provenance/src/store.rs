@@ -38,9 +38,7 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
-use trod_db::{
-    ChangeRecord, CommittedTxn, Database, DbResult, Key, RetentionPolicy, Schema, Ts, TxnId,
-};
+use trod_db::{ChangeRecord, Database, DbResult, Key, Schema, Ts, TxnId};
 use trod_query::{QueryEngine, QueryResultT, ResultSet};
 use trod_trace::{TraceEvent, TraceSink, TxnTrace};
 
@@ -90,9 +88,6 @@ pub struct ProvenanceStats {
     pub rejected_events: usize,
     /// Provenance entries removed or masked by privacy redaction.
     pub redacted_events: usize,
-    /// Aligned transaction-log entries spilled here by the application
-    /// database's retention policy before GC truncated them.
-    pub spilled_commits: usize,
 }
 
 /// What ingest needs to know about a registered application table,
@@ -162,15 +157,6 @@ pub struct ProvenanceStore {
     /// Transactions whose provenance has been partially redacted (GDPR
     /// erasure, §5); replay degrades gracefully for these.
     pub(crate) redacted_txns: RwLock<HashSet<TxnId>>,
-    /// Aligned transaction-log entries the application database spilled
-    /// here (via its [`RetentionPolicy`]) before truncating them — the
-    /// part of the aligned history that no longer exists in the live
-    /// `TxnLog`. Commit-ordered; the debugger stitches this prefix onto
-    /// the live log so replay and time travel keep working past the GC
-    /// watermark. In-memory only: on a durable deployment the same GC
-    /// pass compacts the covered WAL segments into immutable cold files,
-    /// which are the durable copy of this history.
-    pub(crate) spilled: RwLock<Vec<CommittedTxn>>,
 }
 
 impl Default for ProvenanceStore {
@@ -219,7 +205,6 @@ impl ProvenanceStore {
             }),
             stats: RwLock::new(ProvenanceStats::default()),
             redacted_txns: RwLock::new(HashSet::new()),
-            spilled: RwLock::new(Vec::new()),
         }
     }
 
@@ -589,54 +574,6 @@ impl ProvenanceStore {
     pub fn txn_count(&self) -> usize {
         self.archive.read().len()
     }
-
-    // ------------------------------------------------------------------
-    // Spilled aligned history (retention)
-    // ------------------------------------------------------------------
-
-    /// The aligned transaction-log entries spilled here before GC
-    /// truncation, in commit order. Together with the application
-    /// database's live log this is the complete aligned history (provided
-    /// the store was installed as the retention policy before the first
-    /// GC); the debugger stitches the two for replay below the GC floor.
-    pub fn spilled_log(&self) -> Vec<CommittedTxn> {
-        self.spilled.read().clone()
-    }
-
-    /// Spilled entries with commit timestamp at or below `ts`, in commit
-    /// order.
-    pub fn spilled_up_to(&self, ts: Ts) -> Vec<CommittedTxn> {
-        self.spilled_between(0, ts)
-    }
-
-    /// Spilled entries with commit timestamp in `(after, up_to]`, in
-    /// commit order — the delta a checkpoint-based reconstruction
-    /// replays on top of a restored snapshot at `after`. Cloning only
-    /// the window keeps deep forks O(delta), not O(history).
-    pub fn spilled_between(&self, after: Ts, up_to: Ts) -> Vec<CommittedTxn> {
-        let spilled = self.spilled.read();
-        let lo = spilled.partition_point(|e| e.commit_ts <= after);
-        let hi = spilled.partition_point(|e| e.commit_ts <= up_to);
-        spilled[lo..hi].to_vec()
-    }
-
-    /// Number of spilled aligned entries held.
-    pub fn spilled_count(&self) -> usize {
-        self.spilled.read().len()
-    }
-}
-
-impl RetentionPolicy for ProvenanceStore {
-    /// Receives the aligned log entries [`trod_db::Database::gc_before`]
-    /// is about to truncate (install with
-    /// `db.set_retention_policy(Some(provenance_arc))`, or through
-    /// `Trod::enable_retention`). Entries arrive in commit order and GC
-    /// horizons only rise, so appending keeps the spill commit-ordered.
-    fn spill(&self, entries: Vec<CommittedTxn>) {
-        let n = entries.len();
-        self.spilled.write().extend(entries);
-        self.stats.write().spilled_commits += n;
-    }
 }
 
 impl std::fmt::Debug for ProvenanceStore {
@@ -790,34 +727,6 @@ mod tests {
         assert_eq!(later.len(), 2);
         assert!(store.txn(all[0].txn_id).is_some());
         assert!(store.txn(9999).is_none());
-    }
-
-    #[test]
-    fn retention_spill_preserves_truncated_aligned_history() {
-        use std::sync::Arc;
-
-        let db = app_db();
-        let store = Arc::new(store_for(&db));
-        db.set_retention_policy(Some(store.clone()));
-
-        let traced = Session::builder(db.clone()).tracer(Tracer::new()).build();
-        for id in 1..=4i64 {
-            let mut txn = traced.begin_traced(TxnContext::new("R1", "h", "f"));
-            txn.insert("forum_sub", row![id, "U1", "F2"]).unwrap();
-            txn.commit().unwrap();
-        }
-        let live_before = db.log_entries();
-
-        let (_, logs) = db.gc_before(db.current_ts());
-        assert_eq!(logs, 4);
-        assert_eq!(db.log_len(), 0);
-        // The spilled prefix is exactly what the log dropped, in order.
-        assert_eq!(store.spilled_log(), live_before);
-        assert_eq!(store.spilled_count(), 4);
-        assert_eq!(store.stats().spilled_commits, 4);
-        let mid = live_before[1].commit_ts;
-        assert_eq!(store.spilled_up_to(mid).len(), 2);
-        assert_eq!(store.spilled_up_to(0).len(), 0);
     }
 
     #[test]

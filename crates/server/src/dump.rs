@@ -26,7 +26,7 @@ use std::path::Path;
 use trod_core::json::{Json, JsonError};
 use trod_core::wire::{self, WireError};
 use trod_core::Trod;
-use trod_db::{Column, CommittedTxn, DataType, Database, Schema, Ts};
+use trod_db::{Column, CommittedTxn, DataType, Database, DbResult, Schema, Ts};
 use trod_kv::Session;
 
 /// Why a dump could not be produced, parsed, or booted.
@@ -90,21 +90,8 @@ pub struct Dump {
     pub current_ts: Ts,
     pub tables: Vec<TableDef>,
     pub namespaces: Vec<String>,
-    /// Aligned history in commit order, spilled retention entries
-    /// stitched ahead of the live log.
+    /// Aligned history in commit order ([`Database::history`]).
     pub entries: Vec<CommittedTxn>,
-}
-
-/// Stitches spilled retention history and the live transaction log into
-/// one commit-ordered, duplicate-free entry list (same overlap rule as
-/// `Trod::aligned_history`: read live first, drop live entries at or
-/// below the spill watermark).
-pub fn stitched_entries(trod: &Trod) -> Vec<CommittedTxn> {
-    let live = trod.production_db().log_entries();
-    let mut out = trod.provenance().spilled_log();
-    let spilled_up_to = out.last().map(|e| e.commit_ts).unwrap_or(0);
-    out.extend(live.into_iter().filter(|e| e.commit_ts > spilled_up_to));
-    out
 }
 
 fn dtype_from_str(s: &str) -> Result<DataType, DumpError> {
@@ -141,10 +128,21 @@ fn table_def_of(db: &Database, name: &str) -> Option<TableDef> {
 }
 
 impl Dump {
-    /// Captures the whole environment of a live [`Trod`] instance.
-    /// Sync the tracer first if you also want the most recent requests'
-    /// provenance reflected in retention spills.
-    pub fn capture(trod: &Trod) -> Dump {
+    /// Captures the whole environment of a live [`Trod`] instance: its
+    /// schema and its history up to the published clock, below the GC
+    /// floor read from the durable log. An in-memory environment GC
+    /// truncated is [`trod_db::DbError::HistoryTruncated`], never a
+    /// partial dump.
+    pub fn capture(trod: &Trod) -> DbResult<Dump> {
+        let mut dump = Dump::capture_schema(trod);
+        dump.entries = trod.production_db().history(0, dump.current_ts)?;
+        Ok(dump)
+    }
+
+    /// Like [`Dump::capture`] but without the history — the shape
+    /// `sys_schema` serves (the entries travel separately via
+    /// `sys_history`, so a fork pull doesn't fetch the log twice).
+    pub fn capture_schema(trod: &Trod) -> Dump {
         let db = trod.production_db();
         let tables = db
             .table_names()
@@ -155,17 +153,7 @@ impl Dump {
             current_ts: db.current_ts(),
             tables,
             namespaces: db.namespaces(),
-            entries: stitched_entries(trod),
-        }
-    }
-
-    /// Like [`Dump::capture`] but without the history — the shape
-    /// `sys_schema` serves (the entries travel separately via
-    /// `sys_history`, so a fork pull doesn't fetch the log twice).
-    pub fn capture_schema(trod: &Trod) -> Dump {
-        Dump {
             entries: Vec::new(),
-            ..Dump::capture(trod)
         }
     }
 

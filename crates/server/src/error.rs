@@ -11,7 +11,7 @@
 use trod_core::json::Json;
 use trod_core::replay::ReplayError;
 use trod_core::retroactive::RetroactiveError;
-use trod_db::TrodError;
+use trod_db::{DbError, TrodError};
 use trod_query::QueryError;
 use trod_runtime::HandlerError;
 use trod_trace::wire::WireError;
@@ -156,6 +156,17 @@ impl From<TrodError> for RpcError {
     }
 }
 
+impl From<DbError> for RpcError {
+    /// A history read below the GC floor of an in-memory environment is
+    /// the `history_truncated` error a fork there gets.
+    fn from(e: DbError) -> Self {
+        match e {
+            DbError::HistoryTruncated { .. } => RpcError::from(&ReplayError::from(e)),
+            e => RpcError::from(TrodError::Relational(e)),
+        }
+    }
+}
+
 impl From<&ReplayError> for RpcError {
     fn from(e: &ReplayError) -> Self {
         match e {
@@ -205,7 +216,7 @@ impl From<&WireError> for RpcError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trod_db::{DbError, KvError};
+    use trod_db::KvError;
 
     #[test]
     fn retryability_tracks_the_engine() {
@@ -236,6 +247,23 @@ mod tests {
 
         assert!(RpcError::draining().retryable);
         assert_eq!(RpcError::draining().http_status(), 503);
+    }
+
+    #[test]
+    fn history_below_the_floor_is_history_truncated_wherever_it_is_read() {
+        let truncated = DbError::HistoryTruncated { ts: 3, floor: 9 };
+        let via_fork = RpcError::from(&ReplayError::from(truncated.clone()));
+        let via_history = RpcError::from(truncated);
+        assert_eq!(via_fork, via_history);
+        assert_eq!(
+            (via_fork.code, via_fork.kind.as_str()),
+            (REPLAY, "history_truncated")
+        );
+        let data = via_fork.to_json();
+        let data = data.get("data").unwrap();
+        assert_eq!(data.get("snapshot_ts").and_then(Json::as_u64), Some(3));
+        assert_eq!(data.get("floor").and_then(Json::as_u64), Some(9));
+        assert!(via_fork.message.contains("no durable log covers it"));
     }
 
     #[test]

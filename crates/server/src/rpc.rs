@@ -8,7 +8,7 @@ use trod_db::{Key, Ts, Value};
 use trod_query::{QueryEngine, ResultSet};
 use trod_runtime::Args;
 
-use crate::dump::{self, Dump};
+use crate::dump::Dump;
 use crate::error::{RpcError, DUMP};
 use crate::state::{ForkEntry, ServerState};
 
@@ -697,15 +697,12 @@ pub fn dispatch(state: &ServerState, method: &str, params: &Json) -> Result<Json
             ]))
         }
         "sys_history" => {
-            let mut entries = dump::stitched_entries(&state.trod);
-            if let Some(up_to) = p_opt_u64(params, "up_to")? {
-                entries.retain(|e| e.commit_ts <= up_to);
-            }
+            let db = state.trod.production_db();
+            let current_ts = db.current_ts();
+            let up_to = p_opt_u64(params, "up_to")?.unwrap_or(current_ts);
+            let entries = db.history(0, up_to)?;
             Ok(Json::obj(vec![
-                (
-                    "current_ts",
-                    Json::from(state.trod.production_db().current_ts()),
-                ),
+                ("current_ts", Json::from(current_ts)),
                 (
                     "entries",
                     Json::Array(entries.iter().map(wire::txn_to_json).collect()),
@@ -713,8 +710,7 @@ pub fn dispatch(state: &ServerState, method: &str, params: &Json) -> Result<Json
             ]))
         }
         "sys_dump" => {
-            state.sync_provenance();
-            let dump = Dump::capture(&state.trod);
+            let dump = Dump::capture(&state.trod)?;
             match params.get("path").and_then(Json::as_str) {
                 Some(path) => {
                     dump.write_to(path)

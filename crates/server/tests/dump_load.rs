@@ -104,7 +104,7 @@ fn dump_load_round_trip_preserves_history_and_clocks() {
     let source = shop_trod();
     run_workload(&source, &workload::WorkloadConfig::small());
 
-    let dump = Dump::capture(&source);
+    let dump = Dump::capture(&source).expect("capture");
     assert!(!dump.entries.is_empty());
 
     // Through the in-memory document.
@@ -191,7 +191,10 @@ fn sys_dump_over_the_wire_boots_an_identical_instance() {
 fn a_dump_listing_range_indexes_boots_one_index_per_column() {
     let source = shop_trod();
     run_workload(&source, &workload::WorkloadConfig::small());
-    let text = Dump::capture(&source).to_json().to_string();
+    let text = Dump::capture(&source)
+        .expect("capture")
+        .to_json()
+        .to_string();
     assert!(!text.contains("range_indexes"), "no longer emitted");
     // `inventory.stock` as a range index only, `orders.customer` in both.
     let rewrite = |text: String, from: &str, to: &str| {
@@ -327,7 +330,7 @@ proptest! {
         let source = shop_trod();
         run_workload(&source, &cfg);
 
-        let dump = Dump::capture(&source);
+        let dump = Dump::capture(&source).expect("capture");
         let text = dump.to_json().to_string();
         let reparsed = Dump::from_json(&Json::parse(&text).unwrap()).unwrap();
         prop_assert_eq!(&reparsed, &dump);

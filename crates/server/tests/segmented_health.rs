@@ -6,7 +6,7 @@
 //! PR 10: `sys_checkpoint` forces an environment checkpoint over the
 //! wire, `sys_health` reports checkpoint stats, and a restart boots
 //! from the checkpoint (recovery report carries its ts) while serving
-//! the same stitched dump.
+//! the same dump and forks below the checkpoint, both read from the log.
 
 use trod_core::json::Json;
 use trod_core::wire;
@@ -83,9 +83,6 @@ fn sys_health_reports_segments_and_sys_dump_stitches_across_restart() {
             }
         }
         let trod = attach(session);
-        // Retention keeps the GC'd prefix reachable in memory; on disk it
-        // lives on as compacted cold files.
-        trod.enable_retention();
         trod.gc_before(floor);
 
         let server = ServerBuilder::new(trod).serve("127.0.0.1:0").expect("bind");
@@ -109,7 +106,7 @@ fn sys_health_reports_segments_and_sys_dump_stitches_across_restart() {
 
         // Nothing holds GC yet. A remote fork above the floor reads
         // through to production and pins its timestamp; one below the
-        // floor is reconstructed from the spill and pins nothing.
+        // floor is rebuilt from the log and pins nothing.
         let held = |health: &Json| {
             let forks = health.get("forks").expect("forks section");
             (
@@ -255,6 +252,34 @@ fn sys_checkpoint_forces_one_and_recovery_boots_from_it() {
     let reply = call_sys(&mut client, "sys_dump");
     let after_dump = Dump::from_json(reply.get("dump").unwrap()).expect("parse dump");
     assert_eq!(before_dump.current_ts, after_dump.current_ts);
+    // The boot truncated memory at the checkpoint; the history below it
+    // is read back from the log.
+    assert_eq!(after_dump.entries.len(), 8);
+    assert_eq!(
+        wire_entries(&before_dump),
+        wire_entries(&after_dump),
+        "dump must be byte-identical across the checkpoint boot"
+    );
+
+    // So is a fork below the boot checkpoint: the state after the fourth
+    // commit, as it was before the restart.
+    let fork_ts = before_dump.entries[3].commit_ts;
+    assert!(fork_ts < report.checkpoint_ts.unwrap());
+    let reply = client
+        .call("trod_fork", Json::obj(vec![("ts", Json::from(fork_ts))]))
+        .expect("fork below the checkpoint");
+    let fork_id = reply.get("fork_id").and_then(Json::as_str).unwrap();
+    let sql = "SELECT k, v FROM events ORDER BY k";
+    let rs = client
+        .call(
+            "fork_sql",
+            Json::obj(vec![("fork", Json::str(fork_id)), ("sql", Json::str(sql))]),
+        )
+        .expect("fork_sql");
+    let want: Vec<Json> = (0..4)
+        .map(|k| Json::Array(vec![Json::Int(k), Json::Int(k * 10)]))
+        .collect();
+    assert_eq!(rs.get("rows").and_then(Json::as_array), Some(&want[..]));
     server.shutdown();
     let _ = std::fs::remove_dir_all(&path);
 }

@@ -11,13 +11,17 @@
 //!   to skip-count `kv:` records;
 //! * the kv fidelity check catches a divergence injected outside the
 //!   traced commit path;
-//! * with retention enabled, replay still reaches history older than the
-//!   GC watermark by rebuilding the environment from spilled aligned
-//!   entries; without retention the truncation is reported, not papered
-//!   over.
+//! * on a durable environment, replay still reaches history older than
+//!   the GC watermark by forking the state at its snapshot from the log;
+//!   an in-memory environment reports the truncation, not a partial fork;
+//! * neither a provenance cutoff nor an erasure reaches the application's
+//!   own history, so a fork holds the same rows above and below the floor.
+
+use std::sync::Arc;
 
 use trod::apps::shop;
 use trod::core::ReplayError;
+use trod::db::{MemDir, WalOptions};
 use trod::prelude::*;
 
 fn shop_trod() -> Trod {
@@ -148,9 +152,26 @@ fn kv_read_verification_catches_an_injected_divergence() {
     );
 }
 
-#[test]
-fn replay_reaches_history_older_than_the_gc_watermark_via_spilled_retention() {
-    let trod = shop_trod();
+/// [`shop_trod`] over a durable log on an in-memory disk, one segment per
+/// commit: GC compacts them into cold files, and history below the GC
+/// floor stays reachable through them.
+fn durable_shop_trod() -> Trod {
+    let opts = WalOptions {
+        segment_bytes: 1,
+        ..WalOptions::default()
+    };
+    let db = Database::create_durable_in(Arc::new(MemDir::new()), opts).unwrap();
+    shop::create_schema(&db);
+    shop::seed_inventory(&db, 3, 100);
+    let runtime = Runtime::builder(db, shop::registry())
+        .kv(shop::shop_kv())
+        .build();
+    Trod::attach(runtime).unwrap()
+}
+
+/// Serves a cart, two checkouts and a cart for the customers the erasure
+/// and replay tests look at.
+fn serve_checkouts(trod: &Trod) {
     let rt = trod.runtime();
     rt.handle_request_with_id("R1", "addToCart", cart_args("alice", "item-1"));
     rt.handle_request_with_id(
@@ -164,37 +185,33 @@ fn replay_reaches_history_older_than_the_gc_watermark_via_spilled_retention() {
         shop::checkout_args("O2", "bob", "item-2", 1),
     );
     trod.sync();
+}
 
-    trod.enable_retention();
+#[test]
+fn replay_reaches_history_older_than_the_gc_watermark_through_the_durable_log() {
+    let trod = durable_shop_trod();
+    serve_checkouts(&trod);
+
     let db = trod.production_db();
-    let live_len = db.log_len();
+    let live = db.log_entries();
     let (_, truncated) = db.gc_before(db.current_ts());
-    assert_eq!(truncated, live_len, "the whole log was truncated");
+    assert_eq!(truncated, live.len(), "the whole log was truncated");
     assert_eq!(db.log_len(), 0);
     assert!(db.log_truncated_below() > 0);
 
-    // The debugger stitches spilled + live history into one continuous
-    // aligned view.
-    assert_eq!(trod.provenance().spilled_count(), live_len);
-    let stitched = trod.aligned_history();
-    assert_eq!(stitched.len(), live_len);
-    assert!(stitched.windows(2).all(|w| w[0].commit_ts < w[1].commit_ts));
-    assert!(stitched.iter().any(|c| c.spans_both_stores()));
+    // The aligned history is read back from the log's files: exactly what
+    // the live log held, kv records included.
+    assert_eq!(db.history(0, db.current_ts()).unwrap(), live);
+    let history = trod.aligned_history().unwrap();
+    assert_eq!(history.len(), live.len());
+    assert!(history.windows(2).all(|w| w[0].commit_ts < w[1].commit_ts));
+    assert!(history.iter().any(|c| c.spans_both_stores()));
 
-    // A defensive repeat of enable_retention must not disown the
-    // existing complete spill (idempotent re-install keeps the original
-    // coverage floor).
-    trod.enable_retention();
-
-    // Every request predates the GC floor now; replay reconstructs the
-    // environment from the spilled aligned history and stays faithful,
-    // kv records included.
+    // Every request predates the GC floor now; replay forks the state at
+    // its snapshot from the log and stays faithful, kv records included.
     for req in ["R1", "R2", "R3"] {
         let report = trod.replay(req).unwrap().run_to_end().unwrap();
-        assert!(
-            report.is_faithful(),
-            "{req} must replay from spilled history"
-        );
+        assert!(report.is_faithful(), "{req} must replay from the log");
         assert_eq!(report.writes_skipped(), 0, "{req}");
     }
     let mut session = trod.replay("R2").unwrap();
@@ -211,46 +228,8 @@ fn replay_reaches_history_older_than_the_gc_watermark_via_spilled_retention() {
             .get_latest(shop::CARTS_NAMESPACE, "cart:alice")
             .unwrap(),
         None,
-        "R2's replayed checkout cleared the cart rebuilt from spilled history"
+        "R2's replayed checkout cleared the cart read back from the log"
     );
-}
-
-#[test]
-fn retention_installed_after_truncation_cannot_paper_over_the_gap() {
-    let trod = shop_trod();
-    trod.runtime().handle_request_with_id(
-        "R1",
-        "checkout",
-        shop::checkout_args("O1", "alice", "item-1", 1),
-    );
-    trod.sync();
-    // First GC runs WITHOUT retention: R1's aligned history is gone for
-    // good.
-    let db = trod.production_db();
-    db.gc_before(db.current_ts());
-
-    // Retention arrives late; more traffic commits and is spilled by a
-    // second GC.
-    trod.enable_retention();
-    trod.runtime().handle_request_with_id(
-        "R2",
-        "checkout",
-        shop::checkout_args("O2", "bob", "item-2", 1),
-    );
-    trod.sync();
-    db.gc_before(db.current_ts());
-    assert!(trod.provenance().spilled_count() > 0);
-
-    // Both replays must refuse: R1's history was never spilled, and R2's
-    // spill is only partial (everything truncated before the install is
-    // missing) — rebuilding from it would silently fork wrong state.
-    for req in ["R1", "R2"] {
-        let err = trod.replay(req).expect_err("partial spill must be refused");
-        assert!(
-            matches!(err, ReplayError::HistoryTruncated { .. }),
-            "{req}: got {err}"
-        );
-    }
 }
 
 #[test]
@@ -262,8 +241,8 @@ fn replay_below_the_gc_floor_without_retention_reports_truncation() {
         shop::checkout_args("O1", "alice", "item-1", 1),
     );
     trod.sync();
-    // GC without any retention policy: the history below the floor is
-    // simply gone.
+    // GC of an in-memory environment: nothing holds the history below the
+    // floor any more.
     let db = trod.production_db();
     db.gc_before(db.current_ts());
 
@@ -272,35 +251,93 @@ fn replay_below_the_gc_floor_without_retention_reports_truncation() {
         matches!(err, ReplayError::HistoryTruncated { .. }),
         "got {err}"
     );
+    assert!(
+        err.to_string().contains("no durable log covers it"),
+        "{err}"
+    );
+    assert!(matches!(
+        trod.aligned_history(),
+        Err(DbError::HistoryTruncated { ts: 0, .. })
+    ));
 }
 
 #[test]
-fn a_foreign_retention_policy_does_not_vouch_for_this_debugger() {
-    use std::sync::Arc;
-
-    let trod = shop_trod();
-    trod.runtime().handle_request_with_id(
-        "R1",
-        "checkout",
-        shop::checkout_args("O1", "alice", "item-1", 1),
-    );
-    trod.sync();
-    // Some OTHER store is installed as the retention policy (coverage
-    // floor 0) before GC — its spill is complete, but it is not the
-    // debugger's provenance store, so replay still must refuse rather
-    // than reconstruct from the debugger's (empty) spill.
-    let foreign = Arc::new(ProvenanceStore::new());
+fn a_provenance_cutoff_leaves_a_deep_fork_whole() {
+    let trod = durable_shop_trod();
+    let tracer = trod.runtime().tracer().clone();
+    let (mut commits, mut cutoff) = (Vec::new(), 0);
+    for (i, order) in ["O1", "O2", "O3"].into_iter().enumerate() {
+        let ctx = TxnContext::new(format!("R{i}"), "placeOrder", "f");
+        let mut txn = trod.session().begin_traced(ctx);
+        let order_row = row![order, "alice", "item-1", 1i64, "placed"];
+        txn.insert(shop::ORDERS_TABLE, order_row).unwrap();
+        commits.push(txn.commit().unwrap().commit_ts);
+        trod.sync();
+        if i == 0 {
+            cutoff = tracer.now();
+        }
+    }
     let db = trod.production_db();
-    db.set_retention_policy(Some(foreign.clone()));
     db.gc_before(db.current_ts());
-    assert!(foreign.spilled_count() > 0);
-    assert_eq!(trod.provenance().spilled_count(), 0);
+    let report = trod.provenance().retain_since(cutoff).unwrap();
+    assert_eq!(report.transactions_dropped, 1, "the first commit's trace");
 
-    let err = trod
-        .replay("R1")
-        .expect_err("foreign spill must be refused");
-    assert!(
-        matches!(err, ReplayError::HistoryTruncated { .. }),
-        "got {err}"
-    );
+    // A fork reads the application's own log, which a provenance cutoff
+    // does not reach: at the second commit, below the floor, the first
+    // commit's row is there.
+    assert!(commits[1] < db.log_truncated_below());
+    let fork = trod.fork_at(commits[1]).unwrap();
+    for (order, present) in [("O1", true), ("O2", true), ("O3", false)] {
+        let row = fork
+            .database()
+            .get_latest(shop::ORDERS_TABLE, &Key::single(order))
+            .unwrap();
+        assert_eq!(row.is_some(), present, "{order}");
+    }
+}
+
+#[test]
+fn an_erasure_leaves_forks_above_and_below_the_floor_alike() {
+    let trod = durable_shop_trod();
+    serve_checkouts(&trod);
+    let alice = [("customer", Value::Text("alice".into()))];
+    let report = trod
+        .provenance()
+        .redact_rows(shop::ORDERS_TABLE, &alice)
+        .unwrap();
+    assert!(report.transactions_affected > 0);
+
+    // Everything a fork holds, table by table, and the carts.
+    let rows = |fork: &Session| {
+        let tables = [
+            shop::INVENTORY_TABLE,
+            shop::ORDERS_TABLE,
+            shop::PAYMENTS_TABLE,
+        ];
+        let scans = tables.map(|t| fork.database().scan_latest(t, &Predicate::True).unwrap());
+        let carts = fork.kv().scan_prefix(shop::CARTS_NAMESPACE, "").unwrap();
+        (scans, carts)
+    };
+    let db = trod.production_db();
+    let ts = db.current_ts();
+    let above = rows(&trod.fork_at(ts).unwrap());
+    let replay_above = trod.replay("R2").unwrap().run_to_end().unwrap();
+    assert!(replay_above.has_partial_data());
+
+    // One more request, then GC past `ts`: the same fork now comes from
+    // the log.
+    trod.runtime()
+        .handle_request_with_id("R4", "addToCart", cart_args("carol", "item-2"));
+    trod.sync();
+    db.gc_before(db.current_ts());
+    assert!(ts < db.log_truncated_below());
+    let below = rows(&trod.fork_at(ts).unwrap());
+    assert_eq!(above, below, "the erasure reached neither fork");
+    let orders = &below.0[1];
+    assert!(orders
+        .iter()
+        .any(|(_, row)| row[1] == Value::Text("alice".into())));
+    let replay_below = trod.replay("R2").unwrap().run_to_end().unwrap();
+    assert!(replay_below.has_partial_data());
+    assert_eq!(replay_above, replay_below);
 }

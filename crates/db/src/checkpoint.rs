@@ -190,11 +190,17 @@ fn decode_payload(payload: &[u8]) -> Result<Checkpoint, String> {
     }
     let ts = c.u64()?;
     let next_txn_id = c.u64()?;
-    let n_tables = c.count("table")?;
+    let n_tables = c.u32()? as usize;
+    if n_tables > payload.len() {
+        return Err(format!("table count {n_tables} exceeds payload"));
+    }
     let mut tables = Vec::with_capacity(n_tables);
     for _ in 0..n_tables {
         let name = c.str()?;
-        let ncols = c.count("column")?;
+        let ncols = c.u32()? as usize;
+        if ncols > payload.len() {
+            return Err(format!("column count {ncols} exceeds payload"));
+        }
         let mut columns = Vec::with_capacity(ncols);
         for _ in 0..ncols {
             let col_name = c.str()?;
@@ -206,7 +212,10 @@ fn decode_payload(payload: &[u8]) -> Result<Checkpoint, String> {
                 Column::new(col_name, dtype)
             });
         }
-        let npk = c.count("pk")?;
+        let npk = c.u32()? as usize;
+        if npk > payload.len() {
+            return Err(format!("pk count {npk} exceeds payload"));
+        }
         let mut pk = Vec::with_capacity(npk);
         for _ in 0..npk {
             pk.push(c.str()?);
@@ -218,7 +227,10 @@ fn decode_payload(payload: &[u8]) -> Result<Checkpoint, String> {
         // checkpoints written before the index kinds merged) has one index.
         let mut indexes: Vec<String> = Vec::new();
         for _ in 0..2 {
-            let n = c.count("index")?;
+            let n = c.u32()? as usize;
+            if n > payload.len() {
+                return Err(format!("index count {n} exceeds payload"));
+            }
             for _ in 0..n {
                 let column = c.str()?;
                 if !indexes.contains(&column) {
@@ -226,7 +238,10 @@ fn decode_payload(payload: &[u8]) -> Result<Checkpoint, String> {
                 }
             }
         }
-        let n_rows = c.count64("row")?;
+        let n_rows = c.u64()? as usize;
+        if n_rows > payload.len() {
+            return Err(format!("row count {n_rows} exceeds payload"));
+        }
         let mut rows = Vec::with_capacity(n_rows);
         for _ in 0..n_rows {
             let key = Key::from(c.values()?);
@@ -240,11 +255,17 @@ fn decode_payload(payload: &[u8]) -> Result<Checkpoint, String> {
             rows,
         });
     }
-    let n_ns = c.count("namespace")?;
+    let n_ns = c.u32()? as usize;
+    if n_ns > payload.len() {
+        return Err(format!("namespace count {n_ns} exceeds payload"));
+    }
     let mut namespaces = Vec::with_capacity(n_ns);
     for _ in 0..n_ns {
         let name = c.str()?;
-        let n_entries = c.count64("entry")?;
+        let n_entries = c.u64()? as usize;
+        if n_entries > payload.len() {
+            return Err(format!("entry count {n_entries} exceeds payload"));
+        }
         let mut entries = Vec::with_capacity(n_entries);
         for _ in 0..n_entries {
             let k = c.str()?;

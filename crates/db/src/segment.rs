@@ -29,7 +29,7 @@
 //!   commit; [`SegmentedWal::open_dir`] reconciles whatever debris is
 //!   left.
 
-use std::io::BufRead;
+use std::io::{BufRead, Read as _};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -234,7 +234,10 @@ fn decode_manifest(bytes: &[u8]) -> Result<Manifest, StorageError> {
             return Err(format!("unsupported manifest version {version}"));
         }
         let next_seq = c.u64()?;
-        let n_cold = c.count("cold")?;
+        let n_cold = c.u32()? as usize;
+        if n_cold > payload.len() {
+            return Err(format!("cold count {n_cold} exceeds payload"));
+        }
         let mut cold = Vec::with_capacity(n_cold);
         for _ in 0..n_cold {
             cold.push(ListedFile {
@@ -246,7 +249,10 @@ fn decode_manifest(bytes: &[u8]) -> Result<Manifest, StorageError> {
                 has_ddl: c.u8()? != 0,
             });
         }
-        let n_sealed = c.count("sealed")?;
+        let n_sealed = c.u32()? as usize;
+        if n_sealed > payload.len() {
+            return Err(format!("sealed count {n_sealed} exceeds payload"));
+        }
         let mut sealed = Vec::with_capacity(n_sealed);
         for _ in 0..n_sealed {
             let (name, seq) = (c.str()?, c.u64()?);
@@ -261,7 +267,10 @@ fn decode_manifest(bytes: &[u8]) -> Result<Manifest, StorageError> {
         }
         let active_name = c.str()?;
         let active_seq = c.u64()?;
-        let n_ckpt = c.count("checkpoint")?;
+        let n_ckpt = c.u32()? as usize;
+        if n_ckpt > payload.len() {
+            return Err(format!("checkpoint count {n_ckpt} exceeds payload"));
+        }
         let mut checkpoints = Vec::with_capacity(n_ckpt);
         for _ in 0..n_ckpt {
             checkpoints.push(CheckpointFile {
@@ -695,19 +704,20 @@ impl SegmentedWal {
         }
         // A checkpoint boot skips every immutable file whose commits the
         // snapshot already covers and that carries no DDL — unread and
-        // unvalidated: that *is* the O(delta) win. Commits the checkpoint
-        // covers are dropped (the snapshot *is* their state), undecoded
-        // where the walk can; DDL records are kept — the callback replays
-        // them idempotently, since the checkpoint already restored the
-        // catalog objects they made.
+        // unvalidated: that *is* the O(delta) win. Every frame it does
+        // read is decoded — the structural check on on-disk input — and
+        // the commits the checkpoint covers are dropped (the snapshot *is*
+        // their state); DDL records are kept — the callback replays them
+        // idempotently, since the checkpoint already restored the catalog
+        // objects they made.
         let covered = |max_ts: Ts, has_ddl: bool| ckpt_ts > 0 && max_ts <= ckpt_ts && !has_ddl;
-        let wanted: Wanted = &|ts| ts.is_none_or(|ts| ts > ckpt_ts);
         let end = walk_log(
             dir.as_ref(),
             &manifest,
             &mut rec,
             covered,
-            wanted,
+            ALL,
+            None,
             |record, rec| match &record {
                 WalRecord::Commit(e) if e.commit_ts <= ckpt_ts => Ok(()),
                 _ => replay(Replay::Record(record), rec),
@@ -957,13 +967,22 @@ impl SegmentedWal {
             // time-travel ladder and survive checkpoint pruning. The next
             // manifest swap persists it.
             s.manifest.gc_floor = s.manifest.gc_floor.max(floor);
-            let eligible = |f: &ListedFile| f.max_ts <= floor;
-            let sealed = &s.manifest.sealed;
-            let runs =
-                sealed.chunk_by(|a, b| eligible(a) && eligible(b) && a.seq_hi + 1 == b.seq_lo);
-            runs.filter(|run| eligible(&run[0]))
-                .map(<[_]>::to_vec)
-                .collect()
+            let mut runs = Vec::new();
+            let mut cur: Vec<ListedFile> = Vec::new();
+            for seg in &s.manifest.sealed {
+                let eligible = seg.max_ts <= floor;
+                let contiguous = cur.last().is_some_and(|p| p.seq_hi + 1 == seg.seq_lo);
+                if !(eligible && (cur.is_empty() || contiguous)) && !cur.is_empty() {
+                    runs.push(std::mem::take(&mut cur));
+                }
+                if eligible {
+                    cur.push(seg.clone());
+                }
+            }
+            if !cur.is_empty() {
+                runs.push(cur);
+            }
+            runs
         };
         let mut compacted = 0usize;
         for run in &runs {
@@ -1042,12 +1061,26 @@ impl SegmentedWal {
                 if s.manifest.cold.len() <= COLD_MERGE_BOUND {
                     return Ok(());
                 }
-                // The first of the longest chains.
-                let chains = s.manifest.cold.chunk_by(|a, b| a.seq_hi + 1 == b.seq_lo);
-                match chains.rev().max_by_key(|chain| chain.len()) {
-                    Some(chain) if chain.len() >= 2 => chain.to_vec(),
-                    _ => return Ok(()),
+                let mut best: Vec<ListedFile> = Vec::new();
+                let mut cur: Vec<ListedFile> = Vec::new();
+                for c in &s.manifest.cold {
+                    let contiguous = cur.last().is_some_and(|p| p.seq_hi + 1 == c.seq_lo);
+                    if !cur.is_empty() && !contiguous {
+                        if cur.len() > best.len() {
+                            best = std::mem::take(&mut cur);
+                        } else {
+                            cur.clear();
+                        }
+                    }
+                    cur.push(c.clone());
                 }
+                if cur.len() > best.len() {
+                    best = cur;
+                }
+                if best.len() < 2 {
+                    return Ok(());
+                }
+                best
             };
             self.publish_cold(&chain)?;
         }
@@ -1190,11 +1223,13 @@ impl SegmentedWal {
     /// log's files by the recovery walk (`walk_log`): files whose
     /// commits all sit at or below `after` are skipped unread, commits at
     /// or below it are left undecoded, and the walk stops at the first
-    /// commit past `up_to`. The active segment is first pushed to its
-    /// appended watermark, as sealing does: `Cached` mode holds appended
-    /// bytes in process and a group write may be in flight. Callers pass
-    /// an `up_to` at or below the published clock; every such commit was
-    /// appended before it published.
+    /// commit past `up_to`. Callers pass an `up_to` at or below the
+    /// published clock; every such commit was appended before it
+    /// published, so it lies below the active segment's appended
+    /// watermark read here. The walk reads the active segment only up to
+    /// that watermark, after pushing it to the file as sealing does
+    /// (`Cached` mode holds appended bytes in process and a group write
+    /// may be in flight); later commits may be landing past it.
     ///
     /// The walk takes no lock, so rotation and compaction run alongside
     /// it. Listed files are immutable until compaction deletes them, and
@@ -1208,16 +1243,20 @@ impl SegmentedWal {
                 let s = self.state.lock();
                 (s.manifest.clone(), s.active.wal.clone())
             };
+            let watermark = active.appended();
             seal_sync(&active, self.opts.sync_mode)?;
             let from = entries.last().map_or(after, |e| e.commit_ts);
+            // The walk ends early with `Some` failure, or with `None` at
+            // the first commit past the range.
             let walked = walk_log(
                 self.dir.as_ref(),
                 &manifest,
                 &mut RecoveryReport::default(),
                 |max_ts, _| max_ts <= from,
                 &|ts| ts.is_some_and(|ts| ts > from),
+                Some(watermark),
                 |record, _| match record {
-                    WalRecord::Commit(e) if e.commit_ts > up_to => Err(Walk::Past),
+                    WalRecord::Commit(e) if e.commit_ts > up_to => Err(None),
                     WalRecord::Commit(e) if e.commit_ts > from => {
                         entries.push(e);
                         Ok(())
@@ -1226,24 +1265,11 @@ impl SegmentedWal {
                 },
             );
             match walked {
-                Ok(_) | Err(Walk::Past) => return Ok(entries),
-                Err(Walk::Failed(_)) if self.state.lock().manifest != manifest => continue,
-                Err(Walk::Failed(e)) => return Err(e),
+                Ok(_) | Err(None) => return Ok(entries),
+                Err(Some(_)) if self.state.lock().manifest != manifest => continue,
+                Err(Some(e)) => return Err(e),
             }
         }
-    }
-}
-
-/// How a [`SegmentedWal::history`] walk ends early.
-enum Walk {
-    /// It read past the range it wants.
-    Past,
-    Failed(StorageError),
-}
-
-impl From<StorageError> for Walk {
-    fn from(e: StorageError) -> Walk {
-        Walk::Failed(e)
     }
 }
 
@@ -1284,18 +1310,23 @@ struct WalkEnd {
 /// compaction may cold a run *behind* a still-hot sealed segment — so the
 /// walk merges both lists sorted by low sequence. They were fully durable
 /// before they stopped being active: any damage in them is corruption,
-/// never a torn tail. `skip(max_ts, has_ddl)` leaves a file unread; its
-/// manifest length still advances the global LSN base. Their frames are
-/// all validated, and decoded only if `wanted`. The active segment comes
-/// last, under the torn-tail rule, every frame decoded to summarize it;
-/// its summary is unknown until it is read, so `skip` sees it as
-/// `(Ts::MAX, true)`.
+/// never a torn tail. `skip(max_ts, has_ddl)` leaves one of them unread;
+/// its manifest length still advances the global LSN base. Every frame
+/// read is validated, and decoded only if `wanted` (recovery wants all,
+/// so the active segment's summary sees every record).
+///
+/// The active segment comes last. Recovery (`active_len` `None`) reads it
+/// to its end under the torn-tail rule. A reader of a live log passes the
+/// segment's appended watermark and reads that prefix strictly: every
+/// byte below it was written, and the bytes past it may be a write still
+/// landing.
 fn walk_log<E: From<StorageError>>(
     dir: &dyn LogDir,
     manifest: &Manifest,
     rec: &mut RecoveryReport,
     mut skip: impl FnMut(Ts, bool) -> bool,
     wanted: Wanted,
+    active_len: Option<u64>,
     mut on_record: impl FnMut(WalRecord, &mut RecoveryReport) -> Result<(), E>,
 ) -> Result<WalkEnd, E> {
     // A listed file that is missing is a typed recovery error.
@@ -1336,15 +1367,22 @@ fn walk_log<E: From<StorageError>>(
         has_ddl: false,
     };
     rec.segments += 1;
-    if skip(Ts::MAX, true) {
-        return Ok(end);
-    }
     let name = &manifest.active_name;
     let src = open(name, "active segment")?;
-    end.info = stream_records(src, name, ALL, |record, _| {
+    let on_frame = |record: WalRecord, _: &[u8]| {
         note_record(&mut end.max_ts, &mut end.has_ddl, &record);
         on_record(record, rec)
-    })?;
+    };
+    end.info = match active_len {
+        None => stream_records(src, name, wanted, on_frame)?,
+        Some(len) => {
+            stream_strict(Box::new(src.take(len)), name, len, wanted, on_frame)?;
+            RecoveryInfo {
+                valid_len: len,
+                truncated_bytes: 0,
+            }
+        }
+    };
     Ok(end)
 }
 
@@ -1673,6 +1711,41 @@ mod tests {
     }
 
     #[test]
+    fn a_checkpoint_boot_decodes_the_covered_frames_it_reads() {
+        let mem = MemDir::new();
+        let dir: Arc<dyn LogDir> = Arc::new(mem.clone());
+        // No rotation: the checkpoint at 1 covers commit 1, but the
+        // active segment holding it is read for commit 2.
+        let wal = SegmentedWal::create_dir(dir.clone(), WalOptions::default()).unwrap();
+        for i in 1..=2u64 {
+            let lsn = wal.append_entry(&entry(i, i)).unwrap();
+            wal.sync_to(lsn).unwrap();
+        }
+        let ck = Checkpoint {
+            ts: 1,
+            next_txn_id: 2,
+            tables: Vec::new(),
+            namespaces: Vec::new(),
+        };
+        wal.write_checkpoint(&ck).unwrap();
+        drop(wal);
+        // Commit 1's frame, re-checksummed around a change count its
+        // payload cannot hold: every CRC passes, the decode fails.
+        let name = segment_name(0);
+        let mut bytes = mem.file(&name).unwrap();
+        let len = crate::wal::encode_frame(&WalRecord::Commit(entry(1, 1))).len();
+        let frame = &mut bytes[..len];
+        frame[12 + 25..12 + 29].copy_from_slice(&5u32.to_le_bytes());
+        let payload_crc = crc32(&frame[12..]);
+        frame[4..8].copy_from_slice(&payload_crc.to_le_bytes());
+        let header_crc = crc32(&frame[..8]);
+        frame[8..12].copy_from_slice(&header_crc.to_le_bytes());
+        mem.put_file(&name, bytes);
+        let err = open_collect(dir).map(|_| ()).unwrap_err();
+        assert!(matches!(err, StorageError::Corrupt { .. }), "{err:?}");
+    }
+
+    #[test]
     fn stale_temp_and_unlisted_files_are_reconciled() {
         let mem = MemDir::new();
         let dir: Arc<dyn LogDir> = Arc::new(mem.clone());
@@ -1690,6 +1763,88 @@ mod tests {
         assert!(rec.removed_files >= 3, "{rec:?}");
         assert!(mem.file("MANIFEST.tmp").is_none());
         assert!(mem.file("cold-000090-000091.seg").is_none());
+    }
+
+    /// A directory whose file `active` a write is still landing in: a
+    /// reader sees the file and then `landing.0`, hits end-of-file, and
+    /// only then sees `landing.1` — as a read racing an append can.
+    struct LandingDir {
+        mem: MemDir,
+        active: String,
+        landing: Mutex<(Vec<u8>, Vec<u8>)>,
+    }
+
+    /// Reads its parts in order, with an end-of-file after each.
+    struct Parts(Vec<std::io::Cursor<Vec<u8>>>);
+
+    impl std::io::Read for Parts {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let Some(part) = self.0.first_mut() else {
+                return Ok(0);
+            };
+            let n = part.read(buf)?;
+            if n == 0 {
+                self.0.remove(0);
+            }
+            Ok(n)
+        }
+    }
+
+    impl LogDir for LandingDir {
+        fn list(&self) -> Result<Vec<String>, StorageError> {
+            self.mem.list()
+        }
+        fn open_read(&self, name: &str) -> Result<Box<dyn BufRead + Send>, StorageError> {
+            let (mut seen, mut late) = (self.mem.read(name)?, Vec::new());
+            if name == self.active {
+                let landing = self.landing.lock();
+                seen.extend_from_slice(&landing.0);
+                late = landing.1.clone();
+            }
+            let parts = [seen, late].map(std::io::Cursor::new);
+            Ok(Box::new(std::io::BufReader::new(Parts(parts.into()))))
+        }
+        fn create(&self, name: &str) -> Result<Box<dyn LogFile>, StorageError> {
+            self.mem.create(name)
+        }
+        fn open_append(&self, name: &str) -> Result<Box<dyn LogFile>, StorageError> {
+            self.mem.open_append(name)
+        }
+        fn rename(&self, from: &str, to: &str) -> Result<(), StorageError> {
+            self.mem.rename(from, to)
+        }
+        fn delete(&self, name: &str) -> Result<(), StorageError> {
+            self.mem.delete(name)
+        }
+        fn sync_dir(&self) -> Result<(), StorageError> {
+            self.mem.sync_dir()
+        }
+    }
+
+    #[test]
+    fn history_reads_the_active_segment_only_to_its_watermark() {
+        let dir = Arc::new(LandingDir {
+            mem: MemDir::new(),
+            active: segment_name(0),
+            landing: Mutex::default(),
+        });
+        // No rotation (default bound): every commit stays in the active
+        // segment.
+        let wal = SegmentedWal::create_dir(dir.clone(), WalOptions::default()).unwrap();
+        for i in 1..=2u64 {
+            let lsn = wal.append_entry(&entry(i, i)).unwrap();
+            wal.sync_to(lsn).unwrap();
+        }
+        // The write of commits 3 and 4 is landing: half of 3 is visible,
+        // then end-of-file, then the rest of 3 and all of 4. Read to the
+        // end, that is a damaged frame followed by a clean chain:
+        // corruption under the torn-tail rule.
+        let frame = |i| crate::wal::encode_frame(&WalRecord::Commit(entry(i, i)));
+        let (three, four) = (frame(3), frame(4));
+        let half = three.len() / 2;
+        *dir.landing.lock() = (three[..half].to_vec(), [&three[half..], &four].concat());
+        let got = wal.history(0, 2).unwrap();
+        assert_eq!(got.iter().map(|e| e.commit_ts).collect::<Vec<_>>(), [1, 2]);
     }
 
     #[test]

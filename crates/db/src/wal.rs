@@ -376,27 +376,6 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    /// A `u32` count of `what`s, refused when it exceeds the bytes left —
-    /// every element takes at least one — so no decoder reserves for a
-    /// count the input cannot hold.
-    pub(crate) fn count(&mut self, what: &str) -> Result<usize, String> {
-        let n = self.u32()?;
-        self.within(n.into(), what)
-    }
-
-    /// [`Cursor::count`] for a `u64` count.
-    pub(crate) fn count64(&mut self, what: &str) -> Result<usize, String> {
-        let n = self.u64()?;
-        self.within(n, what)
-    }
-
-    fn within(&self, n: u64, what: &str) -> Result<usize, String> {
-        match usize::try_from(n) {
-            Ok(n) if n <= self.remaining() => Ok(n),
-            _ => Err(format!("{what} count {n} exceeds payload")),
-        }
-    }
-
     fn i64(&mut self) -> Result<i64, String> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
@@ -427,7 +406,12 @@ impl<'a> Cursor<'a> {
     }
 
     pub(crate) fn values(&mut self) -> Result<Vec<Value>, String> {
-        let n = self.count("value")?;
+        let n = self.u32()? as usize;
+        if n > self.data.len() - self.pos {
+            // Each value is at least one byte; reject absurd counts
+            // before reserving.
+            return Err(format!("value count {n} exceeds remaining payload"));
+        }
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
             out.push(self.value()?);
@@ -480,7 +464,10 @@ fn decode_payload(payload: &[u8]) -> Result<WalRecord, String> {
             let txn_id = c.u64()?;
             let start_ts = c.u64()?;
             let commit_ts = c.u64()?;
-            let n = c.count("change")?;
+            let n = c.u32()? as usize;
+            if n > payload.len() {
+                return Err(format!("change count {n} exceeds payload"));
+            }
             let mut changes = Vec::with_capacity(n);
             for _ in 0..n {
                 changes.push(c.change(changes.last())?);
@@ -494,7 +481,10 @@ fn decode_payload(payload: &[u8]) -> Result<WalRecord, String> {
         }
         TAG_CREATE_TABLE => {
             let name = c.str()?;
-            let ncols = c.count("column")?;
+            let ncols = c.u32()? as usize;
+            if ncols > payload.len() {
+                return Err(format!("column count {ncols} exceeds payload"));
+            }
             let mut columns = Vec::with_capacity(ncols);
             for _ in 0..ncols {
                 let col_name = c.str()?;
@@ -506,7 +496,10 @@ fn decode_payload(payload: &[u8]) -> Result<WalRecord, String> {
                     Column::new(col_name, dtype)
                 });
             }
-            let npk = c.count("primary-key")?;
+            let npk = c.u32()? as usize;
+            if npk > payload.len() {
+                return Err(format!("primary-key count {npk} exceeds payload"));
+            }
             let mut pk = Vec::with_capacity(npk);
             for _ in 0..npk {
                 pk.push(c.str()?);

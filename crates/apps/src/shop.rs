@@ -44,14 +44,6 @@ pub fn shop_db() -> Database {
     db
 }
 
-/// Creates the shop schema with a given storage profile (used by the
-/// tracing-overhead benchmark to model in-memory vs on-disk stores).
-pub fn shop_db_with_profile(profile: trod_db::StorageProfile) -> Database {
-    let db = Database::with_profile(profile);
-    create_schema(&db);
-    db
-}
-
 /// Creates the shop tables on an existing database.
 pub fn create_schema(db: &Database) {
     db.create_table(

@@ -6,18 +6,19 @@
 //! table, under two protocols (the engine's sharded commit path, and a
 //! `global_lock` baseline in which the bench holds one process-wide
 //! mutex around every `commit()` — what a single global commit lock
-//! costs) and two storage profiles:
+//! costs) and two databases:
 //!
 //! * `in_memory` — commits cost ~2 µs of CPU; on a multi-core box the
 //!   sharded path scales with cores, on a single-core box both modes are
 //!   CPU-bound and flat (the lock is not the bottleneck either way);
-//! * `on_disk` — every commit pays the latency model's simulated fsync
-//!   (500 µs, slept off-CPU). Under the global lock those waits
-//!   serialize; under sharded locks disjoint tables overlap them, so
+//! * `on_disk` — a durable database whose log fsyncs take 500 µs off-CPU
+//!   (`trod_bench::durable_db`). Every commit waits for its group fsync
+//!   after releasing its table locks. Under the global lock (held through
+//!   `commit()`, fsync included) those waits serialize; under sharded
+//!   locks the commits on disjoint tables share group fsyncs, so
 //!   throughput scales with the thread count even on one core. This is
-//!   the regime the paper's Postgres-backed deployments live in and the
-//!   acceptance bar for PR 2 (≥ 2× the global-lock baseline at 4+
-//!   threads).
+//!   the regime the paper's Postgres-backed deployments live in (the bar:
+//!   ≥ 2× the global-lock baseline at 4 and 8 threads).
 //!
 //! The `delete_path` group measures the write-path cost of eager
 //! secondary-index maintenance on delete (PR 2 satellite): an
@@ -27,7 +28,8 @@ use std::sync::{Barrier, Mutex};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use trod_db::{row, DataType, Database, Key, Predicate, Schema, StorageProfile};
+use trod_bench::durable_db;
+use trod_db::{row, DataType, Database, Key, Predicate, Schema};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const COMMITS_PER_THREAD: usize = 32;
@@ -47,11 +49,11 @@ fn table_name(t: usize) -> String {
     format!("items_{t}")
 }
 
-/// A database with `tables` private tables of `ROWS_PER_TABLE` rows each,
-/// `grp` indexed so the benchmarked scan is O(1) and the measured cost is
-/// the commit path.
-fn db_with_tables(tables: usize, profile: StorageProfile) -> Database {
-    let db = Database::with_profile(profile);
+/// A database from `new` with `tables` private tables of
+/// `ROWS_PER_TABLE` rows each, `grp` indexed so the benchmarked scan is
+/// O(1) and the measured cost is the commit path.
+fn db_with_tables(tables: usize, new: fn() -> Database) -> Database {
+    let db = new();
     for t in 0..tables {
         let name = table_name(t);
         db.create_table(&name, items_schema()).unwrap();
@@ -101,20 +103,17 @@ fn run_round(db: &Database, threads: usize, global_lock: Option<&Mutex<()>>) {
 
 fn bench_disjoint_commit(c: &mut Criterion) {
     let mut group = c.benchmark_group("commit_sharding/disjoint_commit");
-    for (profile_name, profile) in [
-        ("in_memory", StorageProfile::InMemory),
-        ("on_disk", StorageProfile::on_disk_default()),
+    for (storage, new) in [
+        ("in_memory", Database::new as fn() -> Database),
+        ("on_disk", durable_db),
     ] {
         for &threads in &THREAD_COUNTS {
-            let db = db_with_tables(threads, profile);
+            let db = db_with_tables(threads, new);
             let lock = Mutex::new(());
             for (mode, global_lock) in [("sharded", None), ("global_lock", Some(&lock))] {
                 group.throughput(Throughput::Elements((threads * COMMITS_PER_THREAD) as u64));
                 group.bench_function(
-                    BenchmarkId::new(
-                        format!("{profile_name}/{mode}"),
-                        format!("threads_{threads}"),
-                    ),
+                    BenchmarkId::new(format!("{storage}/{mode}"), format!("threads_{threads}")),
                     |b| b.iter(|| run_round(&db, threads, global_lock)),
                 );
             }

@@ -11,21 +11,21 @@
 //!   footprint is `{table, kv:<ns>}`, locked in sorted order; disjoint
 //!   footprints validate, install and publish concurrently.
 //!
-//! Profiles mirror `commit_sharding`: `in_memory` measures raw CPU cost,
-//! `on_disk` charges each commit the latency model's simulated fsync
-//! (slept off-CPU, after publication, with the footprint locks held) —
-//! the regime where sharding pays: under the global lock the sleeps
-//! serialize, under sharded locks they overlap (the bar: ≥3× scaling
-//! from 1→4 threads for disjoint traffic on `on_disk`). The
-//! `global_lock` arm is a bench-local mutex held around every
-//! `commit()`.
+//! Databases mirror `commit_sharding`: `in_memory` measures raw CPU
+//! cost; `on_disk` is a durable database whose log fsyncs take 500 µs
+//! off-CPU (`trod_bench::durable_db`), each commit waiting for its group
+//! fsync after its footprint locks are released — the regime where
+//! sharding pays: under the global lock the waits serialize, under
+//! sharded locks disjoint commits share group fsyncs. The `global_lock`
+//! arm is a bench-local mutex held around every `commit()`.
 
 use std::sync::{Barrier, Mutex};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use trod_db::{row, DataType, Database, Schema, StorageProfile};
-use trod_kv::{KvStore, Session};
+use trod_bench::durable_db;
+use trod_db::{row, DataType, Database, Schema};
+use trod_kv::Session;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const COMMITS_PER_THREAD: usize = 32;
@@ -39,15 +39,16 @@ fn items_schema() -> Schema {
         .unwrap()
 }
 
-fn session_with(threads: usize, profile: StorageProfile) -> Session {
-    let db = Database::with_profile(profile);
-    let kv = KvStore::new();
+fn session_with(threads: usize, new: fn() -> Database) -> Session {
+    let session = Session::new(new());
     for t in 0..threads {
-        db.create_table(format!("items_{t}"), items_schema())
+        session
+            .database()
+            .create_table(format!("items_{t}"), items_schema())
             .unwrap();
-        kv.create_namespace(&format!("ns_{t}")).unwrap();
+        session.create_namespace(&format!("ns_{t}")).unwrap();
     }
-    Session::with_kv(db, kv)
+    session
 }
 
 /// One round: `threads` threads, each committing `COMMITS_PER_THREAD`
@@ -88,21 +89,18 @@ fn run_round(
 fn bench_cross_commit(c: &mut Criterion) {
     for (shape, mixed) in [("kv_disjoint", false), ("mixed_disjoint", true)] {
         let mut group = c.benchmark_group(format!("cross_commit/{shape}"));
-        for (profile_name, profile) in [
-            ("in_memory", StorageProfile::InMemory),
-            ("on_disk", StorageProfile::on_disk_default()),
+        for (storage, new) in [
+            ("in_memory", Database::new as fn() -> Database),
+            ("on_disk", durable_db),
         ] {
             for &threads in &THREAD_COUNTS {
                 let lock = Mutex::new(());
                 for (mode, global_lock) in [("sharded", None), ("global_lock", Some(&lock))] {
-                    let session = session_with(threads, profile);
+                    let session = session_with(threads, new);
                     let mut round = 0usize;
                     group.throughput(Throughput::Elements((threads * COMMITS_PER_THREAD) as u64));
                     group.bench_function(
-                        BenchmarkId::new(
-                            format!("{profile_name}/{mode}"),
-                            format!("threads_{threads}"),
-                        ),
+                        BenchmarkId::new(format!("{storage}/{mode}"), format!("threads_{threads}")),
                         |b| {
                             b.iter(|| {
                                 round += 1;

@@ -4,20 +4,25 @@
 //! relative overhead of <15 % against an in-memory store (VoltDB) and
 //! negligible against an on-disk store (Postgres). This benchmark measures
 //! the per-request latency of the shop checkout workflow with tracing
-//! enabled vs disabled, against both storage latency profiles, plus the
-//! raw cost of the trace buffer itself.
+//! enabled vs disabled, against an in-memory database (`in_memory`) and
+//! a durable one whose log fsyncs take 500 µs off-CPU (`on_disk`,
+//! `trod_bench::durable_db`: each of the checkout's three write
+//! transactions waits for its group fsync), plus the raw cost of the
+//! trace buffer itself.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use trod_apps::shop;
-use trod_db::StorageProfile;
+use trod_bench::durable_db;
+use trod_db::Database;
 use trod_runtime::Runtime;
 use trod_trace::Tracer;
 
-fn runtime_with(profile: StorageProfile, tracing: bool) -> Runtime {
-    let db = shop::shop_db_with_profile(profile);
+fn runtime_with(new: fn() -> Database, tracing: bool) -> Runtime {
+    let db = new();
+    shop::create_schema(&db);
     shop::seed_inventory(&db, 64, i64::MAX / 2);
     let runtime = Runtime::new(db, shop::registry());
     runtime.tracer().set_enabled(tracing);
@@ -26,18 +31,18 @@ fn runtime_with(profile: StorageProfile, tracing: bool) -> Runtime {
 
 fn bench_request_latency(c: &mut Criterion) {
     let mut group = c.benchmark_group("tracing_overhead/checkout_request");
-    let profiles = [
-        ("in_memory", StorageProfile::InMemory),
-        ("on_disk", StorageProfile::on_disk_default()),
+    let storages = [
+        ("in_memory", Database::new as fn() -> Database),
+        ("on_disk", durable_db),
     ];
-    for (profile_name, profile) in profiles {
+    for (storage, new) in storages {
         for (mode, tracing) in [("untraced", false), ("traced", true)] {
-            let runtime = runtime_with(profile, tracing);
+            let runtime = runtime_with(new, tracing);
             let counter = AtomicU64::new(0);
-            group.bench_function(BenchmarkId::new(profile_name, mode), |b| {
+            group.bench_function(BenchmarkId::new(storage, mode), |b| {
                 b.iter(|| {
                     let n = counter.fetch_add(1, Ordering::Relaxed);
-                    let order = format!("order-{profile_name}-{mode}-{n}");
+                    let order = format!("order-{storage}-{mode}-{n}");
                     let result = runtime.handle_request(
                         "checkout",
                         shop::checkout_args(&order, "bench-user", &format!("item-{}", n % 64), 1),

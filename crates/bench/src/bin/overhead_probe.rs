@@ -1,11 +1,10 @@
 use std::time::Instant;
 use trod_apps::shop;
-use trod_db::StorageProfile;
 use trod_runtime::Runtime;
 
 fn main() {
     for tracing in [false, true] {
-        let db = shop::shop_db_with_profile(StorageProfile::InMemory);
+        let db = shop::shop_db();
         shop::seed_inventory(&db, 64, i64::MAX / 2);
         let runtime = Runtime::new(db, shop::registry());
         runtime.tracer().set_enabled(tracing);

@@ -234,11 +234,6 @@ impl Database {
         let wal = self.wal();
         let appended = wal.as_ref().map(|w| w.append_entry(&entry));
         seq.publish(entry);
-        if wal.is_none() {
-            // The synthetic latency model stands in for the durability
-            // write only when there is no real one.
-            self.latency().on_commit();
-        }
         drop(_guards);
         if let (Some(w), Some(appended)) = (&wal, appended) {
             w.sync_to(appended?)?;

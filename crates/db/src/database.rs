@@ -1,5 +1,5 @@
 //! The database façade: catalog, durable boot, checkpoints, reads,
-//! history, snapshots, forking and garbage collection. Publication of
+//! history, forking and garbage collection. Publication of
 //! commits lives in [`crate::commit`]; how the pieces fit is written up
 //! once in `crates/db/DESIGN.md` ("The commit protocol", "The read path",
 //! "Forking and replay injection", "The durable log", "Key-value
@@ -51,7 +51,6 @@ use crate::checkpoint::{Checkpoint, CheckpointNamespace, CheckpointTable};
 use crate::commit::Sequencer;
 use crate::dir::{FsDir, LogDir};
 use crate::error::{DbError, DbResult, StorageError};
-use crate::latency::{LatencyModel, StorageProfile};
 use crate::log::{CommittedTxn, TxnId, TxnLog};
 use crate::mvcc::Ts;
 use crate::predicate::Predicate;
@@ -86,8 +85,6 @@ struct DbInner {
     /// Active transactions (txn id -> start_ts); source of the
     /// min-active-start-ts watermark that bounds GC and ring eviction.
     registry: Arc<ActiveTxnRegistry>,
-    snapshots: Mutex<BTreeMap<String, Ts>>,
-    latency: LatencyModel,
     /// The durable log of the aligned history: when attached, every commit
     /// appends its log entry (and DDL its record) inside the publication
     /// window and group-syncs after releasing its locks. `None` = pure
@@ -132,17 +129,13 @@ impl Default for Database {
 }
 
 impl Database {
-    /// Creates an empty database with the in-memory storage profile.
+    /// Creates an empty in-memory database; [`Database::create_durable`]
+    /// and [`Database::open_durable`] make durable ones.
     pub fn new() -> Self {
-        Database::with_profile(StorageProfile::InMemory)
+        Database::build(None)
     }
 
-    /// Creates an empty database with the given storage latency profile.
-    pub fn with_profile(profile: StorageProfile) -> Self {
-        Database::build(profile, None)
-    }
-
-    fn build(profile: StorageProfile, base_pin: Option<Arc<GcPin>>) -> Self {
+    fn build(base_pin: Option<Arc<GcPin>>) -> Self {
         Database {
             inner: Arc::new(DbInner {
                 tables: RwLock::new(BTreeMap::new()),
@@ -150,8 +143,6 @@ impl Database {
                 next_txn_id: AtomicU64::new(1),
                 log: Mutex::new(TxnLog::new()),
                 registry: Arc::new(ActiveTxnRegistry::new()),
-                snapshots: Mutex::new(BTreeMap::new()),
-                latency: LatencyModel::new(profile),
                 wal: RwLock::new(None),
                 checkpoint_in_progress: AtomicBool::new(false),
                 _base_pin: base_pin,
@@ -424,16 +415,6 @@ impl Database {
     /// The transaction-id allocator.
     pub(crate) fn next_txn_id(&self) -> &AtomicU64 {
         &self.inner.next_txn_id
-    }
-
-    /// The storage latency model in effect.
-    pub(crate) fn latency(&self) -> &LatencyModel {
-        &self.inner.latency
-    }
-
-    /// The configured storage profile.
-    pub fn profile(&self) -> StorageProfile {
-        self.inner.latency.profile()
     }
 
     // ------------------------------------------------------------------
@@ -777,36 +758,8 @@ impl Database {
     }
 
     // ------------------------------------------------------------------
-    // Snapshots, forking, replay support
+    // Forking, replay support
     // ------------------------------------------------------------------
-
-    /// Registers a named snapshot at the current commit timestamp and
-    /// returns that timestamp.
-    pub fn snapshot(&self, name: impl Into<String>) -> DbResult<Ts> {
-        let name = name.into();
-        let ts = self.current_ts();
-        let mut snaps = self.inner.snapshots.lock();
-        if snaps.contains_key(&name) {
-            return Err(DbError::SnapshotExists(name));
-        }
-        snaps.insert(name, ts);
-        Ok(ts)
-    }
-
-    /// Looks up a named snapshot's timestamp.
-    pub fn snapshot_ts(&self, name: &str) -> DbResult<Ts> {
-        self.inner
-            .snapshots
-            .lock()
-            .get(name)
-            .copied()
-            .ok_or_else(|| DbError::NoSuchSnapshot(name.to_string()))
-    }
-
-    /// Names of registered snapshots.
-    pub fn snapshot_names(&self) -> Vec<String> {
-        self.inner.snapshots.lock().keys().cloned().collect()
-    }
 
     /// Forks the state visible at `ts` into an independent database (the
     /// "development database" of the paper's Figure 2), in O(catalog): no
@@ -838,7 +791,7 @@ impl Database {
             }
             (ts, Arc::new(self.inner.registry.pin(ts)))
         };
-        let fork = Database::build(self.profile(), Some(pin.clone()));
+        let fork = Database::build(Some(pin.clone()));
         fork.graft_catalog(self, Some((ts, &pin)))?;
         fork.inner.seq.start_at(ts.max(1));
         Ok(fork)
@@ -854,7 +807,7 @@ impl Database {
         let Some(wal) = self.wal() else {
             return Err(DbError::HistoryTruncated { ts, floor });
         };
-        let db = Database::with_profile(self.profile());
+        let db = Database::new();
         let mut from = 0;
         if let Some(ck) = wal.load_checkpoint_at_or_before(ts)? {
             db.restore_checkpoint(&ck)?;
@@ -870,7 +823,7 @@ impl Database {
 
     /// Creates a new, empty database with the same schemas and indexes.
     pub fn fork_empty(&self) -> DbResult<Database> {
-        let fork = Database::with_profile(self.profile());
+        let fork = Database::new();
         fork.graft_catalog(self, None)?;
         Ok(fork)
     }
@@ -1022,13 +975,9 @@ mod tests {
     }
 
     #[test]
-    fn snapshots_and_fork_at() {
+    fn fork_at_holds_the_past_state_and_diverges_independently() {
         let db = populated_db();
-        let snap_ts = db.snapshot("before-bug").unwrap();
-        assert_eq!(db.snapshot_ts("before-bug").unwrap(), snap_ts);
-        assert!(db.snapshot("before-bug").is_err());
-        assert!(db.snapshot_ts("missing").is_err());
-        assert_eq!(db.snapshot_names(), vec!["before-bug".to_string()]);
+        let snap_ts = db.current_ts();
 
         let mut txn = db.begin();
         txn.insert("t", row![3i64, "three"]).unwrap();

@@ -102,10 +102,6 @@ pub enum DbError {
     SerializationFailure { table: String, detail: String },
     /// The transaction has already committed or aborted.
     TransactionClosed,
-    /// A snapshot with this name already exists.
-    SnapshotExists(String),
-    /// No snapshot with this name exists.
-    NoSuchSnapshot(String),
     /// A fork at `ts`, or history after `ts`, was requested below the
     /// truncation floor of a database with no durable log: garbage
     /// collection dropped those versions and entries, and nothing else
@@ -158,8 +154,6 @@ impl fmt::Display for DbError {
                 write!(f, "serialization failure on `{table}`: {detail}")
             }
             DbError::TransactionClosed => write!(f, "transaction is no longer active"),
-            DbError::SnapshotExists(s) => write!(f, "snapshot `{s}` already exists"),
-            DbError::NoSuchSnapshot(s) => write!(f, "no such snapshot `{s}`"),
             DbError::HistoryTruncated { ts, floor } => write!(
                 f,
                 "cannot reach ts {ts}: history below ts {floor} was garbage-collected \

@@ -11,12 +11,9 @@
 //!   transactions are serialized in commit order (paper §3.1).
 //! * **A commit-ordered transaction log** with change-data-capture
 //!   records (before/after images) for every write (paper §3.4).
-//! * **Time travel** (as-of reads) and **named snapshots**, plus cheap
-//!   database **forks** used as the "development database" during replay
-//!   and retroactive programming (paper §3.5–3.6).
-//! * A synthetic **storage latency profile** so benchmarks can contrast an
-//!   in-memory backing store (VoltDB in the paper) with an on-disk one
-//!   (Postgres) when measuring tracing overhead (paper §3.7).
+//! * **Time travel** (as-of reads) plus cheap database **forks** used as
+//!   the "development database" during replay and retroactive programming
+//!   (paper §3.5–3.6).
 //!
 //! ## Hot-path architecture
 //!
@@ -58,9 +55,10 @@
 //! * **Sharded commits.** There is no global commit lock: commits take
 //!   the locks of the tables they write in sorted name order, claim a
 //!   timestamp from a global atomic allocator, and publish in timestamp
-//!   order, so transactions over disjoint tables validate, install and
-//!   (with an on-disk latency profile) even "fsync" fully concurrently
-//!   while readers can never observe a torn multi-table commit. A
+//!   order, so transactions over disjoint tables validate and install
+//!   concurrently, and wait for the durable log's group fsync after
+//!   releasing their locks, while readers can never observe a torn
+//!   multi-table commit. A
 //!   key-value namespace is one more table (`kv:<namespace>`, see
 //!   [`Database::create_namespace`]), so one timestamp and one
 //!   transaction-log entry span every store (the paper's §5 aligned
@@ -103,7 +101,6 @@ pub mod database;
 pub mod dir;
 pub mod error;
 pub mod index;
-pub mod latency;
 pub mod log;
 pub mod mvcc;
 pub mod predicate;
@@ -125,7 +122,6 @@ pub use database::{Database, DbStats};
 pub use dir::{DirFailpointHandle, FailpointDir, FsDir, LogDir, LogFile, MemDir};
 pub use error::{DbError, DbResult, KvError, KvResult, StorageError, TrodError, TrodResult};
 pub use index::SecondaryIndex;
-pub use latency::StorageProfile;
 pub use log::{CommittedTxn, TxnId};
 pub use mvcc::{Ts, TS_LIVE};
 pub use predicate::{CmpOp, ColumnBounds, CompiledPredicate, Predicate};

@@ -204,7 +204,6 @@ impl Transaction {
     pub fn get(&mut self, table: &str, key: &Key) -> DbResult<Option<Arc<Row>>> {
         let read_ts = self.read_ts()?;
         let store = self.db.table(table)?;
-        self.db.latency().on_read();
         let state = self.state_mut()?;
         state.last_read_ts = read_ts;
         state.read_set.push((store.name().clone(), key.clone()));
@@ -220,7 +219,6 @@ impl Transaction {
     pub fn scan(&mut self, table: &str, pred: &Predicate) -> DbResult<Vec<(Key, Arc<Row>)>> {
         let read_ts = self.read_ts()?;
         let store = self.db.table(table)?;
-        self.db.latency().on_read();
         let compiled = pred.compile(store.schema())?;
         let mut rows: BTreeMap<Key, Arc<Row>> = store
             .scan_at_compiled(pred, &compiled, read_ts)?

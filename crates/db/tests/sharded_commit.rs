@@ -18,15 +18,22 @@
 //! * watermark tests pin the active-transaction registry semantics:
 //!   GC clamps to `min_active_start_ts`, so an active transaction's
 //!   snapshot survives aggressive truncation and its O(Δ) validation
-//!   window is never cut.
+//!   window is never cut;
+//! * a durable commit waits for its group fsync after releasing its
+//!   table locks, so a commit parked in the fsync blocks no other commit.
 
 use std::collections::BTreeMap;
+use std::io::BufRead;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
-use trod_db::{row, DataType, Database, DbError, IsolationLevel, Key, Predicate, Schema, Ts};
+use trod_db::{
+    row, DataType, Database, DbError, IsolationLevel, Key, LogDir, LogFile, MemDir, Predicate,
+    Schema, StorageError, Ts, WalOptions,
+};
 
 #[path = "support/model.rs"]
 mod model;
@@ -603,4 +610,132 @@ fn read_only_transactions_pin_but_do_not_publish() {
     assert_eq!(db.current_ts(), ts_before, "read-only commit bumps nothing");
     assert_eq!(db.log_len(), 1);
     assert_eq!(db.min_active_start_ts(), None);
+}
+
+/// A gate file fsyncs block on while it is closed: `(open, parked)`.
+#[derive(Clone, Default)]
+struct Gate(Arc<(Mutex<(bool, usize)>, Condvar)>);
+
+impl Gate {
+    fn set_open(&self, open: bool) {
+        self.0 .0.lock().unwrap().0 = open;
+        self.0 .1.notify_all();
+    }
+
+    fn pass(&self) {
+        let (state, cv) = &*self.0;
+        let mut s = state.lock().unwrap();
+        s.1 += 1;
+        cv.notify_all();
+        while !s.0 {
+            s = cv.wait(s).unwrap();
+        }
+        s.1 -= 1;
+    }
+
+    /// Waits (up to ten seconds) until `n` fsyncs are blocked at the gate.
+    fn wait_parked(&self, n: usize) {
+        let (state, cv) = &*self.0;
+        let s = state.lock().unwrap();
+        let _ = cv.wait_timeout_while(s, Duration::from_secs(10), |s| s.1 < n);
+    }
+}
+
+/// A [`MemDir`] whose file fsyncs pass through a [`Gate`].
+struct GatedDir {
+    inner: MemDir,
+    gate: Gate,
+}
+
+struct GatedFile(Box<dyn LogFile>, Gate);
+
+impl LogFile for GatedFile {
+    fn write_all(&mut self, bytes: &[u8]) -> Result<(), StorageError> {
+        self.0.write_all(bytes)
+    }
+
+    fn sync(&mut self) -> Result<(), StorageError> {
+        self.1.pass();
+        self.0.sync()
+    }
+
+    fn truncate_to(&mut self, len: u64) -> Result<(), StorageError> {
+        self.0.truncate_to(len)
+    }
+}
+
+impl LogDir for GatedDir {
+    fn list(&self) -> Result<Vec<String>, StorageError> {
+        self.inner.list()
+    }
+
+    fn open_read(&self, name: &str) -> Result<Box<dyn BufRead + Send>, StorageError> {
+        self.inner.open_read(name)
+    }
+
+    fn create(&self, name: &str) -> Result<Box<dyn LogFile>, StorageError> {
+        Ok(Box::new(GatedFile(
+            self.inner.create(name)?,
+            self.gate.clone(),
+        )))
+    }
+
+    fn open_append(&self, name: &str) -> Result<Box<dyn LogFile>, StorageError> {
+        Ok(Box::new(GatedFile(
+            self.inner.open_append(name)?,
+            self.gate.clone(),
+        )))
+    }
+
+    fn rename(&self, from: &str, to: &str) -> Result<(), StorageError> {
+        self.inner.rename(from, to)
+    }
+
+    fn delete(&self, name: &str) -> Result<(), StorageError> {
+        self.inner.delete(name)
+    }
+
+    fn sync_dir(&self) -> Result<(), StorageError> {
+        self.inner.sync_dir()
+    }
+}
+
+/// The durability wait happens after every lock is released: a commit
+/// parked in its group fsync holds neither its table's commit lock nor
+/// the log's append state, so a second commit to the same table
+/// publishes before the first one's fsync returns.
+#[test]
+fn a_commit_waiting_for_its_fsync_holds_no_table_lock() {
+    let gate = Gate::default();
+    gate.set_open(true);
+    let dir = GatedDir {
+        inner: MemDir::new(),
+        gate: gate.clone(),
+    };
+    let db = Database::create_durable_in(Arc::new(dir), WalOptions::default()).unwrap();
+    db.create_table(TABLES[0], kv_schema()).unwrap();
+    let put = |k: i64| commit_writes(&db, &[Write::Put { t: 0, k, v: k }]);
+    let visible = |k: i64| db.get_latest(TABLES[0], &Key::single(k)).unwrap().is_some();
+
+    gate.set_open(false);
+    std::thread::scope(|scope| {
+        let first = scope.spawn(|| put(1));
+        gate.wait_parked(1);
+        let second = scope.spawn(|| put(2));
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !visible(2) && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let published = (visible(1), visible(2));
+        let acked = (first.is_finished(), second.is_finished());
+        gate.set_open(true);
+        first.join().unwrap().unwrap();
+        second.join().unwrap().unwrap();
+        assert_eq!(published, (true, true), "the second commit published");
+        assert_eq!(
+            acked,
+            (false, false),
+            "neither commit acked before its fsync"
+        );
+    });
 }

@@ -141,8 +141,7 @@ impl ProvenanceStore {
                 let mut touched = false;
                 for read in trace.reads.iter_mut().filter(|r| r.table == app_table) {
                     let before = read.rows.len();
-                    read.rows
-                        .retain(|(_, row)| !row_matches(row, filters, trace_arity(row)));
+                    read.rows.retain(|(_, row)| !row_matches(row, filters));
                     let removed = before - read.rows.len();
                     if removed > 0 {
                         read.query = REDACTED_MARKER.to_string();
@@ -284,15 +283,11 @@ impl ProvenanceStore {
 /// a row matches if every filter value appears in it. This is intentionally
 /// conservative (it may redact extra rows that merely contain the value),
 /// which is the safe direction for an erasure request.
-fn row_matches(row: &Row, filters: &[(&str, Value)], _arity: usize) -> bool {
+fn row_matches(row: &Row, filters: &[(&str, Value)]) -> bool {
     !filters.is_empty()
         && filters
             .iter()
             .all(|(_, value)| row.iter().any(|v| v.sql_eq(value)))
-}
-
-fn trace_arity(row: &Row) -> usize {
-    row.len()
 }
 
 /// Erases the images of the `app_table` records in a change list that
@@ -306,8 +301,7 @@ fn erase_matching(
 ) -> usize {
     let matches = |change: &ChangeRecord| {
         let image = change.op.after().or_else(|| change.op.before());
-        &*change.table == app_table
-            && image.is_some_and(|row| row_matches(row, filters, trace_arity(row)))
+        &*change.table == app_table && image.is_some_and(|row| row_matches(row, filters))
     };
     if !changes.iter().any(matches) {
         return 0;

@@ -174,26 +174,27 @@ fn escape(s: &str) -> String {
     out
 }
 
+/// Reverses [`escape`]: `%XX` escapes decode to bytes, and the result is
+/// validated as UTF-8 once, so multi-byte characters survive whole.
 fn unescape(s: &str) -> Result<String, String> {
-    let mut out = String::with_capacity(s.len());
+    let mut out = Vec::with_capacity(s.len());
     let bytes = s.as_bytes();
     let mut i = 0;
     while i < bytes.len() {
         if bytes[i] == b'%' {
-            if i + 3 > bytes.len() {
-                return Err(format!("truncated escape in `{s}`"));
-            }
-            let hex = std::str::from_utf8(&bytes[i + 1..i + 3])
-                .map_err(|_| format!("bad escape in `{s}`"))?;
-            let code = u8::from_str_radix(hex, 16).map_err(|_| format!("bad escape in `{s}`"))?;
-            out.push(code as char);
+            let code = bytes
+                .get(i + 1..i + 3)
+                .and_then(|hex| std::str::from_utf8(hex).ok())
+                .and_then(|hex| u8::from_str_radix(hex, 16).ok())
+                .ok_or_else(|| format!("bad escape in `{s}`"))?;
+            out.push(code);
             i += 3;
         } else {
-            out.push(bytes[i] as char);
+            out.push(bytes[i]);
             i += 1;
         }
     }
-    Ok(out)
+    String::from_utf8(out).map_err(|_| format!("escapes in `{s}` are not UTF-8"))
 }
 
 #[cfg(test)]
@@ -248,13 +249,34 @@ mod tests {
         assert!(Args::decode("no-equals-sign").is_err());
         assert!(Args::decode("a=z:1").is_err());
         assert!(Args::decode("a=i:notanumber").is_err());
+        assert!(Args::decode("a=s:%2").is_err());
+        assert!(Args::decode("a=s:%zz").is_err());
+        assert!(Args::decode("a=s:%C3").is_err(), "a lone UTF-8 lead byte");
+    }
+
+    #[test]
+    fn non_ascii_text_roundtrips() {
+        let args = Args::new()
+            .with("note", "Café über")
+            .with("名前", "ß|€=✓:%");
+        let decoded = Args::decode(&args.encode()).unwrap();
+        assert_eq!(decoded.get_str("note"), Some("Café über"));
+        assert_eq!(decoded, args);
+    }
+
+    /// Arbitrary Unicode text: printable ASCII (the escaped characters
+    /// included) mixed with any scalar value.
+    fn unicode(len: std::ops::Range<usize>) -> impl Strategy<Value = String> {
+        let code_point = prop_oneof![0x20u32..0x7f, 0u32..0x11_0000];
+        prop::collection::vec(code_point, len)
+            .prop_map(|cs| cs.into_iter().filter_map(char::from_u32).collect())
     }
 
     proptest! {
         #[test]
         fn roundtrip_arbitrary_text_and_ints(
             entries in prop::collection::btree_map("[a-zA-Z0-9_|=:%]{1,12}", -1_000_000i64..1_000_000, 0..8),
-            texts in prop::collection::btree_map("[a-z]{1,8}", "[ -~]{0,20}", 0..8),
+            texts in prop::collection::btree_map(unicode(1..8), unicode(0..20), 0..8),
         ) {
             let mut args = Args::new();
             for (k, v) in &entries {

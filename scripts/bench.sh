@@ -21,6 +21,13 @@
 #     elements_per_sec - optional; present when the bench declares
 #                        throughput (e.g. rows served per second)
 #
+# From PR 27 the `*/on_disk/*` ids of commit_sharding, cross_commit and
+# tracing_overhead, and every `read_scaling/hot_reads/ssi/*` id, measure
+# the real group-commit log over `trod_bench::FsyncDir` (an in-memory
+# directory whose file fsync sleeps a fixed 500 µs). They are not
+# comparable with BENCH_PR2/3/7.json, whose numbers came from a simulated
+# fsync slept with the table locks held.
+#
 # New ids in BENCH_PR10.json:
 #   `wal_commit/recovery_checkpoint/<mode>/commits_4096` for <mode> in
 #   {full_replay, checkpoint} — recovery of the SAME 4096-commit

@@ -61,8 +61,7 @@ pub mod prelude {
         RetroactiveBuilder, RetroactiveReport, Security, Trod,
     };
     pub use trod_db::{
-        row, DataType, Database, DbError, IsolationLevel, Key, Predicate, Row, Schema,
-        StorageProfile, Value,
+        row, DataType, Database, DbError, IsolationLevel, Key, Predicate, Row, Schema, Value,
     };
     pub use trod_kv::{KvStore, Session, Txn, TxnCommit, TxnOptions};
     pub use trod_provenance::ProvenanceStore;

@@ -178,34 +178,3 @@ fn retroactive_exploration_enumerates_conflict_distinct_orderings_only() {
     assert_eq!(capped.orderings.len(), 1);
     assert_eq!(capped.orderings[0].order, vec!["A", "B", "C"]);
 }
-
-#[test]
-fn on_disk_profile_makes_commits_slower_but_not_incorrect() {
-    // The storage-profile substitution behind E1: the on-disk profile adds
-    // measurable commit latency while preserving behaviour.
-    let run = |profile: StorageProfile| {
-        let db = shop::shop_db_with_profile(profile);
-        shop::seed_inventory(&db, 4, 1_000);
-        let runtime = Runtime::new(db, shop::registry());
-        let start = Instant::now();
-        for i in 0..20 {
-            let r = runtime.handle_request(
-                "checkout",
-                shop::checkout_args(&format!("o{i}"), "u", &format!("item-{}", i % 4), 1),
-            );
-            assert!(r.is_ok());
-        }
-        start.elapsed()
-    };
-    let fast = run(StorageProfile::InMemory);
-    let slow = run(StorageProfile::OnDisk {
-        read_micros: 0,
-        commit_micros: 800,
-    });
-    // 20 requests × 3 transactions × 800 µs ≈ 48 ms of injected latency.
-    assert!(
-        slow > fast,
-        "on-disk profile must be slower ({slow:?} vs {fast:?})"
-    );
-    assert!(slow - fast > Duration::from_millis(20));
-}

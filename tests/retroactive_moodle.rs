@@ -192,3 +192,40 @@ fn mdl_60669_regression_is_caught_by_a_second_invariant() {
         );
     }
 }
+
+#[test]
+fn retroactive_re_execution_keeps_non_ascii_arguments_intact() {
+    // Each request is re-executed with the arguments decoded from its
+    // provenance record, so multi-byte text must come back whole.
+    let db = moodle::moodle_db();
+    let provenance = moodle::provenance_for(&db);
+    let runtime = Runtime::new(db, moodle::registry());
+    let (user, forum) = ("Zoë", "Café über");
+    runtime.handle_request_with_id(
+        "A",
+        "subscribeUser",
+        moodle::subscribe_args("s1", user, forum),
+    );
+    runtime.handle_request_with_id("B", "fetchSubscribers", moodle::fetch_args(forum));
+    provenance.ingest(runtime.tracer().drain());
+    let trod = Trod::attach_with(runtime, provenance);
+
+    let report = trod
+        .retroactive(moodle::patched_registry())
+        .requests(&["A", "B"])
+        .run()
+        .unwrap();
+    let original = &report.orderings[0];
+    assert_eq!(original.order, vec!["A", "B"]);
+    let fetch = &original.outcomes[1];
+    assert_eq!(fetch.original_output.as_deref(), Some(user));
+    assert_eq!(Some(&fetch.output), fetch.original_output.as_ref());
+    let subs = original
+        .dev_db()
+        .scan_latest(
+            FORUM_SUB_TABLE,
+            &Predicate::eq("user_id", user).and(Predicate::eq("forum", forum)),
+        )
+        .unwrap();
+    assert_eq!(subs.len(), 1);
+}

@@ -84,7 +84,7 @@ fn durable_db(path: &std::path::Path, opts: WalOptions) -> Database {
     db
 }
 
-/// Total log bytes of the directory layout (all segment + cold files).
+/// Total bytes of the log directory: segments, MANIFEST, checkpoints.
 fn log_bytes(path: &std::path::Path) -> u64 {
     std::fs::read_dir(path)
         .expect("log dir")

@@ -204,9 +204,11 @@ impl Trod {
     }
 
     /// Garbage-collects production history under one clamped horizon
-    /// ([`Session::gc_before`]). On a durable environment the same pass
-    /// compacts the covered WAL segments into cold files, which keep the
-    /// truncated entries for [`Trod::aligned_history`] and deep forks.
+    /// ([`Session::gc_before`]). On a durable environment the WAL
+    /// segments are untouched: they keep the truncated entries for
+    /// [`Trod::aligned_history`] and deep forks, and the log records the
+    /// raised floor, below which checkpoints are kept as the deep-fork
+    /// ladder.
     pub fn gc_before(&self, ts: trod_db::Ts) -> trod_kv::GcStats {
         self.runtime.session().gc_before(ts)
     }

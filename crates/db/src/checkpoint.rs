@@ -30,7 +30,9 @@ use crate::mvcc::Ts;
 use crate::row::{Key, Row};
 use crate::schema::{Column, Schema};
 use crate::value::DataType;
-use crate::wal::{crc32, dtype_tag, put_str, put_u32, put_u64, put_values, Cursor};
+use crate::wal::{
+    crc32, dtype_tag, put_str, put_u32, put_u64, put_values, Cursor, MIN_COLUMN_LEN, MIN_STR_LEN,
+};
 
 /// Magic prefix of a checkpoint file.
 pub const CHECKPOINT_MAGIC: &[u8; 8] = b"TRODCK01";
@@ -182,6 +184,14 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, StorageError> {
     decode_payload(payload).map_err(|detail| ckpt_corrupt(20, detail))
 }
 
+/// Fewest bytes a table encodes in: name, column, primary-key and two
+/// index counts, row count.
+const MIN_TABLE_LEN: usize = MIN_STR_LEN + 4 * 4 + 8;
+/// Fewest bytes a row encodes in: the key's and the image's value counts.
+const MIN_ROW_LEN: usize = 2 * 4;
+/// Fewest bytes a namespace encodes in: name, entry count.
+const MIN_NAMESPACE_LEN: usize = MIN_STR_LEN + 8;
+
 fn decode_payload(payload: &[u8]) -> Result<Checkpoint, String> {
     let mut c = Cursor::new(payload);
     let version = c.u32()?;
@@ -190,17 +200,11 @@ fn decode_payload(payload: &[u8]) -> Result<Checkpoint, String> {
     }
     let ts = c.u64()?;
     let next_txn_id = c.u64()?;
-    let n_tables = c.u32()? as usize;
-    if n_tables > payload.len() {
-        return Err(format!("table count {n_tables} exceeds payload"));
-    }
+    let n_tables = c.count(MIN_TABLE_LEN, "table")?;
     let mut tables = Vec::with_capacity(n_tables);
     for _ in 0..n_tables {
         let name = c.str()?;
-        let ncols = c.u32()? as usize;
-        if ncols > payload.len() {
-            return Err(format!("column count {ncols} exceeds payload"));
-        }
+        let ncols = c.count(MIN_COLUMN_LEN, "column")?;
         let mut columns = Vec::with_capacity(ncols);
         for _ in 0..ncols {
             let col_name = c.str()?;
@@ -212,10 +216,7 @@ fn decode_payload(payload: &[u8]) -> Result<Checkpoint, String> {
                 Column::new(col_name, dtype)
             });
         }
-        let npk = c.u32()? as usize;
-        if npk > payload.len() {
-            return Err(format!("pk count {npk} exceeds payload"));
-        }
+        let npk = c.count(MIN_STR_LEN, "pk")?;
         let mut pk = Vec::with_capacity(npk);
         for _ in 0..npk {
             pk.push(c.str()?);
@@ -227,21 +228,14 @@ fn decode_payload(payload: &[u8]) -> Result<Checkpoint, String> {
         // checkpoints written before the index kinds merged) has one index.
         let mut indexes: Vec<String> = Vec::new();
         for _ in 0..2 {
-            let n = c.u32()? as usize;
-            if n > payload.len() {
-                return Err(format!("index count {n} exceeds payload"));
-            }
-            for _ in 0..n {
+            for _ in 0..c.count(MIN_STR_LEN, "index")? {
                 let column = c.str()?;
                 if !indexes.contains(&column) {
                     indexes.push(column);
                 }
             }
         }
-        let n_rows = c.u64()? as usize;
-        if n_rows > payload.len() {
-            return Err(format!("row count {n_rows} exceeds payload"));
-        }
+        let n_rows = c.count_u64(MIN_ROW_LEN, "row")?;
         let mut rows = Vec::with_capacity(n_rows);
         for _ in 0..n_rows {
             let key = Key::from(c.values()?);
@@ -255,17 +249,11 @@ fn decode_payload(payload: &[u8]) -> Result<Checkpoint, String> {
             rows,
         });
     }
-    let n_ns = c.u32()? as usize;
-    if n_ns > payload.len() {
-        return Err(format!("namespace count {n_ns} exceeds payload"));
-    }
+    let n_ns = c.count(MIN_NAMESPACE_LEN, "namespace")?;
     let mut namespaces = Vec::with_capacity(n_ns);
     for _ in 0..n_ns {
         let name = c.str()?;
-        let n_entries = c.u64()? as usize;
-        if n_entries > payload.len() {
-            return Err(format!("entry count {n_entries} exceeds payload"));
-        }
+        let n_entries = c.count_u64(2 * MIN_STR_LEN, "entry")?;
         let mut entries = Vec::with_capacity(n_entries);
         for _ in 0..n_entries {
             let k = c.str()?;

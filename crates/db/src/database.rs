@@ -33,8 +33,8 @@
 //!   published entries from the commit pipeline's staging in commit
 //!   order; unpublished entries are not observable.
 //! * **DDL is logged and synced before the commits that use it;
-//!   rotation, compaction and checkpoints never run inside the
-//!   publication window** and never fail a commit.
+//!   rotation and checkpoints never run inside the publication window**
+//!   and never fail a commit.
 //! * **Recovery is one streaming walk with one replay step**
 //!   ([`Database::open_durable_in`]), re-installing each entry verbatim
 //!   through the commit pipeline as it is decoded, before the log is
@@ -857,13 +857,12 @@ impl Database {
         for store in self.inner.tables.read().values() {
             versions += store.gc_before(horizon);
         }
-        // Compact sealed WAL segments wholly below the raised floor into
-        // immutable cold files — best-effort: an error leaves the sealed
-        // originals in place (counted in the WAL stats) and a later GC
-        // retries. A compaction boundary is also a natural checkpoint
+        // The log keeps every segment: below the floor it is the history.
+        // It remembers the floor, which keeps the checkpoints below it as
+        // the deep-fork ladder; a GC is also a natural checkpoint
         // boundary, so take one if enough bytes accrued.
         if let Some(wal) = self.wal() {
-            let _ = wal.compact_below(self.log_truncated_below());
+            wal.raise_gc_floor(self.log_truncated_below());
             self.maybe_checkpoint();
         }
         (versions, logs)
@@ -1138,7 +1137,7 @@ mod tests {
 
     #[test]
     fn below_the_floor_history_and_forks_read_the_durable_log() {
-        // One segment per commit: GC compacts them into cold files.
+        // One segment per commit, all kept below the floor.
         let opts = WalOptions {
             segment_bytes: 1,
             ..WalOptions::default()

@@ -1,7 +1,7 @@
 //! The storage seam: a flat directory of append-only log files.
 //!
-//! Everything the durable log persists — segments, cold files, the
-//! MANIFEST, checkpoints — goes through [`LogDir`] and the [`LogFile`]
+//! Everything the durable log persists — segments, the MANIFEST,
+//! checkpoints — goes through [`LogDir`] and the [`LogFile`]
 //! handles it gives out. [`FsDir`] is the real filesystem, [`MemDir`] an
 //! in-memory disk image tests can snapshot and damage, and
 //! [`FailpointDir`] the one fault injector (cost-unit crashes plus
@@ -48,8 +48,8 @@ pub trait LogDir: Send + Sync {
     /// File names currently present (no ordering guarantee).
     fn list(&self) -> Result<Vec<String>, StorageError>;
     /// Opens a file for one sequential read from its start, through a
-    /// bounded buffer: the recovery walk and compaction stream segments
-    /// frame by frame instead of holding them.
+    /// bounded buffer: the recovery walk streams segments frame by frame
+    /// instead of holding them.
     fn open_read(&self, name: &str) -> Result<Box<dyn BufRead + Send>, StorageError>;
     /// Reads a whole file.
     fn read(&self, name: &str) -> Result<Vec<u8>, StorageError> {
@@ -446,7 +446,7 @@ impl DirFailpointHandle {
 
 /// A [`LogDir`] wrapper that injects faults per its
 /// [`DirFailpointHandle`] — the only fault injector: the crash sweeps
-/// over rotation, manifest swap, compaction and checkpoints and the
+/// over rotation, manifest swap and checkpoints and the
 /// transient-failure tests of the group-commit path all run through it.
 pub struct FailpointDir {
     inner: Arc<dyn LogDir>,

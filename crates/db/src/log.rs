@@ -11,10 +11,9 @@
 //! into the active segment of the [`crate::segment::SegmentedWal`]
 //! inside the publication window (byte order == commit order), and
 //! recovery replays those entries — verbatim, identity included — back
-//! through the commit path. The GC floor established by
-//! [`TxnLog::truncate_before`] is also the compaction floor — sealed
-//! segments whose entries all sit at or below it are compacted into
-//! immutable cold files rather than deleted. The segments are the one
+//! through the commit path. GC truncates this log at the floor
+//! established by [`TxnLog::truncate_before`]; the log's sealed segments
+//! stay where rotation put them, whatever the floor. They are the one
 //! copy of the history GC removes from memory: `Database::history` and
 //! forks below the floor read it back from there.
 

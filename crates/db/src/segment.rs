@@ -1,39 +1,40 @@
-//! The segmented, manifest-driven durable log: rotation, compaction,
-//! checkpoints and the recovery walk.
+//! The segmented, manifest-driven durable log: rotation, checkpoints and
+//! the recovery walk.
 //!
-//! A [`SegmentedWal`] is a [`LogDir`] holding segment files, immutable
-//! cold files, checkpoint files and one checksummed `MANIFEST` naming
-//! them. Invariants this module owns (lifecycle diagrams, crash windows
-//! and the fault model: "The durable log" in `crates/db/DESIGN.md`):
+//! A [`SegmentedWal`] is a [`LogDir`] holding segment files, checkpoint
+//! files and one checksummed `MANIFEST` naming them. Invariants this
+//! module owns (lifecycle diagram, crash windows and the fault model:
+//! "The durable log" in `crates/db/DESIGN.md`):
 //!
+//! * **A sealed segment is the cold tier.** Rotation seals the active
+//!   segment where it lies; while the log is open a listed segment is
+//!   never rewritten, moved or deleted. Below the GC floor the sealed
+//!   segments are the only copy of history.
 //! * **Global LSNs** — appends go to the active segment's [`Wal`]; an
-//!   LSN is that file's offset plus the summed lengths of every cold and
-//!   sealed file before it.
+//!   LSN is that file's offset plus the summed lengths of every sealed
+//!   file before it.
 //! * **Only the active segment may be torn.** A segment is fully synced
-//!   before it stops being active, and cold files are verified copies:
-//!   any damage in a sealed or cold file — a torn tail included — is
-//!   [`StorageError::Corrupt`] naming the file, never silent truncation.
-//!   The active segment's torn tail is truncated only after its last
-//!   valid record has been replayed.
-//! * **Recovery and compaction stream.** Both read a file one frame at a
-//!   time through [`LogDir::open_read`]; neither holds a file's bytes or
-//!   its decoded records. Recovery and [`SegmentedWal::history`] share one
-//!   walk over the files.
+//!   before it stops being active: any damage in a sealed file — a torn
+//!   tail included — is [`StorageError::Corrupt`] naming the file, never
+//!   silent truncation. The active segment's torn tail is truncated only
+//!   after its last valid record has been replayed.
+//! * **Recovery streams.** It reads a file one frame at a time through
+//!   [`LogDir::open_read`] and never holds a file's bytes or its decoded
+//!   records. Recovery and [`SegmentedWal::history`] share one walk over
+//!   the files.
 //! * **The MANIFEST is never edited in place**: write `MANIFEST.tmp`,
 //!   fsync, rename over `MANIFEST`, fsync the directory. New files are
 //!   durable before the manifest lists them; old files are deleted only
 //!   after the manifest that stopped listing them is durable.
-//! * **Rotation, compaction and checkpoint writes run outside the
-//!   publication window**, serialized by one lock, and their errors are
-//!   counted, not raised — a crash or failure there can never un-ack a
-//!   commit; [`SegmentedWal::open_dir`] reconciles whatever debris is
-//!   left.
+//! * **Rotation and checkpoint writes run outside the publication
+//!   window**, serialized by one lock, and their errors are counted, not
+//!   raised — a crash or failure there can never un-ack a commit;
+//!   [`SegmentedWal::open_dir`] reconciles whatever debris is left.
 
 use std::io::{BufRead, Read as _};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{SystemTime, UNIX_EPOCH};
 
 use parking_lot::Mutex;
 
@@ -46,7 +47,7 @@ use crate::log::CommittedTxn;
 use crate::mvcc::Ts;
 use crate::wal::{
     crc32, put_str, put_u32, put_u64, stream_records, Cursor, RecoveryInfo, SyncMode, Wal,
-    WalOptions, WalRecord, Wanted, ALL,
+    WalOptions, WalRecord, Wanted, ALL, MIN_STR_LEN,
 };
 
 /// The manifest file name inside a log directory.
@@ -56,17 +57,9 @@ const MANIFEST_VERSION: u32 = 2;
 /// Newest checkpoints kept in the manifest; older ones are deleted after
 /// each successful checkpoint write.
 const CHECKPOINTS_KEPT: usize = 2;
-/// Cold-file count above which compaction merges contiguous cold runs.
-const COLD_MERGE_BOUND: usize = 8;
-/// Verified frames compaction gathers before one write to the cold file.
-const COPY_CHUNK_BYTES: usize = 64 << 10;
 
 fn segment_name(seq: u64) -> String {
     format!("wal-{seq:06}.seg")
-}
-
-fn cold_name(seq_lo: u64, seq_hi: u64) -> String {
-    format!("cold-{seq_lo:06}-{seq_hi:06}.seg")
 }
 
 fn parse_segment_name(name: &str) -> Option<u64> {
@@ -77,6 +70,9 @@ fn parse_segment_name(name: &str) -> Option<u64> {
     digits.parse().ok()
 }
 
+/// Parses a `cold-<lo>-<hi>.seg` name. Such files were written by
+/// earlier versions, which copied runs of sealed segments into them; a
+/// listed one is read as a sealed segment, an unlisted one is debris.
 fn parse_cold_name(name: &str) -> Option<(u64, u64)> {
     let body = name.strip_prefix("cold-")?.strip_suffix(".seg")?;
     let (lo, hi) = body.split_once('-')?;
@@ -98,26 +94,17 @@ fn note_record(max_ts: &mut Ts, has_ddl: &mut bool, record: &WalRecord) {
     }
 }
 
-fn unix_ms() -> u64 {
-    SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0)
-}
-
 // ---------------------------------------------------------------------
 // The manifest
 // ---------------------------------------------------------------------
 
-/// A sealed segment or a cold file, as the manifest lists it: the
-/// segment sequence numbers it spans (one for a sealed segment, the
-/// compacted run for a cold file), its length, and a summary of its
-/// records.
+/// A sealed segment as the manifest lists it: its sequence number (the
+/// lowest one, for a cold file an earlier version wrote), its length, and
+/// a summary of its records.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct ListedFile {
     name: String,
     seq_lo: u64,
-    seq_hi: u64,
     len: u64,
     max_ts: Ts,
     /// True when the file holds any non-commit (DDL) record. A
@@ -139,13 +126,13 @@ struct CheckpointFile {
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Manifest {
     next_seq: u64,
-    cold: Vec<ListedFile>,
+    /// Sealed files in log order.
     sealed: Vec<ListedFile>,
     active_seq: u64,
     active_name: String,
     /// Checkpoints, oldest first.
     checkpoints: Vec<CheckpointFile>,
-    /// Highest GC floor compaction has seen. Checkpoints at or below it
+    /// Highest GC floor the database has raised. Checkpoints at or below it
     /// are retained as the deep time-travel ladder (see
     /// [`SegmentedWal::write_checkpoint`]); persisting it keeps the
     /// ladder safe across reboots.
@@ -156,15 +143,8 @@ fn encode_manifest(m: &Manifest) -> Vec<u8> {
     let mut payload = Vec::with_capacity(64);
     put_u32(&mut payload, MANIFEST_VERSION);
     put_u64(&mut payload, m.next_seq);
-    put_u32(&mut payload, m.cold.len() as u32);
-    for c in &m.cold {
-        put_str(&mut payload, &c.name);
-        put_u64(&mut payload, c.seq_lo);
-        put_u64(&mut payload, c.seq_hi);
-        put_u64(&mut payload, c.len);
-        put_u64(&mut payload, c.max_ts);
-        payload.push(c.has_ddl as u8);
-    }
+    // The cold list: always empty (see `decode_manifest`).
+    put_u32(&mut payload, 0);
     put_u32(&mut payload, m.sealed.len() as u32);
     for s in &m.sealed {
         put_str(&mut payload, &s.name);
@@ -192,6 +172,12 @@ fn encode_manifest(m: &Manifest) -> Vec<u8> {
     out.extend_from_slice(&payload);
     out
 }
+
+/// Fewest bytes a sealed entry encodes in: name, sequence number,
+/// length, highest commit ts, DDL flag.
+const MIN_SEALED_LEN: usize = MIN_STR_LEN + 3 * 8 + 1;
+/// Fewest bytes a checkpoint entry encodes in: name, ts, length.
+const MIN_CHECKPOINT_LEN: usize = MIN_STR_LEN + 2 * 8;
 
 fn manifest_corrupt(offset: u64, detail: impl Into<String>) -> StorageError {
     StorageError::Corrupt {
@@ -234,43 +220,36 @@ fn decode_manifest(bytes: &[u8]) -> Result<Manifest, StorageError> {
             return Err(format!("unsupported manifest version {version}"));
         }
         let next_seq = c.u64()?;
-        let n_cold = c.u32()? as usize;
-        if n_cold > payload.len() {
-            return Err(format!("cold count {n_cold} exceeds payload"));
-        }
-        let mut cold = Vec::with_capacity(n_cold);
-        for _ in 0..n_cold {
-            cold.push(ListedFile {
-                name: c.str()?,
-                seq_lo: c.u64()?,
-                seq_hi: c.u64()?,
-                len: c.u64()?,
-                max_ts: c.u64()?,
-                has_ddl: c.u8()? != 0,
-            });
-        }
-        let n_sealed = c.u32()? as usize;
-        if n_sealed > payload.len() {
-            return Err(format!("sealed count {n_sealed} exceeds payload"));
-        }
-        let mut sealed = Vec::with_capacity(n_sealed);
-        for _ in 0..n_sealed {
-            let (name, seq) = (c.str()?, c.u64()?);
-            sealed.push(ListedFile {
+        // A cold file, which earlier versions wrote, holds the frames of a
+        // run of sealed segments, unchanged: its entry is a sealed entry
+        // plus the run's highest sequence number. Cold entries are folded
+        // into the sealed list by low sequence number, and the next
+        // manifest swap writes them back there.
+        let listed = |c: &mut Cursor, name, seq_lo| -> Result<ListedFile, String> {
+            Ok(ListedFile {
                 name,
-                seq_lo: seq,
-                seq_hi: seq,
+                seq_lo,
                 len: c.u64()?,
                 max_ts: c.u64()?,
-                has_ddl: c.u8()? != 0,
-            });
+                has_ddl: c.bool()?,
+            })
+        };
+        let mut sealed = Vec::new();
+        let n_cold = c.count(MIN_SEALED_LEN + 8, "cold")?;
+        for _ in 0..n_cold {
+            let (name, seq_lo, _seq_hi) = (c.str()?, c.u64()?, c.u64()?);
+            sealed.push(listed(&mut c, name, seq_lo)?);
+        }
+        for _ in 0..c.count(MIN_SEALED_LEN, "sealed")? {
+            let (name, seq_lo) = (c.str()?, c.u64()?);
+            sealed.push(listed(&mut c, name, seq_lo)?);
+        }
+        if n_cold > 0 {
+            sealed.sort_by_key(|f| f.seq_lo);
         }
         let active_name = c.str()?;
         let active_seq = c.u64()?;
-        let n_ckpt = c.u32()? as usize;
-        if n_ckpt > payload.len() {
-            return Err(format!("checkpoint count {n_ckpt} exceeds payload"));
-        }
+        let n_ckpt = c.count(MIN_CHECKPOINT_LEN, "checkpoint")?;
         let mut checkpoints = Vec::with_capacity(n_ckpt);
         for _ in 0..n_ckpt {
             checkpoints.push(CheckpointFile {
@@ -285,7 +264,6 @@ fn decode_manifest(bytes: &[u8]) -> Result<Manifest, StorageError> {
         }
         Ok(Manifest {
             next_seq,
-            cold,
             sealed,
             active_seq,
             active_name,
@@ -331,8 +309,6 @@ fn write_manifest(dir: &dyn LogDir, m: &Manifest) -> Result<(), StorageError> {
 pub struct WalStats {
     /// Live segment files: sealed + the active one.
     pub segments: usize,
-    /// Immutable cold files produced by compaction.
-    pub cold_files: usize,
     /// Bytes in the active segment (the only file still growing).
     pub active_bytes: u64,
     /// Global logical end offset (every byte ever accepted).
@@ -343,14 +319,8 @@ pub struct WalStats {
     pub segment_bytes: u64,
     /// Completed rotations since open.
     pub rotations: u64,
-    /// Completed compactions since open.
-    pub compactions: u64,
     /// Rotation attempts that errored (recovery reconciles any debris).
     pub rotation_errors: u64,
-    /// Compaction attempts that errored.
-    pub compaction_errors: u64,
-    /// Unix ms of the last completed compaction (0 = never).
-    pub last_compaction_unix_ms: u64,
     /// Checkpoint files currently tracked by the manifest.
     pub checkpoints: usize,
     /// Timestamp of the newest tracked checkpoint (0 = none).
@@ -390,11 +360,9 @@ pub struct RecoveryReport {
     pub truncated_bytes: u64,
     /// Segment files the recovery walked (sealed + active).
     pub segments: usize,
-    /// Immutable cold files walked before the segments.
-    pub cold_files: usize,
     /// Orphan successor segments adopted (crash mid-rotation).
     pub adopted_orphans: usize,
-    /// Stale temp/segment/cold/checkpoint files reconciled away.
+    /// Stale temp, segment, cold and checkpoint files reconciled away.
     pub removed_files: usize,
     /// Timestamp of the checkpoint this boot restored from, if any —
     /// `Some(ts)` means only WAL records after `ts` were replayed.
@@ -402,7 +370,7 @@ pub struct RecoveryReport {
     /// Checkpoints that failed validation before a usable one was found
     /// (each fell back to the next older one, or to full replay).
     pub checkpoint_fallbacks: usize,
-    /// Cold/sealed files recovery skipped entirely because every commit
+    /// Sealed files recovery skipped entirely because every commit
     /// in them preceded the checkpoint.
     pub skipped_files: usize,
 }
@@ -432,7 +400,7 @@ pub struct RecoveredLog {
 struct ActiveSeg {
     wal: Arc<Wal>,
     /// Global offset of this segment's byte 0: the summed lengths of
-    /// every cold and sealed file before it.
+    /// every sealed file before it.
     base: u64,
     max_ts: Ts,
     /// Whether any non-commit (DDL) record was appended (see
@@ -450,10 +418,7 @@ struct SegState {
 #[derive(Default)]
 struct Counters {
     rotations: AtomicU64,
-    compactions: AtomicU64,
     rotation_errors: AtomicU64,
-    compaction_errors: AtomicU64,
-    last_compaction_ms: AtomicU64,
     checkpoint_writes: AtomicU64,
     checkpoint_skips: AtomicU64,
     checkpoint_errors: AtomicU64,
@@ -467,8 +432,8 @@ pub struct SegmentedWal {
     dir: Arc<dyn LogDir>,
     opts: WalOptions,
     state: Mutex<SegState>,
-    /// Serializes rotation, compaction and checkpoint writes — every
-    /// manifest mutation. Lock order: `rotate_lock` → `state` → the
+    /// Serializes rotation and checkpoint writes — every manifest
+    /// mutation. Lock order: `rotate_lock` → `state` → the
     /// active `Wal`'s internal state.
     rotate_lock: Mutex<()>,
     counters: Counters,
@@ -499,7 +464,6 @@ impl SegmentedWal {
         dir.sync_dir()?;
         let manifest = Manifest {
             next_seq: 1,
-            cold: Vec::new(),
             sealed: Vec::new(),
             active_seq: 0,
             active_name: name,
@@ -528,7 +492,7 @@ impl SegmentedWal {
     /// The recovery walk over any [`LogDir`], one streaming pass: it
     /// validates the manifest, reconciles crash debris (temp files,
     /// orphan successors, unlisted leftovers) and hands the newest valid
-    /// checkpoint to `replay`. It then streams every cold and sealed file
+    /// checkpoint to `replay`. It then streams every sealed file
     /// the checkpoint does not cover (strictly) and the active segment
     /// (torn-tail rule) one frame at a time, handing each record to
     /// `replay` in global commit order as it is decoded. Only after the
@@ -545,9 +509,9 @@ impl SegmentedWal {
         let mut names = dir.list()?;
         names.sort();
 
-        // Temp files never survive a crash: both the manifest swap and
-        // the compaction copy go through `.tmp` names that are renamed
-        // away before they are ever referenced.
+        // Temp files never survive a crash: the manifest swap and the
+        // checkpoint write go through `.tmp` names that are renamed away
+        // before they are ever referenced.
         let mut dirty = false;
         for name in names.iter().filter(|n| n.ends_with(".tmp")) {
             dir.delete(name)?;
@@ -561,17 +525,9 @@ impl SegmentedWal {
             decode_manifest(&dir.read(MANIFEST_NAME)?)?
         } else {
             // Manifest-less: a crash before the very first manifest
-            // write, or a bare copy of the `wal-*.seg` files. Unpublished
-            // cold files are deleted — without a manifest their
-            // originals are still present and replaying both would
-            // duplicate history. Unpublished checkpoints are deleted for
-            // the same reason: nothing vouches for them.
-            for name in &names {
-                if parse_cold_name(name).is_some() || parse_checkpoint_name(name).is_some() {
-                    dir.delete(name)?;
-                    rec.removed_files += 1;
-                }
-            }
+            // write, or a bare copy of the `wal-*.seg` files. The
+            // synthesized manifest lists no cold file and no checkpoint:
+            // nothing vouches for them, and the sweep below deletes them.
             let first = names
                 .iter()
                 .filter_map(|n| parse_segment_name(n).map(|seq| (seq, n.clone())))
@@ -592,7 +548,6 @@ impl SegmentedWal {
             // one code path with crash-mid-rotation recovery.
             Manifest {
                 next_seq: first_seq + 1,
-                cold: Vec::new(),
                 sealed: Vec::new(),
                 active_seq: first_seq,
                 active_name: first_name,
@@ -626,7 +581,7 @@ impl SegmentedWal {
             }
             let prev_name = manifest.active_name.clone();
             let (mut max_ts, mut has_ddl) = (0, false);
-            let info = stream_records(dir.open_read(&prev_name)?, &prev_name, ALL, |record, _| {
+            let info = stream_records(dir.open_read(&prev_name)?, &prev_name, ALL, |record| {
                 note_record(&mut max_ts, &mut has_ddl, &record);
                 Ok::<_, StorageError>(())
             })?;
@@ -643,7 +598,6 @@ impl SegmentedWal {
             manifest.sealed.push(ListedFile {
                 name: prev_name,
                 seq_lo: manifest.active_seq,
-                seq_hi: manifest.active_seq,
                 len: info.valid_len,
                 max_ts,
                 has_ddl,
@@ -655,16 +609,15 @@ impl SegmentedWal {
             dirty = true;
         }
 
-        // Delete unlisted leftovers: segments already compacted away
-        // (crash between the compaction manifest swap and its deletes),
-        // cold files never published, checkpoints renamed into place but
-        // never manifest-listed (crash mid-checkpoint), or empty
-        // creations beyond the adopted run.
+        // Delete unlisted leftovers: checkpoints renamed into place but
+        // never manifest-listed (crash mid-checkpoint), empty creations
+        // beyond the adopted run, and what an earlier version's
+        // compaction left unlisted (a cold copy never published, or the
+        // segments one replaced).
         let listed: Vec<&str> = manifest
             .sealed
             .iter()
             .map(|s| s.name.as_str())
-            .chain(manifest.cold.iter().map(|c| c.name.as_str()))
             .chain(manifest.checkpoints.iter().map(|c| c.name.as_str()))
             .chain(std::iter::once(manifest.active_name.as_str()))
             .collect();
@@ -702,7 +655,7 @@ impl SegmentedWal {
         if let Some(ck) = checkpoint {
             replay(Replay::Checkpoint(&ck), &mut rec)?;
         }
-        // A checkpoint boot skips every immutable file whose commits the
+        // A checkpoint boot skips every sealed file whose commits the
         // snapshot already covers and that carries no DDL — unread and
         // unvalidated: that *is* the O(delta) win. Every frame it does
         // read is decoded — the structural check on on-disk input — and
@@ -771,7 +724,7 @@ impl SegmentedWal {
         s.active.base + s.active.wal.appended()
     }
 
-    /// Global durable LSN watermark. Every cold/sealed byte is durable by
+    /// Global durable LSN watermark. Every sealed byte is durable by
     /// construction, so only the active segment contributes uncertainty.
     pub fn durable(&self) -> u64 {
         let s = self.state.lock();
@@ -832,16 +785,12 @@ impl SegmentedWal {
         let c = &self.counters;
         WalStats {
             segments: s.manifest.sealed.len() + 1,
-            cold_files: s.manifest.cold.len(),
             active_bytes: s.active.wal.appended(),
             appended: s.active.base + s.active.wal.appended(),
             durable: s.active.base + s.active.wal.durable(),
             segment_bytes: self.opts.segment_bytes,
             rotations: c.rotations.load(Ordering::Relaxed),
-            compactions: c.compactions.load(Ordering::Relaxed),
             rotation_errors: c.rotation_errors.load(Ordering::Relaxed),
-            compaction_errors: c.compaction_errors.load(Ordering::Relaxed),
-            last_compaction_unix_ms: c.last_compaction_ms.load(Ordering::Relaxed),
             checkpoints: s.manifest.checkpoints.len(),
             checkpoint_newest_ts: s
                 .manifest
@@ -904,7 +853,6 @@ impl SegmentedWal {
             let sealed = ListedFile {
                 name: std::mem::replace(&mut s.manifest.active_name, new_name),
                 seq_lo: s.manifest.active_seq,
-                seq_hi: s.manifest.active_seq,
                 len,
                 max_ts: s.active.max_ts,
                 has_ddl: s.active.has_ddl,
@@ -927,165 +875,6 @@ impl SegmentedWal {
         write_manifest(self.dir.as_ref(), &manifest)
     }
 
-    // -- compaction ----------------------------------------------------
-
-    /// Compacts every **contiguous run** of sealed segments wholly at or
-    /// below the GC `floor` (`max_ts <= floor`, matching the ≤-inclusive
-    /// log truncation) into immutable cold files — not just the longest
-    /// prefix, so a hot segment pinning the floor no longer blocks
-    /// eligible segments behind it. Each copy is verified
-    /// record-by-record, published via temp-rename + manifest swap, and
-    /// the originals are deleted only after the manifest swap is durable.
-    /// When the cold-file count exceeds a bound, contiguous cold runs are
-    /// merged into larger files under the same protocol. Returns how many
-    /// segments were compacted.
-    pub fn compact_below(&self, floor: Ts) -> Result<usize, StorageError> {
-        if floor == 0 {
-            return Ok(0);
-        }
-        let res = self.compact_below_inner(floor);
-        if res.is_err() {
-            self.counters
-                .compaction_errors
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        res
-    }
-
-    fn compact_below_inner(&self, floor: Ts) -> Result<usize, StorageError> {
-        let _g = self.rotate_lock.lock();
-        // Maximal runs of eligible sealed segments, contiguous in
-        // *sequence* (not just list position): a seq gap means a cold
-        // file covers the missing range, and a run spanning the gap
-        // would mint a cold name overlapping it. Commit order is segment
-        // order, so a non-prefix run can only arise behind segments with
-        // `max_ts` above the floor — e.g. DDL-only segments
-        // (`max_ts == 0`) trailing a hot one.
-        let runs: Vec<Vec<ListedFile>> = {
-            let mut s = self.state.lock();
-            // Remember the floor: checkpoints at or below it are the deep
-            // time-travel ladder and survive checkpoint pruning. The next
-            // manifest swap persists it.
-            s.manifest.gc_floor = s.manifest.gc_floor.max(floor);
-            let mut runs = Vec::new();
-            let mut cur: Vec<ListedFile> = Vec::new();
-            for seg in &s.manifest.sealed {
-                let eligible = seg.max_ts <= floor;
-                let contiguous = cur.last().is_some_and(|p| p.seq_hi + 1 == seg.seq_lo);
-                if !(eligible && (cur.is_empty() || contiguous)) && !cur.is_empty() {
-                    runs.push(std::mem::take(&mut cur));
-                }
-                if eligible {
-                    cur.push(seg.clone());
-                }
-            }
-            if !cur.is_empty() {
-                runs.push(cur);
-            }
-            runs
-        };
-        let mut compacted = 0usize;
-        for run in &runs {
-            self.publish_cold(run)?;
-            compacted += run.len();
-        }
-        if compacted > 0 {
-            self.counters.compactions.fetch_add(1, Ordering::Relaxed);
-            self.counters
-                .last_compaction_ms
-                .store(unix_ms(), Ordering::Relaxed);
-        }
-        self.merge_cold_files()?;
-        Ok(compacted)
-    }
-
-    /// Streams the sequence-contiguous `sources` into one cold file
-    /// spanning them, verifying each frame strictly before it is copied
-    /// (temp file, fsync, rename, dir fsync), publishes it in the manifest
-    /// — removing every source from the sealed and cold lists — and only
-    /// then deletes the originals (best-effort; recovery reconciles
-    /// leftovers). Caller holds `rotate_lock`.
-    fn publish_cold(&self, sources: &[ListedFile]) -> Result<(), StorageError> {
-        let (first, last) = (&sources[0], &sources[sources.len() - 1]);
-        let cold = ListedFile {
-            name: cold_name(first.seq_lo, last.seq_hi),
-            seq_lo: first.seq_lo,
-            seq_hi: last.seq_hi,
-            len: sources.iter().map(|c| c.len).sum(),
-            max_ts: sources.iter().map(|c| c.max_ts).max().unwrap_or(0),
-            has_ddl: sources.iter().any(|c| c.has_ddl),
-        };
-        let dir = &self.dir;
-        write_durable(dir.as_ref(), &cold.name, |file| {
-            let mut chunk = Vec::with_capacity(COPY_CHUNK_BYTES);
-            for c in sources {
-                stream_strict(dir.open_read(&c.name)?, &c.name, c.len, ALL, |_, frame| {
-                    chunk.extend_from_slice(frame);
-                    if chunk.len() >= COPY_CHUNK_BYTES {
-                        file.write_all(&chunk)?;
-                        chunk.clear();
-                    }
-                    Ok::<_, StorageError>(())
-                })?;
-            }
-            file.write_all(&chunk)
-        })?;
-
-        // Manifest swap FIRST (the cold file becomes authoritative), then
-        // the in-memory state, then — and only then — the deletes.
-        let mut manifest = self.state.lock().manifest.clone();
-        let is_source = |name: &str| sources.iter().any(|c| c.name == name);
-        manifest.sealed.retain(|s| !is_source(&s.name));
-        manifest.cold.retain(|c| !is_source(&c.name));
-        let pos = manifest.cold.partition_point(|c| c.seq_lo < cold.seq_lo);
-        manifest.cold.insert(pos, cold);
-        write_manifest(dir.as_ref(), &manifest)?;
-        self.state.lock().manifest = manifest;
-        // Best-effort: leftover originals are unlisted now and recovery
-        // deletes them if we crash (or error) here.
-        for c in sources {
-            let _ = dir.delete(&c.name);
-        }
-        let _ = dir.sync_dir();
-        Ok(())
-    }
-
-    /// Merges contiguous cold-file chains while the cold count exceeds
-    /// [`COLD_MERGE_BOUND`], longest chain first. Chains are contiguous
-    /// by sequence range (`a.seq_hi + 1 == b.seq_lo`); files separated by
-    /// a still-sealed gap are left alone.
-    fn merge_cold_files(&self) -> Result<(), StorageError> {
-        loop {
-            let chain: Vec<ListedFile> = {
-                let s = self.state.lock();
-                if s.manifest.cold.len() <= COLD_MERGE_BOUND {
-                    return Ok(());
-                }
-                let mut best: Vec<ListedFile> = Vec::new();
-                let mut cur: Vec<ListedFile> = Vec::new();
-                for c in &s.manifest.cold {
-                    let contiguous = cur.last().is_some_and(|p| p.seq_hi + 1 == c.seq_lo);
-                    if !cur.is_empty() && !contiguous {
-                        if cur.len() > best.len() {
-                            best = std::mem::take(&mut cur);
-                        } else {
-                            cur.clear();
-                        }
-                    }
-                    cur.push(c.clone());
-                }
-                if cur.len() > best.len() {
-                    best = cur;
-                }
-                if best.len() < 2 {
-                    return Ok(());
-                }
-                best
-            };
-            self.publish_cold(&chain)?;
-        }
-    }
-
     // -- checkpoints ---------------------------------------------------
 
     /// True when enough WAL bytes accumulated since the last checkpoint
@@ -1105,6 +894,16 @@ impl SegmentedWal {
         self.counters
             .checkpoint_skips
             .fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records that the database raised its GC floor to `floor`: the
+    /// checkpoints at or below it become the deep time-travel ladder and
+    /// survive pruning (see [`SegmentedWal::write_checkpoint`]). The next
+    /// manifest swap persists it.
+    pub fn raise_gc_floor(&self, floor: Ts) {
+        let _g = self.rotate_lock.lock();
+        let mut s = self.state.lock();
+        s.manifest.gc_floor = s.manifest.gc_floor.max(floor);
     }
 
     /// Writes `ck` durably and publishes it in the manifest: encode, temp
@@ -1231,44 +1030,38 @@ impl SegmentedWal {
     /// (`Cached` mode holds appended bytes in process and a group write
     /// may be in flight); later commits may be landing past it.
     ///
-    /// The walk takes no lock, so rotation and compaction run alongside
-    /// it. Listed files are immutable until compaction deletes them, and
-    /// compaction deletes only after it swapped the manifest: if the walk
-    /// fails while the manifest changed under it, it walks the new layout
-    /// from the last commit it collected.
+    /// The walk takes no lock, so rotation runs alongside it: a listed
+    /// file is immutable and stays where it is while the log is open, and
+    /// a segment sealed after the snapshot is read as the active prefix.
     pub fn history(&self, after: Ts, up_to: Ts) -> Result<Vec<CommittedTxn>, StorageError> {
-        let mut entries: Vec<CommittedTxn> = Vec::new();
-        loop {
-            let (manifest, active) = {
-                let s = self.state.lock();
-                (s.manifest.clone(), s.active.wal.clone())
-            };
-            let watermark = active.appended();
-            seal_sync(&active, self.opts.sync_mode)?;
-            let from = entries.last().map_or(after, |e| e.commit_ts);
-            // The walk ends early with `Some` failure, or with `None` at
-            // the first commit past the range.
-            let walked = walk_log(
-                self.dir.as_ref(),
-                &manifest,
-                &mut RecoveryReport::default(),
-                |max_ts, _| max_ts <= from,
-                &|ts| ts.is_some_and(|ts| ts > from),
-                Some(watermark),
-                |record, _| match record {
-                    WalRecord::Commit(e) if e.commit_ts > up_to => Err(None),
-                    WalRecord::Commit(e) if e.commit_ts > from => {
-                        entries.push(e);
-                        Ok(())
-                    }
-                    _ => Ok(()),
-                },
-            );
-            match walked {
-                Ok(_) | Err(None) => return Ok(entries),
-                Err(Some(_)) if self.state.lock().manifest != manifest => continue,
-                Err(Some(e)) => return Err(e),
-            }
+        let (manifest, active) = {
+            let s = self.state.lock();
+            (s.manifest.clone(), s.active.wal.clone())
+        };
+        let watermark = active.appended();
+        seal_sync(&active, self.opts.sync_mode)?;
+        let mut entries = Vec::new();
+        // The walk ends early with `Some` failure, or with `None` at the
+        // first commit past the range.
+        let walked = walk_log(
+            self.dir.as_ref(),
+            &manifest,
+            &mut RecoveryReport::default(),
+            |max_ts, _| max_ts <= after,
+            &|ts| ts.is_some_and(|ts| ts > after),
+            Some(watermark),
+            |record, _| match record {
+                WalRecord::Commit(e) if e.commit_ts > up_to => Err(None),
+                WalRecord::Commit(e) if e.commit_ts > after => {
+                    entries.push(e);
+                    Ok(())
+                }
+                _ => Ok(()),
+            },
+        );
+        match walked {
+            Err(Some(e)) => Err(e),
+            _ => Ok(entries),
         }
     }
 }
@@ -1306,9 +1099,7 @@ struct WalkEnd {
 /// [`SegmentedWal::history`]: every record of every file `manifest`
 /// lists, in global commit order, one frame at a time into `on_record`.
 ///
-/// Cold and sealed files are interleaved by their sequence ranges —
-/// compaction may cold a run *behind* a still-hot sealed segment — so the
-/// walk merges both lists sorted by low sequence. They were fully durable
+/// Sealed files come first, in list order. They were fully durable
 /// before they stopped being active: any damage in them is corruption,
 /// never a torn tail. `skip(max_ts, has_ddl)` leaves one of them unread;
 /// its manifest length still advances the global LSN base. Every frame
@@ -1335,27 +1126,16 @@ fn walk_log<E: From<StorageError>>(
             detail: format!("manifest references missing {what} `{name}`"),
         })
     };
-    let cold = manifest.cold.iter().map(|f| (f, true));
-    let mut files: Vec<_> = cold
-        .chain(manifest.sealed.iter().map(|f| (f, false)))
-        .collect();
-    files.sort_by_key(|(f, _)| f.seq_lo);
     let mut base = 0u64;
-    for (file, is_cold) in files {
-        let what = if is_cold {
-            rec.cold_files += 1;
-            "cold file"
-        } else {
-            rec.segments += 1;
-            "segment"
-        };
+    for file in &manifest.sealed {
+        rec.segments += 1;
         base += file.len;
         if skip(file.max_ts, file.has_ddl) {
             rec.skipped_files += 1;
             continue;
         }
-        let src = open(&file.name, what)?;
-        stream_strict(src, &file.name, file.len, wanted, |record, _| {
+        let src = open(&file.name, "segment")?;
+        stream_strict(src, &file.name, file.len, wanted, |record| {
             on_record(record, rec)
         })?;
     }
@@ -1369,14 +1149,14 @@ fn walk_log<E: From<StorageError>>(
     rec.segments += 1;
     let name = &manifest.active_name;
     let src = open(name, "active segment")?;
-    let on_frame = |record: WalRecord, _: &[u8]| {
+    let on_active = |record: WalRecord| {
         note_record(&mut end.max_ts, &mut end.has_ddl, &record);
         on_record(record, rec)
     };
     end.info = match active_len {
-        None => stream_records(src, name, wanted, on_frame)?,
+        None => stream_records(src, name, wanted, on_active)?,
         Some(len) => {
-            stream_strict(Box::new(src.take(len)), name, len, wanted, on_frame)?;
+            stream_strict(Box::new(src.take(len)), name, len, wanted, on_active)?;
             RecoveryInfo {
                 valid_len: len,
                 truncated_bytes: 0,
@@ -1386,18 +1166,18 @@ fn walk_log<E: From<StorageError>>(
     Ok(end)
 }
 
-/// Streams one immutable (cold/sealed) file into `on_frame`, strictly:
-/// every byte must decode, the length must match the manifest, and a
-/// torn tail is corruption here — these files were complete and durable
-/// before the manifest ever referenced them.
+/// Streams one sealed file into `on_record`, strictly: every byte must
+/// decode, the length must match the manifest, and a torn tail is
+/// corruption here — these files were complete and durable before the
+/// manifest ever referenced them.
 fn stream_strict<E: From<StorageError>>(
     src: Box<dyn BufRead + Send>,
     name: &str,
     expect_len: u64,
     wanted: Wanted,
-    on_frame: impl FnMut(WalRecord, &[u8]) -> Result<(), E>,
+    on_record: impl FnMut(WalRecord) -> Result<(), E>,
 ) -> Result<(), E> {
-    let info = stream_records(src, name, wanted, on_frame)?;
+    let info = stream_records(src, name, wanted, on_record)?;
     let detail = if info.truncated_bytes != 0 {
         format!(
             "immutable file has {} damaged tail bytes",
@@ -1425,6 +1205,8 @@ mod tests {
     use crate::dir::{DirFailpointHandle, FailpointDir, MemDir};
     use crate::row;
     use crate::row::Key;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
 
     fn entry(txn_id: u64, commit_ts: Ts) -> CommittedTxn {
         CommittedTxn {
@@ -1469,26 +1251,36 @@ mod tests {
         Ok((log, records))
     }
 
+    /// The manifest framing (magic, payload length, payload CRC, header
+    /// CRC) around `payload`.
+    fn manifest_bytes(payload: &[u8]) -> Vec<u8> {
+        let mut bytes = MANIFEST_MAGIC.to_vec();
+        put_u32(&mut bytes, payload.len() as u32);
+        put_u32(&mut bytes, crc32(payload));
+        let hdr_crc = crc32(&bytes[8..16]);
+        put_u32(&mut bytes, hdr_crc);
+        bytes.extend_from_slice(payload);
+        bytes
+    }
+
+    fn listed(name: String, seq_lo: u64, max_ts: Ts, has_ddl: bool) -> ListedFile {
+        ListedFile {
+            name,
+            seq_lo,
+            len: 100 + seq_lo,
+            max_ts,
+            has_ddl,
+        }
+    }
+
     #[test]
     fn manifest_round_trips() {
         let m = Manifest {
             next_seq: 7,
-            cold: vec![ListedFile {
-                name: cold_name(0, 2),
-                seq_lo: 0,
-                seq_hi: 2,
-                len: 1234,
-                max_ts: 9,
-                has_ddl: true,
-            }],
-            sealed: vec![ListedFile {
-                name: segment_name(3),
-                seq_lo: 3,
-                seq_hi: 3,
-                len: 88,
-                max_ts: 12,
-                has_ddl: false,
-            }],
+            sealed: vec![
+                listed("cold-000000-000002.seg".into(), 0, 9, true),
+                listed(segment_name(3), 3, 12, false),
+            ],
             active_seq: 6,
             active_name: segment_name(6),
             checkpoints: vec![CheckpointFile {
@@ -1516,23 +1308,123 @@ mod tests {
     }
 
     #[test]
+    fn a_cold_list_is_folded_into_the_sealed_list_and_written_back_empty() {
+        // As an earlier version wrote it: cold files for segments 0-1 and
+        // 3-4, compacted around segment 2, still sealed.
+        let mut payload = Vec::new();
+        put_u32(&mut payload, MANIFEST_VERSION);
+        put_u64(&mut payload, 6);
+        put_u32(&mut payload, 2);
+        for (lo, hi, max_ts, ddl) in [(0, 1, 4, 1), (3, 4, 9, 0)] {
+            put_str(&mut payload, &format!("cold-{lo:06}-{hi:06}.seg"));
+            for v in [lo, hi, 100 + lo, max_ts] {
+                put_u64(&mut payload, v);
+            }
+            payload.push(ddl);
+        }
+        put_u32(&mut payload, 1);
+        put_str(&mut payload, &segment_name(2));
+        for v in [2, 102, 7] {
+            put_u64(&mut payload, v);
+        }
+        payload.push(0);
+        put_str(&mut payload, &segment_name(5));
+        put_u64(&mut payload, 5);
+        put_u32(&mut payload, 0);
+        put_u64(&mut payload, 9);
+
+        let m = decode_manifest(&manifest_bytes(&payload)).unwrap();
+        assert_eq!(
+            m.sealed,
+            vec![
+                listed("cold-000000-000001.seg".into(), 0, 4, true),
+                listed(segment_name(2), 2, 7, false),
+                listed("cold-000003-000004.seg".into(), 3, 9, false),
+            ]
+        );
+        let written = encode_manifest(&m);
+        assert_eq!(written[32..36], [0; 4], "the cold count is written as 0");
+        assert_eq!(decode_manifest(&written).unwrap(), m);
+    }
+
+    #[test]
     fn version_1_manifest_is_a_typed_unsupported_version_error() {
         // A well-framed manifest whose payload starts with version 1.
         let mut payload = Vec::new();
         put_u32(&mut payload, 1);
         put_u64(&mut payload, 1); // next_seq; the rest is never reached
-        let mut bytes = MANIFEST_MAGIC.to_vec();
-        put_u32(&mut bytes, payload.len() as u32);
-        put_u32(&mut bytes, crc32(&payload));
-        let hdr_crc = crc32(&bytes[8..16]);
-        put_u32(&mut bytes, hdr_crc);
-        bytes.extend_from_slice(&payload);
-        match decode_manifest(&bytes) {
+        match decode_manifest(&manifest_bytes(&payload)) {
             Err(StorageError::Corrupt { detail, .. }) => assert!(
                 detail.contains("unsupported manifest version 1"),
                 "detail: {detail}"
             ),
             other => panic!("expected a typed version error, got {other:?}"),
+        }
+    }
+
+    /// The decoder's contract on bytes it did not write: a typed
+    /// `Corrupt` error, or a manifest that re-encodes to exactly those
+    /// bytes — unless they carry a cold list, which is written back in
+    /// the sealed list, so only the decoded manifest survives the trip.
+    fn decodes_typed_or_canonically(bytes: &[u8]) -> Result<(), TestCaseError> {
+        match decode_manifest(bytes) {
+            Err(StorageError::Corrupt { .. }) => {}
+            Err(other) => prop_assert!(false, "untyped error {other:?}"),
+            Ok(m) if bytes[32..36] == [0; 4] => prop_assert_eq!(encode_manifest(&m), bytes),
+            Ok(m) => prop_assert_eq!(decode_manifest(&encode_manifest(&m)).unwrap(), m),
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(
+            std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(256)
+        ))]
+
+        /// Arbitrary bytes, raw or framed with valid CRCs so that they
+        /// reach the payload decoder.
+        #[test]
+        fn manifest_decoder_takes_arbitrary_bytes(
+            bytes in prop::collection::vec(0u8..=255, 0..160),
+            framed in 0u8..2,
+        ) {
+            let bytes = if framed == 1 { manifest_bytes(&bytes) } else { bytes };
+            decodes_typed_or_canonically(&bytes)?;
+        }
+
+        /// A valid manifest with one payload byte replaced and both CRCs
+        /// recomputed.
+        #[test]
+        fn manifest_decoder_takes_a_mutated_manifest(
+            sealed in prop::collection::vec((0u64..1 << 40, 0u64..1 << 40, 0u8..2), 0..5),
+            checkpoints in prop::collection::vec((0u64..1 << 40, 0u64..1 << 40), 0..3),
+            gc_floor in 0u64..1 << 40,
+            at in 0usize..1 << 16,
+            byte in 0u8..=255,
+        ) {
+            let n = sealed.len() as u64;
+            let m = Manifest {
+                next_seq: n + 1,
+                sealed: sealed
+                    .into_iter()
+                    .zip(0..)
+                    .map(|((len, max_ts, ddl), seq)| ListedFile {
+                        len,
+                        ..listed(segment_name(seq), seq, max_ts, ddl == 1)
+                    })
+                    .collect(),
+                active_seq: n,
+                active_name: segment_name(n),
+                checkpoints: checkpoints
+                    .into_iter()
+                    .map(|(ts, len)| CheckpointFile { name: checkpoint_name(ts), ts, len })
+                    .collect(),
+                gc_floor,
+            };
+            let mut payload = encode_manifest(&m)[20..].to_vec();
+            let i = at % payload.len();
+            payload[i] = byte;
+            decodes_typed_or_canonically(&manifest_bytes(&payload))?;
         }
     }
 
@@ -1579,48 +1471,38 @@ mod tests {
     }
 
     #[test]
-    fn compaction_moves_prefix_to_cold_and_replays() {
+    fn a_raised_gc_floor_is_persisted_by_the_next_manifest_swap() {
         let mem = MemDir::new();
         let dir: Arc<dyn LogDir> = Arc::new(mem.clone());
         let wal = SegmentedWal::create_dir(dir.clone(), tiny_opts()).unwrap();
-        for i in 1..=6u64 {
+        let commit = |i| {
             let lsn = wal.append_entry(&entry(i, i)).unwrap();
             wal.sync_to(lsn).unwrap();
+        };
+        for i in 1..=3u64 {
+            commit(i);
         }
-        let compacted = wal.compact_below(3).unwrap();
-        assert!(compacted >= 2, "compacted {compacted} segments");
-        let stats = wal.stats();
-        assert_eq!(stats.cold_files, 1);
-        assert!(stats.last_compaction_unix_ms > 0);
-        // Original sealed files below the floor are gone from the dir.
-        let names = mem.names();
-        assert!(
-            names.iter().any(|n| parse_cold_name(n).is_some()),
-            "no cold file in {names:?}"
+        let on_disk = || decode_manifest(&mem.file(MANIFEST_NAME).unwrap()).unwrap();
+        wal.raise_gc_floor(2);
+        wal.raise_gc_floor(1); // a floor never drops
+        assert_eq!(
+            on_disk().gc_floor,
+            0,
+            "nothing is written for the floor itself"
         );
+        commit(4); // rotates: a manifest swap
+        let manifest = on_disk();
+        assert_eq!(manifest.gc_floor, 2);
+        // Every sealed segment is still listed and on disk, below the
+        // floor or not.
+        let stats = wal.stats();
+        assert_eq!(manifest.sealed.len() as u64, stats.rotations);
+        assert!(manifest.sealed.iter().all(|f| mem.file(&f.name).is_some()));
         drop(wal);
 
-        let (RecoveredLog { report: rec, .. }, records) = open_collect(dir).unwrap();
-        assert_eq!(commit_ts_of(&records), vec![1, 2, 3, 4, 5, 6]);
-        assert_eq!(rec.cold_files, 1);
-    }
-
-    #[test]
-    fn compaction_stops_at_floor_boundary() {
-        let mem = MemDir::new();
-        let dir: Arc<dyn LogDir> = Arc::new(mem.clone());
-        let wal = SegmentedWal::create_dir(dir, tiny_opts()).unwrap();
-        for i in 1..=4u64 {
-            let lsn = wal.append_entry(&entry(i, i)).unwrap();
-            wal.sync_to(lsn).unwrap();
-        }
-        // Floor below every sealed segment: nothing to do.
-        assert_eq!(wal.compact_below(0).unwrap(), 0);
-        let before = wal.stats();
-        wal.compact_below(2).unwrap();
-        let after = wal.stats();
-        // Segments with max_ts > 2 stay sealed.
-        assert!(after.segments >= before.segments - 2);
+        let (RecoveredLog { wal, .. }, records) = open_collect(dir).unwrap();
+        assert_eq!(commit_ts_of(&records), vec![1, 2, 3, 4]);
+        assert_eq!(wal.state.lock().manifest.gc_floor, 2);
     }
 
     #[test]

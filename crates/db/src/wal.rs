@@ -405,13 +405,45 @@ impl<'a> Cursor<'a> {
         })
     }
 
-    pub(crate) fn values(&mut self) -> Result<Vec<Value>, String> {
-        let n = self.u32()? as usize;
-        if n > self.data.len() - self.pos {
-            // Each value is at least one byte; reject absurd counts
-            // before reserving.
-            return Err(format!("value count {n} exceeds remaining payload"));
+    /// Reads a `u32` element count; see `fits`.
+    pub(crate) fn count(&mut self, min_len: usize, what: &str) -> Result<usize, String> {
+        let n = self.u32()?;
+        self.fits(n.into(), min_len, what)
+    }
+
+    /// Reads a `u64` element count; see `fits`.
+    pub(crate) fn count_u64(&mut self, min_len: usize, what: &str) -> Result<usize, String> {
+        let n = self.u64()?;
+        self.fits(n, min_len, what)
+    }
+
+    /// Checks an element count against the bytes left: every element
+    /// encodes in at least `min_len` bytes, so a count the rest of the
+    /// input cannot hold is rejected before anything is reserved for it.
+    /// A reservation for the count returned is at most the bytes left
+    /// times the element's in-memory size over `min_len`.
+    fn fits(&self, n: u64, min_len: usize, what: &str) -> Result<usize, String> {
+        let fit = self.remaining() / min_len;
+        match usize::try_from(n) {
+            Ok(n) if n <= fit => Ok(n),
+            _ => Err(format!(
+                "{what} count {n} exceeds the {} bytes left",
+                self.remaining()
+            )),
         }
+    }
+
+    /// Reads a flag byte: 0 or 1, nothing else.
+    pub(crate) fn bool(&mut self) -> Result<bool, String> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(format!("invalid flag byte {b}")),
+        }
+    }
+
+    pub(crate) fn values(&mut self) -> Result<Vec<Value>, String> {
+        let n = self.count(1, "value")?;
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
             out.push(self.value()?);
@@ -457,6 +489,14 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// Fewest bytes a string encodes in: its `u32` length.
+pub(crate) const MIN_STR_LEN: usize = 4;
+/// Fewest bytes a column encodes in: name, type tag, nullable flag.
+pub(crate) const MIN_COLUMN_LEN: usize = MIN_STR_LEN + 2;
+/// Fewest bytes a change record encodes in: table name, key count, op
+/// tag, one image's value count.
+const MIN_CHANGE_LEN: usize = MIN_STR_LEN + 4 + 1 + 4;
+
 fn decode_payload(payload: &[u8]) -> Result<WalRecord, String> {
     let mut c = Cursor::new(payload);
     let record = match c.u8()? {
@@ -464,10 +504,7 @@ fn decode_payload(payload: &[u8]) -> Result<WalRecord, String> {
             let txn_id = c.u64()?;
             let start_ts = c.u64()?;
             let commit_ts = c.u64()?;
-            let n = c.u32()? as usize;
-            if n > payload.len() {
-                return Err(format!("change count {n} exceeds payload"));
-            }
+            let n = c.count(MIN_CHANGE_LEN, "change")?;
             let mut changes = Vec::with_capacity(n);
             for _ in 0..n {
                 changes.push(c.change(changes.last())?);
@@ -481,10 +518,7 @@ fn decode_payload(payload: &[u8]) -> Result<WalRecord, String> {
         }
         TAG_CREATE_TABLE => {
             let name = c.str()?;
-            let ncols = c.u32()? as usize;
-            if ncols > payload.len() {
-                return Err(format!("column count {ncols} exceeds payload"));
-            }
+            let ncols = c.count(MIN_COLUMN_LEN, "column")?;
             let mut columns = Vec::with_capacity(ncols);
             for _ in 0..ncols {
                 let col_name = c.str()?;
@@ -496,10 +530,7 @@ fn decode_payload(payload: &[u8]) -> Result<WalRecord, String> {
                     Column::new(col_name, dtype)
                 });
             }
-            let npk = c.u32()? as usize;
-            if npk > payload.len() {
-                return Err(format!("primary-key count {npk} exceeds payload"));
-            }
+            let npk = c.count(MIN_STR_LEN, "primary-key")?;
             let mut pk = Vec::with_capacity(npk);
             for _ in 0..npk {
                 pk.push(c.str()?);
@@ -644,7 +675,7 @@ fn chain_is_clean(mut data: &[u8]) -> bool {
 }
 
 /// Validates a log stream one frame at a time, handing each record
-/// `wanted` accepts, decoded, and its frame bytes to `on_frame`, and
+/// `wanted` accepts, decoded, to `on_record`, and
 /// applies the torn-tail rule (module docs) at the first damaged frame.
 /// Holds one frame at a time; only damage reads the rest of the stream,
 /// for the resync scan. A [`StorageError::Corrupt`] names `file` in its
@@ -653,14 +684,14 @@ pub(crate) fn stream_records<E: From<StorageError>>(
     mut src: impl BufRead,
     file: &str,
     wanted: Wanted,
-    mut on_frame: impl FnMut(WalRecord, &[u8]) -> Result<(), E>,
+    mut on_record: impl FnMut(WalRecord) -> Result<(), E>,
 ) -> Result<RecoveryInfo, E> {
     let mut frame = Vec::new();
     let mut valid_len = 0u64;
     let damage = loop {
         match read_frame(&mut src, &mut frame, wanted)? {
             Frame::Record(record) => {
-                on_frame(record, &frame)?;
+                on_record(record)?;
                 valid_len += frame.len() as u64;
             }
             Frame::Skipped => valid_len += frame.len() as u64,
@@ -696,7 +727,7 @@ pub(crate) fn stream_records<E: From<StorageError>>(
 /// `stream_records` over a byte slice, collecting the records.
 pub fn decode_records(data: &[u8]) -> Result<(Vec<WalRecord>, RecoveryInfo), StorageError> {
     let mut records = Vec::new();
-    let info = stream_records(data, "", ALL, |record, _| {
+    let info = stream_records(data, "", ALL, |record| {
         records.push(record);
         Ok::<_, StorageError>(())
     })?;

@@ -20,8 +20,9 @@
 //! random horizons, one segment per commit, with and without small
 //! checkpoints and across a reopen, forks at every timestamp exactly as
 //! a copy of its never-collected in-memory twin does. A threaded test
-//! reads history and forks below the floor while GC, rotation, compaction
-//! and checkpoints run underneath, in every sync mode.
+//! reads history and forks below the floor while GC, rotation and
+//! checkpoint writes with their pruning run underneath, in every sync
+//! mode.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -533,8 +534,8 @@ fn a_fork_of_a_large_namespace_holds_no_version_until_it_writes() {
     );
 }
 
-/// A durable parent on `disk`: one segment per commit (so GC compacts
-/// them into cold files), a checkpoint every `checkpoint_bytes` of log
+/// A durable parent on `disk`: one segment per commit (all of them kept
+/// below the GC floor), a checkpoint every `checkpoint_bytes` of log
 /// (0: none).
 fn durable_opts(sync_mode: SyncMode, checkpoint_bytes: u64) -> WalOptions {
     WalOptions {
@@ -587,13 +588,14 @@ proptest! {
 
 /// `history` and forks below the floor stay exact while one thread
 /// commits — rolling a small segment every few commits — and another
-/// garbage-collects, compacts and checkpoints, in every sync mode. The
+/// garbage-collects and checkpoints, which prunes the checkpoints above
+/// the floor, in every sync mode. The
 /// appended tail is still in process under `Cached`. The oracle is
 /// the history itself: commit `i` sets key `i % KEYS` to `i`, so a dense
 /// history reads `0, 1, 2, …` and a fork at any logged timestamp holds
 /// what replaying the history up to it holds.
 #[test]
-fn history_and_forks_below_the_floor_race_gc_rotation_and_compaction() {
+fn history_and_forks_below_the_floor_race_gc_rotation_and_checkpoint_pruning() {
     const COMMITS: i64 = 200;
     // The state after `history`: key -> last value written.
     let replayed = |history: &[trod_db::CommittedTxn]| {
@@ -669,7 +671,7 @@ fn history_and_forks_below_the_floor_race_gc_rotation_and_compaction() {
         assert_eq!(history.len(), COMMITS as usize, "{mode:?}");
         let stats = db.wal().unwrap().stats();
         assert!(
-            stats.cold_files > 0 && stats.compaction_errors == 0,
+            stats.rotations > 0 && stats.rotation_errors == 0 && stats.checkpoint_errors == 0,
             "{mode:?}: {stats:?}"
         );
         // Every tenth commit, all of them below the floor now.

@@ -3,7 +3,7 @@
 //! The tentpole contracts under test:
 //!
 //! * **Crash at every cost unit** — a deterministic sweep runs a
-//!   workload that performs many rotations, one compaction, and
+//!   workload that performs many rotations, one GC, and
 //!   (in the checkpoint variant) an environment checkpoint per commit
 //!   over a [`FailpointDir`], crashing after `k` cost units for every
 //!   `k` from 0 to the full run's cost (one unit per file byte, one per
@@ -23,7 +23,7 @@
 //!   oracle-checked.
 //! * **Layout adoption** — a manifest-less directory of `wal-*.seg`
 //!   files is adopted in sequence order.
-//! * **Streaming walk** — recovery streams segments and cold files and
+//! * **Streaming walk** — recovery streams the segments it must and
 //!   never reads one whole; damage found after earlier records were
 //!   replayed fails the boot with the same typed error and leaves the
 //!   directory untouched.
@@ -37,6 +37,7 @@ use trod_db::wal::{decode_records, encode_frame};
 use trod_db::{
     row, CommittedTxn, DataType, Database, DbError, DirFailpointHandle, FailpointDir, LogDir,
     LogFile, MemDir, Replay, Schema, SegmentedWal, StorageError, SyncMode, Ts, WalOptions,
+    WalRecord,
 };
 
 fn events_schema() -> Schema {
@@ -57,8 +58,8 @@ fn opts(workload: &Workload) -> WalOptions {
 }
 
 /// One deterministic workload: DDL, `commits` inserts (each one synced
-/// commit), and optionally a GC (which compacts sealed segments below
-/// the floor into cold files) after commit `gc_after`.
+/// commit), and optionally a GC (which raises the floor the log keeps
+/// checkpoints below) after commit `gc_after`.
 struct Workload {
     segment_bytes: u64,
     commits: i64,
@@ -91,9 +92,8 @@ fn run(workload: &Workload, dir: Arc<dyn LogDir>) -> Vec<Ts> {
             Err(e) => panic!("only storage errors may surface at a crash: {e}"),
         }
         if workload.gc_after == Some(i) {
-            // GC truncates the live log and (best-effort) compacts the
-            // covered sealed segments; a crash mid-compaction must never
-            // lose history.
+            // GC truncates the live log; the log keeps every segment, and
+            // a crash around it must never lose history.
             let horizon = db.current_ts();
             let _ = db.gc_before(horizon);
         }
@@ -253,10 +253,9 @@ fn crash_sweep(workload: &Workload, tag: &str) {
 /// Tiny segment bound: every synced record rolls the active segment, so
 /// the sweep crosses every byte of many rotations (segment pre-sync,
 /// successor create, directory fsync, manifest temp write, manifest
-/// rename) and of one compaction (cold copy, rename, manifest swap,
-/// original deletes).
+/// rename), with a GC in the middle.
 #[test]
-fn crash_at_every_cost_unit_of_rotation_and_compaction() {
+fn crash_at_every_cost_unit_of_rotation_around_gc() {
     crash_sweep(
         &Workload {
             segment_bytes: 1,
@@ -264,7 +263,7 @@ fn crash_at_every_cost_unit_of_rotation_and_compaction() {
             gc_after: Some(3),
             checkpoint_bytes: 0,
         },
-        "rot+compact",
+        "rot+gc",
     );
 }
 
@@ -287,7 +286,7 @@ fn crash_at_every_cost_unit_of_a_single_rotation() {
 /// commit, so the sweep crosses every byte of each checkpoint write
 /// (temp-file body, rename, directory fsync) and of the manifest swap
 /// that publishes it — plus the retention pruning of superseded
-/// checkpoint files and a GC-triggered compaction riding alongside. A
+/// checkpoint files and a GC-triggered checkpoint riding alongside. A
 /// crash anywhere inside a checkpoint must leave a boot that either uses
 /// an older checkpoint or replays in full — never torn state, never a
 /// lost acknowledged commit.
@@ -489,11 +488,13 @@ impl LogDir for ReadAccounting {
     }
 }
 
-/// Recovery streams every segment and cold file it visits and reads none
-/// of them whole — only the MANIFEST and the checkpoint are read whole —
-/// on a checkpoint boot and on a full replay alike.
+/// Recovery streams every segment it visits and reads none of them whole
+/// — only the MANIFEST and the checkpoint are read whole. A full replay
+/// streams every segment. A checkpoint boot after GC streams exactly the
+/// segments it must: the DDL-bearing `wal-000000.seg`, the segments
+/// holding commits above the checkpoint, and the active one.
 #[test]
-fn recovery_streams_segments_and_cold_files_and_never_reads_them_whole() {
+fn recovery_streams_only_the_segments_it_must_and_never_reads_them_whole() {
     for checkpoint_bytes in [1, 0] {
         let workload = Workload {
             segment_bytes: 1,
@@ -504,8 +505,9 @@ fn recovery_streams_segments_and_cold_files_and_never_reads_them_whole() {
         let mem = MemDir::new();
         let acked = run(&workload, Arc::new(mem.clone()));
         let (oracle_db, oracle_log) = oracle(&workload);
+        let image = mem.snapshot();
         let dir = Arc::new(ReadAccounting {
-            inner: mem.snapshot(),
+            inner: image.snapshot(),
             ..Default::default()
         });
         let (db, report) = Database::open_durable_in(dir.clone(), WalOptions::default())
@@ -517,26 +519,42 @@ fn recovery_streams_segments_and_cold_files_and_never_reads_them_whole() {
             checkpoint_bytes > 0,
             "{tag}"
         );
-        assert!(
-            report.cold_files >= 1 && report.segments >= 2,
-            "{tag}: {report:?}"
-        );
 
         let whole = dir.whole.lock().unwrap().clone();
         assert!(
             !whole.iter().any(|n| n.ends_with(".seg")),
             "{tag}: read whole: {whole:?}"
         );
-        let streamed = dir.streamed.lock().unwrap().clone();
-        let cold = streamed.iter().filter(|n| n.starts_with("cold-")).count();
-        let walked = report.segments + report.cold_files - report.skipped_files;
-        assert_eq!(
-            streamed.iter().filter(|n| n.ends_with(".seg")).count(),
-            walked,
-            "{tag}: each walked file streamed once: {streamed:?}"
-        );
-        // The DDL lives in the first cold file, which is never skipped.
-        assert!(cold >= 1, "{tag}: streamed {streamed:?}");
+        // The segments a boot must read, from what each one holds.
+        let mut segments: Vec<String> = image
+            .names()
+            .into_iter()
+            .filter(|n| n.starts_with("wal-"))
+            .collect();
+        segments.sort();
+        assert_eq!(segments.len(), report.segments, "{tag}: GC deleted none");
+        let active = segments.last().unwrap().clone();
+        let ckpt_ts = report.checkpoint_ts.unwrap_or(0);
+        let must: Vec<String> = segments
+            .into_iter()
+            .filter(|name| {
+                let (records, _) = decode_records(&image.file(name).unwrap()).unwrap();
+                *name == active
+                    || records.iter().any(|r| match r {
+                        WalRecord::Commit(e) => e.commit_ts > ckpt_ts,
+                        _ => true,
+                    })
+            })
+            .collect();
+        if checkpoint_bytes > 0 {
+            assert_eq!(must, ["wal-000000.seg", active.as_str()], "{tag}");
+        } else {
+            assert_eq!(must.len(), report.segments, "{tag}: full replay");
+        }
+        let mut streamed = dir.streamed.lock().unwrap().clone();
+        streamed.sort();
+        assert_eq!(streamed, must, "{tag}: each file streamed once");
+        assert_eq!(report.skipped_files, report.segments - must.len(), "{tag}");
     }
 }
 

@@ -602,19 +602,12 @@ pub fn dispatch(state: &ServerState, method: &str, params: &Json) -> Result<Json
                     let s = wal.stats();
                     Json::obj(vec![
                         ("segments", Json::from(s.segments as u64)),
-                        ("cold_files", Json::from(s.cold_files as u64)),
                         ("active_bytes", Json::from(s.active_bytes)),
                         ("appended", Json::from(s.appended)),
                         ("durable", Json::from(s.durable)),
                         ("segment_bytes", Json::from(s.segment_bytes)),
                         ("rotations", Json::from(s.rotations)),
-                        ("compactions", Json::from(s.compactions)),
                         ("rotation_errors", Json::from(s.rotation_errors)),
-                        ("compaction_errors", Json::from(s.compaction_errors)),
-                        (
-                            "last_compaction_unix_ms",
-                            Json::from(s.last_compaction_unix_ms),
-                        ),
                         (
                             "checkpoints",
                             Json::obj(vec![

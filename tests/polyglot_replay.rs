@@ -153,8 +153,8 @@ fn kv_read_verification_catches_an_injected_divergence() {
 }
 
 /// [`shop_trod`] over a durable log on an in-memory disk, one segment per
-/// commit: GC compacts them into cold files, and history below the GC
-/// floor stays reachable through them.
+/// commit: GC keeps every segment, and history below the GC floor stays
+/// reachable through them.
 fn durable_shop_trod() -> Trod {
     let opts = WalOptions {
         segment_bytes: 1,

@@ -386,12 +386,10 @@ impl ToctouScenario {
         }
     }
 
-    /// Flushes traces into the provenance store.
+    /// Drains the runtime's tracer into the provenance store
+    /// ([`ProvenanceStore::drain_from`]); returns the events ingested.
     pub fn sync_provenance(&self) -> usize {
-        let events = self.runtime.tracer().drain();
-        let n = events.len();
-        self.provenance.ingest(events);
-        n
+        self.provenance.drain_from(self.runtime.tracer())
     }
 
     /// Consumes the scenario and wraps it in a [`trod_core::Trod`]

@@ -84,7 +84,7 @@ fn traced_deployment(base_rows: usize, dependencies: usize) -> (ProvenanceStore,
     // A fetch afterwards, for completeness.
     runtime.handle_request_with_id("FETCH", "fetchSubscribers", Args::new().with("forum", "F2"));
 
-    provenance.ingest(runtime.tracer().drain());
+    provenance.drain_from(runtime.tracer());
     let production_db = runtime.database().clone();
     (provenance, production_db, "TARGET".to_string())
 }

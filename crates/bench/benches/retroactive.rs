@@ -33,7 +33,7 @@ fn traced_trod(conflicting: usize) -> (Trod, Vec<String>) {
         );
         req_ids.push(req);
     }
-    provenance.ingest(runtime.tracer().drain());
+    provenance.drain_from(runtime.tracer());
     (Trod::attach_with(runtime, provenance), req_ids)
 }
 

@@ -50,7 +50,7 @@ use crate::security::Security;
 
 /// The transaction-oriented debugger.
 pub struct Trod {
-    runtime: Arc<Runtime>,
+    runtime: Runtime,
     provenance: Arc<ProvenanceStore>,
 }
 
@@ -61,7 +61,7 @@ impl Trod {
     pub fn attach(runtime: Runtime) -> DbResult<Self> {
         let provenance = ProvenanceStore::for_application(runtime.database())?;
         Ok(Trod {
-            runtime: Arc::new(runtime),
+            runtime,
             provenance: Arc::new(provenance),
         })
     }
@@ -71,7 +71,7 @@ impl Trod {
     /// names such as `ForumEvents`).
     pub fn attach_with(runtime: Runtime, provenance: ProvenanceStore) -> Self {
         Trod {
-            runtime: Arc::new(runtime),
+            runtime,
             provenance: Arc::new(provenance),
         }
     }
@@ -79,11 +79,6 @@ impl Trod {
     /// The production runtime.
     pub fn runtime(&self) -> &Runtime {
         &self.runtime
-    }
-
-    /// A shared handle to the production runtime.
-    pub fn runtime_arc(&self) -> Arc<Runtime> {
-        self.runtime.clone()
     }
 
     /// The production session: the unified transaction surface
@@ -105,21 +100,13 @@ impl Trod {
         &self.provenance
     }
 
-    /// A shared handle to the provenance store (implements
-    /// [`trod_trace::TraceSink`], so it can be handed to a
-    /// [`trod_trace::BackgroundFlusher`] for continuous ingestion).
-    pub fn provenance_arc(&self) -> Arc<ProvenanceStore> {
-        self.provenance.clone()
-    }
-
-    /// Drains the tracer's in-memory buffer into the provenance store.
-    /// Production deployments run a background flusher instead; tests and
-    /// examples call this explicitly at convenient points.
+    /// Drains the tracer's in-memory buffer into the provenance store
+    /// ([`ProvenanceStore::drain_from`]) and returns the number of events
+    /// ingested. Safe to call from any number of threads at once. The
+    /// server calls it from a periodic sync thread and before every
+    /// debugging RPC; tests and examples call it at convenient points.
     pub fn sync(&self) -> usize {
-        let events = self.runtime.tracer().drain();
-        let n = events.len();
-        self.provenance.ingest(events);
-        n
+        self.provenance.drain_from(self.runtime.tracer())
     }
 
     /// Runs a declarative debugging query (SQL over the provenance tables).

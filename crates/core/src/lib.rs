@@ -15,8 +15,8 @@
 //!
 //! The entry point is [`Trod`]: attach it to a running
 //! [`trod_runtime::Runtime`], let the application serve (traced)
-//! requests, call [`Trod::sync`] (or run a background flusher) to move
-//! traces into the provenance database, and then debug.
+//! requests, call [`Trod::sync`] (from any thread, as often as wanted) to
+//! move traces into the provenance database, and then debug.
 
 /// The shared hand-rolled JSON module (one escaper, one number
 /// formatter, writer + strict parser). It lives in `trod-trace` — the

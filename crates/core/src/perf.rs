@@ -310,7 +310,7 @@ mod tests {
         for (req, handler, _, ok) in specs.iter().rev() {
             tracer.handler_end(req, handler, "out", *ok);
         }
-        store.ingest(tracer.drain());
+        store.drain_from(&tracer);
         store
     }
 
@@ -395,7 +395,7 @@ mod tests {
         let tracer = Tracer::new();
         tracer.handler_start("R1", "checkout", None, "{}");
         // No handler_end: the request is still in flight.
-        store.ingest(tracer.drain());
+        store.drain_from(&tracer);
         let perf = Perf::new(&store);
         assert!(perf.handler_latencies().is_empty());
         assert!(perf.slow_requests(0).is_empty());

@@ -461,7 +461,7 @@ mod tests {
     }
 
     fn flush(traced: &Session, store: &ProvenanceStore) {
-        store.ingest(traced.tracer().unwrap().drain());
+        store.drain_from(traced.tracer().unwrap());
     }
 
     #[test]

@@ -350,7 +350,7 @@ mod tests {
             .unwrap();
         t1.commit().unwrap();
         t2.commit().unwrap();
-        store.ingest(traced.tracer().unwrap().drain());
+        store.drain_from(traced.tracer().unwrap());
 
         let reenactor = Reenactor::new(&store, &traced);
         let anomalies = reenactor.audit_anomalies();
@@ -386,7 +386,7 @@ mod tests {
             .unwrap();
         t1.commit().unwrap();
         t2.commit().unwrap();
-        store.ingest(traced.tracer().unwrap().drain());
+        store.drain_from(traced.tracer().unwrap());
 
         let reenactor = Reenactor::new(&store, &traced);
         let anomalies = reenactor.audit_anomalies();
@@ -405,7 +405,7 @@ mod tests {
                 .unwrap();
             t.commit().unwrap();
         }
-        store.ingest(traced.tracer().unwrap().drain());
+        store.drain_from(traced.tracer().unwrap());
         let reenactor = Reenactor::new(&store, &traced);
         assert!(reenactor.audit_anomalies().is_empty());
     }
@@ -422,7 +422,7 @@ mod tests {
         let rows = t1.scan("oncall", &Predicate::True).unwrap();
         assert_eq!(rows.len(), 2);
         t1.commit().unwrap();
-        store.ingest(traced.tracer().unwrap().drain());
+        store.drain_from(traced.tracer().unwrap());
 
         let reenactor = Reenactor::new(&store, &traced);
         let reports = reenactor.reenact_request("R1").unwrap();
@@ -478,7 +478,7 @@ mod tests {
             Some("doohickey".into())
         );
         rc.commit().unwrap();
-        store.ingest(traced.tracer().unwrap().drain());
+        store.drain_from(traced.tracer().unwrap());
 
         let reenactor = Reenactor::new(&store, &traced);
         let r1 = reenactor.reenact_request("R1").unwrap();
@@ -519,7 +519,7 @@ mod tests {
             .unwrap();
         assert_eq!(seen.get(1), Some(&Value::Bool(false)));
         reader.commit().unwrap();
-        store.ingest(traced.tracer().unwrap().drain());
+        store.drain_from(traced.tracer().unwrap());
 
         let reenactor = Reenactor::new(&store, &traced);
         let reports = reenactor.reenact_request("R1").unwrap();

@@ -96,11 +96,6 @@ impl VersionChain {
         self.versions.last().filter(|v| v.is_live()).map(|v| &v.row)
     }
 
-    /// The most recent version regardless of liveness.
-    pub fn latest_version(&self) -> Option<&Version> {
-        self.versions.last()
-    }
-
     /// True if this key was written by any commit in the open window
     /// `(after, upto)`; `upto == Ts::MAX` leaves it unbounded. The newest
     /// version alone cannot answer this (it may belong to a successor at

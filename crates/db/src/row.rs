@@ -41,11 +41,6 @@ impl Row {
         &self.0
     }
 
-    /// Consumes the row and returns its values.
-    pub fn into_values(self) -> Vec<Value> {
-        self.0
-    }
-
     /// Gets a value by position.
     pub fn get(&self, idx: usize) -> Option<&Value> {
         self.0.get(idx)

@@ -164,11 +164,6 @@ impl Transaction {
         self.state.as_ref().map(|s| s.isolation).unwrap_or_default()
     }
 
-    /// True if the transaction is still active.
-    pub fn is_active(&self) -> bool {
-        self.state.is_some()
-    }
-
     fn state_mut(&mut self) -> DbResult<&mut TxnState> {
         self.state.as_mut().ok_or(DbError::TransactionClosed)
     }

@@ -49,19 +49,6 @@ pub enum Value {
 }
 
 impl Value {
-    /// Returns the value's data type, or `None` for NULL.
-    pub fn data_type(&self) -> Option<DataType> {
-        match self {
-            Value::Null => None,
-            Value::Bool(_) => Some(DataType::Bool),
-            Value::Int(_) => Some(DataType::Int),
-            Value::Float(_) => Some(DataType::Float),
-            Value::Text(_) => Some(DataType::Text),
-            Value::Bytes(_) => Some(DataType::Bytes),
-            Value::Timestamp(_) => Some(DataType::Timestamp),
-        }
-    }
-
     /// True if the value is NULL.
     pub fn is_null(&self) -> bool {
         matches!(self, Value::Null)

@@ -7,14 +7,18 @@
 //!   fixed tables `Executions` (the paper's Table 1), `Requests` and
 //!   `ExternalCalls`, plus one `<X>Events` table per registered
 //!   application table (the paper's Table 2, e.g. `ForumEvents`).
-//! * It implements [`trod_trace::TraceSink`], so a
-//!   [`trod_trace::BackgroundFlusher`] can move events from the in-memory
-//!   trace buffer into it off the request path.
+//! * Events reach it one way: [`ProvenanceStore::drain_from`] drains a
+//!   [`trod_trace::Tracer`]'s buffer and ingests the batch under the
+//!   store's ingest lock, so racing drains cannot reorder a request's
+//!   events. Whoever runs the tracer decides when to call it (the server
+//!   runs a periodic sync thread).
+//! * Each handler invocation is kept once, as its `Requests` row;
+//!   [`RequestRecord`]s are decoded from those rows.
 //! * Developers (and the TROD debugger core) query it with SQL through
 //!   [`ProvenanceStore::query`]; the replay and retroactive engines
-//!   additionally use the detailed in-memory archive accessors
-//!   ([`ProvenanceStore::txns_for_request`] etc.), which keep full CDC
-//!   before/after images.
+//!   additionally use the in-memory transaction archive
+//!   ([`ProvenanceStore::txns_for_request`] etc.), which keeps full CDC
+//!   before/after images the tables do not.
 
 pub mod redaction;
 pub mod schema;

@@ -20,8 +20,10 @@
 //!   dropping all provenance older than it.
 //!
 //! **What an erasure reaches.** Every copy the provenance store owns: the
-//! `<X>Events`, `Requests` and `ExternalCalls` tables, the trace archive
-//! (read sets and write records) and the request archive. It does not
+//! `<X>Events`, `Requests` and `ExternalCalls` tables and the trace
+//! archive (read sets and write records). Handler invocations have no copy
+//! besides their `Requests` rows, which every [`crate::RequestRecord`] is
+//! decoded from. It does not
 //! reach the application's own history — its version chains, its live
 //! transaction log, its durable log and its checkpoints — which every fork
 //! reads, above and below the GC floor alike, so a fork holds the same
@@ -171,11 +173,11 @@ impl ProvenanceStore {
     }
 
     /// Erases the arguments, outputs and external-call payloads recorded
-    /// for one request (both the relational tables and the archive).
+    /// for one request in the `Requests` and `ExternalCalls` tables.
     pub fn redact_request(&self, req_id: &str) -> DbResult<RedactionReport> {
         let mut report = RedactionReport::default();
         // An invocation of this request may still be open: no ingest may
-        // finish it from an image read before the erasure below.
+        // read its row back between the scan below and the commit.
         let _ingest = self.ingest.lock();
 
         // Relational Requests rows.
@@ -198,26 +200,13 @@ impl ProvenanceStore {
         }
         txn.commit()?;
 
-        // Archive.
-        for rec in self
-            .requests
-            .write()
-            .iter_mut()
-            .filter(|r| r.req_id == req_id)
-        {
-            rec.args = REDACTED_MARKER.to_string();
-            if rec.output.is_some() {
-                rec.output = Some(REDACTED_MARKER.to_string());
-            }
-        }
-
         self.stats.write().redacted_events += report.total();
         Ok(report)
     }
 
     /// Drops all provenance recorded before `cutoff_ts` (trace-clock
-    /// microseconds): archived traces, handler records, and the
-    /// corresponding rows of every relational provenance table.
+    /// microseconds): archived traces and the corresponding rows of every
+    /// relational provenance table, handler invocations included.
     pub fn retain_since(&self, cutoff_ts: i64) -> DbResult<RetentionReport> {
         let mut report = RetentionReport::default();
         let mut ingest = self.ingest.lock();
@@ -237,8 +226,9 @@ impl ProvenanceStore {
         let mut txn = self.db.begin();
         report.rows_deleted +=
             txn.delete_where(EXECUTIONS_TABLE, &Predicate::lt("Timestamp", cutoff_ts))?;
-        report.rows_deleted +=
+        report.requests_dropped =
             txn.delete_where(REQUESTS_TABLE, &Predicate::lt("StartTs", cutoff_ts))?;
+        report.rows_deleted += report.requests_dropped;
         report.rows_deleted +=
             txn.delete_where(EXTERNAL_CALLS_TABLE, &Predicate::lt("Timestamp", cutoff_ts))?;
         if !dropped_txn_ids.is_empty() {
@@ -264,14 +254,8 @@ impl ProvenanceStore {
             archive.retain(|t| t.timestamp >= cutoff_ts);
             report.transactions_dropped = before - archive.len();
         }
-        {
-            let mut requests = self.requests.write();
-            let before = requests.len();
-            requests.retain(|r| r.start_ts >= cutoff_ts);
-            report.requests_dropped = before - requests.len();
-        }
-        // Expired invocations leave the open-invocation map (a late
-        // `HandlerEnd` must not resurrect one) and the rest have moved.
+        // Expired invocations leave the open-invocation map: a late
+        // `HandlerEnd` must not resurrect one.
         self.reopen(&mut ingest);
         Ok(report)
     }
@@ -371,7 +355,7 @@ mod tests {
         let got = txn.scan("profiles", &Predicate::eq("user", "U1")).unwrap();
         assert_eq!(got.len(), 1);
         txn.commit().unwrap();
-        store.ingest(traced.tracer().unwrap().drain());
+        store.drain_from(traced.tracer().unwrap());
 
         let report = store
             .redact_rows("profiles", &[("user", Value::Text("U1".into()))])
@@ -419,7 +403,7 @@ mod tests {
         txn.insert("profiles", row!["U1", "u1@example.org"])
             .unwrap();
         txn.commit().unwrap();
-        store.ingest(traced.tracer().unwrap().drain());
+        store.drain_from(traced.tracer().unwrap());
 
         let report = store
             .redact_rows("missing_table", &[("user", Value::Text("U1".into()))])
@@ -440,7 +424,7 @@ mod tests {
         tracer.handler_end("R1", "updateProfile", "ok:U1", true);
         tracer.handler_start("R2", "other", None, "x=1");
         tracer.handler_end("R2", "other", "ok", true);
-        store.ingest(tracer.drain());
+        store.drain_from(&tracer);
 
         let report = store.redact_request("R1").unwrap();
         assert_eq!(report.requests_redacted, 1);
@@ -477,7 +461,7 @@ mod tests {
         let tracer = traced.tracer().unwrap().clone();
         tracer.handler_start("R1", "updateProfile", None, "{}");
         tracer.handler_end("R1", "updateProfile", "ok", true);
-        store.ingest(tracer.drain());
+        store.drain_from(&tracer);
         let cutoff = tracer.now();
 
         let mut txn = traced.begin_traced(TxnContext::new("R3", "updateProfile", "f"));
@@ -486,7 +470,7 @@ mod tests {
         txn.commit().unwrap();
         tracer.handler_start("R3", "updateProfile", None, "{}");
         tracer.handler_end("R3", "updateProfile", "ok", true);
-        store.ingest(tracer.drain());
+        store.drain_from(&tracer);
         assert_eq!(store.txn_count(), 3);
 
         let report = store.retain_since(cutoff).unwrap();

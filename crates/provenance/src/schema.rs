@@ -5,7 +5,8 @@
 //! * `Executions` — one row per traced transaction (the paper's Table 1,
 //!   there called the "Invocations"/transaction execution log).
 //! * `Requests` — one row per handler invocation (start/end, arguments,
-//!   output), giving the workflow structure of each request.
+//!   output), giving the workflow structure of each request. It is the
+//!   only copy: a [`RequestRecord`] is a decoded row (`request_of`).
 //! * `ExternalCalls` — external-service call intents.
 //! * One `<X>Events` table per registered application table (the paper's
 //!   Table 2, e.g. `ForumEvents`), holding row-level read and write
@@ -119,17 +120,43 @@ pub(crate) fn executions_row(trace: &TxnTrace) -> Row {
 }
 
 /// The `Requests` row of a handler invocation.
-pub(crate) fn requests_row(rec: &RequestRecord) -> Row {
-    let text = |s: &Option<String>| s.clone().map_or(Value::Null, Value::Text);
+pub(crate) fn requests_row(rec: RequestRecord) -> Row {
+    let text = |s: Option<String>| s.map_or(Value::Null, Value::Text);
     Row::from(vec![
-        Value::Text(rec.req_id.clone()),
-        Value::Text(rec.handler.clone()),
-        text(&rec.parent),
-        Value::Text(rec.args.clone()),
-        text(&rec.output),
+        Value::Text(rec.req_id),
+        Value::Text(rec.handler),
+        text(rec.parent),
+        Value::Text(rec.args),
+        text(rec.output),
         rec.ok.map_or(Value::Null, Value::Bool),
         Value::Timestamp(rec.start_ts),
         rec.end_ts.map_or(Value::Null, Value::Timestamp),
+    ])
+}
+
+/// Decodes a `Requests` row: the inverse of [`requests_row`].
+pub(crate) fn request_of(row: &Row) -> RequestRecord {
+    let text = |i| row.get(i).and_then(Value::as_text).map(str::to_string);
+    let ts = |i| row.get(i).and_then(Value::as_int);
+    RequestRecord {
+        req_id: text(0).unwrap_or_default(),
+        handler: text(1).unwrap_or_default(),
+        parent: text(2),
+        args: text(3).unwrap_or_default(),
+        output: text(4),
+        ok: row.get(5).and_then(Value::as_bool),
+        start_ts: ts(6).unwrap_or_default(),
+        end_ts: ts(7),
+    }
+}
+
+/// The `Requests` key of the invocation of `handler` in `req_id` that
+/// started at `start_ts`.
+pub(crate) fn requests_key(req_id: String, handler: String, start_ts: i64) -> Key {
+    Key::new(vec![
+        Value::Text(req_id),
+        Value::Text(handler),
+        Value::Timestamp(start_ts),
     ])
 }
 
@@ -138,14 +165,10 @@ pub(crate) fn requests_row(rec: &RequestRecord) -> Row {
 /// `before` is already installed — an update of that row.
 pub(crate) fn requests_change(
     table: &Arc<str>,
-    rec: &RequestRecord,
-    before: Option<Row>,
+    rec: RequestRecord,
+    before: Option<Arc<Row>>,
 ) -> ChangeRecord {
-    let key = Key::new(vec![
-        Value::Text(rec.req_id.clone()),
-        Value::Text(rec.handler.clone()),
-        Value::Timestamp(rec.start_ts),
-    ]);
+    let key = requests_key(rec.req_id.clone(), rec.handler.clone(), rec.start_ts);
     match before {
         Some(before) => ChangeRecord::update(table.clone(), key, before, requests_row(rec)),
         None => ChangeRecord::insert(table.clone(), key, requests_row(rec)),

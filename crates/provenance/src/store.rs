@@ -1,26 +1,36 @@
 //! The provenance store: trace events become rows of SQL-queryable tables
 //! (declarative debugging) plus an in-memory archive of the full
-//! [`TxnTrace`] and [`RequestRecord`] values that replay and retroactive
-//! programming consume.
+//! [`TxnTrace`] values that replay and retroactive programming consume.
+//!
+//! Each handler invocation is kept once, as its `Requests` row; a
+//! [`RequestRecord`] is a decoded view of that row. The trace archive
+//! stays because the tables cannot rebuild a [`TxnTrace`]: no table holds
+//! a read's `read_ts`, a write event keeps one image where replay
+//! re-applies whole change records, and events on unregistered tables
+//! are kept only in the archive.
 //!
 //! # Ingest
 //!
-//! [`ProvenanceStore::ingest`] is the only write path for trace events;
-//! [`ProvenanceStore::ingest_event`] is a one-element batch. A call holds
-//! the store's ingest lock throughout, so concurrent callers (a background
-//! flusher and an explicit sync) serialize and `EventId`s follow stream
-//! order. Each event is translated once into change records:
+//! Events enter through [`ProvenanceStore::drain_from`], which drains a
+//! [`Tracer`] under the store's ingest lock, or through
+//! [`ProvenanceStore::ingest`] for a batch already in hand
+//! ([`ProvenanceStore::ingest_event`] is a one-element batch). Either
+//! holds the ingest lock throughout, so concurrent callers serialize,
+//! `EventId`s follow stream order, and a drained `HandlerEnd` is never
+//! ingested before the `HandlerStart` another caller drained ahead of it.
+//! Each event is translated once into change records:
 //!
 //! * `Txn` → an `Executions` row, one `<X>Events` row per row read (one
 //!   NULL-data row for a read that matched nothing) and one per write. A
 //!   `TxnId` already in `Executions` is skipped and counted.
 //! * `HandlerStart` → a `Requests` row and an entry in the
 //!   open-invocation map: `(ReqId, HandlerName)` → LIFO stack of the
-//!   invocation's position in the request archive.
-//! * `HandlerEnd` → pops that stack and finishes the archived record it
-//!   names — no table is read. An invocation that opened in the same chunk
-//!   installs as one finished row, an earlier one as an update of its row,
-//!   and an end with nothing open is a counted no-op.
+//!   invocation's `StartTs`, which with the pair is its `Requests` key,
+//!   and the ordinal of its `HandlerStart`.
+//! * `HandlerEnd` → pops that stack. An invocation that opened in the same
+//!   chunk (its ordinal indexes the chunk's pending records) is finished
+//!   before it installs, as one row; an earlier one is read back from
+//!   `Requests` and updated. An end with nothing open is a counted no-op.
 //! * `ExternalCall` → an `ExternalCalls` row.
 //!
 //! The records of a batch are published through
@@ -29,8 +39,9 @@
 //! visible only after its commit; a chunk the engine rejects (a row image
 //! that does not fit the registered schema) is dropped whole and its
 //! events counted. The open-invocation map is derived state: rejection and
-//! retention rebuild it from the request archive, and redaction holds the
-//! ingest lock so a late `HandlerEnd` finishes the redacted record.
+//! retention rebuild it from the `Requests` rows with no `EndTs`, and
+//! redaction holds the ingest lock so a late `HandlerEnd` reads back the
+//! redacted row.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
@@ -38,14 +49,14 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
-use trod_db::{ChangeRecord, Database, DbResult, Key, Schema, Ts, TxnId};
+use trod_db::{ChangeRecord, Database, DbResult, Key, Predicate, Schema, Ts, TxnId};
 use trod_query::{QueryEngine, QueryResultT, ResultSet};
-use trod_trace::{TraceEvent, TraceSink, TxnTrace};
+use trod_trace::{TraceEvent, Tracer, TxnTrace};
 
 use crate::schema::{
     default_event_table_name, event_row, event_table_schema, executions_row, executions_schema,
-    external_call_row, external_calls_schema, requests_change, requests_row, requests_schema,
-    EXECUTIONS_TABLE, EXTERNAL_CALLS_TABLE, REQUESTS_TABLE,
+    external_call_row, external_calls_schema, request_of, requests_change, requests_key,
+    requests_schema, EXECUTIONS_TABLE, EXTERNAL_CALLS_TABLE, REQUESTS_TABLE,
 };
 
 /// Rows per injected commit. While a chunk installs, its records exist
@@ -53,8 +64,8 @@ use crate::schema::{
 /// batch adds to peak memory.
 const CHUNK_ROWS: usize = 2_048;
 
-/// A completed (or still-running) handler invocation, reconstructed from
-/// `HandlerStart`/`HandlerEnd` events.
+/// A completed (or still-running) handler invocation: a decoded
+/// `Requests` row.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RequestRecord {
     pub req_id: String,
@@ -110,10 +121,17 @@ struct FixedTables {
 /// State owned by the holder of the ingest lock.
 pub(crate) struct Ingest {
     next_event_id: i64,
-    /// `(ReqId, HandlerName)` → positions in `requests` of the invocations
-    /// with no `HandlerEnd` yet, innermost last.
-    open: HashMap<(String, String), Vec<usize>>,
+    /// `HandlerStart`s staged so far.
+    started: usize,
+    /// `(ReqId, HandlerName)` → each invocation with no `HandlerEnd` yet,
+    /// innermost last.
+    open: HashMap<(String, String), Vec<Open>>,
 }
+
+/// An open invocation: its `StartTs`, and the ordinal of its
+/// `HandlerStart` among `Ingest::started` (`None` once rebuilt from the
+/// table).
+type Open = (i64, Option<usize>);
 
 /// One chunk of a drained batch: its change records, and the archive
 /// entries and counts that become visible once the records commit.
@@ -122,13 +140,9 @@ struct Chunk {
     changes: Vec<ChangeRecord>,
     txns: Vec<TxnTrace>,
     txn_ids: HashSet<TxnId>,
-    /// `requests.len()` when the chunk began: `opened[i]` becomes
-    /// `requests[base + i]`.
-    base: usize,
-    /// Invocations started in this chunk, finished or not.
+    /// Invocations started in this chunk, finished or not; the last is
+    /// the one whose ordinal is `started - 1`.
     opened: Vec<RequestRecord>,
-    /// Finished images of invocations started in an earlier chunk.
-    closed: Vec<(usize, RequestRecord)>,
     events: usize,
     stats: ProvenanceStats,
 }
@@ -136,9 +150,9 @@ struct Chunk {
 /// The TROD provenance database.
 ///
 /// Relational tables (queryable through SQL) hold what the paper's Tables
-/// 1–2 hold; a parallel in-memory archive keeps the full [`TxnTrace`]
-/// records (read rows, CDC before/after images) that the replay and
-/// retroactive engines consume.
+/// 1–2 hold, handler invocations included; a parallel in-memory archive
+/// keeps the full [`TxnTrace`] records (read rows, CDC before/after
+/// images) that the replay and retroactive engines consume.
 pub struct ProvenanceStore {
     pub(crate) db: Database,
     fixed: FixedTables,
@@ -147,8 +161,6 @@ pub struct ProvenanceStore {
     pub(crate) table_map: RwLock<HashMap<String, EventTable>>,
     /// Detailed transaction archive ordered by trace timestamp.
     pub(crate) archive: RwLock<Vec<TxnTrace>>,
-    /// Handler invocation archive, in start order.
-    pub(crate) requests: RwLock<Vec<RequestRecord>>,
     /// Held for the whole of every ingest call, and by the redaction
     /// operations that must not interleave with one. Taken before any
     /// other lock of the store.
@@ -182,8 +194,10 @@ impl ProvenanceStore {
         // order; indexes keep them sublinear as provenance grows.
         db.create_index(EXECUTIONS_TABLE, "Timestamp")
             .expect("Executions.Timestamp index");
-        db.create_index(REQUESTS_TABLE, "StartTs")
-            .expect("Requests.StartTs index");
+        // Request records are read by request: replay, retroactive
+        // programming and redaction all look up one `ReqId`.
+        db.create_index(REQUESTS_TABLE, "ReqId")
+            .expect("Requests.ReqId index");
         let name = |table| {
             let store = db.table(table).expect("fixed table was just created");
             store.name().clone()
@@ -198,9 +212,9 @@ impl ProvenanceStore {
             db,
             table_map: RwLock::new(HashMap::new()),
             archive: RwLock::new(Vec::new()),
-            requests: RwLock::new(Vec::new()),
             ingest: Mutex::new(Ingest {
                 next_event_id: 1,
+                started: 0,
                 open: HashMap::new(),
             }),
             stats: RwLock::new(ProvenanceStats::default()),
@@ -280,21 +294,33 @@ impl ProvenanceStore {
     // Ingest
     // ------------------------------------------------------------------
 
-    /// Ingests a batch of trace events (see the module docs).
-    pub fn ingest(&self, events: Vec<TraceEvent>) {
+    /// Drains `tracer`'s buffer and ingests what it held, under the ingest
+    /// lock (see the module docs). Returns the number of events ingested.
+    pub fn drain_from(&self, tracer: &Tracer) -> usize {
         let mut ingest = self.ingest.lock();
+        let events = tracer.drain();
+        let drained = events.len();
+        self.ingest_locked(events, &mut ingest);
+        drained
+    }
+
+    /// Ingests a batch of trace events already in hand (see the module
+    /// docs). A tracer's buffer goes through [`Self::drain_from`] instead,
+    /// so that concurrent drains cannot reorder a request's events.
+    pub fn ingest(&self, events: Vec<TraceEvent>) {
+        self.ingest_locked(events, &mut self.ingest.lock());
+    }
+
+    fn ingest_locked(&self, events: Vec<TraceEvent>, ingest: &mut Ingest) {
         let tables = self.table_map.read();
         let mut events = events.into_iter().peekable();
         while events.peek().is_some() {
-            let mut chunk = Chunk {
-                base: self.requests.read().len(),
-                ..Chunk::default()
-            };
+            let mut chunk = Chunk::default();
             while chunk.changes.len() + chunk.opened.len() < CHUNK_ROWS {
                 let Some(event) = events.next() else { break };
-                self.stage(event, &mut ingest, &tables, &mut chunk);
+                self.stage(event, ingest, &tables, &mut chunk);
             }
-            self.publish(chunk, &mut ingest);
+            self.publish(chunk, ingest);
         }
     }
 
@@ -370,7 +396,8 @@ impl ProvenanceStore {
                 timestamp,
             } => {
                 let stack = ingest.open.entry((req_id.clone(), handler.clone()));
-                stack.or_default().push(chunk.base + chunk.opened.len());
+                stack.or_default().push((timestamp, Some(ingest.started)));
+                ingest.started += 1;
                 chunk.opened.push(RequestRecord {
                     req_id,
                     handler,
@@ -395,32 +422,36 @@ impl ProvenanceStore {
                     rec.ok = Some(ok);
                     rec.end_ts = Some(timestamp);
                 };
-                let mut position = None;
-                if let Entry::Occupied(mut stack) = ingest.open.entry((req_id, handler)) {
-                    position = stack.get_mut().pop();
-                    if stack.get().is_empty() {
-                        stack.remove();
+                let mut top = None;
+                let (req_id, handler) = match ingest.open.entry((req_id, handler)) {
+                    Entry::Occupied(mut stack) => {
+                        top = stack.get_mut().pop();
+                        if stack.get().is_empty() {
+                            stack.remove_entry().0
+                        } else {
+                            stack.key().clone()
+                        }
                     }
-                }
-                let Some(position) = position else {
+                    Entry::Vacant(slot) => slot.into_key(),
+                };
+                let Some((start_ts, ordinal)) = top else {
                     chunk.stats.unmatched_handler_ends += 1;
                     return;
                 };
-                // Opened in an earlier chunk: update the installed row.
-                // Opened in this one: finish the pending record, which
-                // then installs once.
-                let Some(pending) = position.checked_sub(chunk.base) else {
-                    if let Some(mut rec) = self.requests.read().get(position).cloned() {
-                        let before = requests_row(&rec);
-                        finish(&mut rec);
-                        let change = requests_change(&self.fixed.requests, &rec, Some(before));
-                        chunk.changes.push(change);
-                        chunk.closed.push((position, rec));
-                    }
+                // Opened in this chunk: finish the pending record, which
+                // then installs once. Opened in an earlier one: update the
+                // installed row.
+                let first = ingest.started - chunk.opened.len();
+                if let Some(i) = ordinal.and_then(|n| n.checked_sub(first)) {
+                    finish(&mut chunk.opened[i]);
                     return;
-                };
-                if let Some(rec) = chunk.opened.get_mut(pending) {
-                    finish(rec);
+                }
+                let key = requests_key(req_id, handler, start_ts);
+                if let Ok(Some(before)) = self.db.get_latest(REQUESTS_TABLE, &key) {
+                    let mut rec = request_of(&before);
+                    finish(&mut rec);
+                    let change = requests_change(&self.fixed.requests, rec, Some(before));
+                    chunk.changes.push(change);
                 }
             }
             TraceEvent::ExternalCall {
@@ -444,7 +475,7 @@ impl ProvenanceStore {
     /// Installs a chunk as one injected commit, then makes its archive
     /// entries and counts visible; a rejected chunk is dropped and counted.
     fn publish(&self, mut chunk: Chunk, ingest: &mut Ingest) {
-        let opened = chunk.opened.iter();
+        let opened = chunk.opened.into_iter();
         let requests = &self.fixed.requests;
         chunk
             .changes
@@ -455,15 +486,6 @@ impl ProvenanceStore {
             return;
         }
         self.archive.write().extend(chunk.txns);
-        {
-            let mut requests = self.requests.write();
-            for (position, rec) in chunk.closed {
-                if let Some(slot) = requests.get_mut(position) {
-                    *slot = rec;
-                }
-            }
-            requests.extend(chunk.opened);
-        }
         let mut stats = self.stats.write();
         stats.transactions += chunk.stats.transactions;
         stats.data_events += chunk.stats.data_events;
@@ -474,43 +496,49 @@ impl ProvenanceStore {
         stats.unmatched_handler_ends += chunk.stats.unmatched_handler_ends;
     }
 
-    /// Rebuilds the open-invocation map from the request archive, after
-    /// pending positions were dropped or archived ones moved.
+    /// Rebuilds the open-invocation map from the `Requests` rows with no
+    /// `EndTs`, after a rejected chunk dropped pending entries or
+    /// retention deleted rows.
     pub(crate) fn reopen(&self, ingest: &mut Ingest) {
         ingest.open.clear();
-        for (position, rec) in self.requests.read().iter().enumerate() {
-            if rec.end_ts.is_none() {
-                let stack = ingest.open.entry((rec.req_id.clone(), rec.handler.clone()));
-                stack.or_default().push(position);
-            }
+        for rec in self.requests_where(&Predicate::IsNull("EndTs".into())) {
+            let stack = ingest.open.entry((rec.req_id, rec.handler));
+            stack.or_default().push((rec.start_ts, None));
         }
     }
 
     // ------------------------------------------------------------------
-    // Archive accessors used by the debugger core
+    // Accessors used by the debugger core
     // ------------------------------------------------------------------
 
-    /// All request ids observed, in first-seen order.
+    /// The `Requests` rows matching `pred`, in start order (the trace
+    /// clock is strictly monotonic).
+    fn requests_where(&self, pred: &Predicate) -> Vec<RequestRecord> {
+        let rows = self.db.scan_latest(REQUESTS_TABLE, pred);
+        let rows = rows.expect("Requests is a fixed table and the predicate names its columns");
+        let mut recs: Vec<RequestRecord> = rows.iter().map(|(_, row)| request_of(row)).collect();
+        recs.sort_by_key(|rec| rec.start_ts);
+        recs
+    }
+
+    /// All request ids observed, in order of their first invocation.
     pub fn request_ids(&self) -> Vec<String> {
-        let requests = self.requests.read();
+        let recs = self.all_request_records();
         let mut seen = HashSet::new();
-        let first_seen = requests.iter().filter(|r| seen.insert(r.req_id.as_str()));
-        first_seen.map(|r| r.req_id.clone()).collect()
+        recs.into_iter()
+            .map(|r| r.req_id)
+            .filter(|id| seen.insert(id.clone()))
+            .collect()
     }
 
     /// Handler invocation records for one request, in start order.
     pub fn request_records(&self, req_id: &str) -> Vec<RequestRecord> {
-        self.requests
-            .read()
-            .iter()
-            .filter(|r| r.req_id == req_id)
-            .cloned()
-            .collect()
+        self.requests_where(&Predicate::eq("ReqId", req_id))
     }
 
-    /// All handler invocation records.
+    /// All handler invocation records, in start order.
     pub fn all_request_records(&self) -> Vec<RequestRecord> {
-        self.requests.read().clone()
+        self.requests_where(&Predicate::True)
     }
 
     /// All archived transaction traces, ordered by commit timestamp (with
@@ -587,16 +615,10 @@ impl std::fmt::Debug for ProvenanceStore {
     }
 }
 
-impl TraceSink for ProvenanceStore {
-    fn ingest(&self, events: Vec<TraceEvent>) {
-        ProvenanceStore::ingest(self, events);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trod_db::{row, DataType, Predicate, Value};
+    use trod_db::{row, DataType, Value};
     use trod_kv::Session;
     use trod_trace::{Tracer, TxnContext};
 
@@ -644,7 +666,7 @@ mod tests {
         txn.insert("forum_sub", row![1i64, "U1", "F2"]).unwrap();
         txn.commit().unwrap();
 
-        store.ingest(traced.tracer().unwrap().drain());
+        store.drain_from(traced.tracer().unwrap());
 
         let execs = store
             .query("SELECT * FROM Executions ORDER BY Timestamp")
@@ -681,7 +703,7 @@ mod tests {
         tracer.handler_end("R1", "charge", "charged", true);
         tracer.handler_end("R1", "checkout", "done", true);
         tracer.external_call("R1", "checkout", "email", "receipt");
-        store.ingest(tracer.drain());
+        store.drain_from(&tracer);
 
         let recs = store.request_records("R1");
         assert_eq!(recs.len(), 2);
@@ -713,7 +735,7 @@ mod tests {
             txn.insert("forum_sub", row![id, "U1", "F2"]).unwrap();
             txn.commit().unwrap();
         }
-        store.ingest(traced.tracer().unwrap().drain());
+        store.drain_from(traced.tracer().unwrap());
 
         let r1 = store.txns_for_request("R1");
         assert_eq!(r1.len(), 2);
@@ -748,7 +770,7 @@ mod tests {
         let mut txn = traced.begin_traced(TxnContext::new("R1", "h", "f"));
         txn.insert("forum_sub", row![1i64, "U1", "F2"]).unwrap();
         txn.commit().unwrap();
-        store.ingest(traced.tracer().unwrap().drain());
+        store.drain_from(traced.tracer().unwrap());
         assert_eq!(store.stats().unregistered_table_events, 1);
         // The detailed archive still has everything.
         assert_eq!(store.txn_count(), 1);

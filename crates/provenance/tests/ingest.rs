@@ -6,7 +6,7 @@ use std::sync::{Arc, Barrier};
 
 use proptest::prelude::*;
 
-use trod_db::{ChangeRecord, DataType, Key, Predicate, Row, Schema, Value};
+use trod_db::{ChangeRecord, DataType, Key, Predicate, Row, ScanPlan, Schema, Value};
 use trod_provenance::{ProvenanceStats, ProvenanceStore, RequestRecord, REDACTED_MARKER};
 use trod_trace::{ReadTrace, TraceEvent, TxnContext, TxnTrace};
 
@@ -69,7 +69,7 @@ fn end(req: &str, handler: &str, timestamp: i64) -> TraceEvent {
 }
 
 /// Everything observable about a store: every table's rows in key order,
-/// both archives and the counters.
+/// the trace archive, the request records and the counters.
 type Contents = (
     Vec<(String, Vec<(Key, Arc<Row>)>)>,
     Vec<TxnTrace>,
@@ -151,7 +151,11 @@ fn stream(draws: &[(u8, u8, u8, u8)]) -> Vec<TraceEvent> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    // `PROPTEST_CASES`, when set, replaces the default count: CI runs
+    // this property at more cases than the rest of the suite.
+    #![proptest_config(ProptestConfig::with_cases(
+        std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(64)
+    ))]
 
     #[test]
     fn contents_do_not_depend_on_how_the_stream_is_cut(
@@ -311,7 +315,7 @@ fn a_late_handler_end_does_not_resurrect_an_expired_request() {
     let report = store.retain_since(5).unwrap();
     assert_eq!(report.requests_dropped, 2);
 
-    // R1 expired while open; R3 survived, two places further up the archive.
+    // R1 expired while open; R3 survived, and stays open.
     store.ingest(vec![end("R1", "slow", 11), end("R3", "slow", 12)]);
     assert_eq!(store.stats().unmatched_handler_ends, 1);
     assert!(store.request_records("R1").is_empty());
@@ -324,7 +328,7 @@ fn a_late_handler_end_does_not_resurrect_an_expired_request() {
 
 #[test]
 fn concurrent_ingest_calls_serialize_inside_the_store() {
-    // A background flusher and an explicit sync may call `ingest` at once.
+    // Two callers may ingest batches they drained themselves at once.
     // Each call runs alone: the event rows of one call's transactions take
     // a contiguous block of EventIds, and every request closes.
     const CALLERS: u64 = 4;
@@ -369,4 +373,23 @@ fn concurrent_ingest_calls_serialize_inside_the_store() {
         .filter(|&row| caller_of(row) != caller_of(row - 1))
         .count();
     assert_eq!(switches as u64, CALLERS - 1);
+}
+
+#[test]
+fn request_lookups_probe_the_req_id_index() {
+    // Replay, retroactive programming and redaction read `Requests` one
+    // request at a time; a full scan per lookup would grow with history.
+    let store = store();
+    store.ingest(vec![start("R1", "checkout", 1), start("R2", "checkout", 2)]);
+    let plan = store
+        .database()
+        .plan_scan("Requests", &Predicate::eq("ReqId", "R1"))
+        .unwrap();
+    assert!(
+        matches!(&plan, ScanPlan::PointProbe { column, .. } if column == "ReqId"),
+        "{plan:?}"
+    );
+    // The one index: another would be maintained on every ingest.
+    let requests = store.database().table("Requests").unwrap();
+    assert_eq!(requests.indexed_columns(), vec!["ReqId".to_string()]);
 }

@@ -45,7 +45,11 @@ fn setup() -> (Database, ProvenanceStore, Session) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    // `PROPTEST_CASES`, when set, replaces the default count: CI runs
+    // this property at more cases than the rest of the suite.
+    #![proptest_config(ProptestConfig::with_cases(
+        std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(48)
+    ))]
 
     #[test]
     fn redaction_erases_exactly_the_target_users_provenance(
@@ -66,7 +70,7 @@ proptest! {
                 .unwrap();
             txn.commit().unwrap();
         }
-        store.ingest(traced.tracer().unwrap().drain());
+        store.drain_from(traced.tracer().unwrap());
 
         let target_inserts = inserts.iter().filter(|(u, _)| *u == target).count();
         let other_inserts = inserts.len() - target_inserts;
@@ -140,7 +144,7 @@ proptest! {
                 .unwrap();
             txn.commit().unwrap();
         }
-        store.ingest(traced.tracer().unwrap().drain());
+        store.drain_from(traced.tracer().unwrap());
 
         let all = store.all_txns();
         let keep_from = ((all.len() as f64) * (1.0 - keep_frac)) as usize;

@@ -74,16 +74,6 @@ pub enum HttpError {
     TooLarge(String),
 }
 
-impl HttpError {
-    /// True if this is a read timeout rather than a real failure.
-    pub fn is_timeout(&self) -> bool {
-        matches!(
-            self,
-            HttpError::Io(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
-        )
-    }
-}
-
 impl std::fmt::Display for HttpError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

@@ -41,15 +41,6 @@ pub struct LoadReport {
     pub elapsed: Duration,
 }
 
-impl LoadReport {
-    pub fn requests_per_sec(&self) -> f64 {
-        if self.elapsed.as_secs_f64() == 0.0 {
-            return 0.0;
-        }
-        self.requests as f64 / self.elapsed.as_secs_f64()
-    }
-}
-
 /// Drives a `(handler, args)` workload — e.g.
 /// [`trod_apps::workload::shop_workload`] — against a running server
 /// over `connections` concurrent keep-alive connections, each request a

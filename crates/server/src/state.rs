@@ -1,6 +1,10 @@
 //! Shared state behind every connection thread: the [`Trod`] instance,
 //! named retroactive patch registries, remote fork sessions, and the
 //! drain/served counters the graceful-shutdown path reads.
+//!
+//! Provenance needs no lock here: [`Trod::sync`] drains the tracer under
+//! the provenance store's own ingest lock, so the periodic sync thread and
+//! the RPCs that sync before reading provenance may race freely.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -41,12 +45,6 @@ pub struct ServerState {
     pub served: AtomicU64,
     /// Requests rejected with 503 during the drain window.
     pub rejected_draining: AtomicU64,
-    /// Serializes `Trod::sync` against itself. Tracer drains are
-    /// destructive (drained events exist only in the caller's hands
-    /// until ingested), so two racing syncs must not interleave
-    /// drain/ingest; every dispatch path that needs fresh provenance
-    /// goes through [`ServerState::sync_provenance`].
-    sync_lock: Mutex<()>,
 }
 
 impl ServerState {
@@ -60,14 +58,12 @@ impl ServerState {
             inflight: AtomicU64::new(0),
             served: AtomicU64::new(0),
             rejected_draining: AtomicU64::new(0),
-            sync_lock: Mutex::new(()),
         }
     }
 
-    /// Drains the tracer into the provenance store, serialized against
-    /// concurrent syncs. Returns the number of events ingested.
+    /// Drains the tracer into the provenance store ([`Trod::sync`]).
+    /// Returns the number of events ingested.
     pub fn sync_provenance(&self) -> usize {
-        let _guard = self.sync_lock.lock();
         self.trod.sync()
     }
 

@@ -4,8 +4,8 @@
 //! overhead by appending trace records to a high-performance in-memory
 //! buffer on the request path and moving them to the provenance database
 //! off the critical path. This module reproduces that structure: pushes go
-//! to a lock-free [`crossbeam`] segmented queue; a flusher (or a test)
-//! drains the queue in batches.
+//! to a lock-free [`crossbeam`] segmented queue; the provenance store (or
+//! a test) drains the queue in batches.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 

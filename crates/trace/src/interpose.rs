@@ -31,7 +31,7 @@ impl Tracer {
         }
     }
 
-    /// The underlying buffer (for flushing into the provenance store).
+    /// The underlying buffer.
     pub fn buffer(&self) -> &Arc<TraceBuffer> {
         &self.buffer
     }
@@ -106,7 +106,8 @@ impl Tracer {
         self.buffer.push(TraceEvent::Txn(Box::new(trace)));
     }
 
-    /// Drains all buffered events (used by flushers and tests).
+    /// Drains all buffered events (used by the provenance store and
+    /// tests).
     pub fn drain(&self) -> Vec<TraceEvent> {
         self.buffer.drain_all()
     }

@@ -13,8 +13,11 @@
 //!   records themselves: per-transaction read sets (including reads that
 //!   returned nothing), CDC write sets, snapshot/commit timestamps and
 //!   request context, plus handler start/end and external-call events.
-//! * [`BackgroundFlusher`] — moves buffered events into a [`TraceSink`]
-//!   (the provenance database) off the request path.
+//!
+//! The crate has no consumer of its own: the provenance store drains a
+//! [`Tracer`] (`ProvenanceStore::drain_from` in `trod-provenance`) off the
+//! request path, whenever its owner asks — the server's periodic sync
+//! thread, or an explicit `Trod::sync`.
 //!
 //! Transaction-level capture happens in the unified `Session` / `Txn`
 //! surface (`trod-kv`), which records one [`TxnTrace`] per transaction —
@@ -25,7 +28,6 @@
 
 pub mod buffer;
 pub mod clock;
-pub mod flush;
 pub mod interpose;
 pub mod json;
 pub mod record;
@@ -33,7 +35,6 @@ pub mod wire;
 
 pub use buffer::{TraceBuffer, TraceStats};
 pub use clock::TraceClock;
-pub use flush::{BackgroundFlusher, CollectingSink, TraceSink};
 pub use interpose::Tracer;
 pub use json::{Json, JsonError};
 pub use record::{ReadTrace, TraceEvent, TxnContext, TxnTrace};

@@ -56,7 +56,7 @@ fn sitelink_duplicates() {
         runtime.handle_request_with_id("E3", "listSiteLinks", Args::new().with("page", "Berlin"));
     println!("production symptom: listSiteLinks -> {:?}", listing.output);
 
-    provenance.ingest(runtime.tracer().drain());
+    provenance.drain_from(runtime.tracer());
     let trod = Trod::attach_with(runtime, provenance);
 
     let writers = trod
@@ -150,7 +150,7 @@ fn wrong_article_size() {
         final_size - 5
     );
 
-    provenance.ingest(runtime.tracer().drain());
+    provenance.drain_from(runtime.tracer());
     let trod = Trod::attach_with(runtime, provenance);
 
     let editors = trod

@@ -103,7 +103,7 @@ fn main() {
 
     // 4. One aligned history: the cross-store log and the relational
     //    transaction log agree, and provenance covers both stores.
-    provenance.ingest(tracer.drain());
+    provenance.drain_from(&tracer);
     println!(
         "\naligned cross-store commits: {}",
         cross.aligned_log().len()

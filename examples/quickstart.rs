@@ -79,8 +79,8 @@ fn main() {
         transfer.req_id, transfer.output
     );
 
-    // 5. Move the trace buffer into the provenance database (a production
-    //    deployment runs a background flusher instead).
+    // 5. Move the trace buffer into the provenance database (a server
+    //    does this from its periodic sync thread).
     let flushed = trod.sync();
     println!("flushed {flushed} trace events into the provenance database\n");
 

@@ -40,7 +40,7 @@ fn main() {
     );
     runtime.handle_request_with_id("ATTACK-3", "syncStaging", Args::new().with("batch", "B1"));
 
-    provenance.ingest(runtime.tracer().drain());
+    provenance.drain_from(runtime.tracer());
     let trod = Trod::attach_with(runtime, provenance);
 
     // --- Audit 1: the User-Profiles access-control pattern ----------------

@@ -50,7 +50,7 @@ fn sitelink_race() -> trod::core::Trod {
         !listing.is_ok(),
         "the duplicate must be detected by the listing"
     );
-    provenance.ingest(runtime.tracer().drain());
+    provenance.drain_from(runtime.tracer());
     trod::core::Trod::attach_with(runtime, provenance)
 }
 
@@ -127,7 +127,7 @@ fn mw_39225_wrong_article_size_is_reproduced_and_fixed() {
             r.handle_request_with_id("E2", "editPage", mediawiki::edit_args("rev-b", "Art", "12"))
         });
     });
-    provenance.ingest(runtime.tracer().drain());
+    provenance.drain_from(runtime.tracer());
 
     // Symptom: the recorded size deltas are inconsistent with the final size.
     let final_size = runtime

@@ -170,7 +170,7 @@ fn tracing_survives_a_realistic_mixed_workload() {
     };
     let results = runtime.run_concurrent(trod::apps::moodle_workload(&cfg), 8);
     assert_eq!(results.len(), 200);
-    provenance.ingest(runtime.tracer().drain());
+    provenance.drain_from(runtime.tracer());
 
     let stats = provenance.stats();
     assert_eq!(stats.handler_invocations, 200);

@@ -65,7 +65,7 @@ fn cross_store_commits_produce_one_aligned_provenance_history() {
     let (cross, provenance, tracer) = traced_cross_store();
     checkout(&cross, "R1", 1, "alice", "widget");
     checkout(&cross, "R2", 2, "bob", "gadget");
-    provenance.ingest(tracer.drain());
+    provenance.drain_from(&tracer);
 
     // One Executions row per cross-store transaction.
     let execs = provenance
@@ -117,7 +117,7 @@ fn declarative_debugging_answers_who_wrote_this_kv_key() {
     let (cross, provenance, tracer) = traced_cross_store();
     checkout(&cross, "R1", 1, "alice", "widget");
     checkout(&cross, "R2", 2, "bob", "gadget");
-    provenance.ingest(tracer.drain());
+    provenance.drain_from(&tracer);
 
     // The paper's §3.3 query shape, pointed at key-value provenance: which
     // request wrote bob's cart session?
@@ -141,7 +141,7 @@ fn kv_provenance_can_be_redacted_like_relational_provenance() {
     let (cross, provenance, tracer) = traced_cross_store();
     checkout(&cross, "R1", 1, "alice", "widget");
     checkout(&cross, "R2", 2, "bob", "gadget");
-    provenance.ingest(tracer.drain());
+    provenance.drain_from(&tracer);
 
     let report = provenance
         .redact_rows(
@@ -189,7 +189,7 @@ fn cross_store_conflicts_keep_both_stores_consistent_under_concurrency() {
 
     first.commit().unwrap();
     assert!(second.commit().is_err());
-    provenance.ingest(tracer.drain());
+    provenance.drain_from(&tracer);
 
     assert_eq!(
         cross.kv().get_latest("sessions", "cart:alice").unwrap(),
@@ -222,7 +222,7 @@ fn polyglot_requests_replay_their_relational_side_faithfully() {
     let (cross, provenance, tracer) = traced_cross_store();
     checkout(&cross, "R1", 1, "alice", "widget");
     checkout(&cross, "R2", 2, "bob", "gadget");
-    provenance.ingest(tracer.drain());
+    provenance.drain_from(&tracer);
 
     let plain = trod::kv::Session::new(cross.database().clone());
     let mut replay = trod::core::ReplaySession::for_session(&provenance, &plain, "R2").unwrap();

@@ -63,7 +63,7 @@ fn declarative_query_over_tens_of_thousands_of_events_is_interactive() {
             moodle::subscribe_args(&format!("s{i}"), &format!("U{i}"), &format!("F{}", i % 25)),
         );
     }
-    provenance.ingest(runtime.tracer().drain());
+    provenance.drain_from(runtime.tracer());
     assert!(provenance.stats().data_events >= 10_000);
 
     let start = Instant::now();
@@ -110,7 +110,7 @@ fn replay_cost_tracks_dependencies_not_database_size() {
         moodle::subscribe_args("lonely", "U-new", "F-new"),
     );
     assert!(req.is_ok());
-    provenance.ingest(runtime.tracer().drain());
+    provenance.drain_from(runtime.tracer());
 
     let production = trod::kv::Session::new(runtime.database().clone());
     let report = trod::core::ReplaySession::for_session(&provenance, &production, &req.req_id)
@@ -153,7 +153,7 @@ fn retroactive_exploration_enumerates_conflict_distinct_orderings_only() {
             .with("forum", "F-OTHER")
             .with("course", "C-OTHER"),
     );
-    provenance.ingest(runtime.tracer().drain());
+    provenance.drain_from(runtime.tracer());
     let trod = Trod::attach_with(runtime, provenance);
 
     let report = trod

@@ -1,32 +1,52 @@
 //! Experiment F2: the end-to-end architecture of Figure 2.
 //!
 //! A production runtime serves a concurrent microservice workload while a
-//! background flusher continuously moves trace events from the in-memory
+//! background thread continuously moves trace events from the in-memory
 //! buffer into the provenance database; afterwards the debugger answers
 //! queries and replays requests from that provenance alone.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use trod::apps::{checkout_only, shop, WorkloadConfig};
 use trod::prelude::*;
-use trod::trace::BackgroundFlusher;
+use trod::runtime::RequestResult;
+
+/// Serves `requests` over 8 threads while `syncers` threads call
+/// [`Trod::sync`] every `pause`, and stops them when the last request is
+/// answered.
+fn serve_while_syncing(
+    trod: &Trod,
+    requests: Vec<(String, Args)>,
+    syncers: usize,
+    pause: Duration,
+) -> Vec<RequestResult> {
+    let done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        for _ in 0..syncers {
+            scope.spawn(|| {
+                while !done.load(Ordering::Relaxed) {
+                    trod.sync();
+                    std::thread::sleep(pause);
+                }
+            });
+        }
+        let results = trod.runtime().run_concurrent(requests, 8);
+        done.store(true, Ordering::Relaxed);
+        results
+    })
+}
 
 #[test]
 fn production_tracing_pipeline_with_background_flusher() {
     // Production environment: shop application under concurrent load.
     let db = shop::shop_db();
     shop::seed_inventory(&db, 20, 10_000);
-    let provenance = Arc::new(shop::provenance_for(&db));
-    let runtime = Runtime::new(db, shop::registry());
+    let provenance = shop::provenance_for(&db);
+    let trod = Trod::attach_with(Runtime::new(db, shop::registry()), provenance);
 
-    // Always-on tracing flows to the provenance DB off the request path.
-    let flusher = BackgroundFlusher::start(
-        runtime.tracer().clone(),
-        provenance.clone(),
-        Duration::from_millis(2),
-    );
-
+    // Always-on tracing flows to the provenance DB off the request path:
+    // a background thread syncs every 2 ms while the workload runs.
     let cfg = WorkloadConfig {
         requests: 300,
         users: 30,
@@ -34,7 +54,7 @@ fn production_tracing_pipeline_with_background_flusher() {
         conflict_rate: 0.05,
         seed: 99,
     };
-    let results = runtime.run_concurrent(checkout_only(&cfg), 8);
+    let results = serve_while_syncing(&trod, checkout_only(&cfg), 1, Duration::from_millis(2));
     let succeeded = results.iter().filter(|r| r.is_ok()).count();
     // How many of 8 racing threads lose first-committer-wins on a hot
     // inventory row is the scheduler's choice; that every loser fails
@@ -55,14 +75,16 @@ fn production_tracing_pipeline_with_background_flusher() {
         cfg.requests
     );
 
-    flusher.stop();
+    // A final sync catches the events traced after the thread's last one.
+    trod.sync();
     assert!(
-        runtime.tracer().buffer().is_empty(),
-        "flusher drained everything"
+        trod.runtime().tracer().buffer().is_empty(),
+        "sync drained everything"
     );
 
     // The provenance store saw every handler invocation (the checkout
     // workflow fans out into three RPCs per successful request).
+    let provenance = trod.provenance();
     let stats = provenance.stats();
     assert!(stats.handler_invocations >= 300);
     assert!(stats.transactions >= succeeded * 3);
@@ -90,7 +112,6 @@ fn production_tracing_pipeline_with_background_flusher() {
     );
 
     // Any traced request can be replayed faithfully from provenance.
-    let trod = Trod::attach_with(runtime, Arc::try_unwrap(provenance).expect("sole owner"));
     let some_checkout = trod
         .provenance()
         .request_ids()
@@ -109,6 +130,38 @@ fn production_tracing_pipeline_with_background_flusher() {
         report.steps.len() >= 3,
         "checkout spans at least three transactions"
     );
+}
+
+#[test]
+fn concurrent_syncs_ingest_every_request_whole() {
+    // A tracer drain pops one event at a time, so two drains racing
+    // outside the store could interleave and ingest a request's
+    // `HandlerEnd` before its `HandlerStart`: the end would be counted as
+    // unmatched and the `Requests` row would never close. The store drains
+    // under its ingest lock, so any number of syncers may race.
+    let db = shop::shop_db();
+    shop::seed_inventory(&db, 20, 10_000);
+    let trod = Trod::attach(Runtime::new(db, shop::registry())).unwrap();
+    let cfg = WorkloadConfig {
+        requests: 400,
+        users: 40,
+        items: 20,
+        conflict_rate: 0.05,
+        seed: 7,
+    };
+    let results = serve_while_syncing(&trod, checkout_only(&cfg), 4, Duration::ZERO);
+    trod.sync();
+
+    let stats = trod.provenance().stats();
+    assert_eq!(stats.unmatched_handler_ends, 0);
+    assert!(stats.handler_invocations >= results.len());
+    let open = trod
+        .query("SELECT ReqId, HandlerName FROM Requests WHERE EndTs IS NULL")
+        .unwrap();
+    assert_eq!(open.len(), 0, "open invocations: {:?}", open.rows());
+    let records = trod.provenance().all_request_records();
+    assert_eq!(records.len(), stats.handler_invocations);
+    assert!(records.iter().all(|rec| rec.end_ts.is_some()));
 }
 
 #[test]

@@ -131,7 +131,7 @@ fn kv_read_verification_catches_an_injected_divergence() {
         Some("tampered".into())
     );
     reader.commit().unwrap();
-    provenance.ingest(tracer.drain());
+    provenance.drain_from(&tracer);
 
     // Replay forks at the reader's snapshot and injects only *traced*
     // concurrent commits — the rogue change cannot be reproduced, so the

@@ -130,7 +130,7 @@ fn replay_is_faithful_for_every_request_of_a_larger_workload() {
         seed: 3,
     };
     runtime.run_concurrent(trod::apps::moodle_workload(&cfg), 8);
-    provenance.ingest(runtime.tracer().drain());
+    provenance.drain_from(runtime.tracer());
 
     let mut replayed = 0;
     let production = trod::kv::Session::new(runtime.database().clone());
@@ -191,7 +191,7 @@ fn read_committed_reads_past_the_snapshot_replay_faithfully() {
         .unwrap();
     assert_eq!(rows.len(), 1, "read committed sees the fresh commit");
     reader.commit().unwrap();
-    provenance.ingest(tracer.drain());
+    provenance.drain_from(&tracer);
 
     let mut replay = trod::core::ReplaySession::for_session(
         &provenance,

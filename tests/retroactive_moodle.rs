@@ -207,7 +207,7 @@ fn retroactive_re_execution_keeps_non_ascii_arguments_intact() {
         moodle::subscribe_args("s1", user, forum),
     );
     runtime.handle_request_with_id("B", "fetchSubscribers", moodle::fetch_args(forum));
-    provenance.ingest(runtime.tracer().drain());
+    provenance.drain_from(runtime.tracer());
     let trod = Trod::attach_with(runtime, provenance);
 
     let report = trod

@@ -46,7 +46,7 @@ fn traced_profile_service() -> trod::core::Trod {
     );
     runtime.handle_request_with_id("ATTACK-3", "syncStaging", Args::new().with("batch", "B99"));
 
-    provenance.ingest(runtime.tracer().drain());
+    provenance.drain_from(runtime.tracer());
     trod::core::Trod::attach_with(runtime, provenance)
 }
 

@@ -20,22 +20,13 @@ pub const INVENTORY_TABLE: &str = "inventory";
 pub const ORDERS_TABLE: &str = "orders";
 /// Payments charged for orders.
 pub const PAYMENTS_TABLE: &str = "payments";
-/// Key-value namespace holding per-customer cart sessions (used when the
-/// runtime's database holds it; see [`shop_kv`]). Checkout then
-/// clears the customer's cart in the *same* atomic commit that confirms
-/// the order — the paper's §5 polyglot-transaction shape.
+/// Key-value namespace holding per-customer cart sessions. Creating it
+/// (`db.create_namespace(CARTS_NAMESPACE)`) turns the checkout workflow
+/// polyglot: checkout then clears the customer's cart in the *same*
+/// atomic commit that confirms the order — the paper's §5
+/// polyglot-transaction shape. Without it the handlers skip the cart
+/// writes. [`create_schema`] leaves it to the caller.
 pub const CARTS_NAMESPACE: &str = "carts";
-
-/// Creates the key-value store the shop uses for cart sessions. Bind it
-/// with `Runtime::builder(db, registry()).kv(shop_kv())` to turn the
-/// checkout workflow polyglot; without it the handlers skip the cart
-/// writes and behave exactly as before.
-pub fn shop_kv() -> trod_kv::KvStore {
-    let kv = trod_kv::KvStore::new();
-    kv.create_namespace(CARTS_NAMESPACE)
-        .expect("fresh key-value store");
-    kv
-}
 
 /// Creates the shop schema in a fresh database.
 pub fn shop_db() -> Database {
@@ -281,6 +272,7 @@ pub fn checkout_args(order_id: &str, customer: &str, item: &str, quantity: i64) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use trod_db::kv_table_name;
     use trod_runtime::Runtime;
 
     #[test]
@@ -323,8 +315,9 @@ mod tests {
     #[test]
     fn polyglot_checkout_clears_the_cart_atomically() {
         let db = shop_db();
+        db.create_namespace(CARTS_NAMESPACE).unwrap();
         seed_inventory(&db, 3, 100);
-        let runtime = Runtime::builder(db, registry()).kv(shop_kv()).build();
+        let runtime = Runtime::new(db, registry());
 
         runtime.must_handle(
             "addToCart",
@@ -357,8 +350,10 @@ mod tests {
             Value::Null
         );
         // That commit is one aligned-log entry spanning both stores.
-        let aligned = runtime.session().aligned_log();
-        assert!(aligned.iter().any(|c| c.spans_both_stores()));
+        let log = runtime.database().log_entries();
+        assert!(log.iter().any(
+            |e| e.writes_table(ORDERS_TABLE) && e.writes_table(&kv_table_name(CARTS_NAMESPACE))
+        ));
     }
 
     #[test]
@@ -367,15 +362,16 @@ mod tests {
         // delete is a read, so nothing accumulates in the namespace.
         const CHECKOUTS: usize = 12;
         let db = shop_db();
+        db.create_namespace(CARTS_NAMESPACE).unwrap();
         seed_inventory(&db, 3, 100);
-        let runtime = Runtime::builder(db, registry()).kv(shop_kv()).build();
+        let runtime = Runtime::new(db, registry());
         for i in 0..CHECKOUTS {
             let (order, customer) = (format!("O{i}"), format!("c{i}"));
             runtime.must_handle("checkout", checkout_args(&order, &customer, "item-1", 1));
         }
         runtime.session().gc_before(trod_db::Ts::MAX);
-        let stats = runtime.kv().namespace_stats(CARTS_NAMESPACE).unwrap();
-        assert_eq!(stats.versions, 0);
+        let carts = runtime.database().table(&kv_table_name(CARTS_NAMESPACE));
+        assert_eq!(carts.unwrap().version_count(), 0);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use trod_db::{row, DataType, Database, Schema};
-use trod_kv::{KvStore, Session};
+use trod_kv::Session;
 use trod_trace::{Tracer, TxnContext};
 
 fn orders_db() -> Database {
@@ -38,10 +38,11 @@ fn orders_db() -> Database {
     db
 }
 
-fn sessions_kv() -> KvStore {
-    let kv = KvStore::new();
-    kv.create_namespace("sessions").expect("fresh namespace");
-    kv
+/// The orders table plus the `sessions` namespace, in one database.
+fn orders_and_sessions_db() -> Database {
+    let db = orders_db();
+    db.create_namespace("sessions").expect("fresh namespace");
+    db
 }
 
 fn bench_cross_store_commit(c: &mut Criterion) {
@@ -64,7 +65,7 @@ fn bench_cross_store_commit(c: &mut Criterion) {
 
     // Cross-store, untraced.
     {
-        let cross = Session::with_kv(orders_db(), sessions_kv());
+        let cross = Session::new(orders_and_sessions_db());
         let counter = AtomicU64::new(0);
         group.bench_function("cross_store", |b| {
             b.iter(|| {
@@ -82,7 +83,7 @@ fn bench_cross_store_commit(c: &mut Criterion) {
     // Cross-store with TROD tracing.
     {
         let tracer = Tracer::new();
-        let cross = Session::with_tracer(orders_db(), sessions_kv(), tracer.clone());
+        let cross = Session::traced(orders_and_sessions_db(), tracer.clone());
         let counter = AtomicU64::new(0);
         group.bench_function("cross_store_traced", |b| {
             b.iter(|| {
@@ -105,7 +106,7 @@ fn bench_cross_store_commit(c: &mut Criterion) {
 
 fn bench_kv_reads(c: &mut Criterion) {
     let mut group = c.benchmark_group("multistore/kv_read");
-    let cross = Session::with_kv(orders_db(), sessions_kv());
+    let cross = Session::new(orders_and_sessions_db());
     // Pre-populate 10k session keys with several versions each.
     for round in 0..4 {
         let mut txn = cross.begin();

@@ -27,15 +27,15 @@ const TARGET: &str = "REQ-24";
 
 /// A traced shop deployment over `db` that served `REQUESTS` addToCart +
 /// checkout request pairs — polyglot (cart sessions in the kv store) when
-/// `with_kv`.
-fn shop_trod_over(db: Database, with_kv: bool) -> Trod {
+/// `polyglot`.
+fn shop_trod_over(db: Database, polyglot: bool) -> Trod {
     shop::create_schema(&db);
     shop::seed_inventory(&db, 8, 1_000_000);
-    let mut builder = Runtime::builder(db, shop::registry());
-    if with_kv {
-        builder = builder.kv(shop::shop_kv());
+    if polyglot {
+        db.create_namespace(shop::CARTS_NAMESPACE)
+            .expect("fresh database");
     }
-    let trod = Trod::attach(builder.build()).expect("fresh deployment");
+    let trod = Trod::attach(Runtime::new(db, shop::registry())).expect("fresh deployment");
     for i in 0..REQUESTS {
         let customer = format!("c{i}");
         trod.runtime().handle_request_with_id(
@@ -56,21 +56,21 @@ fn shop_trod_over(db: Database, with_kv: bool) -> Trod {
 }
 
 /// [`shop_trod_over`] an in-memory database.
-fn shop_trod(with_kv: bool) -> Trod {
-    shop_trod_over(Database::new(), with_kv)
+fn shop_trod(polyglot: bool) -> Trod {
+    shop_trod_over(Database::new(), polyglot)
 }
 
 fn bench_request_replay(c: &mut Criterion) {
     let mut group = c.benchmark_group("replay_path/request_replay");
     group.sample_size(20);
-    for (mode, with_kv) in [("relational_only", false), ("polyglot", true)] {
-        let trod = shop_trod(with_kv);
+    for (mode, polyglot) in [("relational_only", false), ("polyglot", true)] {
+        let trod = shop_trod(polyglot);
         group.bench_function(BenchmarkId::from_parameter(mode), |b| {
             b.iter(|| {
                 let mut session = trod.replay(TARGET).expect("target request is traced");
                 let report = session.run_to_end().expect("replay succeeds");
                 assert!(report.is_faithful());
-                if with_kv {
+                if polyglot {
                     assert_eq!(report.writes_skipped(), 0, "polyglot replay skips nothing");
                 }
                 report.steps.len()

@@ -32,9 +32,8 @@ const ROUND_REQUESTS: u64 = 4096;
 fn serve() -> ServerHandle {
     let db = shop::shop_db();
     shop::seed_inventory(&db, ITEMS, 1_000_000);
-    let runtime = Runtime::builder(db, shop::registry())
-        .kv(shop::shop_kv())
-        .build();
+    db.create_namespace(shop::CARTS_NAMESPACE).unwrap();
+    let runtime = Runtime::new(db, shop::registry());
     let trod = Trod::attach(runtime).expect("attach");
     ServerBuilder::new(trod)
         // The bench measures the read path; no traced traffic arrives,

@@ -25,8 +25,8 @@
 //!   fork at all: it time-travels the production stores read-only.
 //! * **Below the GC floor.** [`Database::gc_before`] truncates the
 //!   in-memory aligned log together with the row versions; a durable
-//!   environment's log keeps every commit. [`Trod::aligned_history`]
-//!   reads [`Database::history`], and a fork below the floor is the
+//!   environment's log keeps every commit. [`Database::history`] reads
+//!   it below the floor, and a fork below the floor is the
 //!   nearest checkpoint plus the logged commits after it — so debugging
 //!   reach is bounded by the log, not by GC pressure. An in-memory
 //!   environment that wants deep history is created over a
@@ -35,7 +35,7 @@
 use std::sync::Arc;
 
 use trod_db::{Database, DbResult};
-use trod_kv::{AlignedCommit, Session};
+use trod_kv::Session;
 use trod_provenance::ProvenanceStore;
 use trod_query::{QueryResultT, ResultSet};
 use trod_runtime::{HandlerRegistry, Runtime};
@@ -193,7 +193,7 @@ impl Trod {
     /// Garbage-collects production history under one clamped horizon
     /// ([`Session::gc_before`]). On a durable environment the WAL
     /// segments are untouched: they keep the truncated entries for
-    /// [`Trod::aligned_history`] and deep forks, and the log records the
+    /// [`Database::history`] and deep forks, and the log records the
     /// raised floor, below which checkpoints are kept as the deep-fork
     /// ladder.
     pub fn gc_before(&self, ts: trod_db::Ts) -> trod_kv::GcStats {
@@ -208,15 +208,6 @@ impl Trod {
     /// another checkpoint is already in flight.
     pub fn checkpoint(&self) -> Result<Option<(trod_db::Ts, u64)>, trod_db::TrodError> {
         self.runtime.session().checkpoint()
-    }
-
-    /// The complete aligned cross-store history of production, in commit
-    /// order ([`Database::history`] from the first commit): below the GC
-    /// floor it is read from the durable log, and an in-memory
-    /// environment GC truncated reports [`trod_db::DbError::HistoryTruncated`].
-    pub fn aligned_history(&self) -> DbResult<Vec<AlignedCommit>> {
-        let entries = self.production_db().history(0, trod_db::Ts::MAX)?;
-        Ok(entries.into_iter().map(AlignedCommit::from_entry).collect())
     }
 }
 

@@ -6,7 +6,6 @@
 //! always available through [`trod_core::Trod::query`]; this module adds
 //! the most common investigations as typed helpers.
 
-use trod_db::Value;
 use trod_provenance::{ProvenanceStore, EXECUTIONS_TABLE};
 use trod_query::{QueryResultT, ResultSet};
 use trod_trace::TxnTrace;
@@ -80,15 +79,6 @@ impl<'a> Declarative<'a> {
             .collect())
     }
 
-    /// All transaction executions belonging to a request, in commit order
-    /// (the per-request view of the paper's Table 1).
-    pub fn executions_for_request(&self, req_id: &str) -> QueryResultT<ResultSet> {
-        self.query(&format!(
-            "SELECT TxnId, Timestamp, HandlerName, ReqId, Metadata \
-             FROM {EXECUTIONS_TABLE} WHERE ReqId = '{req_id}' ORDER BY Timestamp ASC"
-        ))
-    }
-
     /// Requests whose committed transactions interleave with the given
     /// request's transaction span — the "which concurrent executions may
     /// have updated the database between my transactions?" question of
@@ -123,23 +113,6 @@ impl<'a> Declarative<'a> {
             "SELECT HandlerName, COUNT(*) AS txns FROM {EXECUTIONS_TABLE} \
              WHERE Committed = TRUE GROUP BY HandlerName ORDER BY txns DESC"
         ))
-    }
-
-    /// Requests that aborted at least one transaction (often the first
-    /// visible symptom of a concurrency problem).
-    pub fn requests_with_aborts(&self) -> QueryResultT<Vec<String>> {
-        let result = self.query(&format!(
-            "SELECT ReqId FROM {EXECUTIONS_TABLE} WHERE Committed = FALSE ORDER BY Timestamp"
-        ))?;
-        let mut out = Vec::new();
-        for row in result.rows() {
-            if let Value::Text(req) = &row[0] {
-                if !out.contains(req) {
-                    out.push(req.clone());
-                }
-            }
-        }
-        Ok(out)
     }
 }
 

@@ -312,7 +312,7 @@ mod tests {
         )
         .unwrap();
         let store = ProvenanceStore::for_application(&db).unwrap();
-        let traced = Session::builder(db.clone()).tracer(Tracer::new()).build();
+        let traced = Session::traced(db.clone(), Tracer::new());
         (db, store, traced)
     }
 
@@ -434,16 +434,10 @@ mod tests {
 
     #[test]
     fn reenactment_checks_kv_reads_against_the_store_history() {
-        use trod_kv::KvStore;
-
         let db = Database::new();
-        let kv = KvStore::new();
-        kv.create_namespace("carts").unwrap();
         let store = ProvenanceStore::for_application(&db).unwrap();
-        let traced = Session::builder(db.clone())
-            .kv(kv)
-            .tracer(Tracer::new())
-            .build();
+        let traced = Session::traced(db.clone(), Tracer::new());
+        traced.create_namespace("carts").unwrap();
 
         let mut setup = traced.begin_traced(TxnContext::new("R0", "setup", "f"));
         setup.kv_put("carts", "cart:alice", "widget").unwrap();

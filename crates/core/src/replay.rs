@@ -34,7 +34,7 @@
 use std::fmt;
 
 use trod_db::{Database, DbError, KvError, TrodError, Ts, TxnId};
-use trod_kv::{KvStore, Session};
+use trod_kv::Session;
 use trod_provenance::ProvenanceStore;
 use trod_trace::TxnTrace;
 
@@ -264,11 +264,6 @@ impl ReplaySession {
     /// attaching GDB or a SQL shell during replay).
     pub fn dev_db(&self) -> &Database {
         self.dev.database()
-    }
-
-    /// The development environment's key-value view (always `Some`).
-    pub fn dev_kv(&self) -> Option<&KvStore> {
-        self.dev.kv_store()
     }
 
     /// The whole forked development environment.

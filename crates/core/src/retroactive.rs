@@ -13,7 +13,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use trod_db::{Database, DbError, IsolationLevel, Ts};
-use trod_kv::{KvStore, Session};
+use trod_kv::Session;
 use trod_provenance::{ProvenanceStore, RequestRecord};
 use trod_runtime::{Args, HandlerRegistry, Runtime};
 
@@ -117,13 +117,6 @@ impl OrderingOutcome {
         self.dev.database()
     }
 
-    /// The development key-value view of this ordering (always `Some`).
-    pub fn dev_kv(&self) -> Option<&KvStore> {
-        self.dev.kv_store()
-    }
-}
-
-impl OrderingOutcome {
     /// True if no invariant was violated and every re-executed request
     /// succeeded or failed exactly as it originally did.
     pub fn is_clean(&self) -> bool {

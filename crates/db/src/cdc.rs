@@ -11,6 +11,8 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::row::{Key, Row};
+use crate::schema::Schema;
+use crate::value::{DataType, Value};
 
 /// Prefix of the table that holds a key-value namespace (`kv:sessions`
 /// holds namespace `sessions`). Its change records, read sets and log
@@ -27,6 +29,37 @@ pub fn is_kv_table(table: &str) -> bool {
 /// The table holding namespace `namespace` (e.g. `kv:sessions`).
 pub fn kv_table_name(namespace: &str) -> Arc<str> {
     [KV_TABLE_PREFIX, namespace].concat().into()
+}
+
+// The namespace row format: the only code that turns a key and a value
+// into a namespace row and back.
+
+/// The schema of every namespace's table:
+/// `(kv_key TEXT PRIMARY KEY, kv_value TEXT NOT NULL)`.
+pub(crate) fn namespace_schema() -> Schema {
+    Schema::builder()
+        .column("kv_key", DataType::Text)
+        .column("kv_value", DataType::Text)
+        .primary_key(&["kv_key"])
+        .build()
+        .expect("static schema")
+}
+
+/// The namespace row holding `value` under `key`.
+pub fn namespace_row(key: &str, value: &str) -> Row {
+    Row::from(vec![Value::Text(key.into()), Value::Text(value.into())])
+}
+
+/// The value a namespace row holds.
+pub fn namespace_value(row: &Row) -> Option<&str> {
+    row.get(1).and_then(Value::as_text)
+}
+
+/// The `(key, value)` pair of a namespace row; the namespace schema
+/// makes both cells text.
+pub fn namespace_entry(row: &Row) -> (String, String) {
+    let text = |i| row.get(i).and_then(Value::as_text).unwrap_or_default();
+    (text(0).to_string(), text(1).to_string())
 }
 
 /// The kind of change applied to a single row.

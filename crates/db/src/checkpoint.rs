@@ -278,6 +278,8 @@ mod tests {
     use super::*;
     use crate::row;
     use crate::value::Value;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
 
     fn sample() -> Checkpoint {
         let schema = Schema::builder()
@@ -326,6 +328,94 @@ mod tests {
         }
         for cut in 0..bytes.len() {
             assert!(decode_checkpoint(&bytes[..cut]).is_err());
+        }
+    }
+
+    /// Frames `payload` as a checkpoint file with valid CRCs, so it
+    /// reaches the payload decoder.
+    fn checkpoint_bytes(payload: &[u8]) -> Vec<u8> {
+        let mut out = CHECKPOINT_MAGIC.to_vec();
+        put_u32(&mut out, payload.len() as u32);
+        put_u32(&mut out, crc32(payload));
+        let hdr_crc = crc32(&out[8..16]);
+        put_u32(&mut out, hdr_crc);
+        out.extend_from_slice(payload);
+        out
+    }
+
+    /// The decoder's contract on bytes it did not write: a typed
+    /// `Corrupt` error, or a checkpoint that survives encode → decode
+    /// unchanged.
+    fn decodes_typed_or_round_trips(bytes: &[u8]) -> Result<(), TestCaseError> {
+        match decode_checkpoint(bytes) {
+            Err(StorageError::Corrupt { .. }) => {}
+            Err(other) => prop_assert!(false, "untyped error {other:?}"),
+            Ok(ck) => prop_assert_eq!(decode_checkpoint(&encode_checkpoint(&ck)).ok(), Some(ck)),
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(
+            std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(256)
+        ))]
+
+        /// Arbitrary bytes: raw, framed with valid CRCs, or framed behind
+        /// a valid version so they reach the table and namespace decoders.
+        #[test]
+        fn checkpoint_decoder_takes_arbitrary_bytes(
+            bytes in prop::collection::vec(0u8..=255, 0..160),
+            framing in 0u8..3,
+        ) {
+            let bytes = match framing {
+                0 => bytes,
+                1 => checkpoint_bytes(&bytes),
+                _ => checkpoint_bytes(&[&CHECKPOINT_VERSION.to_le_bytes()[..], &bytes].concat()),
+            };
+            decodes_typed_or_round_trips(&bytes)?;
+        }
+
+        /// A valid checkpoint with tables, rows, indexes and namespaces,
+        /// with one payload byte replaced and both CRCs recomputed.
+        #[test]
+        fn checkpoint_decoder_takes_a_mutated_checkpoint(
+            ts in 0u64..1 << 40,
+            rows in prop::collection::vec((-1000i64..1000, "[a-z]{0,6}", 0u8..3), 0..4),
+            indexed in 0u8..4,
+            namespaces in prop::collection::vec(
+                prop::collection::vec(("[a-z]{0,4}", "[a-z]{0,4}"), 0..3),
+                0..3,
+            ),
+            at in 0usize..1 << 16,
+            byte in 0u8..=255,
+        ) {
+            let mut ck = sample();
+            ck.ts = ts;
+            ck.tables[0].rows = rows
+                .into_iter()
+                .map(|(id, name, score)| {
+                    let score = match score {
+                        0 => Value::Null,
+                        n => Value::Float(f64::from(n) / 2.0),
+                    };
+                    (Key::single(id), Arc::new(row![id, name, score]))
+                })
+                .collect();
+            ck.tables[0].indexes = ["name", "score"]
+                .into_iter()
+                .zip([indexed & 1, indexed & 2])
+                .filter(|(_, on)| *on != 0)
+                .map(|(column, _)| column.to_string())
+                .collect();
+            ck.namespaces = namespaces
+                .into_iter()
+                .zip(0..)
+                .map(|(entries, i)| CheckpointNamespace { name: format!("ns{i}"), entries })
+                .collect();
+            let mut payload = encode_checkpoint(&ck)[20..].to_vec();
+            let i = at % payload.len();
+            payload[i] = byte;
+            decodes_typed_or_round_trips(&checkpoint_bytes(&payload))?;
         }
     }
 

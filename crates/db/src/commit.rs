@@ -723,6 +723,57 @@ pub(crate) mod tests {
         assert_eq!(db.get_latest("t", &Key::single(2i64)).unwrap(), None);
     }
 
+    /// As-of reads clamp to the published clock. A claimed timestamp
+    /// that is never published parks the next commit at its publication
+    /// turn with its versions already installed (the fast path installs
+    /// first); a read at any timestamp above the clock sees the published
+    /// state, never those versions.
+    #[test]
+    fn as_of_reads_never_pass_the_published_clock() {
+        let db = populated_db();
+        db.create_index("t", "v").unwrap();
+        let published = db.current_ts();
+        let stalled = db.seq().claim();
+        let key = Key::single(3i64);
+        let (installed, seen) = std::thread::scope(|scope| {
+            let parked = scope.spawn(|| {
+                let mut txn = db.begin();
+                txn.insert("t", row![3i64, "three"]).unwrap();
+                txn.commit()
+            });
+            // `Ts::MAX - 1` reads the version store past the clock.
+            let table = db.table("t").unwrap();
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while table.get_at(&key, Ts::MAX - 1).is_none() && std::time::Instant::now() < deadline
+            {
+                std::thread::yield_now();
+            }
+            let installed = table.get_at(&key, Ts::MAX - 1).is_some();
+            let unpublished = db.current_ts() == published;
+            let seen: Vec<_> = [Ts::MAX, Ts::MAX - 1]
+                .into_iter()
+                .map(|ts| {
+                    let all = Predicate::True;
+                    let ordered = db.scan_ordered_as_of("t", &all, "v", false, 10, ts);
+                    (
+                        db.get_as_of("t", &key, ts).unwrap().is_some(),
+                        db.scan_as_of("t", &all, ts).unwrap().len(),
+                        ordered.unwrap().map(|rows| rows.len()),
+                    )
+                })
+                .collect();
+            // Publishing the stalled tick lets the parked commit through.
+            db.seq().wait_for_publication_turn(stalled);
+            db.seq().publish_tick(stalled);
+            parked.join().unwrap().unwrap();
+            (installed && unpublished, seen)
+        });
+        assert!(installed, "the parked commit installed its row unpublished");
+        // (get, scan, ordered scan) at `Ts::MAX` and at `Ts::MAX - 1`.
+        assert_eq!(seen, [(false, 2, Some(2)); 2]);
+        assert!(db.get_as_of("t", &key, Ts::MAX).unwrap().is_some());
+    }
+
     #[test]
     fn concurrent_inserts_from_many_threads_all_commit() {
         let db = Database::new();

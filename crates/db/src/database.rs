@@ -10,7 +10,7 @@
 //! * **Readers resolve against the published clock**
 //!   ([`Database::current_ts`]), never the allocator: an installed but
 //!   unpublished version is invisible to every read, fork and
-//!   checkpoint.
+//!   checkpoint. An as-of read's timestamp is clamped to it.
 //! * **Every access path returns the full scan's result.** Indexes
 //!   over-approximate and re-check, at any read timestamp.
 //! * **A key-value namespace is a table.** `kv:<name>` holds
@@ -46,12 +46,14 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
-use crate::cdc::{is_kv_table, kv_table_name, KV_TABLE_PREFIX};
+use crate::cdc::{
+    is_kv_table, kv_table_name, namespace_entry, namespace_row, namespace_schema, KV_TABLE_PREFIX,
+};
 use crate::checkpoint::{Checkpoint, CheckpointNamespace, CheckpointTable};
 use crate::commit::Sequencer;
 use crate::dir::{FsDir, LogDir};
 use crate::error::{DbError, DbResult, StorageError};
-use crate::log::{CommittedTxn, TxnId, TxnLog};
+use crate::log::{CommittedTxn, TxnLog};
 use crate::mvcc::Ts;
 use crate::predicate::Predicate;
 use crate::registry::{ActiveTxnRegistry, GcPin};
@@ -60,7 +62,6 @@ use crate::schema::Schema;
 use crate::segment::{RecoveredLog, RecoveryReport, Replay, SegmentedWal};
 use crate::table::{ScanPlan, ScanRows, TableStore};
 use crate::txn::{IsolationLevel, Transaction};
-use crate::value::{DataType, Value};
 use crate::wal::{WalOptions, WalRecord};
 
 /// Point-in-time statistics about a database.
@@ -395,7 +396,10 @@ impl Database {
             self.create_namespace(&namespace.name)?;
             let entries = namespace.entries.iter();
             self.table(&kv_table_name(&namespace.name))?
-                .install_snapshot(entries.map(|(k, v)| namespace_row(k, v)), ts);
+                .install_snapshot(
+                    entries.map(|(k, v)| (Key::single(k.as_str()), Arc::new(namespace_row(k, v)))),
+                    ts,
+                );
         }
         // Jump the clocks directly (never via `ensure_ts_at_least`, which
         // publishes every intermediate tick — O(ts) work).
@@ -663,19 +667,21 @@ impl Database {
         self.table(table)?.scan_at(pred, self.current_ts())
     }
 
-    /// Reads a row as of an earlier commit timestamp (time travel).
+    /// Reads a row as of an earlier commit timestamp (time travel),
+    /// clamped to the published clock.
     pub fn get_as_of(&self, table: &str, key: &Key, ts: Ts) -> DbResult<Option<Arc<Row>>> {
-        Ok(self.table(table)?.get_at(key, ts))
+        Ok(self.table(table)?.get_at(key, ts.min(self.current_ts())))
     }
 
-    /// Scans a table as of an earlier commit timestamp (time travel).
+    /// Scans a table as of an earlier commit timestamp (time travel),
+    /// clamped to the published clock.
     pub fn scan_as_of(
         &self,
         table: &str,
         pred: &Predicate,
         ts: Ts,
     ) -> DbResult<Vec<(Key, Arc<Row>)>> {
-        self.table(table)?.scan_at(pred, ts)
+        self.table(table)?.scan_at(pred, ts.min(self.current_ts()))
     }
 
     /// Top-k scan through the index on `order_col`: rows matching
@@ -695,6 +701,7 @@ impl Database {
         limit: usize,
         ts: Ts,
     ) -> DbResult<Option<ScanRows>> {
+        let ts = ts.min(self.current_ts());
         self.table(table)?
             .scan_ordered_limit(pred, order_col, descending, limit, ts)
     }
@@ -736,11 +743,6 @@ impl Database {
             Some(wal) => Ok(wal.history(after, up_to)?),
             None => Err(DbError::HistoryTruncated { ts: after, floor }),
         }
-    }
-
-    /// The log entry for a given transaction id.
-    pub fn log_entry_for(&self, txn_id: TxnId) -> Option<CommittedTxn> {
-        self.synced_log().entry_for(txn_id).cloned()
     }
 
     /// Number of committed (writing) transactions.
@@ -882,34 +884,6 @@ impl Database {
     }
 }
 
-/// The schema of every namespace table.
-fn namespace_schema() -> Schema {
-    Schema::builder()
-        .column("kv_key", DataType::Text)
-        .column("kv_value", DataType::Text)
-        .primary_key(&["kv_key"])
-        .build()
-        .expect("static schema")
-}
-
-/// A namespace entry as a keyed row of its table.
-fn namespace_row(key: &str, value: &str) -> (Key, Arc<Row>) {
-    let row = Row::from(vec![Value::Text(key.into()), Value::Text(value.into())]);
-    (Key::single(key), Arc::new(row))
-}
-
-/// A namespace row as a checkpoint entry; the namespace schema makes both
-/// cells text.
-fn namespace_entry(row: &Row) -> (String, String) {
-    let text = |i| {
-        row.get(i)
-            .and_then(Value::as_text)
-            .unwrap_or_default()
-            .to_string()
-    };
-    (text(0), text(1))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -970,7 +944,6 @@ mod tests {
         assert_eq!(db.history(log[0].commit_ts, Ts::MAX).unwrap(), log[1..]);
         assert_eq!(db.history(0, log[0].commit_ts).unwrap(), log[..1]);
         assert_eq!(db.log_len(), 2);
-        assert!(db.log_entry_for(log[1].txn_id).is_some());
     }
 
     #[test]

@@ -113,7 +113,10 @@ pub mod txn;
 pub mod value;
 pub mod wal;
 
-pub use cdc::{is_kv_table, kv_table_name, ChangeOp, ChangeRecord, KV_TABLE_PREFIX};
+pub use cdc::{
+    is_kv_table, kv_table_name, namespace_entry, namespace_row, namespace_value, ChangeOp,
+    ChangeRecord, KV_TABLE_PREFIX,
+};
 pub use changelog::{ChangeEntry, ChangeLog};
 pub use checkpoint::{
     decode_checkpoint, encode_checkpoint, Checkpoint, CheckpointNamespace, CheckpointTable,

@@ -43,14 +43,6 @@ pub struct CommittedTxn {
 }
 
 impl CommittedTxn {
-    /// Tables written by this transaction.
-    pub fn written_tables(&self) -> Vec<&str> {
-        let mut tables: Vec<&str> = self.changes.iter().map(|c| &*c.table).collect();
-        tables.sort_unstable();
-        tables.dedup();
-        tables
-    }
-
     /// True if this transaction wrote the given table.
     pub fn writes_table(&self, table: &str) -> bool {
         self.changes.iter().any(|c| &*c.table == table)
@@ -97,11 +89,6 @@ impl TxnLog {
         let lo = self.entries.partition_point(|e| e.commit_ts <= after);
         let hi = self.entries.partition_point(|e| e.commit_ts <= up_to);
         self.entries[lo..hi.max(lo)].to_vec()
-    }
-
-    /// Looks up the entry for a transaction id.
-    pub fn entry_for(&self, txn_id: TxnId) -> Option<&CommittedTxn> {
-        self.entries.iter().find(|e| e.txn_id == txn_id)
     }
 
     /// Number of committed transactions.
@@ -226,17 +213,14 @@ mod tests {
         assert_eq!(log.between(0, 5).len(), 1);
         assert_eq!(log.between(6, 7).len(), 0);
         assert_eq!(log.between(12, 5).len(), 0, "an empty range");
-        assert_eq!(log.entry_for(2).unwrap().commit_ts, 8);
-        assert!(log.entry_for(99).is_none());
     }
 
     #[test]
-    fn written_tables_dedups() {
+    fn writes_table_names_the_tables_of_its_records() {
         let mut e = entry(1, 1, "a");
         let insert = |table, id: i64| ChangeRecord::insert(table, Key::single(id), row![id]);
         e.changes = Arc::new([insert("a", 1), insert("a", 2), insert("b", 3)]);
-        assert_eq!(e.written_tables(), vec!["a", "b"]);
-        assert!(e.writes_table("a"));
+        assert!(e.writes_table("a") && e.writes_table("b"));
         assert!(!e.writes_table("c"));
     }
 

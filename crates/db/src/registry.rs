@@ -183,11 +183,6 @@ impl ActiveTxnRegistry {
         inner.min().min(clock)
     }
 
-    /// The start timestamp of a specific active transaction.
-    pub fn start_ts_of(&self, id: TxnId) -> Option<Ts> {
-        self.inner.lock().by_id.get(&id).copied()
-    }
-
     /// Number of active transactions.
     pub fn active_count(&self) -> usize {
         self.inner.lock().by_id.len()
@@ -239,7 +234,6 @@ mod tests {
         reg.register_with(3, || 20);
         assert_eq!(reg.min_active_start_ts(), Some(5));
         assert_eq!(reg.active_count(), 3);
-        assert_eq!(reg.start_ts_of(2), Some(5));
 
         assert!(reg.deregister(2));
         assert_eq!(reg.min_active_start_ts(), Some(10));

@@ -146,7 +146,7 @@ fn a_traced_commit_allocates_its_change_list_once() {
     let db = Database::new();
     db.create_table("t", schema()).unwrap();
     let tracer = Tracer::new();
-    let session = Session::builder(db.clone()).tracer(tracer.clone()).build();
+    let session = Session::traced(db.clone(), tracer.clone());
 
     let mut txn = session.begin_traced(TxnContext::new("R1", "h", "f"));
     for id in 0..10i64 {
@@ -157,7 +157,8 @@ fn a_traced_commit_allocates_its_change_list_once() {
 
     // One list: the commit summary, the log entry and the emitted trace
     // hold the same allocation.
-    let entry = db.log_entry_for(commit.txn_id).expect("logged");
+    let entry = db.history(commit.commit_ts - 1, commit.commit_ts).unwrap();
+    let entry = entry.first().expect("logged");
     assert!(Arc::ptr_eq(&commit.changes, &entry.changes), "log entry");
     let traced = tracer.drain().into_iter().find_map(|event| match event {
         TraceEvent::Txn(trace) => Some(trace),

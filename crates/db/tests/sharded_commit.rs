@@ -32,8 +32,9 @@ use proptest::prelude::*;
 
 use trod_db::{
     row, DataType, Database, DbError, IsolationLevel, Key, LogDir, LogFile, MemDir, Predicate,
-    Schema, StorageError, Ts, WalOptions,
+    Schema, StorageError, SyncMode, Ts, WalOptions,
 };
+use trod_query::QueryEngine;
 
 #[path = "support/model.rs"]
 mod model;
@@ -612,7 +613,7 @@ fn read_only_transactions_pin_but_do_not_publish() {
     assert_eq!(db.min_active_start_ts(), None);
 }
 
-/// A gate file fsyncs block on while it is closed: `(open, parked)`.
+/// A gate file operations block on while it is closed: `(open, parked)`.
 #[derive(Clone, Default)]
 struct Gate(Arc<(Mutex<(bool, usize)>, Condvar)>);
 
@@ -633,7 +634,8 @@ impl Gate {
         s.1 -= 1;
     }
 
-    /// Waits (up to ten seconds) until `n` fsyncs are blocked at the gate.
+    /// Waits (up to ten seconds) until `n` operations are blocked at the
+    /// gate.
     fn wait_parked(&self, n: usize) {
         let (state, cv) = &*self.0;
         let s = state.lock().unwrap();
@@ -641,21 +643,28 @@ impl Gate {
     }
 }
 
-/// A [`MemDir`] whose file fsyncs pass through a [`Gate`].
+/// A [`MemDir`] whose file fsyncs — or, with `writes`, file writes —
+/// pass through a [`Gate`].
 struct GatedDir {
     inner: MemDir,
     gate: Gate,
+    writes: bool,
 }
 
-struct GatedFile(Box<dyn LogFile>, Gate);
+struct GatedFile(Box<dyn LogFile>, Gate, bool);
 
 impl LogFile for GatedFile {
     fn write_all(&mut self, bytes: &[u8]) -> Result<(), StorageError> {
+        if self.2 {
+            self.1.pass();
+        }
         self.0.write_all(bytes)
     }
 
     fn sync(&mut self) -> Result<(), StorageError> {
-        self.1.pass();
+        if !self.2 {
+            self.1.pass();
+        }
         self.0.sync()
     }
 
@@ -677,6 +686,7 @@ impl LogDir for GatedDir {
         Ok(Box::new(GatedFile(
             self.inner.create(name)?,
             self.gate.clone(),
+            self.writes,
         )))
     }
 
@@ -684,6 +694,7 @@ impl LogDir for GatedDir {
         Ok(Box::new(GatedFile(
             self.inner.open_append(name)?,
             self.gate.clone(),
+            self.writes,
         )))
     }
 
@@ -711,6 +722,7 @@ fn a_commit_waiting_for_its_fsync_holds_no_table_lock() {
     let dir = GatedDir {
         inner: MemDir::new(),
         gate: gate.clone(),
+        writes: false,
     };
     let db = Database::create_durable_in(Arc::new(dir), WalOptions::default()).unwrap();
     db.create_table(TABLES[0], kv_schema()).unwrap();
@@ -738,4 +750,67 @@ fn a_commit_waiting_for_its_fsync_holds_no_table_lock() {
             "neither commit acked before its fsync"
         );
     });
+}
+
+/// As-of reads clamp to the published clock, through the SQL engine too.
+/// Under `SyncMode::Cached` a frame that fills the log's buffer is
+/// written to the file inside its commit's publication window; with that
+/// write held at the gate, the commit's row is installed but not
+/// published, and a read at any timestamp above the clock must see the
+/// published state without it.
+#[test]
+fn as_of_reads_never_see_a_commit_parked_before_publication() {
+    let gate = Gate::default();
+    gate.set_open(true);
+    let dir = GatedDir {
+        inner: MemDir::new(),
+        gate: gate.clone(),
+        writes: true,
+    };
+    let opts = WalOptions::with_sync_mode(SyncMode::Cached);
+    let db = Database::create_durable_in(Arc::new(dir), opts).unwrap();
+    let schema = Schema::builder()
+        .column("k", DataType::Int)
+        .column("body", DataType::Text)
+        .primary_key(&["k"])
+        .build()
+        .unwrap();
+    db.create_table("docs", schema).unwrap();
+    let mut txn = db.begin();
+    txn.insert("docs", row![0i64, "published"]).unwrap();
+    txn.commit().unwrap();
+    let key = Key::single(1i64);
+
+    gate.set_open(false);
+    std::thread::scope(|scope| {
+        let parked = scope.spawn(|| {
+            let mut txn = db.begin();
+            txn.insert("docs", row![1i64, "x".repeat(64 << 10)])
+                .unwrap();
+            txn.commit()
+        });
+        gate.wait_parked(1);
+        // `Ts::MAX - 1` reads the version store past the clock.
+        let table = db.table("docs").unwrap();
+        let installed = table.get_at(&key, Ts::MAX - 1).is_some();
+        let published = db.current_ts();
+        let engine = QueryEngine::new(db.clone());
+        let seen: Vec<_> = [Ts::MAX, Ts::MAX - 1]
+            .into_iter()
+            .map(|ts| {
+                let sql = engine.execute_as_of("SELECT k FROM docs", ts);
+                (
+                    db.get_as_of("docs", &key, ts).unwrap().is_some(),
+                    sql.map(|rows| rows.len()),
+                )
+            })
+            .collect();
+        gate.set_open(true);
+        let commit = parked.join().unwrap().unwrap();
+        assert!(installed, "the parked commit installed its row");
+        assert!(published < commit.commit_ts, "and did not publish it");
+        // (get_as_of, SQL as-of rows) at `Ts::MAX` and at `Ts::MAX - 1`.
+        assert_eq!(seen, [(false, Ok(1)), (false, Ok(1))]);
+    });
+    assert!(db.get_as_of("docs", &key, Ts::MAX).unwrap().is_some());
 }

@@ -17,7 +17,13 @@
 //!   relational reads and writes, key-value reads and writes, optional
 //!   provenance tracing, one snapshot and one atomic commit through the
 //!   database's commit protocol — so every commit lands in one aligned
-//!   transaction-log entry ([`Session::aligned_log`]).
+//!   transaction-log entry ([`trod_db::Database::log_entries`]), and
+//!   [`Txn::commit`] returns the database's [`trod_db::CommitInfo`].
+//!
+//! That is all the crate holds: [`Session`] / [`Txn`] and the
+//! [`KvStore`] read view. What is left of a second store is
+//! `trod_runtime::RuntimeBuilder::kv`, which binds nothing and is kept
+//! for the benchmark harness until the crate dissolves into its callers.
 //!
 //! ```
 //! use trod_db::{Database, DataType, Schema, row};
@@ -42,14 +48,14 @@
 //! txn.kv_put("sessions", "user-1", "cart:widget").unwrap();
 //! let commit = txn.commit().unwrap();
 //! assert!(commit.commit_ts > 0);
-//! assert_eq!(session.aligned_log().len(), 1);
+//! assert_eq!(session.database().log_entries()[0].changes.len(), 2);
 //! ```
 
 pub mod session;
 pub mod store;
 
-pub use session::{AlignedCommit, GcStats, Session, SessionBuilder, Txn, TxnCommit, TxnOptions};
-pub use store::{KvError, KvResult, KvStore, KvWrite, NamespaceStats};
+pub use session::{GcStats, Session, Txn, TxnOptions};
+pub use store::{KvError, KvResult, KvStore};
 pub use trod_db::kv_table_name;
 
 /// Event-table schema used when registering a KV namespace with the TROD

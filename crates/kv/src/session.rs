@@ -10,8 +10,9 @@
 //!   namespace is a [`DbError`] on its table.
 //! * **The aligned log is the transaction log.** A commit's key-value
 //!   change records are rows of its entry like any other, so the
-//!   database's log *is* the paper's §5 aligned history;
-//!   [`Session::aligned_log`] is a view of it.
+//!   database's log ([`Database::log_entries`], [`Database::history`])
+//!   *is* the paper's §5 aligned history, and [`Txn::commit`] returns the
+//!   database's own [`CommitInfo`].
 //! * **One trace per transaction.** With a tracer, every transaction
 //!   emits one [`TxnTrace`] whose reads and writes span tables and
 //!   namespaces alike, so declarative debugging, replay and reenactment
@@ -21,66 +22,14 @@ use std::fmt;
 use std::sync::Arc;
 
 use trod_db::{
-    is_kv_table, ChangeRecord, CommitInfo, CommittedTxn, Database, DbError, DbResult,
-    IsolationLevel, Key, KvError, Predicate, RecoveryReport, Row, TrodError, TrodResult, Ts, TxnId,
-    WalOptions,
+    namespace_entry, namespace_row, namespace_value, ChangeRecord, CommitInfo, CommittedTxn,
+    Database, DbError, DbResult, IsolationLevel, Key, KvError, Predicate, RecoveryReport, Row,
+    TrodError, TrodResult, Ts, TxnId, WalOptions,
 };
 use trod_trace::{ReadTrace, Tracer, TxnContext, TxnTrace};
 
 use crate::kv_table_name;
-use crate::store::{prefix_predicate, KvStore, KvWrite};
-
-/// One entry of the aligned transaction log: everything a transaction
-/// changed, in both stores, at one commit timestamp. A view over the
-/// database's [`trod_db::CommittedTxn`] entries (see the module docs).
-#[derive(Debug, Clone, PartialEq)]
-pub struct AlignedCommit {
-    pub txn_id: TxnId,
-    pub commit_ts: Ts,
-    /// Changes to relational application tables.
-    pub relational: Vec<ChangeRecord>,
-    /// Key-value writes applied at the same commit timestamp.
-    pub kv: Vec<KvWrite>,
-}
-
-impl AlignedCommit {
-    /// True if the commit touched both stores.
-    pub fn spans_both_stores(&self) -> bool {
-        !self.relational.is_empty() && !self.kv.is_empty()
-    }
-
-    /// Splits one aligned transaction-log entry into its relational and
-    /// key-value halves. Used by [`Session::aligned_log`] and by the
-    /// debugger's view of [`Database::history`].
-    pub fn from_entry(entry: CommittedTxn) -> AlignedCommit {
-        let changes = entry.changes.iter();
-        AlignedCommit {
-            txn_id: entry.txn_id,
-            commit_ts: entry.commit_ts,
-            relational: changes
-                .clone()
-                .filter(|c| !is_kv_table(&c.table))
-                .cloned()
-                .collect(),
-            kv: changes.filter_map(KvWrite::of_record).collect(),
-        }
-    }
-}
-
-/// Summary returned by a successful [`Txn::commit`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct TxnCommit {
-    pub txn_id: TxnId,
-    pub commit_ts: Ts,
-    /// Number of relational row changes.
-    pub relational_changes: usize,
-    /// Number of key-value writes installed.
-    pub kv_writes: usize,
-    /// The full aligned change set, in table-name order — key-value
-    /// records under their `kv:<namespace>` tables. The same allocation
-    /// as the log entry's and the trace's list.
-    pub changes: Arc<[ChangeRecord]>,
-}
+use crate::store::{prefix_predicate, KvStore};
 
 /// Options for beginning a [`Txn`]: isolation level and tracing context.
 #[derive(Debug, Clone, Default)]
@@ -142,76 +91,25 @@ pub struct Session {
     inner: Arc<SessionInner>,
 }
 
-/// Configures a [`Session`].
-#[derive(Debug)]
-pub struct SessionBuilder {
-    db: Database,
-    kv: Option<KvStore>,
-    tracer: Option<Tracer>,
-}
-
-impl SessionBuilder {
-    /// Binds a key-value store: its namespaces are declared in the
-    /// session's database when the session is built (a view of that
-    /// database already shares them).
-    pub fn kv(mut self, kv: KvStore) -> Self {
-        self.kv = Some(kv);
-        self
-    }
-
-    /// Attaches a tracer: every transaction emits one provenance record
-    /// spanning tables and namespaces.
-    pub fn tracer(mut self, tracer: Tracer) -> Self {
-        self.tracer = Some(tracer);
-        self
-    }
-
-    /// Builds the session, creating every namespace of the bound store
-    /// the database lacks.
-    ///
-    /// # Panics
-    /// If the database cannot log a namespace it creates (its durable
-    /// log failed).
-    pub fn build(self) -> Session {
-        for name in self.kv.iter().flat_map(KvStore::namespaces) {
-            match self.db.create_namespace(&name) {
-                Ok(()) | Err(DbError::TableExists(_)) => {}
-                Err(e) => panic!("cannot bind namespace `{name}`: {e}"),
-            }
-        }
-        Session {
-            inner: Arc::new(SessionInner {
-                kv: KvStore::of(self.db.clone()),
-                db: self.db,
-                tracer: self.tracer,
-            }),
-        }
-    }
-}
-
 impl Session {
     /// An untraced session over `db`.
     pub fn new(db: Database) -> Self {
-        Session::builder(db).build()
+        Session::bind(db, None)
     }
 
-    /// A session over `db` that also declares `kv`'s namespaces.
-    pub fn with_kv(db: Database, kv: KvStore) -> Self {
-        Session::builder(db).kv(kv).build()
+    /// A session over `db` that emits one provenance trace per
+    /// transaction through `tracer`, spanning tables and namespaces.
+    pub fn traced(db: Database, tracer: Tracer) -> Self {
+        Session::bind(db, Some(tracer))
     }
 
-    /// Like [`Session::with_kv`], additionally emitting one provenance
-    /// trace per transaction through `tracer`.
-    pub fn with_tracer(db: Database, kv: KvStore, tracer: Tracer) -> Self {
-        Session::builder(db).kv(kv).tracer(tracer).build()
-    }
-
-    /// Starts configuring a session over `db`.
-    pub fn builder(db: Database) -> SessionBuilder {
-        SessionBuilder {
-            db,
-            kv: None,
-            tracer: None,
+    fn bind(db: Database, tracer: Option<Tracer>) -> Self {
+        Session {
+            inner: Arc::new(SessionInner {
+                kv: KvStore::of(db.clone()),
+                db,
+                tracer,
+            }),
         }
     }
 
@@ -225,28 +123,9 @@ impl Session {
         &self.inner.kv
     }
 
-    /// [`Session::kv`] as an option; always `Some`, since every database
-    /// can hold namespaces.
-    pub fn kv_store(&self) -> Option<&KvStore> {
-        Some(&self.inner.kv)
-    }
-
     /// The tracer, if provenance tracing is enabled.
     pub fn tracer(&self) -> Option<&Tracer> {
         self.inner.tracer.as_ref()
-    }
-
-    /// The aligned transaction log: every committed write transaction, in
-    /// commit order, with its relational and key-value changes split out.
-    /// A view over [`Database::log_entries`], so it reflects exactly what
-    /// the log retains.
-    pub fn aligned_log(&self) -> Vec<AlignedCommit> {
-        self.inner
-            .db
-            .log_entries()
-            .into_iter()
-            .map(AlignedCommit::from_entry)
-            .collect()
     }
 
     /// Forks the environment at a timestamp ([`Database::fork_at`]):
@@ -551,10 +430,7 @@ impl Txn {
             .rel_mut()
             .get(&table, &id)
             .map_err(unknown_namespace(namespace))?;
-        let value = row
-            .as_deref()
-            .and_then(KvWrite::value_of)
-            .map(str::to_string);
+        let value = row.as_deref().and_then(namespace_value).map(str::to_string);
         self.trace_read(
             &table,
             || format!("Get {key}"),
@@ -576,7 +452,7 @@ impl Txn {
             .rel_mut()
             .scan(&table, &prefix_predicate(prefix))
             .map_err(unknown_namespace(namespace))?;
-        let entries = rows.iter().cloned().map(KvWrite::entry).collect();
+        let entries = rows.iter().map(|(_, row)| namespace_entry(row)).collect();
         self.trace_read(&table, || format!("Scan prefix {prefix}"), || rows);
         Ok(entries)
     }
@@ -585,7 +461,7 @@ impl Txn {
     pub fn kv_put(&mut self, namespace: &str, key: &str, value: &str) -> TrodResult<()> {
         let table = kv_table_name(namespace);
         self.rel_mut()
-            .upsert(&table, KvWrite::row(key, value))
+            .upsert(&table, namespace_row(key, value))
             .map_err(unknown_namespace(namespace))?;
         Ok(())
     }
@@ -600,33 +476,19 @@ impl Txn {
         Ok(())
     }
 
-    /// The buffered key-value writes, in namespace and key order.
-    pub fn pending_kv_writes(&self) -> Vec<KvWrite> {
-        let changes = self.pending_changes();
-        changes.iter().filter_map(KvWrite::of_record).collect()
-    }
-
     // ------------------------------------------------------------------
     // Commit / abort
     // ------------------------------------------------------------------
 
     /// Commits atomically at one commit timestamp (see the module docs).
-    pub fn commit(mut self) -> TrodResult<TxnCommit> {
+    pub fn commit(mut self) -> TrodResult<CommitInfo> {
         let rel = self.rel.take().expect("transaction already finished");
         match rel.commit() {
             Ok(info) => {
-                let kv_writes = info.changes.iter().filter(|c| is_kv_table(&c.table));
-                let kv_writes = kv_writes.count();
                 if self.traced() {
                     self.emit_trace(info.commit_ts, true, Arc::clone(&info.changes));
                 }
-                Ok(TxnCommit {
-                    txn_id: self.txn_id,
-                    commit_ts: info.commit_ts,
-                    relational_changes: info.changes.len() - kv_writes,
-                    kv_writes,
-                    changes: info.changes,
-                })
+                Ok(info)
             }
             Err(e) => {
                 self.emit_trace(0, false, Arc::new([]));
@@ -684,7 +546,7 @@ impl fmt::Debug for Txn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trod_db::{row, DataType, DbError, Schema, TrodError};
+    use trod_db::{is_kv_table, row, DataType, DbError, Schema, TrodError};
     use trod_trace::TraceEvent;
 
     fn orders_db() -> Database {
@@ -713,14 +575,12 @@ mod tests {
     }
 
     #[test]
-    fn atomic_commit_spans_both_stores_with_one_timestamp() {
+    fn atomic_commit_writes_both_stores_at_one_timestamp() {
         let session = session();
         let mut txn = session.begin();
         txn.insert("orders", row![1i64, "widget"]).unwrap();
         txn.kv_put("sessions", "user-1", "cart:widget").unwrap();
         let commit = txn.commit().unwrap();
-        assert_eq!(commit.relational_changes, 1);
-        assert_eq!(commit.kv_writes, 1);
 
         // Both stores see the data, versioned at the same timestamp.
         assert_eq!(
@@ -742,20 +602,20 @@ mod tests {
             None
         );
 
-        // The relational transaction log IS the aligned log: one entry,
-        // carrying the changes of both stores at one timestamp.
-        let rel_log = session.database().log_entries();
-        assert_eq!(rel_log.len(), 1);
-        assert!(rel_log[0].writes_table("orders"));
-        assert!(rel_log[0].writes_table(&kv_table_name("sessions")));
-        let aligned = session.aligned_log();
-        assert_eq!(aligned.len(), 1);
-        assert!(aligned[0].spans_both_stores());
-        assert_eq!(aligned[0].commit_ts, commit.commit_ts);
-        assert_eq!(
-            aligned[0].kv,
-            vec![KvWrite::put("sessions", "user-1", "cart:widget")]
-        );
+        // The transaction log IS the aligned log: one entry, carrying the
+        // changes of both stores at one timestamp.
+        let log = session.database().log_entries();
+        assert_eq!(log.len(), 1);
+        assert_eq!(log[0].commit_ts, commit.commit_ts);
+        let (kv, relational): (Vec<_>, Vec<_>) =
+            log[0].changes.iter().partition(|c| is_kv_table(&c.table));
+        assert_eq!(relational.len(), 1);
+        assert_eq!(&*relational[0].table, "orders");
+        assert_eq!(kv.len(), 1);
+        assert_eq!(kv[0].table, kv_table_name("sessions"));
+        assert_eq!(kv[0].key, Key::single("user-1"));
+        let value = kv[0].op.after().and_then(namespace_value);
+        assert_eq!(value, Some("cart:widget"));
     }
 
     #[test]
@@ -764,17 +624,13 @@ mod tests {
         let mut txn = session.begin();
         txn.kv_put("sessions", "user-2", "cart:empty").unwrap();
         let commit = txn.commit().unwrap();
-        assert_eq!(commit.relational_changes, 0);
-        assert_eq!(commit.kv_writes, 1);
         assert!(commit.commit_ts > 0);
-        assert_eq!(session.aligned_log().len(), 1);
-        // A KV-only commit still lands in the relational transaction log —
-        // alignment by construction, no marker table needed.
-        assert!(session
-            .database()
-            .log_entries()
-            .iter()
-            .any(|e| e.writes_table(&kv_table_name("sessions"))));
+        assert!(commit.changes.iter().all(|c| is_kv_table(&c.table)));
+        // A KV-only commit still lands in the transaction log — alignment
+        // by construction, no marker table needed.
+        let log = session.database().log_entries();
+        assert_eq!(log.len(), 1);
+        assert!(log[0].writes_table(&kv_table_name("sessions")));
     }
 
     #[test]
@@ -801,7 +657,7 @@ mod tests {
             session.kv().get_latest("sessions", "k").unwrap(),
             Some("first".into())
         );
-        assert_eq!(session.aligned_log().len(), 1);
+        assert_eq!(session.database().log_len(), 1);
     }
 
     #[test]
@@ -817,7 +673,7 @@ mod tests {
         let err = second.commit().unwrap_err();
         assert!(matches!(err, TrodError::Relational(_)));
         assert_eq!(session.kv().get_latest("sessions", "loser").unwrap(), None);
-        assert_eq!(session.aligned_log().len(), 1);
+        assert_eq!(session.database().log_len(), 1);
     }
 
     #[test]
@@ -880,8 +736,8 @@ mod tests {
         assert_eq!(txn.get("orders", &Key::single(1i64)).unwrap(), None);
         assert_eq!(txn.kv_get("sessions", "user-1").unwrap(), None);
         let commit = txn.commit().unwrap();
-        assert_eq!(commit.kv_writes, 0);
-        assert!(session.aligned_log().is_empty());
+        assert!(commit.changes.is_empty());
+        assert_eq!(session.database().log_len(), 0);
     }
 
     #[test]
@@ -914,10 +770,9 @@ mod tests {
 
     #[test]
     fn traced_transactions_emit_one_unified_provenance_record() {
-        let kv = KvStore::new();
-        kv.create_namespace("sessions").unwrap();
         let tracer = Tracer::new();
-        let session = Session::with_tracer(orders_db(), kv, tracer.clone());
+        let session = Session::traced(orders_db(), tracer.clone());
+        session.create_namespace("sessions").unwrap();
 
         let mut txn = session.begin_traced(TxnContext::new("R1", "checkout", "func:placeOrder"));
         assert!(!txn.exists("orders", &Predicate::eq("id", 1i64)).unwrap());
@@ -943,10 +798,9 @@ mod tests {
 
     #[test]
     fn aborted_traced_transactions_are_recorded() {
-        let kv = KvStore::new();
-        kv.create_namespace("sessions").unwrap();
         let tracer = Tracer::new();
-        let session = Session::with_tracer(orders_db(), kv, tracer.clone());
+        let session = Session::traced(orders_db(), tracer.clone());
+        session.create_namespace("sessions").unwrap();
         let mut txn = session.begin_traced(TxnContext::new("R1", "checkout", "f"));
         txn.kv_put("sessions", "k", "v").unwrap();
         txn.abort();
@@ -962,14 +816,13 @@ mod tests {
     #[test]
     fn operations_on_a_missing_namespace_fail_cleanly() {
         let tracer = Tracer::new();
-        let session = Session::builder(orders_db()).tracer(tracer.clone()).build();
+        let session = Session::traced(orders_db(), tracer.clone());
         assert!(session.kv().namespaces().is_empty());
 
         let mut txn = session.begin_traced(TxnContext::new("R1", "h", "f"));
         txn.insert("orders", row![1i64, "widget"]).unwrap();
         let commit = txn.commit().unwrap();
-        assert_eq!(commit.relational_changes, 1);
-        assert_eq!(commit.kv_writes, 0);
+        assert_eq!(commit.changes.len(), 1);
         assert_eq!(tracer.drain().len(), 1);
 
         let mut txn = session.begin();
@@ -993,13 +846,12 @@ mod tests {
         let mut txn = session.begin();
         txn.insert("orders", row![1i64, "widget"]).unwrap();
         txn.kv_delete("sessions", "never-written").unwrap();
-        assert!(txn.pending_kv_writes().is_empty());
+        let is_kv = |c: &ChangeRecord| is_kv_table(&c.table);
+        assert!(!txn.pending_changes().iter().any(is_kv));
         let commit = txn.commit().unwrap();
-        assert_eq!(commit.kv_writes, 0);
-        assert_eq!(
-            session.kv().namespace_stats("sessions").unwrap().versions,
-            0
-        );
+        assert!(!commit.changes.iter().any(is_kv));
+        let table = session.database().table(&kv_table_name("sessions"));
+        assert_eq!(table.unwrap().version_count(), 0);
 
         // The read is validated: a concurrent put of the key aborts it.
         let mut txn = session.begin();
@@ -1113,13 +965,10 @@ mod tests {
         );
         // The injected commit is one aligned entry in the fork's log,
         // spanning both stores like the original.
-        let aligned = fork.aligned_log();
-        assert_eq!(aligned.len(), 1);
-        assert!(aligned[0].spans_both_stores());
-        assert_eq!(
-            aligned[0].kv,
-            vec![KvWrite::put("sessions", "user-1", "v1")]
-        );
+        let log = fork.database().log_entries();
+        assert_eq!(log.len(), 1);
+        assert!(log[0].writes_table("orders"));
+        assert!(log[0].writes_table(&kv_table_name("sessions")));
 
         // Deletes round-trip too.
         let mut txn = session.begin();
@@ -1135,7 +984,7 @@ mod tests {
         let put = ChangeRecord::insert(
             kv_table_name("sessions"),
             Key::single("user-1"),
-            KvWrite::row("user-1", "v"),
+            namespace_row("user-1", "v"),
         );
 
         // No such namespace: the batch is rejected.
@@ -1161,7 +1010,7 @@ mod tests {
         ));
         // Nothing was installed by the failed batches.
         assert_eq!(session.kv().get_latest("sessions", "user-1").unwrap(), None);
-        assert!(session.aligned_log().is_empty());
+        assert_eq!(session.database().log_len(), 0);
     }
 
     #[test]

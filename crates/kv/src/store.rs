@@ -10,79 +10,18 @@
 //! * **[`KvStore`] only reads.** Its reads resolve against the published
 //!   clock, like every database read; writes go through a transaction
 //!   ([`crate::Txn::kv_put`]) and land in the aligned log.
-//! * **One row format.** [`KvWrite`] is the only code that turns a
-//!   namespace row or change record into a key and a value and back.
+//! * **One row format.** A namespace row is turned into a key and a
+//!   value and back only by `trod-db`'s codec next to
+//!   [`trod_db::kv_table_name`] ([`trod_db::namespace_row`],
+//!   [`trod_db::namespace_value`], [`trod_db::namespace_entry`]).
 
 use std::sync::Arc;
 
-use trod_db::{ChangeRecord, Database, DbError, Key, Predicate, Row, TableStore, Ts, Value};
+use trod_db::{
+    namespace_entry, namespace_value, Database, DbError, Key, Predicate, TableStore, Ts,
+};
 
 pub use trod_db::{KvError, KvResult};
-
-/// One change to a namespace key, decoded from its `kv:<namespace>`
-/// change record; `value: None` is a delete.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct KvWrite {
-    pub namespace: String,
-    pub key: String,
-    pub value: Option<String>,
-}
-
-impl KvWrite {
-    /// A put.
-    pub fn put(namespace: &str, key: &str, value: &str) -> Self {
-        KvWrite {
-            namespace: namespace.to_string(),
-            key: key.to_string(),
-            value: Some(value.to_string()),
-        }
-    }
-
-    /// A delete.
-    pub fn delete(namespace: &str, key: &str) -> Self {
-        KvWrite {
-            namespace: namespace.to_string(),
-            key: key.to_string(),
-            value: None,
-        }
-    }
-
-    /// The write a `kv:<namespace>` change record captured; `None` for a
-    /// record on any other table or one whose key is not text.
-    pub fn of_record(record: &ChangeRecord) -> Option<KvWrite> {
-        let namespace = record.table.strip_prefix(trod_db::KV_TABLE_PREFIX)?;
-        Some(KvWrite {
-            namespace: namespace.to_string(),
-            key: KvWrite::key_of(&record.key)?.to_string(),
-            value: record
-                .op
-                .after()
-                .and_then(KvWrite::value_of)
-                .map(str::to_string),
-        })
-    }
-
-    /// The text key of a namespace row's primary key.
-    pub(crate) fn key_of(key: &Key) -> Option<&str> {
-        key.values().first().and_then(Value::as_text)
-    }
-
-    /// The text value of a namespace row.
-    pub(crate) fn value_of(row: &Row) -> Option<&str> {
-        row.get(1).and_then(Value::as_text)
-    }
-
-    /// The namespace row holding `value` under `key`.
-    pub(crate) fn row(key: &str, value: &str) -> Row {
-        Row::from(vec![Value::Text(key.into()), Value::Text(value.into())])
-    }
-
-    /// The `(key, value)` pair of a namespace row.
-    pub(crate) fn entry((key, row): (Key, Arc<Row>)) -> (String, String) {
-        let text = |s: Option<&str>| s.unwrap_or_default().to_string();
-        (text(KvWrite::key_of(&key)), text(KvWrite::value_of(&row)))
-    }
-}
 
 /// The keys of a namespace that start with `prefix`, as a range over
 /// `kv_key` (every key of the namespace for an empty prefix). Scans
@@ -106,38 +45,14 @@ pub(crate) fn prefix_predicate(prefix: &str) -> Predicate {
     from
 }
 
-/// Size statistics for one namespace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct NamespaceStats {
-    /// Keys with a live (non-deleted) latest value.
-    pub live_keys: usize,
-    /// Row versions the namespace's table holds itself (a fork's table
-    /// counts what it wrote, not what it reads through to).
-    pub versions: usize,
-}
-
-/// A read view over the key-value namespaces of one database.
-///
-/// [`KvStore::new`] makes a standalone store over a database of its own;
-/// binding it to a [`crate::Session`] declares its namespaces in the
-/// session's database, whose view the session then hands out.
+/// A read view over the key-value namespaces of one database, built by
+/// [`crate::Session`].
 #[derive(Debug, Clone)]
 pub struct KvStore {
     db: Database,
 }
 
-impl Default for KvStore {
-    fn default() -> Self {
-        KvStore::new()
-    }
-}
-
 impl KvStore {
-    /// A store over a fresh database of its own.
-    pub fn new() -> Self {
-        KvStore::of(Database::new())
-    }
-
     /// The view over `db`'s namespaces.
     pub fn of(db: Database) -> Self {
         KvStore { db }
@@ -178,10 +93,7 @@ impl KvStore {
         let row = self
             .table(namespace)?
             .get_at(&Key::single(key), ts.min(self.db.current_ts()));
-        Ok(row
-            .as_deref()
-            .and_then(KvWrite::value_of)
-            .map(str::to_string))
+        Ok(row.as_deref().and_then(namespace_value).map(str::to_string))
     }
 
     /// Every live `(key, value)` pair of a namespace whose key starts with
@@ -197,21 +109,12 @@ impl KvStore {
         let rows = table
             .scan_at(&prefix_predicate(prefix), ts.min(self.db.current_ts()))
             .expect("the prefix predicate names the namespace schema's key column");
-        Ok(rows.into_iter().map(KvWrite::entry).collect())
+        Ok(rows.iter().map(|(_, row)| namespace_entry(row)).collect())
     }
 
     /// [`KvStore::scan_prefix_as_of`] at the latest published state.
     pub fn scan_prefix(&self, namespace: &str, prefix: &str) -> KvResult<Vec<(String, String)>> {
         self.scan_prefix_as_of(namespace, prefix, Ts::MAX)
-    }
-
-    /// Statistics for one namespace.
-    pub fn namespace_stats(&self, namespace: &str) -> KvResult<NamespaceStats> {
-        let table = self.table(namespace)?;
-        Ok(NamespaceStats {
-            live_keys: table.count_at(self.db.current_ts()),
-            versions: table.version_count(),
-        })
     }
 }
 
@@ -221,7 +124,7 @@ mod tests {
 
     #[test]
     fn namespace_management() {
-        let kv = KvStore::new();
+        let kv = KvStore::of(Database::new());
         kv.create_namespace("sessions").unwrap();
         assert!(kv.has_namespace("sessions"));
         assert_eq!(kv.namespaces(), vec!["sessions".to_string()]);
@@ -238,14 +141,11 @@ mod tests {
     #[test]
     fn prefix_predicates_cover_exactly_the_extensions_of_the_prefix() {
         let matches = |prefix: &str, key: &str| {
-            let schema = trod_db::Schema::builder()
-                .column("kv_key", trod_db::DataType::Text)
-                .column("kv_value", trod_db::DataType::Text)
-                .primary_key(&["kv_key"])
-                .build()
-                .unwrap();
+            let db = Database::new();
+            db.create_namespace("n").unwrap();
+            let schema = db.schema_of(&crate::kv_table_name("n")).unwrap();
             let compiled = prefix_predicate(prefix).compile(&schema).unwrap();
-            compiled.matches(&KvWrite::row(key, "v"))
+            compiled.matches(&trod_db::namespace_row(key, "v"))
         };
         for (prefix, key, want) in [
             ("user:", "user:", true),

@@ -30,8 +30,9 @@ use proptest::prelude::*;
 
 use trod_db::wal::{decode_records, encode_frame};
 use trod_db::{
-    row, CommittedTxn, DataType, Database, DirFailpointHandle, FailpointDir, Key, MemDir,
-    Predicate, RecoveryReport, Schema, StorageError, SyncMode, TrodError, Ts, Value, WalOptions,
+    kv_table_name, row, CommittedTxn, DataType, Database, DirFailpointHandle, FailpointDir, Key,
+    MemDir, Predicate, RecoveryReport, Schema, StorageError, SyncMode, TrodError, Ts, Value,
+    WalOptions,
 };
 use trod_kv::{KvStore, Session};
 
@@ -162,7 +163,7 @@ fn check_mixed_recovery(steps: &[Step]) {
     let wal_path = scratch_path("mixed");
     let durable =
         Session::create_durable(&wal_path, WalOptions::with_sync_mode(SyncMode::Sync)).unwrap();
-    let oracle = Session::with_kv(Database::new(), KvStore::new());
+    let oracle = Session::new(Database::new());
     for s in [&durable, &oracle] {
         s.database().create_table("events", table_schema()).unwrap();
         for ns in NAMESPACES {
@@ -241,7 +242,7 @@ fn mixed_workload_recovers_at_every_record_boundary() {
 }
 
 #[test]
-fn recovered_session_continues_the_aligned_history() {
+fn recovered_session_continues_the_logged_history() {
     let wal_path = scratch_path("resume");
     {
         let session = Session::create_durable(&wal_path, WalOptions::default()).unwrap();
@@ -270,7 +271,7 @@ fn recovered_session_continues_the_aligned_history() {
         session.kv().get_latest("cache", "b").unwrap().as_deref(),
         Some("2")
     );
-    assert_eq!(session.aligned_log().len(), 2);
+    assert_eq!(session.database().log_len(), 2);
     let _ = std::fs::remove_dir_all(&wal_path);
 }
 
@@ -299,7 +300,7 @@ fn failpoint_session() -> (Session, DirFailpointHandle, MemDir) {
     let dir = FailpointDir::new(Arc::new(disk.clone()), points.clone());
     let db = Database::create_durable_in(Arc::new(dir), WalOptions::default()).unwrap();
     db.create_table("events", table_schema()).unwrap();
-    let session = Session::with_kv(db, KvStore::new());
+    let session = Session::new(db);
     session.create_namespace("cache").unwrap();
     (session, points, disk)
 }
@@ -390,10 +391,7 @@ fn database_and_session_boots_of_one_image_agree() {
         checkpoint_bytes: 0,
         ..WalOptions::default()
     };
-    let session = Session::with_kv(
-        Database::create_durable_in(Arc::new(disk.clone()), opts).unwrap(),
-        KvStore::new(),
-    );
+    let session = Session::new(Database::create_durable_in(Arc::new(disk.clone()), opts).unwrap());
     session
         .database()
         .create_table("events", table_schema())
@@ -472,9 +470,8 @@ fn session_gc_drives_both_stores_under_one_clamped_horizon() {
     let disk = Arc::new(MemDir::new());
     let db = Database::create_durable_in(disk, WalOptions::default()).unwrap();
     db.create_table("events", table_schema()).unwrap();
-    let kv = KvStore::new();
-    kv.create_namespace("cache").unwrap();
-    let session = Session::with_kv(db, kv);
+    let session = Session::new(db);
+    session.create_namespace("cache").unwrap();
 
     let commit_once = |i: i64| {
         let mut txn = session.begin();
@@ -517,7 +514,8 @@ fn session_gc_drives_both_stores_under_one_clamped_horizon() {
     // tables and namespaces alike: versions strictly below it are
     // truncated everywhere, and the log keeps the aligned entries with
     // the kv records covering exactly the truncated kv history.
-    let kv_versions = || session.kv().namespace_stats("cache").unwrap().versions;
+    let kv_table = session.database().table(&kv_table_name("cache")).unwrap();
+    let kv_versions = || kv_table.version_count();
     let before = kv_versions();
     let stats = session.gc_before(4);
     assert_eq!(stats.horizon, 4);
@@ -580,7 +578,7 @@ fn durable_env() -> (Session, MemDir) {
     let disk = MemDir::new();
     let db = Database::create_durable_in(Arc::new(disk.clone()), WalOptions::default()).unwrap();
     db.create_table("events", table_schema()).unwrap();
-    let session = Session::with_kv(db, KvStore::new());
+    let session = Session::new(db);
     for ns in NAMESPACES {
         session.create_namespace(ns).unwrap();
     }

@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 
 use trod_db::{row, DataType, Database, Schema, Ts};
-use trod_kv::{KvStore, Session};
+use trod_kv::Session;
 
 /// One generated write: key index, optional value (None = delete).
 #[derive(Debug, Clone)]
@@ -140,9 +140,8 @@ proptest! {
                 .unwrap(),
         )
         .unwrap();
-        let kv = KvStore::new();
-        kv.create_namespace("ns").unwrap();
-        let cross = Session::with_kv(db, kv);
+        let cross = Session::new(db);
+        cross.create_namespace("ns").unwrap();
 
         let mut model: BTreeMap<String, String> = BTreeMap::new();
         let mut committed = 0usize;
@@ -167,7 +166,7 @@ proptest! {
             committed += 1;
         }
 
-        let log = cross.aligned_log();
+        let log = cross.database().log_entries();
         prop_assert_eq!(log.len(), committed);
         for pair in log.windows(2) {
             prop_assert!(pair[0].commit_ts < pair[1].commit_ts, "commit timestamps must increase");

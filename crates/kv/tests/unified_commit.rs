@@ -28,8 +28,11 @@ use std::sync::{Arc, Barrier};
 
 use proptest::prelude::*;
 
-use trod_db::{row, DataType, Database, DbError, Key, Predicate, Schema, TrodError, Ts};
-use trod_kv::{kv_table_name, KvStore, Session};
+use trod_db::{
+    is_kv_table, kv_table_name, namespace_value, row, CommittedTxn, DataType, Database, DbError,
+    Key, Predicate, Schema, TrodError, Ts, KV_TABLE_PREFIX,
+};
+use trod_kv::Session;
 
 #[path = "../../db/tests/support/model.rs"]
 mod model;
@@ -52,11 +55,23 @@ fn new_session() -> Session {
     for name in TABLES {
         db.create_table(name, table_schema()).unwrap();
     }
-    let kv = KvStore::new();
+    let session = Session::new(db);
     for ns in NAMESPACES {
-        kv.create_namespace(ns).unwrap();
+        session.create_namespace(ns).unwrap();
     }
-    Session::with_kv(db, kv)
+    session
+}
+
+/// The key-value writes of one log entry as `(namespace, key, value)`;
+/// a delete has no value.
+fn kv_writes(entry: &CommittedTxn) -> Vec<(String, String, Option<String>)> {
+    let write = |c: &trod_db::ChangeRecord| {
+        let ns = c.table.strip_prefix(KV_TABLE_PREFIX)?;
+        let key = c.key.values().first()?.as_text()?;
+        let value = c.op.after().and_then(namespace_value).map(str::to_string);
+        Some((ns.to_string(), key.to_string(), value))
+    };
+    entry.changes.iter().filter_map(write).collect()
 }
 
 /// One operation in a generated mixed transaction.
@@ -328,10 +343,10 @@ proptest! {
     /// just the latest (and the reason replay can reconstruct a fork from
     /// the logged aligned history when GC truncated the live state).
     #[test]
-    fn kv_fork_at_equals_aligned_log_replayed_to_ts(schedule in schedule_strategy()) {
+    fn kv_fork_at_equals_the_log_replayed_to_ts(schedule in schedule_strategy()) {
         let session = new_session();
         let _ = run_schedule(&session, &schedule);
-        let aligned = session.aligned_log();
+        let aligned = session.database().log_entries();
         let mut sample_ts: Vec<u64> = aligned.iter().map(|c| c.commit_ts).collect();
         sample_ts.push(0);
         sample_ts.push(session.database().current_ts());
@@ -342,8 +357,8 @@ proptest! {
             let fork = fork.kv();
             let mut replayed: BTreeMap<(String, String), Option<String>> = BTreeMap::new();
             for commit in aligned.iter().take_while(|c| c.commit_ts <= ts) {
-                for w in &commit.kv {
-                    replayed.insert((w.namespace.clone(), w.key.clone()), w.value.clone());
+                for (ns, key, value) in kv_writes(commit) {
+                    replayed.insert((ns, key), value);
                 }
             }
             for ns in NAMESPACES {
@@ -366,13 +381,13 @@ proptest! {
     /// every aligned entry in order reproduces the key-value store's
     /// final state.
     #[test]
-    fn aligned_log_replays_to_the_kv_state(schedule in schedule_strategy()) {
+    fn the_log_replays_to_the_kv_state(schedule in schedule_strategy()) {
         let session = new_session();
         let _ = run_schedule(&session, &schedule);
         let mut replayed: BTreeMap<(String, String), Option<String>> = BTreeMap::new();
-        for commit in session.aligned_log() {
-            for w in commit.kv {
-                replayed.insert((w.namespace, w.key), w.value);
+        for commit in session.database().log_entries() {
+            for (ns, key, value) in kv_writes(&commit) {
+                replayed.insert((ns, key), value);
             }
         }
         for ns in NAMESPACES {
@@ -498,7 +513,7 @@ fn snapshot_reads_never_see_torn_mixed_commits() {
 /// dense timestamps; every entry carries its relational and key-value
 /// changes together; and the KV store's installed versions match the log.
 #[test]
-fn aligned_log_totally_orders_concurrent_mixed_commits() {
+fn the_log_totally_orders_concurrent_mixed_commits() {
     const PER_THREAD: i64 = 30;
 
     let session = new_session();
@@ -544,16 +559,7 @@ fn aligned_log_totally_orders_concurrent_mixed_commits() {
     // insert and one kv record, for the same logical operation, and the
     // key became visible at exactly the entry's timestamp.
     for entry in &log {
-        let rel: Vec<_> = entry
-            .changes
-            .iter()
-            .filter(|c| !c.table.starts_with("kv:"))
-            .collect();
-        let kv: Vec<_> = entry
-            .changes
-            .iter()
-            .filter(|c| c.table.starts_with("kv:"))
-            .collect();
+        let (kv, rel): (Vec<_>, Vec<_>) = entry.changes.iter().partition(|c| is_kv_table(&c.table));
         assert_eq!(rel.len(), 1, "one relational change per mixed commit");
         assert_eq!(kv.len(), 1, "one kv change per mixed commit");
         let ns = kv[0].table.strip_prefix("kv:").unwrap();
@@ -572,25 +578,6 @@ fn aligned_log_totally_orders_concurrent_mixed_commits() {
                 .is_some(),
             "the kv row must appear at the aligned log entry's timestamp"
         );
-    }
-
-    // The aligned view partitions the same entries.
-    let aligned = session.aligned_log();
-    assert_eq!(aligned.len(), log.len());
-    assert!(aligned.iter().all(|c| c.spans_both_stores()));
-    for (entry, commit) in log.iter().zip(&aligned) {
-        assert_eq!(entry.commit_ts, commit.commit_ts);
-        assert_eq!(commit.relational.len(), 1);
-        assert_eq!(commit.kv.len(), 1);
-        assert_eq!(kv_table_name(&commit.kv[0].namespace), {
-            let t = &entry
-                .changes
-                .iter()
-                .find(|c| c.table.starts_with("kv:"))
-                .unwrap()
-                .table;
-            t.clone()
-        });
     }
 }
 

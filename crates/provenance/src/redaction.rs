@@ -338,7 +338,7 @@ mod tests {
         )
         .unwrap();
         let store = ProvenanceStore::for_application(&db).unwrap();
-        let traced = Session::builder(db.clone()).tracer(Tracer::new()).build();
+        let traced = Session::traced(db.clone(), Tracer::new());
         (db, store, traced)
     }
 

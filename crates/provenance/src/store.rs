@@ -654,7 +654,7 @@ mod tests {
     fn txn_traces_populate_executions_and_event_tables() {
         let db = app_db();
         let store = store_for(&db);
-        let traced = Session::builder(db).tracer(Tracer::new()).build();
+        let traced = Session::traced(db, Tracer::new());
 
         let mut txn =
             traced.begin_traced(TxnContext::new("R1", "subscribeUser", "func:isSubscribed"));
@@ -727,7 +727,7 @@ mod tests {
     fn archive_accessors_filter_and_order() {
         let db = app_db();
         let store = store_for(&db);
-        let traced = Session::builder(db).tracer(Tracer::new()).build();
+        let traced = Session::traced(db, Tracer::new());
 
         for (req, id) in [("R1", 1i64), ("R2", 2i64), ("R1", 3i64)] {
             let mut txn =
@@ -766,7 +766,7 @@ mod tests {
     fn unregistered_tables_are_counted_not_dropped_silently() {
         let db = app_db();
         let store = ProvenanceStore::new(); // nothing registered
-        let traced = Session::builder(db).tracer(Tracer::new()).build();
+        let traced = Session::traced(db, Tracer::new());
         let mut txn = traced.begin_traced(TxnContext::new("R1", "h", "f"));
         txn.insert("forum_sub", row![1i64, "U1", "F2"]).unwrap();
         txn.commit().unwrap();

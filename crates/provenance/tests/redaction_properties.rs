@@ -40,7 +40,7 @@ fn setup() -> (Database, ProvenanceStore, Session) {
             &db.schema_of("forum_sub").unwrap(),
         )
         .unwrap();
-    let traced = Session::builder(db.clone()).tracer(Tracer::new()).build();
+    let traced = Session::traced(db.clone(), Tracer::new());
     (db, store, traced)
 }
 

@@ -162,7 +162,9 @@ fn bind(
     if let Some(w) = &stmt.where_clause {
         pending.extend(w.conjuncts().into_iter().cloned());
     }
-    let read_ts = opts.as_of.unwrap_or_else(|| db.current_ts());
+    // An as-of read never passes the published clock: versions above it
+    // may be installed but not yet published (a torn read otherwise).
+    let read_ts = opts.as_of.unwrap_or(Ts::MAX).min(db.current_ts());
     let tables = stmt.all_tables();
     if tables.is_empty() {
         return Err(QueryError::plan("query must reference at least one table"));

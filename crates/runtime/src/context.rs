@@ -20,9 +20,6 @@ pub struct HandlerContext<'a> {
     runtime: &'a Runtime,
     req_id: String,
     handler: String,
-    /// Monotonically increasing count of transactions begun by this
-    /// handler invocation; used to label transactions (`txn#0`, `txn#1`).
-    txn_counter: usize,
 }
 
 impl<'a> HandlerContext<'a> {
@@ -31,7 +28,6 @@ impl<'a> HandlerContext<'a> {
             runtime,
             req_id: req_id.to_string(),
             handler: handler.to_string(),
-            txn_counter: 0,
         }
     }
 
@@ -56,7 +52,6 @@ impl<'a> HandlerContext<'a> {
 
     /// Begins a traced transaction at an explicit isolation level.
     pub fn txn_with(&mut self, function: &str, isolation: IsolationLevel) -> Txn {
-        self.txn_counter += 1;
         let ctx = TxnContext::new(&self.req_id, &self.handler, function);
         self.runtime
             .session()
@@ -68,11 +63,6 @@ impl<'a> HandlerContext<'a> {
     /// transactions will find it).
     pub fn has_namespace(&self, name: &str) -> bool {
         self.runtime.database().has_namespace(name)
-    }
-
-    /// Number of transactions begun so far by this invocation.
-    pub fn txns_begun(&self) -> usize {
-        self.txn_counter
     }
 
     /// Invokes another handler as part of the same request (simulated
@@ -113,7 +103,6 @@ impl std::fmt::Debug for HandlerContext<'_> {
         f.debug_struct("HandlerContext")
             .field("req_id", &self.req_id)
             .field("handler", &self.handler)
-            .field("txns_begun", &self.txn_counter)
             .finish()
     }
 }

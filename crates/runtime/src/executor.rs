@@ -47,7 +47,6 @@ impl RequestResult {
 #[derive(Clone)]
 pub struct RuntimeBuilder {
     db: Database,
-    kv: Option<KvStore>,
     registry: HandlerRegistry,
     tracer: Option<Tracer>,
     scheduler: Option<Arc<Scheduler>>,
@@ -60,7 +59,6 @@ impl RuntimeBuilder {
     pub fn new(db: Database, registry: HandlerRegistry) -> Self {
         RuntimeBuilder {
             db,
-            kv: None,
             registry,
             tracer: None,
             scheduler: None,
@@ -75,12 +73,12 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Binds a key-value store: its namespaces are declared in the
-    /// application database, where handlers reach them through the `kv_*`
-    /// operations of their [`trod_kv::Txn`], committing atomically across
-    /// both stores with one aligned history (paper §5).
-    pub fn kv(mut self, kv: KvStore) -> Self {
-        self.kv = Some(kv);
+    /// Binds nothing. Namespaces are tables of the application database
+    /// (`db.create_namespace`), reached through the `kv_*` operations of
+    /// a handler's [`trod_kv::Txn`]. Kept, ignoring its argument, for the
+    /// benchmark harness, which passes a view of that same database,
+    /// until `trod-kv` dissolves into its callers.
+    pub fn kv(self, _kv: KvStore) -> Self {
         self
     }
 
@@ -108,12 +106,8 @@ impl RuntimeBuilder {
     /// Builds the runtime.
     pub fn build(self) -> Runtime {
         let tracer = self.tracer.unwrap_or_default();
-        let mut session = Session::builder(self.db).tracer(tracer.clone());
-        if let Some(kv) = self.kv {
-            session = session.kv(kv);
-        }
         Runtime {
-            session: session.build(),
+            session: Session::traced(self.db, tracer.clone()),
             registry: self.registry,
             tracer,
             scheduler: self

@@ -110,30 +110,6 @@ impl Client {
         self.post("/rpc", envelope.to_string().as_bytes(), id)
     }
 
-    /// Like [`Client::call`], retrying retryable failures up to
-    /// `retries` extra attempts. Transport errors reconnect first.
-    pub fn call_retrying(
-        &mut self,
-        addr: &str,
-        method: &str,
-        params: Json,
-        retries: usize,
-    ) -> Result<Json, ClientError> {
-        let mut attempt = 0;
-        loop {
-            match self.call(method, params.clone()) {
-                Ok(v) => return Ok(v),
-                Err(e) if e.is_retryable() && attempt < retries => {
-                    if matches!(e, ClientError::Io(_)) {
-                        *self = Client::connect(addr)?;
-                    }
-                    attempt += 1;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
     /// `GET /health`.
     pub fn health(&mut self) -> Result<Json, ClientError> {
         let request = b"GET /health HTTP/1.1\r\nhost: trod\r\n\r\n";

@@ -20,9 +20,8 @@ use trod_server::{fork_from_instance, Client, Dump, ServerBuilder};
 fn shop_trod() -> Trod {
     let db = shop::shop_db();
     shop::seed_inventory(&db, 8, 1_000);
-    let runtime = Runtime::builder(db, shop::registry())
-        .kv(shop::shop_kv())
-        .build();
+    db.create_namespace(shop::CARTS_NAMESPACE).unwrap();
+    let runtime = Runtime::new(db, shop::registry());
     Trod::attach(runtime).expect("attach")
 }
 
@@ -37,7 +36,7 @@ fn run_workload(trod: &Trod, cfg: &workload::WorkloadConfig) {
 }
 
 /// Full relational + kv state of a session, in a comparable form.
-fn state_of(db: &Database, kv: Option<&KvStore>) -> Vec<String> {
+fn state_of(db: &Database, kv: &KvStore) -> Vec<String> {
     let mut out = Vec::new();
     let mut tables = db.table_names();
     tables.sort();
@@ -51,19 +50,17 @@ fn state_of(db: &Database, kv: Option<&KvStore>) -> Vec<String> {
         rows.sort();
         out.extend(rows);
     }
-    if let Some(kv) = kv {
-        let mut namespaces = kv.namespaces();
-        namespaces.sort();
-        for ns in namespaces {
-            let mut entries: Vec<String> = kv
-                .scan_prefix(&ns, "")
-                .expect("kv scan")
-                .into_iter()
-                .map(|(k, v)| format!("kv:{ns} {k}={v}"))
-                .collect();
-            entries.sort();
-            out.extend(entries);
-        }
+    let mut namespaces = kv.namespaces();
+    namespaces.sort();
+    for ns in namespaces {
+        let mut entries: Vec<String> = kv
+            .scan_prefix(&ns, "")
+            .expect("kv scan")
+            .into_iter()
+            .map(|(k, v)| format!("kv:{ns} {k}={v}"))
+            .collect();
+        entries.sort();
+        out.extend(entries);
     }
     out
 }
@@ -94,8 +91,8 @@ fn assert_round_trip(source: &Trod, loaded: &Session) {
 
     // Same state, both stores.
     assert_eq!(
-        state_of(src_db, source.session().kv_store()),
-        state_of(loaded_db, loaded.kv_store())
+        state_of(src_db, source.session().kv()),
+        state_of(loaded_db, loaded.kv())
     );
 }
 
@@ -174,7 +171,7 @@ fn sys_dump_over_the_wire_boots_an_identical_instance() {
     let dump = Dump::from_json(reply.get("dump").unwrap()).expect("parse dump");
     let loaded = dump.boot().expect("boot");
 
-    let state = state_of(loaded.database(), loaded.kv_store());
+    let state = state_of(loaded.database(), loaded.kv());
     assert!(state.iter().any(|s| s.contains("order-4")));
 
     // Compare against the live server state through its own state.
@@ -289,8 +286,8 @@ fn fork_from_instance_equals_local_fork() {
     let local = server.state().trod.fork_at(ts).expect("local fork");
 
     assert_eq!(
-        state_of(remote.database(), remote.kv_store()),
-        state_of(local.database(), local.kv_store()),
+        state_of(remote.database(), remote.kv()),
+        state_of(local.database(), local.kv()),
         "network fork must equal the in-process fork at ts {ts}"
     );
 
@@ -342,8 +339,8 @@ proptest! {
         );
         prop_assert_eq!(source.production_db().current_ts(), loaded.database().current_ts());
         prop_assert_eq!(
-            state_of(source.production_db(), source.session().kv_store()),
-            state_of(loaded.database(), loaded.kv_store())
+            state_of(source.production_db(), source.session().kv()),
+            state_of(loaded.database(), loaded.kv())
         );
     }
 }

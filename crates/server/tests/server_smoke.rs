@@ -15,9 +15,8 @@ use trod_server::{Client, ClientError, ServerBuilder, ServerHandle};
 fn shop_server() -> ServerHandle {
     let db = shop::shop_db();
     shop::seed_inventory(&db, 10, 1_000);
-    let runtime = Runtime::builder(db, shop::registry())
-        .kv(shop::shop_kv())
-        .build();
+    db.create_namespace(shop::CARTS_NAMESPACE).unwrap();
+    let runtime = Runtime::new(db, shop::registry());
     let trod = Trod::attach(runtime).expect("attach");
     ServerBuilder::new(trod)
         .serve("127.0.0.1:0")
@@ -339,9 +338,8 @@ fn graceful_shutdown_drains_and_rejects_with_typed_503() {
 fn connection_pool_bound_rejects_with_retryable_503() {
     let db = shop::shop_db();
     shop::seed_inventory(&db, 5, 100);
-    let runtime = Runtime::builder(db, shop::registry())
-        .kv(shop::shop_kv())
-        .build();
+    db.create_namespace(shop::CARTS_NAMESPACE).unwrap();
+    let runtime = Runtime::new(db, shop::registry());
     let trod = Trod::attach(runtime).expect("attach");
     let server = ServerBuilder::new(trod)
         .max_connections(2)

@@ -30,9 +30,8 @@ fn assert_every_request_accounted_for(report: &LoadReport) {
 fn shop_workload_over_the_wire() {
     let db = shop::shop_db();
     shop::seed_inventory(&db, 10, 10_000);
-    let runtime = Runtime::builder(db, shop::registry())
-        .kv(shop::shop_kv())
-        .build();
+    db.create_namespace(shop::CARTS_NAMESPACE).unwrap();
+    let runtime = Runtime::new(db, shop::registry());
     let server = serve(Trod::attach(runtime).expect("attach"));
 
     let cfg = workload::WorkloadConfig {

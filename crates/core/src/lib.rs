@@ -13,6 +13,31 @@
 //! | Access-control & exfiltration forensics (§4.2) | [`Security`] |
 //! | Bug-fix validation invariants (§4.1) | [`Invariant`] |
 //!
+//! Each typed helper is a statement over the provenance tables
+//! (`Executions`, `Requests`, `ExternalCalls` and one `<X>Events` per
+//! registered application table), which can be pasted into
+//! [`Trod::query`] and edited. `…` stands for a quoted value
+//! ([`trod_query::text_literal`]); the helper's own docs show a full
+//! statement.
+//!
+//! | Helper | Statement |
+//! |---|---|
+//! | [`Declarative::find_writers`] | `SELECT Timestamp, ReqId, HandlerName, E.TxnId FROM Executions as E, <X>Events as F ON E.TxnId = F.TxnId WHERE F.Type = … AND F.<column> = … ORDER BY Timestamp ASC` |
+//! | [`Declarative::handler_activity`]; the `transactions` of [`Perf::handler_latencies`] | [`HANDLER_ACTIVITY_SQL`] |
+//! | [`Declarative::concurrent_requests`] | `SELECT SnapshotTs, CommitTs FROM Executions WHERE ReqId = … AND Committed = TRUE ORDER BY CommitTs, Timestamp`, then `SELECT ReqId FROM Executions WHERE Committed = TRUE AND ReqId != … AND CommitTs > <first snapshot> AND SnapshotTs < <last commit> ORDER BY CommitTs, Timestamp` |
+//! | [`Declarative::requests_touching_table`], [`RetroactiveBuilder::requests_touching_table`] | `SELECT E.ReqId FROM Executions AS E, <X>Events AS F ON E.TxnId = F.TxnId ORDER BY E.Committed DESC, E.CommitTs, E.SnapshotTs, E.Timestamp` |
+//! | [`Perf::slow_requests`] | [`TXNS_PER_INVOCATION_SQL`] |
+//! | [`Perf::request_breakdown`] | `SELECT HandlerName, COUNT(*) FROM Executions WHERE ReqId = … GROUP BY HandlerName` |
+//! | [`Quality::blame`] | `SELECT E.TxnId, E.ReqId, E.HandlerName, E.Timestamp, F.Type FROM Executions AS E, <X>Events AS F ON E.TxnId = F.TxnId WHERE E.Committed = TRUE AND F.Type != 'Read' AND F.<key column> = … ORDER BY E.CommitTs, F.EventId` |
+//! | [`Security::user_profile_violations`] | `SELECT Timestamp, ReqId, HandlerName, P.<owner>, P.<updater> FROM Executions as E, <X>Events as P ON E.TxnId = P.TxnId WHERE P.<owner> != P.<updater> AND P.Type = 'Update' ORDER BY Timestamp ASC` |
+//! | [`Security::unauthenticated_reads`] | `SELECT Timestamp, ReqId, HandlerName FROM Executions as E, <X>Events as P ON E.TxnId = P.TxnId WHERE P.Type = 'Read' AND HandlerName NOT IN (…) ORDER BY Timestamp ASC` |
+//! | [`Security::trace_data_flow`] | the taint walk over committed traces ([`trod_provenance::ProvenanceStore::txns_between`]), then `SELECT ReqId, Service, Payload FROM ExternalCalls WHERE ReqId IN (…) ORDER BY Timestamp ASC` |
+//! | [`Reenactor::audit_anomalies`] | none: pairs of committed traces ([`trod_provenance::ProvenanceStore::txns_between`]) |
+//!
+//! Replay, reenactment, retroactive programming and
+//! [`interleave::ConflictGraph`] need whole traces, and read them from the
+//! provenance store's archive one request or one commit range at a time.
+//!
 //! The entry point is [`Trod`]: attach it to a running
 //! [`trod_runtime::Runtime`], let the application serve (traced)
 //! requests, call [`Trod::sync`] (from any thread, as often as wanted) to
@@ -45,10 +70,12 @@ pub mod retroactive;
 pub mod security;
 
 pub use debugger::Trod;
-pub use declarative::{Declarative, WriterRecord};
+pub use declarative::{Declarative, WriterRecord, HANDLER_ACTIVITY_SQL};
 pub use interleave::{txns_conflict, ConflictGraph};
 pub use invariant::{check_all, Invariant};
-pub use perf::{HandlerLatency, Perf, RequestProfile, SlowRequest, SpanNode};
+pub use perf::{
+    HandlerLatency, Perf, RequestProfile, SlowRequest, SpanNode, TXNS_PER_INVOCATION_SQL,
+};
 pub use quality::{
     BlameRecord, BlamedViolation, Quality, QualityReport, QualityRule, QualityViolation,
 };

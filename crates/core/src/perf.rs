@@ -14,9 +14,18 @@
 //! per-handler latency distributions, slow-request search, and per-request
 //! workflow breakdowns (the "transaction trace" of New Relic / Retrace).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
+use trod_db::Value;
 use trod_provenance::{ProvenanceStore, RequestRecord};
+use trod_query::{text_literal, QueryResultT, ResultSet};
+
+use crate::declarative::HANDLER_ACTIVITY_SQL;
+
+/// Transactions, committed or aborted, per handler invocation
+/// ([`Perf::slow_requests`]).
+pub const TXNS_PER_INVOCATION_SQL: &str =
+    "SELECT ReqId, HandlerName, COUNT(*) FROM Executions GROUP BY ReqId, HandlerName";
 
 /// Latency distribution for one handler, in trace-clock microseconds.
 #[derive(Debug, Clone, PartialEq)]
@@ -112,7 +121,8 @@ impl<'a> Perf<'a> {
     }
 
     /// Per-handler latency distributions across all completed invocations,
-    /// sorted by mean latency descending (slowest handler first).
+    /// sorted by mean latency descending (slowest handler first). The
+    /// transaction counts are [`HANDLER_ACTIVITY_SQL`]'s.
     pub fn handler_latencies(&self) -> Vec<HandlerLatency> {
         let mut samples: BTreeMap<String, Vec<(i64, bool)>> = BTreeMap::new();
         for rec in self.provenance.all_request_records() {
@@ -123,12 +133,7 @@ impl<'a> Perf<'a> {
                     .push((latency, rec.ok.unwrap_or(false)));
             }
         }
-        let mut txn_counts: BTreeMap<String, usize> = BTreeMap::new();
-        for txn in self.provenance.all_txns() {
-            if txn.committed {
-                *txn_counts.entry(txn.ctx.handler.clone()).or_default() += 1;
-            }
-        }
+        let txn_counts = counts(self.provenance.query(HANDLER_ACTIVITY_SQL));
 
         let mut out: Vec<HandlerLatency> = samples
             .into_iter()
@@ -137,7 +142,8 @@ impl<'a> Perf<'a> {
                 let values: Vec<i64> = lat.iter().map(|(us, _)| *us).collect();
                 let errors = lat.iter().filter(|(_, ok)| !ok).count();
                 let sum: i64 = values.iter().sum();
-                let transactions = txn_counts.get(&handler).copied().unwrap_or(0);
+                let handler_key = std::slice::from_ref(&handler);
+                let transactions = txn_counts.get(handler_key).copied().unwrap_or(0);
                 HandlerLatency {
                     invocations: values.len(),
                     errors,
@@ -155,14 +161,10 @@ impl<'a> Perf<'a> {
     }
 
     /// Completed handler invocations whose latency exceeded
-    /// `threshold_us`, slowest first.
+    /// `threshold_us`, slowest first, each with its
+    /// [`TXNS_PER_INVOCATION_SQL`] count.
     pub fn slow_requests(&self, threshold_us: i64) -> Vec<SlowRequest> {
-        let mut txns_per_invocation: BTreeMap<(String, String), usize> = BTreeMap::new();
-        for txn in self.provenance.all_txns() {
-            *txns_per_invocation
-                .entry((txn.ctx.req_id.clone(), txn.ctx.handler.clone()))
-                .or_default() += 1;
-        }
+        let txns_per_invocation = counts(self.provenance.query(TXNS_PER_INVOCATION_SQL));
         let mut out: Vec<SlowRequest> = self
             .provenance
             .all_request_records()
@@ -172,10 +174,9 @@ impl<'a> Perf<'a> {
                 if latency < threshold_us {
                     return None;
                 }
-                let transactions = txns_per_invocation
-                    .get(&(rec.req_id.clone(), rec.handler.clone()))
-                    .copied()
-                    .unwrap_or(0);
+                let invocation = [rec.req_id.clone(), rec.handler.clone()];
+                let transactions = txns_per_invocation.get(&invocation[..]);
+                let transactions = transactions.copied().unwrap_or(0);
                 Some(SlowRequest {
                     req_id: rec.req_id,
                     handler: rec.handler,
@@ -191,7 +192,11 @@ impl<'a> Perf<'a> {
 
     /// The end-to-end workflow breakdown of one request: the tree of
     /// handler invocations (root handler plus RPC callees), each annotated
-    /// with its latency and transaction count.
+    /// with its latency and transaction count, committed or aborted:
+    ///
+    /// ```sql
+    /// SELECT HandlerName, COUNT(*) FROM Executions WHERE ReqId = 'R1' GROUP BY HandlerName
+    /// ```
     ///
     /// Returns `None` if the request was never traced.
     pub fn request_breakdown(&self, req_id: &str) -> Option<RequestProfile> {
@@ -199,22 +204,16 @@ impl<'a> Perf<'a> {
         if records.is_empty() {
             return None;
         }
-        let mut txns_per_handler: BTreeMap<String, usize> = BTreeMap::new();
-        let mut total_txns = 0usize;
-        for txn in self.provenance.txns_for_request(req_id) {
-            *txns_per_handler.entry(txn.ctx.handler.clone()).or_default() += 1;
-            total_txns += 1;
-        }
+        let txns_per_handler = counts(self.provenance.query(&format!(
+            "SELECT HandlerName, COUNT(*) FROM Executions WHERE ReqId = {} GROUP BY HandlerName",
+            text_literal(req_id)
+        )));
+        let total_txns = txns_per_handler.values().sum();
 
         // The root invocation is the earliest one without a parent; if the
         // trace is truncated and every record has a parent, fall back to
         // the earliest record.
-        let root_idx = records
-            .iter()
-            .enumerate()
-            .find(|(_, r)| r.parent.is_none())
-            .map(|(i, _)| i)
-            .unwrap_or(0);
+        let root_idx = records.iter().position(|r| r.parent.is_none()).unwrap_or(0);
         let root = build_span(&records, root_idx, &txns_per_handler);
         let invocations = records.len();
         Some(RequestProfile {
@@ -246,6 +245,19 @@ impl std::fmt::Debug for Perf<'_> {
     }
 }
 
+/// The groups of a `GROUP BY` statement's result whose last column is a
+/// count: the text of the other columns → the count (empty for a failed
+/// query).
+fn counts(result: QueryResultT<ResultSet>) -> HashMap<Vec<String>, usize> {
+    let mut counts = HashMap::new();
+    for row in result.iter().flat_map(ResultSet::rows) {
+        let (count, group) = row.split_last().expect("a count column");
+        let group = group.iter().map(Value::to_string).collect();
+        counts.insert(group, count.as_int().unwrap_or(0) as usize);
+    }
+    counts
+}
+
 fn latency_of(rec: &RequestRecord) -> Option<i64> {
     rec.end_ts.map(|end| (end - rec.start_ts).max(0))
 }
@@ -262,7 +274,7 @@ fn percentile(sorted: &[i64], q: f64) -> i64 {
 fn build_span(
     records: &[RequestRecord],
     idx: usize,
-    txns_per_handler: &BTreeMap<String, usize>,
+    txns_per_handler: &HashMap<Vec<String>, usize>,
 ) -> SpanNode {
     let rec = &records[idx];
     // Children: invocations whose parent is this handler and whose start
@@ -287,7 +299,10 @@ fn build_span(
         start_us: rec.start_ts,
         end_us: rec.end_ts,
         latency_us: latency_of(rec),
-        transactions: txns_per_handler.get(&rec.handler).copied().unwrap_or(0),
+        transactions: txns_per_handler
+            .get(std::slice::from_ref(&rec.handler))
+            .copied()
+            .unwrap_or(0),
         children,
     }
 }

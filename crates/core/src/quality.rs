@@ -10,14 +10,15 @@
 //!    application database: uniqueness, non-null, referential integrity,
 //!    numeric ranges, and arbitrary custom checks.
 //! 2. **Blame** ([`Quality::blame`] / [`Quality::check`]): for every
-//!    violating row, the provenance archive is searched for the
+//!    violating row, the provenance tables are queried for the
 //!    transactions — and therefore the requests and handlers — that wrote
 //!    it, so the developer can jump straight from "this row is bad" to
 //!    "this request made it bad", and from there to replay or retroactive
 //!    testing.
 
 use trod_db::{Database, DbResult, Key, Predicate, Value};
-use trod_provenance::ProvenanceStore;
+use trod_provenance::{event_column_names, ProvenanceStore, EXECUTIONS_TABLE};
+use trod_query::{Expr, ResultSet};
 
 /// A declarative data-quality rule over one application table.
 #[derive(Debug, Clone)]
@@ -250,27 +251,45 @@ impl<'a> Quality<'a> {
     }
 
     /// Finds the traced transactions that wrote the violating row, in
-    /// commit order. Works purely from the provenance archive, so it also
-    /// finds writers whose effects were later overwritten.
+    /// commit order. Works purely from the provenance tables, so it also
+    /// finds writers whose effects were later overwritten. For a
+    /// `forum_sub` row keyed `['S2']`:
+    ///
+    /// ```sql
+    /// SELECT E.TxnId, E.ReqId, E.HandlerName, E.Timestamp, F.Type
+    /// FROM Executions AS E, ForumEvents AS F ON E.TxnId = F.TxnId
+    /// WHERE E.Committed = TRUE AND F.Type != 'Read' AND F.sub_id = 'S2'
+    /// ORDER BY E.CommitTs, F.EventId
+    /// ```
+    ///
+    /// Empty if the violation's table was never registered.
     pub fn blame(&self, violation: &QualityViolation) -> Vec<BlameRecord> {
-        let mut out = Vec::new();
-        for txn in self.provenance.txns_touching_table(&violation.table) {
-            if !txn.committed {
-                continue;
-            }
-            for change in txn.writes.iter() {
-                if *change.table == violation.table && change.key == violation.key {
-                    out.push(BlameRecord {
-                        txn_id: txn.txn_id as i64,
-                        req_id: txn.ctx.req_id.clone(),
-                        handler: txn.ctx.handler.clone(),
-                        timestamp: txn.timestamp,
-                        operation: change.op.kind().to_string(),
-                    });
-                }
-            }
-        }
-        out
+        let table = &violation.table;
+        let (Some(events), Ok(schema)) = (
+            self.provenance.event_table_for(table),
+            self.db.schema_of(table),
+        ) else {
+            return Vec::new();
+        };
+        let columns = event_column_names(&schema);
+        let key: String = (schema.primary_key().iter().zip(violation.key.values()))
+            .map(|(&i, v)| format!(" AND F.{} = {}", columns[i], Expr::Literal(v.clone())))
+            .collect();
+        let result = self.provenance.query(&format!(
+            "SELECT E.TxnId, E.ReqId, E.HandlerName, E.Timestamp, F.Type \
+             FROM {EXECUTIONS_TABLE} AS E, {events} AS F ON E.TxnId = F.TxnId \
+             WHERE E.Committed = TRUE AND F.Type != 'Read'{key} ORDER BY E.CommitTs, F.EventId"
+        ));
+        let text = |v: &Value| v.as_text().unwrap_or_default().to_string();
+        let rows = result.iter().flat_map(ResultSet::rows);
+        rows.map(|row| BlameRecord {
+            txn_id: row[0].as_int().unwrap_or(0),
+            req_id: text(&row[1]),
+            handler: text(&row[2]),
+            timestamp: row[3].as_int().unwrap_or(0),
+            operation: text(&row[4]),
+        })
+        .collect()
     }
 
     fn eval_unique(&self, table: &str, columns: &[String]) -> DbResult<Vec<QualityViolation>> {

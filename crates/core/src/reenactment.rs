@@ -27,7 +27,7 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use trod_db::{DbResult, Key, TxnId};
+use trod_db::{DbResult, Key, Ts, TxnId};
 use trod_kv::Session;
 use trod_provenance::ProvenanceStore;
 use trod_trace::TxnTrace;
@@ -116,9 +116,23 @@ impl<'a> Reenactor<'a> {
     /// environment as of the transaction's snapshot timestamp and
     /// compared.
     pub fn reenact_txn(&self, txn_id: TxnId) -> DbResult<Option<ReenactmentReport>> {
-        let Some(trace) = self.provenance.txn(txn_id) else {
-            return Ok(None);
-        };
+        let trace = self.provenance.txn(txn_id);
+        trace.map(|trace| self.reenact(&trace)).transpose()
+    }
+
+    /// Reenacts every committed transaction of a request (the
+    /// weak-isolation analogue of [`crate::ReplaySession`]), reading the
+    /// request's traces from the archive once.
+    pub fn reenact_request(&self, req_id: &str) -> DbResult<Vec<ReenactmentReport>> {
+        let txns = self.provenance.txns_for_request(req_id);
+        txns.iter()
+            .filter(|t| t.committed)
+            .map(|t| self.reenact(t))
+            .collect()
+    }
+
+    /// [`Self::reenact_txn`] for a trace in hand.
+    fn reenact(&self, trace: &TxnTrace) -> DbResult<ReenactmentReport> {
         let mut reads_checked = 0;
         let mut divergent_reads = Vec::new();
         for read in &trace.reads {
@@ -141,29 +155,14 @@ impl<'a> Reenactor<'a> {
                 }
             }
         }
-        Ok(Some(ReenactmentReport {
-            txn_id,
+        Ok(ReenactmentReport {
+            txn_id: trace.txn_id,
             req_id: trace.ctx.req_id.clone(),
             handler: trace.ctx.handler.clone(),
             snapshot_ts: trace.snapshot_ts,
             reads_checked,
             divergent_reads,
-        }))
-    }
-
-    /// Reenacts every committed transaction of a request (the
-    /// weak-isolation analogue of [`crate::ReplaySession`]).
-    pub fn reenact_request(&self, req_id: &str) -> DbResult<Vec<ReenactmentReport>> {
-        let mut out = Vec::new();
-        for txn in self.provenance.txns_for_request(req_id) {
-            if !txn.committed {
-                continue;
-            }
-            if let Some(report) = self.reenact_txn(txn.txn_id)? {
-                out.push(report);
-            }
-        }
-        Ok(out)
+        })
     }
 
     /// Scans all committed traced transactions for lost-update and
@@ -176,13 +175,12 @@ impl<'a> Reenactor<'a> {
     /// isolation level a transaction ran under is visible in its handler's
     /// code path, not the trace, so the audit reports every structural
     /// candidate and leaves the final judgement to the developer.
+    ///
+    /// The pairs are drawn from the committed traces in commit order
+    /// ([`ProvenanceStore::txns_between`]); a read-only transaction writes
+    /// nothing, so it forms neither anomaly.
     pub fn audit_anomalies(&self) -> Vec<Anomaly> {
-        let txns: Vec<TxnTrace> = self
-            .provenance
-            .all_txns()
-            .into_iter()
-            .filter(|t| t.committed)
-            .collect();
+        let txns = self.provenance.txns_between(0, Ts::MAX);
         let mut out = Vec::new();
         for (i, a) in txns.iter().enumerate() {
             for b in txns.iter().skip(i + 1) {

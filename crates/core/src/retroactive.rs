@@ -17,6 +17,7 @@ use trod_kv::Session;
 use trod_provenance::{ProvenanceStore, RequestRecord};
 use trod_runtime::{Args, HandlerRegistry, Runtime};
 
+use crate::declarative::Declarative;
 use crate::interleave::ConflictGraph;
 use crate::invariant::{check_all, Invariant};
 use crate::replay::ReplayError;
@@ -208,15 +209,9 @@ impl RetroactiveBuilder {
     /// Selects every traced request that touched `table` — the paper's
     /// suggestion for thorough patch testing ("serve past user requests
     /// directly related to this bug and other requests that may touch the
-    /// same table", §4.1).
+    /// same table", §4.1): [`Declarative::requests_touching_table`].
     pub fn requests_touching_table(mut self, table: &str) -> Self {
-        let mut req_ids = Vec::new();
-        for txn in self.provenance.txns_touching_table(table) {
-            if !req_ids.contains(&txn.ctx.req_id) {
-                req_ids.push(txn.ctx.req_id.clone());
-            }
-        }
-        self.req_ids = req_ids;
+        self.req_ids = Declarative::new(&self.provenance).requests_touching_table(table);
         self
     }
 

@@ -15,8 +15,9 @@
 
 use std::collections::BTreeSet;
 
+use trod_db::{Ts, Value};
 use trod_provenance::{ProvenanceStore, EXECUTIONS_TABLE, EXTERNAL_CALLS_TABLE};
-use trod_query::{QueryResultT, ResultSet};
+use trod_query::{text_literal, QueryResultT, ResultSet};
 
 /// A request flagged by an access-control pattern check.
 #[derive(Debug, Clone, PartialEq)]
@@ -99,27 +100,40 @@ impl<'a> Security<'a> {
 
     /// The *Authentication* pattern: reads of a protected table performed
     /// by requests whose handler is not in the allow-list of
-    /// authenticated entry points.
+    /// authenticated entry points:
+    ///
+    /// ```sql
+    /// SELECT Timestamp, ReqId, HandlerName
+    /// FROM Executions as E, ProfileEvents as P ON E.TxnId = P.TxnId
+    /// WHERE P.Type = 'Read' AND HandlerName NOT IN ('viewProfile', 'updateProfile')
+    /// ORDER BY Timestamp ASC
+    /// ```
+    ///
+    /// (without the `NOT IN` for an empty allow-list).
     pub fn unauthenticated_reads(
         &self,
         events_table: &str,
         authenticated_handlers: &[&str],
     ) -> QueryResultT<Vec<AccessViolation>> {
+        let allowed: Vec<String> = authenticated_handlers
+            .iter()
+            .map(|h| text_literal(h))
+            .collect();
+        let mut filter = "P.Type = 'Read'".to_string();
+        if !allowed.is_empty() {
+            filter += &format!(" AND HandlerName NOT IN ({})", allowed.join(", "));
+        }
         let sql = format!(
             "SELECT Timestamp, ReqId, HandlerName \
              FROM {EXECUTIONS_TABLE} as E, {events_table} as P \
              ON E.TxnId = P.TxnId \
-             WHERE P.Type = 'Read' \
+             WHERE {filter} \
              ORDER BY Timestamp ASC"
         );
         let result = self.provenance.query(&sql)?;
         Ok(result
             .rows()
             .iter()
-            .filter(|row| {
-                let handler = row[2].as_text().unwrap_or("");
-                !authenticated_handlers.contains(&handler)
-            })
             .map(|row| AccessViolation {
                 timestamp: row[0].as_int().unwrap_or(0),
                 req_id: row[1].as_text().unwrap_or("").to_string(),
@@ -148,14 +162,24 @@ impl<'a> Security<'a> {
     /// tainted; any later transaction that *read* a tainted key taints its
     /// request, whose writes become tainted in turn; external calls of
     /// tainted requests are candidate exfiltration points.
+    ///
+    /// The walk reads whole committed traces, in commit order
+    /// ([`ProvenanceStore::txns_between`]); an aborted transaction neither
+    /// writes nor taints. The candidates are then one query, here for
+    /// the tainted requests `R3` and `R7`:
+    ///
+    /// ```sql
+    /// SELECT ReqId, Service, Payload FROM ExternalCalls
+    /// WHERE ReqId IN ('R3', 'R7') ORDER BY Timestamp ASC
+    /// ```
     pub fn trace_data_flow(&self, origin_req_id: &str) -> DataFlowReport {
-        let all_txns = self.provenance.all_txns();
+        let txns = self.provenance.txns_between(0, Ts::MAX);
         let mut tainted_requests: Vec<String> = vec![origin_req_id.to_string()];
         let mut tainted_keys: BTreeSet<(String, String)> = BTreeSet::new();
         let mut tainted_writes: Vec<(String, String)> = Vec::new();
 
         // Seed with the origin's writes.
-        for txn in all_txns.iter().filter(|t| t.ctx.req_id == origin_req_id) {
+        for txn in txns.iter().filter(|t| t.ctx.req_id == origin_req_id) {
             for write in txn.writes.iter() {
                 let entry = (write.table.to_string(), write.key.to_string());
                 if tainted_keys.insert(entry.clone()) {
@@ -169,7 +193,7 @@ impl<'a> Security<'a> {
         let mut changed = true;
         while changed {
             changed = false;
-            for txn in &all_txns {
+            for txn in &txns {
                 if !txn.committed || tainted_requests.contains(&txn.ctx.req_id) {
                     continue;
                 }
@@ -195,19 +219,18 @@ impl<'a> Security<'a> {
         }
 
         // External calls of tainted requests.
-        let mut exfiltration_candidates = Vec::new();
-        if let Ok(calls) = self.external_calls() {
-            for row in calls.rows() {
-                let req = row[0].as_text().unwrap_or("").to_string();
-                if tainted_requests.contains(&req) {
-                    exfiltration_candidates.push((
-                        req,
-                        row[2].as_text().unwrap_or("").to_string(),
-                        row[3].as_text().unwrap_or("").to_string(),
-                    ));
-                }
-            }
-        }
+        let tainted: Vec<String> = tainted_requests.iter().map(|r| text_literal(r)).collect();
+        let calls = self.provenance.query(&format!(
+            "SELECT ReqId, Service, Payload FROM {EXTERNAL_CALLS_TABLE} \
+             WHERE ReqId IN ({}) ORDER BY Timestamp ASC",
+            tainted.join(", ")
+        ));
+        let text = |v: &Value| v.as_text().unwrap_or("").to_string();
+        let exfiltration_candidates = calls
+            .iter()
+            .flat_map(ResultSet::rows)
+            .map(|row| (text(&row[0]), text(&row[1]), text(&row[2])))
+            .collect();
 
         DataFlowReport {
             origin_req_id: origin_req_id.to_string(),

@@ -26,7 +26,7 @@ pub mod store;
 
 pub use redaction::{RedactionReport, RetentionReport, REDACTED_MARKER};
 pub use schema::{
-    default_event_table_name, event_table_schema, executions_schema, external_calls_schema,
-    requests_schema, EXECUTIONS_TABLE, EXTERNAL_CALLS_TABLE, REQUESTS_TABLE,
+    default_event_table_name, event_column_names, event_table_schema, executions_schema,
+    external_calls_schema, requests_schema, EXECUTIONS_TABLE, EXTERNAL_CALLS_TABLE, REQUESTS_TABLE,
 };
 pub use store::{ProvenanceStats, ProvenanceStore, RequestRecord};

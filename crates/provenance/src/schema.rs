@@ -78,28 +78,37 @@ pub fn external_calls_schema() -> Schema {
         .expect("static schema must be valid")
 }
 
+/// The provenance columns every event table starts with.
+const EVENT_COLUMNS: [&str; 4] = ["EventId", "TxnId", "Type", "Query"];
+
+/// The event-table name of each application column, by position: its own
+/// name, or `App_<name>` where it collides with a column before it (e.g.
+/// an application `Type` column). A [`Key`] of the application table is
+/// the values of the columns at its schema's `primary_key()` positions.
+pub fn event_column_names(app_schema: &Schema) -> Vec<String> {
+    let mut names: Vec<String> = EVENT_COLUMNS.map(String::from).to_vec();
+    for col in app_schema.columns() {
+        let collides = names.iter().any(|n| n.eq_ignore_ascii_case(&col.name));
+        let prefix = if collides { "App_" } else { "" };
+        names.push(format!("{prefix}{}", col.name));
+    }
+    names.split_off(EVENT_COLUMNS.len())
+}
+
 /// Builds the event-table schema for an application table: the fixed
 /// provenance columns followed by the application table's own columns
 /// (all made nullable, because read events that matched nothing carry
-/// NULLs — see the first two rows of the paper's Table 2).
+/// NULLs — see the first two rows of the paper's Table 2), named by
+/// [`event_column_names`].
 pub fn event_table_schema(app_schema: &Schema) -> DbResult<Schema> {
     let mut columns = vec![
-        Column::new("EventId", DataType::Int),
-        Column::new("TxnId", DataType::Int),
-        Column::new("Type", DataType::Text),
-        Column::new("Query", DataType::Text),
+        Column::new(EVENT_COLUMNS[0], DataType::Int),
+        Column::new(EVENT_COLUMNS[1], DataType::Int),
+        Column::new(EVENT_COLUMNS[2], DataType::Text),
+        Column::new(EVENT_COLUMNS[3], DataType::Text),
     ];
-    for col in app_schema.columns() {
-        // Application columns may collide with the fixed provenance
-        // columns (e.g. an app table with a `Type` column); prefix those.
-        let name = if columns
-            .iter()
-            .any(|c| c.name.eq_ignore_ascii_case(&col.name))
-        {
-            format!("App_{}", col.name)
-        } else {
-            col.name.clone()
-        };
+    let names = event_column_names(app_schema);
+    for (name, col) in names.into_iter().zip(app_schema.columns()) {
         columns.push(Column::nullable(name, col.dtype));
     }
     Schema::new(columns, &["EventId"])
@@ -274,6 +283,7 @@ mod tests {
             .unwrap();
         let ev = event_table_schema(&app).unwrap();
         assert!(ev.column_index("App_Type").is_some());
+        assert_eq!(event_column_names(&app), ["id", "App_Type"]);
         // The provenance `Type` column is still the third column.
         assert_eq!(ev.column_index("Type"), Some(2));
     }

@@ -1,13 +1,18 @@
 //! The provenance store: trace events become rows of SQL-queryable tables
 //! (declarative debugging) plus an in-memory archive of the full
-//! [`TxnTrace`] values that replay and retroactive programming consume.
+//! [`TxnTrace`] values.
 //!
 //! Each handler invocation is kept once, as its `Requests` row; a
-//! [`RequestRecord`] is a decoded view of that row. The trace archive
-//! stays because the tables cannot rebuild a [`TxnTrace`]: no table holds
-//! a read's `read_ts`, a write event keeps one image where replay
-//! re-applies whole change records, and events on unregistered tables
-//! are kept only in the archive.
+//! [`RequestRecord`] is a decoded view of that row. The debugger's
+//! helpers are queries over the tables. The trace archive stays for the
+//! consumers that need whole traces — replay, reenactment, retroactive
+//! programming and `interleave`'s conflict graph — and they read it one
+//! request ([`ProvenanceStore::txns_for_request`]), one commit range
+//! ([`ProvenanceStore::txns_between`]) or one transaction
+//! ([`ProvenanceStore::txn`]) at a time. The tables cannot rebuild a
+//! [`TxnTrace`]: no table holds a read's `read_ts`, a write event keeps
+//! one image where replay re-applies whole change records, and events on
+//! unregistered tables are kept only in the archive.
 //!
 //! # Ingest
 //!
@@ -541,61 +546,41 @@ impl ProvenanceStore {
         self.requests_where(&Predicate::True)
     }
 
-    /// All archived transaction traces, ordered by commit timestamp (with
-    /// aborted/read-only transactions, which have no commit timestamp,
-    /// ordered by trace timestamp among themselves at the end).
-    pub fn all_txns(&self) -> Vec<TxnTrace> {
-        let mut txns = self.archive.read().clone();
+    /// The archived traces `keep` selects, in the archive's one order:
+    /// committed transactions at their serialization point
+    /// ([`TxnTrace::serialization_ts`], which is the `CommitTs` column),
+    /// then aborted ones at their snapshot, ties by trace timestamp.
+    fn archived(&self, keep: impl Fn(&TxnTrace) -> bool) -> Vec<TxnTrace> {
+        let archive = self.archive.read();
+        let mut txns: Vec<TxnTrace> = archive.iter().filter(|t| keep(t)).cloned().collect();
         txns.sort_by_key(|t| (!t.committed, t.serialization_ts(), t.timestamp));
         txns
+    }
+
+    /// All archived transaction traces, in the archive's order (see
+    /// [`Self::txns_for_request`]). The debugger reads the archive one
+    /// request or one commit range at a time; this is for tests and
+    /// inspection.
+    pub fn all_txns(&self) -> Vec<TxnTrace> {
+        self.archived(|_| true)
     }
 
     /// The archived trace of one transaction.
     pub fn txn(&self, txn_id: TxnId) -> Option<TxnTrace> {
-        self.archive
-            .read()
-            .iter()
-            .find(|t| t.txn_id == txn_id)
-            .cloned()
+        self.archived(|t| t.txn_id == txn_id).pop()
     }
 
-    /// Committed transaction traces belonging to a request, in commit order.
+    /// The transaction traces of a request: committed ones in commit order
+    /// (a read-only commit's timestamp is its snapshot), then aborted ones
+    /// in snapshot order; ties go by trace timestamp.
     pub fn txns_for_request(&self, req_id: &str) -> Vec<TxnTrace> {
-        let mut txns: Vec<TxnTrace> = self
-            .archive
-            .read()
-            .iter()
-            .filter(|t| t.ctx.req_id == req_id)
-            .cloned()
-            .collect();
-        txns.sort_by_key(|t| (!t.committed, t.serialization_ts(), t.timestamp));
-        txns
+        self.archived(|t| t.ctx.req_id == req_id)
     }
 
-    /// Committed transactions with commit timestamps in `(after, up_to]`.
+    /// Committed transactions with commit timestamps in `(after, up_to]`,
+    /// in commit order (as [`Self::txns_for_request`]).
     pub fn txns_between(&self, after: Ts, up_to: Ts) -> Vec<TxnTrace> {
-        let mut txns: Vec<TxnTrace> = self
-            .archive
-            .read()
-            .iter()
-            .filter(|t| t.committed && t.commit_ts > after && t.commit_ts <= up_to)
-            .cloned()
-            .collect();
-        txns.sort_by_key(|t| t.commit_ts);
-        txns
-    }
-
-    /// Committed transactions that read or wrote the given application table.
-    pub fn txns_touching_table(&self, table: &str) -> Vec<TxnTrace> {
-        let mut txns: Vec<TxnTrace> = self
-            .archive
-            .read()
-            .iter()
-            .filter(|t| t.touched_tables().iter().any(|x| x == table))
-            .cloned()
-            .collect();
-        txns.sort_by_key(|t| (!t.committed, t.serialization_ts(), t.timestamp));
-        txns
+        self.archived(|t| t.committed && t.commit_ts > after && t.commit_ts <= up_to)
     }
 
     /// Number of archived transaction traces.
@@ -742,13 +727,41 @@ mod tests {
         assert!(r1[0].commit_ts < r1[1].commit_ts);
         let all = store.all_txns();
         assert_eq!(all.len(), 3);
-        let touching = store.txns_touching_table("forum_sub");
-        assert_eq!(touching.len(), 3);
         let first_commit = all[0].commit_ts;
         let later = store.txns_between(first_commit, Ts::MAX);
         assert_eq!(later.len(), 2);
         assert!(store.txn(all[0].txn_id).is_some());
         assert!(store.txn(9999).is_none());
+    }
+
+    #[test]
+    fn commit_ts_column_is_the_serialization_point_of_committed_transactions() {
+        let db = app_db();
+        let store = store_for(&db);
+        let traced = Session::traced(db, Tracer::new());
+        let mut txn = traced.begin_traced(TxnContext::new("R1", "subscribeUser", "func:DB.insert"));
+        txn.insert("forum_sub", row![1i64, "U1", "F2"]).unwrap();
+        txn.commit().unwrap();
+        let mut txn = traced.begin_traced(TxnContext::new("R2", "fetch", "func:DB.get"));
+        assert!(txn.get("forum_sub", &Key::single(1i64)).unwrap().is_some());
+        txn.commit().unwrap();
+        store.drain_from(traced.tracer().unwrap());
+
+        let txns = store.all_txns();
+        let writes: Vec<bool> = txns.iter().map(TxnTrace::is_write).collect();
+        assert_eq!(writes, [true, false]);
+        // A read-only commit records its snapshot as its commit timestamp.
+        assert_eq!(txns[1].commit_ts, txns[1].snapshot_ts);
+        assert_eq!(txns[1].snapshot_ts, txns[0].commit_ts);
+        for trace in &txns {
+            let sql = format!(
+                "SELECT CommitTs FROM Executions WHERE TxnId = {}",
+                trace.txn_id
+            );
+            let rows = store.query(&sql).unwrap();
+            let serialization_ts = Value::Int(trace.serialization_ts() as i64);
+            assert_eq!(rows.rows(), &[vec![serialization_ts]]);
+        }
     }
 
     #[test]

@@ -4,6 +4,13 @@ use std::fmt;
 
 use trod_db::Value;
 
+/// Renders `s` as a SQL text literal: single-quoted, each `'` doubled
+/// (the escape the tokenizer reads back). Every value pasted into SQL text
+/// goes through this.
+pub fn text_literal(s: &str) -> String {
+    format!("'{}'", s.replace('\'', "''"))
+}
+
 /// Comparison operators in expressions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BinOp {
@@ -99,7 +106,7 @@ impl fmt::Display for Expr {
                 None => write!(f, "{name}"),
             },
             Expr::Literal(v) => match v {
-                Value::Text(s) => write!(f, "'{s}'"),
+                Value::Text(s) => f.write_str(&text_literal(s)),
                 other => write!(f, "{other}"),
             },
             Expr::Compare { left, op, right } => write!(f, "{left} {op} {right}"),
@@ -309,5 +316,16 @@ mod tests {
             right: Box::new(Expr::Literal(Value::Text("U1".into()))),
         };
         assert_eq!(e.to_string(), "F.UserId = 'U1'");
+        let quoted = Expr::Literal(Value::Text("it's".into()));
+        assert_eq!(quoted.to_string(), "'it''s'");
+    }
+
+    #[test]
+    fn text_literals_read_back_as_the_same_text() {
+        use crate::token::{tokenize, Token};
+        for s in ["O'Brien", "U1' OR F.Type = 'Read", "José", "''", ""] {
+            let tokens = tokenize(&text_literal(s)).unwrap();
+            assert_eq!(tokens, vec![Token::Str(s.into())]);
+        }
     }
 }

@@ -52,7 +52,9 @@ pub mod token;
 #[path = "../tests/plan_equivalence/mod.rs"]
 mod plan_equivalence;
 
-pub use ast::{AggFunc, BinOp, Expr, Join, OrderKey, SelectItem, SelectStmt, TableRef};
+pub use ast::{
+    text_literal, AggFunc, BinOp, Expr, Join, OrderKey, SelectItem, SelectStmt, TableRef,
+};
 pub use error::{QueryError, QueryResultT};
 pub use exec::QueryOptions;
 pub use result::ResultSet;

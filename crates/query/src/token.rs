@@ -143,21 +143,17 @@ pub fn tokenize(sql: &str) -> QueryResultT<Vec<Token>> {
 }
 
 fn lex_string(sql: &str, start: usize) -> QueryResultT<(String, usize)> {
-    let bytes = sql.as_bytes();
+    // Copied by slices between quotes, so multi-byte characters survive.
     let mut out = String::new();
-    let mut i = start + 1;
-    while i < bytes.len() {
-        if bytes[i] == b'\'' {
-            if bytes.get(i + 1) == Some(&b'\'') {
-                out.push('\'');
-                i += 2;
-            } else {
-                return Ok((out, i + 1));
-            }
-        } else {
-            out.push(bytes[i] as char);
-            i += 1;
+    let mut from = start + 1;
+    while let Some(offset) = sql[from..].find('\'') {
+        let quote = from + offset;
+        out.push_str(&sql[from..quote]);
+        if !sql[quote + 1..].starts_with('\'') {
+            return Ok((out, quote + 1));
         }
+        out.push('\'');
+        from = quote + 2;
     }
     Err(QueryError::Lex {
         position: start,
@@ -231,6 +227,13 @@ mod tests {
     fn string_escapes() {
         let tokens = tokenize("'it''s fine'").unwrap();
         assert_eq!(tokens, vec![Token::Str("it's fine".into())]);
+    }
+
+    #[test]
+    fn non_ascii_string_literals_keep_their_characters() {
+        let tokens = tokenize("name = 'José' OR name = 'Zoë''s 日本'").unwrap();
+        assert!(tokens.contains(&Token::Str("José".into())));
+        assert!(tokens.contains(&Token::Str("Zoë's 日本".into())));
     }
 
     #[test]

@@ -238,6 +238,41 @@ fn in_list_and_not() {
 }
 
 #[test]
+fn non_ascii_and_quoted_text_literals_match_their_rows() {
+    let db = Database::new();
+    db.create_table(
+        "people",
+        Schema::builder()
+            .column("name", DataType::Text)
+            .column("city", DataType::Text)
+            .primary_key(&["name"])
+            .build()
+            .unwrap(),
+    )
+    .unwrap();
+    let mut txn = db.begin();
+    for (name, city) in [
+        ("José", "São Paulo"),
+        ("O'Brien", "Cork"),
+        ("Jose", "Austin"),
+    ] {
+        txn.insert("people", row![name, city]).unwrap();
+    }
+    txn.commit().unwrap();
+    let engine = QueryEngine::new(db);
+    let result = engine
+        .execute("SELECT city FROM people WHERE name = 'José'")
+        .unwrap();
+    assert_eq!(result.rows(), &[vec![Value::from("São Paulo")]]);
+    let sql = format!(
+        "SELECT city FROM people WHERE name = {}",
+        trod_query::text_literal("O'Brien")
+    );
+    let result = engine.execute(&sql).unwrap();
+    assert_eq!(result.rows(), &[vec![Value::from("Cork")]]);
+}
+
+#[test]
 fn case_insensitive_table_and_column_resolution() {
     let engine = paper_tables();
     let result = engine

@@ -313,6 +313,82 @@ fn remote_debug_loop_matches_in_process() {
         );
     }
 
+    // --- a retroactive run that selects its requests by table --------
+    let wire_by_table = client
+        .call(
+            "trod_retroactive",
+            Json::obj(vec![
+                ("patch", Json::str(PATCH)),
+                ("table", Json::str(moodle::FORUM_SUB_TABLE)),
+            ]),
+        )
+        .expect("wire retroactive by table");
+    let local_by_table = local
+        .retroactive(moodle::patched_registry())
+        .requests_touching_table(moodle::FORUM_SUB_TABLE)
+        .run()
+        .expect("local retroactive by table");
+    assert_eq!(
+        wire_by_table.get("snapshot_ts").and_then(Json::as_u64),
+        Some(local_by_table.snapshot_ts)
+    );
+    let wire_orderings = wire_by_table
+        .get("orderings")
+        .and_then(Json::as_array)
+        .unwrap();
+    assert_eq!(wire_orderings.len(), local_by_table.orderings.len());
+    for (wire_ordering, local_ordering) in wire_orderings.iter().zip(&local_by_table.orderings) {
+        let order: Vec<&str> = wire_ordering
+            .get("order")
+            .and_then(Json::as_array)
+            .unwrap()
+            .iter()
+            .map(|r| r.as_str().unwrap())
+            .collect();
+        assert_eq!(order, local_ordering.order);
+        let wire_ok: Vec<Option<bool>> = wire_ordering
+            .get("outcomes")
+            .and_then(Json::as_array)
+            .unwrap()
+            .iter()
+            .map(|o| o.get("ok").and_then(Json::as_bool))
+            .collect();
+        let local_ok: Vec<Option<bool>> =
+            local_ordering.outcomes.iter().map(|o| Some(o.ok)).collect();
+        assert_eq!(wire_ok, local_ok);
+    }
+    // Both subscriptions touched `forum_sub`, in commit order.
+    let mut selected = local_by_table.orderings[0].order.clone();
+    selected.sort();
+    let mut expected: Vec<String> = wire_commits.iter().map(|(id, _)| id.clone()).collect();
+    expected.sort();
+    assert_eq!(selected, expected);
+
+    // --- the anomaly audit ------------------------------------------
+    let wire_audit = client
+        .call("trod_anomalies", Json::obj(Vec::<(&str, Json)>::new()))
+        .expect("wire anomalies");
+    let local_audit = local.reenactor().audit_anomalies();
+    let wire_anomalies = wire_audit
+        .get("anomalies")
+        .and_then(Json::as_array)
+        .unwrap();
+    assert_eq!(wire_anomalies.len(), local_audit.len());
+    for (wire_anomaly, local_anomaly) in wire_anomalies.iter().zip(&local_audit) {
+        assert_eq!(
+            wire_anomaly.get("kind").and_then(Json::as_str),
+            Some(local_anomaly.kind.to_string().as_str())
+        );
+        let txns: Vec<u64> = wire_anomaly
+            .get("txns")
+            .and_then(Json::as_array)
+            .unwrap()
+            .iter()
+            .map(|t| t.as_u64().unwrap())
+            .collect();
+        assert_eq!(txns, [local_anomaly.txns.0, local_anomaly.txns.1]);
+    }
+
     // --- the trace itself round-trips over the wire ------------------
     let wire_trace = client
         .call(

@@ -71,8 +71,8 @@ pub struct TxnTrace {
     pub timestamp: i64,
     /// Snapshot timestamp the transaction read at.
     pub snapshot_ts: Ts,
-    /// Commit timestamp (serial order position); 0 if the transaction
-    /// aborted or was read-only.
+    /// Commit timestamp (serial order position). A read-only commit
+    /// records its snapshot timestamp; 0 if the transaction aborted.
     pub commit_ts: Ts,
     /// Whether the transaction committed.
     pub committed: bool,

@@ -20,9 +20,10 @@
 //!   the regime the paper's Postgres-backed deployments live in (the bar:
 //!   ≥ 2× the global-lock baseline at 4 and 8 threads).
 //!
-//! The `delete_path` group measures the write-path cost of eager
-//! secondary-index maintenance on delete (PR 2 satellite): an
-//! insert+delete commit pair against a table with and without an index.
+//! The `delete_path` group measures the write-path cost of a secondary
+//! index on delete: an insert+delete commit pair against a table with and
+//! without an index. Commits never touch an index (it catches up from the
+//! change log when a read needs it), so the two arms should match.
 
 use std::sync::{Barrier, Mutex};
 

@@ -5,15 +5,25 @@
 //! five seconds on a warehouse-scale store. This laptop-scale reproduction
 //! sweeps the provenance size from 1 000 to 100 000 data events and runs
 //! the paper's §3.3 query (join of Executions and ForumEvents filtered to
-//! one user/forum) at each size; the expected shape is latency roughly
-//! linear in the number of events and far below the 5-second budget.
+//! one user/forum) at each size. The event table is indexed on its
+//! application columns, so the query probes `user_id` and grows with the
+//! rows that match, not with the table; either way it stays far below
+//! the 5-second budget.
 //!
 //! The `selective_join` arm holds the event table (and the two events
 //! the filter matches) fixed while `Executions` grows 1 000 → 100 000:
 //! the query finds the events first and reaches `Executions` by primary
 //! key, so its latency must stay flat.
+//!
+//! Ingest maintains no index: the event table's `user_id` index is built
+//! by the first query that probes it and caught up from the change log
+//! after that. The `paper_q1` arms time the steady state (every query
+//! after the first); `first_paper_q1` times the first query after a
+//! fresh 10 000-event ingest, the index build included.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use std::cell::RefCell;
+
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 
 use trod_db::{ChangeRecord, Key, Row, Value};
 use trod_provenance::ProvenanceStore;
@@ -102,6 +112,32 @@ fn bench_declarative_query(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_first_query(c: &mut Criterion) {
+    let mut group = c.benchmark_group("declarative_query/first_paper_q1");
+    group.sample_size(10);
+    let events = 10_000usize;
+    group.throughput(Throughput::Elements(events as u64));
+    // The routine parks its store here, and the next setup drops it, so
+    // no store's teardown is timed.
+    let spent = RefCell::new(None);
+    group.bench_function(BenchmarkId::from_parameter(events), |b| {
+        b.iter_batched(
+            || {
+                spent.borrow_mut().take();
+                provenance_with_events(events)
+            },
+            |store| {
+                let result = store.query(PAPER_Q1).expect("query runs");
+                assert!(!result.is_empty());
+                *spent.borrow_mut() = Some(store);
+                result.len()
+            },
+            BatchSize::LargeInput,
+        );
+    });
+    group.finish();
+}
+
 fn bench_selective_join(c: &mut Criterion) {
     let mut group = c.benchmark_group("declarative_query/selective_join");
     group.sample_size(20);
@@ -140,6 +176,7 @@ fn bench_aggregation_query(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_declarative_query,
+    bench_first_query,
     bench_selective_join,
     bench_aggregation_query
 );

@@ -16,6 +16,11 @@
 //! (shared with the version chain, so the log adds no row copies). Entries are strictly ordered by
 //! commit timestamp, so a validator binary-searches the tail it needs.
 //!
+//! The log is also what the table's secondary indexes are made of: an
+//! index replays the entries after the last one it applied when a read
+//! needs it, and rebuilds from the version chains when the log no
+//! longer reaches back that far (see [`crate::index`]).
+//!
 //! The log is a bounded ring with **watermark-driven eviction**: every
 //! append passes the active-transaction watermark
 //! ([`ActiveTxnRegistry::watermark`](crate::registry::ActiveTxnRegistry)),
@@ -40,6 +45,7 @@
 //! fallback.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -95,6 +101,10 @@ struct ChangeLogInner {
 #[derive(Debug)]
 pub struct ChangeLog {
     inner: RwLock<ChangeLogInner>,
+    /// Commit timestamp of the newest entry ever appended; eviction and
+    /// truncation never lower it. Lets a reader tell whether a secondary
+    /// index is behind without taking the log's lock.
+    tail: AtomicU64,
     capacity: usize,
     max_overshoot: usize,
 }
@@ -119,6 +129,7 @@ impl ChangeLog {
                 entries: VecDeque::new(),
                 low_water: 0,
             }),
+            tail: AtomicU64::new(0),
             capacity: capacity.max(1),
             max_overshoot,
         }
@@ -186,8 +197,16 @@ impl ChangeLog {
                     inner.low_water = inner.low_water.max(front_ts);
                 }
             }
+            self.tail.store(entry.commit_ts, Ordering::Release);
             inner.entries.push_back(entry);
         }
+    }
+
+    /// The commit timestamp of the newest entry ever appended (0 before
+    /// the first). Eviction and truncation do not lower it, so an index
+    /// that has applied every change up to it is current.
+    pub fn tail(&self) -> Ts {
+        self.tail.load(Ordering::Acquire)
     }
 
     /// Runs `visit` over every entry with `commit_ts > ts`, stopping early

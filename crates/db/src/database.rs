@@ -377,8 +377,8 @@ impl Database {
 
     /// Restores a decoded checkpoint into this **empty, WAL-less**
     /// database: re-creates every table and namespace, installs its rows
-    /// at the checkpoint timestamp, builds the indexes (after the
-    /// installs, so they backfill), advances the clock and
+    /// at the checkpoint timestamp, creates the indexes (empty: the
+    /// first read that needs one builds it), advances the clock and
     /// transaction-id allocator, and raises the log truncation floor to
     /// the checkpoint timestamp — history below the checkpoint reads as
     /// typed truncation, exactly as if GC had truncated it.

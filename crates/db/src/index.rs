@@ -8,15 +8,24 @@
 //! key whose visible row no longer matches) but must never
 //! under-approximate.
 //!
-//! Maintenance is **eager**: the commit path unlinks a key from its old
-//! value the moment an update changes the indexed column or a delete
-//! removes the row, by stamping the entry with the closing commit
-//! timestamp instead of leaving it live. Latest-timestamp lookups
-//! therefore see an exact candidate set — dead keys no longer accumulate
-//! between garbage collections — while time-travel and snapshot reads
-//! below the unlink timestamp still find the key. Stamped-out entries are
-//! physically removed by `purge_dead` when garbage collection retires the
-//! versions that needed them.
+//! Maintenance is **lazy**: an index is a view of its table's change log
+//! ([`crate::changelog`]), brought up to date when it is read and never
+//! when rows are written. Each index records `through`, the timestamp
+//! up to which it has applied every change. Before the planner, a probe
+//! or an ordered walk reads an index, the table checks it against the
+//! log's tail and, only if it is behind, replays the entries after
+//! `through` ([`SecondaryIndex::catch_up`]): an entry's before image is
+//! unlinked — its entry stamped with the entry's commit timestamp
+//! instead of removed, so reads below the stamp still find the key — and
+//! its after image inserted live. A caught-up index is exact at the
+//! latest timestamp; commits never touch it.
+//! When the log no longer reaches back to `through` (the ring evicted
+//! entries the index had not applied) or the index was never built (a
+//! new index, a restored snapshot), the catch-up rebuilds it from the
+//! full version history instead. Garbage collection catches up every
+//! built index before it truncates the log, so truncation never forces
+//! a rebuild, and physically removes stamped-out entries (`purge_dead`)
+//! once the versions that needed them are retired.
 //!
 //! Values sit in a `BTreeMap` ordered by [`Value::total_cmp`] — the same
 //! total order predicates compare with, and the one `Value`'s `Eq` is
@@ -26,7 +35,8 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use crate::mvcc::{Ts, TS_LIVE};
+use crate::changelog::{ChangeEntry, ChangeLog};
+use crate::mvcc::{Ts, VersionChain, TS_LIVE};
 use crate::predicate::ColumnBounds;
 use crate::row::{Key, Row};
 use crate::value::Value;
@@ -63,21 +73,88 @@ pub struct SecondaryIndex {
     /// key is a candidate for a read at `ts` iff its end stamp is
     /// strictly greater than `ts`.
     entries: BTreeMap<Value, Slot>,
+    /// The timestamp up to which every change to the table has been
+    /// applied; `None` until the first catch-up builds the index.
+    through: Option<Ts>,
 }
 
 impl SecondaryIndex {
-    /// Creates an index over `column` (resolved to `col_idx` in the schema).
+    /// Creates an index over `column` (resolved to `col_idx` in the
+    /// schema), empty and unbuilt: the first catch-up fills it.
     pub fn new(column: impl Into<String>, col_idx: usize) -> Self {
         SecondaryIndex {
             column: column.into(),
             col_idx,
             entries: BTreeMap::new(),
+            through: None,
         }
     }
 
     /// The indexed column name.
     pub fn column(&self) -> &str {
         &self.column
+    }
+
+    /// True once a catch-up has built the index.
+    pub(crate) fn is_built(&self) -> bool {
+        self.through.is_some()
+    }
+
+    /// True if the index has applied every change up to `tail`, the
+    /// table's [`ChangeLog::tail`].
+    pub(crate) fn is_current(&self, tail: Ts) -> bool {
+        self.through.is_some_and(|through| through >= tail)
+    }
+
+    /// Brings the index up to `upto`: replays the entries of `log` after
+    /// `through`, or rebuilds from `rows` when the log no longer reaches
+    /// back that far or the index was never built. Every change to the
+    /// table up to `upto` must be in `log`: `upto` is at least its tail.
+    /// The caller holds the table's `rows` lock, under which commits
+    /// install and append, so the chains and the log cannot move while
+    /// this runs and `rows` reflects exactly the changes in the log.
+    pub(crate) fn catch_up(
+        &mut self,
+        log: &ChangeLog,
+        rows: &HashMap<Key, VersionChain>,
+        upto: Ts,
+    ) {
+        debug_assert!(upto >= log.tail(), "an index cannot skip logged changes");
+        let replayed = self.through.is_some_and(|through| {
+            log.scan_after(through, |entry| {
+                self.apply(entry);
+                None::<()>
+            })
+            .is_ok()
+        });
+        if !replayed {
+            self.rebuild(rows);
+        }
+        self.through = Some(upto);
+    }
+
+    /// Applies one committed change: the before image's value is
+    /// unlinked at the commit timestamp, the after image's inserted live.
+    fn apply(&mut self, entry: &ChangeEntry) {
+        if let Some(before) = &entry.before {
+            self.unlink(&entry.key, before, entry.commit_ts);
+        }
+        if let Some(after) = &entry.after {
+            self.insert(&entry.key, after);
+        }
+    }
+
+    /// Refills the index from the full version history (oldest first),
+    /// stamping each value with its version's end timestamp, so snapshot
+    /// and time-travel scans through the index see rows that were
+    /// already updated away or deleted.
+    fn rebuild(&mut self, rows: &HashMap<Key, VersionChain>) {
+        self.entries.clear();
+        for (key, chain) in rows {
+            for version in chain.versions() {
+                self.record(key, &version.row, version.end_ts);
+            }
+        }
     }
 
     /// Records that `key`'s row carried `row[col]` until `until`
@@ -103,24 +180,30 @@ impl SecondaryIndex {
         self.record(key, row, TS_LIVE);
     }
 
-    /// Eagerly unlinks `key` from `row[col]`: stamps the entry with the
-    /// closing commit timestamp (the row stopped carrying the value at
+    /// Unlinks `key` from `row[col]`: stamps the entry with the closing
+    /// commit timestamp (the row stopped carrying the value at
     /// `unlinked_at` — it was deleted, or updated away from it) instead
     /// of removing it, so reads below the stamp still find the key;
-    /// `purge_dead` removes it once GC retires the window.
+    /// `purge_dead` removes it once GC retires the window. An entry the
+    /// index never saw inserted is recorded already closed: a fork's
+    /// seed row — its parent's row, copied into the fork's chain on the
+    /// first write — has no change-log entry of its own, only the before
+    /// image of that write.
     pub fn unlink(&mut self, key: &Key, row: &Row, unlinked_at: Ts) {
         let Some(v) = row.get(self.col_idx).filter(|v| !v.is_null()) else {
             return;
         };
-        if let Some(slot) = self.entries.get_mut(v) {
-            if let Some(stamp) = slot.keys.get_mut(key) {
-                if *stamp == TS_LIVE {
-                    *stamp = unlinked_at;
-                    slot.live -= 1;
-                } else {
-                    *stamp = (*stamp).max(unlinked_at);
-                }
+        let entry = self
+            .entries
+            .get_mut(v)
+            .and_then(|slot| Some((slot.keys.get_mut(key)?, &mut slot.live)));
+        match entry {
+            Some((stamp, live)) if *stamp == TS_LIVE => {
+                *stamp = unlinked_at;
+                *live -= 1;
             }
+            Some((stamp, _)) => *stamp = (*stamp).max(unlinked_at),
+            None => self.record(key, row, unlinked_at),
         }
     }
 
@@ -234,7 +317,7 @@ impl SecondaryIndex {
     }
 
     /// Total (value, key) entries, live and tombstoned. Exposed so tests
-    /// and stats can observe eager-unlink bookkeeping.
+    /// and stats can observe unlink bookkeeping and lazy builds.
     pub fn entry_count(&self) -> usize {
         self.entries.values().map(|slot| slot.keys.len()).sum()
     }

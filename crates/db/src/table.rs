@@ -10,7 +10,7 @@ use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 
 use crate::changelog::{ChangeEntry, ChangeLog};
 use crate::error::{DbError, DbResult};
@@ -269,7 +269,9 @@ impl TableStore {
 
     /// Registers a secondary index over `column`, serving point, `IN
     /// (...)`, range and ordered-walk probes (see [`SecondaryIndex`]). A
-    /// column carries at most one index: a second one is an error.
+    /// column carries at most one index: a second one is an error. The
+    /// index starts unbuilt; the first read that needs it backfills it
+    /// from the full version history.
     pub fn create_index(&self, column: &str) -> DbResult<()> {
         let col_idx = self
             .schema
@@ -278,11 +280,6 @@ impl TableStore {
                 table: self.name.to_string(),
                 column: column.to_string(),
             })?;
-        // Lock order: `rows` strictly before the index lock, everywhere
-        // (the scan path nests them the same way). Holding `rows` across
-        // the duplicate check + backfill + publish also keeps the new
-        // index exactly consistent with the version store.
-        let rows = self.rows.read();
         let mut indexes = self.indexes.write();
         if indexes.iter().any(|i| i.column() == column) {
             return Err(DbError::Invalid(format!(
@@ -290,17 +287,7 @@ impl TableStore {
                 self.name, column
             )));
         }
-        let mut idx = SecondaryIndex::new(column, col_idx);
-        // Backfill from the full version history (oldest first), stamping
-        // each value with the version's end timestamp, so snapshot and
-        // time-travel scans through the index see rows that were already
-        // updated away or deleted when the index was created.
-        for (key, chain) in rows.iter() {
-            for version in chain.versions() {
-                idx.record(key, &version.row, version.end_ts);
-            }
-        }
-        indexes.push(idx);
+        indexes.push(SecondaryIndex::new(column, col_idx));
         Ok(())
     }
 
@@ -311,6 +298,57 @@ impl TableStore {
             .iter()
             .map(|i| i.column().to_string())
             .collect()
+    }
+
+    /// The (value, key) entries the index on `column` holds as it stands,
+    /// without catching it up: 0 for an index no read has needed yet.
+    /// `None` if `column` carries no index. Lets tests and diagnostics
+    /// observe that writes leave indexes alone.
+    pub fn index_entries(&self, column: &str) -> Option<usize> {
+        let indexes = self.indexes.read();
+        let idx = indexes.iter().find(|i| i.column() == column)?;
+        Some(idx.entry_count())
+    }
+
+    /// The indexes, with every one whose column `wanted` names caught up
+    /// with the change log ([`SecondaryIndex::catch_up`]). `rows` is this
+    /// table's row map, read-locked by the caller for as long as it uses
+    /// the result: commits install and log under the write side, so the
+    /// log cannot move while the indexes are read. The write lock is
+    /// taken only when a wanted index is behind.
+    fn current_indexes(
+        &self,
+        rows: &HashMap<Key, VersionChain>,
+        wanted: impl Fn(&str) -> bool,
+    ) -> RwLockReadGuard<'_, Vec<SecondaryIndex>> {
+        let tail = self.changelog.tail();
+        let behind = |idx: &SecondaryIndex| !idx.is_current(tail) && wanted(idx.column());
+        let indexes = self.indexes.read();
+        if !indexes.iter().any(behind) {
+            return indexes;
+        }
+        drop(indexes);
+        let mut indexes = self.indexes.write();
+        let upto = self.logged_through();
+        for idx in indexes.iter_mut().filter(|idx| behind(idx)) {
+            idx.catch_up(&self.changelog, rows, upto);
+        }
+        drop(indexes);
+        self.indexes.read()
+    }
+
+    /// A timestamp up to which every change to this table is in the
+    /// change log: its tail, or the published clock when that is later
+    /// (a commit installs and logs before it publishes). Read under
+    /// `rows`. Catching an index up to the clock rather than the tail
+    /// keeps it ahead of a GC horizon on a table that other tables'
+    /// commits have overtaken.
+    fn logged_through(&self) -> Ts {
+        let published = self
+            .clock
+            .as_ref()
+            .map_or(0, |clock| clock.load(Ordering::SeqCst));
+        self.changelog.tail().max(published)
     }
 
     /// Reads the row with `key` visible at `ts`. The returned `Arc` shares
@@ -405,33 +443,34 @@ impl TableStore {
         ts: Ts,
         visit: &mut dyn FnMut(&Key, &Arc<Row>),
     ) {
-        let indexes = self.indexes.read();
-        let (choice, _) = plan_access_path(pred, &self.schema, rows.len(), &indexes);
         // Candidates are filtered by the read timestamp already (index
-        // paths exclude keys eagerly unlinked at or before `ts`), then
+        // paths exclude keys unlinked at or before `ts`), then
         // re-checked for visibility and the full predicate: indexes
-        // over-approximate, never under-approximate.
-        let mut keys = match choice {
-            PathChoice::Full => {
-                for (key, chain) in rows.iter() {
-                    if let Some(row) = chain.visible_at(ts) {
-                        if compiled.matches(row) {
-                            visit(key, row);
-                        }
+        // over-approximate, never under-approximate. The index lock is
+        // held only while the candidates are taken, so a reader that must
+        // catch an index up never waits for another's walk.
+        let candidates = {
+            let indexes = self.current_indexes(rows, |column| constrains(pred, column));
+            let tail = self.changelog.tail();
+            match plan_access_path(pred, &self.schema, rows.len(), &indexes, tail).0 {
+                PathChoice::Full => None,
+                PathChoice::Key(keys) => Some(keys),
+                PathChoice::Point(idx, value) => Some(idx.lookup_at(value, ts)),
+                PathChoice::Multi(idx, values) => {
+                    Some(values.iter().flat_map(|v| idx.lookup_at(v, ts)).collect())
+                }
+                PathChoice::Range(idx, bounds) => Some(idx.range_at(&bounds, ts)),
+            }
+        };
+        let Some(mut keys) = candidates else {
+            for (key, chain) in rows.iter() {
+                if let Some(row) = chain.visible_at(ts) {
+                    if compiled.matches(row) {
+                        visit(key, row);
                     }
                 }
-                return;
             }
-            PathChoice::Key(keys) => keys,
-            PathChoice::Point(idx, value) => idx.lookup_at(value, ts),
-            PathChoice::Multi(idx, values) => {
-                let mut keys = Vec::new();
-                for value in values {
-                    keys.extend(idx.lookup_at(value, ts));
-                }
-                keys
-            }
-            PathChoice::Range(idx, bounds) => idx.range_at(&bounds, ts),
+            return;
         };
         // Multi-value paths can surface a key once per value it carried
         // in overlapping stamp windows, or once per repeated list element.
@@ -455,8 +494,9 @@ impl TableStore {
             return ScanPlan::Empty;
         }
         let rows = self.rows.read();
-        let indexes = self.indexes.read();
-        let (choice, cost) = plan_access_path(pred, &self.schema, rows.len(), &indexes);
+        let indexes = self.current_indexes(&rows, |column| constrains(pred, column));
+        let tail = self.changelog.tail();
+        let (choice, cost) = plan_access_path(pred, &self.schema, rows.len(), &indexes, tail);
         // Rendering the plan (column-name allocations) happens only here,
         // on the diagnostics path — the scan path drops it unrendered.
         let own = match choice {
@@ -522,7 +562,7 @@ impl TableStore {
             return Ok(Some(Vec::new()));
         }
         let rows = layer.rows.read();
-        let indexes = layer.indexes.read();
+        let indexes = layer.current_indexes(&rows, |column| column == order_col);
         let idx = indexes
             .iter()
             .find(|i| i.column() == order_col)
@@ -721,8 +761,8 @@ impl TableStore {
     /// Installs a whole checkpoint snapshot in one pass: one lock
     /// acquisition for every row, no changelog entries (a restored base
     /// is *state*, not a change — emitting it as CDC would present the
-    /// entire snapshot as writes at `commit_ts`). Indexes are rebuilt by
-    /// the caller afterwards via `create_index` backfill.
+    /// entire snapshot as writes at `commit_ts`). The caller creates the
+    /// indexes afterwards; the first read that needs one backfills it.
     pub(crate) fn install_snapshot<I>(&self, entries: I, commit_ts: Ts)
     where
         I: IntoIterator<Item = (Key, Arc<Row>)>,
@@ -736,55 +776,51 @@ impl TableStore {
     /// Applies a whole commit's writes to this table in one pass — the
     /// only way rows change: each op is a key with `Some(row)` to install
     /// at `commit_ts` or `None` to delete. Installs supersede the live
-    /// version, deletes close it; indexes eagerly unlink each before
-    /// image's values and the change log records every change in order.
-    /// Returns the before image per op (parallel to `ops`).
+    /// version, deletes close it, and the change log records every change
+    /// in order. Returns the before image per op (parallel to `ops`).
     ///
-    /// Each internal lock (`rows`, then the change log, then `indexes`;
-    /// the crate-wide lock order) is taken *once per commit*, and the ops
-    /// are borrowed from the caller's own records: the only per-row
-    /// copies are reference-count bumps. Only called under this table's
-    /// commit lock — crate-private so code outside the engine cannot
-    /// bypass the commit protocol through a [`crate::Database::table`]
-    /// handle.
+    /// The write touches `rows` and the change log, each once per commit
+    /// and the log inside `rows` (the crate-wide lock order), so a reader
+    /// holding `rows` sees the chains and the log agree. It never touches
+    /// `indexes`: they catch up from the log when a read needs them
+    /// ([`SecondaryIndex::catch_up`]). The ops are borrowed from the
+    /// caller's own records: the only per-row copies are reference-count
+    /// bumps. Only called under this table's commit lock — crate-private
+    /// so code outside the engine cannot bypass the commit protocol
+    /// through a [`crate::Database::table`] handle.
     ///
     /// On a fork's table the first write to a key first *seeds* its chain
-    /// (and the indexes) with the base's row, stamped with the base
-    /// timestamp: before images, index unlinks and change-log entries
-    /// then come out exactly as if the fork had copied the row up front.
-    /// A seed is state, not a change — it has no change-log entry.
+    /// with the base's row, stamped with the base timestamp: before
+    /// images and change-log entries then come out exactly as if the
+    /// fork had copied the row up front. A seed is state, not a change —
+    /// it has no change-log entry; an index learns the seed's value from
+    /// the before image of the write that seeded it.
     pub(crate) fn apply_batch<'a, I>(&self, ops: I, commit_ts: Ts) -> Vec<Option<Arc<Row>>>
     where
         I: Iterator<Item = (&'a Key, Option<&'a Arc<Row>>)> + Clone,
     {
         let mut befores = Vec::with_capacity(ops.size_hint().0);
-        let mut seeds: Vec<(&Key, Arc<Row>)> = Vec::new();
-        {
-            let mut rows = self.rows.write();
-            for (key, after) in ops.clone() {
-                if let Some(base) = &self.base {
-                    if !rows.contains_key(key) {
-                        if let Some(row) = base.store.get_at(key, base.ts) {
-                            rows.entry(key.clone())
-                                .or_default()
-                                .install(base.ts, row.clone());
-                            seeds.push((key, row));
-                        }
+        let mut rows = self.rows.write();
+        for (key, after) in ops.clone() {
+            if let Some(base) = &self.base {
+                if !rows.contains_key(key) {
+                    if let Some(row) = base.store.get_at(key, base.ts) {
+                        rows.entry(key.clone()).or_default().install(base.ts, row);
                     }
                 }
-                befores.push(match after {
-                    Some(row) => rows
-                        .entry(key.clone())
-                        .or_default()
-                        .install(commit_ts, row.clone()),
-                    None => rows.get_mut(key).and_then(|chain| chain.remove(commit_ts)),
-                });
             }
+            befores.push(match after {
+                Some(row) => rows
+                    .entry(key.clone())
+                    .or_default()
+                    .install(commit_ts, row.clone()),
+                None => rows.get_mut(key).and_then(|chain| chain.remove(commit_ts)),
+            });
         }
-        let applied = || ops.clone().zip(&befores);
         // A delete that found nothing changes nothing: no change-log
-        // entry, no index work (matching `remove`).
-        let entries = applied()
+        // entry (matching `remove`).
+        let entries = ops
+            .zip(&befores)
             .filter(|((_, after), before)| after.is_some() || before.is_some())
             .map(|((key, after), before)| ChangeEntry {
                 commit_ts,
@@ -794,19 +830,6 @@ impl TableStore {
             });
         self.changelog
             .append_all(entries, || self.eviction_horizon());
-        for idx in self.indexes.write().iter_mut() {
-            for (key, row) in &seeds {
-                idx.insert(key, row);
-            }
-            for ((key, after), before) in applied() {
-                if let Some(before) = before {
-                    idx.unlink(key, before, commit_ts);
-                }
-                if let Some(after) = after {
-                    idx.insert(key, after);
-                }
-            }
-        }
         befores
     }
 
@@ -848,14 +871,19 @@ impl TableStore {
         for key in &dead_keys {
             rows.remove(key);
         }
-        drop(rows);
-        self.changelog.truncate_before(ts);
         for idx in self.indexes.write().iter_mut() {
-            // Entries tombstoned at or below the horizon point at versions
-            // that no longer exist; eager unlink stamped them, GC drops
-            // them.
+            // An index a read has built applies the changes the
+            // truncation below is about to drop, rather than rebuilding
+            // from the chains at its next read; one no read has needed
+            // stays empty. Entries tombstoned at or below the horizon
+            // point at versions that no longer exist: GC drops them.
+            if idx.is_built() {
+                idx.catch_up(&self.changelog, &rows, self.logged_through());
+            }
             idx.purge_dead(ts);
         }
+        drop(rows);
+        self.changelog.truncate_before(ts);
         dropped
     }
 
@@ -902,6 +930,7 @@ fn plan_access_path<'a>(
     schema: &Schema,
     chain_count: usize,
     indexes: &'a [SecondaryIndex],
+    tail: Ts,
 ) -> (PathChoice<'a>, usize) {
     let mut best_cost = chain_count;
     let mut choice = PathChoice::Full;
@@ -911,7 +940,9 @@ fn plan_access_path<'a>(
             choice = PathChoice::Key(keys);
         }
     }
-    for idx in indexes {
+    // An index still behind the change log is never costed or probed:
+    // the caller caught up every index `constrains` names.
+    for idx in indexes.iter().filter(|idx| idx.is_current(tail)) {
         let column = idx.column();
         let point = pred.equality_on(column);
         if let Some(value) = point {
@@ -945,6 +976,15 @@ fn plan_access_path<'a>(
         }
     }
     (choice, best_cost)
+}
+
+/// True if the planner can cost an index on `column` for `pred`: a
+/// conjunct pins it by equality or `IN (...)`, or bounds it. Only such
+/// indexes are caught up before planning.
+fn constrains(pred: &Predicate, column: &str) -> bool {
+    pred.equality_on(column).is_some()
+        || pred.in_list_on(column).is_some()
+        || pred.bounds_on(column).is_some()
 }
 
 /// The primary keys `pred` can only match, when its conjuncts pin every
@@ -1055,7 +1095,7 @@ mod tests {
     }
 
     #[test]
-    fn delete_unlinks_index_eagerly_but_keeps_history_readable() {
+    fn delete_unlinks_the_index_entry_but_keeps_history_readable() {
         let t = subs_table();
         t.create_index("forum").unwrap();
         for i in 0..10 {
@@ -1074,7 +1114,7 @@ mod tests {
     }
 
     #[test]
-    fn update_unlinks_old_indexed_value_eagerly() {
+    fn update_unlinks_the_old_indexed_value() {
         let schema = Schema::builder()
             .column("user_id", DataType::Text)
             .column("forum", DataType::Text)
@@ -1462,9 +1502,16 @@ mod tests {
         t.install(&k, arc(row!["U1", "F2"]), 1);
         t.remove(&k, 2);
         t.install(&key("U2", "F1"), arc(row!["U2", "F1"]), 3);
+        // A probe catches the index up: the unlinked F2 entry and the
+        // live F1 entry.
+        t.scan_at(&Predicate::eq("forum", "F1"), 3).unwrap();
+        assert_eq!(t.index_entries("forum"), Some(2));
         t.gc_before(10);
-        let indexes = t.indexes.read();
-        assert_eq!(indexes[0].entry_count(), 1, "only the live entry remains");
+        assert_eq!(
+            t.index_entries("forum"),
+            Some(1),
+            "only the live entry remains"
+        );
     }
 
     #[test]

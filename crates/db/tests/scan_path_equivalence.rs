@@ -15,10 +15,23 @@
 //!   equal `TableStore::scan_at_full` (forced full scan);
 //! * an indexed and an index-free database fed the same history must
 //!   answer every `scan_as_of` identically.
+//!
+//! Indexes are maintained lazily — caught up from the table's change log
+//! when a read needs them, rebuilt from the version chains when the log
+//! no longer reaches back far enough — so the last two tests drive that
+//! path: unprobed stretches, a commit that wraps the change-log ring,
+//! GC, writing forks, and readers racing writers.
+
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
-use trod_db::{row, DataType, Database, Key, Predicate, ScanPlan, Schema, Ts, Value};
+use trod_db::changelog::DEFAULT_CAPACITY;
+use trod_db::{
+    row, ChangeRecord, DataType, Database, Key, Predicate, Row, ScanPlan, Schema, Ts, Value,
+};
 
 fn schema() -> Schema {
     Schema::builder()
@@ -321,4 +334,225 @@ fn key_probes_follow_a_key_through_delete_and_reinsert() {
         })
         .collect();
     assert_eq!(lives, vec![None, Some(0), None, Some(2), None]);
+}
+
+/// One step of a lazily indexed table's history. A `usize` draw picks a
+/// timestamp among those GC has left readable (see `readable`).
+#[derive(Debug, Clone)]
+enum Step {
+    /// One committed batch; nothing reads the indexes.
+    Commit(Vec<Op>),
+    /// Planned scan vs full scan at a drawn read timestamp.
+    Probe(Predicate, usize),
+    /// GC at the present: the change log is truncated under the indexes.
+    Gc,
+    /// A fork at a drawn timestamp, written in batches (first writes seed
+    /// rows from the parent) and probed after each batch.
+    Fork(usize, Vec<Vec<Op>>, Vec<Predicate>),
+}
+
+/// Draws for picking among a history's timestamps.
+const DRAW: std::ops::Range<usize> = 0..1 << 20;
+
+fn step_strategy() -> impl Strategy<Value = Step> {
+    let batch = || prop::collection::vec(op_strategy(), 1..8);
+    let commit = move || batch().prop_map(Step::Commit);
+    let probe = || (pred_strategy(), DRAW).prop_map(|(pred, at)| Step::Probe(pred, at));
+    let fork = (
+        DRAW,
+        prop::collection::vec(batch(), 1..4),
+        prop::collection::vec(pred_strategy(), 1..3),
+    )
+        .prop_map(|(at, batches, preds)| Step::Fork(at, batches, preds));
+    prop_oneof![
+        commit(),
+        commit(),
+        commit(),
+        probe(),
+        probe(),
+        probe(),
+        Just(Step::Gc),
+        fork
+    ]
+}
+
+/// A timestamp in `[floor, current + 1]`: what GC at `floor` left
+/// readable, and one past the present.
+fn readable(db: &Database, floor: Ts, draw: usize) -> Ts {
+    floor + (draw % (db.current_ts() - floor + 2) as usize) as Ts
+}
+
+/// First key of the rows the ring-wrapping commit inserts, clear of the
+/// generated keys.
+const WIDE_BASE: i64 = 1_000;
+
+/// The records of a commit one entry wider than the change-log ring, and
+/// of the commit that deletes those rows again. Built once: the row
+/// images are shared, so each history only pays for installing them.
+fn wide_commits() -> &'static (Vec<ChangeRecord>, Vec<ChangeRecord>) {
+    static WIDE: OnceLock<(Vec<ChangeRecord>, Vec<ChangeRecord>)> = OnceLock::new();
+    WIDE.get_or_init(|| {
+        let table: Arc<str> = Arc::from("t");
+        (0..=DEFAULT_CAPACITY as i64)
+            .map(|i| {
+                let k = WIDE_BASE + i;
+                let image = Arc::new(row![k, k % 40, k % 6]) as Arc<Row>;
+                (
+                    ChangeRecord::insert(table.clone(), Key::single(k), image.clone()),
+                    ChangeRecord::delete(table.clone(), Key::single(k), image),
+                )
+            })
+            .unzip()
+    })
+}
+
+/// Planned scan, counting walk and full scan agree on `db`'s table `t`.
+fn assert_probe(db: &Database, pred: &Predicate, ts: Ts) -> Result<(), TestCaseError> {
+    let table = db.table("t").unwrap();
+    let full = table.scan_at_full(pred, ts).unwrap();
+    prop_assert_eq!(
+        &table.scan_at(pred, ts).unwrap(),
+        &full,
+        "planned != full for [{}] at ts {}",
+        pred,
+        ts
+    );
+    prop_assert_eq!(table.count_matching_at(pred, ts).unwrap(), full.len());
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(
+        std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(128)
+    ))]
+
+    #[test]
+    fn lazily_caught_up_indexes_equal_the_full_scan(
+        steps in prop::collection::vec(step_strategy(), 1..16),
+        wide_at in DRAW,
+        wide_pred in pred_strategy(),
+    ) {
+        let db = new_db(true);
+        // Reads at or above the floor see what GC left intact.
+        let mut floor: Ts = 0;
+        let wide_at = wide_at % (steps.len() + 1);
+        for (i, step) in steps.iter().enumerate() {
+            if i == wide_at {
+                // Build the index, then outgrow the ring: one commit
+                // wider than it, and the next commit's append evicts that
+                // commit's entries, so the probe after finds the log no
+                // longer reaching back to the index and rebuilds it.
+                assert_probe(&db, &Predicate::eq("g", 1i64), db.current_ts())?;
+                let (inserts, deletes) = wide_commits();
+                let wide_ts = db.apply_changes(inserts).unwrap().commit_ts;
+                db.apply_changes(deletes).unwrap();
+                prop_assert!(db.table("t").unwrap().changelog().low_water() >= wide_ts);
+                assert_probe(&db, &Predicate::eq("g", 1i64).and(wide_pred.clone()), wide_ts)?;
+                // Reclaim the wide rows so the rest of the history stays
+                // cheap to check.
+                db.gc_before(db.current_ts());
+                floor = db.current_ts();
+            }
+            match step {
+                Step::Commit(batch) => apply_batch(&db, batch),
+                Step::Probe(pred, at) => assert_probe(&db, pred, readable(&db, floor, *at))?,
+                Step::Gc => {
+                    db.gc_before(db.current_ts());
+                    floor = db.current_ts();
+                }
+                Step::Fork(at, batches, preds) => {
+                    let fork = db.fork_at(readable(&db, floor, *at)).unwrap();
+                    let base = fork.current_ts();
+                    // Every group of the indexed `g` besides the drawn
+                    // predicates: a seeded row must stay findable under
+                    // its parent's value until the write that seeded it.
+                    let groups: Vec<Predicate> = (0..6i64).map(|g| Predicate::eq("g", g)).collect();
+                    for batch in batches {
+                        apply_batch(&fork, batch);
+                        for pred in preds.iter().chain(&groups) {
+                            for ts in base..=fork.current_ts() + 1 {
+                                assert_probe(&fork, pred, ts)?;
+                            }
+                        }
+                    }
+                    // The parent is untouched by the fork's writes.
+                    for pred in preds {
+                        assert_probe(&db, pred, db.current_ts())?;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Readers probe the index while writers commit: each read at a
+/// published timestamp returns every row visible there, the rows the
+/// index had not caught up with yet included.
+#[test]
+fn readers_racing_writers_miss_no_visible_row() {
+    const WRITERS: i64 = 2;
+    const COMMITS: i64 = 2_000;
+    let db = new_db(true);
+    let done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|w| {
+                let db = &db;
+                scope.spawn(move || {
+                    for i in 0..COMMITS {
+                        // Keys cycle, so later commits update rows and
+                        // move them between `g` groups and `v` values.
+                        let k = w * 1_000 + i % 40;
+                        let mut txn = db.begin_with(trod_db::IsolationLevel::ReadCommitted);
+                        let image = row![k, i % 37, (i + w) % 6];
+                        if txn.get("t", &Key::single(k)).unwrap().is_some() {
+                            if i % 5 == 0 {
+                                txn.delete("t", &Key::single(k)).unwrap();
+                            } else {
+                                txn.update("t", &Key::single(k), image).unwrap();
+                            }
+                        } else {
+                            txn.insert("t", image).unwrap();
+                        }
+                        txn.commit().unwrap();
+                    }
+                })
+            })
+            .collect();
+        let readers: Vec<_> = (0..2i64)
+            .map(|r| {
+                let (db, done) = (&db, &done);
+                scope.spawn(move || {
+                    let table = db.table("t").unwrap();
+                    let mut probes = 0;
+                    while !done.load(Ordering::Relaxed) || probes == 0 {
+                        let ts = db.current_ts();
+                        let g = (probes + r) % 6;
+                        for pred in [
+                            Predicate::eq("g", g),
+                            Predicate::ge("v", g * 5).and(Predicate::lt("v", g * 5 + 8)),
+                        ] {
+                            let planned = db.scan_as_of("t", &pred, ts).unwrap();
+                            let full = table.scan_at_full(&pred, ts).unwrap();
+                            assert_eq!(planned, full, "[{pred}] at ts {ts}");
+                        }
+                        probes += 1;
+                    }
+                })
+            })
+            .collect();
+        for writer in writers {
+            writer.join().unwrap();
+        }
+        done.store(true, Ordering::Relaxed);
+        for reader in readers {
+            reader.join().unwrap();
+        }
+    });
+    let table = db.table("t").unwrap();
+    let pred = Predicate::eq("g", 0i64);
+    assert_eq!(
+        table.scan_at(&pred, db.current_ts()).unwrap(),
+        table.scan_at_full(&pred, db.current_ts()).unwrap()
+    );
 }

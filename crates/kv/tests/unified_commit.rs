@@ -780,11 +780,23 @@ fn forks_taken_mid_install_never_observe_unpublished_versions() {
             scope.spawn(move || {
                 let mut held: VecDeque<(Ts, Session, i64)> = VecDeque::new();
                 barrier.wait();
-                while !done.load(Ordering::Relaxed) {
+                // The first fork is taken before `done` is checked: the
+                // writers may finish before this thread is scheduled, and
+                // the checks after the join need a fork held.
+                loop {
                     // The published horizon, never a
-                    // claimed-but-unpublished install.
-                    let ts = session.database().current_ts();
-                    let fork = session.fork_at(ts).unwrap();
+                    // claimed-but-unpublished install. The GC thread may
+                    // raise the floor past it before the fork pins; that
+                    // fork is refused, and the next clock reading is
+                    // above the new floor.
+                    let (ts, fork) = loop {
+                        let ts = session.database().current_ts();
+                        match session.fork_at(ts) {
+                            Ok(fork) => break (ts, fork),
+                            Err(DbError::HistoryTruncated { .. }) => continue,
+                            Err(e) => panic!("fork at ts {ts}: {e}"),
+                        }
+                    };
                     let (row_v, kv_v) = pair(&fork);
                     assert_eq!(
                         row_v, kv_v,
@@ -800,6 +812,9 @@ fn forks_taken_mid_install_never_observe_unpublished_versions() {
                             (*first_seen, *first_seen),
                             "the fork at ts {ts} changed under its holder"
                         );
+                    }
+                    if done.load(Ordering::Relaxed) {
+                        break;
                     }
                 }
                 held

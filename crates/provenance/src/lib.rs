@@ -14,6 +14,11 @@
 //!   runs a periodic sync thread).
 //! * Each handler invocation is kept once, as its `Requests` row;
 //!   [`RequestRecord`]s are decoded from those rows.
+//! * Indexes: `Executions` on `ReqId` and `Timestamp`, `Requests` on
+//!   `ReqId`, each `<X>Events` table on `TxnId` and every application
+//!   column (not `EventId`, `Type` or `Query`). Ingest never maintains an
+//!   index: the first query that probes one builds it, and later probes
+//!   catch it up from the table's change log.
 //! * Developers (and the TROD debugger core) query it with SQL through
 //!   [`ProvenanceStore::query`]; the replay and retroactive engines
 //!   additionally use the in-memory transaction archive

@@ -47,6 +47,13 @@
 //! retention rebuild it from the `Requests` rows with no `EndTs`, and
 //! redaction holds the ingest lock so a late `HandlerEnd` reads back the
 //! redacted row.
+//!
+//! Ingest never maintains an index. `Executions` is indexed on `ReqId`
+//! and `Timestamp`, `Requests` on `ReqId`, and each `<X>Events` table on
+//! `TxnId` and on every application column; an index is built by the
+//! first query that probes it and catches up from its table's change log
+//! at later probes (`trod_db::index`), so a store nobody queries pays for
+//! none of them.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
@@ -59,9 +66,9 @@ use trod_query::{QueryEngine, QueryResultT, ResultSet};
 use trod_trace::{TraceEvent, Tracer, TxnTrace};
 
 use crate::schema::{
-    default_event_table_name, event_row, event_table_schema, executions_row, executions_schema,
-    external_call_row, external_calls_schema, request_of, requests_change, requests_key,
-    requests_schema, EXECUTIONS_TABLE, EXTERNAL_CALLS_TABLE, REQUESTS_TABLE,
+    default_event_table_name, event_column_names, event_row, event_table_schema, executions_row,
+    executions_schema, external_call_row, external_calls_schema, request_of, requests_change,
+    requests_key, requests_schema, EXECUTIONS_TABLE, EXTERNAL_CALLS_TABLE, REQUESTS_TABLE,
 };
 
 /// Rows per injected commit. While a chunk installs, its records exist
@@ -256,6 +263,9 @@ impl ProvenanceStore {
 
     /// Registers an application table under an explicit event-table name
     /// (e.g. `forum_sub` → `ForumEvents` to match the paper's Table 2).
+    /// The event table is indexed on `TxnId` and on every application
+    /// column ([`event_column_names`]); `EventId`, `Type` and `Query` are
+    /// not indexed.
     pub fn register_table_as(
         &self,
         app_table: &str,
@@ -264,7 +274,15 @@ impl ProvenanceStore {
     ) -> DbResult<()> {
         let ev_schema = event_table_schema(schema)?;
         self.db.create_table(event_table, ev_schema)?;
+        // `TxnId` joins the table to `Executions`; the application
+        // columns are what debugging queries filter on (§3.3's
+        // `user_id = 'U1'`). Indexes cost ingest nothing: each is built
+        // by the first query that probes it and caught up from the
+        // table's change log after that.
         self.db.create_index(event_table, "TxnId")?;
+        for column in event_column_names(schema) {
+            self.db.create_index(event_table, &column)?;
+        }
         let facts = EventTable {
             name: self.db.table(event_table)?.name().clone(),
             app_cols: schema.arity(),

@@ -389,7 +389,129 @@ fn request_lookups_probe_the_req_id_index() {
         matches!(&plan, ScanPlan::PointProbe { column, .. } if column == "ReqId"),
         "{plan:?}"
     );
-    // The one index: another would be maintained on every ingest.
+    // The one index.
     let requests = store.database().table("Requests").unwrap();
     assert_eq!(requests.indexed_columns(), vec!["ReqId".to_string()]);
+}
+
+#[test]
+fn registration_indexes_every_application_column() {
+    // `Type` collides with the event column of that name and becomes
+    // `App_Type`; its index is on the renamed column.
+    let schema = Schema::builder()
+        .column("id", DataType::Int)
+        .column("user_id", DataType::Text)
+        .column("Type", DataType::Text)
+        .column("forum", DataType::Text)
+        .primary_key(&["id"])
+        .build()
+        .unwrap();
+    let store = ProvenanceStore::new();
+    store
+        .register_table_as("forum_sub", "ForumEvents", &schema)
+        .unwrap();
+    let events = store.database().table("ForumEvents").unwrap();
+    assert_eq!(
+        events.indexed_columns(),
+        ["TxnId", "id", "user_id", "App_Type", "forum"]
+    );
+    for unindexed in ["EventId", "Type", "Query"] {
+        assert_eq!(events.index_entries(unindexed), None, "{unindexed}");
+    }
+}
+
+#[test]
+fn ingest_leaves_every_index_empty_until_a_probe_needs_it() {
+    let store = store();
+    store.ingest(
+        (1..=20)
+            .map(|i| txn(i, &format!("R{i}"), "forum_sub", 3, i as i64))
+            .collect(),
+    );
+    let db = store.database();
+    let indexed = [
+        ("ForumSubEvents", "TxnId"),
+        ("ForumSubEvents", "id"),
+        ("ForumSubEvents", "user_id"),
+        ("Executions", "ReqId"),
+        ("Executions", "Timestamp"),
+    ];
+    let entries =
+        |(table, column): (&str, &str)| db.table(table).unwrap().index_entries(column).unwrap();
+    for index in indexed {
+        assert_eq!(entries(index), 0, "{index:?} after ingest");
+    }
+
+    // A query on `user_id` builds that index and no other.
+    let sql = "SELECT EventId FROM ForumSubEvents WHERE user_id = 'U7'";
+    assert_eq!(store.query(sql).unwrap().len(), 1, "written by txn 7");
+    assert!(entries(("ForumSubEvents", "user_id")) > 0);
+    for index in indexed.iter().filter(|(_, column)| *column != "user_id") {
+        assert_eq!(entries(*index), 0, "{index:?} was not probed");
+    }
+
+    // Later ingest leaves the built index where it was; the next probe
+    // catches it up.
+    let built = entries(("ForumSubEvents", "user_id"));
+    store.ingest(vec![txn(30, "R30", "forum_sub", 8, 30)]);
+    assert_eq!(entries(("ForumSubEvents", "user_id")), built);
+    assert_eq!(store.query(sql).unwrap().len(), 2, "and read by txn 30");
+    assert!(entries(("ForumSubEvents", "user_id")) > built);
+}
+
+#[test]
+fn the_paper_query_probes_the_event_table_by_user() {
+    // §3.3: `Executions ⋈ ForumEvents ON TxnId`, filtered on application
+    // columns. The executor pushes the filter down to the event table's
+    // scan, which must probe an index rather than walk the table.
+    let schema = Schema::builder()
+        .column("sub_id", DataType::Text)
+        .column("user_id", DataType::Text)
+        .column("forum", DataType::Text)
+        .primary_key(&["sub_id"])
+        .build()
+        .unwrap();
+    let store = ProvenanceStore::new();
+    store
+        .register_table_as("forum_sub", "ForumEvents", &schema)
+        .unwrap();
+    let events = (0..400u64).map(|i| {
+        let image = Row::from(vec![
+            Value::Text(format!("S{i}")),
+            Value::Text(format!("U{}", i % 50)),
+            Value::Text(format!("F{}", i % 7)),
+        ]);
+        TraceEvent::Txn(Box::new(TxnTrace {
+            txn_id: i + 1,
+            ctx: TxnContext::new(format!("R{i}"), "subscribeUser", "func:DB.insert"),
+            timestamp: i as i64 + 1,
+            snapshot_ts: i,
+            commit_ts: i + 1,
+            committed: true,
+            reads: Vec::new(),
+            writes: vec![ChangeRecord::insert(
+                "forum_sub",
+                Key::single(format!("S{i}")),
+                image,
+            )]
+            .into(),
+        }))
+    });
+    store.ingest(events.collect());
+    let pushed = Predicate::eq("Type", "Insert")
+        .and(Predicate::eq("user_id", "U1"))
+        .and(Predicate::eq("forum", "F1"));
+    let table = store.database().table("ForumEvents").unwrap();
+    let plan = table.plan_scan(&pushed);
+    assert!(
+        matches!(&plan, ScanPlan::PointProbe { column, .. } if column == "user_id"),
+        "{plan:?}"
+    );
+    let sql = "SELECT Timestamp, ReqId, HandlerName \
+         FROM Executions as E, ForumEvents as F ON E.TxnId = F.TxnId \
+         WHERE F.Type = 'Insert' AND F.user_id = 'U1' AND F.forum = 'F1' \
+         ORDER BY Timestamp ASC";
+    // Users and forums cycle 50 and 7 apart: (U1, F1) every 350 txns.
+    let writers = store.query(sql).unwrap();
+    assert_eq!(writers.len(), 2);
 }

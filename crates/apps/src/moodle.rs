@@ -90,7 +90,7 @@ pub fn create_schema(db: &Database) {
 /// Creates a provenance store with the Moodle tables registered under the
 /// names the paper uses (`forum_sub` → `ForumEvents`).
 pub fn provenance_for(db: &Database) -> ProvenanceStore {
-    let store = ProvenanceStore::new();
+    let store = ProvenanceStore::new(db);
     store
         .register_table_as(
             FORUM_SUB_TABLE,

@@ -60,7 +60,7 @@ pub fn create_schema(db: &Database) {
 
 /// Creates a provenance store using the paper's `ProfileEvents` name.
 pub fn provenance_for(db: &Database) -> ProvenanceStore {
-    let store = ProvenanceStore::new();
+    let store = ProvenanceStore::new(db);
     store
         .register_table_as(
             PROFILES_TABLE,

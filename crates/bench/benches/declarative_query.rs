@@ -46,7 +46,7 @@ fn provenance_with(txns: usize, event_txns: usize) -> ProvenanceStore {
         .primary_key(&["sub_id"])
         .build()
         .expect("static schema");
-    let store = ProvenanceStore::new();
+    let store = ProvenanceStore::new(&trod_db::Database::new());
     store
         .register_table_as("forum_sub", "ForumEvents", &schema)
         .expect("fresh store");

@@ -9,15 +9,19 @@
 //! per-event cost that grows with the batch shows side by side, plus a
 //! read-only Moodle request priced per provenance *row*, and
 //! (c) the cost of the §5 privacy operations — redacting one user's
-//! provenance and applying a retention cutoff — as the store grows.
+//! provenance and applying a retention cutoff — as the store grows, and
+//! (d) the cost of assembling the traces of one request and of one
+//! two-transaction commit range, which should follow the request, not the
+//! store.
 
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 
-use trod_db::{ChangeRecord, Key, Row, Value};
+use trod_db::{row, ChangeRecord, Database, Key, Predicate, Row, Value};
+use trod_kv::Session;
 use trod_provenance::ProvenanceStore;
-use trod_trace::{ReadTrace, TraceEvent, TxnContext, TxnTrace};
+use trod_trace::{ReadTrace, TraceEvent, Tracer, TxnContext, TxnTrace};
 
 fn forum_schema() -> trod_db::Schema {
     trod_db::Schema::builder()
@@ -29,8 +33,13 @@ fn forum_schema() -> trod_db::Schema {
         .expect("static schema")
 }
 
+/// A store over an application that has a `forum_sub` table but no
+/// history: the synthetic traces below never committed there.
 fn fresh_store() -> ProvenanceStore {
-    let store = ProvenanceStore::new();
+    let app = Database::new();
+    app.create_table("forum_sub", forum_schema())
+        .expect("fresh database");
+    let store = ProvenanceStore::new(&app);
     store
         .register_table_as("forum_sub", "ForumEvents", &forum_schema())
         .expect("fresh store");
@@ -288,11 +297,70 @@ fn bench_retention(c: &mut Criterion) {
     group.finish();
 }
 
+/// `txns` traced transactions, two per request (an existence check, then
+/// the insert), committed through a real session so that the
+/// application's history holds their writes, and ingested. Each request
+/// subscribes a user of its own, so its check reads nothing however large
+/// the table grows: a request's provenance is the same size at every
+/// store size.
+fn traced_store(txns: usize) -> ProvenanceStore {
+    let app = Database::new();
+    app.create_table("forum_sub", forum_schema())
+        .expect("fresh database");
+    let store = ProvenanceStore::new(&app);
+    store
+        .register_table_as("forum_sub", "ForumEvents", &forum_schema())
+        .expect("fresh store");
+    let session = Session::traced(app, Tracer::new());
+    for i in 0..txns / 2 {
+        let (req, user) = (format!("R{i}"), format!("U{i}"));
+        let ctx = |function| TxnContext::new(req.as_str(), "subscribeUser", function);
+        let mut check = session.begin_traced(ctx("func:isSubscribed"));
+        let pred = Predicate::eq("user_id", user.as_str()).and(Predicate::eq("forum", "F1"));
+        check.exists("forum_sub", &pred).expect("check");
+        check.commit().expect("read-only commit");
+        let mut insert = session.begin_traced(ctx("func:DB.insert"));
+        insert
+            .insert("forum_sub", row![format!("S{i}"), user, "F1"])
+            .expect("insert");
+        insert.commit().expect("commit");
+        if i % 1_000 == 999 {
+            store.drain_from(session.tracer().expect("traced"));
+        }
+    }
+    store.drain_from(session.tracer().expect("traced"));
+    store
+}
+
+/// Trace assembly after 1k / 10k / 100k ingested transactions: one
+/// request's two traces, and the two transactions at one commit
+/// timestamp (a writer, and the next request's check at that snapshot).
+fn bench_assembly(c: &mut Criterion) {
+    let mut group = c.benchmark_group("provenance_ingest/assembly");
+    group.sample_size(20);
+    for &txns in &[1_000usize, 10_000, 100_000] {
+        let store = traced_store(txns);
+        let target = format!("R{}", txns / 4);
+        let traces = store.txns_for_request(&target);
+        assert_eq!(traces.len(), 2);
+        let commit_ts = traces[1].commit_ts;
+        assert_eq!(store.txns_between(commit_ts - 1, commit_ts).len(), 2);
+        group.bench_function(BenchmarkId::new("txns_for_request", txns), |b| {
+            b.iter(|| store.txns_for_request(&target))
+        });
+        group.bench_function(BenchmarkId::new("txns_between", txns), |b| {
+            b.iter(|| store.txns_between(commit_ts - 1, commit_ts))
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_ingest,
     bench_requests,
     bench_redaction,
-    bench_retention
+    bench_retention,
+    bench_assembly
 );
 criterion_main!(benches);

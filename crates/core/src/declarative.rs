@@ -133,7 +133,8 @@ impl<'a> Declarative<'a> {
     /// ORDER BY E.Committed DESC, E.CommitTs, E.SnapshotTs, E.Timestamp
     /// ```
     ///
-    /// Empty if `app_table` was never registered.
+    /// Empty if no trace has touched `app_table` (a traced table has an
+    /// event table from its first ingested trace on).
     pub fn requests_touching_table(&self, app_table: &str) -> Vec<String> {
         let Some(event_table) = self.provenance.event_table_for(app_table) else {
             return Vec::new();

@@ -15,7 +15,8 @@
 //!
 //! Each typed helper is a statement over the provenance tables
 //! (`Executions`, `Requests`, `ExternalCalls` and one `<X>Events` per
-//! registered application table), which can be pasted into
+//! traced application table: registered up front, or by the first trace
+//! that touches it), which can be pasted into
 //! [`Trod::query`] and edited. `…` stands for a quoted value
 //! ([`trod_query::text_literal`]); the helper's own docs show a full
 //! statement.
@@ -35,8 +36,11 @@
 //! | [`Reenactor::audit_anomalies`] | none: pairs of committed traces ([`trod_provenance::ProvenanceStore::txns_between`]) |
 //!
 //! Replay, reenactment, retroactive programming and
-//! [`interleave::ConflictGraph`] need whole traces, and read them from the
-//! provenance store's archive one request or one commit range at a time.
+//! [`interleave::ConflictGraph`] need whole traces. The provenance store
+//! keeps no copy of them: it assembles each from the transaction's
+//! `Executions` row, its `<X>Events` rows and the application's own
+//! history ([`trod_db::Database::history`]), one request, one commit
+//! range or one transaction at a time.
 //!
 //! The entry point is [`Trod`]: attach it to a running
 //! [`trod_runtime::Runtime`], let the application serve (traced)

@@ -315,7 +315,7 @@ mod tests {
 
     /// Builds a provenance store from a scripted set of handler events.
     fn store_with_requests(specs: &[(&str, &str, Option<&str>, bool)]) -> ProvenanceStore {
-        let store = ProvenanceStore::new();
+        let store = ProvenanceStore::new(&trod_db::Database::new());
         let tracer = Tracer::new();
         // Start every handler in order, then end them in reverse order so
         // parents envelope children.
@@ -406,7 +406,7 @@ mod tests {
 
     #[test]
     fn open_invocations_are_not_counted_as_completed() {
-        let store = ProvenanceStore::new();
+        let store = ProvenanceStore::new(&trod_db::Database::new());
         let tracer = Tracer::new();
         tracer.handler_start("R1", "checkout", None, "{}");
         // No handler_end: the request is still in flight.

@@ -262,7 +262,7 @@ impl<'a> Quality<'a> {
     /// ORDER BY E.CommitTs, F.EventId
     /// ```
     ///
-    /// Empty if the violation's table was never registered.
+    /// Empty if no trace has touched the violation's table.
     pub fn blame(&self, violation: &QualityViolation) -> Vec<BlameRecord> {
         let table = &violation.table;
         let (Some(events), Ok(schema)) = (

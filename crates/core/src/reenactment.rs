@@ -121,8 +121,8 @@ impl<'a> Reenactor<'a> {
     }
 
     /// Reenacts every committed transaction of a request (the
-    /// weak-isolation analogue of [`crate::ReplaySession`]), reading the
-    /// request's traces from the archive once.
+    /// weak-isolation analogue of [`crate::ReplaySession`]), assembling
+    /// the request's traces once.
     pub fn reenact_request(&self, req_id: &str) -> DbResult<Vec<ReenactmentReport>> {
         let txns = self.provenance.txns_for_request(req_id);
         txns.iter()

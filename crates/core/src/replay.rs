@@ -236,8 +236,8 @@ impl ReplaySession {
                 .filter(|other| other.ctx.req_id != req_id)
                 .collect();
             watermark = watermark.max(horizon);
-            let partial_data = provenance.is_redacted(txn.txn_id)
-                || injected.iter().any(|t| provenance.is_redacted(t.txn_id));
+            let partial_data = provenance.is_partial(txn.txn_id)
+                || injected.iter().any(|t| provenance.is_partial(t.txn_id));
             steps.push(ReplayStep {
                 txn,
                 injected,

@@ -8,11 +8,10 @@
 //! partial data*. This module implements that contract:
 //!
 //! * [`ProvenanceStore::redact_rows`] erases the data columns of every
-//!   provenance event (reads and writes, relational tables and the
-//!   detailed archive) matching a set of column filters — e.g. "everything
-//!   about user U1" — while keeping non-sensitive execution metadata
-//!   (transaction ids, handler names, timestamps) so the execution history
-//!   remains queryable.
+//!   provenance event (reads and writes) matching a set of column filters
+//!   — e.g. "everything about user U1" — while keeping non-sensitive
+//!   execution metadata (transaction ids, handler names, timestamps) so
+//!   the execution history remains queryable.
 //! * [`ProvenanceStore::redact_request`] erases the arguments, outputs and
 //!   external-call payloads of a request (PII frequently lives in request
 //!   arguments rather than table rows).
@@ -20,26 +19,31 @@
 //!   dropping all provenance older than it.
 //!
 //! **What an erasure reaches.** Every copy the provenance store owns: the
-//! `<X>Events`, `Requests` and `ExternalCalls` tables and the trace
-//! archive (read sets and write records). Handler invocations have no copy
-//! besides their `Requests` rows, which every [`crate::RequestRecord`] is
-//! decoded from. It does not
-//! reach the application's own history — its version chains, its live
-//! transaction log, its durable log and its checkpoints — which every fork
-//! reads, above and below the GC floor alike, so a fork holds the same
-//! rows wherever it is taken. Erasing a person's data from the
-//! application itself is a write to the application.
+//! `<X>Events`, `Requests` and `ExternalCalls` tables. Handler
+//! invocations have no copy besides their `Requests` rows, which every
+//! [`crate::RequestRecord`] is decoded from, and a [`trod_trace::TxnTrace`]
+//! is assembled from the tables: a redacted read event's row is left out
+//! of its read, and a write is erased at assembly through its event row
+//! (a transaction's k-th non-`Read` event is its k-th change record). The
+//! application's log itself is untouched: an erasure does not reach the
+//! application's own history — its version chains, its live transaction
+//! log, its durable log and its checkpoints — which every fork reads,
+//! above and below the GC floor alike, so a fork holds the same rows
+//! wherever it is taken. Erasing a person's data from the application
+//! itself is a write to the application.
 //!
-//! Transactions touched by redaction are remembered
-//! ([`ProvenanceStore::is_redacted`]); the replay engine reports partial
-//! fidelity for them instead of silently replaying against incomplete
+//! A transaction with a redacted event row is partial
+//! ([`ProvenanceStore::is_partial`]); the replay engine reports partial
+//! fidelity for it instead of silently replaying against incomplete
 //! state — "debugging from partial data".
 
-use std::sync::Arc;
+use std::collections::BTreeSet;
 
-use trod_db::{ChangeOp, ChangeRecord, DbResult, Predicate, Row, Value};
+use trod_db::{ChangeOp, ChangeRecord, DbError, DbResult, Predicate, Row, Value};
 
-use crate::schema::{EXECUTIONS_TABLE, EXTERNAL_CALLS_TABLE, REQUESTS_TABLE};
+use crate::schema::{
+    event_ids, EXECUTIONS_TABLE, EXTERNAL_CALLS_TABLE, FIRST_APP_COLUMN, REQUESTS_TABLE,
+};
 use crate::store::ProvenanceStore;
 
 /// Placeholder written over redacted text fields.
@@ -50,33 +54,25 @@ pub const REDACTED_MARKER: &str = "[redacted]";
 pub struct RedactionReport {
     /// Rows in `<X>Events` tables whose data columns were erased.
     pub event_rows_redacted: usize,
-    /// Row images removed from archived read sets.
-    pub archive_reads_redacted: usize,
-    /// Row images erased from archived write (CDC) records.
-    pub archive_writes_redacted: usize,
     /// Handler invocations whose arguments/outputs were erased.
     pub requests_redacted: usize,
     /// External-call payloads erased.
     pub external_calls_redacted: usize,
-    /// Distinct transactions affected (now flagged as partially redacted).
+    /// Distinct transactions affected (now partial).
     pub transactions_affected: usize,
 }
 
 impl RedactionReport {
     /// Total provenance entries touched.
     pub fn total(&self) -> usize {
-        self.event_rows_redacted
-            + self.archive_reads_redacted
-            + self.archive_writes_redacted
-            + self.requests_redacted
-            + self.external_calls_redacted
+        self.event_rows_redacted + self.requests_redacted + self.external_calls_redacted
     }
 }
 
 /// Outcome of applying a retention cutoff.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RetentionReport {
-    /// Archived transaction traces dropped.
+    /// Traced transactions dropped (rows of `Executions`).
     pub transactions_dropped: usize,
     /// Handler invocation records dropped.
     pub requests_dropped: usize,
@@ -86,88 +82,69 @@ pub struct RetentionReport {
 }
 
 impl ProvenanceStore {
-    /// Erases every provenance entry about `app_table` rows whose columns
-    /// match all `filters` (column name → value). Data columns are
-    /// replaced with NULL / [`REDACTED_MARKER`]; execution metadata
-    /// (transaction ids, handler names, timestamps) is preserved so the
-    /// history's *shape* stays queryable.
+    /// Erases every provenance event about `app_table` rows that hold
+    /// all the `filters`' values: an event row is redacted when each value
+    /// appears among its application columns, whichever column holds it.
+    /// That covers every row whose filter columns equal the filters (an
+    /// SQL `=` is the same comparison) and errs towards erasing more, the
+    /// safe direction for an erasure request. Data columns are replaced
+    /// with NULL / [`REDACTED_MARKER`]; execution metadata (transaction
+    /// ids, handler names, timestamps) is preserved so the history's
+    /// *shape* stays queryable. Only events ingested before the call are
+    /// erased.
+    ///
+    /// The filters are checked against the application's schema before
+    /// anything is written: an unknown table is [`DbError::NoSuchTable`],
+    /// an unknown column [`DbError::NoSuchColumn`], and no filter at all
+    /// [`DbError::Invalid`].
     pub fn redact_rows(
         &self,
         app_table: &str,
         filters: &[(&str, Value)],
     ) -> DbResult<RedactionReport> {
+        if filters.is_empty() {
+            return Err(DbError::Invalid(format!(
+                "redacting `{app_table}` needs at least one column filter"
+            )));
+        }
+        let schema = self.app.schema_of(app_table)?;
+        if let Some((column, _)) = filters
+            .iter()
+            .find(|(c, _)| schema.column_index(c).is_none())
+        {
+            return Err(DbError::NoSuchColumn {
+                table: app_table.to_string(),
+                column: column.to_string(),
+            });
+        }
         let mut report = RedactionReport::default();
-        let mut touched_txns: Vec<i64> = Vec::new();
+        let Some(event_table) = self.event_table_for(app_table) else {
+            return Ok(report);
+        };
+        let holds_every_value = |row: &Row| {
+            let image = &row.values()[FIRST_APP_COLUMN..];
+            let holds = |value: &Value| image.iter().any(|v| v.sql_eq(value));
+            filters.iter().all(|(_, value)| holds(value))
+        };
 
-        // 1. Relational event table.
-        if let Some(event_table) = self.event_table_for(app_table) {
-            let schema = self.db.schema_of(&event_table)?;
-            // Map each filter to an event-table column index (application
-            // columns may have been prefixed with `App_` on collision).
-            let mut pred = Predicate::True;
-            let mut resolvable = true;
-            for (column, value) in filters {
-                let name = if schema.column_index(column).is_some() {
-                    (*column).to_string()
-                } else if schema.column_index(&format!("App_{column}")).is_some() {
-                    format!("App_{column}")
-                } else {
-                    resolvable = false;
-                    break;
-                };
-                pred = pred.and(Predicate::eq(name, value.clone()));
+        let mut touched_txns = BTreeSet::new();
+        let mut txn = self.db.begin();
+        for (key, row) in self.db.scan_latest(&event_table, &Predicate::True)? {
+            if !holds_every_value(&row) {
+                continue;
             }
-            if resolvable {
-                let matches = self.db.scan_latest(&event_table, &pred)?;
-                let mut txn = self.db.begin();
-                for (key, row) in matches {
-                    let mut redacted = (*row).clone();
-                    redacted.set(3, Value::Text(REDACTED_MARKER.to_string()));
-                    for idx in 4..row.len() {
-                        redacted.set(idx, Value::Null);
-                    }
-                    txn.update(&event_table, &key, redacted)?;
-                    if let Some(txn_id) = row.get(1).and_then(Value::as_int) {
-                        touched_txns.push(txn_id);
-                    }
-                    report.event_rows_redacted += 1;
-                }
-                txn.commit()?;
+            let mut redacted = (*row).clone();
+            redacted.set(3, Value::Text(REDACTED_MARKER.to_string()));
+            for idx in FIRST_APP_COLUMN..row.len() {
+                redacted.set(idx, Value::Null);
             }
+            txn.update(&event_table, &key, redacted)?;
+            touched_txns.insert(row.get(1).and_then(Value::as_int));
+            report.event_rows_redacted += 1;
         }
+        txn.commit()?;
 
-        // 2. Detailed archive: read sets and CDC write records.
-        {
-            let mut archive = self.archive.write();
-            for trace in archive.iter_mut() {
-                let mut touched = false;
-                for read in trace.reads.iter_mut().filter(|r| r.table == app_table) {
-                    let before = read.rows.len();
-                    read.rows.retain(|(_, row)| !row_matches(row, filters));
-                    let removed = before - read.rows.len();
-                    if removed > 0 {
-                        read.query = REDACTED_MARKER.to_string();
-                        report.archive_reads_redacted += removed;
-                        touched = true;
-                    }
-                }
-                let erased = erase_matching(&mut trace.writes, app_table, filters);
-                report.archive_writes_redacted += erased;
-                if touched || erased > 0 {
-                    touched_txns.push(trace.txn_id as i64);
-                }
-            }
-        }
-
-        touched_txns.sort_unstable();
-        touched_txns.dedup();
         report.transactions_affected = touched_txns.len();
-        {
-            let mut redacted = self.redacted_txns.write();
-            for txn_id in touched_txns {
-                redacted.insert(txn_id as trod_db::TxnId);
-            }
-        }
         self.stats.write().redacted_events += report.total();
         Ok(report)
     }
@@ -205,55 +182,32 @@ impl ProvenanceStore {
     }
 
     /// Drops all provenance recorded before `cutoff_ts` (trace-clock
-    /// microseconds): archived traces and the corresponding rows of every
-    /// relational provenance table, handler invocations included.
+    /// microseconds): the rows of every provenance table, handler
+    /// invocations included, and so the traces assembled from them.
     pub fn retain_since(&self, cutoff_ts: i64) -> DbResult<RetentionReport> {
         let mut report = RetentionReport::default();
         let mut ingest = self.ingest.lock();
 
-        // Which transactions are being dropped (needed to clean the event
-        // tables, which carry no timestamp of their own).
-        let dropped_txn_ids: Vec<Value> = {
-            let archive = self.archive.read();
-            archive
-                .iter()
-                .filter(|t| t.timestamp < cutoff_ts)
-                .map(|t| Value::Int(t.txn_id as i64))
-                .collect()
-        };
+        // The transactions being dropped, and so their event rows, which
+        // carry no timestamp of their own.
+        let old = Predicate::lt("Timestamp", cutoff_ts);
+        let dropped = self.db.scan_latest(EXECUTIONS_TABLE, &old)?;
+        report.transactions_dropped = dropped.len();
+        let events = dropped.iter().flat_map(|(_, row)| event_ids(row));
+        let events = Predicate::in_list("EventId", events.map(Value::Int).collect());
 
-        // Relational tables.
         let mut txn = self.db.begin();
-        report.rows_deleted +=
-            txn.delete_where(EXECUTIONS_TABLE, &Predicate::lt("Timestamp", cutoff_ts))?;
+        report.rows_deleted += txn.delete_where(EXECUTIONS_TABLE, &old)?;
         report.requests_dropped =
             txn.delete_where(REQUESTS_TABLE, &Predicate::lt("StartTs", cutoff_ts))?;
         report.rows_deleted += report.requests_dropped;
         report.rows_deleted +=
             txn.delete_where(EXTERNAL_CALLS_TABLE, &Predicate::lt("Timestamp", cutoff_ts))?;
-        if !dropped_txn_ids.is_empty() {
-            let event_tables: Vec<Arc<str>> = self
-                .table_map
-                .read()
-                .values()
-                .map(|t| t.name.clone())
-                .collect();
-            for event_table in event_tables {
-                report.rows_deleted += txn.delete_where(
-                    &event_table,
-                    &Predicate::in_list("TxnId", dropped_txn_ids.clone()),
-                )?;
-            }
+        for table in self.table_map.read().values() {
+            report.rows_deleted += txn.delete_where(&table.name, &events)?;
         }
         txn.commit()?;
 
-        // Archive.
-        {
-            let mut archive = self.archive.write();
-            let before = archive.len();
-            archive.retain(|t| t.timestamp >= cutoff_ts);
-            report.transactions_dropped = before - archive.len();
-        }
         // Expired invocations leave the open-invocation map: a late
         // `HandlerEnd` must not resurrect one.
         self.reopen(&mut ingest);
@@ -261,46 +215,9 @@ impl ProvenanceStore {
     }
 }
 
-/// Archive rows are raw application rows; filters address them by the
-/// application column *positions* implied by the event-table layout. The
-/// archive does not store the application schema, so matching is by value:
-/// a row matches if every filter value appears in it. This is intentionally
-/// conservative (it may redact extra rows that merely contain the value),
-/// which is the safe direction for an erasure request.
-fn row_matches(row: &Row, filters: &[(&str, Value)]) -> bool {
-    !filters.is_empty()
-        && filters
-            .iter()
-            .all(|(_, value)| row.iter().any(|v| v.sql_eq(value)))
-}
-
-/// Erases the images of the `app_table` records in a change list that
-/// match `filters`, returning how many. Change lists are shared with the
-/// commit that produced them; the list is copied only when something in
-/// it is erased while another holder still reads it.
-fn erase_matching(
-    changes: &mut Arc<[ChangeRecord]>,
-    app_table: &str,
-    filters: &[(&str, Value)],
-) -> usize {
-    let matches = |change: &ChangeRecord| {
-        let image = change.op.after().or_else(|| change.op.before());
-        &*change.table == app_table && image.is_some_and(|row| row_matches(row, filters))
-    };
-    if !changes.iter().any(matches) {
-        return 0;
-    }
-    let mut erased = 0;
-    for change in Arc::make_mut(changes).iter_mut().filter(|c| matches(c)) {
-        *change = erase_change(change);
-        erased += 1;
-    }
-    erased
-}
-
 /// Produces a copy of a CDC record with all row images nulled out (key and
 /// operation kind preserved).
-fn erase_change(change: &ChangeRecord) -> ChangeRecord {
+pub(crate) fn erase_change(change: &ChangeRecord) -> ChangeRecord {
     let null_row = |row: &Row| Row::from(vec![Value::Null; row.len()]);
     match &change.op {
         ChangeOp::Insert { after } => {
@@ -343,7 +260,7 @@ mod tests {
     }
 
     #[test]
-    fn redact_rows_erases_event_table_and_archive() {
+    fn redact_rows_erases_event_rows_and_the_assembled_traces() {
         let (_db, store, traced) = setup();
         let mut txn = traced.begin_traced(TxnContext::new("R1", "updateProfile", "f"));
         txn.insert("profiles", row!["U1", "u1@example.org"])
@@ -361,10 +278,8 @@ mod tests {
             .redact_rows("profiles", &[("user", Value::Text("U1".into()))])
             .unwrap();
         assert_eq!(report.event_rows_redacted, 2, "one insert + one read event");
-        assert_eq!(report.archive_reads_redacted, 1);
-        assert_eq!(report.archive_writes_redacted, 1);
         assert_eq!(report.transactions_affected, 2);
-        assert!(report.total() >= 4);
+        assert_eq!(report.total(), 2);
 
         // The event table no longer exposes U1's data...
         let rows = store
@@ -386,33 +301,59 @@ mod tests {
         let execs = store.query("SELECT TxnId FROM Executions").unwrap();
         assert_eq!(execs.len(), 2);
 
+        // The assembled traces: U1's insert is erased, U2's is whole, and
+        // the read lost its one row and its query.
+        let writer = store.txns_for_request("R1").pop().unwrap();
+        let images: Vec<&Row> = writer.writes.iter().flat_map(|c| c.op.after()).collect();
+        assert_eq!(
+            images,
+            [
+                &row![Value::Null, Value::Null],
+                &row!["U2", "u2@example.org"]
+            ]
+        );
+        assert_eq!(writer.writes[0].key, trod_db::Key::single("U1"));
+        let reader = store.txns_for_request("R2").pop().unwrap();
+        assert_eq!(reader.reads.len(), 1);
+        assert!(reader.reads[0].rows.is_empty());
+        assert_eq!(reader.reads[0].query, REDACTED_MARKER);
+
         // Transactions are flagged so replay can report partial data.
-        let flagged = store
-            .all_txns()
-            .iter()
-            .filter(|t| store.is_redacted(t.txn_id))
-            .count();
-        assert_eq!(flagged, 2);
+        assert!(store.is_partial(writer.txn_id) && store.is_partial(reader.txn_id));
         assert_eq!(store.stats().redacted_events, report.total());
     }
 
     #[test]
-    fn redact_rows_on_unknown_table_or_column_is_a_noop() {
+    fn redact_rows_rejects_unknown_tables_columns_and_empty_filters() {
         let (_db, store, traced) = setup();
         let mut txn = traced.begin_traced(TxnContext::new("R1", "h", "f"));
         txn.insert("profiles", row!["U1", "u1@example.org"])
             .unwrap();
         txn.commit().unwrap();
         store.drain_from(traced.tracer().unwrap());
+        let u1 = || Value::Text("U1".into());
 
-        let report = store
-            .redact_rows("missing_table", &[("user", Value::Text("U1".into()))])
-            .unwrap();
-        assert_eq!(report.event_rows_redacted, 0);
-        let report = store
-            .redact_rows("profiles", &[("no_such_column", Value::Text("U1".into()))])
-            .unwrap();
-        assert_eq!(report.event_rows_redacted, 0);
+        let missing = store.redact_rows("missing_table", &[("user", u1())]);
+        assert!(
+            matches!(&missing, Err(DbError::NoSuchTable(t)) if t == "missing_table"),
+            "{missing:?}"
+        );
+        // A misspelt column used to erase nothing in the event table and
+        // report success.
+        let column = store.redact_rows("profiles", &[("no_such_column", u1())]);
+        assert!(
+            matches!(&column, Err(DbError::NoSuchColumn { column, .. }) if column == "no_such_column"),
+            "{column:?}"
+        );
+        // No filter used to redact every event row of the table.
+        let empty = store.redact_rows("profiles", &[]);
+        assert!(matches!(&empty, Err(DbError::Invalid(_))), "{empty:?}");
+
+        // Nothing was written.
+        let rows = store.query("SELECT user FROM ProfilesEvents").unwrap();
+        assert_eq!(rows.rows(), &[vec![u1()]]);
+        assert_eq!(store.stats().redacted_events, 0);
+        assert!(!store.is_partial(store.txns_for_request("R1")[0].txn_id));
     }
 
     #[test]

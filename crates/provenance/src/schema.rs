@@ -10,17 +10,20 @@
 //! * `ExternalCalls` — external-service call intents.
 //! * One `<X>Events` table per registered application table (the paper's
 //!   Table 2, e.g. `ForumEvents`), holding row-level read and write
-//!   provenance with the application table's own columns inlined.
+//!   provenance with the application table's own columns inlined. A read
+//!   event also records the read's `ReadTs` and its position `ReadNo`
+//!   among its transaction's reads.
 
 //!
 //! The row constructors below are the only code that knows the column
 //! order of these layouts; ingest builds every provenance row through
 //! them.
 
+use std::ops::Range;
 use std::sync::Arc;
 
-use trod_db::{ChangeRecord, Column, DataType, DbResult, Key, Row, Schema, Value};
-use trod_trace::TxnTrace;
+use trod_db::{ChangeRecord, Column, DataType, DbResult, Key, Row, Schema, Ts, Value};
+use trod_trace::{TxnContext, TxnTrace};
 
 use crate::store::RequestRecord;
 
@@ -32,7 +35,9 @@ pub const REQUESTS_TABLE: &str = "Requests";
 pub const EXTERNAL_CALLS_TABLE: &str = "ExternalCalls";
 
 /// Schema of the `Executions` table (paper Table 1 plus the timestamps
-/// TROD needs internally for replay).
+/// TROD needs internally for replay, and where the transaction's events
+/// are: its `<X>Events` rows have the `Events` consecutive `EventId`s from
+/// `FirstEventId` on).
 pub fn executions_schema() -> Schema {
     Schema::builder()
         .column("TxnId", DataType::Int)
@@ -43,6 +48,8 @@ pub fn executions_schema() -> Schema {
         .column("SnapshotTs", DataType::Int)
         .column("CommitTs", DataType::Int)
         .column("Committed", DataType::Bool)
+        .column("FirstEventId", DataType::Int)
+        .column("Events", DataType::Int)
         .primary_key(&["TxnId"])
         .build()
         .expect("static schema must be valid")
@@ -78,8 +85,12 @@ pub fn external_calls_schema() -> Schema {
         .expect("static schema must be valid")
 }
 
-/// The provenance columns every event table starts with.
-const EVENT_COLUMNS: [&str; 4] = ["EventId", "TxnId", "Type", "Query"];
+/// The provenance columns every event table starts with. `ReadTs` and
+/// `ReadNo` are NULL on write events.
+const EVENT_COLUMNS: [&str; 6] = ["EventId", "TxnId", "Type", "Query", "ReadTs", "ReadNo"];
+
+/// Position of the first application column in an event row.
+pub(crate) const FIRST_APP_COLUMN: usize = EVENT_COLUMNS.len();
 
 /// The event-table name of each application column, by position: its own
 /// name, or `App_<name>` where it collides with a column before it (e.g.
@@ -106,6 +117,8 @@ pub fn event_table_schema(app_schema: &Schema) -> DbResult<Schema> {
         Column::new(EVENT_COLUMNS[1], DataType::Int),
         Column::new(EVENT_COLUMNS[2], DataType::Text),
         Column::new(EVENT_COLUMNS[3], DataType::Text),
+        Column::nullable(EVENT_COLUMNS[4], DataType::Int),
+        Column::nullable(EVENT_COLUMNS[5], DataType::Int),
     ];
     let names = event_column_names(app_schema);
     for (name, col) in names.into_iter().zip(app_schema.columns()) {
@@ -114,8 +127,9 @@ pub fn event_table_schema(app_schema: &Schema) -> DbResult<Schema> {
     Schema::new(columns, &["EventId"])
 }
 
-/// The `Executions` row of a traced transaction.
-pub(crate) fn executions_row(trace: &TxnTrace) -> Row {
+/// The `Executions` row of a traced transaction whose event rows have the
+/// `EventId`s `events`.
+pub(crate) fn executions_row(trace: &TxnTrace, events: Range<i64>) -> Row {
     Row::from(vec![
         Value::Int(trace.txn_id as i64),
         Value::Timestamp(trace.timestamp),
@@ -125,7 +139,32 @@ pub(crate) fn executions_row(trace: &TxnTrace) -> Row {
         Value::Int(trace.snapshot_ts as i64),
         Value::Int(trace.commit_ts as i64),
         Value::Bool(trace.committed),
+        Value::Int(events.start),
+        Value::Int(events.end - events.start),
     ])
+}
+
+/// The `EventId`s of the event rows of an `Executions` row's transaction.
+pub(crate) fn event_ids(row: &Row) -> Range<i64> {
+    let int = |i| row.get(i).and_then(Value::as_int).unwrap_or_default();
+    int(8)..int(8) + int(9)
+}
+
+/// Decodes an `Executions` row: the inverse of [`executions_row`], with
+/// no reads or writes.
+pub(crate) fn trace_of(row: &Row) -> TxnTrace {
+    let text = |i| row.get(i).and_then(Value::as_text).unwrap_or_default();
+    let int = |i| row.get(i).and_then(Value::as_int).unwrap_or_default();
+    TxnTrace {
+        txn_id: int(0) as u64,
+        ctx: TxnContext::new(text(3), text(2), text(4)),
+        timestamp: int(1),
+        snapshot_ts: int(5) as Ts,
+        commit_ts: int(6) as Ts,
+        committed: row.get(7).and_then(Value::as_bool).unwrap_or_default(),
+        reads: Vec::new(),
+        writes: Arc::new([]),
+    }
 }
 
 /// The `Requests` row of a handler invocation.
@@ -205,20 +244,28 @@ pub(crate) fn external_call_row(
 
 /// A row of an event table with `app_cols` application columns: the fixed
 /// provenance columns, then the image's values (NULLs without an image).
+/// `read` is a read event's `(ReadTs, ReadNo)`.
 pub(crate) fn event_row(
     event_id: i64,
     txn_id: i64,
     kind: &str,
     query: &str,
+    read: Option<(Ts, usize)>,
     app_cols: usize,
     image: Option<&Row>,
 ) -> Row {
-    let mut values = Vec::with_capacity(4 + app_cols);
+    let mut values = Vec::with_capacity(FIRST_APP_COLUMN + app_cols);
+    let (read_ts, read_no) = match read {
+        Some((ts, no)) => (Value::Int(ts as i64), Value::Int(no as i64)),
+        None => (Value::Null, Value::Null),
+    };
     values.extend([
         Value::Int(event_id),
         Value::Int(txn_id),
         Value::Text(kind.to_string()),
         Value::Text(query.to_string()),
+        read_ts,
+        read_no,
     ]);
     let image = (0..app_cols).map(|i| image.and_then(|row| row.get(i)));
     values.extend(image.map(|v| v.cloned().unwrap_or(Value::Null)));
@@ -226,10 +273,11 @@ pub(crate) fn event_row(
 }
 
 /// Derives the default event-table name for an application table:
-/// `forum_sub` → `ForumSubEvents`.
+/// `forum_sub` → `ForumSubEvents`, the namespace table `kv:carts` →
+/// `KvCartsEvents`.
 pub fn default_event_table_name(app_table: &str) -> String {
     let mut out = String::new();
-    for part in app_table.split(['_', '-']) {
+    for part in app_table.split(['_', '-', ':']) {
         let mut chars = part.chars();
         if let Some(first) = chars.next() {
             out.extend(first.to_uppercase());
@@ -268,7 +316,7 @@ mod tests {
             .build()
             .unwrap();
         let ev = event_table_schema(&app).unwrap();
-        assert_eq!(ev.arity(), 4 + 2);
+        assert_eq!(ev.arity(), 6 + 2);
         let user_col = ev.column(ev.column_index("user_id").unwrap()).unwrap();
         assert!(user_col.nullable);
     }
@@ -293,5 +341,6 @@ mod tests {
         assert_eq!(default_event_table_name("forum_sub"), "ForumSubEvents");
         assert_eq!(default_event_table_name("profiles"), "ProfilesEvents");
         assert_eq!(default_event_table_name("site_link"), "SiteLinkEvents");
+        assert_eq!(default_event_table_name("kv:carts"), "KvCartsEvents");
     }
 }

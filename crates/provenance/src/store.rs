@@ -1,18 +1,39 @@
-//! The provenance store: trace events become rows of SQL-queryable tables
-//! (declarative debugging) plus an in-memory archive of the full
-//! [`TxnTrace`] values.
+//! The provenance store: trace events become rows of SQL-queryable tables,
+//! and those rows are the only copy the store keeps.
 //!
 //! Each handler invocation is kept once, as its `Requests` row; a
 //! [`RequestRecord`] is a decoded view of that row. The debugger's
-//! helpers are queries over the tables. The trace archive stays for the
+//! helpers are queries over the tables.
+//!
+//! A [`TxnTrace`] is a decoded view too, assembled on demand for the
 //! consumers that need whole traces — replay, reenactment, retroactive
-//! programming and `interleave`'s conflict graph — and they read it one
-//! request ([`ProvenanceStore::txns_for_request`]), one commit range
+//! programming and `interleave`'s conflict graph — one request
+//! ([`ProvenanceStore::txns_for_request`]), one commit range
 //! ([`ProvenanceStore::txns_between`]) or one transaction
-//! ([`ProvenanceStore::txn`]) at a time. The tables cannot rebuild a
-//! [`TxnTrace`]: no table holds a read's `read_ts`, a write event keeps
-//! one image where replay re-applies whole change records, and events on
-//! unregistered tables are kept only in the archive.
+//! ([`ProvenanceStore::txn`]) at a time. Three parts make a trace, all
+//! read at one snapshot of the store, so no accessor sees half a chunk:
+//!
+//! * its `Executions` row, found by a probe on `ReqId` or `TxnId`, or a
+//!   range scan on `CommitTs`;
+//! * its reads, from its event rows, grouped by `ReadNo`: each event row
+//!   is one row read, and a read that matched nothing is one event with
+//!   NULL application columns. A transaction's event rows take
+//!   consecutive `EventId`s, which its `Executions` row records
+//!   (`FirstEventId`, `Events`), so they are found by primary key in each
+//!   event table. A `TxnId` probe would do, but the first one builds that
+//!   column's index over every event row ever ingested, inside whatever
+//!   debugging call comes first;
+//! * its writes, from the application database's own history
+//!   ([`Database::history`] at the commit's timestamp): the commit's change
+//!   list, the allocation its log entry holds.
+//!
+//! Redaction reaches the assembled trace through the event rows: a
+//! redacted read event's row is left out of its read, whose query then
+//! reads [`REDACTED_MARKER`], and a transaction's k-th non-`Read` event is
+//! its k-th change record, erased when that event is redacted. A writing
+//! transaction whose history an in-memory application has collected
+//! below its GC floor is assembled with no writes; both cases are
+//! [`ProvenanceStore::is_partial`].
 //!
 //! # Ingest
 //!
@@ -23,11 +44,17 @@
 //! holds the ingest lock throughout, so concurrent callers serialize,
 //! `EventId`s follow stream order, and a drained `HandlerEnd` is never
 //! ingested before the `HandlerStart` another caller drained ahead of it.
+//! An application table a batch touches that has no event table yet is
+//! registered under its default name first; events on a table the
+//! application database lacks are counted
+//! ([`ProvenanceStats::unregistered_table_events`]) and dropped.
 //! Each event is translated once into change records:
 //!
-//! * `Txn` → an `Executions` row, one `<X>Events` row per row read (one
-//!   NULL-data row for a read that matched nothing) and one per write. A
-//!   `TxnId` already in `Executions` is skipped and counted.
+//! * `Txn` → one `<X>Events` row per row read (one NULL-data row for a
+//!   read that matched nothing) and one per write, in the order of the
+//!   trace's reads and change records, then an `Executions` row recording
+//!   their `EventId`s. A `TxnId` already in `Executions` is skipped and
+//!   counted.
 //! * `HandlerStart` → a `Requests` row and an entry in the
 //!   open-invocation map: `(ReqId, HandlerName)` → LIFO stack of the
 //!   invocation's `StartTs`, which with the pair is its `Requests` key,
@@ -40,35 +67,39 @@
 //!
 //! The records of a batch are published through
 //! [`Database::apply_changes`] in chunks of about `CHUNK_ROWS` rows, one
-//! injected commit each. A chunk's archive entries and statistics become
-//! visible only after its commit; a chunk the engine rejects (a row image
-//! that does not fit the registered schema) is dropped whole and its
-//! events counted. The open-invocation map is derived state: rejection and
-//! retention rebuild it from the `Requests` rows with no `EndTs`, and
-//! redaction holds the ingest lock so a late `HandlerEnd` reads back the
-//! redacted row.
+//! injected commit each. A chunk's statistics become visible only after
+//! its commit; a chunk the engine rejects (a row image that does not fit
+//! the registered schema) is dropped whole and its events counted. The
+//! open-invocation map is derived state: rejection and retention rebuild
+//! it from the `Requests` rows with no `EndTs`, and redaction holds the
+//! ingest lock so a late `HandlerEnd` reads back the redacted row.
 //!
-//! Ingest never maintains an index. `Executions` is indexed on `ReqId`
-//! and `Timestamp`, `Requests` on `ReqId`, and each `<X>Events` table on
-//! `TxnId` and on every application column; an index is built by the
-//! first query that probes it and catches up from its table's change log
-//! at later probes (`trod_db::index`), so a store nobody queries pays for
-//! none of them.
+//! Ingest never maintains an index. `Executions` is indexed on `ReqId`,
+//! `Timestamp` and `CommitTs`, `Requests` on `ReqId`, and each
+//! `<X>Events` table on `TxnId` and on every application column; an index
+//! is built by the first query that probes it and catches up from its
+//! table's change log at later probes (`trod_db::index`), so a store
+//! nobody queries pays for none of them.
 
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::ops::Range;
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
-use trod_db::{ChangeRecord, Database, DbResult, Key, Predicate, Schema, Ts, TxnId};
+use trod_db::{
+    ChangeRecord, CommittedTxn, Database, DbResult, Key, Predicate, Row, Schema, Ts, TxnId, Value,
+};
 use trod_query::{QueryEngine, QueryResultT, ResultSet};
-use trod_trace::{TraceEvent, Tracer, TxnTrace};
+use trod_trace::{ReadTrace, TraceEvent, Tracer, TxnTrace};
 
+use crate::redaction::{erase_change, REDACTED_MARKER};
 use crate::schema::{
-    default_event_table_name, event_column_names, event_row, event_table_schema, executions_row,
-    executions_schema, external_call_row, external_calls_schema, request_of, requests_change,
-    requests_key, requests_schema, EXECUTIONS_TABLE, EXTERNAL_CALLS_TABLE, REQUESTS_TABLE,
+    default_event_table_name, event_column_names, event_ids, event_row, event_table_schema,
+    executions_row, executions_schema, external_call_row, external_calls_schema, request_of,
+    requests_change, requests_key, requests_schema, trace_of, EXECUTIONS_TABLE,
+    EXTERNAL_CALLS_TABLE, FIRST_APP_COLUMN, REQUESTS_TABLE,
 };
 
 /// Rows per injected commit. While a chunk installs, its records exist
@@ -101,7 +132,8 @@ pub struct ProvenanceStats {
     pub handler_invocations: usize,
     /// External-service calls observed.
     pub external_calls: usize,
-    /// Events referencing application tables that were never registered.
+    /// Events on tables that have no event table: the application
+    /// database lacks them, or their default event-table name was taken.
     pub unregistered_table_events: usize,
     /// `Txn` events skipped because their `TxnId` was already ingested.
     pub duplicate_transactions: usize,
@@ -113,14 +145,16 @@ pub struct ProvenanceStats {
     pub redacted_events: usize,
 }
 
-/// What ingest needs to know about a registered application table,
-/// resolved once at registration.
+/// What ingest and assembly need to know about a registered application
+/// table, resolved once at registration.
 pub(crate) struct EventTable {
     /// The event table's interned name ([`trod_db::TableStore::name`]):
     /// staged records share it, so the engine resolves a run of them once.
     pub(crate) name: Arc<str>,
-    /// Application columns inlined after the four provenance columns.
+    /// Application columns inlined after the provenance columns.
     app_cols: usize,
+    /// Positions of the application table's primary-key columns.
+    key_cols: Vec<usize>,
 }
 
 /// The interned names of the fixed tables, for the same reason.
@@ -145,12 +179,11 @@ pub(crate) struct Ingest {
 /// table).
 type Open = (i64, Option<usize>);
 
-/// One chunk of a drained batch: its change records, and the archive
-/// entries and counts that become visible once the records commit.
+/// One chunk of a drained batch: its change records, and the counts that
+/// become visible once the records commit.
 #[derive(Default)]
 struct Chunk {
     changes: Vec<ChangeRecord>,
-    txns: Vec<TxnTrace>,
     txn_ids: HashSet<TxnId>,
     /// Invocations started in this chunk, finished or not; the last is
     /// the one whose ordinal is `started - 1`.
@@ -159,39 +192,34 @@ struct Chunk {
     stats: ProvenanceStats,
 }
 
-/// The TROD provenance database.
+/// The TROD provenance database of one application database.
 ///
 /// Relational tables (queryable through SQL) hold what the paper's Tables
-/// 1–2 hold, handler invocations included; a parallel in-memory archive
-/// keeps the full [`TxnTrace`] records (read rows, CDC before/after
-/// images) that the replay and retroactive engines consume.
+/// 1–2 hold, handler invocations included. The [`TxnTrace`]s the replay
+/// and retroactive engines consume are assembled from those tables and
+/// the application's history (see the module docs).
 pub struct ProvenanceStore {
     pub(crate) db: Database,
+    /// The traced application: its schemas name the tables traces touch,
+    /// and its history holds every trace's writes.
+    pub(crate) app: Database,
     fixed: FixedTables,
     engine: QueryEngine,
     /// application table → its event table.
     pub(crate) table_map: RwLock<HashMap<String, EventTable>>,
-    /// Detailed transaction archive ordered by trace timestamp.
-    pub(crate) archive: RwLock<Vec<TxnTrace>>,
     /// Held for the whole of every ingest call, and by the redaction
     /// operations that must not interleave with one. Taken before any
     /// other lock of the store.
     pub(crate) ingest: Mutex<Ingest>,
     pub(crate) stats: RwLock<ProvenanceStats>,
-    /// Transactions whose provenance has been partially redacted (GDPR
-    /// erasure, §5); replay degrades gracefully for these.
-    pub(crate) redacted_txns: RwLock<HashSet<TxnId>>,
-}
-
-impl Default for ProvenanceStore {
-    fn default() -> Self {
-        ProvenanceStore::new()
-    }
 }
 
 impl ProvenanceStore {
-    /// Creates an empty provenance store with the fixed tables.
-    pub fn new() -> Self {
+    /// Creates an empty provenance store for the application database
+    /// `app`, with the fixed tables and no event table: each application
+    /// table gets one under its default name when a trace first touches
+    /// it, unless registered before.
+    pub fn new(app: &Database) -> Self {
         let db = Database::new();
         db.create_table(EXECUTIONS_TABLE, executions_schema())
             .expect("fresh database cannot already contain Executions");
@@ -202,10 +230,13 @@ impl ProvenanceStore {
         db.create_index(EXECUTIONS_TABLE, "ReqId")
             .expect("Executions.ReqId index");
         // The debugger's time-window investigations (which transactions
-        // ran between these timestamps?) are range scans over ingest
-        // order; indexes keep them sublinear as provenance grows.
+        // ran between these timestamps?) and retention are range scans
+        // over the trace clock; commit ranges (`txns_between`) over the
+        // commit order. Indexes keep both sublinear as provenance grows.
         db.create_index(EXECUTIONS_TABLE, "Timestamp")
             .expect("Executions.Timestamp index");
+        db.create_index(EXECUTIONS_TABLE, "CommitTs")
+            .expect("Executions.CommitTs index");
         // Request records are read by request: replay, retroactive
         // programming and redaction all look up one `ReqId`.
         db.create_index(REQUESTS_TABLE, "ReqId")
@@ -222,30 +253,40 @@ impl ProvenanceStore {
             },
             engine: QueryEngine::new(db.clone()),
             db,
+            app: app.clone(),
             table_map: RwLock::new(HashMap::new()),
-            archive: RwLock::new(Vec::new()),
             ingest: Mutex::new(Ingest {
                 next_event_id: 1,
                 started: 0,
                 open: HashMap::new(),
             }),
             stats: RwLock::new(ProvenanceStats::default()),
-            redacted_txns: RwLock::new(HashSet::new()),
         }
     }
 
-    /// Whether a transaction's provenance has been partially redacted by a
-    /// privacy-erasure request (see [`crate::redaction`]). Replay and
-    /// retroactive programming consult this to report partial fidelity
-    /// rather than silently using incomplete data.
-    pub fn is_redacted(&self, txn_id: TxnId) -> bool {
-        self.redacted_txns.read().contains(&txn_id)
+    /// Whether a transaction's trace is partial: a privacy erasure (see
+    /// [`crate::redaction`]) redacted one of its event rows, which shows in
+    /// the assembled trace as a read whose query is [`REDACTED_MARKER`] or
+    /// a change record with no image, or it wrote and its commit is no
+    /// longer in the application's history. Replay and retroactive
+    /// programming consult this to report partial fidelity rather than
+    /// silently using incomplete data.
+    pub fn is_partial(&self, txn_id: TxnId) -> bool {
+        let erased = |c: &ChangeRecord| {
+            let image = c.op.after().or_else(|| c.op.before());
+            image.is_some_and(|row| row.iter().all(Value::is_null))
+        };
+        self.txn(txn_id).is_some_and(|t| {
+            t.reads.iter().any(|read| read.query == REDACTED_MARKER)
+                || t.writes.iter().any(erased)
+                || (wrote(&t) && t.writes.is_empty())
+        })
     }
 
-    /// Creates a provenance store and registers every table of the given
-    /// application database under its default event-table name.
+    /// Creates a provenance store for `app_db` and registers every table
+    /// of it under its default event-table name.
     pub fn for_application(app_db: &Database) -> DbResult<Self> {
-        let store = ProvenanceStore::new();
+        let store = ProvenanceStore::new(app_db);
         for table in app_db.table_names() {
             let schema = app_db.schema_of(&table)?;
             store.register_table(&table, &schema)?;
@@ -286,6 +327,7 @@ impl ProvenanceStore {
         let facts = EventTable {
             name: self.db.table(event_table)?.name().clone(),
             app_cols: schema.arity(),
+            key_cols: schema.primary_key().to_vec(),
         };
         self.table_map.write().insert(app_table.to_string(), facts);
         Ok(())
@@ -335,6 +377,7 @@ impl ProvenanceStore {
     }
 
     fn ingest_locked(&self, events: Vec<TraceEvent>, ingest: &mut Ingest) {
+        self.register_first_seen(&events);
         let tables = self.table_map.read();
         let mut events = events.into_iter().peekable();
         while events.peek().is_some() {
@@ -347,13 +390,37 @@ impl ProvenanceStore {
         }
     }
 
+    /// Registers, under its default name, every application table a trace
+    /// in `events` touches that has no event table yet. A table the
+    /// application lacks, or whose default name is taken, stays
+    /// unregistered and its events are counted.
+    fn register_first_seen(&self, events: &[TraceEvent]) {
+        let unseen: HashSet<String> = {
+            let tables = self.table_map.read();
+            let traces = events.iter().filter_map(|event| match event {
+                TraceEvent::Txn(trace) => Some(trace),
+                _ => None,
+            });
+            let touched = traces.flat_map(|t| {
+                let reads = t.reads.iter().map(|read| read.table.as_str());
+                reads.chain(t.writes.iter().map(|change| &*change.table))
+            });
+            let unseen = touched.filter(|table| !tables.contains_key(*table));
+            unseen.map(str::to_string).collect()
+        };
+        for table in unseen {
+            if let Ok(schema) = self.app.schema_of(&table) {
+                let _ = self.register_table(&table, &schema);
+            }
+        }
+    }
+
     /// Ingests a single trace event.
     pub fn ingest_event(&self, event: TraceEvent) {
         self.ingest(vec![event]);
     }
 
-    /// Translates one event into the chunk's change records and pending
-    /// archive entries.
+    /// Translates one event into the chunk's change records.
     fn stage(
         &self,
         event: TraceEvent,
@@ -372,44 +439,47 @@ impl ProvenanceStore {
                     chunk.stats.duplicate_transactions += 1;
                     return;
                 }
-                let row = executions_row(&trace);
-                let table = self.fixed.executions.clone();
-                chunk.changes.push(ChangeRecord::insert(table, key, row));
+                let first_event = ingest.next_event_id;
                 // Stages one `<X>Events` row, or counts the event when its
-                // application table was never registered.
-                let mut event = |table: Option<&EventTable>, kind: &str, query: &str, image| {
-                    let Some(table) = table else {
-                        chunk.stats.unregistered_table_events += 1;
-                        return;
+                // application table is not registered.
+                let mut event =
+                    |table: Option<&EventTable>, kind: &str, query: &str, read, image| {
+                        let Some(table) = table else {
+                            chunk.stats.unregistered_table_events += 1;
+                            return;
+                        };
+                        let event_id = ingest.next_event_id;
+                        ingest.next_event_id += 1;
+                        let row =
+                            event_row(event_id, txn_id, kind, query, read, table.app_cols, image);
+                        let insert =
+                            ChangeRecord::insert(table.name.clone(), Key::single(event_id), row);
+                        chunk.changes.push(insert);
+                        chunk.stats.data_events += 1;
                     };
-                    let event_id = ingest.next_event_id;
-                    ingest.next_event_id += 1;
-                    let row = event_row(event_id, txn_id, kind, query, table.app_cols, image);
-                    let insert =
-                        ChangeRecord::insert(table.name.clone(), Key::single(event_id), row);
-                    chunk.changes.push(insert);
-                    chunk.stats.data_events += 1;
-                };
-                for read in &trace.reads {
+                for (read_no, read) in trace.reads.iter().enumerate() {
                     let table = tables.get(&read.table);
+                    let at = Some((read.read_ts, read_no));
                     // A read that matched nothing is still one event; so
                     // is any read of an unregistered table.
                     if read.rows.is_empty() || table.is_none() {
-                        event(table, "Read", &read.query, None);
+                        event(table, "Read", &read.query, at, None);
                         continue;
                     }
                     for (_, row) in &read.rows {
-                        event(table, "Read", &read.query, Some(&**row));
+                        event(table, "Read", &read.query, at, Some(&**row));
                     }
                 }
                 for change in trace.writes.iter() {
                     let kind = change.op.kind();
                     let query = format!("{kind} {}", change.key);
                     let image = change.op.after().or_else(|| change.op.before());
-                    event(tables.get(&*change.table), kind, &query, image);
+                    event(tables.get(&*change.table), kind, &query, None, image);
                 }
+                let row = executions_row(&trace, first_event..ingest.next_event_id);
+                let table = self.fixed.executions.clone();
+                chunk.changes.push(ChangeRecord::insert(table, key, row));
                 chunk.stats.transactions += 1;
-                chunk.txns.push(*trace);
             }
             TraceEvent::HandlerStart {
                 req_id,
@@ -495,8 +565,8 @@ impl ProvenanceStore {
         }
     }
 
-    /// Installs a chunk as one injected commit, then makes its archive
-    /// entries and counts visible; a rejected chunk is dropped and counted.
+    /// Installs a chunk as one injected commit, then makes its counts
+    /// visible; a rejected chunk is dropped and counted.
     fn publish(&self, mut chunk: Chunk, ingest: &mut Ingest) {
         let opened = chunk.opened.into_iter();
         let requests = &self.fixed.requests;
@@ -508,7 +578,6 @@ impl ProvenanceStore {
             self.reopen(ingest);
             return;
         }
-        self.archive.write().extend(chunk.txns);
         let mut stats = self.stats.write();
         stats.transactions += chunk.stats.transactions;
         stats.data_events += chunk.stats.data_events;
@@ -564,47 +633,134 @@ impl ProvenanceStore {
         self.requests_where(&Predicate::True)
     }
 
-    /// The archived traces `keep` selects, in the archive's one order:
-    /// committed transactions at their serialization point
-    /// ([`TxnTrace::serialization_ts`], which is the `CommitTs` column),
-    /// then aborted ones at their snapshot, ties by trace timestamp.
-    fn archived(&self, keep: impl Fn(&TxnTrace) -> bool) -> Vec<TxnTrace> {
-        let archive = self.archive.read();
-        let mut txns: Vec<TxnTrace> = archive.iter().filter(|t| keep(t)).cloned().collect();
-        txns.sort_by_key(|t| (!t.committed, t.serialization_ts(), t.timestamp));
-        txns
+    /// The traces of the `Executions` rows `pred` selects, assembled at
+    /// one snapshot of the store (see the module docs), in one order:
+    /// committed transactions at their `CommitTs` (a read-only commit's is
+    /// its snapshot), then aborted ones at their snapshot (their `CommitTs`
+    /// is 0), ties by trace timestamp.
+    fn assemble(&self, pred: &Predicate) -> Vec<TxnTrace> {
+        let ts = self.db.current_ts();
+        let rows = self.db.scan_as_of(EXECUTIONS_TABLE, pred, ts);
+        let rows = rows.expect("Executions is a fixed table and the predicate names its columns");
+        let traces = rows.iter().map(|(_, row)| (trace_of(row), event_ids(row)));
+        let mut txns: Vec<(TxnTrace, Range<i64>)> = traces.collect();
+        txns.sort_by_key(|(t, _)| (!t.committed, t.commit_ts.max(t.snapshot_ts), t.timestamp));
+
+        // Every event row of these transactions, probed by key.
+        let ids = txns.iter().flat_map(|(_, ids)| ids.clone());
+        let of_txns = Predicate::in_list("EventId", ids.map(Value::Int).collect());
+        let tables = self.table_map.read();
+        let mut events: BTreeMap<i64, EventRow> = BTreeMap::new();
+        for (app_table, table) in tables.iter() {
+            let rows = self.db.scan_as_of(&table.name, &of_txns, ts);
+            for (_, row) in rows.expect("an event table is keyed by EventId") {
+                let event_id = row.get(0).and_then(Value::as_int).unwrap_or_default();
+                events.insert(event_id, (app_table.as_str(), table, row));
+            }
+        }
+
+        let writers = txns.iter().filter(|(t, _)| wrote(t));
+        let commits = self.commits(writers.map(|(t, _)| t.commit_ts));
+        for (trace, ids) in &mut txns {
+            // Whether each non-`Read` event, in order, was redacted.
+            let mut erased = Vec::new();
+            let mut read_no = None;
+            for (app_table, table, row) in events.range(ids.clone()).map(|(_, event)| event) {
+                let cell = |i| row.get(i).cloned().unwrap_or(Value::Null);
+                let redacted = cell(3).as_text() == Some(REDACTED_MARKER);
+                if cell(2).as_text() != Some("Read") {
+                    erased.push(redacted);
+                    continue;
+                }
+                if read_no != Some(cell(5)) {
+                    read_no = Some(cell(5));
+                    trace.reads.push(ReadTrace {
+                        table: app_table.to_string(),
+                        query: cell(3).as_text().unwrap_or_default().to_string(),
+                        read_ts: cell(4).as_int().unwrap_or_default() as Ts,
+                        rows: Vec::new(),
+                    });
+                }
+                let read = trace.reads.last_mut().expect("pushed above");
+                let image = &row.values()[FIRST_APP_COLUMN..];
+                if redacted {
+                    read.query = REDACTED_MARKER.to_string();
+                } else if image.iter().any(|v| !v.is_null()) {
+                    let key = table.key_cols.iter().map(|&i| image[i].clone());
+                    let row = Row::from(image[..table.app_cols].to_vec());
+                    read.rows.push((Key::new(key.collect()), Arc::new(row)));
+                }
+            }
+            let commit = commits.get(&trace.commit_ts);
+            if let Some(commit) = commit.filter(|c| wrote(trace) && c.txn_id == trace.txn_id) {
+                trace.writes = if erased.contains(&true) {
+                    let changes = commit.changes.iter().enumerate();
+                    let erase = |(k, change)| match erased.get(k) {
+                        Some(true) => erase_change(change),
+                        _ => ChangeRecord::clone(change),
+                    };
+                    changes.map(erase).collect()
+                } else {
+                    commit.changes.clone()
+                };
+            }
+        }
+        txns.into_iter().map(|(trace, _)| trace).collect()
     }
 
-    /// All archived transaction traces, in the archive's order (see
-    /// [`Self::txns_for_request`]). The debugger reads the archive one
-    /// request or one commit range at a time; this is for tests and
-    /// inspection.
-    pub fn all_txns(&self) -> Vec<TxnTrace> {
-        self.archived(|_| true)
+    /// The application's commits at the timestamps `at`, by timestamp:
+    /// one [`Database::history`] read over their span, or over the part of
+    /// it above an in-memory application's GC floor.
+    fn commits(&self, at: impl Iterator<Item = Ts>) -> HashMap<Ts, CommittedTxn> {
+        let (lo, hi) = at.fold((Ts::MAX, 0), |(lo, hi), ts| (lo.min(ts), hi.max(ts)));
+        if lo > hi {
+            return HashMap::new();
+        }
+        let entries = self.app.history(lo - 1, hi).or_else(|_| {
+            let floor = self.app.log_truncated_below();
+            self.app.history(floor.max(lo - 1), hi)
+        });
+        let entries = entries.unwrap_or_default().into_iter();
+        entries.map(|entry| (entry.commit_ts, entry)).collect()
     }
 
-    /// The archived trace of one transaction.
+    /// The trace of one transaction.
     pub fn txn(&self, txn_id: TxnId) -> Option<TxnTrace> {
-        self.archived(|t| t.txn_id == txn_id).pop()
+        self.assemble(&Predicate::eq("TxnId", txn_id as i64)).pop()
     }
 
     /// The transaction traces of a request: committed ones in commit order
     /// (a read-only commit's timestamp is its snapshot), then aborted ones
     /// in snapshot order; ties go by trace timestamp.
     pub fn txns_for_request(&self, req_id: &str) -> Vec<TxnTrace> {
-        self.archived(|t| t.ctx.req_id == req_id)
+        self.assemble(&Predicate::eq("ReqId", req_id))
     }
 
     /// Committed transactions with commit timestamps in `(after, up_to]`,
     /// in commit order (as [`Self::txns_for_request`]).
     pub fn txns_between(&self, after: Ts, up_to: Ts) -> Vec<TxnTrace> {
-        self.archived(|t| t.committed && t.commit_ts > after && t.commit_ts <= up_to)
+        let int = |ts: Ts| ts.min(i64::MAX as Ts) as i64;
+        let pred = Predicate::eq("Committed", true)
+            .and(Predicate::gt("CommitTs", int(after)))
+            .and(Predicate::le("CommitTs", int(up_to)));
+        self.assemble(&pred)
     }
 
-    /// Number of archived transaction traces.
+    /// Number of traced transactions (rows of `Executions`).
     pub fn txn_count(&self) -> usize {
-        self.archive.read().len()
+        let executions = self.db.table(EXECUTIONS_TABLE);
+        let executions = executions.expect("Executions is a fixed table");
+        executions.count_at(self.db.current_ts())
     }
+}
+
+/// An event row, with the application table it is about.
+type EventRow<'a> = (&'a str, &'a EventTable, Arc<Row>);
+
+/// Whether a trace is of a transaction that committed writes: a writing
+/// commit's timestamp is past its snapshot.
+fn wrote(trace: &TxnTrace) -> bool {
+    trace.committed && trace.commit_ts > trace.snapshot_ts
 }
 
 impl std::fmt::Debug for ProvenanceStore {
@@ -642,7 +798,7 @@ mod tests {
     }
 
     fn store_for(db: &Database) -> ProvenanceStore {
-        let store = ProvenanceStore::new();
+        let store = ProvenanceStore::new(db);
         store
             .register_table_as(
                 "forum_sub",
@@ -699,7 +855,7 @@ mod tests {
 
     #[test]
     fn handler_events_build_request_records() {
-        let store = ProvenanceStore::new();
+        let store = ProvenanceStore::new(&Database::new());
         let tracer = Tracer::new();
         tracer.handler_start("R1", "checkout", None, "{\"cart\":1}");
         tracer.handler_start("R1", "charge", Some("checkout"), "{}");
@@ -727,7 +883,7 @@ mod tests {
     }
 
     #[test]
-    fn archive_accessors_filter_and_order() {
+    fn trace_accessors_filter_and_order() {
         let db = app_db();
         let store = store_for(&db);
         let traced = Session::traced(db, Tracer::new());
@@ -743,7 +899,7 @@ mod tests {
         let r1 = store.txns_for_request("R1");
         assert_eq!(r1.len(), 2);
         assert!(r1[0].commit_ts < r1[1].commit_ts);
-        let all = store.all_txns();
+        let all = store.txns_between(0, Ts::MAX);
         assert_eq!(all.len(), 3);
         let first_commit = all[0].commit_ts;
         let later = store.txns_between(first_commit, Ts::MAX);
@@ -765,7 +921,7 @@ mod tests {
         txn.commit().unwrap();
         store.drain_from(traced.tracer().unwrap());
 
-        let txns = store.all_txns();
+        let txns = store.txns_between(0, Ts::MAX);
         let writes: Vec<bool> = txns.iter().map(TxnTrace::is_write).collect();
         assert_eq!(writes, [true, false]);
         // A read-only commit records its snapshot as its commit timestamp.
@@ -794,16 +950,46 @@ mod tests {
     }
 
     #[test]
-    fn unregistered_tables_are_counted_not_dropped_silently() {
+    fn a_table_first_seen_in_a_trace_is_registered_and_its_trace_is_whole() {
         let db = app_db();
-        let store = ProvenanceStore::new(); // nothing registered
-        let traced = Session::traced(db, Tracer::new());
+        let store = ProvenanceStore::new(&db); // nothing registered
+        assert_eq!(store.event_table_for("forum_sub"), None);
+        let traced = Session::traced(db.clone(), Tracer::new());
         let mut txn = traced.begin_traced(TxnContext::new("R1", "h", "f"));
+        assert!(txn.scan("forum_sub", &Predicate::True).unwrap().is_empty());
         txn.insert("forum_sub", row![1i64, "U1", "F2"]).unwrap();
         txn.commit().unwrap();
-        store.drain_from(traced.tracer().unwrap());
-        assert_eq!(store.stats().unregistered_table_events, 1);
-        // The detailed archive still has everything.
-        assert_eq!(store.txn_count(), 1);
+        // A table created after the store.
+        db.create_table(
+            "late",
+            Schema::builder()
+                .column("k", DataType::Text)
+                .primary_key(&["k"])
+                .build()
+                .unwrap(),
+        )
+        .unwrap();
+        let mut txn = traced.begin_traced(TxnContext::new("R2", "h", "f"));
+        assert!(txn.get("forum_sub", &Key::single(1i64)).unwrap().is_some());
+        txn.insert("late", row!["x"]).unwrap();
+        txn.commit().unwrap();
+
+        let events = traced.tracer().unwrap().drain();
+        let teed: Vec<TxnTrace> = events
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::Txn(t) => Some((**t).clone()),
+                _ => None,
+            })
+            .collect();
+        store.ingest(events);
+        assert_eq!(store.stats().unregistered_table_events, 0);
+        assert_eq!(
+            store.event_table_for("forum_sub").as_deref(),
+            Some("ForumSubEvents")
+        );
+        assert_eq!(store.event_table_for("late").as_deref(), Some("LateEvents"));
+        assert_eq!(store.txns_between(0, Ts::MAX), teed);
+        assert_eq!(store.txn_count(), 2);
     }
 }

@@ -6,10 +6,12 @@ use std::sync::{Arc, Barrier};
 
 use proptest::prelude::*;
 
-use trod_db::{ChangeRecord, DataType, Key, Predicate, Row, ScanPlan, Schema, Value};
+use trod_db::{ChangeRecord, DataType, Database, Key, Predicate, Row, ScanPlan, Schema, Ts, Value};
 use trod_provenance::{ProvenanceStats, ProvenanceStore, RequestRecord, REDACTED_MARKER};
 use trod_trace::{ReadTrace, TraceEvent, TxnContext, TxnTrace};
 
+/// A store over an application with a `forum_sub` table and no history:
+/// the synthetic traces below are assembled without writes.
 fn store() -> ProvenanceStore {
     let schema = Schema::builder()
         .column("id", DataType::Int)
@@ -17,7 +19,9 @@ fn store() -> ProvenanceStore {
         .primary_key(&["id"])
         .build()
         .unwrap();
-    let store = ProvenanceStore::new();
+    let app = Database::new();
+    app.create_table("forum_sub", schema.clone()).unwrap();
+    let store = ProvenanceStore::new(&app);
     store.register_table("forum_sub", &schema).unwrap();
     store
 }
@@ -69,7 +73,7 @@ fn end(req: &str, handler: &str, timestamp: i64) -> TraceEvent {
 }
 
 /// Everything observable about a store: every table's rows in key order,
-/// the trace archive, the request records and the counters.
+/// the assembled traces, the request records and the counters.
 type Contents = (
     Vec<(String, Vec<(Key, Arc<Row>)>)>,
     Vec<TxnTrace>,
@@ -88,7 +92,7 @@ fn contents(store: &ProvenanceStore) -> Contents {
     });
     (
         tables.collect(),
-        store.all_txns(),
+        store.txns_between(0, Ts::MAX),
         store.all_request_records(),
         store.stats(),
     )
@@ -406,7 +410,7 @@ fn registration_indexes_every_application_column() {
         .primary_key(&["id"])
         .build()
         .unwrap();
-    let store = ProvenanceStore::new();
+    let store = ProvenanceStore::new(&Database::new());
     store
         .register_table_as("forum_sub", "ForumEvents", &schema)
         .unwrap();
@@ -471,7 +475,7 @@ fn the_paper_query_probes_the_event_table_by_user() {
         .primary_key(&["sub_id"])
         .build()
         .unwrap();
-    let store = ProvenanceStore::new();
+    let store = ProvenanceStore::new(&Database::new());
     store
         .register_table_as("forum_sub", "ForumEvents", &schema)
         .unwrap();

@@ -2,17 +2,17 @@
 //!
 //! The contract under test: after redacting every provenance entry about
 //! one user, (a) none of that user's data values remain reachable through
-//! the relational provenance tables or the detailed archive, (b) every
+//! the relational provenance tables or the assembled traces, (b) every
 //! other user's provenance is untouched, and (c) execution metadata
 //! (transaction ids, handler names) survives so the history's shape stays
 //! debuggable.
 
 use proptest::prelude::*;
 
-use trod_db::{row, DataType, Database, Predicate, Schema, Value};
+use trod_db::{row, DataType, Database, Predicate, Schema, Ts, Value};
 use trod_kv::Session;
 use trod_provenance::ProvenanceStore;
-use trod_trace::{Tracer, TxnContext};
+use trod_trace::{TraceEvent, Tracer, TxnContext, TxnTrace};
 
 /// One generated subscription insert: (user index, forum index).
 fn gen_inserts() -> impl Strategy<Value = Vec<(u8, u8)>> {
@@ -32,7 +32,7 @@ fn setup() -> (Database, ProvenanceStore, Session) {
             .unwrap(),
     )
     .unwrap();
-    let store = ProvenanceStore::new();
+    let store = ProvenanceStore::new(&db);
     store
         .register_table_as(
             "forum_sub",
@@ -42,6 +42,22 @@ fn setup() -> (Database, ProvenanceStore, Session) {
         .unwrap();
     let traced = Session::traced(db.clone(), Tracer::new());
     (db, store, traced)
+}
+
+/// Drains the session's tracer into the store and returns the traces it
+/// carried, in commit order (ties by trace timestamp).
+fn ingest_teed(store: &ProvenanceStore, traced: &Session) -> Vec<TxnTrace> {
+    let events = traced.tracer().unwrap().drain();
+    let mut teed: Vec<TxnTrace> = events
+        .iter()
+        .filter_map(|event| match event {
+            TraceEvent::Txn(trace) => Some((**trace).clone()),
+            _ => None,
+        })
+        .collect();
+    teed.sort_by_key(|t| (!t.committed, t.serialization_ts(), t.timestamp));
+    store.ingest(events);
+    teed
 }
 
 proptest! {
@@ -70,7 +86,7 @@ proptest! {
                 .unwrap();
             txn.commit().unwrap();
         }
-        store.drain_from(traced.tracer().unwrap());
+        let teed = ingest_teed(&store, &traced);
 
         let target_inserts = inserts.iter().filter(|(u, _)| *u == target).count();
         let other_inserts = inserts.len() - target_inserts;
@@ -89,15 +105,16 @@ proptest! {
             .filter(|r| r.iter().any(|v| v.as_text() == Some(target_user.as_str())))
             .count();
         prop_assert_eq!(leaked, 0, "no event row may still carry the target user");
-        // …and from the detailed archive.
-        let archived_leak = store
-            .all_txns()
+        // …and from the assembled traces' reads and CDC images.
+        let assembled = store.txns_between(0, Ts::MAX);
+        let assembled_leak = assembled
             .iter()
             .flat_map(|t| t.writes.iter())
             .filter_map(|c| c.op.after().or_else(|| c.op.before()))
+            .chain(assembled.iter().flat_map(|t| &t.reads).flat_map(|r| r.rows.iter().map(|(_, row)| &**row)))
             .filter(|row| row.iter().any(|v| v.as_text() == Some(target_user.as_str())))
             .count();
-        prop_assert_eq!(archived_leak, 0, "no archived CDC image may still carry the target user");
+        prop_assert_eq!(assembled_leak, 0, "no assembled CDC image may still carry the target user");
 
         // (b) Every other user's write provenance survives untouched.
         let surviving_inserts = events
@@ -114,10 +131,9 @@ proptest! {
         // exactly the transactions that touched the target are flagged.
         let executions = store.query("SELECT TxnId FROM Executions").unwrap();
         prop_assert_eq!(executions.len(), inserts.len());
-        let flagged = store
-            .all_txns()
+        let flagged = teed
             .iter()
-            .filter(|t| store.is_redacted(t.txn_id))
+            .filter(|t| store.is_partial(t.txn_id))
             .count();
         prop_assert_eq!(flagged, report.transactions_affected);
         if target_inserts > 0 {
@@ -144,9 +160,7 @@ proptest! {
                 .unwrap();
             txn.commit().unwrap();
         }
-        store.drain_from(traced.tracer().unwrap());
-
-        let all = store.all_txns();
+        let all = ingest_teed(&store, &traced);
         let keep_from = ((all.len() as f64) * (1.0 - keep_frac)) as usize;
         let cutoff = all
             .get(keep_from)
@@ -158,10 +172,11 @@ proptest! {
 
         prop_assert_eq!(store.txn_count(), expected_kept);
         prop_assert_eq!(report.transactions_dropped, all.len() - expected_kept);
-        // The relational Executions table agrees with the archive.
+        // The relational Executions table agrees with the traces.
         let executions = store.query("SELECT TxnId FROM Executions").unwrap();
         prop_assert_eq!(executions.len(), expected_kept);
         // Every surviving transaction is at or after the cutoff.
-        prop_assert!(store.all_txns().iter().all(|t| t.timestamp >= cutoff));
+        let kept: Vec<TxnTrace> = all.into_iter().filter(|t| t.timestamp >= cutoff).collect();
+        prop_assert_eq!(store.txns_between(0, Ts::MAX), kept);
     }
 }

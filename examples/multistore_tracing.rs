@@ -47,7 +47,7 @@ fn main() {
     //    and a provenance database that knows about both stores.
     let tracer = Tracer::new();
     let cross = Session::traced(db.clone(), tracer.clone());
-    let provenance = ProvenanceStore::new();
+    let provenance = ProvenanceStore::new(&db);
     for table in ["orders", "inventory"] {
         provenance
             .register_table(table, &db.schema_of(table).expect("table exists"))

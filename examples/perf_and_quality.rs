@@ -114,7 +114,7 @@ fn main() {
     let horizon = trod.runtime().tracer().now();
     let retention = trod.provenance().retain_since(horizon).expect("retention");
     println!(
-        "retention: dropped {} archived transactions and {} provenance rows (had {} transactions)",
+        "retention: dropped {} traced transactions and {} provenance rows (had {} transactions)",
         retention.transactions_dropped, retention.rows_deleted, stats_before.transactions
     );
 }

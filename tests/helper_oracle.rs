@@ -1,8 +1,9 @@
 //! The debugger's typed helpers answer their questions with queries over
 //! the provenance tables. Each must answer exactly what the walk over the
 //! trace archive it replaced answered. Those walks live on below as
-//! reference implementations, moved here unchanged and fed by
-//! `ProvenanceStore::all_txns()`, and every helper is compared with its
+//! reference implementations, moved here unchanged and fed by the traces
+//! the tracer emitted (teed before ingest, in the archive's old order),
+//! and every helper is compared with its
 //! reference over random traced histories of the Moodle and profile
 //! services: several handlers per request, RPC children, aborted and
 //! read-only transactions, external calls, and request pairs racing under
@@ -24,7 +25,7 @@ use trod_core::{
 use trod_db::{row, DataType, Database, IsolationLevel, Key, Schema, Value};
 use trod_provenance::{ProvenanceStore, RequestRecord, EXECUTIONS_TABLE};
 use trod_runtime::{point_label, Args, HandlerError, HandlerRegistry, Runtime, Scheduler};
-use trod_trace::TxnTrace;
+use trod_trace::{TraceEvent, TxnTrace};
 
 const USERS: [&str; 4] = ["alice", "bob", "O'Brien", "José"];
 const FORUMS: [&str; 2] = ["F1", "F2"];
@@ -220,9 +221,22 @@ fn rebalance_script(first: &str, second: &str) -> Vec<String> {
     .concat()
 }
 
+/// Drains the tracer into the store, as `Trod::sync` does, and appends
+/// the transaction traces it carried to `teed`.
+fn sync_teed(trod: &Trod, teed: &mut Vec<TxnTrace>) {
+    let events = trod.runtime().tracer().drain();
+    teed.extend(events.iter().filter_map(|event| match event {
+        TraceEvent::Txn(trace) => Some((**trace).clone()),
+        _ => None,
+    }));
+    trod.provenance().ingest(events);
+}
+
 /// Runs `steps` on a fresh traced Moodle + profiles application and
-/// returns its debugger.
-fn traced_history(steps: &[Step]) -> Trod {
+/// returns its debugger, with every transaction trace the history emitted
+/// in the archive's old order: committed ones at their serialization
+/// point, then aborted ones at their snapshot, ties by trace timestamp.
+fn traced_history(steps: &[Step]) -> (Trod, Vec<TxnTrace>) {
     let db = Database::new();
     moodle::create_schema(&db);
     profiles::create_schema(&db);
@@ -234,7 +248,7 @@ fn traced_history(steps: &[Step]) -> Trod {
         .unwrap();
     db.create_table(KINDS_TABLE, kinds).unwrap();
     // Two tables under the paper's names, the rest under the defaults.
-    let store = ProvenanceStore::new();
+    let store = ProvenanceStore::new(&db);
     for table in db.table_names() {
         let schema = db.schema_of(&table).unwrap();
         match table.as_str() {
@@ -250,6 +264,7 @@ fn traced_history(steps: &[Step]) -> Trod {
         .request_prefix("H-")
         .build();
     let trod = Trod::attach_with(runtime, store);
+    let mut teed = Vec::new();
     for (i, step) in steps.iter().enumerate() {
         match step {
             Step::Request(handler, args) => {
@@ -287,16 +302,17 @@ fn traced_history(steps: &[Step]) -> Trod {
             }
         }
         if i == steps.len() / 2 {
-            trod.sync();
+            sync_teed(&trod, &mut teed);
         }
     }
-    trod.sync();
-    trod
+    sync_teed(&trod, &mut teed);
+    teed.sort_by_key(|t| (!t.committed, t.serialization_ts(), t.timestamp));
+    (trod, teed)
 }
 
 // ---------------------------------------------------------------------
 // The archive walks the helpers replaced, unchanged but for taking the
-// archive (`all_txns`) as an argument.
+// archive (`all_txns`, the teed traces) as an argument.
 // ---------------------------------------------------------------------
 
 /// `ProvenanceStore::txns_touching_table`.
@@ -683,9 +699,9 @@ fn spans_match(span: &SpanNode, per_handler: &BTreeMap<String, usize>) -> bool {
         && span.children.iter().all(|c| spans_match(c, per_handler))
 }
 
-fn check_helpers(trod: &Trod) -> Result<(), TestCaseError> {
+fn check_helpers(trod: &Trod, all_txns: &[TxnTrace]) -> Result<(), TestCaseError> {
     let store = trod.provenance();
-    let all_txns = store.all_txns();
+    let all_txns = all_txns.to_vec();
     let mut req_ids = store.request_ids();
     req_ids.push("never-traced".to_string());
 
@@ -779,8 +795,8 @@ fn check_helpers(trod: &Trod) -> Result<(), TestCaseError> {
 proptest! {
     #[test]
     fn helpers_answer_what_the_archive_walks_answered(steps in history()) {
-        let trod = traced_history(&steps);
-        check_helpers(&trod)?;
+        let (trod, all_txns) = traced_history(&steps);
+        check_helpers(&trod, &all_txns)?;
     }
 }
 
@@ -792,9 +808,8 @@ fn histories_cover_the_shapes_the_helpers_distinguish() {
     let mut rng = proptest::test_runner::TestRng::for_case("coverage", 0);
     for _ in 0..64 {
         let steps = history().generate(&mut rng);
-        let trod = traced_history(&steps);
+        let (trod, all_txns) = traced_history(&steps);
         let store = trod.provenance();
-        let all_txns = store.all_txns();
         for txn in &all_txns {
             seen.insert(match (txn.committed, txn.is_write()) {
                 (false, _) => "aborted",

@@ -178,7 +178,7 @@ fn tracing_survives_a_realistic_mixed_workload() {
         stats.transactions >= 200,
         "every request runs at least one txn"
     );
-    // Executions row count matches the archived transaction count.
+    // Executions row count matches the ingested transaction count.
     let execs = provenance
         .query("SELECT COUNT(*) AS n FROM Executions")
         .unwrap();

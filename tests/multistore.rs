@@ -32,7 +32,7 @@ fn traced_cross_store() -> (Session, ProvenanceStore, Tracer) {
     let cross = Session::traced(db.clone(), tracer.clone());
     cross.create_namespace("sessions").unwrap();
 
-    let provenance = ProvenanceStore::new();
+    let provenance = ProvenanceStore::new(&db);
     provenance
         .register_table_as("orders", "OrderEvents", &db.schema_of("orders").unwrap())
         .unwrap();
@@ -148,7 +148,15 @@ fn kv_provenance_can_be_redacted_like_relational_provenance() {
         )
         .unwrap();
     assert_eq!(report.event_rows_redacted, 1);
-    assert_eq!(report.archive_writes_redacted, 1);
+    // Alice's assembled trace carries her kv write erased, and the order
+    // written in the same commit whole.
+    let trace = provenance.txns_for_request("R1").pop().unwrap();
+    let image = |table: &str| {
+        let change = trace.writes.iter().find(|c| &*c.table == table).unwrap();
+        change.op.after().unwrap().clone()
+    };
+    assert!(image(&kv_table_name("sessions")).iter().all(Value::is_null));
+    assert_eq!(image("orders").get(1), Some(&Value::Text("alice".into())));
 
     let remaining = provenance
         .query("SELECT kv_key FROM SessionEvents ORDER BY EventId")

@@ -31,13 +31,18 @@
 //! update-heavy history with and without an environment checkpoint at
 //! its head — the checkpoint boot must come in ≥ 5× faster than full
 //! replay.
+//!
+//! `crc32/<len>` checksums one buffer of 64 B (the shortest input the
+//! carry-less-multiply kernel takes), 8 KiB (a large commit frame) and
+//! 1 MiB (a recovery read), reported in bytes per second.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 use std::time::Duration;
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
+use trod_db::wal::crc32;
 use trod_db::{row, DataType, Database, Schema, SyncMode, WalOptions};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -289,11 +294,26 @@ fn bench_recovery_checkpoint(c: &mut Criterion) {
     group.finish();
 }
 
+/// The checksum every log, checkpoint and manifest frame carries, over
+/// one buffer per size.
+fn bench_crc32(c: &mut Criterion) {
+    let mut group = c.benchmark_group("wal_commit/crc32");
+    for len in [64usize, 8 << 10, 1 << 20] {
+        let data: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
+        group.throughput(Throughput::Bytes(len as u64));
+        group.bench_function(BenchmarkId::from_parameter(len), |b| {
+            b.iter(|| crc32(black_box(&data)))
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_group_commit,
     bench_recovery,
     bench_recovery_segments,
-    bench_recovery_checkpoint
+    bench_recovery_checkpoint,
+    bench_crc32
 );
 criterion_main!(benches);

@@ -27,6 +27,9 @@ use crate::value::DataType;
 /// * [`StorageError::Recovery`] — the log decoded cleanly but cannot be
 ///   replayed (out-of-order commit timestamps, a record referencing
 ///   missing DDL). Not retryable.
+/// * [`StorageError::TooLarge`] — a record longer than one log frame can
+///   carry was refused before anything was buffered, so the log never
+///   holds a frame recovery would reject. Not retryable.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StorageError {
     /// An IO operation on the log directory or one of its files failed.
@@ -37,6 +40,9 @@ pub enum StorageError {
     Corrupt { offset: u64, detail: String },
     /// The log decoded but could not be replayed into a database.
     Recovery { detail: String },
+    /// A record of `len` payload bytes exceeds the `max` a log frame
+    /// carries.
+    TooLarge { len: u64, max: u64 },
 }
 
 impl fmt::Display for StorageError {
@@ -47,6 +53,12 @@ impl fmt::Display for StorageError {
                 write!(f, "log corrupt at byte {offset}: {detail}")
             }
             StorageError::Recovery { detail } => write!(f, "log replay failed: {detail}"),
+            StorageError::TooLarge { len, max } => {
+                write!(
+                    f,
+                    "log record of {len} bytes exceeds the {max}-byte frame limit"
+                )
+            }
         }
     }
 }

@@ -19,7 +19,8 @@ use proptest::prelude::*;
 
 use trod_db::wal::encode_frame;
 use trod_db::{
-    row, DataType, Database, DbError, MemDir, Predicate, Schema, StorageError, SyncMode, WalOptions,
+    row, ChangeRecord, DataType, Database, DbError, Key, MemDir, Predicate, Row, Schema,
+    StorageError, SyncMode, Value, WalOptions,
 };
 
 /// The one segment file these workloads ever write (they stay far below
@@ -410,6 +411,39 @@ fn a_regular_file_at_the_log_path_is_refused_and_left_untouched() {
         "nothing half-created beside it: {parent:?}"
     );
     std::fs::remove_file(&path).unwrap();
+}
+
+/// A commit whose log record is longer than a reader accepts (256 MiB) is
+/// refused at append with a typed error, so it is never acknowledged; the
+/// next commit goes through, and the log boots with every commit that was
+/// acknowledged. Allocates about 0.6 GiB once.
+#[test]
+fn an_oversized_commit_is_refused_and_the_log_stays_bootable() {
+    let disk = MemDir::new();
+    let db = Database::create_durable_in(Arc::new(disk.clone()), WalOptions::default()).unwrap();
+    let blobs = Schema::builder()
+        .column("k", DataType::Int)
+        .column("v", DataType::Bytes)
+        .primary_key(&["k"])
+        .build()
+        .unwrap();
+    db.create_table("blobs", blobs).unwrap();
+    let put = |k: i64, len: usize| {
+        let row = Row::from(vec![Value::Int(k), Value::Bytes(vec![k as u8; len])]);
+        db.apply_changes(&[ChangeRecord::insert("blobs", Key::single(k), row)])
+    };
+    put(1, 16).unwrap();
+    match put(2, (1 << 28) + 1) {
+        Err(DbError::Storage(e @ StorageError::TooLarge { .. })) => assert!(!e.is_retryable()),
+        other => panic!("expected a typed refusal, got {other:?}"),
+    }
+    put(3, 16).unwrap();
+    drop(db);
+
+    let (db, report) = Database::open_durable_in(Arc::new(disk), WalOptions::default()).unwrap();
+    assert_eq!(report.truncated_bytes, 0);
+    let present = |k: i64| db.get_latest("blobs", &Key::single(k)).unwrap().is_some();
+    assert_eq!([present(1), present(2), present(3)], [true, false, true]);
 }
 
 // ---------------------------------------------------------------------

@@ -471,3 +471,37 @@ fn histories_cover_the_shapes_assembly_distinguishes() {
     let seen: Vec<&str> = seen.into_iter().collect();
     assert_eq!(seen, expected);
 }
+
+/// Assembly takes a trace's writes from the history entry at its
+/// `CommitTs` only if that entry is the trace's own transaction: a trace
+/// whose `CommitTs` names another transaction's commit comes out with no
+/// writes, and partial.
+#[test]
+fn a_trace_gets_no_writes_from_another_transactions_commit() {
+    let app = Database::new();
+    let subs = Schema::builder()
+        .column("id", DataType::Int)
+        .column("user", DataType::Text)
+        .primary_key(&["id"])
+        .build()
+        .unwrap();
+    app.create_table(SUBS, subs).unwrap();
+    let store = ProvenanceStore::for_application(&app).unwrap();
+    let insert = ChangeRecord::insert(SUBS, Key::single(1i64), row![1i64, "U1"]);
+    let other = app.apply_changes(&[insert]).unwrap();
+    let stranger = other.txn_id + 1;
+    store.ingest(vec![TraceEvent::Txn(Box::new(TxnTrace {
+        txn_id: stranger,
+        ctx: TxnContext::new("R1", "handler", "insert"),
+        timestamp: 1,
+        snapshot_ts: other.start_ts,
+        commit_ts: other.commit_ts,
+        committed: true,
+        reads: Vec::new(),
+        writes: Arc::clone(&other.changes),
+    }))]);
+    let trace = store.txn(stranger).expect("the trace was ingested");
+    assert_eq!(trace.commit_ts, other.commit_ts);
+    assert!(trace.writes.is_empty(), "{:?}", trace.writes);
+    assert!(store.is_partial(stranger));
+}

@@ -20,6 +20,8 @@
 #     samples          - measurement count
 #     elements_per_sec - optional; present when the bench declares
 #                        throughput (e.g. rows served per second)
+#     bytes_per_sec    - optional; present when the bench declares
+#                        byte throughput (`wal_commit/crc32/<len>`)
 #
 # From PR 27 the `*/on_disk/*` ids of commit_sharding, cross_commit and
 # tracing_overhead, and every `read_scaling/hot_reads/ssi/*` id, measure

@@ -183,11 +183,10 @@ impl Trod {
         path: impl AsRef<std::path::Path>,
         opts: trod_db::WalOptions,
         registry: HandlerRegistry,
-    ) -> Result<(Self, trod_db::RecoveryReport), trod_db::TrodError> {
+    ) -> DbResult<(Self, trod_db::RecoveryReport)> {
         let (session, report) = Session::open_durable(path, opts)?;
         let runtime = Runtime::builder(session.database().clone(), registry).build();
-        let trod = Trod::attach(runtime).map_err(trod_db::TrodError::Relational)?;
-        Ok((trod, report))
+        Ok((Trod::attach(runtime)?, report))
     }
 
     /// Garbage-collects production history under one clamped horizon
@@ -206,7 +205,7 @@ impl Trod {
     /// GC floor. Returns `Ok(None)` when the environment is not durable,
     /// the write was skipped (nothing committed since the last one), or
     /// another checkpoint is already in flight.
-    pub fn checkpoint(&self) -> Result<Option<(trod_db::Ts, u64)>, trod_db::TrodError> {
+    pub fn checkpoint(&self) -> DbResult<Option<(trod_db::Ts, u64)>> {
         self.runtime.session().checkpoint()
     }
 }

@@ -3,7 +3,7 @@
 //! The paper's §3.3/§3.4 workflow is: a developer notices a symptom
 //! (duplicated rows, a failed request), then queries the provenance
 //! database to find which requests and handlers caused it. Raw SQL is
-//! always available through [`trod_core::Trod::query`]; this module adds
+//! always available through [`crate::Trod::query`]; this module adds
 //! the most common investigations as typed helpers.
 
 use trod_provenance::{ProvenanceStore, EXECUTIONS_TABLE};

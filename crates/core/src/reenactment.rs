@@ -4,7 +4,7 @@
 //! TROD's default assumption is strict serializability (paper §3.1), but
 //! the paper notes that it "can work for lower isolation levels such as
 //! snapshot isolation and read committed by leveraging prior work on
-//! transaction reenactment [GProM], which can faithfully replay
+//! transaction reenactment \[GProM\], which can faithfully replay
 //! transactional histories under weak isolation levels using database
 //! audit logs and time travel capabilities."
 //!

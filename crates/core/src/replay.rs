@@ -33,9 +33,9 @@
 
 use std::fmt;
 
-use trod_db::{Database, DbError, KvError, TrodError, Ts, TxnId};
+use trod_db::{Database, DbError, Ts, TxnId};
 use trod_kv::Session;
-use trod_provenance::ProvenanceStore;
+use trod_provenance::{is_partial_trace, ProvenanceStore};
 use trod_trace::TxnTrace;
 
 /// Errors raised while preparing or running a replay.
@@ -48,10 +48,8 @@ pub enum ReplayError {
     /// The snapshot predates the GC truncation floor and no durable log
     /// covers it (the production environment is in memory).
     HistoryTruncated { snapshot_ts: Ts, floor: Ts },
-    /// An underlying relational storage error.
+    /// An underlying database error, on a table or a namespace.
     Storage(DbError),
-    /// An underlying key-value storage error.
-    KeyValue(KvError),
 }
 
 impl fmt::Display for ReplayError {
@@ -67,7 +65,6 @@ impl fmt::Display for ReplayError {
                  garbage-collected and no durable log covers it"
             ),
             ReplayError::Storage(e) => write!(f, "storage error during replay: {e}"),
-            ReplayError::KeyValue(e) => write!(f, "key-value error during replay: {e}"),
         }
     }
 }
@@ -82,16 +79,6 @@ impl From<DbError> for ReplayError {
                 floor,
             },
             e => ReplayError::Storage(e),
-        }
-    }
-}
-
-impl From<TrodError> for ReplayError {
-    fn from(e: TrodError) -> Self {
-        match e {
-            TrodError::Relational(e) => e.into(),
-            TrodError::KeyValue(e) => ReplayError::KeyValue(e),
-            TrodError::Storage(e) => ReplayError::Storage(DbError::Storage(e)),
         }
     }
 }
@@ -236,8 +223,7 @@ impl ReplaySession {
                 .filter(|other| other.ctx.req_id != req_id)
                 .collect();
             watermark = watermark.max(horizon);
-            let partial_data = provenance.is_partial(txn.txn_id)
-                || injected.iter().any(|t| provenance.is_partial(t.txn_id));
+            let partial_data = is_partial_trace(&txn) || injected.iter().any(is_partial_trace);
             steps.push(ReplayStep {
                 txn,
                 injected,

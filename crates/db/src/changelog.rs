@@ -10,7 +10,7 @@
 //! `(start_ts, now]`.
 //!
 //! Every row change
-//! ([`TableStore::apply_batch`](crate::table::TableStore::apply_batch),
+//! (`TableStore::apply_batch`,
 //! which only ever runs under the table's commit lock) appends one
 //! [`ChangeEntry`] carrying the before and after images as [`Arc<Row>`]
 //! (shared with the version chain, so the log adds no row copies). Entries are strictly ordered by

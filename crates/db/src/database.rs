@@ -442,9 +442,10 @@ impl Database {
     /// Creates the key-value namespace `name`: the table `kv:<name>` of
     /// `(kv_key TEXT PRIMARY KEY, kv_value TEXT NOT NULL)` rows, logged as
     /// a `CreateNamespace` record. An existing namespace is
-    /// [`DbError::TableExists`] naming its table.
+    /// [`DbError::NamespaceExists`].
     pub fn create_namespace(&self, name: &str) -> DbResult<()> {
-        self.add_table(kv_table_name(name).to_string(), namespace_schema())?;
+        self.add_table(kv_table_name(name).to_string(), namespace_schema())
+            .map_err(|_| DbError::NamespaceExists(name.to_string()))?;
         self.log_ddl(WalRecord::CreateNamespace {
             name: name.to_string(),
         })
@@ -493,15 +494,6 @@ impl Database {
             }
         }
         Ok(())
-    }
-
-    /// Drops a table and its history.
-    pub fn drop_table(&self, name: &str) -> DbResult<()> {
-        let mut tables = self.inner.tables.write();
-        tables
-            .remove(name)
-            .map(|_| ())
-            .ok_or_else(|| DbError::NoSuchTable(name.to_string()))
     }
 
     /// Creates a secondary index on `table.column`, serving equality,
@@ -553,14 +545,15 @@ impl Database {
     /// Resolves a handle to a table's physical storage. Most callers want
     /// the transactional API instead; the handle is exposed for
     /// diagnostics and tests (e.g. inspecting a table's
-    /// [`ChangeLog`](crate::changelog::ChangeLog)).
+    /// [`ChangeLog`](crate::changelog::ChangeLog)). A missing `kv:<ns>`
+    /// table is [`DbError::NoSuchNamespace`].
     pub fn table(&self, name: &str) -> DbResult<Arc<TableStore>> {
         self.inner
             .tables
             .read()
             .get(name)
             .cloned()
-            .ok_or_else(|| DbError::NoSuchTable(name.to_string()))
+            .ok_or_else(|| no_such_table(name))
     }
 
     /// [`Database::table`] for SQL's case-insensitive names: an exact
@@ -576,7 +569,7 @@ impl Database {
                     .find_map(|(n, t)| n.eq_ignore_ascii_case(name).then_some(t))
             })
             .cloned()
-            .ok_or_else(|| DbError::NoSuchTable(name.to_string()))
+            .ok_or_else(|| no_such_table(name))
     }
 
     // ------------------------------------------------------------------
@@ -769,7 +762,7 @@ impl Database {
     /// never captures a claimed-but-unpublished install — and each table
     /// of the fork reads through to this database's table at that
     /// timestamp until the fork writes the key itself (see
-    /// [`TableStore::reading_through`]). Same schemas and indexes; the fork's
+    /// `TableStore::reading_through`). Same schemas and indexes; the fork's
     /// clock starts at the clamped `ts`, so the relative order of its
     /// commits is comparable with the origin's.
     ///
@@ -884,6 +877,15 @@ impl Database {
     }
 }
 
+/// The error for a table `name` the catalog lacks: a missing `kv:<ns>`
+/// table is a missing namespace.
+fn no_such_table(name: &str) -> DbError {
+    match name.strip_prefix(KV_TABLE_PREFIX) {
+        Some(namespace) => DbError::NoSuchNamespace(namespace.to_string()),
+        None => DbError::NoSuchTable(name.to_string()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -901,9 +903,17 @@ mod tests {
         ));
         assert_eq!(db.table_names(), vec!["a".to_string()]);
         assert_eq!(db.schema_of("a").unwrap().arity(), 2);
-        db.drop_table("a").unwrap();
-        assert!(!db.has_table("a"));
-        assert!(db.drop_table("a").is_err());
+        assert_eq!(db.table("b").unwrap_err(), DbError::NoSuchTable("b".into()));
+
+        db.create_namespace("n").unwrap();
+        assert_eq!(
+            db.create_namespace("n"),
+            Err(DbError::NamespaceExists("n".into()))
+        );
+        assert_eq!(
+            db.table(&kv_table_name("m")).unwrap_err(),
+            DbError::NoSuchNamespace("m".into())
+        );
     }
 
     #[test]

@@ -1,9 +1,7 @@
-//! Error types for the storage engine — and the unified [`TrodError`]
-//! of the session layer.
-//!
-//! [`KvError`] lives here (rather than in `trod-kv`) so that
-//! [`TrodError`] can embed it; `trod-kv` re-exports both. Conflicts on a
-//! namespace are ordinary [`DbError`]s on its `kv:<namespace>` table.
+//! Error types of the engine: [`DbError`] is the one error of every
+//! database operation and of the transaction surface over tables and
+//! key-value namespaces alike; a conflict on a namespace is a [`DbError`]
+//! on its `kv:<namespace>` table.
 
 use std::fmt;
 
@@ -86,6 +84,10 @@ pub enum DbError {
     TableExists(String),
     /// No table with this name exists.
     NoSuchTable(String),
+    /// No key-value namespace with this name exists.
+    NoSuchNamespace(String),
+    /// A key-value namespace with this name already exists.
+    NamespaceExists(String),
     /// No column with this name exists in the referenced table.
     NoSuchColumn { table: String, column: String },
     /// A row value did not match the column's declared type.
@@ -130,6 +132,8 @@ impl fmt::Display for DbError {
         match self {
             DbError::TableExists(t) => write!(f, "table `{t}` already exists"),
             DbError::NoSuchTable(t) => write!(f, "no such table `{t}`"),
+            DbError::NoSuchNamespace(ns) => write!(f, "unknown namespace `{ns}`"),
+            DbError::NamespaceExists(ns) => write!(f, "namespace `{ns}` already exists"),
             DbError::NoSuchColumn { table, column } => {
                 write!(f, "no column `{column}` in table `{table}`")
             }
@@ -200,106 +204,6 @@ impl DbError {
     }
 }
 
-/// Errors naming a key-value namespace that does not exist or already
-/// does.
-///
-/// Defined in `trod-db` (and re-exported by `trod-kv`) so the unified
-/// [`TrodError`] can embed it; see the module docs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum KvError {
-    /// The namespace does not exist.
-    UnknownNamespace(String),
-    /// The namespace already exists.
-    NamespaceExists(String),
-}
-
-impl fmt::Display for KvError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            KvError::UnknownNamespace(ns) => write!(f, "unknown namespace `{ns}`"),
-            KvError::NamespaceExists(ns) => write!(f, "namespace `{ns}` already exists"),
-        }
-    }
-}
-
-impl std::error::Error for KvError {}
-
-/// Result alias for key-value operations.
-pub type KvResult<T> = Result<T, KvError>;
-
-/// The unified transaction error: everything a session transaction —
-/// over tables and namespaces alike — can fail with.
-///
-/// This is the one error type of the unified [`Txn`](crate) surface;
-/// `From` impls exist for both per-store errors so call sites can `?`
-/// freely instead of juggling per-store error enums.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TrodError {
-    /// The database failed (validation conflict — on a namespace too —,
-    /// unknown table, …).
-    Relational(DbError),
-    /// A namespace is unknown or already exists.
-    KeyValue(KvError),
-    /// The shared durability layer failed (WAL append/fsync): the commit
-    /// is published in memory but its durability is unconfirmed — only
-    /// the commits in the failed sync group observe this, and the commit
-    /// path stays usable (see [`StorageError`]). IO failures are
-    /// retryable.
-    Storage(StorageError),
-}
-
-impl fmt::Display for TrodError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TrodError::Relational(e) => write!(f, "relational store: {e}"),
-            TrodError::KeyValue(e) => write!(f, "key-value store: {e}"),
-            TrodError::Storage(e) => write!(f, "durability: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for TrodError {}
-
-impl From<DbError> for TrodError {
-    fn from(e: DbError) -> Self {
-        match e {
-            // Keep storage failures a first-class unified variant instead
-            // of burying them inside the relational wrapper: callers
-            // branch on durability errors (retry the group) differently
-            // from validation conflicts (retry the transaction).
-            DbError::Storage(e) => TrodError::Storage(e),
-            e => TrodError::Relational(e),
-        }
-    }
-}
-
-impl From<KvError> for TrodError {
-    fn from(e: KvError) -> Self {
-        TrodError::KeyValue(e)
-    }
-}
-
-impl From<StorageError> for TrodError {
-    fn from(e: StorageError) -> Self {
-        TrodError::Storage(e)
-    }
-}
-
-impl TrodError {
-    /// True if the error is a transient concurrency failure the caller may
-    /// retry.
-    pub fn is_retryable(&self) -> bool {
-        match self {
-            TrodError::Relational(e) => e.is_retryable(),
-            TrodError::KeyValue(_) => false,
-            TrodError::Storage(e) => e.is_retryable(),
-        }
-    }
-}
-
-/// Result alias for operations spanning both stores.
-pub type TrodResult<T> = Result<T, TrodError>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,6 +217,11 @@ mod tests {
             key: "[Int(1)]".into(),
         };
         assert!(e.to_string().contains("duplicate"));
+        let e = DbError::NoSuchNamespace("x".into());
+        assert_eq!(e.to_string(), "unknown namespace `x`");
+        assert!(!e.is_retryable());
+        let e = DbError::NamespaceExists("x".into());
+        assert_eq!(e.to_string(), "namespace `x` already exists");
     }
 
     #[test]
@@ -332,24 +241,6 @@ mod tests {
     }
 
     #[test]
-    fn unified_error_converts_and_classifies() {
-        let e: TrodError = DbError::WriteConflict {
-            table: "t".into(),
-            key: "k".into(),
-        }
-        .into();
-        assert!(matches!(e, TrodError::Relational(_)));
-        assert!(e.is_retryable());
-
-        let e: TrodError = KvError::UnknownNamespace("x".into()).into();
-        assert!(matches!(e, TrodError::KeyValue(_)));
-        assert!(!e.is_retryable());
-        assert!(e.to_string().contains("`x`"));
-        let e: TrodError = DbError::TransactionClosed.into();
-        assert!(!e.is_retryable());
-    }
-
-    #[test]
     fn storage_errors_classify_and_convert() {
         let io = StorageError::Io {
             op: "sync",
@@ -363,20 +254,10 @@ mod tests {
         assert!(!corrupt.is_retryable());
         assert!(corrupt.to_string().contains("byte 42"));
 
-        // DbError::Storage keeps the classification...
-        let db_err: DbError = io.clone().into();
+        // DbError::Storage keeps the classification.
+        let db_err: DbError = io.into();
         assert!(db_err.is_retryable());
-        let db_err: DbError = corrupt.clone().into();
+        let db_err: DbError = corrupt.into();
         assert!(!db_err.is_retryable());
-
-        // ...and converting to the unified error surfaces the dedicated
-        // variant (not a buried Relational wrapper), from either source.
-        let e: TrodError = DbError::Storage(io.clone()).into();
-        assert!(matches!(e, TrodError::Storage(_)));
-        assert!(e.is_retryable());
-        let e: TrodError = corrupt.into();
-        assert!(matches!(e, TrodError::Storage(_)));
-        assert!(!e.is_retryable());
-        assert!(e.to_string().contains("durability"));
     }
 }

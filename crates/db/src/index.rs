@@ -14,7 +14,7 @@
 //! up to which it has applied every change. Before the planner, a probe
 //! or an ordered walk reads an index, the table checks it against the
 //! log's tail and, only if it is behind, replays the entries after
-//! `through` ([`SecondaryIndex::catch_up`]): an entry's before image is
+//! `through` (`SecondaryIndex::catch_up`): an entry's before image is
 //! unlinked — its entry stamped with the entry's commit timestamp
 //! instead of removed, so reads below the stamp still find the key — and
 //! its after image inserted live. A caught-up index is exact at the

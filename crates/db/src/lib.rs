@@ -28,7 +28,7 @@
 //!   materialises relations of owned values.
 //!
 //! * **O(Δ) serializable validation.** Each table keeps a bounded,
-//!   commit-ordered [`ChangeLog`](changelog::ChangeLog) of recent row
+//!   commit-ordered [`ChangeLog`] of recent row
 //!   changes, appended by `apply_batch` under that table's commit
 //!   lock. Serializable predicate (phantom) validation walks only the
 //!   entries in `(start_ts, now]` — cost proportional to the *delta*
@@ -63,7 +63,7 @@
 //!   [`Database::create_namespace`]), so one timestamp and one
 //!   transaction-log entry span every store (the paper's §5 aligned
 //!   history). An
-//!   [`ActiveTxnRegistry`](registry::ActiveTxnRegistry) tracks
+//!   [`ActiveTxnRegistry`] tracks
 //!   `(txn_id, start_ts)` for every live transaction and a pin for
 //!   every live fork; its watermark (clamped to the published clock)
 //!   bounds [`Database::gc_before`] and change-log ring eviction so
@@ -123,7 +123,7 @@ pub use checkpoint::{
 };
 pub use database::{Database, DbStats};
 pub use dir::{DirFailpointHandle, FailpointDir, FsDir, LogDir, LogFile, MemDir};
-pub use error::{DbError, DbResult, KvError, KvResult, StorageError, TrodError, TrodResult};
+pub use error::{DbError, DbResult, StorageError};
 pub use index::SecondaryIndex;
 pub use log::{CommittedTxn, TxnId};
 pub use mvcc::{Ts, TS_LIVE};

@@ -909,7 +909,7 @@ impl SegmentedWal {
     /// Writes `ck` durably and publishes it in the manifest: encode, temp
     /// file, fsync, rename to `ckpt-<ts>.ckpt`, dir fsync, manifest swap
     /// listing it; then checkpoints *above the GC floor* beyond the last
-    /// [`CHECKPOINTS_KEPT`] are delisted and deleted (best-effort — a
+    /// `CHECKPOINTS_KEPT` are delisted and deleted (best-effort — a
     /// crash leaves unlisted files recovery reconciles). Checkpoints at
     /// or below the floor are retained: they are the ladder deep
     /// time-travel forks restore from. Every byte and

@@ -144,9 +144,9 @@ enum PathChoice<'a> {
 
 /// Storage for one table.
 ///
-/// All mutation goes through [`TableStore::apply_batch`], which is only
+/// All mutation goes through `TableStore::apply_batch`, which is only
 /// called by the database's commit path while it holds *this table's*
-/// commit lock ([`TableStore::commit_lock`]; see "The commit protocol" in
+/// commit lock (`TableStore::commit_lock`; see "The commit protocol" in
 /// `DESIGN.md`). Internal per-table locking therefore only needs to
 /// protect readers from the one concurrent writer.
 ///

@@ -151,7 +151,7 @@ const CRC_TABLES: [[u32; 256]; 8] = {
 
 /// CRC-32 (IEEE 802.3, reflected) of `bytes`. On x86_64 with
 /// `pclmulqdq` and `sse4.1` (detected at run time), inputs of
-/// [`clmul::MIN_LEN`] bytes or more fold through the carry-less-multiply
+/// `clmul::MIN_LEN` bytes or more fold through the carry-less-multiply
 /// kernel; everything else runs the slice-by-8 tables.
 pub fn crc32(bytes: &[u8]) -> u32 {
     #[cfg(target_arch = "x86_64")]

@@ -15,7 +15,8 @@
 //!   `(kv_key, kv_value)`); [`KvStore`] is a read view over those tables.
 //! * [`Session`] / [`Txn`] are the one transaction handle for everything:
 //!   relational reads and writes, key-value reads and writes, optional
-//!   provenance tracing, one snapshot and one atomic commit through the
+//!   provenance tracing, one snapshot, one error type
+//!   ([`trod_db::DbError`]) and one atomic commit through the
 //!   database's commit protocol — so every commit lands in one aligned
 //!   transaction-log entry ([`trod_db::Database::log_entries`]), and
 //!   [`Txn::commit`] returns the database's [`trod_db::CommitInfo`].
@@ -55,7 +56,7 @@ pub mod session;
 pub mod store;
 
 pub use session::{GcStats, Session, Txn, TxnOptions};
-pub use store::{KvError, KvResult, KvStore};
+pub use store::KvStore;
 pub use trod_db::kv_table_name;
 
 /// Event-table schema used when registering a KV namespace with the TROD

@@ -6,8 +6,8 @@
 //!   [`Tracer`]. Its key-value namespaces are tables of that database
 //!   (`kv:<namespace>`, see [`crate::store`]), so a [`Txn`]'s relational
 //!   and key-value operations share one snapshot, one validation, one
-//!   commit and one error type ([`trod_db::TrodError`]); a conflict on a
-//!   namespace is a [`DbError`] on its table.
+//!   commit and one error type ([`trod_db::DbError`]); a conflict on a
+//!   namespace is a `DbError` on its table.
 //! * **The aligned log is the transaction log.** A commit's key-value
 //!   change records are rows of its entry like any other, so the
 //!   database's log ([`Database::log_entries`], [`Database::history`])
@@ -23,8 +23,7 @@ use std::sync::Arc;
 
 use trod_db::{
     namespace_entry, namespace_row, namespace_value, ChangeRecord, CommitInfo, CommittedTxn,
-    Database, DbError, DbResult, IsolationLevel, Key, KvError, Predicate, RecoveryReport, Row,
-    TrodError, TrodResult, Ts, TxnId, WalOptions,
+    Database, DbResult, IsolationLevel, Key, Predicate, RecoveryReport, Row, Ts, TxnId, WalOptions,
 };
 use trod_trace::{ReadTrace, Tracer, TxnContext, TxnTrace};
 
@@ -136,7 +135,7 @@ impl Session {
     ///
     /// Below the GC truncation floor ([`Database::log_truncated_below`])
     /// a durable environment rebuilds the state at `ts` from its log; an
-    /// in-memory one refuses with [`DbError::HistoryTruncated`].
+    /// in-memory one refuses with [`trod_db::DbError::HistoryTruncated`].
     pub fn fork_at(&self, ts: Ts) -> DbResult<Session> {
         Ok(Session::new(self.inner.db.fork_at(ts)?))
     }
@@ -145,16 +144,16 @@ impl Session {
     /// `kv:<namespace>` rows alike — as one synthetic committed
     /// transaction ([`Database::apply_changes`]). This is the replay
     /// engine's injection primitive.
-    pub fn apply_changes(&self, changes: &[ChangeRecord]) -> TrodResult<CommitInfo> {
-        Ok(self.inner.db.apply_changes(changes)?)
+    pub fn apply_changes(&self, changes: &[ChangeRecord]) -> DbResult<CommitInfo> {
+        self.inner.db.apply_changes(changes)
     }
 
     /// Re-installs one aligned-history entry **verbatim** — txn id and
     /// commit/start timestamps preserved ([`Database::apply_entry`]).
     /// Dump/load and fork-from-instance replay a remote aligned log
     /// through it to reconstruct byte-identical history.
-    pub fn apply_entry(&self, entry: &CommittedTxn) -> TrodResult<CommitInfo> {
-        Ok(self.inner.db.apply_entry(entry)?)
+    pub fn apply_entry(&self, entry: &CommittedTxn) -> DbResult<CommitInfo> {
+        self.inner.db.apply_entry(entry)
     }
 
     // ------------------------------------------------------------------
@@ -168,7 +167,7 @@ impl Session {
     pub fn create_durable(
         path: impl AsRef<std::path::Path>,
         opts: WalOptions,
-    ) -> TrodResult<Session> {
+    ) -> DbResult<Session> {
         Ok(Session::new(Database::create_durable(path, opts)?))
     }
 
@@ -178,7 +177,7 @@ impl Session {
     pub fn open_durable(
         path: impl AsRef<std::path::Path>,
         opts: WalOptions,
-    ) -> TrodResult<(Session, RecoveryReport)> {
+    ) -> DbResult<(Session, RecoveryReport)> {
         let (db, report) = Database::open_durable(path, opts)?;
         Ok((Session::new(db), report))
     }
@@ -188,7 +187,7 @@ impl Session {
     pub fn open_durable_in(
         dir: Arc<dyn trod_db::LogDir>,
         opts: WalOptions,
-    ) -> TrodResult<(Session, RecoveryReport)> {
+    ) -> DbResult<(Session, RecoveryReport)> {
         let (db, report) = Database::open_durable_in(dir, opts)?;
         Ok((Session::new(db), report))
     }
@@ -197,15 +196,15 @@ impl Session {
     /// through the attached WAL). `None` when skipped — no WAL, nothing
     /// committed yet, a checkpoint at this timestamp already exists, or
     /// another capture is in flight. See [`Database::checkpoint`].
-    pub fn checkpoint(&self) -> TrodResult<Option<(Ts, u64)>> {
-        Ok(self.inner.db.checkpoint()?)
+    pub fn checkpoint(&self) -> DbResult<Option<(Ts, u64)>> {
+        self.inner.db.checkpoint()
     }
 
     /// Creates a key-value namespace — on a durable session the DDL is
     /// logged, so recovery re-creates it before replaying the commits
     /// that write to it.
-    pub fn create_namespace(&self, name: &str) -> TrodResult<()> {
-        self.inner.kv.create_namespace(name)
+    pub fn create_namespace(&self, name: &str) -> DbResult<()> {
+        self.inner.db.create_namespace(name)
     }
 
     /// Garbage-collects history ([`Database::gc_before`]) below `ts`
@@ -333,7 +332,7 @@ impl Txn {
     // ------------------------------------------------------------------
 
     /// Point read.
-    pub fn get(&mut self, table: &str, key: &Key) -> TrodResult<Option<Arc<Row>>> {
+    pub fn get(&mut self, table: &str, key: &Key) -> DbResult<Option<Arc<Row>>> {
         let result = self.rel_mut().get(table, key)?;
         self.trace_read(
             table,
@@ -349,7 +348,7 @@ impl Txn {
     }
 
     /// Predicate scan.
-    pub fn scan(&mut self, table: &str, pred: &Predicate) -> TrodResult<Vec<(Key, Arc<Row>)>> {
+    pub fn scan(&mut self, table: &str, pred: &Predicate) -> DbResult<Vec<(Key, Arc<Row>)>> {
         let result = self.rel_mut().scan(table, pred)?;
         self.trace_read(
             table,
@@ -361,7 +360,7 @@ impl Txn {
 
     /// Existence check (the "Check if (U1, F2) exists" row of the paper's
     /// Table 2).
-    pub fn exists(&mut self, table: &str, pred: &Predicate) -> TrodResult<bool> {
+    pub fn exists(&mut self, table: &str, pred: &Predicate) -> DbResult<bool> {
         let result = self.rel_mut().scan(table, pred)?;
         let empty = result.is_empty();
         self.trace_read(
@@ -373,7 +372,7 @@ impl Txn {
     }
 
     /// Count with read provenance.
-    pub fn count(&mut self, table: &str, pred: &Predicate) -> TrodResult<usize> {
+    pub fn count(&mut self, table: &str, pred: &Predicate) -> DbResult<usize> {
         let result = self.rel_mut().scan(table, pred)?;
         let count = result.len();
         self.trace_read(table, || format!("Count {pred} in {table}"), || result);
@@ -382,32 +381,32 @@ impl Txn {
 
     /// Insert (write provenance is captured from the commit's CDC
     /// records).
-    pub fn insert(&mut self, table: &str, row: Row) -> TrodResult<Key> {
-        Ok(self.rel_mut().insert(table, row)?)
+    pub fn insert(&mut self, table: &str, row: Row) -> DbResult<Key> {
+        self.rel_mut().insert(table, row)
     }
 
     /// Update a row by primary key.
-    pub fn update(&mut self, table: &str, key: &Key, new_row: Row) -> TrodResult<()> {
-        Ok(self.rel_mut().update(table, key, new_row)?)
+    pub fn update(&mut self, table: &str, key: &Key, new_row: Row) -> DbResult<()> {
+        self.rel_mut().update(table, key, new_row)
     }
 
     /// Updates every row matching `pred` by applying `f`. Returns the
     /// number of rows updated.
-    pub fn update_where<F>(&mut self, table: &str, pred: &Predicate, f: F) -> TrodResult<usize>
+    pub fn update_where<F>(&mut self, table: &str, pred: &Predicate, f: F) -> DbResult<usize>
     where
         F: FnMut(&Row) -> Row,
     {
-        Ok(self.rel_mut().update_where(table, pred, f)?)
+        self.rel_mut().update_where(table, pred, f)
     }
 
     /// Delete a row by primary key.
-    pub fn delete(&mut self, table: &str, key: &Key) -> TrodResult<bool> {
-        Ok(self.rel_mut().delete(table, key)?)
+    pub fn delete(&mut self, table: &str, key: &Key) -> DbResult<bool> {
+        self.rel_mut().delete(table, key)
     }
 
     /// Deletes every row matching `pred`. Returns the number deleted.
-    pub fn delete_where(&mut self, table: &str, pred: &Predicate) -> TrodResult<usize> {
-        Ok(self.rel_mut().delete_where(table, pred)?)
+    pub fn delete_where(&mut self, table: &str, pred: &Predicate) -> DbResult<usize> {
+        self.rel_mut().delete_where(table, pred)
     }
 
     /// The buffered (uncommitted) writes, as CDC records — namespace rows
@@ -424,12 +423,9 @@ impl Txn {
     // ------------------------------------------------------------------
 
     /// Reads a key — [`Txn::get`] on the namespace's table.
-    pub fn kv_get(&mut self, namespace: &str, key: &str) -> TrodResult<Option<String>> {
+    pub fn kv_get(&mut self, namespace: &str, key: &str) -> DbResult<Option<String>> {
         let (table, id) = (kv_table_name(namespace), Key::single(key));
-        let row = self
-            .rel_mut()
-            .get(&table, &id)
-            .map_err(unknown_namespace(namespace))?;
+        let row = self.rel_mut().get(&table, &id)?;
         let value = row.as_deref().and_then(namespace_value).map(str::to_string);
         self.trace_read(
             &table,
@@ -446,33 +442,26 @@ impl Txn {
         &mut self,
         namespace: &str,
         prefix: &str,
-    ) -> TrodResult<Vec<(String, String)>> {
+    ) -> DbResult<Vec<(String, String)>> {
         let table = kv_table_name(namespace);
-        let rows = self
-            .rel_mut()
-            .scan(&table, &prefix_predicate(prefix))
-            .map_err(unknown_namespace(namespace))?;
+        let rows = self.rel_mut().scan(&table, &prefix_predicate(prefix))?;
         let entries = rows.iter().map(|(_, row)| namespace_entry(row)).collect();
         self.trace_read(&table, || format!("Scan prefix {prefix}"), || rows);
         Ok(entries)
     }
 
     /// Buffers a put — an upsert of the namespace row.
-    pub fn kv_put(&mut self, namespace: &str, key: &str, value: &str) -> TrodResult<()> {
+    pub fn kv_put(&mut self, namespace: &str, key: &str, value: &str) -> DbResult<()> {
         let table = kv_table_name(namespace);
-        self.rel_mut()
-            .upsert(&table, namespace_row(key, value))
-            .map_err(unknown_namespace(namespace))?;
+        self.rel_mut().upsert(&table, namespace_row(key, value))?;
         Ok(())
     }
 
     /// Buffers a delete; deleting a key the transaction does not see is a
     /// read of the key and nothing else.
-    pub fn kv_delete(&mut self, namespace: &str, key: &str) -> TrodResult<()> {
+    pub fn kv_delete(&mut self, namespace: &str, key: &str) -> DbResult<()> {
         let table = kv_table_name(namespace);
-        self.rel_mut()
-            .delete(&table, &Key::single(key))
-            .map_err(unknown_namespace(namespace))?;
+        self.rel_mut().delete(&table, &Key::single(key))?;
         Ok(())
     }
 
@@ -481,7 +470,7 @@ impl Txn {
     // ------------------------------------------------------------------
 
     /// Commits atomically at one commit timestamp (see the module docs).
-    pub fn commit(mut self) -> TrodResult<CommitInfo> {
+    pub fn commit(mut self) -> DbResult<CommitInfo> {
         let rel = self.rel.take().expect("transaction already finished");
         match rel.commit() {
             Ok(info) => {
@@ -492,7 +481,7 @@ impl Txn {
             }
             Err(e) => {
                 self.emit_trace(0, false, Arc::new([]));
-                Err(e.into())
+                Err(e)
             }
         }
     }
@@ -525,15 +514,6 @@ impl Txn {
     }
 }
 
-/// The error of a key-value operation: its namespace's missing table is
-/// an unknown namespace.
-fn unknown_namespace(namespace: &str) -> impl FnOnce(DbError) -> TrodError + '_ {
-    move |e| match e {
-        DbError::NoSuchTable(_) => KvError::UnknownNamespace(namespace.to_string()).into(),
-        e => e.into(),
-    }
-}
-
 impl fmt::Debug for Txn {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Txn")
@@ -546,7 +526,7 @@ impl fmt::Debug for Txn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trod_db::{is_kv_table, row, DataType, DbError, Schema, TrodError};
+    use trod_db::{is_kv_table, row, DataType, DbError, Schema};
     use trod_trace::TraceEvent;
 
     fn orders_db() -> Database {
@@ -570,8 +550,8 @@ mod tests {
         session
     }
 
-    fn is_kv_write_conflict(e: &TrodError) -> bool {
-        matches!(e, TrodError::Relational(DbError::WriteConflict { table, .. }) if table == "kv:sessions")
+    fn is_kv_write_conflict(e: &DbError) -> bool {
+        matches!(e, DbError::WriteConflict { table, .. } if table == "kv:sessions")
     }
 
     #[test]
@@ -671,7 +651,7 @@ mod tests {
         first.commit().unwrap();
 
         let err = second.commit().unwrap_err();
-        assert!(matches!(err, TrodError::Relational(_)));
+        assert!(matches!(err, DbError::WriteConflict { .. }), "{err}");
         assert_eq!(session.kv().get_latest("sessions", "loser").unwrap(), None);
         assert_eq!(session.database().log_len(), 1);
     }
@@ -832,10 +812,7 @@ mod tests {
             txn.kv_delete("sessions", "k").unwrap_err(),
             txn.kv_scan_prefix("sessions", "").unwrap_err(),
         ] {
-            assert_eq!(
-                err,
-                TrodError::KeyValue(KvError::UnknownNamespace("sessions".into()))
-            );
+            assert_eq!(err, DbError::NoSuchNamespace("sessions".into()));
         }
         txn.abort();
     }
@@ -863,7 +840,7 @@ mod tests {
         writer.commit().unwrap();
         assert!(matches!(
             txn.commit().unwrap_err(),
-            TrodError::Relational(DbError::SerializationFailure { table, .. }) if table == "kv:sessions"
+            DbError::SerializationFailure { table, .. } if table == "kv:sessions"
         ));
     }
 
@@ -891,10 +868,7 @@ mod tests {
         setup.commit().unwrap();
         let mut txn = session.begin();
         let err = txn.insert("orders", row![1i64, "dup"]).unwrap_err();
-        assert!(matches!(
-            err,
-            TrodError::Relational(DbError::DuplicateKey { .. })
-        ));
+        assert!(matches!(err, DbError::DuplicateKey { .. }));
         txn.abort();
     }
 
@@ -991,7 +965,7 @@ mod tests {
         let bare = Session::new(orders_db());
         assert!(matches!(
             bare.apply_changes(std::slice::from_ref(&put)).unwrap_err(),
-            TrodError::Relational(DbError::NoSuchTable(_))
+            DbError::NoSuchNamespace(ns) if ns == "sessions"
         ));
 
         // A redacted (all-NULL image) put is refused rather than decoded
@@ -1006,7 +980,7 @@ mod tests {
             session
                 .apply_changes(std::slice::from_ref(&erased))
                 .unwrap_err(),
-            TrodError::Relational(DbError::NullViolation { .. })
+            DbError::NullViolation { .. }
         ));
         // Nothing was installed by the failed batches.
         assert_eq!(session.kv().get_latest("sessions", "user-1").unwrap(), None);

@@ -15,13 +15,7 @@
 //!   [`trod_db::kv_table_name`] ([`trod_db::namespace_row`],
 //!   [`trod_db::namespace_value`], [`trod_db::namespace_entry`]).
 
-use std::sync::Arc;
-
-use trod_db::{
-    namespace_entry, namespace_value, Database, DbError, Key, Predicate, TableStore, Ts,
-};
-
-pub use trod_db::{KvError, KvResult};
+use trod_db::{namespace_entry, namespace_value, Database, DbResult, Key, Predicate, Ts};
 
 /// The keys of a namespace that start with `prefix`, as a range over
 /// `kv_key` (every key of the namespace for an empty prefix). Scans
@@ -58,14 +52,6 @@ impl KvStore {
         KvStore { db }
     }
 
-    /// Creates a namespace (logged when the database is durable).
-    pub fn create_namespace(&self, name: &str) -> trod_db::TrodResult<()> {
-        self.db.create_namespace(name).map_err(|e| match e {
-            DbError::TableExists(_) => KvError::NamespaceExists(name.to_string()).into(),
-            e => e.into(),
-        })
-    }
-
     /// Names of all namespaces, sorted.
     pub fn namespaces(&self) -> Vec<String> {
         self.db.namespaces()
@@ -76,22 +62,17 @@ impl KvStore {
         self.db.has_namespace(name)
     }
 
-    fn table(&self, namespace: &str) -> KvResult<Arc<TableStore>> {
-        self.db
-            .table(&crate::kv_table_name(namespace))
-            .map_err(|_| KvError::UnknownNamespace(namespace.to_string()))
-    }
-
     /// The latest published value of a key, if any.
-    pub fn get_latest(&self, namespace: &str, key: &str) -> KvResult<Option<String>> {
+    pub fn get_latest(&self, namespace: &str, key: &str) -> DbResult<Option<String>> {
         self.get_as_of(namespace, key, Ts::MAX)
     }
 
     /// The value of a key as of a commit timestamp (inclusive, clamped to
     /// the published clock).
-    pub fn get_as_of(&self, namespace: &str, key: &str, ts: Ts) -> KvResult<Option<String>> {
+    pub fn get_as_of(&self, namespace: &str, key: &str, ts: Ts) -> DbResult<Option<String>> {
         let row = self
-            .table(namespace)?
+            .db
+            .table(&crate::kv_table_name(namespace))?
             .get_at(&Key::single(key), ts.min(self.db.current_ts()));
         Ok(row.as_deref().and_then(namespace_value).map(str::to_string))
     }
@@ -104,8 +85,8 @@ impl KvStore {
         namespace: &str,
         prefix: &str,
         ts: Ts,
-    ) -> KvResult<Vec<(String, String)>> {
-        let table = self.table(namespace)?;
+    ) -> DbResult<Vec<(String, String)>> {
+        let table = self.db.table(&crate::kv_table_name(namespace))?;
         let rows = table
             .scan_at(&prefix_predicate(prefix), ts.min(self.db.current_ts()))
             .expect("the prefix predicate names the namespace schema's key column");
@@ -113,7 +94,7 @@ impl KvStore {
     }
 
     /// [`KvStore::scan_prefix_as_of`] at the latest published state.
-    pub fn scan_prefix(&self, namespace: &str, prefix: &str) -> KvResult<Vec<(String, String)>> {
+    pub fn scan_prefix(&self, namespace: &str, prefix: &str) -> DbResult<Vec<(String, String)>> {
         self.scan_prefix_as_of(namespace, prefix, Ts::MAX)
     }
 }
@@ -121,20 +102,22 @@ impl KvStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use trod_db::DbError;
 
     #[test]
     fn namespace_management() {
-        let kv = KvStore::of(Database::new());
-        kv.create_namespace("sessions").unwrap();
+        let db = Database::new();
+        let kv = KvStore::of(db.clone());
+        db.create_namespace("sessions").unwrap();
         assert!(kv.has_namespace("sessions"));
         assert_eq!(kv.namespaces(), vec!["sessions".to_string()]);
         assert_eq!(
-            kv.create_namespace("sessions"),
-            Err(KvError::NamespaceExists("sessions".into()).into())
+            kv.get_latest("missing", "k"),
+            Err(DbError::NoSuchNamespace("missing".into()))
         );
         assert_eq!(
-            kv.get_latest("missing", "k"),
-            Err(KvError::UnknownNamespace("missing".into()))
+            kv.scan_prefix("missing", ""),
+            Err(DbError::NoSuchNamespace("missing".into()))
         );
     }
 
@@ -161,12 +144,5 @@ mod tests {
         ] {
             assert_eq!(matches(prefix, key), want, "{prefix:?} vs {key:?}");
         }
-    }
-
-    #[test]
-    fn error_display() {
-        assert!(KvError::UnknownNamespace("x".into())
-            .to_string()
-            .contains("x"));
     }
 }

@@ -12,7 +12,7 @@
 //!   in-memory oracle truncated to the acknowledged commits.
 //! * **Fault isolation** — injected append/fsync failures
 //!   ([`FailpointDir`]) surface as typed retryable
-//!   [`TrodError::Storage`] errors that abort only the failed group: the
+//!   [`DbError::Storage`] errors that abort only the failed group: the
 //!   commit path is not poisoned, later commits succeed, and the repair
 //!   pass re-persists the interrupted batch so nothing durable is lost.
 //! * **One replay loop** — a [`Database`] boot and a [`Session`] boot of
@@ -30,9 +30,9 @@ use proptest::prelude::*;
 
 use trod_db::wal::{decode_records, encode_frame};
 use trod_db::{
-    kv_table_name, row, CommittedTxn, DataType, Database, DirFailpointHandle, FailpointDir, Key,
-    MemDir, Predicate, RecoveryReport, Schema, StorageError, SyncMode, TrodError, Ts, Value,
-    WalOptions,
+    kv_table_name, row, CommittedTxn, DataType, Database, DbError, DirFailpointHandle,
+    FailpointDir, Key, MemDir, Predicate, RecoveryReport, Schema, StorageError, SyncMode, Ts,
+    Value, WalOptions,
 };
 use trod_kv::{KvStore, Session};
 
@@ -314,7 +314,7 @@ fn injected_fsync_failure_is_typed_retryable_and_does_not_poison_later_commits()
     txn.kv_put("cache", "a", "1").unwrap();
     let err = txn.commit().expect_err("fsync failure must surface");
     match &err {
-        TrodError::Storage(StorageError::Io { op, .. }) => assert_eq!(*op, "sync"),
+        DbError::Storage(StorageError::Io { op, .. }) => assert_eq!(*op, "sync"),
         other => panic!("expected a storage error, got {other}"),
     }
     assert!(err.is_retryable(), "injected IO errors are retryable");
@@ -360,7 +360,7 @@ fn injected_append_failure_surfaces_without_losing_the_sequence() {
     let err = txn.commit().expect_err("append failure must surface");
     assert!(matches!(
         err,
-        TrodError::Storage(StorageError::Io { op: "append", .. })
+        DbError::Storage(StorageError::Io { op: "append", .. })
     ));
 
     points.clear();

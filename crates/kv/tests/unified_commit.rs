@@ -30,7 +30,7 @@ use proptest::prelude::*;
 
 use trod_db::{
     is_kv_table, kv_table_name, namespace_value, row, CommittedTxn, DataType, Database, DbError,
-    Key, Predicate, Schema, TrodError, Ts, KV_TABLE_PREFIX,
+    Key, Predicate, Schema, Ts, KV_TABLE_PREFIX,
 };
 use trod_kv::Session;
 
@@ -153,7 +153,7 @@ fn schedule_strategy() -> impl Strategy<Value = Schedule> {
         })
 }
 
-fn apply_ops(txn: &mut trod_kv::Txn, ops: &[Op]) -> Result<(), TrodError> {
+fn apply_ops(txn: &mut trod_kv::Txn, ops: &[Op]) -> Result<(), DbError> {
     for op in ops {
         match op {
             Op::RelPut { t, k, v } => {
@@ -227,9 +227,9 @@ fn run_schedule(session: &Session, s: &Schedule) -> (Outcome, State) {
 
     let outcome = match pending.commit() {
         Ok(_) => Outcome::Committed,
-        Err(TrodError::Relational(
-            DbError::SerializationFailure { table, .. } | DbError::WriteConflict { table, .. },
-        )) => conflict_on(&table),
+        Err(DbError::SerializationFailure { table, .. } | DbError::WriteConflict { table, .. }) => {
+            conflict_on(&table)
+        }
         Err(other) => Outcome::OtherError(other.to_string()),
     };
 
@@ -618,7 +618,7 @@ fn cross_store_read_validation_is_enforced_by_the_coordinator() {
     writer.commit().unwrap();
     assert!(matches!(
         pending.commit().unwrap_err(),
-        TrodError::Relational(DbError::SerializationFailure { table, .. }) if table == "kv:ns0"
+        DbError::SerializationFailure { table, .. } if table == "kv:ns0"
     ));
     // The relational write did not survive the aborted commit.
     assert_eq!(
@@ -641,7 +641,7 @@ fn cross_store_read_validation_is_enforced_by_the_coordinator() {
     writer.commit().unwrap();
     assert!(matches!(
         pending.commit().unwrap_err(),
-        TrodError::Relational(DbError::SerializationFailure { .. })
+        DbError::SerializationFailure { .. }
     ));
     assert_eq!(session.kv().get_latest(NAMESPACES[1], "out").unwrap(), None);
 }
@@ -676,7 +676,7 @@ fn prefix_scans_conflict_with_keys_inserted_under_the_prefix() {
 
     let err = t1.commit().expect_err("the phantom `user:3` must abort T1");
     assert!(
-        matches!(&err, TrodError::Relational(DbError::SerializationFailure { table, .. }) if table == "kv:ns0"),
+        matches!(&err, DbError::SerializationFailure { table, .. } if table == "kv:ns0"),
         "{err}"
     );
     assert!(err.is_retryable());

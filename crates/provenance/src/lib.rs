@@ -38,4 +38,4 @@ pub use schema::{
     default_event_table_name, event_column_names, event_table_schema, executions_schema,
     external_calls_schema, requests_schema, EXECUTIONS_TABLE, EXTERNAL_CALLS_TABLE, REQUESTS_TABLE,
 };
-pub use store::{ProvenanceStats, ProvenanceStore, RequestRecord};
+pub use store::{is_partial_trace, ProvenanceStats, ProvenanceStore, RequestRecord};

@@ -33,7 +33,7 @@
 //! its k-th change record, erased when that event is redacted. A writing
 //! transaction whose history an in-memory application has collected
 //! below its GC floor is assembled with no writes; both cases are
-//! [`ProvenanceStore::is_partial`].
+//! [`is_partial_trace`].
 //!
 //! # Ingest
 //!
@@ -264,23 +264,10 @@ impl ProvenanceStore {
         }
     }
 
-    /// Whether a transaction's trace is partial: a privacy erasure (see
-    /// [`crate::redaction`]) redacted one of its event rows, which shows in
-    /// the assembled trace as a read whose query is [`REDACTED_MARKER`] or
-    /// a change record with no image, or it wrote and its commit is no
-    /// longer in the application's history. Replay and retroactive
-    /// programming consult this to report partial fidelity rather than
-    /// silently using incomplete data.
+    /// Whether the trace of transaction `txn_id` is partial
+    /// ([`is_partial_trace`] of [`ProvenanceStore::txn`]).
     pub fn is_partial(&self, txn_id: TxnId) -> bool {
-        let erased = |c: &ChangeRecord| {
-            let image = c.op.after().or_else(|| c.op.before());
-            image.is_some_and(|row| row.iter().all(Value::is_null))
-        };
-        self.txn(txn_id).is_some_and(|t| {
-            t.reads.iter().any(|read| read.query == REDACTED_MARKER)
-                || t.writes.iter().any(erased)
-                || (wrote(&t) && t.writes.is_empty())
-        })
+        self.txn(txn_id).is_some_and(|t| is_partial_trace(&t))
     }
 
     /// Creates a provenance store for `app_db` and registers every table
@@ -759,6 +746,22 @@ type EventRow<'a> = (&'a str, &'a EventTable, Arc<Row>);
 
 /// Whether a trace is of a transaction that committed writes: a writing
 /// commit's timestamp is past its snapshot.
+/// Whether an assembled trace is partial: a privacy erasure (see
+/// [`crate::redaction`]) redacted one of its event rows, which shows as a
+/// read whose query is [`REDACTED_MARKER`] or a change record with no
+/// image, or it wrote and its commit is no longer in the application's
+/// history. Replay and retroactive programming consult this to report
+/// partial fidelity rather than silently using incomplete data.
+pub fn is_partial_trace(trace: &TxnTrace) -> bool {
+    let erased = |c: &ChangeRecord| {
+        let image = c.op.after().or_else(|| c.op.before());
+        image.is_some_and(|row| row.iter().all(Value::is_null))
+    };
+    trace.reads.iter().any(|read| read.query == REDACTED_MARKER)
+        || trace.writes.iter().any(erased)
+        || (wrote(trace) && trace.writes.is_empty())
+}
+
 fn wrote(trace: &TxnTrace) -> bool {
     trace.committed && trace.commit_ts > trace.snapshot_ts
 }

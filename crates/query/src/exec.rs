@@ -16,7 +16,7 @@
 //!   behind as an executor filter.
 //! * **Load order.** Each table's scan is costed by the planner
 //!   ([`TableStore::plan_scan`]'s candidate count; a full scan that still
-//!   has a filter to apply is taken to keep [`FILTER_KEEPS_ONE_IN`] of
+//!   has a filter to apply is taken to keep `FILTER_KEEPS_ONE_IN` of
 //!   its rows, the textbook default of an optimiser without statistics)
 //!   and tables are loaded smallest first, preferring a table an
 //!   equi-join connects to what is already loaded over a cross product.
@@ -45,9 +45,9 @@
 //! out of the shared storage rows; a column consumed entirely by a
 //! pushed-down predicate is never copied at all. And two statement shapes
 //! never materialise a relation: `ORDER BY <indexed column> LIMIT k`
-//! streams off the column's index ([`try_ordered_probe`]) and a bare
+//! streams off the column's index (`try_ordered_probe`) and a bare
 //! `SELECT COUNT(*)` whose conjuncts all lower is a counting walk
-//! ([`try_count`]).
+//! (`try_count`).
 
 use std::cmp::Ordering;
 use std::collections::HashMap;

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use trod_db::{DbError, KvError, TrodError};
+use trod_db::DbError;
 
 /// Errors surfaced by request handlers or the runtime itself.
 #[derive(Debug, Clone, PartialEq)]
@@ -12,11 +12,10 @@ pub enum HandlerError {
     /// An application-level failure (e.g. "duplicate subscribers found").
     /// These are the errors the paper's buggy handlers raise.
     App(String),
-    /// A database error that the handler did not handle (including
-    /// serialization failures that exhausted retries).
+    /// A database error that the handler did not handle — on a table or
+    /// a key-value namespace, including serialization failures that
+    /// exhausted retries.
     Db(DbError),
-    /// A key-value store error the handler did not handle.
-    Kv(KvError),
     /// The handler's arguments were missing or of the wrong type.
     BadArgument(String),
 }
@@ -27,7 +26,6 @@ impl fmt::Display for HandlerError {
             HandlerError::NoSuchHandler(name) => write!(f, "no handler named `{name}`"),
             HandlerError::App(msg) => write!(f, "application error: {msg}"),
             HandlerError::Db(e) => write!(f, "database error: {e}"),
-            HandlerError::Kv(e) => write!(f, "key-value store error: {e}"),
             HandlerError::BadArgument(msg) => write!(f, "bad argument: {msg}"),
         }
     }
@@ -38,24 +36,6 @@ impl std::error::Error for HandlerError {}
 impl From<DbError> for HandlerError {
     fn from(e: DbError) -> Self {
         HandlerError::Db(e)
-    }
-}
-
-impl From<KvError> for HandlerError {
-    fn from(e: KvError) -> Self {
-        HandlerError::Kv(e)
-    }
-}
-
-impl From<TrodError> for HandlerError {
-    fn from(e: TrodError) -> Self {
-        match e {
-            TrodError::Relational(e) => HandlerError::Db(e),
-            TrodError::KeyValue(e) => HandlerError::Kv(e),
-            // Durability failures keep their typed shape (and their
-            // retryability) through the db-error wrapper.
-            TrodError::Storage(e) => HandlerError::Db(DbError::Storage(e)),
-        }
     }
 }
 
@@ -84,16 +64,14 @@ mod tests {
     }
 
     #[test]
-    fn unified_errors_convert_per_store() {
-        let e: HandlerError = TrodError::Relational(DbError::TransactionClosed).into();
+    fn retryability_follows_the_database_error() {
+        let e: HandlerError = DbError::NoSuchNamespace("s".into()).into();
         assert!(matches!(e, HandlerError::Db(_)));
-        let e: HandlerError = TrodError::KeyValue(KvError::UnknownNamespace("s".into())).into();
-        assert!(matches!(e, HandlerError::Kv(_)));
         assert!(!e.is_retryable());
-        let e: HandlerError = TrodError::Relational(DbError::WriteConflict {
+        let e: HandlerError = DbError::WriteConflict {
             table: "kv:s".into(),
             key: "k".into(),
-        })
+        }
         .into();
         assert!(e.is_retryable());
         assert!(!HandlerError::App("x".into()).is_retryable());

@@ -11,7 +11,7 @@
 use trod_core::json::Json;
 use trod_core::replay::ReplayError;
 use trod_core::retroactive::RetroactiveError;
-use trod_db::{DbError, TrodError};
+use trod_db::DbError;
 use trod_query::QueryError;
 use trod_runtime::HandlerError;
 use trod_trace::wire::WireError;
@@ -40,8 +40,6 @@ pub const RETROACTIVE: i64 = 1040;
 /// The handler executed and failed with a non-retryable application
 /// error; the failure is part of traced history.
 pub const HANDLER: i64 = 1050;
-/// Dump/load serialization or reconstruction failure.
-pub const DUMP: i64 = 1060;
 /// The server is draining for shutdown; retry against a peer or after
 /// restart. Maps to HTTP 503.
 pub const DRAINING: i64 = 1503;
@@ -129,40 +127,30 @@ impl From<&HandlerError> for RpcError {
             _ if e.is_retryable() => (CONFLICT, "conflict"),
             HandlerError::App(_) => (HANDLER, "application_error"),
             HandlerError::Db(_) => (HANDLER, "database_error"),
-            HandlerError::Kv(_) => (HANDLER, "kv_error"),
         };
         RpcError::new(code, kind, e.to_string())
     }
 }
 
-impl From<&TrodError> for RpcError {
-    fn from(e: &TrodError) -> Self {
+impl From<&DbError> for RpcError {
+    /// The kind comes from the variant: `key_value` for a namespace that
+    /// does not exist or already does, `storage` for the durability layer,
+    /// `relational` for the rest — with `_conflict` appended when the
+    /// error is retryable. History below the GC floor of an in-memory
+    /// environment is the `history_truncated` error a fork there gets.
+    fn from(e: &DbError) -> Self {
         let kind = match e {
-            TrodError::Relational(_) => "relational",
-            TrodError::KeyValue(_) => "key_value",
-            TrodError::Storage(_) => "storage",
+            DbError::HistoryTruncated { .. } => {
+                return RpcError::from(&ReplayError::from(e.clone()))
+            }
+            DbError::NoSuchNamespace(_) | DbError::NamespaceExists(_) => "key_value",
+            DbError::Storage(_) => "storage",
+            _ => "relational",
         };
         if e.is_retryable() {
             RpcError::new(CONFLICT, format!("{kind}_conflict"), e.to_string())
         } else {
             RpcError::new(STORE, kind, e.to_string())
-        }
-    }
-}
-
-impl From<TrodError> for RpcError {
-    fn from(e: TrodError) -> Self {
-        RpcError::from(&e)
-    }
-}
-
-impl From<DbError> for RpcError {
-    /// A history read below the GC floor of an in-memory environment is
-    /// the `history_truncated` error a fork there gets.
-    fn from(e: DbError) -> Self {
-        match e {
-            DbError::HistoryTruncated { .. } => RpcError::from(&ReplayError::from(e)),
-            e => RpcError::from(TrodError::Relational(e)),
         }
     }
 }
@@ -216,34 +204,161 @@ impl From<&WireError> for RpcError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trod_db::KvError;
+    use trod_db::{DataType, StorageError};
 
+    /// The position of `e`'s variant in [`DbError`]; the match has no
+    /// wildcard, so a new variant fails to compile until the table in
+    /// `every_engine_error_has_one_code_kind_and_retry_bit` covers it.
+    fn variant(e: &DbError) -> usize {
+        match e {
+            DbError::TableExists(_) => 0,
+            DbError::NoSuchTable(_) => 1,
+            DbError::NoSuchNamespace(_) => 2,
+            DbError::NamespaceExists(_) => 3,
+            DbError::NoSuchColumn { .. } => 4,
+            DbError::TypeMismatch { .. } => 5,
+            DbError::NullViolation { .. } => 6,
+            DbError::ArityMismatch { .. } => 7,
+            DbError::DuplicateKey { .. } => 8,
+            DbError::NoSuchKey { .. } => 9,
+            DbError::WriteConflict { .. } => 10,
+            DbError::SerializationFailure { .. } => 11,
+            DbError::TransactionClosed => 12,
+            DbError::HistoryTruncated { .. } => 13,
+            DbError::Invalid(_) => 14,
+            DbError::Storage(_) => 15,
+        }
+    }
+
+    /// Every engine error, with the `(code, kind, retryable)` it carries
+    /// on the wire: directly (`kv_get`, `trod_get`, `sys_history`, …) and
+    /// as the error of a failed handler (`trod_invoke`).
     #[test]
-    fn retryability_tracks_the_engine() {
-        let conflict: RpcError = (&TrodError::from(DbError::WriteConflict {
-            table: "t".into(),
-            key: "k".into(),
-        }))
-            .into();
-        assert_eq!(conflict.code, CONFLICT);
-        assert!(conflict.retryable);
-
-        let fatal: RpcError = (&TrodError::from(DbError::NoSuchTable("t".into()))).into();
-        assert_eq!(fatal.code, STORE);
-        assert!(!fatal.retryable);
-
-        let kv: RpcError = (&TrodError::from(DbError::WriteConflict {
-            table: "kv:n".into(),
-            key: "k".into(),
-        }))
-            .into();
-        assert_eq!(
-            (kv.code, kv.kind.as_str()),
-            (CONFLICT, "relational_conflict")
-        );
-        assert!(kv.retryable);
-        let unknown: RpcError = (&HandlerError::Kv(KvError::UnknownNamespace("n".into()))).into();
-        assert_eq!((unknown.code, unknown.retryable), (HANDLER, false));
+    fn every_engine_error_has_one_code_kind_and_retry_bit() {
+        let s = |v: &str| v.to_string();
+        let (table, column, key) = (s("t"), s("c"), s("[Int(1)]"));
+        let relational = (STORE, "relational", false);
+        let key_value = (STORE, "key_value", false);
+        let storage = (STORE, "storage", false);
+        let handler = (HANDLER, "database_error", false);
+        let conflict = (CONFLICT, "conflict", true);
+        let cases = [
+            (DbError::TableExists(s("t")), relational, handler),
+            (DbError::NoSuchTable(s("t")), relational, handler),
+            (DbError::NoSuchNamespace(s("n")), key_value, handler),
+            (DbError::NamespaceExists(s("n")), key_value, handler),
+            (
+                DbError::NoSuchColumn {
+                    table: table.clone(),
+                    column: column.clone(),
+                },
+                relational,
+                handler,
+            ),
+            (
+                DbError::TypeMismatch {
+                    table: table.clone(),
+                    column: column.clone(),
+                    expected: DataType::Int,
+                    actual: s("Text"),
+                },
+                relational,
+                handler,
+            ),
+            (
+                DbError::NullViolation {
+                    table: table.clone(),
+                    column,
+                },
+                relational,
+                handler,
+            ),
+            (
+                DbError::ArityMismatch {
+                    table: table.clone(),
+                    expected: 2,
+                    actual: 3,
+                },
+                relational,
+                handler,
+            ),
+            (
+                DbError::DuplicateKey {
+                    table: table.clone(),
+                    key: key.clone(),
+                },
+                relational,
+                handler,
+            ),
+            (
+                DbError::NoSuchKey {
+                    table: table.clone(),
+                    key: key.clone(),
+                },
+                relational,
+                handler,
+            ),
+            (
+                DbError::WriteConflict {
+                    table: s("kv:n"),
+                    key,
+                },
+                (CONFLICT, "relational_conflict", true),
+                conflict,
+            ),
+            (
+                DbError::SerializationFailure {
+                    table,
+                    detail: s("d"),
+                },
+                (CONFLICT, "relational_conflict", true),
+                conflict,
+            ),
+            (DbError::TransactionClosed, relational, handler),
+            (
+                DbError::HistoryTruncated { ts: 3, floor: 9 },
+                (REPLAY, "history_truncated", false),
+                handler,
+            ),
+            (DbError::Invalid(s("x")), relational, handler),
+            (
+                DbError::Storage(StorageError::Io {
+                    op: "sync",
+                    detail: s("injected"),
+                }),
+                (CONFLICT, "storage_conflict", true),
+                conflict,
+            ),
+            (
+                DbError::Storage(StorageError::Corrupt {
+                    offset: 42,
+                    detail: s("checksum"),
+                }),
+                storage,
+                handler,
+            ),
+            (
+                DbError::Storage(StorageError::Recovery { detail: s("d") }),
+                storage,
+                handler,
+            ),
+            (
+                DbError::Storage(StorageError::TooLarge { len: 2, max: 1 }),
+                storage,
+                handler,
+            ),
+        ];
+        fn triple(e: &RpcError) -> (i64, &str, bool) {
+            (e.code, &e.kind, e.retryable)
+        }
+        let mut covered = [false; 16];
+        for (e, direct, via_handler) in cases {
+            covered[variant(&e)] = true;
+            assert_eq!(triple(&RpcError::from(&e)), direct, "{e:?}");
+            let failed = HandlerError::from(e.clone());
+            assert_eq!(triple(&RpcError::from(&failed)), via_handler, "{e:?}");
+        }
+        assert!(covered.iter().all(|c| *c), "{covered:?}");
 
         assert!(RpcError::draining().retryable);
         assert_eq!(RpcError::draining().http_status(), 503);
@@ -253,12 +368,8 @@ mod tests {
     fn history_below_the_floor_is_history_truncated_wherever_it_is_read() {
         let truncated = DbError::HistoryTruncated { ts: 3, floor: 9 };
         let via_fork = RpcError::from(&ReplayError::from(truncated.clone()));
-        let via_history = RpcError::from(truncated);
+        let via_history = RpcError::from(&truncated);
         assert_eq!(via_fork, via_history);
-        assert_eq!(
-            (via_fork.code, via_fork.kind.as_str()),
-            (REPLAY, "history_truncated")
-        );
         let data = via_fork.to_json();
         let data = data.get("data").unwrap();
         assert_eq!(data.get("snapshot_ts").and_then(Json::as_u64), Some(3));

@@ -42,7 +42,7 @@ pub struct LoadReport {
 }
 
 /// Drives a `(handler, args)` workload — e.g.
-/// [`trod_apps::workload::shop_workload`] — against a running server
+/// `trod_apps::workload::shop_workload` — against a running server
 /// over `connections` concurrent keep-alive connections, each request a
 /// `trod_invoke`. Requests are dealt round-robin, so per-connection
 /// streams preserve the workload's relative order.

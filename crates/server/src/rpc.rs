@@ -1,6 +1,6 @@
 //! The JSON-RPC method surface: one dispatcher mapping method names to
 //! the engine, time-travel, and debugger operations of the wrapped
-//! [`Trod`] instance. See `PROTOCOL.md` for the protocol reference.
+//! [`Trod`](trod_core::Trod) instance. See `PROTOCOL.md` for the protocol reference.
 
 use trod_core::json::Json;
 use trod_core::wire;
@@ -9,7 +9,7 @@ use trod_query::{QueryEngine, ResultSet};
 use trod_runtime::Args;
 
 use crate::dump::Dump;
-use crate::error::{RpcError, DUMP};
+use crate::error::RpcError;
 use crate::state::{ForkEntry, ServerState};
 
 /// Default `retries` for `trod_invoke`: retryable conflicts are retried
@@ -225,7 +225,7 @@ pub fn dispatch(state: &ServerState, method: &str, params: &Json) -> Result<Json
                 Some(ts) => db.get_as_of(table, &key, ts),
                 None => db.get_latest(table, &key),
             }
-            .map_err(|e| RpcError::from(&trod_db::TrodError::Relational(e)))?;
+            .map_err(|e| RpcError::from(&e))?;
             Ok(Json::obj(vec![(
                 "row",
                 row.map(|r| wire::row_to_json(&r)).unwrap_or(Json::Null),
@@ -239,7 +239,7 @@ pub fn dispatch(state: &ServerState, method: &str, params: &Json) -> Result<Json
                 Some(ts) => kv.get_as_of(namespace, key, ts),
                 None => kv.get_latest(namespace, key),
             }
-            .map_err(|e| RpcError::from(&trod_db::TrodError::KeyValue(e)))?;
+            .map_err(|e| RpcError::from(&e))?;
             Ok(Json::obj(vec![(
                 "value",
                 value.map(Json::str).unwrap_or(Json::Null),
@@ -253,7 +253,7 @@ pub fn dispatch(state: &ServerState, method: &str, params: &Json) -> Result<Json
                 Some(ts) => kv.scan_prefix_as_of(namespace, prefix, ts),
                 None => kv.scan_prefix(namespace, prefix),
             }
-            .map_err(|e| RpcError::from(&trod_db::TrodError::KeyValue(e)))?;
+            .map_err(|e| RpcError::from(&e))?;
             Ok(Json::obj(vec![("entries", kv_entries_to_json(entries))]))
         }
 
@@ -290,7 +290,7 @@ pub fn dispatch(state: &ServerState, method: &str, params: &Json) -> Result<Json
                     .session
                     .database()
                     .get_latest(&table, &key)
-                    .map_err(|e| RpcError::from(&trod_db::TrodError::Relational(e)))?;
+                    .map_err(|e| RpcError::from(&e))?;
                 Ok(Json::obj(vec![(
                     "row",
                     row.map(|r| wire::row_to_json(&r)).unwrap_or(Json::Null),
@@ -305,7 +305,7 @@ pub fn dispatch(state: &ServerState, method: &str, params: &Json) -> Result<Json
                     .session
                     .kv()
                     .get_latest(&namespace, &key)
-                    .map_err(|e| RpcError::from(&trod_db::TrodError::KeyValue(e)))?;
+                    .map_err(|e| RpcError::from(&e))?;
                 Ok(Json::obj(vec![(
                     "value",
                     value.map(Json::str).unwrap_or(Json::Null),
@@ -324,7 +324,7 @@ pub fn dispatch(state: &ServerState, method: &str, params: &Json) -> Result<Json
                     .session
                     .kv()
                     .scan_prefix(&namespace, &prefix)
-                    .map_err(|e| RpcError::from(&trod_db::TrodError::KeyValue(e)))?;
+                    .map_err(|e| RpcError::from(&e))?;
                 Ok(Json::obj(vec![("entries", kv_entries_to_json(entries))]))
             })
         }
@@ -386,7 +386,7 @@ pub fn dispatch(state: &ServerState, method: &str, params: &Json) -> Result<Json
                 .trod
                 .reenactor()
                 .reenact_request(req_id)
-                .map_err(|e| RpcError::from(&trod_db::TrodError::Relational(e)))?;
+                .map_err(|e| RpcError::from(&e))?;
             if reports.is_empty() {
                 return Err(RpcError::not_found(
                     "unknown_request",
@@ -662,7 +662,7 @@ pub fn dispatch(state: &ServerState, method: &str, params: &Json) -> Result<Json
             ]))
         }
         "sys_checkpoint" => {
-            let written = state.trod.checkpoint()?;
+            let written = state.trod.checkpoint().map_err(|e| RpcError::from(&e))?;
             Ok(Json::obj(vec![
                 ("written", Json::Bool(written.is_some())),
                 (
@@ -693,7 +693,7 @@ pub fn dispatch(state: &ServerState, method: &str, params: &Json) -> Result<Json
             let db = state.trod.production_db();
             let current_ts = db.current_ts();
             let up_to = p_opt_u64(params, "up_to")?.unwrap_or(current_ts);
-            let entries = db.history(0, up_to)?;
+            let entries = db.history(0, up_to).map_err(|e| RpcError::from(&e))?;
             Ok(Json::obj(vec![
                 ("current_ts", Json::from(current_ts)),
                 (
@@ -703,19 +703,15 @@ pub fn dispatch(state: &ServerState, method: &str, params: &Json) -> Result<Json
             ]))
         }
         "sys_dump" => {
-            let dump = Dump::capture(&state.trod)?;
-            match params.get("path").and_then(Json::as_str) {
-                Some(path) => {
-                    dump.write_to(path)
-                        .map_err(|e| RpcError::new(DUMP, "dump_write", e.to_string()))?;
-                    Ok(Json::obj(vec![
-                        ("written", Json::str(path)),
-                        ("entries", Json::from(dump.entries.len())),
-                        ("current_ts", Json::from(dump.current_ts)),
-                    ]))
-                }
-                None => Ok(Json::obj(vec![("dump", dump.to_json())])),
+            // The server writes no file a caller names: a client saves the
+            // returned document itself (`Dump::write_to`).
+            if params.get("path").is_some() {
+                return Err(RpcError::invalid_params(
+                    "`sys_dump` takes no `path`; write the returned dump client-side",
+                ));
             }
+            let dump = Dump::capture(&state.trod).map_err(|e| RpcError::from(&e))?;
+            Ok(Json::obj(vec![("dump", dump.to_json())]))
         }
 
         _ => Err(RpcError::new(

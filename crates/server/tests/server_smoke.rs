@@ -292,6 +292,69 @@ fn typed_errors_over_the_wire() {
     server.shutdown();
 }
 
+/// The `(code, kind, retryable)` of a call that must fail.
+fn failure(client: &mut Client, method: &str, params: Vec<(&str, Json)>) -> (i64, String, bool) {
+    match client.call(method, Json::obj(params)) {
+        Err(ClientError::Rpc(f)) => (f.code, f.kind, f.retryable),
+        other => panic!("{method}: expected an rpc error, got {other:?}"),
+    }
+}
+
+#[test]
+fn engine_errors_keep_their_code_kind_and_retry_bit_over_the_wire() {
+    let server = shop_server();
+    let mut client = Client::connect(&server.addr()).expect("connect");
+    let missing_ns = || {
+        vec![
+            ("namespace", Json::str("no_such_ns")),
+            ("key", Json::str("k")),
+        ]
+    };
+    let key_value = (1001, "key_value".to_string(), false);
+
+    assert_eq!(failure(&mut client, "kv_get", missing_ns()), key_value);
+    invoke(
+        &mut client,
+        "checkout",
+        checkout_params("o-1", "c-1", "item-1"),
+        false,
+    );
+    let now = server.state().trod.production_db().current_ts();
+    let reply = client
+        .call("trod_fork", Json::obj(vec![("ts", Json::from(now))]))
+        .expect("fork");
+    let fork = reply.get("fork_id").and_then(Json::as_str).unwrap();
+    let mut params = missing_ns();
+    params.push(("fork", Json::str(fork)));
+    assert_eq!(failure(&mut client, "fork_kv_get", params), key_value);
+
+    let params = vec![
+        ("table", Json::str("no_such_table")),
+        ("key", Json::Array(vec![Json::str("k")])),
+    ];
+    assert_eq!(
+        failure(&mut client, "trod_get", params),
+        (1001, "relational".to_string(), false)
+    );
+
+    // Below the GC floor of an in-memory server a fork is refused.
+    let stats = server.state().trod.gc_before(now);
+    assert!(stats.horizon > 1, "{stats:?}");
+    let params = vec![("ts", Json::from(1u64))];
+    assert_eq!(
+        failure(&mut client, "trod_fork", params),
+        (1030, "history_truncated".to_string(), false)
+    );
+
+    // The server writes no file a caller names.
+    let params = vec![("path", Json::str("dump.json"))];
+    assert_eq!(
+        failure(&mut client, "sys_dump", params),
+        (-32602, "invalid_params".to_string(), false)
+    );
+    server.shutdown();
+}
+
 #[test]
 fn graceful_shutdown_drains_and_rejects_with_typed_503() {
     let server = shop_server();

@@ -48,7 +48,6 @@
 pub use trod_apps as apps;
 pub use trod_core as core;
 pub use trod_db as db;
-pub use trod_db::{TrodError, TrodResult};
 pub use trod_kv as kv;
 pub use trod_provenance as provenance;
 pub use trod_query as query;

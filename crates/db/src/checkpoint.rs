@@ -13,15 +13,35 @@
 //!
 //! # Consistency model
 //!
-//! The capture reads `ts = ` the *published* commit clock, then takes a
-//! time-travel snapshot of every store at exactly that timestamp. Because
-//! commit order equals WAL byte order, every commit with
-//! `commit_ts <= ts` lies entirely in WAL bytes the checkpoint covers;
-//! recovery skips those bytes and replays only records after the cut.
-//! DDL records are untimestamped, so they are replayed *idempotently* on
-//! a checkpoint boot: creating an object that the checkpoint already
+//! The capture first reads `sealed_below`, the active segment's sequence
+//! number, then `ts = ` the *published* commit clock, then takes a
+//! time-travel snapshot of every store at exactly that timestamp.
+//! Recovery works at file granularity. It drops every commit with
+//! `commit_ts <= ts` as it is decoded, and it skips a whole sealed file,
+//! unread, when the checkpoint covers all of it:
+//!
+//! * its highest commit timestamp is at or below `ts`, **and**
+//! * it holds no DDL, or its sequence number is below `sealed_below`.
+//!
+//! The second clause is the capture-order argument. A file numbered below
+//! `sealed_below` was sealed before the capture read that number. Each
+//! DDL record in it was appended before that seal, and `Database` creates
+//! the object (`add_table`, `create_index`) before it appends the record.
+//! So the catalog walk, which runs after the read, sees every object the
+//! file creates. DDL records are untimestamped, so no clock can stand in
+//! for the sequence number: empty ticks move the clock without writing
+//! anything to the log.
+//!
+//! The DDL records recovery does read are replayed *idempotently* on a
+//! checkpoint boot: creating an object that the checkpoint already
 //! restored is a no-op, which is sound because the WAL vocabulary has no
 //! drop records — an object is only ever created once.
+//!
+//! # Versions
+//!
+//! Version 2 added `sealed_below` after `next_txn_id`. A version 1
+//! payload decodes with `sealed_below = 0`, so recovery reads every
+//! DDL-bearing file, as the version 1 reader did.
 
 use std::sync::Arc;
 
@@ -36,7 +56,7 @@ use crate::wal::{
 
 /// Magic prefix of a checkpoint file.
 pub const CHECKPOINT_MAGIC: &[u8; 8] = b"TRODCK01";
-const CHECKPOINT_VERSION: u32 = 1;
+const CHECKPOINT_VERSION: u32 = 2;
 
 /// One relational table inside a [`Checkpoint`]: schema, index columns
 /// and every row visible at the checkpoint timestamp.
@@ -69,6 +89,10 @@ pub struct Checkpoint {
     /// Transaction-id high-water mark at capture time, so recovered
     /// databases never reuse an id the checkpointed history handed out.
     pub next_txn_id: u64,
+    /// The active segment's sequence number when the capture began: every
+    /// segment numbered below it was sealed before the catalog walk, so
+    /// the checkpoint covers its DDL (module docs). 0 covers none.
+    pub sealed_below: u64,
     pub tables: Vec<CheckpointTable>,
     pub namespaces: Vec<CheckpointNamespace>,
 }
@@ -103,6 +127,7 @@ pub fn encode_checkpoint(ck: &Checkpoint) -> Vec<u8> {
     put_u32(&mut payload, CHECKPOINT_VERSION);
     put_u64(&mut payload, ck.ts);
     put_u64(&mut payload, ck.next_txn_id);
+    put_u64(&mut payload, ck.sealed_below);
     put_u32(&mut payload, ck.tables.len() as u32);
     for t in &ck.tables {
         put_str(&mut payload, &t.name);
@@ -195,11 +220,12 @@ const MIN_NAMESPACE_LEN: usize = MIN_STR_LEN + 8;
 fn decode_payload(payload: &[u8]) -> Result<Checkpoint, String> {
     let mut c = Cursor::new(payload);
     let version = c.u32()?;
-    if version != CHECKPOINT_VERSION {
+    if !(1..=CHECKPOINT_VERSION).contains(&version) {
         return Err(format!("unsupported checkpoint version {version}"));
     }
     let ts = c.u64()?;
     let next_txn_id = c.u64()?;
+    let sealed_below = if version >= 2 { c.u64()? } else { 0 };
     let n_tables = c.count(MIN_TABLE_LEN, "table")?;
     let mut tables = Vec::with_capacity(n_tables);
     for _ in 0..n_tables {
@@ -268,6 +294,7 @@ fn decode_payload(payload: &[u8]) -> Result<Checkpoint, String> {
     Ok(Checkpoint {
         ts,
         next_txn_id,
+        sealed_below,
         tables,
         namespaces,
     })
@@ -292,6 +319,7 @@ mod tests {
         Checkpoint {
             ts: 42,
             next_txn_id: 7,
+            sealed_below: 3,
             tables: vec![CheckpointTable {
                 name: "users".to_string(),
                 schema,
@@ -343,6 +371,28 @@ mod tests {
         out
     }
 
+    /// `ck`'s payload in the version 1 layout: no `sealed_below`.
+    fn v1_payload(ck: &Checkpoint) -> Vec<u8> {
+        let v2 = &encode_checkpoint(ck)[20..];
+        [&1u32.to_le_bytes()[..], &v2[4..20], &v2[28..]].concat()
+    }
+
+    #[test]
+    fn a_version_1_checkpoint_decodes_covering_no_segment() {
+        let ck = sample();
+        let decoded = decode_checkpoint(&checkpoint_bytes(&v1_payload(&ck))).unwrap();
+        assert_eq!(
+            decoded,
+            Checkpoint {
+                sealed_below: 0,
+                ..ck
+            }
+        );
+        let mut v3 = encode_checkpoint(&sample())[20..].to_vec();
+        v3[..4].copy_from_slice(&3u32.to_le_bytes());
+        assert!(decode_checkpoint(&checkpoint_bytes(&v3)).is_err());
+    }
+
     /// The decoder's contract on bytes it did not write: a typed
     /// `Corrupt` error, or a checkpoint that survives encode → decode
     /// unchanged.
@@ -361,25 +411,29 @@ mod tests {
         ))]
 
         /// Arbitrary bytes: raw, framed with valid CRCs, or framed behind
-        /// a valid version so they reach the table and namespace decoders.
+        /// a valid version (1 or 2) so they reach the table and namespace
+        /// decoders.
         #[test]
         fn checkpoint_decoder_takes_arbitrary_bytes(
             bytes in prop::collection::vec(0u8..=255, 0..160),
-            framing in 0u8..3,
+            framing in 0u8..4,
         ) {
             let bytes = match framing {
                 0 => bytes,
                 1 => checkpoint_bytes(&bytes),
-                _ => checkpoint_bytes(&[&CHECKPOINT_VERSION.to_le_bytes()[..], &bytes].concat()),
+                version => checkpoint_bytes(&[&u32::from(version - 1).to_le_bytes()[..], &bytes].concat()),
             };
             decodes_typed_or_round_trips(&bytes)?;
         }
 
         /// A valid checkpoint with tables, rows, indexes and namespaces,
-        /// with one payload byte replaced and both CRCs recomputed.
+        /// in the version 1 or 2 layout, with one payload byte replaced
+        /// and both CRCs recomputed.
         #[test]
         fn checkpoint_decoder_takes_a_mutated_checkpoint(
             ts in 0u64..1 << 40,
+            sealed_below in prop_oneof![Just(0u64), 0u64..1 << 20],
+            version in 1u32..3,
             rows in prop::collection::vec((-1000i64..1000, "[a-z]{0,6}", 0u8..3), 0..4),
             indexed in 0u8..4,
             namespaces in prop::collection::vec(
@@ -391,6 +445,7 @@ mod tests {
         ) {
             let mut ck = sample();
             ck.ts = ts;
+            ck.sealed_below = sealed_below;
             ck.tables[0].rows = rows
                 .into_iter()
                 .map(|(id, name, score)| {
@@ -412,7 +467,10 @@ mod tests {
                 .zip(0..)
                 .map(|(entries, i)| CheckpointNamespace { name: format!("ns{i}"), entries })
                 .collect();
-            let mut payload = encode_checkpoint(&ck)[20..].to_vec();
+            let mut payload = match version {
+                1 => v1_payload(&ck),
+                _ => encode_checkpoint(&ck)[20..].to_vec(),
+            };
             let i = at % payload.len();
             payload[i] = byte;
             decodes_typed_or_round_trips(&checkpoint_bytes(&payload))?;

@@ -306,6 +306,11 @@ impl Database {
     /// namespace's entries. Does not write anything —
     /// [`Database::checkpoint`] does capture + durable write.
     pub fn capture_checkpoint(&self) -> Checkpoint {
+        // Read before the catalog walk: every segment numbered below it
+        // was sealed by now, so each object its DDL records create is in
+        // the catalog the walk sees (the capture-order argument in
+        // `checkpoint.rs`).
+        let sealed_below = self.wal().map_or(0, |wal| wal.active_seq());
         // The published clock: every commit at or below it is fully
         // installed, every one above it invisible to the time-travel
         // reads below — the snapshot is consistent without any lock.
@@ -329,6 +334,7 @@ impl Database {
         Checkpoint {
             ts,
             next_txn_id: self.inner.next_txn_id.load(Ordering::SeqCst),
+            sealed_below,
             tables,
             namespaces,
         }

@@ -107,11 +107,12 @@ struct ListedFile {
     seq_lo: u64,
     len: u64,
     max_ts: Ts,
-    /// True when the file holds any non-commit (DDL) record. A
-    /// checkpoint boot may only skip a file when `max_ts <= checkpoint
-    /// ts` **and** it carries no DDL — DDL records are untimestamped, so
-    /// a DDL-only segment has `max_ts == 0` and would otherwise be
-    /// skipped wrongly.
+    /// True when the file holds any non-commit (DDL) record. DDL records
+    /// are untimestamped, so `max_ts` says nothing about them: a checkpoint
+    /// boot skips a file that holds DDL only when the checkpoint covers
+    /// its DDL too, which it does when the file was sealed before the
+    /// capture began (`seq_lo < Checkpoint::sealed_below`; the
+    /// capture-order argument is in `checkpoint.rs`).
     has_ddl: bool,
 }
 
@@ -370,9 +371,15 @@ pub struct RecoveryReport {
     /// Checkpoints that failed validation before a usable one was found
     /// (each fell back to the next older one, or to full replay).
     pub checkpoint_fallbacks: usize,
-    /// Sealed files recovery skipped entirely because every commit
-    /// in them preceded the checkpoint.
+    /// Sealed files recovery skipped, unread: every commit in them is at
+    /// or below the checkpoint's timestamp, and they hold no DDL or were
+    /// sealed before the checkpoint's capture began (so it holds every
+    /// object they create).
     pub skipped_files: usize,
+    /// Segment bytes the walk read: the whole of every sealed file it did
+    /// not skip, and the active segment up to its end (a torn tail
+    /// included).
+    pub streamed_bytes: u64,
 }
 
 /// What the recovery walk ([`SegmentedWal::open_dir`]) hands its replay
@@ -651,19 +658,25 @@ impl SegmentedWal {
             dirty = true;
         }
         rec.checkpoint_ts = checkpoint.as_ref().map(|c| c.ts);
-        let ckpt_ts = rec.checkpoint_ts.unwrap_or(0);
+        let (ckpt_ts, sealed_below) = checkpoint
+            .as_ref()
+            .map_or((0, 0), |c| (c.ts, c.sealed_below));
         if let Some(ck) = checkpoint {
             replay(Replay::Checkpoint(&ck), &mut rec)?;
         }
-        // A checkpoint boot skips every sealed file whose commits the
-        // snapshot already covers and that carries no DDL — unread and
-        // unvalidated: that *is* the O(delta) win. Every frame it does
-        // read is decoded — the structural check on on-disk input — and
-        // the commits the checkpoint covers are dropped (the snapshot *is*
-        // their state); DDL records are kept — the callback replays them
-        // idempotently, since the checkpoint already restored the catalog
-        // objects they made.
-        let covered = |max_ts: Ts, has_ddl: bool| ckpt_ts > 0 && max_ts <= ckpt_ts && !has_ddl;
+        // A checkpoint boot skips every sealed file the snapshot covers —
+        // unread and unvalidated: that *is* the O(delta) win. It covers a
+        // file's commits when they are all at or below its ts, and the
+        // file's DDL when the file was sealed before the capture began
+        // (the capture-order argument in `checkpoint.rs`). Every frame it
+        // does read is decoded — the structural check on on-disk input —
+        // and the commits the checkpoint covers are dropped (the snapshot
+        // *is* their state); DDL records are kept — the callback replays
+        // them idempotently, since the checkpoint already restored the
+        // catalog objects they made.
+        let covered = |file: &ListedFile| {
+            ckpt_ts > 0 && file.max_ts <= ckpt_ts && (!file.has_ddl || file.seq_lo < sealed_below)
+        };
         let end = walk_log(
             dir.as_ref(),
             &manifest,
@@ -716,6 +729,13 @@ impl SegmentedWal {
             counters: Counters::default(),
             last_ckpt_lsn: AtomicU64::new(0),
         })
+    }
+
+    /// The active segment's sequence number. A checkpoint capture reads it
+    /// before its catalog walk, as [`Checkpoint::sealed_below`]: every
+    /// segment numbered below it is sealed by then.
+    pub fn active_seq(&self) -> u64 {
+        self.state.lock().manifest.active_seq
     }
 
     /// Global logical end offset (bytes accepted across all segments).
@@ -1047,7 +1067,7 @@ impl SegmentedWal {
             self.dir.as_ref(),
             &manifest,
             &mut RecoveryReport::default(),
-            |max_ts, _| max_ts <= after,
+            |file| file.max_ts <= after,
             &|ts| ts.is_some_and(|ts| ts > after),
             Some(watermark),
             |record, _| match record {
@@ -1101,7 +1121,7 @@ struct WalkEnd {
 ///
 /// Sealed files come first, in list order. They were fully durable
 /// before they stopped being active: any damage in them is corruption,
-/// never a torn tail. `skip(max_ts, has_ddl)` leaves one of them unread;
+/// never a torn tail. `skip(file)` leaves one of them unread;
 /// its manifest length still advances the global LSN base. Every frame
 /// read is validated, and decoded only if `wanted` (recovery wants all,
 /// so the active segment's summary sees every record).
@@ -1115,7 +1135,7 @@ fn walk_log<E: From<StorageError>>(
     dir: &dyn LogDir,
     manifest: &Manifest,
     rec: &mut RecoveryReport,
-    mut skip: impl FnMut(Ts, bool) -> bool,
+    mut skip: impl FnMut(&ListedFile) -> bool,
     wanted: Wanted,
     active_len: Option<u64>,
     mut on_record: impl FnMut(WalRecord, &mut RecoveryReport) -> Result<(), E>,
@@ -1130,10 +1150,11 @@ fn walk_log<E: From<StorageError>>(
     for file in &manifest.sealed {
         rec.segments += 1;
         base += file.len;
-        if skip(file.max_ts, file.has_ddl) {
+        if skip(file) {
             rec.skipped_files += 1;
             continue;
         }
+        rec.streamed_bytes += file.len;
         let src = open(&file.name, "segment")?;
         stream_strict(src, &file.name, file.len, wanted, |record| {
             on_record(record, rec)
@@ -1163,6 +1184,7 @@ fn walk_log<E: From<StorageError>>(
             }
         }
     };
+    rec.streamed_bytes += end.info.valid_len + end.info.truncated_bytes;
     Ok(end)
 }
 
@@ -1606,6 +1628,7 @@ mod tests {
         let ck = Checkpoint {
             ts: 1,
             next_txn_id: 2,
+            sealed_below: 0,
             tables: Vec::new(),
             namespaces: Vec::new(),
         };

@@ -1,5 +1,6 @@
 //! Booting durable images laid out as they were written before the hash
-//! and range index kinds merged into one index.
+//! and range index kinds merged into one index, and checkpoints written
+//! in the version 1 layout, before they recorded the segments they cover.
 //!
 //! The layouts did not change: a `CreateIndex` record still ends in the
 //! byte that chose the kind (0 = hash, 1 = range), and a checkpoint table
@@ -8,7 +9,9 @@
 //! written empty and merged into the first on read, and a declaration for
 //! an already indexed column is satisfied — so every such image boots with
 //! exactly one index per declared column, and planned scans equal the full
-//! scan at every commit timestamp.
+//! scan at every commit timestamp. A version 1 checkpoint covers no
+//! segment's DDL, so its boot streams the DDL-bearing segment that a
+//! version 2 boot skips, and reaches the same state.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -19,7 +22,8 @@ use trod_db::{
     WalOptions, WalRecord,
 };
 
-/// The one segment file these histories write.
+/// The first segment file: the index-kind histories write no other, and
+/// it holds the DDL of every history here.
 const SEGMENT: &str = "wal-000000.seg";
 
 fn schema() -> Schema {
@@ -96,15 +100,24 @@ fn create_index_frame(column: &str, flag: u8) -> Vec<u8> {
 }
 
 /// `ck` (one all-INT table shaped like [`schema`]) in the checkpoint
-/// layout, its index columns given as the two lists.
-fn checkpoint_with_index_lists(ck: &Checkpoint, first: &[&str], second: &[&str]) -> Vec<u8> {
+/// layout of `version` (2 records `sealed_below`, 1 does not), its index
+/// columns given as the two lists.
+fn checkpoint_with_index_lists(
+    ck: &Checkpoint,
+    version: u32,
+    first: &[&str],
+    second: &[&str],
+) -> Vec<u8> {
     let [table] = ck.tables.as_slice() else {
         panic!("one table expected");
     };
     let mut p = Vec::new();
-    p.extend(1u32.to_le_bytes()); // version
+    p.extend(version.to_le_bytes());
     p.extend(ck.ts.to_le_bytes());
     p.extend(ck.next_txn_id.to_le_bytes());
+    if version >= 2 {
+        p.extend(ck.sealed_below.to_le_bytes());
+    }
     p.extend(1u32.to_le_bytes()); // tables
     put_str(&mut p, &table.name);
     p.extend(3u32.to_le_bytes());
@@ -186,13 +199,16 @@ fn a_checkpoint_with_overlapping_index_lists_restores_one_index_per_column() {
     assert_eq!(db.checkpoint().unwrap().map(|(ts, _)| ts), Some(ck.ts));
     write_history(&db, 30..50);
     drop(db);
-    // Today's writer: the same layout, the second list empty.
+    // Today's writer: the version 2 layout, the second list empty.
     let name = format!("ckpt-{:020}.ckpt", ck.ts);
     let written = disk.file(&name).unwrap();
-    assert_eq!(written, checkpoint_with_index_lists(&ck, &["g"], &[]));
-    // The checkpoint as it used to be written: `g` in the first list,
-    // `v` and `g` again in the second.
-    disk.put_file(&name, checkpoint_with_index_lists(&ck, &["g"], &["v", "g"]));
+    assert_eq!(written, checkpoint_with_index_lists(&ck, 2, &["g"], &[]));
+    // The checkpoint as it used to be written: version 1, `g` in the
+    // first list, `v` and `g` again in the second.
+    disk.put_file(
+        &name,
+        checkpoint_with_index_lists(&ck, 1, &["g"], &["v", "g"]),
+    );
 
     let (booted, report) =
         Database::open_durable_in(Arc::new(disk), WalOptions::default()).unwrap();
@@ -200,4 +216,55 @@ fn a_checkpoint_with_overlapping_index_lists_restores_one_index_per_column() {
     let table = booted.table("t").unwrap();
     assert_eq!(table.indexed_columns(), ["g", "v"]);
     assert_planned_scans_equal_full(&table, booted.current_ts());
+}
+
+#[test]
+fn a_version_1_checkpoint_streams_the_ddl_segment_and_boots_to_the_same_state() {
+    let disk = MemDir::new();
+    let opts = WalOptions {
+        segment_bytes: 256,
+        ..WalOptions::default()
+    };
+    let db = Database::create_durable_in(Arc::new(disk.clone()), opts).unwrap();
+    db.create_table("t", schema()).unwrap();
+    db.create_index("t", "g").unwrap();
+    write_history(&db, 0..30);
+    let ck = db.checkpoint().unwrap().map(|(ts, _)| ts).unwrap();
+    write_history(&db, 30..50);
+    drop(db);
+    let boot = |disk: &MemDir| {
+        let (db, report) =
+            Database::open_durable_in(Arc::new(disk.snapshot()), WalOptions::default()).unwrap();
+        assert_eq!(report.checkpoint_ts, Some(ck));
+        (db, report)
+    };
+    let (v2, v2_report) = boot(&disk);
+    let segment_0 = disk.file(SEGMENT).unwrap().len() as u64;
+
+    // The same checkpoint in the version 1 layout covers no segment's DDL.
+    let name = format!("ckpt-{ck:020}.ckpt");
+    let decoded = trod_db::checkpoint::decode_checkpoint(&disk.file(&name).unwrap()).unwrap();
+    assert!(
+        decoded.sealed_below > 0,
+        "segment 0 was sealed before the capture"
+    );
+    disk.put_file(&name, checkpoint_with_index_lists(&decoded, 1, &["g"], &[]));
+    let (v1, v1_report) = boot(&disk);
+
+    // Only the version 1 boot streams the DDL-bearing segment 0.
+    assert!(v2_report.skipped_files >= 1);
+    assert_eq!(v1_report.skipped_files, v2_report.skipped_files - 1);
+    assert_eq!(
+        v1_report.streamed_bytes,
+        v2_report.streamed_bytes + segment_0
+    );
+    let (a, b) = (v1.table("t").unwrap(), v2.table("t").unwrap());
+    assert_eq!(v1.current_ts(), v2.current_ts());
+    assert_eq!(v1.log_entries(), v2.log_entries());
+    assert_eq!(a.indexed_columns(), b.indexed_columns());
+    assert_eq!(
+        a.materialize_at(v1.current_ts()),
+        b.materialize_at(v2.current_ts())
+    );
+    assert_planned_scans_equal_full(&a, v1.current_ts());
 }

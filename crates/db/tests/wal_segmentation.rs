@@ -33,6 +33,7 @@ use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 
+use trod_db::checkpoint::decode_checkpoint;
 use trod_db::wal::{decode_records, encode_frame};
 use trod_db::{
     row, CommittedTxn, DataType, Database, DbError, DirFailpointHandle, FailpointDir, LogDir,
@@ -58,11 +59,14 @@ fn opts(workload: &Workload) -> WalOptions {
 }
 
 /// One deterministic workload: DDL, `commits` inserts (each one synced
-/// commit), and optionally a GC (which raises the floor the log keeps
-/// checkpoints below) after commit `gc_after`.
+/// commit), optionally a second table created and indexed before commit
+/// `late_table_at` (every later commit inserts into it too), and
+/// optionally a GC (which raises the floor the log keeps checkpoints
+/// below) after commit `gc_after`.
 struct Workload {
     segment_bytes: u64,
     commits: i64,
+    late_table_at: Option<i64>,
     gc_after: Option<i64>,
     /// Automatic environment-checkpoint cadence in appended WAL bytes
     /// (0 = disabled). `1` forces a checkpoint after every commit, so a
@@ -84,8 +88,21 @@ fn run(workload: &Workload, dir: Arc<dyn LogDir>) -> Vec<Ts> {
         return acked;
     }
     for i in 0..workload.commits {
+        if workload.late_table_at == Some(i) {
+            let ddl = db
+                .create_table("late", events_schema())
+                .and_then(|()| db.create_index("late", "v"));
+            match ddl {
+                Ok(()) => {}
+                Err(DbError::Storage(_)) => return acked,
+                Err(e) => panic!("only storage errors may surface at a crash: {e}"),
+            }
+        }
         let mut txn = db.begin();
         txn.insert("events", row![i, i * 10]).unwrap();
+        if workload.late_table_at.is_some_and(|at| at <= i) {
+            txn.insert("late", row![i, i % 3]).unwrap();
+        }
         match txn.commit() {
             Ok(outcome) => acked.push(outcome.commit_ts),
             Err(DbError::Storage(_)) => return acked,
@@ -109,8 +126,15 @@ fn oracle(workload: &Workload) -> (Database, Vec<CommittedTxn>) {
     let db = Database::new();
     db.create_table("events", events_schema()).unwrap();
     for i in 0..workload.commits {
+        if workload.late_table_at == Some(i) {
+            db.create_table("late", events_schema()).unwrap();
+            db.create_index("late", "v").unwrap();
+        }
         let mut txn = db.begin();
         txn.insert("events", row![i, i * 10]).unwrap();
+        if workload.late_table_at.is_some_and(|at| at <= i) {
+            txn.insert("late", row![i, i % 3]).unwrap();
+        }
         txn.commit().unwrap();
     }
     let log = db.log_entries();
@@ -126,7 +150,8 @@ fn oracle(workload: &Workload) -> (Database, Vec<CommittedTxn>) {
 ///   the recovered clock, and
 /// * the recovered table state equals the oracle's state materialised at
 ///   the recovered clock — so a checkpoint can never smuggle in rows the
-///   history does not explain.
+///   history does not explain. A table the recovered database lacks
+///   reads as empty; one that holds rows has the oracle's indexes.
 ///
 /// The horizon must cover every acknowledged commit.
 fn assert_state_matches_oracle(
@@ -170,20 +195,34 @@ fn assert_state_matches_oracle(
             "{tag}: acknowledged commit {max_acked} lost (recovered to {horizon})"
         );
     }
-    let recovered = if db.has_table("events") {
-        db.table("events").unwrap().materialize_at(horizon)
-    } else {
-        Vec::new()
-    };
-    let expected = oracle_db.table("events").unwrap().materialize_at(horizon);
-    assert_eq!(
-        recovered.len(),
-        expected.len(),
-        "{tag}: row count at horizon {horizon}"
-    );
-    for ((rk, rv), (ek, ev)) in recovered.iter().zip(expected.iter()) {
-        assert_eq!(rk, ek, "{tag}: key at horizon {horizon}");
-        assert_eq!(**rv, **ev, "{tag}: row for {rk:?} at horizon {horizon}");
+    for name in oracle_db.table_names() {
+        let oracle_table = oracle_db.table(&name).unwrap();
+        let expected = oracle_table.materialize_at(horizon);
+        let recovered = match db.table(&name) {
+            Ok(table) => {
+                if !expected.is_empty() {
+                    assert_eq!(
+                        table.indexed_columns(),
+                        oracle_table.indexed_columns(),
+                        "{tag}: indexes of `{name}`"
+                    );
+                }
+                table.materialize_at(horizon)
+            }
+            Err(_) => Vec::new(),
+        };
+        assert_eq!(
+            recovered.len(),
+            expected.len(),
+            "{tag}: `{name}` row count at horizon {horizon}"
+        );
+        for ((rk, rv), (ek, ev)) in recovered.iter().zip(expected.iter()) {
+            assert_eq!(rk, ek, "{tag}: `{name}` key at horizon {horizon}");
+            assert_eq!(
+                **rv, **ev,
+                "{tag}: `{name}` row for {rk:?} at horizon {horizon}"
+            );
+        }
     }
 }
 
@@ -260,6 +299,7 @@ fn crash_at_every_cost_unit_of_rotation_around_gc() {
         &Workload {
             segment_bytes: 1,
             commits: 6,
+            late_table_at: None,
             gc_after: Some(3),
             checkpoint_bytes: 0,
         },
@@ -275,6 +315,7 @@ fn crash_at_every_cost_unit_of_a_single_rotation() {
         &Workload {
             segment_bytes: 200,
             commits: 6,
+            late_table_at: None,
             gc_after: None,
             checkpoint_bytes: 0,
         },
@@ -296,6 +337,7 @@ fn crash_at_every_cost_unit_of_checkpoint_write_and_manifest_swap() {
         &Workload {
             segment_bytes: 1,
             commits: 5,
+            late_table_at: None,
             gc_after: Some(2),
             checkpoint_bytes: 1,
         },
@@ -312,6 +354,7 @@ fn corrupt_checkpoint_falls_back_to_older_or_full_replay() {
     let workload = Workload {
         segment_bytes: 1,
         commits: 6,
+        late_table_at: None,
         gc_after: None,
         checkpoint_bytes: 1,
     };
@@ -382,6 +425,7 @@ fn sealed_segment_damage_is_a_typed_corruption_error() {
     let workload = Workload {
         segment_bytes: 1,
         commits: 5,
+        late_table_at: None,
         gc_after: None,
         checkpoint_bytes: 0,
     };
@@ -438,6 +482,7 @@ fn manifest_less_directory_of_segments_is_adopted_in_order() {
     let workload = Workload {
         segment_bytes: 1,
         commits: 5,
+        late_table_at: None,
         gc_after: None,
         checkpoint_bytes: 0,
     };
@@ -491,14 +536,18 @@ impl LogDir for ReadAccounting {
 /// Recovery streams every segment it visits and reads none of them whole
 /// — only the MANIFEST and the checkpoint are read whole. A full replay
 /// streams every segment. A checkpoint boot after GC streams exactly the
-/// segments it must: the DDL-bearing `wal-000000.seg`, the segments
-/// holding commits above the checkpoint, and the active one.
+/// segments it must: those holding commits above the checkpoint, those
+/// holding DDL that were still active when the checkpoint's capture
+/// began, and the active one. Here that is the active one alone: the
+/// DDL-bearing `wal-000000.seg` was sealed long before. `streamed_bytes`
+/// counts exactly those files' bytes.
 #[test]
 fn recovery_streams_only_the_segments_it_must_and_never_reads_them_whole() {
     for checkpoint_bytes in [1, 0] {
         let workload = Workload {
             segment_bytes: 1,
             commits: 8,
+            late_table_at: None,
             gc_after: Some(3),
             checkpoint_bytes,
         };
@@ -534,20 +583,34 @@ fn recovery_streams_only_the_segments_it_must_and_never_reads_them_whole() {
         segments.sort();
         assert_eq!(segments.len(), report.segments, "{tag}: GC deleted none");
         let active = segments.last().unwrap().clone();
-        let ckpt_ts = report.checkpoint_ts.unwrap_or(0);
+        let (ckpt_ts, sealed_below) = match report.checkpoint_ts {
+            Some(ts) => {
+                let file = image.file(&format!("ckpt-{ts:020}.ckpt")).unwrap();
+                let ck = decode_checkpoint(&file).unwrap();
+                (ts, ck.sealed_below)
+            }
+            None => (0, 0),
+        };
         let must: Vec<String> = segments
             .into_iter()
             .filter(|name| {
                 let (records, _) = decode_records(&image.file(name).unwrap()).unwrap();
+                let seq: u64 = name["wal-".len()..name.len() - ".seg".len()]
+                    .parse()
+                    .unwrap();
                 *name == active
                     || records.iter().any(|r| match r {
                         WalRecord::Commit(e) => e.commit_ts > ckpt_ts,
-                        _ => true,
+                        _ => seq >= sealed_below,
                     })
             })
             .collect();
         if checkpoint_bytes > 0 {
-            assert_eq!(must, ["wal-000000.seg", active.as_str()], "{tag}");
+            assert!(
+                sealed_below > 0,
+                "{tag}: segment 0 sealed before the capture"
+            );
+            assert_eq!(must, [active.as_str()], "{tag}");
         } else {
             assert_eq!(must.len(), report.segments, "{tag}: full replay");
         }
@@ -555,7 +618,69 @@ fn recovery_streams_only_the_segments_it_must_and_never_reads_them_whole() {
         streamed.sort();
         assert_eq!(streamed, must, "{tag}: each file streamed once");
         assert_eq!(report.skipped_files, report.segments - must.len(), "{tag}");
+        let must_bytes: usize = must.iter().map(|n| image.file(n).unwrap().len()).sum();
+        assert_eq!(report.streamed_bytes, must_bytes as u64, "{tag}");
     }
+}
+
+/// A checkpoint covers the DDL of the segments sealed before its capture
+/// began, and no other. Here segment 0 is still active when the capture
+/// reads `sealed_below`; the `late` table is created after the capture,
+/// and its DDL record is the one that fills and seals segment 0. Segment
+/// 0's commits are all at or below the checkpoint, but the checkpoint
+/// does not hold `late`, so the boot must stream segment 0 for its DDL.
+/// Reading `sealed_below` when the checkpoint is written (1 by then), or
+/// skipping a DDL-bearing segment numbered at `sealed_below`, would skip
+/// it and lose `late`.
+#[test]
+fn a_checkpoint_covers_only_the_ddl_sealed_before_its_capture() {
+    let prefix = |db: &Database| {
+        db.create_table("events", events_schema()).unwrap();
+        for i in 0..3 {
+            let mut txn = db.begin();
+            txn.insert("events", row![i, i * 10]).unwrap();
+            txn.commit().unwrap();
+        }
+    };
+    // Size segment 0 so that the prefix fits and the next record fills it.
+    let probe =
+        Database::create_durable_in(Arc::new(MemDir::new()), WalOptions::default()).unwrap();
+    prefix(&probe);
+    let opts = WalOptions {
+        sync_mode: SyncMode::Sync,
+        segment_bytes: probe.wal().unwrap().appended() + 1,
+        checkpoint_bytes: 0,
+    };
+
+    let mem = MemDir::new();
+    let db = Database::create_durable_in(Arc::new(mem.clone()), opts).unwrap();
+    prefix(&db);
+    let wal = db.wal().unwrap();
+    assert_eq!(wal.active_seq(), 0);
+    let ck = db.capture_checkpoint();
+    assert_eq!(ck.sealed_below, 0, "segment 0 is active at capture");
+    db.create_table("late", events_schema()).unwrap();
+    assert_eq!(wal.active_seq(), 1, "the `late` DDL sealed segment 0");
+    for i in 0..3 {
+        let mut txn = db.begin();
+        txn.insert("late", row![i, i + 100]).unwrap();
+        txn.commit().unwrap();
+    }
+    assert_eq!(
+        wal.write_checkpoint(&ck).unwrap().map(|(ts, _)| ts),
+        Some(ck.ts)
+    );
+    let expected = db.table("late").unwrap().materialize_at(db.current_ts());
+    drop((db, wal));
+
+    let (booted, report) =
+        Database::open_durable_in(Arc::new(mem.snapshot()), WalOptions::default())
+            .expect("the image boots");
+    assert_eq!(report.checkpoint_ts, Some(ck.ts));
+    assert_eq!(report.skipped_files, 0, "segment 0 is streamed for `late`");
+    let late = booted.table("late").expect("`late` exists after reopen");
+    assert_eq!(late.materialize_at(booted.current_ts()), expected);
+    assert_eq!(expected.len(), 3);
 }
 
 /// Replay runs while later files are still being validated. Damage in a
@@ -568,6 +693,7 @@ fn sealed_damage_after_replayed_records_fails_the_boot_and_leaves_the_directory_
     let workload = Workload {
         segment_bytes: 150,
         commits: 9,
+        late_table_at: None,
         gc_after: None,
         checkpoint_bytes: 0,
     };
@@ -668,6 +794,7 @@ proptest! {
     #[test]
     fn recovery_equals_oracle_or_refuses_with_a_typed_error(
         commits in 1i64..16,
+        late_table_at in 0i64..16,
         segment_bytes in prop_oneof![Just(0u64), Just(1u64), Just(120u64), Just(4096u64)],
         gc in prop_oneof![Just(None), (0i64..16).prop_map(Some)],
         checkpoint_bytes in prop_oneof![Just(0u64), Just(1u64), Just(200u64)],
@@ -680,6 +807,7 @@ proptest! {
         let workload = Workload {
             segment_bytes,
             commits,
+            late_table_at: Some(late_table_at % commits),
             gc_after: gc.filter(|g| *g < commits),
             checkpoint_bytes,
         };
@@ -716,12 +844,24 @@ proptest! {
         }
         image.put_file(&name, bytes);
 
+        // A damaged checkpoint destroys no log byte: the boot falls back
+        // to an older checkpoint or a full replay and keeps every
+        // acknowledged commit.
+        let checkpoint_damaged = name.ends_with(".ckpt");
         match Database::open_durable_in(Arc::new(image), WalOptions::default()) {
-            // Damage may legally lose acknowledged commits (it destroys
-            // durable bytes), so the acked floor is not enforced here —
-            // only oracle equivalence of whatever state recovery accepts.
-            Ok((db, _)) => assert_state_matches_oracle(&db, &oracle_db, &oracle_log, &[], "prop"),
-            Err(DbError::Storage(_)) => {} // typed refusal is the other legal outcome
+            // Other damage may legally lose acknowledged commits (it
+            // destroys durable bytes), so the acked floor is not enforced
+            // there — only oracle equivalence of whatever state recovery
+            // accepts.
+            Ok((db, _)) => {
+                let acked = if checkpoint_damaged { &acked[..] } else { &[] };
+                assert_state_matches_oracle(&db, &oracle_db, &oracle_log, acked, "prop")
+            }
+            // A typed refusal is the other legal outcome.
+            Err(DbError::Storage(e)) => prop_assert!(
+                !checkpoint_damaged,
+                "a damaged checkpoint refused the boot: {e}"
+            ),
             Err(e) => prop_assert!(false, "untyped error: {e}"),
         }
     }

@@ -449,8 +449,8 @@ fn database_and_session_boots_of_one_image_agree() {
     assert!(full.segments > 1, "the image spans several segments");
 
     // Checkpoint, then DDL and commits after it: the boot restores the
-    // snapshot and replays a tail holding old DDL (skipped leniently)
-    // and new DDL (applied).
+    // snapshot, skips the sealed segments it covers (the old DDL's
+    // included) and replays the new DDL.
     session.checkpoint().unwrap().expect("checkpoint written");
     session.create_namespace("queue").unwrap();
     session.database().create_index("events", "v").unwrap();

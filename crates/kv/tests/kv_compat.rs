@@ -8,8 +8,10 @@
 //! namespace's entries in its namespace section, never in its table
 //! section. Such images boot — through `Database::open_durable` and
 //! `Session::open_durable` alike — to the state and the verbatim aligned
-//! history they record, and a checkpoint taken after the boot encodes to
-//! the bytes that writer produced.
+//! history they record. A checkpoint taken after the boot encodes to the
+//! bytes that writer produced in the version 2 layout, which adds the
+//! sequence number of the segment active at capture; the version 1 bytes
+//! that writer produced boot to the same state.
 
 use std::sync::Arc;
 
@@ -175,12 +177,17 @@ fn parent_log() -> Vec<u8> {
 }
 
 /// The checkpoint that writer took at ts 4 (next txn id 5): `orders` in
-/// the table section with no index, `carts` in the namespace section.
-fn parent_checkpoint() -> Vec<u8> {
+/// the table section with no index, `carts` in the namespace section. In
+/// the version 1 layout as that writer wrote it, or in version 2 with
+/// `sealed_below` 0 (the image's one segment is active at capture).
+fn parent_checkpoint(version: u32) -> Vec<u8> {
     let mut p = Vec::new();
-    p.extend(1u32.to_le_bytes()); // version
+    p.extend(version.to_le_bytes());
     p.extend(4u64.to_le_bytes()); // ts
     p.extend(5u64.to_le_bytes()); // next txn id
+    if version >= 2 {
+        p.extend(0u64.to_le_bytes()); // sealed below
+    }
     p.extend(1u32.to_le_bytes()); // tables
     put_str(&mut p, "orders");
     p.extend(2u32.to_le_bytes());
@@ -288,7 +295,7 @@ fn a_checkpoint_after_the_boot_is_the_parent_checkpoint_and_boots_again() {
         Session::open_durable_in(Arc::new(disk.clone()), WalOptions::default()).unwrap();
     assert_eq!(session.checkpoint().unwrap().map(|(ts, _)| ts), Some(4));
     let name = format!("ckpt-{:020}.ckpt", 4);
-    assert_eq!(disk.file(&name).unwrap(), parent_checkpoint());
+    assert_eq!(disk.file(&name).unwrap(), parent_checkpoint(2));
 
     // A tail after the checkpoint writes the restored namespace again.
     let mut txn = session.begin();
@@ -300,9 +307,14 @@ fn a_checkpoint_after_the_boot_is_the_parent_checkpoint_and_boots_again() {
         Database::open_durable_in(Arc::new(disk.snapshot()), WalOptions::default()).unwrap();
     assert_eq!((report.checkpoint_ts, report.commits), (Some(4), 1));
     assert!(report.namespaces.is_empty(), "the checkpoint restored it");
-    let (_, (rows, kv, history)) = boot_both(&disk);
-    assert_eq!(rows, ["(1, sprocket)", "(2, gadget)"]);
+    let (_, booted) = boot_both(&disk);
+    let (rows, kv, history) = &booted;
+    assert_eq!(rows, &["(1, sprocket)", "(2, gadget)"]);
     let kv: Vec<(&str, &str)> = kv.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
     assert_eq!(kv, [("bob", "gadget"), ("carol", "widget")]);
     assert_eq!(history.len(), 1);
+
+    // The bytes that writer produced boot to the same state.
+    disk.put_file(&name, parent_checkpoint(1));
+    assert_eq!(boot_both(&disk).1, booted);
 }

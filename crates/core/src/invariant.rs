@@ -7,7 +7,7 @@
 //! studies need (no duplicate rows over a column set, exact row counts)
 //! plus a composable [`Invariant`] type for custom checks.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use trod_db::{Database, Predicate, Value};
@@ -50,6 +50,7 @@ impl Invariant {
 
     /// No two live rows of `table` may share the same values in `columns`
     /// (logical uniqueness — the invariant MDL-59854 and MW-44325 break).
+    /// Violations come in the order of the shared values.
     pub fn no_duplicates(table: &str, columns: &[&str]) -> Self {
         let table = table.to_string();
         let columns: Vec<String> = columns.iter().map(|c| c.to_string()).collect();
@@ -70,7 +71,7 @@ impl Invariant {
                 Ok(rows) => rows,
                 Err(e) => return vec![format!("cannot scan `{table}`: {e}")],
             };
-            let mut groups: HashMap<Vec<Value>, usize> = HashMap::new();
+            let mut groups: BTreeMap<Vec<Value>, usize> = BTreeMap::new();
             for (_, row) in &rows {
                 let key: Vec<Value> = indices.iter().map(|&i| row[i].clone()).collect();
                 *groups.entry(key).or_insert(0) += 1;

@@ -33,12 +33,12 @@
 //! timestamp: point probes (`=`, and `IN (...)` one probe per element),
 //! bounded range windows (`<`, `<=`, `>`, `>=`) and value-ordered walks.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use crate::changelog::{ChangeEntry, ChangeLog};
 use crate::mvcc::{Ts, VersionChain, TS_LIVE};
 use crate::predicate::ColumnBounds;
-use crate::row::{Key, Row};
+use crate::row::{Key, KeyMap, Row};
 use crate::value::Value;
 
 /// One index slot: the keys that carried (or still carry) a value, each
@@ -49,7 +49,7 @@ use crate::value::Value;
 /// slots no longer inflate probe estimates between garbage collections.
 #[derive(Debug, Default)]
 struct Slot {
-    keys: HashMap<Key, Ts>,
+    keys: KeyMap<Ts>,
     live: usize,
 }
 
@@ -113,12 +113,7 @@ impl SecondaryIndex {
     /// The caller holds the table's `rows` lock, under which commits
     /// install and append, so the chains and the log cannot move while
     /// this runs and `rows` reflects exactly the changes in the log.
-    pub(crate) fn catch_up(
-        &mut self,
-        log: &ChangeLog,
-        rows: &HashMap<Key, VersionChain>,
-        upto: Ts,
-    ) {
+    pub(crate) fn catch_up(&mut self, log: &ChangeLog, rows: &KeyMap<VersionChain>, upto: Ts) {
         debug_assert!(upto >= log.tail(), "an index cannot skip logged changes");
         let replayed = self.through.is_some_and(|through| {
             log.scan_after(through, |entry| {
@@ -148,7 +143,7 @@ impl SecondaryIndex {
     /// stamping each value with its version's end timestamp, so snapshot
     /// and time-travel scans through the index see rows that were
     /// already updated away or deleted.
-    fn rebuild(&mut self, rows: &HashMap<Key, VersionChain>) {
+    fn rebuild(&mut self, rows: &KeyMap<VersionChain>) {
         self.entries.clear();
         for (key, chain) in rows {
             for version in chain.versions() {

@@ -100,6 +100,7 @@ pub mod commit;
 pub mod database;
 pub mod dir;
 pub mod error;
+pub mod hash;
 pub mod index;
 pub mod log;
 pub mod mvcc;
@@ -124,12 +125,13 @@ pub use checkpoint::{
 pub use database::{Database, DbStats};
 pub use dir::{DirFailpointHandle, FailpointDir, FsDir, LogDir, LogFile, MemDir};
 pub use error::{DbError, DbResult, StorageError};
+pub use hash::{CellHash, CellHasher};
 pub use index::SecondaryIndex;
 pub use log::{CommittedTxn, TxnId};
 pub use mvcc::{Ts, TS_LIVE};
 pub use predicate::{CmpOp, ColumnBounds, CompiledPredicate, Predicate};
 pub use registry::ActiveTxnRegistry;
-pub use row::{Key, Row};
+pub use row::{Key, KeyMap, Row};
 pub use schema::{Column, Schema, SchemaBuilder};
 pub use segment::{RecoveredLog, RecoveryReport, Replay, SegmentedWal, WalStats};
 pub use table::{ScanPlan, ScanRows, TableStore};

@@ -1,9 +1,11 @@
 //! Rows and primary keys.
 
+use std::collections::HashMap;
 use std::fmt;
 use std::ops::{Index, IndexMut};
 use std::sync::Arc;
 
+use crate::hash::CellHash;
 use crate::value::Value;
 
 /// A row of values, positionally aligned with the table schema.
@@ -150,6 +152,10 @@ impl Key {
         &self.0
     }
 }
+
+/// A map keyed by primary key, hashed with [`CellHash`]: a table's row
+/// map and an index slot's keys.
+pub type KeyMap<V> = HashMap<Key, V, CellHash>;
 
 impl From<Vec<Value>> for Key {
     fn from(v: Vec<Value>) -> Self {

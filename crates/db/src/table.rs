@@ -5,7 +5,6 @@
 //! has not written (see "Forking and replay injection" in
 //! `DESIGN.md`).
 
-use std::collections::HashMap;
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -18,7 +17,7 @@ use crate::index::SecondaryIndex;
 use crate::mvcc::{Ts, VersionChain};
 use crate::predicate::{ColumnBounds, CompiledPredicate, Predicate};
 use crate::registry::{ActiveTxnRegistry, GcPin};
-use crate::row::{Key, Row};
+use crate::row::{Key, KeyMap, Row};
 use crate::schema::Schema;
 use crate::value::Value;
 
@@ -159,7 +158,7 @@ pub struct TableStore {
     /// engine derives from this table shares this allocation.
     name: Arc<str>,
     schema: Schema,
-    rows: RwLock<HashMap<Key, VersionChain>>,
+    rows: RwLock<KeyMap<VersionChain>>,
     indexes: RwLock<Vec<SecondaryIndex>>,
     /// Commit-ordered ring of recent row changes; serves O(Δ)
     /// serializable validation (see the [`crate::changelog`] docs).
@@ -200,7 +199,7 @@ impl TableStore {
         TableStore {
             name: name.into(),
             schema,
-            rows: RwLock::new(HashMap::new()),
+            rows: RwLock::new(KeyMap::default()),
             indexes: RwLock::new(Vec::new()),
             changelog: ChangeLog::default(),
             commit_lock: Mutex::new(()),
@@ -318,7 +317,7 @@ impl TableStore {
     /// taken only when a wanted index is behind.
     fn current_indexes(
         &self,
-        rows: &HashMap<Key, VersionChain>,
+        rows: &KeyMap<VersionChain>,
         wanted: impl Fn(&str) -> bool,
     ) -> RwLockReadGuard<'_, Vec<SecondaryIndex>> {
         let tail = self.changelog.tail();
@@ -437,7 +436,7 @@ impl TableStore {
     /// [`TableStore::for_each_match`] over this table's own chains.
     fn for_each_own_match(
         &self,
-        rows: &HashMap<Key, VersionChain>,
+        rows: &KeyMap<VersionChain>,
         pred: &Predicate,
         compiled: &CompiledPredicate,
         ts: Ts,

@@ -215,23 +215,24 @@ impl Transaction {
         let read_ts = self.read_ts()?;
         let store = self.db.table(table)?;
         let compiled = pred.compile(store.schema())?;
-        let mut rows: BTreeMap<Key, Arc<Row>> = store
-            .scan_at_compiled(pred, &compiled, read_ts)?
-            .into_iter()
-            .collect();
+        // Unique keys, in key order: as is unless this transaction has
+        // written the table.
+        let committed = store.scan_at_compiled(pred, &compiled, read_ts)?;
 
         let state = self.state_mut()?;
         state.last_read_ts = read_ts;
         state.scan_set.push((store.name().clone(), pred.clone()));
-        if let Some(writes) = state.writes.get(table) {
-            for (key, op) in writes {
-                match op.visible_row() {
-                    Some(row) if compiled.matches(row) => {
-                        rows.insert(key.clone(), row.clone());
-                    }
-                    _ => {
-                        rows.remove(key);
-                    }
+        let Some(writes) = state.writes.get(table) else {
+            return Ok(committed);
+        };
+        let mut rows: BTreeMap<Key, Arc<Row>> = committed.into_iter().collect();
+        for (key, op) in writes {
+            match op.visible_row() {
+                Some(row) if compiled.matches(row) => {
+                    rows.insert(key.clone(), row.clone());
+                }
+                _ => {
+                    rows.remove(key);
                 }
             }
         }
@@ -523,6 +524,55 @@ mod tests {
         let rows = txn.scan("accounts", &Predicate::True).unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].1, row![2i64, "bob", 50i64]);
+    }
+
+    /// A scan answers in primary-key order whether or not the
+    /// transaction has written the table: the committed rows come back
+    /// sorted (the row map holds them in no order), and own inserts,
+    /// updates and deletes are merged into that order.
+    #[test]
+    fn scans_return_key_order_with_and_without_own_writes() {
+        let db = db_with_accounts();
+        db.create_index("accounts", "balance").unwrap();
+        let mut setup = db.begin();
+        for i in (0..200i64).map(|i| (i * 37) % 200) {
+            setup
+                .insert("accounts", row![i * 2, format!("u{i}"), i % 10])
+                .unwrap();
+        }
+        setup.commit().unwrap();
+        // Key -> balance; a full scan, and a range on the indexed column.
+        let check = |txn: &mut Transaction, expect: &BTreeMap<i64, i64>| {
+            for (pred, below) in [
+                (Predicate::True, i64::MAX),
+                (Predicate::lt("balance", 5i64), 5),
+            ] {
+                let rows = txn.scan("accounts", &pred).unwrap();
+                let keys: Vec<i64> = rows
+                    .iter()
+                    .map(|(k, _)| k.values()[0].as_int().unwrap())
+                    .collect();
+                let want: Vec<i64> = expect
+                    .iter()
+                    .filter(|&(_, &b)| b < below)
+                    .map(|(&k, _)| k)
+                    .collect();
+                assert_eq!(keys, want, "{pred:?}");
+            }
+        };
+        let mut expect: BTreeMap<i64, i64> = (0..200i64).map(|i| (i * 2, i % 10)).collect();
+        let mut txn = db.begin();
+        check(&mut txn, &expect);
+
+        // Odd keys land between the committed even ones.
+        txn.insert("accounts", row![7i64, "new", 1i64]).unwrap();
+        txn.insert("accounts", row![401i64, "last", 2i64]).unwrap();
+        txn.update("accounts", &Key::single(10i64), row![10i64, "moved", 9i64])
+            .unwrap();
+        txn.delete("accounts", &Key::single(0i64)).unwrap();
+        expect.extend([(7, 1), (401, 2), (10, 9)]);
+        expect.remove(&0);
+        check(&mut txn, &expect);
     }
 
     #[test]

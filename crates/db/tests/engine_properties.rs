@@ -14,8 +14,11 @@
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
-use trod_db::{row, DataType, Database, IsolationLevel, Key, Predicate, Row, Schema, Value};
+use trod_db::{
+    row, CellHash, DataType, Database, IsolationLevel, Key, Predicate, Row, Schema, Value,
+};
 
 fn kv_schema() -> Schema {
     Schema::builder()
@@ -156,11 +159,18 @@ fn numeric_strategy() -> impl Strategy<Value = Value> {
     ]
 }
 
-fn hash_of(value: &(impl std::hash::Hash + ?Sized)) -> u64 {
-    use std::hash::Hasher;
+/// `value`'s hash under std's `DefaultHasher` and under the one
+/// [`CellHash`] instance of this test binary: the hasher of the row map,
+/// the index slots and the SQL hash tables.
+fn hash_of(value: &(impl std::hash::Hash + ?Sized)) -> [u64; 2] {
+    use std::hash::{BuildHasher, Hasher};
+    static CELLS: OnceLock<CellHash> = OnceLock::new();
     let mut hasher = std::collections::hash_map::DefaultHasher::new();
     value.hash(&mut hasher);
-    hasher.finish()
+    [
+        hasher.finish(),
+        CELLS.get_or_init(CellHash::default).hash_one(value),
+    ]
 }
 
 proptest! {
@@ -206,8 +216,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// A `Key` shares its values behind a pointer; the write buffer,
-    /// key-ordered scan results and every `HashMap<Key, _>` depend on its
-    /// equality, order and hash being those of the values.
+    /// key-ordered scan results and every `KeyMap` depend on its
+    /// equality, order and hash being those of the values, and the hash
+    /// join's `Vec<Value>` keys on hashing like a `Key`.
     #[test]
     fn key_compares_orders_and_hashes_as_its_values(
         a in prop::collection::vec(value_strategy(), 0..4),
@@ -218,6 +229,10 @@ proptest! {
         prop_assert_eq!(ka == kb, a == b);
         prop_assert_eq!(ka.cmp(&kb), a.cmp(&b));
         prop_assert_eq!(hash_of(&ka), hash_of(&a[..]));
+        prop_assert_eq!(hash_of(&ka), hash_of(&a));
+        if a == b {
+            prop_assert_eq!(hash_of(&ka), hash_of(&kb));
+        }
         prop_assert_eq!(&ka.clone(), &ka);
         if let [single] = &a[..] {
             prop_assert_eq!(&Key::single(single.clone()), &ka);

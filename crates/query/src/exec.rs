@@ -53,7 +53,7 @@ use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use trod_db::{CmpOp, Database, Predicate, ScanPlan, Schema, TableStore, Ts, Value};
+use trod_db::{CellHash, CmpOp, Database, Predicate, ScanPlan, Schema, TableStore, Ts, Value};
 
 use crate::ast::{AggFunc, BinOp, Expr, SelectItem, SelectStmt};
 use crate::error::{QueryError, QueryResultT};
@@ -958,7 +958,7 @@ fn join_relations(
         }
     } else {
         // Hash join: build on the right side, probe with the left.
-        let mut table: HashMap<Vec<Value>, Vec<&Vec<Value>>> = HashMap::new();
+        let mut table: HashMap<Vec<Value>, Vec<&Vec<Value>>, CellHash> = HashMap::default();
         for r in &right.rows {
             let key: Vec<Value> = right_keys.iter().map(|&i| r[i].clone()).collect();
             if key.iter().any(Value::is_null) {
@@ -1089,7 +1089,7 @@ fn project(rel: &Relation, stmt: &SelectStmt) -> QueryResultT<ResultSet> {
 fn aggregate(rel: &Relation, stmt: &SelectStmt) -> QueryResultT<ResultSet> {
     // Group rows.
     let mut groups: Vec<(Vec<Value>, Vec<&Vec<Value>>)> = Vec::new();
-    let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
+    let mut index: HashMap<Vec<Value>, usize, CellHash> = HashMap::default();
     for row in &rel.rows {
         let key: Vec<Value> = stmt
             .group_by

@@ -1,10 +1,10 @@
 //! Environment checkpoints: whole-environment state snapshots.
 //!
 //! A [`Checkpoint`] captures one MVCC-consistent image of the entire
-//! environment — every relational table (schema, secondary indexes and
-//! all rows visible at the checkpoint timestamp), every key-value
-//! namespace, the commit clock and the transaction-id high-water mark —
-//! serialized with the same CRC discipline as WAL frames and the
+//! environment — every table (schema, secondary indexes and all rows
+//! visible at the checkpoint timestamp; a key-value namespace is its
+//! `kv:<name>` table), the commit clock and the transaction-id high-water
+//! mark — serialized with the same CRC discipline as WAL frames and the
 //! MANIFEST. Checkpoints are written by
 //! [`crate::segment::SegmentedWal::write_checkpoint`] on the post-ack
 //! path and tracked in the MANIFEST alongside segments, so recovery can
@@ -32,19 +32,22 @@
 //! for the sequence number: empty ticks move the clock without writing
 //! anything to the log.
 //!
-//! The DDL records recovery does read are replayed *idempotently* on a
-//! checkpoint boot: creating an object that the checkpoint already
-//! restored is a no-op, which is sound because the WAL vocabulary has no
-//! drop records — an object is only ever created once.
+//! The DDL records recovery does read are skipped on a checkpoint boot
+//! when their object already exists: the WAL vocabulary has no drop
+//! records, so an object is only ever created once, and "already exists"
+//! can only mean the checkpoint restored it.
 //!
 //! # Versions
 //!
-//! Version 2 added `sealed_below` after `next_txn_id`. A version 1
-//! payload decodes with `sealed_below = 0`, so recovery reads every
-//! DDL-bearing file, as the version 1 reader did.
+//! The current layout is version 3: one index list per table, and a
+//! namespace written as its `kv:<name>` table. The decoder reads no other
+//! version. A checkpoint is a cache of the log, so one in another layout
+//! fails decoding and recovery falls back to an older checkpoint or to
+//! full replay, as it does for any damaged checkpoint.
 
 use std::sync::Arc;
 
+use crate::cdc::{is_kv_table, namespace_schema};
 use crate::error::StorageError;
 use crate::mvcc::Ts;
 use crate::row::{Key, Row};
@@ -56,10 +59,11 @@ use crate::wal::{
 
 /// Magic prefix of a checkpoint file.
 pub const CHECKPOINT_MAGIC: &[u8; 8] = b"TRODCK01";
-const CHECKPOINT_VERSION: u32 = 2;
+const CHECKPOINT_VERSION: u32 = 3;
 
-/// One relational table inside a [`Checkpoint`]: schema, index columns
-/// and every row visible at the checkpoint timestamp.
+/// One table inside a [`Checkpoint`] (a namespace's `kv:<name>` table
+/// included): schema, index columns and every row visible at the
+/// checkpoint timestamp.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CheckpointTable {
     pub name: String,
@@ -70,15 +74,6 @@ pub struct CheckpointTable {
     /// shared with the version store they were captured from or are
     /// restored into, never copied.
     pub rows: Vec<(Key, Arc<Row>)>,
-}
-
-/// One key-value namespace inside a [`Checkpoint`]: every live entry at
-/// the checkpoint timestamp, in key order. Namespaces are stored as
-/// `kv:<name>` tables but written here, not in the table section.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CheckpointNamespace {
-    pub name: String,
-    pub entries: Vec<(String, String)>,
 }
 
 /// A whole-environment snapshot at one commit timestamp.
@@ -94,7 +89,6 @@ pub struct Checkpoint {
     /// the checkpoint covers its DDL (module docs). 0 covers none.
     pub sealed_below: u64,
     pub tables: Vec<CheckpointTable>,
-    pub namespaces: Vec<CheckpointNamespace>,
 }
 
 /// File name of a checkpoint at `ts` (fixed-width, so names sort by ts).
@@ -147,22 +141,10 @@ pub fn encode_checkpoint(ck: &Checkpoint) -> Vec<u8> {
         for c in &t.indexes {
             put_str(&mut payload, c);
         }
-        // The second index list once held the ordered indexes; it keeps
-        // its place, written empty (and merged into the first on read).
-        put_u32(&mut payload, 0);
         put_u64(&mut payload, t.rows.len() as u64);
         for (key, row) in &t.rows {
             put_values(&mut payload, key.values());
             put_values(&mut payload, row.values());
-        }
-    }
-    put_u32(&mut payload, ck.namespaces.len() as u32);
-    for ns in &ck.namespaces {
-        put_str(&mut payload, &ns.name);
-        put_u64(&mut payload, ns.entries.len() as u64);
-        for (k, v) in &ns.entries {
-            put_str(&mut payload, k);
-            put_str(&mut payload, v);
         }
     }
 
@@ -209,23 +191,21 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, StorageError> {
     decode_payload(payload).map_err(|detail| ckpt_corrupt(20, detail))
 }
 
-/// Fewest bytes a table encodes in: name, column, primary-key and two
-/// index counts, row count.
-const MIN_TABLE_LEN: usize = MIN_STR_LEN + 4 * 4 + 8;
+/// Fewest bytes a table encodes in: name, column, primary-key and index
+/// counts, row count.
+const MIN_TABLE_LEN: usize = MIN_STR_LEN + 3 * 4 + 8;
 /// Fewest bytes a row encodes in: the key's and the image's value counts.
 const MIN_ROW_LEN: usize = 2 * 4;
-/// Fewest bytes a namespace encodes in: name, entry count.
-const MIN_NAMESPACE_LEN: usize = MIN_STR_LEN + 8;
 
 fn decode_payload(payload: &[u8]) -> Result<Checkpoint, String> {
     let mut c = Cursor::new(payload);
     let version = c.u32()?;
-    if !(1..=CHECKPOINT_VERSION).contains(&version) {
+    if version != CHECKPOINT_VERSION {
         return Err(format!("unsupported checkpoint version {version}"));
     }
     let ts = c.u64()?;
     let next_txn_id = c.u64()?;
-    let sealed_below = if version >= 2 { c.u64()? } else { 0 };
+    let sealed_below = c.u64()?;
     let n_tables = c.count(MIN_TABLE_LEN, "table")?;
     let mut tables = Vec::with_capacity(n_tables);
     for _ in 0..n_tables {
@@ -250,16 +230,13 @@ fn decode_payload(payload: &[u8]) -> Result<Checkpoint, String> {
         let pk_refs: Vec<&str> = pk.iter().map(String::as_str).collect();
         let schema = Schema::new(columns, &pk_refs)
             .map_err(|e| format!("invalid schema for `{name}`: {e}"))?;
-        // Two lists, merged: a column listed in both (possible in
-        // checkpoints written before the index kinds merged) has one index.
-        let mut indexes: Vec<String> = Vec::new();
-        for _ in 0..2 {
-            for _ in 0..c.count(MIN_STR_LEN, "index")? {
-                let column = c.str()?;
-                if !indexes.contains(&column) {
-                    indexes.push(column);
-                }
-            }
+        if is_kv_table(&name) && schema != namespace_schema() {
+            return Err(format!("`{name}` does not have the namespace schema"));
+        }
+        let n_indexes = c.count(MIN_STR_LEN, "index")?;
+        let mut indexes = Vec::with_capacity(n_indexes);
+        for _ in 0..n_indexes {
+            indexes.push(c.str()?);
         }
         let n_rows = c.count_u64(MIN_ROW_LEN, "row")?;
         let mut rows = Vec::with_capacity(n_rows);
@@ -275,19 +252,6 @@ fn decode_payload(payload: &[u8]) -> Result<Checkpoint, String> {
             rows,
         });
     }
-    let n_ns = c.count(MIN_NAMESPACE_LEN, "namespace")?;
-    let mut namespaces = Vec::with_capacity(n_ns);
-    for _ in 0..n_ns {
-        let name = c.str()?;
-        let n_entries = c.count_u64(2 * MIN_STR_LEN, "entry")?;
-        let mut entries = Vec::with_capacity(n_entries);
-        for _ in 0..n_entries {
-            let k = c.str()?;
-            let v = c.str()?;
-            entries.push((k, v));
-        }
-        namespaces.push(CheckpointNamespace { name, entries });
-    }
     if c.remaining() != 0 {
         return Err(format!("{} trailing bytes", c.remaining()));
     }
@@ -296,17 +260,30 @@ fn decode_payload(payload: &[u8]) -> Result<Checkpoint, String> {
         next_txn_id,
         sealed_below,
         tables,
-        namespaces,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cdc::namespace_row;
     use crate::row;
     use crate::value::Value;
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
+
+    /// A namespace's table holding `entries`.
+    fn namespace_table(name: &str, entries: &[(String, String)]) -> CheckpointTable {
+        CheckpointTable {
+            name: format!("kv:{name}"),
+            schema: namespace_schema(),
+            indexes: Vec::new(),
+            rows: entries
+                .iter()
+                .map(|(k, v)| (Key::single(k.as_str()), Arc::new(namespace_row(k, v))))
+                .collect(),
+        }
+    }
 
     fn sample() -> Checkpoint {
         let schema = Schema::builder()
@@ -320,19 +297,18 @@ mod tests {
             ts: 42,
             next_txn_id: 7,
             sealed_below: 3,
-            tables: vec![CheckpointTable {
-                name: "users".to_string(),
-                schema,
-                indexes: vec!["name".to_string(), "score".to_string()],
-                rows: vec![
-                    (Key::single(1i64), Arc::new(row![1i64, "alice", 3.5f64])),
-                    (Key::single(2i64), Arc::new(row![2i64, "bob", Value::Null])),
-                ],
-            }],
-            namespaces: vec![CheckpointNamespace {
-                name: "cache".to_string(),
-                entries: vec![("k1".to_string(), "v1".to_string())],
-            }],
+            tables: vec![
+                namespace_table("cache", &[("k1".to_string(), "v1".to_string())]),
+                CheckpointTable {
+                    name: "users".to_string(),
+                    schema,
+                    indexes: vec!["name".to_string(), "score".to_string()],
+                    rows: vec![
+                        (Key::single(1i64), Arc::new(row![1i64, "alice", 3.5f64])),
+                        (Key::single(2i64), Arc::new(row![2i64, "bob", Value::Null])),
+                    ],
+                },
+            ],
         }
     }
 
@@ -371,26 +347,34 @@ mod tests {
         out
     }
 
-    /// `ck`'s payload in the version 1 layout: no `sealed_below`.
-    fn v1_payload(ck: &Checkpoint) -> Vec<u8> {
-        let v2 = &encode_checkpoint(ck)[20..];
-        [&1u32.to_le_bytes()[..], &v2[4..20], &v2[28..]].concat()
+    fn corrupt_detail(bytes: &[u8]) -> String {
+        match decode_checkpoint(bytes) {
+            Err(StorageError::Corrupt { detail, .. }) => detail,
+            other => panic!("expected a typed Corrupt error, got {other:?}"),
+        }
     }
 
     #[test]
-    fn a_version_1_checkpoint_decodes_covering_no_segment() {
-        let ck = sample();
-        let decoded = decode_checkpoint(&checkpoint_bytes(&v1_payload(&ck))).unwrap();
-        assert_eq!(
-            decoded,
-            Checkpoint {
-                sealed_below: 0,
-                ..ck
-            }
-        );
-        let mut v3 = encode_checkpoint(&sample())[20..].to_vec();
-        v3[..4].copy_from_slice(&3u32.to_le_bytes());
-        assert!(decode_checkpoint(&checkpoint_bytes(&v3)).is_err());
+    fn only_version_3_decodes() {
+        let payload = encode_checkpoint(&sample())[20..].to_vec();
+        for version in [0u32, 1, 2, 4] {
+            let mut other = payload.clone();
+            other[..4].copy_from_slice(&version.to_le_bytes());
+            let detail = corrupt_detail(&checkpoint_bytes(&other));
+            assert!(
+                detail.contains(&format!("unsupported checkpoint version {version}")),
+                "{detail}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_kv_table_without_the_namespace_schema_is_a_typed_error() {
+        let mut ck = sample();
+        ck.tables[1].name = "kv:users".to_string();
+        let detail = corrupt_detail(&encode_checkpoint(&ck));
+        assert!(detail.contains("`kv:users`"), "{detail}");
+        assert!(detail.contains("namespace schema"), "{detail}");
     }
 
     /// The decoder's contract on bytes it did not write: a typed
@@ -411,29 +395,27 @@ mod tests {
         ))]
 
         /// Arbitrary bytes: raw, framed with valid CRCs, or framed behind
-        /// a valid version (1 or 2) so they reach the table and namespace
-        /// decoders.
+        /// version 3 so they reach the table decoder.
         #[test]
         fn checkpoint_decoder_takes_arbitrary_bytes(
             bytes in prop::collection::vec(0u8..=255, 0..160),
-            framing in 0u8..4,
+            framing in 0u8..3,
         ) {
             let bytes = match framing {
                 0 => bytes,
                 1 => checkpoint_bytes(&bytes),
-                version => checkpoint_bytes(&[&u32::from(version - 1).to_le_bytes()[..], &bytes].concat()),
+                _ => checkpoint_bytes(&[&CHECKPOINT_VERSION.to_le_bytes()[..], &bytes].concat()),
             };
             decodes_typed_or_round_trips(&bytes)?;
         }
 
-        /// A valid checkpoint with tables, rows, indexes and namespaces,
-        /// in the version 1 or 2 layout, with one payload byte replaced
-        /// and both CRCs recomputed.
+        /// A valid checkpoint with tables, rows, indexes and namespace
+        /// tables, with one payload byte replaced and both CRCs
+        /// recomputed.
         #[test]
         fn checkpoint_decoder_takes_a_mutated_checkpoint(
             ts in 0u64..1 << 40,
             sealed_below in prop_oneof![Just(0u64), 0u64..1 << 20],
-            version in 1u32..3,
             rows in prop::collection::vec((-1000i64..1000, "[a-z]{0,6}", 0u8..3), 0..4),
             indexed in 0u8..4,
             namespaces in prop::collection::vec(
@@ -446,7 +428,8 @@ mod tests {
             let mut ck = sample();
             ck.ts = ts;
             ck.sealed_below = sealed_below;
-            ck.tables[0].rows = rows
+            let mut users = ck.tables.pop().unwrap();
+            users.rows = rows
                 .into_iter()
                 .map(|(id, name, score)| {
                     let score = match score {
@@ -456,21 +439,19 @@ mod tests {
                     (Key::single(id), Arc::new(row![id, name, score]))
                 })
                 .collect();
-            ck.tables[0].indexes = ["name", "score"]
+            users.indexes = ["name", "score"]
                 .into_iter()
                 .zip([indexed & 1, indexed & 2])
                 .filter(|(_, on)| *on != 0)
                 .map(|(column, _)| column.to_string())
                 .collect();
-            ck.namespaces = namespaces
-                .into_iter()
+            ck.tables = namespaces
+                .iter()
                 .zip(0..)
-                .map(|(entries, i)| CheckpointNamespace { name: format!("ns{i}"), entries })
+                .map(|(entries, i)| namespace_table(&format!("ns{i}"), entries))
+                .chain([users])
                 .collect();
-            let mut payload = match version {
-                1 => v1_payload(&ck),
-                _ => encode_checkpoint(&ck)[20..].to_vec(),
-            };
+            let mut payload = encode_checkpoint(&ck)[20..].to_vec();
             let i = at % payload.len();
             payload[i] = byte;
             decodes_typed_or_round_trips(&checkpoint_bytes(&payload))?;

@@ -14,8 +14,8 @@
 //!   and that runs before anything is installed: an abort never leaves a
 //!   version, a change-log entry or a log record behind.
 //! * **Timestamps are dense.** Every claimed timestamp is published, as
-//!   a commit or as an empty tick; ordered publication waits on every
-//!   predecessor.
+//!   a commit or as an empty tick (one tick may cover a claimed range);
+//!   ordered publication waits on every predecessor.
 //! * **Readers see a prefix.** Versions are stamped with the claimed
 //!   timestamp and resolve against the publication clock, so installs
 //!   may precede the publication turn and a half-installed commit is
@@ -33,7 +33,7 @@ use crate::cdc::ChangeRecord;
 use crate::database::Database;
 use crate::error::{DbError, DbResult, StorageError};
 use crate::log::{CommittedTxn, LogStaging};
-use crate::mvcc::Ts;
+use crate::mvcc::{Ts, TS_LIVE};
 use crate::table::TableStore;
 use crate::txn::{CommitInfo, IsolationLevel, TxnState, WriteOp};
 
@@ -67,13 +67,6 @@ impl Sequencer {
         self.clock.load(Ordering::SeqCst)
     }
 
-    /// Starts a fresh database's clocks at `ts` (checkpoint restore,
-    /// fork) without publishing the ticks in between.
-    pub(crate) fn start_at(&self, ts: Ts) {
-        self.clock.store(ts, Ordering::SeqCst);
-        self.ts_alloc.store(ts, Ordering::SeqCst);
-    }
-
     /// Removes the staged entries at or below `published`, in commit
     /// order. `published` must have been read from [`Self::published`]
     /// beforehand and drains must be serialized by the caller (see
@@ -86,17 +79,19 @@ impl Sequencer {
         self.ts_alloc.fetch_add(1, Ordering::SeqCst) + 1
     }
 
-    /// Claims and publishes empty ticks until the allocator is at least
-    /// `target`.
+    /// Moves the allocator to at least `target`: claims the whole range
+    /// above it in one step and publishes it as one empty tick, so the
+    /// cost does not grow with the gap.
     fn advance_to(&self, target: Ts) {
-        while self.ts_alloc.load(Ordering::SeqCst) < target {
-            let tick = self.claim();
-            self.wait_for_publication_turn(tick);
-            self.publish_tick(tick);
+        let prev = self.ts_alloc.fetch_max(target, Ordering::SeqCst);
+        if prev < target {
+            self.wait_for_publication_turn(prev + 1);
+            self.publish_tick(target);
         }
     }
 
-    /// Waits until the publication clock reaches `commit_ts - 1`.
+    /// Waits until the publication clock reaches `commit_ts - 1` (for a
+    /// claimed range, its first timestamp).
     /// Exactly one thread — the one whose timestamp succeeds the clock —
     /// can be past the wait at a time, so everything between this call
     /// and [`Self::publish`] / [`Self::publish_tick`] runs in an
@@ -343,11 +338,23 @@ impl Database {
     /// so replayed history is indistinguishable from the original.
     /// Entries must arrive in commit order onto a database whose clock is
     /// below `entry.commit_ts`; a timestamp the allocator cannot claim
-    /// (raced by a concurrent commit) yields [`StorageError::Recovery`].
+    /// (raced by a concurrent commit), a commit timestamp of [`TS_LIVE`]
+    /// or a transaction id with no successor yields
+    /// [`StorageError::Recovery`].
     pub fn apply_entry(&self, entry: &CommittedTxn) -> DbResult<CommitInfo> {
+        let unrepresentable = |what: &str| {
+            Err(DbError::Storage(StorageError::Recovery {
+                detail: format!("cannot replay commit ts {}: {what}", entry.commit_ts),
+            }))
+        };
+        if entry.commit_ts == TS_LIVE {
+            return unrepresentable("it is the live-version stamp, not a commit timestamp");
+        }
+        let Some(next_txn_id) = entry.txn_id.checked_add(1) else {
+            return unrepresentable("its txn id leaves no id for later transactions");
+        };
         // Future transactions never reuse the recovered id.
-        self.next_txn_id()
-            .fetch_max(entry.txn_id + 1, Ordering::Relaxed);
+        self.next_txn_id().fetch_max(next_txn_id, Ordering::Relaxed);
         // Position the allocator so the claim yields the entry's
         // timestamp (empty ticks fill read-only gaps), then demand it.
         let position = || {
@@ -417,10 +424,11 @@ impl Database {
     }
 
     /// Advances the timestamp allocator (and the publication clock) to
-    /// at least `target` by claiming and publishing empty ticks — no log
-    /// entries, no installs, just clock movement. Positions a database
-    /// for history that resumes at a known timestamp (a loaded dump, a
-    /// copied fork).
+    /// at least `target` by claiming the gap and publishing it as one
+    /// empty tick — no log entries, no installs, just clock movement, at
+    /// a cost independent of the gap. Positions a database for history
+    /// that resumes at a known timestamp (a loaded dump, a fork, a
+    /// restored checkpoint).
     pub fn ensure_ts_at_least(&self, target: Ts) {
         self.seq().advance_to(target);
     }
@@ -772,6 +780,43 @@ pub(crate) mod tests {
         // (get, scan, ordered scan) at `Ts::MAX` and at `Ts::MAX - 1`.
         assert_eq!(seen, [(false, 2, Some(2)); 2]);
         assert!(db.get_as_of("t", &key, Ts::MAX).unwrap().is_some());
+    }
+
+    /// Advancing the clock claims the whole gap in one step, whatever its
+    /// size, behind every earlier claim: here a claim stalled at its
+    /// publication turn. A commit that claims after the advance gets the
+    /// timestamp just above it.
+    #[test]
+    fn advancing_the_clock_is_one_tick_and_racing_commits_land_above_it() {
+        let db = populated_db();
+        let target: Ts = 1 << 40;
+        let started = std::time::Instant::now();
+        let stalled = db.seq().claim();
+        let (held, racer) = std::thread::scope(|scope| {
+            let advance = scope.spawn(|| db.ensure_ts_at_least(target));
+            while db.seq().ts_alloc.load(Ordering::SeqCst) != target {
+                std::thread::yield_now();
+            }
+            let racer = scope.spawn(|| {
+                let mut txn = db.begin();
+                txn.insert("t", row![3i64, "three"]).unwrap();
+                txn.commit().unwrap()
+            });
+            let held = db.current_ts();
+            db.seq().wait_for_publication_turn(stalled);
+            db.seq().publish_tick(stalled);
+            advance.join().unwrap();
+            (held, racer.join().unwrap())
+        });
+        assert!(started.elapsed() < std::time::Duration::from_secs(1));
+        assert_eq!(held, stalled - 1, "the stalled claim held both back");
+        assert_eq!(racer.commit_ts, target + 1);
+        assert_eq!(db.current_ts(), target + 1);
+        let log = db.log_entries();
+        assert_eq!(log.last().map(|e| e.commit_ts), Some(target + 1));
+        // A clock already past the target does not move.
+        db.ensure_ts_at_least(target);
+        assert_eq!(db.current_ts(), target + 1);
     }
 
     #[test]

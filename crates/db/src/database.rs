@@ -16,8 +16,7 @@
 //! * **A key-value namespace is a table.** `kv:<name>` holds
 //!   `(kv_key, kv_value)` rows; it is hidden from [`Database::table_names`]
 //!   and listed by [`Database::namespaces`], and everything else — commit,
-//!   fork, GC, recovery — treats it like any table. Checkpoints write it
-//!   in their namespace section.
+//!   fork, GC, recovery, checkpoints — treats it like any table.
 //! * **History is reclaimed together and never under an active
 //!   transaction or a live fork.** [`Database::gc_before`] clamps to the
 //!   watermark (active transactions and fork pins), chosen under the log
@@ -46,10 +45,8 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
-use crate::cdc::{
-    is_kv_table, kv_table_name, namespace_entry, namespace_row, namespace_schema, KV_TABLE_PREFIX,
-};
-use crate::checkpoint::{Checkpoint, CheckpointNamespace, CheckpointTable};
+use crate::cdc::{is_kv_table, kv_table_name, namespace_schema, KV_TABLE_PREFIX};
+use crate::checkpoint::{Checkpoint, CheckpointTable};
 use crate::commit::Sequencer;
 use crate::dir::{FsDir, LogDir};
 use crate::error::{DbError, DbResult, StorageError};
@@ -197,14 +194,14 @@ impl Database {
         opts: WalOptions,
     ) -> DbResult<(Database, RecoveryReport)> {
         let db = Database::new();
-        let mut lenient_ddl = false;
+        let mut from_checkpoint = false;
         let RecoveredLog { wal, report } =
             SegmentedWal::open_dir(dir, opts, |step, report| match step {
                 Replay::Checkpoint(ck) => {
-                    lenient_ddl = true;
+                    from_checkpoint = true;
                     db.restore_checkpoint(ck)
                 }
-                Replay::Record(record) => db.replay_record(record, lenient_ddl, report),
+                Replay::Record(record) => db.replay_record(record, from_checkpoint, report),
             })?;
         db.set_wal(wal);
         Ok((db, report))
@@ -215,45 +212,33 @@ impl Database {
     /// commit entry re-installs verbatim, `kv:<namespace>` rows included.
     /// Adds the replay counts to `report`.
     ///
-    /// On a checkpoint boot DDL replays *leniently*: re-creating an
-    /// object the checkpoint already restored is skipped (sound — the
-    /// WAL vocabulary has no drop records, so "already exists" can only
-    /// mean "the checkpoint got there first"). Full replay stays strict
-    /// for tables and namespaces, so a genuinely duplicated `CreateTable`
-    /// is a typed recovery error. An index declaration on an already
-    /// indexed column is satisfied in every boot: logs from before the
-    /// hash and range kinds merged can declare both on one column.
+    /// One rule for every DDL record: on a checkpoint boot an object that
+    /// already exists is skipped (sound — the WAL vocabulary has no drop
+    /// records, so "already exists" can only mean "the checkpoint got
+    /// there first"); on a full replay re-creating any object, an index
+    /// included, is a typed [`StorageError::Recovery`].
     fn replay_record(
         &self,
         record: WalRecord,
-        lenient_ddl: bool,
+        from_checkpoint: bool,
         report: &mut RecoveryReport,
     ) -> DbResult<()> {
         let recovery_err = |detail: String| DbError::Storage(StorageError::Recovery { detail });
+        if from_checkpoint && self.ddl_object_exists(&record) {
+            return Ok(());
+        }
         match record {
             WalRecord::CreateTable { name, schema } => {
-                if lenient_ddl && self.has_table(&name) {
-                    return Ok(());
-                }
                 self.create_table(name.clone(), schema)
                     .map_err(|e| recovery_err(format!("create table `{name}`: {e}")))?;
                 report.tables += 1;
             }
             WalRecord::CreateIndex { table, column } => {
-                let indexed = self
-                    .table(&table)
-                    .is_ok_and(|t| t.indexed_columns().contains(&column));
-                if indexed {
-                    return Ok(());
-                }
                 self.create_index(&table, &column)
                     .map_err(|e| recovery_err(format!("create index `{table}.{column}`: {e}")))?;
                 report.indexes += 1;
             }
             WalRecord::CreateNamespace { name } => {
-                if lenient_ddl && self.has_namespace(&name) {
-                    return Ok(());
-                }
                 self.create_namespace(&name)
                     .map_err(|e| recovery_err(format!("create namespace `{name}`: {e}")))?;
                 report.namespaces.push(name);
@@ -271,6 +256,18 @@ impl Database {
             }
         }
         Ok(())
+    }
+
+    /// True when `record` is DDL whose object this database already has.
+    fn ddl_object_exists(&self, record: &WalRecord) -> bool {
+        match record {
+            WalRecord::CreateTable { name, .. } => self.has_table(name),
+            WalRecord::CreateIndex { table, column } => self
+                .table(table)
+                .is_ok_and(|t| t.indexed_columns().contains(column)),
+            WalRecord::CreateNamespace { name } => self.has_namespace(name),
+            WalRecord::Commit(_) => false,
+        }
     }
 
     /// Attaches the durable log: every subsequent commit appends its
@@ -302,8 +299,8 @@ impl Database {
 
     /// Captures an MVCC-consistent [`Checkpoint`] of the environment at
     /// the current *published* commit timestamp: every table's schema,
-    /// index columns and rows visible at that timestamp, and every
-    /// namespace's entries. Does not write anything —
+    /// index columns and rows visible at that timestamp, a namespace's
+    /// `kv:<name>` table included. Does not write anything —
     /// [`Database::checkpoint`] does capture + durable write.
     pub fn capture_checkpoint(&self) -> Checkpoint {
         // Read before the catalog walk: every segment numbered below it
@@ -315,28 +312,18 @@ impl Database {
         // installed, every one above it invisible to the time-travel
         // reads below — the snapshot is consistent without any lock.
         let ts = self.current_ts();
-        let (mut tables, mut namespaces) = (Vec::new(), Vec::new());
-        for (name, store) in self.inner.tables.read().iter() {
-            let rows = store.materialize_at(ts);
-            match name.strip_prefix(KV_TABLE_PREFIX) {
-                Some(namespace) => namespaces.push(CheckpointNamespace {
-                    name: namespace.to_string(),
-                    entries: rows.iter().map(|(_, row)| namespace_entry(row)).collect(),
-                }),
-                None => tables.push(CheckpointTable {
-                    name: name.clone(),
-                    schema: store.schema().clone(),
-                    indexes: store.indexed_columns(),
-                    rows,
-                }),
-            }
-        }
+        let tables = self.inner.tables.read();
+        let tables = tables.iter().map(|(name, store)| CheckpointTable {
+            name: name.clone(),
+            schema: store.schema().clone(),
+            indexes: store.indexed_columns(),
+            rows: store.materialize_at(ts),
+        });
         Checkpoint {
             ts,
             next_txn_id: self.inner.next_txn_id.load(Ordering::SeqCst),
             sealed_below,
-            tables,
-            namespaces,
+            tables: tables.collect(),
         }
     }
 
@@ -382,34 +369,23 @@ impl Database {
     }
 
     /// Restores a decoded checkpoint into this **empty, WAL-less**
-    /// database: re-creates every table and namespace, installs its rows
-    /// at the checkpoint timestamp, creates the indexes (empty: the
-    /// first read that needs one builds it), advances the clock and
-    /// transaction-id allocator, and raises the log truncation floor to
-    /// the checkpoint timestamp — history below the checkpoint reads as
-    /// typed truncation, exactly as if GC had truncated it.
+    /// database: adds every table (a namespace is its `kv:<name>` table),
+    /// installs its rows at the checkpoint timestamp, creates the indexes
+    /// (empty: the first read that needs one builds it), advances the
+    /// clock and transaction-id allocator, and raises the log truncation
+    /// floor to the checkpoint timestamp — history below the checkpoint
+    /// reads as typed truncation, exactly as if GC had truncated it.
     fn restore_checkpoint(&self, ck: &Checkpoint) -> DbResult<()> {
         let ts = ck.ts.max(1);
         for table in &ck.tables {
-            self.create_table(table.name.clone(), table.schema.clone())?;
+            self.add_table(table.name.clone(), table.schema.clone())?;
             let store = self.table(&table.name)?;
             store.install_snapshot(table.rows.iter().cloned(), ts);
             for column in &table.indexes {
                 store.create_index(column)?;
             }
         }
-        for namespace in &ck.namespaces {
-            self.create_namespace(&namespace.name)?;
-            let entries = namespace.entries.iter();
-            self.table(&kv_table_name(&namespace.name))?
-                .install_snapshot(
-                    entries.map(|(k, v)| (Key::single(k.as_str()), Arc::new(namespace_row(k, v)))),
-                    ts,
-                );
-        }
-        // Jump the clocks directly (never via `ensure_ts_at_least`, which
-        // publishes every intermediate tick — O(ts) work).
-        self.inner.seq.start_at(ck.ts);
+        self.ensure_ts_at_least(ck.ts);
         self.inner
             .next_txn_id
             .fetch_max(ck.next_txn_id, Ordering::SeqCst);
@@ -794,7 +770,7 @@ impl Database {
         };
         let fork = Database::build(Some(pin.clone()));
         fork.graft_catalog(self, Some((ts, &pin)))?;
-        fork.inner.seq.start_at(ts.max(1));
+        fork.ensure_ts_at_least(ts.max(1));
         Ok(fork)
     }
 
@@ -818,7 +794,7 @@ impl Database {
         for entry in self.history(from, ts)? {
             db.apply_entry(&entry)?;
         }
-        db.inner.seq.start_at(ts);
+        db.ensure_ts_at_least(ts);
         Ok(db)
     }
 

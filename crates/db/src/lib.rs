@@ -119,9 +119,7 @@ pub use cdc::{
     ChangeRecord, KV_TABLE_PREFIX,
 };
 pub use changelog::{ChangeEntry, ChangeLog};
-pub use checkpoint::{
-    decode_checkpoint, encode_checkpoint, Checkpoint, CheckpointNamespace, CheckpointTable,
-};
+pub use checkpoint::{decode_checkpoint, encode_checkpoint, Checkpoint, CheckpointTable};
 pub use database::{Database, DbStats};
 pub use dir::{DirFailpointHandle, FailpointDir, FsDir, LogDir, LogFile, MemDir};
 pub use error::{DbError, DbResult, StorageError};

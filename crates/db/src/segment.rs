@@ -70,21 +70,6 @@ fn parse_segment_name(name: &str) -> Option<u64> {
     digits.parse().ok()
 }
 
-/// Parses a `cold-<lo>-<hi>.seg` name. Such files were written by
-/// earlier versions, which copied runs of sealed segments into them; a
-/// listed one is read as a sealed segment, an unlisted one is debris.
-fn parse_cold_name(name: &str) -> Option<(u64, u64)> {
-    let body = name.strip_prefix("cold-")?.strip_suffix(".seg")?;
-    let (lo, hi) = body.split_once('-')?;
-    if lo.is_empty() || hi.is_empty() {
-        return None;
-    }
-    if !lo.bytes().all(|b| b.is_ascii_digit()) || !hi.bytes().all(|b| b.is_ascii_digit()) {
-        return None;
-    }
-    Some((lo.parse().ok()?, hi.parse().ok()?))
-}
-
 /// Folds one record into a segment's summary: its highest commit ts and
 /// whether it holds DDL (see [`ListedFile::has_ddl`]).
 fn note_record(max_ts: &mut Ts, has_ddl: &mut bool, record: &WalRecord) {
@@ -98,9 +83,8 @@ fn note_record(max_ts: &mut Ts, has_ddl: &mut bool, record: &WalRecord) {
 // The manifest
 // ---------------------------------------------------------------------
 
-/// A sealed segment as the manifest lists it: its sequence number (the
-/// lowest one, for a cold file an earlier version wrote), its length, and
-/// a summary of its records.
+/// A sealed segment as the manifest lists it: its sequence number, its
+/// length, and a summary of its records.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct ListedFile {
     name: String,
@@ -144,7 +128,7 @@ fn encode_manifest(m: &Manifest) -> Vec<u8> {
     let mut payload = Vec::with_capacity(64);
     put_u32(&mut payload, MANIFEST_VERSION);
     put_u64(&mut payload, m.next_seq);
-    // The cold list: always empty (see `decode_manifest`).
+    // The cold count: always 0 (see `decode_manifest`).
     put_u32(&mut payload, 0);
     put_u32(&mut payload, m.sealed.len() as u32);
     for s in &m.sealed {
@@ -221,32 +205,22 @@ fn decode_manifest(bytes: &[u8]) -> Result<Manifest, StorageError> {
             return Err(format!("unsupported manifest version {version}"));
         }
         let next_seq = c.u64()?;
-        // A cold file, which earlier versions wrote, holds the frames of a
-        // run of sealed segments, unchanged: its entry is a sealed entry
-        // plus the run's highest sequence number. Cold entries are folded
-        // into the sealed list by low sequence number, and the next
-        // manifest swap writes them back there.
-        let listed = |c: &mut Cursor, name, seq_lo| -> Result<ListedFile, String> {
-            Ok(ListedFile {
-                name,
-                seq_lo,
+        // The layout keeps the place of a cold list, which no writer
+        // fills: every sealed file is a `wal-*.seg` in the sealed list.
+        let n_cold = c.u32()?;
+        if n_cold != 0 {
+            return Err(format!("cold list of {n_cold} files is not supported"));
+        }
+        let n_sealed = c.count(MIN_SEALED_LEN, "sealed")?;
+        let mut sealed = Vec::with_capacity(n_sealed);
+        for _ in 0..n_sealed {
+            sealed.push(ListedFile {
+                name: c.str()?,
+                seq_lo: c.u64()?,
                 len: c.u64()?,
                 max_ts: c.u64()?,
                 has_ddl: c.bool()?,
-            })
-        };
-        let mut sealed = Vec::new();
-        let n_cold = c.count(MIN_SEALED_LEN + 8, "cold")?;
-        for _ in 0..n_cold {
-            let (name, seq_lo, _seq_hi) = (c.str()?, c.u64()?, c.u64()?);
-            sealed.push(listed(&mut c, name, seq_lo)?);
-        }
-        for _ in 0..c.count(MIN_SEALED_LEN, "sealed")? {
-            let (name, seq_lo) = (c.str()?, c.u64()?);
-            sealed.push(listed(&mut c, name, seq_lo)?);
-        }
-        if n_cold > 0 {
-            sealed.sort_by_key(|f| f.seq_lo);
+            });
         }
         let active_name = c.str()?;
         let active_seq = c.u64()?;
@@ -350,8 +324,9 @@ pub struct RecoveryReport {
     pub commits: usize,
     /// Tables re-created from DDL records.
     pub tables: usize,
-    /// Secondary indexes re-created from DDL records (a declaration for a
-    /// column that already has an index is not counted).
+    /// Secondary indexes re-created from DDL records. On a checkpoint
+    /// boot a declaration the checkpoint already restored is skipped and
+    /// not counted, as for tables and namespaces.
     pub indexes: usize,
     /// Key-value namespaces re-created from DDL records.
     pub namespaces: Vec<String>,
@@ -363,7 +338,7 @@ pub struct RecoveryReport {
     pub segments: usize,
     /// Orphan successor segments adopted (crash mid-rotation).
     pub adopted_orphans: usize,
-    /// Stale temp, segment, cold and checkpoint files reconciled away.
+    /// Stale temp, segment and checkpoint files reconciled away.
     pub removed_files: usize,
     /// Timestamp of the checkpoint this boot restored from, if any —
     /// `Some(ts)` means only WAL records after `ts` were replayed.
@@ -389,8 +364,8 @@ pub enum Replay<'a> {
     Checkpoint(&'a Checkpoint),
     /// The next record, in global commit order. On a checkpoint boot the
     /// commits the snapshot covers are dropped as they are decoded; DDL
-    /// records are kept (replay them leniently — the snapshot holds their
-    /// objects).
+    /// records are kept (skip those whose object exists — the snapshot
+    /// restored it).
     Record(WalRecord),
 }
 
@@ -460,7 +435,6 @@ impl SegmentedWal {
             if name == MANIFEST_NAME
                 || name.ends_with(".tmp")
                 || parse_segment_name(&name).is_some()
-                || parse_cold_name(&name).is_some()
                 || parse_checkpoint_name(&name).is_some()
             {
                 dir.delete(&name)?;
@@ -533,8 +507,8 @@ impl SegmentedWal {
         } else {
             // Manifest-less: a crash before the very first manifest
             // write, or a bare copy of the `wal-*.seg` files. The
-            // synthesized manifest lists no cold file and no checkpoint:
-            // nothing vouches for them, and the sweep below deletes them.
+            // synthesized manifest lists no checkpoint: nothing vouches
+            // for one, and the sweep below deletes it.
             let first = names
                 .iter()
                 .filter_map(|n| parse_segment_name(n).map(|seq| (seq, n.clone())))
@@ -617,10 +591,8 @@ impl SegmentedWal {
         }
 
         // Delete unlisted leftovers: checkpoints renamed into place but
-        // never manifest-listed (crash mid-checkpoint), empty creations
-        // beyond the adopted run, and what an earlier version's
-        // compaction left unlisted (a cold copy never published, or the
-        // segments one replaced).
+        // never manifest-listed (crash mid-checkpoint) and empty creations
+        // beyond the adopted run.
         let listed: Vec<&str> = manifest
             .sealed
             .iter()
@@ -629,9 +601,8 @@ impl SegmentedWal {
             .chain(std::iter::once(manifest.active_name.as_str()))
             .collect();
         for name in &names {
-            let is_log_file = parse_segment_name(name).is_some()
-                || parse_cold_name(name).is_some()
-                || parse_checkpoint_name(name).is_some();
+            let is_log_file =
+                parse_segment_name(name).is_some() || parse_checkpoint_name(name).is_some();
             if is_log_file && !listed.contains(&name.as_str()) {
                 dir.delete(name)?;
                 rec.removed_files += 1;
@@ -671,9 +642,8 @@ impl SegmentedWal {
         // (the capture-order argument in `checkpoint.rs`). Every frame it
         // does read is decoded — the structural check on on-disk input —
         // and the commits the checkpoint covers are dropped (the snapshot
-        // *is* their state); DDL records are kept — the callback replays
-        // them idempotently, since the checkpoint already restored the
-        // catalog objects they made.
+        // *is* their state); DDL records are kept — the callback skips
+        // those whose object the checkpoint already restored.
         let covered = |file: &ListedFile| {
             ckpt_ts > 0 && file.max_ts <= ckpt_ts && (!file.has_ddl || file.seq_lo < sealed_below)
         };
@@ -1300,7 +1270,7 @@ mod tests {
         let m = Manifest {
             next_seq: 7,
             sealed: vec![
-                listed("cold-000000-000002.seg".into(), 0, 9, true),
+                listed(segment_name(2), 2, 9, true),
                 listed(segment_name(3), 3, 12, false),
             ],
             active_seq: 6,
@@ -1330,43 +1300,27 @@ mod tests {
     }
 
     #[test]
-    fn a_cold_list_is_folded_into_the_sealed_list_and_written_back_empty() {
-        // As an earlier version wrote it: cold files for segments 0-1 and
-        // 3-4, compacted around segment 2, still sealed.
-        let mut payload = Vec::new();
-        put_u32(&mut payload, MANIFEST_VERSION);
-        put_u64(&mut payload, 6);
-        put_u32(&mut payload, 2);
-        for (lo, hi, max_ts, ddl) in [(0, 1, 4, 1), (3, 4, 9, 0)] {
-            put_str(&mut payload, &format!("cold-{lo:06}-{hi:06}.seg"));
-            for v in [lo, hi, 100 + lo, max_ts] {
-                put_u64(&mut payload, v);
-            }
-            payload.push(ddl);
+    fn a_cold_list_is_a_typed_corrupt_error_that_names_it() {
+        // A manifest whose cold count is 1, in the place the layout keeps
+        // for it after `next_seq`; today's writer always writes 0 there.
+        let m = Manifest {
+            next_seq: 2,
+            sealed: vec![listed(segment_name(0), 0, 4, true)],
+            active_seq: 1,
+            active_name: segment_name(1),
+            checkpoints: Vec::new(),
+            gc_floor: 0,
+        };
+        let mut payload = encode_manifest(&m)[20..].to_vec();
+        assert_eq!(payload[12..16], [0; 4], "the cold count is written as 0");
+        payload[12..16].copy_from_slice(&1u32.to_le_bytes());
+        match decode_manifest(&manifest_bytes(&payload)) {
+            Err(StorageError::Corrupt { detail, .. }) => assert!(
+                detail.contains(MANIFEST_NAME) && detail.contains("cold list"),
+                "detail: {detail}"
+            ),
+            other => panic!("expected a typed Corrupt error, got {other:?}"),
         }
-        put_u32(&mut payload, 1);
-        put_str(&mut payload, &segment_name(2));
-        for v in [2, 102, 7] {
-            put_u64(&mut payload, v);
-        }
-        payload.push(0);
-        put_str(&mut payload, &segment_name(5));
-        put_u64(&mut payload, 5);
-        put_u32(&mut payload, 0);
-        put_u64(&mut payload, 9);
-
-        let m = decode_manifest(&manifest_bytes(&payload)).unwrap();
-        assert_eq!(
-            m.sealed,
-            vec![
-                listed("cold-000000-000001.seg".into(), 0, 4, true),
-                listed(segment_name(2), 2, 7, false),
-                listed("cold-000003-000004.seg".into(), 3, 9, false),
-            ]
-        );
-        let written = encode_manifest(&m);
-        assert_eq!(written[32..36], [0; 4], "the cold count is written as 0");
-        assert_eq!(decode_manifest(&written).unwrap(), m);
     }
 
     #[test]
@@ -1386,14 +1340,12 @@ mod tests {
 
     /// The decoder's contract on bytes it did not write: a typed
     /// `Corrupt` error, or a manifest that re-encodes to exactly those
-    /// bytes — unless they carry a cold list, which is written back in
-    /// the sealed list, so only the decoded manifest survives the trip.
+    /// bytes.
     fn decodes_typed_or_canonically(bytes: &[u8]) -> Result<(), TestCaseError> {
         match decode_manifest(bytes) {
             Err(StorageError::Corrupt { .. }) => {}
             Err(other) => prop_assert!(false, "untyped error {other:?}"),
-            Ok(m) if bytes[32..36] == [0; 4] => prop_assert_eq!(encode_manifest(&m), bytes),
-            Ok(m) => prop_assert_eq!(decode_manifest(&encode_manifest(&m)).unwrap(), m),
+            Ok(m) => prop_assert_eq!(encode_manifest(&m), bytes),
         }
         Ok(())
     }
@@ -1456,9 +1408,6 @@ mod tests {
         assert_eq!(parse_segment_name("wal-.seg"), None);
         assert_eq!(parse_segment_name("wal-00x0.seg"), None);
         assert_eq!(parse_segment_name("cold-000001-000002.seg"), None);
-        assert_eq!(parse_cold_name("cold-000001-000002.seg"), Some((1, 2)));
-        assert_eq!(parse_cold_name("cold-1-2.seg.tmp"), None);
-        assert_eq!(parse_cold_name("wal-000001.seg"), None);
     }
 
     #[test]
@@ -1630,7 +1579,6 @@ mod tests {
             next_txn_id: 2,
             sealed_below: 0,
             tables: Vec::new(),
-            namespaces: Vec::new(),
         };
         wal.write_checkpoint(&ck).unwrap();
         drop(wal);
@@ -1660,14 +1608,17 @@ mod tests {
             wal.sync_to(lsn).unwrap();
         }
         drop(wal);
+        let unlisted = [segment_name(90), checkpoint_name(7)];
         mem.put_file("MANIFEST.tmp", b"half-written".to_vec());
-        mem.put_file("cold-000000-000000.seg.tmp", b"partial copy".to_vec());
-        mem.put_file("cold-000090-000091.seg", b"unpublished".to_vec());
+        mem.put_file(&format!("{}.tmp", checkpoint_name(9)), b"partial".to_vec());
+        for name in &unlisted {
+            mem.put_file(name, b"unpublished".to_vec());
+        }
         let (RecoveredLog { report: rec, .. }, records) = open_collect(dir).unwrap();
         assert_eq!(commit_ts_of(&records), vec![1, 2]);
-        assert!(rec.removed_files >= 3, "{rec:?}");
+        assert!(rec.removed_files >= 4, "{rec:?}");
         assert!(mem.file("MANIFEST.tmp").is_none());
-        assert!(mem.file("cold-000090-000091.seg").is_none());
+        assert!(unlisted.iter().all(|name| mem.file(name).is_none()));
     }
 
     /// A directory whose file `active` a write is still landing in: a

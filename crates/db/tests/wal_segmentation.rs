@@ -683,6 +683,50 @@ fn a_checkpoint_covers_only_the_ddl_sealed_before_its_capture() {
     assert_eq!(expected.len(), 3);
 }
 
+/// DDL replay has one rule. A log that declares one index twice (no
+/// writer produces it: a second `create_index` on a column fails before
+/// anything is logged) is a typed `Recovery` error on a full replay. On a
+/// checkpoint boot the declaration the checkpoint already holds is
+/// skipped, like a table or namespace it restored.
+#[test]
+fn a_duplicate_index_declaration_fails_full_replay_and_is_skipped_behind_a_checkpoint() {
+    let mem = MemDir::new();
+    let db = Database::create_durable_in(Arc::new(mem.clone()), WalOptions::default()).unwrap();
+    db.create_table("events", events_schema()).unwrap();
+    db.create_index("events", "v").unwrap();
+    for i in 0..3 {
+        let mut txn = db.begin();
+        txn.insert("events", row![i, i * 10]).unwrap();
+        txn.commit().unwrap();
+    }
+    let ck = db.checkpoint().unwrap().map(|(ts, _)| ts).unwrap();
+    drop(db);
+    let segment = "wal-000000.seg";
+    let mut log = mem.file(segment).unwrap();
+    log.extend(encode_frame(&WalRecord::CreateIndex {
+        table: "events".into(),
+        column: "v".into(),
+    }));
+    mem.put_file(segment, log.clone());
+
+    let (booted, report) =
+        Database::open_durable_in(Arc::new(mem.snapshot()), WalOptions::default())
+            .expect("a checkpoint boot skips the duplicate");
+    assert_eq!(report.checkpoint_ts, Some(ck));
+    assert_eq!((report.tables, report.indexes), (0, 0));
+    assert_eq!(booted.table("events").unwrap().indexed_columns(), ["v"]);
+
+    // The log alone: no MANIFEST, no checkpoint.
+    let bare = MemDir::new();
+    bare.put_file(segment, log);
+    match Database::open_durable_in(Arc::new(bare), WalOptions::default()) {
+        Err(DbError::Storage(StorageError::Recovery { detail })) => {
+            assert!(detail.contains("create index `events.v`"), "{detail}")
+        }
+        other => panic!("expected a typed Recovery error, got {other:?}"),
+    }
+}
+
 /// Replay runs while later files are still being validated. Damage in a
 /// sealed segment found after earlier records were replayed fails the
 /// boot with the typed error the whole-file decode gives, and the

@@ -1,17 +1,18 @@
 //! Booting durable images written when key-value namespaces lived in a
 //! store of their own beside the database.
 //!
-//! The layouts did not change: a `CreateNamespace` record declares a
+//! The log layout did not change: a `CreateNamespace` record declares a
 //! namespace, a mixed commit's entry lists its relational records first
-//! and its `kv:<namespace>` records after them, a delete of a key that
-//! never existed wrote no record, and a checkpoint writes every
-//! namespace's entries in its namespace section, never in its table
-//! section. Such images boot — through `Database::open_durable` and
-//! `Session::open_durable` alike — to the state and the verbatim aligned
-//! history they record. A checkpoint taken after the boot encodes to the
-//! bytes that writer produced in the version 2 layout, which adds the
-//! sequence number of the segment active at capture; the version 1 bytes
-//! that writer produced boot to the same state.
+//! and its `kv:<namespace>` records after them, and a delete of a key that
+//! never existed wrote no record. Such images boot — through
+//! `Database::open_durable` and `Session::open_durable` alike — to the
+//! state and the verbatim aligned history they record.
+//!
+//! Checkpoints are a cache of the log. A checkpoint taken after the boot
+//! is version 3, which writes the namespace as the `kv:carts` table it
+//! is. One in the version 2 layout, which wrote namespaces in a section
+//! of their own, no longer decodes: the boot falls back to full replay
+//! and reaches what a boot without any checkpoint reaches.
 
 use std::sync::Arc;
 
@@ -176,42 +177,81 @@ fn parent_log() -> Vec<u8> {
     log
 }
 
-/// The checkpoint that writer took at ts 4 (next txn id 5): `orders` in
-/// the table section with no index, `carts` in the namespace section. In
-/// the version 1 layout as that writer wrote it, or in version 2 with
-/// `sealed_below` 0 (the image's one segment is active at capture).
-fn parent_checkpoint(version: u32) -> Vec<u8> {
+/// The checkpoint header: magic, CRC frame, then version, ts 4, next
+/// txn id 5 and `sealed_below` 0 (the image's one segment is active at
+/// capture), ahead of the sections `body` writes.
+fn checkpoint(version: u32, body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
     let mut p = Vec::new();
     p.extend(version.to_le_bytes());
     p.extend(4u64.to_le_bytes()); // ts
     p.extend(5u64.to_le_bytes()); // next txn id
-    if version >= 2 {
-        p.extend(0u64.to_le_bytes()); // sealed below
-    }
-    p.extend(1u32.to_le_bytes()); // tables
-    put_str(&mut p, "orders");
-    p.extend(2u32.to_le_bytes());
-    put_str(&mut p, "id");
-    p.extend([1, 0]);
-    put_str(&mut p, "item");
-    p.extend([3, 0]);
-    p.extend(1u32.to_le_bytes());
-    put_str(&mut p, "id");
-    p.extend(0u32.to_le_bytes()); // indexes
-    p.extend(0u32.to_le_bytes()); // the second, always empty, index list
-    p.extend(2u64.to_le_bytes()); // rows
-    for (id, item) in [(1, "sprocket"), (2, "gadget")] {
-        put_cells(&mut p, &[Int(id)]);
-        put_cells(&mut p, &[Int(id), Text(item)]);
-    }
-    p.extend(1u32.to_le_bytes()); // namespaces
-    put_str(&mut p, "carts");
-    p.extend(1u64.to_le_bytes()); // entries
-    put_str(&mut p, "bob");
-    put_str(&mut p, "gadget");
+    p.extend(0u64.to_le_bytes()); // sealed below
+    body(&mut p);
     let mut out = b"TRODCK01".to_vec();
     out.extend(frame(&p));
     out
+}
+
+/// A table entry: name, columns (name, type tag, not nullable), the
+/// primary key `pk`, then `indexes` index lists, all empty.
+fn put_table(p: &mut Vec<u8>, name: &str, columns: &[(&str, u8)], pk: &str, indexes: usize) {
+    put_str(p, name);
+    p.extend((columns.len() as u32).to_le_bytes());
+    for (column, dtype) in columns {
+        put_str(p, column);
+        p.extend([*dtype, 0]);
+    }
+    p.extend(1u32.to_le_bytes());
+    put_str(p, pk);
+    for _ in 0..indexes {
+        p.extend(0u32.to_le_bytes());
+    }
+}
+
+/// `orders` with no index and its two rows at ts 4, in a layout with
+/// `indexes` index lists.
+fn put_orders(p: &mut Vec<u8>, indexes: usize) {
+    put_table(p, "orders", &[("id", 1), ("item", 3)], "id", indexes);
+    p.extend(2u64.to_le_bytes()); // rows
+    for (id, item) in [(1, "sprocket"), (2, "gadget")] {
+        put_cells(p, &[Int(id)]);
+        put_cells(p, &[Int(id), Text(item)]);
+    }
+}
+
+/// The checkpoint the parent writer took at ts 4, version 2: `orders` in
+/// the table section with two index lists, `carts` in the namespace
+/// section.
+fn parent_checkpoint() -> Vec<u8> {
+    checkpoint(2, |p| {
+        p.extend(1u32.to_le_bytes()); // tables
+        put_orders(p, 2);
+        p.extend(1u32.to_le_bytes()); // namespaces
+        put_str(p, "carts");
+        p.extend(1u64.to_le_bytes()); // entries
+        put_str(p, "bob");
+        put_str(p, "gadget");
+    })
+}
+
+/// The same checkpoint, version 3: one table list, in name order, where
+/// `carts` is its `kv:carts` table with the namespace schema, and one
+/// index list per table.
+fn version_3_checkpoint() -> Vec<u8> {
+    checkpoint(3, |p| {
+        p.extend(2u32.to_le_bytes()); // tables
+        put_table(
+            p,
+            "kv:carts",
+            &[("kv_key", 3), ("kv_value", 3)],
+            "kv_key",
+            1,
+        );
+        p.extend(1u64.to_le_bytes()); // rows
+        put_cells(p, &[Text("bob")]);
+        put_cells(p, &[Text("bob"), Text("gadget")]);
+        put_orders(p, 1);
+    })
 }
 
 /// Everything a boot rebuilt, comparably: rows, kv entries, history.
@@ -288,14 +328,14 @@ fn a_parent_log_boots_to_its_state_and_verbatim_history() {
 }
 
 #[test]
-fn a_checkpoint_after_the_boot_is_the_parent_checkpoint_and_boots_again() {
+fn a_checkpoint_after_the_boot_writes_the_namespace_as_its_table_and_boots_again() {
     let disk = MemDir::new();
     disk.put_file(SEGMENT, parent_log());
     let (session, _) =
         Session::open_durable_in(Arc::new(disk.clone()), WalOptions::default()).unwrap();
     assert_eq!(session.checkpoint().unwrap().map(|(ts, _)| ts), Some(4));
     let name = format!("ckpt-{:020}.ckpt", 4);
-    assert_eq!(disk.file(&name).unwrap(), parent_checkpoint(2));
+    assert_eq!(disk.file(&name).unwrap(), version_3_checkpoint());
 
     // A tail after the checkpoint writes the restored namespace again.
     let mut txn = session.begin();
@@ -307,14 +347,49 @@ fn a_checkpoint_after_the_boot_is_the_parent_checkpoint_and_boots_again() {
         Database::open_durable_in(Arc::new(disk.snapshot()), WalOptions::default()).unwrap();
     assert_eq!((report.checkpoint_ts, report.commits), (Some(4), 1));
     assert!(report.namespaces.is_empty(), "the checkpoint restored it");
-    let (_, booted) = boot_both(&disk);
+    let (session, booted) = boot_both(&disk);
     let (rows, kv, history) = &booted;
     assert_eq!(rows, &["(1, sprocket)", "(2, gadget)"]);
     let kv: Vec<(&str, &str)> = kv.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
     assert_eq!(kv, [("bob", "gadget"), ("carol", "widget")]);
     assert_eq!(history.len(), 1);
+    let restored = session.database().table("kv:carts").unwrap();
+    assert_eq!(restored.materialize_at(4).len(), 1, "bob's cart, as a row");
+}
 
-    // The bytes that writer produced boot to the same state.
-    disk.put_file(&name, parent_checkpoint(1));
-    assert_eq!(boot_both(&disk).1, booted);
+#[test]
+fn a_version_2_checkpoint_falls_back_to_the_boot_without_it() {
+    let disk = MemDir::new();
+    disk.put_file(SEGMENT, parent_log());
+    let (session, _) =
+        Session::open_durable_in(Arc::new(disk.clone()), WalOptions::default()).unwrap();
+    session.checkpoint().unwrap();
+    let mut txn = session.begin();
+    txn.kv_put("carts", "carol", "widget").unwrap();
+    txn.commit().unwrap();
+    drop(session);
+    let name = format!("ckpt-{:020}.ckpt", 4);
+    disk.put_file(&name, parent_checkpoint());
+
+    // The log alone, with no MANIFEST and no checkpoint.
+    let bare = MemDir::new();
+    bare.put_file(SEGMENT, disk.file(SEGMENT).unwrap());
+    let (bare_session, bare_state) = boot_both(&bare);
+
+    let booted_dir = disk.snapshot();
+    let (_, report) =
+        Database::open_durable_in(Arc::new(booted_dir.clone()), WalOptions::default()).unwrap();
+    assert!(booted_dir.file(&name).is_none(), "the fallback deletes it");
+    assert_eq!(report.checkpoint_fallbacks, 1);
+    assert_eq!(report.checkpoint_ts, None);
+    assert_eq!((report.commits, report.namespaces.len()), (5, 1));
+    let (session, state) = boot_both(&disk);
+    assert_eq!(state, bare_state, "state and verbatim history");
+    assert_eq!(state.2.len(), 5);
+    for ts in 0..=5 {
+        for key in ["alice", "bob", "carol"] {
+            let read = |s: &Session| s.kv().get_as_of("carts", key, ts).unwrap();
+            assert_eq!(read(&session), read(&bare_session), "{key} as of {ts}");
+        }
+    }
 }

@@ -16,17 +16,19 @@
 //! new developer instance can pull a fork at any timestamp from
 //! production without ever touching its files.
 //!
-//! Caveat: DDL is not part of the transaction log, so a dump taken at
-//! (or truncated to) timestamp `ts` carries the *current* schema and
-//! namespace set, applied up front. History at `ts` replays against it
-//! exactly because schema changes are append-only in this engine.
+//! Caveat: a dump carries the catalog as it is when the dump is taken —
+//! the current schema, indexes and namespace set, applied up front —
+//! not the DDL records the log interleaves with the commits. So a dump
+//! taken at (or truncated to) timestamp `ts` may hold an object created
+//! after `ts`. History at `ts` replays against it exactly because schema
+//! changes are append-only in this engine.
 
 use std::path::Path;
 
 use trod_core::json::{Json, JsonError};
 use trod_core::wire::{self, WireError};
 use trod_core::Trod;
-use trod_db::{Column, CommittedTxn, DataType, Database, DbResult, Schema, Ts};
+use trod_db::{Column, CommittedTxn, DataType, Database, DbResult, Schema, Ts, TS_LIVE};
 use trod_kv::Session;
 
 /// Why a dump could not be produced, parsed, or booted.
@@ -266,20 +268,11 @@ impl Dump {
                     })
                     .unwrap_or_default()
             };
-            // Dumps written before the index kinds merged list ordered
-            // indexes apart, possibly on an already indexed column: one
-            // index per column either way.
-            let mut indexes = strings("indexes");
-            for column in strings("range_indexes") {
-                if !indexes.contains(&column) {
-                    indexes.push(column);
-                }
-            }
             tables.push(TableDef {
                 name,
                 columns,
                 primary_key: strings("primary_key"),
-                indexes,
+                indexes: strings("indexes"),
             });
         }
         let namespaces = j
@@ -322,8 +315,16 @@ impl Dump {
 
     /// Boots a fresh session environment from this dump: DDL first, then
     /// every history entry re-applied with its original identity, then
-    /// the commit clock advanced to the dumped watermark.
+    /// the commit clock advanced to the dumped watermark. A watermark of
+    /// [`TS_LIVE`], which is no commit timestamp, is a
+    /// [`DumpError::Load`].
     pub fn boot(&self) -> Result<Session, DumpError> {
+        if self.current_ts == TS_LIVE {
+            return Err(DumpError::Load(format!(
+                "current_ts {} is not a commit timestamp",
+                self.current_ts
+            )));
+        }
         let db = Database::new();
         for t in &self.tables {
             let columns: Vec<Column> = t
@@ -367,20 +368,28 @@ impl Dump {
 /// `sys_schema` for the DDL, `sys_history {up_to: ts}` for the aligned
 /// prefix, then a local [`Dump::boot`]. The result is a whole-environment
 /// fork equivalent to calling [`Session::fork_at`] on the remote
-/// instance — without file access to it.
+/// instance — without file access to it. Like [`Session::fork_at`], a
+/// `ts` past the remote's published clock forks at that clock.
 pub fn fork_from_instance(addr: &str, ts: Ts) -> Result<Session, DumpError> {
     let mut client = crate::client::Client::connect(addr)
         .map_err(|e| DumpError::Load(format!("connect {addr}: {e}")))?;
     let schema = client
         .call("sys_schema", Json::obj(Vec::<(String, Json)>::new()))
         .map_err(|e| DumpError::Load(format!("sys_schema: {e}")))?;
+    // The wire's integers are `i64`s; the remote clamps `up_to` to its
+    // published clock either way.
+    let up_to = ts.min(i64::MAX as u64);
     let history = client
-        .call("sys_history", Json::obj(vec![("up_to", Json::from(ts))]))
+        .call("sys_history", Json::obj(vec![("up_to", Json::from(up_to))]))
         .map_err(|e| DumpError::Load(format!("sys_history: {e}")))?;
+    let published = history
+        .get("current_ts")
+        .and_then(Json::as_u64)
+        .ok_or_else(|| DumpError::Format("sys_history missing current_ts".into()))?;
     // Reassemble the two replies into one dump document and boot it.
     let mut doc = vec![
         ("format".to_string(), Json::str(FORMAT)),
-        ("current_ts".to_string(), Json::from(ts)),
+        ("current_ts".to_string(), Json::from(ts.min(published))),
     ];
     for field in ["tables", "namespaces"] {
         doc.push((

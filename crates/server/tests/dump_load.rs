@@ -6,16 +6,21 @@
 //! the source's left off, so debugging a loaded instance sees the same
 //! past as debugging the source.
 
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::OnceLock;
+use std::time::Duration;
+
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 use trod_apps::{shop, workload};
 use trod_core::json::Json;
 use trod_core::wire;
 use trod_core::Trod;
-use trod_db::{Database, Predicate};
+use trod_db::{Database, Predicate, TS_LIVE};
 use trod_kv::{KvStore, Session};
 use trod_runtime::Runtime;
-use trod_server::{fork_from_instance, Client, Dump, ServerBuilder};
+use trod_server::{fork_from_instance, Client, Dump, DumpError, ServerBuilder};
 
 fn shop_trod() -> Trod {
     let db = shop::shop_db();
@@ -180,73 +185,6 @@ fn sys_dump_over_the_wire_boots_an_identical_instance() {
     server.shutdown();
 }
 
-/// A `trod-dump/1` document written before the index kinds merged lists
-/// ordered indexes under `range_indexes`, possibly on a column `indexes`
-/// already names. It loads with one index per column, and planned scans
-/// equal the full scan at every commit timestamp.
-#[test]
-fn a_dump_listing_range_indexes_boots_one_index_per_column() {
-    let source = shop_trod();
-    run_workload(&source, &workload::WorkloadConfig::small());
-    let text = Dump::capture(&source)
-        .expect("capture")
-        .to_json()
-        .to_string();
-    assert!(!text.contains("range_indexes"), "no longer emitted");
-    // `inventory.stock` as a range index only, `orders.customer` in both.
-    let rewrite = |text: String, from: &str, to: &str| {
-        assert_eq!(text.matches(from).count(), 1, "{from}");
-        text.replace(from, to)
-    };
-    let text = rewrite(
-        text,
-        r#""indexes":["stock"]"#,
-        r#""indexes":[],"range_indexes":["stock"]"#,
-    );
-    let text = rewrite(
-        text,
-        r#""indexes":["customer"]"#,
-        r#""indexes":["customer"],"range_indexes":["customer"]"#,
-    );
-    let dump = Dump::from_json(&Json::parse(&text).unwrap()).expect("parse dump");
-    let loaded = dump.boot().expect("boot");
-
-    let (src, db) = (source.production_db(), loaded.database());
-    let now = db.current_ts();
-    for name in src.table_names() {
-        let table = db.table(&name).unwrap();
-        let columns = table.indexed_columns();
-        assert_eq!(
-            columns,
-            src.table(&name).unwrap().indexed_columns(),
-            "{name}"
-        );
-        for column in &columns {
-            let at = table.schema().column_index(column).unwrap();
-            let values: std::collections::BTreeSet<_> = table
-                .scan_at_full(&Predicate::True, now)
-                .unwrap()
-                .into_iter()
-                .map(|(_, row)| row[at].clone())
-                .collect();
-            for value in values.into_iter().take(3) {
-                for pred in [
-                    Predicate::eq(column.as_str(), value.clone()),
-                    Predicate::ge(column.as_str(), value),
-                ] {
-                    for ts in 0..=now {
-                        assert_eq!(
-                            table.scan_at(&pred, ts).unwrap(),
-                            table.scan_at_full(&pred, ts).unwrap(),
-                            "{name}: [{pred}] at ts {ts}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-}
-
 #[test]
 fn fork_from_instance_equals_local_fork() {
     let source = shop_trod();
@@ -289,6 +227,27 @@ fn fork_from_instance_equals_local_fork() {
         state_of(remote.database(), remote.kv()),
         state_of(local.database(), local.kv()),
         "network fork must equal the in-process fork at ts {ts}"
+    );
+    assert_eq!(
+        remote.database().current_ts(),
+        local.database().current_ts()
+    );
+    assert_eq!(remote.database().current_ts(), ts);
+
+    // Past the remote clock, both forks take the published clock.
+    let remote_max = fork_from_instance(&server.addr(), u64::MAX).expect("network fork");
+    let local_max = server.state().trod.fork_at(u64::MAX).expect("local fork");
+    assert_eq!(
+        remote_max.database().current_ts(),
+        local_max.database().current_ts()
+    );
+    assert_eq!(
+        remote_max.database().current_ts(),
+        server.state().trod.production_db().current_ts()
+    );
+    assert_eq!(
+        state_of(remote_max.database(), remote_max.kv()),
+        state_of(local_max.database(), local_max.kv())
     );
 
     // The remote fork is a real environment: it accepts new commits.
@@ -342,5 +301,355 @@ proptest! {
             state_of(source.production_db(), source.session().kv()),
             state_of(loaded.database(), loaded.kv())
         );
+    }
+}
+
+// ---------------------------------------------------------------------
+// The `trod-dump/1` decoder fuzz: arbitrary documents, and valid dumps
+// with one field mutated, through `Dump::from_json` and `Dump::boot`.
+// ---------------------------------------------------------------------
+
+fn fuzz_cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(64)
+}
+
+/// What every input must come to: a typed [`DumpError`], or a booted
+/// instance whose clock stands at the dump's watermark or its last
+/// entry, whichever is later, and below [`TS_LIVE`], which stamps live
+/// versions and is no commit timestamp. The load runs on a thread of
+/// its own, so a panic or a load that does not finish fails the case.
+fn loads_typed_or_boots(
+    load: impl FnOnce() -> Result<Dump, DumpError> + Send + 'static,
+) -> Result<(), TestCaseError> {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let outcome = load().and_then(|dump| {
+            let session = dump.boot()?;
+            let last = dump.entries.last().map_or(0, |e| e.commit_ts);
+            Ok((session.database().current_ts(), dump.current_ts.max(last)))
+        });
+        let _ = tx.send(outcome.map_err(|e| e.to_string()));
+    });
+    match rx.recv_timeout(Duration::from_secs(20)) {
+        Ok(Ok((clock, expected))) => {
+            prop_assert_eq!(clock, expected);
+            prop_assert!(clock < TS_LIVE, "the clock is at TS_LIVE");
+        }
+        Ok(Err(_typed)) => {}
+        Err(RecvTimeoutError::Timeout) => prop_assert!(false, "the load ran past 20 s"),
+        Err(RecvTimeoutError::Disconnected) => prop_assert!(false, "the load panicked"),
+    }
+    Ok(())
+}
+
+/// A splitmix64 stream, the source of the generated documents' shapes.
+struct Gen(u64);
+
+impl Gen {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    fn pick<T: Clone>(&mut self, items: &[T]) -> T {
+        items[self.below(items.len())].clone()
+    }
+}
+
+/// The field names and strings a dump uses, so that generated documents
+/// get past the first missing field.
+const WORDS: &[&str] = &[
+    "format",
+    "trod-dump/1",
+    "current_ts",
+    "tables",
+    "namespaces",
+    "entries",
+    "name",
+    "columns",
+    "dtype",
+    "nullable",
+    "primary_key",
+    "indexes",
+    "txn_id",
+    "start_ts",
+    "commit_ts",
+    "changes",
+    "table",
+    "key",
+    "op",
+    "before",
+    "after",
+    "insert",
+    "update",
+    "delete",
+    "INT",
+    "TEXT",
+    "t",
+    "k",
+    "v",
+    "kv:t",
+    "",
+];
+
+/// Stands for `u64::MAX` written as a number literal, which no `Json`
+/// value encodes: the document text gets the literal in its place.
+const U64_MAX_LITERAL: &str = "__u64_max_literal__";
+
+/// The boundary values of every timestamp and id field: 0, 2^40 and
+/// `u64::MAX`, the last as a `Json` integer (which holds it as -1) and
+/// as a literal, plus `i64::MAX`, the largest value the wire carries.
+fn boundary(g: &mut Gen) -> Json {
+    g.pick(&[
+        Json::Int(0),
+        Json::from(1u64 << 40),
+        Json::from(u64::MAX),
+        Json::str(U64_MAX_LITERAL),
+        Json::Int(i64::MAX),
+        Json::Int(1),
+        Json::Int(2),
+    ])
+}
+
+fn arbitrary_json(g: &mut Gen, depth: u32) -> Json {
+    match g.below(if depth == 0 { 5 } else { 7 }) {
+        0 => Json::Null,
+        1 => Json::Bool(g.below(2) == 1),
+        2 => boundary(g),
+        3 => Json::Float(0.5),
+        4 => Json::str(g.pick(WORDS)),
+        5 => Json::Array(
+            (0..g.below(4))
+                .map(|_| arbitrary_json(g, depth - 1))
+                .collect(),
+        ),
+        _ => Json::Object(
+            (0..g.below(5))
+                .map(|_| (g.pick(WORDS).to_string(), arbitrary_json(g, depth - 1)))
+                .collect(),
+        ),
+    }
+}
+
+/// Makes one generated value.
+type Make<'a> = &'a dyn Fn(&mut Gen) -> Json;
+
+/// An object with `fields`, each value made by its generator, or (one
+/// time in eight) an arbitrary value, or (one in sixteen) left out.
+fn object(g: &mut Gen, fields: &[(&str, Make)]) -> Json {
+    let mut pairs = Vec::new();
+    for (name, make) in fields {
+        match g.below(16) {
+            0 => {}
+            1 | 2 => pairs.push((name.to_string(), arbitrary_json(g, 2))),
+            _ => pairs.push((name.to_string(), make(g))),
+        }
+    }
+    Json::Object(pairs)
+}
+
+fn array_of(g: &mut Gen, most: usize, make: Make) -> Json {
+    Json::Array((0..g.below(most + 1)).map(|_| make(g)).collect())
+}
+
+/// A document shaped like a dump: tables, namespaces and entries whose
+/// fields are drawn from the dump vocabulary and the boundary values.
+fn dump_like(g: &mut Gen) -> Json {
+    let word = |g: &mut Gen| Json::str(g.pick(WORDS));
+    let words = |g: &mut Gen| array_of(g, 2, &word);
+    let cell = |g: &mut Gen| g.pick(&[Json::Int(1), Json::str("k"), Json::Null]);
+    let cells = |g: &mut Gen| array_of(g, 2, &cell);
+    let column = |g: &mut Gen| {
+        object(
+            g,
+            &[
+                ("name", &word),
+                ("dtype", &|g| {
+                    Json::str(g.pick(&["INT", "TEXT", "BOOL", "X"]))
+                }),
+                ("nullable", &|g| Json::Bool(g.below(2) == 1)),
+            ],
+        )
+    };
+    let table = |g: &mut Gen| {
+        object(
+            g,
+            &[
+                ("name", &word),
+                ("columns", &|g| array_of(g, 3, &column)),
+                ("primary_key", &words),
+                ("indexes", &words),
+            ],
+        )
+    };
+    let change = |g: &mut Gen| {
+        object(
+            g,
+            &[
+                ("table", &word),
+                ("key", &cells),
+                ("op", &|g| {
+                    Json::str(g.pick(&["insert", "update", "delete"]))
+                }),
+                ("before", &cells),
+                ("after", &cells),
+            ],
+        )
+    };
+    let entry = |g: &mut Gen| {
+        object(
+            g,
+            &[
+                ("txn_id", &boundary),
+                ("start_ts", &boundary),
+                ("commit_ts", &boundary),
+                ("changes", &|g| array_of(g, 2, &change)),
+            ],
+        )
+    };
+    object(
+        g,
+        &[
+            ("format", &|_| Json::str("trod-dump/1")),
+            ("current_ts", &boundary),
+            ("tables", &|g| array_of(g, 2, &table)),
+            ("namespaces", &words),
+            ("entries", &|g| array_of(g, 3, &entry)),
+        ],
+    )
+}
+
+/// Loads `doc` from its text, with `u64::MAX` literals put in.
+fn load_text(doc: &Json) -> impl FnOnce() -> Result<Dump, DumpError> + Send + 'static {
+    let quoted = format!("\"{U64_MAX_LITERAL}\"");
+    let text = doc.to_string().replace(&quoted, &u64::MAX.to_string());
+    move || Dump::from_json(&Json::parse(&text)?)
+}
+
+/// A valid dump of a short shop workload, captured once.
+fn base_dump() -> &'static Dump {
+    static BASE: OnceLock<Dump> = OnceLock::new();
+    BASE.get_or_init(|| {
+        let source = shop_trod();
+        let cfg = workload::WorkloadConfig {
+            requests: 6,
+            users: 2,
+            items: 2,
+            conflict_rate: 0.0,
+            seed: 3,
+        };
+        run_workload(&source, &cfg);
+        Dump::capture(&source).expect("capture")
+    })
+}
+
+/// Replaces the `at`-th node of `doc` (pre-order) with `with`, or, when
+/// `with` is `None`, removes the `at`-th object field. Returns whether
+/// it found that candidate; when not, `at` has dropped by the number of
+/// candidates.
+fn mutate(doc: &mut Json, at: &mut usize, with: Option<&Json>) -> bool {
+    if let Some(with) = with {
+        if *at == 0 {
+            *doc = with.clone();
+            return true;
+        }
+        *at -= 1;
+    }
+    match doc {
+        Json::Array(items) => items.iter_mut().any(|item| mutate(item, at, with)),
+        Json::Object(pairs) => {
+            if with.is_none() && *at < pairs.len() {
+                pairs.remove(*at);
+                return true;
+            }
+            if with.is_none() {
+                *at -= pairs.len();
+            }
+            pairs.iter_mut().any(|(_, value)| mutate(value, at, with))
+        }
+        _ => false,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(fuzz_cases()))]
+
+    /// Arbitrary JSON values, and documents shaped like a dump whose
+    /// fields take the vocabulary's strings and the boundary values.
+    #[test]
+    fn dump_decoder_takes_arbitrary_documents(seed in 0u64..u64::MAX, shaped in 0u8..4) {
+        let mut g = Gen(seed);
+        let doc = match shaped {
+            0 => arbitrary_json(&mut g, 4),
+            _ => dump_like(&mut g),
+        };
+        loads_typed_or_boots(load_text(&doc))?;
+    }
+
+    /// A valid dump with one JSON node replaced (a boundary value, a
+    /// value of another type) or one object field removed; or with one
+    /// timestamp or id field of the decoded dump set to a boundary value
+    /// and booted as it is.
+    #[test]
+    fn dump_decoder_takes_a_valid_dump_with_one_field_mutated(
+        at in 0usize..1 << 16,
+        seed in 0u64..u64::MAX,
+        mode in 0u8..3,
+    ) {
+        let base = base_dump();
+        let mut g = Gen(seed);
+        match mode {
+            0 => {
+                let mut dump = base.clone();
+                let value = g.pick(&[0, 1 << 40, u64::MAX, i64::MAX as u64]);
+                let n = dump.entries.len();
+                let entry = &mut dump.entries[at % n];
+                let field = match g.below(4) {
+                    0 => &mut dump.current_ts,
+                    1 => &mut entry.txn_id,
+                    2 => &mut entry.start_ts,
+                    _ => &mut entry.commit_ts,
+                };
+                *field = value;
+                loads_typed_or_boots(move || Ok(dump))?;
+            }
+            _ => {
+                let mut doc = base.to_json();
+                let with = match mode {
+                    1 => {
+                        let (value, word) = (boundary(&mut g), Json::str(g.pick(WORDS)));
+                        Some(g.pick(&[
+                            value,
+                            word,
+                            Json::Null,
+                            Json::Bool(true),
+                            Json::Float(0.5),
+                            Json::Array(Vec::new()),
+                            Json::Object(Vec::new()),
+                        ]))
+                    }
+                    _ => None,
+                };
+                let mut pos = at;
+                if !mutate(&mut doc, &mut pos, with.as_ref()) {
+                    // Past the last candidate: wrap around.
+                    let candidates = at - pos;
+                    prop_assert!(candidates > 0, "no node to mutate");
+                    pos = at % candidates;
+                    prop_assert!(mutate(&mut doc, &mut pos, with.as_ref()));
+                }
+                loads_typed_or_boots(load_text(&doc))?;
+            }
+        }
     }
 }

@@ -93,7 +93,7 @@ impl Parser {
 
     fn expect_ident(&mut self) -> QueryResultT<String> {
         match self.next() {
-            Some(Token::Ident(s)) => Ok(s),
+            Some(Token::Ident(s) | Token::QuotedIdent(s)) => Ok(s),
             other => Err(QueryError::parse(format!(
                 "expected identifier, found {other:?}"
             ))),
@@ -245,6 +245,8 @@ impl Parser {
         // starts the next clause).
         let alias = if self.eat_keyword("AS") {
             Some(self.expect_ident()?)
+        } else if let Some(Token::QuotedIdent(_)) = self.peek() {
+            Some(self.expect_ident()?)
         } else if let Some(Token::Ident(next)) = self.peek() {
             const CLAUSE_KEYWORDS: [&str; 9] = [
                 "ON", "JOIN", "INNER", "WHERE", "GROUP", "ORDER", "LIMIT", "AS", "ASC",
@@ -366,16 +368,16 @@ impl Parser {
                 self.expect(&Token::RParen)?;
                 Ok(inner)
             }
-            Some(Token::Ident(name)) => {
-                if name.eq_ignore_ascii_case("NULL") {
-                    return Ok(Expr::Literal(Value::Null));
-                }
-                if name.eq_ignore_ascii_case("TRUE") {
-                    return Ok(Expr::Literal(Value::Bool(true)));
-                }
-                if name.eq_ignore_ascii_case("FALSE") {
-                    return Ok(Expr::Literal(Value::Bool(false)));
-                }
+            Some(Token::Ident(name)) if name.eq_ignore_ascii_case("NULL") => {
+                Ok(Expr::Literal(Value::Null))
+            }
+            Some(Token::Ident(name)) if name.eq_ignore_ascii_case("TRUE") => {
+                Ok(Expr::Literal(Value::Bool(true)))
+            }
+            Some(Token::Ident(name)) if name.eq_ignore_ascii_case("FALSE") => {
+                Ok(Expr::Literal(Value::Bool(false)))
+            }
+            Some(Token::Ident(name) | Token::QuotedIdent(name)) => {
                 if self.eat(&Token::Dot) {
                     let column = self.expect_ident()?;
                     Ok(Expr::Column {
@@ -417,6 +419,31 @@ mod tests {
         assert_eq!(where_conjuncts, 3);
         assert_eq!(stmt.order_by.len(), 1);
         assert!(!stmt.order_by[0].descending);
+    }
+
+    #[test]
+    fn quoted_names_are_tables_aliases_and_columns_never_keywords() {
+        let sql = r#"SELECT "kv_key", k."kv_value" FROM "kv:carts" "k" WHERE "NULL" >= 'cart:' ORDER BY kv_key"#;
+        let stmt = parse(sql).unwrap();
+        assert_eq!(stmt.from[0].table, "kv:carts");
+        assert_eq!(stmt.from[0].binding_name(), "k");
+        let columns: Vec<String> = stmt
+            .items
+            .iter()
+            .map(|item| match item {
+                SelectItem::Expr {
+                    expr: Expr::Column { qualifier, name },
+                    ..
+                } => format!("{qualifier:?}.{name}"),
+                other => panic!("{other:?}"),
+            })
+            .collect();
+        assert_eq!(columns, ["None.kv_key", "Some(\"k\").kv_value"]);
+        // A quoted `NULL` is the column of that name, not the literal.
+        assert!(format!("{:?}", stmt.where_clause).contains("name: \"NULL\""));
+        // A quoted `COUNT` is a column, not an aggregate.
+        let stmt = parse(r#"SELECT "COUNT" FROM t"#).unwrap();
+        assert!(matches!(stmt.items[0], SelectItem::Expr { .. }));
     }
 
     #[test]

@@ -8,6 +8,10 @@ pub enum Token {
     /// Keyword or identifier (keywords are recognized case-insensitively
     /// by the parser; the lexer preserves the original text).
     Ident(String),
+    /// A double-quoted identifier, with `""` as the escape for a quote:
+    /// a name like `"kv:carts"` that is no bare identifier. It is never a
+    /// keyword.
+    QuotedIdent(String),
     /// String literal, single quotes, with '' as the escape for a quote.
     Str(String),
     /// Integer literal.
@@ -105,8 +109,19 @@ pub fn tokenize(sql: &str) -> QueryResultT<Vec<Token>> {
                 }
             }
             '\'' => {
-                let (s, next) = lex_string(sql, i)?;
+                let (s, next) = lex_quoted(sql, i, "string literal")?;
                 tokens.push(Token::Str(s));
+                i = next;
+            }
+            '"' => {
+                let (s, next) = lex_quoted(sql, i, "quoted identifier")?;
+                if s.is_empty() {
+                    return Err(QueryError::Lex {
+                        position: i,
+                        message: "empty quoted identifier".into(),
+                    });
+                }
+                tokens.push(Token::QuotedIdent(s));
                 i = next;
             }
             '-' if bytes.get(i + 1) == Some(&b'-') => {
@@ -142,22 +157,25 @@ pub fn tokenize(sql: &str) -> QueryResultT<Vec<Token>> {
     Ok(tokens)
 }
 
-fn lex_string(sql: &str, start: usize) -> QueryResultT<(String, usize)> {
+/// Reads the text between the quote at `start` and its closing twin, a
+/// doubled quote standing for one.
+fn lex_quoted(sql: &str, start: usize, what: &str) -> QueryResultT<(String, usize)> {
     // Copied by slices between quotes, so multi-byte characters survive.
+    let quote_char = char::from(sql.as_bytes()[start]);
     let mut out = String::new();
     let mut from = start + 1;
-    while let Some(offset) = sql[from..].find('\'') {
+    while let Some(offset) = sql[from..].find(quote_char) {
         let quote = from + offset;
         out.push_str(&sql[from..quote]);
-        if !sql[quote + 1..].starts_with('\'') {
+        if !sql[quote + 1..].starts_with(quote_char) {
             return Ok((out, quote + 1));
         }
-        out.push('\'');
+        out.push(quote_char);
         from = quote + 2;
     }
     Err(QueryError::Lex {
         position: start,
-        message: "unterminated string literal".into(),
+        message: format!("unterminated {what}"),
     })
 }
 
@@ -250,6 +268,50 @@ mod tests {
         assert!(matches!(err, QueryError::Lex { .. }));
         let err = tokenize("a ! b").unwrap_err();
         assert!(matches!(err, QueryError::Lex { .. }));
+    }
+
+    #[test]
+    fn quoted_identifiers_take_any_name() {
+        let tokens = tokenize(r#"SELECT kv_key FROM "kv:carts" WHERE "a""b" = 'x'"#).unwrap();
+        assert!(tokens.contains(&Token::QuotedIdent("kv:carts".into())));
+        // `""` inside a quoted name is one quote.
+        assert!(tokens.contains(&Token::QuotedIdent("a\"b".into())));
+        assert_eq!(
+            tokenize(r#""""""#).unwrap(),
+            vec![Token::QuotedIdent("\"".into())]
+        );
+        assert_eq!(
+            tokenize(r#""日本 x""#).unwrap(),
+            vec![Token::QuotedIdent("日本 x".into())]
+        );
+    }
+
+    #[test]
+    fn a_quoted_name_is_never_a_keyword() {
+        for kw in ["SELECT", "from", "Where", "NULL", "count"] {
+            let tokens = tokenize(&format!("\"{kw}\"")).unwrap();
+            assert_eq!(tokens, vec![Token::QuotedIdent(kw.into())]);
+            assert!(!tokens[0].is_keyword(kw), "{kw}");
+        }
+    }
+
+    #[test]
+    fn an_unterminated_quoted_name_is_a_lex_error() {
+        for (sql, position) in [
+            (r#"SELECT a FROM "kv:carts"#, 14),
+            (r#""a"""#, 0),
+            (r#"x ""#, 2),
+        ] {
+            match tokenize(sql) {
+                Err(QueryError::Lex { position: p, .. }) => assert_eq!(p, position, "{sql}"),
+                other => panic!("{sql}: expected a lex error, got {other:?}"),
+            }
+        }
+        // An empty quoted name is refused too.
+        assert!(matches!(
+            tokenize(r#"SELECT a FROM """#),
+            Err(QueryError::Lex { position: 14, .. })
+        ));
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //! instance *debuggable*, not just state-equivalent: time-travel reads,
 //! replay and retroactive runs against it see the same past.
 //!
-//! [`fork_from_instance`] builds the same document over the wire from a
-//! *running* server — `sys_schema` plus `sys_history {up_to: ts}` — so a
+//! A remote fork is one call: [`fork_from_instance`] asks a *running*
+//! server for `sys_dump {up_to: ts}` and boots the reply through
+//! [`Dump::from_json`], the same decoder a dump file goes through, so a
 //! new developer instance can pull a fork at any timestamp from
 //! production without ever touching its files.
 //!
@@ -130,41 +131,27 @@ fn table_def_of(db: &Database, name: &str) -> Option<TableDef> {
 }
 
 impl Dump {
-    /// Captures the whole environment of a live [`Trod`] instance: its
-    /// schema and its history up to the published clock, below the GC
-    /// floor read from the durable log. An in-memory environment GC
+    /// Captures the whole environment of a live [`Trod`] instance as of
+    /// `up_to`, clamped to the published clock (`Ts::MAX` for all of it):
+    /// its schema and its history up to that timestamp, below the GC
+    /// floor read from the durable log. Booting it reproduces the
+    /// environment as of that timestamp. An in-memory environment GC
     /// truncated is [`trod_db::DbError::HistoryTruncated`], never a
     /// partial dump.
-    pub fn capture(trod: &Trod) -> DbResult<Dump> {
-        let mut dump = Dump::capture_schema(trod);
-        dump.entries = trod.production_db().history(0, dump.current_ts)?;
-        Ok(dump)
-    }
-
-    /// Like [`Dump::capture`] but without the history — the shape
-    /// `sys_schema` serves (the entries travel separately via
-    /// `sys_history`, so a fork pull doesn't fetch the log twice).
-    pub fn capture_schema(trod: &Trod) -> Dump {
+    pub fn capture(trod: &Trod, up_to: Ts) -> DbResult<Dump> {
         let db = trod.production_db();
+        let current_ts = up_to.min(db.current_ts());
         let tables = db
             .table_names()
             .into_iter()
             .filter_map(|name| table_def_of(db, &name))
             .collect();
-        Dump {
-            current_ts: db.current_ts(),
+        Ok(Dump {
+            current_ts,
             tables,
             namespaces: db.namespaces(),
-            entries: Vec::new(),
-        }
-    }
-
-    /// Drops every entry above `ts` and rewinds the recorded clock, so
-    /// booting reproduces the environment as of `ts`.
-    pub fn truncate_to(mut self, ts: Ts) -> Dump {
-        self.entries.retain(|e| e.commit_ts <= ts);
-        self.current_ts = ts;
-        self
+            entries: db.history(0, current_ts)?,
+        })
     }
 
     pub fn to_json(&self) -> Json {
@@ -365,47 +352,19 @@ impl Dump {
 }
 
 /// Pulls a fork of a *running* instance at timestamp `ts` over the wire:
-/// `sys_schema` for the DDL, `sys_history {up_to: ts}` for the aligned
-/// prefix, then a local [`Dump::boot`]. The result is a whole-environment
-/// fork equivalent to calling [`Session::fork_at`] on the remote
-/// instance — without file access to it. Like [`Session::fork_at`], a
-/// `ts` past the remote's published clock forks at that clock.
+/// one `sys_dump {up_to: ts}` call, decoded by [`Dump::from_json`] and
+/// booted locally. The result is a whole-environment fork equivalent to
+/// calling [`Session::fork_at`] on the remote instance — without file
+/// access to it. Like [`Session::fork_at`], a `ts` past the remote's
+/// published clock forks at that clock.
 pub fn fork_from_instance(addr: &str, ts: Ts) -> Result<Session, DumpError> {
     let mut client = crate::client::Client::connect(addr)
         .map_err(|e| DumpError::Load(format!("connect {addr}: {e}")))?;
-    let schema = client
-        .call("sys_schema", Json::obj(Vec::<(String, Json)>::new()))
-        .map_err(|e| DumpError::Load(format!("sys_schema: {e}")))?;
-    // The wire's integers are `i64`s; the remote clamps `up_to` to its
-    // published clock either way.
-    let up_to = ts.min(i64::MAX as u64);
-    let history = client
-        .call("sys_history", Json::obj(vec![("up_to", Json::from(up_to))]))
-        .map_err(|e| DumpError::Load(format!("sys_history: {e}")))?;
-    let published = history
-        .get("current_ts")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| DumpError::Format("sys_history missing current_ts".into()))?;
-    // Reassemble the two replies into one dump document and boot it.
-    let mut doc = vec![
-        ("format".to_string(), Json::str(FORMAT)),
-        ("current_ts".to_string(), Json::from(ts.min(published))),
-    ];
-    for field in ["tables", "namespaces"] {
-        doc.push((
-            field.to_string(),
-            schema
-                .get(field)
-                .cloned()
-                .ok_or_else(|| DumpError::Format(format!("sys_schema missing {field}")))?,
-        ));
-    }
-    doc.push((
-        "entries".to_string(),
-        history
-            .get("entries")
-            .cloned()
-            .ok_or_else(|| DumpError::Format("sys_history missing entries".into()))?,
-    ));
-    Dump::from_json(&Json::Object(doc))?.boot()
+    let reply = client
+        .call("sys_dump", Json::obj(vec![("up_to", Json::from(ts))]))
+        .map_err(|e| DumpError::Load(format!("sys_dump: {e}")))?;
+    let doc = reply
+        .get("dump")
+        .ok_or_else(|| DumpError::Format("sys_dump reply without `dump`".into()))?;
+    Dump::from_json(doc)?.boot()
 }

@@ -231,7 +231,7 @@ mod tests {
     }
 
     /// Every engine error, with the `(code, kind, retryable)` it carries
-    /// on the wire: directly (`kv_get`, `trod_get`, `sys_history`, …) and
+    /// on the wire: directly (`trod_get`, `trod_sql`, `sys_dump`, …) and
     /// as the error of a failed handler (`trod_invoke`).
     #[test]
     fn every_engine_error_has_one_code_kind_and_retry_bit() {

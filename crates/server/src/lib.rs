@@ -8,15 +8,17 @@
 //! * **Execution** — `trod_invoke` runs application handlers (with
 //!   optional server-side conflict retries) through the traced runtime.
 //! * **Queries & time travel** — `trod_sql` against the application or
-//!   provenance database, `trod_get`/`kv_get`/`kv_scan`, all with
-//!   optional `as_of` timestamps.
+//!   provenance database and `trod_get` point reads, both with an
+//!   optional `as_of` timestamp or `fork`; a key-value namespace is read
+//!   as its table `"kv:<ns>"`.
 //! * **The debugger** — fork the whole environment at a timestamp
-//!   (`trod_fork` + `fork_*` inspection calls), replay a traced request
+//!   (`trod_fork`, then reads with `fork`), replay a traced request
 //!   (`trod_replay`), reenact reads (`trod_reenact`), audit anomalies
 //!   (`trod_anomalies`), and retroactively re-execute requests under a
 //!   named server-side patch (`trod_retroactive`).
 //! * **Devnet dump/load** — `sys_dump` serializes the whole environment
-//!   (schema, namespaces, aligned history) to one document;
+//!   (schema, namespaces, aligned history, up to an optional `up_to`) to
+//!   one document;
 //!   [`Dump::boot`] brings up a new instance from it; and
 //!   [`fork_from_instance`] pulls a fork at any timestamp from a
 //!   *running* server over the network.

@@ -4,7 +4,7 @@
 
 use trod_core::json::Json;
 use trod_core::wire;
-use trod_db::{Key, Ts, Value};
+use trod_db::{Database, Key, Ts, Value};
 use trod_query::{QueryEngine, ResultSet};
 use trod_runtime::Args;
 
@@ -12,24 +12,46 @@ use crate::dump::Dump;
 use crate::error::RpcError;
 use crate::state::{ForkEntry, ServerState};
 
+/// Parameters a `fork` read may not be combined with: a fork is an
+/// application database read at its own clock.
+const FORK_EXCLUDES: [&str; 2] = ["as_of", "target"];
+
 /// Default `retries` for `trod_invoke`: retryable conflicts are retried
 /// server-side this many times before the error goes back on the wire.
 const DEFAULT_RETRIES: usize = 0;
 
-fn p_str<'a>(params: &'a Json, field: &str) -> Result<&'a str, RpcError> {
-    params
-        .get(field)
-        .and_then(Json::as_str)
-        .ok_or_else(|| RpcError::invalid_params(format!("missing string param `{field}`")))
+/// An optional param: absent and `null` are `None`; a value `read`
+/// cannot take is `invalid_params`, never read as absent.
+fn p_opt<'a, T>(
+    params: &'a Json,
+    field: &str,
+    what: &str,
+    read: impl FnOnce(&'a Json) -> Option<T>,
+) -> Result<Option<T>, RpcError> {
+    match params.get(field) {
+        None | Some(Json::Null) => Ok(None),
+        Some(v) => read(v)
+            .map(Some)
+            .ok_or_else(|| RpcError::invalid_params(format!("param `{field}` must be {what}"))),
+    }
+}
+
+fn p_opt_str<'a>(params: &'a Json, field: &str) -> Result<Option<&'a str>, RpcError> {
+    p_opt(params, field, "a string", Json::as_str)
+}
+
+/// A boolean param, `false` when absent.
+fn p_flag(params: &Json, field: &str) -> Result<bool, RpcError> {
+    Ok(p_opt(params, field, "a boolean", Json::as_bool)?.unwrap_or(false))
 }
 
 fn p_opt_u64(params: &Json, field: &str) -> Result<Option<u64>, RpcError> {
-    match params.get(field) {
-        None | Some(Json::Null) => Ok(None),
-        Some(v) => v.as_u64().map(Some).ok_or_else(|| {
-            RpcError::invalid_params(format!("param `{field}` must be a non-negative integer"))
-        }),
-    }
+    p_opt(params, field, "a non-negative integer", Json::as_u64)
+}
+
+fn p_str<'a>(params: &'a Json, field: &str) -> Result<&'a str, RpcError> {
+    p_opt_str(params, field)?
+        .ok_or_else(|| RpcError::invalid_params(format!("missing string param `{field}`")))
 }
 
 fn p_ts(params: &Json, field: &str) -> Result<Ts, RpcError> {
@@ -75,15 +97,6 @@ fn result_set_to_json(rs: &ResultSet) -> Json {
             ),
         ),
     ])
-}
-
-fn kv_entries_to_json(entries: Vec<(String, String)>) -> Json {
-    Json::Array(
-        entries
-            .into_iter()
-            .map(|(k, v)| Json::Array(vec![Json::str(k), Json::str(v)]))
-            .collect(),
-    )
 }
 
 fn replay_report_to_json(report: &trod_core::replay::ReplayReport) -> Json {
@@ -135,18 +148,23 @@ fn replay_report_to_json(report: &trod_core::replay::ReplayReport) -> Json {
     ])
 }
 
-/// Runs a closure against a registered fork session.
-fn with_fork<T>(
-    state: &ServerState,
-    params: &Json,
-    f: impl FnOnce(&ForkEntry) -> Result<T, RpcError>,
-) -> Result<T, RpcError> {
-    let id = p_str(params, "fork")?;
-    let forks = state.forks.lock();
-    let entry = forks
-        .get(id)
+/// The database of the fork a read names in `fork`, if it names one.
+fn fork_db(state: &ServerState, params: &Json) -> Result<Option<Database>, RpcError> {
+    let Some(id) = p_opt_str(params, "fork")? else {
+        return Ok(None);
+    };
+    if let Some(other) = FORK_EXCLUDES
+        .iter()
+        .find(|f| params.get(f).is_some_and(|v| !v.is_null()))
+    {
+        return Err(RpcError::invalid_params(format!(
+            "`fork` cannot be combined with `{other}`: a fork is read at its own clock"
+        )));
+    }
+    let session = state
+        .fork_session(id)
         .ok_or_else(|| RpcError::not_found("no_such_fork", format!("no fork `{id}`")))?;
-    f(entry)
+    Ok(Some(session.database().clone()))
 }
 
 /// Dispatches one already-parsed JSON-RPC call. Protocol-level errors
@@ -159,7 +177,7 @@ pub fn dispatch(state: &ServerState, method: &str, params: &Json) -> Result<Json
             let handler = p_str(params, "handler")?;
             let args = args_from_json(params)?;
             let retries = p_opt_u64(params, "retries")?.unwrap_or(DEFAULT_RETRIES as u64) as usize;
-            let want_sync = params.get("sync").and_then(Json::as_bool).unwrap_or(false);
+            let want_sync = p_flag(params, "sync")?;
             let result = state
                 .trod
                 .runtime()
@@ -195,16 +213,19 @@ pub fn dispatch(state: &ServerState, method: &str, params: &Json) -> Result<Json
         }
 
         // ------------------------------------------ queries & time travel
-        "trod_sql" => {
+        // `fork_sql` is a second name for `trod_sql` with a `fork`.
+        "trod_sql" | "fork_sql" => {
             let sql = p_str(params, "sql")?;
-            let target = params.get("target").and_then(Json::as_str).unwrap_or("app");
-            let engine = match target {
-                "app" => QueryEngine::new(state.trod.production_db().clone()),
-                "provenance" => {
+            let fork = fork_db(state, params)?;
+            let target = p_opt_str(params, "target")?.unwrap_or("app");
+            let engine = match (fork, target) {
+                (Some(fork), _) => QueryEngine::new(fork),
+                (None, "app") => QueryEngine::new(state.trod.production_db().clone()),
+                (None, "provenance") => {
                     state.sync_provenance();
                     QueryEngine::new(state.trod.provenance().database().clone())
                 }
-                other => {
+                (None, other) => {
                     return Err(RpcError::invalid_params(format!(
                         "unknown target {other:?} (expected \"app\" or \"provenance\")"
                     )))
@@ -220,41 +241,16 @@ pub fn dispatch(state: &ServerState, method: &str, params: &Json) -> Result<Json
         "trod_get" => {
             let table = p_str(params, "table")?;
             let key = key_from_params(params)?;
-            let db = state.trod.production_db();
-            let row = match p_opt_u64(params, "as_of")? {
-                Some(ts) => db.get_as_of(table, &key, ts),
-                None => db.get_latest(table, &key),
+            let row = match (fork_db(state, params)?, p_opt_u64(params, "as_of")?) {
+                (Some(fork), _) => fork.get_latest(table, &key),
+                (None, Some(ts)) => state.trod.production_db().get_as_of(table, &key, ts),
+                (None, None) => state.trod.production_db().get_latest(table, &key),
             }
             .map_err(|e| RpcError::from(&e))?;
             Ok(Json::obj(vec![(
                 "row",
                 row.map(|r| wire::row_to_json(&r)).unwrap_or(Json::Null),
             )]))
-        }
-        "kv_get" => {
-            let namespace = p_str(params, "namespace")?;
-            let key = p_str(params, "key")?;
-            let kv = state.trod.session().kv();
-            let value = match p_opt_u64(params, "as_of")? {
-                Some(ts) => kv.get_as_of(namespace, key, ts),
-                None => kv.get_latest(namespace, key),
-            }
-            .map_err(|e| RpcError::from(&e))?;
-            Ok(Json::obj(vec![(
-                "value",
-                value.map(Json::str).unwrap_or(Json::Null),
-            )]))
-        }
-        "kv_scan" => {
-            let namespace = p_str(params, "namespace")?;
-            let prefix = params.get("prefix").and_then(Json::as_str).unwrap_or("");
-            let kv = state.trod.session().kv();
-            let entries = match p_opt_u64(params, "as_of")? {
-                Some(ts) => kv.scan_prefix_as_of(namespace, prefix, ts),
-                None => kv.scan_prefix(namespace, prefix),
-            }
-            .map_err(|e| RpcError::from(&e))?;
-            Ok(Json::obj(vec![("entries", kv_entries_to_json(entries))]))
         }
 
         // ------------------------------------------------- fork sessions
@@ -273,60 +269,6 @@ pub fn dispatch(state: &ServerState, method: &str, params: &Json) -> Result<Json
                 ("fork_id", Json::str(id)),
                 ("ts", Json::from(ts)),
             ]))
-        }
-        "fork_sql" => {
-            let sql = p_str(params, "sql")?.to_string();
-            with_fork(state, params, |fork| {
-                let engine = QueryEngine::new(fork.session.database().clone());
-                let rs = engine.execute(&sql).map_err(|e| RpcError::from(&e))?;
-                Ok(result_set_to_json(&rs))
-            })
-        }
-        "fork_get" => {
-            let table = p_str(params, "table")?.to_string();
-            let key = key_from_params(params)?;
-            with_fork(state, params, |fork| {
-                let row = fork
-                    .session
-                    .database()
-                    .get_latest(&table, &key)
-                    .map_err(|e| RpcError::from(&e))?;
-                Ok(Json::obj(vec![(
-                    "row",
-                    row.map(|r| wire::row_to_json(&r)).unwrap_or(Json::Null),
-                )]))
-            })
-        }
-        "fork_kv_get" => {
-            let namespace = p_str(params, "namespace")?.to_string();
-            let key = p_str(params, "key")?.to_string();
-            with_fork(state, params, |fork| {
-                let value = fork
-                    .session
-                    .kv()
-                    .get_latest(&namespace, &key)
-                    .map_err(|e| RpcError::from(&e))?;
-                Ok(Json::obj(vec![(
-                    "value",
-                    value.map(Json::str).unwrap_or(Json::Null),
-                )]))
-            })
-        }
-        "fork_kv_scan" => {
-            let namespace = p_str(params, "namespace")?.to_string();
-            let prefix = params
-                .get("prefix")
-                .and_then(Json::as_str)
-                .unwrap_or("")
-                .to_string();
-            with_fork(state, params, |fork| {
-                let entries = fork
-                    .session
-                    .kv()
-                    .scan_prefix(&namespace, &prefix)
-                    .map_err(|e| RpcError::from(&e))?;
-                Ok(Json::obj(vec![("entries", kv_entries_to_json(entries))]))
-            })
         }
         "fork_drop" => {
             let id = p_str(params, "fork")?;
@@ -479,19 +421,16 @@ pub fn dispatch(state: &ServerState, method: &str, params: &Json) -> Result<Json
             })?;
             state.sync_provenance();
             let mut builder = state.trod.retroactive(registry);
-            if let Some(reqs) = params.get("requests").and_then(Json::as_array) {
-                let ids: Vec<String> = reqs
+            let requests = p_opt(params, "requests", "an array of strings", |j| {
+                j.as_array()?
                     .iter()
-                    .map(|r| {
-                        r.as_str()
-                            .map(str::to_string)
-                            .ok_or_else(|| RpcError::invalid_params("`requests` must be strings"))
-                    })
-                    .collect::<Result<_, _>>()?;
-                let refs: Vec<&str> = ids.iter().map(String::as_str).collect();
-                builder = builder.requests(&refs);
+                    .map(Json::as_str)
+                    .collect::<Option<Vec<_>>>()
+            })?;
+            if let Some(requests) = requests {
+                builder = builder.requests(&requests);
             }
-            if let Some(table) = params.get("table").and_then(Json::as_str) {
+            if let Some(table) = p_opt_str(params, "table")? {
                 builder = builder.requests_touching_table(table);
             }
             if let Some(ts) = p_opt_u64(params, "snapshot_at")? {
@@ -500,10 +439,7 @@ pub fn dispatch(state: &ServerState, method: &str, params: &Json) -> Result<Json
             if let Some(n) = p_opt_u64(params, "max_orderings")? {
                 builder = builder.max_orderings(n as usize);
             }
-            let keep_forks = params
-                .get("keep_forks")
-                .and_then(Json::as_bool)
-                .unwrap_or(false);
+            let keep_forks = p_flag(params, "keep_forks")?;
             let report = builder.run().map_err(|e| RpcError::from(&e))?;
             let orderings = report
                 .orderings
@@ -677,31 +613,6 @@ pub fn dispatch(state: &ServerState, method: &str, params: &Json) -> Result<Json
                 ),
             ]))
         }
-        "sys_schema" => {
-            let schema = Dump::capture_schema(&state.trod);
-            let j = schema.to_json();
-            Ok(Json::obj(vec![
-                ("tables", j.get("tables").cloned().unwrap_or(Json::Null)),
-                (
-                    "namespaces",
-                    j.get("namespaces").cloned().unwrap_or(Json::Null),
-                ),
-                ("current_ts", Json::from(schema.current_ts)),
-            ]))
-        }
-        "sys_history" => {
-            let db = state.trod.production_db();
-            let current_ts = db.current_ts();
-            let up_to = p_opt_u64(params, "up_to")?.unwrap_or(current_ts);
-            let entries = db.history(0, up_to).map_err(|e| RpcError::from(&e))?;
-            Ok(Json::obj(vec![
-                ("current_ts", Json::from(current_ts)),
-                (
-                    "entries",
-                    Json::Array(entries.iter().map(wire::txn_to_json).collect()),
-                ),
-            ]))
-        }
         "sys_dump" => {
             // The server writes no file a caller names: a client saves the
             // returned document itself (`Dump::write_to`).
@@ -710,7 +621,8 @@ pub fn dispatch(state: &ServerState, method: &str, params: &Json) -> Result<Json
                     "`sys_dump` takes no `path`; write the returned dump client-side",
                 ));
             }
-            let dump = Dump::capture(&state.trod).map_err(|e| RpcError::from(&e))?;
+            let up_to = p_opt_u64(params, "up_to")?.unwrap_or(Ts::MAX);
+            let dump = Dump::capture(&state.trod, up_to).map_err(|e| RpcError::from(&e))?;
             Ok(Json::obj(vec![("dump", dump.to_json())]))
         }
 

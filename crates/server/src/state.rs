@@ -67,6 +67,14 @@ impl ServerState {
         self.trod.sync()
     }
 
+    /// The session of fork `id`. It is cloned under the registry's lock
+    /// and read after it is released, so a slow fork read stalls no
+    /// `trod_fork`, `fork_drop` or other registry call; a fork dropped
+    /// meanwhile still answers the read in hand.
+    pub fn fork_session(&self, id: &str) -> Option<Session> {
+        self.forks.lock().get(id).map(|entry| entry.session.clone())
+    }
+
     pub fn fresh_fork_id(&self) -> String {
         format!("fork-{}", self.next_fork.fetch_add(1, Ordering::Relaxed))
     }

@@ -17,7 +17,7 @@ use trod_apps::{shop, workload};
 use trod_core::json::Json;
 use trod_core::wire;
 use trod_core::Trod;
-use trod_db::{Database, Predicate, TS_LIVE};
+use trod_db::{Database, Predicate, Ts, TS_LIVE};
 use trod_kv::{KvStore, Session};
 use trod_runtime::Runtime;
 use trod_server::{fork_from_instance, Client, Dump, DumpError, ServerBuilder};
@@ -106,7 +106,7 @@ fn dump_load_round_trip_preserves_history_and_clocks() {
     let source = shop_trod();
     run_workload(&source, &workload::WorkloadConfig::small());
 
-    let dump = Dump::capture(&source).expect("capture");
+    let dump = Dump::capture(&source, Ts::MAX).expect("capture");
     assert!(!dump.entries.is_empty());
 
     // Through the in-memory document.
@@ -263,6 +263,62 @@ fn fork_from_instance_equals_local_fork() {
     server.shutdown();
 }
 
+/// `sys_dump {up_to: t}` is `Dump::capture` at `t`, for a `t` before,
+/// between and after the commits, and past `i64::MAX`.
+#[test]
+fn sys_dump_up_to_equals_capture_at_that_timestamp() {
+    let source = shop_trod();
+    run_workload(&source, &workload::WorkloadConfig::small());
+    let server = ServerBuilder::new(source)
+        .serve("127.0.0.1:0")
+        .expect("bind");
+    let mut client = Client::connect(&server.addr()).expect("connect");
+    let trod = &server.state().trod;
+    let now = trod.production_db().current_ts();
+    let mid = trod.production_db().log_entries()[3].commit_ts;
+    for up_to in [0, mid, now, now + 7, i64::MAX as u64 + 1, u64::MAX] {
+        let reply = client
+            .call("sys_dump", Json::obj(vec![("up_to", Json::from(up_to))]))
+            .expect("sys_dump");
+        let wire = Dump::from_json(reply.get("dump").unwrap()).expect("decode");
+        let local = Dump::capture(trod, up_to).expect("capture");
+        assert_eq!(wire, local, "up_to {up_to}");
+        assert_eq!(wire.current_ts, up_to.min(now));
+        assert!(wire.entries.iter().all(|e| e.commit_ts <= up_to));
+    }
+    // No `up_to` is all of it.
+    let reply = client
+        .call("sys_dump", Json::obj(Vec::<(&str, Json)>::new()))
+        .expect("sys_dump");
+    let wire = Dump::from_json(reply.get("dump").unwrap()).expect("decode");
+    assert_eq!(wire, Dump::capture(trod, Ts::MAX).expect("capture"));
+    server.shutdown();
+}
+
+/// A watermark above `i64::MAX` goes through the document exactly and
+/// the booted clock stands on it.
+#[test]
+fn a_dump_past_i64_max_round_trips_and_boots_at_its_watermark() {
+    let source = shop_trod();
+    run_workload(&source, &workload::WorkloadConfig::small());
+    let mut dump = Dump::capture(&source, Ts::MAX).expect("capture");
+    let watermark = (1u64 << 63) + 5;
+    dump.current_ts = watermark;
+    let text = dump.to_json().to_string();
+    assert!(
+        text.contains("\"current_ts\":9223372036854775813"),
+        "{text}"
+    );
+    let reparsed = Dump::from_json(&Json::parse(&text).unwrap()).unwrap();
+    assert_eq!(reparsed, dump);
+    let loaded = reparsed.boot().expect("boot");
+    assert_eq!(loaded.database().current_ts(), watermark);
+    assert_eq!(
+        loaded.database().log_entries(),
+        source.production_db().log_entries()
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -286,7 +342,7 @@ proptest! {
         let source = shop_trod();
         run_workload(&source, &cfg);
 
-        let dump = Dump::capture(&source).expect("capture");
+        let dump = Dump::capture(&source, Ts::MAX).expect("capture");
         let text = dump.to_json().to_string();
         let reparsed = Dump::from_json(&Json::parse(&text).unwrap()).unwrap();
         prop_assert_eq!(&reparsed, &dump);
@@ -402,20 +458,16 @@ const WORDS: &[&str] = &[
     "",
 ];
 
-/// Stands for `u64::MAX` written as a number literal, which no `Json`
-/// value encodes: the document text gets the literal in its place.
-const U64_MAX_LITERAL: &str = "__u64_max_literal__";
-
-/// The boundary values of every timestamp and id field: 0, 2^40 and
-/// `u64::MAX`, the last as a `Json` integer (which holds it as -1) and
-/// as a literal, plus `i64::MAX`, the largest value the wire carries.
+/// The boundary values of every timestamp and id field: 0, 2^40,
+/// `i64::MAX`, `i64::MAX + 1`, `u64::MAX` and -1.
 fn boundary(g: &mut Gen) -> Json {
     g.pick(&[
         Json::Int(0),
         Json::from(1u64 << 40),
         Json::from(u64::MAX),
-        Json::str(U64_MAX_LITERAL),
+        Json::Int(-1),
         Json::Int(i64::MAX),
+        Json::from(i64::MAX as u64 + 1),
         Json::Int(1),
         Json::Int(2),
     ])
@@ -529,10 +581,9 @@ fn dump_like(g: &mut Gen) -> Json {
     )
 }
 
-/// Loads `doc` from its text, with `u64::MAX` literals put in.
+/// Loads `doc` from its text.
 fn load_text(doc: &Json) -> impl FnOnce() -> Result<Dump, DumpError> + Send + 'static {
-    let quoted = format!("\"{U64_MAX_LITERAL}\"");
-    let text = doc.to_string().replace(&quoted, &u64::MAX.to_string());
+    let text = doc.to_string();
     move || Dump::from_json(&Json::parse(&text)?)
 }
 
@@ -549,7 +600,7 @@ fn base_dump() -> &'static Dump {
             seed: 3,
         };
         run_workload(&source, &cfg);
-        Dump::capture(&source).expect("capture")
+        Dump::capture(&source, Ts::MAX).expect("capture")
     })
 }
 

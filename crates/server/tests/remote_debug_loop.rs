@@ -109,7 +109,7 @@ fn remote_debug_loop_matches_in_process() {
         .to_string();
     let wire_fork_rows = client
         .call(
-            "fork_sql",
+            "trod_sql",
             Json::obj(vec![
                 ("fork", Json::str(fork_id.clone())),
                 ("sql", Json::str(SUBS_SQL)),
@@ -199,7 +199,7 @@ fn remote_debug_loop_matches_in_process() {
     let replay_fork = wire_replay.get("fork_id").and_then(Json::as_str).unwrap();
     let wire_dev_rows = client
         .call(
-            "fork_sql",
+            "trod_sql",
             Json::obj(vec![
                 ("fork", Json::str(replay_fork)),
                 ("sql", Json::str(SUBS_SQL)),
@@ -300,7 +300,7 @@ fn remote_debug_loop_matches_in_process() {
         let ordering_fork = wire_ordering.get("fork_id").and_then(Json::as_str).unwrap();
         let wire_state = client
             .call(
-                "fork_sql",
+                "trod_sql",
                 Json::obj(vec![
                     ("fork", Json::str(ordering_fork)),
                     ("sql", Json::str(SUBS_SQL)),

@@ -273,10 +273,10 @@ fn sys_checkpoint_forces_one_and_recovery_boots_from_it() {
     let sql = "SELECT k, v FROM events ORDER BY k";
     let rs = client
         .call(
-            "fork_sql",
+            "trod_sql",
             Json::obj(vec![("fork", Json::str(fork_id)), ("sql", Json::str(sql))]),
         )
-        .expect("fork_sql");
+        .expect("fork read");
     let want: Vec<Json> = (0..4)
         .map(|k| Json::Array(vec![Json::Int(k), Json::Int(k * 10)]))
         .collect();

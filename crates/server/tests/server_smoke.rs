@@ -120,14 +120,24 @@ fn mixed_workload_over_the_wire() {
     assert!(row.get("row").and_then(Json::as_array).is_some());
 
     // The polyglot half: checkout cleared the cart namespace entry in
-    // the same commit; the kv surface sees the aligned history.
+    // the same commit; the namespace is read as its table.
     let kv = client
         .call(
-            "kv_scan",
-            Json::obj(vec![("namespace", Json::str(shop::CARTS_NAMESPACE))]),
+            "trod_sql",
+            Json::obj(vec![(
+                "sql",
+                Json::str(format!(
+                    "SELECT kv_key, kv_value FROM \"kv:{}\" ORDER BY kv_key",
+                    shop::CARTS_NAMESPACE
+                )),
+            )]),
         )
-        .expect("kv_scan");
-    assert!(kv.get("entries").and_then(Json::as_array).is_some());
+        .expect("namespace scan");
+    assert_eq!(
+        kv.get("columns").map(Json::to_string).as_deref(),
+        Some(r#"["kv_key","kv_value"]"#)
+    );
+    assert!(kv.get("rows").and_then(Json::as_array).is_some());
 
     // Provenance SQL sees the traced executions.
     let rs = client
@@ -200,13 +210,13 @@ fn a_fork_from_the_future_is_a_fork_of_the_present() {
         }
         let rs = client
             .call(
-                "fork_sql",
+                "trod_sql",
                 Json::obj(vec![
                     ("fork", Json::str(fork_id)),
                     ("sql", Json::str("SELECT order_id FROM orders")),
                 ]),
             )
-            .expect("fork_sql");
+            .expect("fork read");
         assert_eq!(rs.get("rows").and_then(Json::as_array).unwrap().len(), 1);
     }
     // Both forks are alive and hold GC at the present, not at the
@@ -277,6 +287,36 @@ fn typed_errors_over_the_wire() {
     raw.read_to_string(&mut response).unwrap();
     assert!(response.contains("-32700"), "got: {response}");
 
+    // An integer literal past u64::MAX is a parse error, never a float;
+    // one past i64::MAX is a timestamp, but no handler argument.
+    let body =
+        r#"{"jsonrpc":"2.0","id":1,"method":"trod_fork","params":{"ts":18446744073709551616}}"#;
+    let mut raw = TcpStream::connect(server.addr()).unwrap();
+    write!(
+        raw,
+        "POST /rpc HTTP/1.1\r\nconnection: close\r\ncontent-length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .unwrap();
+    let mut response = String::new();
+    raw.read_to_string(&mut response).unwrap();
+    assert!(response.contains("-32700"), "got: {response}");
+    let mut args = checkout_params("o", "x", "item-1");
+    args[3].1 = Json::from(1u64 << 63);
+    let err = client
+        .call(
+            "trod_invoke",
+            Json::obj(vec![
+                ("handler", Json::str("checkout")),
+                ("args", Json::obj(args)),
+            ]),
+        )
+        .expect_err("an argument past i64::MAX must fail");
+    match &err {
+        ClientError::Rpc(f) => assert_eq!((f.code, f.kind.as_str()), (-32602, "invalid_params")),
+        other => panic!("expected rpc error, got {other:?}"),
+    }
+
     // Unknown path → 404; bad method on /rpc → 405.
     let mut client2 = Client::connect(&server.addr()).expect("connect");
     let mut raw = TcpStream::connect(server.addr()).unwrap();
@@ -306,13 +346,13 @@ fn engine_errors_keep_their_code_kind_and_retry_bit_over_the_wire() {
     let mut client = Client::connect(&server.addr()).expect("connect");
     let missing_ns = || {
         vec![
-            ("namespace", Json::str("no_such_ns")),
-            ("key", Json::str("k")),
+            ("table", Json::str("kv:no_such_ns")),
+            ("key", Json::Array(vec![Json::str("k")])),
         ]
     };
     let key_value = (1001, "key_value".to_string(), false);
 
-    assert_eq!(failure(&mut client, "kv_get", missing_ns()), key_value);
+    assert_eq!(failure(&mut client, "trod_get", missing_ns()), key_value);
     invoke(
         &mut client,
         "checkout",
@@ -326,7 +366,7 @@ fn engine_errors_keep_their_code_kind_and_retry_bit_over_the_wire() {
     let fork = reply.get("fork_id").and_then(Json::as_str).unwrap();
     let mut params = missing_ns();
     params.push(("fork", Json::str(fork)));
-    assert_eq!(failure(&mut client, "fork_kv_get", params), key_value);
+    assert_eq!(failure(&mut client, "trod_get", params), key_value);
 
     let params = vec![
         ("table", Json::str("no_such_table")),

@@ -23,9 +23,15 @@ pub const MAX_DEPTH: usize = 128;
 pub enum Json {
     Null,
     Bool(bool),
-    /// Integers are kept exact: any number literal without a fraction or
-    /// exponent parses as `Int`, so `i64` round-trips losslessly.
+    /// Integers are kept exact: a number literal without a fraction or
+    /// exponent parses as `Int` when it fits an `i64`, so `i64` round-trips
+    /// losslessly.
     Int(i64),
+    /// An integer above `i64::MAX` (and at most `u64::MAX`), so `u64`
+    /// round-trips losslessly too. It holds only such values: anything in
+    /// the `i64` range is an `Int`, which is what [`From<u64>`] and the
+    /// parser produce.
+    UInt(u64),
     Float(f64),
     Str(String),
     Array(Vec<Json>),
@@ -69,18 +75,21 @@ impl Json {
         }
     }
 
-    /// Timestamps and sizes travel as non-negative integers.
+    /// Timestamps and sizes travel as non-negative integers, exact up to
+    /// `u64::MAX`.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Int(i) if *i >= 0 => Some(*i as u64),
+            Json::Int(i) => u64::try_from(*i).ok(),
+            Json::UInt(u) => Some(*u),
             _ => None,
         }
     }
 
-    /// Numeric value, widening `Int` to `f64`.
+    /// Numeric value, widening integers to `f64`.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Int(i) => Some(*i as f64),
+            Json::UInt(u) => Some(*u as f64),
             Json::Float(f) => Some(*f),
             _ => None,
         }
@@ -113,10 +122,8 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
-            Json::Int(i) => {
-                let mut buf = itoa_buf();
-                out.push_str(fmt_i64(*i, &mut buf));
-            }
+            Json::Int(i) => write_int(out, i),
+            Json::UInt(u) => write_int(out, u),
             Json::Float(f) => fmt_f64_into(out, *f),
             Json::Str(s) => escape_into(out, s),
             Json::Array(items) => {
@@ -180,12 +187,12 @@ impl From<i64> for Json {
 }
 impl From<u64> for Json {
     fn from(u: u64) -> Json {
-        Json::Int(u as i64)
+        i64::try_from(u).map_or(Json::UInt(u), Json::Int)
     }
 }
 impl From<usize> for Json {
     fn from(u: usize) -> Json {
-        Json::Int(u as i64)
+        Json::from(u as u64)
     }
 }
 impl From<f64> for Json {
@@ -255,15 +262,9 @@ fn fmt_f64_into(out: &mut String, x: f64) {
     }
 }
 
-fn itoa_buf() -> String {
-    String::with_capacity(20)
-}
-
-fn fmt_i64(i: i64, buf: &mut String) -> &str {
+fn write_int(out: &mut String, i: impl fmt::Display) {
     use fmt::Write as _;
-    buf.clear();
-    let _ = write!(buf, "{i}");
-    buf
+    let _ = write!(out, "{i}");
 }
 
 /// A parse error with the byte offset it occurred at.
@@ -518,9 +519,14 @@ impl<'a> Parser<'a> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
         if !is_float {
+            // An integer stays exact or is refused; it never becomes a float.
             if let Ok(i) = text.parse::<i64>() {
                 return Ok(Json::Int(i));
             }
+            return text.parse::<u64>().map(Json::UInt).map_err(|_| JsonError {
+                pos: start,
+                detail: format!("integer {text} is outside -2^63..=2^64-1"),
+            });
         }
         text.parse::<f64>()
             .map(Json::Float)
@@ -565,6 +571,53 @@ mod tests {
         // i64 beyond f64's 2^53 precision still round-trips exactly.
         let n = 9007199254740993i64;
         assert_eq!(Json::parse(&n.to_string()).unwrap(), Json::Int(n));
+    }
+
+    #[test]
+    fn u64_round_trips_exactly() {
+        let above = i64::MAX as u64 + 1;
+        for (u, text) in [
+            (0, "0"),
+            (i64::MAX as u64, "9223372036854775807"),
+            (above, "9223372036854775808"),
+            (u64::MAX, "18446744073709551615"),
+        ] {
+            let j = Json::from(u);
+            assert_eq!(j.to_string(), text);
+            assert_eq!(Json::parse(text).unwrap(), j);
+            assert_eq!(j.as_u64(), Some(u));
+        }
+        // The `i64` range stays `Int`, so `as_i64` callers see no change.
+        assert_eq!(Json::from(7u64), Json::Int(7));
+        assert_eq!(Json::from(i64::MAX as u64).as_i64(), Some(i64::MAX));
+        assert_eq!(Json::from(above), Json::UInt(above));
+        assert_eq!(Json::from(above).as_i64(), None);
+        assert_eq!(Json::Int(-1).as_u64(), None);
+        assert_eq!(Json::parse("-1").unwrap(), Json::Int(-1));
+        assert_eq!(
+            Json::parse("-9223372036854775808").unwrap(),
+            Json::Int(i64::MIN)
+        );
+    }
+
+    #[test]
+    fn oversized_integer_literals_are_errors_not_floats() {
+        for text in [
+            "18446744073709551616",
+            "-9223372036854775809",
+            "100000000000000000000000",
+        ] {
+            let err = Json::parse(text).unwrap_err();
+            assert_eq!(err.pos, 0, "{text}: {err}");
+            let err = Json::parse(&format!("[1, {text}]")).unwrap_err();
+            assert_eq!(err.pos, 4, "{text}: {err}");
+        }
+        // With a fraction or an exponent it is a float, as before.
+        assert_eq!(
+            Json::parse("18446744073709551616.0").unwrap(),
+            Json::Float(18446744073709551616.0)
+        );
+        assert_eq!(Json::parse("1e30").unwrap(), Json::Float(1e30));
     }
 
     #[test]
@@ -653,7 +706,8 @@ mod tests {
             match rng.below(arms) {
                 0 => Json::Null,
                 1 => Json::Bool(rng.below(2) == 1),
-                2 => Json::Int(rng.next_u64() as i64),
+                2 if rng.below(2) == 0 => Json::Int(rng.next_u64() as i64),
+                2 => Json::from(rng.next_u64()),
                 3 => {
                     let frac = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
                     Json::Float(frac * 2e9 - 1e9)

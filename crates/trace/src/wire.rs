@@ -7,7 +7,9 @@
 //!
 //! * `Value::Int` / `Value::Float` stay distinct: integers print bare
 //!   (exact to the full `i64` range — the parser keeps undotted literals
-//!   as integers), floats always carry a fraction or exponent.
+//!   as integers), floats always carry a fraction or exponent. A literal
+//!   above `i64::MAX` is no `Value`; ids and timestamps are `u64`s and
+//!   travel exact up to `u64::MAX`.
 //! * Non-finite floats, which JSON cannot express as numbers, are tagged
 //!   objects: `{"float":"nan"|"inf"|"-inf"}`.
 //! * `Timestamp` and `Bytes` are tagged too (`{"ts":n}`,
@@ -74,6 +76,11 @@ pub fn value_from_json(j: &Json) -> WireResult<Value> {
         Json::Null => Ok(Value::Null),
         Json::Bool(b) => Ok(Value::Bool(*b)),
         Json::Int(i) => Ok(Value::Int(*i)),
+        // A cell integer is an `i64`; a larger one is refused, not rounded.
+        Json::UInt(u) => Err(WireError::new(format!(
+            "integer {u} is above the largest INT {}",
+            i64::MAX
+        ))),
         Json::Float(f) => Ok(Value::Float(*f)),
         Json::Str(s) => Ok(Value::Text(s.clone())),
         Json::Object(pairs) if pairs.len() == 1 => {
@@ -387,10 +394,16 @@ mod tests {
 
     #[test]
     fn committed_txn_round_trips() {
+        for (txn_id, start_ts, commit_ts) in [(42, 7, 9), (u64::MAX - 1, 1 << 63, (1 << 63) + 5)] {
+            committed_txn_round_trips_at(txn_id, start_ts, commit_ts);
+        }
+    }
+
+    fn committed_txn_round_trips_at(txn_id: u64, start_ts: u64, commit_ts: u64) {
         let entry = CommittedTxn {
-            txn_id: 42,
-            start_ts: 7,
-            commit_ts: 9,
+            txn_id,
+            start_ts,
+            commit_ts,
             changes: vec![
                 ChangeRecord::insert(
                     "orders",
@@ -452,6 +465,9 @@ mod tests {
             "{\"bytes\":\"abc\"}",
             "{\"bytes\":\"zz\"}",
             "{\"ts\":\"x\"}",
+            "9223372036854775808",
+            "18446744073709551615",
+            "{\"ts\":9223372036854775808}",
         ] {
             assert!(
                 value_from_json(&Json::parse(bad).unwrap()).is_err(),

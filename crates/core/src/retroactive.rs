@@ -216,7 +216,9 @@ impl RetroactiveBuilder {
     }
 
     /// Branches from an explicit snapshot timestamp instead of the
-    /// earliest snapshot of the selected requests.
+    /// earliest snapshot of the selected requests. A timestamp past the
+    /// production clock branches from the clock, as
+    /// [`Session::fork_at`] does, and the report says so.
     pub fn snapshot_at(mut self, ts: Ts) -> Self {
         self.snapshot_ts = Some(ts);
         self
@@ -273,13 +275,16 @@ impl RetroactiveBuilder {
             .flat_map(|r| self.provenance.txns_for_request(r))
             .filter(|t| t.committed)
             .collect();
-        let snapshot_ts = self.snapshot_ts.unwrap_or_else(|| {
-            selected_txns
-                .iter()
-                .map(|t| t.snapshot_ts)
-                .min()
-                .unwrap_or(0)
-        });
+        let snapshot_ts = self
+            .snapshot_ts
+            .unwrap_or_else(|| {
+                selected_txns
+                    .iter()
+                    .map(|t| t.snapshot_ts)
+                    .min()
+                    .unwrap_or(0)
+            })
+            .min(self.production.database().current_ts());
 
         // Conflict-aware ordering enumeration.
         let graph = ConflictGraph::build(&self.req_ids, &selected_txns);

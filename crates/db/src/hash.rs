@@ -1,7 +1,7 @@
 //! [`CellHash`]: the hasher of every map keyed by cell values.
 //!
-//! The row maps ([`crate::row::KeyMap`]), the secondary indexes' key
-//! slots and the SQL engine's hash-join and GROUP BY tables hash
+//! The row maps ([`crate::row::KeyMap`]) and the SQL engine's hash-join
+//! and GROUP BY tables hash
 //! [`Key`](crate::row::Key)s and `Vec<Value>`s built from wire input. Each
 //! word a `Hash` impl writes costs one folded multiply: a 64×64→128-bit
 //! product whose two halves are XORed (the construction of foldhash and of

@@ -32,6 +32,10 @@
 //! defined by — so one map answers every probe shape at any read
 //! timestamp: point probes (`=`, and `IN (...)` one probe per element),
 //! bounded range windows (`<`, `<=`, `>`, `>=`) and value-ordered walks.
+//! Within a value, a slot keeps its keys in primary-key order too, so
+//! every probe of one slot hands out its candidates sorted and unique:
+//! a point probe needs no sort before the scan visits it in key order,
+//! and an ordered walk breaks ties by primary key as it goes.
 
 use std::collections::BTreeMap;
 
@@ -41,20 +45,25 @@ use crate::predicate::ColumnBounds;
 use crate::row::{Key, KeyMap, Row};
 use crate::value::Value;
 
-/// One index slot: the keys that carried (or still carry) a value, each
-/// stamped with the timestamp it stopped carrying it, plus a maintained
-/// count of the live ([`TS_LIVE`]-stamped) entries. The live count is the
+/// One index slot: the keys that carried (or still carry) a value, in
+/// primary-key order, each stamped with the timestamp it stopped
+/// carrying it, plus a maintained count of the live
+/// ([`TS_LIVE`]-stamped) entries. The order is what a scan returns, so
+/// a probe of one slot is already in output order (the ordered map
+/// costs a rebuild or catch-up O(log n) key comparisons per entry; a
+/// hash map would cost every probe a sort). The live count is the
 /// planner's cost estimate ([`SecondaryIndex::candidate_count`]): it is
 /// what a latest-timestamp probe actually returns, so tombstone-heavy
 /// slots no longer inflate probe estimates between garbage collections.
 #[derive(Debug, Default)]
 struct Slot {
-    keys: KeyMap<Ts>,
+    keys: BTreeMap<Key, Ts>,
     live: usize,
 }
 
 impl Slot {
-    /// The keys that may carry the slot's value for a read at `ts`.
+    /// The keys that may carry the slot's value for a read at `ts`,
+    /// strictly increasing.
     fn candidates_at(&self, ts: Ts) -> impl Iterator<Item = Key> + '_ {
         self.keys
             .iter()
@@ -202,7 +211,8 @@ impl SecondaryIndex {
         }
     }
 
-    /// Candidate keys whose rows may carry `value` for a read at `ts`.
+    /// Candidate keys whose rows may carry `value` for a read at `ts`,
+    /// strictly increasing.
     pub fn lookup_at(&self, value: &Value, ts: Ts) -> Vec<Key> {
         self.entries
             .get(value)
@@ -223,9 +233,9 @@ impl SecondaryIndex {
     }
 
     /// Candidate keys whose rows may carry a value inside `bounds` for a
-    /// read at `ts`. Candidates can repeat across values a key carried in
-    /// overlapping windows; the caller deduplicates (the scan path's
-    /// key-ordered merge does so for free).
+    /// read at `ts`, in value order and, within a value, in key order.
+    /// Candidates can repeat across values a key carried in overlapping
+    /// windows; the caller sorts and deduplicates them.
     pub fn range_at(&self, bounds: &ColumnBounds, ts: Ts) -> Vec<Key> {
         self.range_slots(bounds)
             .flat_map(|(_, slot)| slot.candidates_at(ts))
@@ -251,11 +261,12 @@ impl SecondaryIndex {
 
     /// Walks the value slots inside `bounds` in value order — descending
     /// when `descending` — calling `visit` with each distinct value and
-    /// its candidate keys at `ts` (values whose slots hold no candidate
-    /// at `ts` are skipped). `visit` returns `false` to stop the walk;
-    /// the streamed `ORDER BY ... LIMIT` scan path uses this to consume
-    /// values in output order and stop at the limit instead of
-    /// materialising and re-sorting the whole result. Candidates carry
+    /// its candidate keys at `ts`, strictly increasing (values whose
+    /// slots hold no candidate at `ts` are skipped). `visit` returns
+    /// `false` to stop the walk; the streamed `ORDER BY ... LIMIT` scan
+    /// path uses this to consume rows in output order and stop at the
+    /// limit instead of materialising and re-sorting the whole result.
+    /// Candidates carry
     /// the usual over-approximation contract: the caller re-checks
     /// visibility, the row's current column value, and the predicate.
     pub fn ordered_walk_at(
@@ -290,25 +301,21 @@ impl SecondaryIndex {
     }
 
     /// Removes entries unlinked at or before `horizon` — their versions
-    /// are no longer visible to any reader once GC has run at `horizon`.
-    /// Returns the number of entries removed.
+    /// are no longer visible to any reader once GC has run at `horizon` —
+    /// and recounts each slot's live entries. Returns the number of
+    /// entries removed.
     pub fn purge_dead(&mut self, horizon: Ts) -> usize {
-        let mut purged = 0;
+        let before = self.entry_count();
         for slot in self.entries.values_mut() {
-            let before = slot.keys.len();
-            let mut removed_live = 0;
-            slot.keys.retain(|_, until| {
-                let keep = *until > horizon;
-                if !keep && *until == TS_LIVE {
-                    removed_live += 1;
-                }
-                keep
-            });
-            slot.live -= removed_live;
-            purged += before - slot.keys.len();
+            slot.keys.retain(|_, until| *until > horizon);
+            slot.live = slot
+                .keys
+                .values()
+                .filter(|&&until| until == TS_LIVE)
+                .count();
         }
         self.entries.retain(|_, slot| !slot.keys.is_empty());
-        purged
+        before - self.entry_count()
     }
 
     /// Total (value, key) entries, live and tombstoned. Exposed so tests
@@ -547,5 +554,181 @@ mod tests {
         // The cap short-circuits a wide window.
         let capped = idx.candidate_count_capped(&int_bounds(0, 10_000), 7);
         assert!((7..100).contains(&capped), "stopped early at {capped}");
+    }
+
+    mod slot_order {
+        use std::sync::Arc;
+
+        use proptest::prelude::*;
+
+        use super::*;
+
+        /// Indexed values: three slots, and NULL, which is never indexed.
+        fn value(v: u8) -> Value {
+            match v {
+                3 => Value::Null,
+                v => Value::Int(v.into()),
+            }
+        }
+
+        /// Single and composite keys, so the key order compares lengths
+        /// and later columns too.
+        fn key(k: u8) -> Key {
+            match k % 3 {
+                0 => Key::single(i64::from(k / 3)),
+                1 => Key::new(vec![Value::Int(i64::from(k / 3)), Value::Int(-1)]),
+                _ => Key::new(vec![Value::Int(i64::from(k / 3 + 1)), text("k")]),
+            }
+        }
+
+        fn indexed(v: u8) -> Row {
+            row![0i64, value(v)]
+        }
+
+        #[derive(Debug, Clone)]
+        enum Op {
+            Record(u8, u8, Ts),
+            Insert(u8, u8),
+            Unlink(u8, u8, Ts),
+            PurgeDead(Ts),
+            /// Rebuild from chains: per key, one commit per step (a
+            /// value installed, or a delete for step 4), the steps
+            /// committed in turn at ts 1, 2, ...
+            Rebuild(Vec<(u8, Vec<u8>)>),
+        }
+
+        /// Mostly single-entry steps; one in fourteen purges, one
+        /// rebuilds. End stamps are small commit timestamps, or live.
+        fn op() -> impl Strategy<Value = Op> {
+            let chains =
+                prop::collection::vec((0u8..18, prop::collection::vec(0u8..5, 1..4)), 0..6);
+            (0u8..14, 0u8..18, 0u8..4, 1u64..13, chains).prop_map(|(kind, k, v, t, chains)| {
+                let stamp = if t == 12 { TS_LIVE } else { t };
+                match kind {
+                    0..=3 => Op::Record(k, v, stamp),
+                    4..=7 => Op::Insert(k, v),
+                    8..=11 => Op::Unlink(k, v, t),
+                    12 => Op::PurgeDead(t),
+                    _ => Op::Rebuild(chains),
+                }
+            })
+        }
+
+        /// The index's contract as a flat list of (value, key, end
+        /// stamp) entries, kept in no order.
+        #[derive(Default)]
+        struct Model(Vec<(Value, Key, Ts)>);
+
+        impl Model {
+            fn entry(&mut self, value: &Value, key: &Key) -> Option<&mut Ts> {
+                let found = self.0.iter_mut().find(|(v, k, _)| v == value && k == key);
+                found.map(|(_, _, until)| until)
+            }
+
+            fn record(&mut self, key: &Key, row: &Row, until: Ts) {
+                let value = row[1].clone();
+                if value.is_null() {
+                    return;
+                }
+                match self.entry(&value, key) {
+                    Some(stamp) => *stamp = (*stamp).max(until),
+                    None => self.0.push((value, key.clone(), until)),
+                }
+            }
+
+            fn unlink(&mut self, key: &Key, row: &Row, at: Ts) {
+                let value = row[1].clone();
+                match self.entry(&value, key) {
+                    Some(stamp) if *stamp == TS_LIVE => *stamp = at,
+                    Some(stamp) => *stamp = (*stamp).max(at),
+                    None => self.record(key, row, at),
+                }
+            }
+
+            /// The sorted candidates of `value` at `ts`.
+            fn candidates_at(&self, value: &Value, ts: Ts) -> Vec<Key> {
+                let mut keys: Vec<Key> = (self.0.iter())
+                    .filter(|(v, _, until)| v == value && *until > ts)
+                    .map(|(_, k, _)| k.clone())
+                    .collect();
+                keys.sort();
+                keys
+            }
+
+            fn live(&self, value: &Value) -> usize {
+                let live = |(v, _, until): &&(Value, Key, Ts)| v == value && *until == TS_LIVE;
+                self.0.iter().filter(live).count()
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(
+                std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(256)
+            ))]
+
+            /// Every slot hands out its candidates strictly increasing,
+            /// equal to the model's sorted candidates, at every read
+            /// timestamp after every step; the live counts follow.
+            #[test]
+            fn slot_candidates_are_in_strict_key_order(ops in prop::collection::vec(op(), 1..40)) {
+                let mut idx = SecondaryIndex::new("v", 1);
+                let mut model = Model::default();
+                for op in &ops {
+                    match op {
+                        Op::Record(k, v, until) => {
+                            idx.record(&key(*k), &indexed(*v), *until);
+                            model.record(&key(*k), &indexed(*v), *until);
+                        }
+                        Op::Insert(k, v) => {
+                            idx.insert(&key(*k), &indexed(*v));
+                            model.record(&key(*k), &indexed(*v), TS_LIVE);
+                        }
+                        Op::Unlink(k, v, at) => {
+                            idx.unlink(&key(*k), &indexed(*v), *at);
+                            model.unlink(&key(*k), &indexed(*v), *at);
+                        }
+                        Op::PurgeDead(horizon) => {
+                            let before = model.0.len();
+                            model.0.retain(|(_, _, until)| until > horizon);
+                            prop_assert_eq!(idx.purge_dead(*horizon), before - model.0.len());
+                        }
+                        Op::Rebuild(chains) => {
+                            let mut rows = KeyMap::<VersionChain>::default();
+                            let mut ts = 0;
+                            for (k, steps) in chains {
+                                let chain = rows.entry(key(*k)).or_default();
+                                for &step in steps {
+                                    ts += 1;
+                                    match step {
+                                        4 => chain.remove(ts),
+                                        v => chain.install(ts, Arc::new(indexed(v))),
+                                    };
+                                }
+                            }
+                            idx.rebuild(&rows);
+                            model = Model::default();
+                            for (k, chain) in &rows {
+                                for version in chain.versions() {
+                                    model.record(k, &version.row, version.end_ts);
+                                }
+                            }
+                        }
+                    }
+                    prop_assert_eq!(idx.entry_count(), model.0.len());
+                    for v in 0..3 {
+                        let value = value(v);
+                        prop_assert_eq!(idx.candidate_count(&value), model.live(&value));
+                        for ts in (0..13).chain([TS_LIVE - 1]) {
+                            let got = idx.lookup_at(&value, ts);
+                            prop_assert!(
+                                got.windows(2).all(|w| w[0] < w[1]),
+                                "slot {} at ts {} out of order: {:?}", v, ts, got
+                            );
+                            prop_assert_eq!(got, model.candidates_at(&value, ts));
+                        }
+                    }
+                }
+            }
+        }
     }
 }

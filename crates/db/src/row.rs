@@ -154,7 +154,7 @@ impl Key {
 }
 
 /// A map keyed by primary key, hashed with [`CellHash`]: a table's row
-/// map and an index slot's keys.
+/// map. (An index slot keeps its keys in a `BTreeMap`, in key order.)
 pub type KeyMap<V> = HashMap<Key, V, CellHash>;
 
 impl From<Vec<Value>> for Key {

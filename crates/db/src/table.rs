@@ -376,6 +376,13 @@ impl TableStore {
     /// once and reuses it for its own buffered-write overlay). `pred` is
     /// still needed for access-path planning, which analyses the
     /// uncompiled tree (`equality_on` / `in_list_on` / `bounds_on`).
+    ///
+    /// Rows come back in primary-key order, for traces and tests. An
+    /// index or key probe visits them in that order by construction (an
+    /// index slot keeps its keys sorted; a probe over several slots or a
+    /// key list sorts its candidates), so only a full chain walk, which
+    /// follows the row map's hash order, and a fork whose own rows and
+    /// base rows interleave sort the result.
     pub fn scan_at_compiled(
         &self,
         pred: &Predicate,
@@ -383,11 +390,10 @@ impl TableStore {
         ts: Ts,
     ) -> DbResult<Vec<(Key, Arc<Row>)>> {
         let mut out = Vec::new();
-        self.for_each_match(pred, compiled, ts, &mut |key, row| {
-            out.push((key.clone(), row.clone()))
-        });
-        // Deterministic order for traces and tests.
-        out.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut collect = |key: &Key, row: &Arc<Row>| out.push((key.clone(), row.clone()));
+        if !self.for_each_match(pred, compiled, ts, &mut collect) {
+            out.sort_by(|a, b| a.0.cmp(&b.0));
+        }
         Ok(out)
     }
 
@@ -401,36 +407,41 @@ impl TableStore {
         Ok(count)
     }
 
-    /// Visits, in no particular order, every row visible at `ts` that
-    /// matches `pred`. A fork's table visits its own matches, then the
-    /// base's matches at the base timestamp minus the keys it shadows;
-    /// each layer reaches its rows by its own planner-chosen path.
-    /// (`dyn`: the base is visited by recursion.)
+    /// Visits every row visible at `ts` that matches `pred`, each once,
+    /// and says whether the visits came in primary-key order. A fork's
+    /// table visits its own matches, then the base's matches at the base
+    /// timestamp minus the keys it shadows; each layer reaches its rows
+    /// by its own planner-chosen path. (`dyn`: the base is visited by
+    /// recursion.)
     fn for_each_match(
         &self,
         pred: &Predicate,
         compiled: &CompiledPredicate,
         ts: Ts,
         visit: &mut dyn FnMut(&Key, &Arc<Row>),
-    ) {
+    ) -> bool {
         // A provably unsatisfiable predicate (False, empty IN list, or a
         // contradictory comparison window) short-circuits before any lock
         // is taken: no chain walk, no index probe.
         if pred.provably_empty() {
-            return;
+            return true;
         }
         let rows = self.rows.read();
-        if !rows.is_empty() {
-            self.for_each_own_match(&rows, pred, compiled, ts, visit);
-        }
-        if let Some(base) = self.base_at(ts) {
-            base.store
-                .for_each_match(pred, compiled, base.ts, &mut |key, row| {
-                    if !rows.contains_key(key) {
-                        visit(key, row);
-                    }
-                });
-        }
+        let own_in_order =
+            rows.is_empty() || self.for_each_own_match(&rows, pred, compiled, ts, visit);
+        let Some(base) = self.base_at(ts) else {
+            return own_in_order;
+        };
+        let base_in_order = base
+            .store
+            .for_each_match(pred, compiled, base.ts, &mut |key, row| {
+                if !rows.contains_key(key) {
+                    visit(key, row);
+                }
+            });
+        // The two layers' visits are one ordered run only when this
+        // layer holds no row.
+        rows.is_empty() && base_in_order
     }
 
     /// [`TableStore::for_each_match`] over this table's own chains.
@@ -441,7 +452,7 @@ impl TableStore {
         compiled: &CompiledPredicate,
         ts: Ts,
         visit: &mut dyn FnMut(&Key, &Arc<Row>),
-    ) {
+    ) -> bool {
         // Candidates are filtered by the read timestamp already (index
         // paths exclude keys unlinked at or before `ts`), then
         // re-checked for visibility and the full predicate: indexes
@@ -453,15 +464,17 @@ impl TableStore {
             let tail = self.changelog.tail();
             match plan_access_path(pred, &self.schema, rows.len(), &indexes, tail).0 {
                 PathChoice::Full => None,
-                PathChoice::Key(keys) => Some(keys),
-                PathChoice::Point(idx, value) => Some(idx.lookup_at(value, ts)),
-                PathChoice::Multi(idx, values) => {
-                    Some(values.iter().flat_map(|v| idx.lookup_at(v, ts)).collect())
-                }
-                PathChoice::Range(idx, bounds) => Some(idx.range_at(&bounds, ts)),
+                // One slot: in key order and unique already.
+                PathChoice::Point(idx, value) => Some((idx.lookup_at(value, ts), true)),
+                PathChoice::Key(keys) => Some((keys, false)),
+                PathChoice::Multi(idx, values) => Some((
+                    values.iter().flat_map(|v| idx.lookup_at(v, ts)).collect(),
+                    false,
+                )),
+                PathChoice::Range(idx, bounds) => Some((idx.range_at(&bounds, ts), false)),
             }
         };
-        let Some(mut keys) = candidates else {
+        let Some((mut keys, in_order)) = candidates else {
             for (key, chain) in rows.iter() {
                 if let Some(row) = chain.visible_at(ts) {
                     if compiled.matches(row) {
@@ -469,12 +482,15 @@ impl TableStore {
                     }
                 }
             }
-            return;
+            return false;
         };
-        // Multi-value paths can surface a key once per value it carried
-        // in overlapping stamp windows, or once per repeated list element.
-        keys.sort_unstable();
-        keys.dedup();
+        // A key list, or several slots: a key can surface once per
+        // value it carried in overlapping stamp windows, or once per
+        // repeated list element.
+        if !in_order {
+            keys.sort_unstable();
+            keys.dedup();
+        }
         for key in &keys {
             if let Some(row) = rows.get(key).and_then(|chain| chain.visible_at(ts)) {
                 if compiled.matches(row) {
@@ -482,6 +498,7 @@ impl TableStore {
                 }
             }
         }
+        true
     }
 
     /// The access path [`TableStore::scan_at`] would take for `pred`,
@@ -571,10 +588,10 @@ impl TableStore {
             upper: Bound::Unbounded,
         });
         let mut out = Vec::new();
-        idx.ordered_walk_at(&bounds, descending, ts, |value, mut keys| {
-            // Ties within a value group break by primary key, matching
-            // the fallback's stable sort over a key-ordered scan.
-            keys.sort_unstable();
+        // A slot hands out its keys in primary-key order, so ties within
+        // a value group break by primary key, matching the fallback's
+        // stable sort over a key-ordered scan.
+        idx.ordered_walk_at(&bounds, descending, ts, |value, keys| {
             for key in keys {
                 if let Some(row) = rows.get(&key).and_then(|chain| chain.visible_at(ts)) {
                     if row.get(col_idx) == Some(value) && compiled.matches(row) {

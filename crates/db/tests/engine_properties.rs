@@ -160,8 +160,8 @@ fn numeric_strategy() -> impl Strategy<Value = Value> {
 }
 
 /// `value`'s hash under std's `DefaultHasher` and under the one
-/// [`CellHash`] instance of this test binary: the hasher of the row map,
-/// the index slots and the SQL hash tables.
+/// [`CellHash`] instance of this test binary: the hasher of the row map
+/// and the SQL hash tables.
 fn hash_of(value: &(impl std::hash::Hash + ?Sized)) -> [u64; 2] {
     use std::hash::{BuildHasher, Hasher};
     static CELLS: OnceLock<CellHash> = OnceLock::new();

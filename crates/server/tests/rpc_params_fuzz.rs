@@ -11,7 +11,7 @@
 //!
 //! The boundary test runs `0`, `i64::MAX`, `i64::MAX + 1`, `u64::MAX` and
 //! `-1` through every integer parameter that carries a timestamp or a
-//! count.
+//! count; `trod_retroactive.max_orderings` is checked at its ceiling.
 
 use std::collections::HashMap;
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -454,12 +454,41 @@ fn boundary_integers_are_read_exactly() {
         let reply = with("trod_invoke", "retries", &value).unwrap();
         assert!(reply.get("req_id").is_some());
 
+        // The forks are taken at the clamped timestamp, and the reply
+        // says so.
         match with("trod_retroactive", "snapshot_at", &value) {
             Ok(reply) => {
                 let snapshot = reply.get("snapshot_ts").and_then(Json::as_u64);
-                assert_eq!(snapshot, Some(ts), "snapshot_at {ts}");
+                assert_eq!(snapshot, Some(clamped), "snapshot_at {ts}");
             }
             Err(e) => panic!("snapshot_at {ts}: {e:?}"),
         }
+    }
+}
+
+/// `max_orderings` is read up to its ceiling, 1,024, and refused above
+/// it with `invalid_params` naming the ceiling: the orderings of n
+/// conflicting requests number up to n!.
+#[test]
+fn max_orderings_stops_at_its_ceiling() {
+    let f = fixture();
+    let with = |n: Json| {
+        let mut params = valid_params(&f, "trod_retroactive");
+        if let Json::Object(fields) = &mut params {
+            fields.retain(|(name, _)| name != "max_orderings");
+            fields.push(("max_orderings".to_string(), n));
+        }
+        call(&f.state, "trod_retroactive", params)
+    };
+    for n in [0, 1, 1024] {
+        let reply = with(Json::Int(n)).unwrap_or_else(|e| panic!("max_orderings {n}: {e:?}"));
+        let explored = reply.get("orderings").and_then(Json::as_array).unwrap();
+        assert!((1..=n.max(1) as usize).contains(&explored.len()), "{n}");
+    }
+    let over = [Json::Int(1025), Json::Int(i64::MAX), Json::from(u64::MAX)];
+    for n in over {
+        let err = with(n.clone()).expect_err("above the ceiling");
+        assert_eq!(err.code, INVALID_PARAMS, "max_orderings {n}");
+        assert!(err.message.contains("1024"), "{n}: {}", err.message);
     }
 }

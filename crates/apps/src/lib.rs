@@ -14,8 +14,8 @@
 //!   benchmarks (paper §3.7).
 //! * [`profiles`] — a user-profile service with an access-control bug and
 //!   a data-exfiltration workflow (paper §4.2).
-//! * [`workload`] — reproducible request-stream generators for the
-//!   benchmark harness.
+//! * [`workload`] — reproducible request-stream generators for tests and
+//!   examples.
 //!
 //! Each application module exposes its schema builders, a buggy handler
 //! registry, a patched registry where the paper discusses a fix, argument
@@ -28,4 +28,4 @@ pub mod profiles;
 pub mod shop;
 pub mod workload;
 
-pub use workload::{checkout_only, moodle_workload, shop_workload, WorkloadConfig};
+pub use workload::{moodle_workload, shop_workload, WorkloadConfig};

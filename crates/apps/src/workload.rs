@@ -1,10 +1,13 @@
-//! Workload generators for the benchmark harness.
+//! Workload generators for tests and examples.
 //!
 //! The paper's §3.7 numbers come from running "popular microservices
 //! benchmarks" under always-on tracing. This module generates comparable
-//! synthetic request streams for the shop and Moodle applications:
-//! configurable request counts, key skew and conflict rates, with a fixed
-//! seed so benchmark runs are reproducible.
+//! synthetic request streams for the shop, Moodle and MediaWiki
+//! applications: configurable request counts, key skew and conflict
+//! rates, with a fixed seed so a stream is reproducible. The end-to-end
+//! benchmark (`benchmark/`) has its own generators: these streams share
+//! hot keys between workers, so how many requests conflict varies from
+//! run to run.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -87,22 +90,6 @@ pub fn shop_workload(cfg: &WorkloadConfig) -> Vec<(String, Args)> {
         }
     }
     out
-}
-
-/// Generates a pure `checkout` stream (no read requests), used when the
-/// benchmark wants every request to follow the same workflow shape.
-pub fn checkout_only(cfg: &WorkloadConfig) -> Vec<(String, Args)> {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    (0..cfg.requests)
-        .map(|i| {
-            let customer = format!("user-{}", rng.gen_range(0..cfg.users.max(1)));
-            let item = format!("item-{}", pick_item(&mut rng, cfg));
-            (
-                "checkout".to_string(),
-                shop::checkout_args(&format!("order-{i}"), &customer, &item, 1),
-            )
-        })
-        .collect()
 }
 
 /// Generates a stream of Moodle subscribe/fetch requests. A configurable
@@ -196,10 +183,10 @@ mod tests {
         assert_eq!(a.len(), cfg.requests);
         assert_eq!(
             a.iter()
-                .map(|(h, args)| (h.clone(), args.encode()))
+                .map(|(h, args)| (h.clone(), args.to_json()))
                 .collect::<Vec<_>>(),
             b.iter()
-                .map(|(h, args)| (h.clone(), args.encode()))
+                .map(|(h, args)| (h.clone(), args.to_json()))
                 .collect::<Vec<_>>()
         );
 
@@ -221,7 +208,7 @@ mod tests {
         });
         let enc = |w: &Vec<(String, Args)>| {
             w.iter()
-                .map(|(h, a)| format!("{h}:{}", a.encode()))
+                .map(|(h, a)| format!("{h}:{}", a.to_json()))
                 .collect::<Vec<_>>()
         };
         assert_ne!(enc(&a), enc(&b));

@@ -155,8 +155,10 @@ impl Trod {
 
     /// Forks the whole environment at `ts` ([`Session::fork_at`]), the
     /// way replay does; below the GC floor of an in-memory environment
-    /// that is [`ReplayError::HistoryTruncated`]. This is the entry point
-    /// the server's remote fork sessions go through.
+    /// that is [`ReplayError::Storage`] holding
+    /// [`DbError::HistoryTruncated`](trod_db::DbError::HistoryTruncated).
+    /// This is the entry point the server's remote fork sessions go
+    /// through.
     pub fn fork_at(&self, ts: trod_db::Ts) -> Result<Session, ReplayError> {
         Ok(self.runtime.session().fork_at(ts)?)
     }

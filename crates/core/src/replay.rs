@@ -22,8 +22,8 @@
 //! injection" in `crates/db/DESIGN.md`). Below the GC floor a durable
 //! production environment reads the state at the snapshot back from its
 //! log (nearest checkpoint plus the logged delta); an in-memory one
-//! reports [`ReplayError::HistoryTruncated`]. Debugging reach is bounded
-//! by the log, not by GC pressure.
+//! reports [`DbError::HistoryTruncated`] as [`ReplayError::Storage`].
+//! Debugging reach is bounded by the log, not by GC pressure.
 //!
 //! The session exposes a [`ReplaySession::step`] API so a developer (or a
 //! test acting as one) can stop between transactions, inspect the
@@ -45,10 +45,9 @@ pub enum ReplayError {
     UnknownRequest(String),
     /// The request has no traced transactions to replay.
     NoTransactions(String),
-    /// The snapshot predates the GC truncation floor and no durable log
-    /// covers it (the production environment is in memory).
-    HistoryTruncated { snapshot_ts: Ts, floor: Ts },
-    /// An underlying database error, on a table or a namespace.
+    /// An underlying database error, on a table or a namespace;
+    /// [`DbError::HistoryTruncated`] when the snapshot predates the GC
+    /// truncation floor and no durable log covers it.
     Storage(DbError),
 }
 
@@ -59,11 +58,6 @@ impl fmt::Display for ReplayError {
             ReplayError::NoTransactions(r) => {
                 write!(f, "request `{r}` has no traced transactions")
             }
-            ReplayError::HistoryTruncated { snapshot_ts, floor } => write!(
-                f,
-                "cannot fork at ts {snapshot_ts}: history below ts {floor} was \
-                 garbage-collected and no durable log covers it"
-            ),
             ReplayError::Storage(e) => write!(f, "storage error during replay: {e}"),
         }
     }
@@ -73,13 +67,7 @@ impl std::error::Error for ReplayError {}
 
 impl From<DbError> for ReplayError {
     fn from(e: DbError) -> Self {
-        match e {
-            DbError::HistoryTruncated { ts, floor } => ReplayError::HistoryTruncated {
-                snapshot_ts: ts,
-                floor,
-            },
-            e => ReplayError::Storage(e),
-        }
+        ReplayError::Storage(e)
     }
 }
 

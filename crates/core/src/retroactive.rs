@@ -20,7 +20,7 @@ use trod_runtime::{Args, HandlerRegistry, Runtime};
 use crate::declarative::Declarative;
 use crate::interleave::ConflictGraph;
 use crate::invariant::{check_all, Invariant};
-use crate::replay::ReplayError;
+use crate::json::Json;
 
 /// Errors raised while preparing or running a retroactive exploration.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,8 +32,9 @@ pub enum RetroactiveError {
     /// The recorded arguments for a request could not be decoded.
     BadArguments { req_id: String, detail: String },
     /// The development environment could not be forked at the requested
-    /// snapshot (e.g. GC truncated it and no durable log covers it).
-    Fork(ReplayError),
+    /// snapshot (e.g. [`DbError::HistoryTruncated`]: GC truncated it and
+    /// no durable log covers it).
+    Fork(DbError),
     /// An underlying storage error.
     Storage(DbError),
 }
@@ -259,8 +260,10 @@ impl RetroactiveBuilder {
                 .find(|r| r.parent.is_none())
                 .cloned()
                 .ok_or_else(|| RetroactiveError::MissingRequestRecord(req_id.clone()))?;
-            let args =
-                Args::decode(&root.args).map_err(|detail| RetroactiveError::BadArguments {
+            let args = Json::parse(&root.args)
+                .map_err(|e| e.to_string())
+                .and_then(|json| Args::from_json(&json).map_err(|e| e.to_string()))
+                .map_err(|detail| RetroactiveError::BadArguments {
                     req_id: req_id.clone(),
                     detail,
                 })?;
@@ -297,7 +300,7 @@ impl RetroactiveBuilder {
             let dev = self
                 .production
                 .fork_at(snapshot_ts)
-                .map_err(|e| RetroactiveError::Fork(e.into()))?;
+                .map_err(RetroactiveError::Fork)?;
             let runtime = Runtime::builder(dev.database().clone(), self.registry.clone())
                 .default_isolation(self.isolation)
                 .request_prefix("RETRO-")

@@ -55,7 +55,12 @@ pub fn executions_schema() -> Schema {
         .expect("static schema must be valid")
 }
 
-/// Schema of the `Requests` table.
+/// Schema of the `Requests` table. `Args` holds a handler's arguments as
+/// the text of the JSON object `trod_invoke` takes (`Args::to_json` in
+/// `trod-runtime`: one member per argument, each value in the wire
+/// encoding), so a query or a wire client reads them as data;
+/// redaction overwrites it with [`REDACTED_MARKER`](crate::REDACTED_MARKER),
+/// which is no JSON.
 pub fn requests_schema() -> Schema {
     Schema::builder()
         .column("ReqId", DataType::Text)

@@ -1,15 +1,18 @@
 //! Request arguments.
 //!
 //! Handler arguments are a small ordered map of named [`Value`]s. They
-//! round-trip losslessly through a compact text encoding so that the
-//! interposition layer can store them in the provenance database and the
-//! retroactive engine can later re-execute the original requests with the
-//! original arguments (paper §3.6).
+//! have one encoding, the JSON object a `trod_invoke` call carries
+//! ([`Args::to_json`] / [`Args::from_json`]). The interposition layer
+//! stores its text in the provenance database, where SQL and wire
+//! clients read it as data, and the retroactive engine decodes it to
+//! re-execute the original requests with the original arguments (paper
+//! §3.6).
 
 use std::collections::BTreeMap;
-use std::fmt;
 
 use trod_db::Value;
+use trod_trace::json::Json;
+use trod_trace::wire::{self, WireError};
 
 /// Named, ordered request arguments.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -69,138 +72,74 @@ impl Args {
         self.values.iter()
     }
 
-    /// Encodes the arguments as a single line of text. The encoding is
-    /// deterministic (name order) so traces are stable.
-    pub fn encode(&self) -> String {
-        let mut out = String::new();
-        for (i, (name, value)) in self.values.iter().enumerate() {
-            if i > 0 {
-                out.push('|');
-            }
-            out.push_str(&escape(name));
-            out.push('=');
-            match value {
-                Value::Null => out.push_str("n:"),
-                Value::Bool(b) => out.push_str(&format!("b:{b}")),
-                Value::Int(v) => out.push_str(&format!("i:{v}")),
-                Value::Float(v) => out.push_str(&format!("f:{v}")),
-                Value::Timestamp(v) => out.push_str(&format!("t:{v}")),
-                Value::Text(s) => {
-                    out.push_str("s:");
-                    out.push_str(&escape(s));
-                }
-                Value::Bytes(b) => {
-                    out.push_str("x:");
-                    for byte in b {
-                        out.push_str(&format!("{byte:02x}"));
-                    }
-                }
-            }
-        }
-        out
+    /// The arguments as the JSON object `trod_invoke` takes: one member
+    /// per argument, in name order, each value in the lossless wire
+    /// encoding ([`wire::value_to_json`]). Its text is what the provenance
+    /// database stores in `Requests.Args`.
+    pub fn to_json(&self) -> Json {
+        Json::Object(
+            self.values
+                .iter()
+                .map(|(name, value)| (name.clone(), wire::value_to_json(value)))
+                .collect(),
+        )
     }
 
-    /// Decodes arguments previously produced by [`Args::encode`].
-    pub fn decode(encoded: &str) -> Result<Self, String> {
-        let mut args = Args::new();
-        if encoded.is_empty() {
-            return Ok(args);
-        }
-        for pair in encoded.split('|') {
-            let (name, rest) = pair
-                .split_once('=')
-                .ok_or_else(|| format!("malformed argument pair `{pair}`"))?;
-            let (tag, payload) = rest
-                .split_once(':')
-                .ok_or_else(|| format!("malformed argument value `{rest}`"))?;
-            let value = match tag {
-                "n" => Value::Null,
-                "b" => Value::Bool(
-                    payload
-                        .parse()
-                        .map_err(|_| format!("bad bool `{payload}`"))?,
-                ),
-                "i" => Value::Int(
-                    payload
-                        .parse()
-                        .map_err(|_| format!("bad int `{payload}`"))?,
-                ),
-                "f" => Value::Float(
-                    payload
-                        .parse()
-                        .map_err(|_| format!("bad float `{payload}`"))?,
-                ),
-                "t" => {
-                    Value::Timestamp(payload.parse().map_err(|_| format!("bad ts `{payload}`"))?)
-                }
-                "s" => Value::Text(unescape(payload)?),
-                "x" => {
-                    let mut bytes = Vec::with_capacity(payload.len() / 2);
-                    let chars: Vec<char> = payload.chars().collect();
-                    for chunk in chars.chunks(2) {
-                        let s: String = chunk.iter().collect();
-                        bytes.push(
-                            u8::from_str_radix(&s, 16)
-                                .map_err(|_| format!("bad hex `{payload}`"))?,
-                        );
-                    }
-                    Value::Bytes(bytes)
-                }
-                other => return Err(format!("unknown value tag `{other}`")),
-            };
-            args.values.insert(unescape(name)?, value);
-        }
-        Ok(args)
+    /// Reads an object written by [`Args::to_json`]. Anything else, or a
+    /// member that is no wire value, is a [`WireError`].
+    pub fn from_json(json: &Json) -> Result<Self, WireError> {
+        let fields = json
+            .as_object()
+            .ok_or_else(|| WireError(format!("arguments must be an object, not {json}")))?;
+        let values = fields
+            .iter()
+            .map(|(name, value)| Ok((name.clone(), wire::value_from_json(value)?)))
+            .collect::<Result<_, WireError>>()?;
+        Ok(Args { values })
     }
-}
-
-impl fmt::Display for Args {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.encode())
-    }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '%' => out.push_str("%25"),
-            '|' => out.push_str("%7C"),
-            '=' => out.push_str("%3D"),
-            ':' => out.push_str("%3A"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Reverses [`escape`]: `%XX` escapes decode to bytes, and the result is
-/// validated as UTF-8 once, so multi-byte characters survive whole.
-fn unescape(s: &str) -> Result<String, String> {
-    let mut out = Vec::with_capacity(s.len());
-    let bytes = s.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'%' {
-            let code = bytes
-                .get(i + 1..i + 3)
-                .and_then(|hex| std::str::from_utf8(hex).ok())
-                .and_then(|hex| u8::from_str_radix(hex, 16).ok())
-                .ok_or_else(|| format!("bad escape in `{s}`"))?;
-            out.push(code);
-            i += 3;
-        } else {
-            out.push(bytes[i]);
-            i += 1;
-        }
-    }
-    String::from_utf8(out).map_err(|_| format!("escapes in `{s}` are not UTF-8"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The path from a handler start to a re-execution: the text in
+    /// `Requests.Args`, read back.
+    fn from_text(text: &str) -> Result<Args, String> {
+        let json = Json::parse(text).map_err(|e| e.to_string())?;
+        Args::from_json(&json).map_err(|e| e.to_string())
+    }
+
+    /// `Debug`, not `==`: `Value`'s `==` equates an `Int` with the
+    /// `Timestamp` or `Float` of the same number, while `Debug` tells every
+    /// kind and every float apart (a NaN's payload aside).
+    fn exact(args: &Args) -> String {
+        format!("{args:?}")
+    }
+
+    /// Every `Value` kind at its edges.
+    fn edge_values() -> Vec<Value> {
+        vec![
+            Value::Null,
+            Value::Bool(false),
+            Value::Bool(true),
+            Value::Int(i64::MIN),
+            Value::Int(i64::MAX),
+            Value::Float(f64::NAN),
+            Value::Float(f64::INFINITY),
+            Value::Float(f64::NEG_INFINITY),
+            Value::Float(-0.0),
+            Value::Float(f64::MAX),
+            Value::Float(5e-324),
+            Value::Timestamp(i64::MIN),
+            Value::Timestamp(i64::MAX),
+            Value::Bytes(Vec::new()),
+            Value::Bytes(vec![0x00, 0x7c, 0xff]),
+            Value::Text(String::new()),
+            Value::Text("\" \\ \n \u{1} |=:% \u{1F600} \u{10FFFF}".into()),
+        ]
+    }
 
     #[test]
     fn basic_accessors() {
@@ -217,76 +156,73 @@ mod tests {
     }
 
     #[test]
-    fn encode_decode_roundtrip_simple() {
-        let args = Args::new()
-            .with("userId", "U1")
-            .with("forum", "F2")
-            .with("retries", 2i64)
-            .with("nothing", Value::Null);
-        let decoded = Args::decode(&args.encode()).unwrap();
-        assert_eq!(decoded, args);
+    fn every_value_kind_round_trips_through_the_wire_text() {
+        let mut args = Args::new();
+        for (i, value) in edge_values().into_iter().enumerate() {
+            args.set(format!("a{i:02}"), value);
+        }
+        args.set("\" \\ \n \u{1} |=:% \u{1F600}", "a name");
+        let text = args.to_json().to_string();
+        assert_eq!(exact(&from_text(&text).unwrap()), exact(&args), "{text}");
+
+        assert_eq!(Args::new().to_json().to_string(), "{}");
+        assert_eq!(from_text("{}").unwrap(), Args::new());
     }
 
     #[test]
-    fn encode_decode_with_special_characters() {
-        let args = Args::new()
-            .with("note", "a|b=c:d%e")
-            .with("empty", "")
-            .with("bytes", Value::Bytes(vec![0xde, 0xad]));
-        let decoded = Args::decode(&args.encode()).unwrap();
-        assert_eq!(decoded, args);
+    fn from_json_rejects_what_to_json_never_writes() {
+        for text in [
+            "[]",
+            "\"a=s:x\"",
+            "7",
+            "null",
+            "{\"a\":9223372036854775808}",
+            "{\"a\":{\"zz\":\"00\"}}",
+            "{\"a\":{\"float\":\"NaN\"}}",
+            "{\"a\":{\"bytes\":\"0g\"}}",
+            "{\"a\":[1]}",
+            "[redacted]",
+        ] {
+            assert!(from_text(text).is_err(), "{text}");
+        }
     }
 
-    #[test]
-    fn empty_args_roundtrip() {
-        let args = Args::new();
-        assert_eq!(args.encode(), "");
-        assert_eq!(Args::decode("").unwrap(), args);
-    }
-
-    #[test]
-    fn decode_rejects_garbage() {
-        assert!(Args::decode("no-equals-sign").is_err());
-        assert!(Args::decode("a=z:1").is_err());
-        assert!(Args::decode("a=i:notanumber").is_err());
-        assert!(Args::decode("a=s:%2").is_err());
-        assert!(Args::decode("a=s:%zz").is_err());
-        assert!(Args::decode("a=s:%C3").is_err(), "a lone UTF-8 lead byte");
-    }
-
-    #[test]
-    fn non_ascii_text_roundtrips() {
-        let args = Args::new()
-            .with("note", "Café über")
-            .with("名前", "ß|€=✓:%");
-        let decoded = Args::decode(&args.encode()).unwrap();
-        assert_eq!(decoded.get_str("note"), Some("Café über"));
-        assert_eq!(decoded, args);
-    }
-
-    /// Arbitrary Unicode text: printable ASCII (the escaped characters
-    /// included) mixed with any scalar value.
+    /// Arbitrary Unicode text: printable ASCII mixed with any scalar
+    /// value.
     fn unicode(len: std::ops::Range<usize>) -> impl Strategy<Value = String> {
         let code_point = prop_oneof![0x20u32..0x7f, 0u32..0x11_0000];
         prop::collection::vec(code_point, len)
             .prop_map(|cs| cs.into_iter().filter_map(char::from_u32).collect())
     }
 
+    /// Any `Value`: every kind over its whole range, and the edges. The
+    /// wire has one NaN, so every NaN bit pattern is drawn as it.
+    fn value() -> impl Strategy<Value = Value> {
+        prop_oneof![
+            (0..edge_values().len()).prop_map(|i| edge_values().swap_remove(i)),
+            (0u8..2).prop_map(|b| Value::Bool(b == 1)),
+            (i64::MIN..=i64::MAX).prop_map(Value::Int),
+            (0u64..u64::MAX).prop_map(|bits| {
+                let f = f64::from_bits(bits);
+                Value::Float(if f.is_nan() { f64::NAN } else { f })
+            }),
+            (i64::MIN..=i64::MAX).prop_map(Value::Timestamp),
+            prop::collection::vec(0u8..=255, 0..16).prop_map(Value::Bytes),
+            unicode(0..20).prop_map(Value::Text),
+        ]
+    }
+
     proptest! {
         #[test]
-        fn roundtrip_arbitrary_text_and_ints(
-            entries in prop::collection::btree_map("[a-zA-Z0-9_|=:%]{1,12}", -1_000_000i64..1_000_000, 0..8),
-            texts in prop::collection::btree_map(unicode(1..8), unicode(0..20), 0..8),
+        fn arbitrary_args_round_trip_through_the_wire_text(
+            values in prop::collection::btree_map(unicode(0..8), value(), 0..8),
         ) {
             let mut args = Args::new();
-            for (k, v) in &entries {
-                args.set(format!("i_{k}"), *v);
+            for (name, value) in values {
+                args.set(name, value);
             }
-            for (k, v) in &texts {
-                args.set(format!("s_{k}"), v.as_str());
-            }
-            let decoded = Args::decode(&args.encode()).unwrap();
-            prop_assert_eq!(decoded, args);
+            let text = args.to_json().to_string();
+            prop_assert_eq!(exact(&from_text(&text).unwrap()), exact(&args), "{}", text);
         }
     }
 }

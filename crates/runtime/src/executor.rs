@@ -295,7 +295,7 @@ impl Runtime {
             None => return Err(HandlerError::NoSuchHandler(handler_name.to_string())),
         };
         self.tracer
-            .handler_start(req_id, handler_name, parent, &args.encode());
+            .handler_start(req_id, handler_name, parent, &args.to_json().to_string());
         let mut ctx = HandlerContext::new(self, req_id, handler_name);
         let result = handler.invoke(&mut ctx, &args);
         let (output, ok) = match &result {

@@ -140,8 +140,10 @@ impl From<&DbError> for RpcError {
     /// environment is the `history_truncated` error a fork there gets.
     fn from(e: &DbError) -> Self {
         let kind = match e {
-            DbError::HistoryTruncated { .. } => {
-                return RpcError::from(&ReplayError::from(e.clone()))
+            DbError::HistoryTruncated { ts, floor } => {
+                return RpcError::new(REPLAY, "history_truncated", e.to_string())
+                    .with_detail("snapshot_ts", Json::from(*ts))
+                    .with_detail("floor", Json::from(*floor))
             }
             DbError::NoSuchNamespace(_) | DbError::NamespaceExists(_) => "key_value",
             DbError::Storage(_) => "storage",
@@ -162,10 +164,8 @@ impl From<&ReplayError> for RpcError {
                 "unknown_request",
                 format!("no traced request `{req}` in provenance"),
             ),
-            ReplayError::HistoryTruncated { snapshot_ts, floor } => {
-                RpcError::new(REPLAY, "history_truncated", e.to_string())
-                    .with_detail("snapshot_ts", Json::from(*snapshot_ts))
-                    .with_detail("floor", Json::from(*floor))
+            ReplayError::Storage(truncated @ DbError::HistoryTruncated { .. }) => {
+                RpcError::from(truncated)
             }
             _ => RpcError::new(REPLAY, "replay", e.to_string()),
         }
@@ -186,7 +186,7 @@ impl From<&RetroactiveError> for RpcError {
                 format!("no traced request `{req}` in provenance"),
             ),
             RetroactiveError::Fork(fork) => {
-                let mut err = RpcError::from(fork);
+                let mut err = RpcError::from(&ReplayError::from(fork.clone()));
                 err.code = RETROACTIVE;
                 err
             }

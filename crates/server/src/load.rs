@@ -8,19 +8,9 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use trod_core::json::Json;
-use trod_core::wire;
 use trod_runtime::Args;
 
 use crate::client::{Client, ClientError};
-
-/// Encodes handler arguments as the `args` object of `trod_invoke`.
-pub fn args_to_json(args: &Args) -> Json {
-    Json::Object(
-        args.iter()
-            .map(|(name, value)| (name.clone(), wire::value_to_json(value)))
-            .collect(),
-    )
-}
 
 /// What a workload run observed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,7 +45,7 @@ pub fn drive_workload(
     let total = workload.len();
     let mut shards: Vec<Vec<(String, Json)>> = (0..connections).map(|_| Vec::new()).collect();
     for (i, (handler, args)) in workload.into_iter().enumerate() {
-        shards[i % connections].push((handler, args_to_json(&args)));
+        shards[i % connections].push((handler, args.to_json()));
     }
 
     let ok = Arc::new(AtomicUsize::new(0));

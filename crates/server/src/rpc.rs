@@ -4,7 +4,7 @@
 
 use trod_core::json::Json;
 use trod_core::wire;
-use trod_db::{Database, Key, Ts, Value};
+use trod_db::{Database, Key, Ts};
 use trod_query::{QueryEngine, ResultSet};
 use trod_runtime::Args;
 
@@ -64,21 +64,6 @@ fn p_str<'a>(params: &'a Json, field: &str) -> Result<&'a str, RpcError> {
 fn p_ts(params: &Json, field: &str) -> Result<Ts, RpcError> {
     p_opt_u64(params, field)?
         .ok_or_else(|| RpcError::invalid_params(format!("missing timestamp param `{field}`")))
-}
-
-fn args_from_json(params: &Json) -> Result<Args, RpcError> {
-    let mut args = Args::new();
-    match params.get("args") {
-        None | Some(Json::Null) => {}
-        Some(Json::Object(fields)) => {
-            for (name, v) in fields {
-                let value: Value = wire::value_from_json(v).map_err(|e| RpcError::from(&e))?;
-                args.set(name.clone(), value);
-            }
-        }
-        Some(_) => return Err(RpcError::invalid_params("`args` must be an object")),
-    }
-    Ok(args)
 }
 
 fn key_from_params(params: &Json) -> Result<Key, RpcError> {
@@ -182,7 +167,12 @@ pub fn dispatch(state: &ServerState, method: &str, params: &Json) -> Result<Json
         // ------------------------------------------------------ execution
         "trod_invoke" => {
             let handler = p_str(params, "handler")?;
-            let args = args_from_json(params)?;
+            // Not an object, or a member that is no wire value, is
+            // `invalid_params`.
+            let args = match params.get("args") {
+                None | Some(Json::Null) => Args::new(),
+                Some(json) => Args::from_json(json).map_err(|e| RpcError::from(&e))?,
+            };
             let retries = p_opt_u64(params, "retries")?.unwrap_or(DEFAULT_RETRIES as u64) as usize;
             let want_sync = p_flag(params, "sync")?;
             let result = state

@@ -9,16 +9,27 @@ use std::net::TcpStream;
 use trod_apps::shop;
 use trod_core::json::Json;
 use trod_core::Trod;
-use trod_runtime::Runtime;
+use trod_db::Value;
+use trod_runtime::{HandlerRegistry, Runtime};
 use trod_server::{Client, ClientError, ServerBuilder, ServerHandle};
 
+/// The shop's handlers and `echo`, which answers its arguments as the
+/// text of their JSON object.
+fn shop_registry() -> HandlerRegistry {
+    shop::registry().with_fn("echo", |_, args| {
+        Ok(Value::Text(args.to_json().to_string()))
+    })
+}
+
+/// A shop server whose patch `shop` is its own registry.
 fn shop_server() -> ServerHandle {
     let db = shop::shop_db();
     shop::seed_inventory(&db, 10, 1_000);
     db.create_namespace(shop::CARTS_NAMESPACE).unwrap();
-    let runtime = Runtime::new(db, shop::registry());
+    let runtime = Runtime::new(db, shop_registry());
     let trod = Trod::attach(runtime).expect("attach");
     ServerBuilder::new(trod)
+        .patch("shop", shop_registry())
         .serve("127.0.0.1:0")
         .expect("bind ephemeral port")
 }
@@ -150,6 +161,66 @@ fn mixed_workload_over_the_wire() {
         )
         .expect("provenance sql");
     assert!(!rs.get("rows").and_then(Json::as_array).unwrap().is_empty());
+
+    // Arguments of every value kind, at its edges, in name order.
+    let tagged = |tag: &str, value: Json| Json::obj(vec![(tag, value)]);
+    let args = vec![
+        ("bool", Json::Bool(true)),
+        ("bytes", tagged("bytes", Json::str("00ff7c"))),
+        ("bytes_empty", tagged("bytes", Json::str(""))),
+        ("float_inf", tagged("float", Json::str("inf"))),
+        ("float_nan", tagged("float", Json::str("nan"))),
+        ("float_neg_inf", tagged("float", Json::str("-inf"))),
+        ("float_neg_zero", Json::Float(-0.0)),
+        ("int_max", Json::Int(i64::MAX)),
+        ("int_min", Json::Int(i64::MIN)),
+        ("null", Json::Null),
+        ("text", Json::str("\" \\ \n \u{1} |=:% \u{1F600}")),
+        ("ts", tagged("ts", Json::Int(7))),
+    ];
+    let sent = Json::obj(args.clone());
+    let echoed = invoke(&mut client, "echo", args, true);
+    let output = echoed.get("output").and_then(Json::as_str).unwrap();
+    assert_eq!(output, sent.to_string(), "the handler saw what was sent");
+    let echo_id = echoed.get("req_id").and_then(Json::as_str).unwrap();
+    // Provenance records them as that JSON object.
+    let rs = client
+        .call(
+            "trod_sql",
+            Json::obj(vec![
+                (
+                    "sql",
+                    Json::str(format!(
+                        "SELECT Args FROM Requests WHERE ReqId = '{echo_id}'"
+                    )),
+                ),
+                ("target", Json::str("provenance")),
+            ]),
+        )
+        .expect("recorded args");
+    let rows = rs.get("rows").and_then(Json::as_array).unwrap();
+    assert_eq!(rows.len(), 1);
+    let recorded = rows[0].as_array().unwrap()[0].as_str().unwrap();
+    assert_eq!(Json::parse(recorded).unwrap(), sent);
+    // Byte for byte: `==` on floats equates -0.0 with 0.0.
+    assert_eq!(recorded, sent.to_string());
+    // Re-executed from that record, the request answers as it did.
+    let retro = client
+        .call(
+            "trod_retroactive",
+            Json::obj(vec![
+                ("patch", Json::str("shop")),
+                ("requests", Json::Array(vec![Json::str(echo_id)])),
+            ]),
+        )
+        .expect("retroactive echo");
+    let orderings = retro.get("orderings").and_then(Json::as_array).unwrap();
+    let outcome = &orderings[0]
+        .get("outcomes")
+        .and_then(Json::as_array)
+        .unwrap()[0];
+    assert_eq!(outcome.get("ok").and_then(Json::as_bool), Some(true));
+    assert_eq!(outcome.get("output").and_then(Json::as_str), Some(output));
 
     // Status reflects the traffic.
     let status = client

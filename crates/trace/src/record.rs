@@ -125,8 +125,8 @@ pub enum TraceEvent {
         handler: String,
         /// The handler that invoked this one via RPC, if any (workflows).
         parent: Option<String>,
-        /// Serialized request arguments (for replay and retroactive
-        /// re-execution).
+        /// The request arguments as JSON text, as the runtime records
+        /// them (for replay and retroactive re-execution).
         args: String,
         timestamp: i64,
     },

@@ -9,7 +9,7 @@
 
 use std::time::{Duration, Instant};
 
-use trod::apps::{checkout_only, moodle, shop, WorkloadConfig};
+use trod::apps::{moodle, shop, shop_workload, WorkloadConfig};
 use trod::prelude::*;
 
 #[test]
@@ -30,7 +30,7 @@ fn tracing_does_not_change_application_results() {
         runtime.tracer().set_enabled(tracing);
         // Single worker: the comparison must be deterministic, so no
         // serialization conflicts may decide which requests succeed.
-        let results = runtime.run_concurrent(checkout_only(&cfg), 1);
+        let results = runtime.run_concurrent(shop_workload(&cfg), 1);
         let ok = results.iter().filter(|r| r.is_ok()).count();
         let orders = runtime
             .database()

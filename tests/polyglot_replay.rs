@@ -245,7 +245,7 @@ fn replay_below_the_gc_floor_without_retention_reports_truncation() {
 
     let err = trod.replay("R1").expect_err("replay must refuse");
     assert!(
-        matches!(err, ReplayError::HistoryTruncated { .. }),
+        matches!(err, ReplayError::Storage(DbError::HistoryTruncated { .. })),
         "got {err}"
     );
     assert!(

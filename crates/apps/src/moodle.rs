@@ -422,7 +422,9 @@ mod tests {
         // Provenance captures all three requests.
         scenario.sync_provenance();
         assert_eq!(scenario.provenance.request_ids().len(), 3);
-        let violations = Invariant::no_duplicates(FORUM_SUB_TABLE, &["user_id", "forum"]).check(db);
+        let violations = Invariant::no_duplicates(FORUM_SUB_TABLE, &["user_id", "forum"])
+            .check(db)
+            .unwrap();
         assert_eq!(violations.len(), 1);
     }
 

@@ -11,7 +11,7 @@
 //! | Retroactive programming over past events (§3.6) | [`RetroactiveBuilder`], [`RetroactiveReport`] |
 //! | Conflict-aware re-execution ordering enumeration (§3.6) | [`interleave::ConflictGraph`] |
 //! | Access-control & exfiltration forensics (§4.2) | [`Security`] |
-//! | Bug-fix validation invariants (§4.1) | [`Invariant`] |
+//! | Rules over database state: bug-fix validation (§4.1) and data quality with blame (§5) | [`Invariant`], [`Quality::check`] |
 //!
 //! Each typed helper is a statement over the provenance tables
 //! (`Executions`, `Requests`, `ExternalCalls` and one `<X>Events` per
@@ -76,13 +76,11 @@ pub mod security;
 pub use debugger::Trod;
 pub use declarative::{Declarative, WriterRecord, HANDLER_ACTIVITY_SQL};
 pub use interleave::{txns_conflict, ConflictGraph};
-pub use invariant::{check_all, Invariant};
+pub use invariant::{Invariant, Violation};
 pub use perf::{
     HandlerLatency, Perf, RequestProfile, SlowRequest, SpanNode, TXNS_PER_INVOCATION_SQL,
 };
-pub use quality::{
-    BlameRecord, BlamedViolation, Quality, QualityReport, QualityRule, QualityViolation,
-};
+pub use quality::{BlameRecord, BlamedViolation, Quality, QualityReport};
 pub use reenactment::{Anomaly, AnomalyKind, ReenactmentReport, Reenactor};
 pub use replay::{ReplayError, ReplayReport, ReplaySession, ReplayStep, StepReport};
 pub use retroactive::{

@@ -3,148 +3,18 @@
 //! The paper's §5 argues TROD can simplify debugging data-quality issues —
 //! well-formed but incorrect data, usually introduced by human error —
 //! because the provenance database already records every change to every
-//! application table. This module provides the two halves of that
-//! workflow:
-//!
-//! 1. **Quality rules** ([`QualityRule`]) evaluated against the current
-//!    application database: uniqueness, non-null, referential integrity,
-//!    numeric ranges, and arbitrary custom checks.
-//! 2. **Blame** ([`Quality::blame`] / [`Quality::check`]): for every
-//!    violating row, the provenance tables are queried for the
-//!    transactions — and therefore the requests and handlers — that wrote
-//!    it, so the developer can jump straight from "this row is bad" to
-//!    "this request made it bad", and from there to replay or retroactive
-//!    testing.
+//! application table. [`Quality::check`] runs [`Invariant`]s, the same
+//! rules that judge retroactive re-executions, against the current
+//! application database and blames every violation that names a row on
+//! the traced transactions that wrote it ([`Quality::blame`]), so the
+//! developer can jump straight from "this row is bad" to "this request
+//! made it bad", and from there to replay or retroactive testing.
 
-use trod_db::{Database, DbResult, Key, Predicate, Value};
+use trod_db::{Database, DbResult, Key, Value};
 use trod_provenance::{event_column_names, ProvenanceStore, EXECUTIONS_TABLE};
 use trod_query::{Expr, ResultSet};
 
-/// A declarative data-quality rule over one application table.
-#[derive(Debug, Clone)]
-pub enum QualityRule {
-    /// The combination of `columns` must be unique across live rows.
-    Unique { table: String, columns: Vec<String> },
-    /// `column` must not be NULL in any live row.
-    NotNull { table: String, column: String },
-    /// Every non-NULL value of `table.column` must appear in
-    /// `ref_table.ref_column` (referential integrity).
-    ForeignKey {
-        table: String,
-        column: String,
-        ref_table: String,
-        ref_column: String,
-    },
-    /// Every non-NULL numeric value of `table.column` must lie in
-    /// `[min, max]` (inclusive).
-    Range {
-        table: String,
-        column: String,
-        min: f64,
-        max: f64,
-    },
-    /// Rows matching `predicate` are violations (e.g. "negative stock").
-    Forbidden {
-        name: String,
-        table: String,
-        predicate: Predicate,
-    },
-}
-
-impl QualityRule {
-    /// Convenience constructor for [`QualityRule::Unique`].
-    pub fn unique(table: &str, columns: &[&str]) -> Self {
-        QualityRule::Unique {
-            table: table.to_string(),
-            columns: columns.iter().map(|c| c.to_string()).collect(),
-        }
-    }
-
-    /// Convenience constructor for [`QualityRule::NotNull`].
-    pub fn not_null(table: &str, column: &str) -> Self {
-        QualityRule::NotNull {
-            table: table.to_string(),
-            column: column.to_string(),
-        }
-    }
-
-    /// Convenience constructor for [`QualityRule::ForeignKey`].
-    pub fn foreign_key(table: &str, column: &str, ref_table: &str, ref_column: &str) -> Self {
-        QualityRule::ForeignKey {
-            table: table.to_string(),
-            column: column.to_string(),
-            ref_table: ref_table.to_string(),
-            ref_column: ref_column.to_string(),
-        }
-    }
-
-    /// Convenience constructor for [`QualityRule::Range`].
-    pub fn range(table: &str, column: &str, min: f64, max: f64) -> Self {
-        QualityRule::Range {
-            table: table.to_string(),
-            column: column.to_string(),
-            min,
-            max,
-        }
-    }
-
-    /// Convenience constructor for [`QualityRule::Forbidden`].
-    pub fn forbidden(name: &str, table: &str, predicate: Predicate) -> Self {
-        QualityRule::Forbidden {
-            name: name.to_string(),
-            table: table.to_string(),
-            predicate,
-        }
-    }
-
-    /// A short human-readable name for the rule.
-    pub fn name(&self) -> String {
-        match self {
-            QualityRule::Unique { table, columns } => {
-                format!("unique({table}.{})", columns.join(","))
-            }
-            QualityRule::NotNull { table, column } => format!("not_null({table}.{column})"),
-            QualityRule::ForeignKey {
-                table,
-                column,
-                ref_table,
-                ref_column,
-            } => format!("fk({table}.{column} -> {ref_table}.{ref_column})"),
-            QualityRule::Range {
-                table,
-                column,
-                min,
-                max,
-                ..
-            } => format!("range({table}.{column} in [{min}, {max}])"),
-            QualityRule::Forbidden { name, table, .. } => format!("forbidden({name} on {table})"),
-        }
-    }
-
-    /// The application table this rule inspects.
-    pub fn table(&self) -> &str {
-        match self {
-            QualityRule::Unique { table, .. }
-            | QualityRule::NotNull { table, .. }
-            | QualityRule::ForeignKey { table, .. }
-            | QualityRule::Range { table, .. }
-            | QualityRule::Forbidden { table, .. } => table,
-        }
-    }
-}
-
-/// One violating row found by a quality rule.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QualityViolation {
-    /// Name of the rule that flagged the row.
-    pub rule: String,
-    /// Application table containing the row.
-    pub table: String,
-    /// Primary key of the violating row.
-    pub key: Key,
-    /// Human-readable description of what is wrong.
-    pub detail: String,
-}
+use crate::invariant::{Invariant, Violation};
 
 /// A provenance record blaming a violation on a traced transaction.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -161,22 +31,23 @@ pub struct BlameRecord {
 /// A violation together with the requests that produced the bad data.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlamedViolation {
-    pub violation: QualityViolation,
+    pub violation: Violation,
     /// Transactions (in commit order) that wrote the violating row. Empty
-    /// if the row predates tracing or its provenance was redacted.
+    /// if the violation names no row, the row predates tracing or its
+    /// provenance was redacted.
     pub culprits: Vec<BlameRecord>,
 }
 
-/// Result of running a set of quality rules.
+/// Result of checking a set of invariants.
 #[derive(Debug, Clone, Default)]
 pub struct QualityReport {
     pub violations: Vec<BlamedViolation>,
-    /// Rules evaluated.
+    /// Invariants evaluated.
     pub rules_checked: usize,
 }
 
 impl QualityReport {
-    /// True if no rule found a violation.
+    /// True if no invariant found a violation.
     pub fn is_clean(&self) -> bool {
         self.violations.is_empty()
     }
@@ -206,16 +77,21 @@ impl<'a> Quality<'a> {
         Quality { provenance, db }
     }
 
-    /// Evaluates every rule against the current database state and blames
-    /// each violation on the traced transactions that wrote the row.
-    pub fn check(&self, rules: &[QualityRule]) -> DbResult<QualityReport> {
+    /// Checks every invariant against the current database state and
+    /// blames each violation that names a row on the traced transactions
+    /// that wrote it. An invariant that cannot be checked (an unknown
+    /// table or column) is an `Err`.
+    pub fn check(&self, rules: &[Invariant]) -> DbResult<QualityReport> {
         let mut report = QualityReport {
             rules_checked: rules.len(),
             ..QualityReport::default()
         };
         for rule in rules {
-            for violation in self.evaluate(rule)? {
-                let culprits = self.blame(&violation);
+            for violation in rule.check(self.db)? {
+                let culprits = match &violation.key {
+                    Some(key) => self.blame(&violation.table, key),
+                    None => Vec::new(),
+                };
                 report.violations.push(BlamedViolation {
                     violation,
                     culprits,
@@ -225,33 +101,8 @@ impl<'a> Quality<'a> {
         Ok(report)
     }
 
-    /// Evaluates a single rule, returning its violations without blame.
-    pub fn evaluate(&self, rule: &QualityRule) -> DbResult<Vec<QualityViolation>> {
-        match rule {
-            QualityRule::Unique { table, columns } => self.eval_unique(table, columns),
-            QualityRule::NotNull { table, column } => self.eval_not_null(table, column),
-            QualityRule::ForeignKey {
-                table,
-                column,
-                ref_table,
-                ref_column,
-            } => self.eval_foreign_key(table, column, ref_table, ref_column),
-            QualityRule::Range {
-                table,
-                column,
-                min,
-                max,
-            } => self.eval_range(table, column, *min, *max),
-            QualityRule::Forbidden {
-                name,
-                table,
-                predicate,
-            } => self.eval_forbidden(name, table, predicate),
-        }
-    }
-
-    /// Finds the traced transactions that wrote the violating row, in
-    /// commit order. Works purely from the provenance tables, so it also
+    /// Finds the traced transactions that wrote the row of `table` keyed
+    /// `key`, in commit order. Works purely from the provenance tables, so it also
     /// finds writers whose effects were later overwritten. For a
     /// `forum_sub` row keyed `['S2']`:
     ///
@@ -262,9 +113,8 @@ impl<'a> Quality<'a> {
     /// ORDER BY E.CommitTs, F.EventId
     /// ```
     ///
-    /// Empty if no trace has touched the violation's table.
-    pub fn blame(&self, violation: &QualityViolation) -> Vec<BlameRecord> {
-        let table = &violation.table;
+    /// Empty if no trace has touched `table`.
+    pub fn blame(&self, table: &str, key: &Key) -> Vec<BlameRecord> {
         let (Some(events), Ok(schema)) = (
             self.provenance.event_table_for(table),
             self.db.schema_of(table),
@@ -272,13 +122,13 @@ impl<'a> Quality<'a> {
             return Vec::new();
         };
         let columns = event_column_names(&schema);
-        let key: String = (schema.primary_key().iter().zip(violation.key.values()))
+        let filter: String = (schema.primary_key().iter().zip(key.values()))
             .map(|(&i, v)| format!(" AND F.{} = {}", columns[i], Expr::Literal(v.clone())))
             .collect();
         let result = self.provenance.query(&format!(
             "SELECT E.TxnId, E.ReqId, E.HandlerName, E.Timestamp, F.Type \
              FROM {EXECUTIONS_TABLE} AS E, {events} AS F ON E.TxnId = F.TxnId \
-             WHERE E.Committed = TRUE AND F.Type != 'Read'{key} ORDER BY E.CommitTs, F.EventId"
+             WHERE E.Committed = TRUE AND F.Type != 'Read'{filter} ORDER BY E.CommitTs, F.EventId"
         ));
         let text = |v: &Value| v.as_text().unwrap_or_default().to_string();
         let rows = result.iter().flat_map(ResultSet::rows);
@@ -291,141 +141,6 @@ impl<'a> Quality<'a> {
         })
         .collect()
     }
-
-    fn eval_unique(&self, table: &str, columns: &[String]) -> DbResult<Vec<QualityViolation>> {
-        let schema = self.db.schema_of(table)?;
-        let idxs: Vec<usize> = columns
-            .iter()
-            .filter_map(|c| schema.column_index(c))
-            .collect();
-        let rows = self.db.scan_latest(table, &Predicate::True)?;
-        let mut seen: std::collections::HashMap<String, Key> = std::collections::HashMap::new();
-        let mut out = Vec::new();
-        for (key, row) in rows {
-            let fingerprint = idxs
-                .iter()
-                .map(|i| format!("{:?}", row.get(*i)))
-                .collect::<Vec<_>>()
-                .join("|");
-            if let Some(first) = seen.get(&fingerprint) {
-                out.push(QualityViolation {
-                    rule: format!("unique({table}.{})", columns.join(",")),
-                    table: table.to_string(),
-                    key,
-                    detail: format!(
-                        "duplicate of row {first} on columns ({})",
-                        columns.join(", ")
-                    ),
-                });
-            } else {
-                seen.insert(fingerprint, key);
-            }
-        }
-        Ok(out)
-    }
-
-    fn eval_not_null(&self, table: &str, column: &str) -> DbResult<Vec<QualityViolation>> {
-        let rows = self
-            .db
-            .scan_latest(table, &Predicate::IsNull(column.to_string()))?;
-        Ok(rows
-            .into_iter()
-            .map(|(key, _)| QualityViolation {
-                rule: format!("not_null({table}.{column})"),
-                table: table.to_string(),
-                key,
-                detail: format!("{column} is NULL"),
-            })
-            .collect())
-    }
-
-    fn eval_foreign_key(
-        &self,
-        table: &str,
-        column: &str,
-        ref_table: &str,
-        ref_column: &str,
-    ) -> DbResult<Vec<QualityViolation>> {
-        let ref_schema = self.db.schema_of(ref_table)?;
-        let ref_idx = ref_schema.column_index(ref_column);
-        let referenced: Vec<Value> = self
-            .db
-            .scan_latest(ref_table, &Predicate::True)?
-            .into_iter()
-            .filter_map(|(_, row)| ref_idx.and_then(|i| row.get(i).cloned()))
-            .collect();
-
-        let schema = self.db.schema_of(table)?;
-        let idx = schema.column_index(column);
-        let mut out = Vec::new();
-        for (key, row) in self.db.scan_latest(table, &Predicate::True)? {
-            let Some(value) = idx.and_then(|i| row.get(i)) else {
-                continue;
-            };
-            if value.is_null() {
-                continue;
-            }
-            if !referenced.iter().any(|r| r.sql_eq(value)) {
-                out.push(QualityViolation {
-                    rule: format!("fk({table}.{column} -> {ref_table}.{ref_column})"),
-                    table: table.to_string(),
-                    key,
-                    detail: format!("{column} = {value} has no match in {ref_table}.{ref_column}"),
-                });
-            }
-        }
-        Ok(out)
-    }
-
-    fn eval_range(
-        &self,
-        table: &str,
-        column: &str,
-        min: f64,
-        max: f64,
-    ) -> DbResult<Vec<QualityViolation>> {
-        let schema = self.db.schema_of(table)?;
-        let idx = schema.column_index(column);
-        let mut out = Vec::new();
-        for (key, row) in self.db.scan_latest(table, &Predicate::True)? {
-            let Some(value) = idx.and_then(|i| row.get(i)) else {
-                continue;
-            };
-            let Some(number) = value
-                .as_float()
-                .or_else(|| value.as_int().map(|i| i as f64))
-            else {
-                continue;
-            };
-            if number < min || number > max {
-                out.push(QualityViolation {
-                    rule: format!("range({table}.{column} in [{min}, {max}])"),
-                    table: table.to_string(),
-                    key,
-                    detail: format!("{column} = {number} outside [{min}, {max}]"),
-                });
-            }
-        }
-        Ok(out)
-    }
-
-    fn eval_forbidden(
-        &self,
-        name: &str,
-        table: &str,
-        predicate: &Predicate,
-    ) -> DbResult<Vec<QualityViolation>> {
-        let rows = self.db.scan_latest(table, predicate)?;
-        Ok(rows
-            .into_iter()
-            .map(|(key, _)| QualityViolation {
-                rule: format!("forbidden({name} on {table})"),
-                table: table.to_string(),
-                key,
-                detail: format!("row matches forbidden predicate {predicate}"),
-            })
-            .collect())
-    }
 }
 
 impl std::fmt::Debug for Quality<'_> {
@@ -437,7 +152,7 @@ impl std::fmt::Debug for Quality<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trod_db::{row, DataType, Schema};
+    use trod_db::{row, DataType, Predicate, Schema};
     use trod_kv::Session;
     use trod_trace::{Tracer, TxnContext};
 
@@ -484,7 +199,7 @@ mod tests {
     }
 
     #[test]
-    fn unique_rule_finds_duplicates_and_blames_the_writers() {
+    fn duplicates_are_blamed_on_their_writers() {
         let (db, store, traced) = setup();
         let mut txn = traced.begin_traced(TxnContext::new("R1", "subscribeUser", "func:DB.insert"));
         txn.insert("forum_sub", row![1i64, "U1", "F2", Value::Null])
@@ -498,7 +213,7 @@ mod tests {
 
         let quality = Quality::new(&store, &db);
         let report = quality
-            .check(&[QualityRule::unique("forum_sub", &["user_id", "forum"])])
+            .check(&[Invariant::no_duplicates("forum_sub", &["user_id", "forum"])])
             .unwrap();
         assert_eq!(report.violations.len(), 1);
         let blamed = &report.violations[0];
@@ -510,7 +225,7 @@ mod tests {
     }
 
     #[test]
-    fn not_null_and_range_rules() {
+    fn not_null_and_range_predicates() {
         let (db, store, traced) = setup();
         let mut txn = traced.begin_traced(TxnContext::new("R1", "h", "f"));
         txn.insert("forum_sub", row![1i64, "U1", "F2", Value::Null])
@@ -521,20 +236,27 @@ mod tests {
         flush(&traced, &store);
 
         let quality = Quality::new(&store, &db);
-        let nulls = quality
-            .evaluate(&QualityRule::not_null("forum_sub", "note"))
+        let not_null = Predicate::IsNotNull("note".into());
+        let range = Predicate::ge("stock", 0i64).and(Predicate::le("stock", 1_000i64));
+        let report = quality
+            .check(&[
+                Invariant::all_rows_match("forum_sub", not_null),
+                Invariant::all_rows_match("inventory", range),
+            ])
             .unwrap();
-        assert_eq!(nulls.len(), 1);
-
-        let ranges = quality
-            .evaluate(&QualityRule::range("inventory", "stock", 0.0, 1_000.0))
-            .unwrap();
-        assert_eq!(ranges.len(), 1);
-        assert!(ranges[0].detail.contains("-3"));
+        let keys: Vec<_> = (report.violations.iter())
+            .map(|b| b.violation.key.clone())
+            .collect();
+        assert_eq!(
+            keys,
+            vec![Some(Key::single(1i64)), Some(Key::single("widget"))]
+        );
+        assert!(report.violations[1].violation.detail.contains("-3"));
+        assert_eq!(report.implicated_requests(), vec!["R1".to_string()]);
     }
 
     #[test]
-    fn foreign_key_rule_detects_dangling_references() {
+    fn foreign_keys_find_dangling_references() {
         let (db, store, traced) = setup();
         let mut txn = traced.begin_traced(TxnContext::new("R1", "h", "f"));
         txn.insert("forums", row!["F1"]).unwrap();
@@ -547,7 +269,7 @@ mod tests {
 
         let quality = Quality::new(&store, &db);
         let report = quality
-            .check(&[QualityRule::foreign_key(
+            .check(&[Invariant::foreign_key(
                 "forum_sub",
                 "forum",
                 "forums",
@@ -559,7 +281,7 @@ mod tests {
     }
 
     #[test]
-    fn forbidden_rule_and_clean_report() {
+    fn forbidden_states_and_unkeyed_violations() {
         let (db, store, traced) = setup();
         let mut txn = traced.begin_traced(TxnContext::new("R1", "h", "f"));
         txn.insert("inventory", row!["widget", 5i64]).unwrap();
@@ -567,13 +289,9 @@ mod tests {
         flush(&traced, &store);
 
         let quality = Quality::new(&store, &db);
-        let clean = quality
-            .check(&[QualityRule::forbidden(
-                "negative stock",
-                "inventory",
-                Predicate::lt("stock", 0i64),
-            )])
-            .unwrap();
+        let no_negative_stock =
+            || Invariant::all_rows_match("inventory", Predicate::lt("stock", 0i64).negate());
+        let clean = quality.check(&[no_negative_stock()]).unwrap();
         assert!(clean.is_clean());
         assert_eq!(clean.rules_checked, 1);
 
@@ -583,32 +301,28 @@ mod tests {
         txn.commit().unwrap();
         flush(&traced, &store);
         let dirty = quality
-            .check(&[QualityRule::forbidden(
-                "negative stock",
-                "inventory",
-                Predicate::lt("stock", 0i64),
-            )])
+            .check(&[
+                no_negative_stock(),
+                Invariant::row_count("inventory", Predicate::True, 2),
+            ])
             .unwrap();
-        assert_eq!(dirty.violations.len(), 1);
+        assert_eq!(dirty.violations.len(), 2);
         // Blame finds both the original insert and the bad update; the
         // update (R2) is the most recent culprit.
         let culprits = &dirty.violations[0].culprits;
         assert!(culprits
             .iter()
             .any(|c| c.req_id == "R2" && c.operation == "Update"));
+        // A row count names no row, so nothing is blamed for it.
+        assert_eq!(dirty.violations[1].violation.key, None);
+        assert!(dirty.violations[1].culprits.is_empty());
     }
 
     #[test]
-    fn rule_names_and_tables() {
-        let rule = QualityRule::unique("t", &["a", "b"]);
-        assert_eq!(rule.name(), "unique(t.a,b)");
-        assert_eq!(rule.table(), "t");
-        assert!(QualityRule::range("t", "c", 0.0, 1.0)
-            .name()
-            .contains("range"));
-        assert!(QualityRule::not_null("t", "c").name().contains("not_null"));
-        assert!(QualityRule::foreign_key("t", "c", "r", "d")
-            .name()
-            .contains("fk"));
+    fn an_invariant_that_cannot_be_checked_is_an_error() {
+        let (db, store, _) = setup();
+        let quality = Quality::new(&store, &db);
+        let typo = Invariant::no_duplicates("forum_sub", &["user_id", "typo"]);
+        assert!(quality.check(&[typo]).is_err());
     }
 }

@@ -19,7 +19,7 @@ use trod_runtime::{Args, HandlerRegistry, Runtime};
 
 use crate::declarative::Declarative;
 use crate::interleave::ConflictGraph;
-use crate::invariant::{check_all, Invariant};
+use crate::invariant::{Invariant, Violation};
 use crate::json::Json;
 
 /// Errors raised while preparing or running a retroactive exploration.
@@ -105,7 +105,8 @@ pub struct OrderingOutcome {
     pub order: Vec<String>,
     /// Per-request outcomes, in execution order.
     pub outcomes: Vec<RequestOutcome>,
-    /// Invariant violations observed on the final state.
+    /// Invariant violations observed on the final state, each rendered
+    /// as `[rule] detail`.
     pub violations: Vec<String>,
     /// The development environment this ordering ran in, forked at the
     /// branch snapshot, left available for further
@@ -239,6 +240,9 @@ impl RetroactiveBuilder {
     }
 
     /// Adds an invariant evaluated on the final state of every ordering.
+    /// Each violation is one string of [`OrderingOutcome::violations`];
+    /// an invariant that cannot be checked (an unknown table or column)
+    /// is one `cannot check` string, so it fails every ordering.
     pub fn invariant(mut self, invariant: Invariant) -> Self {
         self.invariants.push(invariant);
         self
@@ -330,7 +334,13 @@ impl RetroactiveBuilder {
                 });
             }
 
-            let violations = check_all(dev.database(), &self.invariants);
+            // An invariant that cannot be checked fails the ordering.
+            let violations = (self.invariants.iter())
+                .flat_map(|inv| match inv.check(dev.database()) {
+                    Ok(found) => found.iter().map(Violation::to_string).collect(),
+                    Err(e) => vec![format!("[{}] cannot check: {e}", inv.name())],
+                })
+                .collect();
             outcomes.push(OrderingOutcome {
                 order,
                 outcomes: request_outcomes,

@@ -154,6 +154,7 @@ impl Json {
     /// Parses a complete JSON document (trailing content is an error).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -217,24 +218,33 @@ impl From<Vec<Json>> for Json {
 }
 
 /// The workspace's one string escaper: writes `s` as a quoted JSON string
-/// (surrounding quotes included) into `out`.
+/// (surrounding quotes included) into `out`. Each run of characters that
+/// need no escape is copied whole; every byte that does is ASCII, so the
+/// runs end on character boundaries.
 pub fn escape_into(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{8}' => out.push_str("\\b"),
-            '\u{c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            0x08 => out.push_str("\\b"),
+            0x0c => out.push_str("\\f"),
+            _ => {
+                use fmt::Write as _;
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -283,6 +293,7 @@ impl fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -449,12 +460,15 @@ impl<'a> Parser<'a> {
                 }
                 Some(b) if b < 0x20 => return Err(self.err("control character in string")),
                 Some(_) => {
-                    // Copy one UTF-8 scalar; input is &str so boundaries hold.
+                    // Copy the run up to the next quote, backslash or
+                    // control byte. Those bytes are ASCII, so the run is
+                    // whole UTF-8 characters.
                     let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let len = (rest.iter())
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(rest.len());
+                    out.push_str(&self.text[self.pos..self.pos + len]);
+                    self.pos += len;
                 }
             }
         }
@@ -694,6 +708,45 @@ mod tests {
         })
     }
 
+    /// The reference escaper: one `match` per `char`. `escape_into` must
+    /// write exactly its bytes.
+    fn escape_by_char(s: &str) -> String {
+        let mut out = String::from('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                '\u{8}' => out.push_str("\\b"),
+                '\u{c}' => out.push_str("\\f"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    /// Any string: every control character, `"`, `\\`, `\u{7f}`, the
+    /// line and paragraph separators, printable ASCII, the rest of the
+    /// BMP and non-BMP characters.
+    fn arb_any_string() -> impl Strategy<Value = String> {
+        prop::collection::vec((0u32..6, 0u32..0x110000), 0..64).prop_map(|picks| {
+            (picks.into_iter())
+                .filter_map(|(class, n)| match class {
+                    0 => char::from_u32(n % 0x20),
+                    1 => Some(['"', '\\', '\u{7f}', '\u{2028}', '\u{2029}'][n as usize % 5]),
+                    2 => char::from_u32(0x20 + n % 0x5f),
+                    3 => char::from_u32(0x80 + n % (0xd800 - 0x80)),
+                    4 => char::from_u32(0xe000 + n % 0x2000),
+                    _ => char::from_u32(0x10000 + n % 0x100000),
+                })
+                .collect()
+        })
+    }
+
     #[derive(Debug, Clone)]
     struct ArbJson {
         depth: u32,
@@ -749,6 +802,16 @@ mod tests {
         fn escaping_round_trips(s in arb_string()) {
             let mut quoted = String::new();
             escape_into(&mut quoted, &s);
+            prop_assert_eq!(Json::parse(&quoted).unwrap(), Json::Str(s));
+        }
+
+        /// Copying runs writes the bytes the per-`char` escaper wrote, and
+        /// the parser, which copies runs too, reads them back.
+        #[test]
+        fn escaping_by_runs_equals_the_per_char_escaper(s in arb_any_string()) {
+            let mut quoted = String::new();
+            escape_into(&mut quoted, &s);
+            prop_assert_eq!(&quoted, &escape_by_char(&s));
             prop_assert_eq!(Json::parse(&quoted).unwrap(), Json::Str(s));
         }
 

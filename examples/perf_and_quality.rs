@@ -58,12 +58,15 @@ fn main() {
     }
 
     // 4. Data-quality debugging (§5): declare the invariants the data
-    //    should satisfy, and blame any violation on the requests that
-    //    wrote the offending rows.
+    //    should satisfy — the same `Invariant`s that judge retroactive
+    //    re-executions — and blame every violation that names a row on
+    //    the requests that wrote it. A range is a predicate every row must
+    //    match; a misspelled column would make `check` an error.
+    let in_stock_range = Predicate::ge("stock", 0i64).and(Predicate::le("stock", 1_000_000i64));
     let rules = [
-        QualityRule::unique(shop::ORDERS_TABLE, &["order_id"]),
-        QualityRule::range(shop::INVENTORY_TABLE, "stock", 0.0, 1_000_000.0),
-        QualityRule::foreign_key(
+        Invariant::no_duplicates(shop::ORDERS_TABLE, &["order_id"]),
+        Invariant::all_rows_match(shop::INVENTORY_TABLE, in_stock_range),
+        Invariant::foreign_key(
             shop::PAYMENTS_TABLE,
             "order_id",
             shop::ORDERS_TABLE,
@@ -72,7 +75,7 @@ fn main() {
     ];
     let report = trod.quality().check(&rules).expect("quality rules run");
     println!(
-        "\ndata quality: {} rules checked, {} violations",
+        "\ndata quality: {} invariants checked, {} violations",
         report.rules_checked,
         report.violations.len()
     );

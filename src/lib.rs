@@ -58,8 +58,8 @@ pub use trod_trace as trace;
 /// The most commonly used items, re-exported for convenience.
 pub mod prelude {
     pub use trod_core::{
-        Declarative, Invariant, Perf, Quality, QualityRule, Reenactor, ReplaySession,
-        RetroactiveBuilder, RetroactiveReport, Security, Trod,
+        Declarative, Invariant, Perf, Quality, Reenactor, ReplaySession, RetroactiveBuilder,
+        RetroactiveReport, Security, Trod,
     };
     pub use trod_db::{
         row, CommitInfo, DataType, Database, DbError, IsolationLevel, Key, Predicate, Row, Schema,

@@ -53,7 +53,7 @@ fn quality_rules_blame_the_requests_that_created_the_duplicate() {
     let trod = buggy_moodle_trod();
     let report = trod
         .quality()
-        .check(&[QualityRule::unique(
+        .check(&[Invariant::no_duplicates(
             moodle::FORUM_SUB_TABLE,
             &["user_id", "forum"],
         )])

@@ -19,8 +19,7 @@ use proptest::test_runner::TestCaseError;
 
 use trod_apps::{moodle, profiles};
 use trod_core::{
-    Anomaly, AnomalyKind, DataFlowReport, HandlerLatency, QualityViolation, SlowRequest, SpanNode,
-    Trod,
+    Anomaly, AnomalyKind, DataFlowReport, HandlerLatency, SlowRequest, SpanNode, Trod,
 };
 use trod_db::{row, DataType, Database, IsolationLevel, Key, Schema, Value};
 use trod_provenance::{ProvenanceStore, RequestRecord, EXECUTIONS_TABLE};
@@ -465,17 +464,14 @@ fn requests_touching_table(all_txns: &[TxnTrace], table: &str) -> Vec<String> {
 }
 
 /// `Quality::blame`, as (txn, request, handler, timestamp, operation).
-fn blame(
-    all_txns: &[TxnTrace],
-    violation: &QualityViolation,
-) -> Vec<(i64, String, String, i64, String)> {
+fn blame(all_txns: &[TxnTrace], table: &str, key: &Key) -> Vec<(i64, String, String, i64, String)> {
     let mut out = Vec::new();
-    for txn in txns_touching_table(all_txns, &violation.table) {
+    for txn in txns_touching_table(all_txns, table) {
         if !txn.committed {
             continue;
         }
         for change in txn.writes.iter() {
-            if *change.table == violation.table && change.key == violation.key {
+            if *change.table == *table && change.key == *key {
                 out.push((
                     txn.txn_id as i64,
                     txn.ctx.req_id.clone(),
@@ -754,18 +750,12 @@ fn check_helpers(trod: &Trod, all_txns: &[TxnTrace]) -> Result<(), TestCaseError
     }
     let quality = trod.quality();
     for (table, key) in keys {
-        let violation = QualityViolation {
-            rule: "oracle".into(),
-            table,
-            key,
-            detail: String::new(),
-        };
         let blamed: Vec<_> = quality
-            .blame(&violation)
+            .blame(&table, &key)
             .into_iter()
             .map(|b| (b.txn_id, b.req_id, b.handler, b.timestamp, b.operation))
             .collect();
-        prop_assert_eq!(blamed, blame(&all_txns, &violation), "{:?}", violation);
+        prop_assert_eq!(blamed, blame(&all_txns, &table, &key), "{} {}", table, key);
     }
 
     for allowed in [

@@ -204,6 +204,7 @@ pub fn update_args(user: &str, caller: &str, bio: &str) -> Args {
 mod tests {
     use super::*;
     use trod_runtime::Runtime;
+    use trod_trace::TraceEvent;
 
     fn seeded_runtime(registry: HandlerRegistry) -> Runtime {
         let runtime = Runtime::new(profiles_db(), registry);
@@ -243,8 +244,18 @@ mod tests {
         let harvested = runtime.must_handle("harvestProfiles", Args::new().with("batch", "B1"));
         assert_eq!(harvested, Value::Int(2));
         runtime.must_handle("syncStaging", Args::new().with("batch", "B1"));
-        let calls = runtime.external_log().calls_to("analytics-endpoint");
-        assert_eq!(calls.len(), 1);
-        assert!(calls[0].payload.contains("alice:a@x.org"));
+        let payloads: Vec<String> = runtime
+            .tracer()
+            .drain()
+            .into_iter()
+            .filter_map(|e| match e {
+                TraceEvent::ExternalCall {
+                    service, payload, ..
+                } if service == "analytics-endpoint" => Some(payload),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(payloads.len(), 1);
+        assert!(payloads[0].contains("alice:a@x.org"));
     }
 }

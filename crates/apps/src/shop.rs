@@ -274,6 +274,7 @@ mod tests {
     use super::*;
     use trod_db::kv_table_name;
     use trod_runtime::Runtime;
+    use trod_trace::TraceEvent;
 
     #[test]
     fn checkout_workflow_touches_all_services() {
@@ -303,8 +304,25 @@ mod tests {
             .unwrap();
         assert_eq!(inv[2].as_int(), Some(2));
 
-        // Two external intents: payment gateway and e-mail receipt.
-        assert_eq!(runtime.external_log().len(), 2);
+        // Two external intents, traced: payment gateway and e-mail receipt.
+        let intents: Vec<(String, String)> = runtime
+            .tracer()
+            .drain()
+            .into_iter()
+            .filter_map(|e| match e {
+                TraceEvent::ExternalCall {
+                    service, payload, ..
+                } => Some((service, payload)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            intents,
+            vec![
+                ("payment-gateway".into(), "charge O1 amount=20".into()),
+                ("email".into(), "receipt for O1 to alice".into()),
+            ]
+        );
 
         let info = runtime.must_handle("getOrder", Args::new().with("order_id", "O1"));
         assert_eq!(info, Value::Text("alice:item-1:confirmed".into()));

@@ -129,12 +129,12 @@ fn bench_predicate_eval(c: &mut Criterion) {
     group.bench_function("interpreted_name_lookup", |b| {
         b.iter(|| {
             rows.iter()
-                .filter(|r| pred.matches(&schema, r).unwrap())
+                .filter(|r| pred.matches("items", &schema, r).unwrap())
                 .count()
         });
     });
     group.bench_function("compiled_ordinals", |b| {
-        let compiled = pred.compile(&schema).unwrap();
+        let compiled = pred.compile("items", &schema).unwrap();
         b.iter(|| rows.iter().filter(|r| compiled.matches(r)).count());
     });
     group.finish();

@@ -197,7 +197,7 @@ impl Trod {
     /// [`Database::history`] and deep forks, and the log records the
     /// raised floor, below which checkpoints are kept as the deep-fork
     /// ladder.
-    pub fn gc_before(&self, ts: trod_db::Ts) -> trod_kv::GcStats {
+    pub fn gc_before(&self, ts: trod_db::Ts) -> trod_db::GcStats {
         self.runtime.session().gc_before(ts)
     }
 

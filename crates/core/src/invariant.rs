@@ -20,7 +20,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 
-use trod_db::{Database, DbError, DbResult, Key, Predicate, Value};
+use trod_db::{Database, DbResult, Key, Predicate, Value};
 
 /// One failure of an [`Invariant`].
 #[derive(Debug, Clone, PartialEq)]
@@ -194,14 +194,7 @@ impl Invariant {
 /// `Err`.
 fn resolve(db: &Database, table: &str, columns: &[String]) -> DbResult<Vec<usize>> {
     let schema = db.schema_of(table)?;
-    (columns.iter())
-        .map(|c| {
-            schema.column_index(c).ok_or_else(|| DbError::NoSuchColumn {
-                table: table.to_string(),
-                column: c.clone(),
-            })
-        })
-        .collect()
+    (columns.iter()).map(|c| schema.resolve(table, c)).collect()
 }
 
 impl fmt::Debug for Invariant {
@@ -216,7 +209,7 @@ impl fmt::Debug for Invariant {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use trod_db::{row, DataType, Row, Schema};
+    use trod_db::{row, DataType, DbError, Row, Schema};
 
     fn subs_db() -> Database {
         let db = Database::new();
@@ -238,9 +231,10 @@ mod tests {
         violations.iter().map(|v| v.key.clone()).collect()
     }
 
+    /// The `table.column` an unknown-column error names.
     fn no_such_column(result: DbResult<Vec<Violation>>) -> String {
         match result {
-            Err(DbError::NoSuchColumn { column, .. }) => column,
+            Err(DbError::NoSuchColumn { table, column }) => format!("{table}.{column}"),
             other => panic!("expected an unknown column, got {other:?}"),
         }
     }
@@ -335,7 +329,7 @@ mod tests {
     fn a_misspelled_unique_column_is_an_error() {
         let db = probe_db();
         let inv = Invariant::no_duplicates("t", &["user_id", "typo"]);
-        assert_eq!(no_such_column(inv.check(&db)), "typo");
+        assert_eq!(no_such_column(inv.check(&db)), "t.typo");
     }
 
     #[test]
@@ -343,16 +337,16 @@ mod tests {
         let db = probe_db();
         let range = Predicate::ge("typo", 0i64).and(Predicate::le("typo", 10i64));
         let inv = Invariant::all_rows_match("t", range);
-        assert_eq!(no_such_column(inv.check(&db)), "typo");
+        assert_eq!(no_such_column(inv.check(&db)), "t.typo");
         let inv = Invariant::foreign_key("t", "typo", "r", "v");
-        assert_eq!(no_such_column(inv.check(&db)), "typo");
+        assert_eq!(no_such_column(inv.check(&db)), "t.typo");
     }
 
     #[test]
     fn a_misspelled_referenced_column_is_an_error() {
         let db = probe_db();
         let inv = Invariant::foreign_key("t", "forum", "r", "typo");
-        assert_eq!(no_such_column(inv.check(&db)), "typo");
+        assert_eq!(no_such_column(inv.check(&db)), "r.typo");
         // Spelled right, only the dangling F2 row is flagged.
         let inv = Invariant::foreign_key("t", "forum", "r", "v");
         assert_eq!(
@@ -560,16 +554,16 @@ mod tests {
             prop_assert_eq!(violation_keys(&db, &inv), want);
 
             let misspelled = [
-                Invariant::no_duplicates("t", &["a", "typo"]),
-                Invariant::all_rows_match("t", Predicate::ge("typo", min.clone())),
-                Invariant::all_rows_match("t", Predicate::IsNull("a".into()).or(Predicate::IsNull("typo".into()))),
-                Invariant::foreign_key("t", "typo", "r", "v"),
-                Invariant::foreign_key("t", "a", "r", "typo"),
-                Invariant::row_count("t", Predicate::eq("typo", 1i64), expected),
+                (Invariant::no_duplicates("t", &["a", "typo"]), "t.typo"),
+                (Invariant::all_rows_match("t", Predicate::ge("typo", min.clone())), "t.typo"),
+                (Invariant::all_rows_match("t", Predicate::IsNull("a".into()).or(Predicate::IsNull("typo".into()))), "t.typo"),
+                (Invariant::foreign_key("t", "typo", "r", "v"), "t.typo"),
+                (Invariant::foreign_key("t", "a", "r", "typo"), "r.typo"),
+                (Invariant::row_count("t", Predicate::eq("typo", 1i64), expected), "t.typo"),
             ];
-            for inv in &misspelled {
-                prop_assert_eq!(no_such_column(inv.check(&db)), "typo");
-                prop_assert_eq!(no_such_column(inv.check(&table_db(&BTreeMap::new(), &BTreeMap::new()))), "typo");
+            for (inv, want) in &misspelled {
+                prop_assert_eq!(no_such_column(inv.check(&db)), *want);
+                prop_assert_eq!(no_such_column(inv.check(&table_db(&BTreeMap::new(), &BTreeMap::new()))), *want);
             }
         }
     }

@@ -71,6 +71,19 @@ pub struct DbStats {
     pub current_ts: Ts,
 }
 
+/// What one [`Database::gc_before`] pass reclaimed, and at which horizon.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GcStats {
+    /// The horizon applied: the requested one clamped to the published
+    /// clock and the active-transaction watermark.
+    pub horizon: Ts,
+    /// Row versions dropped, namespace rows included.
+    pub versions: usize,
+    /// Aligned log entries truncated from memory (a durable log keeps
+    /// them).
+    pub log_entries: usize,
+}
+
 struct DbInner {
     tables: RwLock<BTreeMap<String, Arc<TableStore>>>,
     /// Timestamp allocation, ordered publication and the staged tail of
@@ -806,17 +819,21 @@ impl Database {
     }
 
     /// Garbage collects row versions not visible at or after `ts` and
-    /// truncates the transaction log below `ts`. Returns (versions
-    /// dropped, log entries dropped).
+    /// truncates the transaction log below `ts`.
     ///
-    /// The horizon is clamped to the watermark
-    /// ([`Database::min_active_start_ts`]): GC never drops a version an
-    /// active transaction or a live fork can still read, and never
-    /// truncates a change log inside an active transaction's validation
-    /// window — so truncation can be requested aggressively (e.g. at
-    /// `current_ts()`) without ever forcing serializable validation onto
-    /// the full-scan fallback.
-    pub fn gc_before(&self, ts: Ts) -> (usize, usize) {
+    /// The horizon is clamped to the published clock and to the
+    /// watermark ([`Database::min_active_start_ts`]): GC never raises the
+    /// floor above a timestamp that has not happened yet (so the next
+    /// commit's history and a fork at `current_ts()` stay readable), never
+    /// drops a version an active transaction or a live fork can still
+    /// read, and never truncates a change log inside an active
+    /// transaction's validation window — so truncation can be requested
+    /// aggressively (e.g. at `current_ts()` or [`Ts::MAX`]) without ever
+    /// forcing serializable validation onto the full-scan fallback.
+    pub fn gc_before(&self, ts: Ts) -> GcStats {
+        // Read before the log lock: the log holds every entry up to the
+        // clock it drains to, which is at least this.
+        let clock = self.current_ts();
         // The horizon is chosen and the floor raised under the log lock,
         // where `fork_at` checks the floor and pins: a fork that pinned
         // first holds the horizon at or below its timestamp, and one that
@@ -825,9 +842,9 @@ impl Database {
         // newest version at or below `horizon`, so state at any ts >=
         // horizon stays readable), which is also why the log is truncated
         // BEFORE any row version is dropped.
-        let (horizon, logs) = {
+        let (horizon, log_entries) = {
             let mut log = self.synced_log();
-            let horizon = ts.min(self.inner.registry.watermark());
+            let horizon = ts.min(clock).min(self.inner.registry.watermark());
             (horizon, log.truncate_before(horizon))
         };
         let mut versions = 0;
@@ -842,7 +859,11 @@ impl Database {
             wal.raise_gc_floor(self.log_truncated_below());
             self.maybe_checkpoint();
         }
-        (versions, logs)
+        GcStats {
+            horizon,
+            versions,
+            log_entries,
+        }
     }
 
     /// Current statistics.
@@ -1055,7 +1076,7 @@ mod tests {
 
         drop(fork);
         assert_eq!(db.live_forks(), (0, None));
-        let (versions, _) = db.gc_before(db.current_ts());
+        let versions = db.gc_before(db.current_ts()).versions;
         assert!(versions > 0, "the pinned versions are reclaimed");
         assert!(db.stats().total_versions < kept);
         // Below the raised floor a fork is refused, not silently wrong.
@@ -1093,7 +1114,8 @@ mod tests {
         }
         let before = db.stats();
         assert!(before.total_versions > before.live_rows);
-        let (versions, logs) = db.gc_before(db.current_ts());
+        let stats = db.gc_before(db.current_ts());
+        let (versions, logs) = (stats.versions, stats.log_entries);
         assert!(versions > 0);
         assert!(logs > 0);
         let after = db.stats();
@@ -1144,6 +1166,56 @@ mod tests {
             DbError::HistoryTruncated { ts: 0, floor }
         );
         assert_eq!(memory.history(floor, Ts::MAX).unwrap(), vec![]);
+    }
+
+    #[test]
+    fn gc_above_the_clock_stops_at_the_clock() {
+        let db = populated_db();
+        let now = db.current_ts();
+        let stats = db.gc_before(Ts::MAX);
+        assert_eq!((stats.horizon, db.log_truncated_below()), (now, now));
+        // The present stays forkable, and a later commit's history
+        // readable.
+        assert_eq!(db.fork_at(now).unwrap().current_ts(), now);
+        set(&db, 1, "after");
+        let log = db.history(now, Ts::MAX).unwrap();
+        assert_eq!(log.len(), 1);
+        assert_eq!(log[0].commit_ts, db.current_ts());
+    }
+
+    #[test]
+    fn durable_gc_above_the_clock_keeps_pruning_checkpoints() {
+        let dir = Arc::new(crate::dir::MemDir::new());
+        let db = Database::create_durable_in(dir.clone(), WalOptions::default()).unwrap();
+        db.create_table("t", schema()).unwrap();
+        let mut txn = db.begin();
+        txn.insert("t", row![1i64, "v0"]).unwrap();
+        txn.commit().unwrap();
+        assert_eq!(db.gc_before(Ts::MAX).horizon, db.current_ts());
+        for i in 1..=6 {
+            set(&db, 1, &format!("v{i}"));
+            assert!(db.checkpoint().unwrap().is_some());
+        }
+        // Every checkpoint is above the floor, so only the newest two stay.
+        let files = dir.list().unwrap();
+        let checkpoints = files.iter().filter(|f| f.starts_with("ckpt-")).count();
+        assert_eq!(checkpoints, 2, "{files:?}");
+    }
+
+    #[test]
+    fn an_unknown_column_names_its_table() {
+        let db = populated_db();
+        let err = db
+            .scan_latest("t", &Predicate::ge("typo", 0i64))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            DbError::NoSuchColumn {
+                table: "t".into(),
+                column: "typo".into()
+            }
+        );
+        assert_eq!(err.to_string(), "no column `typo` in table `t`");
     }
 
     #[test]

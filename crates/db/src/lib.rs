@@ -120,7 +120,7 @@ pub use cdc::{
 };
 pub use changelog::{ChangeEntry, ChangeLog};
 pub use checkpoint::{decode_checkpoint, encode_checkpoint, Checkpoint, CheckpointTable};
-pub use database::{Database, DbStats};
+pub use database::{Database, DbStats, GcStats};
 pub use dir::{DirFailpointHandle, FailpointDir, FsDir, LogDir, LogFile, MemDir};
 pub use error::{DbError, DbResult, StorageError};
 pub use hash::{CellHash, CellHasher};

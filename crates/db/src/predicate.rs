@@ -9,7 +9,7 @@
 use std::fmt;
 use std::ops::Bound;
 
-use crate::error::{DbError, DbResult};
+use crate::error::DbResult;
 use crate::row::Row;
 use crate::schema::Schema;
 use crate::value::Value;
@@ -148,12 +148,13 @@ impl Predicate {
     ///
     /// Comparisons involving NULL are false (SQL-like semantics, collapsed
     /// to two-valued logic).
-    pub fn matches(&self, schema: &Schema, row: &Row) -> DbResult<bool> {
+    pub fn matches(&self, table: &str, schema: &Schema, row: &Row) -> DbResult<bool> {
+        let column_value = |column: &str| schema.resolve(table, column).map(|i| &row[i]);
         match self {
             Predicate::True => Ok(true),
             Predicate::False => Ok(false),
             Predicate::Compare { column, op, value } => {
-                let v = column_value(schema, row, column)?;
+                let v = column_value(column)?;
                 if v.is_null() || value.is_null() {
                     return Ok(false);
                 }
@@ -167,18 +168,22 @@ impl Predicate {
                     CmpOp::Ge => ord.is_ge(),
                 })
             }
-            Predicate::IsNull(column) => Ok(column_value(schema, row, column)?.is_null()),
-            Predicate::IsNotNull(column) => Ok(!column_value(schema, row, column)?.is_null()),
+            Predicate::IsNull(column) => Ok(column_value(column)?.is_null()),
+            Predicate::IsNotNull(column) => Ok(!column_value(column)?.is_null()),
             Predicate::InList { column, values } => {
-                let v = column_value(schema, row, column)?;
+                let v = column_value(column)?;
                 if v.is_null() {
                     return Ok(false);
                 }
                 Ok(values.iter().any(|x| x.sql_eq(v)))
             }
-            Predicate::And(a, b) => Ok(a.matches(schema, row)? && b.matches(schema, row)?),
-            Predicate::Or(a, b) => Ok(a.matches(schema, row)? || b.matches(schema, row)?),
-            Predicate::Not(p) => Ok(!p.matches(schema, row)?),
+            Predicate::And(a, b) => {
+                Ok(a.matches(table, schema, row)? && b.matches(table, schema, row)?)
+            }
+            Predicate::Or(a, b) => {
+                Ok(a.matches(table, schema, row)? || b.matches(table, schema, row)?)
+            }
+            Predicate::Not(p) => Ok(!p.matches(table, schema, row)?),
         }
     }
 
@@ -196,21 +201,14 @@ impl Predicate {
     /// inside a branch that per-row short-circuit evaluation would have
     /// skipped. (Lazy `matches` admitted such predicates; failing fast at
     /// scan time catches the bug at its source.)
-    pub fn compile(&self, schema: &Schema) -> DbResult<CompiledPredicate> {
+    pub fn compile(&self, table: &str, schema: &Schema) -> DbResult<CompiledPredicate> {
         Ok(CompiledPredicate {
-            node: self.compile_node(schema)?,
+            node: self.compile_node(table, schema)?,
         })
     }
 
-    fn compile_node(&self, schema: &Schema) -> DbResult<CompiledNode> {
-        let resolve = |column: &str| {
-            schema
-                .column_index(column)
-                .ok_or_else(|| DbError::NoSuchColumn {
-                    table: "<row>".into(),
-                    column: column.to_string(),
-                })
-        };
+    fn compile_node(&self, table: &str, schema: &Schema) -> DbResult<CompiledNode> {
+        let resolve = |column: &str| schema.resolve(table, column);
         Ok(match self {
             Predicate::True => CompiledNode::True,
             Predicate::False => CompiledNode::False,
@@ -232,14 +230,14 @@ impl Predicate {
                 }
             }
             Predicate::And(a, b) => CompiledNode::And(
-                Box::new(a.compile_node(schema)?),
-                Box::new(b.compile_node(schema)?),
+                Box::new(a.compile_node(table, schema)?),
+                Box::new(b.compile_node(table, schema)?),
             ),
             Predicate::Or(a, b) => CompiledNode::Or(
-                Box::new(a.compile_node(schema)?),
-                Box::new(b.compile_node(schema)?),
+                Box::new(a.compile_node(table, schema)?),
+                Box::new(b.compile_node(table, schema)?),
             ),
-            Predicate::Not(p) => CompiledNode::Not(Box::new(p.compile_node(schema)?)),
+            Predicate::Not(p) => CompiledNode::Not(Box::new(p.compile_node(table, schema)?)),
         })
     }
 
@@ -578,16 +576,6 @@ impl fmt::Display for Predicate {
     }
 }
 
-fn column_value<'a>(schema: &Schema, row: &'a Row, column: &str) -> DbResult<&'a Value> {
-    let idx = schema
-        .column_index(column)
-        .ok_or_else(|| DbError::NoSuchColumn {
-            table: "<row>".into(),
-            column: column.to_string(),
-        })?;
-    Ok(&row[idx])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -609,22 +597,24 @@ mod tests {
     fn comparisons() {
         let s = schema();
         let r = row![3i64, "carol", 1.5f64];
-        assert!(Predicate::eq("id", 3i64).matches(&s, &r).unwrap());
-        assert!(!Predicate::eq("id", 4i64).matches(&s, &r).unwrap());
-        assert!(Predicate::gt("score", 1.0f64).matches(&s, &r).unwrap());
-        assert!(Predicate::le("id", 3i64).matches(&s, &r).unwrap());
-        assert!(Predicate::ne("name", "bob").matches(&s, &r).unwrap());
+        assert!(Predicate::eq("id", 3i64).matches("t", &s, &r).unwrap());
+        assert!(!Predicate::eq("id", 4i64).matches("t", &s, &r).unwrap());
+        assert!(Predicate::gt("score", 1.0f64).matches("t", &s, &r).unwrap());
+        assert!(Predicate::le("id", 3i64).matches("t", &s, &r).unwrap());
+        assert!(Predicate::ne("name", "bob").matches("t", &s, &r).unwrap());
     }
 
     #[test]
     fn null_comparisons_are_false() {
         let s = schema();
         let r = row![1i64, "a", Value::Null];
-        assert!(!Predicate::eq("score", 1.0f64).matches(&s, &r).unwrap());
-        assert!(!Predicate::ne("score", 1.0f64).matches(&s, &r).unwrap());
-        assert!(Predicate::IsNull("score".into()).matches(&s, &r).unwrap());
+        assert!(!Predicate::eq("score", 1.0f64).matches("t", &s, &r).unwrap());
+        assert!(!Predicate::ne("score", 1.0f64).matches("t", &s, &r).unwrap());
+        assert!(Predicate::IsNull("score".into())
+            .matches("t", &s, &r)
+            .unwrap());
         assert!(!Predicate::IsNotNull("score".into())
-            .matches(&s, &r)
+            .matches("t", &s, &r)
             .unwrap());
     }
 
@@ -633,11 +623,11 @@ mod tests {
         let s = schema();
         let r = row![2i64, "bob", 0.5f64];
         let p = Predicate::eq("id", 2i64).and(Predicate::eq("name", "bob"));
-        assert!(p.matches(&s, &r).unwrap());
+        assert!(p.matches("t", &s, &r).unwrap());
         let p = Predicate::eq("id", 9i64).or(Predicate::eq("name", "bob"));
-        assert!(p.matches(&s, &r).unwrap());
+        assert!(p.matches("t", &s, &r).unwrap());
         let p = Predicate::eq("id", 2i64).negate();
-        assert!(!p.matches(&s, &r).unwrap());
+        assert!(!p.matches("t", &s, &r).unwrap());
     }
 
     #[test]
@@ -645,16 +635,22 @@ mod tests {
         let s = schema();
         let r = row![2i64, "bob", 0.5f64];
         let p = Predicate::in_list("id", vec![Value::Int(1), Value::Int(2)]);
-        assert!(p.matches(&s, &r).unwrap());
+        assert!(p.matches("t", &s, &r).unwrap());
         let p = Predicate::in_list("id", vec![Value::Int(3)]);
-        assert!(!p.matches(&s, &r).unwrap());
+        assert!(!p.matches("t", &s, &r).unwrap());
     }
 
     #[test]
     fn unknown_column_is_error() {
         let s = schema();
         let r = row![2i64, "bob", 0.5f64];
-        assert!(Predicate::eq("missing", 1i64).matches(&s, &r).is_err());
+        assert_eq!(
+            Predicate::eq("missing", 1i64).matches("t", &s, &r),
+            Err(crate::error::DbError::NoSuchColumn {
+                table: "t".into(),
+                column: "missing".into()
+            })
+        );
     }
 
     #[test]
@@ -756,7 +752,7 @@ mod tests {
         let s = schema();
         let r = row![3i64, "x", 1.0f64];
         let p = Predicate::gt("id", 9i64).and(Predicate::lt("id", 3i64));
-        assert!(!p.matches(&s, &r).unwrap());
+        assert!(!p.matches("t", &s, &r).unwrap());
     }
 
     #[test]
@@ -790,11 +786,11 @@ mod tests {
             Predicate::eq("name", "bob").negate(),
         ];
         for pred in &preds {
-            let compiled = pred.compile(&s).unwrap();
+            let compiled = pred.compile("t", &s).unwrap();
             for row in &rows {
                 assert_eq!(
                     compiled.matches(row),
-                    pred.matches(&s, row).unwrap(),
+                    pred.matches("t", &s, row).unwrap(),
                     "compiled vs interpreted diverged for [{pred}] on {row}"
                 );
             }
@@ -807,7 +803,7 @@ mod tests {
         // branch that short-circuit row evaluation would never reach.
         let s = schema();
         let pred = Predicate::True.or(Predicate::eq("no_such_column", 1i64));
-        assert!(pred.compile(&s).is_err());
+        assert!(pred.compile("t", &s).is_err());
     }
 
     #[test]

@@ -91,6 +91,16 @@ impl Schema {
         self.columns.iter().position(|c| c.name == name)
     }
 
+    /// Resolves a column of this schema's table `table`; an unknown one
+    /// is [`DbError::NoSuchColumn`] naming that table.
+    pub fn resolve(&self, table: &str, column: &str) -> DbResult<usize> {
+        self.column_index(column)
+            .ok_or_else(|| DbError::NoSuchColumn {
+                table: table.to_string(),
+                column: column.to_string(),
+            })
+    }
+
     /// Returns the column at `idx`.
     pub fn column(&self, idx: usize) -> Option<&Column> {
         self.columns.get(idx)

@@ -272,13 +272,7 @@ impl TableStore {
     /// index starts unbuilt; the first read that needs it backfills it
     /// from the full version history.
     pub fn create_index(&self, column: &str) -> DbResult<()> {
-        let col_idx = self
-            .schema
-            .column_index(column)
-            .ok_or_else(|| DbError::NoSuchColumn {
-                table: self.name.to_string(),
-                column: column.to_string(),
-            })?;
+        let col_idx = self.schema.resolve(&self.name, column)?;
         let mut indexes = self.indexes.write();
         if indexes.iter().any(|i| i.column() == column) {
             return Err(DbError::Invalid(format!(
@@ -368,7 +362,7 @@ impl TableStore {
     /// visibility- and predicate-checked against the version store. The
     /// predicate is compiled once; rows are shared, not copied.
     pub fn scan_at(&self, pred: &Predicate, ts: Ts) -> DbResult<Vec<(Key, Arc<Row>)>> {
-        self.scan_at_compiled(pred, &pred.compile(&self.schema)?, ts)
+        self.scan_at_compiled(pred, &pred.compile(&self.name, &self.schema)?, ts)
     }
 
     /// [`TableStore::scan_at`] for callers that already compiled `pred`
@@ -401,7 +395,7 @@ impl TableStore {
     /// [`TableStore::scan_at`] does, without collecting, sharing or
     /// sorting a single row.
     pub fn count_matching_at(&self, pred: &Predicate, ts: Ts) -> DbResult<usize> {
-        let compiled = pred.compile(&self.schema)?;
+        let compiled = pred.compile(&self.name, &self.schema)?;
         let mut count = 0;
         self.for_each_match(pred, &compiled, ts, &mut |_, _| count += 1);
         Ok(count)
@@ -572,7 +566,7 @@ impl TableStore {
         let Some((layer, ts, col_idx)) = self.ordered_source(pred, order_col, ts) else {
             return Ok(None);
         };
-        let compiled = pred.compile(&layer.schema)?;
+        let compiled = pred.compile(&self.name, &layer.schema)?;
         if pred.provably_empty() {
             // Still index-eligible: the empty result needs no fallback.
             return Ok(Some(Vec::new()));
@@ -658,7 +652,7 @@ impl TableStore {
     /// `tests/scan_path_equivalence.rs`), and the baseline the `scan_path`
     /// benchmark measures speedups against.
     pub fn scan_at_full(&self, pred: &Predicate, ts: Ts) -> DbResult<Vec<(Key, Arc<Row>)>> {
-        let compiled = pred.compile(&self.schema)?;
+        let compiled = pred.compile(&self.name, &self.schema)?;
         let rows = self.rows.read();
         let mut out = Vec::new();
         for (key, chain) in rows.iter() {
@@ -721,7 +715,7 @@ impl TableStore {
         upto: Ts,
         exact: bool,
     ) -> DbResult<Option<Key>> {
-        let compiled = pred.compile(&self.schema)?;
+        let compiled = pred.compile(&self.name, &self.schema)?;
         let from_log = self.changelog.scan_after(after, |entry: &ChangeEntry| {
             if entry.commit_ts >= upto {
                 return None;
@@ -1561,7 +1555,7 @@ mod tests {
         // The change-log answer and the full-scan answer, which must agree.
         let both = |pred: &Predicate, after: Ts, upto: Ts| {
             let from_log = t.predicate_conflict_in(pred, after, upto, true).unwrap();
-            let compiled = pred.compile(t.schema()).unwrap();
+            let compiled = pred.compile(t.name(), t.schema()).unwrap();
             assert_eq!(from_log, t.full_scan_conflict_in(&compiled, after, upto));
             from_log
         };

@@ -214,7 +214,7 @@ impl Transaction {
     pub fn scan(&mut self, table: &str, pred: &Predicate) -> DbResult<Vec<(Key, Arc<Row>)>> {
         let read_ts = self.read_ts()?;
         let store = self.db.table(table)?;
-        let compiled = pred.compile(store.schema())?;
+        let compiled = pred.compile(store.name(), store.schema())?;
         // Unique keys, in key order: as is unless this transaction has
         // written the table.
         let committed = store.scan_at_compiled(pred, &compiled, read_ts)?;

@@ -559,7 +559,8 @@ fn gc_clamps_to_the_active_transaction_watermark() {
 
     // Aggressive GC request: clamped at the reader's snapshot. History at
     // or below the snapshot is collectable; everything above it is pinned.
-    let (versions, logs) = db.gc_before(db.current_ts());
+    let stats = db.gc_before(db.current_ts());
+    let (versions, logs) = (stats.versions, stats.log_entries);
     assert_eq!(versions, 0, "no version visible at the snapshot is dropped");
     assert_eq!(logs, 1, "only the pre-snapshot log entry is collectable");
     assert_eq!(
@@ -582,7 +583,7 @@ fn gc_clamps_to_the_active_transaction_watermark() {
 
     // Transaction finished: registry empty, and the same GC now truncates.
     assert_eq!(db.min_active_start_ts(), None);
-    let (versions, _) = db.gc_before(db.current_ts());
+    let versions = db.gc_before(db.current_ts()).versions;
     assert!(versions > 0, "GC proceeds once the watermark lifts");
 
     // Abort and drop also deregister.

@@ -55,7 +55,7 @@
 pub mod session;
 pub mod store;
 
-pub use session::{GcStats, Session, Txn, TxnOptions};
+pub use session::{Session, Txn, TxnOptions};
 pub use store::KvStore;
 pub use trod_db::kv_table_name;
 

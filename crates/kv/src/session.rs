@@ -23,7 +23,8 @@ use std::sync::Arc;
 
 use trod_db::{
     namespace_entry, namespace_row, namespace_value, ChangeRecord, CommitInfo, CommittedTxn,
-    Database, DbResult, IsolationLevel, Key, Predicate, RecoveryReport, Row, Ts, TxnId, WalOptions,
+    Database, DbResult, GcStats, IsolationLevel, Key, Predicate, RecoveryReport, Row, Ts, TxnId,
+    WalOptions,
 };
 use trod_trace::{ReadTrace, Tracer, TxnContext, TxnTrace};
 
@@ -58,19 +59,6 @@ impl TxnOptions {
         self.ctx = Some(ctx);
         self
     }
-}
-
-/// What one [`Session::gc_before`] pass reclaimed, and at which horizon.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GcStats {
-    /// The effective horizon after clamping to the active-transaction
-    /// watermark and the published clock.
-    pub horizon: Ts,
-    /// Row versions dropped, namespace rows included.
-    pub versions: usize,
-    /// Aligned log entries truncated from memory (a durable log keeps
-    /// them).
-    pub log_entries: usize,
 }
 
 struct SessionInner {
@@ -207,24 +195,14 @@ impl Session {
         self.inner.db.create_namespace(name)
     }
 
-    /// Garbage-collects history ([`Database::gc_before`]) below `ts`
-    /// clamped to the active-transaction watermark and the published
-    /// clock. On a durable environment the truncated aligned entries —
-    /// their `kv:<namespace>` records included — stay in the log, so time
-    /// travel below the horizon stays reconstructable.
+    /// Garbage-collects history below `ts` ([`Database::gc_before`],
+    /// which clamps the horizon to the published clock and the
+    /// active-transaction watermark). On a durable environment the
+    /// truncated aligned entries — their `kv:<namespace>` records
+    /// included — stay in the log, so time travel below the horizon stays
+    /// reconstructable.
     pub fn gc_before(&self, ts: Ts) -> GcStats {
-        let db = &self.inner.db;
-        let horizon = ts
-            .min(db.min_active_start_ts().unwrap_or(Ts::MAX))
-            .min(db.current_ts());
-        let (versions, log_entries) = db.gc_before(horizon);
-        GcStats {
-            // Re-clamped under the log lock: a fork may have pinned since
-            // the watermark was read above.
-            horizon: horizon.min(db.log_truncated_below()),
-            versions,
-            log_entries,
-        }
+        self.inner.db.gc_before(ts)
     }
 
     /// Begins a serializable, untraced transaction.

@@ -126,8 +126,9 @@ mod tests {
         let matches = |prefix: &str, key: &str| {
             let db = Database::new();
             db.create_namespace("n").unwrap();
-            let schema = db.schema_of(&crate::kv_table_name("n")).unwrap();
-            let compiled = prefix_predicate(prefix).compile(&schema).unwrap();
+            let table = crate::kv_table_name("n");
+            let schema = db.schema_of(&table).unwrap();
+            let compiled = prefix_predicate(prefix).compile(&table, &schema).unwrap();
             compiled.matches(&trod_db::namespace_row(key, "v"))
         };
         for (prefix, key, want) in [

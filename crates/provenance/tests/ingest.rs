@@ -123,7 +123,7 @@ fn one_at_a_time(events: Vec<TraceEvent>) -> Contents {
 }
 
 /// Builds a stream from generated `(kind, request, handler, rows)` draws,
-/// with the strictly increasing timestamps a `TraceClock` hands out.
+/// with the strictly increasing timestamps `Tracer::now` hands out.
 fn stream(draws: &[(u8, u8, u8, u8)]) -> Vec<TraceEvent> {
     let mut events = Vec::new();
     let mut txn_ids = Vec::new();

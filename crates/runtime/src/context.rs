@@ -74,10 +74,15 @@ impl<'a> HandlerContext<'a> {
             .invoke_internal(&self.req_id, handler, Some(&self.handler), args)
     }
 
-    /// Declares an external-service call intent (assumed idempotent).
+    /// Declares an external-service call intent (assumed idempotent, so
+    /// the runtime never performs it). The intent is a
+    /// `TraceEvent::ExternalCall` in the runtime's trace and nothing else;
+    /// after ingest it is read back as a row of the provenance store's
+    /// `ExternalCalls` table.
     pub fn external_call(&mut self, service: &str, payload: &str) {
         self.runtime
-            .record_external(&self.req_id, &self.handler, service, payload);
+            .tracer()
+            .external_call(&self.req_id, &self.handler, service, payload);
     }
 
     /// Marks a named synchronization point. In production mode this is a
@@ -87,14 +92,6 @@ impl<'a> HandlerContext<'a> {
         self.runtime
             .scheduler()
             .wait_for(&point_label(&self.req_id, point));
-    }
-
-    /// A trace timestamp (strictly monotonic across the runtime). Exposed
-    /// so handlers that need a notion of "now" get it from the runtime
-    /// rather than the wall clock, keeping them deterministic under
-    /// replay.
-    pub fn now(&self) -> i64 {
-        self.runtime.tracer().now()
     }
 }
 

@@ -2,10 +2,10 @@
 //!
 //! A [`Runtime`] binds together a [`Session`] (the unified transaction
 //! surface over the application database and its key-value namespaces,
-//! and the tracing interposition layer), a [`HandlerRegistry`], a
-//! [`Scheduler`] and an [`ExternalServiceLog`]. Requests are served by
-//! invoking the named handler with a fresh request id; concurrent load is
-//! generated by running requests on a pool of threads.
+//! and the tracing interposition layer), a [`HandlerRegistry`] and a
+//! [`Scheduler`]. Requests are served by invoking the named handler with
+//! a fresh request id; concurrent load is generated by running requests
+//! on a pool of threads.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -18,7 +18,6 @@ use trod_trace::Tracer;
 use crate::args::Args;
 use crate::context::HandlerContext;
 use crate::error::{HandlerError, HandlerResult};
-use crate::external::{ExternalCall, ExternalServiceLog};
 use crate::handler::HandlerRegistry;
 use crate::scheduler::Scheduler;
 
@@ -113,7 +112,6 @@ impl RuntimeBuilder {
             scheduler: self
                 .scheduler
                 .unwrap_or_else(|| Arc::new(Scheduler::passthrough())),
-            external: Arc::new(ExternalServiceLog::new()),
             next_req: AtomicU64::new(1),
             default_isolation: self.default_isolation,
             req_prefix: self.req_prefix,
@@ -127,7 +125,6 @@ pub struct Runtime {
     registry: HandlerRegistry,
     tracer: Tracer,
     scheduler: Arc<Scheduler>,
-    external: Arc<ExternalServiceLog>,
     next_req: AtomicU64,
     default_isolation: IsolationLevel,
     req_prefix: String,
@@ -170,11 +167,6 @@ impl Runtime {
     /// The scheduler controlling synchronization points.
     pub fn scheduler(&self) -> &Arc<Scheduler> {
         &self.scheduler
-    }
-
-    /// The external-service call log.
-    pub fn external_log(&self) -> &Arc<ExternalServiceLog> {
-        &self.external
     }
 
     /// The handler registry in use.
@@ -306,23 +298,6 @@ impl Runtime {
         result
     }
 
-    pub(crate) fn record_external(
-        &self,
-        req_id: &str,
-        handler: &str,
-        service: &str,
-        payload: &str,
-    ) {
-        let timestamp = self.tracer.external_call(req_id, handler, service, payload);
-        self.external.record(ExternalCall {
-            req_id: req_id.to_string(),
-            handler: handler.to_string(),
-            service: service.to_string(),
-            payload: payload.to_string(),
-            timestamp,
-        });
-    }
-
     /// Convenience for tests: serves a request and unwraps a successful
     /// value, panicking (with context) on error.
     pub fn must_handle(&self, handler: &str, args: Args) -> Value {
@@ -447,8 +422,23 @@ mod tests {
         );
         // All events share the request id.
         assert!(events.iter().all(|e| e.req_id() == result.req_id));
-        // The external call was logged.
-        assert_eq!(runtime.external_log().calls_to("email").len(), 1);
+        // The external call intent was traced, once, by the workflow.
+        let external: Vec<(&str, &str, &str)> = events
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::ExternalCall {
+                    handler,
+                    service,
+                    payload,
+                    ..
+                } => Some((handler.as_str(), service.as_str(), payload.as_str())),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            external,
+            vec![("increment_twice", "email", "incremented twice")]
+        );
         // And the counter really was incremented twice.
         assert_eq!(
             runtime

@@ -8,10 +8,13 @@
 //! through handler-to-handler RPCs.
 //!
 //! The runtime is built on top of the [`trod_trace`] interposition layer,
-//! so every handler invocation and every transaction is traced without
-//! any per-application instrumentation; a deterministic [`Scheduler`]
-//! lets tests and the retroactive engine force specific interleavings of
-//! transactions from concurrent requests.
+//! so every handler invocation, every transaction and every external
+//! call intent is traced without any per-application instrumentation.
+//! The trace is the only record of what a request did: an external call
+//! is a `TraceEvent::ExternalCall`, read back after ingest as a row of
+//! the provenance store's `ExternalCalls` table. A deterministic
+//! [`Scheduler`] lets tests and the retroactive engine force specific
+//! interleavings of transactions from concurrent requests.
 //!
 //! ```
 //! use trod_db::{Database, DataType, Schema, Value, row, Key};
@@ -57,7 +60,6 @@ pub mod args;
 pub mod context;
 pub mod error;
 pub mod executor;
-pub mod external;
 pub mod handler;
 pub mod scheduler;
 
@@ -65,6 +67,5 @@ pub use args::Args;
 pub use context::HandlerContext;
 pub use error::{HandlerError, HandlerResult};
 pub use executor::{RequestResult, Runtime, RuntimeBuilder};
-pub use external::{ExternalCall, ExternalServiceLog};
 pub use handler::{FnHandler, Handler, HandlerRegistry};
 pub use scheduler::{point_label, Scheduler};

@@ -6,9 +6,11 @@
 //!
 //! Components:
 //!
-//! * [`Tracer`] — the shared handle components use to emit trace events;
-//!   owns the lock-free in-memory [`TraceBuffer`] and the monotonic
-//!   [`TraceClock`].
+//! * [`Tracer`] — the one trace recorder: a shared handle over an
+//!   in-memory, mutex-guarded event buffer, its [`TraceStats`] counters
+//!   and a strictly monotonic clock. Every event a request causes
+//!   (handler start/end, transaction provenance, external call intents)
+//!   is recorded here and nowhere else.
 //! * [`TxnTrace`] / [`ReadTrace`] / [`TraceEvent`] — the provenance
 //!   records themselves: per-transaction read sets (including reads that
 //!   returned nothing), CDC write sets, snapshot/commit timestamps and
@@ -26,16 +28,12 @@
 //! `TracedTransaction` wrappers this crate used to export were collapsed
 //! into that surface.
 
-pub mod buffer;
-pub mod clock;
 pub mod interpose;
 pub mod json;
 pub mod record;
 pub mod wire;
 
-pub use buffer::{TraceBuffer, TraceStats};
-pub use clock::TraceClock;
-pub use interpose::Tracer;
+pub use interpose::{TraceStats, Tracer};
 pub use json::{Json, JsonError};
 pub use record::{ReadTrace, TraceEvent, TxnContext, TxnTrace};
 pub use wire::WireError;

@@ -12,7 +12,8 @@
 //! provenance and applying a retention cutoff — as the store grows, and
 //! (d) the cost of assembling the traces of one request and of one
 //! two-transaction commit range, which should follow the request, not the
-//! store.
+//! store, and (e) the work ingest defers: the first full-table query
+//! after an ingest installs the `ForumEvents` rows of every read.
 
 use std::sync::Arc;
 
@@ -355,12 +356,52 @@ fn bench_assembly(c: &mut Criterion) {
     group.finish();
 }
 
+/// The first `SELECT COUNT(*) FROM ForumEvents` after ingesting 1,200 or
+/// 3,600 `moodle_read` requests (a handler span around one 100-row read):
+/// it installs every read as its 100 event rows, so its throughput counts
+/// those rows. The store's drop is inside the timed region.
+fn bench_materialize(c: &mut Criterion) {
+    let mut group = c.benchmark_group("provenance_ingest/materialize");
+    group.sample_size(10);
+    let shape = Shape {
+        handlers: 1,
+        txns: 1,
+        read_rows: 100,
+        inserts: false,
+    };
+    for &requests in &[1_200usize, 3_600] {
+        let (mut events, mut clock) = (Vec::new(), 0);
+        for req in 0..requests {
+            traced_request(req, shape, &mut clock, &mut events);
+        }
+        let rows = requests * shape.read_rows;
+        group.throughput(Throughput::Elements(rows as u64));
+        group.bench_function(BenchmarkId::from_parameter(requests), |b| {
+            b.iter_batched(
+                || {
+                    let store = fresh_store();
+                    store.ingest(events.clone());
+                    store
+                },
+                |store| {
+                    let count = store.query("SELECT COUNT(*) FROM ForumEvents");
+                    let count = count.expect("count").rows()[0][0].as_int();
+                    assert_eq!(count, Some(rows as i64));
+                },
+                BatchSize::SmallInput,
+            );
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_ingest,
     bench_requests,
     bench_redaction,
     bench_retention,
-    bench_assembly
+    bench_assembly,
+    bench_materialize
 );
 criterion_main!(benches);

@@ -90,6 +90,24 @@ impl ConflictGraph {
         }
     }
 
+    /// Adds the conflicts among `txns`, found by request as
+    /// [`Self::build`] finds them, to the graph. Returns how many
+    /// conflicting pairs were new.
+    pub fn add(&mut self, txns: &[TxnTrace]) -> usize {
+        let before = self.edges.len();
+        self.edges.extend(Self::build(&self.requests, txns).edges);
+        self.edges.len() - before
+    }
+
+    /// The orientation of every conflicting pair under `order` (a
+    /// permutation of the graph's requests): two orderings with one
+    /// orientation are one class of [`Self::enumerate_orderings`].
+    pub fn orientation(&self, order: &[String]) -> Vec<bool> {
+        let position = |req: &String| order.iter().position(|r| r == req);
+        let pos: Vec<Option<usize>> = self.requests.iter().map(position).collect();
+        self.edges.iter().map(|&(i, j)| pos[i] < pos[j]).collect()
+    }
+
     /// The requests covered by this graph, in original order.
     pub fn requests(&self) -> &[String] {
         &self.requests
@@ -189,13 +207,13 @@ mod tests {
     use trod_trace::{ReadTrace, TxnContext};
 
     /// The oracle: the same depth-first walk over every permutation,
-    /// keeping each one whose conflict signature is new.
+    /// keeping each one whose orientation is new.
     fn exhaustive_orderings(graph: &ConflictGraph, limit: usize) -> Vec<Vec<String>> {
         let n = graph.requests.len();
         if n == 0 || limit == 0 {
             return Vec::new();
         }
-        let mut seen_signatures = BTreeSet::new();
+        let mut seen = BTreeSet::new();
         let mut out = Vec::new();
         let mut stack: Vec<(Vec<usize>, Vec<usize>)> = vec![(Vec::new(), (0..n).collect())];
         while let Some((prefix, remaining)) = stack.pop() {
@@ -203,8 +221,10 @@ mod tests {
                 break;
             }
             if remaining.is_empty() {
-                if seen_signatures.insert(signature(graph, &prefix)) {
-                    out.push(prefix.iter().map(|&i| graph.requests[i].clone()).collect());
+                let order: Vec<String> =
+                    prefix.iter().map(|&i| graph.requests[i].clone()).collect();
+                if seen.insert(graph.orientation(&order)) {
+                    out.push(order);
                 }
                 continue;
             }
@@ -217,19 +237,6 @@ mod tests {
             }
         }
         out
-    }
-
-    /// The orientation of every conflicting pair under a permutation.
-    fn signature(graph: &ConflictGraph, order: &[usize]) -> Vec<bool> {
-        let mut position = vec![0usize; graph.requests.len()];
-        for (pos, &idx) in order.iter().enumerate() {
-            position[idx] = pos;
-        }
-        graph
-            .edges
-            .iter()
-            .map(|&(i, j)| position[i] < position[j])
-            .collect()
     }
 
     fn graph(n: usize, edges: impl IntoIterator<Item = (usize, usize)>) -> ConflictGraph {

@@ -8,7 +8,16 @@
 //! have interleaved. The conflict-aware ordering enumeration comes from
 //! [`crate::interleave`]; this module drives the re-executions and
 //! evaluates invariants over every outcome.
+//!
+//! The conflicts come from the original traces first, and then from the
+//! re-executions themselves: a patch that adds a read or a write makes
+//! conflicts the original code never had. After each ordering the
+//! conflicts of its own traces join the graph, and the orderings the
+//! grown graph tells apart that no run has covered yet run next, until
+//! every ordering it tells apart has run or `max_orderings` have
+//! ([`RetroactiveReport::hit_max_orderings`]).
 
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -16,6 +25,7 @@ use trod_db::{Database, DbError, IsolationLevel, Ts};
 use trod_kv::Session;
 use trod_provenance::{ProvenanceStore, RequestRecord};
 use trod_runtime::{Args, HandlerRegistry, Runtime};
+use trod_trace::{TraceEvent, TxnTrace};
 
 use crate::declarative::Declarative;
 use crate::interleave::ConflictGraph;
@@ -132,10 +142,15 @@ impl OrderingOutcome {
 pub struct RetroactiveReport {
     /// The snapshot timestamp re-execution branched from.
     pub snapshot_ts: Ts,
-    /// Number of conflicting request pairs found.
+    /// Number of conflicting request pairs found, in the original traces
+    /// and in the re-executions.
     pub conflicting_pairs: usize,
     /// One outcome per explored ordering (the original order first).
     pub orderings: Vec<OrderingOutcome>,
+    /// Whether `max_orderings` stopped the search while an ordering the
+    /// conflict graph, grown by the re-executions' own conflicts, tells
+    /// apart from every one that ran was left. False when none was left.
+    pub hit_max_orderings: bool,
 }
 
 impl RetroactiveReport {
@@ -275,85 +290,124 @@ impl RetroactiveBuilder {
         }
 
         // Snapshot: the earliest snapshot any selected request's
-        // transaction read from, unless overridden.
-        let selected_txns: Vec<_> = self
-            .req_ids
-            .iter()
+        // committed transaction read from, unless overridden.
+        let selected_txns: Vec<_> = (self.req_ids.iter())
             .flat_map(|r| self.provenance.txns_for_request(r))
-            .filter(|t| t.committed)
             .collect();
         let snapshot_ts = self
             .snapshot_ts
             .unwrap_or_else(|| {
-                selected_txns
-                    .iter()
+                (selected_txns.iter())
+                    .filter(|t| t.committed)
                     .map(|t| t.snapshot_ts)
                     .min()
                     .unwrap_or(0)
             })
             .min(self.production.database().current_ts());
 
-        // Conflict-aware ordering enumeration.
-        let graph = ConflictGraph::build(&self.req_ids, &selected_txns);
-        let orderings = graph.enumerate_orderings(self.max_orderings);
-
-        let mut outcomes = Vec::with_capacity(orderings.len());
-        for order in orderings {
-            // Fork the whole environment the way replay does, so
-            // retroactive runs reach history below the GC floor too.
-            let dev = self
-                .production
-                .fork_at(snapshot_ts)
-                .map_err(RetroactiveError::Fork)?;
-            let runtime = Runtime::builder(dev.database().clone(), self.registry.clone())
-                .default_isolation(self.isolation)
-                .request_prefix("RETRO-")
-                .build();
-
-            let mut request_outcomes = Vec::with_capacity(order.len());
-            for req_id in &order {
-                let (_, root, args) = roots
-                    .iter()
-                    .find(|(r, _, _)| r == req_id)
-                    .expect("ordering only permutes selected requests");
-                let replay_id = format!("{req_id}'");
-                let result =
-                    runtime.handle_request_with_id(&replay_id, &root.handler, args.clone());
-                let (ok, output) = match &result.output {
-                    Ok(v) => (true, v.to_string()),
-                    Err(e) => (false, e.to_string()),
-                };
-                request_outcomes.push(RequestOutcome {
-                    req_id: replay_id,
-                    original_req_id: req_id.clone(),
-                    handler: root.handler.clone(),
-                    ok,
-                    output,
-                    original_output: root.output.clone(),
-                    original_ok: root.ok,
-                });
+        // Conflict-aware ordering enumeration over a graph that grows with
+        // the conflicts of each re-execution; an ordering runs unless one
+        // that ran already orders every conflicting pair the same way. An
+        // aborted transaction's reads conflict too: what it read decided
+        // that it aborted.
+        let mut graph = ConflictGraph::build(&self.req_ids, &selected_txns);
+        let limit = self.max_orderings.saturating_add(1);
+        let mut queue = graph.enumerate_orderings(limit).into_iter();
+        let mut ran = HashSet::new();
+        let mut outcomes: Vec<OrderingOutcome> = Vec::new();
+        let mut hit_max_orderings = false;
+        while let Some(order) = queue.next() {
+            if !ran.insert(graph.orientation(&order)) {
+                continue;
             }
-
-            // An invariant that cannot be checked fails the ordering.
-            let violations = (self.invariants.iter())
-                .flat_map(|inv| match inv.check(dev.database()) {
-                    Ok(found) => found.iter().map(Violation::to_string).collect(),
-                    Err(e) => vec![format!("[{}] cannot check: {e}", inv.name())],
-                })
-                .collect();
-            outcomes.push(OrderingOutcome {
-                order,
-                outcomes: request_outcomes,
-                violations,
-                dev,
-            });
+            if outcomes.len() == self.max_orderings {
+                hit_max_orderings = true;
+                break;
+            }
+            let (outcome, traces) = self.run_ordering(order, &roots, snapshot_ts)?;
+            outcomes.push(outcome);
+            if graph.add(&traces) > 0 {
+                ran = outcomes
+                    .iter()
+                    .map(|o| graph.orientation(&o.order))
+                    .collect();
+                queue = graph.enumerate_orderings(limit).into_iter();
+            }
         }
 
         Ok(RetroactiveReport {
             snapshot_ts,
             conflicting_pairs: graph.conflict_count(),
             orderings: outcomes,
+            hit_max_orderings,
         })
+    }
+
+    /// Re-executes the selected requests in `order` in a fresh fork of
+    /// production at `snapshot_ts`. Returns the outcome and every
+    /// transaction's trace, aborted ones included, under the original
+    /// request ids.
+    fn run_ordering(
+        &self,
+        order: Vec<String>,
+        roots: &[(String, RequestRecord, Args)],
+        snapshot_ts: Ts,
+    ) -> Result<(OrderingOutcome, Vec<TxnTrace>), RetroactiveError> {
+        // Fork the whole environment the way replay does, so
+        // retroactive runs reach history below the GC floor too.
+        let dev = self
+            .production
+            .fork_at(snapshot_ts)
+            .map_err(RetroactiveError::Fork)?;
+        let runtime = Runtime::builder(dev.database().clone(), self.registry.clone())
+            .default_isolation(self.isolation)
+            .request_prefix("RETRO-")
+            .build();
+
+        let mut request_outcomes = Vec::with_capacity(order.len());
+        for req_id in &order {
+            let (_, root, args) = roots
+                .iter()
+                .find(|(r, _, _)| r == req_id)
+                .expect("ordering only permutes selected requests");
+            let replay_id = format!("{req_id}'");
+            let result = runtime.handle_request_with_id(&replay_id, &root.handler, args.clone());
+            let (ok, output) = match &result.output {
+                Ok(v) => (true, v.to_string()),
+                Err(e) => (false, e.to_string()),
+            };
+            request_outcomes.push(RequestOutcome {
+                req_id: replay_id,
+                original_req_id: req_id.clone(),
+                handler: root.handler.clone(),
+                ok,
+                output,
+                original_output: root.output.clone(),
+                original_ok: root.ok,
+            });
+        }
+        let mut traces = Vec::new();
+        for event in runtime.tracer().drain() {
+            if let TraceEvent::Txn(mut trace) = event {
+                trace.ctx.req_id.pop(); // the prime: the original request's id
+                traces.push(*trace);
+            }
+        }
+
+        // An invariant that cannot be checked fails the ordering.
+        let violations = (self.invariants.iter())
+            .flat_map(|inv| match inv.check(dev.database()) {
+                Ok(found) => found.iter().map(Violation::to_string).collect(),
+                Err(e) => vec![format!("[{}] cannot check: {e}", inv.name())],
+            })
+            .collect();
+        let outcome = OrderingOutcome {
+            order,
+            outcomes: request_outcomes,
+            violations,
+            dev,
+        };
+        Ok((outcome, traces))
     }
 }
 
@@ -364,5 +418,155 @@ impl fmt::Debug for RetroactiveBuilder {
             .field("max_orderings", &self.max_orderings)
             .field("invariants", &self.invariants.len())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use trod_db::{row, DataType, Key, Predicate, Schema, Value};
+    use trod_runtime::HandlerContext;
+
+    use crate::Trod;
+
+    /// `deposit` puts 10 into account 1; `audit` records the balance it
+    /// saw, always 10 in the original code.
+    fn bank(audit: fn(&mut HandlerContext<'_>) -> Option<i64>) -> HandlerRegistry {
+        HandlerRegistry::new()
+            .with_fn("deposit", |ctx, _| {
+                let mut txn = ctx.txn("deposit");
+                txn.update("acct", &Key::single(1i64), row![1i64, 10i64])?;
+                txn.commit()?;
+                Ok(Value::Null)
+            })
+            .with_fn("audit", move |ctx, _| {
+                let seen = audit(ctx).unwrap_or(10);
+                let mut txn = ctx.txn("audit");
+                txn.insert("audit", row![1i64, seen])?;
+                txn.commit()?;
+                Ok(Value::Null)
+            })
+    }
+
+    /// The patched `audit` reads the balance first.
+    fn read_balance(ctx: &mut HandlerContext<'_>) -> Option<i64> {
+        let mut txn = ctx.txn("balance");
+        let acct = txn.get("acct", &Key::single(1i64)).ok()??;
+        txn.commit().ok()?;
+        acct[1].as_int()
+    }
+
+    /// This patched `audit` aborts its read when the deposit is in: only
+    /// an ordering with `audit` first records the balance.
+    fn read_balance_or_abort(ctx: &mut HandlerContext<'_>) -> Option<i64> {
+        let mut txn = ctx.txn("balance");
+        let balance = txn.get("acct", &Key::single(1i64)).ok()??[1].as_int()?;
+        if balance == 10 {
+            txn.abort();
+            return None;
+        }
+        txn.commit().ok()?;
+        Some(balance)
+    }
+
+    fn traced_bank(audit: fn(&mut HandlerContext<'_>) -> Option<i64>) -> Trod {
+        let db = Database::new();
+        for table in ["acct", "audit"] {
+            let schema = Schema::builder()
+                .column("id", DataType::Int)
+                .column("n", DataType::Int)
+                .primary_key(&["id"])
+                .build()
+                .unwrap();
+            db.create_table(table, schema).unwrap();
+        }
+        db.apply_changes(&[trod_db::ChangeRecord::insert(
+            "acct",
+            Key::single(1i64),
+            row![1i64, 0i64],
+        )])
+        .unwrap();
+        let trod = Trod::attach(Runtime::new(db, bank(audit))).unwrap();
+        for (req, handler) in [("R1", "deposit"), ("R2", "audit")] {
+            let result = trod
+                .runtime()
+                .handle_request_with_id(req, handler, Args::new());
+            assert!(result.output.is_ok(), "{result:?}");
+        }
+        trod.sync();
+        trod
+    }
+
+    fn explore(
+        trod: &Trod,
+        patch: fn(&mut HandlerContext<'_>) -> Option<i64>,
+    ) -> RetroactiveReport {
+        trod.retroactive(bank(patch))
+            .requests(&["R1", "R2"])
+            .invariant(Invariant::all_rows_match(
+                "audit",
+                Predicate::eq("n", 10i64),
+            ))
+            .run()
+            .unwrap()
+    }
+
+    #[test]
+    fn a_conflict_only_the_patch_makes_is_explored() {
+        // The original `audit` never read `acct`: the original traces hold
+        // no conflict, the patched run's do.
+        let report = explore(&traced_bank(|_| None), read_balance);
+        assert_eq!(report.conflicting_pairs, 1);
+        let orders: Vec<&[String]> = report.orderings.iter().map(|o| &o.order[..]).collect();
+        assert_eq!(orders, [["R1", "R2"], ["R2", "R1"]]);
+        assert!(report.orderings[0].is_clean());
+        assert!(!report.all_orderings_clean(), "{:?}", report.violations());
+        assert!(!report.hit_max_orderings);
+
+        // An original `audit` that read `acct` gives the same answer.
+        let report = explore(&traced_bank(read_balance), read_balance);
+        assert_eq!(report.orderings.len(), 2);
+        assert!(!report.all_orderings_clean());
+    }
+
+    #[test]
+    fn a_conflict_only_an_aborted_read_makes_is_explored() {
+        // In the original order the patched `audit`'s only `acct` read
+        // aborts; what it read still conflicts with the deposit.
+        let report = explore(&traced_bank(|_| None), read_balance_or_abort);
+        assert_eq!(report.conflicting_pairs, 1);
+        let orders: Vec<&[String]> = report.orderings.iter().map(|o| &o.order[..]).collect();
+        assert_eq!(orders, [["R1", "R2"], ["R2", "R1"]]);
+        assert!(report.orderings[0].is_clean());
+        assert!(!report.orderings[1].is_clean());
+
+        // An original `audit` whose read aborted conflicts from the start,
+        // under a patch that reads nothing.
+        let report = explore(&traced_bank(read_balance_or_abort), |_| None);
+        assert_eq!(report.conflicting_pairs, 1);
+        assert_eq!(report.orderings.len(), 2);
+        assert!(report.all_orderings_clean());
+    }
+
+    #[test]
+    fn the_search_says_when_max_orderings_stopped_it() {
+        let trod = traced_bank(|_| None);
+        let report = trod
+            .retroactive(bank(read_balance))
+            .requests(&["R1", "R2"])
+            .max_orderings(1)
+            .run()
+            .unwrap();
+        assert_eq!(report.orderings.len(), 1);
+        assert!(report.hit_max_orderings);
+
+        // Unrelated requests: one ordering covers every class.
+        let report = trod
+            .retroactive(bank(|_| None))
+            .requests(&["R1", "R2"])
+            .run()
+            .unwrap();
+        assert_eq!((report.conflicting_pairs, report.orderings.len()), (0, 1));
+        assert!(!report.hit_max_orderings);
     }
 }

@@ -381,7 +381,10 @@ impl Database {
     /// consecutive records naming the same table — and runs every
     /// fallible record check before any lock or timestamp is taken (a
     /// bad record can never leave a half-applied commit behind), then
-    /// installs one batch per run, straight from the records.
+    /// installs one batch per table, straight from the records, in list
+    /// order. One batch, because a secondary index that catches up
+    /// between two batches of one commit takes the commit's timestamp as
+    /// applied and would never replay the second.
     fn inject(
         &self,
         changes: &[ChangeRecord],
@@ -406,14 +409,15 @@ impl Database {
         locked.sort_unstable_by(|a, b| a.name().cmp(b.name()));
         locked.dedup_by(|a, b| a.name() == b.name());
         let install = |commit_ts| {
-            for (store, run) in &runs {
-                let ops = run.iter().map(|c| (&c.key, c.op.after_shared()));
-                store.apply_batch(ops, commit_ts);
+            for &store in &locked {
+                let batch = runs.iter().filter(|(s, _)| Arc::ptr_eq(s, store));
+                let ops = batch.flat_map(|(_, run)| run.iter());
+                store.apply_batch(ops.map(|c| (&c.key, c.op.after_shared())), commit_ts);
             }
             Vec::new()
         };
         self.publish(
-            locked.into_iter(),
+            locked.iter().copied(),
             FrontEnd {
                 check,
                 recheck,
@@ -729,6 +733,35 @@ pub(crate) mod tests {
             Some(std::sync::Arc::new(row![1i64, "patched"]))
         );
         assert_eq!(db.get_latest("t", &Key::single(2i64)).unwrap(), None);
+    }
+
+    /// An injected change list that names one table in several runs
+    /// installs it as one batch: an index probe racing the commit never
+    /// catches up between two of them and loses the second.
+    #[test]
+    fn an_index_racing_injected_commits_misses_no_row() {
+        let db = Database::new();
+        db.create_table("t", schema()).unwrap();
+        db.create_index("t", "v").unwrap();
+        db.create_table("u", schema()).unwrap();
+        const COMMITS: i64 = 2_000;
+        let done = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while !done.load(Ordering::Relaxed) {
+                    db.scan_latest("t", &Predicate::eq("v", "x")).unwrap();
+                }
+            });
+            for i in 0..COMMITS {
+                let change =
+                    |table, id: i64| ChangeRecord::insert(table, Key::single(id), row![id, "x"]);
+                db.apply_changes(&[change("t", 2 * i), change("u", i), change("t", 2 * i + 1)])
+                    .unwrap();
+            }
+            done.store(true, Ordering::Relaxed);
+        });
+        let found = db.scan_latest("t", &Predicate::eq("v", "x")).unwrap();
+        assert_eq!(found.len() as i64, 2 * COMMITS);
     }
 
     /// As-of reads clamp to the published clock. A claimed timestamp

@@ -26,6 +26,10 @@
 //!   `ReadNo`). Ingest never maintains an index: the first query that
 //!   probes one builds it, and later probes catch it up from the table's
 //!   change log.
+//! * A read is not staged as rows at ingest: it is kept as the rows its
+//!   trace shares with the application table, and installed as its
+//!   `<X>Events` rows when a query, an assembly or a redaction needs
+//!   them ("Deferred reads" in the `store` module docs).
 //! * Developers (and the TROD debugger core) query it with SQL through
 //!   [`ProvenanceStore::query`].
 

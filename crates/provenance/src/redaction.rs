@@ -44,7 +44,7 @@ use trod_db::{ChangeOp, ChangeRecord, DbError, DbResult, Predicate, Row, Value};
 use crate::schema::{
     event_ids, EXECUTIONS_TABLE, EXTERNAL_CALLS_TABLE, FIRST_APP_COLUMN, REQUESTS_TABLE,
 };
-use crate::store::ProvenanceStore;
+use crate::store::{DeferredRead, ProvenanceStore};
 
 /// Placeholder written over redacted text fields.
 pub const REDACTED_MARKER: &str = "[redacted]";
@@ -77,7 +77,8 @@ pub struct RetentionReport {
     /// Handler invocation records dropped.
     pub requests_dropped: usize,
     /// Rows deleted from the relational provenance tables (Executions,
-    /// Requests, ExternalCalls and every `<X>Events` table).
+    /// Requests, ExternalCalls and every `<X>Events` table), the rows of
+    /// dropped deferred reads included.
     pub rows_deleted: usize,
 }
 
@@ -91,7 +92,8 @@ impl ProvenanceStore {
     /// with NULL / [`REDACTED_MARKER`]; execution metadata (transaction
     /// ids, handler names, timestamps) is preserved so the history's
     /// *shape* stays queryable. Only events ingested before the call are
-    /// erased.
+    /// erased; the table's deferred reads are installed first, so none of
+    /// them can bring an erased row back later.
     ///
     /// The filters are checked against the application's schema before
     /// anything is written: an unknown table is [`DbError::NoSuchTable`],
@@ -126,6 +128,10 @@ impl ProvenanceStore {
             let holds = |value: &Value| image.iter().any(|v| v.sql_eq(value));
             filters.iter().all(|(_, value)| holds(value))
         };
+
+        let mut ingest = self.ingest.lock();
+        let reads = ingest.take_tables(|table| table == event_table);
+        self.install(reads, &mut ingest);
 
         let mut touched_txns = BTreeSet::new();
         let mut txn = self.db.begin();
@@ -183,7 +189,8 @@ impl ProvenanceStore {
 
     /// Drops all provenance recorded before `cutoff_ts` (trace-clock
     /// microseconds): the rows of every provenance table, handler
-    /// invocations included, and so the traces assembled from them.
+    /// invocations included, the dropped transactions' deferred reads,
+    /// and so the traces assembled from them.
     pub fn retain_since(&self, cutoff_ts: i64) -> DbResult<RetentionReport> {
         let mut report = RetentionReport::default();
         let mut ingest = self.ingest.lock();
@@ -207,6 +214,9 @@ impl ProvenanceStore {
             report.rows_deleted += txn.delete_where(&table.name, &events)?;
         }
         txn.commit()?;
+        let reads = ingest.take_txns(dropped.iter().map(|(_, row)| event_ids(row)));
+        report.rows_deleted += reads.iter().map(DeferredRead::rows).sum::<usize>();
+        self.stats.write().deferred_reads = ingest.deferred_reads();
 
         // Expired invocations leave the open-invocation map: a late
         // `HandlerEnd` must not resurrect one.

@@ -22,7 +22,9 @@
 //!   (`FirstEventId`, `Events`), so they are found by primary key in each
 //!   event table. A `TxnId` probe would do, but the first one builds that
 //!   column's index over every event row ever ingested, inside whatever
-//!   debugging call comes first;
+//!   debugging call comes first. The selected transactions' deferred
+//!   reads (below) are installed first, under the ingest lock, and the
+//!   snapshot is taken right after;
 //! * its writes, from the application database's own history
 //!   ([`Database::history`] at the commit's timestamp): the commit's change
 //!   list, the allocation its log entry holds.
@@ -50,11 +52,12 @@
 //! ([`ProvenanceStats::unregistered_table_events`]) and dropped.
 //! Each event is translated once into change records:
 //!
-//! * `Txn` → one `<X>Events` row per row read (one NULL-data row for a
-//!   read that matched nothing) and one per write, in the order of the
-//!   trace's reads and change records, then an `Executions` row recording
-//!   their `EventId`s. A `TxnId` already in `Executions` is skipped and
-//!   counted.
+//! * `Txn` → one `<X>Events` row per write and an `Executions` row. Its
+//!   event rows' `EventId`s are those of one row per row read (one
+//!   NULL-data row for a read that matched nothing), then one per write,
+//!   in the order of the trace's reads and change records, and the
+//!   `Executions` row records them. The reads themselves are deferred
+//!   (below). A `TxnId` already in `Executions` is skipped and counted.
 //! * `HandlerStart` → a `Requests` row and an entry in the
 //!   open-invocation map: `(ReqId, HandlerName)` → LIFO stack of the
 //!   invocation's `StartTs`, which with the pair is its `Requests` key,
@@ -74,6 +77,26 @@
 //! it from the `Requests` rows with no `EndTs`, and redaction holds the
 //! ingest lock so a late `HandlerEnd` reads back the redacted row.
 //!
+//! **Deferred reads.** A read of a registered table reserves its
+//! `EventId`s and is kept, under the ingest lock, as its trace recorded
+//! it: table, query, `ReadTs`, `ReadNo`, `TxnId`, first `EventId` and
+//! its rows, `Arc`s shared with the application table (no copy, no as-of
+//! scan, so it stays exact under read committed, after the transaction's
+//! own writes, in aborted transactions and after GC). Its rows are
+//! installed through the same staging and chunked commits, byte for byte
+//! the rows eager ingest wrote, only when something needs them:
+//! assembly installs the reads of the transactions it selected,
+//! [`ProvenanceStore::query`] those of the event tables a statement can
+//! read read events of, [`ProvenanceStore::redact_rows`] its table's
+//! before it erases, [`ProvenanceStore::database`] all of them, and
+//! [`ProvenanceStore::retain_since`] drops those of the transactions it
+//! drops. Installing and taking the snapshot a statement or an assembly
+//! reads happen under the ingest lock, which every write to the store
+//! holds, so no assembly or statement sees an `Executions` row without
+//! its events. The [`ProvenanceStore::database`] handle is complete only
+//! as of the call: reads ingested after it stay deferred.
+//! A moodle `fetchSubscribers` ingests 2 rows, not 102.
+//!
 //! Ingest never maintains an index. `Executions` is indexed on `ReqId`,
 //! `Timestamp` and `CommitTs`, `Requests` on `ReqId`, and each
 //! `<X>Events` table on `TxnId` and on every application column; an index
@@ -91,7 +114,9 @@ use parking_lot::{Mutex, RwLock};
 use trod_db::{
     ChangeRecord, CommittedTxn, Database, DbResult, Key, Predicate, Row, Schema, Ts, TxnId, Value,
 };
-use trod_query::{QueryEngine, QueryResultT, ResultSet};
+use trod_query::{
+    BinOp, Expr, QueryEngine, QueryOptions, QueryResultT, ResultSet, SelectStmt, TableRef,
+};
 use trod_trace::{ReadTrace, TraceEvent, Tracer, TxnTrace};
 
 use crate::redaction::{erase_change, REDACTED_MARKER};
@@ -126,8 +151,11 @@ pub struct RequestRecord {
 pub struct ProvenanceStats {
     /// Traced transactions ingested.
     pub transactions: usize,
-    /// Row-level data events (rows in `<X>Events` tables).
+    /// Row-level data events (rows in `<X>Events` tables). A deferred
+    /// read's rows count once they are installed.
     pub data_events: usize,
+    /// Reads ingested whose `<X>Events` rows are not installed yet.
+    pub deferred_reads: usize,
     /// Handler invocations observed.
     pub handler_invocations: usize,
     /// External-service calls observed.
@@ -172,6 +200,57 @@ pub(crate) struct Ingest {
     /// `(ReqId, HandlerName)` → each invocation with no `HandlerEnd` yet,
     /// innermost last.
     open: HashMap<(String, String), Vec<Open>>,
+    /// Event table → its deferred reads, by first `EventId`.
+    deferred: HashMap<Arc<str>, BTreeMap<i64, DeferredRead>>,
+}
+
+impl Ingest {
+    /// Takes every deferred read of the event tables `pick` selects.
+    pub(crate) fn take_tables(&mut self, pick: impl Fn(&str) -> bool) -> Vec<DeferredRead> {
+        let picked = self.deferred.iter_mut().filter(|(table, _)| pick(table));
+        picked
+            .flat_map(|(_, reads)| std::mem::take(reads).into_values())
+            .collect()
+    }
+
+    /// Takes the deferred reads of the transactions whose `EventId`s are
+    /// `ids`, in any event table.
+    pub(crate) fn take_txns(&mut self, ids: impl Iterator<Item = Range<i64>>) -> Vec<DeferredRead> {
+        let mut taken = Vec::new();
+        for ids in ids {
+            for reads in self.deferred.values_mut() {
+                let keys: Vec<i64> = reads.range(ids.clone()).map(|(&id, _)| id).collect();
+                taken.extend(keys.iter().filter_map(|id| reads.remove(id)));
+            }
+        }
+        taken
+    }
+
+    pub(crate) fn deferred_reads(&self) -> usize {
+        self.deferred.values().map(BTreeMap::len).sum()
+    }
+}
+
+/// A read of a registered table, kept as its trace recorded it (the row
+/// `Arc`s are the application table's own) until a query, an assembly or
+/// a redaction needs its `<X>Events` rows.
+pub(crate) struct DeferredRead {
+    /// The event table its rows go to, and its application columns.
+    table: Arc<str>,
+    app_cols: usize,
+    txn_id: i64,
+    read_no: usize,
+    /// The `EventId` of its first row; the others follow it.
+    first_event: i64,
+    read: ReadTrace,
+}
+
+impl DeferredRead {
+    /// How many event rows the read becomes: one per row read, or one
+    /// with NULL application columns for a read that matched nothing.
+    pub(crate) fn rows(&self) -> usize {
+        self.read.rows.len().max(1)
+    }
 }
 
 /// An open invocation: its `StartTs`, and the ordinal of its
@@ -188,6 +267,8 @@ struct Chunk {
     /// Invocations started in this chunk, finished or not; the last is
     /// the one whose ordinal is `started - 1`.
     opened: Vec<RequestRecord>,
+    /// Reads of this chunk's transactions, deferred once it commits.
+    deferred: Vec<DeferredRead>,
     events: usize,
     stats: ProvenanceStats,
 }
@@ -259,6 +340,7 @@ impl ProvenanceStore {
                 next_event_id: 1,
                 started: 0,
                 open: HashMap::new(),
+                deferred: HashMap::new(),
             }),
             stats: RwLock::new(ProvenanceStats::default()),
         }
@@ -326,15 +408,44 @@ impl ProvenanceStore {
         tables.get(app_table).map(|t| t.name.to_string())
     }
 
-    /// The underlying provenance database (for direct SQL or inspection).
+    /// The underlying provenance database (for inspection), with every
+    /// deferred read installed first. The handle is not a snapshot: reads
+    /// ingested after this call stay deferred, so a caller that reads it
+    /// while ingest runs can see an `Executions` row whose read events
+    /// are missing. SQL goes through [`Self::query`], which installs what
+    /// a statement can see and reads at a snapshot taken under the ingest
+    /// lock.
     pub fn database(&self) -> &Database {
+        let mut ingest = self.ingest.lock();
+        let reads = ingest.take_tables(|_| true);
+        self.install(reads, &mut ingest);
         &self.db
     }
 
     /// Executes a SQL query over the provenance tables (declarative
-    /// debugging, paper §3.3/§3.4).
+    /// debugging, paper §3.3/§3.4). The deferred reads of each event
+    /// table the statement names are installed first, unless a top-level
+    /// `WHERE` conjunct `Type = '<text>'` other than `'Read'` keeps read
+    /// events out of every binding of it; the statement then runs at the
+    /// snapshot taken right after, under the ingest lock, so every
+    /// `Executions` row it sees has all its events.
     pub fn query(&self, sql: &str) -> QueryResultT<ResultSet> {
-        self.engine.execute(sql)
+        let stmt = trod_query::parse(sql)?;
+        let tables = read_tables(&stmt, |name| {
+            let registered = self.table_map.read();
+            registered
+                .values()
+                .any(|t| t.name.eq_ignore_ascii_case(name))
+        });
+        let mut opts = QueryOptions::default();
+        if !tables.is_empty() {
+            let mut ingest = self.ingest.lock();
+            let reads =
+                ingest.take_tables(|table| tables.iter().any(|t| t.eq_ignore_ascii_case(table)));
+            self.install(reads, &mut ingest);
+            opts.as_of = Some(self.db.current_ts());
+        }
+        self.engine.execute_stmt(&stmt, opts)
     }
 
     /// Current statistics.
@@ -417,7 +528,7 @@ impl ProvenanceStore {
     ) {
         chunk.events += 1;
         match event {
-            TraceEvent::Txn(trace) => {
+            TraceEvent::Txn(mut trace) => {
                 let txn_id = trace.txn_id as i64;
                 let key = Key::single(txn_id);
                 if !chunk.txn_ids.insert(trace.txn_id)
@@ -427,41 +538,40 @@ impl ProvenanceStore {
                     return;
                 }
                 let first_event = ingest.next_event_id;
-                // Stages one `<X>Events` row, or counts the event when its
-                // application table is not registered.
-                let mut event =
-                    |table: Option<&EventTable>, kind: &str, query: &str, read, image| {
-                        let Some(table) = table else {
-                            chunk.stats.unregistered_table_events += 1;
-                            return;
-                        };
-                        let event_id = ingest.next_event_id;
-                        ingest.next_event_id += 1;
-                        let row =
-                            event_row(event_id, txn_id, kind, query, read, table.app_cols, image);
-                        let insert =
-                            ChangeRecord::insert(table.name.clone(), Key::single(event_id), row);
-                        chunk.changes.push(insert);
-                        chunk.stats.data_events += 1;
-                    };
-                for (read_no, read) in trace.reads.iter().enumerate() {
-                    let table = tables.get(&read.table);
-                    let at = Some((read.read_ts, read_no));
-                    // A read that matched nothing is still one event; so
-                    // is any read of an unregistered table.
-                    if read.rows.is_empty() || table.is_none() {
-                        event(table, "Read", &read.query, at, None);
+                // A read of a registered table reserves its `EventId`s and
+                // is deferred; one of any other table is counted.
+                for (read_no, read) in std::mem::take(&mut trace.reads).into_iter().enumerate() {
+                    let Some(table) = tables.get(&read.table) else {
+                        chunk.stats.unregistered_table_events += 1;
                         continue;
-                    }
-                    for (_, row) in &read.rows {
-                        event(table, "Read", &read.query, at, Some(&**row));
-                    }
+                    };
+                    let read = DeferredRead {
+                        table: table.name.clone(),
+                        app_cols: table.app_cols,
+                        txn_id,
+                        read_no,
+                        first_event: ingest.next_event_id,
+                        read,
+                    };
+                    ingest.next_event_id += read.rows() as i64;
+                    chunk.deferred.push(read);
                 }
                 for change in trace.writes.iter() {
+                    let Some(table) = tables.get(&*change.table) else {
+                        chunk.stats.unregistered_table_events += 1;
+                        continue;
+                    };
+                    let event_id = ingest.next_event_id;
+                    ingest.next_event_id += 1;
                     let kind = change.op.kind();
                     let query = format!("{kind} {}", change.key);
                     let image = change.op.after().or_else(|| change.op.before());
-                    event(tables.get(&*change.table), kind, &query, None, image);
+                    let row =
+                        event_row(event_id, txn_id, kind, &query, None, table.app_cols, image);
+                    let insert =
+                        ChangeRecord::insert(table.name.clone(), Key::single(event_id), row);
+                    chunk.changes.push(insert);
+                    chunk.stats.data_events += 1;
                 }
                 let row = executions_row(&trace, first_event..ingest.next_event_id);
                 let table = self.fixed.executions.clone();
@@ -552,20 +662,52 @@ impl ProvenanceStore {
         }
     }
 
+    /// Installs deferred reads as the `<X>Events` rows eager ingest would
+    /// have staged for them, `EventId`s included, in chunks of about
+    /// `CHUNK_ROWS` rows.
+    pub(crate) fn install(&self, reads: Vec<DeferredRead>, ingest: &mut Ingest) {
+        let mut chunk = Chunk::default();
+        for d in reads {
+            let at = Some((d.read.read_ts, d.read_no));
+            let images = d.read.rows.iter().map(|(_, row)| Some(&**row));
+            // A read that matched nothing is one event with no image.
+            let none = d.read.rows.is_empty().then_some(None);
+            for (id, image) in (d.first_event..).zip(none.into_iter().chain(images)) {
+                let row = event_row(id, d.txn_id, "Read", &d.read.query, at, d.app_cols, image);
+                let insert = ChangeRecord::insert(d.table.clone(), Key::single(id), row);
+                chunk.changes.push(insert);
+                chunk.stats.data_events += 1;
+            }
+            chunk.events += 1;
+            if chunk.changes.len() >= CHUNK_ROWS {
+                self.publish(std::mem::take(&mut chunk), ingest);
+            }
+        }
+        self.publish(chunk, ingest);
+    }
+
     /// Installs a chunk as one injected commit, then makes its counts
-    /// visible; a rejected chunk is dropped and counted.
+    /// visible and defers its reads; a rejected chunk is dropped and
+    /// counted.
     fn publish(&self, mut chunk: Chunk, ingest: &mut Ingest) {
         let opened = chunk.opened.into_iter();
         let requests = &self.fixed.requests;
         chunk
             .changes
             .extend(opened.map(|rec| requests_change(requests, rec, None)));
-        if !chunk.changes.is_empty() && self.db.apply_changes(&chunk.changes).is_err() {
-            self.stats.write().rejected_events += chunk.events;
+        let rejected = !chunk.changes.is_empty() && self.db.apply_changes(&chunk.changes).is_err();
+        for read in chunk.deferred.into_iter().filter(|_| !rejected) {
+            let reads = ingest.deferred.entry(read.table.clone()).or_default();
+            reads.insert(read.first_event, read);
+        }
+        let mut stats = self.stats.write();
+        stats.deferred_reads = ingest.deferred_reads();
+        if rejected {
+            stats.rejected_events += chunk.events;
+            drop(stats);
             self.reopen(ingest);
             return;
         }
-        let mut stats = self.stats.write();
         stats.transactions += chunk.stats.transactions;
         stats.data_events += chunk.stats.data_events;
         stats.handler_invocations += chunk.stats.handler_invocations;
@@ -626,9 +768,18 @@ impl ProvenanceStore {
     /// its snapshot), then aborted ones at their snapshot (their `CommitTs`
     /// is 0), ties by trace timestamp.
     fn assemble(&self, pred: &Predicate) -> Vec<TxnTrace> {
-        let ts = self.db.current_ts();
-        let rows = self.db.scan_as_of(EXECUTIONS_TABLE, pred, ts);
-        let rows = rows.expect("Executions is a fixed table and the predicate names its columns");
+        // The selected transactions' deferred reads are installed, and the
+        // snapshot taken, under the ingest lock, which every write to the
+        // store holds.
+        let (rows, ts) = {
+            let mut ingest = self.ingest.lock();
+            let rows = self.db.scan_latest(EXECUTIONS_TABLE, pred);
+            let rows =
+                rows.expect("Executions is a fixed table and the predicate names its columns");
+            let reads = ingest.take_txns(rows.iter().map(|(_, row)| event_ids(row)));
+            self.install(reads, &mut ingest);
+            (rows, self.db.current_ts())
+        };
         let traces = rows.iter().map(|(_, row)| (trace_of(row), event_ids(row)));
         let mut txns: Vec<(TxnTrace, Range<i64>)> = traces.collect();
         txns.sort_by_key(|(t, _)| (!t.committed, t.commit_ts.max(t.snapshot_ts), t.timestamp));
@@ -743,6 +894,39 @@ impl ProvenanceStore {
 
 /// An event row, with the application table it is about.
 type EventRow<'a> = (&'a str, &'a EventTable, Arc<Row>);
+
+/// The event tables (as `is_event_table` recognises them) a statement
+/// can read read events of: each it names, unless every binding of it
+/// has a top-level `WHERE` conjunct `Type = '<text>'` with a text other
+/// than `'Read'` (the column on the left, as the paper's queries write
+/// it). An unqualified `Type` binds to the first event table
+/// the statement names, as the executor binds it: no other provenance
+/// table has that column.
+fn read_tables(stmt: &SelectStmt, is_event_table: impl Fn(&str) -> bool) -> Vec<String> {
+    let conjuncts = stmt.where_clause.iter().flat_map(Expr::conjuncts);
+    let not_reads: Vec<Option<&str>> = conjuncts
+        .filter_map(|conjunct| match conjunct {
+            Expr::Compare { left, op, right } if *op == BinOp::Eq => match (&**left, &**right) {
+                (Expr::Column { qualifier, name }, Expr::Literal(Value::Text(text)))
+                    if name.eq_ignore_ascii_case("Type") && text != "Read" =>
+                {
+                    Some(qualifier.as_deref())
+                }
+                _ => None,
+            },
+            _ => None,
+        })
+        .collect();
+    let tables = stmt.all_tables().into_iter();
+    let event_tables = tables.filter(|t| is_event_table(&t.table));
+    let skipped = |i: usize, binding: &TableRef| {
+        let binds =
+            |q: &Option<&str>| q.map_or(i == 0, |q| binding.binding_name().eq_ignore_ascii_case(q));
+        not_reads.iter().any(binds)
+    };
+    let read = event_tables.enumerate().filter(|(i, t)| !skipped(*i, t));
+    read.map(|(_, t)| t.table.clone()).collect()
+}
 
 /// Whether a trace is of a transaction that committed writes: a writing
 /// commit's timestamp is past its snapshot.

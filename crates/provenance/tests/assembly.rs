@@ -10,10 +10,16 @@
 //! reads, empty reads, a scan repeated around the transaction's own
 //! insert, updates and deletes, aborted and read-only transactions, a
 //! key-value namespace, a table created after the store, redactions and
-//! cutoffs between ingests, and GC of the in-memory application.
+//! cutoffs between ingests, GC of the in-memory application, and SQL
+//! over an event table with and without a `Type` filter, so that reads
+//! installed as event rows mix with reads still deferred. At the end,
+//! with every read installed, each `<X>Events` table must equal the
+//! eager rendering of the teed traces (`eager_rows`), row for row.
 //!
 //! `PROPTEST_CASES=512 cargo test -q -p trod-provenance --test assembly`
 
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -52,14 +58,19 @@ enum Op {
     Cart { user: u8, delete: bool },
     /// Writes the table created after the store (creating it first).
     Late,
-    /// Drains the tracer into the store.
-    Sync,
+    /// Drains the tracer into the store, then checks every accessor if
+    /// `check` (which installs every read it assembles: a sync that does
+    /// not check leaves its reads deferred).
+    Sync { check: bool },
     /// Erases a user's subscriptions, or their cart.
     Redact { user: u8, kv: bool },
     /// Drops what the `back`-th most recently ingested trace precedes.
     Retain { back: u8 },
     /// Collects the application's history below the published clock.
     Gc,
+    /// Joins `Executions` with the subscriptions' event table, keeping
+    /// only inserts if `typed`.
+    Sql { typed: bool },
 }
 
 /// An operation from a generated `(kind, user, forum, flag, id)` draw;
@@ -79,15 +90,17 @@ fn op_of((kind, user, forum, flag, id): (u8, u8, u8, u8, u8)) -> Op {
         9 => Op::Abort { user },
         10 | 11 => Op::Cart { user, delete: flag },
         12 => Op::Late,
-        13..=15 => Op::Sync,
+        13..=15 => Op::Sync { check: true },
         16 | 17 => Op::Redact { user, kv: flag },
         18 => Op::Retain { back: id % 8 },
-        _ => Op::Gc,
+        19 => Op::Gc,
+        20 => Op::Sync { check: false },
+        _ => Op::Sql { typed: flag },
     }
 }
 
 fn ops() -> impl Strategy<Value = Vec<Op>> {
-    let draw = (0u8..20, 0u8..4, 0u8..3, 0u8..2, 0u8..12);
+    let draw = (0u8..23, 0u8..4, 0u8..3, 0u8..2, 0u8..12);
     prop::collection::vec(draw.prop_map(op_of), 1..40)
 }
 
@@ -99,6 +112,11 @@ struct History {
     /// Every teed trace ingested and not dropped, as redaction left it,
     /// with whether a redaction reached it.
     expected: Vec<(TxnTrace, bool)>,
+    /// Event table → `EventId` → the row eager ingest would have
+    /// written, with the redactions and cutoffs since applied.
+    eager: BTreeMap<String, BTreeMap<i64, Row>>,
+    /// The next `EventId` eager ingest would have assigned.
+    next_event: i64,
     next_id: i64,
     requests: usize,
 }
@@ -125,6 +143,8 @@ impl History {
             session,
             store,
             expected: Vec::new(),
+            eager: BTreeMap::new(),
+            next_event: 1,
             next_id: 0,
             requests: 0,
         }
@@ -244,7 +264,7 @@ impl History {
                 txn.insert(LATE, row![n, "U0"]).unwrap();
                 txn.commit().unwrap();
             }
-            Op::Sync => self.sync(),
+            Op::Sync { .. } => self.sync(),
             Op::Redact { user: u, kv } => {
                 let (table, column, value) = match kv {
                     true => (kv_table_name(CARTS), "kv_key", format!("cart:{}", user(u))),
@@ -257,6 +277,19 @@ impl History {
                 for (trace, partial) in &mut self.expected {
                     *partial |= erase(trace, &table, &value);
                 }
+                let events = self.store.event_table_for(&table);
+                let rows = events.and_then(|t| self.eager.get_mut(&t));
+                for row in rows.into_iter().flat_map(|rows| rows.values_mut()) {
+                    if row.values()[FIRST_APP_COLUMN..]
+                        .iter()
+                        .any(|v| v.sql_eq(&value))
+                    {
+                        row.set(3, Value::Text(REDACTED_MARKER.into()));
+                        for i in FIRST_APP_COLUMN..row.len() {
+                            row.set(i, Value::Null);
+                        }
+                    }
+                }
             }
             Op::Retain { back } => {
                 let mut stamps: Vec<i64> = self.expected.iter().map(|(t, _)| t.timestamp).collect();
@@ -265,10 +298,40 @@ impl History {
                     return;
                 };
                 self.store.retain_since(cutoff).unwrap();
+                let dropped: BTreeSet<i64> = (self.expected.iter())
+                    .filter(|(t, _)| t.timestamp < cutoff)
+                    .map(|(t, _)| t.txn_id as i64)
+                    .collect();
+                for rows in self.eager.values_mut() {
+                    rows.retain(|_, row| !dropped.contains(&row.values()[1].as_int().unwrap()));
+                }
                 self.expected.retain(|(t, _)| t.timestamp >= cutoff);
             }
             Op::Gc => {
                 self.session.gc_before(self.app.current_ts());
+            }
+            Op::Sql { typed } => {
+                let filter = if *typed {
+                    " WHERE F.Type = 'Insert'"
+                } else {
+                    ""
+                };
+                let sql = format!(
+                    "SELECT E.TxnId, E.FirstEventId, E.Events, F.EventId \
+                     FROM Executions AS E, ForumEvents AS F ON E.TxnId = F.TxnId{filter}"
+                );
+                // A transaction's events are all in one table here: an
+                // unfiltered join returns every one of them.
+                let mut events: BTreeMap<i64, (Range<i64>, BTreeSet<i64>)> = BTreeMap::new();
+                for row in self.store.query(&sql).unwrap().rows() {
+                    let int = |i: usize| row[i].as_int().unwrap();
+                    let txn = events.entry(int(0)).or_default();
+                    txn.0 = int(1)..int(1) + int(2);
+                    txn.1.insert(int(3));
+                }
+                for (txn_id, (ids, seen)) in events.into_iter().filter(|_| !typed) {
+                    assert_eq!(seen, ids.collect(), "the events of transaction {txn_id}");
+                }
             }
         }
         self.requests += 1;
@@ -277,12 +340,18 @@ impl History {
     /// Drains the tracer, tees its transaction traces, and ingests.
     fn sync(&mut self) {
         let events = self.session.tracer().unwrap().drain();
+        let mut eager = Vec::new();
         for event in &events {
             if let TraceEvent::Txn(trace) = event {
                 self.expected.push(((**trace).clone(), false));
+                eager.extend(eager_rows(&self.app, trace, &mut self.next_event));
             }
         }
         self.store.ingest(events);
+        for (table, id, row) in eager {
+            let table = self.store.event_table_for(&table).unwrap();
+            self.eager.entry(table).or_default().insert(id, row);
+        }
         self.expected
             .sort_by_key(|(t, _)| (!t.committed, t.serialization_ts(), t.timestamp));
     }
@@ -299,6 +368,25 @@ impl History {
             }
         }
         answers
+    }
+
+    /// With every deferred read installed, each event table holds the
+    /// rows eager ingest would have written, `EventId`s included.
+    fn check_event_tables(&self) -> Result<(), TestCaseError> {
+        let db = self.store.database();
+        prop_assert_eq!(self.store.stats().deferred_reads, 0);
+        let mut tables: Vec<String> = db.table_names();
+        tables.retain(|t| t.ends_with("Events"));
+        for table in tables {
+            let rows = db.scan_latest(&table, &Predicate::True).unwrap();
+            let got: BTreeMap<i64, Row> = rows
+                .into_iter()
+                .map(|(key, row)| (key.values()[0].as_int().unwrap(), (*row).clone()))
+                .collect();
+            let want = self.eager.get(&table).cloned().unwrap_or_default();
+            prop_assert_eq!(got, want, "{}", table);
+        }
+        Ok(())
     }
 
     fn check(&self) -> Result<(), TestCaseError> {
@@ -343,6 +431,59 @@ impl History {
         }
         Ok(())
     }
+}
+
+/// Position of the first application column in an event row.
+const FIRST_APP_COLUMN: usize = 6;
+
+/// The oracle of deferred reads: the `<X>Events` rows eager ingest wrote
+/// for `trace`, `(application table, EventId, row)`, from `next` on. One
+/// row per row read, one NULL-data row for a read that matched nothing,
+/// then one per change record, all of tables the store registers.
+fn eager_rows(app: &Database, trace: &TxnTrace, next: &mut i64) -> Vec<(String, i64, Row)> {
+    let mut rows = Vec::new();
+    let mut event =
+        |table: &str, kind: &str, query: &str, read: Option<(Ts, usize)>, image: Option<&Row>| {
+            let app_cols = app.schema_of(table).unwrap().arity();
+            let (read_ts, read_no) = match read {
+                Some((ts, no)) => (Value::Int(ts as i64), Value::Int(no as i64)),
+                None => (Value::Null, Value::Null),
+            };
+            let mut values = vec![
+                Value::Int(*next),
+                Value::Int(trace.txn_id as i64),
+                Value::Text(kind.into()),
+                Value::Text(query.into()),
+                read_ts,
+                read_no,
+            ];
+            values.extend(
+                (0..app_cols).map(|i| image.and_then(|r| r.get(i)).cloned().unwrap_or(Value::Null)),
+            );
+            rows.push((table.to_string(), *next, Row::from(values)));
+            *next += 1;
+        };
+    for (read_no, read) in trace.reads.iter().enumerate() {
+        let at = Some((read.read_ts, read_no));
+        if read.rows.is_empty() {
+            event(&read.table, "Read", &read.query, at, None);
+        }
+        for (_, row) in &read.rows {
+            event(&read.table, "Read", &read.query, at, Some(&**row));
+        }
+    }
+    for change in trace.writes.iter() {
+        let kind = change.op.kind();
+        let image = change.op.after().or_else(|| change.op.before());
+        event(
+            &change.table,
+            kind,
+            &format!("{kind} {}", change.key),
+            None,
+            image,
+        );
+    }
+    rows
 }
 
 /// Erases what a redaction of `table` rows holding `value` erased in the
@@ -396,12 +537,13 @@ proptest! {
         let mut history = History::new();
         for op in &ops {
             history.run(op);
-            if matches!(op, Op::Sync) {
+            if matches!(op, Op::Sync { check: true }) {
                 history.check()?;
             }
         }
         history.sync();
         history.check()?;
+        history.check_event_tables()?;
     }
 }
 

@@ -359,7 +359,10 @@ fn concurrent_ingest_calls_serialize_inside_the_store() {
 
     let stats = store.stats();
     assert_eq!(stats.transactions as u64, CALLERS * REQUESTS);
-    assert_eq!(stats.data_events as u64, CALLERS * REQUESTS * 10);
+    // Each transaction's insert is installed and its one 9-row read
+    // deferred, until the query below installs it.
+    assert_eq!(stats.data_events as u64, CALLERS * REQUESTS);
+    assert_eq!(stats.deferred_reads as u64, CALLERS * REQUESTS);
     assert_eq!(stats.unmatched_handler_ends, 0);
     assert!(store
         .all_request_records()
@@ -369,6 +372,9 @@ fn concurrent_ingest_calls_serialize_inside_the_store() {
         .query("SELECT EventId, TxnId FROM ForumSubEvents ORDER BY EventId")
         .unwrap();
     assert_eq!(events.len() as u64, CALLERS * REQUESTS * 10);
+    let stats = store.stats();
+    assert_eq!(stats.data_events as u64, CALLERS * REQUESTS * 10);
+    assert_eq!(stats.deferred_reads, 0);
     let caller_of = |row: usize| match events.value(row, "TxnId") {
         Some(Value::Int(txn_id)) => (*txn_id as u64 - 1) / REQUESTS,
         other => panic!("TxnId is an integer, got {other:?}"),

@@ -215,25 +215,30 @@ pub fn dispatch(state: &ServerState, method: &str, params: &Json) -> Result<Json
             let sql = p_str(params, "sql")?;
             let fork = fork_db(state, params)?;
             let target = p_opt_str(params, "target")?.unwrap_or("app");
-            let engine = match (fork, target) {
-                (Some(fork), _) => QueryEngine::new(fork),
-                (None, "app") => QueryEngine::new(state.trod.production_db().clone()),
-                (None, "provenance") => {
-                    state.sync_provenance();
-                    QueryEngine::new(state.trod.provenance().database().clone())
+            let app = || QueryEngine::new(state.trod.production_db().clone());
+            let rs = match (fork, target, p_opt_u64(params, "as_of")?) {
+                (Some(fork), _, _) => QueryEngine::new(fork).execute(sql),
+                (None, "app", Some(ts)) => app().execute_as_of(sql, ts),
+                (None, "app", None) => app().execute(sql),
+                // The provenance store's clock is its own, and its read
+                // events are installed when a statement first needs them:
+                // an `as_of` there would answer by when someone asked.
+                (None, "provenance", Some(_)) => {
+                    return Err(RpcError::invalid_params(
+                        "`as_of` reads the application; provenance SQL reads the latest state",
+                    ))
                 }
-                (None, other) => {
+                (None, "provenance", None) => {
+                    state.sync_provenance();
+                    state.trod.provenance().query(sql)
+                }
+                (None, other, _) => {
                     return Err(RpcError::invalid_params(format!(
                         "unknown target {other:?} (expected \"app\" or \"provenance\")"
                     )))
                 }
             };
-            let rs = match p_opt_u64(params, "as_of")? {
-                Some(ts) => engine.execute_as_of(sql, ts),
-                None => engine.execute(sql),
-            }
-            .map_err(|e| RpcError::from(&e))?;
-            Ok(result_set_to_json(&rs))
+            Ok(result_set_to_json(&rs.map_err(|e| RpcError::from(&e))?))
         }
         "trod_get" => {
             let table = p_str(params, "table")?;
@@ -514,6 +519,7 @@ pub fn dispatch(state: &ServerState, method: &str, params: &Json) -> Result<Json
                     Json::Bool(report.all_orderings_clean()),
                 ),
                 ("orderings", Json::Array(orderings)),
+                ("hit_max_orderings", Json::Bool(report.hit_max_orderings)),
             ]))
         }
         "trod_trace" => {
@@ -564,6 +570,8 @@ pub fn dispatch(state: &ServerState, method: &str, params: &Json) -> Result<Json
             };
             let mut handlers = state.trod.runtime().registry().names();
             handlers.sort();
+            let tracer_buffered = state.trod.runtime().tracer().stats().buffered;
+            let deferred_reads = state.trod.provenance().stats().deferred_reads;
             Ok(Json::obj(vec![
                 ("draining", Json::Bool(state.is_draining())),
                 (
@@ -597,6 +605,15 @@ pub fn dispatch(state: &ServerState, method: &str, params: &Json) -> Result<Json
                 }),
                 ("live_log_entries", Json::from(db.log_len())),
                 ("wal", wal),
+                // Ingest lag: events traced and not yet drained, and reads
+                // ingested whose event rows are not installed yet.
+                (
+                    "provenance",
+                    Json::obj(vec![
+                        ("tracer_buffered", Json::from(tracer_buffered)),
+                        ("deferred_reads", Json::from(deferred_reads)),
+                    ]),
+                ),
             ]))
         }
         "sys_checkpoint" => {

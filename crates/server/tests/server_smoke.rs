@@ -215,6 +215,8 @@ fn mixed_workload_over_the_wire() {
         )
         .expect("retroactive echo");
     let orderings = retro.get("orderings").and_then(Json::as_array).unwrap();
+    let capped = retro.get("hit_max_orderings").and_then(Json::as_bool);
+    assert_eq!(capped, Some(false), "one request has one ordering");
     let outcome = &orderings[0]
         .get("outcomes")
         .and_then(Json::as_array)
@@ -461,6 +463,73 @@ fn engine_errors_keep_their_code_kind_and_retry_bit_over_the_wire() {
     let params = vec![("path", Json::str("dump.json"))];
     assert_eq!(
         failure(&mut client, "sys_dump", params),
+        (-32602, "invalid_params".to_string(), false)
+    );
+    server.shutdown();
+}
+
+/// `sys_health` reports the ingest lag: events the tracer holds, and
+/// reads ingested whose event rows no statement has needed yet.
+/// Provenance SQL reads the store's latest state only.
+#[test]
+fn ingest_lag_is_reported_and_provenance_sql_takes_no_as_of() {
+    let db = shop::shop_db();
+    shop::seed_inventory(&db, 10, 1_000);
+    let trod = Trod::attach(Runtime::new(db, shop_registry())).expect("attach");
+    let server = ServerBuilder::new(trod)
+        .sync_interval(None)
+        .serve("127.0.0.1:0")
+        .expect("bind ephemeral port");
+    let mut client = Client::connect(&server.addr()).expect("connect");
+    let lag = |client: &mut Client| {
+        let health = client
+            .call("sys_health", Json::obj(Vec::<(&str, Json)>::new()))
+            .expect("health");
+        let provenance = health.get("provenance").expect("provenance member");
+        let field = |name| provenance.get(name).and_then(Json::as_u64).unwrap();
+        (field("tracer_buffered"), field("deferred_reads"))
+    };
+    assert_eq!(lag(&mut client), (0, 0));
+
+    for order in ["o-1", "o-2"] {
+        invoke(
+            &mut client,
+            "checkout",
+            checkout_params(order, "ada", "item-1"),
+            false,
+        );
+    }
+    let (buffered, deferred) = lag(&mut client);
+    assert!(buffered > 0, "nothing syncs but a call that asks to");
+    assert_eq!(deferred, 0);
+
+    let provenance_sql = |client: &mut Client, sql: &str| {
+        let params = vec![("sql", Json::str(sql)), ("target", Json::str("provenance"))];
+        let rs = client.call("trod_sql", Json::obj(params)).expect(sql);
+        rs.get("rows").and_then(Json::as_array).unwrap()[0]
+            .as_array()
+            .unwrap()[0]
+            .as_i64()
+            .unwrap()
+    };
+    // A statement that reads no read event syncs and installs nothing.
+    let updates = "SELECT COUNT(*) FROM InventoryEvents WHERE Type = 'Update'";
+    assert_eq!(provenance_sql(&mut client, updates), 2);
+    let (buffered, deferred) = lag(&mut client);
+    assert_eq!(buffered, 0);
+    assert!(deferred > 0, "each checkout read the inventory");
+    // One that can see the inventory's reads installs them.
+    let reads = "SELECT COUNT(*) FROM InventoryEvents WHERE Type = 'Read'";
+    assert!(provenance_sql(&mut client, reads) >= 2);
+    assert!(lag(&mut client).1 < deferred);
+
+    let params = vec![
+        ("sql", Json::str("SELECT COUNT(*) FROM Executions")),
+        ("target", Json::str("provenance")),
+        ("as_of", Json::from(1u64)),
+    ];
+    assert_eq!(
+        failure(&mut client, "trod_sql", params),
         (-32602, "invalid_params".to_string(), false)
     );
     server.shutdown();

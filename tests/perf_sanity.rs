@@ -64,6 +64,11 @@ fn declarative_query_over_tens_of_thousands_of_events_is_interactive() {
         );
     }
     provenance.drain_from(runtime.tracer());
+    // Reads are installed by the first statement that can see them.
+    let events = provenance
+        .query("SELECT COUNT(*) FROM ForumEvents")
+        .unwrap();
+    assert!(events.rows()[0][0].as_int().unwrap() >= 10_000);
     assert!(provenance.stats().data_events >= 10_000);
 
     let start = Instant::now();

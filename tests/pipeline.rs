@@ -5,12 +5,15 @@
 //! buffer into the provenance database; afterwards the debugger answers
 //! queries and replays requests from that provenance alone.
 
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
 use std::time::Duration;
 
 use trod::apps::{shop, shop_workload, WorkloadConfig};
 use trod::prelude::*;
 use trod::runtime::RequestResult;
+use trod::trace::{TraceEvent, TxnTrace};
 
 /// The shop workload's checkouts. Its `getOrder` look-ups are left out:
 /// one may run before the checkout that creates its order and fail, and
@@ -169,6 +172,109 @@ fn concurrent_syncs_ingest_every_request_whole() {
     let records = trod.provenance().all_request_records();
     assert_eq!(records.len(), stats.handler_invocations);
     assert!(records.iter().all(|rec| rec.end_ts.is_some()));
+}
+
+#[test]
+fn queries_racing_ingest_see_every_event_of_each_transaction() {
+    // Reads are installed as event rows when a statement or an assembly
+    // first needs them. A query thread races two syncing threads: every
+    // `Executions` row a statement returns must come with all its event
+    // rows, and every assembled trace must equal the trace as drained.
+    let db = shop::shop_db();
+    shop::seed_inventory(&db, 20, 10_000);
+    let trod = Trod::attach(Runtime::new(db, shop::registry())).unwrap();
+    let cfg = WorkloadConfig {
+        requests: 300,
+        users: 30,
+        items: 20,
+        conflict_rate: 0.05,
+        seed: 11,
+    };
+    // Drained batches are teed, then ingested, under one lock: a
+    // request's events still reach the store in order.
+    let teed: Mutex<Vec<TxnTrace>> = Mutex::new(Vec::new());
+    let sync = || {
+        let mut teed = teed.lock().unwrap();
+        let events = trod.runtime().tracer().drain();
+        for event in &events {
+            if let TraceEvent::Txn(trace) = event {
+                teed.push((**trace).clone());
+            }
+        }
+        trod.provenance().ingest(events);
+    };
+    // Every `reserveInventory` transaction reads and writes only the
+    // inventory, so the join returns each of its events.
+    let reservations = "SELECT E.TxnId, E.FirstEventId, E.Events, F.EventId \
+         FROM Executions AS E, InventoryEvents AS F ON E.TxnId = F.TxnId \
+         WHERE E.HandlerName = 'reserveInventory'";
+    let inserters = "SELECT E.ReqId, F.order_id \
+         FROM Executions AS E, OrdersEvents AS F ON E.TxnId = F.TxnId \
+         WHERE F.Type = 'Insert'";
+    let int = |v: &Value| v.as_int().unwrap();
+    let whole = |rows: &[Vec<Value>]| {
+        let mut events: BTreeMap<i64, (i64, i64, BTreeSet<i64>)> = BTreeMap::new();
+        for row in rows {
+            let txn = events.entry(int(&row[0])).or_default();
+            (txn.0, txn.1) = (int(&row[1]), int(&row[2]));
+            txn.2.insert(int(&row[3]));
+        }
+        for (txn_id, (first, count, ids)) in events {
+            let want: BTreeSet<i64> = (first..first + count).collect();
+            assert_eq!(ids, want, "the events of transaction {txn_id}");
+        }
+    };
+
+    let done = AtomicBool::new(false);
+    let (mut inserts_seen, mut assembled) = (Vec::new(), Vec::new());
+    std::thread::scope(|scope| {
+        for _ in 0..2 {
+            scope.spawn(|| {
+                while !done.load(Ordering::Relaxed) {
+                    sync();
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            });
+        }
+        scope.spawn(|| {
+            let mut rounds = 0;
+            while !done.load(Ordering::Relaxed) || rounds == 0 {
+                rounds += 1;
+                whole(trod.query(reservations).unwrap().rows());
+                inserts_seen.push(trod.query(inserters).unwrap().rows().to_vec());
+                let last = teed.lock().unwrap().last().map(|t| t.ctx.req_id.clone());
+                if let Some(req) = last {
+                    assembled.extend(trod.provenance().txns_for_request(&req));
+                }
+            }
+        });
+        trod.runtime().run_concurrent(checkouts(&cfg), 8);
+        done.store(true, Ordering::Relaxed);
+    });
+    sync();
+
+    whole(trod.query(reservations).unwrap().rows());
+    let inserts: BTreeSet<Vec<Value>> = trod
+        .query(inserters)
+        .unwrap()
+        .rows()
+        .iter()
+        .cloned()
+        .collect();
+    for rows in inserts_seen {
+        assert!(rows.iter().all(|row| inserts.contains(row)));
+    }
+    let teed: HashMap<u64, TxnTrace> = teed
+        .into_inner()
+        .unwrap()
+        .into_iter()
+        .map(|t| (t.txn_id, t))
+        .collect();
+    assert!(!assembled.is_empty());
+    for trace in assembled {
+        assert_eq!(Some(&trace), teed.get(&trace.txn_id));
+    }
+    assert_eq!(trod.provenance().stats().unmatched_handler_ends, 0);
 }
 
 #[test]

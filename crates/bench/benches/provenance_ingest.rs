@@ -40,6 +40,10 @@ fn fresh_store() -> ProvenanceStore {
     let app = Database::new();
     app.create_table("forum_sub", forum_schema())
         .expect("fresh database");
+    // Without it every check walks the whole table: the setup would be
+    // quadratic in `txns`.
+    app.create_index("forum_sub", "user_id")
+        .expect("fresh table");
     let store = ProvenanceStore::new(&app);
     store
         .register_table_as("forum_sub", "ForumEvents", &forum_schema())
@@ -308,6 +312,10 @@ fn traced_store(txns: usize) -> ProvenanceStore {
     let app = Database::new();
     app.create_table("forum_sub", forum_schema())
         .expect("fresh database");
+    // Without it every check walks the whole table: the setup would be
+    // quadratic in `txns`.
+    app.create_index("forum_sub", "user_id")
+        .expect("fresh table");
     let store = ProvenanceStore::new(&app);
     store
         .register_table_as("forum_sub", "ForumEvents", &forum_schema())

@@ -2,7 +2,8 @@
 //! goes through, whether it is a live commit
 //! ([`Transaction::commit`](crate::txn::Transaction::commit)), a replay
 //! injection ([`Database::apply_changes`]) or a verbatim re-install of a
-//! logged entry ([`Database::apply_entry`]). Key-value namespaces are
+//! run of logged entries ([`Database::apply_entries`]: recovery, forks
+//! below the GC floor, dump boots). Key-value namespaces are
 //! tables (`kv:<namespace>`), so every store a commit touches goes
 //! through the same steps. The design is written up in "The commit
 //! protocol" in `crates/db/DESIGN.md`; this module owns its invariants:
@@ -23,11 +24,13 @@
 //! * **Log order is commit order.** The entry is appended to the WAL (if
 //!   one is attached) and staged for the in-memory log inside the
 //!   ordered window; the durability wait happens after every lock is
-//!   released.
+//!   released. A run of re-installed entries is appended and staged in
+//!   order, then published with one clock store.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError};
 
 use crate::cdc::ChangeRecord;
 use crate::database::Database;
@@ -36,6 +39,11 @@ use crate::log::{CommittedTxn, LogStaging};
 use crate::mvcc::{Ts, TS_LIVE};
 use crate::table::TableStore;
 use crate::txn::{CommitInfo, IsolationLevel, TxnState, WriteOp};
+
+/// How many logged entries [`Database::apply_entries`] re-installs under
+/// one claim, one lock per table and one publication; recovery buffers
+/// this many decoded commits before it installs them.
+pub const REPLAY_RUN: usize = 256;
 
 /// Timestamp allocation and ordered publication.
 #[derive(Default)]
@@ -126,20 +134,27 @@ impl Sequencer {
             // SeqCst counter + publisher-side check prevents a missed
             // wakeup (see `publish_tick`).
             self.waiters.fetch_add(1, Ordering::SeqCst);
-            let mut guard = self.turn_mutex.lock().expect("publish mutex");
+            // The mutex guards no data, so a guard poisoned by a panic
+            // elsewhere is as good as a clean one.
+            let mut guard = self
+                .turn_mutex
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
             while clock.load(Ordering::SeqCst) != commit_ts - 1 {
-                guard = self.turn_cv.wait(guard).expect("publish cv");
+                guard = (self.turn_cv.wait(guard)).unwrap_or_else(PoisonError::into_inner);
             }
             drop(guard);
             self.waiters.fetch_sub(1, Ordering::SeqCst);
         }
     }
 
-    /// Stages the entry and bumps the clock. Staging *before* the clock
+    /// Stages the entries, in commit order, and bumps the clock to
+    /// `commit_ts`, the last timestamp claimed. Staging *before* the clock
     /// store is the happens-before edge log readers drain against.
-    fn publish(&self, entry: CommittedTxn) {
-        let commit_ts = entry.commit_ts;
-        self.staging.push(entry);
+    fn publish(&self, entries: impl Iterator<Item = CommittedTxn>, commit_ts: Ts) {
+        for entry in entries {
+            self.staging.push(entry);
+        }
         self.publish_tick(commit_ts);
     }
 
@@ -150,7 +165,10 @@ impl Sequencer {
         if self.waiters.load(Ordering::SeqCst) > 0 {
             // Taking the mutex orders this notify after any in-flight
             // waiter's check-then-wait, so the wakeup cannot be missed.
-            let _guard = self.turn_mutex.lock().expect("publish mutex");
+            let _guard = self
+                .turn_mutex
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
             self.turn_cv.notify_all();
         }
     }
@@ -166,13 +184,23 @@ struct FrontEnd<'a> {
     /// anything is installed. `None` keeps the fast path (installs
     /// before the turn).
     recheck: Option<&'a dyn Fn(Ts) -> DbResult<()>>,
-    /// Installs the writes at the claimed timestamp and returns the
-    /// change records it derived doing so (none when the front-end was
-    /// handed its records). Must not fail.
+    /// Installs the writes at the (first) claimed timestamp and returns
+    /// the change records it derived doing so (none when the front-end
+    /// was handed its records). Must not fail.
     install: &'a dyn Fn(Ts) -> Vec<ChangeRecord>,
-    /// The log entry: its identity and its change list, given the
-    /// records `install` derived.
-    entry: &'a dyn Fn(Ts, Vec<ChangeRecord>) -> CommittedTxn,
+    log: Log<'a>,
+}
+
+/// What a publication logs, which also fixes what it claims.
+enum Log<'a> {
+    /// One new entry at the next timestamp: its identity and its change
+    /// list, given the claimed timestamp and the records `install`
+    /// derived.
+    Next(&'a dyn Fn(Ts, Vec<ChangeRecord>) -> CommittedTxn),
+    /// Logged entries, verbatim, in commit order: claims `(after, last
+    /// entry's commit ts]` in one step, so the read-only gaps before and
+    /// between them publish with them.
+    Verbatim { after: Ts, run: &'a [CommittedTxn] },
 }
 
 type Tables<'a> = BTreeMap<&'a str, Arc<TableStore>>;
@@ -194,11 +222,27 @@ impl Database {
         (front.check)()?;
 
         // Claim. On the fast path install right away — the versions stay
-        // invisible until the clock reaches `commit_ts` — and enter the
+        // invisible until the clock reaches them — and enter the
         // ordered window with only the log append and the clock bump
         // left. With a re-check the order inverts: turn first, re-check
         // against the now exact span below `commit_ts`, then install.
-        let commit_ts = seq.claim();
+        let (commit_ts, last) = match front.log {
+            Log::Next(_) => {
+                let ts = seq.claim();
+                (ts, ts)
+            }
+            Log::Verbatim { after, run } => {
+                let last = run.last().map_or(after, |e| e.commit_ts);
+                let seq_cst = Ordering::SeqCst;
+                let claimed = seq.ts_alloc.compare_exchange(after, last, seq_cst, seq_cst);
+                if claimed.is_err() {
+                    let first = run[0].commit_ts;
+                    let detail = format!("cannot replay commit ts {first}: a commit raced it");
+                    return Err(DbError::Storage(StorageError::Recovery { detail }));
+                }
+                (after + 1, last)
+            }
+        };
         let derived = match front.recheck {
             None => {
                 let derived = (front.install)(commit_ts);
@@ -208,7 +252,7 @@ impl Database {
             Some(recheck) => {
                 seq.wait_for_publication_turn(commit_ts);
                 if let Err(e) = recheck(commit_ts) {
-                    seq.publish_tick(commit_ts);
+                    seq.publish_tick(last);
                     return Err(e);
                 }
                 (front.install)(commit_ts)
@@ -219,16 +263,24 @@ impl Database {
         // byte order == commit order. Even a WAL error publishes (the
         // versions are installed and timestamps must stay dense); it
         // reports durability as unconfirmed after the locks are gone.
-        let entry = (front.entry)(commit_ts, derived);
+        let built;
+        let entries = match front.log {
+            Log::Next(entry) => {
+                built = [entry(commit_ts, derived)];
+                &built[..]
+            }
+            Log::Verbatim { run, .. } => run,
+        };
+        let newest = &entries[entries.len() - 1];
         let info = CommitInfo {
-            txn_id: entry.txn_id,
-            start_ts: entry.start_ts,
-            commit_ts,
-            changes: Arc::clone(&entry.changes),
+            txn_id: newest.txn_id,
+            start_ts: newest.start_ts,
+            commit_ts: newest.commit_ts,
+            changes: Arc::clone(&newest.changes),
         };
         let wal = self.wal();
-        let appended = wal.as_ref().map(|w| w.append_entry(&entry));
-        seq.publish(entry);
+        let appended = (wal.as_ref()).map(|w| entries.iter().try_fold(0, |_, e| w.append_entry(e)));
+        seq.publish(entries.iter().cloned(), last);
         drop(_guards);
         if let (Some(w), Some(appended)) = (&wal, appended) {
             w.sync_to(appended?)?;
@@ -307,12 +359,12 @@ impl Database {
                 check: &check,
                 recheck: unlocked_reads.then_some(&recheck as &dyn Fn(Ts) -> DbResult<()>),
                 install: &|commit_ts| install_writes(&state, &footprint, commit_ts),
-                entry: &|commit_ts, derived| CommittedTxn {
+                log: Log::Next(&|commit_ts, derived| CommittedTxn {
                     txn_id: state.id,
                     start_ts: state.start_ts,
                     commit_ts,
                     changes: derived.into(),
-                },
+                }),
             },
         )
     }
@@ -325,106 +377,80 @@ impl Database {
     /// is a table. Inserts behave as upserts so injection is idempotent.
     pub fn apply_changes(&self, changes: &[ChangeRecord]) -> DbResult<CommitInfo> {
         let txn_id = self.next_txn_id().fetch_add(1, Ordering::Relaxed);
-        self.inject(changes, &|| Ok(()), None, &|commit_ts, _| CommittedTxn {
-            txn_id,
-            start_ts: commit_ts - 1,
-            commit_ts,
-            changes: changes.into(),
-        })
-    }
-
-    /// Re-installs a logged aligned-history entry *verbatim*: it keeps
-    /// its `txn_id`, `start_ts` and `commit_ts` and every change record,
-    /// so replayed history is indistinguishable from the original.
-    /// Entries must arrive in commit order onto a database whose clock is
-    /// below `entry.commit_ts`; a timestamp the allocator cannot claim
-    /// (raced by a concurrent commit), a commit timestamp of [`TS_LIVE`]
-    /// or a transaction id with no successor yields
-    /// [`StorageError::Recovery`].
-    pub fn apply_entry(&self, entry: &CommittedTxn) -> DbResult<CommitInfo> {
-        let unrepresentable = |what: &str| {
-            Err(DbError::Storage(StorageError::Recovery {
-                detail: format!("cannot replay commit ts {}: {what}", entry.commit_ts),
-            }))
-        };
-        if entry.commit_ts == TS_LIVE {
-            return unrepresentable("it is the live-version stamp, not a commit timestamp");
-        }
-        let Some(next_txn_id) = entry.txn_id.checked_add(1) else {
-            return unrepresentable("its txn id leaves no id for later transactions");
-        };
-        // Future transactions never reuse the recovered id.
-        self.next_txn_id().fetch_max(next_txn_id, Ordering::Relaxed);
-        // Position the allocator so the claim yields the entry's
-        // timestamp (empty ticks fill read-only gaps), then demand it.
-        let position = || {
-            self.ensure_ts_at_least(entry.commit_ts.saturating_sub(1));
-            Ok(())
-        };
-        let demand = |commit_ts| {
-            if commit_ts == entry.commit_ts {
-                return Ok(());
-            }
-            Err(DbError::Storage(StorageError::Recovery {
-                detail: format!(
-                    "cannot replay commit ts {} verbatim: allocator already claimed {}",
-                    entry.commit_ts, commit_ts
-                ),
-            }))
-        };
-        self.inject(&entry.changes, &position, Some(&demand), &|_, _| {
-            entry.clone()
-        })
-    }
-
-    /// Publishes a change list: resolves its tables — once per run of
-    /// consecutive records naming the same table — and runs every
-    /// fallible record check before any lock or timestamp is taken (a
-    /// bad record can never leave a half-applied commit behind), then
-    /// installs one batch per table, straight from the records, in list
-    /// order. One batch, because a secondary index that catches up
-    /// between two batches of one commit takes the commit's timestamp as
-    /// applied and would never replay the second.
-    fn inject(
-        &self,
-        changes: &[ChangeRecord],
-        check: &dyn Fn() -> DbResult<()>,
-        recheck: Option<&dyn Fn(Ts) -> DbResult<()>>,
-        entry: &dyn Fn(Ts, Vec<ChangeRecord>) -> CommittedTxn,
-    ) -> DbResult<CommitInfo> {
-        let mut runs = Vec::new();
-        let same_table = |a: &ChangeRecord, b: &ChangeRecord| {
-            Arc::ptr_eq(&a.table, &b.table) || a.table == b.table
-        };
-        for run in changes.chunk_by(same_table) {
-            let store = self.table(&run[0].table)?;
-            for change in run {
-                if let Some(after) = change.op.after_shared() {
-                    store.schema().validate_row(&change.table, after)?;
-                }
-            }
-            runs.push((store, run));
-        }
-        let mut locked: Vec<&Arc<TableStore>> = runs.iter().map(|(store, _)| store).collect();
-        locked.sort_unstable_by(|a, b| a.name().cmp(b.name()));
-        locked.dedup_by(|a, b| a.name() == b.name());
-        let install = |commit_ts| {
-            for &store in &locked {
-                let batch = runs.iter().filter(|(s, _)| Arc::ptr_eq(s, store));
-                let ops = batch.flat_map(|(_, run)| run.iter());
-                store.apply_batch(ops.map(|c| (&c.key, c.op.after_shared())), commit_ts);
-            }
-            Vec::new()
-        };
+        let mut batches = Batches::default();
+        batches.add(self, 0, changes)?;
         self.publish(
-            locked.iter().copied(),
+            batches.stores(),
             FrontEnd {
-                check,
-                recheck,
-                install: &install,
-                entry,
+                check: &|| Ok(()),
+                recheck: None,
+                install: &|commit_ts| batches.install(|_| commit_ts),
+                log: Log::Next(&|commit_ts, _| CommittedTxn {
+                    txn_id,
+                    start_ts: commit_ts - 1,
+                    commit_ts,
+                    changes: changes.into(),
+                }),
             },
         )
+    }
+
+    /// Re-installs logged aligned-history entries *verbatim*: each keeps
+    /// its `txn_id`, `start_ts` and `commit_ts` and every change record,
+    /// so replayed history is indistinguishable from the original. The
+    /// entries go in runs of [`REPLAY_RUN`], each under one claim of its
+    /// whole timestamp range, one lock per table and one publication.
+    ///
+    /// Commit timestamps must strictly increase and start above the
+    /// allocator. Every check runs before a run takes a lock or a
+    /// timestamp, and a failed one — a commit timestamp of [`TS_LIVE`] or
+    /// out of order, a transaction id with no successor, a missing table,
+    /// a row its schema rejects — is a [`StorageError::Recovery`] naming
+    /// the entry's commit timestamp, as is a run whose range a
+    /// concurrent commit claimed first. A failed run installs nothing and
+    /// leaves the allocator and the clock where they were; the runs
+    /// before it stay installed.
+    pub fn apply_entries(&self, entries: &[CommittedTxn]) -> DbResult<()> {
+        entries.chunks(REPLAY_RUN).try_for_each(|run| {
+            let after = self.seq().ts_alloc.load(Ordering::SeqCst);
+            let mut batches = Batches::default();
+            let (mut prev, mut next_txn_id) = (after, 0);
+            for entry in run {
+                let ts = entry.commit_ts;
+                let refuse = |what: &dyn std::fmt::Display| {
+                    let detail = format!("cannot replay commit ts {ts}: {what}");
+                    DbError::Storage(StorageError::Recovery { detail })
+                };
+                if ts == TS_LIVE {
+                    return Err(refuse(
+                        &"it is the live-version stamp, not a commit timestamp",
+                    ));
+                }
+                if ts <= prev {
+                    return Err(refuse(&format_args!("not above {prev}, already taken")));
+                }
+                let successor = entry
+                    .txn_id
+                    .checked_add(1)
+                    .ok_or_else(|| refuse(&"its txn id leaves no id for later transactions"))?;
+                batches
+                    .add(self, ts, &entry.changes)
+                    .map_err(|e| refuse(&e))?;
+                (prev, next_txn_id) = (ts, next_txn_id.max(successor));
+            }
+            // Future transactions never reuse a replayed id.
+            self.next_txn_id().fetch_max(next_txn_id, Ordering::Relaxed);
+            self.publish(
+                batches.stores(),
+                FrontEnd {
+                    check: &|| Ok(()),
+                    recheck: None,
+                    install: &|_| batches.install(|ts| ts),
+                    log: Log::Verbatim { after, run },
+                },
+            )
+            .map(drop)
+        })
     }
 
     /// Advances the timestamp allocator (and the publication clock) to
@@ -435,6 +461,57 @@ impl Database {
     /// restored checkpoint).
     pub fn ensure_ts_at_least(&self, target: Ts) {
         self.seq().advance_to(target);
+    }
+}
+
+/// The writes of handed change lists, grouped by table in name order (the
+/// lock order), each table's ops in list order with their commit's
+/// timestamp. Each table installs as one batch: a secondary index that
+/// catches up between two batches takes their commit timestamp as
+/// applied and would never replay the second.
+#[derive(Default)]
+struct Batches<'r>(BTreeMap<&'r str, (Arc<TableStore>, Ops<'r>)>);
+
+type Ops<'r> = Vec<(Ts, &'r ChangeRecord)>;
+
+impl<'r> Batches<'r> {
+    /// Adds one commit's change list: resolves its tables — once per run
+    /// of consecutive records naming the same table — and runs every
+    /// fallible record check, so nothing fails once a lock or a timestamp
+    /// is taken and a bad record never leaves a half-applied commit.
+    fn add(&mut self, db: &Database, commit_ts: Ts, changes: &'r [ChangeRecord]) -> DbResult<()> {
+        let same_table = |a: &ChangeRecord, b: &ChangeRecord| {
+            Arc::ptr_eq(&a.table, &b.table) || a.table == b.table
+        };
+        for run in changes.chunk_by(same_table) {
+            let (store, ops) = match self.0.entry(&run[0].table) {
+                Entry::Occupied(batch) => batch.into_mut(),
+                Entry::Vacant(slot) => slot.insert((db.table(&run[0].table)?, Vec::new())),
+            };
+            for change in run {
+                if let Some(after) = change.op.after_shared() {
+                    store.schema().validate_row(&change.table, after)?;
+                }
+                ops.push((commit_ts, change));
+            }
+        }
+        Ok(())
+    }
+
+    fn stores(&self) -> impl Iterator<Item = &Arc<TableStore>> {
+        self.0.values().map(|(store, _)| store)
+    }
+
+    /// Installs every batch, each op at `stamp` of its commit timestamp.
+    /// Derives no change records: the caller has them.
+    fn install(&self, stamp: impl Fn(Ts) -> Ts) -> Vec<ChangeRecord> {
+        for (store, ops) in self.0.values() {
+            let ops = ops
+                .iter()
+                .map(|&(ts, c)| (stamp(ts), &c.key, c.op.after_shared()));
+            store.apply_batch(ops);
+        }
+        Vec::new()
     }
 }
 
@@ -501,8 +578,10 @@ fn validate_reads(state: &TxnState, footprint: &Tables, upto: Ts) -> DbResult<()
 fn install_writes(state: &TxnState, footprint: &Tables, commit_ts: Ts) -> Vec<ChangeRecord> {
     let mut changes = Vec::with_capacity(state.writes.values().map(BTreeMap::len).sum());
     for (table, writes) in &state.writes {
-        let ops = writes.iter().map(|(key, op)| (key, op.visible_row()));
-        let befores = footprint[&**table].apply_batch(ops, commit_ts);
+        let ops = writes
+            .iter()
+            .map(|(key, op)| (commit_ts, key, op.visible_row()));
+        let befores = footprint[&**table].apply_batch(ops);
         for ((key, op), before) in writes.iter().zip(befores) {
             let (table, key) = (table.clone(), key.clone());
             match (op, before) {
@@ -850,6 +929,47 @@ pub(crate) mod tests {
         // A clock already past the target does not move.
         db.ensure_ts_at_least(target);
         assert_eq!(db.current_ts(), target + 1);
+    }
+
+    /// The publication turn's mutex guards no data, so a panic that
+    /// poisoned it stops no later commit: neither one that notifies
+    /// parked waiters nor one that parks.
+    #[test]
+    fn a_poisoned_publication_mutex_still_publishes() {
+        let db = populated_db();
+        let seq = db.seq();
+        let poisoner = std::thread::spawn({
+            let db = db.clone();
+            move || {
+                let _guard = db.seq().turn_mutex.lock();
+                panic!("poisons the publication mutex");
+            }
+        });
+        assert!(poisoner.join().is_err());
+        assert!(seq.turn_mutex.is_poisoned());
+        let insert = |id: i64| {
+            let mut txn = db.begin();
+            txn.insert("t", row![id, "x"]).unwrap();
+            txn.commit()
+        };
+
+        // A registered waiter sends the publication through the mutex.
+        seq.waiters.fetch_add(1, Ordering::SeqCst);
+        insert(3).unwrap();
+        seq.waiters.fetch_sub(1, Ordering::SeqCst);
+
+        // A commit behind a stalled claim parks on the condvar.
+        let stalled = seq.claim();
+        std::thread::scope(|scope| {
+            let parked = scope.spawn(|| insert(4));
+            while seq.waiters.load(Ordering::SeqCst) == 0 && !parked.is_finished() {
+                std::thread::yield_now();
+            }
+            seq.wait_for_publication_turn(stalled);
+            seq.publish_tick(stalled);
+            parked.join().unwrap().unwrap();
+        });
+        assert_eq!(db.scan_latest("t", &Predicate::True).unwrap().len(), 4);
     }
 
     #[test]

@@ -47,7 +47,7 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::cdc::{is_kv_table, kv_table_name, namespace_schema, KV_TABLE_PREFIX};
 use crate::checkpoint::{Checkpoint, CheckpointTable};
-use crate::commit::Sequencer;
+use crate::commit::{Sequencer, REPLAY_RUN};
 use crate::dir::{FsDir, LogDir};
 use crate::error::{DbError, DbResult, StorageError};
 use crate::log::{CommittedTxn, TxnLog};
@@ -198,32 +198,39 @@ impl Database {
 
     /// [`Database::open_durable`] over an arbitrary [`LogDir`]: one
     /// streaming recovery walk ([`SegmentedWal::open_dir`]) restores the
-    /// boot checkpoint (if any) and replays each record as it is decoded
-    /// (`Database::replay_record`); only then is the log attached, so
-    /// replayed entries are not re-appended to it. A failure anywhere in
-    /// the walk discards the partial database.
+    /// boot checkpoint (if any) and replays the records as they are
+    /// decoded: commits in runs of [`REPLAY_RUN`] through
+    /// [`Database::apply_entries`], each run installed before the next DDL
+    /// record and at the end of the walk; only then is the log attached,
+    /// so replayed entries are not re-appended to it. A failure anywhere
+    /// in the walk discards the partial database.
     pub fn open_durable_in(
         dir: Arc<dyn LogDir>,
         opts: WalOptions,
     ) -> DbResult<(Database, RecoveryReport)> {
         let db = Database::new();
         let mut from_checkpoint = false;
+        let mut run = Vec::with_capacity(REPLAY_RUN);
         let RecoveredLog { wal, report } =
             SegmentedWal::open_dir(dir, opts, |step, report| match step {
                 Replay::Checkpoint(ck) => {
                     from_checkpoint = true;
                     db.restore_checkpoint(ck)
                 }
-                Replay::Record(record) => db.replay_record(record, from_checkpoint, report),
+                Replay::Record(record) => {
+                    db.replay_record(record, from_checkpoint, &mut run, report)
+                }
+                Replay::End => db.replay_run(&mut run, report),
             })?;
         db.set_wal(wal);
         Ok((db, report))
     }
 
     /// Replays one recovered record — the only place [`WalRecord`]s are
-    /// re-applied: DDL rebuilds the catalog, namespaces included, and a
-    /// commit entry re-installs verbatim, `kv:<namespace>` rows included.
-    /// Adds the replay counts to `report`.
+    /// re-applied. A commit entry joins `run`, which re-installs verbatim
+    /// once it holds [`REPLAY_RUN`] entries; DDL first installs the run,
+    /// then rebuilds the catalog, namespaces included. Adds the replay
+    /// counts to `report`.
     ///
     /// One rule for every DDL record: on a checkpoint boot an object that
     /// already exists is skipped (sound — the WAL vocabulary has no drop
@@ -234,9 +241,20 @@ impl Database {
         &self,
         record: WalRecord,
         from_checkpoint: bool,
+        run: &mut Vec<CommittedTxn>,
         report: &mut RecoveryReport,
     ) -> DbResult<()> {
         let recovery_err = |detail: String| DbError::Storage(StorageError::Recovery { detail });
+        match record {
+            WalRecord::Commit(entry) => {
+                run.push(entry);
+                return match run.len() {
+                    REPLAY_RUN => self.replay_run(run, report),
+                    _ => Ok(()),
+                };
+            }
+            _ => self.replay_run(run, report)?,
+        }
         if from_checkpoint && self.ddl_object_exists(&record) {
             return Ok(());
         }
@@ -256,18 +274,21 @@ impl Database {
                     .map_err(|e| recovery_err(format!("create namespace `{name}`: {e}")))?;
                 report.namespaces.push(name);
             }
-            WalRecord::Commit(entry) => {
-                self.apply_entry(&entry).map_err(|e| {
-                    recovery_err(format!("replay commit ts {}: {e}", entry.commit_ts))
-                })?;
-                report.commits += 1;
-                report.kv_writes_replayed += entry
-                    .changes
-                    .iter()
-                    .filter(|c| is_kv_table(&c.table))
-                    .count();
-            }
+            // Buffered above.
+            WalRecord::Commit(_) => {}
         }
+        Ok(())
+    }
+
+    /// Re-installs a run of recovered commit entries verbatim,
+    /// `kv:<namespace>` rows included, adds them to `report` and empties
+    /// `run`.
+    fn replay_run(&self, run: &mut Vec<CommittedTxn>, report: &mut RecoveryReport) -> DbResult<()> {
+        self.apply_entries(run)?;
+        report.commits += run.len();
+        let changes = run.iter().flat_map(|entry| entry.changes.iter());
+        report.kv_writes_replayed += changes.filter(|c| is_kv_table(&c.table)).count();
+        run.clear();
         Ok(())
     }
 
@@ -804,9 +825,7 @@ impl Database {
             from = ck.ts;
         }
         db.graft_catalog(self, None)?;
-        for entry in self.history(from, ts)? {
-            db.apply_entry(&entry)?;
-        }
+        db.apply_entries(&self.history(from, ts)?)?;
         db.ensure_ts_at_least(ts);
         Ok(db)
     }

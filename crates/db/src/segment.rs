@@ -367,6 +367,9 @@ pub enum Replay<'a> {
     /// records are kept (skip those whose object exists — the snapshot
     /// restored it).
     Record(WalRecord),
+    /// The walk decoded its last record; nothing is repaired or written
+    /// before the callback returns.
+    End,
 }
 
 /// What one recovery walk leaves once every record has been replayed.
@@ -660,6 +663,7 @@ impl SegmentedWal {
             },
         )?;
         rec.truncated_bytes = end.info.truncated_bytes;
+        replay(Replay::End, &mut rec)?;
 
         if dirty {
             write_manifest(dir.as_ref(), &manifest)?;

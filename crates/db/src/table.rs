@@ -784,12 +784,16 @@ impl TableStore {
     }
 
     /// Applies a whole commit's writes to this table in one pass — the
-    /// only way rows change: each op is a key with `Some(row)` to install
-    /// at `commit_ts` or `None` to delete. Installs supersede the live
-    /// version, deletes close it, and the change log records every change
-    /// in order. Returns the before image per op (parallel to `ops`).
+    /// only way rows change: each op is a commit timestamp and a key with
+    /// `Some(row)` to install at that timestamp or `None` to delete. A
+    /// commit stamps every op with its own timestamp; a verbatim
+    /// re-install of a run of logged commits passes the whole run, each
+    /// op stamped with its commit's timestamp, in commit order. Installs
+    /// supersede the live version, deletes close it, and the change log
+    /// records every change in order. Returns the before image per op
+    /// (parallel to `ops`).
     ///
-    /// The write touches `rows` and the change log, each once per commit
+    /// The write touches `rows` and the change log, each once per call
     /// and the log inside `rows` (the crate-wide lock order), so a reader
     /// holding `rows` sees the chains and the log agree. It never touches
     /// `indexes`: they catch up from the log when a read needs them
@@ -805,13 +809,13 @@ impl TableStore {
     /// fork had copied the row up front. A seed is state, not a change —
     /// it has no change-log entry; an index learns the seed's value from
     /// the before image of the write that seeded it.
-    pub(crate) fn apply_batch<'a, I>(&self, ops: I, commit_ts: Ts) -> Vec<Option<Arc<Row>>>
+    pub(crate) fn apply_batch<'a, I>(&self, ops: I) -> Vec<Option<Arc<Row>>>
     where
-        I: Iterator<Item = (&'a Key, Option<&'a Arc<Row>>)> + Clone,
+        I: Iterator<Item = (Ts, &'a Key, Option<&'a Arc<Row>>)> + Clone,
     {
         let mut befores = Vec::with_capacity(ops.size_hint().0);
         let mut rows = self.rows.write();
-        for (key, after) in ops.clone() {
+        for (commit_ts, key, after) in ops.clone() {
             if let Some(base) = &self.base {
                 if !rows.contains_key(key) {
                     if let Some(row) = base.store.get_at(key, base.ts) {
@@ -831,8 +835,8 @@ impl TableStore {
         // entry (matching `remove`).
         let entries = ops
             .zip(&befores)
-            .filter(|((_, after), before)| after.is_some() || before.is_some())
-            .map(|((key, after), before)| ChangeEntry {
+            .filter(|((_, _, after), before)| after.is_some() || before.is_some())
+            .map(|((commit_ts, key, after), before)| ChangeEntry {
                 commit_ts,
                 key: key.clone(),
                 before: before.clone(),
@@ -1047,12 +1051,12 @@ mod tests {
     /// One-row commits, for building histories.
     impl TableStore {
         fn install(&self, key: &Key, row: Arc<Row>, commit_ts: Ts) -> Option<Arc<Row>> {
-            self.apply_batch(std::iter::once((key, Some(&row))), commit_ts)
+            self.apply_batch(std::iter::once((commit_ts, key, Some(&row))))
                 .remove(0)
         }
 
         fn remove(&self, key: &Key, commit_ts: Ts) -> Option<Arc<Row>> {
-            self.apply_batch(std::iter::once((key, None)), commit_ts)
+            self.apply_batch(std::iter::once((commit_ts, key, None)))
                 .remove(0)
         }
     }

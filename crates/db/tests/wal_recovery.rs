@@ -17,10 +17,11 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use trod_db::commit::REPLAY_RUN;
 use trod_db::wal::encode_frame;
 use trod_db::{
     row, ChangeRecord, DataType, Database, DbError, Key, MemDir, Predicate, Row, Schema,
-    StorageError, SyncMode, Value, WalOptions,
+    StorageError, SyncMode, Ts, Value, WalOptions,
 };
 
 /// The one segment file these workloads ever write (they stay far below
@@ -147,20 +148,21 @@ fn run_workload(steps: &[Step]) -> WorkloadRun {
     }
 }
 
-/// Every table row visible at `ts`, sorted, as plain data.
-fn state_at(db: &Database, ts: u64) -> Vec<(String, Vec<trod_db::Value>)> {
-    let everything = Predicate::ge("k", i64::MIN);
+/// Every row of every table and namespace visible at `ts`, sorted, as
+/// plain data.
+fn state_at(db: &Database, ts: Ts) -> Vec<(String, Vec<Value>)> {
+    let names = db.table_names().into_iter();
+    let kv = db
+        .namespaces()
+        .into_iter()
+        .map(|ns| trod_db::kv_table_name(&ns).to_string());
     let mut out = Vec::new();
-    for table in db.table_names() {
-        for (key, row) in db.scan_as_of(&table, &everything, ts).unwrap() {
-            let _ = key;
-            out.push((table.clone(), row.values().to_vec()));
+    for name in names.chain(kv) {
+        for (_, row) in db.scan_as_of(&name, &Predicate::True, ts).unwrap() {
+            out.push((name.clone(), row.values().to_vec()));
         }
     }
-    out.sort_by(|a, b| {
-        a.0.cmp(&b.0)
-            .then_with(|| format!("{:?}", a.1).cmp(&format!("{:?}", b.1)))
-    });
+    out.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
     out
 }
 
@@ -510,5 +512,400 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Replay in runs: recovery, forks below the floor and verbatim
+// re-installs install logged commits `REPLAY_RUN` at a time
+// ---------------------------------------------------------------------
+
+/// Commits, gaps, DDL and checkpoints for the run-replay properties.
+#[derive(Debug, Clone)]
+enum RunStep {
+    /// `n` commits; commit `i` writes key `(k + i) % 40` of a relational
+    /// table (round robin from `table`) — every fifth one deletes it —
+    /// and every third one also writes a namespace key, if there is a
+    /// namespace.
+    Commits {
+        table: u8,
+        n: usize,
+        k: i64,
+    },
+    /// Timestamps claimed and published with no log entry, as a
+    /// read-only gap between commits.
+    Gap(u64),
+    CreateTable,
+    CreateIndex {
+        table: u8,
+    },
+    CreateNamespace,
+    Checkpoint,
+}
+
+fn run_step() -> impl Strategy<Value = RunStep> {
+    // Four commit arms to one of each other kind: histories grow.
+    let commits = || {
+        (0u8..4, 1usize..=150, 0i64..40).prop_map(|(table, n, k)| RunStep::Commits { table, n, k })
+    };
+    prop_oneof![
+        commits(),
+        commits(),
+        commits(),
+        commits(),
+        (1u64..1_000).prop_map(RunStep::Gap),
+        Just(RunStep::CreateTable),
+        (0u8..4).prop_map(|table| RunStep::CreateIndex { table }),
+        Just(RunStep::CreateNamespace),
+        Just(RunStep::Checkpoint),
+    ]
+}
+
+/// What one logged record adds to a [`trod_db::RecoveryReport`] that
+/// replays it.
+#[derive(Debug, Clone)]
+enum Logged {
+    Commit { ts: Ts, kv_writes: usize },
+    Table,
+    Index,
+    Namespace(String),
+}
+
+/// A live durable database after a [`RunStep`] history: its disk, the
+/// global log offset at the end of each record with what the record
+/// counts for, and the newest checkpoint's (timestamp, log offset).
+struct RunHistory {
+    live: Database,
+    disk: MemDir,
+    records: Vec<(u64, Logged)>,
+    checkpoint: Option<(Ts, u64)>,
+}
+
+fn no_auto_checkpoints() -> WalOptions {
+    WalOptions {
+        checkpoint_bytes: 0,
+        ..WalOptions::default()
+    }
+}
+
+fn run_history(steps: &[RunStep]) -> RunHistory {
+    let disk = MemDir::new();
+    let live = Database::create_durable_in(Arc::new(disk.clone()), no_auto_checkpoints()).unwrap();
+    let end = |db: &Database| db.wal().unwrap().appended();
+    let mut records = Vec::new();
+    let mut tables: Vec<String> = Vec::new();
+    let mut namespaces: Vec<String> = Vec::new();
+    let mut checkpoint = None;
+    let create_table = |db: &Database, tables: &mut Vec<String>| {
+        let name = format!("t{}", tables.len());
+        db.create_table(name.clone(), table_schema()).unwrap();
+        tables.push(name);
+    };
+    create_table(&live, &mut tables);
+    records.push((end(&live), Logged::Table));
+    for step in steps {
+        match step {
+            RunStep::Commits { table, n, k } => {
+                for i in 0..*n {
+                    let mut txn = live.begin();
+                    let name = &tables[(*table as usize + i) % tables.len()];
+                    let key = (k + i as i64) % 40;
+                    let present = txn.get(name, &Key::single(key)).unwrap().is_some();
+                    match (present, i % 5) {
+                        (true, 4) => {
+                            txn.delete(name, &Key::single(key)).unwrap();
+                        }
+                        (true, _) => txn
+                            .update(name, &Key::single(key), row![key, i as i64])
+                            .unwrap(),
+                        (false, _) => {
+                            txn.insert(name, row![key, i as i64]).unwrap();
+                        }
+                    }
+                    let mut kv_writes = 0;
+                    if i % 3 == 0 && !namespaces.is_empty() {
+                        let ns = trod_db::kv_table_name(&namespaces[i % namespaces.len()]);
+                        let value = format!("v{i}");
+                        txn.upsert(&ns, trod_db::namespace_row(&format!("k{key}"), &value))
+                            .unwrap();
+                        kv_writes = 1;
+                    }
+                    let ts = txn.commit().unwrap().commit_ts;
+                    records.push((end(&live), Logged::Commit { ts, kv_writes }));
+                }
+            }
+            RunStep::Gap(n) => live.ensure_ts_at_least(live.current_ts() + n),
+            RunStep::CreateTable => {
+                create_table(&live, &mut tables);
+                records.push((end(&live), Logged::Table));
+            }
+            RunStep::CreateIndex { table } => {
+                let name = &tables[*table as usize % tables.len()];
+                if live.create_index(name, "v").is_ok() {
+                    records.push((end(&live), Logged::Index));
+                }
+            }
+            RunStep::CreateNamespace => {
+                let name = format!("ns{}", namespaces.len());
+                live.create_namespace(&name).unwrap();
+                records.push((end(&live), Logged::Namespace(name.clone())));
+                namespaces.push(name);
+            }
+            RunStep::Checkpoint => {
+                if let Some((ts, _)) = live.checkpoint().unwrap() {
+                    checkpoint = Some((ts, end(&live)));
+                }
+            }
+        }
+    }
+    RunHistory {
+        live,
+        disk,
+        records,
+        checkpoint,
+    }
+}
+
+/// Reopens `history`'s disk with its one segment cut at `cut` bytes (at
+/// or above the newest checkpoint's offset) and checks the recovered
+/// database against the live one: the history entry for entry, the rows
+/// at sampled timestamps, the report's counts as record-by-record
+/// replay gives them, and the next commit's timestamp and txn id.
+fn check_run_recovery(
+    history: &RunHistory,
+    cut: u64,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let image = history.disk.snapshot();
+    let segments: Vec<String> = image
+        .names()
+        .into_iter()
+        .filter(|n| n.starts_with("wal-"))
+        .collect();
+    prop_assert_eq!(&segments, &vec![SEGMENT.to_string()]);
+    let mut bytes = image.file(SEGMENT).unwrap();
+    bytes.truncate(cut as usize);
+    image.put_file(SEGMENT, bytes);
+    let (db, report) = Database::open_durable_in(Arc::new(image), no_auto_checkpoints()).unwrap();
+
+    let (ckpt_ts, ckpt_end) = history.checkpoint.unwrap_or((0, 0));
+    prop_assert_eq!(report.checkpoint_ts, history.checkpoint.map(|(ts, _)| ts));
+    let (mut commits, mut kv_writes, mut tables, mut indexes) = (0, 0, 0, 0);
+    let (mut namespaces, mut last) = (Vec::new(), 0);
+    for (end, logged) in history.records.iter().filter(|(end, _)| *end <= cut) {
+        let replayed = *end > ckpt_end;
+        match logged {
+            Logged::Commit { ts, kv_writes: kv } => {
+                last = *ts;
+                if *ts > ckpt_ts {
+                    commits += 1;
+                    kv_writes += kv;
+                }
+            }
+            Logged::Table if replayed => tables += 1,
+            Logged::Index if replayed => indexes += 1,
+            Logged::Namespace(name) if replayed => namespaces.push(name.clone()),
+            _ => {}
+        }
+    }
+    prop_assert_eq!(
+        (
+            report.commits,
+            report.kv_writes_replayed,
+            report.tables,
+            report.indexes
+        ),
+        (commits, kv_writes, tables, indexes)
+    );
+    prop_assert_eq!(&report.namespaces, &namespaces);
+
+    let horizon = last.max(ckpt_ts);
+    prop_assert_eq!(db.current_ts(), horizon);
+    let live_history = history.live.history(0, last).unwrap();
+    prop_assert_eq!(db.history(0, Ts::MAX).unwrap(), live_history.clone());
+    let step = ((horizon - ckpt_ts) / 16).max(1) as usize;
+    for ts in (ckpt_ts..=horizon).step_by(step).chain([horizon]) {
+        prop_assert_eq!(
+            state_at(&db, ts),
+            state_at(&history.live, ts),
+            "rows at {}",
+            ts
+        );
+    }
+
+    let mut txn = db.begin();
+    txn.insert("t0", row![1_000i64, 0i64]).unwrap();
+    let next = txn.commit().unwrap();
+    prop_assert_eq!(next.commit_ts, horizon + 1);
+    let newest_id = live_history.iter().map(|e| e.txn_id).max().unwrap_or(0);
+    prop_assert!(next.txn_id > newest_id, "txn id {} reused", next.txn_id);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(
+        std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(24)
+    ))]
+
+    /// Histories of several replay runs, with read-only gaps, DDL and
+    /// namespaces between commits, key-value writes and checkpoints,
+    /// recover to the live database whole and cut anywhere past the
+    /// newest checkpoint (a torn tail inside a run).
+    #[test]
+    fn recovery_in_runs_equals_the_live_history(
+        steps in proptest::collection::vec(run_step(), 1..10),
+        cut in 0.0f64..1.0,
+    ) {
+        let history = run_history(&steps);
+        let len = history.disk.file(SEGMENT).unwrap().len() as u64;
+        check_run_recovery(&history, len)?;
+        // Past the first table's declaration, which the next commit needs.
+        let from = history.checkpoint.map_or(history.records[0].0, |(_, end)| end);
+        check_run_recovery(&history, from + ((len - from) as f64 * cut) as u64)?;
+    }
+}
+
+/// The same properties on a fixed history that fills several runs and
+/// splits them at DDL, gaps, a checkpoint and a torn tail.
+#[test]
+fn recovery_of_several_runs_split_by_ddl_gaps_and_a_checkpoint() {
+    let commits = |table, n| RunStep::Commits { table, n, k: 7 };
+    let steps = [
+        commits(0, REPLAY_RUN + 3),
+        RunStep::CreateNamespace,
+        commits(1, 40),
+        RunStep::Gap(500),
+        commits(0, REPLAY_RUN - 1),
+        RunStep::CreateTable,
+        RunStep::Checkpoint,
+        RunStep::CreateIndex { table: 1 },
+        commits(1, REPLAY_RUN + 100),
+        RunStep::Gap(3),
+    ];
+    let history = run_history(&steps);
+    let len = history.disk.file(SEGMENT).unwrap().len() as u64;
+    check_run_recovery(&history, len).unwrap();
+    check_run_recovery(&history, len - 10).unwrap();
+    let (_, from) = history.checkpoint.expect("a checkpoint");
+    check_run_recovery(&history, from + (len - from) / 2).unwrap();
+}
+
+/// A run is checked whole before it claims anything. One that does not
+/// start above the allocator — a commit of the target's own took that
+/// timestamp — or is out of order is a typed error naming the entry,
+/// and leaves the rows, the allocator and the clock as they were.
+#[test]
+fn a_raced_or_unordered_run_is_refused_and_changes_nothing() {
+    let source = Database::new();
+    let target = Database::new();
+    for db in [&source, &target] {
+        db.create_table("alpha", table_schema()).unwrap();
+    }
+    for k in 0..6i64 {
+        let mut txn = source.begin();
+        txn.insert("alpha", row![k, k]).unwrap();
+        txn.commit().unwrap();
+    }
+    let entries = source.log_entries();
+    target.apply_entries(&entries[..3]).unwrap();
+    let mut txn = target.begin();
+    txn.insert("alpha", row![100i64, 0i64]).unwrap();
+    assert_eq!(txn.commit().unwrap().commit_ts, entries[3].commit_ts);
+
+    let (clock, rows) = (target.current_ts(), state_at(&target, Ts::MAX));
+    let unordered = [entries[5].clone(), entries[4].clone()];
+    let refused = [
+        (&entries[3..], entries[3].commit_ts),
+        (&unordered[..], entries[4].commit_ts),
+    ];
+    for (run, named) in refused {
+        match target.apply_entries(run) {
+            Err(DbError::Storage(StorageError::Recovery { detail })) => {
+                assert!(detail.contains(&format!("commit ts {named}")), "{detail}");
+            }
+            other => panic!("expected a Recovery error, got {other:?}"),
+        }
+        assert_eq!(target.current_ts(), clock);
+        assert_eq!(state_at(&target, Ts::MAX), rows);
+    }
+    let mut txn = target.begin();
+    txn.insert("alpha", row![101i64, 0i64]).unwrap();
+    assert_eq!(
+        txn.commit().unwrap().commit_ts,
+        clock + 1,
+        "the allocator moved"
+    );
+}
+
+/// A commit record that cannot be installed — its table is missing, or
+/// its row does not fit the schema — fails recovery with a typed error
+/// naming that record's commit timestamp, from the middle of a run.
+#[test]
+fn a_bad_record_inside_a_run_fails_recovery_naming_its_commit_ts() {
+    let disk = MemDir::new();
+    let db = Database::create_durable_in(Arc::new(disk.clone()), no_auto_checkpoints()).unwrap();
+    db.create_table("alpha", table_schema()).unwrap();
+    for k in 0..10i64 {
+        let mut txn = db.begin();
+        txn.insert("alpha", row![k, k]).unwrap();
+        txn.commit().unwrap();
+    }
+    drop(db);
+    let (records, _) = trod_db::wal::decode_records(&disk.file(SEGMENT).unwrap()).unwrap();
+    let breakages: [fn(&ChangeRecord) -> ChangeRecord; 2] = [
+        |c| ChangeRecord::insert("missing", c.key.clone(), row![0i64, 0i64]),
+        |c| ChangeRecord::insert("alpha", c.key.clone(), row![0i64]),
+    ];
+    for broken in breakages {
+        let mut bad_ts = 0;
+        let bytes: Vec<u8> = (records.iter().enumerate())
+            .flat_map(|(i, record)| match record {
+                trod_db::WalRecord::Commit(entry) if i == 6 => {
+                    bad_ts = entry.commit_ts;
+                    let mut entry = entry.clone();
+                    entry.changes = entry.changes.iter().map(broken).collect();
+                    encode_frame(&trod_db::WalRecord::Commit(entry))
+                }
+                record => encode_frame(record),
+            })
+            .collect();
+        let image = disk.snapshot();
+        image.put_file(SEGMENT, bytes);
+        match Database::open_durable_in(Arc::new(image), WalOptions::default()) {
+            Err(DbError::Storage(StorageError::Recovery { detail })) => {
+                assert!(detail.contains(&format!("commit ts {bad_ts}")), "{detail}");
+            }
+            other => panic!("expected a Recovery error, got {:?}", other.map(|_| ())),
+        }
+    }
+}
+
+/// A fork below the GC floor is rebuilt from the log in runs: at every
+/// sampled timestamp of a history of several runs, with gaps and a
+/// checkpoint, it holds what a twin that never collected holds.
+#[test]
+fn forks_below_the_floor_rebuild_several_runs() {
+    let live = Database::create_durable_in(Arc::new(MemDir::new()), no_auto_checkpoints()).unwrap();
+    let twin = Database::new();
+    for db in [&live, &twin] {
+        db.create_table("alpha", table_schema()).unwrap();
+    }
+    for i in 0..(2 * REPLAY_RUN + 37) as i64 {
+        for db in [&live, &twin] {
+            let mut txn = db.begin();
+            txn.upsert("alpha", row![i % 40, i]).unwrap();
+            txn.commit().unwrap();
+            if i % 50 == 0 {
+                db.ensure_ts_at_least(db.current_ts() + 3);
+            }
+        }
+        if i == REPLAY_RUN as i64 {
+            live.checkpoint().unwrap();
+        }
+    }
+    live.gc_before(live.current_ts());
+    assert_eq!(live.log_truncated_below(), live.current_ts());
+    for ts in (1..twin.current_ts()).step_by(11) {
+        let fork = live.fork_at(ts).unwrap();
+        assert_eq!(state_at(&fork, ts), state_at(&twin, ts), "fork at {ts}");
     }
 }

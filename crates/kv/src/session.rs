@@ -136,12 +136,13 @@ impl Session {
         self.inner.db.apply_changes(changes)
     }
 
-    /// Re-installs one aligned-history entry **verbatim** — txn id and
-    /// commit/start timestamps preserved ([`Database::apply_entry`]).
-    /// Dump/load and fork-from-instance replay a remote aligned log
-    /// through it to reconstruct byte-identical history.
-    pub fn apply_entry(&self, entry: &CommittedTxn) -> DbResult<CommitInfo> {
-        self.inner.db.apply_entry(entry)
+    /// Re-installs aligned-history entries **verbatim**, in runs — txn
+    /// ids and commit/start timestamps preserved
+    /// ([`Database::apply_entries`]). Dump/load and fork-from-instance
+    /// replay a remote aligned log through it to reconstruct
+    /// byte-identical history.
+    pub fn apply_entries(&self, entries: &[CommittedTxn]) -> DbResult<()> {
+        self.inner.db.apply_entries(entries)
     }
 
     // ------------------------------------------------------------------

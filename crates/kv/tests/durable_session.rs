@@ -600,8 +600,8 @@ fn two_commits(session: &Session) -> Vec<CommittedTxn> {
     session.database().log_entries()
 }
 
-/// `Session::apply_entry` onto a WAL-attached environment appends the
-/// entry to the log like any other commit: history transferred into a
+/// `Session::apply_entries` onto a WAL-attached environment appends the
+/// entries to the log like any other commit: history transferred into a
 /// durable instance survives its next restart, identity intact. Recovery
 /// itself still appends nothing (the log is attached after the replay).
 #[test]
@@ -614,9 +614,7 @@ fn verbatim_entries_applied_to_a_durable_session_survive_reopen() {
         .any(|c| c.table.starts_with("kv:")));
 
     let (target, disk) = durable_env();
-    for entry in &entries {
-        target.apply_entry(entry).unwrap();
-    }
+    target.apply_entries(&entries).unwrap();
     assert_eq!(target.database().log_entries(), entries);
     let appended = target.database().wal().unwrap().appended();
     drop(target);
@@ -660,9 +658,7 @@ fn live_commit_injection_and_verbatim_replay_publish_identically() {
         b.apply_changes(&entry.changes).unwrap();
     }
     let (c, disk_c) = durable_env();
-    for entry in &entries {
-        c.apply_entry(entry).unwrap();
-    }
+    c.apply_entries(&entries).unwrap();
 
     for other in [&b, &c] {
         assert_eq!(

@@ -3,7 +3,7 @@
 //! history* — to one JSON document, and boot a fresh instance from it.
 //!
 //! The dump carries history, not state: loading replays every
-//! [`CommittedTxn`] through [`Session::apply_entry`], the same
+//! [`CommittedTxn`] through [`Session::apply_entries`], the same
 //! identity-preserving injection path crash recovery uses, so the loaded
 //! instance has byte-identical aligned history (same txn ids, same
 //! start/commit timestamps, same change records) and its commit clock
@@ -341,11 +341,9 @@ impl Dump {
                 .create_namespace(ns)
                 .map_err(|e| DumpError::Load(format!("namespace {ns}: {e}")))?;
         }
-        for entry in &self.entries {
-            session
-                .apply_entry(entry)
-                .map_err(|e| DumpError::Load(format!("entry @{}: {e}", entry.commit_ts)))?;
-        }
+        session
+            .apply_entries(&self.entries)
+            .map_err(|e| DumpError::Load(format!("history: {e}")))?;
         session.database().ensure_ts_at_least(self.current_ts);
         Ok(session)
     }

@@ -142,6 +142,39 @@ fn dump_load_round_trip_preserves_history_and_clocks() {
     assert!(loaded.database().current_ts() > resumed_ts);
 }
 
+/// A history of several replay runs, with timestamps no entry uses
+/// between them, boots identically — at sampled timestamps too, since a
+/// run publishes its whole range at once.
+#[test]
+fn a_dump_of_several_replay_runs_boots_identically() {
+    let source = shop_trod();
+    let src_db = source.production_db();
+    for seed in [11, 12] {
+        let cfg = workload::WorkloadConfig {
+            requests: 200,
+            users: 6,
+            items: 4,
+            conflict_rate: 0.3,
+            seed,
+        };
+        run_workload(&source, &cfg);
+        src_db.ensure_ts_at_least(src_db.current_ts() + 100);
+    }
+    assert!(
+        src_db.log_len() > 2 * trod_db::commit::REPLAY_RUN,
+        "{}",
+        src_db.log_len()
+    );
+    let loaded = Dump::capture(&source, Ts::MAX).unwrap().boot().unwrap();
+    assert_round_trip(&source, &loaded);
+    for ts in (1..src_db.current_ts()).step_by(37) {
+        for table in src_db.table_names() {
+            let rows = |db: &Database| db.scan_as_of(&table, &Predicate::True, ts).unwrap();
+            assert_eq!(rows(src_db), rows(loaded.database()), "{table} at {ts}");
+        }
+    }
+}
+
 #[test]
 fn sys_dump_over_the_wire_boots_an_identical_instance() {
     let source = shop_trod();

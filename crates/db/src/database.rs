@@ -50,6 +50,7 @@ use crate::checkpoint::{Checkpoint, CheckpointTable};
 use crate::commit::{Sequencer, REPLAY_RUN};
 use crate::dir::{FsDir, LogDir};
 use crate::error::{DbError, DbResult, StorageError};
+use crate::hash::digest_of;
 use crate::log::{CommittedTxn, TxnLog};
 use crate::mvcc::Ts;
 use crate::predicate::Predicate;
@@ -828,6 +829,94 @@ impl Database {
         db.apply_entries(&self.history(from, ts)?)?;
         db.ensure_ts_at_least(ts);
         Ok(db)
+    }
+
+    // ------------------------------------------------------------------
+    // State digest and verification ("State digest and verification" in
+    // DESIGN.md)
+    // ------------------------------------------------------------------
+
+    /// A 128-bit digest of the state visible at `ts` (clamped to the
+    /// published clock): a wrapping sum, so row order does not matter, of
+    /// one fixed-seed hash per visible row with its table's name, over
+    /// every table and namespace, plus one of the name, schema and index
+    /// columns of each table that holds a row at `ts`. The catalog keeps
+    /// no creation timestamps, so an empty table counts as absent. Two
+    /// states with equal rows and equal catalogs where they hold rows
+    /// have equal digests, within one build; it is not a persistent or
+    /// wire format.
+    pub fn digest_at(&self, ts: Ts) -> u128 {
+        let ts = ts.min(self.current_ts());
+        let mut sum = 0u128;
+        for (name, store) in self.inner.tables.read().iter() {
+            let rows = store.materialize_at(ts);
+            if rows.is_empty() {
+                continue;
+            }
+            let mut indexes = store.indexed_columns();
+            indexes.sort();
+            sum = sum.wrapping_add(digest_of((0u8, name, store.schema(), indexes)));
+            for (_, row) in &rows {
+                sum = sum.wrapping_add(digest_of((1u8, name, row)));
+            }
+        }
+        sum
+    }
+
+    /// Checks this database's history against its state: forks at `from`,
+    /// re-applies `history(from, to)` to the fork, and compares the fork's
+    /// digest with the state at `to` and at each checkpoint in `(from,
+    /// to]`, read through [`Database::fork_at`] (below the floor, that is
+    /// the checkpoint itself plus the log after it). The first sample
+    /// that differs is narrowed by bisection over the commit timestamps
+    /// since the last one that agreed, and that commit timestamp is
+    /// returned; `None` when every sample agrees. `to` is clamped to the
+    /// published clock. Bisection assumes a divergence persists: one that
+    /// a later commit masks before the next sample goes unseen. History
+    /// below the floor of a database without a log is
+    /// [`DbError::HistoryTruncated`].
+    pub fn verify(&self, from: Ts, to: Ts) -> DbResult<Option<Ts>> {
+        let to = to.min(self.current_ts());
+        let from = from.min(to);
+        let history = self.history(from, to)?;
+        // A fork's clock starts at 1 or later, above a first commit at 1;
+        // the state at 0 is empty, a copy of the catalog.
+        let replay = match from {
+            0 => self.fork_empty()?,
+            _ => self.fork_at(from)?,
+        };
+        replay.apply_entries(&history)?;
+        let differs =
+            |ts: Ts| Ok::<_, DbError>(replay.digest_at(ts) != self.fork_at(ts)?.digest_at(ts));
+        let checkpoints = self.wal().map(|wal| wal.checkpoint_timestamps());
+        let mut samples: Vec<Ts> = (checkpoints.into_iter().flatten())
+            .filter(|&ts| from < ts && ts < to)
+            .collect();
+        samples.push(to);
+        let mut agreed = from;
+        for sample in samples {
+            if !differs(sample)? {
+                agreed = sample;
+                continue;
+            }
+            // Bisect for the first candidate that differs; the last one,
+            // the sample, does.
+            let mut candidates: Vec<Ts> = (history.iter().map(|e| e.commit_ts))
+                .filter(|&ts| agreed < ts && ts < sample)
+                .collect();
+            candidates.push(sample);
+            let (mut lo, mut hi) = (0, candidates.len() - 1);
+            while lo < hi {
+                let mid = (lo + hi) / 2;
+                if differs(candidates[mid])? {
+                    hi = mid;
+                } else {
+                    lo = mid + 1;
+                }
+            }
+            return Ok(Some(candidates[hi]));
+        }
+        Ok(None)
     }
 
     /// Creates a new, empty database with the same schemas and indexes.

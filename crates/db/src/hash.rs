@@ -8,10 +8,13 @@
 //! ahash's portable fallback). Byte strings are read 16 bytes per
 //! multiply. `finish` folds once more, so both the low bits (the bucket
 //! index) and the top 7 bits (the control tag) depend on every input bit.
+//!
+//! The same folded multiply, under fixed seeds, hashes the rows and the
+//! catalog of a state digest ([`crate::Database::digest_at`]).
 
 use std::collections::hash_map::RandomState;
 use std::fmt;
-use std::hash::{BuildHasher, Hasher};
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
@@ -25,8 +28,8 @@ const PI: [u64; 3] = [
 
 /// The full 128-bit product of `a` and `b`, its halves XORed.
 #[inline(always)]
-fn folded_multiply(a: u64, b: u64) -> u64 {
-    let full = u128::from(a) * u128::from(b);
+const fn folded_multiply(a: u64, b: u64) -> u64 {
+    let full = a as u128 * b as u128;
     (full as u64) ^ ((full >> 64) as u64)
 }
 
@@ -57,6 +60,13 @@ static INSTANCES: AtomicU64 = AtomicU64::new(0);
 /// **Limits.** The hash is fast, not cryptographic: it resists inputs
 /// chosen without knowledge of the secret, and nothing more. Nothing may
 /// persist or compare its values across processes or instances.
+///
+/// **The one exception** is the fixed-seed pair that hashes state
+/// digests ([`crate::Database::digest_at`]): two databases, or one
+/// database at two timestamps, compare by it, so its seeds cannot be
+/// secret or per instance. Flooding does not apply to it: it keys no map, so inputs
+/// chosen to collide cost no probe, and its values are a sum compared
+/// for equality, never bucketed.
 #[derive(Clone)]
 pub struct CellHash {
     seed: u64,
@@ -72,6 +82,26 @@ impl Default for CellHash {
             key: folded_multiply(s1 ^ n, PI[1]),
         }
     }
+}
+
+/// The two lanes of a state digest: fixed seeds drawn from π, the same in
+/// every process of one build.
+const DIGEST_LANES: [CellHash; 2] = [
+    CellHash {
+        seed: folded_multiply(PI[0], PI[1]),
+        key: folded_multiply(PI[1], PI[2]),
+    },
+    CellHash {
+        seed: folded_multiply(PI[2], PI[0]),
+        key: folded_multiply(PI[0] ^ PI[1], PI[2]),
+    },
+];
+
+/// The 128-bit fixed-seed hash of `value`: one 64-bit lane per half. The
+/// summand of [`crate::Database::digest_at`]; not a map hasher.
+pub(crate) fn digest_of(value: impl Hash) -> u128 {
+    let [hi, lo] = DIGEST_LANES.map(|lane| lane.hash_one(&value));
+    u128::from(hi) << 64 | u128::from(lo)
 }
 
 // The seeds are the secret: never print them.

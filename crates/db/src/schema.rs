@@ -5,7 +5,7 @@ use crate::row::Row;
 use crate::value::{DataType, Value};
 
 /// A single column definition.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Column {
     pub name: String,
     pub dtype: DataType,
@@ -35,7 +35,7 @@ impl Column {
 /// A table schema: ordered columns plus the indices of the primary-key
 /// columns. Every table must declare a primary key; the engine stores rows
 /// keyed by the encoded primary-key values.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Schema {
     columns: Vec<Column>,
     primary_key: Vec<usize>,

@@ -980,6 +980,14 @@ impl SegmentedWal {
         Ok(Some((ck.ts, len)))
     }
 
+    /// The timestamps of the manifest-listed checkpoints, ascending.
+    pub(crate) fn checkpoint_timestamps(&self) -> Vec<Ts> {
+        let s = self.state.lock();
+        let mut ts: Vec<Ts> = s.manifest.checkpoints.iter().map(|c| c.ts).collect();
+        ts.sort_unstable();
+        ts
+    }
+
     /// Loads the newest manifest-listed checkpoint with `ts <= up_to`,
     /// falling back past corrupt or missing files (counted in
     /// [`WalStats::checkpoint_fallbacks`]). `Ok(None)` when no usable

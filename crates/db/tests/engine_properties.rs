@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 use trod_db::{
-    row, CellHash, DataType, Database, IsolationLevel, Key, Predicate, Row, Schema, Value,
+    row, CellHash, DataType, Database, IsolationLevel, Key, Predicate, Row, Schema, Ts, Value,
 };
 
 fn kv_schema() -> Schema {
@@ -265,7 +265,7 @@ proptest! {
         for entry in db.log_entries() {
             replica.apply_changes(&entry.changes).unwrap();
         }
-        prop_assert_eq!(db_state(&replica), db_state(&db));
+        prop_assert_eq!(replica.digest_at(Ts::MAX), db.digest_at(Ts::MAX));
     }
 
     /// Time travel to commit timestamp `t` equals replaying the log up to
@@ -285,13 +285,7 @@ proptest! {
         for entry in log.iter().filter(|e| e.commit_ts <= mid) {
             replica.apply_changes(&entry.changes).unwrap();
         }
-        let as_of: BTreeMap<i64, i64> = db
-            .scan_as_of("kv", &Predicate::True, mid)
-            .unwrap()
-            .into_iter()
-            .map(|(_, r)| (r[0].as_int().unwrap(), r[1].as_int().unwrap()))
-            .collect();
-        prop_assert_eq!(db_state(&replica), as_of);
+        prop_assert_eq!(replica.digest_at(Ts::MAX), db.digest_at(mid));
     }
 
     /// Under concurrent execution with retries, serializable isolation
@@ -334,7 +328,7 @@ proptest! {
         for entry in db.log_entries() {
             replica.apply_changes(&entry.changes).unwrap();
         }
-        prop_assert_eq!(db_state(&replica), db_state(&db));
+        prop_assert_eq!(replica.digest_at(Ts::MAX), db.digest_at(Ts::MAX));
 
         // Commit timestamps must be strictly increasing.
         let log = db.log_entries();
@@ -352,9 +346,8 @@ proptest! {
             run_txn(&db, ops, IsolationLevel::Serializable).unwrap();
         }
         let snap = db.current_ts();
-        let state_at_snap = db_state(&db);
         let fork = db.fork_at(snap).unwrap();
-        prop_assert_eq!(db_state(&fork), state_at_snap.clone());
+        prop_assert_eq!(fork.digest_at(Ts::MAX), db.digest_at(snap));
 
         // Diverge both sides.
         run_txn(&db, &[Op::Put { k: 1000, v: 1 }], IsolationLevel::Serializable).unwrap();
@@ -498,4 +491,125 @@ fn row_macro_interops_with_engine_types() {
     txn.insert("kv", r).unwrap();
     txn.commit().unwrap();
     assert_eq!(db.stats().live_rows, 1);
+}
+
+// ---------------------------------------------------------------------
+// The state digest against the comparison it replaced
+// ---------------------------------------------------------------------
+
+#[path = "support/copy_fork.rs"]
+mod copy_fork;
+
+/// `a` and `c` (`k INT`, `v INT` nullable), `b` (`v TEXT` nullable,
+/// indexed) and the namespace `ns`, of `tables`.
+fn digest_db(tables: &[&str]) -> Database {
+    let db = Database::new();
+    for &name in tables {
+        let dtype = [DataType::Int, DataType::Text][usize::from(name == "b")];
+        let schema = Schema::builder()
+            .column("k", DataType::Int)
+            .nullable("v", dtype);
+        db.create_table(name, schema.primary_key(&["k"]).build().unwrap())
+            .unwrap();
+    }
+    db.create_index("b", "v").unwrap();
+    db.create_namespace("ns").unwrap();
+    db
+}
+
+/// Commits `(table, k, cell)` writes: key `k` of `a` (table 0) or `c`
+/// (3) becomes an `Int` (cells 0–2), a `Timestamp` (3–5) or NULL (6); of
+/// `b` (1) a text (0–3) or NULL; of `ns` (2) a text. Cell 7 deletes the
+/// key.
+fn apply_writes(db: &Database, writes: &[(u8, i64, u8)]) {
+    for &(table, k, cell) in writes {
+        let (name, key) = match table {
+            0 => ("a".into(), Value::Int(k)),
+            1 => ("b".into(), Value::Int(k)),
+            2 => (trod_db::kv_table_name("ns"), Value::Text(format!("k{k}"))),
+            _ => ("c".into(), Value::Int(k)),
+        };
+        let value = match (table, cell) {
+            (0 | 3, 0..=2) => Value::Int(cell.into()),
+            (0 | 3, 3..=5) => Value::Timestamp(i64::from(cell) - 3),
+            (1, 0..=3) | (2, _) => Value::Text((cell % 2).to_string()),
+            _ => Value::Null,
+        };
+        let mut txn = db.begin();
+        match cell {
+            7 => txn.delete(&name, &Key::single(key)).map(drop),
+            _ => txn.upsert(&name, Row::from(vec![key, value])).map(drop),
+        }
+        .unwrap();
+        txn.commit().unwrap();
+    }
+}
+
+/// The comparison the digest replaced: table by table, namespaces
+/// included, the rows `materialize_at` gives (a missing table has none),
+/// and where there are rows, the schema and the index columns.
+fn same_state(x: &Database, y: &Database, ts: Ts) -> bool {
+    let side = |db: &Database, name: &str| {
+        let table = db.table(name).ok()?;
+        let mut indexes = table.indexed_columns();
+        indexes.sort();
+        let rows = table.materialize_at(ts.min(db.current_ts()));
+        Some((rows, table.schema().clone(), indexes))
+    };
+    ["a", "b", "c", "kv:ns"]
+        .iter()
+        .all(|name| match (side(x, name), side(y, name)) {
+            (Some(a), Some(b)) => a.0 == b.0 && (a.0.is_empty() || (a.1, a.2) == (b.1, b.2)),
+            (Some((rows, ..)), None) | (None, Some((rows, ..))) => rows.is_empty(),
+            (None, None) => true,
+        })
+}
+
+proptest! {
+    /// Two databases have equal digests at a timestamp iff the comparison
+    /// the digest replaced finds their states equal. The second database
+    /// departs from the first by `twist`: 0 not at all; 1 one cell; 2
+    /// every `Int` of `a` written as a `Timestamp` and back (equal, as
+    /// values are); 3 and 4 a table `c` on one side only, empty or not; 5
+    /// an index on `a`, which may be empty; 6 the rows `(9, 1)` and `(9,
+    /// 2)` of `a` and `c` the other way round; 7 an overlay fork after
+    /// `i` writes against the copying fork at its timestamp, both then
+    /// given the rest.
+    #[test]
+    fn digests_are_equal_iff_the_states_compare_equal(
+        writes in prop::collection::vec((0u8..3, 0i64..4, 0u8..8), 0..24),
+        twist in (0u8..8, 0usize..24, 0u8..8),
+        at in 0.0f64..1.0,
+    ) {
+        let (twist, i, cell) = twist;
+        let tables = |c: bool| &["a", "b", "c"][..2 + usize::from(c)];
+        let mut x = digest_db(tables(twist == 6));
+        let mut y = digest_db(tables(matches!(twist, 3 | 4 | 6)));
+        let (mut straight, mut twisted) = (writes.clone(), writes.clone());
+        match twist {
+            1 if i < writes.len() => twisted[i].2 = cell,
+            2 => twisted.iter_mut().filter(|w| w.0 == 0 && w.2 < 6).for_each(|w| w.2 = (w.2 + 3) % 6),
+            4 => twisted.push((3, 0, 0)),
+            5 => y.create_index("a", "v").unwrap(),
+            6 => {
+                straight.extend([(0, 9, 1), (3, 9, 2)]);
+                twisted.extend([(0, 9, 2), (3, 9, 1)]);
+            }
+            7 => {
+                let (head, tail) = writes.split_at(i.min(writes.len()));
+                apply_writes(&x, head);
+                let base = x.current_ts();
+                (x, y) = (x.fork_at(base).unwrap(), copy_fork::copy_fork(&x, base));
+                (straight, twisted) = (tail.to_vec(), tail.to_vec());
+            }
+            _ => {}
+        }
+        apply_writes(&x, &straight);
+        apply_writes(&y, &twisted);
+        let now = x.current_ts().max(y.current_ts());
+        for ts in [0, (now as f64 * at) as Ts, now] {
+            let equal = x.digest_at(ts) == y.digest_at(ts);
+            prop_assert_eq!(equal, same_state(&x, &y, ts), "at {} of {}", ts, now);
+        }
+    }
 }

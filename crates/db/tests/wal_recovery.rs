@@ -18,10 +18,10 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use trod_db::commit::REPLAY_RUN;
-use trod_db::wal::encode_frame;
+use trod_db::wal::{decode_records, encode_frame};
 use trod_db::{
-    row, ChangeRecord, DataType, Database, DbError, Key, MemDir, Predicate, Row, Schema,
-    StorageError, SyncMode, Ts, Value, WalOptions,
+    row, ChangeRecord, CommittedTxn, DataType, Database, DbError, Key, MemDir, Predicate, Row,
+    Schema, StorageError, SyncMode, Ts, Value, WalOptions, WalRecord,
 };
 
 /// The one segment file these workloads ever write (they stay far below
@@ -70,11 +70,14 @@ struct WorkloadRun {
     disk: MemDir,
     /// The full WAL byte stream the workload produced.
     bytes: Vec<u8>,
-    /// End offset of every record; a crash at `boundaries[i]` preserves
-    /// exactly the first `i + 1` records.
-    boundaries: Vec<u64>,
     /// The in-memory oracle that executed the same workload.
     oracle: Database,
+    /// The log's end, the oracle's digest and its commit count before the
+    /// workload and after each statement of it, each of which logs at
+    /// most one record: the ends are the record boundaries, and a log cut
+    /// at `cut` recovers the digest and commits of the last entry that
+    /// ends at or below it.
+    states: Vec<(u64, u128, usize)>,
 }
 
 impl WorkloadRun {
@@ -92,9 +95,16 @@ fn run_workload(steps: &[Step]) -> WorkloadRun {
     let disk = MemDir::new();
     let db = Database::create_durable_in(Arc::new(disk.clone()), WalOptions::default()).unwrap();
     let oracle = Database::new();
-    for target in [&db, &oracle] {
-        target.create_table("alpha", table_schema()).unwrap();
-        target.create_table("beta", table_schema()).unwrap();
+    let state = || {
+        let end = db.wal().unwrap().appended();
+        (end, oracle.digest_at(Ts::MAX), oracle.log_len())
+    };
+    let mut states = vec![state()];
+    for name in ["alpha", "beta"] {
+        for target in [&db, &oracle] {
+            target.create_table(name, table_schema()).unwrap();
+        }
+        states.push(state());
     }
     for step in steps {
         match step {
@@ -127,43 +137,20 @@ fn run_workload(steps: &[Step]) -> WorkloadRun {
                 }
             }
         }
+        states.push(state());
     }
     let bytes = disk.file(SEGMENT).unwrap();
-    // Recompute record boundaries by re-framing the decoded records —
-    // encoding is deterministic, so the frames match byte-for-byte.
-    let (records, info) = trod_db::wal::decode_records(&bytes).unwrap();
-    assert_eq!(info.truncated_bytes, 0, "live log must be clean");
-    let mut boundaries = Vec::with_capacity(records.len());
-    let mut at = 0u64;
-    for record in &records {
-        at += encode_frame(record).len() as u64;
-        boundaries.push(at);
-    }
-    assert_eq!(at, bytes.len() as u64);
+    assert_eq!(
+        states.last().unwrap().0,
+        bytes.len() as u64,
+        "the log holds records only"
+    );
     WorkloadRun {
         disk,
         bytes,
-        boundaries,
         oracle,
+        states,
     }
-}
-
-/// Every row of every table and namespace visible at `ts`, sorted, as
-/// plain data.
-fn state_at(db: &Database, ts: Ts) -> Vec<(String, Vec<Value>)> {
-    let names = db.table_names().into_iter();
-    let kv = db
-        .namespaces()
-        .into_iter()
-        .map(|ns| trod_db::kv_table_name(&ns).to_string());
-    let mut out = Vec::new();
-    for name in names.chain(kv) {
-        for (_, row) in db.scan_as_of(&name, &Predicate::True, ts).unwrap() {
-            out.push((name.clone(), row.values().to_vec()));
-        }
-    }
-    out.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-    out
 }
 
 /// Cuts the segment at `cut`, reopens the image, and asserts the
@@ -173,49 +160,25 @@ fn check_crash_prefix(run: &WorkloadRun, cut: usize) {
     let (db, report) = run
         .reopen_with(&run.bytes[..cut])
         .unwrap_or_else(|e| panic!("cut at {cut}: recovery must succeed, got {e}"));
-    // Acknowledged prefix: commits whose full frame fits below the cut.
-    let preserved = run.boundaries.iter().filter(|&&b| b <= cut as u64).count();
-    let torn_bytes = cut as u64
-        - run
-            .boundaries
-            .iter()
-            .rev()
-            .find(|&&b| b <= cut as u64)
-            .copied()
-            .unwrap_or(0);
-    assert_eq!(report.truncated_bytes, torn_bytes, "cut at {cut}");
+    // Acknowledged prefix: the records whose full frame fits below the cut.
+    let &(kept, digest, commits) = run.states.iter().rfind(|s| s.0 <= cut as u64).unwrap();
+    assert_eq!(report.truncated_bytes, cut as u64 - kept, "cut at {cut}");
 
-    // The recovered aligned history is verbatim the durable prefix of the
-    // oracle's: same ids, same timestamps, same change records.
-    let oracle_log = run.oracle.log_entries();
+    // The recovered aligned history is verbatim the oracle's up to the
+    // last record the cut keeps, and so is the state, catalog included:
+    // no torn commit visible, none lost.
     let recovered_log = db.log_entries();
-    let expected_commits: Vec<_> = oracle_log
-        .iter()
-        .filter(|e| {
-            // The i-th record overall may be DDL; count commits among the
-            // preserved records via the log itself: a commit is preserved
-            // iff its position in the full record stream is < preserved.
-            // Commit entries appear in the WAL in commit order, so the
-            // recovered log length identifies the prefix.
-            e.commit_ts > 0
-        })
-        .take(recovered_log.len())
-        .cloned()
-        .collect();
     assert_eq!(
-        recovered_log, expected_commits,
+        recovered_log[..],
+        run.oracle.log_entries()[..commits],
         "cut at {cut}: recovered history must be the acked prefix, verbatim"
     );
     assert_eq!(recovered_log.len(), report.commits, "cut at {cut}");
-    let _ = preserved;
-
-    // State equivalence: the recovered state equals the oracle as of the
-    // last recovered commit (no torn commit visible, none lost).
-    let horizon = recovered_log.last().map(|e| e.commit_ts).unwrap_or(0);
+    let horizon = recovered_log.last().map_or(0, |e| e.commit_ts);
     assert_eq!(
-        state_at(&db, db.current_ts()),
-        state_at(&run.oracle, horizon),
-        "cut at {cut}: state must equal the oracle at ts {horizon}"
+        db.digest_at(horizon),
+        digest,
+        "cut at {cut}: state at {horizon}"
     );
     assert_eq!(db.current_ts(), horizon, "cut at {cut}: clock restored");
 }
@@ -479,8 +442,8 @@ proptest! {
     ) {
         let run = run_workload(&steps);
         // Every record boundary, plus random mid-record offsets.
-        for &b in &run.boundaries {
-            check_crash_prefix(&run, b as usize);
+        for &(end, ..) in &run.states {
+            check_crash_prefix(&run, end as usize);
         }
         for f in cuts {
             let cut = (f * run.bytes.len() as f64) as usize;
@@ -562,12 +525,12 @@ fn run_step() -> impl Strategy<Value = RunStep> {
 }
 
 /// What one logged record adds to a [`trod_db::RecoveryReport`] that
-/// replays it.
+/// replays it (an index names its table).
 #[derive(Debug, Clone)]
 enum Logged {
     Commit { ts: Ts, kv_writes: usize },
     Table,
-    Index,
+    Index(String),
     Namespace(String),
 }
 
@@ -642,7 +605,7 @@ fn run_history(steps: &[RunStep]) -> RunHistory {
             RunStep::CreateIndex { table } => {
                 let name = &tables[*table as usize % tables.len()];
                 if live.create_index(name, "v").is_ok() {
-                    records.push((end(&live), Logged::Index));
+                    records.push((end(&live), Logged::Index(name.clone())));
                 }
             }
             RunStep::CreateNamespace => {
@@ -702,7 +665,7 @@ fn check_run_recovery(
                 }
             }
             Logged::Table if replayed => tables += 1,
-            Logged::Index if replayed => indexes += 1,
+            Logged::Index(_) if replayed => indexes += 1,
             Logged::Namespace(name) if replayed => namespaces.push(name.clone()),
             _ => {}
         }
@@ -722,14 +685,26 @@ fn check_run_recovery(
     prop_assert_eq!(db.current_ts(), horizon);
     let live_history = history.live.history(0, last).unwrap();
     prop_assert_eq!(db.history(0, Ts::MAX).unwrap(), live_history.clone());
+    // An index declared past the cut is lost with it: declare it again
+    // (a table declared past it holds no rows yet), so that the catalogs
+    // agree wherever a table holds rows.
+    for (end, logged) in &history.records {
+        if let (true, Logged::Index(name)) = (*end > cut, logged) {
+            if db.has_table(name) {
+                db.create_index(name, "v").unwrap();
+            }
+        }
+    }
     let step = ((horizon - ckpt_ts) / 16).max(1) as usize;
     for ts in (ckpt_ts..=horizon).step_by(step).chain([horizon]) {
-        prop_assert_eq!(
-            state_at(&db, ts),
-            state_at(&history.live, ts),
-            "rows at {}",
-            ts
-        );
+        prop_assert_eq!(db.digest_at(ts), history.live.digest_at(ts), "at {}", ts);
+    }
+    // The log replays to the state, also once GC has truncated it in
+    // memory and the samples below the floor come from its checkpoints.
+    prop_assert_eq!(db.verify(0, Ts::MAX), Ok(None));
+    db.gc_before(Ts::MAX);
+    for from in [0, horizon / 2] {
+        prop_assert_eq!(db.verify(from, Ts::MAX), Ok(None), "from {}", from);
     }
 
     let mut txn = db.begin();
@@ -756,6 +731,7 @@ proptest! {
         cut in 0.0f64..1.0,
     ) {
         let history = run_history(&steps);
+        prop_assert_eq!(history.live.verify(0, Ts::MAX), Ok(None));
         let len = history.disk.file(SEGMENT).unwrap().len() as u64;
         check_run_recovery(&history, len)?;
         // Past the first table's declaration, which the next commit needs.
@@ -811,7 +787,7 @@ fn a_raced_or_unordered_run_is_refused_and_changes_nothing() {
     txn.insert("alpha", row![100i64, 0i64]).unwrap();
     assert_eq!(txn.commit().unwrap().commit_ts, entries[3].commit_ts);
 
-    let (clock, rows) = (target.current_ts(), state_at(&target, Ts::MAX));
+    let (clock, digest) = (target.current_ts(), target.digest_at(Ts::MAX));
     let unordered = [entries[5].clone(), entries[4].clone()];
     let refused = [
         (&entries[3..], entries[3].commit_ts),
@@ -825,7 +801,7 @@ fn a_raced_or_unordered_run_is_refused_and_changes_nothing() {
             other => panic!("expected a Recovery error, got {other:?}"),
         }
         assert_eq!(target.current_ts(), clock);
-        assert_eq!(state_at(&target, Ts::MAX), rows);
+        assert_eq!(target.digest_at(Ts::MAX), digest);
     }
     let mut txn = target.begin();
     txn.insert("alpha", row![101i64, 0i64]).unwrap();
@@ -834,6 +810,21 @@ fn a_raced_or_unordered_run_is_refused_and_changes_nothing() {
         clock + 1,
         "the allocator moved"
     );
+}
+
+/// A copy of `disk` whose commit record at `ts` went through `edit`.
+fn with_commit_edited(disk: &MemDir, ts: Ts, edit: impl Fn(&mut CommittedTxn)) -> MemDir {
+    let (records, _) = decode_records(&disk.file(SEGMENT).unwrap()).unwrap();
+    let bytes = records.into_iter().flat_map(|mut record| {
+        match &mut record {
+            WalRecord::Commit(entry) if entry.commit_ts == ts => edit(entry),
+            _ => {}
+        }
+        encode_frame(&record)
+    });
+    let image = disk.snapshot();
+    image.put_file(SEGMENT, bytes.collect());
+    image
 }
 
 /// A commit record that cannot be installed — its table is missing, or
@@ -849,27 +840,16 @@ fn a_bad_record_inside_a_run_fails_recovery_naming_its_commit_ts() {
         txn.insert("alpha", row![k, k]).unwrap();
         txn.commit().unwrap();
     }
+    let bad_ts = db.log_entries()[5].commit_ts;
     drop(db);
-    let (records, _) = trod_db::wal::decode_records(&disk.file(SEGMENT).unwrap()).unwrap();
     let breakages: [fn(&ChangeRecord) -> ChangeRecord; 2] = [
         |c| ChangeRecord::insert("missing", c.key.clone(), row![0i64, 0i64]),
         |c| ChangeRecord::insert("alpha", c.key.clone(), row![0i64]),
     ];
     for broken in breakages {
-        let mut bad_ts = 0;
-        let bytes: Vec<u8> = (records.iter().enumerate())
-            .flat_map(|(i, record)| match record {
-                trod_db::WalRecord::Commit(entry) if i == 6 => {
-                    bad_ts = entry.commit_ts;
-                    let mut entry = entry.clone();
-                    entry.changes = entry.changes.iter().map(broken).collect();
-                    encode_frame(&trod_db::WalRecord::Commit(entry))
-                }
-                record => encode_frame(record),
-            })
-            .collect();
-        let image = disk.snapshot();
-        image.put_file(SEGMENT, bytes);
+        let image = with_commit_edited(&disk, bad_ts, |entry| {
+            entry.changes = entry.changes.iter().map(broken).collect();
+        });
         match Database::open_durable_in(Arc::new(image), WalOptions::default()) {
             Err(DbError::Storage(StorageError::Recovery { detail })) => {
                 assert!(detail.contains(&format!("commit ts {bad_ts}")), "{detail}");
@@ -906,6 +886,67 @@ fn forks_below_the_floor_rebuild_several_runs() {
     assert_eq!(live.log_truncated_below(), live.current_ts());
     for ts in (1..twin.current_ts()).step_by(11) {
         let fork = live.fork_at(ts).unwrap();
-        assert_eq!(state_at(&fork, ts), state_at(&twin, ts), "fork at {ts}");
+        assert_eq!(fork.digest_at(ts), twin.digest_at(ts), "fork at {ts}");
+    }
+}
+
+// ---------------------------------------------------------------------
+// `verify`: history against state
+// ---------------------------------------------------------------------
+
+/// `n` commits to the first table, from key 0.
+fn commits(n: usize) -> RunStep {
+    RunStep::Commits { table: 0, n, k: 0 }
+}
+
+/// A checkpoint whose rows differ from the log's in one cell, under a
+/// valid CRC, boots without complaint. `verify` names its timestamp, on
+/// the database that boots from it and on the one whose GC floor has
+/// passed it; above the floor the live state answers, so the file is not
+/// read.
+#[test]
+fn verify_names_a_checkpoint_that_disagrees_with_the_log() {
+    let history = run_history(&[commits(20)]);
+    let db = &history.live;
+    let mut ck = db.capture_checkpoint();
+    let (key, row) = ck.tables[0].rows[3].clone();
+    ck.tables[0].rows[3] = (key, Arc::new(row![row[0].clone(), Value::Int(-1)]));
+    db.wal().unwrap().write_checkpoint(&ck).unwrap();
+    for k in 0..10i64 {
+        let mut txn = db.begin();
+        txn.upsert("t0", row![k, -k]).unwrap();
+        txn.commit().unwrap();
+    }
+    assert_eq!(db.verify(0, Ts::MAX), Ok(None));
+    let image = Arc::new(history.disk.snapshot());
+    let (booted, _) = Database::open_durable_in(image, no_auto_checkpoints()).unwrap();
+    assert_eq!(booted.verify(0, Ts::MAX), Ok(Some(ck.ts)));
+    db.gc_before(Ts::MAX);
+    assert_eq!(db.verify(0, Ts::MAX), Ok(Some(ck.ts)));
+}
+
+/// A commit record that lost one of its change records, under a
+/// checkpoint that holds the change, boots without complaint. `verify`
+/// names the first sample where the log and the state disagree: the
+/// commit when the checkpoint was taken at it, else the checkpoint, below
+/// which the state is rebuilt from the same log.
+#[test]
+fn verify_names_a_commit_whose_record_lost_a_change() {
+    for later in [0, 2] {
+        // The fourth commit also writes a namespace key.
+        let steps = [RunStep::CreateNamespace, commits(4), commits(later)];
+        let history = run_history(&[&steps[..], &[RunStep::Checkpoint, commits(3)]].concat());
+        let lost = history.live.log_entries()[3].commit_ts;
+        let image = with_commit_edited(&history.disk, lost, |entry| {
+            entry.changes = entry.changes[..1].into();
+        });
+        let (db, _) = Database::open_durable_in(Arc::new(image), no_auto_checkpoints()).unwrap();
+        let (ckpt, _) = history.checkpoint.unwrap();
+        assert_eq!(ckpt == lost, later == 0);
+        assert_eq!(
+            db.verify(0, Ts::MAX),
+            Ok(Some(ckpt)),
+            "{later} commits later"
+        );
     }
 }

@@ -31,10 +31,10 @@ use proptest::prelude::*;
 use trod_db::wal::{decode_records, encode_frame};
 use trod_db::{
     kv_table_name, row, CommittedTxn, DataType, Database, DbError, DirFailpointHandle,
-    FailpointDir, Key, MemDir, Predicate, RecoveryReport, Schema, StorageError, SyncMode, Ts,
-    Value, WalOptions,
+    FailpointDir, Key, MemDir, RecoveryReport, Schema, StorageError, SyncMode, Ts, Value,
+    WalOptions,
 };
-use trod_kv::{KvStore, Session};
+use trod_kv::Session;
 
 const NAMESPACES: [&str; 2] = ["cache", "queue"];
 
@@ -134,28 +134,6 @@ fn step_strategy() -> impl Strategy<Value = Step> {
     ]
 }
 
-/// All kv pairs visible in `kv` at `ts`, across every namespace.
-fn kv_state_at(kv: &KvStore, ts: Ts) -> Vec<(String, String, String)> {
-    let mut out = Vec::new();
-    for ns in NAMESPACES {
-        if !kv.has_namespace(ns) {
-            continue;
-        }
-        for (k, v) in kv.scan_prefix_as_of(ns, "", ts).unwrap() {
-            out.push((ns.to_string(), k, v));
-        }
-    }
-    out
-}
-
-fn relational_state_at(db: &Database, ts: Ts) -> Vec<Vec<Value>> {
-    db.scan_as_of("events", &Predicate::ge("k", i64::MIN), ts)
-        .unwrap()
-        .into_iter()
-        .map(|(_, row)| row.values().to_vec())
-        .collect()
-}
-
 /// Runs `steps` through a durable session (WAL at a scratch file) and an
 /// in-memory oracle, then crashes at every record boundary and checks
 /// the recovered environment against the oracle.
@@ -200,13 +178,8 @@ fn check_mixed_recovery(steps: &[Step]) {
         // Both stores equal the oracle as of the recovered horizon: no
         // acknowledged commit lost, no torn cross-store commit visible.
         assert_eq!(
-            relational_state_at(recovered.database(), horizon),
-            relational_state_at(oracle.database(), horizon),
-            "cut at {at}"
-        );
-        assert_eq!(
-            kv_state_at(recovered.kv(), horizon),
-            kv_state_at(oracle.kv(), horizon),
+            recovered.database().digest_at(horizon),
+            oracle.database().digest_at(horizon),
             "cut at {at}"
         );
     }
@@ -421,24 +394,16 @@ fn database_and_session_boots_of_one_image_agree() {
         let sdb = recovered.database();
         assert_eq!(db.current_ts(), sdb.current_ts(), "{tag}: clock");
         assert_eq!(db.log_entries(), sdb.log_entries(), "{tag}: history");
-        assert_eq!(
-            relational_state_at(&db, db.current_ts()),
-            relational_state_at(sdb, sdb.current_ts()),
-            "{tag}: relational state"
-        );
+        // Both boots installed the rows of both stores, as the original
+        // holds them.
+        let original = session.database().digest_at(sdb.current_ts());
+        let booted = [db.digest_at(Ts::MAX), sdb.digest_at(Ts::MAX)];
+        assert_eq!(booted, [original; 2], "{tag}: state");
         assert_eq!(
             db.table("events").unwrap().indexed_columns(),
             sdb.table("events").unwrap().indexed_columns(),
             "{tag}: indexes"
         );
-        // Both boots installed the kv rows, as the original holds them.
-        for kv in [&KvStore::of(db.clone()), recovered.kv()] {
-            assert_eq!(
-                kv_state_at(kv, sdb.current_ts()),
-                kv_state_at(session.kv(), sdb.current_ts()),
-                "{tag}: kv state"
-            );
-        }
         db_report
     };
 
@@ -628,12 +593,8 @@ fn verbatim_entries_applied_to_a_durable_session_survive_reopen() {
         "original txn_id / start_ts / commit_ts survive the restart"
     );
     assert_eq!(
-        relational_state_at(reopened.database(), Ts::MAX),
-        relational_state_at(source.database(), Ts::MAX)
-    );
-    assert_eq!(
-        kv_state_at(reopened.kv(), Ts::MAX),
-        kv_state_at(source.kv(), Ts::MAX)
+        reopened.database().digest_at(Ts::MAX),
+        source.database().digest_at(Ts::MAX)
     );
     assert_eq!(
         reopened.database().wal().unwrap().appended(),
@@ -662,12 +623,8 @@ fn live_commit_injection_and_verbatim_replay_publish_identically() {
 
     for other in [&b, &c] {
         assert_eq!(
-            relational_state_at(other.database(), Ts::MAX),
-            relational_state_at(a.database(), Ts::MAX)
-        );
-        assert_eq!(
-            kv_state_at(other.kv(), Ts::MAX),
-            kv_state_at(a.kv(), Ts::MAX)
+            other.database().digest_at(Ts::MAX),
+            a.database().digest_at(Ts::MAX)
         );
     }
     let injected = b.database().log_entries();

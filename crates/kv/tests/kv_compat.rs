@@ -17,8 +17,11 @@
 use std::sync::Arc;
 
 use trod_db::wal::{crc32, decode_records};
-use trod_db::{is_kv_table, CommittedTxn, Database, MemDir, Predicate, WalOptions, WalRecord};
-use trod_kv::{KvStore, Session};
+use trod_db::{
+    is_kv_table, kv_table_name, namespace_row, row, CommittedTxn, Database, MemDir, Ts, WalOptions,
+    WalRecord,
+};
+use trod_kv::Session;
 
 /// The one segment file the image holds.
 const SEGMENT: &str = "wal-000000.seg";
@@ -254,18 +257,28 @@ fn version_3_checkpoint() -> Vec<u8> {
     })
 }
 
-/// Everything a boot rebuilt, comparably: rows, kv entries, history.
-type Booted = (Vec<String>, Vec<(String, String)>, Vec<CommittedTxn>);
+/// Everything a boot rebuilt, comparably: the state's digest and the
+/// history.
+type Booted = (u128, Vec<CommittedTxn>);
 
 fn booted(db: &Database) -> Booted {
-    let rows = db
-        .scan_latest("orders", &Predicate::True)
-        .unwrap()
-        .into_iter()
-        .map(|(_, row)| row.to_string())
-        .collect();
-    let kv = KvStore::of(db.clone()).scan_prefix("carts", "").unwrap();
-    (rows, kv, db.log_entries())
+    (db.digest_at(Ts::MAX), db.log_entries())
+}
+
+/// The digest of `like`'s catalog holding exactly these `orders` rows and
+/// `carts` entries.
+fn holding(like: &Database, orders: &[(i64, &str)], carts: &[(&str, &str)]) -> u128 {
+    let db = like.fork_empty().unwrap();
+    let mut txn = db.begin();
+    for &(id, item) in orders {
+        txn.insert("orders", row![id, item]).unwrap();
+    }
+    for &(who, item) in carts {
+        txn.insert(&kv_table_name("carts"), namespace_row(who, item))
+            .unwrap();
+    }
+    txn.commit().unwrap();
+    db.digest_at(Ts::MAX)
 }
 
 /// Boots `disk` both ways; the two boots agree in report, clock, state
@@ -305,9 +318,10 @@ fn a_parent_log_boots_to_its_state_and_verbatim_history() {
     assert_eq!(report.namespaces, ["carts"]);
     assert_eq!((report.commits, report.kv_writes_replayed), (4, 4));
 
-    let (session, (rows, kv, history)) = boot_both(&disk);
-    assert_eq!(rows, ["(1, sprocket)", "(2, gadget)"]);
-    assert_eq!(kv, [("bob".to_string(), "gadget".to_string())]);
+    let (session, (digest, history)) = boot_both(&disk);
+    let orders = [(1, "sprocket"), (2, "gadget")];
+    let cart = [("bob", "gadget")];
+    assert_eq!(digest, holding(session.database(), &orders, &cart));
     assert_eq!(history, entries, "the aligned history is the log, verbatim");
     let kv_records = |e: &CommittedTxn| e.changes.iter().filter(|c| is_kv_table(&c.table)).count();
     let log = session.database().log_entries();
@@ -347,11 +361,10 @@ fn a_checkpoint_after_the_boot_writes_the_namespace_as_its_table_and_boots_again
         Database::open_durable_in(Arc::new(disk.snapshot()), WalOptions::default()).unwrap();
     assert_eq!((report.checkpoint_ts, report.commits), (Some(4), 1));
     assert!(report.namespaces.is_empty(), "the checkpoint restored it");
-    let (session, booted) = boot_both(&disk);
-    let (rows, kv, history) = &booted;
-    assert_eq!(rows, &["(1, sprocket)", "(2, gadget)"]);
-    let kv: Vec<(&str, &str)> = kv.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
-    assert_eq!(kv, [("bob", "gadget"), ("carol", "widget")]);
+    let (session, (digest, history)) = boot_both(&disk);
+    let carts = [("bob", "gadget"), ("carol", "widget")];
+    let orders = [(1, "sprocket"), (2, "gadget")];
+    assert_eq!(digest, holding(session.database(), &orders, &carts));
     assert_eq!(history.len(), 1);
     let restored = session.database().table("kv:carts").unwrap();
     assert_eq!(restored.materialize_at(4).len(), 1, "bob's cart, as a row");
@@ -385,11 +398,9 @@ fn a_version_2_checkpoint_falls_back_to_the_boot_without_it() {
     assert_eq!((report.commits, report.namespaces.len()), (5, 1));
     let (session, state) = boot_both(&disk);
     assert_eq!(state, bare_state, "state and verbatim history");
-    assert_eq!(state.2.len(), 5);
+    assert_eq!(state.1.len(), 5);
     for ts in 0..=5 {
-        for key in ["alice", "bob", "carol"] {
-            let read = |s: &Session| s.kv().get_as_of("carts", key, ts).unwrap();
-            assert_eq!(read(&session), read(&bare_session), "{key} as of {ts}");
-        }
+        let digest = |s: &Session| s.database().digest_at(ts);
+        assert_eq!(digest(&session), digest(&bare_session), "as of {ts}");
     }
 }

@@ -72,26 +72,13 @@ fn end(req: &str, handler: &str, timestamp: i64) -> TraceEvent {
     }
 }
 
-/// Everything observable about a store: every table's rows in key order,
-/// the assembled traces, the request records and the counters.
-type Contents = (
-    Vec<(String, Vec<(Key, Arc<Row>)>)>,
-    Vec<TxnTrace>,
-    Vec<RequestRecord>,
-    ProvenanceStats,
-);
+/// Everything observable about a store: the digest of its tables, the
+/// assembled traces, the request records and the counters.
+type Contents = (u128, Vec<TxnTrace>, Vec<RequestRecord>, ProvenanceStats);
 
 fn contents(store: &ProvenanceStore) -> Contents {
-    let db = store.database();
-    let mut names = db.table_names();
-    names.sort();
-    let tables = names.into_iter().map(|name| {
-        let mut rows = db.scan_latest(&name, &Predicate::True).unwrap();
-        rows.sort_by(|a, b| a.0.cmp(&b.0));
-        (name, rows)
-    });
     (
-        tables.collect(),
+        store.database().digest_at(Ts::MAX),
         store.txns_between(0, Ts::MAX),
         store.all_request_records(),
         store.stats(),

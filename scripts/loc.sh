@@ -2,8 +2,11 @@
 # Code lines per crate: every line of crates/<name>/src/**/*.rs that is
 # neither blank nor a `//` comment (`grep -vcE '^\s*(//|$)'`), counted in
 # total and without inline test modules (a file is cut at a top-level
-# `#[cfg(test)]` followed by `mod <name> {`). A last `vendor` row counts
-# the vendored stubs (vendor/*/src) the same way, outside the `all` sum.
+# `#[cfg(test)]` followed by `mod <name> {`). A `tests` row counts test
+# lines: the test files (crates/*/tests/**, tests/*.rs) plus the inline
+# test modules (the crates' total less their non-test lines). A last
+# `vendor` row counts the vendored stubs (vendor/*/src) the same way. Both
+# stand outside the `all` sum.
 #
 #   scripts/loc.sh            # table for the working tree
 #   scripts/loc.sh <dir>      # same, for another checkout
@@ -42,5 +45,7 @@ for src in "$root"/crates/*/src; do
     sum_non_test=$((sum_non_test + non_test_total))
 done
 printf '%-14s %8d %9d\n' all "$sum_total" "$sum_non_test"
+count "$root"/crates/*/tests "$root"/tests
+printf '%-14s %8d %9s\n' tests $((total + sum_total - sum_non_test)) -
 count "$root"/vendor/*/src
 printf '%-14s %8d %9d\n' vendor "$total" "$non_test_total"

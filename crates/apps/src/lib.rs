@@ -14,8 +14,6 @@
 //!   benchmarks (paper §3.7).
 //! * [`profiles`] — a user-profile service with an access-control bug and
 //!   a data-exfiltration workflow (paper §4.2).
-//! * [`workload`] — reproducible request-stream generators for tests and
-//!   examples.
 //!
 //! Each application module exposes its schema builders, a buggy handler
 //! registry, a patched registry where the paper discusses a fix, argument
@@ -26,6 +24,3 @@ pub mod mediawiki;
 pub mod moodle;
 pub mod profiles;
 pub mod shop;
-pub mod workload;
-
-pub use workload::{moodle_workload, shop_workload, WorkloadConfig};

@@ -791,8 +791,13 @@ impl Database {
     /// the fork reads through instead to the state at `ts` rebuilt from the
     /// durable log — the newest checkpoint at or before `ts` plus the
     /// commits logged after it — and pins nothing. Without a log that is
-    /// [`DbError::HistoryTruncated`].
+    /// [`DbError::HistoryTruncated`]. No commit is at 0, so a fork at 0 is
+    /// [`Database::fork_empty`]: it reads through to nothing and pins
+    /// nothing, and history replays onto it from the first commit.
     pub fn fork_at(&self, ts: Ts) -> DbResult<Database> {
+        if ts == 0 {
+            return self.fork_empty();
+        }
         let (ts, pin) = {
             let log = self.synced_log();
             let ts = ts.min(self.current_ts());
@@ -805,7 +810,7 @@ impl Database {
         };
         let fork = Database::build(Some(pin.clone()));
         fork.graft_catalog(self, Some((ts, &pin)))?;
-        fork.ensure_ts_at_least(ts.max(1));
+        fork.ensure_ts_at_least(ts);
         Ok(fork)
     }
 
@@ -849,14 +854,18 @@ impl Database {
         let ts = ts.min(self.current_ts());
         let mut sum = 0u128;
         for (name, store) in self.inner.tables.read().iter() {
-            let rows = store.materialize_at(ts);
+            let mut rows = Vec::new();
+            store.for_each_at(ts, &mut |_, row| rows.push(row.clone()));
             if rows.is_empty() {
                 continue;
             }
+            // Hashed in memory order, not the map's: the row payloads are
+            // then read in one forward sweep rather than at random.
+            rows.sort_unstable_by_key(Arc::as_ptr);
             let mut indexes = store.indexed_columns();
             indexes.sort();
             sum = sum.wrapping_add(digest_of((0u8, name, store.schema(), indexes)));
-            for (_, row) in &rows {
+            for row in &rows {
                 sum = sum.wrapping_add(digest_of((1u8, name, row)));
             }
         }
@@ -879,12 +888,7 @@ impl Database {
         let to = to.min(self.current_ts());
         let from = from.min(to);
         let history = self.history(from, to)?;
-        // A fork's clock starts at 1 or later, above a first commit at 1;
-        // the state at 0 is empty, a copy of the catalog.
-        let replay = match from {
-            0 => self.fork_empty()?,
-            _ => self.fork_at(from)?,
-        };
+        let replay = self.fork_at(from)?;
         replay.apply_entries(&history)?;
         let differs =
             |ts: Ts| Ok::<_, DbError>(replay.digest_at(ts) != self.fork_at(ts)?.digest_at(ts));
@@ -1112,6 +1116,102 @@ mod tests {
             txn.commit().unwrap();
             assert_eq!(fork.current_ts(), now + 1);
         }
+    }
+
+    #[test]
+    fn a_fork_at_zero_replays_history_from_the_first_commit() {
+        let db = populated_db();
+        set(&db, 1, "v1");
+        let now = db.current_ts();
+        let history = db.history(0, now).unwrap();
+        assert_eq!(history[0].commit_ts, 1);
+        let fork = db.fork_at(0).unwrap();
+        assert_eq!(fork.current_ts(), 0);
+        assert_eq!(fork.digest_at(0), 0, "the state at 0 is empty");
+        fork.apply_entries(&history).unwrap();
+        assert_eq!(fork.digest_at(now), db.digest_at(now));
+    }
+
+    /// The digest as the rows `materialize_at` gives: the oracle of the
+    /// visitor `digest_at` hashes through.
+    fn digest_by_materializing(db: &Database, ts: Ts) -> u128 {
+        let ts = ts.min(db.current_ts());
+        let mut sum = 0u128;
+        for (name, store) in db.inner.tables.read().iter() {
+            let rows = store.materialize_at(ts);
+            if rows.is_empty() {
+                continue;
+            }
+            let mut indexes = store.indexed_columns();
+            indexes.sort();
+            sum = sum.wrapping_add(digest_of((0u8, name, store.schema(), indexes)));
+            for (_, row) in &rows {
+                sum = sum.wrapping_add(digest_of((1u8, name, row)));
+            }
+        }
+        sum
+    }
+
+    #[test]
+    fn digests_of_nested_forks_equal_their_materialized_rows() {
+        let db = populated_db();
+        db.create_index("t", "v").unwrap();
+        // `(id, Some(v))` writes a row and `(id, None)` deletes one, a
+        // commit each.
+        let write = |db: &Database, ops: &[(i64, Option<&str>)]| {
+            for &(id, v) in ops {
+                let mut txn = db.begin();
+                match v {
+                    Some(v) => txn.upsert("t", row![id, v]).map(drop),
+                    None => txn.delete("t", &Key::single(id)).map(drop),
+                }
+                .unwrap();
+                txn.commit().unwrap();
+            }
+        };
+        write(&db, &[(3, Some("three")), (4, Some("four"))]);
+        // Each level updates, deletes and re-inserts keys of the levels
+        // below it, the child's tombstone for key 3 included.
+        let child = db.fork_at(db.current_ts()).unwrap();
+        write(
+            &child,
+            &[
+                (1, Some("c1")),
+                (2, None),
+                (3, None),
+                (2, Some("c2")),
+                (11, Some("c11")),
+            ],
+        );
+        let grandchild = child.fork_at(child.current_ts()).unwrap();
+        write(
+            &grandchild,
+            &[(1, Some("g1")), (2, None), (4, None), (3, Some("g3"))],
+        );
+        // The third level forks with key 2 deleted and writes key 4 back.
+        let third = grandchild.fork_at(grandchild.current_ts()).unwrap();
+        write(&grandchild, &[(2, Some("g2")), (12, Some("g12"))]);
+        write(&third, &[(4, Some("f4"))]);
+        // Writes below a fork after it was taken stay out of it.
+        write(&db, &[(4, Some("parent-only"))]);
+        write(&child, &[(1, Some("c1-late")), (12, Some("c12"))]);
+
+        for fork in [&child, &grandchild, &third] {
+            for ts in 0..=fork.current_ts() + 1 {
+                assert_eq!(
+                    fork.digest_at(ts),
+                    digest_by_materializing(fork, ts),
+                    "at {ts}"
+                );
+            }
+        }
+        let values = |db: &Database| -> Vec<String> {
+            let rows = db.table("t").unwrap().materialize_at(db.current_ts());
+            let text = |row: &Row| row[1].as_text().unwrap().to_string();
+            rows.iter().map(|(_, row)| text(row)).collect()
+        };
+        assert_eq!(values(&grandchild), ["g1", "g2", "g3", "c11", "g12"]);
+        assert_eq!(values(&third), ["g1", "g3", "f4", "c11"]);
     }
 
     #[test]

@@ -901,18 +901,29 @@ impl TableStore {
         dropped
     }
 
+    /// Calls `visit` on each live row at `ts`, a fork's unshadowed base
+    /// rows included, in no particular order.
+    pub(crate) fn for_each_at(&self, ts: Ts, visit: &mut dyn FnMut(&Key, &Arc<Row>)) {
+        let rows = self.rows.read();
+        for (key, chain) in rows.iter() {
+            if let Some(row) = chain.visible_at(ts) {
+                visit(key, row);
+            }
+        }
+        if let Some(base) = self.base_at(ts) {
+            base.store.for_each_at(base.ts, &mut |key, row| {
+                if !rows.contains_key(key) {
+                    visit(key, row);
+                }
+            });
+        }
+    }
+
     /// Snapshot of live rows at `ts`, in key order (what a checkpoint
     /// captures). Rows are shared with the version store, not copied.
     pub fn materialize_at(&self, ts: Ts) -> Vec<(Key, Arc<Row>)> {
-        let rows = self.rows.read();
-        let mut out: Vec<(Key, Arc<Row>)> = rows
-            .iter()
-            .filter_map(|(k, c)| c.visible_at(ts).map(|r| (k.clone(), r.clone())))
-            .collect();
-        if let Some(base) = self.base_at(ts) {
-            let below = base.store.materialize_at(base.ts);
-            out.extend(below.into_iter().filter(|(key, _)| !rows.contains_key(key)));
-        }
+        let mut out = Vec::new();
+        self.for_each_at(ts, &mut |key, row| out.push((key.clone(), row.clone())));
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
     }

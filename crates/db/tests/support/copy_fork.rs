@@ -14,10 +14,11 @@
 use trod_db::{ChangeRecord, Database, Ts, KV_TABLE_PREFIX};
 
 /// An independent copy of `db`'s state at `ts` (clamped to the published
-/// clock): every visible row re-installed at `ts.max(1)` as one injected
-/// commit, the clock left there. The injected commit is the copy's only
-/// log entry at or below the fork timestamp; everything after it is
-/// comparable with the overlay's log.
+/// clock): every visible row re-installed at `ts` as one injected commit,
+/// the clock left there. The injected commit is the copy's only log
+/// entry at or below the fork timestamp; everything after it is
+/// comparable with the overlay's log. No row is visible at 0, so a copy
+/// at 0 injects nothing.
 pub fn copy_fork(db: &Database, ts: Ts) -> Database {
     let at = ts.min(db.current_ts());
     let fork = db.fork_empty().expect("catalog copies");
@@ -31,11 +32,11 @@ pub fn copy_fork(db: &Database, ts: Ts) -> Database {
         }
     }
     if rows.is_empty() {
-        fork.ensure_ts_at_least(at.max(1));
+        fork.ensure_ts_at_least(at);
     } else {
-        fork.ensure_ts_at_least(at.max(1) - 1);
+        fork.ensure_ts_at_least(at - 1);
         fork.apply_changes(&rows).expect("copied rows install");
     }
-    assert_eq!(fork.current_ts(), at.max(1));
+    assert_eq!(fork.current_ts(), at);
     fork
 }

@@ -1,11 +1,11 @@
 //! A minimal blocking JSON-RPC client over one keep-alive connection.
 //!
-//! This is the reference wire consumer: the load generators, the
-//! `fork_from_instance` puller, the benchmarks and the integration tests
-//! all speak to the server through it. Errors keep the server's
-//! retryable-vs-fatal split: [`ClientError::Rpc`] carries the typed
-//! failure, and [`ClientError::is_retryable`] implements the one retry
-//! rule the protocol promises.
+//! This is the reference wire consumer: the `fork_from_instance`
+//! puller, the benchmarks and the integration tests all speak to the
+//! server through it. Errors keep the server's retryable-vs-fatal
+//! split: [`ClientError::Rpc`] carries the typed failure, and
+//! [`ClientError::is_retryable`] implements the one retry rule the
+//! protocol promises.
 
 use std::io::{self, BufReader};
 use std::net::TcpStream;

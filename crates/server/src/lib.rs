@@ -36,7 +36,6 @@ pub mod client;
 pub mod dump;
 pub mod error;
 pub mod http;
-pub mod load;
 pub mod rpc;
 pub mod server;
 pub mod state;
@@ -45,6 +44,5 @@ pub use client::{Client, ClientError, RpcFailure};
 pub use dump::{fork_from_instance, Dump, DumpError};
 pub use error::RpcError;
 pub use http::{HttpRequest, Limits};
-pub use load::{drive_workload, LoadReport, RequestGen, WirePool};
 pub use server::{ServerBuilder, ServerConfig, ServerHandle, ShutdownReport};
 pub use state::ServerState;

@@ -13,13 +13,13 @@ use std::time::Duration;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
-use trod_apps::{shop, workload};
+use trod_apps::shop;
 use trod_core::json::Json;
 use trod_core::wire;
 use trod_core::Trod;
 use trod_db::{Key, Ts, TS_LIVE};
 use trod_kv::Session;
-use trod_runtime::Runtime;
+use trod_runtime::{Args, Runtime};
 use trod_server::{fork_from_instance, Client, Dump, DumpError, ServerBuilder};
 
 fn shop_trod() -> Trod {
@@ -30,9 +30,28 @@ fn shop_trod() -> Trod {
     Trod::attach(runtime).expect("attach")
 }
 
-/// Runs a deterministic serial shop workload against an instance.
-fn run_workload(trod: &Trod, cfg: &workload::WorkloadConfig) {
-    for (handler, args) in workload::shop_workload(cfg) {
+/// The shop requests numbered `ids`: checkouts by 6 customers of the 8
+/// seeded items, every third on the hot item-0, and every tenth request a
+/// `getOrder` of an earlier order, or of one no checkout creates.
+fn shop_requests(ids: std::ops::Range<usize>) -> Vec<(String, Args)> {
+    ids.map(|i| match i % 10 {
+        9 => (
+            "getOrder".to_string(),
+            Args::new().with("order_id", format!("order-{}", i / 2)),
+        ),
+        _ => {
+            let item = if i % 3 == 0 { 0 } else { i % 8 };
+            let (order, user) = (format!("order-{i}"), format!("user-{}", i % 6));
+            let args = shop::checkout_args(&order, &user, &format!("item-{item}"), 1);
+            ("checkout".to_string(), args)
+        }
+    })
+    .collect()
+}
+
+/// Runs `requests` serially against an instance.
+fn run_workload(trod: &Trod, requests: Vec<(String, Args)>) {
+    for (handler, args) in requests {
         // Serial execution: failures can only be application errors
         // (e.g. getOrder of a not-yet-created order), never conflicts.
         let _ = trod.runtime().handle_request(&handler, args);
@@ -71,7 +90,7 @@ fn assert_round_trip(source: &Trod, loaded: &Session) {
 #[test]
 fn dump_load_round_trip_preserves_history_and_clocks() {
     let source = shop_trod();
-    run_workload(&source, &workload::WorkloadConfig::small());
+    run_workload(&source, shop_requests(0..50));
 
     let dump = Dump::capture(&source, Ts::MAX).expect("capture");
     assert!(!dump.entries.is_empty());
@@ -116,15 +135,8 @@ fn dump_load_round_trip_preserves_history_and_clocks() {
 fn a_dump_of_several_replay_runs_boots_identically() {
     let source = shop_trod();
     let src_db = source.production_db();
-    for seed in [11, 12] {
-        let cfg = workload::WorkloadConfig {
-            requests: 200,
-            users: 6,
-            items: 4,
-            conflict_rate: 0.3,
-            seed,
-        };
-        run_workload(&source, &cfg);
+    for run in 0..2 {
+        run_workload(&source, shop_requests(run * 200..run * 200 + 200));
         src_db.ensure_ts_at_least(src_db.current_ts() + 100);
     }
     assert!(
@@ -268,7 +280,7 @@ fn fork_from_instance_equals_local_fork() {
 #[test]
 fn sys_dump_up_to_equals_capture_at_that_timestamp() {
     let source = shop_trod();
-    run_workload(&source, &workload::WorkloadConfig::small());
+    run_workload(&source, shop_requests(0..50));
     let server = ServerBuilder::new(source)
         .serve("127.0.0.1:0")
         .expect("bind");
@@ -300,7 +312,7 @@ fn sys_dump_up_to_equals_capture_at_that_timestamp() {
 #[test]
 fn a_dump_past_i64_max_round_trips_and_boots_at_its_watermark() {
     let source = shop_trod();
-    run_workload(&source, &workload::WorkloadConfig::small());
+    run_workload(&source, shop_requests(0..50));
     let mut dump = Dump::capture(&source, Ts::MAX).expect("capture");
     let watermark = (1u64 << 63) + 5;
     dump.current_ts = watermark;
@@ -323,24 +335,30 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Dump → boot round-trips byte-identically for arbitrary small
-    /// workloads: any request mix, any skew, any seed.
+    /// workloads: a `getOrder` (of an order that may not exist) or a
+    /// checkout of any quantity, by any of 6 customers, of any of the 8
+    /// seeded items or one that does not exist.
     #[test]
     fn dump_load_round_trips_for_arbitrary_workloads(
-        requests in 1usize..24,
-        users in 1usize..6,
-        items in 1usize..6,
-        seed in 0u64..1_000,
-        hot in 0u32..100,
+        draws in prop::collection::vec((0u8..10, 0u8..6, 0u8..9, 1i64..4), 1..24),
     ) {
-        let cfg = workload::WorkloadConfig {
-            requests,
-            users,
-            items,
-            conflict_rate: f64::from(hot) / 100.0,
-            seed,
-        };
+        let requests = draws
+            .into_iter()
+            .enumerate()
+            .map(|(i, (kind, user, item, quantity))| match kind {
+                0 => (
+                    "getOrder".to_string(),
+                    Args::new().with("order_id", format!("order-{}", i + usize::from(user))),
+                ),
+                _ => {
+                    let (order, user) = (format!("order-{i}"), format!("user-{user}"));
+                    let args = shop::checkout_args(&order, &user, &format!("item-{item}"), quantity);
+                    ("checkout".to_string(), args)
+                }
+            })
+            .collect();
         let source = shop_trod();
-        run_workload(&source, &cfg);
+        run_workload(&source, requests);
 
         let dump = Dump::capture(&source, Ts::MAX).expect("capture");
         let text = dump.to_json().to_string();
@@ -592,14 +610,7 @@ fn base_dump() -> &'static Dump {
     static BASE: OnceLock<Dump> = OnceLock::new();
     BASE.get_or_init(|| {
         let source = shop_trod();
-        let cfg = workload::WorkloadConfig {
-            requests: 6,
-            users: 2,
-            items: 2,
-            conflict_rate: 0.0,
-            seed: 3,
-        };
-        run_workload(&source, &cfg);
+        run_workload(&source, shop_requests(0..6));
         Dump::capture(&source, Ts::MAX).expect("capture")
     })
 }

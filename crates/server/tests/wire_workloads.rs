@@ -1,29 +1,73 @@
 //! The application workloads (shop, Moodle, MediaWiki) driven over the
-//! wire: N concurrent keep-alive connections, every request a
+//! wire: 8 concurrent keep-alive connections, every request a
 //! `trod_invoke`. How many requests lose a race depends on the
 //! scheduler, so the tests assert what every interleaving must satisfy:
 //! each request ends as a success, a typed retryable conflict, or the
 //! application's own error (a `getOrder` racing the checkout that creates
 //! the order; the Moodle duplicate-subscription check catching the
-//! MDL-59854 race the workload's `conflict_rate` exists to provoke) —
-//! never as a fatal failure, which would mean a broken mapping.
+//! MDL-59854 race that the stream's repeated (user, forum) pairs exist to
+//! provoke) — never as a fatal failure, which would mean a broken mapping.
 
-use trod_apps::{mediawiki, moodle, shop, workload};
+use std::sync::Mutex;
+
+use trod_apps::{mediawiki, moodle, shop};
+use trod_core::json::Json;
 use trod_core::Trod;
-use trod_runtime::Runtime;
-use trod_server::{drive_workload, LoadReport, ServerBuilder, ServerHandle};
+use trod_runtime::{Args, Runtime};
+use trod_server::{Client, ClientError, ServerBuilder, ServerHandle};
 
 fn serve(trod: Trod) -> ServerHandle {
     ServerBuilder::new(trod).serve("127.0.0.1:0").expect("bind")
 }
 
-fn assert_every_request_accounted_for(report: &LoadReport) {
-    assert_eq!(report.fatal_failures, 0, "report: {report:?}");
+/// How the requests of one drive ended.
+#[derive(Debug, Default)]
+struct Tally {
+    ok: usize,
+    /// Conflicts under contention, expected on the hot keys.
+    retryable: usize,
+    /// The handler's own rejection (wire kind `application_error`).
+    application: usize,
+    /// Every other failure: the wire mapping or the engine is broken.
+    fatal: Vec<String>,
+}
+
+/// Sends `requests` as `trod_invoke` calls over `connections` clients,
+/// dealt round-robin, so each connection keeps the list's relative order.
+fn drive(addr: &str, requests: &[(String, Args)], connections: usize) -> Tally {
+    let tally = Mutex::new(Tally::default());
+    std::thread::scope(|scope| {
+        for first in 0..connections {
+            let tally = &tally;
+            scope.spawn(move || {
+                let mut client = Client::connect(addr).expect("connect");
+                for (handler, args) in requests.iter().skip(first).step_by(connections) {
+                    let params = Json::obj(vec![
+                        ("handler", Json::str(handler.clone())),
+                        ("args", args.to_json()),
+                    ]);
+                    let outcome = client.call("trod_invoke", params);
+                    let mut tally = tally.lock().unwrap();
+                    match outcome {
+                        Ok(_) => tally.ok += 1,
+                        Err(ClientError::Rpc(f)) if f.retryable => tally.retryable += 1,
+                        Err(ClientError::Rpc(f)) if f.kind == "application_error" => {
+                            tally.application += 1
+                        }
+                        Err(e) => tally.fatal.push(format!("{handler}: {e}")),
+                    }
+                }
+            });
+        }
+    });
+    let tally = tally.into_inner().unwrap();
+    assert!(tally.fatal.is_empty(), "tally: {tally:?}");
     assert_eq!(
-        report.ok + report.application_errors + report.retryable_failures,
-        report.requests,
-        "report: {report:?}"
+        tally.ok + tally.application + tally.retryable,
+        requests.len(),
+        "tally: {tally:?}"
     );
+    tally
 }
 
 #[test]
@@ -34,21 +78,33 @@ fn shop_workload_over_the_wire() {
     let runtime = Runtime::new(db, shop::registry());
     let server = serve(Trod::attach(runtime).expect("attach"));
 
-    let cfg = workload::WorkloadConfig {
-        requests: 120,
-        users: 10,
-        items: 8,
-        conflict_rate: 0.2,
-        seed: 11,
-    };
-    let report = drive_workload(&server.addr(), workload::shop_workload(&cfg), 8).expect("drive");
-
-    assert_eq!(report.requests, cfg.requests);
-    assert_every_request_accounted_for(&report);
-    assert!(report.ok > cfg.requests / 2, "report: {report:?}");
+    // Every fifth request is a checkout of the hot item-0; every tenth
+    // looks up an earlier order, which may not have committed yet.
+    let requests: Vec<(String, Args)> = (0..120)
+        .map(|i| match i % 10 {
+            9 => (
+                "getOrder".to_string(),
+                Args::new().with("order_id", format!("order-{}", i / 2)),
+            ),
+            _ => {
+                let item = if i % 5 == 0 { 0 } else { i % 8 };
+                let (order, user, item) = (
+                    format!("order-{i}"),
+                    format!("user-{}", i % 10),
+                    format!("item-{item}"),
+                );
+                (
+                    "checkout".to_string(),
+                    shop::checkout_args(&order, &user, &item, 1),
+                )
+            }
+        })
+        .collect();
+    let tally = drive(&server.addr(), &requests, 8);
+    assert!(tally.ok > requests.len() / 2, "tally: {tally:?}");
 
     let shutdown = server.shutdown();
-    assert_eq!(shutdown.requests_served as usize, cfg.requests);
+    assert_eq!(shutdown.requests_served as usize, requests.len());
 }
 
 #[test]
@@ -58,18 +114,23 @@ fn moodle_workload_over_the_wire() {
     let runtime = Runtime::builder(db, moodle::registry()).build();
     let server = serve(Trod::attach_with(runtime, provenance));
 
-    let cfg = workload::WorkloadConfig {
-        requests: 100,
-        users: 12,
-        items: 6,
-        conflict_rate: 0.3,
-        seed: 23,
-    };
-    let report = drive_workload(&server.addr(), workload::moodle_workload(&cfg), 8).expect("drive");
-
-    assert_eq!(report.requests, cfg.requests);
-    assert_every_request_accounted_for(&report);
-    assert!(report.ok > cfg.requests / 2, "report: {report:?}");
+    // Requests 2k and 2k+1 subscribe the same (user, forum) pair, and the
+    // 12 pairs repeat: duplicates race on neighbouring connections.
+    let requests: Vec<(String, Args)> = (0..100)
+        .map(|i| {
+            let pair = i / 2 % 12;
+            let forum = format!("F{}", pair % 6);
+            match i % 5 {
+                4 => ("fetchSubscribers".to_string(), moodle::fetch_args(&forum)),
+                _ => (
+                    "subscribeUser".to_string(),
+                    moodle::subscribe_args(&format!("sub-{i}"), &format!("U{pair}"), &forum),
+                ),
+            }
+        })
+        .collect();
+    let tally = drive(&server.addr(), &requests, 8);
+    assert!(tally.ok > requests.len() / 2, "tally: {tally:?}");
     server.shutdown();
 }
 
@@ -78,23 +139,38 @@ fn mediawiki_workload_over_the_wire() {
     let runtime = Runtime::builder(mediawiki::mediawiki_db(), mediawiki::registry()).build();
     let server = serve(Trod::attach(runtime).expect("attach"));
 
-    let cfg = workload::WorkloadConfig {
-        requests: 100,
-        users: 8,
-        items: 5,
-        conflict_rate: 0.25,
-        seed: 31,
-    };
-    let mut requests = workload::mediawiki_workload(&cfg);
-    // Warm up the page pool serially (as a deployment would), then race
-    // the edit/read mix over the wire.
-    let rest = requests.split_off(cfg.items.min(cfg.requests));
-    let warmup = drive_workload(&server.addr(), requests, 1).expect("warmup");
-    assert_every_request_accounted_for(&warmup);
-
-    let report = drive_workload(&server.addr(), rest, 8).expect("drive");
-    assert_eq!(report.requests + warmup.requests, cfg.requests);
-    assert_every_request_accounted_for(&report);
-    assert!(report.ok > 0, "report: {report:?}");
+    // Create the page pool serially (as a deployment would), then race
+    // the edit/read mix over the wire; every third request is on the
+    // hot Page_0.
+    let pool: Vec<(String, Args)> = (0..5)
+        .map(|k| {
+            let page = Args::new()
+                .with("title", format!("Page_{k}"))
+                .with("content", format!("seed content {k}"));
+            ("createPage".to_string(), page)
+        })
+        .collect();
+    drive(&server.addr(), &pool, 1);
+    let requests: Vec<(String, Args)> = (0..95)
+        .map(|i| {
+            let page = format!("Page_{}", if i % 3 == 0 { 0 } else { i % 5 });
+            match i % 10 {
+                4 => ("getPage".to_string(), Args::new().with("title", page)),
+                9 => ("listSiteLinks".to_string(), Args::new().with("page", page)),
+                3 | 7 => {
+                    let url = format!("https://example.org/{i}");
+                    let args = mediawiki::sitelink_args(&format!("link-{i}"), &page, &url);
+                    ("addSiteLink".to_string(), args)
+                }
+                _ => {
+                    let content = format!("content rev {i} by user-{}", i % 8);
+                    let args = mediawiki::edit_args(&format!("rev-{i}"), &page, &content);
+                    ("editPage".to_string(), args)
+                }
+            }
+        })
+        .collect();
+    let tally = drive(&server.addr(), &requests, 8);
+    assert!(tally.ok > 0, "tally: {tally:?}");
     server.shutdown();
 }

@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --example perf_and_quality`
 
-use trod::apps::{shop, shop_workload, WorkloadConfig};
+use trod::apps::shop;
 use trod::prelude::*;
 
 fn main() {
@@ -19,12 +19,23 @@ fn main() {
     let runtime = Runtime::new(db, shop::registry());
     let trod = Trod::attach(runtime).expect("attach TROD");
 
-    // 2. Serve a small production workload.
-    let cfg = WorkloadConfig::small();
-    let requests = shop_workload(&cfg);
+    // 2. Serve a small production workload: checkouts by 10 customers,
+    //    every fifth on the hot item-0, and every tenth request a look-up
+    //    of an earlier order.
     let mut served = 0usize;
-    for (handler, args) in requests {
-        let result = trod.runtime().handle_request(&handler, args);
+    for i in 0..50 {
+        let result = match i % 10 {
+            9 => trod.runtime().handle_request(
+                "getOrder",
+                Args::new().with("order_id", format!("order-{}", i / 2)),
+            ),
+            _ => {
+                let item = if i % 5 == 0 { 0 } else { i % 20 };
+                let (order, user) = (format!("order-{i}"), format!("user-{}", i % 10));
+                let args = shop::checkout_args(&order, &user, &format!("item-{item}"), 1);
+                trod.runtime().handle_request("checkout", args)
+            }
+        };
         if result.is_ok() {
             served += 1;
         }

@@ -161,14 +161,21 @@ fn tracing_survives_a_realistic_mixed_workload() {
     let runtime = Runtime::builder(db, moodle::registry())
         .default_isolation(IsolationLevel::ReadCommitted)
         .build();
-    let cfg = trod::apps::WorkloadConfig {
-        requests: 200,
-        users: 20,
-        items: 10,
-        conflict_rate: 0.3,
-        seed: 11,
-    };
-    let results = runtime.run_concurrent(trod::apps::moodle_workload(&cfg), 8);
+    // Requests 2k and 2k+1 subscribe the same (user, forum) pair, so
+    // duplicates race; every fifth request fetches a forum's subscribers.
+    let requests = (0..200)
+        .map(|i| {
+            let (user, forum) = (format!("U{}", i / 2 % 20), format!("F{}", i / 2 % 10));
+            match i % 5 {
+                4 => ("fetchSubscribers".to_string(), moodle::fetch_args(&forum)),
+                _ => {
+                    let args = moodle::subscribe_args(&format!("sub-{i}"), &user, &forum);
+                    ("subscribeUser".to_string(), args)
+                }
+            }
+        })
+        .collect();
+    let results = runtime.run_concurrent(requests, 8);
     assert_eq!(results.len(), 200);
     provenance.drain_from(runtime.tracer());
 

@@ -10,18 +10,24 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use trod::apps::{shop, shop_workload, WorkloadConfig};
+use trod::apps::shop;
 use trod::prelude::*;
 use trod::runtime::RequestResult;
 use trod::trace::{TraceEvent, TxnTrace};
 
-/// The shop workload's checkouts. Its `getOrder` look-ups are left out:
-/// one may run before the checkout that creates its order and fail, and
-/// these tests count every failure that is not a retryable conflict.
-fn checkouts(cfg: &WorkloadConfig) -> Vec<(String, Args)> {
-    let mut requests = shop_workload(cfg);
-    requests.retain(|(handler, _)| handler == "checkout");
-    requests
+/// `n` checkouts by 30 customers of the 20 seeded items, every tenth on
+/// the hot item-0. No `getOrder` look-ups: one may run before the
+/// checkout that creates its order and fail, and these tests count every
+/// failure that is not a retryable conflict.
+fn checkouts(n: usize) -> Vec<(String, Args)> {
+    (0..n)
+        .map(|i| {
+            let item = if i % 10 == 0 { 0 } else { i % 20 };
+            let (order, user) = (format!("order-{i}"), format!("user-{}", i % 30));
+            let args = shop::checkout_args(&order, &user, &format!("item-{item}"), 1);
+            ("checkout".to_string(), args)
+        })
+        .collect()
 }
 
 /// Serves `requests` over 8 threads while `syncers` threads call
@@ -59,14 +65,7 @@ fn production_tracing_pipeline_with_background_flusher() {
 
     // Always-on tracing flows to the provenance DB off the request path:
     // a background thread syncs every 2 ms while the workload runs.
-    let cfg = WorkloadConfig {
-        requests: 300,
-        users: 30,
-        items: 20,
-        conflict_rate: 0.05,
-        seed: 99,
-    };
-    let requests = checkouts(&cfg);
+    let requests = checkouts(300);
     let total = requests.len();
     let results = serve_while_syncing(&trod, requests, 1, Duration::from_millis(2));
     let succeeded = results.iter().filter(|r| r.is_ok()).count();
@@ -152,14 +151,7 @@ fn concurrent_syncs_ingest_every_request_whole() {
     let db = shop::shop_db();
     shop::seed_inventory(&db, 20, 10_000);
     let trod = Trod::attach(Runtime::new(db, shop::registry())).unwrap();
-    let cfg = WorkloadConfig {
-        requests: 400,
-        users: 40,
-        items: 20,
-        conflict_rate: 0.05,
-        seed: 7,
-    };
-    let results = serve_while_syncing(&trod, checkouts(&cfg), 4, Duration::ZERO);
+    let results = serve_while_syncing(&trod, checkouts(400), 4, Duration::ZERO);
     trod.sync();
 
     let stats = trod.provenance().stats();
@@ -183,13 +175,6 @@ fn queries_racing_ingest_see_every_event_of_each_transaction() {
     let db = shop::shop_db();
     shop::seed_inventory(&db, 20, 10_000);
     let trod = Trod::attach(Runtime::new(db, shop::registry())).unwrap();
-    let cfg = WorkloadConfig {
-        requests: 300,
-        users: 30,
-        items: 20,
-        conflict_rate: 0.05,
-        seed: 11,
-    };
     // Drained batches are teed, then ingested, under one lock: a
     // request's events still reach the store in order.
     let teed: Mutex<Vec<TxnTrace>> = Mutex::new(Vec::new());
@@ -248,7 +233,7 @@ fn queries_racing_ingest_see_every_event_of_each_transaction() {
                 }
             }
         });
-        trod.runtime().run_concurrent(checkouts(&cfg), 8);
+        trod.runtime().run_concurrent(checkouts(300), 8);
         done.store(true, Ordering::Relaxed);
     });
     sync();

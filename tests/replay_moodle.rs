@@ -122,14 +122,21 @@ fn replay_is_faithful_for_every_request_of_a_larger_workload() {
     let runtime = Runtime::builder(db, moodle::registry())
         .default_isolation(IsolationLevel::ReadCommitted)
         .build();
-    let cfg = trod::apps::WorkloadConfig {
-        requests: 120,
-        users: 10,
-        items: 4,
-        conflict_rate: 0.4,
-        seed: 3,
-    };
-    runtime.run_concurrent(trod::apps::moodle_workload(&cfg), 8);
+    // Requests 2k and 2k+1 subscribe the same (user, forum) pair, so
+    // duplicates race; every fifth request fetches a forum's subscribers.
+    let requests = (0..120)
+        .map(|i| {
+            let (user, forum) = (format!("U{}", i / 2 % 10), format!("F{}", i / 2 % 4));
+            match i % 5 {
+                4 => ("fetchSubscribers".to_string(), moodle::fetch_args(&forum)),
+                _ => {
+                    let args = moodle::subscribe_args(&format!("sub-{i}"), &user, &forum);
+                    ("subscribeUser".to_string(), args)
+                }
+            }
+        })
+        .collect();
+    runtime.run_concurrent(requests, 8);
     provenance.drain_from(runtime.tracer());
 
     let mut replayed = 0;

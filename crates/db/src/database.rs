@@ -791,13 +791,8 @@ impl Database {
     /// the fork reads through instead to the state at `ts` rebuilt from the
     /// durable log — the newest checkpoint at or before `ts` plus the
     /// commits logged after it — and pins nothing. Without a log that is
-    /// [`DbError::HistoryTruncated`]. No commit is at 0, so a fork at 0 is
-    /// [`Database::fork_empty`]: it reads through to nothing and pins
-    /// nothing, and history replays onto it from the first commit.
+    /// [`DbError::HistoryTruncated`].
     pub fn fork_at(&self, ts: Ts) -> DbResult<Database> {
-        if ts == 0 {
-            return self.fork_empty();
-        }
         let (ts, pin) = {
             let log = self.synced_log();
             let ts = ts.min(self.current_ts());
@@ -854,19 +849,15 @@ impl Database {
         let ts = ts.min(self.current_ts());
         let mut sum = 0u128;
         for (name, store) in self.inner.tables.read().iter() {
-            let mut rows = Vec::new();
-            store.for_each_at(ts, &mut |_, row| rows.push(row.clone()));
-            if rows.is_empty() {
-                continue;
-            }
-            // Hashed in memory order, not the map's: the row payloads are
-            // then read in one forward sweep rather than at random.
-            rows.sort_unstable_by_key(Arc::as_ptr);
-            let mut indexes = store.indexed_columns();
-            indexes.sort();
-            sum = sum.wrapping_add(digest_of((0u8, name, store.schema(), indexes)));
-            for row in &rows {
+            let mut holds_rows = false;
+            store.for_each_at(ts, &mut |_, row| {
+                holds_rows = true;
                 sum = sum.wrapping_add(digest_of((1u8, name, row)));
+            });
+            if holds_rows {
+                let mut indexes = store.indexed_columns();
+                indexes.sort();
+                sum = sum.wrapping_add(digest_of((0u8, name, store.schema(), indexes)));
             }
         }
         sum

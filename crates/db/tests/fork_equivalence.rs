@@ -431,9 +431,6 @@ proptest! {
             back => (now + 1 - back.min(now)).max(parent.log_truncated_below()),
         };
         let mut base = asked.min(now);
-        // Whether the overlay still reads through to the parent: a
-        // refork at 0 reads through to nothing and pins nothing.
-        let mut pins_parent = true;
         let mut overlay = parent.fork_at(asked).unwrap();
         let mut copy = copy_fork(&parent, asked);
         prop_assert_eq!(overlay.stats().total_versions, 0, "an overlay copies nothing");
@@ -448,10 +445,7 @@ proptest! {
                 Step::ParentGc => {
                     parent.gc_before(parent.current_ts());
                     control.gc_before(control.current_ts());
-                    match parent.live_forks().1 {
-                        Some(pin) => prop_assert!(parent.log_truncated_below() <= pin),
-                        None => prop_assert!(!pins_parent),
-                    }
+                    prop_assert!(parent.log_truncated_below() <= parent.live_forks().1.unwrap());
                 }
                 Step::Fork(batch) => {
                     prop_assert_eq!(apply(&overlay, batch), apply(&copy, batch));
@@ -477,7 +471,6 @@ proptest! {
                     overlay = overlay.fork_at(at).unwrap();
                     copy = copy_fork(&copy, at);
                     base = at;
-                    pins_parent &= at > 0;
                 }
             }
             assert_same(&overlay, &copy, base, &preds)?;
@@ -488,7 +481,7 @@ proptest! {
             );
         }
 
-        prop_assert_eq!(parent.live_forks().0, usize::from(pins_parent));
+        prop_assert_eq!(parent.live_forks().0, 1);
         drop(overlay);
         prop_assert_eq!(parent.live_forks(), (0, None));
         parent.gc_before(parent.current_ts());

@@ -8,6 +8,7 @@
 //! MDL-59854 race that the stream's repeated (user, forum) pairs exist to
 //! provoke) — never as a fatal failure, which would mean a broken mapping.
 
+use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 use trod_apps::{mediawiki, moodle, shop};
@@ -23,13 +24,20 @@ fn serve(trod: Trod) -> ServerHandle {
 /// How the requests of one drive ended.
 #[derive(Debug, Default)]
 struct Tally {
-    ok: usize,
+    /// Successes per handler.
+    ok: BTreeMap<String, usize>,
     /// Conflicts under contention, expected on the hot keys.
     retryable: usize,
     /// The handler's own rejection (wire kind `application_error`).
     application: usize,
     /// Every other failure: the wire mapping or the engine is broken.
     fatal: Vec<String>,
+}
+
+impl Tally {
+    fn succeeded(&self) -> usize {
+        self.ok.values().sum()
+    }
 }
 
 /// Sends `requests` as `trod_invoke` calls over `connections` clients,
@@ -49,7 +57,7 @@ fn drive(addr: &str, requests: &[(String, Args)], connections: usize) -> Tally {
                     let outcome = client.call("trod_invoke", params);
                     let mut tally = tally.lock().unwrap();
                     match outcome {
-                        Ok(_) => tally.ok += 1,
+                        Ok(_) => *tally.ok.entry(handler.clone()).or_default() += 1,
                         Err(ClientError::Rpc(f)) if f.retryable => tally.retryable += 1,
                         Err(ClientError::Rpc(f)) if f.kind == "application_error" => {
                             tally.application += 1
@@ -63,7 +71,7 @@ fn drive(addr: &str, requests: &[(String, Args)], connections: usize) -> Tally {
     let tally = tally.into_inner().unwrap();
     assert!(tally.fatal.is_empty(), "tally: {tally:?}");
     assert_eq!(
-        tally.ok + tally.application + tally.retryable,
+        tally.succeeded() + tally.application + tally.retryable,
         requests.len(),
         "tally: {tally:?}"
     );
@@ -101,7 +109,7 @@ fn shop_workload_over_the_wire() {
         })
         .collect();
     let tally = drive(&server.addr(), &requests, 8);
-    assert!(tally.ok > requests.len() / 2, "tally: {tally:?}");
+    assert!(tally.succeeded() > requests.len() / 2, "tally: {tally:?}");
 
     let shutdown = server.shutdown();
     assert_eq!(shutdown.requests_served as usize, requests.len());
@@ -130,7 +138,7 @@ fn moodle_workload_over_the_wire() {
         })
         .collect();
     let tally = drive(&server.addr(), &requests, 8);
-    assert!(tally.ok > requests.len() / 2, "tally: {tally:?}");
+    assert!(tally.succeeded() > requests.len() / 2, "tally: {tally:?}");
     server.shutdown();
 }
 
@@ -150,7 +158,8 @@ fn mediawiki_workload_over_the_wire() {
             ("createPage".to_string(), page)
         })
         .collect();
-    drive(&server.addr(), &pool, 1);
+    let created = drive(&server.addr(), &pool, 1);
+    assert_eq!(created.succeeded(), pool.len(), "tally: {created:?}");
     let requests: Vec<(String, Args)> = (0..95)
         .map(|i| {
             let page = format!("Page_{}", if i % 3 == 0 { 0 } else { i % 5 });
@@ -170,7 +179,10 @@ fn mediawiki_workload_over_the_wire() {
             }
         })
         .collect();
+    // Every page exists and every URL is new, so no request may fail as
+    // the application's own error, and some edit must win its race.
     let tally = drive(&server.addr(), &requests, 8);
-    assert!(tally.ok > 0, "tally: {tally:?}");
+    assert_eq!(tally.application, 0, "tally: {tally:?}");
+    assert!(tally.ok.get("editPage") > Some(&0), "tally: {tally:?}");
     server.shutdown();
 }

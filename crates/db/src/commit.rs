@@ -1,9 +1,9 @@
 //! The commit protocol — the one sequence of steps every publication
 //! goes through, whether it is a live commit
 //! ([`Transaction::commit`](crate::txn::Transaction::commit)), a replay
-//! injection ([`Database::apply_changes`]) or a verbatim re-install of a
-//! run of logged entries ([`Database::apply_entries`]: recovery, forks
-//! below the GC floor, dump boots). Key-value namespaces are
+//! injection ([`Database::apply_changes`]) or the replay of a run of
+//! logged entries ([`Database::apply_entries`]: recovery, history and
+//! forks below the GC floor, dump boots). Key-value namespaces are
 //! tables (`kv:<namespace>`), so every store a commit touches goes
 //! through the same steps. The design is written up in "The commit
 //! protocol" in `crates/db/DESIGN.md`; this module owns its invariants:
@@ -24,23 +24,28 @@
 //! * **Log order is commit order.** The entry is appended to the WAL (if
 //!   one is attached) and staged for the in-memory log inside the
 //!   ordered window; the durability wait happens after every lock is
-//!   released. A run of re-installed entries is appended and staged in
+//!   released. A run of replayed entries is appended and staged in
 //!   order, then published with one clock store.
+//! * **A commit's change records are what its install displaced.** Every
+//!   front-end derives them from the rows `TableStore::apply_batch`
+//!   returns, by one rule (`record`), so replaying a logged commit on
+//!   the state it was logged against derives the records it logged.
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError};
 
-use crate::cdc::ChangeRecord;
+use crate::cdc::{ChangeOp, ChangeRecord};
 use crate::database::Database;
 use crate::error::{DbError, DbResult, StorageError};
-use crate::log::{CommittedTxn, LogStaging};
+use crate::log::{CommittedTxn, LogStaging, LoggedTxn, LoggedWrite};
 use crate::mvcc::{Ts, TS_LIVE};
+use crate::row::{Key, Row};
 use crate::table::TableStore;
 use crate::txn::{CommitInfo, IsolationLevel, TxnState, WriteOp};
 
-/// How many logged entries [`Database::apply_entries`] re-installs under
+/// How many logged entries [`Database::apply_entries`] replays under
 /// one claim, one lock per table and one publication; recovery buffers
 /// this many decoded commits before it installs them.
 pub const REPLAY_RUN: usize = 256;
@@ -185,22 +190,19 @@ struct FrontEnd<'a> {
     /// before the turn).
     recheck: Option<&'a dyn Fn(Ts) -> DbResult<()>>,
     /// Installs the writes at the (first) claimed timestamp and returns
-    /// the change records it derived doing so (none when the front-end
-    /// was handed its records). Must not fail.
-    install: &'a dyn Fn(Ts) -> Vec<ChangeRecord>,
-    log: Log<'a>,
+    /// the entries to log, in commit order, each with the change records
+    /// its install derived. Must not fail.
+    install: &'a dyn Fn(Ts) -> Vec<CommittedTxn>,
+    claim: Claim<'a>,
 }
 
-/// What a publication logs, which also fixes what it claims.
-enum Log<'a> {
-    /// One new entry at the next timestamp: its identity and its change
-    /// list, given the claimed timestamp and the records `install`
-    /// derived.
-    Next(&'a dyn Fn(Ts, Vec<ChangeRecord>) -> CommittedTxn),
-    /// Logged entries, verbatim, in commit order: claims `(after, last
-    /// entry's commit ts]` in one step, so the read-only gaps before and
-    /// between them publish with them.
-    Verbatim { after: Ts, run: &'a [CommittedTxn] },
+/// What a publication claims.
+enum Claim<'a> {
+    /// The next timestamp, for one new entry.
+    Next,
+    /// `(after, last entry's commit ts]` for logged entries, in one step,
+    /// so the read-only gaps before and between them publish with them.
+    Run { after: Ts, run: &'a [LoggedTxn] },
 }
 
 type Tables<'a> = BTreeMap<&'a str, Arc<TableStore>>;
@@ -226,12 +228,12 @@ impl Database {
         // ordered window with only the log append and the clock bump
         // left. With a re-check the order inverts: turn first, re-check
         // against the now exact span below `commit_ts`, then install.
-        let (commit_ts, last) = match front.log {
-            Log::Next(_) => {
+        let (commit_ts, last) = match front.claim {
+            Claim::Next => {
                 let ts = seq.claim();
                 (ts, ts)
             }
-            Log::Verbatim { after, run } => {
+            Claim::Run { after, run } => {
                 let last = run.last().map_or(after, |e| e.commit_ts);
                 let seq_cst = Ordering::SeqCst;
                 let claimed = seq.ts_alloc.compare_exchange(after, last, seq_cst, seq_cst);
@@ -243,11 +245,11 @@ impl Database {
                 (after + 1, last)
             }
         };
-        let derived = match front.recheck {
+        let entries = match front.recheck {
             None => {
-                let derived = (front.install)(commit_ts);
+                let entries = (front.install)(commit_ts);
                 seq.wait_for_publication_turn(commit_ts);
-                derived
+                entries
             }
             Some(recheck) => {
                 seq.wait_for_publication_turn(commit_ts);
@@ -263,24 +265,10 @@ impl Database {
         // byte order == commit order. Even a WAL error publishes (the
         // versions are installed and timestamps must stay dense); it
         // reports durability as unconfirmed after the locks are gone.
-        let built;
-        let entries = match front.log {
-            Log::Next(entry) => {
-                built = [entry(commit_ts, derived)];
-                &built[..]
-            }
-            Log::Verbatim { run, .. } => run,
-        };
-        let newest = &entries[entries.len() - 1];
-        let info = CommitInfo {
-            txn_id: newest.txn_id,
-            start_ts: newest.start_ts,
-            commit_ts: newest.commit_ts,
-            changes: Arc::clone(&newest.changes),
-        };
+        let info = entries[entries.len() - 1].clone();
         let wal = self.wal();
         let appended = (wal.as_ref()).map(|w| entries.iter().try_fold(0, |_, e| w.append_entry(e)));
-        seq.publish(entries.iter().cloned(), last);
+        seq.publish(entries.into_iter(), last);
         drop(_guards);
         if let (Some(w), Some(appended)) = (&wal, appended) {
             w.sync_to(appended?)?;
@@ -358,13 +346,15 @@ impl Database {
             FrontEnd {
                 check: &check,
                 recheck: unlocked_reads.then_some(&recheck as &dyn Fn(Ts) -> DbResult<()>),
-                install: &|commit_ts| install_writes(&state, &footprint, commit_ts),
-                log: Log::Next(&|commit_ts, derived| CommittedTxn {
-                    txn_id: state.id,
-                    start_ts: state.start_ts,
-                    commit_ts,
-                    changes: derived.into(),
-                }),
+                install: &|commit_ts| {
+                    vec![CommittedTxn {
+                        txn_id: state.id,
+                        start_ts: state.start_ts,
+                        commit_ts,
+                        changes: install_writes(&state, &footprint, commit_ts).into(),
+                    }]
+                },
+                claim: Claim::Next,
             },
         )
     }
@@ -374,32 +364,44 @@ impl Database {
     /// the TROD replay engine uses to inject "the state changes the
     /// upcoming transaction depends on" (paper §3.5) into a development
     /// database — `kv:<namespace>` records included, since a namespace
-    /// is a table. Inserts behave as upserts so injection is idempotent.
+    /// is a table. Only each record's after image counts: inserts behave
+    /// as upserts, so injection is idempotent, and the commit logs the
+    /// records its install derived, not the ones handed in (a second
+    /// insert of a key is an update of the row the first left).
     pub fn apply_changes(&self, changes: &[ChangeRecord]) -> DbResult<CommitInfo> {
         let txn_id = self.next_txn_id().fetch_add(1, Ordering::Relaxed);
         let mut batches = Batches::default();
-        batches.add(self, 0, changes)?;
+        let writes = changes
+            .iter()
+            .map(|c| (&c.table, &c.key, c.op.after_shared()));
+        batches.add(self, 0, writes.clone())?;
         self.publish(
-            batches.stores(),
+            batches.tables.values().map(|(store, _)| store),
             FrontEnd {
                 check: &|| Ok(()),
                 recheck: None,
-                install: &|commit_ts| batches.install(|_| commit_ts),
-                log: Log::Next(&|commit_ts, _| CommittedTxn {
-                    txn_id,
-                    start_ts: commit_ts - 1,
-                    commit_ts,
-                    changes: changes.into(),
-                }),
+                install: &|commit_ts| {
+                    let displaced = batches.install(|_| commit_ts).into_iter();
+                    vec![CommittedTxn {
+                        txn_id,
+                        start_ts: commit_ts - 1,
+                        commit_ts,
+                        changes: derive(writes.clone(), displaced),
+                    }]
+                },
+                claim: Claim::Next,
             },
         )
     }
 
-    /// Re-installs logged aligned-history entries *verbatim*: each keeps
-    /// its `txn_id`, `start_ts` and `commit_ts` and every change record,
-    /// so replayed history is indistinguishable from the original. The
-    /// entries go in runs of [`REPLAY_RUN`], each under one claim of its
-    /// whole timestamp range, one lock per table and one publication.
+    /// Replays logged aligned-history entries: each keeps its `txn_id`,
+    /// `start_ts` and `commit_ts`, installs its writes in logged order and
+    /// logs the change records that install derived from the rows it
+    /// displaced (each before image shared with the chain's previous
+    /// version). Replayed onto the state they were logged against, the
+    /// entries come out as they were logged. They go in runs of
+    /// [`REPLAY_RUN`], each under one claim of its whole timestamp range,
+    /// one lock per table and one publication.
     ///
     /// Commit timestamps must strictly increase and start above the
     /// allocator. Every check runs before a run takes a lock or a
@@ -410,7 +412,7 @@ impl Database {
     /// concurrent commit claimed first. A failed run installs nothing and
     /// leaves the allocator and the clock where they were; the runs
     /// before it stay installed.
-    pub fn apply_entries(&self, entries: &[CommittedTxn]) -> DbResult<()> {
+    pub fn apply_entries(&self, entries: &[LoggedTxn]) -> DbResult<()> {
         entries.chunks(REPLAY_RUN).try_for_each(|run| {
             let after = self.seq().ts_alloc.load(Ordering::SeqCst);
             let mut batches = Batches::default();
@@ -433,20 +435,28 @@ impl Database {
                     .txn_id
                     .checked_add(1)
                     .ok_or_else(|| refuse(&"its txn id leaves no id for later transactions"))?;
-                batches
-                    .add(self, ts, &entry.changes)
-                    .map_err(|e| refuse(&e))?;
+                let writes = entry.writes.iter().map(logged);
+                batches.add(self, ts, writes).map_err(|e| refuse(&e))?;
                 (prev, next_txn_id) = (ts, next_txn_id.max(successor));
             }
             // Future transactions never reuse a replayed id.
             self.next_txn_id().fetch_max(next_txn_id, Ordering::Relaxed);
             self.publish(
-                batches.stores(),
+                batches.tables.values().map(|(store, _)| store),
                 FrontEnd {
                     check: &|| Ok(()),
                     recheck: None,
-                    install: &|_| batches.install(|ts| ts),
-                    log: Log::Verbatim { after, run },
+                    install: &|_| {
+                        let mut displaced = batches.install(|ts| ts).into_iter();
+                        let entries = run.iter().map(|e| CommittedTxn {
+                            txn_id: e.txn_id,
+                            start_ts: e.start_ts,
+                            commit_ts: e.commit_ts,
+                            changes: derive(e.writes.iter().map(logged), displaced.by_ref()),
+                        });
+                        entries.collect()
+                    },
+                    claim: Claim::Run { after, run },
                 },
             )
             .map(drop)
@@ -464,55 +474,105 @@ impl Database {
     }
 }
 
-/// The writes of handed change lists, grouped by table in name order (the
-/// lock order), each table's ops in list order with their commit's
-/// timestamp. Each table installs as one batch: a secondary index that
-/// catches up between two batches takes their commit timestamp as
-/// applied and would never replay the second.
+/// The writes of handed change lists or logged entries, grouped by table
+/// in name order (the lock order), each table's ops in the order added,
+/// with their commit's timestamp and their place in that order. Each
+/// table installs as one batch: a secondary index that catches up between
+/// two batches takes their commit timestamp as applied and would never
+/// replay the second.
 #[derive(Default)]
-struct Batches<'r>(BTreeMap<&'r str, (Arc<TableStore>, Ops<'r>)>);
+struct Batches<'r> {
+    tables: BTreeMap<&'r str, (Arc<TableStore>, Ops<'r>)>,
+    /// How many writes were added.
+    writes: usize,
+}
 
-type Ops<'r> = Vec<(Ts, &'r ChangeRecord)>;
+type Ops<'r> = Vec<(usize, Ts, &'r Key, Option<&'r Arc<Row>>)>;
+
+/// One write to add: its table, key and after image (`None` deletes).
+type Write<'r> = (&'r Arc<str>, &'r Key, Option<&'r Arc<Row>>);
+
+/// What a write's install displaced, with its table's own name (`None`
+/// until the write is installed).
+type Displaced<'a> = (Option<&'a Arc<str>>, Option<Arc<Row>>);
+
+fn logged(write: &LoggedWrite) -> Write<'_> {
+    (&write.table, &write.key, write.after.as_ref())
+}
 
 impl<'r> Batches<'r> {
-    /// Adds one commit's change list: resolves its tables — once per run
-    /// of consecutive records naming the same table — and runs every
-    /// fallible record check, so nothing fails once a lock or a timestamp
-    /// is taken and a bad record never leaves a half-applied commit.
-    fn add(&mut self, db: &Database, commit_ts: Ts, changes: &'r [ChangeRecord]) -> DbResult<()> {
-        let same_table = |a: &ChangeRecord, b: &ChangeRecord| {
-            Arc::ptr_eq(&a.table, &b.table) || a.table == b.table
-        };
-        for run in changes.chunk_by(same_table) {
-            let (store, ops) = match self.0.entry(&run[0].table) {
+    /// Adds one commit's writes: resolves their tables and runs every
+    /// fallible check, so nothing fails once a lock or a timestamp is
+    /// taken and a bad write never leaves a half-applied commit.
+    fn add(
+        &mut self,
+        db: &Database,
+        commit_ts: Ts,
+        writes: impl Iterator<Item = Write<'r>>,
+    ) -> DbResult<()> {
+        for (table, key, after) in writes {
+            let (store, ops) = match self.tables.entry(table) {
                 Entry::Occupied(batch) => batch.into_mut(),
-                Entry::Vacant(slot) => slot.insert((db.table(&run[0].table)?, Vec::new())),
+                Entry::Vacant(slot) => slot.insert((db.table(table)?, Vec::new())),
             };
-            for change in run {
-                if let Some(after) = change.op.after_shared() {
-                    store.schema().validate_row(&change.table, after)?;
-                }
-                ops.push((commit_ts, change));
+            if let Some(after) = after {
+                store.schema().validate_row(table, after)?;
             }
+            ops.push((self.writes, commit_ts, key, after));
+            self.writes += 1;
         }
         Ok(())
     }
 
-    fn stores(&self) -> impl Iterator<Item = &Arc<TableStore>> {
-        self.0.values().map(|(store, _)| store)
-    }
-
-    /// Installs every batch, each op at `stamp` of its commit timestamp.
-    /// Derives no change records: the caller has them.
-    fn install(&self, stamp: impl Fn(Ts) -> Ts) -> Vec<ChangeRecord> {
-        for (store, ops) in self.0.values() {
-            let ops = ops
+    /// Installs every batch, each op at `stamp` of its commit timestamp,
+    /// and returns per write, in the order the writes were added, its
+    /// table's own name and the row it displaced: what [`record`] derives
+    /// the write's change record from.
+    fn install(&self, stamp: impl Fn(Ts) -> Ts) -> Vec<Displaced<'_>> {
+        let mut displaced = vec![(None, None); self.writes];
+        for (store, ops) in self.tables.values() {
+            let installs = ops
                 .iter()
-                .map(|&(ts, c)| (stamp(ts), &c.key, c.op.after_shared()));
-            store.apply_batch(ops);
+                .map(|&(_, ts, key, after)| (stamp(ts), key, after));
+            for (&(at, ..), before) in ops.iter().zip(store.apply_batch(installs)) {
+                displaced[at] = (Some(store.name()), before);
+            }
         }
-        Vec::new()
+        displaced
     }
+}
+
+/// The change records of `writes`, in order, each derived ([`record`])
+/// from what its install displaced (`Batches::install`).
+fn derive<'a, 'b>(
+    writes: impl ExactSizeIterator<Item = Write<'a>>,
+    displaced: impl Iterator<Item = Displaced<'b>>,
+) -> Arc<[ChangeRecord]> {
+    let mut changes = Vec::with_capacity(writes.len());
+    for ((_, key, after), (table, before)) in writes.zip(displaced) {
+        changes.extend(table.and_then(|table| record(table, key, after, before)));
+    }
+    changes.into()
+}
+
+/// The change record of a write that left `after` under `key` (none: a
+/// delete) and displaced `before`, by the one rule every front-end
+/// follows: a write that found a row updates or deletes it, one that found
+/// none inserts, and a delete that found none changes nothing.
+fn record(
+    table: &Arc<str>,
+    key: &Key,
+    after: Option<&Arc<Row>>,
+    before: Option<Arc<Row>>,
+) -> Option<ChangeRecord> {
+    let op = match (after.cloned(), before) {
+        (Some(after), Some(before)) => ChangeOp::Update { before, after },
+        (Some(after), None) => ChangeOp::Insert { after },
+        (None, Some(before)) => ChangeOp::Delete { before },
+        (None, None) => return None,
+    };
+    let (table, key) = (table.clone(), key.clone());
+    Some(ChangeRecord { table, key, op })
 }
 
 /// First-committer-wins: any of our write keys modified since we began
@@ -574,34 +634,23 @@ fn validate_reads(state: &TxnState, footprint: &Tables, upto: Ts) -> DbResult<()
 }
 
 /// Installs a transaction's buffered writes, one batched pass per table,
-/// and derives their change records from the before images found.
+/// and derives their change records from the rows they displaced
+/// ([`record`]): an update whose row vanished concurrently (only
+/// possible under weak isolation) records as an insert.
 fn install_writes(state: &TxnState, footprint: &Tables, commit_ts: Ts) -> Vec<ChangeRecord> {
     let mut changes = Vec::with_capacity(state.writes.values().map(BTreeMap::len).sum());
     for (table, writes) in &state.writes {
+        let store = &footprint[&**table];
         let ops = writes
             .iter()
             .map(|(key, op)| (commit_ts, key, op.visible_row()));
-        let befores = footprint[&**table].apply_batch(ops);
-        for ((key, op), before) in writes.iter().zip(befores) {
-            let (table, key) = (table.clone(), key.clone());
-            match (op, before) {
-                (WriteOp::Update { after, .. } | WriteOp::Upsert(after), Some(before)) => {
-                    changes.push(ChangeRecord::update(table, key, before, after.clone()));
-                }
-                // An update whose row vanished concurrently (only
-                // possible under weak isolation) records as an insert.
-                (
-                    WriteOp::Insert(after) | WriteOp::Update { after, .. } | WriteOp::Upsert(after),
-                    _,
-                ) => {
-                    changes.push(ChangeRecord::insert(table, key, after.clone()));
-                }
-                (WriteOp::Delete { .. }, Some(before)) => {
-                    changes.push(ChangeRecord::delete(table, key, before));
-                }
-                (WriteOp::Delete { .. }, None) => {}
-            }
-        }
+        let befores = store.apply_batch(ops);
+        let derived = writes.iter().zip(befores);
+        changes.extend(
+            derived.filter_map(|((key, op), before)| {
+                record(store.name(), key, op.visible_row(), before)
+            }),
+        );
     }
     changes
 }

@@ -25,9 +25,10 @@
 //!   pins under the same lock.
 //! * **Below the floor the durable log is the history.** A durable
 //!   database's segments hold every commit ever made, so
-//!   [`Database::history`] and [`Database::fork_at`] read them below the
-//!   floor; without a log that is [`DbError::HistoryTruncated`], never a
-//!   partial answer.
+//!   [`Database::history`] and [`Database::fork_at`] rebuild the state
+//!   below the floor from them — a checkpoint plus the logged commits
+//!   after it — and answer from the rebuilt database; without a log that
+//!   is [`DbError::HistoryTruncated`], never a partial answer.
 //! * **The log is read through `Database::synced_log`**, which drains
 //!   published entries from the commit pipeline's staging in commit
 //!   order; unpublished entries are not observable.
@@ -35,9 +36,8 @@
 //!   rotation and checkpoints never run inside the publication window**
 //!   and never fail a commit.
 //! * **Recovery is one streaming walk with one replay step**
-//!   ([`Database::open_durable_in`]), re-installing each entry verbatim
-//!   through the commit pipeline as it is decoded, before the log is
-//!   attached.
+//!   ([`Database::open_durable_in`]), replaying each logged commit through
+//!   the commit pipeline as it is decoded, before the log is attached.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -51,7 +51,7 @@ use crate::commit::{Sequencer, REPLAY_RUN};
 use crate::dir::{FsDir, LogDir};
 use crate::error::{DbError, DbResult, StorageError};
 use crate::hash::digest_of;
-use crate::log::{CommittedTxn, TxnLog};
+use crate::log::{CommittedTxn, LoggedTxn, TxnLog};
 use crate::mvcc::Ts;
 use crate::predicate::Predicate;
 use crate::registry::{ActiveTxnRegistry, GcPin};
@@ -228,8 +228,8 @@ impl Database {
     }
 
     /// Replays one recovered record — the only place [`WalRecord`]s are
-    /// re-applied. A commit entry joins `run`, which re-installs verbatim
-    /// once it holds [`REPLAY_RUN`] entries; DDL first installs the run,
+    /// re-applied. A commit joins `run`, which replays once it holds
+    /// [`REPLAY_RUN`] entries; DDL first installs the run,
     /// then rebuilds the catalog, namespaces included. Adds the replay
     /// counts to `report`.
     ///
@@ -242,7 +242,7 @@ impl Database {
         &self,
         record: WalRecord,
         from_checkpoint: bool,
-        run: &mut Vec<CommittedTxn>,
+        run: &mut Vec<LoggedTxn>,
         report: &mut RecoveryReport,
     ) -> DbResult<()> {
         let recovery_err = |detail: String| DbError::Storage(StorageError::Recovery { detail });
@@ -281,14 +281,13 @@ impl Database {
         Ok(())
     }
 
-    /// Re-installs a run of recovered commit entries verbatim,
-    /// `kv:<namespace>` rows included, adds them to `report` and empties
-    /// `run`.
-    fn replay_run(&self, run: &mut Vec<CommittedTxn>, report: &mut RecoveryReport) -> DbResult<()> {
+    /// Replays a run of recovered commits, `kv:<namespace>` rows
+    /// included, adds them to `report` and empties `run`.
+    fn replay_run(&self, run: &mut Vec<LoggedTxn>, report: &mut RecoveryReport) -> DbResult<()> {
         self.apply_entries(run)?;
         report.commits += run.len();
-        let changes = run.iter().flat_map(|entry| entry.changes.iter());
-        report.kv_writes_replayed += changes.filter(|c| is_kv_table(&c.table)).count();
+        let writes = run.iter().flat_map(|entry| entry.writes.iter());
+        report.kv_writes_replayed += writes.filter(|w| is_kv_table(&w.table)).count();
         run.clear();
         Ok(())
     }
@@ -736,9 +735,12 @@ impl Database {
     /// The committed transactions with commit timestamp in `(after,
     /// up_to]`, in commit order; `up_to` is clamped to the published
     /// clock. At or above the truncation floor they come from the live
-    /// log. Below it they come from the attached log's files
-    /// ([`SegmentedWal::history`]), which hold every commit this database
-    /// ever made; without a log, a range reaching below the floor is
+    /// log. Below it they come from the log of an in-memory database
+    /// rebuilt from the attached log's files, which hold every commit this
+    /// database ever made: the newest checkpoint at or before `after`,
+    /// then the logged commits after it replayed through `up_to`, each
+    /// deriving its change records from the rows it displaced. Without a
+    /// log, a range reaching below the floor is
     /// [`DbError::HistoryTruncated`].
     pub fn history(&self, after: Ts, up_to: Ts) -> DbResult<Vec<CommittedTxn>> {
         let up_to = up_to.min(self.current_ts());
@@ -749,10 +751,7 @@ impl Database {
             }
             log.truncated_below()
         };
-        match self.wal() {
-            Some(wal) => Ok(wal.history(after, up_to)?),
-            None => Err(DbError::HistoryTruncated { ts: after, floor }),
-        }
+        self.rebuild(after, up_to, floor)?.history(after, up_to)
     }
 
     /// Number of committed (writing) transactions.
@@ -799,7 +798,7 @@ impl Database {
             let floor = log.truncated_below();
             if ts < floor {
                 drop(log);
-                return self.rebuild_at(ts, floor)?.fork_at(ts);
+                return self.rebuild(ts, ts, floor)?.fork_at(ts);
             }
             (ts, Arc::new(self.inner.registry.pin(ts)))
         };
@@ -809,25 +808,26 @@ impl Database {
         Ok(fork)
     }
 
-    /// The environment as of `ts`, below the truncation `floor`, rebuilt
-    /// from the durable log into a new in-memory database: the newest
-    /// checkpoint at or before `ts` (or nothing), this database's catalog,
-    /// then the commits in `(checkpoint, ts]` re-installed verbatim, the
-    /// clock left at `ts`. Without a log it is
-    /// [`DbError::HistoryTruncated`].
-    fn rebuild_at(&self, ts: Ts, floor: Ts) -> DbResult<Database> {
+    /// The environment from `at` through `up_to`, below the truncation
+    /// `floor`, rebuilt from the durable log into a new in-memory
+    /// database: the newest checkpoint at or before `at` (or nothing),
+    /// this database's catalog, then the logged commits in `(checkpoint,
+    /// up_to]` replayed, the clock left at `up_to`. Its own log holds
+    /// those commits with their derived change records. Without a log it
+    /// is [`DbError::HistoryTruncated`].
+    fn rebuild(&self, at: Ts, up_to: Ts, floor: Ts) -> DbResult<Database> {
         let Some(wal) = self.wal() else {
-            return Err(DbError::HistoryTruncated { ts, floor });
+            return Err(DbError::HistoryTruncated { ts: at, floor });
         };
         let db = Database::new();
         let mut from = 0;
-        if let Some(ck) = wal.load_checkpoint_at_or_before(ts)? {
+        if let Some(ck) = wal.load_checkpoint_at_or_before(at)? {
             db.restore_checkpoint(&ck)?;
             from = ck.ts;
         }
         db.graft_catalog(self, None)?;
-        db.apply_entries(&self.history(from, ts)?)?;
-        db.ensure_ts_at_least(ts);
+        db.apply_entries(&wal.history(from, up_to)?)?;
+        db.ensure_ts_at_least(up_to);
         Ok(db)
     }
 
@@ -880,7 +880,7 @@ impl Database {
         let from = from.min(to);
         let history = self.history(from, to)?;
         let replay = self.fork_at(from)?;
-        replay.apply_entries(&history)?;
+        replay.apply_entries(&history.iter().map(LoggedTxn::from).collect::<Vec<_>>())?;
         let differs =
             |ts: Ts| Ok::<_, DbError>(replay.digest_at(ts) != self.fork_at(ts)?.digest_at(ts));
         let checkpoints = self.wal().map(|wal| wal.checkpoint_timestamps());
@@ -1119,7 +1119,8 @@ mod tests {
         let fork = db.fork_at(0).unwrap();
         assert_eq!(fork.current_ts(), 0);
         assert_eq!(fork.digest_at(0), 0, "the state at 0 is empty");
-        fork.apply_entries(&history).unwrap();
+        let logged: Vec<LoggedTxn> = history.iter().map(LoggedTxn::from).collect();
+        fork.apply_entries(&logged).unwrap();
         assert_eq!(fork.digest_at(now), db.digest_at(now));
     }
 

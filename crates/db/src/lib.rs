@@ -125,7 +125,7 @@ pub use dir::{DirFailpointHandle, FailpointDir, FsDir, LogDir, LogFile, MemDir};
 pub use error::{DbError, DbResult, StorageError};
 pub use hash::{CellHash, CellHasher};
 pub use index::SecondaryIndex;
-pub use log::{CommittedTxn, TxnId};
+pub use log::{CommittedTxn, LoggedTxn, LoggedWrite, TxnId};
 pub use mvcc::{Ts, TS_LIVE};
 pub use predicate::{CmpOp, ColumnBounds, CompiledPredicate, Predicate};
 pub use registry::ActiveTxnRegistry;

@@ -9,13 +9,15 @@
 //! The aligned log is also the engine's **recovery log**: on a durable
 //! database the commit coordinator streams every entry appended here
 //! into the active segment of the [`crate::segment::SegmentedWal`]
-//! inside the publication window (byte order == commit order), and
-//! recovery replays those entries — verbatim, identity included — back
-//! through the commit path. GC truncates this log at the floor
+//! inside the publication window (byte order == commit order) in its redo
+//! form, [`LoggedTxn`]: keys and after images. Recovery replays those
+//! records back through the commit path, identity included, and derives
+//! each before image from the row its install displaces, so the entries
+//! it rebuilds equal the ones logged. GC truncates this log at the floor
 //! established by [`TxnLog::truncate_before`]; the log's sealed segments
 //! stay where rotation put them, whatever the floor. They are the one
 //! copy of the history GC removes from memory: `Database::history` and
-//! forks below the floor read it back from there.
+//! forks below the floor rebuild it from there.
 
 use std::sync::Arc;
 
@@ -23,6 +25,7 @@ use parking_lot::Mutex;
 
 use crate::cdc::ChangeRecord;
 use crate::mvcc::Ts;
+use crate::row::{Key, Row};
 
 /// Identifier assigned to every transaction at `begin`.
 pub type TxnId = u64;
@@ -37,8 +40,9 @@ pub struct CommittedTxn {
     /// Commit timestamp; defines the serial order.
     pub commit_ts: Ts,
     /// Row-level changes, in the order they were applied. The commit's
-    /// one change list, shared with its [`CommitInfo`](crate::CommitInfo)
-    /// and trace: cloning an entry copies no record.
+    /// one change list, shared with what its commit returned
+    /// ([`CommitInfo`](crate::CommitInfo), this type) and its trace:
+    /// cloning an entry copies no record.
     pub changes: Arc<[ChangeRecord]>,
 }
 
@@ -46,6 +50,44 @@ impl CommittedTxn {
     /// True if this transaction wrote the given table.
     pub fn writes_table(&self, table: &str) -> bool {
         self.changes.iter().any(|c| &*c.table == table)
+    }
+}
+
+/// A committed transaction as the durable log holds it: its identity and,
+/// per change record in order, the key and the row the commit left there
+/// (`None` for a delete). Before images are not logged: replay
+/// ([`Database::apply_entries`](crate::Database::apply_entries)) derives
+/// them from the rows its install displaces.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LoggedTxn {
+    pub txn_id: TxnId,
+    pub start_ts: Ts,
+    pub commit_ts: Ts,
+    pub writes: Vec<LoggedWrite>,
+}
+
+/// One logged write: a key of a table and its after image, if any.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LoggedWrite {
+    pub table: Arc<str>,
+    pub key: Key,
+    pub after: Option<Arc<Row>>,
+}
+
+impl From<&CommittedTxn> for LoggedTxn {
+    /// The entry's redo form: its before images dropped.
+    fn from(entry: &CommittedTxn) -> Self {
+        let writes = entry.changes.iter().map(|c| LoggedWrite {
+            table: c.table.clone(),
+            key: c.key.clone(),
+            after: c.op.after_shared().cloned(),
+        });
+        LoggedTxn {
+            txn_id: entry.txn_id,
+            start_ts: entry.start_ts,
+            commit_ts: entry.commit_ts,
+            writes: writes.collect(),
+        }
     }
 }
 

@@ -137,8 +137,8 @@ macro_rules! row {
 pub struct Key(Arc<[Value]>);
 
 impl Key {
-    /// Creates a key from values.
-    pub fn new(values: Vec<Value>) -> Self {
+    /// Creates a key from values (a `Vec`, or an `Arc` taken as it is).
+    pub fn new(values: impl Into<Arc<[Value]>>) -> Self {
         Key(values.into())
     }
 

@@ -43,7 +43,7 @@ use crate::checkpoint::{
 };
 use crate::dir::{io_err, FsDir, LogDir, LogFile};
 use crate::error::StorageError;
-use crate::log::CommittedTxn;
+use crate::log::{CommittedTxn, LoggedTxn};
 use crate::mvcc::Ts;
 use crate::wal::{
     crc32, put_str, put_u32, put_u64, stream_records, Cursor, RecoveryInfo, SyncMode, Wal,
@@ -330,7 +330,7 @@ pub struct RecoveryReport {
     pub indexes: usize,
     /// Key-value namespaces re-created from DDL records.
     pub namespaces: Vec<String>,
-    /// Key-value writes re-installed while replaying commits.
+    /// Key-value writes installed while replaying commits.
     pub kv_writes_replayed: usize,
     /// Bytes discarded as a torn tail of the *newest* segment.
     pub truncated_bytes: u64,
@@ -1020,7 +1020,8 @@ impl SegmentedWal {
 
     // -- history -------------------------------------------------------
 
-    /// The commits in `(after, up_to]`, in commit order, read from the
+    /// The logged commits in `(after, up_to]`, in commit order — keys and
+    /// after images; replay derives the before images — read from the
     /// log's files by the recovery walk (`walk_log`): files whose
     /// commits all sit at or below `after` are skipped unread, commits at
     /// or below it are left undecoded, and the walk stops at the first
@@ -1035,7 +1036,7 @@ impl SegmentedWal {
     /// The walk takes no lock, so rotation runs alongside it: a listed
     /// file is immutable and stays where it is while the log is open, and
     /// a segment sealed after the snapshot is read as the active prefix.
-    pub fn history(&self, after: Ts, up_to: Ts) -> Result<Vec<CommittedTxn>, StorageError> {
+    pub fn history(&self, after: Ts, up_to: Ts) -> Result<Vec<LoggedTxn>, StorageError> {
         let (manifest, active) = {
             let s = self.state.lock();
             (s.manifest.clone(), s.active.wal.clone())
@@ -1502,7 +1503,7 @@ mod tests {
         // manufacture an orphan successor holding a commit.
         let listed = decode_manifest(&mem.file(MANIFEST_NAME).unwrap()).unwrap();
         let orphan = segment_name(listed.active_seq + 1);
-        let frame = crate::wal::encode_frame(&WalRecord::Commit(entry(9, 9)));
+        let frame = crate::wal::encode_frame(&WalRecord::Commit(LoggedTxn::from(&entry(9, 9))));
         // The orphan only exists if the previous active was sealed — and
         // sealing means fully synced. Also append a commit to the active
         // so adoption has a clean predecessor.
@@ -1544,7 +1545,7 @@ mod tests {
         let mut active = mem.file(&listed.active_name).unwrap();
         active.truncate(active.len() - 3);
         mem.put_file(&listed.active_name, active);
-        let frame = crate::wal::encode_frame(&WalRecord::Commit(entry(2, 2)));
+        let frame = crate::wal::encode_frame(&WalRecord::Commit(LoggedTxn::from(&entry(2, 2))));
         mem.put_file(&segment_name(listed.active_seq + 1), frame);
         let err = open_collect(dir).map(|_| ()).unwrap_err();
         assert!(matches!(err, StorageError::Corrupt { .. }), "{err:?}");
@@ -1598,7 +1599,7 @@ mod tests {
         // payload cannot hold: every CRC passes, the decode fails.
         let name = segment_name(0);
         let mut bytes = mem.file(&name).unwrap();
-        let len = crate::wal::encode_frame(&WalRecord::Commit(entry(1, 1))).len();
+        let len = crate::wal::encode_frame(&WalRecord::Commit(LoggedTxn::from(&entry(1, 1)))).len();
         let frame = &mut bytes[..len];
         frame[12 + 25..12 + 29].copy_from_slice(&5u32.to_le_bytes());
         let payload_crc = crc32(&frame[12..]);
@@ -1707,7 +1708,7 @@ mod tests {
         // then end-of-file, then the rest of 3 and all of 4. Read to the
         // end, that is a damaged frame followed by a clean chain:
         // corruption under the torn-tail rule.
-        let frame = |i| crate::wal::encode_frame(&WalRecord::Commit(entry(i, i)));
+        let frame = |i| crate::wal::encode_frame(&WalRecord::Commit(LoggedTxn::from(&entry(i, i))));
         let (three, four) = (frame(3), frame(4));
         let half = three.len() / 2;
         *dir.landing.lock() = (three[..half].to_vec(), [&three[half..], &four].concat());

@@ -786,12 +786,12 @@ impl TableStore {
     /// Applies a whole commit's writes to this table in one pass — the
     /// only way rows change: each op is a commit timestamp and a key with
     /// `Some(row)` to install at that timestamp or `None` to delete. A
-    /// commit stamps every op with its own timestamp; a verbatim
-    /// re-install of a run of logged commits passes the whole run, each
-    /// op stamped with its commit's timestamp, in commit order. Installs
-    /// supersede the live version, deletes close it, and the change log
-    /// records every change in order. Returns the before image per op
-    /// (parallel to `ops`).
+    /// commit stamps every op with its own timestamp; the replay of a run
+    /// of logged commits passes the whole run, each op stamped with its
+    /// commit's timestamp, in commit order. Installs supersede the live
+    /// version, deletes close it, and the change log records every change
+    /// in order. Returns the row each op displaced (parallel to `ops`):
+    /// the before image every front-end derives its change record from.
     ///
     /// The write touches `rows` and the change log, each once per call
     /// and the log inside `rows` (the crate-wide lock order), so a reader

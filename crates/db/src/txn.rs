@@ -105,17 +105,10 @@ impl TxnState {
     }
 }
 
-/// Result of a successful commit, consumed by the tracing layer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CommitInfo {
-    pub txn_id: TxnId,
-    pub start_ts: Ts,
-    pub commit_ts: Ts,
-    /// Row-level changes in application order; empty for read-only
-    /// commits. The same allocation as the log entry's
-    /// [`CommittedTxn::changes`](crate::CommittedTxn).
-    pub changes: Arc<[ChangeRecord]>,
-}
+/// Result of a successful commit, consumed by the tracing layer: the
+/// commit's log entry itself, sharing its change list (empty for a
+/// read-only commit, which logs nothing and serializes at its snapshot).
+pub type CommitInfo = crate::log::CommittedTxn;
 
 /// An active transaction handle.
 ///

@@ -32,8 +32,16 @@
 //!   (an unacknowledged commit died mid-write) is reported as a torn tail
 //!   for the caller to truncate; damage with valid records after it is
 //!   [`StorageError::Corrupt`] — never a panic, never a silently wrong
-//!   state.
+//!   state. A whole frame whose checksums hold but whose payload does not
+//!   decode was written so, not torn: it is corrupt wherever it lies (a
+//!   log of an older layout is refused, not cut short).
+//! * **Redo only** — a commit record holds each write's table, key and
+//!   after image, never a before image: every reader replays the log
+//!   forward from a checkpoint or from empty, so it holds the row a write
+//!   displaces when it installs the write, and derives the record from it
+//!   (`Database::apply_entries`).
 
+use std::collections::HashSet;
 use std::io::BufRead;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -41,10 +49,9 @@ use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::cdc::{ChangeOp, ChangeRecord};
 use crate::dir::{io_err, FsFile, LogFile};
 use crate::error::StorageError;
-use crate::log::CommittedTxn;
+use crate::log::{CommittedTxn, LoggedTxn, LoggedWrite};
 use crate::mvcc::Ts;
 use crate::row::{Key, Row};
 use crate::schema::{Column, Schema};
@@ -308,14 +315,15 @@ mod clmul {
 // Records and their binary codec
 // ---------------------------------------------------------------------
 
-/// One durable log record: a committed transaction (the aligned history
-/// entry, verbatim — including `kv:<namespace>` rows) or a DDL
-/// statement, so recovery can rebuild the catalog before replaying the
-/// commits that use it.
+/// One durable log record: a committed transaction in its redo form
+/// (keys and after images, `kv:<namespace>` rows included; replay derives
+/// the before images) or a DDL statement, so recovery can rebuild the
+/// catalog before replaying the commits that use it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
-    /// One committed transaction — one aligned history entry.
-    Commit(CommittedTxn),
+    /// One committed transaction: an aligned history entry without its
+    /// before images.
+    Commit(LoggedTxn),
     /// A table was created with this schema.
     CreateTable { name: String, schema: Schema },
     /// A secondary index was created.
@@ -324,7 +332,9 @@ pub enum WalRecord {
     CreateNamespace { name: String },
 }
 
-const TAG_COMMIT: u8 = 1;
+/// A commit in the redo layout. Tag 1 was a commit that also carried
+/// before images; a log holding one is refused as corrupt.
+const TAG_COMMIT: u8 = 5;
 const TAG_CREATE_TABLE: u8 = 2;
 const TAG_CREATE_INDEX: u8 = 3;
 const TAG_CREATE_NAMESPACE: u8 = 4;
@@ -390,26 +400,6 @@ pub(crate) fn put_values(out: &mut Vec<u8>, values: &[Value]) {
     }
 }
 
-fn put_change(out: &mut Vec<u8>, change: &ChangeRecord) {
-    put_str(out, &change.table);
-    put_values(out, change.key.values());
-    match &change.op {
-        ChangeOp::Insert { after } => {
-            out.push(0);
-            put_values(out, after.values());
-        }
-        ChangeOp::Update { before, after } => {
-            out.push(1);
-            put_values(out, before.values());
-            put_values(out, after.values());
-        }
-        ChangeOp::Delete { before } => {
-            out.push(2);
-            put_values(out, before.values());
-        }
-    }
-}
-
 pub(crate) fn dtype_tag(d: DataType) -> u8 {
     match d {
         DataType::Bool => 0,
@@ -421,21 +411,35 @@ pub(crate) fn dtype_tag(d: DataType) -> u8 {
     }
 }
 
-fn put_commit(out: &mut Vec<u8>, entry: &CommittedTxn) {
+/// A commit: txn id, start and commit ts, then each write's table, key,
+/// a flag byte (1 when an after image follows, 0 for a delete) and the
+/// after image.
+fn put_commit<'a>(
+    out: &mut Vec<u8>,
+    ids: [u64; 3],
+    writes: impl ExactSizeIterator<Item = (&'a str, &'a Key, Option<&'a Row>)>,
+) {
     out.push(TAG_COMMIT);
-    put_u64(out, entry.txn_id);
-    put_u64(out, entry.start_ts);
-    put_u64(out, entry.commit_ts);
-    put_u32(out, entry.changes.len() as u32);
-    for change in entry.changes.iter() {
-        put_change(out, change);
+    ids.into_iter().for_each(|id| put_u64(out, id));
+    put_u32(out, writes.len() as u32);
+    for (table, key, after) in writes {
+        put_str(out, table);
+        put_values(out, key.values());
+        out.push(after.is_some() as u8);
+        if let Some(after) = after {
+            put_values(out, after.values());
+        }
     }
 }
 
 fn encode_payload(record: &WalRecord) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
     match record {
-        WalRecord::Commit(entry) => put_commit(&mut out, entry),
+        WalRecord::Commit(e) => {
+            let writes = e.writes.iter();
+            let writes = writes.map(|w| (&*w.table, &w.key, w.after.as_deref()));
+            put_commit(&mut out, [e.txn_id, e.start_ts, e.commit_ts], writes);
+        }
         WalRecord::CreateTable { name, schema } => {
             out.push(TAG_CREATE_TABLE);
             put_str(&mut out, name);
@@ -600,29 +604,37 @@ impl<'a> Cursor<'a> {
         Ok(out)
     }
 
-    /// Decodes one change record; a record naming the same table as
-    /// `prev` (the record before it in the commit) shares its name.
-    fn change(&mut self, prev: Option<&ChangeRecord>) -> Result<ChangeRecord, String> {
+    /// A key, decoded straight into its one allocation: collecting a
+    /// mapped range allocates its exact length once.
+    fn key(&mut self) -> Result<Key, String> {
+        let n = self.count(1, "value")?;
+        let mut failed = None;
+        let values: Arc<[Value]> = (0..n)
+            .map(|_| {
+                self.value()
+                    .map_err(|e| failed = Some(e))
+                    .unwrap_or(Value::Null)
+            })
+            .collect();
+        failed.map_or(Ok(Key::new(values)), Err)
+    }
+
+    /// Decodes one logged write. Its table name is the one `names` holds,
+    /// added on first sight: every write of a walk naming a table shares
+    /// one allocation of its name.
+    fn write(&mut self, names: &mut Names) -> Result<LoggedWrite, String> {
         let name = self.str_ref()?;
-        let table = match prev {
-            Some(prev) if &*prev.table == name => prev.table.clone(),
-            _ => Arc::from(name),
+        let table = names.get(name).cloned().unwrap_or_else(|| {
+            let table: Arc<str> = Arc::from(name);
+            names.insert(table.clone());
+            table
+        });
+        let key = self.key()?;
+        let after = match self.bool()? {
+            true => Some(Arc::new(Row::from(self.values()?))),
+            false => None,
         };
-        let key = Key::from(self.values()?);
-        let op = match self.u8()? {
-            0 => ChangeOp::Insert {
-                after: Arc::new(Row::from(self.values()?)),
-            },
-            1 => ChangeOp::Update {
-                before: Arc::new(Row::from(self.values()?)),
-                after: Arc::new(Row::from(self.values()?)),
-            },
-            2 => ChangeOp::Delete {
-                before: Arc::new(Row::from(self.values()?)),
-            },
-            t => return Err(format!("unknown change-op tag {t}")),
-        };
-        Ok(ChangeRecord { table, key, op })
+        Ok(LoggedWrite { table, key, after })
     }
 
     pub(crate) fn dtype(&mut self) -> Result<DataType, String> {
@@ -642,27 +654,29 @@ impl<'a> Cursor<'a> {
 pub(crate) const MIN_STR_LEN: usize = 4;
 /// Fewest bytes a column encodes in: name, type tag, nullable flag.
 pub(crate) const MIN_COLUMN_LEN: usize = MIN_STR_LEN + 2;
-/// Fewest bytes a change record encodes in: table name, key count, op
-/// tag, one image's value count.
-const MIN_CHANGE_LEN: usize = MIN_STR_LEN + 4 + 1 + 4;
+/// Fewest bytes a logged write encodes in: table name, key count, flag.
+const MIN_WRITE_LEN: usize = MIN_STR_LEN + 4 + 1;
 
-fn decode_payload(payload: &[u8]) -> Result<WalRecord, String> {
+/// The table names a walk decoded (see `Cursor::write`).
+pub(crate) type Names = HashSet<Arc<str>, crate::hash::CellHash>;
+
+fn decode_payload(payload: &[u8], names: &mut Names) -> Result<WalRecord, String> {
     let mut c = Cursor::new(payload);
     let record = match c.u8()? {
         TAG_COMMIT => {
             let txn_id = c.u64()?;
             let start_ts = c.u64()?;
             let commit_ts = c.u64()?;
-            let n = c.count(MIN_CHANGE_LEN, "change")?;
-            let mut changes = Vec::with_capacity(n);
+            let n = c.count(MIN_WRITE_LEN, "write")?;
+            let mut writes = Vec::with_capacity(n);
             for _ in 0..n {
-                changes.push(c.change(changes.last())?);
+                writes.push(c.write(names)?);
             }
-            WalRecord::Commit(CommittedTxn {
+            WalRecord::Commit(LoggedTxn {
                 txn_id,
                 start_ts,
                 commit_ts,
-                changes: changes.into(),
+                writes,
             })
         }
         TAG_CREATE_TABLE => {
@@ -730,6 +744,9 @@ enum Frame {
     /// Structurally incomplete or checksum-damaged; the caller decides
     /// torn-tail vs corruption.
     Damaged(String),
+    /// Whole and checksum-valid, yet not a record of this layout: written
+    /// so, never torn, hence corruption wherever it lies.
+    Undecodable(String),
 }
 
 fn header_crc_ok(hdr: &[u8]) -> bool {
@@ -754,6 +771,7 @@ fn read_frame(
     src: &mut impl BufRead,
     frame: &mut Vec<u8>,
     wanted: Wanted,
+    names: &mut Names,
 ) -> Result<Frame, StorageError> {
     // Copies from the reader's buffer until `frame` holds `end` bytes or
     // the stream ends; returns the length reached.
@@ -804,18 +822,18 @@ fn read_frame(
     if !wanted(commit_ts) {
         return Ok(Frame::Skipped);
     }
-    Ok(match decode_payload(payload) {
+    Ok(match decode_payload(payload, names) {
         Ok(record) => Frame::Record(record),
-        Err(detail) => Frame::Damaged(format!("undecodable record: {detail}")),
+        Err(detail) => Frame::Undecodable(format!("undecodable record: {detail}")),
     })
 }
 
 /// True if a complete, valid chain of ≥1 records runs to the end of `data`.
 fn chain_is_clean(mut data: &[u8]) -> bool {
-    let mut frame = Vec::new();
+    let (mut frame, mut names) = (Vec::new(), Names::default());
     let mut any = false;
     loop {
-        match read_frame(&mut data, &mut frame, ALL) {
+        match read_frame(&mut data, &mut frame, ALL, &mut names) {
             Ok(Frame::Record(_)) => any = true,
             Ok(Frame::CleanEnd) => return any,
             _ => return false,
@@ -835,10 +853,17 @@ pub(crate) fn stream_records<E: From<StorageError>>(
     wanted: Wanted,
     mut on_record: impl FnMut(WalRecord) -> Result<(), E>,
 ) -> Result<RecoveryInfo, E> {
-    let mut frame = Vec::new();
+    let (mut frame, mut names) = (Vec::new(), Names::default());
     let mut valid_len = 0u64;
+    let corrupt = |offset, detail| StorageError::Corrupt {
+        offset,
+        detail: match file {
+            "" => detail,
+            file => format!("{file}: {detail}"),
+        },
+    };
     let damage = loop {
-        match read_frame(&mut src, &mut frame, wanted)? {
+        match read_frame(&mut src, &mut frame, wanted, &mut names)? {
             Frame::Record(record) => {
                 on_record(record)?;
                 valid_len += frame.len() as u64;
@@ -846,6 +871,7 @@ pub(crate) fn stream_records<E: From<StorageError>>(
             Frame::Skipped => valid_len += frame.len() as u64,
             Frame::CleanEnd => break None,
             Frame::Damaged(detail) => break Some(detail),
+            Frame::Undecodable(detail) => return Err(corrupt(valid_len, detail).into()),
         }
     };
     // `frame` now holds the damaged frame's bytes (none after a clean
@@ -858,14 +884,7 @@ pub(crate) fn stream_records<E: From<StorageError>>(
     let resync_found = (1..frame.len().saturating_sub(FRAME_HEADER_LEN - 1))
         .any(|cand| header_crc_ok(&frame[cand..]) && chain_is_clean(&frame[cand..]));
     match damage {
-        Some(detail) if resync_found => Err(StorageError::Corrupt {
-            offset: valid_len,
-            detail: match file {
-                "" => detail,
-                file => format!("{file}: {detail}"),
-            },
-        }
-        .into()),
+        Some(detail) if resync_found => Err(corrupt(valid_len, detail).into()),
         _ => Ok(RecoveryInfo {
             valid_len,
             truncated_bytes: frame.len() as u64,
@@ -967,11 +986,13 @@ impl Wal {
         self.append_payload(&encode_payload(record))
     }
 
-    /// [`Wal::append_record`] for a committed transaction (encodes the
-    /// borrowed entry directly — no clone into a [`WalRecord`]).
+    /// [`Wal::append_record`] for a committed transaction: encodes the
+    /// borrowed entry's redo form directly, its before images left out.
     pub fn append_entry(&self, entry: &CommittedTxn) -> Result<u64, StorageError> {
         let mut payload = Vec::with_capacity(64);
-        put_commit(&mut payload, entry);
+        let e = entry;
+        let writes = e.changes.iter().map(|c| (&*c.table, &c.key, c.op.after()));
+        put_commit(&mut payload, [e.txn_id, e.start_ts, e.commit_ts], writes);
         self.append_payload(&payload)
     }
 
@@ -1169,6 +1190,7 @@ mod tests {
     use proptest::test_runner::TestCaseError;
 
     use super::*;
+    use crate::cdc::ChangeRecord;
     use crate::dir::{DirFailpointHandle, FailpointDir, LogDir, MemDir};
     use crate::row;
 
@@ -1247,7 +1269,7 @@ mod tests {
     }
 
     fn commit_record(txn_id: u64, commit_ts: Ts) -> WalRecord {
-        WalRecord::Commit(CommittedTxn {
+        WalRecord::Commit(LoggedTxn::from(&CommittedTxn {
             txn_id,
             start_ts: commit_ts - 1,
             commit_ts,
@@ -1261,7 +1283,7 @@ mod tests {
                 ),
             ]
             .into(),
-        })
+        }))
     }
 
     fn sample_records() -> Vec<WalRecord> {
@@ -1309,7 +1331,7 @@ mod tests {
             assert_eq!(info.truncated_bytes, 0);
         }
         // All values survive, including floats, bytes and NULL.
-        let exotic = WalRecord::Commit(CommittedTxn {
+        let exotic = WalRecord::Commit(LoggedTxn::from(&CommittedTxn {
             txn_id: 7,
             start_ts: 9,
             commit_ts: 10,
@@ -1325,9 +1347,28 @@ mod tests {
                 ]),
             )]
             .into(),
-        });
+        }));
         let (decoded, _) = decode_records(&encode_frame(&exotic)).unwrap();
         assert_eq!(decoded, vec![exotic]);
+    }
+
+    /// A whole frame whose checksums hold but whose payload is no record
+    /// of this layout (here a commit under tag 1, which carried before
+    /// images) is corruption even as the last frame, where a torn write
+    /// is cut away.
+    #[test]
+    fn an_undecodable_last_frame_is_corruption_not_a_torn_tail() {
+        let mut payload = encode_payload(&commit_record(1, 1));
+        payload[0] = 1;
+        let valid = stream_of(&sample_records()[..3]);
+        let stream = [valid.clone(), frame_of(&payload)].concat();
+        match decode_records(&stream) {
+            Err(StorageError::Corrupt { offset, detail }) => {
+                assert_eq!(offset, valid.len() as u64);
+                assert!(detail.contains("unknown record tag 1"), "{detail}");
+            }
+            other => panic!("expected a Corrupt error, got {other:?}"),
+        }
     }
 
     #[test]
@@ -1404,7 +1445,7 @@ mod tests {
     fn decodes_typed_or_round_trips(bytes: &[u8]) -> Result<(), TestCaseError> {
         let (mut src, mut frame) = (bytes, Vec::new());
         loop {
-            let read = read_frame(&mut src, &mut frame, ALL);
+            let read = read_frame(&mut src, &mut frame, ALL, &mut Names::default());
             let bound = 2 * bytes.len().max(FRAME_HEADER_LEN);
             prop_assert!(frame.capacity() <= bound, "{} > {bound}", frame.capacity());
             if !matches!(read, Ok(Frame::Record(_))) {
@@ -1474,12 +1515,12 @@ mod tests {
         ) {
             let mut records = sample_records();
             records.extend(commits.into_iter().map(|(ts, id, v)| {
-                WalRecord::Commit(CommittedTxn {
+                WalRecord::Commit(LoggedTxn::from(&CommittedTxn {
                     txn_id: ts,
                     start_ts: ts - 1,
                     commit_ts: ts,
                     changes: vec![ChangeRecord::insert("t", Key::single(id), row![id, v])].into(),
-                })
+                }))
             }));
             let i = which % records.len();
             let frame = if recompute == 1 {

@@ -20,8 +20,8 @@ use proptest::prelude::*;
 use trod_db::commit::REPLAY_RUN;
 use trod_db::wal::{decode_records, encode_frame};
 use trod_db::{
-    row, ChangeRecord, CommittedTxn, DataType, Database, DbError, Key, MemDir, Predicate, Row,
-    Schema, StorageError, SyncMode, Ts, Value, WalOptions, WalRecord,
+    row, ChangeRecord, DataType, Database, DbError, Key, LoggedTxn, LoggedWrite, MemDir, Predicate,
+    Row, Schema, StorageError, SyncMode, Ts, Value, WalOptions, WalRecord,
 };
 
 /// The one segment file these workloads ever write (they stay far below
@@ -781,7 +781,7 @@ fn a_raced_or_unordered_run_is_refused_and_changes_nothing() {
         txn.insert("alpha", row![k, k]).unwrap();
         txn.commit().unwrap();
     }
-    let entries = source.log_entries();
+    let entries: Vec<LoggedTxn> = source.log_entries().iter().map(LoggedTxn::from).collect();
     target.apply_entries(&entries[..3]).unwrap();
     let mut txn = target.begin();
     txn.insert("alpha", row![100i64, 0i64]).unwrap();
@@ -813,7 +813,7 @@ fn a_raced_or_unordered_run_is_refused_and_changes_nothing() {
 }
 
 /// A copy of `disk` whose commit record at `ts` went through `edit`.
-fn with_commit_edited(disk: &MemDir, ts: Ts, edit: impl Fn(&mut CommittedTxn)) -> MemDir {
+fn with_commit_edited(disk: &MemDir, ts: Ts, edit: impl Fn(&mut LoggedTxn)) -> MemDir {
     let (records, _) = decode_records(&disk.file(SEGMENT).unwrap()).unwrap();
     let bytes = records.into_iter().flat_map(|mut record| {
         match &mut record {
@@ -842,13 +842,13 @@ fn a_bad_record_inside_a_run_fails_recovery_naming_its_commit_ts() {
     }
     let bad_ts = db.log_entries()[5].commit_ts;
     drop(db);
-    let breakages: [fn(&ChangeRecord) -> ChangeRecord; 2] = [
-        |c| ChangeRecord::insert("missing", c.key.clone(), row![0i64, 0i64]),
-        |c| ChangeRecord::insert("alpha", c.key.clone(), row![0i64]),
+    let breakages: [fn(&mut LoggedWrite); 2] = [
+        |w| w.table = "missing".into(),
+        |w| w.after = Some(Arc::new(row![0i64])),
     ];
     for broken in breakages {
         let image = with_commit_edited(&disk, bad_ts, |entry| {
-            entry.changes = entry.changes.iter().map(broken).collect();
+            entry.writes.iter_mut().for_each(broken);
         });
         match Database::open_durable_in(Arc::new(image), WalOptions::default()) {
             Err(DbError::Storage(StorageError::Recovery { detail })) => {
@@ -938,7 +938,7 @@ fn verify_names_a_commit_whose_record_lost_a_change() {
         let history = run_history(&[&steps[..], &[RunStep::Checkpoint, commits(3)]].concat());
         let lost = history.live.log_entries()[3].commit_ts;
         let image = with_commit_edited(&history.disk, lost, |entry| {
-            entry.changes = entry.changes[..1].into();
+            entry.writes.truncate(1);
         });
         let (db, _) = Database::open_durable_in(Arc::new(image), no_auto_checkpoints()).unwrap();
         let (ckpt, _) = history.checkpoint.unwrap();
@@ -948,5 +948,178 @@ fn verify_names_a_commit_whose_record_lost_a_change() {
             Ok(Some(ckpt)),
             "{later} commits later"
         );
+    }
+}
+
+// ---------------------------------------------------------------------
+// The redo-only log: a commit's records are what its install displaced,
+// and every reader of the log derives them again
+// ---------------------------------------------------------------------
+
+/// A second injected insert of a key replaced the row the first left: it
+/// is logged as the update it made, with that row as its before image,
+/// within one injection too; an injected delete logs the row it removed,
+/// not the one handed in. A reopened database derives the same records.
+#[test]
+fn an_injected_upsert_is_logged_as_the_update_it_made() {
+    let disk = MemDir::new();
+    let db = Database::create_durable_in(Arc::new(disk.clone()), no_auto_checkpoints()).unwrap();
+    db.create_table("alpha", table_schema()).unwrap();
+    let key = Key::single(1i64);
+    let insert = |v: i64| ChangeRecord::insert("alpha", key.clone(), row![1i64, v]);
+    let update = |from: i64, to: i64| {
+        ChangeRecord::update("alpha", key.clone(), row![1i64, from], row![1i64, to])
+    };
+    assert_eq!(
+        db.apply_changes(&[insert(1)]).unwrap().changes[..],
+        [insert(1)]
+    );
+    assert_eq!(
+        db.apply_changes(&[insert(2)]).unwrap().changes[..],
+        [update(1, 2)]
+    );
+    let twice = db.apply_changes(&[insert(3), insert(4)]).unwrap();
+    assert_eq!(twice.changes[..], [update(2, 3), update(3, 4)]);
+    let forged = ChangeRecord::delete("alpha", key.clone(), row![1i64, -1i64]);
+    let deleted = ChangeRecord::delete("alpha", key.clone(), row![1i64, 4i64]);
+    assert_eq!(
+        db.apply_changes(std::slice::from_ref(&forged))
+            .unwrap()
+            .changes[..],
+        [deleted]
+    );
+    assert!(db.apply_changes(&[forged]).unwrap().changes.is_empty());
+
+    let live = db.history(0, Ts::MAX).unwrap();
+    drop(db);
+    let (reopened, _) = Database::open_durable_in(Arc::new(disk), no_auto_checkpoints()).unwrap();
+    assert_eq!(reopened.history(0, Ts::MAX).unwrap(), live);
+}
+
+/// One step of a history whose change records are derived at install.
+#[derive(Debug, Clone)]
+enum Derived {
+    /// One injection of these writes to `alpha` (`None` deletes, with a
+    /// before image that is not the row's); keys may repeat.
+    Inject(Vec<(i64, Option<i64>)>),
+    /// A delete of a key that may be missing.
+    Delete(i64),
+    /// A read-committed update of a key whose row a commit deletes
+    /// before the update commits: the update records as an insert.
+    Vanished(i64, i64),
+    /// A write of a key of namespace `ns`.
+    Kv(i64, i64),
+    Checkpoint,
+}
+
+fn derived_step() -> impl Strategy<Value = Derived> {
+    let value = prop_oneof![Just(None), (0i64..100).prop_map(Some)];
+    let writes = proptest::collection::vec((0i64..6, value), 1..4);
+    prop_oneof![
+        writes.prop_map(Derived::Inject),
+        (0i64..6).prop_map(Derived::Delete),
+        (0i64..6, 0i64..100).prop_map(|(k, v)| Derived::Vanished(k, v)),
+        (0i64..6, 0i64..100).prop_map(|(k, v)| Derived::Kv(k, v)),
+        Just(Derived::Checkpoint),
+    ]
+}
+
+/// Runs `steps` on a durable database over a [`MemDir`]; returns it, its
+/// disk and the log's end offset at the newest checkpoint (after the DDL
+/// when there is none).
+fn derived_history(steps: &[Derived]) -> (Database, MemDir, u64) {
+    let disk = MemDir::new();
+    let db = Database::create_durable_in(Arc::new(disk.clone()), no_auto_checkpoints()).unwrap();
+    db.create_table("alpha", table_schema()).unwrap();
+    db.create_namespace("ns").unwrap();
+    let end = || db.wal().unwrap().appended();
+    let mut checkpoint_end = end();
+    let commit = |write: &dyn Fn(&mut trod_db::Transaction)| {
+        let mut txn = db.begin();
+        write(&mut txn);
+        txn.commit().unwrap()
+    };
+    for step in steps {
+        match *step {
+            Derived::Inject(ref writes) => {
+                let changes: Vec<ChangeRecord> = (writes.iter())
+                    .map(|&(k, v)| match v {
+                        Some(v) => ChangeRecord::insert("alpha", Key::single(k), row![k, v]),
+                        None => ChangeRecord::delete("alpha", Key::single(k), row![k, -1i64]),
+                    })
+                    .collect();
+                db.apply_changes(&changes).unwrap();
+            }
+            Derived::Delete(k) => {
+                commit(&|txn| {
+                    txn.delete("alpha", &Key::single(k)).unwrap();
+                });
+            }
+            Derived::Vanished(k, v) => {
+                commit(&|txn| {
+                    txn.upsert("alpha", row![k, -2i64]).unwrap();
+                });
+                let mut update = db.begin_with(trod_db::IsolationLevel::ReadCommitted);
+                update.update("alpha", &Key::single(k), row![k, v]).unwrap();
+                commit(&|txn| {
+                    txn.delete("alpha", &Key::single(k)).unwrap();
+                });
+                let info = update.commit().unwrap();
+                assert_eq!(info.changes[0].op.kind(), "Insert", "the row had vanished");
+            }
+            Derived::Kv(k, v) => {
+                let row = trod_db::namespace_row(&format!("k{k}"), &format!("v{v}"));
+                let ns = trod_db::kv_table_name("ns");
+                commit(&|txn| {
+                    txn.upsert(&ns, row.clone()).unwrap();
+                });
+            }
+            Derived::Checkpoint => {
+                if db.checkpoint().unwrap().is_some() {
+                    checkpoint_end = end();
+                }
+            }
+        }
+    }
+    (db, disk, checkpoint_end)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(
+        std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(24)
+    ))]
+
+    /// Records derived at install — injected upserts, injected deletes
+    /// handed a wrong before image, deletes of missing keys, updates
+    /// whose row vanished, `kv:` writes — come back from the log entry for
+    /// entry: after a reopen with the log cut anywhere past the newest
+    /// checkpoint (a torn tail), and below the GC floor, where history is
+    /// rebuilt from the log. `verify` finds nothing on either database.
+    #[test]
+    fn derived_records_survive_reopen_torn_tails_and_gc(
+        steps in proptest::collection::vec(derived_step(), 1..16),
+        cut in 0.0f64..1.0,
+    ) {
+        let (live, disk, checkpoint_end) = derived_history(&steps);
+        prop_assert_eq!(live.verify(0, Ts::MAX), Ok(None));
+        let image = disk.snapshot();
+        let bytes = image.file(SEGMENT).unwrap();
+        let len = bytes.len() as u64;
+        let cut = checkpoint_end + ((len - checkpoint_end) as f64 * cut) as u64;
+        image.put_file(SEGMENT, bytes[..cut as usize].to_vec());
+        let (db, _) = Database::open_durable_in(Arc::new(image), no_auto_checkpoints()).unwrap();
+        let now = db.current_ts();
+        prop_assert_eq!(db.history(0, now).unwrap(), live.history(0, now).unwrap());
+        prop_assert_eq!(db.verify(0, now), Ok(None));
+
+        for db in [&live, &db] {
+            let now = db.current_ts();
+            let history = db.history(0, now).unwrap();
+            db.gc_before(Ts::MAX);
+            prop_assert_eq!(db.history(0, now).unwrap(), history.clone());
+            let mid = now / 2;
+            let above: Vec<_> = history.into_iter().filter(|e| e.commit_ts > mid).collect();
+            prop_assert_eq!(db.history(mid, now).unwrap(), above);
+        }
     }
 }

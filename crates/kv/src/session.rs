@@ -22,9 +22,8 @@ use std::fmt;
 use std::sync::Arc;
 
 use trod_db::{
-    namespace_entry, namespace_row, namespace_value, ChangeRecord, CommitInfo, CommittedTxn,
-    Database, DbResult, GcStats, IsolationLevel, Key, Predicate, RecoveryReport, Row, Ts, TxnId,
-    WalOptions,
+    namespace_entry, namespace_row, namespace_value, ChangeRecord, CommitInfo, Database, DbResult,
+    GcStats, IsolationLevel, Key, LoggedTxn, Predicate, RecoveryReport, Row, Ts, TxnId, WalOptions,
 };
 use trod_trace::{ReadTrace, Tracer, TxnContext, TxnTrace};
 
@@ -136,12 +135,12 @@ impl Session {
         self.inner.db.apply_changes(changes)
     }
 
-    /// Re-installs aligned-history entries **verbatim**, in runs — txn
-    /// ids and commit/start timestamps preserved
-    /// ([`Database::apply_entries`]). Dump/load and fork-from-instance
-    /// replay a remote aligned log through it to reconstruct
-    /// byte-identical history.
-    pub fn apply_entries(&self, entries: &[CommittedTxn]) -> DbResult<()> {
+    /// Replays logged aligned-history entries, in runs — txn ids and
+    /// commit/start timestamps preserved, change records derived from the
+    /// rows each install displaces ([`Database::apply_entries`]).
+    /// Dump/load and fork-from-instance replay a remote aligned log
+    /// through it to reconstruct its history.
+    pub fn apply_entries(&self, entries: &[LoggedTxn]) -> DbResult<()> {
         self.inner.db.apply_entries(entries)
     }
 
@@ -162,7 +161,8 @@ impl Session {
 
     /// Opens (creating if absent) a durable session environment: the
     /// database recovered by [`Database::open_durable`] — catalog,
-    /// namespaces, every committed entry verbatim — wrapped in a session.
+    /// namespaces, every committed entry as it was logged — wrapped in a
+    /// session.
     pub fn open_durable(
         path: impl AsRef<std::path::Path>,
         opts: WalOptions,

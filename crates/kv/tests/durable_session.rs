@@ -31,8 +31,8 @@ use proptest::prelude::*;
 use trod_db::wal::{decode_records, encode_frame};
 use trod_db::{
     kv_table_name, row, CommittedTxn, DataType, Database, DbError, DirFailpointHandle,
-    FailpointDir, Key, MemDir, RecoveryReport, Schema, StorageError, SyncMode, Ts, Value,
-    WalOptions,
+    FailpointDir, Key, LoggedTxn, MemDir, RecoveryReport, Schema, StorageError, SyncMode, Ts,
+    Value, WalOptions,
 };
 use trod_kv::Session;
 
@@ -303,7 +303,7 @@ fn injected_fsync_failure_is_typed_retryable_and_does_not_poison_later_commits()
     let bytes = disk.file("wal-000000.seg").unwrap();
     let (records, info) = decode_records(&bytes).unwrap();
     assert_eq!(info.truncated_bytes, 0);
-    let commits: Vec<&CommittedTxn> = records
+    let commits: Vec<&LoggedTxn> = records
         .iter()
         .filter_map(|r| match r {
             trod_db::WalRecord::Commit(e) => Some(e),
@@ -550,6 +550,11 @@ fn durable_env() -> (Session, MemDir) {
     (session, disk)
 }
 
+/// The redo form of `entries`, as the log holds them.
+fn logged(entries: &[CommittedTxn]) -> Vec<LoggedTxn> {
+    entries.iter().map(LoggedTxn::from).collect()
+}
+
 /// Two commits whose aligned entries cover every record shape: a
 /// relational-only insert, then a mixed commit that updates the row and
 /// writes both namespaces.
@@ -579,7 +584,7 @@ fn verbatim_entries_applied_to_a_durable_session_survive_reopen() {
         .any(|c| c.table.starts_with("kv:")));
 
     let (target, disk) = durable_env();
-    target.apply_entries(&entries).unwrap();
+    target.apply_entries(&logged(&entries)).unwrap();
     assert_eq!(target.database().log_entries(), entries);
     let appended = target.database().wal().unwrap().appended();
     drop(target);
@@ -619,7 +624,7 @@ fn live_commit_injection_and_verbatim_replay_publish_identically() {
         b.apply_changes(&entry.changes).unwrap();
     }
     let (c, disk_c) = durable_env();
-    c.apply_entries(&entries).unwrap();
+    c.apply_entries(&logged(&entries)).unwrap();
 
     for other in [&b, &c] {
         assert_eq!(

@@ -1,12 +1,15 @@
-//! Booting durable images written when key-value namespaces lived in a
-//! store of their own beside the database.
+//! Booting durable images shaped like the ones written when key-value
+//! namespaces lived in a store of their own beside the database.
 //!
-//! The log layout did not change: a `CreateNamespace` record declares a
-//! namespace, a mixed commit's entry lists its relational records first
-//! and its `kv:<namespace>` records after them, and a delete of a key that
-//! never existed wrote no record. Such images boot — through
-//! `Database::open_durable` and `Session::open_durable` alike — to the
-//! state and the verbatim aligned history they record.
+//! A `CreateNamespace` record declares a namespace, a mixed commit's
+//! entry lists its relational records first and its `kv:<namespace>`
+//! records after them, and a delete of a key that never existed wrote no
+//! record. Such a history boots — through `Database::open_durable` and
+//! `Session::open_durable` alike — to the state and the aligned history it
+//! records. Those images wrote each commit with its before images (record
+//! tag 1); the log is redo-only now (tag 5: keys and after images), and an
+//! image in the old layout is refused as corrupt, so the history is
+//! hand-encoded in both layouts here.
 //!
 //! Checkpoints are a cache of the log. A checkpoint taken after the boot
 //! is version 3, which writes the namespace as the `kv:carts` table it
@@ -18,8 +21,8 @@ use std::sync::Arc;
 
 use trod_db::wal::{crc32, decode_records};
 use trod_db::{
-    is_kv_table, kv_table_name, namespace_row, row, CommittedTxn, Database, MemDir, Ts, WalOptions,
-    WalRecord,
+    is_kv_table, kv_table_name, namespace_row, row, ChangeOp, CommittedTxn, Database, DbError,
+    LoggedTxn, MemDir, StorageError, Ts, WalOptions, WalRecord,
 };
 use trod_kv::Session;
 
@@ -93,9 +96,15 @@ fn create_namespace(name: &str) -> Vec<u8> {
     frame(&p)
 }
 
-/// A commit at `ts` (txn id `ts`, snapshot `ts - 1`): tag 1.
-fn commit(ts: u64, changes: &[(&str, &[Cell], Op)]) -> Vec<u8> {
-    let mut p = vec![1];
+/// A commit record with its before images (the old layout).
+const WITH_BEFORE_IMAGES: u8 = 1;
+/// A commit record of keys and after images (the redo layout).
+const REDO: u8 = 5;
+
+/// A commit at `ts` (txn id `ts`, snapshot `ts - 1`) in the layout of
+/// record tag `tag`.
+fn commit(tag: u8, ts: u64, changes: &[(&str, &[Cell], Op)]) -> Vec<u8> {
+    let mut p = vec![tag];
     for n in [ts, ts - 1, ts] {
         p.extend(n.to_le_bytes());
     }
@@ -103,17 +112,22 @@ fn commit(ts: u64, changes: &[(&str, &[Cell], Op)]) -> Vec<u8> {
     for (table, key, op) in changes {
         put_str(&mut p, table);
         put_cells(&mut p, key);
-        match op {
-            Op::Insert(after) => {
+        match (tag, op) {
+            (REDO, Op::Insert(after) | Op::Update(_, after)) => {
+                p.push(1);
+                put_cells(&mut p, after);
+            }
+            (REDO, Op::Delete(_)) => p.push(0),
+            (_, Op::Insert(after)) => {
                 p.push(0);
                 put_cells(&mut p, after);
             }
-            Op::Update(before, after) => {
+            (_, Op::Update(before, after)) => {
                 p.push(1);
                 put_cells(&mut p, before);
                 put_cells(&mut p, after);
             }
-            Op::Delete(before) => {
+            (_, Op::Delete(before)) => {
                 p.push(2);
                 put_cells(&mut p, before);
             }
@@ -122,15 +136,17 @@ fn commit(ts: u64, changes: &[(&str, &[Cell], Op)]) -> Vec<u8> {
     frame(&p)
 }
 
-/// The log: an `orders` table and a `carts` namespace, then four commits
-/// whose kv records follow their relational ones.
-fn parent_log() -> Vec<u8> {
+/// The log, its commits in the layout of record tag `tag`: an `orders`
+/// table and a `carts` namespace, then four commits whose kv records
+/// follow their relational ones.
+fn log_image(tag: u8) -> Vec<u8> {
     let order = |id, item| [Int(id), Text(item)];
     let cart = |who, item| [Text(who), Text(item)];
     let mut log = create_orders();
     log.extend(create_namespace("carts"));
     // A checkout that also fills alice's cart.
     log.extend(commit(
+        tag,
         1,
         &[
             ("orders", &[Int(1)], Op::Insert(&order(1, "widget"))),
@@ -144,11 +160,13 @@ fn parent_log() -> Vec<u8> {
     // A checkout whose blind delete of bob's (missing) cart wrote no
     // record: the entry is relational only.
     log.extend(commit(
+        tag,
         2,
         &[("orders", &[Int(2)], Op::Insert(&order(2, "gadget")))],
     ));
     // One commit updating a row, a cart, and creating a cart.
     log.extend(commit(
+        tag,
         3,
         &[
             (
@@ -170,6 +188,7 @@ fn parent_log() -> Vec<u8> {
     ));
     // A kv-only delete.
     log.extend(commit(
+        tag,
         4,
         &[(
             "kv:carts",
@@ -299,17 +318,17 @@ fn boot_both(disk: &MemDir) -> (Session, Booted) {
 
 #[test]
 fn a_parent_log_boots_to_its_state_and_verbatim_history() {
-    let image = parent_log();
+    let image = log_image(REDO);
     let (records, info) = decode_records(&image).unwrap();
     assert_eq!(info.truncated_bytes, 0);
-    let entries: Vec<CommittedTxn> = records
+    let entries: Vec<LoggedTxn> = records
         .into_iter()
         .filter_map(|r| match r {
             WalRecord::Commit(entry) => Some(entry),
             _ => None,
         })
         .collect();
-    assert_eq!(&*entries[0].changes[1].table, "kv:carts", "kv records last");
+    assert_eq!(&*entries[0].writes[1].table, "kv:carts", "kv records last");
 
     let disk = MemDir::new();
     disk.put_file(SEGMENT, image);
@@ -322,7 +341,26 @@ fn a_parent_log_boots_to_its_state_and_verbatim_history() {
     let orders = [(1, "sprocket"), (2, "gadget")];
     let cart = [("bob", "gadget")];
     assert_eq!(digest, holding(session.database(), &orders, &cart));
-    assert_eq!(history, entries, "the aligned history is the log, verbatim");
+    let redo: Vec<LoggedTxn> = history.iter().map(LoggedTxn::from).collect();
+    assert_eq!(redo, entries, "the aligned history is the log, verbatim");
+    // ... and each before image is the row the write displaced.
+    let cart = |who, item| namespace_row(who, item);
+    let ops = |e: &CommittedTxn| e.changes.iter().map(|c| c.op.clone()).collect::<Vec<_>>();
+    assert_eq!(
+        ops(&history[2])[..2],
+        [
+            ChangeOp::Update {
+                before: Arc::new(row![1i64, "widget"]),
+                after: Arc::new(row![1i64, "sprocket"]),
+            },
+            ChangeOp::Update {
+                before: Arc::new(cart("alice", "widget")),
+                after: Arc::new(cart("alice", "sprocket")),
+            },
+        ]
+    );
+    let before = Arc::new(cart("alice", "sprocket"));
+    assert_eq!(ops(&history[3]), [ChangeOp::Delete { before }]);
     let kv_records = |e: &CommittedTxn| e.changes.iter().filter(|c| is_kv_table(&c.table)).count();
     let log = session.database().log_entries();
     assert_eq!(log.iter().map(kv_records).collect::<Vec<_>>(), [1, 0, 2, 1]);
@@ -344,7 +382,7 @@ fn a_parent_log_boots_to_its_state_and_verbatim_history() {
 #[test]
 fn a_checkpoint_after_the_boot_writes_the_namespace_as_its_table_and_boots_again() {
     let disk = MemDir::new();
-    disk.put_file(SEGMENT, parent_log());
+    disk.put_file(SEGMENT, log_image(REDO));
     let (session, _) =
         Session::open_durable_in(Arc::new(disk.clone()), WalOptions::default()).unwrap();
     assert_eq!(session.checkpoint().unwrap().map(|(ts, _)| ts), Some(4));
@@ -373,7 +411,7 @@ fn a_checkpoint_after_the_boot_writes_the_namespace_as_its_table_and_boots_again
 #[test]
 fn a_version_2_checkpoint_falls_back_to_the_boot_without_it() {
     let disk = MemDir::new();
-    disk.put_file(SEGMENT, parent_log());
+    disk.put_file(SEGMENT, log_image(REDO));
     let (session, _) =
         Session::open_durable_in(Arc::new(disk.clone()), WalOptions::default()).unwrap();
     session.checkpoint().unwrap();
@@ -403,4 +441,22 @@ fn a_version_2_checkpoint_falls_back_to_the_boot_without_it() {
         let digest = |s: &Session| s.database().digest_at(ts);
         assert_eq!(digest(&session), digest(&bare_session), "as of {ts}");
     }
+}
+
+/// A log whose commits carry their before images, as the parent writer
+/// wrote them, is refused as corrupt — even with its last record a
+/// commit, which the torn-tail rule would otherwise cut — and left as it
+/// is.
+#[test]
+fn a_log_of_commits_with_before_images_is_refused_as_corrupt() {
+    let image = log_image(WITH_BEFORE_IMAGES);
+    let disk = MemDir::new();
+    disk.put_file(SEGMENT, image.clone());
+    match Database::open_durable_in(Arc::new(disk.clone()), WalOptions::default()) {
+        Err(DbError::Storage(StorageError::Corrupt { detail, .. })) => {
+            assert!(detail.contains("unknown record tag 1"), "{detail}");
+        }
+        other => panic!("expected a Corrupt error, got {:?}", other.map(|_| ())),
+    }
+    assert_eq!(disk.file(SEGMENT), Some(image), "the log is untouched");
 }

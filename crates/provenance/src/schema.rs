@@ -214,18 +214,11 @@ pub(crate) fn requests_key(req_id: String, handler: String, start_ts: i64) -> Ke
 }
 
 /// The change record that installs `rec` in `Requests` (`table`, its
-/// interned name): an insert, or — when the invocation's earlier image
-/// `before` is already installed — an update of that row.
-pub(crate) fn requests_change(
-    table: &Arc<str>,
-    rec: RequestRecord,
-    before: Option<Arc<Row>>,
-) -> ChangeRecord {
+/// interned name). An injected insert is an upsert: when the invocation's
+/// earlier row is installed, the commit records the update it made.
+pub(crate) fn requests_change(table: &Arc<str>, rec: RequestRecord) -> ChangeRecord {
     let key = requests_key(rec.req_id.clone(), rec.handler.clone(), rec.start_ts);
-    match before {
-        Some(before) => ChangeRecord::update(table.clone(), key, before, requests_row(rec)),
-        None => ChangeRecord::insert(table.clone(), key, requests_row(rec)),
-    }
+    ChangeRecord::insert(table.clone(), key, requests_row(rec))
 }
 
 /// An `ExternalCalls` row.

@@ -640,7 +640,7 @@ impl ProvenanceStore {
                 if let Ok(Some(before)) = self.db.get_latest(REQUESTS_TABLE, &key) {
                     let mut rec = request_of(&before);
                     finish(&mut rec);
-                    let change = requests_change(&self.fixed.requests, rec, Some(before));
+                    let change = requests_change(&self.fixed.requests, rec);
                     chunk.changes.push(change);
                 }
             }
@@ -694,7 +694,7 @@ impl ProvenanceStore {
         let requests = &self.fixed.requests;
         chunk
             .changes
-            .extend(opened.map(|rec| requests_change(requests, rec, None)));
+            .extend(opened.map(|rec| requests_change(requests, rec)));
         let rejected = !chunk.changes.is_empty() && self.db.apply_changes(&chunk.changes).is_err();
         for read in chunk.deferred.into_iter().filter(|_| !rejected) {
             let reads = ingest.deferred.entry(read.table.clone()).or_default();
@@ -826,7 +826,8 @@ impl ProvenanceStore {
                 } else if image.iter().any(|v| !v.is_null()) {
                     let key = table.key_cols.iter().map(|&i| image[i].clone());
                     let row = Row::from(image[..table.app_cols].to_vec());
-                    read.rows.push((Key::new(key.collect()), Arc::new(row)));
+                    read.rows
+                        .push((Key::new(key.collect::<Arc<[_]>>()), Arc::new(row)));
                 }
             }
             let commit = commits.get(&trace.commit_ts);

@@ -4,10 +4,12 @@
 //!
 //! The dump carries history, not state: loading replays every
 //! [`CommittedTxn`] through [`Session::apply_entries`], the same
-//! identity-preserving injection path crash recovery uses, so the loaded
-//! instance has byte-identical aligned history (same txn ids, same
-//! start/commit timestamps, same change records) and its commit clock
-//! resumes where the source's left off. That is what makes the loaded
+//! identity-preserving replay path crash recovery uses, which derives
+//! each change record from the row its write displaces. A dump whose
+//! records disagree with the derived ones (a forged before image) is
+//! refused, so the loaded instance has the same aligned history (same txn
+//! ids, same start/commit timestamps, same change records) and its commit
+//! clock resumes where the source's left off. That is what makes the loaded
 //! instance *debuggable*, not just state-equivalent: time-travel reads,
 //! replay and retroactive runs against it see the same past.
 //!
@@ -29,7 +31,7 @@ use std::path::Path;
 use trod_core::json::{Json, JsonError};
 use trod_core::wire::{self, WireError};
 use trod_core::Trod;
-use trod_db::{Column, CommittedTxn, DataType, Database, DbResult, Schema, Ts, TS_LIVE};
+use trod_db::{Column, CommittedTxn, DataType, Database, DbResult, LoggedTxn, Schema, Ts, TS_LIVE};
 use trod_kv::Session;
 
 /// Why a dump could not be produced, parsed, or booted.
@@ -41,6 +43,12 @@ pub enum DumpError {
     Format(String),
     /// Rebuilding the environment failed.
     Load(String),
+    /// The change records of the entry at `commit_ts` are not the ones its
+    /// replay derived from the rows its writes displaced: a before image
+    /// (or its absence) that the history before it does not produce.
+    BeforeImage {
+        commit_ts: Ts,
+    },
     Io(std::io::Error),
 }
 
@@ -51,6 +59,10 @@ impl std::fmt::Display for DumpError {
             DumpError::Wire(e) => write!(f, "dump entry malformed: {e}"),
             DumpError::Format(d) => write!(f, "not a trod dump: {d}"),
             DumpError::Load(d) => write!(f, "could not boot from dump: {d}"),
+            DumpError::BeforeImage { commit_ts } => write!(
+                f,
+                "could not boot from dump: the change records of commit ts {commit_ts} disagree with the rows its writes displace"
+            ),
             DumpError::Io(e) => write!(f, "dump i/o: {e}"),
         }
     }
@@ -80,9 +92,7 @@ const FORMAT: &str = "trod-dump/1";
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableDef {
     pub name: String,
-    /// `(name, dtype, nullable)` triples in schema order.
-    pub columns: Vec<(String, DataType, bool)>,
-    pub primary_key: Vec<String>,
+    pub schema: Schema,
     pub indexes: Vec<String>,
 }
 
@@ -98,36 +108,20 @@ pub struct Dump {
 }
 
 fn dtype_from_str(s: &str) -> Result<DataType, DumpError> {
-    match s {
-        "BOOL" => Ok(DataType::Bool),
-        "INT" => Ok(DataType::Int),
-        "FLOAT" => Ok(DataType::Float),
-        "TEXT" => Ok(DataType::Text),
-        "BYTES" => Ok(DataType::Bytes),
-        "TIMESTAMP" => Ok(DataType::Timestamp),
-        other => Err(DumpError::Format(format!("unknown column type {other:?}"))),
-    }
+    use DataType::*;
+    let mut types = [Bool, Int, Float, Text, Bytes, Timestamp].into_iter();
+    let found = types.find(|d| d.to_string() == s);
+    found.ok_or_else(|| DumpError::Format(format!("unknown column type {s:?}")))
 }
 
-fn table_def_of(db: &Database, name: &str) -> Option<TableDef> {
-    let schema = db.schema_of(name).ok()?;
-    let store = db.table(name).ok()?;
-    let columns: Vec<(String, DataType, bool)> = schema
-        .columns()
-        .iter()
-        .map(|c| (c.name.clone(), c.dtype, c.nullable))
-        .collect();
-    let primary_key = schema
-        .primary_key()
-        .iter()
-        .map(|&i| columns[i].0.clone())
-        .collect();
-    Some(TableDef {
-        name: name.to_string(),
-        columns,
-        primary_key,
-        indexes: store.indexed_columns(),
-    })
+/// The strings of the array `field` of `j`; none when it is absent.
+fn strings<'a>(j: &'a Json, field: &str) -> Vec<&'a str> {
+    let items = j.get(field).and_then(Json::as_array).unwrap_or_default();
+    items.iter().filter_map(Json::as_str).collect()
+}
+
+fn owned(strings: Vec<&str>) -> Vec<String> {
+    strings.into_iter().map(str::to_string).collect()
 }
 
 impl Dump {
@@ -141,11 +135,17 @@ impl Dump {
     pub fn capture(trod: &Trod, up_to: Ts) -> DbResult<Dump> {
         let db = trod.production_db();
         let current_ts = up_to.min(db.current_ts());
-        let tables = db
-            .table_names()
-            .into_iter()
-            .filter_map(|name| table_def_of(db, &name))
-            .collect();
+        let table = |name: String| {
+            let store = db.table(&name)?;
+            let (schema, indexes) = (store.schema().clone(), store.indexed_columns());
+            Ok(TableDef {
+                name,
+                schema,
+                indexes,
+            })
+        };
+        let tables = db.table_names().into_iter().map(table);
+        let tables = tables.collect::<DbResult<_>>()?;
         Ok(Dump {
             current_ts,
             tables,
@@ -155,50 +155,37 @@ impl Dump {
     }
 
     pub fn to_json(&self) -> Json {
-        let tables = self
-            .tables
-            .iter()
-            .map(|t| {
-                Json::obj(vec![
-                    ("name", Json::str(t.name.clone())),
-                    (
-                        "columns",
-                        Json::Array(
-                            t.columns
-                                .iter()
-                                .map(|(n, d, nullable)| {
-                                    Json::obj(vec![
-                                        ("name", Json::str(n.clone())),
-                                        ("dtype", Json::str(d.to_string())),
-                                        ("nullable", Json::Bool(*nullable)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                    (
-                        "primary_key",
-                        Json::Array(t.primary_key.iter().map(|c| Json::str(c.clone())).collect()),
-                    ),
-                    (
-                        "indexes",
-                        Json::Array(t.indexes.iter().map(|c| Json::str(c.clone())).collect()),
-                    ),
-                ])
-            })
-            .collect();
+        let names = |names: Vec<&str>| Json::Array(names.into_iter().map(Json::str).collect());
+        let column = |c: &Column| {
+            Json::obj(vec![
+                ("name", Json::str(c.name.clone())),
+                ("dtype", Json::str(c.dtype.to_string())),
+                ("nullable", Json::Bool(c.nullable)),
+            ])
+        };
+        let tables = self.tables.iter().map(|t| {
+            let columns = t.schema.columns();
+            let primary_key = t.schema.primary_key().iter();
+            Json::obj(vec![
+                ("name", Json::str(t.name.clone())),
+                ("columns", Json::Array(columns.iter().map(column).collect())),
+                (
+                    "primary_key",
+                    names(primary_key.map(|&i| &*columns[i].name).collect()),
+                ),
+                (
+                    "indexes",
+                    names(t.indexes.iter().map(String::as_str).collect()),
+                ),
+            ])
+        });
         Json::obj(vec![
             ("format", Json::str(FORMAT)),
             ("current_ts", Json::from(self.current_ts)),
-            ("tables", Json::Array(tables)),
+            ("tables", Json::Array(tables.collect())),
             (
                 "namespaces",
-                Json::Array(
-                    self.namespaces
-                        .iter()
-                        .map(|n| Json::str(n.clone()))
-                        .collect(),
-                ),
+                names(self.namespaces.iter().map(String::as_str).collect()),
             ),
             (
                 "entries",
@@ -241,37 +228,21 @@ impl Dump {
                     .ok_or_else(|| DumpError::Format(format!("table {name}: column without name")))?
                     .to_string();
                 let dtype = dtype_from_str(c.get("dtype").and_then(Json::as_str).unwrap_or(""))?;
-                let nullable = c.get("nullable").and_then(Json::as_bool).unwrap_or(false);
-                columns.push((cname, dtype, nullable));
+                columns.push(match c.get("nullable").and_then(Json::as_bool) {
+                    Some(true) => Column::nullable(cname, dtype),
+                    _ => Column::new(cname, dtype),
+                });
             }
-            let strings = |field: &str| -> Vec<String> {
-                t.get(field)
-                    .and_then(Json::as_array)
-                    .map(|a| {
-                        a.iter()
-                            .filter_map(Json::as_str)
-                            .map(str::to_string)
-                            .collect()
-                    })
-                    .unwrap_or_default()
-            };
+            let schema = Schema::new(columns, &strings(t, "primary_key"))
+                .map_err(|e| DumpError::Format(format!("table {name}: {e}")))?;
+            let indexes = owned(strings(t, "indexes"));
             tables.push(TableDef {
                 name,
-                columns,
-                primary_key: strings("primary_key"),
-                indexes: strings("indexes"),
+                schema,
+                indexes,
             });
         }
-        let namespaces = j
-            .get("namespaces")
-            .and_then(Json::as_array)
-            .map(|a| {
-                a.iter()
-                    .filter_map(Json::as_str)
-                    .map(str::to_string)
-                    .collect()
-            })
-            .unwrap_or_default();
+        let namespaces = owned(strings(j, "namespaces"));
         let mut entries = Vec::new();
         for e in j
             .get("entries")
@@ -301,10 +272,12 @@ impl Dump {
     }
 
     /// Boots a fresh session environment from this dump: DDL first, then
-    /// every history entry re-applied with its original identity, then
-    /// the commit clock advanced to the dumped watermark. A watermark of
+    /// every history entry replayed with its original identity, then the
+    /// commit clock advanced to the dumped watermark. A watermark of
     /// [`TS_LIVE`], which is no commit timestamp, is a
-    /// [`DumpError::Load`].
+    /// [`DumpError::Load`]; an entry whose change records differ from the
+    /// ones its replay derived is a [`DumpError::BeforeImage`] naming the
+    /// first such commit.
     pub fn boot(&self) -> Result<Session, DumpError> {
         if self.current_ts == TS_LIVE {
             return Err(DumpError::Load(format!(
@@ -314,21 +287,7 @@ impl Dump {
         }
         let db = Database::new();
         for t in &self.tables {
-            let columns: Vec<Column> = t
-                .columns
-                .iter()
-                .map(|(n, d, nullable)| {
-                    if *nullable {
-                        Column::nullable(n.clone(), *d)
-                    } else {
-                        Column::new(n.clone(), *d)
-                    }
-                })
-                .collect();
-            let pk: Vec<&str> = t.primary_key.iter().map(String::as_str).collect();
-            let schema = Schema::new(columns, &pk)
-                .map_err(|e| DumpError::Load(format!("table {}: {e}", t.name)))?;
-            db.create_table(t.name.clone(), schema)
+            db.create_table(t.name.clone(), t.schema.clone())
                 .map_err(|e| DumpError::Load(format!("table {}: {e}", t.name)))?;
             for col in &t.indexes {
                 db.create_index(&t.name, col)
@@ -341,9 +300,16 @@ impl Dump {
                 .create_namespace(ns)
                 .map_err(|e| DumpError::Load(format!("namespace {ns}: {e}")))?;
         }
+        let logged: Vec<LoggedTxn> = self.entries.iter().map(LoggedTxn::from).collect();
         session
-            .apply_entries(&self.entries)
+            .apply_entries(&logged)
             .map_err(|e| DumpError::Load(format!("history: {e}")))?;
+        let derived = session.database().log_entries();
+        let mut pairs = self.entries.iter().zip(&derived);
+        if let Some((forged, _)) = pairs.find(|(dumped, replayed)| dumped != replayed) {
+            let commit_ts = forged.commit_ts;
+            return Err(DumpError::BeforeImage { commit_ts });
+        }
         session.database().ensure_ts_at_least(self.current_ts);
         Ok(session)
     }

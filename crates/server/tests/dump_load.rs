@@ -7,7 +7,7 @@
 //! past as debugging the source.
 
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use proptest::prelude::*;
@@ -17,7 +17,7 @@ use trod_apps::shop;
 use trod_core::json::Json;
 use trod_core::wire;
 use trod_core::Trod;
-use trod_db::{Key, Ts, TS_LIVE};
+use trod_db::{ChangeOp, Key, Row, Ts, Value, TS_LIVE};
 use trod_kv::Session;
 use trod_runtime::{Args, Runtime};
 use trod_server::{fork_from_instance, Client, Dump, DumpError, ServerBuilder};
@@ -712,6 +712,48 @@ proptest! {
                 }
                 loads_typed_or_boots(load_text(&doc))?;
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(fuzz_cases()))]
+
+    /// A dump whose history carries a before image its replay does not
+    /// derive — a forged one, one fabricated for an insert, or one dropped
+    /// from an update — is refused with the commit timestamp of that
+    /// entry. Only after images are installed, so every entry before the
+    /// forged one derives as dumped and the refusal names exactly it.
+    #[test]
+    fn a_dump_with_a_forged_before_image_is_refused_naming_its_commit(
+        at in 0usize..1 << 16,
+        change in 0usize..64,
+        drop_before in 0u8..2,
+    ) {
+        let mut dump = base_dump().clone();
+        let written: Vec<usize> = (0..dump.entries.len())
+            .filter(|&i| !dump.entries[i].changes.is_empty())
+            .collect();
+        let entry = &mut dump.entries[written[at % written.len()]];
+        let mut changes = entry.changes.to_vec();
+        let n = changes.len();
+        let record = &mut changes[change % n];
+        let before = Arc::new(Row::from(vec![Value::Text("FORGED".into())]));
+        record.op = match record.op.clone() {
+            ChangeOp::Update { after, .. } if drop_before == 1 => ChangeOp::Insert { after },
+            ChangeOp::Insert { after } | ChangeOp::Update { after, .. } => {
+                ChangeOp::Update { before, after }
+            }
+            ChangeOp::Delete { .. } => ChangeOp::Delete { before },
+        };
+        entry.changes = changes.into();
+        let ts = entry.commit_ts;
+        match dump.boot() {
+            Err(e @ DumpError::BeforeImage { commit_ts }) => {
+                prop_assert_eq!(commit_ts, ts);
+                prop_assert!(e.to_string().contains(&format!("commit ts {ts}")), "{}", e);
+            }
+            other => prop_assert!(false, "expected a refusal at {}, got {:?}", ts, other.map(drop)),
         }
     }
 }

@@ -113,7 +113,7 @@ pub fn key_from_json(j: &Json) -> WireResult<Key> {
     let values = items
         .iter()
         .map(value_from_json)
-        .collect::<WireResult<_>>()?;
+        .collect::<WireResult<Vec<_>>>()?;
     Ok(Key::new(values))
 }
 

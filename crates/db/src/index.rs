@@ -35,7 +35,12 @@
 //! Within a value, a slot keeps its keys in primary-key order too, so
 //! every probe of one slot hands out its candidates sorted and unique:
 //! a point probe needs no sort before the scan visits it in key order,
-//! and an ordered walk breaks ties by primary key as it goes.
+//! and an ordered walk breaks ties by primary key as it goes. Most
+//! values of a provenance column (a request id, a commit timestamp) are
+//! held by one key, so a slot keeps its first key inline and builds its
+//! ordered map only when the value gets a second key: a bulk load of a
+//! column of distinct values builds one tree, over the values, and none
+//! per value.
 
 use std::collections::BTreeMap;
 
@@ -55,18 +60,123 @@ use crate::value::Value;
 /// planner's cost estimate ([`SecondaryIndex::candidate_count`]): it is
 /// what a latest-timestamp probe actually returns, so tombstone-heavy
 /// slots no longer inflate probe estimates between garbage collections.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Slot {
-    keys: BTreeMap<Key, Ts>,
+    keys: SlotKeys,
     live: usize,
 }
 
+/// A slot's keys. Most values of a provenance column are held by one key
+/// only, so the first key is kept inline and the ordered map is built
+/// when a second key arrives; a purge that leaves one key moves it back
+/// inline. A slot never holds no key: an emptied slot is dropped.
+#[derive(Debug)]
+enum SlotKeys {
+    One(Key, Ts),
+    /// Two or more keys.
+    Many(BTreeMap<Key, Ts>),
+}
+
 impl Slot {
+    /// A slot holding `key` alone, stamped `until`.
+    fn one(key: Key, until: Ts) -> Slot {
+        let live = usize::from(until == TS_LIVE);
+        Slot {
+            keys: SlotKeys::One(key, until),
+            live,
+        }
+    }
+
+    /// A slot over (key, stamp) pairs in strictly increasing key order.
+    fn from_sorted(mut entries: impl ExactSizeIterator<Item = (Key, Ts)>) -> Slot {
+        if entries.len() == 1 {
+            let (key, until) = entries.next().expect("one entry");
+            return Slot::one(key, until);
+        }
+        let keys: BTreeMap<Key, Ts> = entries.collect();
+        let live = keys.values().filter(|&&until| until == TS_LIVE).count();
+        Slot {
+            keys: SlotKeys::Many(keys),
+            live,
+        }
+    }
+
+    /// The (key, stamp) entries, in key order.
+    fn entries(&self) -> impl Iterator<Item = (&Key, &Ts)> {
+        let (one, many) = match &self.keys {
+            SlotKeys::One(key, until) => (Some((key, until)), None),
+            SlotKeys::Many(keys) => (None, Some(keys.iter())),
+        };
+        one.into_iter().chain(many.into_iter().flatten())
+    }
+
+    fn len(&self) -> usize {
+        match &self.keys {
+            SlotKeys::One(..) => 1,
+            SlotKeys::Many(keys) => keys.len(),
+        }
+    }
+
+    /// The stamp of `key`, if the slot holds it.
+    fn stamp_mut(&mut self, key: &Key) -> Option<&mut Ts> {
+        match &mut self.keys {
+            SlotKeys::One(held, until) => (held == key).then_some(until),
+            SlotKeys::Many(keys) => keys.get_mut(key),
+        }
+    }
+
+    /// Extends `key`'s stamp to at least `until`, adding the key if the
+    /// slot does not hold it.
+    fn record(&mut self, key: &Key, until: Ts) {
+        let stamp = match &mut self.keys {
+            SlotKeys::One(held, stamp) if held == key => stamp,
+            SlotKeys::Many(keys) => keys.entry(key.clone()).or_insert(0),
+            SlotKeys::One(held, stamp) => {
+                let first = (held.clone(), *stamp);
+                self.keys = SlotKeys::Many(BTreeMap::from([first]));
+                return self.record(key, until);
+            }
+        };
+        // A fresh entry, or a dead stamp extended to TS_LIVE (re-insert
+        // of a previously unlinked value), becomes live.
+        let revived = until == TS_LIVE && *stamp != TS_LIVE;
+        *stamp = (*stamp).max(until);
+        self.live += usize::from(revived);
+    }
+
+    /// Stamps `key` with `at` if it is live (a dead stamp only grows).
+    /// False if the slot does not hold `key`.
+    fn unlink(&mut self, key: &Key, at: Ts) -> bool {
+        let Some(stamp) = self.stamp_mut(key) else {
+            return false;
+        };
+        let was_live = *stamp == TS_LIVE;
+        *stamp = if was_live { at } else { (*stamp).max(at) };
+        self.live -= usize::from(was_live);
+        true
+    }
+
+    /// Drops the keys unlinked at or before `horizon` and recounts the
+    /// live ones. False if no key is left.
+    fn purge(&mut self, horizon: Ts) -> bool {
+        match &mut self.keys {
+            SlotKeys::One(_, until) => *until > horizon,
+            SlotKeys::Many(keys) => {
+                keys.retain(|_, until| *until > horizon);
+                self.live = keys.values().filter(|&&until| until == TS_LIVE).count();
+                if keys.len() == 1 {
+                    let (key, until) = keys.pop_first().expect("one key");
+                    self.keys = SlotKeys::One(key, until);
+                }
+                self.len() > 0
+            }
+        }
+    }
+
     /// The keys that may carry the slot's value for a read at `ts`,
     /// strictly increasing.
     fn candidates_at(&self, ts: Ts) -> impl Iterator<Item = Key> + '_ {
-        self.keys
-            .iter()
+        self.entries()
             .filter(move |(_, &until)| until > ts)
             .map(|(k, _)| k.clone())
     }
@@ -169,11 +279,9 @@ impl SecondaryIndex {
         stamps.dedup_by(|later, kept| later.0 == kept.0 && later.1 == kept.1);
         self.entries = stamps
             .chunk_by(|a, b| a.0 == b.0)
-            .map(|slot| {
-                let keys: BTreeMap<Key, Ts> =
-                    slot.iter().map(|&(_, k, ts)| (k.clone(), ts)).collect();
-                let live = slot.iter().filter(|&&(_, _, ts)| ts == TS_LIVE).count();
-                (slot[0].0.clone(), Slot { keys, live })
+            .map(|run| {
+                let slot = Slot::from_sorted(run.iter().map(|&(_, k, ts)| (k.clone(), ts)));
+                (run[0].0.clone(), slot)
             })
             .collect();
     }
@@ -186,14 +294,13 @@ impl SecondaryIndex {
         let Some(v) = row.get(self.col_idx).filter(|v| !v.is_null()) else {
             return;
         };
-        let slot = self.entries.entry(v.clone()).or_default();
-        let stamp = slot.keys.entry(key.clone()).or_insert(0);
-        // A fresh entry, or a dead stamp extended to TS_LIVE (re-insert
-        // of a previously unlinked value), becomes live.
-        if until == TS_LIVE && *stamp != TS_LIVE {
-            slot.live += 1;
+        match self.entries.get_mut(v) {
+            Some(slot) => slot.record(key, until),
+            None => {
+                self.entries
+                    .insert(v.clone(), Slot::one(key.clone(), until));
+            }
         }
-        *stamp = (*stamp).max(until);
     }
 
     /// Records that `key`'s live row now carries `row[col]`.
@@ -214,17 +321,9 @@ impl SecondaryIndex {
         let Some(v) = row.get(self.col_idx).filter(|v| !v.is_null()) else {
             return;
         };
-        let entry = self
-            .entries
-            .get_mut(v)
-            .and_then(|slot| Some((slot.keys.get_mut(key)?, &mut slot.live)));
-        match entry {
-            Some((stamp, live)) if *stamp == TS_LIVE => {
-                *stamp = unlinked_at;
-                *live -= 1;
-            }
-            Some((stamp, _)) => *stamp = (*stamp).max(unlinked_at),
-            None => self.record(key, row, unlinked_at),
+        let unlinked = (self.entries.get_mut(v)).is_some_and(|slot| slot.unlink(key, unlinked_at));
+        if !unlinked {
+            self.record(key, row, unlinked_at);
         }
     }
 
@@ -323,22 +422,14 @@ impl SecondaryIndex {
     /// entries removed.
     pub fn purge_dead(&mut self, horizon: Ts) -> usize {
         let before = self.entry_count();
-        for slot in self.entries.values_mut() {
-            slot.keys.retain(|_, until| *until > horizon);
-            slot.live = slot
-                .keys
-                .values()
-                .filter(|&&until| until == TS_LIVE)
-                .count();
-        }
-        self.entries.retain(|_, slot| !slot.keys.is_empty());
+        self.entries.retain(|_, slot| slot.purge(horizon));
         before - self.entry_count()
     }
 
     /// Total (value, key) entries, live and tombstoned. Exposed so tests
     /// and stats can observe unlink bookkeeping and lazy builds.
     pub fn entry_count(&self) -> usize {
-        self.entries.values().map(|slot| slot.keys.len()).sum()
+        self.entries.values().map(Slot::len).sum()
     }
 }
 
@@ -573,6 +664,36 @@ mod tests {
         assert!((7..100).contains(&capped), "stopped early at {capped}");
     }
 
+    #[test]
+    fn slots_move_between_one_key_and_many() {
+        let mut idx = SecondaryIndex::new("forum", 1);
+        let inline = |idx: &SecondaryIndex| {
+            let slot = idx.entries.get(&text("F1"));
+            slot.map(|slot| matches!(slot.keys, SlotKeys::One(..)))
+        };
+        let (k1, k2) = (Key::single(1i64), Key::single(2i64));
+        idx.insert(&k1, &row![1i64, "F1"]);
+        assert_eq!(inline(&idx), Some(true), "the first key is inline");
+        idx.insert(&k2, &row![2i64, "F1"]);
+        assert_eq!(inline(&idx), Some(false), "a second key builds the map");
+        assert_eq!(idx.lookup_at(&text("F1"), 0), [k1.clone(), k2.clone()]);
+
+        // Purged down to one key: inline again, with its live count.
+        idx.unlink(&k1, &row![1i64, "F1"], 4);
+        assert_eq!(idx.purge_dead(4), 1);
+        assert_eq!(inline(&idx), Some(true));
+        assert_eq!(idx.candidate_count(&text("F1")), 1);
+        assert_eq!(idx.lookup_at(&text("F1"), 0), vec![k2.clone()]);
+
+        // ... and to none: the slot goes.
+        idx.unlink(&k2, &row![2i64, "F1"], 6);
+        assert_eq!(idx.candidate_count(&text("F1")), 0);
+        assert_eq!(idx.lookup_at(&text("F1"), 5), [k2]);
+        assert_eq!(idx.purge_dead(6), 1);
+        assert_eq!(inline(&idx), None);
+        assert_eq!(idx.entry_count(), 0);
+    }
+
     mod slot_order {
         use std::sync::Arc;
 
@@ -580,7 +701,8 @@ mod tests {
 
         use super::*;
 
-        /// Indexed values: three slots, and NULL, which is never indexed.
+        /// Indexed values: five slots, and NULL (3), which is never
+        /// indexed.
         fn value(v: u8) -> Value {
             match v {
                 3 => Value::Null,
@@ -608,24 +730,24 @@ mod tests {
             Insert(u8, u8),
             Unlink(u8, u8, Ts),
             PurgeDead(Ts),
-            /// Rebuild from chains: per key, one commit per step (a
-            /// value installed, or a delete for step 4), the steps
-            /// committed in turn at ts 1, 2, ...
+            /// Rebuild from chains, as [`chains`] commits them.
             Rebuild(Vec<(u8, Vec<u8>)>),
         }
 
-        /// Mostly single-entry steps; one in fourteen purges, one
-        /// rebuilds. End stamps are small commit timestamps, or live.
+        /// Mostly single-entry steps over nine keys and five values, so
+        /// slots often hold one key and often several; three in fourteen
+        /// purge, one rebuilds. End stamps are small commit timestamps,
+        /// or live.
         fn op() -> impl Strategy<Value = Op> {
             let chains =
-                prop::collection::vec((0u8..18, prop::collection::vec(0u8..5, 1..4)), 0..6);
-            (0u8..14, 0u8..18, 0u8..4, 1u64..13, chains).prop_map(|(kind, k, v, t, chains)| {
+                prop::collection::vec((0u8..18, prop::collection::vec(0u8..7, 1..4)), 0..6);
+            (0u8..14, 0u8..9, 0u8..6, 1u64..13, chains).prop_map(|(kind, k, v, t, chains)| {
                 let stamp = if t == 12 { TS_LIVE } else { t };
                 match kind {
-                    0..=3 => Op::Record(k, v, stamp),
-                    4..=7 => Op::Insert(k, v),
-                    8..=11 => Op::Unlink(k, v, t),
-                    12 => Op::PurgeDead(t),
+                    0..=2 => Op::Record(k, v, stamp),
+                    3..=5 => Op::Insert(k, v),
+                    6..=9 => Op::Unlink(k, v, t),
+                    10..=12 => Op::PurgeDead(t),
                     _ => Op::Rebuild(chains),
                 }
             })
@@ -678,8 +800,9 @@ mod tests {
             }
         }
 
-        /// Per key, one commit per step (a value installed, or a delete
-        /// for step 4), the steps committed in turn at ts 1, 2, ...
+        /// Per key, one commit per step, the steps committed in turn at
+        /// ts 1, 2, ...: a delete for step 4, for step 5 or 6 a value no
+        /// other key holds, else [`value`]'s.
         fn chains(steps: &[(u8, Vec<u8>)]) -> KeyMap<VersionChain> {
             let mut rows = KeyMap::<VersionChain>::default();
             let mut ts = 0;
@@ -687,8 +810,10 @@ mod tests {
                 let chain = rows.entry(key(*k)).or_default();
                 for &step in steps {
                     ts += 1;
+                    let own = Value::Int(100 * i64::from(step) + i64::from(*k));
                     match step {
                         4 => chain.remove(ts),
+                        5 | 6 => chain.install(ts, Arc::new(row![0i64, own])),
                         v => chain.install(ts, Arc::new(indexed(v))),
                     };
                 }
@@ -696,10 +821,15 @@ mod tests {
             rows
         }
 
-        /// Every slot: its value, its (key, stamp) entries and its live
-        /// count.
+        /// Every slot: its value, its (key, stamp) entries, inline or in
+        /// a map, and its live count. A slot holds a key, and inline
+        /// exactly when it holds one.
         fn slots(idx: &SecondaryIndex) -> Vec<String> {
-            let slot = |(v, s): (&Value, &Slot)| format!("{v:?} {:?} live {}", s.keys, s.live);
+            let slot = |(v, s): (&Value, &Slot)| {
+                assert_eq!(matches!(s.keys, SlotKeys::One(..)), s.len() == 1, "{s:?}");
+                assert!(s.len() > 0);
+                format!("{v:?} {:?} live {}", s.keys, s.live)
+            };
             idx.entries.iter().map(slot).collect()
         }
 
@@ -710,10 +840,11 @@ mod tests {
 
             /// The sorted rebuild equals the per-version fold it replaced
             /// (one `record` per version), on chains with updates,
-            /// deletes, re-inserts and NULLs.
+            /// deletes, re-inserts, NULLs and values one key holds, slot
+            /// by slot, inline or in a map.
             #[test]
             fn a_sorted_rebuild_equals_the_per_version_fold(
-                steps in prop::collection::vec((0u8..18, prop::collection::vec(0u8..5, 1..6)), 0..24)
+                steps in prop::collection::vec((0u8..18, prop::collection::vec(0u8..7, 1..6)), 0..24)
             ) {
                 let rows = chains(&steps);
                 let mut sorted = SecondaryIndex::new("v", 1);
@@ -729,7 +860,8 @@ mod tests {
 
             /// Every slot hands out its candidates strictly increasing,
             /// equal to the model's sorted candidates, at every read
-            /// timestamp after every step; the live counts follow.
+            /// timestamp after every step, as slots move between one key
+            /// and many and purges empty them; the live counts follow.
             #[test]
             fn slot_candidates_are_in_strict_key_order(ops in prop::collection::vec(op(), 1..40)) {
                 let mut idx = SecondaryIndex::new("v", 1);
@@ -765,14 +897,18 @@ mod tests {
                         }
                     }
                     prop_assert_eq!(idx.entry_count(), model.0.len());
-                    for v in 0..3 {
-                        let value = value(v);
+                    slots(&idx);
+                    let mut values: Vec<Value> = model.0.iter().map(|(v, _, _)| v.clone()).collect();
+                    values.extend([value(0), Value::Int(-7)]);
+                    values.sort();
+                    values.dedup();
+                    for value in values {
                         prop_assert_eq!(idx.candidate_count(&value), model.live(&value));
                         for ts in (0..13).chain([TS_LIVE - 1]) {
                             let got = idx.lookup_at(&value, ts);
                             prop_assert!(
                                 got.windows(2).all(|w| w[0] < w[1]),
-                                "slot {} at ts {} out of order: {:?}", v, ts, got
+                                "slot {:?} at ts {} out of order: {:?}", value, ts, got
                             );
                             prop_assert_eq!(got, model.candidates_at(&value, ts));
                         }

@@ -7,6 +7,11 @@
 //! representation: reading "as of" a past timestamp simply selects the
 //! version visible at that timestamp.
 //!
+//! Retaining history is the standing price of that debuggability, and
+//! most keys are written once: a chain holds its first version inline and
+//! allocates a `Vec` only when the key gets a second one, so a row
+//! written once costs its map entry and no heap block of its own.
+//!
 //! This visibility rule is also what makes the sharded commit protocol's
 //! publication step atomic (see [`crate::database`]): readers only ever
 //! read at timestamps up to the *published* clock, so versions a
@@ -64,11 +69,28 @@ impl Version {
     }
 }
 
-/// The ordered version history of one primary key.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct VersionChain {
-    versions: Vec<Version>,
+/// The ordered version history of one primary key: its first version
+/// inline, a `Vec` from its second on, and inline again when garbage
+/// collection leaves one. Equality is by content, inline or not.
+#[derive(Debug, Clone, Default)]
+pub struct VersionChain(Versions);
+
+#[derive(Debug, Clone, Default)]
+enum Versions {
+    #[default]
+    Empty,
+    One(Version),
+    /// Two or more versions, oldest first.
+    Many(Vec<Version>),
 }
+
+impl PartialEq for VersionChain {
+    fn eq(&self, other: &Self) -> bool {
+        self.versions() == other.versions()
+    }
+}
+
+impl Eq for VersionChain {}
 
 impl VersionChain {
     /// Creates an empty chain.
@@ -78,13 +100,17 @@ impl VersionChain {
 
     /// All versions, oldest first.
     pub fn versions(&self) -> &[Version] {
-        &self.versions
+        match &self.0 {
+            Versions::Empty => &[],
+            Versions::One(version) => std::slice::from_ref(version),
+            Versions::Many(versions) => versions,
+        }
     }
 
     /// The row visible at timestamp `ts`, if any.
     pub fn visible_at(&self, ts: Ts) -> Option<&Arc<Row>> {
         // Versions are appended in commit order, so scan from the end.
-        self.versions
+        self.versions()
             .iter()
             .rev()
             .find(|v| v.visible_at(ts))
@@ -93,7 +119,10 @@ impl VersionChain {
 
     /// The live row, if the key currently exists.
     pub fn live(&self) -> Option<&Arc<Row>> {
-        self.versions.last().filter(|v| v.is_live()).map(|v| &v.row)
+        self.versions()
+            .last()
+            .filter(|v| v.is_live())
+            .map(|v| &v.row)
     }
 
     /// True if this key was written by any commit in the open window
@@ -105,7 +134,7 @@ impl VersionChain {
     /// installed that is one step, which matters because the commit path
     /// validates every read and write key with it.
     pub fn modified_in(&self, after: Ts, upto: Ts) -> bool {
-        for v in self.versions.iter().rev() {
+        for v in self.versions().iter().rev() {
             if v.touched_in(after, upto) {
                 return true;
             }
@@ -121,11 +150,19 @@ impl VersionChain {
     /// existed.
     pub fn install(&mut self, commit_ts: Ts, row: Arc<Row>) -> Option<Arc<Row>> {
         let before = self.close_live(commit_ts);
-        self.versions.push(Version {
+        let version = Version {
             begin_ts: commit_ts,
             end_ts: TS_LIVE,
             row,
-        });
+        };
+        self.0 = match std::mem::take(&mut self.0) {
+            Versions::Empty => Versions::One(version),
+            Versions::One(first) => Versions::Many(vec![first, version]),
+            Versions::Many(mut versions) => {
+                versions.push(version);
+                Versions::Many(versions)
+            }
+        };
         before
     }
 
@@ -136,44 +173,53 @@ impl VersionChain {
     }
 
     fn close_live(&mut self, commit_ts: Ts) -> Option<Arc<Row>> {
-        if let Some(last) = self.versions.last_mut() {
-            if last.is_live() {
-                last.end_ts = commit_ts;
-                return Some(last.row.clone());
-            }
-        }
-        None
+        let last = match &mut self.0 {
+            Versions::Empty => None,
+            Versions::One(version) => Some(version),
+            Versions::Many(versions) => versions.last_mut(),
+        };
+        let last = last.filter(|v| v.is_live())?;
+        last.end_ts = commit_ts;
+        Some(last.row.clone())
     }
 
     /// Drops versions that ended at or before `ts` and are no longer
     /// reachable by any reader at or after `ts` (simple garbage
     /// collection). Returns the number of versions removed.
     pub fn gc_before(&mut self, ts: Ts) -> usize {
-        let before = self.versions.len();
         // Keep the last version that began at or before ts (it may still be
         // visible to readers at ts) plus everything after it.
-        let mut keep_from = 0;
-        for (i, v) in self.versions.iter().enumerate() {
-            if v.end_ts != TS_LIVE && v.end_ts <= ts {
-                keep_from = i + 1;
-            } else {
-                break;
+        let dead = self
+            .versions()
+            .iter()
+            .take_while(|v| v.end_ts != TS_LIVE && v.end_ts <= ts)
+            .count();
+        if dead == 0 {
+            return 0;
+        }
+        let kept = self.len() - dead;
+        self.0 = match std::mem::take(&mut self.0) {
+            Versions::Many(mut versions) if kept > 1 => {
+                versions.drain(..dead);
+                Versions::Many(versions)
             }
-        }
-        if keep_from > 0 {
-            self.versions.drain(0..keep_from);
-        }
-        before - self.versions.len()
+            // The survivor is the newest version.
+            Versions::Many(mut versions) if kept == 1 => {
+                Versions::One(versions.pop().expect("the newest version survives"))
+            }
+            _ => Versions::Empty,
+        };
+        dead
     }
 
     /// Number of stored versions.
     pub fn len(&self) -> usize {
-        self.versions.len()
+        self.versions().len()
     }
 
     /// True if no versions exist.
     pub fn is_empty(&self) -> bool {
-        self.versions.is_empty()
+        self.versions().is_empty()
     }
 }
 
@@ -281,5 +327,122 @@ mod tests {
         assert!(v.visible_at(19));
         assert!(!v.visible_at(20));
         assert!(!v.is_live());
+    }
+
+    #[test]
+    fn a_chain_grows_to_two_versions_and_is_collected_back_to_one() {
+        let mut chain = VersionChain::new();
+        chain.install(1, arc(row![1i64]));
+        assert!(
+            matches!(chain.0, Versions::One(_)),
+            "the first version is inline"
+        );
+        chain.install(4, arc(row![2i64]));
+        assert!(matches!(&chain.0, Versions::Many(v) if v.len() == 2));
+
+        assert_eq!(chain.gc_before(5), 1);
+        assert!(
+            matches!(chain.0, Versions::One(_)),
+            "back inline: {chain:?}"
+        );
+        assert_eq!(chain.live(), Some(&arc(row![2i64])));
+        // Equal by content to a chain that was only ever inline.
+        let mut once = VersionChain::new();
+        once.install(4, arc(row![2i64]));
+        assert_eq!(chain, once);
+
+        chain.remove(6);
+        assert_eq!(chain.gc_before(6), 1);
+        assert!(matches!(chain.0, Versions::Empty));
+        assert_eq!(chain, VersionChain::new());
+    }
+
+    mod model {
+        use proptest::prelude::*;
+
+        use super::*;
+
+        #[derive(Debug, Clone)]
+        enum Op {
+            Install(u8),
+            Remove,
+            Gc(Ts),
+        }
+
+        /// Installs of small rows, deletes, and collections at horizons
+        /// below, at and above the commits so far (each op commits at
+        /// the next timestamp, 1, 2, ...).
+        fn op() -> impl Strategy<Value = Op> {
+            (0u8..8, 0u8..4, 0u64..24).prop_map(|(kind, v, horizon)| match kind {
+                0..=3 => Op::Install(v),
+                4 | 5 => Op::Remove,
+                _ => Op::Gc(horizon),
+            })
+        }
+
+        /// The chain's contract on a plain `Vec`, oldest first.
+        fn gc_model(versions: &mut Vec<Version>, ts: Ts) -> usize {
+            let dead = versions
+                .iter()
+                .take_while(|v| !v.is_live() && v.end_ts <= ts)
+                .count();
+            versions.drain(..dead);
+            dead
+        }
+
+        fn close_model(versions: &mut [Version], ts: Ts) -> Option<Arc<Row>> {
+            let last = versions.last_mut().filter(|v| v.is_live())?;
+            last.end_ts = ts;
+            Some(last.row.clone())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(
+                std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(256)
+            ))]
+
+            /// Every step leaves the chain equal to a `Vec<Version>` model:
+            /// the same versions, visibility at every timestamp, live
+            /// row, window tests and length; inline exactly when it holds
+            /// one version, and equal to the model held in a `Vec` either
+            /// way.
+            #[test]
+            fn a_chain_behaves_as_its_vec_model(ops in prop::collection::vec(op(), 1..24)) {
+                let mut chain = VersionChain::new();
+                let mut model: Vec<Version> = Vec::new();
+                for (ts, op) in (1..).zip(&ops) {
+                    match op {
+                        Op::Install(v) => {
+                            let row = arc(row![i64::from(*v)]);
+                            let before = close_model(&mut model, ts);
+                            model.push(Version { begin_ts: ts, end_ts: TS_LIVE, row: row.clone() });
+                            prop_assert_eq!(chain.install(ts, row), before);
+                        }
+                        Op::Remove => {
+                            let before = close_model(&mut model, ts);
+                            prop_assert_eq!(chain.remove(ts), before);
+                        }
+                        Op::Gc(horizon) => {
+                            let dropped = gc_model(&mut model, *horizon);
+                            prop_assert_eq!(chain.gc_before(*horizon), dropped);
+                        }
+                    }
+                    prop_assert_eq!(chain.versions(), model.as_slice());
+                    prop_assert_eq!(chain.len(), model.len());
+                    prop_assert_eq!(chain.is_empty(), model.is_empty());
+                    prop_assert_eq!(matches!(chain.0, Versions::One(_)), model.len() == 1);
+                    prop_assert_eq!(&chain, &VersionChain(Versions::Many(model.clone())));
+                    prop_assert_eq!(chain.live(), model.last().filter(|v| v.is_live()).map(|v| &v.row));
+                    for at in 0..=ts + 1 {
+                        let visible = model.iter().rev().find(|v| v.visible_at(at)).map(|v| &v.row);
+                        prop_assert_eq!(chain.visible_at(at), visible);
+                        for upto in [at + 1, at + 3, Ts::MAX] {
+                            let touched = model.iter().any(|v| v.touched_in(at, upto));
+                            prop_assert_eq!(chain.modified_in(at, upto), touched);
+                        }
+                    }
+                }
+            }
+        }
     }
 }

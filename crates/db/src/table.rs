@@ -59,11 +59,6 @@ pub enum ScanPlan {
     /// Walk the index on `column` over the window the predicate's
     /// comparison conjuncts imply on it.
     RangeProbe { column: String, candidates: usize },
-    /// Stream the index on `column` in value order, in `ORDER BY`
-    /// direction and stop after `limit` result rows: top-k in O(k)
-    /// instead of materialise + re-sort (see
-    /// [`TableStore::scan_ordered_limit`]).
-    OrderedProbe { column: String, limit: usize },
 }
 
 impl ScanPlan {
@@ -83,8 +78,7 @@ impl ScanPlan {
             | ScanPlan::KeyProbe { candidates: n }
             | ScanPlan::PointProbe { candidates: n, .. }
             | ScanPlan::MultiProbe { candidates: n, .. }
-            | ScanPlan::RangeProbe { candidates: n, .. }
-            | ScanPlan::OrderedProbe { limit: n, .. } => *n,
+            | ScanPlan::RangeProbe { candidates: n, .. } => *n,
         }
     }
 
@@ -104,8 +98,7 @@ impl ScanPlan {
             | ScanPlan::KeyProbe { candidates: n }
             | ScanPlan::PointProbe { candidates: n, .. }
             | ScanPlan::MultiProbe { candidates: n, .. }
-            | ScanPlan::RangeProbe { candidates: n, .. }
-            | ScanPlan::OrderedProbe { limit: n, .. } => *n = total,
+            | ScanPlan::RangeProbe { candidates: n, .. } => *n = total,
         }
         plan
     }
@@ -303,19 +296,19 @@ impl TableStore {
         Some(idx.entry_count())
     }
 
-    /// The indexes, with every one whose column `wanted` names caught up
-    /// with the change log ([`SecondaryIndex::catch_up`]). `rows` is this
-    /// table's row map, read-locked by the caller for as long as it uses
-    /// the result: commits install and log under the write side, so the
-    /// log cannot move while the indexes are read. The write lock is
-    /// taken only when a wanted index is behind.
+    /// The indexes, with every one `wanted` picks caught up with the
+    /// change log ([`SecondaryIndex::catch_up`]). `rows` is this table's
+    /// row map, read-locked by the caller for as long as it uses the
+    /// result: commits install and log under the write side, so the log
+    /// cannot move while the indexes are read. The write lock is taken
+    /// only when a wanted index is behind.
     fn current_indexes(
         &self,
         rows: &KeyMap<VersionChain>,
-        wanted: impl Fn(&str) -> bool,
+        wanted: impl Fn(&SecondaryIndex) -> bool,
     ) -> RwLockReadGuard<'_, Vec<SecondaryIndex>> {
         let tail = self.changelog.tail();
-        let behind = |idx: &SecondaryIndex| !idx.is_current(tail) && wanted(idx.column());
+        let behind = |idx: &SecondaryIndex| !idx.is_current(tail) && wanted(idx);
         let indexes = self.indexes.read();
         if !indexes.iter().any(behind) {
             return indexes;
@@ -328,6 +321,34 @@ impl TableStore {
         }
         drop(indexes);
         self.indexes.read()
+    }
+
+    /// Plans `pred`'s access path over this table's own chains and hands
+    /// it, with its estimate, to `use_path` while the indexes are
+    /// locked. Only what the plan can probe is built: the built indexes
+    /// `pred` constrains are caught up first, and only when neither they
+    /// nor a key probe beat the full walk is one unbuilt index built —
+    /// the one [`index_to_build`] names — and the plan made again.
+    fn with_access_path<R>(
+        &self,
+        rows: &KeyMap<VersionChain>,
+        pred: &Predicate,
+        use_path: impl FnOnce(PathChoice<'_>, usize) -> R,
+    ) -> R {
+        let (schema, tail) = (&self.schema, self.changelog.tail());
+        let indexes =
+            self.current_indexes(rows, |idx| idx.is_built() && constrains(pred, idx.column()));
+        let (choice, cost) = plan_access_path(pred, schema, rows.len(), &indexes, tail);
+        let unserved = matches!(choice, PathChoice::Full);
+        let build = unserved.then(|| index_to_build(pred, &indexes)).flatten();
+        let Some(column) = build else {
+            return use_path(choice, cost);
+        };
+        let column = column.to_string();
+        drop(indexes);
+        let indexes = self.current_indexes(rows, |idx| idx.column() == column);
+        let (choice, cost) = plan_access_path(pred, schema, rows.len(), &indexes, tail);
+        use_path(choice, cost)
     }
 
     /// A timestamp up to which every change to this table is in the
@@ -453,21 +474,17 @@ impl TableStore {
         // over-approximate, never under-approximate. The index lock is
         // held only while the candidates are taken, so a reader that must
         // catch an index up never waits for another's walk.
-        let candidates = {
-            let indexes = self.current_indexes(rows, |column| constrains(pred, column));
-            let tail = self.changelog.tail();
-            match plan_access_path(pred, &self.schema, rows.len(), &indexes, tail).0 {
-                PathChoice::Full => None,
-                // One slot: in key order and unique already.
-                PathChoice::Point(idx, value) => Some((idx.lookup_at(value, ts), true)),
-                PathChoice::Key(keys) => Some((keys, false)),
-                PathChoice::Multi(idx, values) => Some((
-                    values.iter().flat_map(|v| idx.lookup_at(v, ts)).collect(),
-                    false,
-                )),
-                PathChoice::Range(idx, bounds) => Some((idx.range_at(&bounds, ts), false)),
-            }
-        };
+        let candidates = self.with_access_path(rows, pred, |choice, _| match choice {
+            PathChoice::Full => None,
+            // One slot: in key order and unique already.
+            PathChoice::Point(idx, value) => Some((idx.lookup_at(value, ts), true)),
+            PathChoice::Key(keys) => Some((keys, false)),
+            PathChoice::Multi(idx, values) => Some((
+                values.iter().flat_map(|v| idx.lookup_at(v, ts)).collect(),
+                false,
+            )),
+            PathChoice::Range(idx, bounds) => Some((idx.range_at(&bounds, ts), false)),
+        });
         let Some((mut keys, in_order)) = candidates else {
             for (key, chain) in rows.iter() {
                 if let Some(row) = chain.visible_at(ts) {
@@ -504,12 +521,9 @@ impl TableStore {
             return ScanPlan::Empty;
         }
         let rows = self.rows.read();
-        let indexes = self.current_indexes(&rows, |column| constrains(pred, column));
-        let tail = self.changelog.tail();
-        let (choice, cost) = plan_access_path(pred, &self.schema, rows.len(), &indexes, tail);
         // Rendering the plan (column-name allocations) happens only here,
         // on the diagnostics path — the scan path drops it unrendered.
-        let own = match choice {
+        let own = self.with_access_path(&rows, pred, |choice, cost| match choice {
             PathChoice::Full => ScanPlan::FullScan { rows: rows.len() },
             PathChoice::Key(_) => ScanPlan::KeyProbe { candidates: cost },
             PathChoice::Point(idx, _) => ScanPlan::PointProbe {
@@ -525,7 +539,7 @@ impl TableStore {
                 column: idx.column().to_string(),
                 candidates: cost,
             },
-        };
+        });
         match &self.base {
             Some(base) => own.stacked_on(base.store.plan_scan(pred)),
             None => own,
@@ -572,7 +586,7 @@ impl TableStore {
             return Ok(Some(Vec::new()));
         }
         let rows = layer.rows.read();
-        let indexes = layer.current_indexes(&rows, |column| column == order_col);
+        let indexes = layer.current_indexes(&rows, |idx| idx.column() == order_col);
         let idx = indexes
             .iter()
             .find(|i| i.column() == order_col)
@@ -599,32 +613,10 @@ impl TableStore {
         Ok(Some(out))
     }
 
-    /// The access path [`TableStore::scan_ordered_limit`] would take for
-    /// this predicate/ORDER BY combination at the latest timestamp —
-    /// [`ScanPlan::Empty`] for a provably empty predicate, else
-    /// [`ScanPlan::OrderedProbe`] — or `None` when it would fall back.
-    /// Lets tests and diagnostics observe the ordered-probe choice.
-    pub fn plan_ordered_scan(
-        &self,
-        pred: &Predicate,
-        order_col: &str,
-        limit: usize,
-    ) -> Option<ScanPlan> {
-        self.ordered_source(pred, order_col, Ts::MAX)?;
-        Some(if pred.provably_empty() {
-            ScanPlan::Empty
-        } else {
-            ScanPlan::OrderedProbe {
-                column: order_col.to_string(),
-                limit,
-            }
-        })
-    }
-
-    /// The eligibility rules of [`TableStore::scan_ordered_limit`], in one
-    /// place for it and [`TableStore::plan_ordered_scan`]: the layer whose
-    /// index on `order_col` serves a read at `ts`, the timestamp to read
-    /// it at, and the column's ordinal — or `None` to fall back.
+    /// The eligibility rules of [`TableStore::scan_ordered_limit`]: the
+    /// layer whose index on `order_col` serves a read at `ts`, the
+    /// timestamp to read it at, and the column's ordinal — or `None` to
+    /// fall back.
     fn ordered_source(
         &self,
         pred: &Predicate,
@@ -965,8 +957,8 @@ fn plan_access_path<'a>(
             choice = PathChoice::Key(keys);
         }
     }
-    // An index still behind the change log is never costed or probed:
-    // the caller caught up every index `constrains` names.
+    // An index still behind the change log, or never built, is never
+    // costed or probed: an unbuilt index is not an empty one.
     for idx in indexes.iter().filter(|idx| idx.is_current(tail)) {
         let column = idx.column();
         let point = pred.equality_on(column);
@@ -1010,6 +1002,29 @@ fn constrains(pred: &Predicate, column: &str) -> bool {
     pred.equality_on(column).is_some()
         || pred.in_list_on(column).is_some()
         || pred.bounds_on(column).is_some()
+}
+
+/// The column of the one unbuilt index a plan that nothing else serves
+/// builds for `pred`: the first in creation order that `pred` pins by
+/// equality, else by `IN (...)`, else bounds. The rule reads no data,
+/// since an unbuilt index has none to cost; an equality is taken to be
+/// the narrowest probe.
+fn index_to_build<'a>(pred: &Predicate, indexes: &'a [SecondaryIndex]) -> Option<&'a str> {
+    let shape = |column| {
+        let equality = pred.equality_on(column).is_some();
+        let listed = pred.in_list_on(column).is_some();
+        [equality, listed, pred.bounds_on(column).is_some()]
+            .iter()
+            .position(|&pins| pins)
+    };
+    let unbuilt = indexes
+        .iter()
+        .filter(|idx| !idx.is_built())
+        .map(SecondaryIndex::column);
+    let ranked = unbuilt.filter_map(|column| Some((shape(column)?, column)));
+    ranked
+        .min_by_key(|&(shape, _)| shape)
+        .map(|(_, column)| column)
 }
 
 /// The primary keys `pred` can only match, when its conjuncts pin every
@@ -1269,6 +1284,35 @@ mod tests {
     }
 
     #[test]
+    fn a_plan_builds_only_the_index_it_probes() {
+        let t = scored_table(100);
+        t.create_index("grp").unwrap();
+        t.create_index("score").unwrap();
+        let point = |column: &str, candidates| ScanPlan::PointProbe {
+            column: column.into(),
+            candidates,
+        };
+        // Nothing built: the first index pinned by equality is built, and
+        // the one only bounded is not.
+        let both = Predicate::ge("score", 0i64).and(Predicate::eq("grp", 3i64));
+        assert_eq!(t.plan_scan(&both), point("grp", 10));
+        assert_eq!(t.index_entries("grp"), Some(100));
+        assert_eq!(t.index_entries("score"), Some(0));
+        // A built index serves: the unbuilt one is neither built nor
+        // costed as an empty one (which would win with 0 candidates).
+        let pinned = Predicate::eq("grp", 3i64).and(Predicate::eq("score", 43i64));
+        assert_eq!(t.plan_scan(&pinned), point("grp", 10));
+        assert_eq!(t.index_entries("score"), Some(0));
+        let rows = t.scan_at(&pinned, 100).unwrap();
+        assert_eq!(rows, t.scan_at_full(&pinned, 100).unwrap());
+        assert_eq!(rows.len(), 1);
+        // A built index that loses to the walk: one more index is built.
+        let wide = Predicate::ge("grp", 0i64).and(Predicate::eq("score", 42i64));
+        assert_eq!(t.plan_scan(&wide), point("score", 1));
+        assert_eq!(t.index_entries("score"), Some(100));
+    }
+
+    #[test]
     fn planner_probes_the_row_map_when_the_primary_key_is_pinned() {
         // Composite key: every column must be pinned by equality.
         let t = subs_table();
@@ -1481,42 +1525,34 @@ mod tests {
     }
 
     #[test]
-    fn ordered_scan_and_its_plan_share_one_eligibility_rule() {
+    fn ordered_scans_stream_only_where_the_eligibility_rule_allows() {
         let t = scored_table(20);
         t.create_index("grp").unwrap();
         let empty = Predicate::gt("score", 9i64).and(Predicate::lt("score", 3i64));
         let live = Predicate::ge("score", 5i64);
+        let eligible = |pred, column| t.ordered_source(pred, column, Ts::MAX).is_some();
         // No index on `score`: both fall back, the provably empty
         // predicate included.
         for pred in [&empty, &live] {
-            assert_eq!(t.plan_ordered_scan(pred, "score", 3), None, "[{pred}]");
+            assert!(!eligible(pred, "score"), "[{pred}]");
             assert_eq!(
                 t.scan_ordered_limit(pred, "score", false, 3, 100).unwrap(),
                 None
             );
         }
         t.create_index("score").unwrap();
-        assert_eq!(
-            t.plan_ordered_scan(&empty, "score", 3),
-            Some(ScanPlan::Empty)
-        );
+        assert!(eligible(&empty, "score"));
         assert_eq!(
             t.scan_ordered_limit(&empty, "score", false, 3, 100)
                 .unwrap(),
             Some(Vec::new())
         );
-        assert_eq!(
-            t.plan_ordered_scan(&live, "score", 3),
-            Some(ScanPlan::OrderedProbe {
-                column: "score".into(),
-                limit: 3
-            })
-        );
+        assert!(eligible(&live, "score"));
         let top = t.scan_ordered_limit(&live, "score", true, 3, 100).unwrap();
         let keys: Vec<Key> = top.unwrap().into_iter().map(|(k, _)| k).collect();
         assert_eq!(keys, [19i64, 18, 17].map(Key::single));
         // Any index streams: `grp` serves its order too.
-        assert!(t.plan_ordered_scan(&Predicate::True, "grp", 3).is_some());
+        assert!(eligible(&Predicate::True, "grp"));
     }
 
     #[test]

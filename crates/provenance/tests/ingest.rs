@@ -511,4 +511,7 @@ fn the_paper_query_probes_the_event_table_by_user() {
     // Users and forums cycle 50 and 7 apart: (U1, F1) every 350 txns.
     let writers = store.query(sql).unwrap();
     assert_eq!(writers.len(), 2);
+    // Only the probed index was built.
+    assert!(table.index_entries("user_id") > Some(0));
+    assert_eq!(table.index_entries("forum"), Some(0));
 }

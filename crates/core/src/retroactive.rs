@@ -217,7 +217,10 @@ impl RetroactiveBuilder {
         }
     }
 
-    /// Selects explicit requests to re-execute (in original order).
+    /// Selects explicit requests to re-execute, in any order: [`run`]
+    /// takes the original order from their traces.
+    ///
+    /// [`run`]: RetroactiveBuilder::run
     pub fn requests(mut self, req_ids: &[&str]) -> Self {
         self.req_ids = req_ids.iter().map(|r| r.to_string()).collect();
         self
@@ -263,8 +266,13 @@ impl RetroactiveBuilder {
         self
     }
 
-    /// Runs the exploration.
-    pub fn run(self) -> Result<RetroactiveReport, RetroactiveError> {
+    /// Runs the exploration. The selected requests are first put in
+    /// their original order, the one [`Declarative::requests_touching_table`]
+    /// lists: by each request's first transaction, committed ones first,
+    /// then by commit timestamp, snapshot timestamp and trace timestamp.
+    /// Requests without a traced transaction come last, as selected. The
+    /// first ordering explored is the original one.
+    pub fn run(mut self) -> Result<RetroactiveReport, RetroactiveError> {
         if self.req_ids.is_empty() {
             return Err(RetroactiveError::NoRequestsSelected);
         }
@@ -294,6 +302,13 @@ impl RetroactiveBuilder {
         let selected_txns: Vec<_> = (self.req_ids.iter())
             .flat_map(|r| self.provenance.txns_for_request(r))
             .collect();
+        self.req_ids.sort_by_cached_key(|req| {
+            let first = (selected_txns.iter())
+                .filter(|t| t.ctx.req_id == *req)
+                .map(|t| (!t.committed, t.commit_ts, t.snapshot_ts, t.timestamp))
+                .min();
+            (first.is_none(), first)
+        });
         let snapshot_ts = self
             .snapshot_ts
             .unwrap_or_else(|| {

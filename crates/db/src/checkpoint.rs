@@ -4,8 +4,8 @@
 //! environment — every table (schema, secondary indexes and all rows
 //! visible at the checkpoint timestamp; a key-value namespace is its
 //! `kv:<name>` table), the commit clock and the transaction-id high-water
-//! mark — serialized with the same CRC discipline as WAL frames and the
-//! MANIFEST. Checkpoints are written by
+//! mark — serialized as a sealed file, the frame the MANIFEST shares
+//! (`wal::seal`). Checkpoints are written by
 //! [`crate::segment::SegmentedWal::write_checkpoint`] on the post-ack
 //! path and tracked in the MANIFEST alongside segments, so recovery can
 //! boot from the newest valid one and replay only the WAL tail after it
@@ -51,10 +51,9 @@ use crate::cdc::{is_kv_table, namespace_schema};
 use crate::error::StorageError;
 use crate::mvcc::Ts;
 use crate::row::{Key, Row};
-use crate::schema::{Column, Schema};
-use crate::value::DataType;
+use crate::schema::Schema;
 use crate::wal::{
-    crc32, dtype_tag, put_str, put_u32, put_u64, put_values, Cursor, MIN_COLUMN_LEN, MIN_STR_LEN,
+    put_schema, put_str, put_u32, put_u64, put_values, seal, unseal, Cursor, MIN_STR_LEN,
 };
 
 /// Magic prefix of a checkpoint file.
@@ -105,90 +104,42 @@ pub(crate) fn parse_checkpoint_name(name: &str) -> Option<Ts> {
     digits.parse().ok()
 }
 
-fn ckpt_corrupt(offset: u64, detail: impl Into<String>) -> StorageError {
-    StorageError::Corrupt {
-        offset,
-        detail: format!("checkpoint: {}", detail.into()),
-    }
-}
-
-/// Serializes a checkpoint: magic, the standard CRC frame header
-/// (payload length, payload CRC, header CRC), then the payload. The
-/// whole file is one frame — a checkpoint is valid in its entirety or
-/// not at all.
+/// Serializes a checkpoint as one sealed file (`wal::seal`): magic, the
+/// standard CRC frame header, then the payload — a checkpoint is valid
+/// in its entirety or not at all.
 pub fn encode_checkpoint(ck: &Checkpoint) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(1024);
-    put_u32(&mut payload, CHECKPOINT_VERSION);
-    put_u64(&mut payload, ck.ts);
-    put_u64(&mut payload, ck.next_txn_id);
-    put_u64(&mut payload, ck.sealed_below);
-    put_u32(&mut payload, ck.tables.len() as u32);
-    for t in &ck.tables {
-        put_str(&mut payload, &t.name);
-        put_u32(&mut payload, t.schema.columns().len() as u32);
-        for col in t.schema.columns() {
-            put_str(&mut payload, &col.name);
-            payload.push(dtype_tag(col.dtype));
-            payload.push(col.nullable as u8);
+    seal(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, |out| {
+        put_u64(out, ck.ts);
+        put_u64(out, ck.next_txn_id);
+        put_u64(out, ck.sealed_below);
+        put_u32(out, ck.tables.len() as u32);
+        for t in &ck.tables {
+            put_str(out, &t.name);
+            put_schema(out, &t.schema);
+            put_u32(out, t.indexes.len() as u32);
+            for c in &t.indexes {
+                put_str(out, c);
+            }
+            put_u64(out, t.rows.len() as u64);
+            for (key, row) in &t.rows {
+                put_values(out, key.values());
+                put_values(out, row.values());
+            }
         }
-        // Primary key as column names, mirroring the WAL's CreateTable
-        // encoding, so the schema round-trips through `Schema::new`.
-        put_u32(&mut payload, t.schema.primary_key().len() as u32);
-        for &idx in t.schema.primary_key() {
-            put_str(&mut payload, &t.schema.columns()[idx].name);
-        }
-        put_u32(&mut payload, t.indexes.len() as u32);
-        for c in &t.indexes {
-            put_str(&mut payload, c);
-        }
-        put_u64(&mut payload, t.rows.len() as u64);
-        for (key, row) in &t.rows {
-            put_values(&mut payload, key.values());
-            put_values(&mut payload, row.values());
-        }
-    }
-
-    let mut out = Vec::with_capacity(8 + 12 + payload.len());
-    out.extend_from_slice(CHECKPOINT_MAGIC);
-    put_u32(&mut out, payload.len() as u32);
-    put_u32(&mut out, crc32(&payload));
-    let hdr_crc = crc32(&out[8..16]);
-    put_u32(&mut out, hdr_crc);
-    out.extend_from_slice(&payload);
-    out
+    })
 }
 
 /// Decodes and fully validates a checkpoint file. Every failure is a
 /// typed [`StorageError::Corrupt`] — the caller falls back to an older
 /// checkpoint or full replay, never to a silently partial state.
 pub fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, StorageError> {
-    if bytes.len() < 8 + 12 {
-        return Err(ckpt_corrupt(0, "truncated checkpoint"));
-    }
-    if &bytes[..8] != CHECKPOINT_MAGIC {
-        return Err(ckpt_corrupt(0, "bad magic"));
-    }
-    let hdr = &bytes[8..20];
-    let stored_hdr_crc = u32::from_le_bytes(hdr[8..12].try_into().unwrap());
-    if crc32(&hdr[0..8]) != stored_hdr_crc {
-        return Err(ckpt_corrupt(8, "header checksum mismatch"));
-    }
-    let len = u32::from_le_bytes(hdr[0..4].try_into().unwrap()) as usize;
-    if bytes.len() != 20 + len {
-        return Err(ckpt_corrupt(
-            20,
-            format!(
-                "payload length mismatch: header says {len}, have {}",
-                bytes.len() - 20
-            ),
-        ));
-    }
-    let payload = &bytes[20..];
-    let stored_crc = u32::from_le_bytes(hdr[4..8].try_into().unwrap());
-    if crc32(payload) != stored_crc {
-        return Err(ckpt_corrupt(20, "payload checksum mismatch"));
-    }
-    decode_payload(payload).map_err(|detail| ckpt_corrupt(20, detail))
+    unseal(
+        bytes,
+        CHECKPOINT_MAGIC,
+        CHECKPOINT_VERSION,
+        "checkpoint",
+        decode_payload,
+    )
 }
 
 /// Fewest bytes a table encodes in: name, column, primary-key and index
@@ -197,12 +148,7 @@ const MIN_TABLE_LEN: usize = MIN_STR_LEN + 3 * 4 + 8;
 /// Fewest bytes a row encodes in: the key's and the image's value counts.
 const MIN_ROW_LEN: usize = 2 * 4;
 
-fn decode_payload(payload: &[u8]) -> Result<Checkpoint, String> {
-    let mut c = Cursor::new(payload);
-    let version = c.u32()?;
-    if version != CHECKPOINT_VERSION {
-        return Err(format!("unsupported checkpoint version {version}"));
-    }
+fn decode_payload(c: &mut Cursor) -> Result<Checkpoint, String> {
     let ts = c.u64()?;
     let next_txn_id = c.u64()?;
     let sealed_below = c.u64()?;
@@ -210,25 +156,8 @@ fn decode_payload(payload: &[u8]) -> Result<Checkpoint, String> {
     let mut tables = Vec::with_capacity(n_tables);
     for _ in 0..n_tables {
         let name = c.str()?;
-        let ncols = c.count(MIN_COLUMN_LEN, "column")?;
-        let mut columns = Vec::with_capacity(ncols);
-        for _ in 0..ncols {
-            let col_name = c.str()?;
-            let dtype: DataType = c.dtype()?;
-            let nullable = c.u8()? != 0;
-            columns.push(if nullable {
-                Column::nullable(col_name, dtype)
-            } else {
-                Column::new(col_name, dtype)
-            });
-        }
-        let npk = c.count(MIN_STR_LEN, "pk")?;
-        let mut pk = Vec::with_capacity(npk);
-        for _ in 0..npk {
-            pk.push(c.str()?);
-        }
-        let pk_refs: Vec<&str> = pk.iter().map(String::as_str).collect();
-        let schema = Schema::new(columns, &pk_refs)
+        let schema = c
+            .schema("pk")?
             .map_err(|e| format!("invalid schema for `{name}`: {e}"))?;
         if is_kv_table(&name) && schema != namespace_schema() {
             return Err(format!("`{name}` does not have the namespace schema"));
@@ -252,9 +181,6 @@ fn decode_payload(payload: &[u8]) -> Result<Checkpoint, String> {
             rows,
         });
     }
-    if c.remaining() != 0 {
-        return Err(format!("{} trailing bytes", c.remaining()));
-    }
     Ok(Checkpoint {
         ts,
         next_txn_id,
@@ -268,7 +194,8 @@ mod tests {
     use super::*;
     use crate::cdc::namespace_row;
     use crate::row;
-    use crate::value::Value;
+    use crate::value::{DataType, Value};
+    use crate::wal::crc32;
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
 

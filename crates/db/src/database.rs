@@ -58,7 +58,7 @@ use crate::registry::{ActiveTxnRegistry, GcPin};
 use crate::row::{Key, Row};
 use crate::schema::Schema;
 use crate::segment::{RecoveredLog, RecoveryReport, Replay, SegmentedWal};
-use crate::table::{ScanPlan, ScanRows, TableStore};
+use crate::table::{ScanPlan, TableStore};
 use crate::txn::{IsolationLevel, Transaction};
 use crate::wal::{WalOptions, WalRecord};
 
@@ -513,8 +513,8 @@ impl Database {
     }
 
     /// Creates a secondary index on `table.column`, serving equality,
-    /// `IN (...)`, comparison-window and `ORDER BY ... LIMIT` probes
-    /// through the scan planner (see "The read path" in `DESIGN.md`).
+    /// `IN (...)` and comparison-window probes through the scan planner
+    /// (see "The read path" in `DESIGN.md`).
     pub fn create_index(&self, table: &str, column: &str) -> DbResult<()> {
         self.table(table)?.create_index(column)?;
         self.log_ddl(WalRecord::CreateIndex {
@@ -691,28 +691,6 @@ impl Database {
         ts: Ts,
     ) -> DbResult<Vec<(Key, Arc<Row>)>> {
         self.table(table)?.scan_at(pred, ts.min(self.current_ts()))
-    }
-
-    /// Top-k scan through the index on `order_col`: rows matching
-    /// `pred` in `order_col` order (ties by primary key), truncated to
-    /// `limit` — O(k) in the result size instead of scan + sort.
-    /// Returns `Ok(None)` when the table cannot serve the order from an
-    /// index (no index on the column, or the column is nullable
-    /// with no predicate bound to exclude NULLs — NULLs are never
-    /// indexed); callers then fall back to scan + sort. The result is
-    /// exactly what scan + stable sort + truncate would produce.
-    pub fn scan_ordered_as_of(
-        &self,
-        table: &str,
-        pred: &Predicate,
-        order_col: &str,
-        descending: bool,
-        limit: usize,
-        ts: Ts,
-    ) -> DbResult<Option<ScanRows>> {
-        let ts = ts.min(self.current_ts());
-        self.table(table)?
-            .scan_ordered_limit(pred, order_col, descending, limit, ts)
     }
 
     /// The access path a scan of `table` for `pred` would take, with its

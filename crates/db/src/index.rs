@@ -11,10 +11,10 @@
 //! Maintenance is **lazy**: an index is a view of its table's change log
 //! ([`crate::changelog`]), brought up to date when it is read and never
 //! when rows are written. Each index records `through`, the timestamp
-//! up to which it has applied every change. Before the planner, a probe
-//! or an ordered walk reads an index, the table checks it against the
-//! log's tail and, only if it is behind, replays the entries after
-//! `through` (`SecondaryIndex::catch_up`): an entry's before image is
+//! up to which it has applied every change. Before the planner or a
+//! probe reads an index, the table checks it against the log's tail
+//! and, only if it is behind, replays the entries after `through`
+//! (`SecondaryIndex::catch_up`): an entry's before image is
 //! unlinked — its entry stamped with the entry's commit timestamp
 //! instead of removed, so reads below the stamp still find the key — and
 //! its after image inserted live. A caught-up index is exact at the
@@ -31,16 +31,14 @@
 //! total order predicates compare with, and the one `Value`'s `Eq` is
 //! defined by — so one map answers every probe shape at any read
 //! timestamp: point probes (`=`, and `IN (...)` one probe per element),
-//! bounded range windows (`<`, `<=`, `>`, `>=`) and value-ordered walks.
-//! Within a value, a slot keeps its keys in primary-key order too, so
-//! every probe of one slot hands out its candidates sorted and unique:
-//! a point probe needs no sort before the scan visits it in key order,
-//! and an ordered walk breaks ties by primary key as it goes. Most
-//! values of a provenance column (a request id, a commit timestamp) are
-//! held by one key, so a slot keeps its first key inline and builds its
-//! ordered map only when the value gets a second key: a bulk load of a
-//! column of distinct values builds one tree, over the values, and none
-//! per value.
+//! and bounded range windows (`<`, `<=`, `>`, `>=`). Within a value, a
+//! slot keeps its keys in primary-key order too, so every probe of one
+//! slot hands out its candidates sorted and unique: a point probe needs
+//! no sort before the scan visits it in key order. Most values of a
+//! provenance column (a request id, a commit timestamp) are held by one
+//! key, so a slot keeps its first key inline and builds its ordered map
+//! only when the value gets a second key: a bulk load of a column of
+//! distinct values builds one tree, over the values, and none per value.
 
 use std::collections::BTreeMap;
 
@@ -375,40 +373,12 @@ impl SecondaryIndex {
         n
     }
 
-    /// Walks the value slots inside `bounds` in value order — descending
-    /// when `descending` — calling `visit` with each distinct value and
-    /// its candidate keys at `ts`, strictly increasing (values whose
-    /// slots hold no candidate at `ts` are skipped). `visit` returns
-    /// `false` to stop the walk; the streamed `ORDER BY ... LIMIT` scan
-    /// path uses this to consume rows in output order and stop at the
-    /// limit instead of materialising and re-sorting the whole result.
-    /// Candidates carry
-    /// the usual over-approximation contract: the caller re-checks
-    /// visibility, the row's current column value, and the predicate.
-    pub fn ordered_walk_at(
-        &self,
-        bounds: &ColumnBounds,
-        descending: bool,
-        ts: Ts,
-        mut visit: impl FnMut(&Value, Vec<Key>) -> bool,
-    ) {
-        let mut step = |(value, slot): (&Value, &Slot)| -> bool {
-            let keys: Vec<Key> = slot.candidates_at(ts).collect();
-            keys.is_empty() || visit(value, keys)
-        };
-        if descending {
-            self.range_slots(bounds).rev().all(&mut step);
-        } else {
-            self.range_slots(bounds).all(&mut step);
-        }
-    }
-
     /// The value slots inside `bounds`. Guards the provably-empty window
     /// (`BTreeMap::range` panics on inverted bounds).
     fn range_slots<'a>(
         &'a self,
         bounds: &'a ColumnBounds,
-    ) -> impl DoubleEndedIterator<Item = (&'a Value, &'a Slot)> + 'a {
+    ) -> impl Iterator<Item = (&'a Value, &'a Slot)> + 'a {
         let range = (bounds.lower.as_ref(), bounds.upper.as_ref());
         (!bounds.is_empty())
             .then(|| self.entries.range::<Value, _>(range))
@@ -647,12 +617,6 @@ mod tests {
             "half-open single point"
         );
         assert_eq!(idx.candidate_count_capped(&int_bounds(30, 10), 10), 0);
-        let mut visited = 0;
-        idx.ordered_walk_at(&int_bounds(30, 10), false, 0, |_, _| {
-            visited += 1;
-            true
-        });
-        assert_eq!(visited, 0);
     }
 
     #[test]

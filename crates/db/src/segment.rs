@@ -46,7 +46,7 @@ use crate::error::StorageError;
 use crate::log::{CommittedTxn, LoggedTxn};
 use crate::mvcc::Ts;
 use crate::wal::{
-    crc32, put_str, put_u32, put_u64, stream_records, Cursor, RecoveryInfo, SyncMode, Wal,
+    put_str, put_u32, put_u64, seal, stream_records, unseal, RecoveryInfo, SyncMode, Wal,
     WalOptions, WalRecord, Wanted, ALL, MIN_STR_LEN,
 };
 
@@ -125,37 +125,28 @@ struct Manifest {
 }
 
 fn encode_manifest(m: &Manifest) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(64);
-    put_u32(&mut payload, MANIFEST_VERSION);
-    put_u64(&mut payload, m.next_seq);
-    // The cold count: always 0 (see `decode_manifest`).
-    put_u32(&mut payload, 0);
-    put_u32(&mut payload, m.sealed.len() as u32);
-    for s in &m.sealed {
-        put_str(&mut payload, &s.name);
-        put_u64(&mut payload, s.seq_lo);
-        put_u64(&mut payload, s.len);
-        put_u64(&mut payload, s.max_ts);
-        payload.push(s.has_ddl as u8);
-    }
-    put_str(&mut payload, &m.active_name);
-    put_u64(&mut payload, m.active_seq);
-    put_u32(&mut payload, m.checkpoints.len() as u32);
-    for ck in &m.checkpoints {
-        put_str(&mut payload, &ck.name);
-        put_u64(&mut payload, ck.ts);
-        put_u64(&mut payload, ck.len);
-    }
-    put_u64(&mut payload, m.gc_floor);
-
-    let mut out = Vec::with_capacity(8 + 12 + payload.len());
-    out.extend_from_slice(MANIFEST_MAGIC);
-    put_u32(&mut out, payload.len() as u32);
-    put_u32(&mut out, crc32(&payload));
-    let hdr_crc = crc32(&out[8..16]);
-    put_u32(&mut out, hdr_crc);
-    out.extend_from_slice(&payload);
-    out
+    seal(MANIFEST_MAGIC, MANIFEST_VERSION, |out| {
+        put_u64(out, m.next_seq);
+        // The cold count: always 0 (see `decode_manifest`).
+        put_u32(out, 0);
+        put_u32(out, m.sealed.len() as u32);
+        for s in &m.sealed {
+            put_str(out, &s.name);
+            put_u64(out, s.seq_lo);
+            put_u64(out, s.len);
+            put_u64(out, s.max_ts);
+            out.push(s.has_ddl as u8);
+        }
+        put_str(out, &m.active_name);
+        put_u64(out, m.active_seq);
+        put_u32(out, m.checkpoints.len() as u32);
+        for ck in &m.checkpoints {
+            put_str(out, &ck.name);
+            put_u64(out, ck.ts);
+            put_u64(out, ck.len);
+        }
+        put_u64(out, m.gc_floor);
+    })
 }
 
 /// Fewest bytes a sealed entry encodes in: name, sequence number,
@@ -164,89 +155,52 @@ const MIN_SEALED_LEN: usize = MIN_STR_LEN + 3 * 8 + 1;
 /// Fewest bytes a checkpoint entry encodes in: name, ts, length.
 const MIN_CHECKPOINT_LEN: usize = MIN_STR_LEN + 2 * 8;
 
-fn manifest_corrupt(offset: u64, detail: impl Into<String>) -> StorageError {
-    StorageError::Corrupt {
-        offset,
-        detail: format!("{MANIFEST_NAME}: {}", detail.into()),
-    }
-}
-
 fn decode_manifest(bytes: &[u8]) -> Result<Manifest, StorageError> {
-    if bytes.len() < 8 + 12 {
-        return Err(manifest_corrupt(0, "truncated manifest"));
-    }
-    if &bytes[..8] != MANIFEST_MAGIC {
-        return Err(manifest_corrupt(0, "bad magic"));
-    }
-    let hdr = &bytes[8..20];
-    let stored_hdr_crc = u32::from_le_bytes(hdr[8..12].try_into().unwrap());
-    if crc32(&hdr[0..8]) != stored_hdr_crc {
-        return Err(manifest_corrupt(8, "header checksum mismatch"));
-    }
-    let len = u32::from_le_bytes(hdr[0..4].try_into().unwrap()) as usize;
-    if bytes.len() != 20 + len {
-        return Err(manifest_corrupt(
-            20,
-            format!(
-                "payload length mismatch: header says {len}, have {}",
-                bytes.len() - 20
-            ),
-        ));
-    }
-    let payload = &bytes[20..];
-    let stored_crc = u32::from_le_bytes(hdr[4..8].try_into().unwrap());
-    if crc32(payload) != stored_crc {
-        return Err(manifest_corrupt(20, "payload checksum mismatch"));
-    }
-    (|| -> Result<Manifest, String> {
-        let mut c = Cursor::new(payload);
-        let version = c.u32()?;
-        if version != MANIFEST_VERSION {
-            return Err(format!("unsupported manifest version {version}"));
-        }
-        let next_seq = c.u64()?;
-        // The layout keeps the place of a cold list, which no writer
-        // fills: every sealed file is a `wal-*.seg` in the sealed list.
-        let n_cold = c.u32()?;
-        if n_cold != 0 {
-            return Err(format!("cold list of {n_cold} files is not supported"));
-        }
-        let n_sealed = c.count(MIN_SEALED_LEN, "sealed")?;
-        let mut sealed = Vec::with_capacity(n_sealed);
-        for _ in 0..n_sealed {
-            sealed.push(ListedFile {
-                name: c.str()?,
-                seq_lo: c.u64()?,
-                len: c.u64()?,
-                max_ts: c.u64()?,
-                has_ddl: c.bool()?,
-            });
-        }
-        let active_name = c.str()?;
-        let active_seq = c.u64()?;
-        let n_ckpt = c.count(MIN_CHECKPOINT_LEN, "checkpoint")?;
-        let mut checkpoints = Vec::with_capacity(n_ckpt);
-        for _ in 0..n_ckpt {
-            checkpoints.push(CheckpointFile {
-                name: c.str()?,
-                ts: c.u64()?,
-                len: c.u64()?,
-            });
-        }
-        let gc_floor = c.u64()?;
-        if c.remaining() != 0 {
-            return Err(format!("{} trailing bytes", c.remaining()));
-        }
-        Ok(Manifest {
-            next_seq,
-            sealed,
-            active_seq,
-            active_name,
-            checkpoints,
-            gc_floor,
-        })
-    })()
-    .map_err(|detail| manifest_corrupt(20, detail))
+    unseal(
+        bytes,
+        MANIFEST_MAGIC,
+        MANIFEST_VERSION,
+        MANIFEST_NAME,
+        |c| {
+            let next_seq = c.u64()?;
+            // The layout keeps the place of a cold list, which no writer
+            // fills: every sealed file is a `wal-*.seg` in the sealed list.
+            let n_cold = c.u32()?;
+            if n_cold != 0 {
+                return Err(format!("cold list of {n_cold} files is not supported"));
+            }
+            let n_sealed = c.count(MIN_SEALED_LEN, "sealed")?;
+            let mut sealed = Vec::with_capacity(n_sealed);
+            for _ in 0..n_sealed {
+                sealed.push(ListedFile {
+                    name: c.str()?,
+                    seq_lo: c.u64()?,
+                    len: c.u64()?,
+                    max_ts: c.u64()?,
+                    has_ddl: c.bool()?,
+                });
+            }
+            let active_name = c.str()?;
+            let active_seq = c.u64()?;
+            let n_ckpt = c.count(MIN_CHECKPOINT_LEN, "checkpoint")?;
+            let mut checkpoints = Vec::with_capacity(n_ckpt);
+            for _ in 0..n_ckpt {
+                checkpoints.push(CheckpointFile {
+                    name: c.str()?,
+                    ts: c.u64()?,
+                    len: c.u64()?,
+                });
+            }
+            Ok(Manifest {
+                next_seq,
+                sealed,
+                active_seq,
+                active_name,
+                checkpoints,
+                gc_floor: c.u64()?,
+            })
+        },
+    )
 }
 
 /// Publishes the file `name` atomically: `body` writes it as
@@ -1210,6 +1164,7 @@ mod tests {
     use crate::dir::{DirFailpointHandle, FailpointDir, MemDir};
     use crate::row;
     use crate::row::Key;
+    use crate::wal::crc32;
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
 

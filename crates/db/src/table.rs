@@ -5,7 +5,6 @@
 //! has not written (see "Forking and replay injection" in
 //! `DESIGN.md`).
 
-use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -544,97 +543,6 @@ impl TableStore {
             Some(base) => own.stacked_on(base.store.plan_scan(pred)),
             None => own,
         }
-    }
-
-    /// Streams rows visible at `ts` matching `pred` in `order_col` order
-    /// (descending if `descending`), stopping after `limit` rows — the
-    /// `ORDER BY <indexed col> LIMIT k` fast path. Returns `None` when
-    /// the streamed probe is not applicable and the caller must fall back
-    /// to scan + sort:
-    ///
-    /// * no index exists on `order_col`, or
-    /// * `order_col` is nullable *and* the predicate places no bounds on
-    ///   it — NULLs are never indexed, but they sort (first ascending,
-    ///   last descending, per [`Value::total_cmp`]'s type ranking), so
-    ///   the walk would drop or misplace them. A comparison window on the
-    ///   column excludes NULL rows (NULL fails every comparison), making
-    ///   the index complete over the result set again, or
-    /// * this is a fork's table that has written anything: two ordered
-    ///   walks would need a merge, and the fallback is already exact. A
-    ///   fork that has written nothing streams its base's walk.
-    ///
-    /// The output is exactly what scan + stable-sort-by-`order_col` +
-    /// truncate produces: values in index order, ties broken by primary
-    /// key (the stable sort's input is key-ordered). Each candidate is
-    /// accepted only if its visible row still carries the slot's value —
-    /// a key the index over-approximates into several value slots lands
-    /// exactly once, in its current group.
-    pub fn scan_ordered_limit(
-        &self,
-        pred: &Predicate,
-        order_col: &str,
-        descending: bool,
-        limit: usize,
-        ts: Ts,
-    ) -> DbResult<Option<ScanRows>> {
-        let Some((layer, ts, col_idx)) = self.ordered_source(pred, order_col, ts) else {
-            return Ok(None);
-        };
-        let compiled = pred.compile(&self.name, &layer.schema)?;
-        if pred.provably_empty() {
-            // Still index-eligible: the empty result needs no fallback.
-            return Ok(Some(Vec::new()));
-        }
-        let rows = layer.rows.read();
-        let indexes = layer.current_indexes(&rows, |idx| idx.column() == order_col);
-        let idx = indexes
-            .iter()
-            .find(|i| i.column() == order_col)
-            .expect("`ordered_source` found the index, and indexes are never dropped");
-        let bounds = pred.bounds_on(order_col).unwrap_or(ColumnBounds {
-            lower: Bound::Unbounded,
-            upper: Bound::Unbounded,
-        });
-        let mut out = Vec::new();
-        // A slot hands out its keys in primary-key order, so ties within
-        // a value group break by primary key, matching the fallback's
-        // stable sort over a key-ordered scan.
-        idx.ordered_walk_at(&bounds, descending, ts, |value, keys| {
-            for key in keys {
-                if let Some(row) = rows.get(&key).and_then(|chain| chain.visible_at(ts)) {
-                    if row.get(col_idx) == Some(value) && compiled.matches(row) {
-                        out.push((key, row.clone()));
-                    }
-                }
-            }
-            out.len() < limit
-        });
-        out.truncate(limit);
-        Ok(Some(out))
-    }
-
-    /// The eligibility rules of [`TableStore::scan_ordered_limit`]: the
-    /// layer whose index on `order_col` serves a read at `ts`, the
-    /// timestamp to read it at, and the column's ordinal — or `None` to
-    /// fall back.
-    fn ordered_source(
-        &self,
-        pred: &Predicate,
-        order_col: &str,
-        ts: Ts,
-    ) -> Option<(&TableStore, Ts, usize)> {
-        if let Some(base) = &self.base {
-            if ts < base.ts || !self.rows.read().is_empty() {
-                return None;
-            }
-            return base.store.ordered_source(pred, order_col, base.ts);
-        }
-        let col_idx = self.schema.column_index(order_col)?;
-        if self.schema.columns()[col_idx].nullable && pred.bounds_on(order_col).is_none() {
-            return None;
-        }
-        let indexed = self.indexes.read().iter().any(|i| i.column() == order_col);
-        indexed.then_some((self, ts, col_idx))
     }
 
     /// [`TableStore::scan_at`] forced down the full-scan path, bypassing
@@ -1522,37 +1430,6 @@ mod tests {
         assert!(t.plan_scan(&pred).uses_index());
         assert_eq!(t.scan_at(&pred, 29).unwrap().len(), 1);
         assert_eq!(t.scan_at(&pred, 30).unwrap().len(), 0);
-    }
-
-    #[test]
-    fn ordered_scans_stream_only_where_the_eligibility_rule_allows() {
-        let t = scored_table(20);
-        t.create_index("grp").unwrap();
-        let empty = Predicate::gt("score", 9i64).and(Predicate::lt("score", 3i64));
-        let live = Predicate::ge("score", 5i64);
-        let eligible = |pred, column| t.ordered_source(pred, column, Ts::MAX).is_some();
-        // No index on `score`: both fall back, the provably empty
-        // predicate included.
-        for pred in [&empty, &live] {
-            assert!(!eligible(pred, "score"), "[{pred}]");
-            assert_eq!(
-                t.scan_ordered_limit(pred, "score", false, 3, 100).unwrap(),
-                None
-            );
-        }
-        t.create_index("score").unwrap();
-        assert!(eligible(&empty, "score"));
-        assert_eq!(
-            t.scan_ordered_limit(&empty, "score", false, 3, 100)
-                .unwrap(),
-            Some(Vec::new())
-        );
-        assert!(eligible(&live, "score"));
-        let top = t.scan_ordered_limit(&live, "score", true, 3, 100).unwrap();
-        let keys: Vec<Key> = top.unwrap().into_iter().map(|(k, _)| k).collect();
-        assert_eq!(keys, [19i64, 18, 17].map(Key::single));
-        // Any index streams: `grp` serves its order too.
-        assert!(eligible(&Predicate::True, "grp"));
     }
 
     #[test]

@@ -50,7 +50,7 @@ use std::sync::Arc;
 use parking_lot::{Condvar, Mutex};
 
 use crate::dir::{io_err, FsFile, LogFile};
-use crate::error::StorageError;
+use crate::error::{DbResult, StorageError};
 use crate::log::{CommittedTxn, LoggedTxn, LoggedWrite};
 use crate::mvcc::Ts;
 use crate::row::{Key, Row};
@@ -400,7 +400,7 @@ pub(crate) fn put_values(out: &mut Vec<u8>, values: &[Value]) {
     }
 }
 
-pub(crate) fn dtype_tag(d: DataType) -> u8 {
+fn dtype_tag(d: DataType) -> u8 {
     match d {
         DataType::Bool => 0,
         DataType::Int => 1,
@@ -408,6 +408,23 @@ pub(crate) fn dtype_tag(d: DataType) -> u8 {
         DataType::Text => 3,
         DataType::Bytes => 4,
         DataType::Timestamp => 5,
+    }
+}
+
+/// A schema: each column's name, type tag and nullable flag, then the
+/// primary key as column names, so it round-trips through
+/// [`Schema::new`] ([`Cursor::schema`]). A `CreateTable` record and a
+/// checkpoint table both write it.
+pub(crate) fn put_schema(out: &mut Vec<u8>, schema: &Schema) {
+    put_u32(out, schema.columns().len() as u32);
+    for col in schema.columns() {
+        put_str(out, &col.name);
+        out.push(dtype_tag(col.dtype));
+        out.push(col.nullable as u8);
+    }
+    put_u32(out, schema.primary_key().len() as u32);
+    for &idx in schema.primary_key() {
+        put_str(out, &schema.columns()[idx].name);
     }
 }
 
@@ -443,18 +460,7 @@ fn encode_payload(record: &WalRecord) -> Vec<u8> {
         WalRecord::CreateTable { name, schema } => {
             out.push(TAG_CREATE_TABLE);
             put_str(&mut out, name);
-            put_u32(&mut out, schema.columns().len() as u32);
-            for col in schema.columns() {
-                put_str(&mut out, &col.name);
-                out.push(dtype_tag(col.dtype));
-                out.push(col.nullable as u8);
-            }
-            // Primary key as column names, so the schema round-trips
-            // through its public constructor.
-            put_u32(&mut out, schema.primary_key().len() as u32);
-            for &idx in schema.primary_key() {
-                put_str(&mut out, &schema.columns()[idx].name);
-            }
+            put_schema(&mut out, schema);
         }
         WalRecord::CreateIndex { table, column } => {
             out.push(TAG_CREATE_INDEX);
@@ -487,9 +493,86 @@ fn frame_of(payload: &[u8]) -> Vec<u8> {
     frame
 }
 
+/// Bytes before a sealed file's payload: its magic, then a frame header.
+const SEALED_HEADER_LEN: usize = 8 + FRAME_HEADER_LEN;
+
+/// Encodes a sealed file (a checkpoint, the MANIFEST): `magic`, a frame
+/// header, then the payload — `version`, followed by what `body` writes.
+/// The whole file is one frame, valid in its entirety or not at all.
+/// The header is filled in over the payload's buffer, so a multi-MB
+/// payload is never copied.
+pub(crate) fn seal(magic: &[u8; 8], version: u32, body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = Vec::with_capacity(1024);
+    out.extend_from_slice(magic);
+    out.resize(SEALED_HEADER_LEN, 0);
+    put_u32(&mut out, version);
+    body(&mut out);
+    let len = (out.len() - SEALED_HEADER_LEN) as u32;
+    let crc = crc32(&out[SEALED_HEADER_LEN..]);
+    out[8..12].copy_from_slice(&len.to_le_bytes());
+    out[12..16].copy_from_slice(&crc.to_le_bytes());
+    let hdr_crc = crc32(&out[8..16]);
+    out[16..20].copy_from_slice(&hdr_crc.to_le_bytes());
+    out
+}
+
+/// Checks a sealed file named `what` ([`seal`]) and decodes its payload:
+/// the version must be `version`, and `body` must consume the rest. Every
+/// failure is a typed [`StorageError::Corrupt`] whose detail starts with
+/// `what`, at the payload's offset once the frame itself is whole.
+pub(crate) fn unseal<T>(
+    bytes: &[u8],
+    magic: &[u8; 8],
+    version: u32,
+    what: &str,
+    body: impl FnOnce(&mut Cursor) -> Result<T, String>,
+) -> Result<T, StorageError> {
+    let corrupt = |offset: usize, detail: String| StorageError::Corrupt {
+        offset: offset as u64,
+        detail: format!("{what}: {detail}"),
+    };
+    let noun = what.to_lowercase();
+    if bytes.len() < SEALED_HEADER_LEN {
+        return Err(corrupt(0, format!("truncated {noun}")));
+    }
+    if &bytes[..8] != magic {
+        return Err(corrupt(0, "bad magic".into()));
+    }
+    let (hdr, payload) = bytes[8..].split_at(FRAME_HEADER_LEN);
+    if !header_crc_ok(hdr) {
+        return Err(corrupt(8, "header checksum mismatch".into()));
+    }
+    let len = u32::from_le_bytes(hdr[0..4].try_into().unwrap()) as usize;
+    if payload.len() != len {
+        let detail = format!(
+            "payload length mismatch: header says {len}, have {}",
+            payload.len()
+        );
+        return Err(corrupt(SEALED_HEADER_LEN, detail));
+    }
+    if crc32(payload) != u32::from_le_bytes(hdr[4..8].try_into().unwrap()) {
+        return Err(corrupt(
+            SEALED_HEADER_LEN,
+            "payload checksum mismatch".into(),
+        ));
+    }
+    let mut c = Cursor::new(payload);
+    let decoded = c.u32().and_then(|found| match found == version {
+        true => body(&mut c),
+        false => Err(format!("unsupported {noun} version {found}")),
+    });
+    decoded
+        .and_then(|decoded| match c.remaining() {
+            0 => Ok(decoded),
+            n => Err(format!("{n} trailing bytes")),
+        })
+        .map_err(|detail| corrupt(SEALED_HEADER_LEN, detail))
+}
+
 // Bounds-checked reader: every decode failure is a `String` detail the
 // caller wraps into a typed error — malformed bytes can never panic.
-// Shared with the MANIFEST codec in `crate::segment`.
+// Shared with the sealed-file codecs of `crate::segment` and
+// `crate::checkpoint` ([`unseal`]).
 pub(crate) struct Cursor<'a> {
     data: &'a [u8],
     pos: usize,
@@ -637,7 +720,32 @@ impl<'a> Cursor<'a> {
         Ok(LoggedWrite { table, key, after })
     }
 
-    pub(crate) fn dtype(&mut self) -> Result<DataType, String> {
+    /// A schema written by [`put_schema`], `pk` naming its primary-key
+    /// count in a detail. The outer error is the bytes', the inner one
+    /// the schema's own ([`Schema::new`]), for the caller to word.
+    pub(crate) fn schema(&mut self, pk: &str) -> Result<DbResult<Schema>, String> {
+        let ncols = self.count(MIN_COLUMN_LEN, "column")?;
+        let mut columns = Vec::with_capacity(ncols);
+        for _ in 0..ncols {
+            let name = self.str()?;
+            let dtype = self.dtype()?;
+            let nullable = self.u8()? != 0;
+            columns.push(if nullable {
+                Column::nullable(name, dtype)
+            } else {
+                Column::new(name, dtype)
+            });
+        }
+        let npk = self.count(MIN_STR_LEN, pk)?;
+        let mut names = Vec::with_capacity(npk);
+        for _ in 0..npk {
+            names.push(self.str()?);
+        }
+        let names: Vec<&str> = names.iter().map(String::as_str).collect();
+        Ok(Schema::new(columns, &names))
+    }
+
+    fn dtype(&mut self) -> Result<DataType, String> {
         Ok(match self.u8()? {
             0 => DataType::Bool,
             1 => DataType::Int,
@@ -653,7 +761,7 @@ impl<'a> Cursor<'a> {
 /// Fewest bytes a string encodes in: its `u32` length.
 pub(crate) const MIN_STR_LEN: usize = 4;
 /// Fewest bytes a column encodes in: name, type tag, nullable flag.
-pub(crate) const MIN_COLUMN_LEN: usize = MIN_STR_LEN + 2;
+const MIN_COLUMN_LEN: usize = MIN_STR_LEN + 2;
 /// Fewest bytes a logged write encodes in: table name, key count, flag.
 const MIN_WRITE_LEN: usize = MIN_STR_LEN + 4 + 1;
 
@@ -681,26 +789,9 @@ fn decode_payload(payload: &[u8], names: &mut Names) -> Result<WalRecord, String
         }
         TAG_CREATE_TABLE => {
             let name = c.str()?;
-            let ncols = c.count(MIN_COLUMN_LEN, "column")?;
-            let mut columns = Vec::with_capacity(ncols);
-            for _ in 0..ncols {
-                let col_name = c.str()?;
-                let dtype = c.dtype()?;
-                let nullable = c.u8()? != 0;
-                columns.push(if nullable {
-                    Column::nullable(col_name, dtype)
-                } else {
-                    Column::new(col_name, dtype)
-                });
-            }
-            let npk = c.count(MIN_STR_LEN, "primary-key")?;
-            let mut pk = Vec::with_capacity(npk);
-            for _ in 0..npk {
-                pk.push(c.str()?);
-            }
-            let pk_refs: Vec<&str> = pk.iter().map(String::as_str).collect();
-            let schema =
-                Schema::new(columns, &pk_refs).map_err(|e| format!("invalid schema: {e}"))?;
+            let schema = c
+                .schema("primary-key")?
+                .map_err(|e| format!("invalid schema: {e}"))?;
             WalRecord::CreateTable { name, schema }
         }
         TAG_CREATE_INDEX => {

@@ -11,7 +11,7 @@
 //! of the fork — while the parent keeps committing and garbage-collecting
 //! underneath, and requires after every step that every read surface
 //! answers identically: point reads, scans down every access path, counts,
-//! ordered top-k, as-of reads below, at and above the fork timestamp, a
+//! a sorted top-k, as-of reads below, at and above the fork timestamp, a
 //! SQL join, a session's key-value reads, commit outcomes with their
 //! before images, and the log.
 //!
@@ -261,15 +261,9 @@ fn step_strategy() -> impl Strategy<Value = Step> {
     ]
 }
 
-/// `ORDER BY v LIMIT 3` the way a caller gets it: the streamed index walk
-/// when the table offers one, else scan + stable sort + truncate.
+/// `ORDER BY v LIMIT 3` the way the SQL executor answers it: scan +
+/// stable sort + truncate.
 fn top3(db: &Database, pred: &Predicate, descending: bool, ts: Ts) -> ScanRows {
-    if let Some(rows) = db
-        .scan_ordered_as_of("t", pred, "v", descending, 3, ts)
-        .unwrap()
-    {
-        return rows;
-    }
     let mut rows = db.scan_as_of("t", pred, ts).unwrap();
     rows.sort_by(|a, b| {
         let ord = a.1[1].total_cmp(&b.1[1]);

@@ -17,7 +17,8 @@
 //!   tables atomically;
 //! * a write-skew stress test checks that no rw-antidependency abort is
 //!   lost: the classic pay-out anomaly that snapshot isolation admits
-//!   must still be impossible.
+//!   must still be impossible, within one table and across two (the
+//!   second is the one that reaches the in-window re-check).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -469,6 +470,64 @@ fn write_skew_is_prevented_under_lock_free_readers() {
         INITIAL * 2 - 10 * withdrawals.load(Ordering::SeqCst),
         "every committed withdrawal must be accounted for exactly once"
     );
+}
+
+/// Write skew across two tables: each thread withdraws from its own
+/// table and reads the other's balance, so every footprint holds an
+/// unlocked read and the in-window re-check of the SSI commit path runs
+/// (the one-table stress above locks every table it reads, so it never
+/// does). Two withdrawals that pass the optimistic validation together
+/// are told apart only by that re-check; without it the sum goes
+/// negative in about one round in four, so the test runs enough rounds
+/// to catch a lost re-check in a single run.
+#[test]
+fn write_skew_across_tables_is_caught_by_the_in_window_recheck() {
+    const ROUNDS: usize = 40;
+    const THREADS: usize = 4;
+    const INITIAL: i64 = 100;
+    const TABLES: [&str; 2] = ["left", "right"];
+    let balance = |txn: &mut trod_db::Transaction, table| {
+        txn.get(table, &Key::single(0i64)).unwrap().unwrap()[1]
+            .as_int()
+            .unwrap()
+    };
+
+    for round in 0..ROUNDS {
+        let db = Database::new();
+        let mut seed = db.begin();
+        for table in TABLES {
+            db.create_table(table, kv_schema()).unwrap();
+            seed.insert(table, row![0i64, INITIAL]).unwrap();
+        }
+        seed.commit().unwrap();
+        let barrier = Barrier::new(THREADS);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (db, barrier) = (&db, &barrier);
+                let (own, other) = (TABLES[t % 2], TABLES[1 - t % 2]);
+                s.spawn(move || {
+                    barrier.wait();
+                    loop {
+                        let mut txn = db.begin();
+                        let mine = balance(&mut txn, own);
+                        if mine + balance(&mut txn, other) < 10 {
+                            break;
+                        }
+                        txn.update(own, &Key::single(0i64), row![0i64, mine - 10])
+                            .unwrap();
+                        match txn.commit() {
+                            Ok(_) => {}
+                            Err(e) if e.is_retryable() => {}
+                            Err(e) => panic!("unexpected error: {e}"),
+                        }
+                    }
+                });
+            }
+        });
+        let mut txn = db.begin();
+        let sum: i64 = TABLES.map(|table| balance(&mut txn, table)).iter().sum();
+        assert!(sum >= 0, "round {round}: write skew left a sum of {sum}");
+    }
 }
 
 /// SSI aborts and the publication clock: rw-antidependency aborts caught

@@ -43,11 +43,11 @@
 //! the columns the rest of the statement can still reference (select
 //! list, ORDER BY, GROUP BY, unlowered conjuncts, join keys) are copied
 //! out of the shared storage rows; a column consumed entirely by a
-//! pushed-down predicate is never copied at all. And two statement shapes
-//! never materialise a relation: `ORDER BY <indexed column> LIMIT k`
-//! streams off the column's index (`try_ordered_probe`) and a bare
-//! `SELECT COUNT(*)` whose conjuncts all lower is a counting walk
-//! (`try_count`).
+//! pushed-down predicate is never copied at all. One statement shape
+//! never materialises a relation: a bare `SELECT COUNT(*)` whose
+//! conjuncts all lower is a counting walk (`try_count`). Every `ORDER BY`,
+//! with or without `LIMIT`, is a stable sort of the whole result, then a
+//! truncation.
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -109,14 +109,10 @@ impl Relation {
 /// Executes a parsed statement against a database.
 pub fn execute(db: &Database, stmt: &SelectStmt, opts: QueryOptions) -> QueryResultT<ResultSet> {
     let (catalog, pending, read_ts) = bind(db, stmt, opts)?;
-    let proj = ProjectionNeeds::of(stmt);
-    if let Some(rel) = try_ordered_probe(stmt, &catalog, read_ts, &pending, &proj)? {
-        return project(&rel, stmt);
-    }
     if let Some(out) = try_count(stmt, &catalog, read_ts, &pending)? {
         return Ok(out);
     }
-    let (rel, _) = join_tables(&catalog, read_ts, pending, &proj)?;
+    let (rel, _) = join_tables(&catalog, read_ts, pending, &ProjectionNeeds::of(stmt))?;
     finish(rel, stmt)
 }
 
@@ -672,72 +668,11 @@ fn materialise(
 
 /// Lowers every conjunct into one predicate over the catalog's only
 /// table, or returns `None` if any of them cannot be lowered: the fast
-/// paths below are all-or-nothing.
+/// path below is all-or-nothing.
 fn lower_all(pending: &[Expr], catalog: &[Binding]) -> Option<Predicate> {
     pending.iter().try_fold(Predicate::True, |lowered, expr| {
         Some(and(lowered, lower_conjunct(expr, catalog, 0)?))
     })
-}
-
-/// Attempts the ordered-probe fast path: a single-table, non-aggregate
-/// statement with exactly one `ORDER BY <column>` key and a LIMIT, whose
-/// WHERE clause lowers entirely into the scan, can stream its top-k rows
-/// off the index on its column ([`TableStore::scan_ordered_limit`]) —
-/// O(k) in the result size instead of scan + sort + truncate.
-///
-/// Returns `Ok(None)` — so the generic path proceeds normally — when any
-/// gate fails or the storage layer cannot serve the order from an index.
-/// The gates are exact, not heuristic: predicate lowering is
-/// all-or-nothing because a conjunct the scan cannot evaluate would have
-/// to filter *after* the index walk, which breaks the "first k matching
-/// rows" contract, and the ORDER BY key must bind to this table's schema
-/// the same way the executor would resolve it. On success the storage
-/// result is exactly what the executor's stable sort + truncate would
-/// have produced.
-fn try_ordered_probe(
-    stmt: &SelectStmt,
-    catalog: &[Binding],
-    read_ts: Ts,
-    pending: &[Expr],
-    proj: &ProjectionNeeds,
-) -> QueryResultT<Option<Relation>> {
-    let [binding] = catalog else {
-        return Ok(None);
-    };
-    if stmt.is_aggregate() {
-        return Ok(None);
-    }
-    let Some(limit) = stmt.limit else {
-        return Ok(None);
-    };
-    let [key] = stmt.order_by.as_slice() else {
-        return Ok(None);
-    };
-    let Some(order_col) = local_column(&key.expr, catalog, 0) else {
-        return Ok(None);
-    };
-    let Some(lowered) = lower_all(pending, catalog) else {
-        return Ok(None);
-    };
-    let Some(scanned) =
-        binding
-            .table
-            .scan_ordered_limit(&lowered, &order_col, key.descending, limit, read_ts)?
-    else {
-        return Ok(None);
-    };
-    // Projection pushdown, as in `load_table`; every conjunct was
-    // consumed by the scan, so only the statement's own references
-    // bound which columns are copied.
-    let keep: Vec<usize> = binding
-        .schema()
-        .columns()
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| proj.needs(&binding.binding, &c.name))
-        .map(|(i, _)| i)
-        .collect();
-    Ok(Some(materialise(0, binding, scanned, &keep)))
 }
 
 /// Attempts COUNT pushdown: a single-table statement that selects

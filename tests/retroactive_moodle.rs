@@ -229,3 +229,37 @@ fn retroactive_re_execution_keeps_non_ascii_arguments_intact() {
         .unwrap();
     assert_eq!(subs.len(), 1);
 }
+
+#[test]
+fn retroactive_runs_take_the_original_order_not_the_callers() {
+    // `H-4` creates the course `H-13` deletes. Given in lexical order,
+    // `H-13` first, the original order still runs `H-4` first, so the
+    // unpatched re-execution reproduces every original output.
+    let db = moodle::moodle_db();
+    let provenance = moodle::provenance_for(&db);
+    let runtime = Runtime::new(db, moodle::registry());
+    let forum = Args::new().with("forum", "F1").with("course", "C1");
+    runtime.handle_request_with_id("H-4", "createForum", forum);
+    let course = Args::new().with("course", "C1");
+    let deleted = runtime.handle_request_with_id("H-13", "deleteCourse", course);
+    assert!(deleted.is_ok());
+    provenance.drain_from(runtime.tracer());
+    let trod = Trod::attach_with(runtime, provenance);
+
+    let report = trod
+        .retroactive(moodle::registry())
+        .requests(&["H-13", "H-4"])
+        .max_orderings(1)
+        .run()
+        .unwrap();
+    let original = &report.orderings[0];
+    for outcome in &original.outcomes {
+        assert!(
+            !outcome.outcome_changed() && Some(&outcome.output) == outcome.original_output.as_ref(),
+            "{} re-ran as {:?}",
+            outcome.original_req_id,
+            outcome.output
+        );
+    }
+    assert_eq!(original.order, vec!["H-4", "H-13"]);
+}

@@ -121,15 +121,14 @@ fn bench_fork_depth(c: &mut Criterion) {
             let ts = floor - depth;
             group.bench_function(BenchmarkId::new(mode, format!("depth_{depth}")), |b| {
                 b.iter(|| {
-                    let session = trod.fork_at(ts).expect("below-floor fork");
+                    let dev = trod.fork_at(ts).expect("below-floor fork");
                     // The fork is a real environment: its table holds the
                     // full key space as of `ts` (every key was inserted
                     // within the first KEYS commits).
-                    let dev = session.database();
                     assert_eq!(dev.current_ts(), ts);
                     let rows = dev.table("events").unwrap().materialize_at(ts).len() as i64;
                     assert_eq!(rows, KEYS);
-                    session
+                    dev
                 })
             });
         }

@@ -137,13 +137,16 @@ fn traced_request(req: usize, shape: Shape, clock: &mut i64, events: &mut Vec<Tr
         *clock
     };
     let req_id = format!("R{req}");
+    let mut starts = Vec::with_capacity(handlers);
     for depth in 0..handlers {
+        let timestamp = tick();
+        starts.push(timestamp);
         events.push(TraceEvent::HandlerStart {
             req_id: req_id.clone(),
             handler: format!("handler{depth}"),
             parent: depth.checked_sub(1).map(|p| format!("handler{p}")),
             args: format!("{{\"customer\":{req},\"item\":{depth}}}"),
-            timestamp: tick(),
+            timestamp,
         });
         if depth + txns < handlers {
             continue;
@@ -181,6 +184,7 @@ fn traced_request(req: usize, shape: Shape, clock: &mut i64, events: &mut Vec<Tr
         events.push(TraceEvent::HandlerEnd {
             req_id: req_id.clone(),
             handler: format!("handler{depth}"),
+            start_ts: starts[depth],
             output: "ok".into(),
             ok: true,
             timestamp: tick(),

@@ -14,7 +14,6 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use trod_apps::moodle;
 use trod_core::ReplaySession;
 use trod_db::{Database, IsolationLevel};
-use trod_kv::Session;
 use trod_provenance::ProvenanceStore;
 use trod_runtime::{Args, Runtime};
 
@@ -96,8 +95,7 @@ fn bench_replay_vs_dependencies(c: &mut Criterion) {
         let (provenance, db, target) = traced_deployment(100, deps);
         group.bench_function(BenchmarkId::from_parameter(deps), |b| {
             b.iter(|| {
-                let production = Session::new(db.clone());
-                let mut session = ReplaySession::for_session(&provenance, &production, &target)
+                let mut session = ReplaySession::new(&provenance, &db, &target)
                     .expect("target request is traced");
                 let report = session.run_to_end().expect("replay succeeds");
                 assert!(report.is_faithful());
@@ -115,8 +113,7 @@ fn bench_replay_vs_database_size(c: &mut Criterion) {
         let (provenance, db, target) = traced_deployment(rows, 1);
         group.bench_function(BenchmarkId::from_parameter(rows), |b| {
             b.iter(|| {
-                let production = Session::new(db.clone());
-                let mut session = ReplaySession::for_session(&provenance, &production, &target)
+                let mut session = ReplaySession::new(&provenance, &db, &target)
                     .expect("target request is traced");
                 session.run_to_end().expect("replay succeeds").steps.len()
             });

@@ -67,8 +67,8 @@ fn bench_buffer_only(c: &mut Criterion) {
     let mut group = c.benchmark_group("tracing_overhead/buffer_append");
     group.bench_function("handler_span", |b| {
         b.iter(|| {
-            tracer.handler_start("R1", "checkout", None, "order=1|item=3");
-            tracer.handler_end("R1", "checkout", "ok", true);
+            let start = tracer.handler_start("R1", "checkout", None, "order=1|item=3");
+            tracer.handler_end("R1", "checkout", start, "ok", true);
         });
     });
     group.finish();

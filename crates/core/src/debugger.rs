@@ -11,13 +11,13 @@
 //! # Fork/replay architecture
 //!
 //! Every debugging feature that re-executes or verifies history works on
-//! a **forked session environment**, never on production state:
+//! a **fork of the production database**, never on production state:
 //!
-//! * **What forks.** [`trod_kv::Session::fork_at`] forks the *whole*
-//!   environment ([`trod_db::Database::fork_at`]) — tables and key-value
-//!   namespaces, which are tables too — at one timestamp of the aligned
-//!   history, so cross-store invariants hold in the fork exactly as they
-//!   held in production at that moment.
+//! * **What forks.** [`Database::fork_at`] forks the *whole*
+//!   environment — tables and key-value namespaces, which are tables
+//!   too — at one timestamp of the aligned history, so cross-store
+//!   invariants hold in the fork exactly as they held in production at
+//!   that moment. The fork is a plain, untraced [`Database`].
 //! * **At which timestamp.** Replay ([`Trod::replay`]) forks at the
 //!   snapshot the request's first transaction read from; retroactive
 //!   programming ([`Trod::retroactive`]) at the earliest snapshot of the
@@ -35,7 +35,6 @@
 use std::sync::Arc;
 
 use trod_db::{Database, DbResult};
-use trod_kv::Session;
 use trod_provenance::ProvenanceStore;
 use trod_query::{QueryResultT, ResultSet};
 use trod_runtime::{HandlerRegistry, Runtime};
@@ -81,16 +80,8 @@ impl Trod {
         &self.runtime
     }
 
-    /// The production session: the unified transaction surface
-    /// (application database with its key-value namespaces, tracer) every
-    /// debugging layer reads through. This is the single API choke point
-    /// where the aligned history is captured — relational-only, KV-only
-    /// and mixed commits alike.
-    pub fn session(&self) -> &Session {
-        self.runtime.session()
-    }
-
-    /// The production application database.
+    /// The production application database, with its key-value
+    /// namespaces: what every debugging layer reads and forks.
     pub fn production_db(&self) -> &Database {
         self.runtime.database()
     }
@@ -143,33 +134,32 @@ impl Trod {
     /// entries alike — plus lost-update / write-skew candidate detection
     /// for histories captured under snapshot isolation or read committed.
     pub fn reenactor(&self) -> Reenactor<'_> {
-        Reenactor::new(&self.provenance, self.runtime.session())
+        Reenactor::new(&self.provenance, self.runtime.database())
     }
 
     /// Starts a faithful replay of a past request (§3.5) in a development
     /// environment — tables and key-value namespaces — forked from
     /// production state at the request's snapshot (see the module docs).
     pub fn replay(&self, req_id: &str) -> Result<ReplaySession, ReplayError> {
-        ReplaySession::for_session(&self.provenance, self.runtime.session(), req_id)
+        ReplaySession::new(&self.provenance, self.runtime.database(), req_id)
     }
 
-    /// Forks the whole environment at `ts` ([`Session::fork_at`]), the
-    /// way replay does; below the GC floor of an in-memory environment
-    /// that is [`ReplayError::Storage`] holding
+    /// Forks the whole production database at `ts`
+    /// ([`Database::fork_at`]), the way replay does; below the GC floor of
+    /// an in-memory environment that is [`ReplayError::Storage`] holding
     /// [`DbError::HistoryTruncated`](trod_db::DbError::HistoryTruncated).
-    /// This is the entry point the server's remote fork sessions go
-    /// through.
-    pub fn fork_at(&self, ts: trod_db::Ts) -> Result<Session, ReplayError> {
-        Ok(self.runtime.session().fork_at(ts)?)
+    /// This is the entry point the server's remote forks go through.
+    pub fn fork_at(&self, ts: trod_db::Ts) -> Result<Database, ReplayError> {
+        Ok(self.runtime.database().fork_at(ts)?)
     }
 
     /// Starts configuring a retroactive-programming run (§3.6) that
     /// re-executes original requests against `patched_registry`, each
-    /// ordering in a fresh fork of the whole session environment.
+    /// ordering in a fresh fork of the production database.
     pub fn retroactive(&self, patched_registry: HandlerRegistry) -> RetroactiveBuilder {
         RetroactiveBuilder::new(
             self.provenance.clone(),
-            self.runtime.session().clone(),
+            self.runtime.database().clone(),
             patched_registry,
         )
     }
@@ -177,38 +167,18 @@ impl Trod {
     /// Recovers a durable production environment and attaches the
     /// debugger to it: the WAL at `path` is validated (torn tail
     /// truncated at the last valid checksum, corruption refused with a
-    /// typed error) and replayed into a fresh session —
-    /// state, catalogs, namespaces and the aligned history all restored —
-    /// then wrapped in a runtime over `registry`. Subsequent commits
-    /// append to the recovered log.
+    /// typed error) and replayed into a fresh database
+    /// ([`Database::open_durable`]) — state, catalogs, namespaces and the
+    /// aligned history all restored — then wrapped in a runtime over
+    /// `registry`. Subsequent commits append to the recovered log.
     pub fn open_durable(
         path: impl AsRef<std::path::Path>,
         opts: trod_db::WalOptions,
         registry: HandlerRegistry,
     ) -> DbResult<(Self, trod_db::RecoveryReport)> {
-        let (session, report) = Session::open_durable(path, opts)?;
-        let runtime = Runtime::builder(session.database().clone(), registry).build();
+        let (db, report) = Database::open_durable(path, opts)?;
+        let runtime = Runtime::builder(db, registry).build();
         Ok((Trod::attach(runtime)?, report))
-    }
-
-    /// Garbage-collects production history under one clamped horizon
-    /// ([`Session::gc_before`]). On a durable environment the WAL
-    /// segments are untouched: they keep the truncated entries for
-    /// [`Database::history`] and deep forks, and the log records the
-    /// raised floor, below which checkpoints are kept as the deep-fork
-    /// ladder.
-    pub fn gc_before(&self, ts: trod_db::Ts) -> trod_db::GcStats {
-        self.runtime.session().gc_before(ts)
-    }
-
-    /// Forces an environment checkpoint now ([`Session::checkpoint`]):
-    /// a durable whole-environment snapshot that bounds both recovery
-    /// replay and the delta [`Trod::fork_at`] has to re-apply below the
-    /// GC floor. Returns `Ok(None)` when the environment is not durable,
-    /// the write was skipped (nothing committed since the last one), or
-    /// another checkpoint is already in flight.
-    pub fn checkpoint(&self) -> DbResult<Option<(trod_db::Ts, u64)>> {
-        self.runtime.session().checkpoint()
     }
 }
 

@@ -319,11 +319,11 @@ mod tests {
         let tracer = Tracer::new();
         // Start every handler in order, then end them in reverse order so
         // parents envelope children.
-        for (req, handler, parent, _) in specs {
-            tracer.handler_start(req, handler, *parent, "{}");
-        }
-        for (req, handler, _, ok) in specs.iter().rev() {
-            tracer.handler_end(req, handler, "out", *ok);
+        let starts: Vec<i64> = (specs.iter())
+            .map(|(req, handler, parent, _)| tracer.handler_start(req, handler, *parent, "{}"))
+            .collect();
+        for ((req, handler, _, ok), start) in specs.iter().zip(starts).rev() {
+            tracer.handler_end(req, handler, start, "out", *ok);
         }
         store.drain_from(&tracer);
         store

@@ -27,8 +27,7 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use trod_db::{DbResult, Key, Ts, TxnId};
-use trod_kv::Session;
+use trod_db::{Database, DbResult, Key, Ts, TxnId};
 use trod_provenance::ProvenanceStore;
 use trod_trace::TxnTrace;
 
@@ -94,20 +93,20 @@ impl ReenactmentReport {
 }
 
 /// Reenactment / isolation-audit helper bound to the provenance store and
-/// the (time-travel-capable) production session environment: every read
+/// the (time-travel-capable) production database: every read
 /// — `kv:<namespace>` rows included, a namespace being a table — reenacts
 /// against the database's MVCC history as of the transaction's snapshot
 /// timestamp.
 pub struct Reenactor<'a> {
     provenance: &'a ProvenanceStore,
-    session: &'a Session,
+    production: &'a Database,
 }
 
 impl<'a> Reenactor<'a> {
-    pub(crate) fn new(provenance: &'a ProvenanceStore, session: &'a Session) -> Self {
+    pub(crate) fn new(provenance: &'a ProvenanceStore, production: &'a Database) -> Self {
         Reenactor {
             provenance,
-            session,
+            production,
         }
     }
 
@@ -138,10 +137,9 @@ impl<'a> Reenactor<'a> {
         for read in &trace.reads {
             for (key, recorded) in &read.rows {
                 reads_checked += 1;
-                let as_of =
-                    self.session
-                        .database()
-                        .get_as_of(&read.table, key, trace.snapshot_ts)?;
+                let as_of = self
+                    .production
+                    .get_as_of(&read.table, key, trace.snapshot_ts)?;
                 match as_of {
                     Some(row) if &row == recorded => {}
                     Some(row) => divergent_reads.push(format!(
@@ -350,7 +348,7 @@ mod tests {
         t2.commit().unwrap();
         store.drain_from(traced.tracer().unwrap());
 
-        let reenactor = Reenactor::new(&store, &traced);
+        let reenactor = Reenactor::new(&store, &db);
         let anomalies = reenactor.audit_anomalies();
         assert_eq!(anomalies.len(), 1);
         assert_eq!(anomalies[0].kind, AnomalyKind::WriteSkew);
@@ -365,7 +363,7 @@ mod tests {
 
     #[test]
     fn lost_update_candidates_between_overlapping_writers() {
-        let (_db, store, traced) = oncall_db();
+        let (db, store, traced) = oncall_db();
         seed(&traced);
 
         let mut t1 = traced.begin_with(
@@ -386,7 +384,7 @@ mod tests {
         t2.commit().unwrap();
         store.drain_from(traced.tracer().unwrap());
 
-        let reenactor = Reenactor::new(&store, &traced);
+        let reenactor = Reenactor::new(&store, &db);
         let anomalies = reenactor.audit_anomalies();
         assert_eq!(anomalies.len(), 1);
         assert_eq!(anomalies[0].kind, AnomalyKind::LostUpdate);
@@ -395,7 +393,7 @@ mod tests {
 
     #[test]
     fn serial_transactions_produce_no_anomalies() {
-        let (_db, store, traced) = oncall_db();
+        let (db, store, traced) = oncall_db();
         seed(&traced);
         for (req, value) in [("R1", false), ("R2", true)] {
             let mut t = traced.begin_traced(TxnContext::new(req, "toggle", "f"));
@@ -404,13 +402,13 @@ mod tests {
             t.commit().unwrap();
         }
         store.drain_from(traced.tracer().unwrap());
-        let reenactor = Reenactor::new(&store, &traced);
+        let reenactor = Reenactor::new(&store, &db);
         assert!(reenactor.audit_anomalies().is_empty());
     }
 
     #[test]
     fn reenactment_confirms_snapshot_consistency_under_si() {
-        let (_db, store, traced) = oncall_db();
+        let (db, store, traced) = oncall_db();
         seed(&traced);
         let mut t1 = traced.begin_with(
             TxnOptions::new()
@@ -422,7 +420,7 @@ mod tests {
         t1.commit().unwrap();
         store.drain_from(traced.tracer().unwrap());
 
-        let reenactor = Reenactor::new(&store, &traced);
+        let reenactor = Reenactor::new(&store, &db);
         let reports = reenactor.reenact_request("R1").unwrap();
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].reads_checked, 2);
@@ -472,7 +470,7 @@ mod tests {
         rc.commit().unwrap();
         store.drain_from(traced.tracer().unwrap());
 
-        let reenactor = Reenactor::new(&store, &traced);
+        let reenactor = Reenactor::new(&store, &db);
         let r1 = reenactor.reenact_request("R1").unwrap();
         assert_eq!(r1.len(), 1);
         assert_eq!(r1[0].reads_checked, 1);
@@ -488,7 +486,7 @@ mod tests {
 
     #[test]
     fn reenactment_flags_reads_that_saw_later_commits_under_read_committed() {
-        let (_db, store, traced) = oncall_db();
+        let (db, store, traced) = oncall_db();
         seed(&traced);
 
         // A read-committed transaction begins, then a concurrent writer
@@ -513,7 +511,7 @@ mod tests {
         reader.commit().unwrap();
         store.drain_from(traced.tracer().unwrap());
 
-        let reenactor = Reenactor::new(&store, &traced);
+        let reenactor = Reenactor::new(&store, &db);
         let reports = reenactor.reenact_request("R1").unwrap();
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].reads_checked, 1);

@@ -1,7 +1,7 @@
 //! Faithful bug replay (paper §3.5) over the whole polyglot environment.
 //!
 //! Replaying a past request means re-experiencing its execution in a
-//! development environment: TROD forks the *session environment* — its
+//! development environment: TROD forks the production database — its
 //! tables and key-value namespaces (which are tables too) — from the
 //! state the request's first transaction saw, then walks the request's
 //! transactions in their original order. Before each transaction it
@@ -14,7 +14,7 @@
 //! commit path live commits take, so the development environment's
 //! aligned log mirrors production's.
 //!
-//! **The development environment** is [`Session::fork_at`] at the
+//! **The development environment** is [`Database::fork_at`] at the
 //! snapshot timestamp: a read-through fork that copies nothing — its
 //! tables read production's version chains at that timestamp and keep
 //! only what the replay writes — so preparing a replay costs the
@@ -34,7 +34,6 @@
 use std::fmt;
 
 use trod_db::{Database, DbError, Ts, TxnId};
-use trod_kv::Session;
 use trod_provenance::{is_partial_trace, ProvenanceStore};
 use trod_trace::TxnTrace;
 
@@ -156,7 +155,7 @@ impl ReplayReport {
 pub struct ReplaySession {
     req_id: String,
     /// The forked development environment.
-    dev: Session,
+    dev: Database,
     steps: Vec<ReplayStep>,
     position: usize,
     reports: Vec<StepReport>,
@@ -167,10 +166,12 @@ impl ReplaySession {
     /// `production` at the snapshot the request's first transaction saw,
     /// below the GC floor too (see the module docs) — and computes, for
     /// each of the request's transactions, the concurrent transactions
-    /// whose changes must be injected before it.
-    pub fn for_session(
+    /// whose changes must be injected before it. The commits of other
+    /// requests are assembled once, over the whole replay window, and
+    /// split among the steps by horizon.
+    pub fn new(
         provenance: &ProvenanceStore,
-        production: &Session,
+        production: &Database,
         req_id: &str,
     ) -> Result<Self, ReplayError> {
         let own_txns = provenance.txns_for_request(req_id);
@@ -191,26 +192,27 @@ impl ReplaySession {
         // request began against.
         let dev = production.fork_at(base_ts)?;
 
-        let mut steps = Vec::with_capacity(committed.len());
+        // Under snapshot isolation and serializable every read was served
+        // at the snapshot; under read committed a read can observe commits
+        // up to its own recorded `read_ts`, so a step's injection horizon
+        // is the latest point its transaction actually observed
+        // (reenactment-style replay of weak-isolation histories). A step
+        // injects the commits between the previous steps' horizons and
+        // its own.
+        let horizon = |txn: &TxnTrace| {
+            let reads = txn.reads.iter().map(|r| r.read_ts);
+            reads.fold(txn.snapshot_ts, Ts::max)
+        };
+        let last = committed.iter().map(horizon).fold(base_ts, Ts::max);
+        let mut others: Vec<TxnTrace> = (provenance.txns_between(base_ts, last).into_iter())
+            .filter(|other| other.ctx.req_id != req_id)
+            .collect();
         let mut watermark: Ts = base_ts;
+        let mut steps = Vec::with_capacity(committed.len());
         for txn in committed {
-            // Under snapshot isolation and serializable every read was
-            // served at the snapshot; under read committed a read can
-            // observe commits up to its own recorded `read_ts`, so the
-            // step's injection horizon is the latest point the
-            // transaction actually observed (reenactment-style replay of
-            // weak-isolation histories).
-            let horizon = txn
-                .reads
-                .iter()
-                .map(|r| r.read_ts)
-                .fold(txn.snapshot_ts, Ts::max);
-            let injected: Vec<TxnTrace> = provenance
-                .txns_between(watermark, horizon)
-                .into_iter()
-                .filter(|other| other.ctx.req_id != req_id)
-                .collect();
-            watermark = watermark.max(horizon);
+            watermark = watermark.max(horizon(&txn));
+            let (injected, later) = others.into_iter().partition(|o| o.commit_ts <= watermark);
+            others = later;
             let partial_data = is_partial_trace(&txn) || injected.iter().any(is_partial_trace);
             steps.push(ReplayStep {
                 txn,
@@ -233,15 +235,10 @@ impl ReplaySession {
         &self.req_id
     }
 
-    /// The development environment's relational database. Between steps a
-    /// developer can inspect it freely (the programmatic stand-in for
+    /// The development environment: the fork, tables and key-value
+    /// namespaces alike. Between steps a developer can inspect it freely (the programmatic stand-in for
     /// attaching GDB or a SQL shell during replay).
     pub fn dev_db(&self) -> &Database {
-        self.dev.database()
-    }
-
-    /// The whole forked development environment.
-    pub fn dev_session(&self) -> &Session {
         &self.dev
     }
 
@@ -363,7 +360,7 @@ impl ReplaySession {
 ///
 /// Returns the number of skipped records.
 fn apply_tolerating_redaction(
-    dev: &Session,
+    dev: &Database,
     writes: &[trod_db::ChangeRecord],
     tolerate: bool,
 ) -> Result<usize, ReplayError> {

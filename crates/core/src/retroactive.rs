@@ -22,7 +22,6 @@ use std::fmt;
 use std::sync::Arc;
 
 use trod_db::{Database, DbError, IsolationLevel, Ts};
-use trod_kv::Session;
 use trod_provenance::{ProvenanceStore, RequestRecord};
 use trod_runtime::{Args, HandlerRegistry, Runtime};
 use trod_trace::{TraceEvent, TxnTrace};
@@ -118,16 +117,16 @@ pub struct OrderingOutcome {
     /// Invariant violations observed on the final state, each rendered
     /// as `[rule] detail`.
     pub violations: Vec<String>,
-    /// The development environment this ordering ran in, forked at the
-    /// branch snapshot, left available for further
-    /// inspection (same shape as `ReplaySession::dev_session`).
-    pub dev: Session,
+    /// The development database this ordering ran in, forked at the
+    /// branch snapshot, left available for further inspection (as
+    /// [`crate::ReplaySession::dev_db`]).
+    pub dev: Database,
 }
 
 impl OrderingOutcome {
     /// The development database produced by this ordering.
     pub fn dev_db(&self) -> &Database {
-        self.dev.database()
+        &self.dev
     }
 
     /// True if no invariant was violated and every re-executed request
@@ -186,7 +185,7 @@ impl RetroactiveReport {
 /// Configures and runs a retroactive exploration.
 pub struct RetroactiveBuilder {
     provenance: Arc<ProvenanceStore>,
-    production: Session,
+    production: Database,
     registry: HandlerRegistry,
     req_ids: Vec<String>,
     snapshot_ts: Option<Ts>,
@@ -202,7 +201,7 @@ impl RetroactiveBuilder {
     /// at the branch snapshot.
     pub fn new(
         provenance: Arc<ProvenanceStore>,
-        production: Session,
+        production: Database,
         registry: HandlerRegistry,
     ) -> Self {
         RetroactiveBuilder {
@@ -238,7 +237,7 @@ impl RetroactiveBuilder {
     /// Branches from an explicit snapshot timestamp instead of the
     /// earliest snapshot of the selected requests. A timestamp past the
     /// production clock branches from the clock, as
-    /// [`Session::fork_at`] does, and the report says so.
+    /// [`Database::fork_at`] does, and the report says so.
     pub fn snapshot_at(mut self, ts: Ts) -> Self {
         self.snapshot_ts = Some(ts);
         self
@@ -318,7 +317,7 @@ impl RetroactiveBuilder {
                     .min()
                     .unwrap_or(0)
             })
-            .min(self.production.database().current_ts());
+            .min(self.production.current_ts());
 
         // Conflict-aware ordering enumeration over a graph that grows with
         // the conflicts of each re-execution; an ordering runs unless one
@@ -374,7 +373,7 @@ impl RetroactiveBuilder {
             .production
             .fork_at(snapshot_ts)
             .map_err(RetroactiveError::Fork)?;
-        let runtime = Runtime::builder(dev.database().clone(), self.registry.clone())
+        let runtime = Runtime::builder(dev.clone(), self.registry.clone())
             .default_isolation(self.isolation)
             .request_prefix("RETRO-")
             .build();
@@ -411,7 +410,7 @@ impl RetroactiveBuilder {
 
         // An invariant that cannot be checked fails the ordering.
         let violations = (self.invariants.iter())
-            .flat_map(|inv| match inv.check(dev.database()) {
+            .flat_map(|inv| match inv.check(&dev) {
                 Ok(found) => found.iter().map(Violation::to_string).collect(),
                 Err(e) => vec![format!("[{}] cannot check: {e}", inv.name())],
             })

@@ -498,7 +498,12 @@ fn a_fork_of_a_large_namespace_holds_no_version_until_it_writes() {
     }
     txn.commit().unwrap();
 
-    let fork = session.fork_at(session.database().current_ts()).unwrap();
+    let fork = Session::new(
+        session
+            .database()
+            .fork_at(session.database().current_ts())
+            .unwrap(),
+    );
     // (live keys, row versions the fork's own namespace table holds)
     let stats = |s: &Session| {
         let table = s.database().table(&kv_table_name(NS)).unwrap();

@@ -22,7 +22,11 @@
 //!   [`Txn::commit`] returns the database's [`trod_db::CommitInfo`].
 //!
 //! That is all the crate holds: [`Session`] / [`Txn`] and the
-//! [`KvStore`] read view. What is left of a second store is
+//! [`KvStore`] read view. Its one consumer outside tests, `crates/bench`
+//! and the benchmark harness is `trod-runtime`, whose handlers transact
+//! through a [`Session`]; the debugger (`trod-core`) and the server
+//! (`trod-server`) work on plain [`trod_db::Database`]s and use this
+//! crate only in their tests. What is left of a second store is
 //! `trod_runtime::RuntimeBuilder::kv`, which binds nothing and is kept
 //! for the benchmark harness until the crate dissolves into its callers.
 //!

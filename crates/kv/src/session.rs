@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use trod_db::{
     namespace_entry, namespace_row, namespace_value, ChangeRecord, CommitInfo, Database, DbResult,
-    GcStats, IsolationLevel, Key, LoggedTxn, Predicate, RecoveryReport, Row, Ts, TxnId, WalOptions,
+    GcStats, IsolationLevel, Key, Predicate, RecoveryReport, Row, Ts, TxnId, WalOptions,
 };
 use trod_trace::{ReadTrace, Tracer, TxnContext, TxnTrace};
 
@@ -70,8 +70,11 @@ struct SessionInner {
 /// A handle binding the database (and optional tracer) transactions run
 /// against. Cheaply cloneable; clones share the underlying state.
 ///
-/// This is the one surface the runtime's `HandlerContext`, the query
-/// executor and the core debugger consume.
+/// It is the transaction surface of the runtime's handlers
+/// (`trod_runtime::HandlerContext`). The debugger's environments — forks,
+/// replay and retroactive development databases, the server's forks and
+/// booted dumps — are plain [`Database`]s, so `trod-core` and
+/// `trod-server` use sessions only in their tests.
 #[derive(Clone)]
 pub struct Session {
     inner: Arc<SessionInner>,
@@ -114,34 +117,12 @@ impl Session {
         self.inner.tracer.as_ref()
     }
 
-    /// Forks the environment at a timestamp ([`Database::fork_at`]):
-    /// tables and namespaces read through to this session's state at
-    /// `ts`, clamped to the published clock. The fork is untraced and
-    /// independent. Every debugger feature — replay, retroactive runs, the
-    /// server's remote forks — forks through here.
-    ///
-    /// Below the GC truncation floor ([`Database::log_truncated_below`])
-    /// a durable environment rebuilds the state at `ts` from its log; an
-    /// in-memory one refuses with [`trod_db::DbError::HistoryTruncated`].
-    pub fn fork_at(&self, ts: Ts) -> DbResult<Session> {
-        Ok(Session::new(self.inner.db.fork_at(ts)?))
-    }
-
     /// Applies captured aligned change records — relational rows and
     /// `kv:<namespace>` rows alike — as one synthetic committed
-    /// transaction ([`Database::apply_changes`]). This is the replay
-    /// engine's injection primitive.
+    /// transaction ([`Database::apply_changes`], the replay engine's
+    /// injection primitive).
     pub fn apply_changes(&self, changes: &[ChangeRecord]) -> DbResult<CommitInfo> {
         self.inner.db.apply_changes(changes)
-    }
-
-    /// Replays logged aligned-history entries, in runs — txn ids and
-    /// commit/start timestamps preserved, change records derived from the
-    /// rows each install displaces ([`Database::apply_entries`]).
-    /// Dump/load and fork-from-instance replay a remote aligned log
-    /// through it to reconstruct its history.
-    pub fn apply_entries(&self, entries: &[LoggedTxn]) -> DbResult<()> {
-        self.inner.db.apply_entries(entries)
     }
 
     // ------------------------------------------------------------------
@@ -864,7 +845,7 @@ mod tests {
         txn.kv_put("sessions", "user-1", "cart:gadget").unwrap();
         txn.commit().unwrap();
 
-        let fork = session.fork_at(first.commit_ts).unwrap();
+        let fork = Session::new(session.database().fork_at(first.commit_ts).unwrap());
         // Both stores show the first commit's state, not the second's.
         assert_eq!(
             fork.database()

@@ -570,7 +570,7 @@ fn two_commits(session: &Session) -> Vec<CommittedTxn> {
     session.database().log_entries()
 }
 
-/// `Session::apply_entries` onto a WAL-attached environment appends the
+/// `Database::apply_entries` onto a WAL-attached environment appends the
 /// entries to the log like any other commit: history transferred into a
 /// durable instance survives its next restart, identity intact. Recovery
 /// itself still appends nothing (the log is attached after the replay).
@@ -584,7 +584,7 @@ fn verbatim_entries_applied_to_a_durable_session_survive_reopen() {
         .any(|c| c.table.starts_with("kv:")));
 
     let (target, disk) = durable_env();
-    target.apply_entries(&logged(&entries)).unwrap();
+    target.database().apply_entries(&logged(&entries)).unwrap();
     assert_eq!(target.database().log_entries(), entries);
     let appended = target.database().wal().unwrap().appended();
     drop(target);
@@ -624,7 +624,7 @@ fn live_commit_injection_and_verbatim_replay_publish_identically() {
         b.apply_changes(&entry.changes).unwrap();
     }
     let (c, disk_c) = durable_env();
-    c.apply_entries(&logged(&entries)).unwrap();
+    c.database().apply_entries(&logged(&entries)).unwrap();
 
     for other in [&b, &c] {
         assert_eq!(

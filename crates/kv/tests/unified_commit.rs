@@ -32,7 +32,7 @@ use trod_db::{
     is_kv_table, kv_table_name, namespace_value, row, CommittedTxn, DataType, Database, DbError,
     Key, Predicate, Schema, Ts, KV_TABLE_PREFIX,
 };
-use trod_kv::Session;
+use trod_kv::{KvStore, Session};
 
 #[path = "../../db/tests/support/model.rs"]
 mod model;
@@ -353,8 +353,7 @@ proptest! {
         sample_ts.sort_unstable();
         sample_ts.dedup();
         for ts in sample_ts {
-            let fork = session.fork_at(ts).unwrap();
-            let fork = fork.kv();
+            let fork = KvStore::of(session.database().fork_at(ts).unwrap());
             let mut replayed: BTreeMap<(String, String), Option<String>> = BTreeMap::new();
             for commit in aligned.iter().take_while(|c| c.commit_ts <= ts) {
                 for (ns, key, value) in kv_writes(commit) {
@@ -791,8 +790,8 @@ fn forks_taken_mid_install_never_observe_unpublished_versions() {
                     // above the new floor.
                     let (ts, fork) = loop {
                         let ts = session.database().current_ts();
-                        match session.fork_at(ts) {
-                            Ok(fork) => break (ts, fork),
+                        match session.database().fork_at(ts) {
+                            Ok(fork) => break (ts, Session::new(fork)),
                             Err(DbError::HistoryTruncated { .. }) => continue,
                             Err(e) => panic!("fork at ts {ts}: {e}"),
                         }

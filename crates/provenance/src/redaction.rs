@@ -19,7 +19,18 @@
 //!   dropping all provenance older than it.
 //!
 //! **What an erasure reaches.** Every copy the provenance store owns: the
-//! `<X>Events`, `Requests` and `ExternalCalls` tables. Handler
+//! `<X>Events`, `Requests` and `ExternalCalls` tables, and the provenance
+//! database's own history. Each of [`ProvenanceStore::redact_rows`],
+//! [`ProvenanceStore::redact_request`] and [`ProvenanceStore::retain_since`]
+//! ends, under the ingest lock, by collecting that history below the
+//! clock ([`trod_db::Database::gc_before`]), so no time-travel read of
+//! [`ProvenanceStore::database`], index probe or log entry of it returns
+//! an erased value afterwards. GC stops at the provenance database's
+//! watermark: a transaction open on that database when the erasure runs
+//! keeps the versions its snapshot sees, erased values included, until
+//! the next erasure after it ends. A statement or an assembly whose
+//! snapshot was taken before the erasure may find the rows it erased
+//! missing rather than redacted. Handler
 //! invocations have no copy besides their `Requests` rows, which every
 //! [`crate::RequestRecord`] is decoded from, and a [`trod_trace::TxnTrace`]
 //! is assembled from the tables: a redacted read event's row is left out
@@ -149,6 +160,9 @@ impl ProvenanceStore {
             report.event_rows_redacted += 1;
         }
         txn.commit()?;
+        // The replaced versions, their index entries and the log entries
+        // that carry them go too (see the module docs).
+        self.db.gc_before(self.db.current_ts());
 
         report.transactions_affected = touched_txns.len();
         self.stats.write().redacted_events += report.total();
@@ -182,6 +196,7 @@ impl ProvenanceStore {
             report.external_calls_redacted += 1;
         }
         txn.commit()?;
+        self.db.gc_before(self.db.current_ts());
 
         self.stats.write().redacted_events += report.total();
         Ok(report)
@@ -214,13 +229,10 @@ impl ProvenanceStore {
             report.rows_deleted += txn.delete_where(&table.name, &events)?;
         }
         txn.commit()?;
+        self.db.gc_before(self.db.current_ts());
         let reads = ingest.take_txns(dropped.iter().map(|(_, row)| event_ids(row)));
         report.rows_deleted += reads.iter().map(DeferredRead::rows).sum::<usize>();
         self.stats.write().deferred_reads = ingest.deferred_reads();
-
-        // Expired invocations leave the open-invocation map: a late
-        // `HandlerEnd` must not resurrect one.
-        self.reopen(&mut ingest);
         Ok(report)
     }
 }
@@ -248,8 +260,9 @@ pub(crate) fn erase_change(change: &ChangeRecord) -> ChangeRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trod_db::{row, DataType, Database, Schema};
+    use trod_db::{row, DataType, Database, Schema, Ts};
     use trod_kv::Session;
+    use trod_query::QueryEngine;
     use trod_trace::{Tracer, TxnContext};
 
     fn setup() -> (Database, ProvenanceStore, Session) {
@@ -370,11 +383,11 @@ mod tests {
     fn redact_request_erases_args_outputs_and_payloads() {
         let (_db, store, _traced) = setup();
         let tracer = Tracer::new();
-        tracer.handler_start("R1", "updateProfile", None, "user=U1&ssn=123");
+        let start = tracer.handler_start("R1", "updateProfile", None, "user=U1&ssn=123");
         tracer.external_call("R1", "updateProfile", "email", "to=u1@example.org");
-        tracer.handler_end("R1", "updateProfile", "ok:U1", true);
-        tracer.handler_start("R2", "other", None, "x=1");
-        tracer.handler_end("R2", "other", "ok", true);
+        tracer.handler_end("R1", "updateProfile", start, "ok:U1", true);
+        let start = tracer.handler_start("R2", "other", None, "x=1");
+        tracer.handler_end("R2", "other", start, "ok", true);
         store.drain_from(&tracer);
 
         let report = store.redact_request("R1").unwrap();
@@ -410,8 +423,8 @@ mod tests {
             txn.commit().unwrap();
         }
         let tracer = traced.tracer().unwrap().clone();
-        tracer.handler_start("R1", "updateProfile", None, "{}");
-        tracer.handler_end("R1", "updateProfile", "ok", true);
+        let start = tracer.handler_start("R1", "updateProfile", None, "{}");
+        tracer.handler_end("R1", "updateProfile", start, "ok", true);
         store.drain_from(&tracer);
         let cutoff = tracer.now();
 
@@ -419,8 +432,8 @@ mod tests {
         txn.insert("profiles", row!["U3", "u3@example.org"])
             .unwrap();
         txn.commit().unwrap();
-        tracer.handler_start("R3", "updateProfile", None, "{}");
-        tracer.handler_end("R3", "updateProfile", "ok", true);
+        let start = tracer.handler_start("R3", "updateProfile", None, "{}");
+        tracer.handler_end("R3", "updateProfile", start, "ok", true);
         store.drain_from(&tracer);
         assert_eq!(store.txn_count(), 3);
 
@@ -435,6 +448,63 @@ mod tests {
         let events = store.query("SELECT * FROM ProfilesEvents").unwrap();
         assert_eq!(events.len(), 1);
         assert_eq!(store.request_ids(), vec!["R3".to_string()]);
+    }
+
+    /// Whether an erased value is still reachable through the provenance
+    /// database's history at `ts`: a scan, a statement, an index probe
+    /// and the live log.
+    fn history_holds(db: &Database, ts: Ts, table: &str, column: &str, value: &str) -> bool {
+        let holds = |row: &[Value]| row.iter().any(|v| v.as_text() == Some(value));
+        let scanned = db.scan_as_of(table, &Predicate::True, ts).unwrap();
+        let sql = format!("SELECT * FROM {table}");
+        let selected = QueryEngine::new(db.clone()).execute_as_of(&sql, ts);
+        let probed = db.scan_as_of(table, &Predicate::eq(column, value), ts);
+        let images = db
+            .log_entries()
+            .into_iter()
+            .flat_map(|e| e.changes.to_vec());
+        let images: Vec<Row> = images
+            .flat_map(|c| [c.op.before().cloned(), c.op.after().cloned()])
+            .flatten()
+            .collect();
+        scanned.iter().any(|(_, row)| holds(row.values()))
+            || selected.unwrap().rows().iter().any(|row| holds(row))
+            || !probed.unwrap().is_empty()
+            || images.iter().any(|row| holds(row.values()))
+    }
+
+    #[test]
+    fn an_erasure_reaches_the_provenance_databases_own_history() {
+        let (_db, store, traced) = setup();
+        let tracer = traced.tracer().unwrap();
+        let start = tracer.handler_start("R1", "updateProfile", None, "u1@example.org");
+        let mut txn = traced.begin_traced(TxnContext::new("R1", "updateProfile", "f"));
+        txn.insert("profiles", row!["U1", "u1@example.org"])
+            .unwrap();
+        txn.commit().unwrap();
+        tracer.handler_end("R1", "updateProfile", start, "ok", true);
+        store.drain_from(tracer);
+        // The `email` index is built while it holds the value.
+        let sql = "SELECT EventId FROM ProfilesEvents WHERE email = 'u1@example.org'";
+        assert_eq!(store.query(sql).unwrap().len(), 1);
+        let db = store.database();
+        let before = db.current_ts();
+        let email = ("ProfilesEvents", "email", "u1@example.org");
+        assert!(history_holds(db, before, email.0, email.1, email.2));
+        assert!(history_holds(db, before, "Requests", "Args", email.2));
+
+        store
+            .redact_rows("profiles", &[("user", Value::Text("U1".into()))])
+            .unwrap();
+        assert!(!history_holds(db, before, email.0, email.1, email.2));
+        store.redact_request("R1").unwrap();
+        assert!(!history_holds(db, before, "Requests", "Args", email.2));
+
+        // Retention deletes rows; their values go with their history.
+        let before = db.current_ts();
+        assert!(history_holds(db, before, "Executions", "ReqId", "R1"));
+        store.retain_since(tracer.now()).unwrap();
+        assert!(!history_holds(db, before, "Executions", "ReqId", "R1"));
     }
 
     #[test]

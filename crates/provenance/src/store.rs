@@ -35,7 +35,10 @@
 //! its k-th change record, erased when that event is redacted. A writing
 //! transaction whose history an in-memory application has collected
 //! below its GC floor is assembled with no writes; both cases are
-//! [`is_partial_trace`].
+//! [`is_partial_trace`]. An erasure also collects the provenance
+//! database's own history below its clock, so no time-travel read of
+//! [`ProvenanceStore::database`] returns what it erased
+//! ([`crate::redaction`]).
 //!
 //! # Ingest
 //!
@@ -58,24 +61,23 @@
 //!   in the order of the trace's reads and change records, and the
 //!   `Executions` row records them. The reads themselves are deferred
 //!   (below). A `TxnId` already in `Executions` is skipped and counted.
-//! * `HandlerStart` → a `Requests` row and an entry in the
-//!   open-invocation map: `(ReqId, HandlerName)` → LIFO stack of the
-//!   invocation's `StartTs`, which with the pair is its `Requests` key,
-//!   and the ordinal of its `HandlerStart`.
-//! * `HandlerEnd` → pops that stack. An invocation that opened in the same
-//!   chunk (its ordinal indexes the chunk's pending records) is finished
-//!   before it installs, as one row; an earlier one is read back from
-//!   `Requests` and updated. An end with nothing open is a counted no-op.
+//! * `HandlerStart` → a `Requests` row, keyed `(ReqId, HandlerName,
+//!   StartTs)`.
+//! * `HandlerEnd` → closes the row its `(req_id, handler, start_ts)`
+//!   names. A row pending in the chunk (found by a reverse scan of its
+//!   pending rows) is finished there and installs once; an installed row
+//!   whose `EndTs` is still NULL is read back and updated. An end whose
+//!   row is missing or already closed is a counted no-op.
 //! * `ExternalCall` → an `ExternalCalls` row.
 //!
 //! The records of a batch are published through
 //! [`Database::apply_changes`] in chunks of about `CHUNK_ROWS` rows, one
 //! injected commit each. A chunk's statistics become visible only after
 //! its commit; a chunk the engine rejects (a row image that does not fit
-//! the registered schema) is dropped whole and its events counted. The
-//! open-invocation map is derived state: rejection and retention rebuild
-//! it from the `Requests` rows with no `EndTs`, and redaction holds the
-//! ingest lock so a late `HandlerEnd` reads back the redacted row.
+//! the registered schema) is dropped whole and its events counted, so an
+//! end it held finds its row still open later. Redaction and retention
+//! hold the ingest lock, so a late `HandlerEnd` reads back the redacted
+//! row, or finds no expired one.
 //!
 //! **Deferred reads.** A read of a registered table reserves its
 //! `EventId`s and is kept, under the ingest lock, as its trace recorded
@@ -104,7 +106,6 @@
 //! table's change log at later probes (`trod_db::index`), so a store
 //! nobody queries pays for none of them.
 
-use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::ops::Range;
 use std::sync::Arc;
@@ -165,7 +166,8 @@ pub struct ProvenanceStats {
     pub unregistered_table_events: usize,
     /// `Txn` events skipped because their `TxnId` was already ingested.
     pub duplicate_transactions: usize,
-    /// `HandlerEnd` events that matched no open invocation.
+    /// `HandlerEnd` events whose invocation has no `Requests` row, or
+    /// one already closed.
     pub unmatched_handler_ends: usize,
     /// Events dropped because the engine rejected the chunk they were in.
     pub rejected_events: usize,
@@ -195,11 +197,6 @@ struct FixedTables {
 /// State owned by the holder of the ingest lock.
 pub(crate) struct Ingest {
     next_event_id: i64,
-    /// `HandlerStart`s staged so far.
-    started: usize,
-    /// `(ReqId, HandlerName)` → each invocation with no `HandlerEnd` yet,
-    /// innermost last.
-    open: HashMap<(String, String), Vec<Open>>,
     /// Event table → its deferred reads, by first `EventId`.
     deferred: HashMap<Arc<str>, BTreeMap<i64, DeferredRead>>,
 }
@@ -253,19 +250,14 @@ impl DeferredRead {
     }
 }
 
-/// An open invocation: its `StartTs`, and the ordinal of its
-/// `HandlerStart` among `Ingest::started` (`None` once rebuilt from the
-/// table).
-type Open = (i64, Option<usize>);
-
 /// One chunk of a drained batch: its change records, and the counts that
 /// become visible once the records commit.
 #[derive(Default)]
 struct Chunk {
     changes: Vec<ChangeRecord>,
     txn_ids: HashSet<TxnId>,
-    /// Invocations started in this chunk, finished or not; the last is
-    /// the one whose ordinal is `started - 1`.
+    /// The `Requests` rows this chunk installs: the invocations it
+    /// starts, finished or not, and the installed ones it finishes.
     opened: Vec<RequestRecord>,
     /// Reads of this chunk's transactions, deferred once it commits.
     deferred: Vec<DeferredRead>,
@@ -338,8 +330,6 @@ impl ProvenanceStore {
             table_map: RwLock::new(HashMap::new()),
             ingest: Mutex::new(Ingest {
                 next_event_id: 1,
-                started: 0,
-                open: HashMap::new(),
                 deferred: HashMap::new(),
             }),
             stats: RwLock::new(ProvenanceStats::default()),
@@ -585,9 +575,6 @@ impl ProvenanceStore {
                 args,
                 timestamp,
             } => {
-                let stack = ingest.open.entry((req_id.clone(), handler.clone()));
-                stack.or_default().push((timestamp, Some(ingest.started)));
-                ingest.started += 1;
                 chunk.opened.push(RequestRecord {
                     req_id,
                     handler,
@@ -603,45 +590,31 @@ impl ProvenanceStore {
             TraceEvent::HandlerEnd {
                 req_id,
                 handler,
+                start_ts,
                 output,
                 ok,
                 timestamp,
             } => {
-                let finish = |rec: &mut RequestRecord| {
-                    rec.output = Some(output);
-                    rec.ok = Some(ok);
-                    rec.end_ts = Some(timestamp);
+                let names = |rec: &RequestRecord| {
+                    rec.start_ts == start_ts && rec.req_id == req_id && rec.handler == handler
                 };
-                let mut top = None;
-                let (req_id, handler) = match ingest.open.entry((req_id, handler)) {
-                    Entry::Occupied(mut stack) => {
-                        top = stack.get_mut().pop();
-                        if stack.get().is_empty() {
-                            stack.remove_entry().0
-                        } else {
-                            stack.key().clone()
-                        }
+                // Pending in this chunk, or else installed and still open:
+                // then it joins the chunk's rows, to be updated.
+                let row = chunk.opened.iter().rposition(names).or_else(|| {
+                    let key = requests_key(req_id.clone(), handler.clone(), start_ts);
+                    let installed = self.db.get_latest(REQUESTS_TABLE, &key).ok().flatten();
+                    let open = installed.map(|row| request_of(&row));
+                    let open = open.filter(|rec| rec.end_ts.is_none())?;
+                    chunk.opened.push(open);
+                    Some(chunk.opened.len() - 1)
+                });
+                match row.map(|i| &mut chunk.opened[i]) {
+                    Some(rec) if rec.end_ts.is_none() => {
+                        rec.output = Some(output);
+                        rec.ok = Some(ok);
+                        rec.end_ts = Some(timestamp);
                     }
-                    Entry::Vacant(slot) => slot.into_key(),
-                };
-                let Some((start_ts, ordinal)) = top else {
-                    chunk.stats.unmatched_handler_ends += 1;
-                    return;
-                };
-                // Opened in this chunk: finish the pending record, which
-                // then installs once. Opened in an earlier one: update the
-                // installed row.
-                let first = ingest.started - chunk.opened.len();
-                if let Some(i) = ordinal.and_then(|n| n.checked_sub(first)) {
-                    finish(&mut chunk.opened[i]);
-                    return;
-                }
-                let key = requests_key(req_id, handler, start_ts);
-                if let Ok(Some(before)) = self.db.get_latest(REQUESTS_TABLE, &key) {
-                    let mut rec = request_of(&before);
-                    finish(&mut rec);
-                    let change = requests_change(&self.fixed.requests, rec);
-                    chunk.changes.push(change);
+                    _ => chunk.stats.unmatched_handler_ends += 1,
                 }
             }
             TraceEvent::ExternalCall {
@@ -704,8 +677,6 @@ impl ProvenanceStore {
         stats.deferred_reads = ingest.deferred_reads();
         if rejected {
             stats.rejected_events += chunk.events;
-            drop(stats);
-            self.reopen(ingest);
             return;
         }
         stats.transactions += chunk.stats.transactions;
@@ -715,17 +686,6 @@ impl ProvenanceStore {
         stats.unregistered_table_events += chunk.stats.unregistered_table_events;
         stats.duplicate_transactions += chunk.stats.duplicate_transactions;
         stats.unmatched_handler_ends += chunk.stats.unmatched_handler_ends;
-    }
-
-    /// Rebuilds the open-invocation map from the `Requests` rows with no
-    /// `EndTs`, after a rejected chunk dropped pending entries or
-    /// retention deleted rows.
-    pub(crate) fn reopen(&self, ingest: &mut Ingest) {
-        ingest.open.clear();
-        for rec in self.requests_where(&Predicate::IsNull("EndTs".into())) {
-            let stack = ingest.open.entry((rec.req_id, rec.handler));
-            stack.or_default().push((rec.start_ts, None));
-        }
     }
 
     // ------------------------------------------------------------------
@@ -1045,10 +1005,10 @@ mod tests {
     fn handler_events_build_request_records() {
         let store = ProvenanceStore::new(&Database::new());
         let tracer = Tracer::new();
-        tracer.handler_start("R1", "checkout", None, "{\"cart\":1}");
-        tracer.handler_start("R1", "charge", Some("checkout"), "{}");
-        tracer.handler_end("R1", "charge", "charged", true);
-        tracer.handler_end("R1", "checkout", "done", true);
+        let checkout = tracer.handler_start("R1", "checkout", None, "{\"cart\":1}");
+        let charge = tracer.handler_start("R1", "charge", Some("checkout"), "{}");
+        tracer.handler_end("R1", "charge", charge, "charged", true);
+        tracer.handler_end("R1", "checkout", checkout, "done", true);
         tracer.external_call("R1", "checkout", "email", "receipt");
         store.drain_from(&tracer);
 

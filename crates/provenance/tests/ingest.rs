@@ -2,6 +2,7 @@
 //! events leaves behind depends on the stream alone — not on how it was
 //! cut into `ingest` calls or chunks — and nothing on that path panics.
 
+use std::collections::HashMap;
 use std::sync::{Arc, Barrier};
 
 use proptest::prelude::*;
@@ -62,10 +63,12 @@ fn start(req: &str, handler: &str, timestamp: i64) -> TraceEvent {
     }
 }
 
-fn end(req: &str, handler: &str, timestamp: i64) -> TraceEvent {
+/// The end of the invocation of `handler` that started at `start_ts`.
+fn end(req: &str, handler: &str, start_ts: i64, timestamp: i64) -> TraceEvent {
     TraceEvent::HandlerEnd {
         req_id: req.into(),
         handler: handler.into(),
+        start_ts,
         output: format!("out@{timestamp}"),
         ok: true,
         timestamp,
@@ -110,15 +113,33 @@ fn one_at_a_time(events: Vec<TraceEvent>) -> Contents {
 }
 
 /// Builds a stream from generated `(kind, request, handler, rows)` draws,
-/// with the strictly increasing timestamps `Tracer::now` hands out.
+/// with the strictly increasing timestamps `Tracer::now` hands out. An end
+/// names the innermost open invocation of its request and handler, or,
+/// with none open, the last one closed (a start that never was, `0`, when
+/// none was): those are counted no-ops.
 fn stream(draws: &[(u8, u8, u8, u8)]) -> Vec<TraceEvent> {
     let mut events = Vec::new();
     let mut txn_ids = Vec::new();
-    for (i, &(kind, req, handler, rows)) in draws.iter().enumerate() {
-        let (ts, req, handler) = (i as i64 + 1, format!("R{req}"), format!("h{handler}"));
+    let mut open: HashMap<(u8, u8), Vec<i64>> = HashMap::new();
+    let mut closed: HashMap<(u8, u8), i64> = HashMap::new();
+    for (i, &(kind, r, h, rows)) in draws.iter().enumerate() {
+        let (ts, req, handler) = (i as i64 + 1, format!("R{r}"), format!("h{h}"));
         events.push(match kind {
-            0 | 1 => start(&req, &handler, ts),
-            2 | 3 => end(&req, &handler, ts),
+            0 | 1 => {
+                open.entry((r, h)).or_default().push(ts);
+                start(&req, &handler, ts)
+            }
+            2 | 3 => {
+                let innermost = open.get_mut(&(r, h)).and_then(Vec::pop);
+                let start_ts = match innermost {
+                    Some(start_ts) => {
+                        closed.insert((r, h), start_ts);
+                        start_ts
+                    }
+                    None => closed.get(&(r, h)).copied().unwrap_or(0),
+                };
+                end(&req, &handler, start_ts, ts)
+            }
             4 | 5 => {
                 txn_ids.push(i as u64 + 1);
                 txn(i as u64 + 1, &req, "forum_sub", rows as i64, ts)
@@ -169,7 +190,7 @@ fn a_batch_larger_than_a_chunk_matches_event_by_event_ingest() {
         let req = format!("R{r}");
         events.push(start(&req, "fetch", 3 * r + 1));
         events.push(txn(r as u64 + 1, &req, "forum_sub", 3, 3 * r + 2));
-        events.push(end(&req, "fetch", 3 * r + 3));
+        events.push(end(&req, "fetch", 3 * r + 1, 3 * r + 3));
     }
     let whole = ingested(events.clone(), Vec::new());
     assert_eq!(whole.3.transactions, 1_500);
@@ -185,7 +206,7 @@ fn a_handler_end_in_a_later_drain_closes_the_open_row() {
     let open = store.query("SELECT EndTs FROM Requests").unwrap();
     assert_eq!(open.value(0, "EndTs"), Some(&Value::Null));
 
-    store.ingest(vec![end("R1", "checkout", 2)]);
+    store.ingest(vec![end("R1", "checkout", 1, 2)]);
     let closed = store.query("SELECT Output, EndTs FROM Requests").unwrap();
     assert_eq!(closed.len(), 1);
     assert_eq!(closed.value(0, "EndTs"), Some(&Value::Timestamp(2)));
@@ -200,14 +221,15 @@ fn a_handler_end_in_a_later_drain_closes_the_open_row() {
 #[test]
 fn recursive_invocations_of_one_handler_close_innermost_first() {
     // The outer invocation is installed by the first drain, the inner one
-    // opens and closes inside the second, the outer end comes last.
+    // opens and closes inside the second, the outer end comes last, and
+    // one more end names the outer invocation again.
     let store = store();
     store.ingest(vec![start("R1", "walk", 1)]);
     store.ingest(vec![
         start("R1", "walk", 2),
-        end("R1", "walk", 3),
-        end("R1", "walk", 4),
-        end("R1", "walk", 5),
+        end("R1", "walk", 2, 3),
+        end("R1", "walk", 1, 4),
+        end("R1", "walk", 1, 5),
     ]);
     let recs = store.request_records("R1");
     assert_eq!((recs[0].start_ts, recs[0].end_ts), (1, Some(4)));
@@ -217,7 +239,8 @@ fn recursive_invocations_of_one_handler_close_innermost_first() {
         .unwrap();
     assert_eq!(rows.value(0, "EndTs"), Some(&Value::Timestamp(4)));
     assert_eq!(rows.value(1, "EndTs"), Some(&Value::Timestamp(3)));
-    // The third end found nothing open: counted, and nothing written.
+    // The third end named an invocation already closed: counted, and
+    // nothing written.
     assert_eq!(store.stats().unmatched_handler_ends, 1);
     assert_eq!(rows.len(), 2);
 }
@@ -254,8 +277,8 @@ fn a_chunk_the_engine_rejects_is_dropped_whole_and_counted() {
     store.ingest(vec![
         start("R1", "inner", 2),
         bad,
-        end("R0", "outer", 4),
-        end("R1", "inner", 5),
+        end("R0", "outer", 1, 4),
+        end("R1", "inner", 2, 5),
     ]);
 
     let stats = store.stats();
@@ -267,7 +290,7 @@ fn a_chunk_the_engine_rejects_is_dropped_whole_and_counted() {
 
     // The store keeps working, and its open invocations are those of the
     // chunks that committed: R0's is still open, R1's never was.
-    store.ingest(vec![end("R1", "inner", 6), end("R0", "outer", 7)]);
+    store.ingest(vec![end("R1", "inner", 2, 6), end("R0", "outer", 1, 7)]);
     assert_eq!(store.stats().unmatched_handler_ends, 1);
     assert_eq!(store.request_records("R0")[0].end_ts, Some(7));
     let rows = store.query("SELECT ReqId, EndTs FROM Requests").unwrap();
@@ -281,7 +304,7 @@ fn a_late_handler_end_does_not_write_back_redacted_arguments() {
     store.ingest(vec![start("R1", "updateProfile", 1)]);
     assert_eq!(store.redact_request("R1").unwrap().requests_redacted, 1);
 
-    store.ingest(vec![end("R1", "updateProfile", 2)]);
+    store.ingest(vec![end("R1", "updateProfile", 1, 2)]);
     let rows = store.query("SELECT Args, EndTs FROM Requests").unwrap();
     assert_eq!(rows.len(), 1);
     assert_eq!(
@@ -300,14 +323,14 @@ fn a_late_handler_end_does_not_resurrect_an_expired_request() {
     store.ingest(vec![
         start("R1", "slow", 1),
         start("R2", "done", 2),
-        end("R2", "done", 3),
+        end("R2", "done", 2, 3),
         start("R3", "slow", 10),
     ]);
     let report = store.retain_since(5).unwrap();
     assert_eq!(report.requests_dropped, 2);
 
     // R1 expired while open; R3 survived, and stays open.
-    store.ingest(vec![end("R1", "slow", 11), end("R3", "slow", 12)]);
+    store.ingest(vec![end("R1", "slow", 1, 11), end("R3", "slow", 10, 12)]);
     assert_eq!(store.stats().unmatched_handler_ends, 1);
     assert!(store.request_records("R1").is_empty());
     assert_eq!(store.request_records("R3")[0].end_ts, Some(12));
@@ -336,7 +359,7 @@ fn concurrent_ingest_calls_serialize_inside_the_store() {
                     let (req, ts) = (format!("R{id}"), 3 * id as i64);
                     events.push(start(&req, "fetch", ts + 1));
                     events.push(txn(id + 1, &req, "forum_sub", 9, ts + 2));
-                    events.push(end(&req, "fetch", ts + 3));
+                    events.push(end(&req, "fetch", ts + 1, ts + 3));
                 }
                 barrier.wait();
                 store.ingest(events);

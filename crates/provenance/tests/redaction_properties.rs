@@ -5,13 +5,16 @@
 //! the relational provenance tables or the assembled traces, (b) every
 //! other user's provenance is untouched, and (c) execution metadata
 //! (transaction ids, handler names) survives so the history's shape stays
-//! debuggable.
+//! debuggable. Neither a redaction nor a retention cutoff leaves what it
+//! removed in the provenance database's own history: its time-travel
+//! reads, index probes and live log.
 
 use proptest::prelude::*;
 
-use trod_db::{row, DataType, Database, Predicate, Schema, Ts, Value};
+use trod_db::{row, DataType, Database, Predicate, Row, Schema, Ts, Value};
 use trod_kv::Session;
 use trod_provenance::ProvenanceStore;
+use trod_query::QueryEngine;
 use trod_trace::{TraceEvent, Tracer, TxnContext, TxnTrace};
 
 /// One generated subscription insert: (user index, forum index).
@@ -60,6 +63,34 @@ fn ingest_teed(store: &ProvenanceStore, traced: &Session) -> Vec<TxnTrace> {
     teed
 }
 
+/// The rows of `ForumEvents` the provenance database still returns at
+/// `ts` that carry `user`: through a scan, a statement and a `user_id`
+/// index probe; and the images its live log holds that carry `user`.
+fn history_leaks(store: &ProvenanceStore, ts: Ts, user: &str) -> usize {
+    let db = store.database();
+    let holds = |row: &[Value]| row.iter().any(|v| v.as_text() == Some(user));
+    let scanned = db.scan_as_of("ForumEvents", &Predicate::True, ts).unwrap();
+    let selected = QueryEngine::new(db.clone())
+        .execute_as_of("SELECT * FROM ForumEvents", ts)
+        .unwrap();
+    let probed = db.scan_as_of("ForumEvents", &Predicate::eq("user_id", user), ts);
+    let changes = db
+        .log_entries()
+        .into_iter()
+        .flat_map(|e| e.changes.to_vec());
+    let images: Vec<Row> = changes
+        .flat_map(|c| [c.op.before().cloned(), c.op.after().cloned()])
+        .flatten()
+        .collect();
+    scanned
+        .iter()
+        .filter(|(_, row)| holds(row.values()))
+        .count()
+        + selected.rows().iter().filter(|row| holds(row)).count()
+        + probed.unwrap().len()
+        + images.iter().filter(|row| holds(row.values())).count()
+}
+
 proptest! {
     // `PROPTEST_CASES`, when set, replaces the default count: CI runs
     // this property at more cases than the rest of the suite.
@@ -90,6 +121,10 @@ proptest! {
 
         let target_inserts = inserts.iter().filter(|(u, _)| *u == target).count();
         let other_inserts = inserts.len() - target_inserts;
+        // The `user_id` index is built while it holds the target's rows.
+        let probe = format!("SELECT EventId FROM ForumEvents WHERE user_id = '{target_user}'");
+        store.query(&probe).unwrap();
+        let before = store.database().current_ts();
 
         let report = store
             .redact_rows("forum_sub", &[("user_id", Value::Text(target_user.clone()))])
@@ -115,6 +150,8 @@ proptest! {
             .filter(|row| row.iter().any(|v| v.as_text() == Some(target_user.as_str())))
             .count();
         prop_assert_eq!(assembled_leak, 0, "no assembled CDC image may still carry the target user");
+        // …and from the provenance database's history before the erasure.
+        prop_assert_eq!(history_leaks(&store, before, &target_user), 0);
 
         // (b) Every other user's write provenance survives untouched.
         let surviving_inserts = events
@@ -168,6 +205,7 @@ proptest! {
             .unwrap_or(i64::MAX);
 
         let expected_kept = all.iter().filter(|t| t.timestamp >= cutoff).count();
+        let before = store.database().current_ts();
         let report = store.retain_since(cutoff).unwrap();
 
         prop_assert_eq!(store.txn_count(), expected_kept);
@@ -178,5 +216,13 @@ proptest! {
         // Every surviving transaction is at or after the cutoff.
         let kept: Vec<TxnTrace> = all.into_iter().filter(|t| t.timestamp >= cutoff).collect();
         prop_assert_eq!(store.txns_between(0, Ts::MAX), kept);
+        // The history before the cutoff holds what the store holds now:
+        // the dropped rows went with their versions and log entries.
+        let db = store.database();
+        for table in ["Executions", "ForumEvents"] {
+            let then = db.scan_as_of(table, &Predicate::True, before).unwrap();
+            prop_assert_eq!(then, db.scan_latest(table, &Predicate::True).unwrap());
+        }
+        prop_assert!(db.log_entries().iter().all(|e| e.commit_ts > before));
     }
 }

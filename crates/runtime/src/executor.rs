@@ -286,15 +286,16 @@ impl Runtime {
             Some(h) => h,
             None => return Err(HandlerError::NoSuchHandler(handler_name.to_string())),
         };
-        self.tracer
-            .handler_start(req_id, handler_name, parent, &args.to_json().to_string());
+        let start_ts =
+            self.tracer
+                .handler_start(req_id, handler_name, parent, &args.to_json().to_string());
         let mut ctx = HandlerContext::new(self, req_id, handler_name);
         let result = handler.invoke(&mut ctx, &args);
         let (output, ok) = match &result {
             Ok(v) => (v.to_string(), true),
             Err(e) => (e.to_string(), false),
         };
-        self.tracer.handler_end(req_id, handler_name, &output, ok);
+        (self.tracer).handler_end(req_id, handler_name, start_ts, &output, ok);
         result
     }
 

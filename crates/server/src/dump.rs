@@ -1,9 +1,9 @@
-//! Devnet-style dump/load: serialize a whole session environment —
+//! Devnet-style dump/load: serialize a whole database —
 //! relational schema, key-value namespaces, and the complete *aligned
 //! history* — to one JSON document, and boot a fresh instance from it.
 //!
 //! The dump carries history, not state: loading replays every
-//! [`CommittedTxn`] through [`Session::apply_entries`], the same
+//! [`CommittedTxn`] through [`Database::apply_entries`], the same
 //! identity-preserving replay path crash recovery uses, which derives
 //! each change record from the row its write displaces. A dump whose
 //! records disagree with the derived ones (a forged before image) is
@@ -32,7 +32,6 @@ use trod_core::json::{Json, JsonError};
 use trod_core::wire::{self, WireError};
 use trod_core::Trod;
 use trod_db::{Column, CommittedTxn, DataType, Database, DbResult, LoggedTxn, Schema, Ts, TS_LIVE};
-use trod_kv::Session;
 
 /// Why a dump could not be produced, parsed, or booted.
 #[derive(Debug)]
@@ -96,7 +95,7 @@ pub struct TableDef {
     pub indexes: Vec<String>,
 }
 
-/// A serialized session environment: schema + namespaces + the complete
+/// A serialized database: schema + namespaces + the complete
 /// aligned history up to `current_ts`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Dump {
@@ -271,14 +270,14 @@ impl Dump {
         Dump::from_json(&Json::parse(&text)?)
     }
 
-    /// Boots a fresh session environment from this dump: DDL first, then
+    /// Boots a fresh in-memory database from this dump: DDL first, then
     /// every history entry replayed with its original identity, then the
     /// commit clock advanced to the dumped watermark. A watermark of
     /// [`TS_LIVE`], which is no commit timestamp, is a
     /// [`DumpError::Load`]; an entry whose change records differ from the
     /// ones its replay derived is a [`DumpError::BeforeImage`] naming the
     /// first such commit.
-    pub fn boot(&self) -> Result<Session, DumpError> {
+    pub fn boot(&self) -> Result<Database, DumpError> {
         if self.current_ts == TS_LIVE {
             return Err(DumpError::Load(format!(
                 "current_ts {} is not a commit timestamp",
@@ -294,34 +293,31 @@ impl Dump {
                     .map_err(|e| DumpError::Load(format!("index {}.{col}: {e}", t.name)))?;
             }
         }
-        let session = Session::new(db);
         for ns in &self.namespaces {
-            session
-                .create_namespace(ns)
+            db.create_namespace(ns)
                 .map_err(|e| DumpError::Load(format!("namespace {ns}: {e}")))?;
         }
         let logged: Vec<LoggedTxn> = self.entries.iter().map(LoggedTxn::from).collect();
-        session
-            .apply_entries(&logged)
+        db.apply_entries(&logged)
             .map_err(|e| DumpError::Load(format!("history: {e}")))?;
-        let derived = session.database().log_entries();
+        let derived = db.log_entries();
         let mut pairs = self.entries.iter().zip(&derived);
         if let Some((forged, _)) = pairs.find(|(dumped, replayed)| dumped != replayed) {
             let commit_ts = forged.commit_ts;
             return Err(DumpError::BeforeImage { commit_ts });
         }
-        session.database().ensure_ts_at_least(self.current_ts);
-        Ok(session)
+        db.ensure_ts_at_least(self.current_ts);
+        Ok(db)
     }
 }
 
 /// Pulls a fork of a *running* instance at timestamp `ts` over the wire:
 /// one `sys_dump {up_to: ts}` call, decoded by [`Dump::from_json`] and
 /// booted locally. The result is a whole-environment fork equivalent to
-/// calling [`Session::fork_at`] on the remote instance — without file
-/// access to it. Like [`Session::fork_at`], a `ts` past the remote's
+/// calling [`Database::fork_at`] on the remote instance — without file
+/// access to it. Like [`Database::fork_at`], a `ts` past the remote's
 /// published clock forks at that clock.
-pub fn fork_from_instance(addr: &str, ts: Ts) -> Result<Session, DumpError> {
+pub fn fork_from_instance(addr: &str, ts: Ts) -> Result<Database, DumpError> {
     let mut client = crate::client::Client::connect(addr)
         .map_err(|e| DumpError::Load(format!("connect {addr}: {e}")))?;
     let reply = client

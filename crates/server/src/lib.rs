@@ -44,5 +44,5 @@ pub use client::{Client, ClientError, RpcFailure};
 pub use dump::{fork_from_instance, Dump, DumpError};
 pub use error::RpcError;
 pub use http::{HttpRequest, Limits};
-pub use server::{ServerBuilder, ServerConfig, ServerHandle, ShutdownReport};
+pub use server::{ServerBuilder, ServerHandle, ShutdownReport};
 pub use state::ServerState;

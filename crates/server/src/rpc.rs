@@ -153,10 +153,10 @@ fn fork_db(state: &ServerState, params: &Json) -> Result<Option<Database>, RpcEr
             "`fork` cannot be combined with `{other}`: a fork is read at its own clock"
         )));
     }
-    let session = state
-        .fork_session(id)
+    let db = state
+        .fork_db(id)
         .ok_or_else(|| RpcError::not_found("no_such_fork", format!("no fork `{id}`")))?;
-    Ok(Some(session.database().clone()))
+    Ok(Some(db))
 }
 
 /// Dispatches one already-parsed JSON-RPC call. Protocol-level errors
@@ -255,18 +255,15 @@ pub fn dispatch(state: &ServerState, method: &str, params: &Json) -> Result<Json
             )]))
         }
 
-        // ------------------------------------------------- fork sessions
+        // ------------------------------------------------- forks
         "trod_fork" => {
             // A fork cannot see past what is published; reply with the
             // timestamp it was actually taken at.
             let ts = p_ts(params, "ts")?.min(state.trod.production_db().current_ts());
             state.sync_provenance();
-            let session = state.trod.fork_at(ts).map_err(|e| RpcError::from(&e))?;
+            let db = state.trod.fork_at(ts).map_err(|e| RpcError::from(&e))?;
             let id = state.fresh_fork_id();
-            state
-                .forks
-                .lock()
-                .insert(id.clone(), ForkEntry { session, ts });
+            state.forks.lock().insert(id.clone(), ForkEntry { db, ts });
             Ok(Json::obj(vec![
                 ("fork_id", Json::str(id)),
                 ("ts", Json::from(ts)),
@@ -311,12 +308,12 @@ pub fn dispatch(state: &ServerState, method: &str, params: &Json) -> Result<Json
             let report = replay.run_to_end().map_err(|e| RpcError::from(&e))?;
             // Keep the development environment inspectable over the wire.
             let fork_id = state.fresh_fork_id();
-            let dev = replay.dev_session().clone();
-            let ts = dev.database().current_ts();
+            let db = replay.dev_db().clone();
+            let ts = db.current_ts();
             state
                 .forks
                 .lock()
-                .insert(fork_id.clone(), ForkEntry { session: dev, ts });
+                .insert(fork_id.clone(), ForkEntry { db, ts });
             let mut j = replay_report_to_json(&report);
             if let Json::Object(fields) = &mut j {
                 fields.push(("fork_id".to_string(), Json::str(fork_id)));
@@ -500,12 +497,12 @@ pub fn dispatch(state: &ServerState, method: &str, params: &Json) -> Result<Json
                     ];
                     if keep_forks {
                         let fork_id = state.fresh_fork_id();
-                        let dev = o.dev.clone();
-                        let ts = dev.database().current_ts();
+                        let db = o.dev.clone();
+                        let ts = db.current_ts();
                         state
                             .forks
                             .lock()
-                            .insert(fork_id.clone(), ForkEntry { session: dev, ts });
+                            .insert(fork_id.clone(), ForkEntry { db, ts });
                         fields.push(("fork_id".to_string(), Json::str(fork_id)));
                     }
                     Json::Object(fields)
@@ -617,7 +614,8 @@ pub fn dispatch(state: &ServerState, method: &str, params: &Json) -> Result<Json
             ]))
         }
         "sys_checkpoint" => {
-            let written = state.trod.checkpoint().map_err(|e| RpcError::from(&e))?;
+            let checkpoint = state.trod.production_db().checkpoint();
+            let written = checkpoint.map_err(|e| RpcError::from(&e))?;
             Ok(Json::obj(vec![
                 ("written", Json::Bool(written.is_some())),
                 (

@@ -28,35 +28,17 @@ use crate::http::{self, HttpRequest, Limits};
 use crate::rpc;
 use crate::state::ServerState;
 
-/// Server tuning knobs.
-#[derive(Debug, Clone)]
-pub struct ServerConfig {
-    /// Maximum concurrently open connections; a connection over the
-    /// limit receives a single retryable 503 and is closed.
-    pub max_connections: usize,
-    /// HTTP parser limits.
-    pub limits: Limits,
-    /// How often the background thread drains the tracer into the
-    /// provenance store; `None` disables the thread (dispatch paths that
-    /// need fresh provenance still sync on demand).
-    pub sync_interval: Option<Duration>,
-}
-
-impl Default for ServerConfig {
-    fn default() -> Self {
-        ServerConfig {
-            max_connections: 1024,
-            limits: Limits::default(),
-            sync_interval: Some(Duration::from_millis(25)),
-        }
-    }
-}
-
 /// Configures and launches a server around a [`Trod`] instance.
 pub struct ServerBuilder {
     trod: Arc<Trod>,
     patches: HashMap<String, HandlerRegistry>,
-    config: ServerConfig,
+    /// Maximum concurrently open connections; a connection over the
+    /// limit receives a single retryable 503 and is closed.
+    max_connections: usize,
+    /// How often the background thread drains the tracer into the
+    /// provenance store; `None` disables the thread (dispatch paths that
+    /// need fresh provenance still sync on demand).
+    sync_interval: Option<Duration>,
 }
 
 impl ServerBuilder {
@@ -68,7 +50,8 @@ impl ServerBuilder {
         ServerBuilder {
             trod,
             patches: HashMap::new(),
-            config: ServerConfig::default(),
+            max_connections: 1024,
+            sync_interval: Some(Duration::from_millis(25)),
         }
     }
 
@@ -81,17 +64,12 @@ impl ServerBuilder {
     }
 
     pub fn max_connections(mut self, n: usize) -> Self {
-        self.config.max_connections = n.max(1);
+        self.max_connections = n.max(1);
         self
     }
 
     pub fn sync_interval(mut self, interval: Option<Duration>) -> Self {
-        self.config.sync_interval = interval;
-        self
-    }
-
-    pub fn config(mut self, config: ServerConfig) -> Self {
-        self.config = config;
+        self.sync_interval = interval;
         self
     }
 
@@ -103,10 +81,10 @@ impl ServerBuilder {
         let state = Arc::new(ServerState::new(self.trod, self.patches));
         let conns: Arc<Mutex<HashMap<u64, TcpStream>>> = Arc::new(Mutex::new(HashMap::new()));
         let workers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let config = Arc::new(self.config);
+        let max_connections = self.max_connections;
 
         let stop_sync = Arc::new(AtomicBool::new(false));
-        let sync_thread = config.sync_interval.map(|interval| {
+        let sync_thread = self.sync_interval.map(|interval| {
             let state = state.clone();
             let stop = stop_sync.clone();
             std::thread::spawn(move || {
@@ -121,7 +99,6 @@ impl ServerBuilder {
             let state = state.clone();
             let conns = conns.clone();
             let workers = workers.clone();
-            let config = config.clone();
             std::thread::spawn(move || {
                 let next_conn = AtomicU64::new(1);
                 for stream in listener.incoming() {
@@ -133,8 +110,8 @@ impl ServerBuilder {
                         Err(_) => continue,
                     };
                     let _ = stream.set_nodelay(true);
-                    if conns.lock().len() >= config.max_connections {
-                        reject_overloaded(stream, config.max_connections);
+                    if conns.lock().len() >= max_connections {
+                        reject_overloaded(stream, max_connections);
                         continue;
                     }
                     let id = next_conn.fetch_add(1, Ordering::Relaxed);
@@ -143,9 +120,8 @@ impl ServerBuilder {
                     }
                     let state = state.clone();
                     let conns_for_worker = conns.clone();
-                    let limits = config.limits;
                     let handle = std::thread::spawn(move || {
-                        serve_connection(&state, stream, &limits);
+                        serve_connection(&state, stream, &Limits::default());
                         conns_for_worker.lock().remove(&id);
                     });
                     // Join the workers whose connections have closed, so

@@ -1,5 +1,5 @@
 //! Shared state behind every connection thread: the [`Trod`] instance,
-//! named retroactive patch registries, remote fork sessions, and the
+//! named retroactive patch registries, remote forks, and the
 //! drain/served counters the graceful-shutdown path reads.
 //!
 //! Provenance needs no lock here: [`Trod::sync`] drains the tracer under
@@ -13,13 +13,13 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use trod_core::Trod;
-use trod_kv::Session;
+use trod_db::Database;
 use trod_runtime::HandlerRegistry;
 
 /// A fork of the whole environment held open on behalf of remote
 /// clients, addressable by the id `trod_fork` returned.
 pub struct ForkEntry {
-    pub session: Session,
+    pub db: Database,
     /// The timestamp the fork was taken at.
     pub ts: trod_db::Ts,
 }
@@ -32,7 +32,7 @@ pub struct ServerState {
     /// wire protocol can't ship Rust closures, so patches are installed
     /// server-side at build time and selected by name.
     pub patches: HashMap<String, HandlerRegistry>,
-    /// Remote fork sessions, keyed by the id handed to the client.
+    /// Remote forks, keyed by the id handed to the client.
     pub forks: Mutex<HashMap<String, ForkEntry>>,
     next_fork: AtomicU64,
     /// Set once by shutdown; workers answer every request received after
@@ -67,12 +67,12 @@ impl ServerState {
         self.trod.sync()
     }
 
-    /// The session of fork `id`. It is cloned under the registry's lock
+    /// The database of fork `id`. It is cloned under the registry's lock
     /// and read after it is released, so a slow fork read stalls no
     /// `trod_fork`, `fork_drop` or other registry call; a fork dropped
     /// meanwhile still answers the read in hand.
-    pub fn fork_session(&self, id: &str) -> Option<Session> {
-        self.forks.lock().get(id).map(|entry| entry.session.clone())
+    pub fn fork_db(&self, id: &str) -> Option<Database> {
+        self.forks.lock().get(id).map(|entry| entry.db.clone())
     }
 
     pub fn fresh_fork_id(&self) -> String {

@@ -17,8 +17,7 @@ use trod_apps::shop;
 use trod_core::json::Json;
 use trod_core::wire;
 use trod_core::Trod;
-use trod_db::{ChangeOp, Key, Row, Ts, Value, TS_LIVE};
-use trod_kv::Session;
+use trod_db::{ChangeOp, Database, Key, Row, Ts, Value, TS_LIVE};
 use trod_runtime::{Args, Runtime};
 use trod_server::{fork_from_instance, Client, Dump, DumpError, ServerBuilder};
 
@@ -63,9 +62,8 @@ fn wire_bytes(entries: &[trod_db::CommittedTxn]) -> String {
     Json::Array(entries.iter().map(wire::txn_to_json).collect()).to_string()
 }
 
-fn assert_round_trip(source: &Trod, loaded: &Session) {
+fn assert_round_trip(source: &Trod, loaded_db: &Database) {
     let src_db = source.production_db();
-    let loaded_db = loaded.database();
 
     // Byte-identical aligned history.
     let src_entries = src_db.log_entries();
@@ -112,10 +110,8 @@ fn dump_load_round_trip_preserves_history_and_clocks() {
 
     // The loaded instance continues the history: a new commit lands
     // strictly after the resumed watermark, with the next txn id free.
-    let resumed_ts = loaded.database().current_ts();
-    let runtime = Runtime::builder(loaded.database().clone(), shop::registry())
-        .kv(loaded.kv().clone())
-        .build();
+    let resumed_ts = loaded.current_ts();
+    let runtime = Runtime::builder(loaded.clone(), shop::registry()).build();
     let result = runtime.handle_request(
         "checkout",
         shop::checkout_args("order-after-load", "eve", "item-0", 1),
@@ -125,7 +121,7 @@ fn dump_load_round_trip_preserves_history_and_clocks() {
         "post-load checkout failed: {:?}",
         result.output
     );
-    assert!(loaded.database().current_ts() > resumed_ts);
+    assert!(loaded.current_ts() > resumed_ts);
 }
 
 /// A history of several replay runs, with timestamps no entry uses
@@ -147,7 +143,7 @@ fn a_dump_of_several_replay_runs_boots_identically() {
     let loaded = Dump::capture(&source, Ts::MAX).unwrap().boot().unwrap();
     assert_round_trip(&source, &loaded);
     for ts in (1..src_db.current_ts()).step_by(37) {
-        let loaded_at = loaded.database().digest_at(ts);
+        let loaded_at = loaded.digest_at(ts);
         assert_eq!(src_db.digest_at(ts), loaded_at, "at {ts}");
     }
 }
@@ -186,9 +182,7 @@ fn sys_dump_over_the_wire_boots_an_identical_instance() {
     let dump = Dump::from_json(reply.get("dump").unwrap()).expect("parse dump");
     let loaded = dump.boot().expect("boot");
 
-    let order = loaded
-        .database()
-        .get_latest(shop::ORDERS_TABLE, &Key::single("order-4"));
+    let order = loaded.get_latest(shop::ORDERS_TABLE, &Key::single("order-4"));
     assert!(order.unwrap().is_some());
 
     // Compare against the live server state through its own state.
@@ -236,36 +230,25 @@ fn fork_from_instance_equals_local_fork() {
     let local = server.state().trod.fork_at(ts).expect("local fork");
 
     assert_eq!(
-        remote.database().digest_at(Ts::MAX),
-        local.database().digest_at(Ts::MAX),
+        remote.digest_at(Ts::MAX),
+        local.digest_at(Ts::MAX),
         "network fork must equal the in-process fork at ts {ts}"
     );
-    assert_eq!(
-        remote.database().current_ts(),
-        local.database().current_ts()
-    );
-    assert_eq!(remote.database().current_ts(), ts);
+    assert_eq!(remote.current_ts(), local.current_ts());
+    assert_eq!(remote.current_ts(), ts);
 
     // Past the remote clock, both forks take the published clock.
     let remote_max = fork_from_instance(&server.addr(), u64::MAX).expect("network fork");
     let local_max = server.state().trod.fork_at(u64::MAX).expect("local fork");
+    assert_eq!(remote_max.current_ts(), local_max.current_ts());
     assert_eq!(
-        remote_max.database().current_ts(),
-        local_max.database().current_ts()
-    );
-    assert_eq!(
-        remote_max.database().current_ts(),
+        remote_max.current_ts(),
         server.state().trod.production_db().current_ts()
     );
-    assert_eq!(
-        remote_max.database().digest_at(Ts::MAX),
-        local_max.database().digest_at(Ts::MAX)
-    );
+    assert_eq!(remote_max.digest_at(Ts::MAX), local_max.digest_at(Ts::MAX));
 
     // The remote fork is a real environment: it accepts new commits.
-    let runtime = Runtime::builder(remote.database().clone(), shop::registry())
-        .kv(remote.kv().clone())
-        .build();
+    let runtime = Runtime::builder(remote.clone(), shop::registry()).build();
     let result = runtime.handle_request(
         "checkout",
         shop::checkout_args("order-fork", "g", "item-2", 1),
@@ -324,11 +307,8 @@ fn a_dump_past_i64_max_round_trips_and_boots_at_its_watermark() {
     let reparsed = Dump::from_json(&Json::parse(&text).unwrap()).unwrap();
     assert_eq!(reparsed, dump);
     let loaded = reparsed.boot().expect("boot");
-    assert_eq!(loaded.database().current_ts(), watermark);
-    assert_eq!(
-        loaded.database().log_entries(),
-        source.production_db().log_entries()
-    );
+    assert_eq!(loaded.current_ts(), watermark);
+    assert_eq!(loaded.log_entries(), source.production_db().log_entries());
 }
 
 proptest! {
@@ -368,12 +348,12 @@ proptest! {
         let loaded = reparsed.boot().unwrap();
         prop_assert_eq!(
             source.production_db().log_entries(),
-            loaded.database().log_entries()
+            loaded.log_entries()
         );
-        prop_assert_eq!(source.production_db().current_ts(), loaded.database().current_ts());
+        prop_assert_eq!(source.production_db().current_ts(), loaded.current_ts());
         prop_assert_eq!(
             source.production_db().digest_at(Ts::MAX),
-            loaded.database().digest_at(Ts::MAX)
+            loaded.digest_at(Ts::MAX)
         );
     }
 }
@@ -403,7 +383,7 @@ fn loads_typed_or_boots(
         let outcome = load().and_then(|dump| {
             let session = dump.boot()?;
             let last = dump.entries.last().map_or(0, |e| e.commit_ts);
-            Ok((session.database().current_ts(), dump.current_ts.max(last)))
+            Ok((session.current_ts(), dump.current_ts.max(last)))
         });
         let _ = tx.send(outcome.map_err(|e| e.to_string()));
     });

@@ -127,7 +127,7 @@ fn namespace_reads_through_its_table_equal_the_in_process_reads() {
     let db = shop::shop_db();
     db.create_namespace(NS).unwrap();
     let trod = Trod::attach(Runtime::new(db, shop::registry())).expect("attach");
-    let session = trod.session().clone();
+    let session = trod.runtime().session().clone();
     let mut txn = session.begin();
     for (i, key) in KEYS.iter().enumerate() {
         txn.kv_put(NS, key, &format!("v{i}")).unwrap();
@@ -146,7 +146,7 @@ fn namespace_reads_through_its_table_equal_the_in_process_reads() {
         .call("trod_fork", Json::obj(vec![("ts", Json::from(first))]))
         .expect("fork");
     let fork_id = reply.get("fork_id").and_then(Json::as_str).unwrap();
-    let fork = server.state().fork_session(fork_id).expect("registered");
+    let fork = server.state().fork_db(fork_id).expect("registered");
 
     let points = [
         ReadPoint {
@@ -157,12 +157,12 @@ fn namespace_reads_through_its_table_equal_the_in_process_reads() {
         ReadPoint {
             name: "as_of",
             params: vec![("as_of", Json::from(first))],
-            session: session.fork_at(first).unwrap(),
+            session: Session::new(session.database().fork_at(first).unwrap()),
         },
         ReadPoint {
             name: "fork",
             params: vec![("fork", Json::str(fork_id))],
-            session: fork,
+            session: Session::new(fork),
         },
     ];
     for point in &points {

@@ -120,8 +120,8 @@ fn remote_debug_loop_matches_in_process() {
     let local_fork = local.fork_at(ts_1).expect("local fork");
     assert_eq!(
         wire_fork_rows.get("rows").unwrap().to_string(),
-        local_rows(local_fork.database(), SUBS_SQL),
-        "wire fork at ts {ts_1} must equal the in-process Session::fork_at"
+        local_rows(&local_fork, SUBS_SQL),
+        "wire fork at ts {ts_1} must equal the in-process Trod::fork_at"
     );
     // Only the first subscription exists at ts_1.
     assert_eq!(

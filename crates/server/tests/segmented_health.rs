@@ -84,7 +84,7 @@ fn sys_health_reports_segments_and_sys_dump_stitches_across_restart() {
             }
         }
         let trod = attach(session);
-        trod.gc_before(floor);
+        trod.production_db().gc_before(floor);
 
         let server = ServerBuilder::new(trod).serve("127.0.0.1:0").expect("bind");
         let mut client = Client::connect(&server.addr()).expect("connect");

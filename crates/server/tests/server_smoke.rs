@@ -279,7 +279,7 @@ fn a_fork_from_the_future_is_a_fork_of_the_present() {
         {
             let state = server.state();
             let forks = state.forks.lock();
-            assert_eq!(forks[fork_id].session.database().current_ts(), now);
+            assert_eq!(forks[fork_id].db.current_ts(), now);
         }
         let rs = client
             .call(
@@ -451,7 +451,7 @@ fn engine_errors_keep_their_code_kind_and_retry_bit_over_the_wire() {
     );
 
     // Below the GC floor of an in-memory server a fork is refused.
-    let stats = server.state().trod.gc_before(now);
+    let stats = server.state().trod.production_db().gc_before(now);
     assert!(stats.horizon > 1, "{stats:?}");
     let params = vec![("ts", Json::from(1u64))];
     assert_eq!(

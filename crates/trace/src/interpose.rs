@@ -158,12 +158,21 @@ impl Tracer {
         timestamp
     }
 
-    /// Records the end of a request handler execution.
-    pub fn handler_end(&self, req_id: &str, handler: &str, output: &str, ok: bool) -> i64 {
+    /// Records the end of the handler invocation that
+    /// [`Tracer::handler_start`] stamped `start_ts`.
+    pub fn handler_end(
+        &self,
+        req_id: &str,
+        handler: &str,
+        start_ts: i64,
+        output: &str,
+        ok: bool,
+    ) -> i64 {
         let timestamp = self.now();
         self.push(TraceEvent::HandlerEnd {
             req_id: req_id.to_string(),
             handler: handler.to_string(),
+            start_ts,
             output: output.to_string(),
             ok,
             timestamp,
@@ -225,7 +234,7 @@ mod tests {
         let tracer = Tracer::new();
         let t0 = tracer.handler_start("R1", "checkout", None, "{\"cart\": 3}");
         let t1 = tracer.external_call("R1", "checkout", "email", "receipt");
-        let t2 = tracer.handler_end("R1", "checkout", "ok", true);
+        let t2 = tracer.handler_end("R1", "checkout", t0, "ok", true);
         assert!(t0 < t1 && t1 < t2);
         let events = tracer.drain();
         assert_eq!(events.len(), 3);

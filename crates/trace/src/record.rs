@@ -134,6 +134,9 @@ pub enum TraceEvent {
     HandlerEnd {
         req_id: String,
         handler: String,
+        /// The `timestamp` of the invocation's `HandlerStart`, which with
+        /// the request and handler names the invocation that finished.
+        start_ts: i64,
         /// Serialized return value ("output determinism" is what replay
         /// verifies against).
         output: String,

@@ -7,7 +7,9 @@
 //! reference over random traced histories of the Moodle and profile
 //! services: several handlers per request, RPC children, aborted and
 //! read-only transactions, external calls, and request pairs racing under
-//! a scripted schedule.
+//! a scripted schedule. Over the same histories, every traced request
+//! replays faithfully, injecting before each transaction the commits the
+//! teed traces say it observed.
 //!
 //! `PROPTEST_CASES=512 cargo test -q --test helper_oracle`
 
@@ -19,9 +21,9 @@ use proptest::test_runner::TestCaseError;
 
 use trod_apps::{moodle, profiles};
 use trod_core::{
-    Anomaly, AnomalyKind, DataFlowReport, HandlerLatency, SlowRequest, SpanNode, Trod,
+    Anomaly, AnomalyKind, DataFlowReport, HandlerLatency, ReplayError, SlowRequest, SpanNode, Trod,
 };
-use trod_db::{row, DataType, Database, IsolationLevel, Key, Schema, Value};
+use trod_db::{row, DataType, Database, IsolationLevel, Key, Schema, Ts, Value};
 use trod_provenance::{ProvenanceStore, RequestRecord, EXECUTIONS_TABLE};
 use trod_runtime::{point_label, Args, HandlerError, HandlerRegistry, Runtime, Scheduler};
 use trod_trace::{TraceEvent, TxnTrace};
@@ -690,6 +692,32 @@ fn dedup_tables(iter: impl Iterator<Item = String>) -> Vec<String> {
 // ---------------------------------------------------------------------
 
 /// Every span's transaction count equals the reference's for its handler.
+/// `ReplaySession`'s injection plan for `req_id`: before each of its
+/// committed transactions, in order, the other requests' commits above
+/// the horizons of the transactions before it and at or below its own (the
+/// latest point any of its reads observed).
+fn injections(all_txns: &[TxnTrace], req_id: &str) -> Vec<Vec<u64>> {
+    let own = all_txns
+        .iter()
+        .filter(|t| t.committed && t.ctx.req_id == req_id);
+    let mut watermark = own.clone().map(|t| t.snapshot_ts).min().unwrap_or(0);
+    own.map(|txn| {
+        let after = watermark;
+        let horizon = txn
+            .reads
+            .iter()
+            .map(|r| r.read_ts)
+            .fold(txn.snapshot_ts, Ts::max);
+        watermark = watermark.max(horizon);
+        let others = all_txns
+            .iter()
+            .filter(|o| o.committed && o.ctx.req_id != req_id);
+        let between = others.filter(|o| o.commit_ts > after && o.commit_ts <= watermark);
+        between.map(|o| o.txn_id).collect()
+    })
+    .collect()
+}
+
 fn spans_match(span: &SpanNode, per_handler: &BTreeMap<String, usize>) -> bool {
     span.transactions == per_handler.get(&span.handler).copied().unwrap_or(0)
         && span.children.iter().all(|c| spans_match(c, per_handler))
@@ -787,6 +815,31 @@ proptest! {
     fn helpers_answer_what_the_archive_walks_answered(steps in history()) {
         let (trod, all_txns) = traced_history(&steps);
         check_helpers(&trod, &all_txns)?;
+    }
+
+    /// Every request of the history, the racing ones under read committed
+    /// and snapshot isolation included, replays faithfully, every write
+    /// applied. A request whose every transaction aborted has nothing to
+    /// replay.
+    #[test]
+    fn every_traced_request_replays_faithfully(steps in history()) {
+        let (trod, all_txns) = traced_history(&steps);
+        for req_id in trod.provenance().request_ids() {
+            let report = match trod.replay(&req_id) {
+                Ok(mut replay) => {
+                    let planned: Vec<Vec<u64>> = (replay.steps().iter())
+                        .map(|step| step.injected.iter().map(|t| t.txn_id).collect())
+                        .collect();
+                    prop_assert_eq!(planned, injections(&all_txns, &req_id), "{}", req_id);
+                    replay.run_to_end()
+                }
+                Err(ReplayError::NoTransactions(_)) => continue,
+                Err(e) => Err(e),
+            };
+            let report = report.map_err(|e| TestCaseError::fail(format!("{req_id}: {e}")))?;
+            prop_assert!(report.is_faithful(), "{}: {:?}", req_id, report);
+            prop_assert_eq!(report.writes_skipped(), 0, "{}", req_id);
+        }
     }
 }
 

@@ -230,8 +230,7 @@ fn polyglot_requests_replay_their_relational_side_faithfully() {
     checkout(&cross, "R2", 2, "bob", "gadget");
     provenance.drain_from(&tracer);
 
-    let plain = trod::kv::Session::new(cross.database().clone());
-    let mut replay = trod::core::ReplaySession::for_session(&provenance, &plain, "R2").unwrap();
+    let mut replay = trod::core::ReplaySession::new(&provenance, cross.database(), "R2").unwrap();
     let report = replay.run_to_end().unwrap();
     assert!(report.is_faithful(), "relational side must verify cleanly");
     let step = &report.steps[0];
@@ -241,9 +240,7 @@ fn polyglot_requests_replay_their_relational_side_faithfully() {
     );
     assert_eq!(step.writes_skipped, 0);
     assert_eq!(
-        replay
-            .dev_session()
-            .kv()
+        trod::kv::KvStore::of(replay.dev_db().clone())
             .get_latest("sessions", "cart:bob")
             .unwrap()
             .as_deref(),

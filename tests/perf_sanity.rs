@@ -125,8 +125,7 @@ fn replay_cost_tracks_dependencies_not_database_size() {
     assert!(req.is_ok());
     provenance.drain_from(runtime.tracer());
 
-    let production = trod::kv::Session::new(runtime.database().clone());
-    let report = trod::core::ReplaySession::for_session(&provenance, &production, &req.req_id)
+    let report = trod::core::ReplaySession::new(&provenance, runtime.database(), &req.req_id)
         .unwrap()
         .run_to_end()
         .unwrap();

@@ -86,9 +86,7 @@ fn polyglot_checkout_replays_with_zero_skipped_writes() {
         "the replayed order exists in the development database"
     );
     assert_eq!(
-        session
-            .dev_session()
-            .kv()
+        KvStore::of(session.dev_db().clone())
             .get_latest(shop::CARTS_NAMESPACE, "cart:alice")
             .unwrap(),
         None,
@@ -134,7 +132,7 @@ fn kv_read_verification_catches_an_injected_divergence() {
     // Replay forks at the reader's snapshot and injects only *traced*
     // concurrent commits — the rogue change cannot be reproduced, so the
     // kv fidelity check must flag the read instead of skipping it.
-    let mut session = ReplaySession::for_session(&provenance, &traced, "R1").unwrap();
+    let mut session = ReplaySession::new(&provenance, &db, "R1").unwrap();
     let report = session.run_to_end().unwrap();
     assert!(!report.is_faithful());
     let mismatches: Vec<String> = report
@@ -219,9 +217,7 @@ fn replay_reaches_history_older_than_the_gc_watermark_through_the_durable_log() 
         .unwrap()
         .is_some());
     assert_eq!(
-        session
-            .dev_session()
-            .kv()
+        KvStore::of(session.dev_db().clone())
             .get_latest(shop::CARTS_NAMESPACE, "cart:alice")
             .unwrap(),
         None,
@@ -265,7 +261,7 @@ fn a_provenance_cutoff_leaves_a_deep_fork_whole() {
     let (mut commits, mut cutoff) = (Vec::new(), 0);
     for (i, order) in ["O1", "O2", "O3"].into_iter().enumerate() {
         let ctx = TxnContext::new(format!("R{i}"), "placeOrder", "f");
-        let mut txn = trod.session().begin_traced(ctx);
+        let mut txn = trod.runtime().session().begin_traced(ctx);
         let order_row = row![order, "alice", "item-1", 1i64, "placed"];
         txn.insert(shop::ORDERS_TABLE, order_row).unwrap();
         commits.push(txn.commit().unwrap().commit_ts);
@@ -286,7 +282,6 @@ fn a_provenance_cutoff_leaves_a_deep_fork_whole() {
     let fork = trod.fork_at(commits[1]).unwrap();
     for (order, present) in [("O1", true), ("O2", true), ("O3", false)] {
         let row = fork
-            .database()
             .get_latest(shop::ORDERS_TABLE, &Key::single(order))
             .unwrap();
         assert_eq!(row.is_some(), present, "{order}");
@@ -306,7 +301,7 @@ fn an_erasure_leaves_forks_above_and_below_the_floor_alike() {
 
     let db = trod.production_db();
     let ts = db.current_ts();
-    let above = trod.fork_at(ts).unwrap().database().digest_at(ts);
+    let above = trod.fork_at(ts).unwrap().digest_at(ts);
     let replay_above = trod.replay("R2").unwrap().run_to_end().unwrap();
     assert!(replay_above.has_partial_data());
 
@@ -318,7 +313,6 @@ fn an_erasure_leaves_forks_above_and_below_the_floor_alike() {
     db.gc_before(db.current_ts());
     assert!(ts < db.log_truncated_below());
     let below = trod.fork_at(ts).unwrap();
-    let below = below.database();
     assert_eq!(
         above,
         below.digest_at(ts),

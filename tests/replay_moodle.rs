@@ -102,12 +102,9 @@ fn replay_works_from_provenance_and_a_forked_production_database() {
     let scenario = moodle::toctou_scenario();
     scenario.run();
     scenario.sync_provenance();
-    let mut session = trod::core::ReplaySession::for_session(
-        &scenario.provenance,
-        &trod::kv::Session::new(scenario.runtime.database().clone()),
-        "R1",
-    )
-    .unwrap();
+    let mut session =
+        trod::core::ReplaySession::new(&scenario.provenance, scenario.runtime.database(), "R1")
+            .unwrap();
     let report = session.run_to_end().unwrap();
     assert!(report.is_faithful());
     assert_eq!(report.injected_count(), 1);
@@ -140,9 +137,9 @@ fn replay_is_faithful_for_every_request_of_a_larger_workload() {
     provenance.drain_from(runtime.tracer());
 
     let mut replayed = 0;
-    let production = trod::kv::Session::new(runtime.database().clone());
+    let production = runtime.database();
     for req_id in provenance.request_ids() {
-        match trod::core::ReplaySession::for_session(&provenance, &production, &req_id) {
+        match trod::core::ReplaySession::new(&provenance, production, &req_id) {
             Ok(mut session) => {
                 let report = session.run_to_end().unwrap();
                 assert!(
@@ -200,12 +197,7 @@ fn read_committed_reads_past_the_snapshot_replay_faithfully() {
     reader.commit().unwrap();
     provenance.drain_from(&tracer);
 
-    let mut replay = trod::core::ReplaySession::for_session(
-        &provenance,
-        &trod::kv::Session::new(db.clone()),
-        "R-reader",
-    )
-    .unwrap();
+    let mut replay = trod::core::ReplaySession::new(&provenance, &db, "R-reader").unwrap();
     let report = replay.run_to_end().unwrap();
     assert!(
         report.is_faithful(),
